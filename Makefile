@@ -1,14 +1,18 @@
 GO ?= go
 
-.PHONY: all build test short race vet fmt lint bench bench-compare bench-sharded bench-batchio bench-tracing bench-blockmax bench-segments bench-load bench-replication test-crash test-obs test-replication clean
+.PHONY: all build test short race vet fmt flake bench bench-e2e test-crash test-obs test-replication
 
 all: build test
 
 build:
 	$(GO) build ./...
 
+# internal/bench is a nested module (the end-to-end benchmark compiles
+# against the root package's exported surface), so ./... does not reach it;
+# vetting and testing it here is what catches a root API rename.
 test: test-replication
 	$(GO) test ./...
+	cd internal/bench && $(GO) vet ./... && $(GO) test ./...
 
 short:
 	$(GO) test -short ./...
@@ -58,120 +62,17 @@ test-obs:
 fmt:
 	gofmt -l .
 
-# API-surface lint: the context-free wrappers (SearchNoCtx, SearchContext,
-# FederatedSearch) were removed in favor of the Searcher interface; fail if
-# any Go source reintroduces a call site. \b keeps test names like
-# TestFederatedSearch and prose mentions in comments out of scope.
-lint:
-	@if grep -rnE --include='*.go' '\b(SearchNoCtx|SearchContext|FederatedSearch)\(' .; then \
-		echo 'lint: call sites of removed context-free wrappers found (use the Searcher interface)'; \
-		exit 1; \
-	fi
-	@echo lint ok
+# Flake lane: the timing-sensitive admission, breaker and lease tests,
+# twenty times under -race. Required green.
+flake:
+	$(GO) test -race -count=20 -run 'TestAdmission|TestBreaker|TestLease' .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Perf gate: run the sequential-vs-parallel comparison and fail if the
-# parallel pipeline's overall p95 regresses past the sequential baseline.
-# GOMAXPROCS is pinned so the pool width is reproducible on any box, and
-# the simulated I/O latency sits in the sleep regime (>= 100us) so
-# parallel workers can actually overlap it. BENCH_parallel.json is the
-# evidence artifact.
-bench-compare:
-	GOMAXPROCS=4 $(GO) run ./cmd/tklus-bench -fig parallel \
-		-posts 20000 -users 2000 -queries 8 -iolat 100us \
-		-telemetry "" -parallel BENCH_parallel.json
-	$(GO) run ./cmd/tklus-benchcheck -in BENCH_parallel.json -min-p95-speedup 1.0
-
-# Sharded gate: sweep the scatter-gather tier over 1/2/4/8 shards against
-# the monolithic build and fail unless every merged result was identical
-# and no healthy-tier query came back degraded. Latency points land in
-# BENCH_sharded.json for inspection; only correctness is gated, since
-# scatter-gather overhead vs corpus size is machine-dependent.
-bench-sharded:
-	GOMAXPROCS=4 $(GO) run ./cmd/tklus-bench -fig sharded \
-		-posts 20000 -users 2000 -queries 8 -iolat 100us \
-		-telemetry "" -parallel "" -sharded BENCH_sharded.json
-	$(GO) run ./cmd/tklus-benchcheck -in "" -sharded-in BENCH_sharded.json
-
-# Batched-IO gate: compare point lookups, multi-get batches, and the CSR
-# reply-graph snapshot on the large-radius OR workload, single-threaded so
-# the comparison isolates the IO access pattern. Fails unless results were
-# byte-identical across all three configurations and the snapshot beat the
-# point-lookup p95 by >= 2x. BENCH_batchio.json is the evidence artifact.
-bench-batchio:
-	GOMAXPROCS=4 $(GO) run ./cmd/tklus-bench -fig batchio \
-		-posts 20000 -users 2000 -queries 8 -iolat 100us \
-		-telemetry "" -parallel "" -batchio BENCH_batchio.json
-	$(GO) run ./cmd/tklus-benchcheck -in "" -batchio-in BENCH_batchio.json -min-batchio-speedup 2.0
-
-# Tracing gate: replay the sharded workload with no tracer, a disabled
-# tracer, and a record-everything tracer, interleaved. Fails unless the
-# disabled path stayed within the run-to-run noise band of the baseline
-# (tracing must cost nothing when off), the enabled path cost < 5% at
-# p95, and traced results were identical. BENCH_tracing.json is the
-# evidence artifact.
-bench-tracing:
-	GOMAXPROCS=4 $(GO) run ./cmd/tklus-bench -fig tracing \
-		-posts 20000 -users 2000 -queries 8 -iolat 100us \
-		-telemetry "" -parallel "" -tracing BENCH_tracing.json
-	$(GO) run ./cmd/tklus-benchcheck -in "" -tracing-in BENCH_tracing.json -max-tracing-overhead 5.0
-
-# Block-max gate: compare exhaustive, Def.-11-only, and block-max traversal
-# on the same blocked index, single-threaded so the comparison isolates the
-# traversal strategy. Fails unless results were byte-identical across all
-# three configurations, the block-max engine actually skipped postings
-# blocks, and it beat the exhaustive p95 on sum-ranking city-radius classes
-# by >= 2x. BENCH_blockmax.json is the evidence artifact.
-bench-blockmax:
-	GOMAXPROCS=4 $(GO) run ./cmd/tklus-bench -fig blockmax \
-		-posts 20000 -users 2000 -queries 8 -iolat 100us \
-		-telemetry "" -parallel "" -blockmax BENCH_blockmax.json
-	$(GO) run ./cmd/tklus-benchcheck -in "" -blockmax-in BENCH_blockmax.json -min-blockmax-speedup 2.0
-
-# Storage-engine gate: compare the paged B⁺-tree baseline against the
-# mmap'd immutable segment store on the same corpus, with database caches
-# off so every paged read is cold — the regime segments are built for.
-# Fails unless results were byte-identical between the arms, the store
-# actually time-partitioned (> 1 segment, windowed queries pruning whole
-# buckets), and the segment store beat the paged cold-read p95 by >= 2x.
-# BENCH_segments.json is the evidence artifact.
-bench-segments:
-	GOMAXPROCS=4 $(GO) run ./cmd/tklus-bench -fig segments \
-		-posts 20000 -users 2000 -queries 8 -iolat 100us \
-		-telemetry "" -parallel "" -segments BENCH_segments.json
-	$(GO) run ./cmd/tklus-benchcheck -in "" -segments-in BENCH_segments.json -min-segments-speedup 2.0
-
-# Overload gate: offer the same open-loop Poisson workload at 0.5x/1x/2x
-# of measured capacity to the bare system and to the same system behind
-# admission control. Fails unless the 2x run shows the contrast the design
-# promises: the unprotected baseline's p99 collapses under queue wait
-# (>= 2x the admitted arm's) while the admission controller sheds the
-# excess and keeps goodput >= half of capacity. Queries run CPU-bound
-# (-iolat 0): simulated I/O is a sleep, which unbounded concurrency
-# overlaps for free, so only a saturable resource exposes the collapse.
-# BENCH_load.json is the evidence artifact.
-bench-load:
-	GOMAXPROCS=4 $(GO) run ./cmd/tklus-bench -fig load \
-		-posts 20000 -users 2000 -queries 8 -iolat 0 \
-		-telemetry "" -parallel "" -load BENCH_load.json -load-duration 3s
-	$(GO) run ./cmd/tklus-benchcheck -in "" -load-in BENCH_load.json \
-		-min-collapse-ratio 2.0 -min-goodput-frac 0.5
-
-# Replication gate: replay the sharded workload against a 2-replica tier
-# with every replica healthy, kill every shard's leader, and replay again.
-# Fails unless both arms answered byte-identically to the monolithic
-# oracle with zero degraded queries, every group re-elected a leader, and
-# re-election finished inside 2x the per-shard deadline. The query set
-# runs with hedging off (in-process replicas make a hedge pure duplicate
-# work) but the serving deadline on, since it is the failover budget's
-# denominator. BENCH_replication.json is the evidence artifact.
-bench-replication:
-	GOMAXPROCS=4 $(GO) run ./cmd/tklus-bench -fig replication \
-		-posts 20000 -users 2000 -queries 8 -iolat 100us \
-		-telemetry "" -parallel "" -replication BENCH_replication.json
-	$(GO) run ./cmd/tklus-benchcheck -in "" -replication-in BENCH_replication.json -max-failover-x 2.0
-
-clean:
-	rm -f BENCH_telemetry.json BENCH_parallel.json BENCH_sharded.json BENCH_batchio.json BENCH_tracing.json BENCH_blockmax.json BENCH_segments.json BENCH_load.json BENCH_replication.json
+# The one serving-path benchmark: HTTP in, JSON out, four workloads,
+# per-layer breakdown, run the way BENCHMARK.json's driver runs it (see
+# internal/bench/README.md; compare two -out reports with
+# tklus-e2ebench -compare).
+bench-e2e:
+	bash internal/bench/run.sh --workload all --seed 1 --seconds 15

@@ -23,8 +23,9 @@ import (
 //
 // Three gates, in order, all before any search work runs:
 //
-//  1. Queue bound — at most MaxConcurrent searches run and MaxQueue more
-//     wait. A query arriving past that is shed instantly (reason
+//  1. Queue bound — at most MaxConcurrent+MaxQueue queries are in flight
+//     (running or waiting) at once, so with every slot busy at most
+//     MaxQueue wait. A query arriving past that is shed instantly (reason
 //     "queue_full"): a bounded queue is what keeps the shed path O(1)
 //     under arbitrary offered load.
 //  2. Cost budget — a token bucket refilled at CostBudget work-units/sec.
@@ -50,8 +51,9 @@ type AdmissionControl struct {
 	backend Searcher
 	opts    AdmissionOptions
 
-	slots   chan struct{} // running-search tokens, cap MaxConcurrent
-	waiters atomic.Int64  // queries between arrival and slot acquisition
+	slots    chan struct{} // running-search tokens, cap MaxConcurrent
+	inflight atomic.Int64  // queries between arrival and return: running + waiting
+	waiters  atomic.Int64  // queries between arrival and slot acquisition
 
 	// Cost model state. estimates holds the per-shape EWMA of observed
 	// work; tokens/lastFill the budget bucket; degradeEW the EWMA of the
@@ -176,14 +178,17 @@ var _ Searcher = (*AdmissionControl)(nil)
 func (ac *AdmissionControl) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats, error) {
 	span := telemetry.SpanFromContext(ctx)
 
-	// Gate 1: bounded queue.
-	if ac.waiters.Add(1) > int64(ac.opts.MaxQueue+ac.opts.MaxConcurrent) {
-		ac.waiters.Add(-1)
+	// Gate 1: bounded queue. The in-flight count is held until the query
+	// returns, so the bound does not depend on whether earlier arrivals
+	// have been handed their slot yet.
+	defer ac.inflight.Add(-1)
+	if ac.inflight.Add(1) > int64(ac.opts.MaxConcurrent+ac.opts.MaxQueue) {
 		ac.shedQueueFull.Add(1)
 		span.Event("admission_shed", "queue_full")
-		return nil, nil, fmt.Errorf("tklus: admission queue full (%d waiting on %d slots): %w",
-			ac.opts.MaxQueue, ac.opts.MaxConcurrent, core.ErrOverloaded)
+		return nil, nil, fmt.Errorf("tklus: admission queue full (%d running + %d waiting already in flight): %w",
+			ac.opts.MaxConcurrent, ac.opts.MaxQueue, core.ErrOverloaded)
 	}
+	ac.waiters.Add(1)
 
 	// Gate 2: cost budget.
 	est, ok := ac.spendBudget(q)

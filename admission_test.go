@@ -43,41 +43,50 @@ func waitForQueued(t *testing.T, ac *tklus.AdmissionControl, n int64) {
 	}
 }
 
-// TestAdmissionQueueFull fills the single slot and the two queue
-// positions, then checks the next arrival is shed instantly with
+// TestAdmissionQueueFull holds every running slot, fills the MaxQueue
+// waiting positions, then checks the next arrival is shed instantly with
 // ErrOverloaded rather than queued — the bounded queue is what keeps the
-// shed path O(1) under arbitrary offered load.
+// shed path O(1) under arbitrary offered load. The bound counts queries in
+// flight, so the outcome is the same whichever goroutine arrives first.
 func TestAdmissionQueueFull(t *testing.T) {
-	stub := &stubSearcher{release: make(chan struct{})}
-	ac := tklus.NewAdmissionControl(stub, tklus.AdmissionOptions{
-		MaxConcurrent: 1, MaxQueue: 1, MaxWait: 5 * time.Second,
-	})
-	q := tklus.Query{RadiusKm: 10, K: 5, Keywords: []string{"hotel"}}
+	for _, maxQueue := range []int{1, 3} {
+		stub := &stubSearcher{release: make(chan struct{})}
+		ac := tklus.NewAdmissionControl(stub, tklus.AdmissionOptions{
+			MaxConcurrent: 1, MaxQueue: maxQueue, MaxWait: 5 * time.Second,
+		})
+		q := tklus.Query{RadiusKm: 10, K: 5, Keywords: []string{"hotel"}}
 
-	// One admitted and blocked in the backend, two waiting: with
-	// MaxConcurrent=1 and MaxQueue=1 the shed threshold is waiters > 2.
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
+		var wg sync.WaitGroup
+		search := func() {
 			defer wg.Done()
 			ac.Search(context.Background(), q)
-		}()
-	}
-	waitForQueued(t, ac, 2)
+		}
+		wg.Add(1)
+		go search() // takes the only slot and blocks in the backend
+		for ac.Stats().Admitted == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		for i := 0; i < maxQueue; i++ {
+			wg.Add(1)
+			go search()
+		}
+		waitForQueued(t, ac, int64(maxQueue))
 
-	_, _, err := ac.Search(context.Background(), q)
-	if !errors.Is(err, tklus.ErrOverloaded) {
-		t.Fatalf("over-queue arrival error = %v, want ErrOverloaded", err)
-	}
-	if st := ac.Stats(); st.ShedQueueFull != 1 {
-		t.Errorf("ShedQueueFull = %d, want 1 (stats %+v)", st.ShedQueueFull, st)
-	}
+		_, _, err := ac.Search(context.Background(), q)
+		if !errors.Is(err, tklus.ErrOverloaded) {
+			t.Fatalf("MaxQueue=%d: over-queue arrival error = %v, want ErrOverloaded", maxQueue, err)
+		}
+		if st := ac.Stats(); st.ShedQueueFull != 1 || st.Queued != int64(maxQueue) {
+			t.Errorf("MaxQueue=%d: ShedQueueFull = %d, Queued = %d, want 1 and %d (stats %+v)",
+				maxQueue, st.ShedQueueFull, st.Queued, maxQueue, st)
+		}
 
-	close(stub.release)
-	wg.Wait()
-	if st := ac.Stats(); st.Admitted != 3 {
-		t.Errorf("Admitted = %d, want 3 after release (stats %+v)", st.Admitted, st)
+		close(stub.release)
+		wg.Wait()
+		if st := ac.Stats(); st.Admitted != int64(1+maxQueue) || st.Queued != 0 {
+			t.Errorf("MaxQueue=%d: Admitted = %d, Queued = %d after release, want %d and 0 (stats %+v)",
+				maxQueue, st.Admitted, st.Queued, 1+maxQueue, st)
+		}
 	}
 }
 

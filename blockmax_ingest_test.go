@@ -40,17 +40,16 @@ func blockmaxCorpus() (posts []*tklus.Post, loc tklus.Point, roots []*tklus.Post
 func TestBlockMaxLosslessAfterIngest(t *testing.T) {
 	posts, loc, roots := blockmaxCorpus()
 
-	cfg := tklus.DefaultConfig()
+	// Only the block-max system filters through the row-meta snapshot; the
+	// oracle keeps fetching rows. The grid equality below then also proves
+	// the snapshot-served filter identical to the row-fetching one, both
+	// over the frozen corpus and through the ingest overlay.
+	cfg := tklus.DefaultConfig(tklus.WithRowMetaSnapshot())
 	cfg.Index.BlockSize = 8
 	sys, err := tklus.Build(posts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only the block-max system filters through the row-meta snapshot; the
-	// oracle keeps fetching rows. The grid equality below then also proves
-	// the snapshot-served filter identical to the row-fetching one, both
-	// over the frozen corpus and through the ingest overlay.
-	sys.EnableRowMetaSnapshot()
 	oracleCfg := tklus.DefaultConfig()
 	oracleCfg.Index.BlockSize = 8
 	oracleCfg.Engine.UseBlockMax = false

@@ -10,10 +10,8 @@
 //	tklus-bench -fig 8          # a single figure
 //	tklus-bench -posts 10000 -queries 10   # smaller, faster run
 //
-// Every run also writes BENCH_telemetry.json (disable with -telemetry ""):
-// per-stage query-pipeline latency percentiles from the telemetry
-// histograms, the machine-readable perf baseline later PRs compare
-// against.
+// The serving-path benchmark (HTTP in, JSON out, per-layer breakdown) is
+// internal/bench; this command only reproduces the paper.
 package main
 
 import (
@@ -39,29 +37,7 @@ func main() {
 		k       = flag.Int("k", 10, "result size k")
 		iolat   = flag.Duration("iolat", 2*time.Microsecond,
 			"simulated latency per metadata page read (paper regime: disk-based, caches off)")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		telemetry = flag.String("telemetry", "BENCH_telemetry.json",
-			"write a per-stage latency snapshot to this file (empty disables)")
-		popcache = flag.Int("popcache", 4096,
-			"thread-popularity cache capacity for the parallel comparison (entries)")
-		parallel = flag.String("parallel", "BENCH_parallel.json",
-			"write the sequential-vs-parallel comparison to this file (empty disables)")
-		sharded = flag.String("sharded", "",
-			"write the sharded scatter-gather scaling run to this file (empty disables; the bench-sharded lane passes BENCH_sharded.json)")
-		batchio = flag.String("batchio", "",
-			"write the point-vs-batched-vs-snapshot IO comparison to this file (empty disables; the bench-batchio lane passes BENCH_batchio.json)")
-		tracing = flag.String("tracing", "",
-			"write the tracing-overhead comparison to this file (empty disables; the bench-tracing lane passes BENCH_tracing.json)")
-		blockmax = flag.String("blockmax", "",
-			"write the block-max traversal comparison to this file (empty disables; the bench-blockmax lane passes BENCH_blockmax.json)")
-		segments = flag.String("segments", "",
-			"write the paged-vs-segments storage comparison to this file (empty disables; the bench-segments lane passes BENCH_segments.json)")
-		load = flag.String("load", "",
-			"write the open-loop load comparison to this file (empty disables; the bench-load lane passes BENCH_load.json)")
-		loadDur = flag.Duration("load-duration", 1500*time.Millisecond,
-			"how long each open-loop load run offers arrivals")
-		replication = flag.String("replication", "",
-			"write the replication failover comparison to this file (empty disables; the bench-replication lane passes BENCH_replication.json)")
+		list = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
 
@@ -75,7 +51,6 @@ func main() {
 	cfg := experiments.Config{
 		Seed: *seed, NumUsers: *users, NumPosts: *posts,
 		QueryPerClass: *queries, K: *k, IOLatency: *iolat,
-		PopCacheSize: *popcache, LoadDuration: *loadDur,
 	}
 	fmt.Fprintf(os.Stderr, "generating corpus (%d posts, %d users, seed %d)...\n",
 		cfg.NumPosts, cfg.NumUsers, cfg.Seed)
@@ -102,187 +77,5 @@ func main() {
 	}
 	if ran == 0 {
 		log.Fatalf("unknown experiment %q (use -list)", *fig)
-	}
-
-	if *parallel != "" {
-		t0 := time.Now()
-		snap, err := setup.ParallelCompare() // memoized if the runner already ran
-		if err != nil {
-			log.Fatalf("parallel comparison: %v", err)
-		}
-		f, err := os.Create(*parallel)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "[parallel comparison (p95 speedup %.2fx) written to %s in %v]\n",
-			snap.OverallSpeedupP95, *parallel, time.Since(t0).Round(time.Millisecond))
-	}
-
-	if *sharded != "" {
-		t0 := time.Now()
-		snap, err := setup.ShardedCompare() // memoized if the runner already ran
-		if err != nil {
-			log.Fatalf("sharded comparison: %v", err)
-		}
-		f, err := os.Create(*sharded)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "[sharded scaling run (%d tiers, identical=%v) written to %s in %v]\n",
-			len(snap.Points), snap.ResultsIdentical, *sharded, time.Since(t0).Round(time.Millisecond))
-	}
-
-	if *batchio != "" {
-		t0 := time.Now()
-		snap, err := setup.BatchIOCompare() // memoized if the runner already ran
-		if err != nil {
-			log.Fatalf("batchio comparison: %v", err)
-		}
-		f, err := os.Create(*batchio)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "[batchio comparison (snapshot p95 speedup %.2fx, identical=%v) written to %s in %v]\n",
-			snap.SnapSpeedupP95, snap.ResultsIdentical, *batchio, time.Since(t0).Round(time.Millisecond))
-	}
-
-	if *tracing != "" {
-		t0 := time.Now()
-		snap, err := setup.TracingCompare() // memoized if the runner already ran
-		if err != nil {
-			log.Fatalf("tracing comparison: %v", err)
-		}
-		f, err := os.Create(*tracing)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "[tracing comparison (on overhead %+.1f%%, identical=%v) written to %s in %v]\n",
-			snap.OnOverheadPct, snap.ResultsIdentical, *tracing, time.Since(t0).Round(time.Millisecond))
-	}
-
-	if *blockmax != "" {
-		t0 := time.Now()
-		snap, err := setup.BlockMaxCompare() // memoized if the runner already ran
-		if err != nil {
-			log.Fatalf("blockmax comparison: %v", err)
-		}
-		f, err := os.Create(*blockmax)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "[blockmax comparison (sum p95 speedup %.2fx, %d blocks skipped, identical=%v) written to %s in %v]\n",
-			snap.SumSpeedupP95, snap.TotalBlocksSkipped, snap.ResultsIdentical, *blockmax, time.Since(t0).Round(time.Millisecond))
-	}
-
-	if *segments != "" {
-		t0 := time.Now()
-		snap, err := setup.SegmentsCompare() // memoized if the runner already ran
-		if err != nil {
-			log.Fatalf("segments comparison: %v", err)
-		}
-		f, err := os.Create(*segments)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "[segments comparison (cold p95 speedup %.2fx, %d segments, %d partitions pruned, identical=%v) written to %s in %v]\n",
-			snap.ColdSpeedupP95, snap.Segments, snap.TotalPartitionsPruned, snap.ResultsIdentical, *segments, time.Since(t0).Round(time.Millisecond))
-	}
-
-	if *load != "" {
-		t0 := time.Now()
-		snap, err := setup.LoadCompare() // memoized if the runner already ran
-		if err != nil {
-			log.Fatalf("load comparison: %v", err)
-		}
-		f, err := os.Create(*load)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "[load comparison (capacity %.0f qps, collapse p99 ratio %.1fx, shed %.0f%%) written to %s in %v]\n",
-			snap.CapacityQPS, snap.CollapseP99Ratio, snap.AdmittedShedRate*100,
-			*load, time.Since(t0).Round(time.Millisecond))
-	}
-
-	if *replication != "" {
-		t0 := time.Now()
-		snap, err := setup.ReplicationCompare() // memoized if the runner already ran
-		if err != nil {
-			log.Fatalf("replication comparison: %v", err)
-		}
-		f, err := os.Create(*replication)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "[replication comparison (failover %.0fms, %d failovers, identical=%v) written to %s in %v]\n",
-			snap.FailoverMs, snap.Failovers, snap.ResultsIdentical,
-			*replication, time.Since(t0).Round(time.Millisecond))
-	}
-
-	if *telemetry != "" {
-		t0 := time.Now()
-		snap, err := setup.Telemetry()
-		if err != nil {
-			log.Fatalf("telemetry snapshot: %v", err)
-		}
-		f, err := os.Create(*telemetry)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "[telemetry snapshot (%d queries) written to %s in %v]\n",
-			snap.Queries, *telemetry, time.Since(t0).Round(time.Millisecond))
 	}
 }

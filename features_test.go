@@ -100,13 +100,17 @@ func TestFeaturesOnShardedBuild(t *testing.T) {
 	}
 	sc := tklus.DefaultShardingConfig()
 	sc.NumShards = 2
-	ss, err := tklus.BuildSharded(corpus.Posts, tklus.DefaultConfig(tklus.WithPopCache(32)), sc)
+	ss, err := tklus.BuildSharded(corpus.Posts,
+		tklus.DefaultConfig(tklus.WithPopCache(32), tklus.WithReplySnapshot()), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, shard := range ss.Systems {
 		if shard.PopCache == nil {
 			t.Errorf("shard %d came up without the popularity cache", i)
+		}
+		if shard.DB.ReplySnapshot() == nil {
+			t.Errorf("shard %d came up without the reply snapshot", i)
 		}
 	}
 }

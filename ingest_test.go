@@ -33,11 +33,11 @@ func ingestCorpus() (posts []*tklus.Post, loc tklus.Point, roots []*tklus.Post) 
 // freshly built with the reply in the corpus from the start.
 func TestIngestInvalidatesPopCache(t *testing.T) {
 	posts, loc, roots := ingestCorpus()
-	sys, err := tklus.Build(posts, tklus.DefaultConfig())
+	sys, err := tklus.Build(posts, tklus.DefaultConfig(tklus.WithPopCache(64)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := sys.EnablePopCache(64)
+	cache := sys.PopCache
 
 	q := tklus.Query{
 		Loc: loc, RadiusKm: 5, Keywords: []string{"hotel"},
@@ -202,11 +202,10 @@ func TestIngestRules(t *testing.T) {
 // cache exist for. Run under -race this is the PR's main safety net.
 func TestConcurrentSearchAndIngest(t *testing.T) {
 	posts, loc, roots := ingestCorpus()
-	sys, err := tklus.Build(posts, tklus.DefaultConfig())
+	sys, err := tklus.Build(posts, tklus.DefaultConfig(tklus.WithPopCache(64)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.EnablePopCache(64)
 	q := tklus.Query{
 		Loc: loc, RadiusKm: 5, Keywords: []string{"hotel"},
 		K: 3, Ranking: tklus.SumScore,

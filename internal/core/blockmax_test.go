@@ -16,8 +16,8 @@ import (
 )
 
 // buildEngineIndexed is buildEngine with control over the index build —
-// block size and flat-vs-blocked layout — so equivalence tests can force
-// multi-block postings lists and compare layouts over one corpus.
+// the block size — so equivalence tests can force multi-block postings
+// lists.
 func buildEngineIndexed(t testing.TB, posts []*social.Post, opts core.Options, geohashLen int, hotKeywords []string, mutate func(*invindex.BuildOptions)) *core.Engine {
 	t.Helper()
 	db, err := metadb.Load(metadb.DefaultOptions(), posts)
@@ -42,6 +42,10 @@ func buildEngineIndexed(t testing.TB, posts []*social.Post, opts core.Options, g
 	return eng
 }
 
+// fetchOnly hides an index's OpenPostings, so the engine adapts it through
+// FetchPostings and a one-block slice iterator.
+type fetchOnly struct{ core.PostingsSource }
+
 // requireSameResults asserts two rankings are byte-identical: same length,
 // same user and the exact same float at every position. Block-max traversal
 // promises bit-equality, not approximate equality, so no tolerance.
@@ -64,8 +68,8 @@ func requireSameResults(t *testing.T, got, want []core.UserResult, format string
 // index with 8-posting blocks so every hot list spans many blocks) returns
 // bit-identical results to (a) the exhaustive engine — block-max and
 // pruning both off — over the same blocked index, and (b) a block-max
-// engine over a flat-postings index (the slice-iterator compatibility
-// path). It also checks the work accounting: for the sum ranking, threads
+// engine over a source that only offers FetchPostings (the slice-iterator
+// compatibility path). It also checks the work accounting: for the sum ranking, threads
 // built plus threads pruned must equal the exhaustive engine's thread
 // count. (Block skipping itself is pinned by TestBlockMaxSkipsBlocks — a
 // uniform random corpus interleaves the two lists too densely for AND
@@ -84,10 +88,13 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 		exhaustive.UsePruning = false
 
 		smallBlocks := func(o *invindex.BuildOptions) { o.BlockSize = 8 }
-		flat := func(o *invindex.BuildOptions) { o.FlatPostings = true }
 		engBM := buildEngineIndexed(t, posts, bm, 3, hot, smallBlocks)
 		engEx := buildEngineIndexed(t, posts, exhaustive, 3, hot, smallBlocks)
-		engFlat := buildEngineIndexed(t, posts, bm, 3, hot, flat)
+		engFlat, err := core.NewPartitionedEngine(
+			[]core.Partition{{Source: fetchOnly{engBM.Index}}}, engBM.DB, engBM.Bounds, bm)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {
 			for _, sem := range []core.Semantic{core.Or, core.And} {
@@ -112,7 +119,7 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 						t.Fatal(err)
 					}
 					requireSameResults(t, fres, want,
-						"flat-index blockmax vs exhaustive eps=%v %v %v r=%v", epsilon, ranking, sem, radius)
+						"fetch-only blockmax vs exhaustive eps=%v %v %v r=%v", epsilon, ranking, sem, radius)
 
 					if gs.Candidates != ws.Candidates {
 						t.Fatalf("eps=%v %v %v r=%v: candidates %d vs exhaustive %d",

@@ -146,13 +146,6 @@ type Options struct {
 	// the query goroutine. Results are identical at any setting — parallel
 	// stages assemble their outputs in job order.
 	Parallelism int
-	// ThreadExpand selects the metadata access pattern for thread
-	// expansion and candidate fetching. The zero value is
-	// thread.ExpandBatched (multi-get I/O); ExpandPointLookup restores the
-	// one-descent-per-row baseline and ExpandSnapshot expands threads from
-	// the CSR reply-graph snapshot when the DB has one. Results are
-	// byte-identical in every mode.
-	ThreadExpand thread.ExpandMode
 }
 
 // DefaultOptions enables pruning, specific bounds and block-max traversal,
@@ -239,7 +232,7 @@ func NewPartitionedEngine(parts []Partition, db *metadb.DB, bounds *thread.Bound
 		DB:         db,
 		Bounds:     bounds,
 		Opts:       opts,
-		builder:    thread.Builder{DB: db, Depth: opts.Params.ThreadDepth, Mode: opts.ThreadExpand},
+		builder:    thread.Builder{DB: db, Depth: opts.Params.ThreadDepth},
 	}, nil
 }
 
@@ -249,15 +242,6 @@ func NewPartitionedEngine(parts []Partition, db *metadb.DB, bounds *thread.Bound
 // must evict that root before the next query.
 func (e *Engine) SetPopularityCache(c thread.PopularityCache) {
 	e.builder.Cache = c
-}
-
-// SetThreadExpand switches the metadata access pattern (see
-// Options.ThreadExpand) on a wired engine — e.g. to ExpandSnapshot right
-// after the DB's CSR snapshot is enabled. Not safe to call concurrently
-// with queries.
-func (e *Engine) SetThreadExpand(m thread.ExpandMode) {
-	e.Opts.ThreadExpand = m
-	e.builder.Mode = m
 }
 
 // UserResult is one ranked user.

@@ -212,39 +212,6 @@ func (e *Engine) gatherCandidates(ctx context.Context, q *Query, terms []string,
 		return out, nil
 	}
 
-	if e.Opts.ThreadExpand == thread.ExpandPointLookup {
-		results := make([]filtered, len(merged))
-		err := RunJobs(ctx, e.workers(), len(merged), func(ctx context.Context, i int) error {
-			c := merged[i]
-			if q.TimeWindow != nil && !q.TimeWindow.contains(c.tid) {
-				return nil
-			}
-			row, ok := e.DB.GetBySID(c.tid)
-			if !ok {
-				return fmt.Errorf("core: indexed tweet %d missing from metadata db", c.tid)
-			}
-			if e.Opts.Params.Metric.DistanceKm(q.Loc, row.Loc()) > q.RadiusKm {
-				return nil // cover cells may stick out of the circle
-			}
-			delta := score.TweetDistance(row.Loc(), q.Loc, q.RadiusKm, e.Opts.Params.Metric)
-			results[i] = filtered{
-				sc:   scoredCandidate{tid: c.tid, matches: c.matches, uid: row.UID, delta: delta, phiUB: c.phiUB},
-				keep: true,
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out := make([]scoredCandidate, 0, len(merged))
-		for i := range results {
-			if results[i].keep {
-				out = append(out, results[i].sc)
-			}
-		}
-		return out, nil
-	}
-
 	survivors := merged
 	if q.TimeWindow != nil {
 		survivors = make([]candidate, 0, len(merged))
@@ -520,24 +487,14 @@ func (e *Engine) userDistance(q *Query, uid social.UserID, candidateDeltaSum flo
 	}
 	var sum float64
 	sids := e.DB.PostsOfUser(uid)
-	if e.Opts.ThreadExpand == thread.ExpandPointLookup {
-		for _, sid := range sids {
-			row, ok := e.DB.GetBySID(sid)
-			if !ok {
-				continue
-			}
-			sum += score.TweetDistance(row.Loc(), q.Loc, q.RadiusKm, e.Opts.Params.Metric)
+	// P_u is clustered by SID, so one multi-get touches each of the
+	// user's data pages once.
+	rows, found, _ := e.DB.GetBySIDBatch(sids)
+	for i := range rows {
+		if !found[i] {
+			continue
 		}
-	} else {
-		// P_u is clustered by SID, so one multi-get touches each of the
-		// user's data pages once.
-		rows, found, _ := e.DB.GetBySIDBatch(sids)
-		for i := range rows {
-			if !found[i] {
-				continue
-			}
-			sum += score.TweetDistance(rows[i].Loc(), q.Loc, q.RadiusKm, e.Opts.Params.Metric)
-		}
+		sum += score.TweetDistance(rows[i].Loc(), q.Loc, q.RadiusKm, e.Opts.Params.Metric)
 	}
 	return score.UserDistance(sum, total)
 }

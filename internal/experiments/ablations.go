@@ -137,16 +137,8 @@ func Runners() []Runner {
 		{"ablation-irtree", "Ablation: hybrid index vs IR-tree retrieval", (*Setup).AblationIRTree},
 		{"ablation-depth", "Ablation: thread depth", (*Setup).AblationThreadDepth},
 		{"ablation-cache", "Ablation: page cache", (*Setup).AblationPageCache},
-		{"parallel", "Parallel pipeline vs sequential baseline", (*Setup).ParallelPipeline},
 		{"latency", "Latency distribution summary", (*Setup).LatencySummary},
 		{"scale", "Scalability: corpus size sweep", (*Setup).ScaleSweep},
 		{"effectiveness", "Effectiveness: latent expert recovery", (*Setup).ExpertRecovery},
-		{"sharded", "Sharded scatter-gather: shard-count sweep", (*Setup).ShardedScaling},
-		{"batchio", "Batched IO: point vs batched vs CSR snapshot", (*Setup).BatchIOTable},
-		{"tracing", "Tracing overhead: disabled vs enabled tracer", (*Setup).TracingOverhead},
-		{"blockmax", "Block-max traversal: exhaustive vs Def.-11 vs block-max", (*Setup).BlockMaxTable},
-		{"segments", "Storage engine: paged B⁺-tree vs mmap'd segments", (*Setup).SegmentsTable},
-		{"load", "Open-loop load: bare system vs admission control", (*Setup).Load},
-		{"replication", "Replication: leader loss, lease failover, post-failover identity", (*Setup).ReplicationFailover},
 	}
 }

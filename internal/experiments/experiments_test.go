@@ -173,118 +173,3 @@ func TestSampleDeterministic(t *testing.T) {
 		t.Error("oversized sample should return everything")
 	}
 }
-
-func TestTracingCompareSnapshot(t *testing.T) {
-	s := setup(t)
-	snap, err := s.TracingCompare()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.ResultsIdentical {
-		t.Error("traced pass diverged from the untraced baseline")
-	}
-	if snap.Queries == 0 || snap.Rounds == 0 {
-		t.Fatalf("empty run: %+v", snap)
-	}
-	// SampleRate 1 retains every traced query: the ring is sized for the
-	// whole run, so nothing may be sampled out or evicted.
-	if want := snap.Queries * snap.Rounds; snap.TracesKept != want {
-		t.Errorf("kept %d traces, want %d", snap.TracesKept, want)
-	}
-	// Each trace at minimum holds the bench root and the router span;
-	// fan-out adds attempt and stage spans on top.
-	if snap.SpansPerTrace < 2 {
-		t.Errorf("spans/trace %.1f implausibly low — span tree not recorded", snap.SpansPerTrace)
-	}
-	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTracingSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.TracesKept != snap.TracesKept || back.Queries != snap.Queries {
-		t.Errorf("JSON round-trip mutated the snapshot: %+v vs %+v", back, snap)
-	}
-}
-
-func TestShardedCompareSnapshot(t *testing.T) {
-	s := setup(t)
-	snap, err := s.ShardedCompare()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.ResultsIdentical {
-		t.Error("sweep finished with ResultsIdentical=false")
-	}
-	if len(snap.Points) == 0 || snap.Queries == 0 {
-		t.Fatalf("empty sweep: %+v", snap)
-	}
-	for _, p := range snap.Points {
-		if p.Degraded != 0 {
-			t.Errorf("%d shards: %d degraded queries over healthy shards", p.Shards, p.Degraded)
-		}
-		if p.Shards < 1 {
-			t.Errorf("bad shard count %d", p.Shards)
-		}
-	}
-	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadShardedSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Points) != len(snap.Points) || back.Queries != snap.Queries {
-		t.Errorf("JSON round-trip mutated the snapshot: %+v vs %+v", back, snap)
-	}
-}
-
-// TestLoadCompareSnapshot checks the open-loop load snapshot's
-// structural invariants: a full sweep for both arms, a 2x overload
-// headline, and a lossless JSON round trip. Latency and shed thresholds
-// are the bench-load gate's business at real scale, not a unit test's —
-// a laptop-sized corpus under `go test` parallelism is too noisy to pin
-// them here.
-func TestLoadCompareSnapshot(t *testing.T) {
-	s := setup(t)
-	snap, err := s.LoadCompare()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Baseline) != len(loadMultiples) || len(snap.Admitted) != len(loadMultiples) {
-		t.Fatalf("sweep covered %d/%d points, want %d per arm",
-			len(snap.Baseline), len(snap.Admitted), len(loadMultiples))
-	}
-	if snap.CapacityQPS <= 0 {
-		t.Fatal("no capacity measured")
-	}
-	if snap.OverloadMultiple < 2 {
-		t.Errorf("top multiple %.1fx, want >= 2x", snap.OverloadMultiple)
-	}
-	for i, p := range snap.Baseline {
-		if p.Sent == 0 {
-			t.Errorf("baseline point %d sent no arrivals", i)
-		}
-		if p.OfferedQPS <= 0 || p.Multiple != loadMultiples[i] {
-			t.Errorf("baseline point %d malformed: %+v", i, p)
-		}
-	}
-	if snap.Admitted[len(snap.Admitted)-1].OK == 0 {
-		t.Error("admission control let nothing through at overload")
-	}
-
-	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadLoadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.CapacityQPS != snap.CapacityQPS || len(back.Admitted) != len(snap.Admitted) {
-		t.Error("JSON round trip lost fields")
-	}
-}

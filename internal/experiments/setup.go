@@ -28,13 +28,6 @@ type Config struct {
 	// (several I/Os per thread, Section V-B) dominates query time; a small
 	// simulated latency reproduces that regime. Zero measures pure CPU.
 	IOLatency time.Duration
-	// PopCacheSize is the thread-popularity cache capacity (entries) used
-	// by the parallel-pipeline comparison; non-positive selects the
-	// popcache default.
-	PopCacheSize int
-	// LoadDuration is how long each open-loop load run offers arrivals;
-	// non-positive selects the LoadCompare default.
-	LoadDuration time.Duration
 }
 
 // DefaultConfig is the configuration used by cmd/tklus-bench.
@@ -46,13 +39,8 @@ func DefaultConfig() Config {
 }
 
 // SmallConfig keeps unit tests fast (and CPU-bound: no simulated I/O).
-// The short LoadDuration keeps the open-loop load runner to a fraction
-// of a second per offered rate.
 func SmallConfig() Config {
-	return Config{
-		Seed: 42, NumUsers: 600, NumPosts: 6000, QueryPerClass: 6, K: 5,
-		LoadDuration: 300 * time.Millisecond,
-	}
+	return Config{Seed: 42, NumUsers: 600, NumPosts: 6000, QueryPerClass: 6, K: 5}
 }
 
 // Setup holds the shared corpus, workload, and lazily built systems.
@@ -61,15 +49,7 @@ type Setup struct {
 	Corpus  *datagen.Corpus
 	Queries []datagen.QuerySpec
 
-	systems         map[int]*tklus.System // by geohash length
-	parallelSnap    *ParallelSnapshot     // memoized ParallelCompare result
-	shardedSnap     *ShardedSnapshot      // memoized ShardedCompare result
-	batchioSnap     *BatchIOSnapshot      // memoized BatchIOCompare result
-	tracingSnap     *TracingSnapshot      // memoized TracingCompare result
-	blockmaxSnap    *BlockMaxSnapshot     // memoized BlockMaxCompare result
-	loadSnap        *LoadSnapshot         // memoized LoadCompare result
-	segmentsSnap    *SegmentsSnapshot     // memoized SegmentsCompare result
-	replicationSnap *ReplicationSnapshot  // memoized ReplicationCompare result
+	systems map[int]*tklus.System // by geohash length
 }
 
 // NewSetup generates the corpus and the 90-query-style workload.

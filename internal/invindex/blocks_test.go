@@ -277,22 +277,39 @@ func TestFlatIteratorCompat(t *testing.T) {
 	}
 }
 
-// TestFetchDispatch builds one index blocked and one flat over the same
-// corpus and checks FetchPostings and OpenPostings agree between formats.
+// TestFetchDispatch builds a blocked index, re-encodes every list flat
+// into a hand-assembled second index (the layout TKFWD1 images carry), and
+// checks FetchPostings and OpenPostings agree between formats.
 func TestFetchDispatch(t *testing.T) {
 	posts := testCorpus(t, 300)
 	fsB := dfs.New(dfs.DefaultOptions())
-	fsF := dfs.New(dfs.DefaultOptions())
 	optsB := DefaultBuildOptions()
 	optsB.BlockSize = 16 // small blocks so multi-block lists exist
-	optsF := DefaultBuildOptions()
-	optsF.FlatPostings = true
 	idxB, _, err := Build(fsB, posts, optsB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxF, _, err := Build(fsF, posts, optsF)
+	fsF := dfs.New(dfs.DefaultOptions())
+	idxF := &Index{fs: fsF, geohashLen: optsB.GeohashLen, forward: map[Key]entryRef{}}
+	w, err := fsF.Create("index/part-00000")
 	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range idxB.Keys() {
+		ps, err := idxB.FetchPostings(k.Geohash, k.Term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := EncodePostingsList(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idxF.forward[k] = entryRef{file: "index/part-00000", offset: w.Offset(), length: int64(len(enc)), count: len(ps)}
+		if _, err := w.Write(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	keys := idxB.Keys()
@@ -319,23 +336,25 @@ func TestFetchDispatch(t *testing.T) {
 		if got := idxB.PostingsCount(k.Geohash, k.Term); got != len(pb) {
 			t.Fatalf("%v: PostingsCount %d, want %d", k, got, len(pb))
 		}
-		// The lazy iterator must yield the same sequence.
-		it, err := idxB.OpenPostings(k.Geohash, k.Term)
-		if err != nil {
-			t.Fatalf("%v: open: %v", k, err)
-		}
-		for i := 0; ; i++ {
-			p, ok := it.Cur()
-			if !ok {
-				if i != len(pb) {
-					t.Fatalf("%v: iterator ended at %d of %d", k, i, len(pb))
+		// The lazy iterator must yield the same sequence over either layout.
+		for _, idx := range []*Index{idxB, idxF} {
+			it, err := idx.OpenPostings(k.Geohash, k.Term)
+			if err != nil {
+				t.Fatalf("%v: open: %v", k, err)
+			}
+			for i := 0; ; i++ {
+				p, ok := it.Cur()
+				if !ok {
+					if i != len(pb) {
+						t.Fatalf("%v: iterator ended at %d of %d", k, i, len(pb))
+					}
+					break
 				}
-				break
+				if p != pb[i] {
+					t.Fatalf("%v: iterator posting %d = %v, want %v", k, i, p, pb[i])
+				}
+				it.Next()
 			}
-			if p != pb[i] {
-				t.Fatalf("%v: iterator posting %d = %v, want %v", k, i, p, pb[i])
-			}
-			it.Next()
 		}
 	}
 }

@@ -23,13 +23,8 @@ type BuildOptions struct {
 	// e.g. "index" -> index/part-00000.
 	PathPrefix string
 	// BlockSize is the postings-per-block target of the blocked layout
-	// (non-positive selects DefaultBlockSize). Ignored when FlatPostings
-	// is set.
+	// (non-positive selects DefaultBlockSize).
 	BlockSize int
-	// FlatPostings forces the flat varint layout for every list — the
-	// compatibility/oracle configuration with no block directory and no
-	// skipping.
-	FlatPostings bool
 }
 
 // DefaultBuildOptions returns the 4-length-geohash configuration used by
@@ -114,13 +109,7 @@ func Build(fsys *dfs.FS, posts []*social.Post, opts BuildOptions) (*Index, *Buil
 				ps = append(ps, p)
 			}
 			ps = sortPostings(ps)
-			var encoded []byte
-			var err error
-			if opts.FlatPostings {
-				encoded, err = EncodePostingsList(ps)
-			} else {
-				encoded, err = EncodeBlockedPostingsList(ps, opts.BlockSize)
-			}
+			encoded, err := EncodeBlockedPostingsList(ps, opts.BlockSize)
 			if err != nil {
 				return err
 			}
@@ -164,7 +153,7 @@ func Build(fsys *dfs.FS, posts []*social.Post, opts BuildOptions) (*Index, *Buil
 				key: kv.Key,
 				ref: entryRef{
 					file: name, offset: off, length: int64(len(kv.Value)),
-					count: count, blocked: !opts.FlatPostings,
+					count: count, blocked: true,
 				},
 			})
 			postingsBytes += int64(len(kv.Value))

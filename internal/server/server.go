@@ -29,7 +29,7 @@
 // 500 "internal".
 //
 // The server fronts any tklus.Searcher — a monolithic System, a
-// PartitionedSystem, a ShardedSystem router, or a Federation. The
+// SegmentedSystem, a ShardedSystem router, or a Federation. The
 // system-introspection endpoints (/evidence, /thread, the I/O half of
 // /stats) exist only when the backend is a *tklus.System; a router serves
 // the query endpoints and its own metrics.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/metadb"
+	"repro/internal/score"
 	"repro/internal/social"
 )
 
@@ -29,48 +30,12 @@ func randomReplyPosts(rng *rand.Rand, n int) []*social.Post {
 	return posts
 }
 
-// TestExpandModesByteIdentical is the mode-equivalence grid: across
-// expansion modes, ε values, depth limits, and post-freeze appends, every
-// thread's popularity and level vector must be byte-identical (exact float
-// equality — all modes visit the same nodes in the same order).
-func TestExpandModesByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	posts := randomReplyPosts(rng, 800)
-	db, err := metadb.Load(metadb.Options{RowsPerPage: 32, IndexOrder: 8}, posts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(label string) {
-		t.Helper()
-		for _, epsilon := range []float64{0.05, 0.1, 0.5} {
-			for _, depth := range []int{1, 2, 6} {
-				for _, p := range posts {
-					ref := &Builder{DB: db, Depth: depth, Mode: ExpandPointLookup}
-					wantPop, wantLevels := ref.Popularity(p.SID, epsilon, nil)
-					for _, mode := range []ExpandMode{ExpandBatched, ExpandSnapshot} {
-						b := &Builder{DB: db, Depth: depth, Mode: mode}
-						pop, levels := b.Popularity(p.SID, epsilon, nil)
-						if pop != wantPop || !reflect.DeepEqual(levels, wantLevels) {
-							t.Fatalf("%s: mode %d ε=%v depth=%d root %d: got %v %v, want %v %v",
-								label, mode, epsilon, depth, p.SID, pop, levels, wantPop, wantLevels)
-						}
-					}
-				}
-			}
-		}
-	}
-
-	// Without a snapshot, ExpandSnapshot exercises the batched fallback.
-	check("no snapshot")
-	db.EnableReplySnapshot()
-	check("frozen snapshot")
-
-	// Appends after the snapshot land in the overlay; all modes must agree
-	// on the grown threads too.
-	_, maxSID := db.SIDRange()
-	next := maxSID
-	for i := 0; i < 100; i++ {
+// appendReplies grows the database past its build-time state with n
+// replies to random existing posts.
+func appendReplies(t *testing.T, db *metadb.DB, rng *rand.Rand, posts []*social.Post, n int) {
+	t.Helper()
+	_, next := db.SIDRange()
+	for i := 0; i < n; i++ {
 		parent := posts[rng.Intn(len(posts))]
 		next++
 		reply := &social.Post{
@@ -82,34 +47,101 @@ func TestExpandModesByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check("post-freeze appends")
 }
 
-// TestTreeModesIdentical checks the materialized BFS trees agree too (node
-// identity, parents, and levels).
-func TestTreeModesIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	posts := randomReplyPosts(rng, 400)
+// referenceTree is the literal reading of Algorithm 1 — one "select all
+// where rsid = Id" descent per frontier node — kept as the oracle the
+// Builder's derived expansion paths are compared against. It touches the
+// database only through SelectByRSID, so the root node's UID is left zero.
+func referenceTree(db *metadb.DB, root social.PostID, depth int, epsilon float64) ([]Node, []int, float64) {
+	nodes := []Node{{SID: root, Level: 1}}
+	levels := []int{1}
+	frontier := []social.PostID{root}
+	for d := 1; d <= depth && len(frontier) > 0; d++ {
+		var next []social.PostID
+		for _, tid := range frontier {
+			for _, r := range db.SelectByRSID(tid) {
+				next = append(next, r.SID)
+				nodes = append(nodes, Node{SID: r.SID, UID: r.UID, Parent: tid, Level: d + 1})
+			}
+		}
+		if len(next) == 0 {
+			break
+		}
+		levels = append(levels, len(next))
+		frontier = next
+	}
+	return nodes, levels, score.Popularity(levels, epsilon)
+}
+
+// expansionStates runs check against the three database states the
+// Builder derives its expansion path from: no reply snapshot (batched
+// multi-get), a frozen snapshot, and a snapshot extended by post-freeze
+// appends (overlay).
+func expansionStates(t *testing.T, seed int64, n int, check func(label string, db *metadb.DB, posts []*social.Post)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	posts := randomReplyPosts(rng, n)
 	db, err := metadb.Load(metadb.Options{RowsPerPage: 32, IndexOrder: 8}, posts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	check("no snapshot", db, posts)
 	db.EnableReplySnapshot()
-	for _, p := range posts[:50] {
-		ref := &Builder{DB: db, Depth: 6, Mode: ExpandPointLookup}
-		wantNodes, wantPop := ref.Tree(p.SID, 0.1, nil)
-		for _, mode := range []ExpandMode{ExpandBatched, ExpandSnapshot} {
-			b := &Builder{DB: db, Depth: 6, Mode: mode}
-			nodes, pop := b.Tree(p.SID, 0.1, nil)
-			if pop != wantPop || !reflect.DeepEqual(nodes, wantNodes) {
-				t.Fatalf("mode %d root %d: tree differs", mode, p.SID)
-			}
-		}
-	}
+	check("frozen snapshot", db, posts)
+	appendReplies(t, db, rng, posts, n/8)
+	check("post-freeze appends", db, posts)
 }
 
-// TestBatchedExpansionSavesIO asserts the batched mode's raison d'être:
-// fewer simulated touches than the point-lookup path on the same threads.
+// TestExpansionByteIdentical is the expansion-equivalence grid: across
+// database states, ε values and depth limits, every thread's popularity
+// and level vector must be byte-identical to the per-node reference (exact
+// float equality — both paths visit the same nodes in the same order). It
+// also pins which path ran: BatchLookups counts multi-get traffic, so it
+// is positive without a snapshot and stays zero with one.
+func TestExpansionByteIdentical(t *testing.T) {
+	expansionStates(t, 21, 800, func(label string, db *metadb.DB, posts []*social.Post) {
+		var st Stats
+		for _, epsilon := range []float64{0.05, 0.1, 0.5} {
+			for _, depth := range []int{1, 2, 6} {
+				b := &Builder{DB: db, Depth: depth}
+				for _, p := range posts {
+					_, wantLevels, wantPop := referenceTree(db, p.SID, depth, epsilon)
+					pop, levels := b.Popularity(p.SID, epsilon, &st)
+					if pop != wantPop || !reflect.DeepEqual(levels, wantLevels) {
+						t.Fatalf("%s: ε=%v depth=%d root %d: got %v %v, want %v %v",
+							label, epsilon, depth, p.SID, pop, levels, wantPop, wantLevels)
+					}
+				}
+			}
+		}
+		if hasSnap := db.ReplySnapshot() != nil; hasSnap != (st.BatchLookups == 0) {
+			t.Errorf("%s: BatchLookups = %d with snapshot present = %v", label, st.BatchLookups, hasSnap)
+		}
+	})
+}
+
+// TestTreeModesIdentical checks the materialized BFS trees agree with the
+// reference too (node identity, parents, and levels).
+func TestTreeModesIdentical(t *testing.T) {
+	expansionStates(t, 22, 400, func(label string, db *metadb.DB, posts []*social.Post) {
+		for _, depth := range []int{1, 6} {
+			b := &Builder{DB: db, Depth: depth}
+			for _, p := range posts[:50] {
+				wantNodes, _, wantPop := referenceTree(db, p.SID, depth, 0.1)
+				wantNodes[0].UID = p.UID
+				nodes, pop := b.Tree(p.SID, 0.1, nil)
+				if pop != wantPop || !reflect.DeepEqual(nodes, wantNodes) {
+					t.Fatalf("%s: depth=%d root %d: tree differs", label, depth, p.SID)
+				}
+			}
+		}
+	})
+}
+
+// TestBatchedExpansionSavesIO asserts the batched path's raison d'être:
+// fewer simulated touches than the per-node reference on the same threads,
+// and none at all once the database has a reply snapshot.
 func TestBatchedExpansionSavesIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	posts := randomReplyPosts(rng, 2000)
@@ -118,32 +150,32 @@ func TestBatchedExpansionSavesIO(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cost := func(mode ExpandMode) (int64, Stats) {
+	touches := func(run func(root social.PostID)) int64 {
 		db.ResetStats()
-		var st Stats
-		b := &Builder{DB: db, Depth: 6, Mode: mode}
 		for _, p := range posts[:300] {
-			b.Popularity(p.SID, 0.1, &st)
+			run(p.SID)
 		}
 		s := db.Stats()
-		return s.PageReads + s.IndexReads, st
+		return s.PageReads + s.IndexReads
 	}
+	var st Stats
+	b := &Builder{DB: db, Depth: 6}
+	builder := func(root social.PostID) { b.Popularity(root, 0.1, &st) }
 
-	point, _ := cost(ExpandPointLookup)
-	batched, st := cost(ExpandBatched)
+	point := touches(func(root social.PostID) { referenceTree(db, root, 6, 0.1) })
+	batched := touches(builder)
 	if batched > point {
 		t.Errorf("batched expansion cost %d touches, point-lookup %d", batched, point)
 	}
 	if st.BatchLookups == 0 {
-		t.Error("batched mode recorded no batch lookups")
+		t.Error("batched expansion recorded no batch lookups")
 	}
 	if st.BatchPagesSaved < 0 {
 		t.Errorf("negative pages saved: %d", st.BatchPagesSaved)
 	}
 
 	db.EnableReplySnapshot()
-	snap, _ := cost(ExpandSnapshot)
-	if snap != 0 {
+	if snap := touches(builder); snap != 0 {
 		t.Errorf("snapshot expansion cost %d touches, want 0", snap)
 	}
 }

@@ -29,26 +29,6 @@ type PopularityCache interface {
 	Put(root social.PostID, epsilon float64, depth int, pop float64, levels []int)
 }
 
-// ExpandMode selects how a Builder turns one thread level into the next.
-// Every mode visits the identical node sets in the identical order, so
-// φ(p) scores are byte-identical across modes; they differ only in how
-// much simulated metadata I/O the expansion costs.
-type ExpandMode int
-
-const (
-	// ExpandBatched (the default) issues one SelectByRSIDBatch per thread
-	// level T_i: B⁺-tree descents are shared across the frontier and each
-	// data page is read once per level.
-	ExpandBatched ExpandMode = iota
-	// ExpandPointLookup is the legacy Algorithm 1 literal reading: one
-	// SelectByRSID descent per frontier node.
-	ExpandPointLookup
-	// ExpandSnapshot expands through the CSR reply-graph snapshot with
-	// zero B⁺-tree traffic; if the database has no snapshot enabled it
-	// falls back to ExpandBatched.
-	ExpandSnapshot
-)
-
 // Builder constructs tweet threads against the metadata database.
 type Builder struct {
 	DB    *metadb.DB
@@ -56,9 +36,6 @@ type Builder struct {
 	// Cache, when non-nil, is consulted before running Algorithm 1 and
 	// filled after; hits skip the level-by-level metadata I/O entirely.
 	Cache PopularityCache
-	// Mode selects the level-expansion strategy; the zero value is
-	// ExpandBatched.
-	Mode ExpandMode
 }
 
 // Stats counts construction work for the experiments.
@@ -73,28 +50,18 @@ type Stats struct {
 
 // expand maps one frontier to its child lists, groups[i] holding the
 // reactions to frontier[i] in ascending SID order — the rsid index's value
-// order, identical in every mode.
+// order. When the database has a CSR reply-graph snapshot the children
+// come from it with zero B⁺-tree traffic; otherwise one SelectByRSIDBatch
+// per thread level shares descents across the frontier and reads each data
+// page once. Both visit the identical node sets in the identical order, so
+// φ(p) is byte-identical either way.
 func (b *Builder) expand(frontier []social.PostID, stats *Stats) [][]metadb.ChildRef {
 	groups := make([][]metadb.ChildRef, len(frontier))
-	switch b.Mode {
-	case ExpandPointLookup:
+	if snap := b.DB.ReplySnapshot(); snap != nil {
 		for i, tid := range frontier {
-			rows := b.DB.SelectByRSID(tid)
-			refs := make([]metadb.ChildRef, len(rows))
-			for j, r := range rows {
-				refs[j] = metadb.ChildRef{SID: r.SID, UID: r.UID}
-			}
-			groups[i] = refs
+			groups[i] = snap.Children(tid)
 		}
 		return groups
-	case ExpandSnapshot:
-		if snap := b.DB.ReplySnapshot(); snap != nil {
-			for i, tid := range frontier {
-				groups[i] = snap.Children(tid)
-			}
-			return groups
-		}
-		// No snapshot enabled: fall through to the batched B-tree path.
 	}
 	lists, bs := b.DB.SelectByRSIDBatch(frontier)
 	if stats != nil {

@@ -4,16 +4,34 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	tklus "repro"
 	"repro/internal/datagen"
 )
 
+// buildSegmented builds a system of its own over posts (EnableSegments
+// re-points its base system's row-meta reads at the store, so the base is
+// not shared with a monolithic entry) and moves it onto a segment store in
+// a temp dir, closed when the test ends.
+func buildSegmented(t *testing.T, posts []*tklus.Post) *tklus.SegmentedSystem {
+	t.Helper()
+	base, err := tklus.Build(posts, tklus.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := tklus.EnableSegments(base, tklus.SegmentOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { seg.Close() })
+	return seg
+}
+
 // TestSearcherCancellationContract pins the API-surface contract of the
 // consolidated Searcher interface: every implementation — monolithic
-// system, partitioned system, sharded router, federation, and the
-// admission-control wrapper — observes context cancellation and surfaces
+// system, segment-backed system (the arrangement the end-to-end benchmark
+// serves from), sharded router, federation, and the admission-control
+// wrapper — observes context cancellation and surfaces
 // it as the context's error, never as a result or a mistyped sentinel.
 func TestSearcherCancellationContract(t *testing.T) {
 	cfg := datagen.DefaultConfig()
@@ -27,10 +45,7 @@ func TestSearcherCancellationContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := tklus.BuildPartitioned(corpus.Posts, tklus.DefaultConfig(), 30*24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg := buildSegmented(t, corpus.Posts)
 	sc := tklus.DefaultShardingConfig()
 	sc.NumShards = 2
 	sharded, err := tklus.BuildSharded(corpus.Posts, tklus.DefaultConfig(), sc)
@@ -49,7 +64,7 @@ func TestSearcherCancellationContract(t *testing.T) {
 
 	searchers := map[string]tklus.Searcher{
 		"System":            sys,
-		"PartitionedSystem": part,
+		"SegmentedSystem":   seg,
 		"ShardedSystem":     sharded,
 		"Federation":        fed,
 		"AdmissionControl":  admitted,

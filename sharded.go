@@ -368,6 +368,13 @@ func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem,
 	return ss, nil
 }
 
+func orDefault(s, def string) string {
+	if s == "" {
+		return def
+	}
+	return s
+}
+
 // NumShards returns the number of shards behind the router.
 func (ss *ShardedSystem) NumShards() int { return len(ss.shards) }
 

@@ -659,22 +659,20 @@ func TestShardedConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestShardedSearcherCompliance pins the API redesign: all four serving
-// arrangements satisfy tklus.Searcher at compile time and answer the same
-// query through the one interface.
+// TestShardedSearcherCompliance pins the API redesign: the monolithic,
+// segment-backed, sharded and federated arrangements satisfy
+// tklus.Searcher at compile time and answer the same query through the
+// one interface.
 func TestShardedSearcherCompliance(t *testing.T) {
 	mono, sharded, corpus := buildMonoAndSharded(t, 2000, 2)
 	fed := tklus.NewFederation(map[string]*tklus.System{"main": mono})
-	parted, err := tklus.BuildPartitioned(corpus.Posts, tklus.DefaultConfig(), 30*24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg := buildSegmented(t, corpus.Posts)
 	q := tklus.Query{
 		Loc: corpus.Config.Cities[0].Center, RadiusKm: 15,
 		Keywords: []string{"hotel"}, K: 5,
 	}
 	for name, sr := range map[string]tklus.Searcher{
-		"system": mono, "partitioned": parted, "sharded": sharded, "federation": fed,
+		"system": mono, "segmented": seg, "sharded": sharded, "federation": fed,
 	} {
 		res, stats, err := sr.Search(context.Background(), q)
 		if err != nil {

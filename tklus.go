@@ -120,8 +120,8 @@ var (
 )
 
 // Searcher is the one query interface every serving arrangement
-// implements: a single monolithic System, a time-partitioned
-// PartitionedSystem, a geo-sharded ShardedSystem, and a cross-platform
+// implements: a single monolithic System, a segment-backed
+// SegmentedSystem, a geo-sharded ShardedSystem, and a cross-platform
 // Federation. Code written against Searcher — the HTTP server included —
 // runs unchanged over any of them. The context carries cancellation and
 // the deadline budget; implementations abort early once it is done.
@@ -132,7 +132,6 @@ type Searcher interface {
 // Every serving arrangement satisfies Searcher.
 var (
 	_ Searcher = (*System)(nil)
-	_ Searcher = (*PartitionedSystem)(nil)
 	_ Searcher = (*ShardedSystem)(nil)
 	_ Searcher = (*Federation)(nil)
 )
@@ -180,8 +179,7 @@ type Config struct {
 // Features are the optional serving accelerators a system can come up
 // with. Every feature preserves byte-identical results; they only change
 // where reads go. The zero value enables nothing — the paper's baseline
-// configuration. (These replace the ad-hoc Enable* toggle methods, which
-// remain as thin shims so server flags keep mapping 1:1.)
+// configuration.
 type Features struct {
 	// PopCacheCapacity attaches the cross-query thread-popularity cache
 	// with this many entries; negative selects the popcache default
@@ -253,8 +251,8 @@ type System struct {
 	// Contents resolves tweet IDs to their raw texts, stored in the DFS
 	// alongside the index (Figure 3).
 	Contents *contents.Store
-	// PopCache is the cross-query thread-popularity cache, nil until
-	// EnablePopCache attaches one. Ingest keeps it coherent.
+	// PopCache is the cross-query thread-popularity cache, nil unless
+	// Features.PopCacheCapacity asked for one. Ingest keeps it coherent.
 	PopCache *popcache.Cache
 
 	// IndexStats reports MapReduce construction counters and sizes.
@@ -323,57 +321,25 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 
 // applyFeatures turns on the accelerators the config asks for. Build and
 // Load both funnel through it, so a fresh build and a snapshot recovery
-// come up with the same serving surface.
+// come up with the same serving surface. Every accelerator is picked up
+// from state the read paths can observe — the thread builder expands from
+// the reply snapshot when the database has one, the candidate filter reads
+// the row-meta snapshot when the database has one — and posts ingested
+// afterwards extend both snapshots in place, so results stay byte-identical
+// to the B⁺-tree paths. φ(p) depends only on the reply/forward graph, so
+// popularity-cache entries stay exact across queries; Ingest evicts the
+// entries an inserted post invalidates.
 func (s *System) applyFeatures(f Features) {
 	if f.PopCacheCapacity != 0 {
-		s.EnablePopCache(f.PopCacheCapacity)
+		s.PopCache = popcache.New(f.PopCacheCapacity)
+		s.Engine.SetPopularityCache(s.PopCache)
 	}
 	if f.ReplySnapshot {
-		s.EnableReplySnapshot()
+		s.DB.EnableReplySnapshot()
 	}
 	if f.RowMetaSnapshot {
-		s.EnableRowMetaSnapshot()
+		s.DB.EnableRowMetaSnapshot()
 	}
-}
-
-// EnablePopCache attaches a cross-query thread-popularity cache of the
-// given capacity (entries; non-positive selects the default) to the query
-// engine. It is the imperative shim behind Features.PopCacheCapacity /
-// WithPopCache — prefer those on new code; this form exists so server
-// flags can toggle features on an already-running system. φ(p) depends only on the reply/forward graph, so cached results
-// stay exact across queries; Ingest evicts the entries an inserted post
-// invalidates. Calling it again replaces the cache (and so empties it).
-func (s *System) EnablePopCache(capacity int) *popcache.Cache {
-	s.PopCache = popcache.New(capacity)
-	s.Engine.SetPopularityCache(s.PopCache)
-	return s.PopCache
-}
-
-// DisablePopCache detaches the popularity cache.
-func (s *System) DisablePopCache() {
-	s.PopCache = nil
-	s.Engine.SetPopularityCache(nil)
-}
-
-// EnableReplySnapshot builds the metadata database's CSR reply-graph
-// snapshot and switches the engine's thread expansion onto it: thread
-// construction over the frozen corpus then costs zero B⁺-tree traffic,
-// and posts ingested afterwards extend the snapshot in place, so results
-// stay byte-identical to the B-tree paths. Call it after Build, not
-// concurrently with queries (it flips the engine's expansion mode).
-func (s *System) EnableReplySnapshot() {
-	s.DB.EnableReplySnapshot()
-	s.Engine.SetThreadExpand(thread.ExpandSnapshot)
-}
-
-// EnableRowMetaSnapshot builds the metadata database's SID → (location,
-// author) snapshot: the candidate filter's radius test and δ(p,q) then
-// run against in-memory arrays instead of fetching each merged posting's
-// row, and posts ingested afterwards extend the snapshot in place, so
-// results stay byte-identical to the row-fetching path. Call it after
-// Build; it is picked up by every engine sharing the database.
-func (s *System) EnableRowMetaSnapshot() {
-	s.DB.EnableRowMetaSnapshot()
 }
 
 // Ingest appends live posts to the centralized metadata database, in
@@ -469,7 +435,7 @@ func (s *System) ingest(posts []*Post, timed bool, dbDur, walDur *time.Duration)
 				s.PopCache.InvalidateRoot(a)
 			}
 		}
-		builder := thread.Builder{DB: s.DB, Depth: depth, Mode: thread.ExpandSnapshot}
+		builder := thread.Builder{DB: s.DB, Depth: depth}
 		for _, a := range ancestors {
 			pop, _ := builder.Popularity(a, eps, nil)
 			s.Bounds.RaiseForRoot(a, pop)
