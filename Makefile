@@ -31,13 +31,15 @@ vet:
 # Durability lane: crash-inject every filesystem step of Save, segment
 # seal and compaction, corrupt every snapshot and segment artifact, replay
 # the WAL after simulated crashes, race checkpoints against live ingest,
-# and burst client cancellations at the sharded tier's breakers — all
-# under -race. The WAL and segment packages' own tests (torn tails,
-# segment rotation, record framing, the segment corruption matrix) ride
-# along.
+# burst client cancellations at the sharded tier's breakers, and drive the
+# segment store's lifecycle (durable reopen through either Save receiver,
+# one engine behind every read path, use after Close, searches racing
+# seals, compaction and checkpoints) — all under -race. The WAL and segment
+# packages' own tests (torn tails, segment rotation, record framing, the
+# segment corruption matrix) ride along.
 test-crash:
 	$(GO) test -race -count=1 \
-		-run 'CrashInjection|Corruption|WALRecovery|WALReplay|WALTornTail|SaveRacesIngest|BreakerIgnoresClientCancellation' .
+		-run 'CrashInjection|Corruption|WALRecovery|WALReplay|WALTornTail|SaveRacesIngest|BreakerIgnoresClientCancellation|SegmentedDurableReopen|SegmentedFreshKeywordVisible|SegmentedUseAfterClose|SegmentedConcurrentLifecycle' .
 	$(GO) test -race -count=1 ./internal/wal/ ./internal/fsx/... ./internal/segment/
 
 # Replication lane: the replica-group machinery under -race — WAL-shipped
@@ -62,10 +64,12 @@ test-obs:
 fmt:
 	gofmt -l .
 
-# Flake lane: the timing-sensitive admission, breaker and lease tests,
-# twenty times under -race. Required green.
+# Flake lane: the timing-sensitive admission, breaker and lease tests and
+# the segment store's lifecycle tests (searches racing seals, compaction
+# and checkpoints), twenty times under -race. Required green.
 flake:
-	$(GO) test -race -count=20 -run 'TestAdmission|TestBreaker|TestLease' .
+	$(GO) test -race -count=20 \
+		-run 'TestAdmission|TestBreaker|TestLease|TestSegmentedDurableReopen|TestSegmentedFreshKeywordVisible|TestSegmentedUseAfterClose|TestSegmentedConcurrentLifecycle' .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

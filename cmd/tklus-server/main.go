@@ -158,12 +158,6 @@ func main() {
 
 	var handler *server.Server
 	var durable *tklus.System // non-nil when -data owns persistence
-	// saver is what checkpoints call: the segmented wrapper when -segments
-	// is on (it seals the memtable before each snapshot — the crash-safety
-	// ordering), the bare system otherwise.
-	var saver interface {
-		SaveContext(context.Context, string) error
-	}
 	if *shards > 0 {
 		if *load != "" || *data != "" {
 			logger.Error("-shards cannot be combined with -load or -data (images are monolithic)")
@@ -250,7 +244,6 @@ func main() {
 				os.Exit(1)
 			}
 			durable = sys
-			saver = sys
 			logger.Info("ingest WAL enabled", "dir", *data, "sync", policy.String())
 		}
 		if sys.PopCache != nil {
@@ -278,19 +271,14 @@ func main() {
 				logger.Error("enabling segment store", "err", err)
 				os.Exit(1)
 			}
-			if durable != nil {
-				saver = segSys
-			}
 			logger.Info("segment store enabled",
 				"dir", segOpts.Dir, "segments", segSys.Store.SegmentCount(),
 				"memtable_rows", segSys.Store.Memtable().Len(),
 				"bucket", segmentBucket.String(), "compact_interval", compactInterval.String())
 		}
+		handler = server.NewWith(sys, opts)
 		if segSys != nil {
-			handler = server.NewSearcherWith(segSys, opts)
 			segSys.RegisterMetrics(handler.Registry())
-		} else {
-			handler = server.NewWith(sys, opts)
 		}
 		if durable != nil {
 			durable.RegisterPersistenceMetrics(handler.Registry())
@@ -325,7 +313,7 @@ func main() {
 					return
 				case <-ticker.C:
 					t0 := time.Now()
-					if err := checkpoint(tracer, saver, *data); err != nil {
+					if err := checkpoint(tracer, durable, *data); err != nil {
 						logger.Error("checkpoint failed", "err", err)
 					} else {
 						logger.Info("checkpoint committed", "dir", *data, "elapsed", time.Since(t0).String())
@@ -354,7 +342,7 @@ func main() {
 	// Final checkpoint: fold every ingested post into the snapshot so the
 	// next boot replays an empty (or tiny) WAL.
 	if durable != nil {
-		if err := checkpoint(tracer, saver, *data); err != nil {
+		if err := checkpoint(tracer, durable, *data); err != nil {
 			logger.Error("final checkpoint failed (WAL still covers the ingests)", "err", err)
 		} else {
 			logger.Info("final checkpoint committed", "dir", *data)
@@ -407,14 +395,10 @@ func notReady(w http.ResponseWriter, r *http.Request) {
 
 // checkpoint commits one snapshot, under its own trace when tracing is on
 // (checkpoints are background work, so each Save roots a fresh trace; the
-// save/capture/write/commit/gc phases land as its child spans). The saver
-// is the segmented wrapper when -segments is on, so the memtable seals
-// before the snapshot's WAL rotation mark moves.
-func checkpoint(tracer *telemetry.Tracer, saver interface {
-	SaveContext(context.Context, string) error
-}, dir string) error {
+// save/capture/write/commit/gc phases land as its child spans).
+func checkpoint(tracer *telemetry.Tracer, sys *tklus.System, dir string) error {
 	span := tracer.StartTrace("checkpoint")
-	err := saver.SaveContext(telemetry.ContextWithSpan(context.Background(), span), dir)
+	err := sys.SaveContext(telemetry.ContextWithSpan(context.Background(), span), dir)
 	span.SetError(err)
 	span.Finish()
 	return err

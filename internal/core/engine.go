@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/geo"
@@ -190,12 +191,14 @@ func (p *Partition) overlapsWindow(w *TimeWindow) bool {
 
 // Engine executes TkLUS queries.
 type Engine struct {
-	Index      *invindex.Index // primary index (nil for purely partitioned engines)
-	Partitions []Partition     // every postings source, in time order
-	DB         *metadb.DB
-	Bounds     *thread.Bounds
-	Opts       Options
+	Index  *invindex.Index // primary index (nil for purely partitioned engines)
+	DB     *metadb.DB
+	Bounds *thread.Bounds
+	Opts   Options
 
+	// parts is every postings source, in time order. Each query loads it
+	// once, so a storage engine can swap the set under live traffic.
+	parts   atomic.Pointer[[]Partition]
 	builder thread.Builder
 }
 
@@ -227,13 +230,22 @@ func NewPartitionedEngine(parts []Partition, db *metadb.DB, bounds *thread.Bound
 			return nil, fmt.Errorf("core: partition %d has no postings source", i)
 		}
 	}
-	return &Engine{
-		Partitions: parts,
-		DB:         db,
-		Bounds:     bounds,
-		Opts:       opts,
-		builder:    thread.Builder{DB: db, Depth: opts.Params.ThreadDepth},
-	}, nil
+	eng := &Engine{
+		DB:      db,
+		Bounds:  bounds,
+		Opts:    opts,
+		builder: thread.Builder{DB: db, Depth: opts.Params.ThreadDepth},
+	}
+	eng.SetPartitions(parts)
+	return eng, nil
+}
+
+// SetPartitions atomically replaces the engine's postings sources (in time
+// order, every Source non-nil). Queries in flight finish on the set they
+// loaded; the caller keeps replaced sources readable until those drain. An
+// empty set closes the engine: every later query fails with ErrClosed.
+func (e *Engine) SetPartitions(parts []Partition) {
+	e.parts.Store(&parts)
 }
 
 // SetPopularityCache attaches (or, with nil, detaches) a cross-query

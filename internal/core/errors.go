@@ -30,4 +30,8 @@ var (
 	// deadline slack. The query did no search work; the caller should back
 	// off and retry (the HTTP layer answers 429 with Retry-After).
 	ErrOverloaded = errors.New("overloaded")
+
+	// ErrClosed marks a query against an engine whose storage was closed
+	// (SetPartitions with an empty set): there is nothing left to read.
+	ErrClosed = errors.New("closed")
 )

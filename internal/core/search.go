@@ -99,11 +99,15 @@ func (e *Engine) gatherCandidates(ctx context.Context, q *Query, terms []string,
 	// Stage 1 — cell cover: computed once per geohash precision in use
 	// (partitions normally share one precision). Windowed queries prune
 	// partitions entirely outside the window here.
+	all := *e.parts.Load()
+	if len(all) == 0 {
+		return nil, fmt.Errorf("core: %w", ErrClosed)
+	}
 	stopCover := rec.Start(telemetry.StageCellCover)
-	parts := make([]*Partition, 0, len(e.Partitions))
+	parts := make([]*Partition, 0, len(all))
 	var covers coverSet
-	for i := range e.Partitions {
-		part := &e.Partitions[i]
+	for i := range all {
+		part := &all[i]
 		if !part.overlapsWindow(q.TimeWindow) {
 			stats.PartitionsPruned++ // whole time slice outside the window
 			continue
@@ -166,7 +170,7 @@ func (e *Engine) gatherCandidates(ctx context.Context, q *Query, terms []string,
 		}
 		// Partitions are time-disjoint, so concatenation has no duplicate
 		// TIDs, but ordering across partitions must be restored.
-		if len(e.Partitions) > 1 {
+		if len(all) > 1 {
 			for ti := range termLists {
 				slices.SortFunc(termLists[ti], func(a, b invindex.Posting) int {
 					return cmp.Compare(a.TID, b.TID)

@@ -132,9 +132,10 @@ type RowMeta struct {
 
 // RowMetaSource is an external resolver of SID → (location, author) —
 // the segment store implements it over mmap'd row records. A snapshot
-// wired to a source (EnableRowMetaSnapshotFrom) consults it between the
-// in-memory arrays and the overlay; all three agree on values wherever
-// they overlap, so lookup order never changes a result.
+// wired to a source (EnableRowMetaSnapshotFrom) consults it after the
+// in-memory arrays and before whatever the overlay held when the source
+// was attached; all three agree on values wherever they overlap, so lookup
+// order never changes a result.
 type RowMetaSource interface {
 	LookupRowMeta(sid social.PostID) (RowMeta, bool)
 }
@@ -147,7 +148,8 @@ type RowMetaSource interface {
 // Posts appended after the snapshot land in a small mutable overlay, so
 // an enabled snapshot stays current through ingest. A snapshot may also
 // delegate to an external RowMetaSource (the segment store) instead of
-// carrying heap arrays.
+// carrying heap arrays; the source then answers for appended posts too and
+// the overlay stays empty.
 type RowMetaSnapshot struct {
 	sids  []int64 // ascending SID order, mirroring the row store
 	metas []RowMeta
@@ -176,8 +178,14 @@ func (s *RowMetaSnapshot) Get(sid social.PostID) (RowMeta, bool) {
 	return m, ok
 }
 
-// extend records a post appended after the snapshot was built.
+// extend records a post appended after the snapshot was built. With a
+// base source attached there is nothing to record: the source resolves
+// every SID its owner indexes, and a second on-heap copy would grow
+// without bound beside it.
 func (s *RowMetaSnapshot) extend(sid social.PostID, m RowMeta) {
+	if s.base != nil {
+		return
+	}
 	s.mu.Lock()
 	if s.overlay == nil {
 		s.overlay = make(map[social.PostID]RowMeta)
@@ -220,8 +228,9 @@ func (db *DB) EnableRowMetaSnapshot() *RowMetaSnapshot {
 // through an external source instead of (or in addition to) heap arrays —
 // the segment store serves lookups straight off mmap'd row records. If a
 // full in-memory snapshot is already enabled the source is attached
-// underneath it; either way Append keeps ingested rows visible through
-// the overlay. Not safe to call concurrently with queries.
+// underneath it. From then on the source — not the overlay — must answer
+// for every appended post a query can reach. Not safe to call concurrently
+// with queries.
 func (db *DB) EnableRowMetaSnapshotFrom(src RowMetaSource) *RowMetaSnapshot {
 	db.mustBeFrozen()
 	db.structMu.Lock()

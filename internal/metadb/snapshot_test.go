@@ -124,23 +124,48 @@ func TestRowMetaSnapshotMatchesRows(t *testing.T) {
 	assertRowMetaMatchesRows(t, db, snap, sids)
 }
 
+// rowMetaByScan is a RowMetaSource that answers from the row store itself,
+// standing in for the segment store (which indexes every appended post).
+type rowMetaByScan struct{ db *DB }
+
+func (s rowMetaByScan) LookupRowMeta(sid social.PostID) (RowMeta, bool) {
+	row, ok := s.db.GetBySID(sid)
+	return RowMeta{Lat: row.Lat, Lon: row.Lon, UID: row.UID}, ok
+}
+
+// TestRowMetaSnapshotExtendsOnAppend: appended posts resolve through the
+// overlay on a heap snapshot, and through the base source — with the
+// overlay left empty — once one is attached.
 func TestRowMetaSnapshotExtendsOnAppend(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	posts := replyCorpus(rng, 1000)
-	db := buildDB(t, posts, Options{RowsPerPage: 32, IndexOrder: 8})
-	snap := db.EnableRowMetaSnapshot()
-	_, maxSID := db.SIDRange()
-	next := maxSID
-	appended := make([]social.PostID, 0, 150)
-	for i := 0; i < 150; i++ {
-		parent := posts[rng.Intn(len(posts))]
-		next++
-		if err := db.Append(mkPost(next, social.UserID(rng.Intn(50)+1), parent.SID, parent.UID)); err != nil {
-			t.Fatal(err)
+	for _, withBase := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(22))
+		posts := replyCorpus(rng, 1000)
+		db := buildDB(t, posts, Options{RowsPerPage: 32, IndexOrder: 8})
+		snap := db.EnableRowMetaSnapshot()
+		if withBase {
+			db.EnableRowMetaSnapshotFrom(rowMetaByScan{db})
 		}
-		appended = append(appended, next)
+		_, maxSID := db.SIDRange()
+		next := maxSID
+		appended := make([]social.PostID, 0, 150)
+		for i := 0; i < 150; i++ {
+			parent := posts[rng.Intn(len(posts))]
+			next++
+			if err := db.Append(mkPost(next, social.UserID(rng.Intn(50)+1), parent.SID, parent.UID)); err != nil {
+				t.Fatal(err)
+			}
+			appended = append(appended, next)
+		}
+		assertRowMetaMatchesRows(t, db, snap, append(appended, next+1)) // next+1 is absent
+		wantOverlay := len(appended)
+		if withBase {
+			wantOverlay = 0
+		}
+		if len(snap.overlay) != wantOverlay {
+			t.Fatalf("withBase=%v: overlay holds %d entries after %d appends, want %d",
+				withBase, len(snap.overlay), len(appended), wantOverlay)
+		}
 	}
-	assertRowMetaMatchesRows(t, db, snap, appended)
 }
 
 func TestRowMetaSnapshotZeroIO(t *testing.T) {

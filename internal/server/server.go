@@ -28,11 +28,13 @@
 // core.ErrShardUnavailable → 503 "shard_unavailable"; anything else is a
 // 500 "internal".
 //
-// The server fronts any tklus.Searcher — a monolithic System, a
-// SegmentedSystem, a ShardedSystem router, or a Federation. The
-// system-introspection endpoints (/evidence, /thread, the I/O half of
-// /stats) exist only when the backend is a *tklus.System; a router serves
-// the query endpoints and its own metrics.
+// The server fronts any tklus.Searcher — a monolithic System (over its
+// batch index or its segment store), a ShardedSystem router, or a
+// Federation. The system-introspection endpoints (/evidence, /thread, the
+// I/O half of /stats) exist only when the backend is a *tklus.System; a
+// router serves the query endpoints and its own metrics. A System serves
+// every endpoint from the same engine, so with a segment store installed
+// /v1/shard/search and /evidence answer from the segments too.
 //
 // Every request flows through a middleware that records HTTP metrics and
 // emits one structured access-log line; searches additionally feed the
@@ -102,10 +104,9 @@ type Server struct {
 	// postCount enriches results with |P_u| when the backend has a
 	// metadata database in reach; nil otherwise (remote-only routers).
 	postCount func(tklus.UserID) int
-	// ingest is the backend's live-ingest entry point. It must be the
-	// wrapper's, not the inner system's: the segmented engine indexes
-	// each post's keywords in its memtable on the way through, and
-	// bypassing it would make the post durable but unsearchable.
+	// ingest is the backend's live-ingest entry point: its own
+	// IngestContext when it has one (a replicated tier), the single
+	// system's otherwise; nil for backends that cannot ingest.
 	ingest func(context.Context, ...*tklus.Post) error
 	// replicated is the unwrapped replica-group tier when the backend is
 	// one: /stats reporting and the /debug/replication fault-injection
@@ -144,9 +145,9 @@ func NewSearcher(sr tklus.Searcher) *Server {
 func NewSearcherWith(sr tklus.Searcher, opts Options) *Server {
 	sys, _ := sr.(*tklus.System)
 	if sys == nil {
-		// Serving arrangements that wrap one system — the segmented
-		// storage engine — surface it so the introspection endpoints
-		// (evidence, thread, stats enrichment) mount as usual.
+		// A handle or decorator over one system surfaces it, so the
+		// introspection endpoints (evidence, thread, stats enrichment)
+		// mount as usual.
 		if u, ok := sr.(interface{ UnderlyingSystem() *tklus.System }); ok {
 			sys = u.UnderlyingSystem()
 		}
@@ -420,8 +421,8 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 
 // handleIngestV1 serves POST /v1/ingest: a batch of live posts appended
 // through the backend's ingest path, so thread popularity, pruning
-// bounds, the popularity cache — and, behind the segmented storage
-// engine, the memtable's keyword index — update immediately; when a WAL
+// bounds, the popularity cache — and, with a segment store installed,
+// the memtable's keyword index — update immediately; when a WAL
 // is attached, each post is durable before the 200 goes out. Registered
 // only for backends that own a metadata database (shard routers don't).
 func (s *Server) handleIngestV1(w http.ResponseWriter, r *http.Request) {

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/contents"
-	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/fsx"
 	"repro/internal/invindex"
@@ -155,12 +154,18 @@ func (s *System) save(span *telemetry.TraceSpan, dir string) error {
 	// one critical section — the rows buffer, the bounds image, and the
 	// WAL rotation mark. Records at or before the mark are covered by this
 	// snapshot; records after it are exactly the ones a post-crash replay
-	// must re-apply on top of it.
+	// must re-apply on top of it. A segment store's memtable is sealed
+	// first: the rotation mark then only ever truncates records whose posts
+	// are already in a segment, so a restart can always rebuild the
+	// memtable's index entries from the log.
 	var rowsBuf, boundsBuf bytes.Buffer
 	walMark := -1
 	phase := time.Now()
 	s.ingestMu.Lock()
-	err = s.DB.SaveRows(&rowsBuf)
+	err = s.sealStore()
+	if err == nil {
+		err = s.DB.SaveRows(&rowsBuf)
+	}
 	if err == nil {
 		err = s.Bounds.EncodeGob(&boundsBuf)
 	}
@@ -435,24 +440,14 @@ func Load(dir string, cfg Config) (*System, error) {
 	}); err != nil {
 		return nil, err
 	}
-	engine, err := core.NewEngine(idx, db, bounds, cfg.Engine)
+	sys, err := newSystem(cfg, db, idx, fsys, bounds, store, &invindex.BuildStats{
+		Keys:          idx.NumKeys(),
+		PostingsBytes: fsys.TotalSize(),
+	})
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{
-		Engine:   engine,
-		DB:       db,
-		Index:    idx,
-		FS:       fsys,
-		Bounds:   bounds,
-		Contents: store,
-		IndexStats: &invindex.BuildStats{
-			Keys:          idx.NumKeys(),
-			PostingsBytes: fsys.TotalSize(),
-		},
-		Recovery: &RecoveryStats{Snapshot: snapName},
-	}
-	sys.applyFeatures(cfg.Features)
+	sys.Recovery = &RecoveryStats{Snapshot: snapName}
 	if err := sys.replayWAL(filepath.Join(dir, walDirName)); err != nil {
 		return nil, err
 	}

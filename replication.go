@@ -620,15 +620,10 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 			}
 			bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth,
 				cfg.Engine.Params.Epsilon, stemAll(cfg.HotKeywords))
-			engine, err := core.NewEngine(idx, db, bounds, cfg.Engine)
+			sys, err := newSystem(cfg, db, idx, fsys, bounds, store, istats)
 			if err != nil {
-				return nil, fmt.Errorf("tklus: creating shard %d replica %d engine: %w", i, j, err)
+				return nil, fmt.Errorf("tklus: shard %d replica %d: %w", i, j, err)
 			}
-			sys := &System{
-				Engine: engine, DB: db, Index: idx, FS: fsys,
-				Bounds: bounds, Contents: store, IndexStats: istats,
-			}
-			sys.applyFeatures(cfg.Features)
 			dataDir := filepath.Join(rc.Dir, shardName, fmt.Sprintf("r%d", j))
 			if _, err := sys.EnableWAL(dataDir, rc.WAL); err != nil {
 				return nil, fmt.Errorf("tklus: opening shard %d replica %d WAL: %w", i, j, err)

@@ -9,30 +9,34 @@ import (
 	"repro/internal/datagen"
 )
 
-// buildSegmented builds a system of its own over posts (EnableSegments
-// re-points its base system's row-meta reads at the store, so the base is
-// not shared with a monolithic entry) and moves it onto a segment store in
-// a temp dir, closed when the test ends.
-func buildSegmented(t *testing.T, posts []*tklus.Post) *tklus.SegmentedSystem {
+// contractSystem builds a system of its own over posts — EnableSegments moves
+// the system it is given onto the store, so configurations do not share
+// one — optionally on a segment store in a temp dir, closed when the test
+// ends.
+func contractSystem(t *testing.T, posts []*tklus.Post, segments bool) *tklus.System {
 	t.Helper()
-	base, err := tklus.Build(posts, tklus.DefaultConfig())
+	sys, err := tklus.Build(posts, tklus.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := tklus.EnableSegments(base, tklus.SegmentOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	if segments {
+		seg, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { seg.Close() })
 	}
-	t.Cleanup(func() { seg.Close() })
-	return seg
+	return sys
 }
 
 // TestSearcherCancellationContract pins the API-surface contract of the
-// consolidated Searcher interface: every implementation — monolithic
-// system, segment-backed system (the arrangement the end-to-end benchmark
-// serves from), sharded router, federation, and the admission-control
-// wrapper — observes context cancellation and surfaces
-// it as the context's error, never as a result or a mistyped sentinel.
+// consolidated Searcher interface: every implementation — a System over
+// its batch index and over a segment store (the configuration the
+// end-to-end benchmark serves from), sharded router, federation, and the
+// admission-control wrapper — observes context cancellation and surfaces
+// it as the context's error, never as a result or a mistyped sentinel. A
+// System is also a ShardBackend, and SearchPartials must surface the same
+// sentinels in both configurations.
 func TestSearcherCancellationContract(t *testing.T) {
 	cfg := datagen.DefaultConfig()
 	cfg.NumUsers = 200
@@ -41,11 +45,8 @@ func TestSearcherCancellationContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := tklus.Build(corpus.Posts, tklus.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := buildSegmented(t, corpus.Posts)
+	sys := contractSystem(t, corpus.Posts, false)
+	seg := contractSystem(t, corpus.Posts, true)
 	sc := tklus.DefaultShardingConfig()
 	sc.NumShards = 2
 	sharded, err := tklus.BuildSharded(corpus.Posts, tklus.DefaultConfig(), sc)
@@ -64,7 +65,7 @@ func TestSearcherCancellationContract(t *testing.T) {
 
 	searchers := map[string]tklus.Searcher{
 		"System":            sys,
-		"SegmentedSystem":   seg,
+		"System+segments":   seg,
 		"ShardedSystem":     sharded,
 		"Federation":        fed,
 		"AdmissionControl":  admitted,
@@ -105,6 +106,20 @@ func TestSearcherCancellationContract(t *testing.T) {
 			}
 			if errors.Is(err, tklus.ErrStaleEpoch) || errors.Is(err, tklus.ErrReplicaDown) {
 				t.Errorf("%s: bad query misreported as a replication fault: %v", name, err)
+			}
+
+			sb, ok := sr.(tklus.ShardBackend)
+			if !ok {
+				return
+			}
+			if _, err := sb.SearchPartials(context.Background(), q); err != nil {
+				t.Fatalf("%s: live-context SearchPartials failed: %v", name, err)
+			}
+			if _, err := sb.SearchPartials(ctx, q); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: canceled-context SearchPartials error = %v, want context.Canceled", name, err)
+			}
+			if _, err := sb.SearchPartials(context.Background(), bad); !errors.Is(err, tklus.ErrBadQuery) {
+				t.Errorf("%s: malformed-query SearchPartials error = %v, want ErrBadQuery", name, err)
 			}
 		})
 	}

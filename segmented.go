@@ -1,11 +1,8 @@
 package tklus
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -17,8 +14,8 @@ import (
 	"repro/internal/wal"
 )
 
-// SegmentOptions configures the on-disk segment storage engine a
-// SegmentedSystem serves from.
+// SegmentOptions configures the on-disk segment storage engine
+// EnableSegments installs on a System.
 type SegmentOptions struct {
 	// Dir is the segment directory (conventionally <data>/segments).
 	Dir string
@@ -45,49 +42,51 @@ type SegmentOptions struct {
 	WALDir string
 }
 
-// SegmentedSystem serves a System from the LSM-style segment store:
+// SegmentedSystem is the lifecycle handle of a System's segment store:
 // sealed immutable segments (mmap'd, zero-copy postings and row metadata)
-// plus a live memtable, presented to the query engine as time-bounded
-// partitions. It shares the underlying System's metadata database,
-// bounds, contents store and WAL — only the postings/row-metadata read
-// path and the ingest indexing change:
+// plus a live memtable, published to the System's one query engine as
+// time-bounded partitions. It overrides nothing — Search, SearchPartials,
+// Evidence, Ingest and Save are the embedded System's, and all of them
+// serve from (and feed) the store once it is installed:
 //
 //   - Reads skip the simulated DFS page model and the B⁺-tree descents
 //     entirely; postings iterate directly over mapped bytes.
-//   - Ingested posts are indexed immediately in the memtable (the base
-//     System defers keywords to the next batch build), so a segmented
-//     system's results equal a full batch rebuild over all posts.
+//   - Ingested posts are indexed immediately in the memtable (without a
+//     store, keywords wait for the next batch build), so results equal a
+//     full batch rebuild over all posts.
 //   - A query TimeWindow prunes whole segments by bucket range before
 //     any block is touched (QueryStats.PartitionsPruned counts them).
+//   - Save seals the memtable before it rotates the WAL, so the log only
+//     ever drops records whose posts are already in a segment and a
+//     restart can always rebuild the memtable from it.
 type SegmentedSystem struct {
 	*System
 	Store *segment.Store
-
-	// segMu serializes every mutation of the store and engine: ingest,
-	// seal, compaction, save and close. Searches never take it.
-	segMu  sync.Mutex
-	engine atomic.Pointer[core.Engine]
 
 	stopCompact chan struct{}
 	compactDone chan struct{}
 }
 
-var _ Searcher = (*SegmentedSystem)(nil)
-
-// EnableSegments wraps a built (or loaded) System in the segment storage
-// engine. An empty store is seeded by migrating the batch-built index and
-// row store into time-bucketed segments; a populated store is opened
-// as-is (every file checksummed). With WALDir set, logged posts beyond
-// the last sealed segment are replayed into the memtable, restoring their
-// just-in-time index entries after a restart — SegmentedSystem.Save seals
-// before snapshotting precisely so that every unsealed post is still in
-// the WAL.
+// EnableSegments moves a built (or loaded) System onto the segment storage
+// engine: the store is installed on sys itself and its engine's partitions
+// are swapped to the store's views, so every path through sys serves from
+// segments afterwards. An empty store is seeded by migrating the
+// batch-built index and row store into time-bucketed segments; a populated
+// store is opened as-is (every file checksummed). With WALDir set, logged
+// posts beyond the last sealed segment are replayed into the memtable,
+// restoring their just-in-time index entries after a restart. Not safe to
+// call concurrently with queries on sys; a system takes one store.
 func EnableSegments(sys *System, opts SegmentOptions) (*SegmentedSystem, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("tklus: EnableSegments needs a built system")
 	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("tklus: EnableSegments needs a segment directory")
+	}
+	sys.ingestMu.Lock()
+	defer sys.ingestMu.Unlock()
+	if sys.store != nil {
+		return nil, fmt.Errorf("tklus: EnableSegments: system already serves from the segment store in %s", sys.store.Dir())
 	}
 	store, err := segment.OpenStore(opts.Dir, segment.Options{
 		GeohashLen:   sys.Index.GeohashLen(),
@@ -113,16 +112,40 @@ func EnableSegments(sys *System, opts SegmentOptions) (*SegmentedSystem, error) 
 		}
 	}
 	sys.DB.EnableRowMetaSnapshotFrom(store)
-	if err := s.refreshEngine(); err != nil {
-		store.Close()
-		return nil, err
-	}
+	sys.store = store
+	sys.publishPartitions()
 	if opts.CompactInterval > 0 {
 		s.stopCompact = make(chan struct{})
 		s.compactDone = make(chan struct{})
 		go s.compactLoop(opts.CompactInterval)
 	}
 	return s, nil
+}
+
+// publishPartitions swaps the engine onto the store's current view set;
+// in-flight searches finish on the set they loaded (whose retired segments
+// stay mapped until Close). Caller holds ingestMu.
+func (s *System) publishPartitions() {
+	views := s.store.Views()
+	parts := make([]core.Partition, len(views))
+	for i, v := range views {
+		parts[i] = core.Partition{Source: v.Source, MinSID: v.MinSID, MaxSID: v.MaxSID}
+	}
+	s.Engine.SetPartitions(parts)
+}
+
+// sealStore seals the memtable into an immutable segment (no-op while it is
+// empty) and publishes the resulting partition set. Nothing to do without a
+// store or once it is closed. Caller holds ingestMu.
+func (s *System) sealStore() error {
+	if s.store == nil || s.storeClosed {
+		return nil
+	}
+	if err := s.store.SealNow(); err != nil {
+		return err
+	}
+	s.publishPartitions()
+	return nil
 }
 
 // migrate seeds an empty store from the batch-built index: every row of
@@ -167,120 +190,28 @@ func (s *SegmentedSystem) replayWALIntoMemtable(walDir string) error {
 	return err
 }
 
-// refreshEngine rebuilds the query engine over the store's current view
-// set and publishes it atomically; in-flight searches finish on the old
-// engine (whose retired segments stay mapped until Close). Caller holds
-// segMu or is the constructor.
-func (s *SegmentedSystem) refreshEngine() error {
-	views := s.Store.Views()
-	parts := make([]core.Partition, 0, len(views))
-	for _, v := range views {
-		parts = append(parts, core.Partition{Source: v.Source, MinSID: v.MinSID, MaxSID: v.MaxSID})
-	}
-	if len(parts) == 0 {
-		// Empty corpus: fall back to the (equally empty) batch index.
-		parts = []core.Partition{{Source: s.Index}}
-	}
-	eng, err := core.NewPartitionedEngine(parts, s.DB, s.Bounds, s.System.Engine.Opts)
-	if err != nil {
-		return err
-	}
-	if s.PopCache != nil {
-		eng.SetPopularityCache(s.PopCache)
-	}
-	s.engine.Store(eng)
-	return nil
-}
-
-// Engine returns the current segment-backed query engine.
-func (s *SegmentedSystem) Engine() *core.Engine { return s.engine.Load() }
-
-// UnderlyingSystem returns the wrapped System — the server uses it to
-// mount the introspection endpoints over the shared state.
+// UnderlyingSystem returns the System the store is installed on — the one
+// serving unit; the server mounts every endpoint over it.
 func (s *SegmentedSystem) UnderlyingSystem() *System { return s.System }
 
-// Search executes a query against the segment-backed engine. It
-// implements Searcher.
-func (s *SegmentedSystem) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats, error) {
-	return s.engine.Load().Search(ctx, q)
-}
-
-// Ingest appends live posts: the shared System applies them (metadata
-// database, WAL, thread popularity, pruning bounds) and the store indexes
-// their keywords in the memtable immediately — unlike the plain batch
-// System, a segmented system's brand-new posts are candidates for the
-// very next query. Crossing a time-bucket boundary seals the memtable and
-// refreshes the engine.
-func (s *SegmentedSystem) Ingest(posts ...*Post) error {
-	return s.IngestContext(context.Background(), posts...)
-}
-
-// IngestContext is Ingest with a context (see System.IngestContext).
-func (s *SegmentedSystem) IngestContext(ctx context.Context, posts ...*Post) error {
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
-	sealed := false
-	for _, p := range posts {
-		if err := s.System.IngestContext(ctx, p); err != nil {
-			return err
-		}
-		sl, err := s.Store.Add(p)
-		if err != nil {
-			return err
-		}
-		sealed = sealed || sl
-	}
-	if sealed {
-		return s.refreshEngine()
-	}
-	return nil
-}
-
-// SealNow seals the memtable into an immutable segment and refreshes the
-// engine. No-op when the memtable is empty.
+// SealNow seals the memtable into an immutable segment. No-op when the
+// memtable is empty.
 func (s *SegmentedSystem) SealNow() error {
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
-	if err := s.Store.SealNow(); err != nil {
-		return err
-	}
-	return s.refreshEngine()
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	return s.sealStore()
 }
 
-// Compact runs size-tiered compaction to a fixed point and refreshes the
-// engine if anything merged. Returns how many segments were merged away.
+// Compact runs size-tiered compaction to a fixed point and publishes the
+// merged partition set. Returns how many segments were merged away.
 func (s *SegmentedSystem) Compact() (int, error) {
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
 	n, err := s.Store.Compact()
 	if n > 0 {
-		if rerr := s.refreshEngine(); err == nil {
-			err = rerr
-		}
+		s.publishPartitions()
 	}
 	return n, err
-}
-
-// Save seals the memtable and then snapshots the underlying System. The
-// order is the crash-safety contract: the snapshot's WAL rotation mark
-// only ever truncates records whose posts are already sealed, so a
-// restart can always rebuild the memtable from the log.
-func (s *SegmentedSystem) Save(dir string) error {
-	return s.SaveContext(context.Background(), dir)
-}
-
-// SaveContext is Save with a context for checkpoint tracing (see
-// System.SaveContext); sealing happens before the traced snapshot.
-func (s *SegmentedSystem) SaveContext(ctx context.Context, dir string) error {
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
-	if err := s.Store.SealNow(); err != nil {
-		return err
-	}
-	if err := s.refreshEngine(); err != nil {
-		return err
-	}
-	return s.System.SaveContext(ctx, dir)
 }
 
 // compactLoop runs background compaction until Close.
@@ -304,16 +235,20 @@ func (s *SegmentedSystem) RegisterMetrics(reg *telemetry.Registry) {
 	s.Store.RegisterMetrics(reg)
 }
 
-// Close stops background compaction and unmaps every segment. Call it
-// only after in-flight searches have drained; it does not close the
-// underlying System's WAL.
+// Close stops background compaction, closes the engine — Search,
+// SearchPartials, Evidence and Ingest fail with ErrClosed from here on —
+// and unmaps every segment. Searches already in flight still read mapped
+// bytes, so call it only after they have drained. It does not close the
+// System's WAL.
 func (s *SegmentedSystem) Close() error {
 	if s.stopCompact != nil {
 		close(s.stopCompact)
 		<-s.compactDone
 		s.stopCompact = nil
 	}
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	s.storeClosed = true
+	s.Engine.SetPartitions(nil)
 	return s.Store.Close()
 }

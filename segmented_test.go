@@ -2,14 +2,19 @@ package tklus_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	tklus "repro"
+	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/segment"
 )
@@ -159,90 +164,114 @@ func TestSegmentedEquivalenceGrid(t *testing.T) {
 // TestSegmentedDurableReopen drives the durable lifecycle: build →
 // segments → live ingest → crash (no checkpoint) → Load + EnableSegments
 // must restore the exact serving state from sealed segments plus WAL
-// replay into the memtable; then a clean Save → reopen must as well.
+// replay into the memtable; then a clean Save → reopen must as well. The
+// clean leg runs once through the handle and once through the System it
+// surfaces: the seal-before-rotate ordering lives inside Save, so the
+// receiver the caller picked must not matter.
 func TestSegmentedDurableReopen(t *testing.T) {
 	posts, loc, roots := ingestCorpus()
-	dir := t.TempDir()
 	cfg := tklus.DefaultConfig()
-
-	sys, err := tklus.Build(posts, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// The extras carry a keyword no batch-built posting holds, so a
+	// checkpoint that rotates the WAL past an unsealed memtable shows up as
+	// a lost candidate, not just as a row count.
+	extras := append(extraReplies(roots, loc, 7),
+		tklus.NewPost(99001, time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC), loc, "zanzibar hotel rooftop"))
+	search := func(t *testing.T, sr tklus.Searcher) [2][]tklus.UserResult {
+		t.Helper()
+		zanzibar, _, err := sr.Search(context.Background(), tklus.Query{
+			Loc: loc, RadiusKm: 5, Keywords: []string{"zanzibar"}, K: 3, Ranking: tklus.MaxScore,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2][]tklus.UserResult{searchHotel(t, sr, loc), zanzibar}
 	}
-	if _, err := sys.EnableWAL(dir, tklus.WALOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := tklus.EnableSegments(sys, tklus.SegmentOptions{
-		Dir:         filepath.Join(dir, "segments"),
-		BucketWidth: 24 * time.Hour,
-		WALDir:      dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	extras := extraReplies(roots, loc, 7)
-	if err := seg.Ingest(extras...); err != nil {
-		t.Fatal(err)
-	}
-	want := searchHotel(t, seg, loc)
-	if err := sys.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	seg.Close()
-
-	// Crash restart: no checkpoint happened since the ingest, so the
-	// extras live only in the WAL — both their rows (replayed by Load)
-	// and their keywords (replayed into the memtable by EnableSegments).
-	sys2, err := tklus.Load(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg2, err := tklus.EnableSegments(sys2, tklus.SegmentOptions{
-		Dir:         filepath.Join(dir, "segments"),
-		BucketWidth: 24 * time.Hour,
-		WALDir:      dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := searchHotel(t, seg2, loc); !equalResults(got, want) {
-		t.Fatalf("after crash restart: got %v, want %v", got, want)
+	same := func(a, b [2][]tklus.UserResult) bool {
+		return equalResults(a[0], b[0]) && equalResults(a[1], b[1])
 	}
 
-	// Clean shutdown: Save seals the memtable, so the next open serves
-	// the extras from a segment and the WAL replay finds nothing to do.
-	if _, err := sys2.EnableWAL(dir, tklus.WALOptions{}); err != nil {
-		t.Fatal(err)
+	saves := map[string]func(*tklus.SegmentedSystem, string) error{
+		"handle": func(seg *tklus.SegmentedSystem, dir string) error { return seg.Save(dir) },
+		"system": func(seg *tklus.SegmentedSystem, dir string) error { return seg.UnderlyingSystem().Save(dir) },
 	}
-	if err := seg2.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys2.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	seg2.Close()
+	for name, save := range saves {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			open := func(sys *tklus.System) *tklus.SegmentedSystem {
+				t.Helper()
+				seg, err := tklus.EnableSegments(sys, tklus.SegmentOptions{
+					Dir:         filepath.Join(dir, "segments"),
+					BucketWidth: 24 * time.Hour,
+					WALDir:      dir,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return seg
+			}
+			load := func() *tklus.System {
+				t.Helper()
+				sys, err := tklus.Load(dir, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
 
-	sys3, err := tklus.Load(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg3, err := tklus.EnableSegments(sys3, tklus.SegmentOptions{
-		Dir:         filepath.Join(dir, "segments"),
-		BucketWidth: 24 * time.Hour,
-		WALDir:      dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg3.Close()
-	if seg3.Store.Memtable().Len() != 0 {
-		t.Fatalf("clean reopen left %d rows in the memtable", seg3.Store.Memtable().Len())
-	}
-	if got := searchHotel(t, seg3, loc); !equalResults(got, want) {
-		t.Fatalf("after clean reopen: got %v, want %v", got, want)
+			sys, err := tklus.Build(posts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.EnableWAL(dir, tklus.WALOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			seg := open(sys)
+			if err := save(seg, dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := seg.Ingest(extras...); err != nil {
+				t.Fatal(err)
+			}
+			want := search(t, seg)
+			if len(want[1]) != 1 || want[1][0].UID != 99001 {
+				t.Fatalf("ingested keyword not served: %v", want[1])
+			}
+			if err := sys.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+			seg.Close()
+
+			// Crash restart: no checkpoint happened since the ingest, so the
+			// extras live only in the WAL — both their rows (replayed by Load)
+			// and their keywords (replayed into the memtable by EnableSegments).
+			sys2 := load()
+			seg2 := open(sys2)
+			if got := search(t, seg2); !same(got, want) {
+				t.Fatalf("after crash restart: got %v, want %v", got, want)
+			}
+
+			// Clean shutdown: Save seals the memtable, so the next open serves
+			// the extras from a segment and the WAL replay finds nothing to do.
+			if _, err := sys2.EnableWAL(dir, tklus.WALOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := save(seg2, dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys2.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+			seg2.Close()
+
+			seg3 := open(load())
+			defer seg3.Close()
+			if seg3.Store.Memtable().Len() != 0 {
+				t.Fatalf("clean reopen left %d rows in the memtable", seg3.Store.Memtable().Len())
+			}
+			if got := search(t, seg3); !same(got, want) {
+				t.Fatalf("after clean reopen: got %v, want %v", got, want)
+			}
+		})
 	}
 }
 
@@ -337,13 +366,233 @@ func TestSegmentedFreshKeywordVisible(t *testing.T) {
 	if err := seg.Ingest(p); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := seg.Search(context.Background(), tklus.Query{
+	q := tklus.Query{
 		Loc: loc, RadiusKm: 10, Keywords: []string{"zanzibar"}, K: 3, Ranking: tklus.SumScore,
-	})
+	}
+	res, _, err := seg.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 1 || res[0].UID != 99001 {
 		t.Fatalf("fresh keyword not served from memtable: %v", res)
+	}
+	// One engine: the shard protocol and the evidence lookup read the same
+	// partitions Search does.
+	parts, err := seg.SearchPartials(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, _, err := core.MergePartials(q, tklus.DefaultConfig().Engine.Params.Alpha, []*tklus.Partials{parts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalResults(merged, res) {
+		t.Fatalf("MergePartials(SearchPartials) = %v, Search = %v", merged, res)
+	}
+	sids, err := seg.Engine.Evidence(q, 99001, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sids) != 1 || sids[0] != p.SID {
+		t.Fatalf("evidence for the ingested author = %v, want [%d]", sids, p.SID)
+	}
+}
+
+// TestSegmentedUseAfterClose pins the lifecycle edges: a system takes one
+// store, and once the handle is closed every path that would touch the
+// unmapped segments fails with ErrClosed instead of faulting on them.
+// (Draining in-flight searches before Close stays the caller's duty.)
+func TestSegmentedUseAfterClose(t *testing.T) {
+	posts, loc, _ := ingestCorpus()
+	sys, err := tklus.Build(posts, tklus.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: t.TempDir()}); err == nil {
+		t.Fatal("a second segment store was installed on the same system")
+	}
+	q := tklus.Query{Loc: loc, RadiusKm: 5, Keywords: []string{"hotel"}, K: 3, Ranking: tklus.SumScore}
+	if res, _, err := seg.Search(context.Background(), q); err != nil || len(res) == 0 {
+		t.Fatalf("search before close: %v, %v", res, err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, err = seg.Search(context.Background(), q)
+	if !errors.Is(err, tklus.ErrClosed) {
+		t.Errorf("Search after Close: %v, want ErrClosed", err)
+	}
+	_, err = seg.SearchPartials(context.Background(), q)
+	if !errors.Is(err, tklus.ErrClosed) {
+		t.Errorf("SearchPartials after Close: %v, want ErrClosed", err)
+	}
+	_, err = seg.Evidence(q, 1, 0)
+	if !errors.Is(err, tklus.ErrClosed) {
+		t.Errorf("Evidence after Close: %v, want ErrClosed", err)
+	}
+	err = seg.Ingest(tklus.NewPost(7, time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC), loc, "late hotel"))
+	if !errors.Is(err, tklus.ErrClosed) {
+		t.Errorf("Ingest after Close: %v, want ErrClosed", err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+}
+
+// sameRanking compares an engine answer with the exhaustive oracle's:
+// same users in the same order, scores equal up to float rounding.
+func sameRanking(got, want []tklus.UserResult) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].UID != want[i].UID || !floatsClose(got[i].Score, want[i].Score) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSegmentedConcurrentLifecycle races searchers against everything that
+// swaps the engine's partitions: an ingest stream that crosses a time
+// bucket every third post (seal + swap), compaction, and checkpoints (seal
+// + WAL rotation). Every answer must be the exhaustive ranking over some
+// prefix of the stream between what was acknowledged when the search
+// started and what was in flight when it ended, and the final answer the
+// full-corpus ranking.
+//
+// The stream is built so that every reachable state is a prefix: new
+// candidates come from fresh single-post authors (so neither |P_u| nor a
+// thread score moves under a running search), the query has one keyword
+// (one memtable read), and the replies in the stream — there to run thread
+// extension, bounds raising and cache invalidation beside the searches —
+// extend a thread no candidate belongs to.
+func TestSegmentedConcurrentLifecycle(t *testing.T) {
+	base, loc, _ := ingestCorpus()
+	quiet := tklus.NewPost(50, time.Date(2013, 1, 2, 0, 0, 0, 0, time.UTC), loc, "quiet park bench")
+	base = append(base, quiet)
+
+	const live = 48
+	stream := make([]*tklus.Post, live)
+	at := time.Date(2013, 2, 1, 0, 0, 0, 0, time.UTC)
+	for i := range stream {
+		at = at.Add(8 * time.Hour)
+		if i%3 == 2 {
+			stream[i] = tklus.NewReply(tklus.UserID(3000+i), at, loc, "peaceful spot", quiet)
+			continue
+		}
+		near := tklus.Point{Lat: loc.Lat + float64(i)*0.0005, Lon: loc.Lon}
+		stream[i] = tklus.NewPost(tklus.UserID(2000+i), at, near, "lovely hotel stay")
+	}
+	all := append(append([]*tklus.Post{}, base...), stream...)
+
+	cfg := tklus.DefaultConfig(tklus.WithPopCache(64), tklus.WithReplySnapshot())
+	queries := []tklus.Query{
+		{Loc: loc, RadiusKm: 5, Keywords: []string{"hotel"}, K: 100, Ranking: tklus.SumScore},
+		{Loc: loc, RadiusKm: 5, Keywords: []string{"hotel"}, K: 100, Ranking: tklus.MaxScore},
+	}
+	// want[qi][j] is the oracle's answer over the base plus stream[:j].
+	want := make([][][]tklus.UserResult, len(queries))
+	for qi, q := range queries {
+		for j := 0; j <= live; j++ {
+			oracle := baseline.NewScanRanker(all[:len(base)+j], cfg.Engine.Params)
+			want[qi] = append(want[qi], oracle.Search(q))
+		}
+	}
+
+	dir := t.TempDir()
+	sys, err := tklus.Build(base, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.EnableWAL(dir, tklus.WALOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.CloseWAL()
+	seg, err := tklus.EnableSegments(sys, tklus.SegmentOptions{
+		Dir:          filepath.Join(dir, "segments"),
+		BucketWidth:  24 * time.Hour,
+		CompactFanIn: 2,
+		WALDir:       dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+
+	var acked atomic.Int64
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for i, p := range stream {
+			if err := seg.Ingest(p); err != nil {
+				t.Errorf("ingest %d: %v", i, err)
+				return
+			}
+			acked.Store(int64(i + 1))
+			if i%5 == 4 {
+				if _, err := seg.Compact(); err != nil {
+					t.Errorf("compact after %d: %v", i, err)
+					return
+				}
+			}
+			if i%8 == 7 {
+				if err := seg.Save(dir); err != nil {
+					t.Errorf("checkpoint after %d: %v", i, err)
+					return
+				}
+			}
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := w; ; n++ {
+				finished := done.Load()
+				qi := n % len(queries)
+				lo := acked.Load()
+				got, _, err := seg.Search(context.Background(), queries[qi])
+				if err != nil {
+					t.Errorf("search: %v", err)
+					return
+				}
+				hi := min(acked.Load()+1, live) // the post in flight may already be visible
+				matched := false
+				for j := lo; j <= hi && !matched; j++ {
+					matched = sameRanking(got, want[qi][j])
+				}
+				if !matched {
+					t.Errorf("query %d: answer %v is no oracle ranking over a prefix in [%d, %d]", qi, got, lo, hi)
+					return
+				}
+				if finished {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if seg.Store.Seals() < live/3 || seg.Store.Compactions() == 0 {
+		t.Fatalf("the stream forced %d seals and %d compactions; the race had nothing to swap",
+			seg.Store.Seals(), seg.Store.Compactions())
+	}
+	for qi, q := range queries {
+		got, _, err := seg.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRanking(got, want[qi][live]) {
+			t.Fatalf("query %d after the stream: %v, full-corpus oracle %v", qi, got, want[qi][live])
+		}
 	}
 }

@@ -344,15 +344,10 @@ func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem,
 		if err != nil {
 			return nil, fmt.Errorf("tklus: building shard %d index: %w", i, err)
 		}
-		engine, err := core.NewEngine(idx, db, bounds, cfg.Engine)
+		sys, err := newSystem(cfg, db, idx, fsys, bounds, store, istats)
 		if err != nil {
-			return nil, fmt.Errorf("tklus: creating shard %d engine: %w", i, err)
+			return nil, fmt.Errorf("tklus: shard %d: %w", i, err)
 		}
-		sys := &System{
-			Engine: engine, DB: db, Index: idx, FS: fsys,
-			Bounds: bounds, Contents: store, IndexStats: istats,
-		}
-		sys.applyFeatures(cfg.Features)
 		systems = append(systems, sys)
 		specs = append(specs, ShardSpec{
 			Name:     fmt.Sprintf("shard-%02d", i),

@@ -666,7 +666,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 func TestShardedSearcherCompliance(t *testing.T) {
 	mono, sharded, corpus := buildMonoAndSharded(t, 2000, 2)
 	fed := tklus.NewFederation(map[string]*tklus.System{"main": mono})
-	seg := buildSegmented(t, corpus.Posts)
+	seg := contractSystem(t, corpus.Posts, true)
 	q := tklus.Query{
 		Loc: corpus.Config.Cities[0].Center, RadiusKm: 15,
 		Keywords: []string{"hotel"}, K: 5,

@@ -45,6 +45,7 @@ import (
 	"repro/internal/metadb"
 	"repro/internal/popcache"
 	"repro/internal/score"
+	"repro/internal/segment"
 	"repro/internal/social"
 	"repro/internal/telemetry"
 	"repro/internal/textutil"
@@ -117,14 +118,18 @@ var (
 	// ErrOverloaded marks a query shed by admission control before any
 	// search work ran; back off and retry.
 	ErrOverloaded = core.ErrOverloaded
+	// ErrClosed marks a search or ingest on a system whose segment store
+	// was closed.
+	ErrClosed = core.ErrClosed
 )
 
 // Searcher is the one query interface every serving arrangement
-// implements: a single monolithic System, a segment-backed
-// SegmentedSystem, a geo-sharded ShardedSystem, and a cross-platform
-// Federation. Code written against Searcher — the HTTP server included —
-// runs unchanged over any of them. The context carries cancellation and
-// the deadline budget; implementations abort early once it is done.
+// implements: a single monolithic System (over its batch index or, after
+// EnableSegments, its segment store), a geo-sharded ShardedSystem, and a
+// cross-platform Federation. Code written against Searcher — the HTTP
+// server included — runs unchanged over any of them. The context carries
+// cancellation and the deadline budget; implementations abort early once
+// it is done.
 type Searcher interface {
 	Search(ctx context.Context, q Query) ([]UserResult, *QueryStats, error)
 }
@@ -270,6 +275,13 @@ type System struct {
 	// wal, when attached by EnableWAL, receives every ingested post before
 	// Ingest returns. Guarded by ingestMu.
 	wal *wal.Log
+	// store, when installed by EnableSegments, is what the engine's
+	// partitions read from: ingest indexes each post in its memtable, Save
+	// seals it before rotating the WAL. Every store mutation (add, seal,
+	// compact, close) and the partition swap that follows it happen under
+	// ingestMu. storeClosed fails ingest once the store is unmapped.
+	store       *segment.Store
+	storeClosed bool
 	// saveMu serializes whole Save calls (snapshot sequencing + GC).
 	saveMu sync.Mutex
 	// snapshotsSaved / lastSnapshotUnix feed the persistence metrics;
@@ -301,45 +313,47 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 	}
 	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth,
 		cfg.Engine.Params.Epsilon, stemAll(cfg.HotKeywords))
+	sys, err := newSystem(cfg, db, idx, fsys, bounds, store, stats)
+	if err != nil {
+		return nil, err
+	}
+	sys.BuildTime = time.Since(start)
+	return sys, nil
+}
+
+// newSystem is the one place a System is assembled: the engine over the
+// batch index plus the accelerators cfg.Features asks for, so a fresh
+// build, a shard, a replica and a snapshot recovery all come up with the
+// same serving surface. Every accelerator is picked up from state the read
+// paths can observe — the thread builder expands from the reply snapshot
+// when the database has one, the candidate filter reads the row-meta
+// snapshot when the database has one — and posts ingested afterwards extend
+// both snapshots in place, so results stay byte-identical to the B⁺-tree
+// paths. φ(p) depends only on the reply/forward graph, so popularity-cache
+// entries stay exact across queries; Ingest evicts the entries an inserted
+// post invalidates.
+func newSystem(cfg Config, db *metadb.DB, idx *invindex.Index, fsys *dfs.FS,
+	bounds *thread.Bounds, store *contents.Store, stats *invindex.BuildStats) (*System, error) {
 	engine, err := core.NewEngine(idx, db, bounds, cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: creating engine: %w", err)
 	}
 	sys := &System{
-		Engine:     engine,
-		DB:         db,
-		Index:      idx,
-		FS:         fsys,
-		Bounds:     bounds,
-		Contents:   store,
-		IndexStats: stats,
-		BuildTime:  time.Since(start),
+		Engine: engine, DB: db, Index: idx, FS: fsys,
+		Bounds: bounds, Contents: store, IndexStats: stats,
 	}
-	sys.applyFeatures(cfg.Features)
-	return sys, nil
-}
-
-// applyFeatures turns on the accelerators the config asks for. Build and
-// Load both funnel through it, so a fresh build and a snapshot recovery
-// come up with the same serving surface. Every accelerator is picked up
-// from state the read paths can observe — the thread builder expands from
-// the reply snapshot when the database has one, the candidate filter reads
-// the row-meta snapshot when the database has one — and posts ingested
-// afterwards extend both snapshots in place, so results stay byte-identical
-// to the B⁺-tree paths. φ(p) depends only on the reply/forward graph, so
-// popularity-cache entries stay exact across queries; Ingest evicts the
-// entries an inserted post invalidates.
-func (s *System) applyFeatures(f Features) {
+	f := cfg.Features
 	if f.PopCacheCapacity != 0 {
-		s.PopCache = popcache.New(f.PopCacheCapacity)
-		s.Engine.SetPopularityCache(s.PopCache)
+		sys.PopCache = popcache.New(f.PopCacheCapacity)
+		engine.SetPopularityCache(sys.PopCache)
 	}
 	if f.ReplySnapshot {
-		s.DB.EnableReplySnapshot()
+		db.EnableReplySnapshot()
 	}
 	if f.RowMetaSnapshot {
-		s.DB.EnableRowMetaSnapshot()
+		db.EnableRowMetaSnapshot()
 	}
+	return sys, nil
 }
 
 // Ingest appends live posts to the centralized metadata database, in
@@ -353,7 +367,11 @@ func (s *System) applyFeatures(f Features) {
 // Keywords of ingested posts enter the hybrid inverted index only at the
 // next batch build (the paper's periodic index construction), so a
 // brand-new post becomes a *candidate* then — but its effect on existing
-// candidates' thread popularity is immediate.
+// candidates' thread popularity is immediate. With a segment store
+// installed (EnableSegments) the memtable indexes each post on the way
+// through, so it is a candidate for the very next query; crossing a
+// time-bucket boundary seals the memtable and swaps the engine's
+// partitions.
 //
 // When a WAL is attached (EnableWAL), each post is logged after it is
 // applied and before Ingest returns, under the configured fsync policy —
@@ -391,8 +409,9 @@ func (s *System) IngestContext(ctx context.Context, posts ...*Post) error {
 func (s *System) ingest(posts []*Post, timed bool, dbDur, walDur *time.Duration) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	depth := s.Engine.Opts.Params.ThreadDepth
-	eps := s.Engine.Opts.Params.Epsilon
+	if s.storeClosed {
+		return fmt.Errorf("tklus: ingest: %w", ErrClosed)
+	}
 	for _, p := range posts {
 		var t0 time.Time
 		if timed {
@@ -414,34 +433,48 @@ func (s *System) ingest(posts []*Post, timed bool, dbDur, walDur *time.Duration)
 				*walDur += time.Since(t0)
 			}
 		}
-		if p.RSID == social.NoPost {
-			continue
+		if p.RSID != social.NoPost {
+			s.extendThreads(p)
 		}
-		// A reply changes φ of exactly its first Depth ancestors (those are
-		// the roots whose depth limit still reaches the new post; its parent
-		// is 1 hop up). Walk that chain once: each ancestor's cached entry
-		// is stale, and its thread may now score above the offline bounds.
-		ancestors := make([]PostID, 0, depth)
-		for sid := p.RSID; sid != social.NoPost && len(ancestors) < depth; {
-			ancestors = append(ancestors, sid)
-			row, ok := s.DB.GetBySID(sid)
-			if !ok {
-				break
+		if s.store != nil {
+			sealed, err := s.store.Add(p)
+			if sealed {
+				s.publishPartitions()
 			}
-			sid = row.RSID
-		}
-		if s.PopCache != nil {
-			for _, a := range ancestors {
-				s.PopCache.InvalidateRoot(a)
+			if err != nil {
+				return err
 			}
-		}
-		builder := thread.Builder{DB: s.DB, Depth: depth}
-		for _, a := range ancestors {
-			pop, _ := builder.Popularity(a, eps, nil)
-			s.Bounds.RaiseForRoot(a, pop)
 		}
 	}
 	return nil
+}
+
+// extendThreads accounts for an ingested reply. It changes φ of exactly its
+// first Depth ancestors (those are the roots whose depth limit still
+// reaches the new post; its parent is 1 hop up). Walk that chain once: each
+// ancestor's cached entry is stale, and its thread may now score above the
+// offline bounds.
+func (s *System) extendThreads(p *Post) {
+	depth := s.Engine.Opts.Params.ThreadDepth
+	ancestors := make([]PostID, 0, depth)
+	for sid := p.RSID; sid != social.NoPost && len(ancestors) < depth; {
+		ancestors = append(ancestors, sid)
+		row, ok := s.DB.GetBySID(sid)
+		if !ok {
+			break
+		}
+		sid = row.RSID
+	}
+	if s.PopCache != nil {
+		for _, a := range ancestors {
+			s.PopCache.InvalidateRoot(a)
+		}
+	}
+	builder := thread.Builder{DB: s.DB, Depth: depth}
+	for _, a := range ancestors {
+		pop, _ := builder.Popularity(a, s.Engine.Opts.Params.Epsilon, nil)
+		s.Bounds.RaiseForRoot(a, pop)
+	}
 }
 
 // ThreadNode is one tweet of a materialized tweet thread (Definition 3).
@@ -458,13 +491,24 @@ func (s *System) Thread(root PostID) ([]ThreadNode, float64) {
 // Evidence returns, for one returned user, the raw texts of the tweets
 // that made them a candidate for q — the "(userId, tweet content)" result
 // lines the paper's user study presents to judges. limit caps the number
-// of tweets (0 = no cap).
+// of tweets (0 = no cap). The contents store is written at build time, so
+// a candidate ingested since (a segment store indexes those at once)
+// contributes no line.
 func (s *System) Evidence(q Query, uid UserID, limit int) ([]string, error) {
-	sids, err := s.Engine.Evidence(q, uid, limit)
+	sids, err := s.Engine.Evidence(q, uid, 0)
 	if err != nil {
 		return nil, err
 	}
-	return s.Contents.Collect(sids)
+	texts := make([]string, 0, len(sids))
+	for _, sid := range sids {
+		if limit > 0 && len(texts) >= limit {
+			break
+		}
+		if text, err := s.Contents.Text(sid); err == nil {
+			texts = append(texts, text)
+		}
+	}
+	return texts, nil
 }
 
 // Search executes a TkLUS query. The query aborts with the context's
