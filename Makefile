@@ -66,10 +66,13 @@ fmt:
 
 # Flake lane: the timing-sensitive admission, breaker and lease tests and
 # the segment store's lifecycle tests (searches racing seals, compaction
-# and checkpoints), twenty times under -race. Required green.
+# and checkpoints), plus the engine and bounds packages — their prune paths
+# fan across the worker pool and take Bounds.mu against concurrent
+# RaiseForRoot — twenty times under -race. Required green.
 flake:
 	$(GO) test -race -count=20 \
 		-run 'TestAdmission|TestBreaker|TestLease|TestSegmentedDurableReopen|TestSegmentedFreshKeywordVisible|TestSegmentedUseAfterClose|TestSegmentedConcurrentLifecycle' .
+	$(GO) test -race -count=20 ./internal/core/ ./internal/thread/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -1,9 +1,8 @@
 package core
 
 // This file is the dynamic-pruning layer over the blocked postings layout
-// (internal/invindex/blocks.go): lazy block-at-a-time AND/OR merging, the
-// per-block φ bounds that tighten Definition-11 pruning, and MaxScore-style
-// early termination for the sum ranking. Everything here is
+// (internal/invindex/blocks.go): lazy block-at-a-time AND/OR merging and
+// MaxScore-style early termination for the sum ranking. Everything here is
 // result-preserving — the candidate set, every score, and the final top-k
 // are byte-identical to the eager paths; only decode work and thread
 // constructions are avoided:
@@ -11,11 +10,12 @@ package core
 //   - The AND merge is an exact set intersection. Non-driver terms advance
 //     by SkipTo, and a block whose directory says MinSID > target is ruled
 //     out without decoding, so long lists stay mostly undecoded.
-//   - The per-candidate φ bound comes from thread.Bounds.PhiRangeMax over
-//     the [MinSID, MaxSID] of the block holding the candidate — an upper
-//     bound on the candidate's thread popularity that Ingest keeps exact
-//     through RaiseForRoot. It can only tighten the Section V-B popularity
-//     bound, never replace a score.
+//   - Blocks are a decode/skip unit only. The per-candidate popularity
+//     bound is evaluated where the pruning decision is made, as
+//     min(query bound, thread.Bounds.Phi(tid)): the φ table's entry for the
+//     candidate's own SID, which Ingest keeps exact through RaiseForRoot.
+//     It can only tighten the Section V-B popularity bound, never replace
+//     a score.
 //   - Sum ranking cannot skip candidates (every candidate feeds Σρ and
 //     δ(u,q)), so termination happens at user granularity: users are scored
 //     in descending upper-bound order and scoring stops once the running
@@ -77,39 +77,10 @@ func openTermIterators(src PostingsSource, cells []string, term string) ([]*invi
 	return its, fetched, nil
 }
 
-// blockIter pairs a postings iterator with the φ table, memoizing the
-// current block's φ bound — every posting in a block shares it, so the
-// range-max query runs once per block, not once per posting.
-type blockIter struct {
-	it      *invindex.PostingsIterator
-	bounds  *thread.Bounds
-	memoIdx int
-	memoPhi float64
-}
-
-func newBlockIter(it *invindex.PostingsIterator, bounds *thread.Bounds) *blockIter {
-	return &blockIter{it: it, bounds: bounds, memoIdx: -1}
-}
-
-// phiBound returns an upper bound on the thread popularity of any posting
-// in the iterator's current block.
-func (b *blockIter) phiBound() float64 {
-	info, ok := b.it.BlockMax()
-	if !ok {
-		return math.Inf(1)
-	}
-	if info.Index != b.memoIdx {
-		b.memoIdx = info.Index
-		b.memoPhi = b.bounds.PhiRangeMax(info.MinSID, info.MaxSID)
-	}
-	return b.memoPhi
-}
-
 // gatherBlockMax is the lazy counterpart of gatherCandidates' stages 2–3a:
 // it opens per-⟨partition, cell, term⟩ iterators across the worker pool and
 // merges them block at a time. The merged candidates — set, order and match
-// counts — are identical to the eager concat-sort-merge; each additionally
-// carries its block's φ bound for the ranking stage.
+// counts — are identical to the eager concat-sort-merge.
 func (e *Engine) gatherBlockMax(ctx context.Context, q *Query, parts []*Partition, covers *coverSet, terms []string, stats *QueryStats, rec *telemetry.SpanRecorder) ([]candidate, error) {
 	stopFetch := rec.Start(telemetry.StagePostingsFetch)
 	nJobs := len(parts) * len(terms)
@@ -129,13 +100,11 @@ func (e *Engine) gatherBlockMax(ctx context.Context, q *Query, parts []*Partitio
 		return nil, err
 	}
 
-	termIts := make([][]*blockIter, len(terms))
+	termIts := make([][]*invindex.PostingsIterator, len(terms))
 	for i, its := range opened {
 		stats.PostingsFetched += counts[i]
 		ti := i % len(terms)
-		for _, it := range its {
-			termIts[ti] = append(termIts[ti], newBlockIter(it, e.Bounds))
-		}
+		termIts[ti] = append(termIts[ti], its...)
 	}
 
 	stopMerge := rec.Start(telemetry.StageCandidateFilter)
@@ -150,12 +119,12 @@ func (e *Engine) gatherBlockMax(ctx context.Context, q *Query, parts []*Partitio
 	// decoded are credited as skipped, and any decode error surfaces (the
 	// eager path would have hit it in FetchPostings).
 	for _, its := range termIts {
-		for _, b := range its {
-			b.it.SkipTo(social.PostID(math.MaxInt64))
-			if err := b.it.Err(); err != nil {
+		for _, it := range its {
+			it.SkipTo(social.PostID(math.MaxInt64))
+			if err := it.Err(); err != nil {
 				return nil, err
 			}
-			s := b.it.Stats()
+			s := it.Stats()
 			stats.BlocksSkipped += s.BlocksSkipped
 			stats.PostingsSkipped += s.PostingsSkipped
 		}
@@ -168,15 +137,15 @@ func (e *Engine) gatherBlockMax(ctx context.Context, q *Query, parts []*Partitio
 // superset), while the other terms advance by SkipTo and only decode a
 // block when its directory admits the target TID. Cells and partitions are
 // disjoint, so at most one iterator per term holds any TID.
-func intersectIterators(termIts [][]*blockIter) []candidate {
+func intersectIterators(termIts [][]*invindex.PostingsIterator) []candidate {
 	if len(termIts) == 0 {
 		return nil
 	}
 	driver, driverLen := 0, 0
 	for ti, its := range termIts {
 		n := 0
-		for _, b := range its {
-			n += b.it.Len()
+		for _, it := range its {
+			n += it.Len()
 		}
 		if n == 0 {
 			return nil // one term matches nothing: empty intersection
@@ -189,45 +158,41 @@ func intersectIterators(termIts [][]*blockIter) []candidate {
 outer:
 	for {
 		// The driver's smallest current TID across its cell iterators.
-		var drv *blockIter
+		var drv *invindex.PostingsIterator
 		var dp invindex.Posting
-		for _, b := range termIts[driver] {
-			p, ok := b.it.Cur()
+		for _, it := range termIts[driver] {
+			p, ok := it.Cur()
 			if !ok {
 				continue
 			}
 			if drv == nil || p.TID < dp.TID {
-				drv, dp = b, p
+				drv, dp = it, p
 			}
 		}
 		if drv == nil {
 			break // driver exhausted
 		}
 		total := int(dp.TF)
-		phiUB := drv.phiBound()
 		for ti, its := range termIts {
 			if ti == driver {
 				continue
 			}
 			found, alive := false, false
-			for _, b := range its {
-				if !b.it.SkipTo(dp.TID) {
+			for _, it := range its {
+				if !it.SkipTo(dp.TID) {
 					continue
 				}
 				alive = true
-				info, ok := b.it.BlockMax()
+				info, ok := it.BlockMax()
 				if !ok || info.MinSID > dp.TID {
 					continue // provably past the target; leave undecoded
 				}
-				p, ok := b.it.Cur()
+				p, ok := it.Cur()
 				if !ok {
 					continue
 				}
 				if p.TID == dp.TID {
 					total += int(p.TF)
-					if phi := b.phiBound(); phi < phiUB {
-						phiUB = phi
-					}
 					found = true
 					break
 				}
@@ -236,74 +201,61 @@ outer:
 				break outer // term exhausted: no further TID can match
 			}
 			if !found {
-				drv.it.Next()
+				drv.Next()
 				continue outer
 			}
 		}
-		out = append(out, candidate{tid: dp.TID, matches: total, phiUB: phiUB})
-		drv.it.Next()
+		out = append(out, candidate{tid: dp.TID, matches: total})
+		drv.Next()
 	}
 	return out
 }
 
 // iterHeap is a min-heap of iterators keyed by current TID, for the k-way
 // OR merge. Every iterator in the heap is positioned on a posting.
-type iterHeap []*blockIter
+type iterHeap []*invindex.PostingsIterator
 
 func (h iterHeap) Len() int { return len(h) }
 func (h iterHeap) Less(i, j int) bool {
-	pi, _ := h[i].it.Cur()
-	pj, _ := h[j].it.Cur()
+	pi, _ := h[i].Cur()
+	pj, _ := h[j].Cur()
 	return pi.TID < pj.TID
 }
 func (h iterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *iterHeap) Push(x any)   { *h = append(*h, x.(*blockIter)) }
+func (h *iterHeap) Push(x any)   { *h = append(*h, x.(*invindex.PostingsIterator)) }
 func (h *iterHeap) Pop() (x any) { old := *h; n := len(old); x = old[n-1]; *h = old[:n-1]; return }
 
 // unionIterators is the lazy OR merge: a k-way heap merge folding equal
 // TIDs, term frequencies summing across terms exactly as unionPostings
 // folds its sorted concatenation. Every posting is a candidate, so every
-// block decodes — OR gains no skips, but the φ bounds still feed ranking.
-func unionIterators(termIts [][]*blockIter) []candidate {
+// block decodes — OR gains no skips.
+func unionIterators(termIts [][]*invindex.PostingsIterator) []candidate {
 	var h iterHeap
 	for _, its := range termIts {
-		for _, b := range its {
-			if _, ok := b.it.Cur(); ok {
-				h = append(h, b)
+		for _, it := range its {
+			if _, ok := it.Cur(); ok {
+				h = append(h, it)
 			}
 		}
 	}
 	heap.Init(&h)
 	var out []candidate
 	for h.Len() > 0 {
-		b := h[0]
-		p, _ := b.it.Cur()
+		it := h[0]
+		p, _ := it.Cur()
 		if n := len(out); n > 0 && out[n-1].tid == p.TID {
 			out[n-1].matches += int(p.TF)
-			if phi := b.phiBound(); phi < out[n-1].phiUB {
-				out[n-1].phiUB = phi
-			}
 		} else {
-			out = append(out, candidate{tid: p.TID, matches: int(p.TF), phiUB: b.phiBound()})
+			out = append(out, candidate{tid: p.TID, matches: int(p.TF)})
 		}
-		b.it.Next()
-		if _, ok := b.it.Cur(); ok {
+		it.Next()
+		if _, ok := it.Cur(); ok {
 			heap.Fix(&h, 0)
 		} else {
 			heap.Pop(&h)
 		}
 	}
 	return out
-}
-
-// tighterBound combines the query-level popularity bound with a
-// candidate's per-block φ bound (0 means "no bound"). Both dominate the
-// candidate's true thread popularity, so their minimum does too.
-func tighterBound(popBound, phiUB float64) float64 {
-	if phiUB > 0 && phiUB < popBound {
-		return phiUB
-	}
-	return popBound
 }
 
 // userGroup is one candidate user in the sum-ranking early-termination
@@ -379,22 +331,16 @@ func (e *Engine) rankSumPruned(ctx context.Context, q *Query, terms []string, ca
 			udc.d[g.uid] = score.UserDistance(g.deltaSum, counts[i])
 		}
 	}
-	havePhi := e.Bounds.HasPhiTable()
 	for _, g := range groups {
 		g.du = udc.get(g.uid, g.deltaSum)
 		var ubRs float64
 		for _, i := range g.cands {
 			c := &cands[i]
-			// Refine the block-level φ bound to a width-one range query at
-			// the candidate's own SID. The table holds the batch-exact
-			// popularity of every root, raised on ingest, so this bound is
-			// near-exact — it is what lets the termination below fire long
-			// before the candidate list runs out.
-			phi := c.phiUB
-			if havePhi {
-				phi = e.Bounds.PhiRangeMax(c.tid, c.tid)
-			}
-			ubRs += score.KeywordRelevance(c.matches, tighterBound(popBound, phi), p.N) * e.recencyFactor(c.tid)
+			// The φ table holds the batch-exact popularity of every root,
+			// raised on ingest, so this bound is near-exact — it is what
+			// lets the termination below fire long before the candidate
+			// list runs out.
+			ubRs += score.KeywordRelevance(c.matches, min(popBound, e.Bounds.Phi(c.tid)), p.N) * e.recencyFactor(c.tid)
 		}
 		g.ub = score.Combine(p.Alpha, ubRs, g.du)
 	}

@@ -71,9 +71,13 @@ func requireSameResults(t *testing.T, got, want []core.UserResult, format string
 // engine over a source that only offers FetchPostings (the slice-iterator
 // compatibility path). It also checks the work accounting: for the sum ranking, threads
 // built plus threads pruned must equal the exhaustive engine's thread
-// count. (Block skipping itself is pinned by TestBlockMaxSkipsBlocks — a
-// uniform random corpus interleaves the two lists too densely for AND
-// intersection to ever leap a whole block.)
+// count; for the max ranking every candidate is either built or pruned, and
+// pruning is monotone in the bound — the default engine (query bound ∧
+// per-tweet φ) prunes at least as much as the same engine over table-less
+// bounds (query bound alone), which prunes at least as much as the
+// exhaustive reference. (Block skipping itself is pinned by
+// TestBlockMaxSkipsBlocks — a uniform random corpus interleaves the two
+// lists too densely for AND intersection to ever leap a whole block.)
 func TestBlockMaxEquivalenceGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(417))
 	posts, center := randomCorpus(rng, 900)
@@ -92,6 +96,15 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 		engEx := buildEngineIndexed(t, posts, exhaustive, 3, hot, smallBlocks)
 		engFlat, err := core.NewPartitionedEngine(
 			[]core.Partition{{Source: fetchOnly{engBM.Index}}}, engBM.DB, engBM.Bounds, bm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The exported fields alone are what a pre-φ-table image decodes to.
+		queryBoundOnly := &thread.Bounds{
+			TM: engBM.Bounds.TM, Depth: engBM.Bounds.Depth, Def11: engBM.Bounds.Def11,
+			MaxObserved: engBM.Bounds.MaxObserved, PerKeyword: engBM.Bounds.PerKeyword,
+		}
+		engLoose, err := core.NewEngine(engBM.Index, engBM.DB, queryBoundOnly, bm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,6 +145,24 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 					if ranking == core.SumScore && gs.ThreadsBuilt+gs.ThreadsPruned != ws.ThreadsBuilt {
 						t.Fatalf("eps=%v %v r=%v: built %d + pruned %d != exhaustive built %d",
 							epsilon, sem, radius, gs.ThreadsBuilt, gs.ThreadsPruned, ws.ThreadsBuilt)
+					}
+					if ranking == core.MaxScore {
+						lres, ls, err := engLoose.Search(context.Background(), q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameResults(t, lres, want,
+							"query-bound-only vs exhaustive eps=%v %v r=%v", epsilon, sem, radius)
+						for name, st := range map[string]*core.QueryStats{"default": gs, "query-bound-only": ls, "exhaustive": ws} {
+							if st.ThreadsBuilt+st.ThreadsPruned != int64(st.Candidates) {
+								t.Fatalf("eps=%v %v r=%v %s: built %d + pruned %d != candidates %d",
+									epsilon, sem, radius, name, st.ThreadsBuilt, st.ThreadsPruned, st.Candidates)
+							}
+						}
+						if gs.ThreadsPruned < ls.ThreadsPruned || ls.ThreadsPruned < ws.ThreadsPruned {
+							t.Fatalf("eps=%v %v r=%v: pruning not monotone in the bound: default %d, query-bound-only %d, exhaustive %d",
+								epsilon, sem, radius, gs.ThreadsPruned, ls.ThreadsPruned, ws.ThreadsPruned)
+						}
 					}
 					if ws.BlocksSkipped != 0 {
 						t.Fatal("exhaustive engine reported skipped blocks")

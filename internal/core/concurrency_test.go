@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/social"
 )
 
 // TestSearchContextCancellation verifies a cancelled context aborts the
@@ -44,8 +45,10 @@ func TestSearchContextCancellation(t *testing.T) {
 
 // TestConcurrentQueries verifies the engine is safe for concurrent reads:
 // many goroutines issue mixed queries against one engine and every result
-// matches the single-threaded answer. Run with -race to check the counter
-// and cache synchronization.
+// matches the single-threaded answer, while a writer raises the bounds the
+// way live ingest does (new SIDs entering the φ table, every bound only
+// loosening — so the answers may not move). Run with -race to check the
+// counter, cache and bounds synchronization.
 func TestConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	posts, center := randomCorpus(rng, 600)
@@ -68,6 +71,13 @@ func TestConcurrentQueries(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			eng.Bounds.RaiseForRoot(social.PostID(len(posts)+1+i), 0.5+float64(i)/100)
+		}
+	}()
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {

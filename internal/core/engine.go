@@ -116,16 +116,17 @@ type Options struct {
 	// used for every query.
 	UseSpecificBounds bool
 	// UsePruning enables the upper-bound pruning of Algorithm 5 lines
-	// 18–19. Disabling it is the ablation baseline; results are identical,
-	// only thread-construction work changes.
+	// 18–19, each candidate's popularity bounded by the smaller of the
+	// query-level bound and its own φ-table entry (thread.Bounds.Phi).
+	// Disabling it is the ablation baseline; results are identical, only
+	// thread-construction work changes.
 	UsePruning bool
 	// UseBlockMax enables block-at-a-time postings traversal: postings
 	// sources that expose a lazy iterator (invindex.Index) are merged one
-	// block at a time, AND queries skip blocks the directory proves cannot
-	// intersect, and the per-block φ bounds feed the ranking stage — a
-	// tighter Definition-11 bound for max ranking and, together with
-	// UsePruning, MaxScore-style early termination for sum ranking. Results
-	// are byte-identical with the flag on or off; only decode and
+	// block at a time and AND queries skip blocks the directory proves
+	// cannot intersect. Together with UsePruning it also selects
+	// MaxScore-style early termination for sum ranking. Results are
+	// byte-identical with the flag on or off; only decode and
 	// thread-construction work changes.
 	UseBlockMax bool
 	// ExactUserDistance computes Definition 9 literally — the average

@@ -14,11 +14,6 @@ import (
 type candidate struct {
 	tid     social.PostID
 	matches int
-	// phiUB is an upper bound on the popularity φ of the thread rooted at
-	// this tweet, taken from the per-block φ range bounds during block-max
-	// traversal. 0 means "no bound" (the eager merge paths never set one);
-	// consumers must treat 0 as +Inf.
-	phiUB float64
 }
 
 // termPostings gathers, for one query term, the postings of every cover

@@ -203,10 +203,9 @@ func (e *Engine) partialsMaxPruned(ctx context.Context, q *Query, terms []string
 		if tk.full() {
 			// Upper bound with the distance part at its maximum 1
 			// (Section V-B's own bound): sound regardless of how the
-			// user's candidates are distributed across shards. Block-max
-			// traversal tightens the popularity part with the candidate's
-			// per-block φ bound.
-			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.matches, tighterBound(popBound, c.phiUB), p.N), 1)
+			// user's candidates are distributed across shards. The
+			// candidate's own φ-table entry tightens the popularity part.
+			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.matches, min(popBound, e.Bounds.Phi(c.tid)), p.N), 1)
 			if ub <= tk.peek() {
 				stats.ThreadsPruned++
 				out.Cands = append(out.Cands, CandidateScore{

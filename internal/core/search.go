@@ -22,7 +22,6 @@ type scoredCandidate struct {
 	matches int
 	uid     social.UserID
 	delta   float64 // δ(p,q), Definition 5
-	phiUB   float64 // per-block thread-popularity bound; 0 = none
 }
 
 // Search executes a TkLUS query and returns the top-k users with their
@@ -211,7 +210,7 @@ func (e *Engine) gatherCandidates(ctx context.Context, q *Query, terms []string,
 				continue // cover cells may stick out of the circle
 			}
 			delta := score.TweetDistance(loc, q.Loc, q.RadiusKm, e.Opts.Params.Metric)
-			out = append(out, scoredCandidate{tid: c.tid, matches: c.matches, uid: m.UID, delta: delta, phiUB: c.phiUB})
+			out = append(out, scoredCandidate{tid: c.tid, matches: c.matches, uid: m.UID, delta: delta})
 		}
 		return out, nil
 	}
@@ -246,7 +245,7 @@ func (e *Engine) gatherCandidates(ctx context.Context, q *Query, terms []string,
 		}
 		delta := score.TweetDistance(row.Loc(), q.Loc, q.RadiusKm, e.Opts.Params.Metric)
 		results[i] = filtered{
-			sc:   scoredCandidate{tid: c.tid, matches: c.matches, uid: row.UID, delta: delta, phiUB: c.phiUB},
+			sc:   scoredCandidate{tid: c.tid, matches: c.matches, uid: row.UID, delta: delta},
 			keep: true,
 		}
 		return nil
@@ -366,10 +365,9 @@ func (e *Engine) rankMax(ctx context.Context, q *Query, terms []string, cands []
 			// (Section V-B); δ(u,q) is independent of the thread being
 			// considered and already computed here, so using it keeps the
 			// bound sound while pruning far more thread constructions —
-			// thread construction being the stated bottleneck. Block-max
-			// traversal tightens the popularity part further with the
-			// candidate's per-block φ bound.
-			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.matches, tighterBound(popBound, c.phiUB), p.N), du)
+			// thread construction being the stated bottleneck. The
+			// candidate's own φ-table entry tightens the popularity part.
+			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.matches, min(popBound, e.Bounds.Phi(c.tid)), p.N), du)
 			if ub <= tk.peek() {
 				stats.ThreadsPruned++
 				continue

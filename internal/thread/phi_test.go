@@ -26,71 +26,66 @@ func TestPhiRangeMaxExactOnBatchCorpus(t *testing.T) {
 	posts := figure2Posts()
 	const depth, eps = 6, 0.1
 	b := ComputeBounds(posts, depth, eps, nil)
-	if !b.HasPhiTable() {
-		t.Fatal("ComputeBounds built no φ table")
-	}
-	// Point queries: every root's entry is its exact popularity.
+	// Every root's entry is its exact popularity.
 	for _, p := range posts {
 		want := phiOf(posts, p.SID, depth, eps)
-		if got := b.PhiRangeMax(p.SID, p.SID); got != want {
-			t.Errorf("PhiRangeMax(%d,%d) = %v, want %v", p.SID, p.SID, got, want)
+		if got := b.Phi(p.SID); got != want {
+			t.Errorf("Phi(%d) = %v, want %v", p.SID, got, want)
 		}
 	}
-	// Range queries: the max over every contained root.
-	for lo := social.PostID(1); lo <= 10; lo++ {
-		for hi := lo; hi <= 10; hi++ {
-			want := eps // floor
-			for _, p := range posts {
-				if p.SID >= lo && p.SID <= hi {
-					if v := phiOf(posts, p.SID, depth, eps); v > want {
-						want = v
-					}
-				}
-			}
-			if got := b.PhiRangeMax(lo, hi); got != want {
-				t.Errorf("PhiRangeMax(%d,%d) = %v, want %v", lo, hi, got, want)
-			}
-		}
-	}
-	// A range holding no table entries bounds only never-scored SIDs, whose
+	// A SID the table has never seen is a never-scored thread, whose
 	// popularity is exactly the floor ε.
-	if got := b.PhiRangeMax(1000, 2000); got != eps {
-		t.Errorf("empty-range PhiRangeMax = %v, want floor %v", got, eps)
+	if got := b.Phi(1000); got != eps {
+		t.Errorf("absent-SID Phi = %v, want floor %v", got, eps)
 	}
 }
 
-// TestPhiRangeMaxDominatesAfterRandomIngest is the per-block bound
-// property test: after random Ingest-style batches (each reply raising its
-// ≤depth ancestors through RaiseForRoot, exactly as System.ingest does),
-// every [minSID, maxSID] range bound dominates the true max popularity of
-// the posts in that range.
+// TestPhiRangeMaxDominatesAfterRandomIngest is the per-tweet bound property
+// test: after random Ingest-style batches (each reply raising its ≤depth
+// ancestors through RaiseForRoot, exactly as System.ingest does), every
+// root's lookup dominates its true popularity recomputed from scratch. Mid
+// stream the bounds are gob-round-tripped and the reloaded copy receives
+// the remaining raises too: it must end with the same lookups and the same
+// query-level bounds, so a restart never changes what the engine prunes.
 func TestPhiRangeMaxDominatesAfterRandomIngest(t *testing.T) {
 	const depth, eps = 4, 0.1
+	hot := []string{"hotel", "pizza"}
 	rng := rand.New(rand.NewSource(29))
+	mkPost := func(sid social.PostID) *social.Post {
+		return &social.Post{
+			SID: sid, UID: social.UserID(sid), Time: time.Unix(int64(sid), 0),
+			Loc: geo.Point{Lat: 43.7, Lon: -79.4}, Words: []string{hot[rng.Intn(2)]},
+		}
+	}
 	for trial := 0; trial < 20; trial++ {
 		// Batch corpus: a random forest over SIDs 1..40.
 		posts := make([]*social.Post, 0, 40)
 		for sid := social.PostID(1); sid <= 40; sid++ {
-			p := &social.Post{
-				SID: sid, UID: social.UserID(sid), Time: time.Unix(int64(sid), 0),
-				Loc: geo.Point{Lat: 43.7, Lon: -79.4}, Words: []string{"hotel"},
-			}
+			p := mkPost(sid)
 			if sid > 1 && rng.Intn(2) == 0 {
 				p.RSID = social.PostID(1 + rng.Intn(int(sid-1)))
 				p.Kind = social.Reply
 			}
 			posts = append(posts, p)
 		}
-		b := ComputeBounds(posts, depth, eps, nil)
+		b := ComputeBounds(posts, depth, eps, hot)
+		var loaded *Bounds
 
 		// Ingest batches: new ascending SIDs, some replying to existing
 		// posts. Mirror System.ingest: walk ≤depth ancestors and raise each
 		// with its recomputed exact popularity.
 		for sid := social.PostID(41); sid <= 80; sid++ {
-			p := &social.Post{
-				SID: sid, UID: social.UserID(sid), Time: time.Unix(int64(sid), 0),
-				Loc: geo.Point{Lat: 43.7, Lon: -79.4}, Words: []string{"hotel"},
+			if sid == 60 {
+				var buf bytes.Buffer
+				if err := b.EncodeGob(&buf); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if loaded, err = DecodeBoundsGob(&buf); err != nil {
+					t.Fatal(err)
+				}
 			}
+			p := mkPost(sid)
 			if rng.Intn(3) > 0 {
 				p.RSID = social.PostID(1 + rng.Intn(int(sid-1)))
 				p.Kind = social.Reply
@@ -104,7 +99,11 @@ func TestPhiRangeMaxDominatesAfterRandomIngest(t *testing.T) {
 				bySID[q.SID] = q
 			}
 			for a, hops := p.RSID, 0; a != social.NoPost && hops < depth; hops++ {
-				b.RaiseForRoot(a, phiOf(posts, a, depth, eps))
+				pop := phiOf(posts, a, depth, eps)
+				b.RaiseForRoot(a, pop)
+				if loaded != nil {
+					loaded.RaiseForRoot(a, pop)
+				}
 				parent, ok := bySID[a]
 				if !ok {
 					break
@@ -113,17 +112,20 @@ func TestPhiRangeMaxDominatesAfterRandomIngest(t *testing.T) {
 			}
 		}
 
-		// Property: every range bound dominates the true range max.
-		for probe := 0; probe < 200; probe++ {
-			lo := social.PostID(1 + rng.Intn(80))
-			hi := lo + social.PostID(rng.Intn(30))
-			bound := b.PhiRangeMax(lo, hi)
-			for _, p := range posts {
-				if p.SID >= lo && p.SID <= hi {
-					if truth := phiOf(posts, p.SID, depth, eps); truth > bound {
-						t.Fatalf("trial %d: PhiRangeMax(%d,%d) = %v below true φ(%d) = %v",
-							trial, lo, hi, bound, p.SID, truth)
-					}
+		for _, p := range posts {
+			bound := b.Phi(p.SID)
+			if truth := phiOf(posts, p.SID, depth, eps); truth > bound {
+				t.Fatalf("trial %d: Phi(%d) = %v below true φ = %v", trial, p.SID, bound, truth)
+			}
+			if got := loaded.Phi(p.SID); got != bound {
+				t.Fatalf("trial %d: reloaded Phi(%d) = %v, built %v", trial, p.SID, got, bound)
+			}
+		}
+		for _, terms := range [][]string{{"hotel"}, {"pizza"}, {"hotel", "pizza"}, {"other"}} {
+			for _, and := range []bool{true, false} {
+				if got, want := loaded.ForQuery(terms, and, true), b.ForQuery(terms, and, true); got != want {
+					t.Fatalf("trial %d: reloaded ForQuery(%v, and=%v) = %v, built %v",
+						trial, terms, and, got, want)
 				}
 			}
 		}
@@ -143,76 +145,61 @@ func TestPhiTableGobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.HasPhiTable() {
-		t.Fatal("φ table lost in gob round trip")
-	}
-	for lo := social.PostID(1); lo <= 10; lo += 3 {
-		for hi := lo; hi <= 1000; hi += 217 {
-			if got, want := loaded.PhiRangeMax(lo, hi), b.PhiRangeMax(lo, hi); got != want {
-				t.Errorf("after reload PhiRangeMax(%d,%d) = %v, want %v", lo, hi, got, want)
-			}
+	// 500 is in no table: the floor, not the table-less MaxObserved fallback,
+	// shows the table survived.
+	for _, sid := range []social.PostID{1, 2, 5, 9, 10, 500, 999} {
+		if got, want := loaded.Phi(sid), b.Phi(sid); got != want {
+			t.Errorf("after reload Phi(%d) = %v, want %v", sid, got, want)
 		}
 	}
-	if got := loaded.PhiRangeMax(999, 999); got != 2.5 {
-		t.Errorf("ingested entry lost: PhiRangeMax(999,999) = %v, want 2.5", got)
+	if got := loaded.Phi(500); got != 0.1 {
+		t.Errorf("φ table lost in gob round trip: Phi(500) = %v, want floor 0.1", got)
+	}
+	if got := loaded.Phi(999); got != 2.5 {
+		t.Errorf("ingested entry lost: Phi(999) = %v, want 2.5", got)
 	}
 }
 
 // TestPhiTableAbsentFallsBack checks Bounds decoded from a pre-φ-table
-// image keep working: PhiRangeMax degrades to the global bound.
+// image keep working: Phi degrades to the global bound.
 func TestPhiTableAbsentFallsBack(t *testing.T) {
 	b := &Bounds{MaxObserved: 3.25}
-	if got := b.PhiRangeMax(1, 100); got != 3.25 {
-		t.Fatalf("fallback PhiRangeMax = %v, want MaxObserved", got)
-	}
-	if b.HasPhiTable() {
-		t.Fatal("HasPhiTable true with no table")
+	if got := b.Phi(1); got != 3.25 {
+		t.Fatalf("fallback Phi = %v, want MaxObserved", got)
 	}
 	// RaiseForRoot on table-less bounds must not materialize a partial
-	// (unsound) table.
+	// (unsound) table: that would answer the floor for the batch corpus.
 	b.RaiseForRoot(7, 1.0)
-	if b.HasPhiTable() {
-		t.Fatal("RaiseForRoot grew a table that misses the batch corpus")
-	}
-	if got := b.PhiRangeMax(1, 100); got != 3.25 {
-		t.Fatalf("fallback after raise = %v, want MaxObserved", got)
+	for _, sid := range []social.PostID{1, 7} {
+		if got := b.Phi(sid); got != 3.25 {
+			t.Fatalf("fallback after raise: Phi(%d) = %v, want MaxObserved", sid, got)
+		}
 	}
 }
 
-// TestPhiBucketsLargeTable stresses the bucketed range scan across bucket
-// boundaries against a brute-force maximum.
-func TestPhiBucketsLargeTable(t *testing.T) {
+var phiSink float64
+
+// BenchmarkPhiLookup measures the per-tweet bound the engine evaluates at
+// every prune decision: one read-locked binary search in a 250k-entry
+// table, probed at random present and absent SIDs.
+func BenchmarkPhiLookup(b *testing.B) {
+	const n = 250_000
+	posts := make([]*social.Post, n)
+	for i := range posts {
+		posts[i] = &social.Post{SID: social.PostID(2*i + 1), UID: 1, Words: []string{"hotel"}}
+		if i%7 == 3 {
+			posts[i].RSID, posts[i].Kind = posts[i-1].SID, social.Reply
+		}
+	}
+	bounds := ComputeBounds(posts, 4, 0.1, nil)
 	rng := rand.New(rand.NewSource(31))
-	const n = 2000 // ~8 buckets
-	posts := make([]*social.Post, 0, n)
-	for i := 0; i < n; i++ {
-		posts = append(posts, &social.Post{
-			SID: social.PostID(i*3 + 1), UID: 1, Time: time.Unix(int64(i+1), 0),
-			Loc: geo.Point{Lat: 43.7, Lon: -79.4}, Words: []string{"hotel"},
-		})
+	probes := make([]social.PostID, 4096)
+	for i := range probes {
+		probes[i] = social.PostID(1 + rng.Intn(2*n))
 	}
-	// Sprinkle replies so popularities vary.
-	for i := 1; i < n; i += 7 {
-		posts[i].RSID = posts[i-1].SID
-		posts[i].Kind = social.Reply
-	}
-	const depth, eps = 4, 0.1
-	b := ComputeBounds(posts, depth, eps, nil)
-	vals := make(map[social.PostID]float64, n)
-	for _, p := range posts {
-		vals[p.SID] = phiOf(posts, p.SID, depth, eps)
-	}
-	for probe := 0; probe < 500; probe++ {
-		lo := social.PostID(rng.Intn(3 * n))
-		hi := lo + social.PostID(rng.Intn(3*n))
-		want := eps
-		for sid, v := range vals {
-			if sid >= lo && sid <= hi && v > want {
-				want = v
-			}
-		}
-		if got := b.PhiRangeMax(lo, hi); got != want {
-			t.Fatalf("PhiRangeMax(%d,%d) = %v, want %v", lo, hi, got, want)
-		}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		phiSink += bounds.Phi(probes[i%len(probes)])
 	}
 }

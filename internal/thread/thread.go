@@ -7,9 +7,10 @@
 package thread
 
 import (
+	"cmp"
 	"encoding/gob"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/metadb"
@@ -167,10 +168,9 @@ func (b *Builder) Tree(root social.PostID, epsilon float64, stats *Stats) ([]Nod
 // Bounds holds the popularity upper bounds available to the max-score
 // algorithm (Section V-B). Bounds are batch-computed offline but may be
 // conservatively raised by live ingest (RaiseForRoot), so reads go through
-// ForQuery and an internal RWMutex; the exported fields themselves should
-// only be touched when no queries are in flight. Only exported fields are
-// persisted (gob): a loaded Bounds raises every keyword bound on ingest
-// instead of just the affected ones, which is coarser but equally sound.
+// ForQuery and Phi and an internal RWMutex; the exported fields themselves
+// should only be touched when no queries are in flight. EncodeGob persists
+// the exported fields plus the φ table — everything a Bounds holds.
 type Bounds struct {
 	// TM is t_m, the maximum number of replied/forwarded tweets any single
 	// tweet has in the database.
@@ -193,30 +193,20 @@ type Bounds struct {
 	PerKeyword map[string]float64
 
 	// mu guards MaxObserved, PerKeyword and the φ table against concurrent
-	// ForQuery/PhiRangeMax/RaiseForRoot calls once the system serves live
-	// ingest.
+	// ForQuery/Phi/RaiseForRoot calls once the system serves live ingest.
 	mu sync.RWMutex
 
-	// The φ table answers PhiRangeMax(lo, hi): the largest thread
-	// popularity among roots with SID in [lo, hi]. Postings blocks carry
-	// min/max SID, so this is the per-block popularity bound of the
-	// block-max index — held globally (SID-keyed) rather than per list, so
-	// one RaiseForRoot keeps every list's bounds exact at once. phiSIDs is
-	// ascending; phiVals is parallel; phiBuckets[i] caches the max of
-	// bucket i (phiBucketShift-sized runs) so a range query scans at most
-	// two partial buckets. SIDs absent from the table are threads that
-	// have never been scored above phiFloor (= ε: a just-ingested post
-	// nothing has replied to), because every φ change flows through
-	// RaiseForRoot with the exact recomputed popularity.
-	phiSIDs    []social.PostID
-	phiVals    []float64
-	phiBuckets []float64
-	phiFloor   float64
-	// rootHot maps every root in the batch corpus to its hot terms (nil
-	// slice for roots containing none), so RaiseForRoot can raise exactly
-	// the keyword bounds a grown thread can violate. nil for Bounds loaded
-	// from disk — then RaiseForRoot raises every keyword bound.
-	rootHot map[social.PostID][]string
+	// The φ table answers Phi(root): the popularity of the thread rooted
+	// at one tweet — the per-tweet bound the engine's prune sites combine
+	// with the query-level bound. It is held globally (SID-keyed), so one
+	// RaiseForRoot keeps it exact for every postings list at once. phiSIDs
+	// is ascending; phiVals is parallel. SIDs absent from the table are
+	// threads that have never been scored above phiFloor (= ε: a
+	// just-ingested post nothing has replied to), because every φ change
+	// flows through RaiseForRoot with the exact recomputed popularity.
+	phiSIDs  []social.PostID
+	phiVals  []float64
+	phiFloor float64
 }
 
 // Def11Bound computes the Definition 11 global bound for a given t_m and
@@ -254,36 +244,25 @@ func ComputeBounds(posts []*social.Post, depth int, epsilon float64, hotKeywords
 		Depth:      depth,
 		Def11:      Def11Bound(tm, depth),
 		PerKeyword: make(map[string]float64, len(hotKeywords)),
-		rootHot:    make(map[social.PostID][]string, len(posts)),
+		phiSIDs:    make([]social.PostID, len(posts)),
+		phiVals:    make([]float64, len(posts)),
 		phiFloor:   epsilon,
 	}
-	type sidPop struct {
-		sid social.PostID
-		pop float64
-	}
-	phis := make([]sidPop, 0, len(posts))
-	for _, p := range posts {
+	// The φ table is SID-ascending. Corpora normally arrive that way, so
+	// the sort usually finds nothing to move.
+	bySID := slices.Clone(posts)
+	slices.SortFunc(bySID, func(x, y *social.Post) int { return cmp.Compare(x.SID, y.SID) })
+	for i, p := range bySID {
 		pop := popularityInMemory(p.SID, children, depth, epsilon)
-		phis = append(phis, sidPop{sid: p.SID, pop: pop})
+		b.phiSIDs[i], b.phiVals[i] = p.SID, pop
 		if pop > b.MaxObserved {
 			b.MaxObserved = pop
 		}
-		var hotTerms []string
-		seen := map[string]struct{}{}
 		for _, w := range p.Words {
-			if _, isHot := hot[w]; !isHot {
-				continue
-			}
-			if _, dup := seen[w]; dup {
-				continue
-			}
-			seen[w] = struct{}{}
-			hotTerms = append(hotTerms, w)
-			if pop > b.PerKeyword[w] {
+			if _, isHot := hot[w]; isHot && pop > b.PerKeyword[w] {
 				b.PerKeyword[w] = pop
 			}
 		}
-		b.rootHot[p.SID] = hotTerms
 	}
 	// Keywords never observed still get an explicit (epsilon) entry so the
 	// query-time lookup can distinguish "hot keyword with tiny bound" from
@@ -293,113 +272,43 @@ func ComputeBounds(posts []*social.Post, depth int, epsilon float64, hotKeywords
 			b.PerKeyword[kw] = epsilon
 		}
 	}
-	sort.Slice(phis, func(i, j int) bool { return phis[i].sid < phis[j].sid })
-	b.phiSIDs = make([]social.PostID, len(phis))
-	b.phiVals = make([]float64, len(phis))
-	for i, sp := range phis {
-		b.phiSIDs[i] = sp.sid
-		b.phiVals[i] = sp.pop
-	}
-	b.rebuildPhiBuckets(0)
 	return b
 }
 
-// phiBucketShift sizes the φ-table buckets at 1<<8 = 256 entries: small
-// enough that partial-bucket scans stay cheap, large enough that the
-// bucket array is negligible next to the table.
-const phiBucketShift = 8
-
-// rebuildPhiBuckets recomputes the bucket maxima for buckets >= fromBucket.
-// Callers must hold mu (or own the Bounds exclusively).
-func (b *Bounds) rebuildPhiBuckets(fromBucket int) {
-	nb := (len(b.phiVals) + (1 << phiBucketShift) - 1) >> phiBucketShift
-	if cap(b.phiBuckets) < nb {
-		grown := make([]float64, nb)
-		copy(grown, b.phiBuckets[:min(len(b.phiBuckets), nb)])
-		b.phiBuckets = grown
-	}
-	b.phiBuckets = b.phiBuckets[:nb]
-	for bi := fromBucket; bi < nb; bi++ {
-		lo := bi << phiBucketShift
-		hi := min(lo+(1<<phiBucketShift), len(b.phiVals))
-		m := b.phiVals[lo]
-		for _, v := range b.phiVals[lo+1 : hi] {
-			if v > m {
-				m = v
-			}
-		}
-		b.phiBuckets[bi] = m
-	}
-}
-
-// PhiRangeMax returns an upper bound on the popularity φ of any thread
-// rooted at a SID in [lo, hi] — the bound a postings block with that SID
-// range contributes to score pruning. It is exact under live ingest: every
-// φ change flows through RaiseForRoot with the recomputed popularity, and
+// Phi returns an upper bound on the popularity φ of the thread rooted at
+// root — the per-tweet bound the engine evaluates wherever it decides
+// whether to construct that thread. It is exact under live ingest: every φ
+// change flows through RaiseForRoot with the recomputed popularity, and
 // SIDs absent from the table are single-tweet threads at the φ floor (ε).
 // When the Bounds predate the φ table (loaded from an old image) it falls
 // back to the global MaxObserved bound. Safe for concurrent use.
-func (b *Bounds) PhiRangeMax(lo, hi social.PostID) float64 {
+func (b *Bounds) Phi(root social.PostID) float64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if len(b.phiSIDs) == 0 {
 		return b.MaxObserved
 	}
-	// max with the floor covers SIDs in the range that the table has never
-	// seen (freshly ingested, never replied to — their φ is exactly ε).
-	m := b.phiFloor
-	i := sort.Search(len(b.phiSIDs), func(k int) bool { return b.phiSIDs[k] >= lo })
-	j := sort.Search(len(b.phiSIDs), func(k int) bool { return b.phiSIDs[k] > hi })
-	for i < j {
-		if i&((1<<phiBucketShift)-1) == 0 && i+(1<<phiBucketShift) <= j {
-			if v := b.phiBuckets[i>>phiBucketShift]; v > m {
-				m = v
-			}
-			i += 1 << phiBucketShift
-			continue
-		}
-		if v := b.phiVals[i]; v > m {
-			m = v
-		}
-		i++
+	if i, ok := slices.BinarySearch(b.phiSIDs, root); ok {
+		return max(b.phiVals[i], b.phiFloor)
 	}
-	return m
-}
-
-// HasPhiTable reports whether per-SID popularity bounds are available
-// (false for Bounds decoded from pre-φ-table images, where PhiRangeMax
-// degrades to the global bound).
-func (b *Bounds) HasPhiTable() bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.phiSIDs) > 0
+	return b.phiFloor
 }
 
 // raisePhi records the exact popularity pop for root in the φ table,
 // inserting the SID if the table has never seen it. Callers hold mu.
 func (b *Bounds) raisePhi(root social.PostID, pop float64) {
 	if b.phiSIDs == nil {
-		return // no table (old image): PhiRangeMax already falls back
+		return // no table (old image): Phi already falls back
 	}
-	i := sort.Search(len(b.phiSIDs), func(k int) bool { return b.phiSIDs[k] >= root })
-	if i < len(b.phiSIDs) && b.phiSIDs[i] == root {
-		if pop > b.phiVals[i] {
-			b.phiVals[i] = pop
-			if pop > b.phiBuckets[i>>phiBucketShift] {
-				b.phiBuckets[i>>phiBucketShift] = pop
-			}
-		}
+	i, ok := slices.BinarySearch(b.phiSIDs, root)
+	if ok {
+		b.phiVals[i] = max(b.phiVals[i], pop)
 		return
 	}
 	// Unseen SID. Ingested SIDs ascend past every batch SID, so this is an
 	// append in practice; the general insert keeps soundness either way.
-	b.phiSIDs = append(b.phiSIDs, 0)
-	copy(b.phiSIDs[i+1:], b.phiSIDs[i:])
-	b.phiSIDs[i] = root
-	b.phiVals = append(b.phiVals, 0)
-	copy(b.phiVals[i+1:], b.phiVals[i:])
-	b.phiVals[i] = pop
-	b.rebuildPhiBuckets(i >> phiBucketShift)
+	b.phiSIDs = slices.Insert(b.phiSIDs, i, root)
+	b.phiVals = slices.Insert(b.phiVals, i, pop)
 }
 
 // popularityInMemory scores a thread from a prebuilt adjacency, mirroring
@@ -454,12 +363,11 @@ func (b *Bounds) ForQuery(terms []string, and, useSpecific bool) float64 {
 }
 
 // RaiseForRoot conservatively lifts the bounds after a live-ingested reply
-// grew the thread rooted at root to popularity pop. Raising can only relax
-// pruning, never tighten it, so it is always sound; precision comes from
-// rootHot: when the root's hot terms are known, only those keyword bounds
-// move, otherwise (bounds loaded from disk, or a root outside the batch
-// corpus) every keyword bound is raised. Safe for concurrent use with
-// ForQuery.
+// grew the thread rooted at root to popularity pop: the global bound, the
+// root's φ-table entry, and every keyword bound (which of them the root's
+// text could violate is not tracked). Raising can only relax pruning, never
+// tighten it, so it is always sound. Safe for concurrent use with ForQuery
+// and Phi.
 func (b *Bounds) RaiseForRoot(root social.PostID, pop float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -467,17 +375,8 @@ func (b *Bounds) RaiseForRoot(root social.PostID, pop float64) {
 		b.MaxObserved = pop
 	}
 	b.raisePhi(root, pop)
-	hotTerms, known := b.rootHot[root]
-	if !known {
-		for kw, v := range b.PerKeyword {
-			if pop > v {
-				b.PerKeyword[kw] = pop
-			}
-		}
-		return
-	}
-	for _, kw := range hotTerms {
-		if pop > b.PerKeyword[kw] {
+	for kw, v := range b.PerKeyword {
+		if pop > v {
 			b.PerKeyword[kw] = pop
 		}
 	}
@@ -487,7 +386,7 @@ func (b *Bounds) RaiseForRoot(root social.PostID, pop float64) {
 // the φ table. Gob matches fields by name and skips mismatches in either
 // direction, so images written by earlier code that encoded *Bounds
 // directly (or lacked the φ fields) still decode — they just come back
-// without a φ table, and PhiRangeMax degrades to the global bound.
+// without a φ table, and Phi degrades to the global bound.
 type boundsWire struct {
 	TM          int
 	Depth       int
@@ -522,9 +421,7 @@ func (b *Bounds) EncodeGob(w io.Writer) error {
 }
 
 // DecodeBoundsGob reads bounds written by EncodeGob (or by older code that
-// gob-encoded *Bounds directly). The rootHot precision map is not
-// persisted: RaiseForRoot on loaded bounds raises every keyword bound,
-// which is sound.
+// gob-encoded *Bounds directly).
 func DecodeBoundsGob(r io.Reader) (*Bounds, error) {
 	var wire boundsWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -545,6 +442,5 @@ func DecodeBoundsGob(r io.Reader) (*Bounds, error) {
 		// back to the global bound rather than index out of range.
 		b.phiSIDs, b.phiVals = nil, nil
 	}
-	b.rebuildPhiBuckets(0)
 	return b, nil
 }
