@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet fmt flake bench bench-e2e test-crash test-obs test-replication
+.PHONY: all build test short race vet fmt flake bench bench-e2e test-crash test-obs test-replication loc
 
 all: build test
 
@@ -63,6 +63,16 @@ test-obs:
 
 fmt:
 	gofmt -l .
+
+# The size every simplicity PR reports: lines of non-test Go outside
+# internal/bench (the frozen benchmark harness, its own module), with the two
+# packages those PRs mostly touch broken out.
+loc:
+	@count() { cat "$$@" | wc -l; }; \
+	printf '%-34s %6d\n' \
+		'non-test Go outside internal/bench' "$$(count $$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './.bench_build/*'))" \
+		'  internal/core' "$$(count $$(ls internal/core/*.go | grep -v _test.go))" \
+		'  root package' "$$(count $$(ls *.go | grep -v _test.go))"
 
 # Flake lane: the timing-sensitive admission, breaker and lease tests and
 # the segment store's lifecycle tests (searches racing seals, compaction

@@ -132,16 +132,8 @@ func (f *Federation) Search(ctx context.Context, q Query) ([]UserResult, *QueryS
 // (The context-free FederatedSearch helper was removed with the rest of
 // the pre-Searcher wrappers; build a Federation and call SearchPlatforms.)
 func addStats(total *QueryStats, platform string, s *QueryStats) {
-	total.Cells += s.Cells
-	total.PostingsFetched += s.PostingsFetched
-	total.Candidates += s.Candidates
-	total.ThreadsBuilt += s.ThreadsBuilt
-	total.ThreadsPruned += s.ThreadsPruned
-	total.TweetsPulled += s.TweetsPulled
-	total.PopCacheHits += s.PopCacheHits
-	total.BlocksSkipped += s.BlocksSkipped
-	total.PostingsSkipped += s.PostingsSkipped
-	total.PartitionsPruned += s.PartitionsPruned
+	total.Add(s)
+	total.Cells += s.Cells // platforms cover different corpora: the covers add up
 	for _, d := range s.DegradedShards {
 		total.DegradedShards = append(total.DegradedShards, core.ShardFailure{
 			Shard:  platform + "/" + d.Shard,

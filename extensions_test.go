@@ -86,12 +86,19 @@ func TestFederatedSearch(t *testing.T) {
 		"mastodon": build(3, 8),
 	}
 	q := tklus.Query{Loc: loc, RadiusKm: 5, Keywords: []string{"hotel"}, K: 2, Ranking: tklus.MaxScore}
-	res, _, err := tklus.NewFederation(platforms).SearchPlatforms(context.Background(), q)
+	res, stats, err := tklus.NewFederation(platforms).SearchPlatforms(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 2 {
 		t.Fatalf("federated results = %+v", res)
+	}
+	// DefaultConfig is the paged configuration (no snapshots): the filter and
+	// thread expansion go through the row store's multi-gets on every
+	// platform, and the federation total must carry their counters.
+	if stats.DBBatchLookups == 0 || stats.DBPagesSaved == 0 {
+		t.Errorf("federated stats dropped the multi-get counters: lookups %d, pages saved %d",
+			stats.DBBatchLookups, stats.DBPagesSaved)
 	}
 	if res[0].Platform != "twitter" || res[0].UID != 1 {
 		t.Errorf("top federated result = %+v, want twitter user 1", res[0])

@@ -77,7 +77,7 @@ func openTermIterators(src PostingsSource, cells []string, term string) ([]*invi
 	return its, fetched, nil
 }
 
-// gatherBlockMax is the lazy counterpart of gatherCandidates' stages 2–3a:
+// gatherBlockMax is the lazy counterpart of gather's stages 2–3:
 // it opens per-⟨partition, cell, term⟩ iterators across the worker pool and
 // merges them block at a time. The merged candidates — set, order and match
 // counts — are identical to the eager concat-sort-merge.
@@ -259,14 +259,13 @@ func unionIterators(termIts [][]*invindex.PostingsIterator) []candidate {
 }
 
 // userGroup is one candidate user in the sum-ranking early-termination
-// pass: its candidates (as indexes into the candidate slice, ascending),
-// its exact δ(u,q), and the upper bound on its combined score.
+// pass: its row of the user table (uid, exact δ(u,q)), its candidates (as
+// indexes into the candidate slice, ascending), and the upper bound on its
+// combined score.
 type userGroup struct {
-	uid      social.UserID
-	cands    []int
-	deltaSum float64
-	du       float64
-	ub       float64
+	u     *candUser
+	cands []int
+	ub    float64
 }
 
 // sumGroupChunk is how many user groups a streaming round scores before
@@ -285,8 +284,8 @@ func sumGroupChunk(k int, full bool) int {
 
 // rankSumPruned is rankSum with MaxScore-style early termination. Phase 1
 // computes, per user, an upper bound on the Definition-10 score: the exact
-// δ(u,q) (same floats as rankSum — candidate-order Σδ through the same
-// cache) combined with Σ over the user's candidates of the keyword
+// δ(u,q) (the user table's — the same floats the exhaustive reduction
+// derives) combined with Σ over the user's candidates of the keyword
 // relevance under the tightest available popularity bound. Phase 2 scores
 // users exactly in descending-bound order, stopping once the running kth
 // exact score strictly exceeds the next bound.
@@ -298,41 +297,22 @@ func sumGroupChunk(k int, full bool) int {
 // ascending UID among *equal* scores — a user strictly below the kth score
 // can never enter. Hence every skipped user is outside the final top-k, and
 // the emitted results are byte-identical to rankSum's sort-and-truncate.
-func (e *Engine) rankSumPruned(ctx context.Context, q *Query, terms []string, cands []scoredCandidate, stats *QueryStats, rec *telemetry.SpanRecorder) ([]UserResult, error) {
+func (e *Engine) rankSumPruned(ctx context.Context, cs *candidateSet) ([]UserResult, error) {
 	p := e.Opts.Params
-	popBound := e.Bounds.ForQuery(terms, q.Semantic == And, e.Opts.UseSpecificBounds)
+	q, cands, stats, rec := &cs.q, cs.cands, cs.stats, cs.rec
+	popBound := e.Bounds.ForQuery(cs.terms, q.Semantic == And, e.Opts.UseSpecificBounds)
 
-	// Phase 1 — group per user and bound each group's score.
+	// Phase 1 — group per user (table order is first-candidate order) and
+	// bound each group's score.
 	stopPrune := rec.Start(telemetry.StagePrune)
-	byUID := make(map[social.UserID]*userGroup)
-	var groups []*userGroup
-	for i, c := range cands {
-		g := byUID[c.uid]
-		if g == nil {
-			g = &userGroup{uid: c.uid}
-			byUID[c.uid] = g
-			groups = append(groups, g)
-		}
+	groups := make([]userGroup, len(cs.users))
+	for i := range cands {
+		g := &groups[cands[i].user]
 		g.cands = append(g.cands, i)
-		g.deltaSum += c.delta
 	}
-	udc := newUserDistCache(e, q)
-	if !e.Opts.ExactUserDistance {
-		// Every group's δ(u,q) is needed up front for its bound, and in
-		// candidate-only mode δ depends on the DB only through |P_u| — so
-		// fetch every count in one amortized B⁺-tree batch and pre-fill the
-		// cache with the same float userDistance would have produced.
-		uids := make([]social.UserID, len(groups))
-		for i, g := range groups {
-			uids[i] = g.uid
-		}
-		counts := e.DB.PostCountOfUserBatch(uids)
-		for i, g := range groups {
-			udc.d[g.uid] = score.UserDistance(g.deltaSum, counts[i])
-		}
-	}
-	for _, g := range groups {
-		g.du = udc.get(g.uid, g.deltaSum)
+	for ui := range groups {
+		g := &groups[ui]
+		g.u = &cs.users[ui]
 		var ubRs float64
 		for _, i := range g.cands {
 			c := &cands[i]
@@ -340,27 +320,26 @@ func (e *Engine) rankSumPruned(ctx context.Context, q *Query, terms []string, ca
 			// raised on ingest, so this bound is near-exact — it is what
 			// lets the termination below fire long before the candidate
 			// list runs out.
-			ubRs += score.KeywordRelevance(c.matches, min(popBound, e.Bounds.Phi(c.tid)), p.N) * e.recencyFactor(c.tid)
+			ubRs += score.KeywordRelevance(c.Matches, min(popBound, e.Bounds.Phi(c.TID)), p.N) * e.recencyFactor(c.TID)
 		}
-		g.ub = score.Combine(p.Alpha, ubRs, g.du)
+		g.ub = score.Combine(p.Alpha, ubRs, g.u.du)
 	}
-	slices.SortFunc(groups, func(a, b *userGroup) int {
+	slices.SortFunc(groups, func(a, b userGroup) int {
 		if a.ub != b.ub {
 			if a.ub > b.ub {
 				return -1
 			}
 			return 1
 		}
-		return cmp.Compare(a.uid, b.uid)
+		return cmp.Compare(a.u.uid, b.u.uid)
 	})
 	stopPrune()
 
 	// Phase 2 — exact scoring in bound order. Chunks fan thread
 	// construction across the pool; each job scores one user's candidates
 	// sequentially in candidate order, keeping every float identical to
-	// rankSum's reduction.
+	// the exhaustive reduction's.
 	tk := newTopK(q.K)
-	var tstats threadStats
 	maxChunk := sumGroupChunk(q.K, false)
 	rhoSums := make([]float64, maxChunk)
 	tss := make([]thread.Stats, maxChunk)
@@ -375,24 +354,23 @@ func (e *Engine) rankSumPruned(ctx context.Context, q *Query, terms []string, ca
 			break
 		}
 		chunkSize := sumGroupChunk(q.K, tk.full())
-		chunk := append([]*userGroup(nil), groups[idx:min(idx+chunkSize, len(groups))]...)
+		chunk := append([]userGroup(nil), groups[idx:min(idx+chunkSize, len(groups))]...)
 		// Build the chunk's threads in SID order, not bound order: thread
 		// expansion walks B⁺-tree leaves, and ascending-SID builds share
 		// pages the way the exhaustive scan does. Safe — admission into the
 		// top-k below is order-independent (the weakest-member rule yields
 		// the k best under (score desc, UID asc) however members arrive).
-		slices.SortFunc(chunk, func(a, b *userGroup) int {
-			return cmp.Compare(cands[a.cands[0]].tid, cands[b.cands[0]].tid)
+		slices.SortFunc(chunk, func(a, b userGroup) int {
+			return cmp.Compare(cands[a.cands[0]].TID, cands[b.cands[0]].TID)
 		})
 		t0 := time.Now()
 		err := RunJobs(ctx, e.workers(), len(chunk), func(ctx context.Context, j int) error {
-			g := chunk[j]
 			tss[j] = thread.Stats{}
 			var rs float64
-			for _, i := range g.cands {
+			for _, i := range chunk[j].cands {
 				c := &cands[i]
-				pop, _ := e.builder.Popularity(c.tid, p.Epsilon, &tss[j])
-				rs += score.KeywordRelevance(c.matches, pop, p.N) * e.recencyFactor(c.tid)
+				pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &tss[j])
+				rs += score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(c.TID)
 			}
 			rhoSums[j] = rs
 			return nil
@@ -402,22 +380,21 @@ func (e *Engine) rankSumPruned(ctx context.Context, q *Query, terms []string, ca
 		}
 		rec.Observe(telemetry.StageThreadBuild, t0, time.Since(t0))
 		for j, g := range chunk {
-			tstats.add(&tss[j])
-			us := score.Combine(p.Alpha, rhoSums[j], g.du)
+			stats.addThreads(&tss[j])
+			us := score.Combine(p.Alpha, rhoSums[j], g.u.du)
 			if !tk.full() {
-				tk.add(g.uid, us)
+				tk.add(g.u.uid, us)
 				continue
 			}
 			// Admit under exactly the sort-then-truncate order: higher
 			// score, or equal score with a smaller UID than the weakest.
 			wuid, ws := tk.weakest()
-			if us > ws || (us == ws && g.uid < wuid) {
+			if us > ws || (us == ws && g.u.uid < wuid) {
 				tk.removeWeakest()
-				tk.add(g.uid, us)
+				tk.add(g.u.uid, us)
 			}
 		}
 		idx += len(chunk)
 	}
-	tstats.fold(stats)
 	return tk.results(), nil
 }

@@ -20,6 +20,14 @@ import (
 // lists.
 func buildEngineIndexed(t testing.TB, posts []*social.Post, opts core.Options, geohashLen int, hotKeywords []string, mutate func(*invindex.BuildOptions)) *core.Engine {
 	t.Helper()
+	eng, _ := buildEngineAndIndex(t, posts, opts, geohashLen, hotKeywords, mutate)
+	return eng
+}
+
+// buildEngineAndIndex also returns the index the engine serves from, for
+// tests that wire a second engine over the same postings.
+func buildEngineAndIndex(t testing.TB, posts []*social.Post, opts core.Options, geohashLen int, hotKeywords []string, mutate func(*invindex.BuildOptions)) (*core.Engine, *invindex.Index) {
+	t.Helper()
 	db, err := metadb.Load(metadb.DefaultOptions(), posts)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +47,7 @@ func buildEngineIndexed(t testing.TB, posts []*social.Post, opts core.Options, g
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng
+	return eng, idx
 }
 
 // fetchOnly hides an index's OpenPostings, so the engine adapts it through
@@ -92,10 +100,10 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 		exhaustive.UsePruning = false
 
 		smallBlocks := func(o *invindex.BuildOptions) { o.BlockSize = 8 }
-		engBM := buildEngineIndexed(t, posts, bm, 3, hot, smallBlocks)
+		engBM, idxBM := buildEngineAndIndex(t, posts, bm, 3, hot, smallBlocks)
 		engEx := buildEngineIndexed(t, posts, exhaustive, 3, hot, smallBlocks)
 		engFlat, err := core.NewPartitionedEngine(
-			[]core.Partition{{Source: fetchOnly{engBM.Index}}}, engBM.DB, engBM.Bounds, bm)
+			[]core.Partition{{Source: fetchOnly{idxBM}}}, engBM.DB, engBM.Bounds, bm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +112,7 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 			TM: engBM.Bounds.TM, Depth: engBM.Bounds.Depth, Def11: engBM.Bounds.Def11,
 			MaxObserved: engBM.Bounds.MaxObserved, PerKeyword: engBM.Bounds.PerKeyword,
 		}
-		engLoose, err := core.NewEngine(engBM.Index, engBM.DB, queryBoundOnly, bm)
+		engLoose, err := core.NewEngine(idxBM, engBM.DB, queryBoundOnly, bm)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -143,10 +143,10 @@ type Options struct {
 	// priority to more recent tweets").
 	RecencyHalfLife float64
 	// Parallelism is the worker-pool width for the parallel pipeline
-	// stages (postings fetch, candidate filter, sum-score thread
-	// construction). 0 means GOMAXPROCS; 1 runs everything sequentially on
-	// the query goroutine. Results are identical at any setting — parallel
-	// stages assemble their outputs in job order.
+	// stages (postings fetch, thread construction). 0 means GOMAXPROCS; 1
+	// runs everything sequentially on the query goroutine. Results are
+	// identical at any setting — parallel stages assemble their outputs in
+	// job order.
 	Parallelism int
 }
 
@@ -192,7 +192,6 @@ func (p *Partition) overlapsWindow(w *TimeWindow) bool {
 
 // Engine executes TkLUS queries.
 type Engine struct {
-	Index  *invindex.Index // primary index (nil for purely partitioned engines)
 	DB     *metadb.DB
 	Bounds *thread.Bounds
 	Opts   Options
@@ -208,12 +207,7 @@ func NewEngine(idx *invindex.Index, db *metadb.DB, bounds *thread.Bounds, opts O
 	if idx == nil {
 		return nil, fmt.Errorf("core: engine needs an index")
 	}
-	eng, err := NewPartitionedEngine([]Partition{{Source: idx}}, db, bounds, opts)
-	if err != nil {
-		return nil, err
-	}
-	eng.Index = idx
-	return eng, nil
+	return NewPartitionedEngine([]Partition{{Source: idx}}, db, bounds, opts)
 }
 
 // NewPartitionedEngine wires an engine over one or more time-partitioned
@@ -300,6 +294,25 @@ type QueryStats struct {
 	// from the shards that did answer — correct for their regions, but
 	// possibly missing users whose posts live on a degraded shard.
 	DegradedShards []ShardFailure
+}
+
+// Add folds other's work counters into s — the one place they are summed,
+// so a counter added to QueryStats is forgotten by no caller. Cells is left
+// to the caller (the largest cover across shards of one query, the sum
+// across platforms or queries), as are Elapsed, Spans, ReplicaLagSIDs and
+// DegradedShards, which are not sums.
+func (s *QueryStats) Add(other *QueryStats) {
+	s.PostingsFetched += other.PostingsFetched
+	s.Candidates += other.Candidates
+	s.ThreadsBuilt += other.ThreadsBuilt
+	s.ThreadsPruned += other.ThreadsPruned
+	s.TweetsPulled += other.TweetsPulled
+	s.PopCacheHits += other.PopCacheHits
+	s.DBBatchLookups += other.DBBatchLookups
+	s.DBPagesSaved += other.DBPagesSaved
+	s.BlocksSkipped += other.BlocksSkipped
+	s.PostingsSkipped += other.PostingsSkipped
+	s.PartitionsPruned += other.PartitionsPruned
 }
 
 // Degraded reports whether any shard failed to contribute to this query.

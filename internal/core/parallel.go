@@ -9,9 +9,8 @@ import (
 
 // workers resolves the worker-pool width for one query's pipeline stages:
 // Options.Parallelism when positive, otherwise GOMAXPROCS. The pipeline
-// fans independent jobs (DFS round trips, metadata lookups, thread
-// constructions) across this many goroutines; 1 selects the in-place
-// sequential path.
+// fans independent jobs (DFS round trips, thread constructions) across
+// this many goroutines; 1 selects the in-place sequential path.
 func (e *Engine) workers() int {
 	if e.Opts.Parallelism > 0 {
 		return e.Opts.Parallelism

@@ -30,7 +30,11 @@ import (
 //
 // The expensive work — postings retrieval, the radius filter, and above all
 // thread construction (the paper's stated bottleneck) — stays on the
-// shards; the router's merge is a cheap sort + reduction.
+// shards; the router's merge is a cheap sort + reduction (reducePartials).
+// The monolithic exhaustive sum ranking is the same two halves run in one
+// process over one part — partialsScoreAll, then reducePartials — so the
+// reference the sharded tier is tested against and the router's reduction
+// are one body of code.
 //
 // Shards are expected to hold a replica of the centralized metadata
 // database (the paper keeps it centralized; a production shard replicates
@@ -93,169 +97,129 @@ type Partials struct {
 // final top-k could never admit — results stay identical, only the amount
 // of pruning differs.
 func (e *Engine) SearchPartials(ctx context.Context, q Query) (*Partials, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	stats := &QueryStats{}
-	rec := telemetry.NewSpanRecorder()
-
-	terms := QueryTerms(q.Keywords)
-	if len(terms) == 0 {
-		return nil, fmt.Errorf("core: %w: keywords %v reduce to no terms", ErrBadQuery, q.Keywords)
-	}
 	if q.Ranking != SumScore && q.Ranking != MaxScore {
 		return nil, fmt.Errorf("core: %w: unknown ranking %d", ErrBadQuery, q.Ranking)
 	}
-
-	cands, err := e.gatherCandidates(ctx, &q, terms, stats, rec)
+	cs, err := e.gather(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	stats.Candidates = len(cands)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	out := &Partials{ExactDistance: e.Opts.ExactUserDistance}
 	rankStart := time.Now()
+	if err := e.resolveUsers(ctx, cs); err != nil {
+		return nil, err
+	}
+	out := &Partials{ExactDistance: e.Opts.ExactUserDistance, Users: e.userPartials(cs)}
 	if q.Ranking == MaxScore && e.Opts.UsePruning {
-		err = e.partialsMaxPruned(ctx, &q, terms, cands, out, stats, rec)
+		err = e.partialsMaxPruned(ctx, cs, out)
 	} else {
-		err = e.partialsScoreAll(ctx, cands, out, stats, rec)
+		err = e.partialsScoreAll(ctx, cs, out)
 	}
 	if err != nil {
 		return nil, err
 	}
-	out.Users = e.userPartials(&q, cands)
-	rec.Observe(telemetry.StageRank, rankStart,
-		time.Since(rankStart)-rec.Total(telemetry.StageThreadBuild))
-	stats.Spans = rec.Spans()
-	stats.Elapsed = time.Since(start)
-	out.Stats = *stats
+	out.Stats = *cs.rankDone(rankStart)
 	return out, nil
 }
 
-// partialsScoreAll scores every candidate's thread across the worker pool
-// (the shard-side analogue of rankSum's scoring phase; also used for max
-// ranking with pruning disabled).
-func (e *Engine) partialsScoreAll(ctx context.Context, cands []scoredCandidate, out *Partials, stats *QueryStats, rec *telemetry.SpanRecorder) error {
+// partialsScoreAll scores every candidate's thread (the per-candidate
+// Algorithm 1 runs) and emits one CandidateScore each: sum ranking on a
+// shard, max ranking with pruning disabled, and — reduced on the spot —
+// the monolithic exhaustive sum. Thread constructions are mutually
+// independent, so they fan across the worker pool with each worker confined
+// to its candidate's slot; assembly runs in candidate order.
+func (e *Engine) partialsScoreAll(ctx context.Context, cs *candidateSet, out *Partials) error {
 	p := e.Opts.Params
+	cands := cs.cands
 	type scored struct {
-		rho float64
+		rho float64 // ρ(p,q) · recency
 		ts  thread.Stats
 	}
 	sc := make([]scored, len(cands))
 	buildStart := time.Now()
 	err := RunJobs(ctx, e.workers(), len(cands), func(ctx context.Context, i int) error {
 		c := &cands[i]
-		pop, _ := e.builder.Popularity(c.tid, p.Epsilon, &sc[i].ts)
-		sc[i].rho = score.KeywordRelevance(c.matches, pop, p.N) * e.recencyFactor(c.tid)
+		pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &sc[i].ts)
+		sc[i].rho = score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(c.TID)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	if len(cands) > 0 {
-		rec.Observe(telemetry.StageThreadBuild, buildStart, time.Since(buildStart))
+		// Wall time of the whole scoring phase, not summed worker time.
+		cs.rec.Observe(telemetry.StageThreadBuild, buildStart, time.Since(buildStart))
 	}
-	var tstats threadStats
 	out.Cands = make([]CandidateScore, len(cands))
 	for i, c := range cands {
-		tstats.add(&sc[i].ts)
-		out.Cands[i] = CandidateScore{TID: c.tid, UID: c.uid, Delta: c.delta, Rho: sc[i].rho}
+		cs.stats.addThreads(&sc[i].ts)
+		out.Cands[i] = CandidateScore{TID: c.TID, UID: c.UID, Delta: c.Delta, Rho: sc[i].rho}
 	}
-	tstats.fold(stats)
 	return nil
 }
 
 // partialsMaxPruned streams candidates through the conservative shard-side
 // pruning described on SearchPartials. Pruned candidates are emitted with
 // Pruned set so their δ(p,q) still reaches the router's δ(u,q) reduction.
-func (e *Engine) partialsMaxPruned(ctx context.Context, q *Query, terms []string, cands []scoredCandidate, out *Partials, stats *QueryStats, rec *telemetry.SpanRecorder) error {
+// It stays apart from rankMax on purpose: the two bounds differ in their
+// distance term (1 here, the exact δ(u,q) there) and in what they emit.
+func (e *Engine) partialsMaxPruned(ctx context.Context, cs *candidateSet, out *Partials) error {
 	p := e.Opts.Params
-	popBound := e.Bounds.ForQuery(terms, q.Semantic == And, e.Opts.UseSpecificBounds)
+	popBound := e.Bounds.ForQuery(cs.terms, cs.q.Semantic == And, e.Opts.UseSpecificBounds)
 
-	// Shard-local candidate distance sums: in candidate-only mode these
-	// lower-bound the user's true δ(u,q) (other shards can only add
-	// non-negative δ terms); in exact mode userDistance is candidate-
-	// independent and therefore already the true value.
-	candDelta := make(map[social.UserID]float64)
-	if !e.Opts.ExactUserDistance {
-		for _, c := range cands {
-			candDelta[c.uid] += c.delta
-		}
-	}
-	udc := newUserDistCache(e, q)
-
-	tk := newTopK(q.K)
-	out.Cands = make([]CandidateScore, 0, len(cands))
-	var tstats threadStats
+	tk := newTopK(cs.q.K)
+	out.Cands = make([]CandidateScore, 0, len(cs.cands))
+	var ts thread.Stats
 	var threads threadClock
-	for i, c := range cands {
+	for i := range cs.cands {
 		if i%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		uid := c.uid
-		duLower := udc.get(uid, candDelta[uid])
+		c := &cs.cands[i]
 		if tk.full() {
 			// Upper bound with the distance part at its maximum 1
 			// (Section V-B's own bound): sound regardless of how the
 			// user's candidates are distributed across shards. The
 			// candidate's own φ-table entry tightens the popularity part.
-			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.matches, min(popBound, e.Bounds.Phi(c.tid)), p.N), 1)
+			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.Matches, min(popBound, e.Bounds.Phi(c.TID)), p.N), 1)
 			if ub <= tk.peek() {
-				stats.ThreadsPruned++
+				cs.stats.ThreadsPruned++
 				out.Cands = append(out.Cands, CandidateScore{
-					TID: c.tid, UID: uid, Delta: c.delta, Pruned: true,
+					TID: c.TID, UID: c.UID, Delta: c.Delta, Pruned: true,
 				})
 				continue
 			}
 		}
 		t0 := threads.begin()
-		pop, _ := e.builder.Popularity(c.tid, p.Epsilon, &tstats.s)
+		pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &ts)
 		threads.end(t0)
-		rho := score.KeywordRelevance(c.matches, pop, p.N) * e.recencyFactor(c.tid)
-		out.Cands = append(out.Cands, CandidateScore{TID: c.tid, UID: uid, Delta: c.delta, Rho: rho})
+		rho := score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(c.TID)
+		out.Cands = append(out.Cands, CandidateScore{TID: c.TID, UID: c.UID, Delta: c.Delta, Rho: rho})
 
-		// Track lower-bound user scores: duLower never exceeds the true
-		// δ(u,q), so the running kth score never exceeds the true global
-		// kth and the prune above stays result-neutral.
-		lb := score.Combine(p.Alpha, rho, duLower)
-		switch {
-		case tk.contains(uid):
-			tk.raise(uid, lb)
-		case !tk.full():
-			tk.add(uid, lb)
-		case tk.peek() < lb:
-			tk.removeWeakest()
-			tk.add(uid, lb)
-		}
+		// Track lower-bound user scores. The table's δ(u,q) never exceeds
+		// the true one — in candidate-only mode it is built from the
+		// shard-local distance sum (other shards can only add non-negative
+		// δ terms), in exact mode it is candidate-independent and already
+		// the true value — so the running kth score never exceeds the true
+		// global kth and the prune above stays result-neutral.
+		tk.offer(c.UID, score.Combine(p.Alpha, rho, cs.users[c.user].du))
 	}
-	tstats.fold(stats)
-	threads.fold(rec)
+	cs.stats.addThreads(&ts)
+	threads.fold(cs.rec)
 	return nil
 }
 
-// userPartials collects the distinct users of the candidate list in
-// first-candidate order with their global post counts (and exact δ(u,q)
-// when that mode is on).
-func (e *Engine) userPartials(q *Query, cands []scoredCandidate) []UserPartial {
-	seen := make(map[social.UserID]struct{}, len(cands))
-	out := make([]UserPartial, 0, len(cands))
-	for _, c := range cands {
-		uid := c.uid
-		if _, dup := seen[uid]; dup {
-			continue
-		}
-		seen[uid] = struct{}{}
-		up := UserPartial{UID: uid, Posts: e.DB.PostCountOfUser(uid)}
+// userPartials lists the set's users in first-candidate order with their
+// global post counts (and exact δ(u,q) when that mode is on) — the user
+// table after resolveUsers, in wire form.
+func (e *Engine) userPartials(cs *candidateSet) []UserPartial {
+	out := make([]UserPartial, len(cs.users))
+	for i, u := range cs.users {
+		out[i] = UserPartial{UID: u.uid, Posts: u.posts}
 		if e.Opts.ExactUserDistance {
-			up.Du = e.userDistance(q, uid, 0)
+			out[i].Du = u.du
 		}
-		out = append(out, up)
 	}
 	return out
 }
@@ -280,35 +244,16 @@ func MergePartials(q Query, alpha float64, parts []*Partials) ([]UserResult, *Qu
 			return nil, nil, fmt.Errorf("core: shards disagree on ExactUserDistance")
 		}
 		total += len(p.Cands)
-		stats.PostingsFetched += p.Stats.PostingsFetched
-		stats.Candidates += p.Stats.Candidates
-		stats.ThreadsBuilt += p.Stats.ThreadsBuilt
-		stats.ThreadsPruned += p.Stats.ThreadsPruned
-		stats.TweetsPulled += p.Stats.TweetsPulled
-		stats.PopCacheHits += p.Stats.PopCacheHits
-		stats.DBBatchLookups += p.Stats.DBBatchLookups
-		stats.DBPagesSaved += p.Stats.DBPagesSaved
-		stats.BlocksSkipped += p.Stats.BlocksSkipped
-		stats.PostingsSkipped += p.Stats.PostingsSkipped
-		stats.PartitionsPruned += p.Stats.PartitionsPruned
-		if p.Stats.Cells > stats.Cells {
-			stats.Cells = p.Stats.Cells
-		}
+		stats.Add(&p.Stats)
+		stats.Cells = max(stats.Cells, p.Stats.Cells)
 	}
 
 	// Restore the global candidate order. Each tweet is indexed by exactly
 	// one shard and per-shard lists are already TID-ascending, so a sort of
 	// the concatenation has no duplicates to resolve.
 	merged := make([]CandidateScore, 0, total)
-	users := make(map[social.UserID]*UserPartial)
 	for _, p := range parts {
 		merged = append(merged, p.Cands...)
-		for i := range p.Users {
-			u := &p.Users[i]
-			if _, dup := users[u.UID]; !dup {
-				users[u.UID] = u
-			}
-		}
 	}
 	slices.SortFunc(merged, func(a, b CandidateScore) int {
 		return cmp.Compare(a.TID, b.TID)
@@ -318,10 +263,32 @@ func MergePartials(q Query, alpha float64, parts []*Partials) ([]UserResult, *Qu
 			return nil, nil, fmt.Errorf("core: tweet %d reported by two shards — overlapping shard indexes", merged[i].TID)
 		}
 	}
+	results, err := reducePartials(&q, alpha, merged, parts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return results, stats, nil
+}
+
+// reducePartials is the per-user reduction of both rankings over merged:
+// every candidate of parts in ascending tweet-ID order. It is the router's
+// half of a scatter-gather query and, over a single part, the back half of
+// the monolithic exhaustive sum (Definitions 7 and 10, sort, top k) — one
+// body, so the two cannot drift apart.
+func reducePartials(q *Query, alpha float64, merged []CandidateScore, parts []*Partials) ([]UserResult, error) {
+	users := make(map[social.UserID]*UserPartial)
+	for _, p := range parts {
+		for i := range p.Users {
+			u := &p.Users[i]
+			if _, dup := users[u.UID]; !dup {
+				users[u.UID] = u
+			}
+		}
+	}
 	exact := len(parts) > 0 && parts[0].ExactDistance
 
 	// δ(u,q) per user, from the merged candidate order — identical floats
-	// to the monolithic userDistCache.
+	// to the monolithic user table's.
 	deltaSum := make(map[social.UserID]float64, len(users))
 	for _, c := range merged {
 		deltaSum[c.UID] += c.Delta
@@ -337,34 +304,28 @@ func MergePartials(q Query, alpha float64, parts []*Partials) ([]UserResult, *Qu
 		return score.UserDistance(deltaSum[uid], u.Posts), nil
 	}
 
-	var results []UserResult
 	switch q.Ranking {
 	case SumScore:
-		type agg struct{ rs float64 }
-		sums := make(map[social.UserID]*agg, len(users))
+		rs := make(map[social.UserID]float64, len(users)) // Σ ρ(p,q), Definition 7
 		for _, c := range merged {
 			if c.Pruned {
-				return nil, nil, fmt.Errorf("core: pruned candidate %d in sum-ranking partials", c.TID)
+				return nil, fmt.Errorf("core: pruned candidate %d in sum-ranking partials", c.TID)
 			}
-			a := sums[c.UID]
-			if a == nil {
-				a = &agg{}
-				sums[c.UID] = a
-			}
-			a.rs += c.Rho
+			rs[c.UID] += c.Rho
 		}
-		results = make([]UserResult, 0, len(sums))
-		for uid, a := range sums {
+		results := make([]UserResult, 0, len(rs))
+		for uid, sum := range rs {
 			d, err := du(uid)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			results = append(results, UserResult{UID: uid, Score: score.Combine(alpha, a.rs, d)})
+			results = append(results, UserResult{UID: uid, Score: score.Combine(alpha, sum, d)})
 		}
 		sortResults(results)
 		if len(results) > q.K {
 			results = results[:q.K]
 		}
+		return results, nil
 	case MaxScore:
 		tk := newTopK(q.K)
 		for _, c := range merged {
@@ -373,22 +334,12 @@ func MergePartials(q Query, alpha float64, parts []*Partials) ([]UserResult, *Qu
 			}
 			d, err := du(c.UID)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			us := score.Combine(alpha, c.Rho, d)
-			switch {
-			case tk.contains(c.UID):
-				tk.raise(c.UID, us)
-			case !tk.full():
-				tk.add(c.UID, us)
-			case tk.peek() < us:
-				tk.removeWeakest()
-				tk.add(c.UID, us)
-			}
+			tk.offer(c.UID, score.Combine(alpha, c.Rho, d))
 		}
-		results = tk.results()
+		return tk.results(), nil
 	default:
-		return nil, nil, fmt.Errorf("core: %w: unknown ranking %d", ErrBadQuery, q.Ranking)
+		return nil, fmt.Errorf("core: %w: unknown ranking %d", ErrBadQuery, q.Ranking)
 	}
-	return results, stats, nil
 }

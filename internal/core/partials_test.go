@@ -218,3 +218,83 @@ func TestMergePartialsErrors(t *testing.T) {
 		}
 	})
 }
+
+// TestQueryStatsAddSumsEveryCounter guards the one place QueryStats
+// counters are summed: every integer field, found by reflection, must come
+// out added — so a counter introduced later cannot be forgotten by the
+// shard merge, the federation or the experiment runner, which all go through
+// Add. The exceptions are named here with the reason Add leaves them alone.
+func TestQueryStatsAddSumsEveryCounter(t *testing.T) {
+	notSummed := map[string]string{
+		"Cells":          "callers choose max (shards of one query) or sum (platforms, batches)",
+		"Elapsed":        "wall time is the caller's to measure",
+		"ReplicaLagSIDs": "a worst case across replicas, not a total",
+	}
+	primes := []int64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113}
+	var a, b core.QueryStats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	want := map[string]int64{}
+	next := 0
+	for i := 0; i < av.NumField(); i++ {
+		if !av.Field(i).CanInt() {
+			continue
+		}
+		name := av.Type().Field(i).Name
+		pa, pb := primes[next], primes[next+1]
+		next += 2
+		av.Field(i).SetInt(pa)
+		bv.Field(i).SetInt(pb)
+		if _, skip := notSummed[name]; skip {
+			want[name] = pa
+		} else {
+			want[name] = pa + pb
+		}
+	}
+	if len(want) <= len(notSummed) {
+		t.Fatalf("reflection found only %d integer fields", len(want))
+	}
+	a.Add(&b)
+	for name, w := range want {
+		if got := av.FieldByName(name).Int(); got != w {
+			t.Errorf("after Add, %s = %d, want %d", name, got, w)
+		}
+	}
+}
+
+// TestPartialsChargeSearchUserIO pins that a shard resolves its users once.
+// On a paged engine (no caches, no snapshots, no popularity cache) with
+// pruning off, Search and SearchPartials build every candidate's thread, so
+// the only simulated I/O that could differ between them is user resolution:
+// both must charge the same index-node and page reads, for both rankings
+// and both user-distance modes.
+func TestPartialsChargeSearchUserIO(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	posts, center := randomCorpus(rng, 800)
+	for _, exact := range []bool{false, true} {
+		opts := core.DefaultOptions()
+		opts.ExactUserDistance = exact
+		opts.UsePruning = false
+		eng := buildEngine(t, posts, opts, 5, nil)
+		for _, rank := range []core.Ranking{core.SumScore, core.MaxScore} {
+			q := core.Query{Loc: center, RadiusKm: 25, Keywords: []string{"hotel", "pizza"}, K: 10, Ranking: rank}
+			eng.DB.ResetStats()
+			if _, _, err := eng.Search(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
+			mono := eng.DB.Stats()
+			eng.DB.ResetStats()
+			parts, err := eng.SearchPartials(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shard := eng.DB.Stats()
+			if len(parts.Users) < 10 {
+				t.Fatalf("exact=%v %v: only %d candidate users, fixture too small", exact, rank, len(parts.Users))
+			}
+			if shard.IndexReads != mono.IndexReads || shard.PageReads != mono.PageReads {
+				t.Errorf("exact=%v %v: SearchPartials charged %d index / %d page reads, Search %d / %d (%d users)",
+					exact, rank, shard.IndexReads, shard.PageReads, mono.IndexReads, mono.PageReads, len(parts.Users))
+			}
+		}
+	}
+}

@@ -15,29 +15,37 @@ import (
 	"repro/internal/thread"
 )
 
-// noPostings satisfies PostingsSource for engines the prune benchmarks
-// drive from a hand-built candidate list; retrieval never runs.
-type noPostings struct{}
+// benchPostings satisfies PostingsSource with one postings list, served for
+// one ⟨cell, term⟩ key. The prune benchmarks leave it empty — they drive
+// the rankers from a hand-built candidate set and retrieval never runs.
+type benchPostings struct {
+	cell string
+	list []invindex.Posting
+}
 
-func (noPostings) GeohashLen() int                                          { return 4 }
-func (noPostings) FetchPostings(string, string) ([]invindex.Posting, error) { return nil, nil }
+func (benchPostings) GeohashLen() int { return 4 }
+func (s benchPostings) FetchPostings(cell, _ string) ([]invindex.Posting, error) {
+	if cell != s.cell {
+		return nil, nil
+	}
+	return s.list, nil
+}
 
-// pruneBenchSetup builds an engine over a 20k-post corpus (a third of the
-// posts reply to an earlier one, so popularities vary) and a fixed list of
-// 4096 candidates in ascending SID order, as retrieval would hand them to
-// the ranking stage. The popularity cache is warm, as it is on a serving
-// system, so the numbers are the prune pass plus cache probes rather than
-// B⁺-tree thread expansion.
-func pruneBenchSetup(b *testing.B) (*Engine, []scoredCandidate) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(16))
-	const nPosts, nCands = 20000, 4096
-	center := geo.Point{Lat: 43.7, Lon: -79.4}
-	posts := make([]*social.Post, nPosts)
+var benchCenter = geo.Point{Lat: 43.7, Lon: -79.4}
+
+// benchCorpus is 20k single-keyword posts over nUsers authors; a third of
+// the posts reply to an earlier one, so popularities vary. Every spread-th
+// post sits ~17 km off the centre and the rest on it, so a 15 km query
+// keeps most tweets and still exercises the radius rejection.
+func benchCorpus(rng *rand.Rand, nUsers, spread int) []*social.Post {
+	posts := make([]*social.Post, 20000)
 	for i := range posts {
 		p := &social.Post{
-			SID: social.PostID(i + 1), UID: social.UserID(rng.Intn(nPosts/8) + 1),
-			Time: time.Unix(int64(i+1), 0), Loc: center, Words: []string{"hotel"},
+			SID: social.PostID(i + 1), UID: social.UserID(rng.Intn(nUsers) + 1),
+			Time: time.Unix(int64(i+1), 0), Loc: benchCenter, Words: []string{"hotel"},
+		}
+		if spread > 0 && i%spread == 0 {
+			p.Loc.Lat += 0.15
 		}
 		if i > 0 && rng.Float64() < 0.35 {
 			parent := posts[rng.Intn(i)]
@@ -45,69 +53,128 @@ func pruneBenchSetup(b *testing.B) (*Engine, []scoredCandidate) {
 		}
 		posts[i] = p
 	}
+	return posts
+}
+
+func benchEngine(b *testing.B, posts []*social.Post, src PostingsSource) *Engine {
+	b.Helper()
 	db, err := metadb.Load(metadb.DefaultOptions(), posts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	opts := DefaultOptions()
 	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth, opts.Params.Epsilon, []string{"hotel"})
-	eng, err := NewPartitionedEngine([]Partition{{Source: noPostings{}}}, db, bounds, opts)
+	eng, err := NewPartitionedEngine([]Partition{{Source: src}}, db, bounds, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng.SetPopularityCache(popcache.New(nPosts))
-	cands := make([]scoredCandidate, nCands)
-	for i := range cands {
-		p := posts[i*nPosts/nCands]
-		cands[i] = scoredCandidate{tid: p.SID, matches: 1 + rng.Intn(2), uid: p.UID, delta: rng.Float64()}
-		eng.builder.Popularity(p.SID, opts.Params.Epsilon, nil)
-	}
-	return eng, cands
+	return eng
 }
 
-func pruneBenchQuery(ranking Ranking) Query {
-	return Query{
-		Loc: geo.Point{Lat: 43.7, Lon: -79.4}, RadiusKm: 50,
-		Keywords: []string{"hotel"}, K: 5, Semantic: Or, Ranking: ranking,
+// pruneBenchSetup builds an engine over benchCorpus and a fixed list of
+// 4096 candidates in ascending SID order, as the filter would leave them.
+// The popularity cache is warm, as it is on a serving system, so the
+// numbers are the ranking stage plus cache probes rather than B⁺-tree
+// thread expansion.
+func pruneBenchSetup(b *testing.B, nUsers int, ranking Ranking) (*Engine, *candidateSet) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(16))
+	posts := benchCorpus(rng, nUsers, 0)
+	eng := benchEngine(b, posts, benchPostings{})
+	eng.SetPopularityCache(popcache.New(len(posts)))
+	q := Query{Loc: benchCenter, RadiusKm: 50, Keywords: []string{"hotel"}, K: 5, Semantic: Or, Ranking: ranking}
+	cs := &candidateSet{
+		q: q, terms: QueryTerms(q.Keywords), cands: make([]CandidateTweet, 4096),
+		stats: &QueryStats{}, rec: telemetry.NewSpanRecorder(), start: time.Now(),
 	}
+	for i := range cs.cands {
+		p := posts[i*len(posts)/len(cs.cands)]
+		cs.cands[i] = CandidateTweet{TID: p.SID, Matches: 1 + rng.Intn(2), UID: p.UID, Delta: rng.Float64()}
+		eng.builder.Popularity(p.SID, eng.Opts.Params.Epsilon, nil)
+	}
+	return eng, cs
 }
 
-// BenchmarkRankMaxPrune is Algorithm 5's ranking loop over the fixed
-// candidate list: one bound evaluation per candidate once the top-k is
-// full, a (cached) thread score for each survivor.
-func BenchmarkRankMaxPrune(b *testing.B) {
-	eng, cands := pruneBenchSetup(b)
-	q := pruneBenchQuery(MaxScore)
-	terms := QueryTerms(q.Keywords)
-	var stats QueryStats
+// benchRankMax is Algorithm 5's ranking stage over the prepared candidates:
+// the user table and its resolution, then one bound evaluation per
+// candidate once the top-k is full and a (cached) thread score for each
+// survivor.
+func benchRankMax(b *testing.B, nUsers int) {
+	eng, cs := pruneBenchSetup(b, nUsers, MaxScore)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.rankMax(context.Background(), &q, terms, cands, &stats, nil); err != nil {
+		if err := eng.resolveUsers(context.Background(), cs); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.rankMax(context.Background(), cs); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(stats.ThreadsPruned)/float64(b.N), "pruned/op")
+	b.ReportMetric(float64(len(cs.users)), "users")
+	b.ReportMetric(float64(cs.stats.ThreadsPruned)/float64(b.N), "pruned/op")
 }
 
-// BenchmarkRankSumPrunedPhase1 runs rankSumPruned over the fixed candidate
-// list and reports its bound pass — grouping, one φ lookup per candidate,
-// the bound sort — from the prune span, beside the whole call's ns/op.
+// BenchmarkRankMaxPrune spreads the 4096 candidates over ~2k users.
+func BenchmarkRankMaxPrune(b *testing.B) { benchRankMax(b, 2500) }
+
+// BenchmarkRankMaxUsers concentrates them on ~1.5k users (the wide-max
+// shape: several candidates per user), so the per-candidate user lookup
+// outweighs first-sight table inserts.
+func BenchmarkRankMaxUsers(b *testing.B) { benchRankMax(b, 1700) }
+
+// BenchmarkRankSumPrunedPhase1 runs the pruned sum ranking over a prepared
+// candidate set and reports its bound pass — grouping, one φ lookup per
+// candidate, the bound sort — from the prune span, beside the whole
+// stage's ns/op (user table and resolution included).
 func BenchmarkRankSumPrunedPhase1(b *testing.B) {
-	eng, cands := pruneBenchSetup(b)
-	q := pruneBenchQuery(SumScore)
-	terms := QueryTerms(q.Keywords)
-	var stats QueryStats
+	eng, cs := pruneBenchSetup(b, 2500, SumScore)
 	var phase1 time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := telemetry.NewSpanRecorder()
-		if _, err := eng.rankSumPruned(context.Background(), &q, terms, cands, &stats, rec); err != nil {
+		cs.rec = telemetry.NewSpanRecorder()
+		if err := eng.resolveUsers(context.Background(), cs); err != nil {
 			b.Fatal(err)
 		}
-		phase1 += rec.Total(telemetry.StagePrune)
+		if _, err := eng.rankSumPruned(context.Background(), cs); err != nil {
+			b.Fatal(err)
+		}
+		phase1 += cs.rec.Total(telemetry.StagePrune)
 	}
 	b.ReportMetric(float64(phase1.Nanoseconds())/float64(b.N), "phase1-ns/op")
-	b.ReportMetric(float64(stats.ThreadsPruned)/float64(b.N), "pruned/op")
+	b.ReportMetric(float64(cs.stats.ThreadsPruned)/float64(b.N), "pruned/op")
+}
+
+// BenchmarkGatherFilter pushes 4096 merged postings through gather — one
+// postings list, so the merge is a copy and the filter (row resolution and
+// the radius check) is the work — once against the paged row store's
+// multi-get and once against the row-meta snapshot.
+func BenchmarkGatherFilter(b *testing.B) {
+	rng := rand.New(rand.NewSource(17))
+	posts := benchCorpus(rng, 2500, 4)
+	src := benchPostings{cell: geo.Encode(benchCenter, 4)}
+	for i := 0; i < 4096; i++ {
+		src.list = append(src.list, invindex.Posting{TID: posts[i*len(posts)/4096].SID, TF: 1})
+	}
+	q := Query{Loc: benchCenter, RadiusKm: 15, Keywords: []string{"hotel"}, K: 5, Semantic: Or}
+	for _, resolver := range []string{"paged", "snapshot"} {
+		b.Run(resolver, func(b *testing.B) {
+			eng := benchEngine(b, posts, src)
+			if resolver == "snapshot" {
+				eng.DB.EnableRowMetaSnapshot()
+			}
+			var kept int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cs, err := eng.gather(context.Background(), q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				kept = len(cs.cands)
+			}
+			b.ReportMetric(float64(kept), "candidates")
+		})
+	}
 }

@@ -1,5 +1,14 @@
 package core
 
+// Query processing is one pipeline. gather runs the shared front half of
+// Algorithms 4 and 5 — validate, stem, circle cover, postings retrieval,
+// AND/OR merge, window and radius filter — and hands every exit the same
+// candidateSet: the surviving tweets in ascending tweet-ID order and the
+// query's books. CandidateTweets returns the tweets as they are; Search and
+// SearchPartials call resolveUsers, which adds the set's dense user table
+// (Σδ, |P_u|, δ(u,q) per user, each candidate pointing at its row), and
+// pass the set to one ranker. No ranker builds a per-user map of its own.
+
 import (
 	"cmp"
 	"context"
@@ -9,19 +18,63 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/invindex"
+	"repro/internal/metadb"
 	"repro/internal/score"
 	"repro/internal/social"
 	"repro/internal/telemetry"
 	"repro/internal/thread"
 )
 
-// scoredCandidate is a keyword-matching tweet that survived the radius and
-// time-window filters, with its author and distance score attached.
-type scoredCandidate struct {
-	tid     social.PostID
-	matches int
-	uid     social.UserID
-	delta   float64 // δ(p,q), Definition 5
+// CandidateTweet is one keyword-matching tweet inside the query circle, as
+// produced by the shared retrieval front half of Algorithms 4 and 5 — the
+// one candidate record every ranker consumes.
+type CandidateTweet struct {
+	TID     social.PostID
+	UID     social.UserID
+	Matches int     // bag-model |q.W ∩ p.W|
+	Delta   float64 // δ(p,q), Definition 5
+	user    int     // row of UID in the candidate set's user table
+}
+
+// candUser is one row of a candidate set's user table. deltaSum accumulates
+// in candidate (ascending tweet-ID) order, which keeps δ(u,q) — and every
+// score built on it — byte-identical wherever it is consumed.
+type candUser struct {
+	uid      social.UserID
+	deltaSum float64 // Σ δ(p,q) over the user's candidates
+	posts    int     // |P_u|; set by resolveUsers
+	du       float64 // δ(u,q), Definition 9; set by resolveUsers
+}
+
+// candidateSet is the hand-off between retrieval and ranking: one query's
+// candidates, their users in first-candidate order (once resolveUsers has
+// run), and the query's books.
+type candidateSet struct {
+	q     Query
+	terms []string
+	cands []CandidateTweet
+	users []candUser
+
+	stats *QueryStats
+	rec   *telemetry.SpanRecorder
+	start time.Time
+}
+
+// done stamps the recorded spans and the elapsed time on the query's stats.
+func (cs *candidateSet) done() *QueryStats {
+	cs.stats.Spans = cs.rec.Spans()
+	cs.stats.Elapsed = time.Since(cs.start)
+	return cs.stats
+}
+
+// rankDone closes a ranked query. Thread construction (and the sum
+// ranking's bound pass) run interleaved inside the ranking loop and are
+// recorded as their own stages; the rank span is the remainder, so the stage
+// durations sum to (approximately) the query's elapsed time.
+func (cs *candidateSet) rankDone(rankStart time.Time) *QueryStats {
+	cs.rec.Observe(telemetry.StageRank, rankStart,
+		time.Since(rankStart)-cs.rec.Total(telemetry.StageThreadBuild)-cs.rec.Total(telemetry.StagePrune))
+	return cs.done()
 }
 
 // Search executes a TkLUS query and returns the top-k users with their
@@ -34,49 +87,27 @@ type scoredCandidate struct {
 // build, rank/top-k) so callers can see where the time went without
 // re-running the query under a profiler.
 func (e *Engine) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	stats := &QueryStats{}
-	rec := telemetry.NewSpanRecorder()
-
-	terms := QueryTerms(q.Keywords)
-	if len(terms) == 0 {
-		return nil, nil, fmt.Errorf("core: %w: keywords %v reduce to no terms", ErrBadQuery, q.Keywords)
-	}
-
-	cands, err := e.gatherCandidates(ctx, &q, terms, stats, rec)
+	cs, err := e.gather(ctx, q)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.Candidates = len(cands)
-	if err := ctx.Err(); err != nil {
+	rankStart := time.Now()
+	if err := e.resolveUsers(ctx, cs); err != nil {
 		return nil, nil, err
 	}
-
 	var results []UserResult
-	rankStart := time.Now()
 	switch q.Ranking {
 	case SumScore:
-		results, err = e.rankSum(ctx, &q, terms, cands, stats, rec)
+		results, err = e.rankSum(ctx, cs)
 	case MaxScore:
-		results, err = e.rankMax(ctx, &q, terms, cands, stats, rec)
+		results, err = e.rankMax(ctx, cs)
 	default:
 		return nil, nil, fmt.Errorf("core: unknown ranking %d", q.Ranking)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	// Thread construction (and the sum ranking's bound pass) run
-	// interleaved inside the ranking loop and are recorded as their own
-	// stages; the rank span is the remainder, so the stage durations sum to
-	// (approximately) the query's elapsed time.
-	rec.Observe(telemetry.StageRank, rankStart,
-		time.Since(rankStart)-rec.Total(telemetry.StageThreadBuild)-rec.Total(telemetry.StagePrune))
-	stats.Spans = rec.Spans()
-	stats.Elapsed = time.Since(start)
-	return results, stats, nil
+	return results, cs.rankDone(rankStart), nil
 }
 
 // cancelCheckInterval bounds how many candidates are processed between
@@ -84,17 +115,28 @@ func (e *Engine) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats
 // small stride keeps cancellation prompt without measurable overhead.
 const cancelCheckInterval = 64
 
-// gatherCandidates runs the shared front half of Algorithms 4 and 5:
-// circle cover (line 1), postings retrieval (lines 4–7), AND/OR merging
-// (lines 8–14), and the radius filter (lines 15–17), plus the optional
-// time-window filter of the temporal extension. Postings retrieval and the
-// candidate filter fan out across the engine's worker pool; results are
-// assembled in job order, so candidate lists — and therefore every
-// downstream score — are identical to the sequential path's. Each phase is
-// recorded as a span on rec (which may be nil for un-instrumented
-// callers); spans around parallel phases measure wall time, not summed
-// worker time.
-func (e *Engine) gatherCandidates(ctx context.Context, q *Query, terms []string, stats *QueryStats, rec *telemetry.SpanRecorder) ([]scoredCandidate, error) {
+// gather is the one front half of every query: it validates and stems the
+// query, then runs circle cover (Algorithms 4 and 5 line 1), postings
+// retrieval (lines 4–7), AND/OR merging (lines 8–14) and the radius filter
+// (lines 15–17), plus the optional time-window filter of the temporal
+// extension. Postings retrieval fans out across the engine's worker pool;
+// results are assembled in job order, so candidate lists — and therefore
+// every downstream score — are identical to the sequential path's. Each
+// phase is recorded as a span; spans around parallel phases measure wall
+// time, not summed worker time.
+func (e *Engine) gather(ctx context.Context, q Query) (*candidateSet, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	cs := &candidateSet{
+		q: q, terms: QueryTerms(q.Keywords),
+		stats: &QueryStats{}, rec: telemetry.NewSpanRecorder(), start: time.Now(),
+	}
+	terms, stats, rec := cs.terms, cs.stats, cs.rec
+	if len(terms) == 0 {
+		return nil, fmt.Errorf("core: %w: keywords %v reduce to no terms", ErrBadQuery, q.Keywords)
+	}
+
 	// Stage 1 — cell cover: computed once per geohash precision in use
 	// (partitions normally share one precision). Windowed queries prune
 	// partitions entirely outside the window here.
@@ -121,24 +163,17 @@ func (e *Engine) gatherCandidates(ctx context.Context, q *Query, terms []string,
 	}
 	stopCover()
 
-	// Stage 2 — postings retrieval, then stage 3 — candidate filter: the
-	// AND/OR merge, then the window filter, metadata lookup and exact
-	// radius check. Under UseBlockMax retrieval opens lazy iterators and
-	// the merge decodes block at a time (gatherBlockMax); otherwise every
-	// ⟨partition, term⟩ pair is one independent batch of DFS round trips,
-	// fanned across the pool, with per-term lists concatenated in
-	// (partition, term) order so the merge sees exactly the sequential
-	// path's input. Both produce the same candidates in the same order. In
-	// the default batched mode the window filter (a pure SID comparison)
-	// runs first so one multi-get fetches every surviving row — dozens of
-	// shared data pages instead of one descent per posting — and the pool
-	// only shards the geometric check. Point-lookup mode keeps the
-	// one-descent-per-candidate pattern. Either way candidates come out in
-	// merge order, so every downstream score is identical.
+	// Stage 2 — postings retrieval, then stage 3 — the AND/OR merge. Under
+	// UseBlockMax retrieval opens lazy iterators and the merge decodes block
+	// at a time (gatherBlockMax); otherwise every ⟨partition, term⟩ pair is
+	// one independent batch of DFS round trips, fanned across the pool, with
+	// per-term lists concatenated in (partition, term) order so the merge
+	// sees exactly the sequential path's input. Both produce the same
+	// candidates in the same order.
 	var merged []candidate
 	if e.Opts.UseBlockMax {
 		var err error
-		merged, err = e.gatherBlockMax(ctx, q, parts, &covers, terms, stats, rec)
+		merged, err = e.gatherBlockMax(ctx, &cs.q, parts, &covers, terms, stats, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -185,223 +220,185 @@ func (e *Engine) gatherCandidates(ctx context.Context, q *Query, terms []string,
 		}
 	}
 
-	type filtered struct {
-		sc   scoredCandidate
-		keep bool
-	}
-
-	if ms := e.DB.RowMetaSnapshot(); ms != nil {
-		// Snapshot-served filter: the radius test and δ(p,q) read the same
-		// float64 coordinates the row store holds, just without the per-row
-		// B⁺-tree descent and page read — at city radii most merged
-		// postings are resolved only to be rejected. Sequential: the whole
-		// pass is in-memory arithmetic.
-		out := make([]scoredCandidate, 0, len(merged))
-		for _, c := range merged {
-			if q.TimeWindow != nil && !q.TimeWindow.contains(c.tid) {
-				continue
-			}
-			m, ok := ms.Get(c.tid)
-			if !ok {
-				return nil, fmt.Errorf("core: indexed tweet %d missing from metadata db", c.tid)
-			}
-			loc := geo.Point{Lat: m.Lat, Lon: m.Lon}
-			if e.Opts.Params.Metric.DistanceKm(q.Loc, loc) > q.RadiusKm {
-				continue // cover cells may stick out of the circle
-			}
-			delta := score.TweetDistance(loc, q.Loc, q.RadiusKm, e.Opts.Params.Metric)
-			out = append(out, scoredCandidate{tid: c.tid, matches: c.matches, uid: m.UID, delta: delta})
-		}
-		return out, nil
-	}
-
-	survivors := merged
-	if q.TimeWindow != nil {
-		survivors = make([]candidate, 0, len(merged))
-		for _, c := range merged {
-			if q.TimeWindow.contains(c.tid) {
-				survivors = append(survivors, c)
-			}
-		}
-	}
-	sids := make([]social.PostID, len(survivors))
-	for i, c := range survivors {
-		sids[i] = c.tid
-	}
-	rows, found, bs := e.DB.GetBySIDBatch(sids)
-	stats.DBBatchLookups += bs.Lookups
-	stats.DBPagesSaved += bs.PagesSaved
-	for i := range survivors {
-		if !found[i] {
-			return nil, fmt.Errorf("core: indexed tweet %d missing from metadata db", survivors[i].tid)
-		}
-	}
-	results := make([]filtered, len(survivors))
-	err := RunJobs(ctx, e.workers(), len(survivors), func(ctx context.Context, i int) error {
-		c := survivors[i]
-		row := rows[i]
-		if e.Opts.Params.Metric.DistanceKm(q.Loc, row.Loc()) > q.RadiusKm {
-			return nil // cover cells may stick out of the circle
-		}
-		delta := score.TweetDistance(row.Loc(), q.Loc, q.RadiusKm, e.Opts.Params.Metric)
-		results[i] = filtered{
-			sc:   scoredCandidate{tid: c.tid, matches: c.matches, uid: row.UID, delta: delta},
-			keep: true,
-		}
-		return nil
-	})
-	if err != nil {
+	if err := e.filter(cs, merged); err != nil {
 		return nil, err
 	}
-	out := make([]scoredCandidate, 0, len(survivors))
-	for i := range results {
-		if results[i].keep {
-			out = append(out, results[i].sc)
+	stats.Candidates = len(cs.cands)
+	return cs, ctx.Err()
+}
+
+// filter is the tail of gather: the window filter, the metadata lookup and
+// the exact radius check over the merged postings. The window test (a pure
+// SID comparison) runs first so only surviving rows are resolved. Rows come
+// from one resolver: the row-meta snapshot when the DB has one — the same
+// float64 coordinates the row store holds, without a B⁺-tree descent and
+// page read per posting (at city radii most merged postings are resolved
+// only to be rejected) — and otherwise one multi-get over every survivor,
+// dozens of shared data pages instead of one descent each. Either way the
+// rest is in-memory arithmetic, and candidates come out in merge order.
+func (e *Engine) filter(cs *candidateSet, merged []candidate) error {
+	q, metric := &cs.q, e.Opts.Params.Metric
+	if q.TimeWindow != nil {
+		inWindow := merged[:0]
+		for _, c := range merged {
+			if q.TimeWindow.contains(c.tid) {
+				inWindow = append(inWindow, c)
+			}
+		}
+		merged = inWindow
+	}
+	var resolve func(i int) (metadb.RowMeta, bool) // merged[i]'s location and author
+	if ms := e.DB.RowMetaSnapshot(); ms != nil {
+		resolve = func(i int) (metadb.RowMeta, bool) { return ms.Get(merged[i].tid) }
+	} else {
+		sids := make([]social.PostID, len(merged))
+		for i, c := range merged {
+			sids[i] = c.tid
+		}
+		rows, found, bs := e.DB.GetBySIDBatch(sids)
+		cs.stats.DBBatchLookups += bs.Lookups
+		cs.stats.DBPagesSaved += bs.PagesSaved
+		resolve = func(i int) (metadb.RowMeta, bool) {
+			return metadb.RowMeta{Lat: rows[i].Lat, Lon: rows[i].Lon, UID: rows[i].UID}, found[i]
 		}
 	}
-	return out, nil
+	cs.cands = make([]CandidateTweet, 0, len(merged))
+	for i, c := range merged {
+		m, ok := resolve(i)
+		if !ok {
+			return fmt.Errorf("core: indexed tweet %d missing from metadata db", c.tid)
+		}
+		loc := geo.Point{Lat: m.Lat, Lon: m.Lon}
+		if metric.DistanceKm(q.Loc, loc) > q.RadiusKm {
+			continue // cover cells may stick out of the circle
+		}
+		cs.cands = append(cs.cands, CandidateTweet{
+			TID: c.tid, UID: m.UID, Matches: c.matches,
+			Delta: score.TweetDistance(loc, q.Loc, q.RadiusKm, metric),
+		})
+	}
+	return nil
+}
+
+// resolveUsers builds the set's user table — one row per distinct user in
+// first-candidate order, Σδ accumulated in candidate order, each candidate
+// pointed at its row — and fills in |P_u| and δ(u,q) (Definition 9). It
+// runs once per ranked query; retrieval-only callers never pay for it. In
+// candidate-only mode δ depends on the DB only through |P_u|, so every
+// count comes from one amortized B⁺-tree batch and the candidate distance
+// sum is divided by it (tweets outside the radius contribute 0 either way).
+// In exact mode each user's posts are fetched — P_u is clustered by SID, so
+// one multi-get touches each of the user's data pages once — and their
+// distance scores averaged.
+func (e *Engine) resolveUsers(ctx context.Context, cs *candidateSet) error {
+	byUID := make(map[social.UserID]int, len(cs.cands)) // ≥ the user count: never rehashes
+	for i := range cs.cands {
+		c := &cs.cands[i]
+		row, ok := byUID[c.UID]
+		if !ok {
+			row = len(byUID)
+			byUID[c.UID] = row
+		}
+		c.user = row
+	}
+	cs.users = make([]candUser, len(byUID))
+	for _, c := range cs.cands {
+		u := &cs.users[c.user]
+		u.uid = c.UID
+		u.deltaSum += c.Delta
+	}
+	if !e.Opts.ExactUserDistance {
+		uids := make([]social.UserID, len(cs.users))
+		for i := range cs.users {
+			uids[i] = cs.users[i].uid
+		}
+		for i, n := range e.DB.PostCountOfUserBatch(uids) {
+			u := &cs.users[i]
+			u.posts, u.du = n, score.UserDistance(u.deltaSum, n)
+		}
+		return nil
+	}
+	for i := range cs.users {
+		if i%cancelCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		u := &cs.users[i]
+		sids := e.DB.PostsOfUser(u.uid)
+		rows, found, _ := e.DB.GetBySIDBatch(sids)
+		var sum float64
+		for j := range rows {
+			if found[j] {
+				sum += score.TweetDistance(rows[j].Loc(), cs.q.Loc, cs.q.RadiusKm, e.Opts.Params.Metric)
+			}
+		}
+		u.posts, u.du = len(sids), score.UserDistance(sum, len(sids))
+	}
+	return nil
 }
 
 // rankSum is the back half of Algorithm 4: per-candidate thread scoring
 // accumulated per user (Definition 7), then the combined user score
-// (Definition 10), sort, top k. Thread constructions are mutually
-// independent, so the scoring phase fans across the worker pool with each
-// worker confined to its candidate's slot; the per-user reduction then runs
-// sequentially in candidate order, making the float accumulation — and so
-// every score — bit-identical to the sequential path. With block-max
-// traversal and pruning both enabled, rankSumPruned takes over: same
-// results, but users provably outside the top k are never thread-scored.
-func (e *Engine) rankSum(ctx context.Context, q *Query, terms []string, cands []scoredCandidate, stats *QueryStats, rec *telemetry.SpanRecorder) ([]UserResult, error) {
+// (Definition 10), sort, top k. With block-max traversal and pruning both
+// enabled, rankSumPruned takes over: same results, but users provably
+// outside the top k are never thread-scored. The exhaustive form is the
+// one-shard case of the scatter-gather reduction: score every candidate as
+// a shard would, then reduce exactly as the router does.
+func (e *Engine) rankSum(ctx context.Context, cs *candidateSet) ([]UserResult, error) {
 	if e.Opts.UseBlockMax && e.Opts.UsePruning {
-		return e.rankSumPruned(ctx, q, terms, cands, stats, rec)
+		return e.rankSumPruned(ctx, cs)
 	}
-	p := e.Opts.Params
-
-	// Phase 1 — thread scoring (the per-candidate Algorithm 1 runs).
-	type scored struct {
-		rho float64 // ρ(p,q) · recency
-		ts  thread.Stats
-	}
-	sc := make([]scored, len(cands))
-	buildStart := time.Now()
-	err := RunJobs(ctx, e.workers(), len(cands), func(ctx context.Context, i int) error {
-		c := &cands[i]
-		pop, _ := e.builder.Popularity(c.tid, p.Epsilon, &sc[i].ts)
-		sc[i].rho = score.KeywordRelevance(c.matches, pop, p.N) * e.recencyFactor(c.tid)
-		return nil
-	})
-	if err != nil {
+	one := &Partials{ExactDistance: e.Opts.ExactUserDistance, Users: e.userPartials(cs)}
+	if err := e.partialsScoreAll(ctx, cs, one); err != nil {
 		return nil, err
 	}
-	if len(cands) > 0 {
-		// Wall time of the whole scoring phase, not summed worker time.
-		rec.Observe(telemetry.StageThreadBuild, buildStart, time.Since(buildStart))
-	}
-
-	// Phase 2 — per-user reduction in candidate order.
-	type agg struct {
-		rs       float64 // Σ ρ(p,q), Definition 7
-		deltaSum float64 // Σ δ(p,q) over this user's candidates
-	}
-	users := make(map[social.UserID]*agg)
-	var tstats threadStats
-	for i, c := range cands {
-		tstats.add(&sc[i].ts)
-		a := users[c.uid]
-		if a == nil {
-			a = &agg{}
-			users[c.uid] = a
-		}
-		a.rs += sc[i].rho
-		a.deltaSum += c.delta
-	}
-	tstats.fold(stats)
-
-	udc := newUserDistCache(e, q)
-	results := make([]UserResult, 0, len(users))
-	for uid, a := range users {
-		results = append(results, UserResult{
-			UID:   uid,
-			Score: score.Combine(p.Alpha, a.rs, udc.get(uid, a.deltaSum)),
-		})
-	}
-	sortResults(results)
-	if len(results) > q.K {
-		results = results[:q.K]
-	}
-	return results, nil
+	return reducePartials(&cs.q, e.Opts.Params.Alpha, one.Cands, []*Partials{one})
 }
 
 // rankMax is Algorithm 5: candidates stream through a bounded top-k
 // structure; before constructing a candidate's thread, an optimistic upper
 // bound on its user score is compared against the current kth score, and
 // dominated candidates are skipped (lines 18–19).
-func (e *Engine) rankMax(ctx context.Context, q *Query, terms []string, cands []scoredCandidate, stats *QueryStats, rec *telemetry.SpanRecorder) ([]UserResult, error) {
+func (e *Engine) rankMax(ctx context.Context, cs *candidateSet) ([]UserResult, error) {
 	p := e.Opts.Params
-	popBound := e.Bounds.ForQuery(terms, q.Semantic == And, e.Opts.UseSpecificBounds)
+	popBound := e.Bounds.ForQuery(cs.terms, cs.q.Semantic == And, e.Opts.UseSpecificBounds)
 
-	tk := newTopK(q.K)
-	udc := newUserDistCache(e, q)
-	candDelta := make(map[social.UserID]float64) // candidate-only Σδ per user
-	if !e.Opts.ExactUserDistance {
-		for _, c := range cands {
-			candDelta[c.uid] += c.delta
-		}
-	}
-	var tstats threadStats
+	tk := newTopK(cs.q.K)
+	var ts thread.Stats
 	var threads threadClock
-	for i, c := range cands {
+	for i := range cs.cands {
 		if i%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		uid := c.uid
-		du := udc.get(uid, candDelta[uid])
+		c := &cs.cands[i]
+		du := cs.users[c.user].du
 		if e.Opts.UsePruning && tk.full() {
 			// Optimistic user score: maximal keyword relevance under the
 			// popularity bound, combined with the user's distance score.
 			// The paper bounds the distance part by the maximal value 1
 			// (Section V-B); δ(u,q) is independent of the thread being
-			// considered and already computed here, so using it keeps the
-			// bound sound while pruning far more thread constructions —
+			// considered and already in the user table, so using it keeps
+			// the bound sound while pruning far more thread constructions —
 			// thread construction being the stated bottleneck. The
 			// candidate's own φ-table entry tightens the popularity part.
-			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.matches, min(popBound, e.Bounds.Phi(c.tid)), p.N), du)
+			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.Matches, min(popBound, e.Bounds.Phi(c.TID)), p.N), du)
 			if ub <= tk.peek() {
-				stats.ThreadsPruned++
+				cs.stats.ThreadsPruned++
 				continue
 			}
 		}
 		t0 := threads.begin()
-		pop, _ := e.builder.Popularity(c.tid, p.Epsilon, &tstats.s)
+		pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &ts)
 		threads.end(t0)
-		rho := score.KeywordRelevance(c.matches, pop, p.N) * e.recencyFactor(c.tid)
-
-		us := score.Combine(p.Alpha, rho, du)
-
-		switch {
-		case tk.contains(uid):
-			tk.raise(uid, us)
-		case !tk.full():
-			tk.add(uid, us)
-		case tk.peek() < us:
-			tk.removeWeakest()
-			tk.add(uid, us)
-		}
+		rho := score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(c.TID)
+		tk.offer(c.UID, score.Combine(p.Alpha, rho, du))
 	}
-	tstats.fold(stats)
-	threads.fold(rec)
+	cs.stats.addThreads(&ts)
+	threads.fold(cs.rec)
 	return tk.results(), nil
-}
-
-// CandidateTweet is one keyword-matching tweet inside the query circle,
-// as produced by the shared retrieval front half of Algorithms 4 and 5.
-type CandidateTweet struct {
-	TID     social.PostID
-	UID     social.UserID
-	Matches int     // bag-model |q.W ∩ p.W|
-	Delta   float64 // δ(p,q), Definition 5
 }
 
 // CandidateTweets runs only the retrieval stage of query processing
@@ -409,28 +406,11 @@ type CandidateTweet struct {
 // and returns the surviving tweets in ascending tweet-ID order. Used by
 // the evidence API and by retrieval-only baselines.
 func (e *Engine) CandidateTweets(q Query) ([]CandidateTweet, *QueryStats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, nil, err
-	}
-	terms := QueryTerms(q.Keywords)
-	if len(terms) == 0 {
-		return nil, nil, fmt.Errorf("core: %w: keywords %v reduce to no terms", ErrBadQuery, q.Keywords)
-	}
-	stats := &QueryStats{}
-	start := time.Now()
-	rec := telemetry.NewSpanRecorder()
-	cands, err := e.gatherCandidates(context.Background(), &q, terms, stats, rec)
+	cs, err := e.gather(context.Background(), q)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.Candidates = len(cands)
-	stats.Spans = rec.Spans()
-	stats.Elapsed = time.Since(start)
-	out := make([]CandidateTweet, len(cands))
-	for i, c := range cands {
-		out[i] = CandidateTweet{TID: c.tid, UID: c.uid, Matches: c.matches, Delta: c.delta}
-	}
-	return out, stats, nil
+	return cs.cands, cs.done(), nil
 }
 
 // Evidence returns the IDs of the tweets that make one user a candidate
@@ -455,52 +435,6 @@ func (e *Engine) Evidence(q Query, uid social.UserID, limit int) ([]social.PostI
 	return out, nil
 }
 
-// userDistCache memoizes δ(u,q) for one query. Definition 9 is a property
-// of the user, not of any individual candidate, so both ranking algorithms
-// compute it at most once per user — in exact mode each computation fetches
-// every post of the user, which this cache keeps off the per-candidate path.
-type userDistCache struct {
-	e *Engine
-	q *Query
-	d map[social.UserID]float64
-}
-
-func newUserDistCache(e *Engine, q *Query) *userDistCache {
-	return &userDistCache{e: e, q: q, d: make(map[social.UserID]float64)}
-}
-
-func (c *userDistCache) get(uid social.UserID, candDeltaSum float64) float64 {
-	if du, ok := c.d[uid]; ok {
-		return du
-	}
-	du := c.e.userDistance(c.q, uid, candDeltaSum)
-	c.d[uid] = du
-	return du
-}
-
-// userDistance computes δ(u,q) (Definition 9). In exact mode it averages
-// the distance score of every post of the user, fetching each post's row;
-// in candidate-only mode it divides the pre-accumulated candidate distance
-// sum by |P_u| (tweets outside the radius contribute 0 either way).
-func (e *Engine) userDistance(q *Query, uid social.UserID, candidateDeltaSum float64) float64 {
-	total := e.DB.PostCountOfUser(uid)
-	if !e.Opts.ExactUserDistance {
-		return score.UserDistance(candidateDeltaSum, total)
-	}
-	var sum float64
-	sids := e.DB.PostsOfUser(uid)
-	// P_u is clustered by SID, so one multi-get touches each of the
-	// user's data pages once.
-	rows, found, _ := e.DB.GetBySIDBatch(sids)
-	for i := range rows {
-		if !found[i] {
-			continue
-		}
-		sum += score.TweetDistance(rows[i].Loc(), q.Loc, q.RadiusKm, e.Opts.Params.Metric)
-	}
-	return score.UserDistance(sum, total)
-}
-
 // recencyFactor returns the temporal boost for a tweet, 1 unless the
 // extension is enabled.
 func (e *Engine) recencyFactor(sid social.PostID) float64 {
@@ -515,23 +449,13 @@ func (e *Engine) recencyFactor(sid social.PostID) float64 {
 	return score.RecencyBoost(age, e.Opts.RecencyHalfLife)
 }
 
-// threadStats adapts thread.Stats into QueryStats.
-type threadStats struct{ s thread.Stats }
-
-func (t *threadStats) add(other *thread.Stats) {
-	t.s.ThreadsBuilt += other.ThreadsBuilt
-	t.s.TweetsPulled += other.TweetsPulled
-	t.s.CacheHits += other.CacheHits
-	t.s.BatchLookups += other.BatchLookups
-	t.s.BatchPagesSaved += other.BatchPagesSaved
-}
-
-func (t *threadStats) fold(qs *QueryStats) {
-	qs.ThreadsBuilt += t.s.ThreadsBuilt
-	qs.TweetsPulled += t.s.TweetsPulled
-	qs.PopCacheHits += t.s.CacheHits
-	qs.DBBatchLookups += t.s.BatchLookups
-	qs.DBPagesSaved += t.s.BatchPagesSaved
+// addThreads folds the work counters of thread constructions into s.
+func (s *QueryStats) addThreads(ts *thread.Stats) {
+	s.ThreadsBuilt += ts.ThreadsBuilt
+	s.TweetsPulled += ts.TweetsPulled
+	s.PopCacheHits += ts.CacheHits
+	s.DBBatchLookups += ts.BatchLookups
+	s.DBPagesSaved += ts.BatchPagesSaved
 }
 
 // threadClock accumulates the wall time of the thread constructions that

@@ -95,6 +95,21 @@ func (t *topK) raise(uid social.UserID, score float64) {
 	}
 }
 
+// offer is Algorithm 5's admission step (lines 24–31) for a user score
+// under max semantics: a member keeps the higher of its scores, a newcomer
+// takes a free slot or displaces a strictly weaker weakest member.
+func (t *topK) offer(uid social.UserID, score float64) {
+	switch {
+	case t.contains(uid):
+		t.raise(uid, score)
+	case !t.full():
+		t.add(uid, score)
+	case t.peek() < score:
+		t.removeWeakest()
+		t.add(uid, score)
+	}
+}
+
 // results returns the members ordered by descending score (ties by
 // ascending UID for determinism).
 func (t *topK) results() []UserResult {

@@ -34,15 +34,8 @@ func runBatch(eng *core.Engine, specs []datagen.QuerySpec, radiusKm float64, k i
 		if serr != nil {
 			return 0, agg, serr
 		}
+		agg.Add(stats)
 		agg.Cells += stats.Cells
-		agg.PostingsFetched += stats.PostingsFetched
-		agg.Candidates += stats.Candidates
-		agg.ThreadsBuilt += stats.ThreadsBuilt
-		agg.ThreadsPruned += stats.ThreadsPruned
-		agg.TweetsPulled += stats.TweetsPulled
-		agg.BlocksSkipped += stats.BlocksSkipped
-		agg.PostingsSkipped += stats.PostingsSkipped
-		agg.PartitionsPruned += stats.PartitionsPruned
 		agg.Elapsed += stats.Elapsed
 	}
 	return agg.Elapsed.Seconds() / float64(len(specs)), agg, nil

@@ -323,18 +323,3 @@ func TestConcurrentFetches(t *testing.T) {
 		t.Errorf("Fetches = %d, want 400", got)
 	}
 }
-
-func TestTermsInCell(t *testing.T) {
-	idx, _, _ := build(t, corpus(), 4)
-	cell := geo.Encode(geo.Point{Lat: 43.68, Lon: -79.37}, 4)
-	terms := idx.TermsInCell(cell)
-	want := map[string]bool{"hotel": true, "toronto": true, "marriott": true, "restaur": true, "pizza": true}
-	for _, term := range terms {
-		if !want[term] {
-			t.Errorf("unexpected term %q in cell", term)
-		}
-	}
-	if len(terms) == 0 {
-		t.Error("no terms found in the Toronto cell")
-	}
-}

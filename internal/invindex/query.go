@@ -78,16 +78,3 @@ func (idx *Index) Keys() []Key {
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }
-
-// TermsInCell returns the distinct terms indexed under one geohash cell,
-// sorted. Intended for diagnostics.
-func (idx *Index) TermsInCell(geohash string) []string {
-	var out []string
-	for k := range idx.forward {
-		if k.Geohash == geohash {
-			out = append(out, k.Term)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

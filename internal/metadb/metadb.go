@@ -517,16 +517,6 @@ func (db *DB) noteBatch(bs BatchStats) {
 	db.mu.Unlock()
 }
 
-// UserOf returns the author of a post (Algorithm 4 line 20:
-// "select userId where sid = P_j.sid").
-func (db *DB) UserOf(sid social.PostID) (social.UserID, bool) {
-	r, ok := db.GetBySID(sid)
-	if !ok {
-		return social.NoUser, false
-	}
-	return r.UID, true
-}
-
 // SelectByRSID returns the rows of all posts that reply to or forward the
 // given post (Algorithm 1 line 7), via the rsid secondary index.
 func (db *DB) SelectByRSID(rsid social.PostID) []Row {
@@ -597,19 +587,6 @@ func (db *DB) PostCountOfUserBatch(uids []social.UserID) []int {
 		counts[i] = len(v)
 	}
 	return counts
-}
-
-// UserIDs returns every distinct user with at least one post, ascending.
-func (db *DB) UserIDs() []social.UserID {
-	db.mustBeFrozen()
-	db.structMu.RLock()
-	defer db.structMu.RUnlock()
-	keys := db.uidIndex.Keys()
-	out := make([]social.UserID, len(keys))
-	for i, k := range keys {
-		out[i] = social.UserID(k)
-	}
-	return out
 }
 
 // Scan iterates every row in SID order; fn returning false stops the scan.

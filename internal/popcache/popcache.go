@@ -163,27 +163,6 @@ func (c *Cache) InvalidateRoot(root social.PostID) int {
 	return removed
 }
 
-// InvalidateChain walks the reply chain upward from first (the rsid of a
-// newly ingested post), evicting each visited tweet's cached threads.
-// parent maps a tweet to the tweet it replies to or forwards; it reports
-// false at a chain end. At most maxHops ancestors are visited — a root
-// farther than the thread-depth limit from the new post does not contain
-// it, so its cached popularity is still exact. Returns the number of
-// entries evicted.
-func (c *Cache) InvalidateChain(first social.PostID, maxHops int, parent func(social.PostID) (social.PostID, bool)) int {
-	removed := 0
-	sid := first
-	for hop := 0; hop < maxHops; hop++ {
-		removed += c.InvalidateRoot(sid)
-		next, ok := parent(sid)
-		if !ok {
-			break
-		}
-		sid = next
-	}
-	return removed
-}
-
 // Len returns the number of resident entries.
 func (c *Cache) Len() int {
 	total := 0

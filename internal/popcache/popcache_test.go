@@ -112,37 +112,6 @@ func TestInvalidateRoot(t *testing.T) {
 	}
 }
 
-func TestInvalidateChain(t *testing.T) {
-	// Chain 5 -> 4 -> 3 -> 2 -> 1 (each replies to the previous). A new
-	// reply below 5 with depth limit 3 must evict 5, 4 and 3 but not 2 or 1.
-	parents := map[social.PostID]social.PostID{5: 4, 4: 3, 3: 2, 2: 1}
-	parent := func(sid social.PostID) (social.PostID, bool) {
-		p, ok := parents[sid]
-		return p, ok
-	}
-	c := popcache.New(64)
-	for sid := social.PostID(1); sid <= 5; sid++ {
-		c.Put(sid, 0.1, 3, float64(sid), []int{1})
-	}
-	if got := c.InvalidateChain(5, 3, parent); got != 3 {
-		t.Fatalf("InvalidateChain evicted %d entries, want 3", got)
-	}
-	for sid := social.PostID(3); sid <= 5; sid++ {
-		if _, _, ok := c.Get(sid, 0.1, 3); ok {
-			t.Errorf("root %d within depth still cached", sid)
-		}
-	}
-	for sid := social.PostID(1); sid <= 2; sid++ {
-		if _, _, ok := c.Get(sid, 0.1, 3); !ok {
-			t.Errorf("root %d beyond depth was evicted", sid)
-		}
-	}
-	// Chain end stops the walk without error.
-	if got := c.InvalidateChain(2, 10, parent); got != 2 {
-		t.Errorf("chain-end walk evicted %d, want 2 (roots 2 and 1)", got)
-	}
-}
-
 // TestConcurrentHitMiss hammers the cache from many goroutines mixing gets,
 // puts and invalidations. Run with -race; correctness assertion is only
 // that observed hits return internally consistent values.

@@ -61,43 +61,3 @@ func TestRelationKindString(t *testing.T) {
 		t.Error("unknown kind should still format")
 	}
 }
-
-func TestGraphEdgesAndLabels(t *testing.T) {
-	g := NewGraph()
-	// u2 replies twice to u1, u3 forwards u1 once.
-	g.AddPost(post(1, 1, None, NoUser, NoPost))
-	g.AddPost(post(2, 2, Reply, 1, 1))
-	g.AddPost(post(3, 2, Reply, 1, 1))
-	g.AddPost(post(4, 3, Forward, 1, 1))
-
-	if g.NumUsers() != 3 {
-		t.Errorf("NumUsers = %d, want 3", g.NumUsers())
-	}
-	if g.NumReplyEdges() != 1 || g.NumForwardEdges() != 1 {
-		t.Errorf("edges = %d reply / %d forward, want 1/1",
-			g.NumReplyEdges(), g.NumForwardEdges())
-	}
-	replies := g.RepliesFromTo(2, 1)
-	if len(replies) != 2 || replies[0] != 2 || replies[1] != 3 {
-		t.Errorf("l_reply(2,1) = %v, want [2 3]", replies)
-	}
-	if got := g.RepliesFromTo(1, 2); got != nil {
-		t.Errorf("reverse direction should be empty, got %v", got)
-	}
-	forwards := g.ForwardsFromTo(3, 1)
-	if len(forwards) != 1 || forwards[0] != 4 {
-		t.Errorf("l_forward(3,1) = %v, want [4]", forwards)
-	}
-}
-
-func TestGraphIgnoresReactionWithoutRUID(t *testing.T) {
-	g := NewGraph()
-	p := post(2, 2, Reply, NoUser, 1) // replied-to user unknown
-	g.AddPost(p)
-	if g.NumReplyEdges() != 0 {
-		t.Error("edge added despite unknown target user")
-	}
-	if !g.HasUser(2) {
-		t.Error("author vertex missing")
-	}
-}
