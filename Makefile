@@ -78,11 +78,13 @@ loc:
 # the segment store's lifecycle tests (searches racing seals, compaction
 # and checkpoints), plus the engine and bounds packages — their prune paths
 # fan across the worker pool and take Bounds.mu against concurrent
-# RaiseForRoot — twenty times under -race. Required green.
+# RaiseForRoot — and the storage packages a query's row batch reads under
+# their own locks while ingest appends and seals swap the partition set,
+# twenty times under -race. Required green.
 flake:
 	$(GO) test -race -count=20 \
 		-run 'TestAdmission|TestBreaker|TestLease|TestSegmentedDurableReopen|TestSegmentedFreshKeywordVisible|TestSegmentedUseAfterClose|TestSegmentedConcurrentLifecycle' .
-	$(GO) test -race -count=20 ./internal/core/ ./internal/thread/
+	$(GO) test -race -count=20 ./internal/core/ ./internal/thread/ ./internal/segment/ ./internal/metadb/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -34,17 +34,13 @@ func blockmaxCorpus() (posts []*tklus.Post, loc tklus.Point, roots []*tklus.Post
 // stays exact after live ingest has raised thread-popularity bounds past
 // anything the batch build observed. Two systems over the same blocked
 // index (8-posting blocks) receive identical reply batches — one runs the
-// default block-max + pruning engine, the other an exhaustive oracle with
-// both off — and every query in a semantics × ranking × keywords grid must
+// default pruning engine, the other an exhaustive oracle with pruning off —
+// and every query in a semantics × ranking × keywords grid must
 // return bit-identical results before and after the ingest.
 func TestBlockMaxLosslessAfterIngest(t *testing.T) {
 	posts, loc, roots := blockmaxCorpus()
 
-	// Only the block-max system filters through the row-meta snapshot; the
-	// oracle keeps fetching rows. The grid equality below then also proves
-	// the snapshot-served filter identical to the row-fetching one, both
-	// over the frozen corpus and through the ingest overlay.
-	cfg := tklus.DefaultConfig(tklus.WithRowMetaSnapshot())
+	cfg := tklus.DefaultConfig()
 	cfg.Index.BlockSize = 8
 	sys, err := tklus.Build(posts, cfg)
 	if err != nil {
@@ -52,7 +48,6 @@ func TestBlockMaxLosslessAfterIngest(t *testing.T) {
 	}
 	oracleCfg := tklus.DefaultConfig()
 	oracleCfg.Index.BlockSize = 8
-	oracleCfg.Engine.UseBlockMax = false
 	oracleCfg.Engine.UsePruning = false
 	oracle, err := tklus.Build(posts, oracleCfg)
 	if err != nil {

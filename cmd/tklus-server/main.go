@@ -54,8 +54,6 @@ func main() {
 			"thread-popularity cache capacity in entries (0 disables the cache)")
 		replySnap = flag.Bool("reply-snapshot", false,
 			"serve thread expansion from the CSR reply-graph snapshot")
-		rowMetaSnap = flag.Bool("rowmeta-snapshot", false,
-			"serve the candidate radius filter from the row-meta snapshot")
 		shards = flag.Int("shards", 0,
 			"serve an in-process sharded tier with this many geo-shards (0 = monolithic; incompatible with -load)")
 		replicas = flag.Int("replicas", 1,
@@ -105,9 +103,6 @@ func main() {
 	}
 	if *replySnap {
 		featOpts = append(featOpts, tklus.WithReplySnapshot())
-	}
-	if *rowMetaSnap {
-		featOpts = append(featOpts, tklus.WithRowMetaSnapshot())
 	}
 	sysConfig := func() tklus.Config { return tklus.DefaultConfig(featOpts...) }
 

@@ -28,12 +28,12 @@ func TestFeaturesHonoredByBuild(t *testing.T) {
 	if bare.PopCache != nil {
 		t.Error("zero-value Features enabled the popularity cache")
 	}
-	if bare.DB.ReplySnapshot() != nil || bare.DB.RowMetaSnapshot() != nil {
+	if bare.DB.ReplySnapshot() != nil {
 		t.Error("zero-value Features built a snapshot")
 	}
 
 	full, err := tklus.Build(corpus.Posts, tklus.DefaultConfig(
-		tklus.WithPopCache(128), tklus.WithReplySnapshot(), tklus.WithRowMetaSnapshot()))
+		tklus.WithPopCache(128), tklus.WithReplySnapshot()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +45,6 @@ func TestFeaturesHonoredByBuild(t *testing.T) {
 	}
 	if full.DB.ReplySnapshot() == nil {
 		t.Error("WithReplySnapshot did not build the reply snapshot")
-	}
-	if full.DB.RowMetaSnapshot() == nil {
-		t.Error("WithRowMetaSnapshot did not build the row-meta snapshot")
 	}
 }
 
@@ -72,7 +69,7 @@ func TestFeaturesHonoredByLoad(t *testing.T) {
 	}
 
 	loaded, err := tklus.Load(dir, tklus.DefaultConfig(
-		tklus.WithPopCache(64), tklus.WithReplySnapshot(), tklus.WithRowMetaSnapshot()))
+		tklus.WithPopCache(64), tklus.WithReplySnapshot()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +78,6 @@ func TestFeaturesHonoredByLoad(t *testing.T) {
 	}
 	if loaded.DB.ReplySnapshot() == nil {
 		t.Error("Load did not honor Features.ReplySnapshot")
-	}
-	if loaded.DB.RowMetaSnapshot() == nil {
-		t.Error("Load did not honor Features.RowMetaSnapshot")
 	}
 }
 

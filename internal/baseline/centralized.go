@@ -52,7 +52,7 @@ func CentralizedBuild(fsys *dfs.FS, posts []*social.Post, geohashLen int, path s
 	for _, k := range keys {
 		ps := acc[k]
 		sort.Slice(ps, func(i, j int) bool { return ps[i].TID < ps[j].TID })
-		enc, err := invindex.EncodePostingsList(ps)
+		enc, err := invindex.EncodeBlockedPostingsList(ps, 0)
 		if err != nil {
 			return nil, err
 		}

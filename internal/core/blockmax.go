@@ -1,10 +1,11 @@
 package core
 
-// This file is the dynamic-pruning layer over the blocked postings layout
-// (internal/invindex/blocks.go): lazy block-at-a-time AND/OR merging and
-// MaxScore-style early termination for the sum ranking. Everything here is
-// result-preserving — the candidate set, every score, and the final top-k
-// are byte-identical to the eager paths; only decode work and thread
+// This file is retrieval's merge layer over the blocked postings layout
+// (internal/invindex/blocks.go) — the lazy block-at-a-time AND/OR merges
+// gather runs once per partition — and MaxScore-style early termination for
+// the sum ranking. Everything here is result-preserving — the candidate
+// set, every score, and the final top-k are byte-identical to an exhaustive
+// scan (internal/baseline is the reference); only decode work and thread
 // constructions are avoided:
 //
 //   - The AND merge is an exact set intersection. Non-driver terms advance
@@ -38,17 +39,18 @@ import (
 
 // PostingsOpener is the optional lazy extension of PostingsSource: sources
 // that can serve one postings list as a block-at-a-time iterator (one
-// payload read, decode on demand) implement it. *invindex.Index does;
-// sources that don't are adapted through FetchPostings and a slice
-// iterator, which keeps block-max traversal correct (if skip-free) over
-// any source.
+// payload read, decode on demand) implement it. *invindex.Index and sealed
+// segments do; sources that don't (the memtable) are adapted through
+// FetchPostings and a slice iterator, which keeps the merges correct (if
+// skip-free) over any source.
 type PostingsOpener interface {
 	OpenPostings(geohash, term string) (*invindex.PostingsIterator, error)
 }
 
 // openTermIterators opens one iterator per non-empty ⟨cell, term⟩ pair of
-// one source — the lazy counterpart of termPostings. The count mirrors
-// termPostings' "postings lists pulled" figure.
+// one source (Algorithm 4/5 lines 4–7). The number of non-empty postings
+// lists pulled is returned rather than written into QueryStats so
+// concurrent callers need no shared counter.
 func openTermIterators(src PostingsSource, cells []string, term string) ([]*invindex.PostingsIterator, int64, error) {
 	opener, lazy := src.(PostingsOpener)
 	var its []*invindex.PostingsIterator
@@ -77,66 +79,29 @@ func openTermIterators(src PostingsSource, cells []string, term string) ([]*invi
 	return its, fetched, nil
 }
 
-// gatherBlockMax is the lazy counterpart of gather's stages 2–3:
-// it opens per-⟨partition, cell, term⟩ iterators across the worker pool and
-// merges them block at a time. The merged candidates — set, order and match
-// counts — are identical to the eager concat-sort-merge.
-func (e *Engine) gatherBlockMax(ctx context.Context, q *Query, parts []*Partition, covers *coverSet, terms []string, stats *QueryStats, rec *telemetry.SpanRecorder) ([]candidate, error) {
-	stopFetch := rec.Start(telemetry.StagePostingsFetch)
-	nJobs := len(parts) * len(terms)
-	opened := make([][]*invindex.PostingsIterator, nJobs)
-	counts := make([]int64, nJobs)
-	err := RunJobs(ctx, e.workers(), nJobs, func(ctx context.Context, i int) error {
-		part := parts[i/len(terms)]
-		its, n, err := openTermIterators(part.Source, covers.get(part.Source.GeohashLen()), terms[i%len(terms)])
-		if err != nil {
-			return err
-		}
-		opened[i], counts[i] = its, n
-		return nil
-	})
-	stopFetch()
-	if err != nil {
-		return nil, err
-	}
-
-	termIts := make([][]*invindex.PostingsIterator, len(terms))
-	for i, its := range opened {
-		stats.PostingsFetched += counts[i]
-		ti := i % len(terms)
-		termIts[ti] = append(termIts[ti], its...)
-	}
-
-	stopMerge := rec.Start(telemetry.StageCandidateFilter)
-	defer stopMerge()
-	var merged []candidate
-	if q.Semantic == And {
-		merged = intersectIterators(termIts)
-	} else {
-		merged = unionIterators(termIts)
-	}
-	// Close every iterator by skipping to the end: blocks the merge never
-	// decoded are credited as skipped, and any decode error surfaces (the
-	// eager path would have hit it in FetchPostings).
+// closeIterators finishes one partition's merge by skipping every iterator
+// to the end: blocks the merge never decoded are credited as skipped, and
+// any decode error surfaces instead of passing as a short list.
+func closeIterators(termIts [][]*invindex.PostingsIterator, stats *QueryStats) error {
 	for _, its := range termIts {
 		for _, it := range its {
 			it.SkipTo(social.PostID(math.MaxInt64))
 			if err := it.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			s := it.Stats()
 			stats.BlocksSkipped += s.BlocksSkipped
 			stats.PostingsSkipped += s.PostingsSkipped
 		}
 	}
-	return merged, nil
+	return nil
 }
 
 // intersectIterators is the lazy AND merge. The driver is the term with the
 // fewest postings; its blocks all decode (its postings are the candidate
 // superset), while the other terms advance by SkipTo and only decode a
-// block when its directory admits the target TID. Cells and partitions are
-// disjoint, so at most one iterator per term holds any TID.
+// block when its directory admits the target TID. The cells of one
+// partition are disjoint, so at most one iterator per term holds any TID.
 func intersectIterators(termIts [][]*invindex.PostingsIterator) []candidate {
 	if len(termIts) == 0 {
 		return nil
@@ -225,9 +190,9 @@ func (h iterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *iterHeap) Push(x any)   { *h = append(*h, x.(*invindex.PostingsIterator)) }
 func (h *iterHeap) Pop() (x any) { old := *h; n := len(old); x = old[n-1]; *h = old[:n-1]; return }
 
-// unionIterators is the lazy OR merge: a k-way heap merge folding equal
-// TIDs, term frequencies summing across terms exactly as unionPostings
-// folds its sorted concatenation. Every posting is a candidate, so every
+// unionIterators is the lazy OR merge (Algorithm 4 lines 12–14): a k-way
+// heap merge folding equal TIDs, term frequencies summing across the terms
+// that matched (bag semantics). Every posting is a candidate, so every
 // block decodes — OR gains no skips.
 func unionIterators(termIts [][]*invindex.PostingsIterator) []candidate {
 	var h iterHeap

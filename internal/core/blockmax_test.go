@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/geo"
@@ -72,18 +73,21 @@ func requireSameResults(t *testing.T, got, want []core.UserResult, format string
 }
 
 // TestBlockMaxEquivalenceGrid is the main lossless-traversal check: over a
-// grid of semantics × ranking × ε × radius, the block-max engine (blocked
+// grid of semantics × ranking × ε × radius, the default engine (blocked
 // index with 8-posting blocks so every hot list spans many blocks) returns
-// bit-identical results to (a) the exhaustive engine — block-max and
-// pruning both off — over the same blocked index, and (b) a block-max
-// engine over a source that only offers FetchPostings (the slice-iterator
-// compatibility path). It also checks the work accounting: for the sum ranking, threads
-// built plus threads pruned must equal the exhaustive engine's thread
-// count; for the max ranking every candidate is either built or pruned, and
-// pruning is monotone in the bound — the default engine (query bound ∧
-// per-tweet φ) prunes at least as much as the same engine over table-less
-// bounds (query bound alone), which prunes at least as much as the
-// exhaustive reference. (Block skipping itself is pinned by
+// bit-identical results to (a) the exhaustive engine — pruning off — over
+// the same blocked index and (b) a default engine over a source that only
+// offers FetchPostings (the slice-iterator adapter), and (c) the same users
+// in the same order, scores within 1e-9, as baseline.ScanRanker over the
+// raw posts, which shares no retrieval code with the engine. It also checks
+// the work accounting: for the sum ranking, threads built plus threads
+// pruned must equal the exhaustive engine's thread count; for the max
+// ranking every candidate is either built or pruned, and pruning is
+// monotone in the bound — the default engine (query bound ∧ per-tweet φ)
+// prunes at least as much as the same engine over table-less bounds (query
+// bound alone), which prunes at least as much as the exhaustive reference;
+// and retrieval — candidates, lists fetched, blocks skipped — does not
+// depend on pruning. (Block skipping itself is pinned by
 // TestBlockMaxSkipsBlocks — a uniform random corpus interleaves the two
 // lists too densely for AND intersection to ever leap a whole block.)
 func TestBlockMaxEquivalenceGrid(t *testing.T) {
@@ -92,12 +96,12 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 	hot := []string{"hotel", "restaur"}
 
 	for _, epsilon := range []float64{0.1, 0.6} {
-		bm := core.DefaultOptions() // UseBlockMax + UsePruning on
+		bm := core.DefaultOptions() // UsePruning on
 		bm.Params.Epsilon = epsilon
 		exhaustive := core.DefaultOptions()
 		exhaustive.Params.Epsilon = epsilon
-		exhaustive.UseBlockMax = false
 		exhaustive.UsePruning = false
+		oracle := baseline.NewScanRanker(posts, bm.Params)
 
 		smallBlocks := func(o *invindex.BuildOptions) { o.BlockSize = 8 }
 		engBM, idxBM := buildEngineAndIndex(t, posts, bm, 3, hot, smallBlocks)
@@ -141,6 +145,16 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 					}
 					requireSameResults(t, fres, want,
 						"fetch-only blockmax vs exhaustive eps=%v %v %v r=%v", epsilon, ranking, sem, radius)
+					scan := oracle.Search(q)
+					if len(scan) != len(got) {
+						t.Fatalf("eps=%v %v %v r=%v: %d results, scan oracle %d", epsilon, ranking, sem, radius, len(got), len(scan))
+					}
+					for i := range scan {
+						if d := got[i].Score - scan[i].Score; got[i].UID != scan[i].UID || d > 1e-9 || d < -1e-9 {
+							t.Fatalf("eps=%v %v %v r=%v: result[%d] = %+v, scan oracle %+v",
+								epsilon, ranking, sem, radius, i, got[i], scan[i])
+						}
+					}
 
 					if gs.Candidates != ws.Candidates {
 						t.Fatalf("eps=%v %v %v r=%v: candidates %d vs exhaustive %d",
@@ -172,8 +186,9 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 								epsilon, sem, radius, gs.ThreadsPruned, ls.ThreadsPruned, ws.ThreadsPruned)
 						}
 					}
-					if ws.BlocksSkipped != 0 {
-						t.Fatal("exhaustive engine reported skipped blocks")
+					if ws.BlocksSkipped != gs.BlocksSkipped {
+						t.Fatalf("eps=%v %v %v r=%v: retrieval depends on pruning: %d blocks skipped vs exhaustive %d",
+							epsilon, ranking, sem, radius, gs.BlocksSkipped, ws.BlocksSkipped)
 					}
 				}
 			}
@@ -203,7 +218,6 @@ func TestBlockMaxSkipsBlocks(t *testing.T) {
 
 	bm := core.DefaultOptions()
 	exhaustive := core.DefaultOptions()
-	exhaustive.UseBlockMax = false
 	exhaustive.UsePruning = false
 	smallBlocks := func(o *invindex.BuildOptions) { o.BlockSize = 8 }
 	engBM := buildEngineIndexed(t, posts, bm, 4, nil, smallBlocks)
@@ -232,7 +246,7 @@ func TestBlockMaxSkipsBlocks(t *testing.T) {
 }
 
 // TestBlockMaxSumPruningAblation pins the point of the sum-ranking early
-// termination: with block-max on, city-radius sum queries must build
+// termination: with pruning on, city-radius sum queries must build
 // strictly fewer threads than the exhaustive engine while returning the
 // same users, scores and candidate counts.
 func TestBlockMaxSumPruningAblation(t *testing.T) {
@@ -241,7 +255,6 @@ func TestBlockMaxSumPruningAblation(t *testing.T) {
 
 	bm := core.DefaultOptions()
 	exhaustive := core.DefaultOptions()
-	exhaustive.UseBlockMax = false
 	exhaustive.UsePruning = false
 	engBM := buildEngineIndexed(t, posts, bm, 3, nil, nil)
 	engEx := buildEngineIndexed(t, posts, exhaustive, 3, nil, nil)

@@ -117,18 +117,11 @@ type Options struct {
 	UseSpecificBounds bool
 	// UsePruning enables the upper-bound pruning of Algorithm 5 lines
 	// 18–19, each candidate's popularity bounded by the smaller of the
-	// query-level bound and its own φ-table entry (thread.Bounds.Phi).
+	// query-level bound and its own φ-table entry (thread.Bounds.Phi),
+	// and MaxScore-style early termination for sum ranking (rankSumPruned).
 	// Disabling it is the ablation baseline; results are identical, only
 	// thread-construction work changes.
 	UsePruning bool
-	// UseBlockMax enables block-at-a-time postings traversal: postings
-	// sources that expose a lazy iterator (invindex.Index) are merged one
-	// block at a time and AND queries skip blocks the directory proves
-	// cannot intersect. Together with UsePruning it also selects
-	// MaxScore-style early termination for sum ranking. Results are
-	// byte-identical with the flag on or off; only decode and
-	// thread-construction work changes.
-	UseBlockMax bool
 	// ExactUserDistance computes Definition 9 literally — the average
 	// distance score over ALL of a user's posts — which costs one metadata
 	// fetch per post of every candidate user. When false (the default),
@@ -150,10 +143,10 @@ type Options struct {
 	Parallelism int
 }
 
-// DefaultOptions enables pruning, specific bounds and block-max traversal,
-// the paper's standard configuration plus the dynamic-pruning layer on top.
+// DefaultOptions enables pruning and specific bounds, the paper's standard
+// configuration.
 func DefaultOptions() Options {
-	return Options{Params: score.DefaultParams(), UseSpecificBounds: true, UsePruning: true, UseBlockMax: true}
+	return Options{Params: score.DefaultParams(), UseSpecificBounds: true, UsePruning: true}
 }
 
 // PostingsSource is what the engine needs from a hybrid index: the geohash
@@ -164,13 +157,31 @@ type PostingsSource interface {
 	FetchPostings(geohash, term string) ([]invindex.Posting, error)
 }
 
+// RowSource is the row contract between the engine and storage, one call
+// shape: resolve this ascending SID batch. out[i] receives sids[i]'s
+// location and author; the result is the index of the first SID the source
+// does not hold, -1 when every one resolved. Sealed segments and the
+// memtable implement it as one forward walk over their own rows.
+type RowSource interface {
+	ResolveRows(sids []social.PostID, out []metadb.RowMeta) int
+}
+
 // Partition is one time slice of the corpus with its own index — the
 // paper's batch setting builds one index per collection period
 // (Section IV-A: "periodically (e.g., one day) collect the spatial tweets
-// and then build the index"). MinSID/MaxSID bound the tweet IDs
-// (timestamps) the partition covers; a zero MaxSID means unbounded.
+// and then build the index") — and the unit that answers both of a query's
+// reads: the postings of the covered keys and the rows behind them.
+// MinSID/MaxSID bound the tweet IDs (timestamps) the partition covers; a
+// zero MaxSID means unbounded. Partitions are time-disjoint and in time
+// order, so per-partition candidate lists concatenate into the global
+// ascending one.
 type Partition struct {
 	Source PostingsSource
+	// Rows resolves the rows of this partition's postings. Nil means the
+	// partition keeps none of its own (the paged index of a batch build):
+	// its postings resolve through one multi-get against Engine.DB. Whoever
+	// publishes the partition set decides; queries never probe for it.
+	Rows   RowSource
 	MinSID social.PostID
 	MaxSID social.PostID
 }
@@ -235,9 +246,10 @@ func NewPartitionedEngine(parts []Partition, db *metadb.DB, bounds *thread.Bound
 	return eng, nil
 }
 
-// SetPartitions atomically replaces the engine's postings sources (in time
+// SetPartitions atomically replaces the engine's partitions (in time
 // order, every Source non-nil). Queries in flight finish on the set they
-// loaded; the caller keeps replaced sources readable until those drain. An
+// loaded — postings and rows both — so the caller keeps replaced sources
+// readable until those drain. An
 // empty set closes the engine: every later query fails with ErrClosed.
 func (e *Engine) SetPartitions(parts []Partition) {
 	e.parts.Store(&parts)

@@ -5,8 +5,8 @@ import "errors"
 // Sentinel errors of the query API. Callers classify failures with
 // errors.Is instead of matching message substrings; the HTTP server maps
 // them onto status codes (ErrBadQuery → 400, ErrNoResults → 404,
-// ErrOverloaded → 429, ErrShardUnavailable → 503). Wrapped errors carry
-// the specifics.
+// ErrOverloaded → 429, ErrShardUnavailable → 503, ErrClosed → 503).
+// Wrapped errors carry the specifics.
 var (
 	// ErrBadQuery marks a query rejected by validation before any work ran:
 	// invalid location, non-positive radius or k, empty keyword set, empty
@@ -31,7 +31,8 @@ var (
 	// off and retry (the HTTP layer answers 429 with Retry-After).
 	ErrOverloaded = errors.New("overloaded")
 
-	// ErrClosed marks a query against an engine whose storage was closed
-	// (SetPartitions with an empty set): there is nothing left to read.
+	// ErrClosed marks a query or ingest against an engine whose storage was
+	// closed (SetPartitions with an empty set): there is nothing left to
+	// read or append to.
 	ErrClosed = errors.New("closed")
 )

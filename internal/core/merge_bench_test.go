@@ -38,7 +38,7 @@ func hashIntersect(lists [][]invindex.Posting) []candidate {
 		}
 		acc = next
 	}
-	// Emit in TID order to match intersectPostings.
+	// Emit in TID order to match intersectIterators.
 	out := make([]candidate, 0, len(acc))
 	for _, p := range lists[shortest] {
 		if m, ok := acc[p.TID]; ok {
@@ -68,7 +68,7 @@ func TestHashIntersectMatchesSortedMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		lists := syntheticLists(rng, rng.Intn(3)+2, rng.Intn(200)+1, 0.5)
-		a := intersectPostings(lists)
+		a := intersectLists(lists)
 		b := hashIntersect(lists)
 		if len(a) != len(b) {
 			t.Fatalf("trial %d: sizes %d vs %d", trial, len(a), len(b))
@@ -86,7 +86,7 @@ func BenchmarkAblationIntersection(b *testing.B) {
 	lists := syntheticLists(rng, 3, 20000, 0.3)
 	b.Run("sorted-merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			intersectPostings(lists)
+			intersectLists(lists)
 		}
 	})
 	b.Run("hash-set", func(b *testing.B) {
@@ -94,36 +94,16 @@ func BenchmarkAblationIntersection(b *testing.B) {
 			hashIntersect(lists)
 		}
 	})
-	// Asymmetric lists: a rare term against a hot term is where galloping
-	// cursors pay off.
+	// Asymmetric lists: a rare term against a hot term is where SkipTo on
+	// the long list pays off.
 	rare := syntheticLists(rng, 1, 50, 0.1)[0]
 	hot := syntheticLists(rng, 1, 100000, 0.9)[0]
 	asym := [][]invindex.Posting{rare, hot}
 	b.Run("asymmetric", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			intersectPostings(asym)
+			intersectLists(asym)
 		}
 	})
-}
-
-func TestGallopTo(t *testing.T) {
-	l := ps(1, 1, 3, 1, 5, 1, 9, 1, 12, 1, 40, 1, 41, 1, 100, 1)
-	cases := []struct {
-		start  int
-		target int
-		want   int
-	}{
-		{0, 0, 0}, {0, 1, 0}, {0, 2, 1}, {0, 5, 2}, {0, 6, 3},
-		{0, 100, 7}, {0, 101, 8}, {3, 9, 3}, {3, 41, 6}, {7, 100, 7},
-		{8, 5, 8}, // start past the end stays put
-	}
-	for _, c := range cases {
-		got := gallopTo(l, c.start, social.PostID(c.target))
-		if got != c.want {
-			t.Errorf("gallopTo(start=%d, target=%d) = %d, want %d",
-				c.start, c.target, got, c.want)
-		}
-	}
 }
 
 func TestGallopingIntersectionMatchesHashOnAsymmetricLists(t *testing.T) {
@@ -132,7 +112,7 @@ func TestGallopingIntersectionMatchesHashOnAsymmetricLists(t *testing.T) {
 		short := syntheticLists(rng, 1, rng.Intn(20)+1, 0.2)[0]
 		long := syntheticLists(rng, 1, rng.Intn(5000)+100, 0.8)[0]
 		lists := [][]invindex.Posting{short, long}
-		a := intersectPostings(lists)
+		a := intersectLists(lists)
 		b := hashIntersect(lists)
 		if len(a) != len(b) {
 			t.Fatalf("trial %d: %d vs %d", trial, len(a), len(b))
@@ -149,6 +129,6 @@ func BenchmarkUnionPostings(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	lists := syntheticLists(rng, 3, 20000, 0.3)
 	for i := 0; i < b.N; i++ {
-		unionPostings(lists)
+		unionLists(lists)
 	}
 }

@@ -16,12 +16,26 @@ func ps(pairs ...int) []invindex.Posting {
 	return out
 }
 
+// iters wraps each term's decoded list in one slice iterator — the shape
+// gather hands the lazy merges for a source without block iterators. The
+// merges consume their iterators, so every call gets fresh ones.
+func iters(lists [][]invindex.Posting) [][]*invindex.PostingsIterator {
+	out := make([][]*invindex.PostingsIterator, len(lists))
+	for i, l := range lists {
+		out[i] = []*invindex.PostingsIterator{invindex.NewSliceIterator(l)}
+	}
+	return out
+}
+
+func intersectLists(lists [][]invindex.Posting) []candidate { return intersectIterators(iters(lists)) }
+func unionLists(lists [][]invindex.Posting) []candidate     { return unionIterators(iters(lists)) }
+
 func TestIntersectPostings(t *testing.T) {
 	lists := [][]invindex.Posting{
 		ps(1, 1, 3, 2, 5, 1, 9, 4),
 		ps(3, 1, 5, 3, 7, 1),
 	}
-	got := intersectPostings(lists)
+	got := intersectLists(lists)
 	want := []candidate{{tid: 3, matches: 3}, {tid: 5, matches: 4}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("intersect = %+v, want %+v", got, want)
@@ -29,19 +43,19 @@ func TestIntersectPostings(t *testing.T) {
 }
 
 func TestIntersectEmptyAndDisjoint(t *testing.T) {
-	if got := intersectPostings(nil); got != nil {
+	if got := intersectLists(nil); got != nil {
 		t.Errorf("intersect(nil) = %v", got)
 	}
-	if got := intersectPostings([][]invindex.Posting{ps(1, 1), nil}); got != nil {
+	if got := intersectLists([][]invindex.Posting{ps(1, 1), nil}); got != nil {
 		t.Errorf("intersect with empty list = %v", got)
 	}
-	if got := intersectPostings([][]invindex.Posting{ps(1, 1, 2, 1), ps(3, 1, 4, 1)}); got != nil {
+	if got := intersectLists([][]invindex.Posting{ps(1, 1, 2, 1), ps(3, 1, 4, 1)}); got != nil {
 		t.Errorf("disjoint intersect = %v", got)
 	}
 }
 
 func TestIntersectSingleList(t *testing.T) {
-	got := intersectPostings([][]invindex.Posting{ps(2, 3, 8, 1)})
+	got := intersectLists([][]invindex.Posting{ps(2, 3, 8, 1)})
 	want := []candidate{{tid: 2, matches: 3}, {tid: 8, matches: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("single-list intersect = %+v, want %+v", got, want)
@@ -54,7 +68,7 @@ func TestIntersectThreeWay(t *testing.T) {
 		ps(2, 2, 4, 2),
 		ps(2, 5, 3, 1, 4, 1),
 	}
-	got := intersectPostings(lists)
+	got := intersectLists(lists)
 	want := []candidate{{tid: 2, matches: 8}, {tid: 4, matches: 4}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("3-way intersect = %+v, want %+v", got, want)
@@ -66,12 +80,12 @@ func TestUnionPostings(t *testing.T) {
 		ps(1, 1, 3, 2),
 		ps(3, 1, 7, 1),
 	}
-	got := unionPostings(lists)
+	got := unionLists(lists)
 	want := []candidate{{tid: 1, matches: 1}, {tid: 3, matches: 3}, {tid: 7, matches: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("union = %+v, want %+v", got, want)
 	}
-	if got := unionPostings(nil); len(got) != 0 {
+	if got := unionLists(nil); len(got) != 0 {
 		t.Errorf("union(nil) = %v", got)
 	}
 }

@@ -1,8 +1,16 @@
 package core
 
 import (
+	"context"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/geo"
+	"repro/internal/invindex"
+	"repro/internal/metadb"
+	"repro/internal/social"
+	"repro/internal/thread"
 )
 
 func window(fromSec, toSec int64) *TimeWindow {
@@ -50,5 +58,59 @@ func TestNewPartitionedEngineValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(nil, nil, nil, DefaultOptions()); err == nil {
 		t.Error("nil index accepted")
+	}
+}
+
+// rowsMissing is a hand-built partition: one postings list of TIDs and a
+// row source that holds every SID but one.
+type rowsMissing struct {
+	benchPostings
+	absent social.PostID
+}
+
+func (s rowsMissing) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
+	for i, sid := range sids {
+		if sid == s.absent {
+			return i
+		}
+		out[i] = metadb.RowMeta{Lat: benchCenter.Lat, Lon: benchCenter.Lon, UID: social.UserID(sid)}
+	}
+	return -1
+}
+
+// TestGatherNamesTheMissingRow: a partition whose row batch reports an
+// absent SID fails the query with that SID named — the index and the rows
+// disagree — and a partition that resolves everything serves its own rows
+// without touching the paged database.
+func TestGatherNamesTheMissingRow(t *testing.T) {
+	src := rowsMissing{benchPostings: benchPostings{cell: geo.Encode(benchCenter, 4)}, absent: 7}
+	for sid := 5; sid <= 9; sid++ {
+		src.list = append(src.list, invindex.Posting{TID: social.PostID(sid), TF: 1})
+	}
+	db, err := metadb.Load(metadb.DefaultOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}}, db, &thread.Bounds{}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Loc: benchCenter, RadiusKm: 5, Keywords: []string{"hotel"}, K: 3}
+	_, err = eng.gather(context.Background(), q)
+	if err == nil || !strings.Contains(err.Error(), "indexed tweet 7 missing") {
+		t.Fatalf("gather over a partition missing row 7: err = %v", err)
+	}
+
+	src.absent = 0
+	eng.SetPartitions([]Partition{{Source: src, Rows: src}})
+	cs, err := eng.gather(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cs.cands) != 5 || cs.cands[2].TID != 7 || cs.cands[2].UID != 7 || cs.cands[2].Delta != 1 {
+		t.Fatalf("candidates = %+v", cs.cands)
+	}
+	if cs.stats.DBBatchLookups != 0 {
+		t.Errorf("a partition with its own rows charged %d paged lookups", cs.stats.DBBatchLookups)
 	}
 }

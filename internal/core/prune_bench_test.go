@@ -10,6 +10,7 @@ import (
 	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/popcache"
+	"repro/internal/segment"
 	"repro/internal/social"
 	"repro/internal/telemetry"
 	"repro/internal/thread"
@@ -147,22 +148,46 @@ func BenchmarkRankSumPrunedPhase1(b *testing.B) {
 }
 
 // BenchmarkGatherFilter pushes 4096 merged postings through gather — one
-// postings list, so the merge is a copy and the filter (row resolution and
-// the radius check) is the work — once against the paged row store's
-// multi-get and once against the row-meta snapshot.
+// keyword, so the merge is a copy and the filter (row resolution and the
+// radius check) is the work — once against the paged row store's multi-get
+// (one partition, one postings list) and once against a segment store
+// holding the same rows in seven sealed segments plus a live memtable, each
+// partition resolving its own rows in one forward batch.
 func BenchmarkGatherFilter(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	posts := benchCorpus(rng, 2500, 4)
 	src := benchPostings{cell: geo.Encode(benchCenter, 4)}
+	matching := make(map[social.PostID]bool, 4096)
 	for i := 0; i < 4096; i++ {
-		src.list = append(src.list, invindex.Posting{TID: posts[i*len(posts)/4096].SID, TF: 1})
+		sid := posts[i*len(posts)/4096].SID
+		src.list = append(src.list, invindex.Posting{TID: sid, TF: 1})
+		matching[sid] = true
 	}
 	q := Query{Loc: benchCenter, RadiusKm: 15, Keywords: []string{"hotel"}, K: 5, Semantic: Or}
-	for _, resolver := range []string{"paged", "snapshot"} {
+	for _, resolver := range []string{"paged", "segment"} {
 		b.Run(resolver, func(b *testing.B) {
 			eng := benchEngine(b, posts, src)
-			if resolver == "snapshot" {
-				eng.DB.EnableRowMetaSnapshot()
+			if resolver == "segment" {
+				store, err := segment.OpenStore(b.TempDir(), segment.Options{GeohashLen: 4, MemtableRows: 2600})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer store.Close()
+				for _, p := range posts {
+					cp := *p
+					if !matching[p.SID] {
+						cp.Words = []string{"other"}
+					}
+					if _, err := store.Add(&cp); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var parts []Partition
+				for _, v := range store.Views() {
+					parts = append(parts, Partition{Source: v.Source, Rows: v.Source, MinSID: v.MinSID, MaxSID: v.MaxSID})
+				}
+				eng.SetPartitions(parts)
+				b.ReportMetric(float64(len(parts)), "partitions")
 			}
 			var kept int
 			b.ReportAllocs()

@@ -2,7 +2,8 @@ package core
 
 // Query processing is one pipeline. gather runs the shared front half of
 // Algorithms 4 and 5 — validate, stem, circle cover, postings retrieval,
-// AND/OR merge, window and radius filter — and hands every exit the same
+// then per time partition the AND/OR merge, the window filter, row
+// resolution and the radius filter — and hands every exit the same
 // candidateSet: the surviving tweets in ascending tweet-ID order and the
 // query's books. CandidateTweets returns the tweets as they are; Search and
 // SearchPartials call resolveUsers, which adds the set's dense user table
@@ -10,10 +11,8 @@ package core
 // pass the set to one ranker. No ranker builds a per-user map of its own.
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/geo"
@@ -116,14 +115,17 @@ func (e *Engine) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats
 const cancelCheckInterval = 64
 
 // gather is the one front half of every query: it validates and stems the
-// query, then runs circle cover (Algorithms 4 and 5 line 1), postings
-// retrieval (lines 4–7), AND/OR merging (lines 8–14) and the radius filter
-// (lines 15–17), plus the optional time-window filter of the temporal
-// extension. Postings retrieval fans out across the engine's worker pool;
-// results are assembled in job order, so candidate lists — and therefore
-// every downstream score — are identical to the sequential path's. Each
-// phase is recorded as a span; spans around parallel phases measure wall
-// time, not summed worker time.
+// query, runs circle cover (Algorithms 4 and 5 line 1) and postings
+// retrieval (lines 4–7) across the partitions the window admits, and then,
+// one partition at a time in time order, the AND/OR merge (lines 8–14), the
+// optional time-window filter of the temporal extension, row resolution and
+// the radius filter (lines 15–17). Postings retrieval fans out across the
+// engine's worker pool; results are assembled in job order. Partitions are
+// time-disjoint and ordered, so the per-partition survivors concatenate
+// into the global ascending candidate list — and every downstream score —
+// exactly as one merge over all partitions would produce it. Each phase is
+// recorded as a span; spans around parallel phases measure wall time, not
+// summed worker time.
 func (e *Engine) gather(ctx context.Context, q Query) (*candidateSet, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -163,121 +165,120 @@ func (e *Engine) gather(ctx context.Context, q Query) (*candidateSet, error) {
 	}
 	stopCover()
 
-	// Stage 2 — postings retrieval, then stage 3 — the AND/OR merge. Under
-	// UseBlockMax retrieval opens lazy iterators and the merge decodes block
-	// at a time (gatherBlockMax); otherwise every ⟨partition, term⟩ pair is
-	// one independent batch of DFS round trips, fanned across the pool, with
-	// per-term lists concatenated in (partition, term) order so the merge
-	// sees exactly the sequential path's input. Both produce the same
-	// candidates in the same order.
-	var merged []candidate
-	if e.Opts.UseBlockMax {
-		var err error
-		merged, err = e.gatherBlockMax(ctx, &cs.q, parts, &covers, terms, stats, rec)
+	// Stage 2 — postings retrieval: every ⟨partition, term⟩ pair is one
+	// independent batch of reads, fanned across the pool, opening one lazy
+	// iterator per non-empty ⟨cell, term⟩ list.
+	stopFetch := rec.Start(telemetry.StagePostingsFetch)
+	nJobs := len(parts) * len(terms)
+	opened := make([][]*invindex.PostingsIterator, nJobs)
+	counts := make([]int64, nJobs)
+	err := RunJobs(ctx, e.workers(), nJobs, func(ctx context.Context, i int) error {
+		part := parts[i/len(terms)]
+		its, n, err := openTermIterators(part.Source, covers.get(part.Source.GeohashLen()), terms[i%len(terms)])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		defer rec.Start(telemetry.StageCandidateFilter)()
-	} else {
-		stopFetch := rec.Start(telemetry.StagePostingsFetch)
-		nJobs := len(parts) * len(terms)
-		fetched := make([][]invindex.Posting, nJobs)
-		counts := make([]int64, nJobs)
-		err := RunJobs(ctx, e.workers(), nJobs, func(ctx context.Context, i int) error {
-			part := parts[i/len(terms)]
-			ps, n, err := termPostings(part.Source, covers.get(part.Source.GeohashLen()), terms[i%len(terms)])
-			if err != nil {
-				return err
-			}
-			fetched[i], counts[i] = ps, n
-			return nil
-		})
-		if err != nil {
-			stopFetch()
-			return nil, err
-		}
-		termLists := make([][]invindex.Posting, len(terms))
-		for i, ps := range fetched {
-			stats.PostingsFetched += counts[i]
-			ti := i % len(terms)
-			termLists[ti] = append(termLists[ti], ps...)
-		}
-		// Partitions are time-disjoint, so concatenation has no duplicate
-		// TIDs, but ordering across partitions must be restored.
-		if len(all) > 1 {
-			for ti := range termLists {
-				slices.SortFunc(termLists[ti], func(a, b invindex.Posting) int {
-					return cmp.Compare(a.TID, b.TID)
-				})
-			}
-		}
-		stopFetch()
-		defer rec.Start(telemetry.StageCandidateFilter)()
-		if q.Semantic == And {
-			merged = intersectPostings(termLists)
-		} else {
-			merged = unionPostings(termLists)
-		}
+		opened[i], counts[i] = its, n
+		return nil
+	})
+	stopFetch()
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range counts {
+		stats.PostingsFetched += n
 	}
 
-	if err := e.filter(cs, merged); err != nil {
-		return nil, err
+	// Stage 3 — merge and filter, per partition: jobs are partition-major,
+	// so a partition's per-term iterator lists are one run of opened. Every
+	// partition merges before any filters, so the candidate list is sized
+	// once, to the merged total it cannot exceed.
+	defer rec.Start(telemetry.StageCandidateFilter)()
+	merged, total := make([][]candidate, len(parts)), 0
+	for pi := range parts {
+		termIts := opened[pi*len(terms) : (pi+1)*len(terms)]
+		if q.Semantic == And {
+			merged[pi] = intersectIterators(termIts)
+		} else {
+			merged[pi] = unionIterators(termIts)
+		}
+		if err := closeIterators(termIts, stats); err != nil {
+			return nil, err
+		}
+		total += len(merged[pi])
+	}
+	cs.cands = make([]CandidateTweet, 0, total)
+	for pi, part := range parts {
+		if err := e.filter(cs, part, merged[pi]); err != nil {
+			return nil, err
+		}
 	}
 	stats.Candidates = len(cs.cands)
 	return cs, ctx.Err()
 }
 
-// filter is the tail of gather: the window filter, the metadata lookup and
-// the exact radius check over the merged postings. The window test (a pure
-// SID comparison) runs first so only surviving rows are resolved. Rows come
-// from one resolver: the row-meta snapshot when the DB has one — the same
-// float64 coordinates the row store holds, without a B⁺-tree descent and
-// page read per posting (at city radii most merged postings are resolved
-// only to be rejected) — and otherwise one multi-get over every survivor,
-// dozens of shared data pages instead of one descent each. Either way the
-// rest is in-memory arithmetic, and candidates come out in merge order.
-func (e *Engine) filter(cs *candidateSet, merged []candidate) error {
-	q, metric := &cs.q, e.Opts.Params.Metric
-	if q.TimeWindow != nil {
+// filter is the tail of gather for one partition: the window filter, row
+// resolution and the exact radius check over the partition's merged
+// postings. The window test (a pure SID comparison) runs first so only
+// surviving rows are resolved, and those resolve in one ascending batch
+// against the partition that produced them — a forward walk over a
+// segment's or the memtable's own rows, or, for a partition that keeps
+// none, one multi-get against the paged row store (dozens of shared data
+// pages instead of one descent each). The rest is in-memory arithmetic, and
+// survivors are appended in merge order.
+func (e *Engine) filter(cs *candidateSet, part *Partition, merged []candidate) error {
+	if w := cs.q.TimeWindow; w != nil {
 		inWindow := merged[:0]
 		for _, c := range merged {
-			if q.TimeWindow.contains(c.tid) {
+			if w.contains(c.tid) {
 				inWindow = append(inWindow, c)
 			}
 		}
 		merged = inWindow
 	}
-	var resolve func(i int) (metadb.RowMeta, bool) // merged[i]'s location and author
-	if ms := e.DB.RowMetaSnapshot(); ms != nil {
-		resolve = func(i int) (metadb.RowMeta, bool) { return ms.Get(merged[i].tid) }
-	} else {
-		sids := make([]social.PostID, len(merged))
-		for i, c := range merged {
-			sids[i] = c.tid
-		}
+	sids := make([]social.PostID, len(merged))
+	for i, c := range merged {
+		sids[i] = c.tid
+	}
+	if part.Rows == nil {
 		rows, found, bs := e.DB.GetBySIDBatch(sids)
 		cs.stats.DBBatchLookups += bs.Lookups
 		cs.stats.DBPagesSaved += bs.PagesSaved
-		resolve = func(i int) (metadb.RowMeta, bool) {
-			return metadb.RowMeta{Lat: rows[i].Lat, Lon: rows[i].Lon, UID: rows[i].UID}, found[i]
+		for i, c := range merged {
+			if !found[i] {
+				return errRowMissing(c.tid)
+			}
+			cs.admit(c, rows[i].Loc(), rows[i].UID, e.Opts.Params.Metric)
 		}
+		return nil
 	}
-	cs.cands = make([]CandidateTweet, 0, len(merged))
+	rows := make([]metadb.RowMeta, len(merged))
+	if miss := part.Rows.ResolveRows(sids, rows); miss >= 0 {
+		return errRowMissing(sids[miss])
+	}
 	for i, c := range merged {
-		m, ok := resolve(i)
-		if !ok {
-			return fmt.Errorf("core: indexed tweet %d missing from metadata db", c.tid)
-		}
-		loc := geo.Point{Lat: m.Lat, Lon: m.Lon}
-		if metric.DistanceKm(q.Loc, loc) > q.RadiusKm {
-			continue // cover cells may stick out of the circle
-		}
-		cs.cands = append(cs.cands, CandidateTweet{
-			TID: c.tid, UID: m.UID, Matches: c.matches,
-			Delta: score.TweetDistance(loc, q.Loc, q.RadiusKm, metric),
-		})
+		cs.admit(c, geo.Point{Lat: rows[i].Lat, Lon: rows[i].Lon}, rows[i].UID, e.Opts.Params.Metric)
 	}
 	return nil
+}
+
+// errRowMissing reports a posting whose row its partition could not resolve:
+// the index and the row store disagree.
+func errRowMissing(sid social.PostID) error {
+	return fmt.Errorf("core: indexed tweet %d missing from metadata db", sid)
+}
+
+// admit runs the exact radius check on one resolved posting — cover cells
+// may stick out of the circle — and appends the survivor, its δ(p,q)
+// (Definition 5) derived from the distance the check already computed.
+func (cs *candidateSet) admit(c candidate, loc geo.Point, uid social.UserID, metric geo.Metric) {
+	d := metric.DistanceKm(cs.q.Loc, loc)
+	if d > cs.q.RadiusKm {
+		return
+	}
+	cs.cands = append(cs.cands, CandidateTweet{
+		TID: c.tid, UID: uid, Matches: c.matches, Delta: score.DistanceScore(d, cs.q.RadiusKm),
+	})
 }
 
 // resolveUsers builds the set's user table — one row per distinct user in
@@ -340,13 +341,13 @@ func (e *Engine) resolveUsers(ctx context.Context, cs *candidateSet) error {
 
 // rankSum is the back half of Algorithm 4: per-candidate thread scoring
 // accumulated per user (Definition 7), then the combined user score
-// (Definition 10), sort, top k. With block-max traversal and pruning both
-// enabled, rankSumPruned takes over: same results, but users provably
-// outside the top k are never thread-scored. The exhaustive form is the
+// (Definition 10), sort, top k. With pruning enabled rankSumPruned takes
+// over: same results, but users provably outside the top k are never
+// thread-scored. The exhaustive form is the
 // one-shard case of the scatter-gather reduction: score every candidate as
 // a shard would, then reduce exactly as the router does.
 func (e *Engine) rankSum(ctx context.Context, cs *candidateSet) ([]UserResult, error) {
-	if e.Opts.UseBlockMax && e.Opts.UsePruning {
+	if e.Opts.UsePruning {
 		return e.rankSumPruned(ctx, cs)
 	}
 	one := &Partials{ExactDistance: e.Opts.ExactUserDistance, Users: e.userPartials(cs)}

@@ -8,8 +8,8 @@ package invindex
 // precursor of the on-disk immutable-segment block header: the directory is
 // exactly what a segment's skip index will persist.
 //
-// Wire layout (referenced by an entryRef with the blocked flag set; the
-// flat layout of EncodePostingsList remains the compatibility/oracle path):
+// Wire layout — the one postings codec; every entryRef and every segment
+// key points at a payload of this shape:
 //
 //	uvarint total                  // postings in the whole list
 //	uvarint nblocks
@@ -23,8 +23,8 @@ package invindex
 //	    uvarint tf                 // first posting; its TID is minSID
 //	    (count−1) × { uvarint tidDelta (>0), uvarint tf }
 //
-// Both layouts lead with the same uvarint total, so PostingsListCount reads
-// the length of either without decoding any entries.
+// The payload leads with the uvarint total, so PostingsListCount reads the
+// length of a list without decoding any entries.
 
 import (
 	"encoding/binary"
@@ -55,6 +55,16 @@ type blockRef struct {
 	minSID, maxSID social.PostID
 	maxTF          uint32
 	off, length    int
+}
+
+// PostingsListCount reads just the leading total of an encoded postings
+// list, without decoding the directory or any entries.
+func PostingsListCount(b []byte) (int, error) {
+	count, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, fmt.Errorf("invindex: bad postings count")
+	}
+	return int(count), nil
 }
 
 // EncodeBlockedPostingsList serializes a TID-sorted postings list in the
@@ -226,8 +236,8 @@ func decodeBlock(data []byte, ref blockRef, dst []Posting) ([]Posting, error) {
 }
 
 // DecodeBlockedPostingsList fully decodes a blocked payload. It is the
-// eager counterpart of the iterator, used by FetchPostings (the oracle
-// path) and by round-trip tests.
+// eager counterpart of the iterator, used by FetchPostings (sources
+// without a lazy iterator, compaction, tooling) and by round-trip tests.
 func DecodeBlockedPostingsList(b []byte) ([]Posting, error) {
 	total, refs, data, err := parseBlockedDirectory(b)
 	if err != nil {
@@ -281,8 +291,8 @@ func NewBlockedIterator(b []byte) (*PostingsIterator, error) {
 }
 
 // NewSliceIterator wraps an already-decoded postings list as a one-block
-// iterator with exact metadata — the compatibility path for flat lists and
-// for in-memory postings sources.
+// iterator with exact metadata — the adapter for in-memory postings
+// sources (the memtable, test sources).
 func NewSliceIterator(ps []Posting) *PostingsIterator {
 	if len(ps) == 0 {
 		return &PostingsIterator{}

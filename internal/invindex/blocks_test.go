@@ -257,8 +257,9 @@ func TestIteratorSkipAccounting(t *testing.T) {
 	}
 }
 
-// TestFlatIteratorCompat checks the single-block compatibility path used
-// for flat lists and in-memory postings sources.
+// TestFlatIteratorCompat checks the single-block slice iterator that adapts
+// already-decoded lists (the memtable's, a fetch-only source's) to the lazy
+// merges.
 func TestFlatIteratorCompat(t *testing.T) {
 	if it := NewSliceIterator(nil); it.Valid() || it.Len() != 0 {
 		t.Fatal("empty slice iterator should start exhausted")
@@ -277,84 +278,45 @@ func TestFlatIteratorCompat(t *testing.T) {
 	}
 }
 
-// TestFetchDispatch builds a blocked index, re-encodes every list flat
-// into a hand-assembled second index (the layout TKFWD1 images carry), and
-// checks FetchPostings and OpenPostings agree between formats.
+// TestFetchDispatch builds a multi-block index and checks its two read
+// paths agree on every key: FetchPostings' eager decode, the sequence
+// OpenPostings' lazy iterator yields, and the forward index's count.
 func TestFetchDispatch(t *testing.T) {
 	posts := testCorpus(t, 300)
-	fsB := dfs.New(dfs.DefaultOptions())
-	optsB := DefaultBuildOptions()
-	optsB.BlockSize = 16 // small blocks so multi-block lists exist
-	idxB, _, err := Build(fsB, posts, optsB)
+	opts := DefaultBuildOptions()
+	opts.BlockSize = 16 // small blocks so multi-block lists exist
+	idx, _, err := Build(dfs.New(dfs.DefaultOptions()), posts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsF := dfs.New(dfs.DefaultOptions())
-	idxF := &Index{fs: fsF, geohashLen: optsB.GeohashLen, forward: map[Key]entryRef{}}
-	w, err := fsF.Create("index/part-00000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range idxB.Keys() {
-		ps, err := idxB.FetchPostings(k.Geohash, k.Term)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := EncodePostingsList(ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idxF.forward[k] = entryRef{file: "index/part-00000", offset: w.Offset(), length: int64(len(enc)), count: len(ps)}
-		if _, err := w.Write(enc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	keys := idxB.Keys()
+	keys := idx.Keys()
 	if len(keys) == 0 {
 		t.Fatal("no keys built")
 	}
 	for _, k := range keys {
-		pb, err := idxB.FetchPostings(k.Geohash, k.Term)
+		ps, err := idx.FetchPostings(k.Geohash, k.Term)
 		if err != nil {
-			t.Fatalf("%v: blocked fetch: %v", k, err)
+			t.Fatalf("%v: fetch: %v", k, err)
 		}
-		pf, err := idxF.FetchPostings(k.Geohash, k.Term)
+		if got := idx.PostingsCount(k.Geohash, k.Term); got != len(ps) {
+			t.Fatalf("%v: PostingsCount %d, want %d", k, got, len(ps))
+		}
+		it, err := idx.OpenPostings(k.Geohash, k.Term)
 		if err != nil {
-			t.Fatalf("%v: flat fetch: %v", k, err)
+			t.Fatalf("%v: open: %v", k, err)
 		}
-		if len(pb) != len(pf) {
-			t.Fatalf("%v: blocked %d postings, flat %d", k, len(pb), len(pf))
-		}
-		for i := range pb {
-			if pb[i] != pf[i] {
-				t.Fatalf("%v: posting %d differs: %v vs %v", k, i, pb[i], pf[i])
-			}
-		}
-		if got := idxB.PostingsCount(k.Geohash, k.Term); got != len(pb) {
-			t.Fatalf("%v: PostingsCount %d, want %d", k, got, len(pb))
-		}
-		// The lazy iterator must yield the same sequence over either layout.
-		for _, idx := range []*Index{idxB, idxF} {
-			it, err := idx.OpenPostings(k.Geohash, k.Term)
-			if err != nil {
-				t.Fatalf("%v: open: %v", k, err)
-			}
-			for i := 0; ; i++ {
-				p, ok := it.Cur()
-				if !ok {
-					if i != len(pb) {
-						t.Fatalf("%v: iterator ended at %d of %d", k, i, len(pb))
-					}
-					break
+		for i := 0; ; i++ {
+			p, ok := it.Cur()
+			if !ok {
+				if i != len(ps) {
+					t.Fatalf("%v: iterator ended at %d of %d", k, i, len(ps))
 				}
-				if p != pb[i] {
-					t.Fatalf("%v: iterator posting %d = %v, want %v", k, i, p, pb[i])
-				}
-				it.Next()
+				break
 			}
+			if p != ps[i] {
+				t.Fatalf("%v: iterator posting %d = %v, want %v", k, i, p, ps[i])
+			}
+			it.Next()
 		}
 	}
 }
@@ -400,74 +362,6 @@ func TestPersistBlockedRoundTrip(t *testing.T) {
 		if it.Len() != len(want) {
 			t.Fatalf("%v: reloaded iterator Len %d, want %d", k, it.Len(), len(want))
 		}
-	}
-}
-
-// TestLoadIndexV1Compat hand-writes a TKFWD1 stream (no flags field) and
-// checks it still loads, with every entry treated as flat.
-func TestLoadIndexV1Compat(t *testing.T) {
-	fsys := dfs.New(dfs.DefaultOptions())
-	ps := []Posting{{TID: 1, TF: 1}, {TID: 4, TF: 2}}
-	enc, err := EncodePostingsList(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := fsys.Create("index/part-00000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(enc); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	buf.WriteString("TKFWD1")
-	wv := func(v uint64) {
-		var tmp [10]byte
-		n := 0
-		for {
-			b := byte(v & 0x7f)
-			v >>= 7
-			if v != 0 {
-				tmp[n] = b | 0x80
-			} else {
-				tmp[n] = b
-			}
-			n++
-			if v == 0 {
-				break
-			}
-		}
-		buf.Write(tmp[:n])
-	}
-	ws := func(s string) { wv(uint64(len(s))); buf.WriteString(s) }
-	wv(4) // geohash length
-	wv(1) // entries
-	ws("gbsu")
-	ws("pub")
-	ws("index/part-00000")
-	wv(0)                // offset
-	wv(uint64(len(enc))) // length
-	wv(2)                // count
-	// no flags field in v1
-
-	idx, err := LoadIndex(fsys, &buf)
-	if err != nil {
-		t.Fatalf("v1 load: %v", err)
-	}
-	got, err := idx.FetchPostings("gbsu", "pub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != ps[0] || got[1] != ps[1] {
-		t.Fatalf("v1 postings %v, want %v", got, ps)
-	}
-	it, err := idx.OpenPostings("gbsu", "pub")
-	if err != nil || it == nil || it.Len() != 2 {
-		t.Fatalf("v1 open: it=%v err=%v", it, err)
 	}
 }
 

@@ -44,11 +44,10 @@ type BuildStats struct {
 
 // entryRef locates one postings list inside the DFS.
 type entryRef struct {
-	file    string
-	offset  int64
-	length  int64
-	count   int  // number of postings, exposed for stats and planning
-	blocked bool // payload uses the blocked layout (block directory + bodies)
+	file   string
+	offset int64
+	length int64
+	count  int // number of postings, exposed for stats and planning
 }
 
 // Index is the queryable hybrid index. After Build it is read-only and
@@ -151,10 +150,7 @@ func Build(fsys *dfs.FS, posts []*social.Post, opts BuildOptions) (*Index, *Buil
 			}
 			placements = append(placements, placed{
 				key: kv.Key,
-				ref: entryRef{
-					file: name, offset: off, length: int64(len(kv.Value)),
-					count: count, blocked: true,
-				},
+				ref: entryRef{file: name, offset: off, length: int64(len(kv.Value)), count: count},
 			})
 			postingsBytes += int64(len(kv.Value))
 		}
@@ -217,17 +213,12 @@ func Build(fsys *dfs.FS, posts []*social.Post, opts BuildOptions) (*Index, *Buil
 
 // encodeRef serializes an entryRef for the forward-index job.
 func encodeRef(r entryRef) []byte {
-	blocked := 0
-	if r.blocked {
-		blocked = 1
-	}
-	buf := []byte(fmt.Sprintf("%s\x00%d\x00%d\x00%d\x00%d", r.file, r.offset, r.length, r.count, blocked))
-	return buf
+	return []byte(fmt.Sprintf("%s\x00%d\x00%d\x00%d", r.file, r.offset, r.length, r.count))
 }
 
 func decodeRef(b []byte) (entryRef, error) {
 	var r entryRef
-	parts := splitNul(string(b), 5)
+	parts := splitNul(string(b), 4)
 	if parts == nil {
 		return r, fmt.Errorf("invindex: malformed ref %q", b)
 	}
@@ -241,11 +232,6 @@ func decodeRef(b []byte) (entryRef, error) {
 	if _, err := fmt.Sscanf(parts[3], "%d", &r.count); err != nil {
 		return r, err
 	}
-	var blocked int
-	if _, err := fmt.Sscanf(parts[4], "%d", &blocked); err != nil {
-		return r, err
-	}
-	r.blocked = blocked != 0
 	return r, nil
 }
 

@@ -1,60 +1,6 @@
 package invindex
 
-import (
-	"testing"
-
-	"repro/internal/social"
-)
-
-// FuzzDecodePostingsList checks the decoder never panics on arbitrary
-// bytes, and that decoding a valid encoding round-trips.
-func FuzzDecodePostingsList(f *testing.F) {
-	valid, _ := EncodePostingsList([]Posting{{TID: 5, TF: 2}, {TID: 9, TF: 1}})
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte{0})
-	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ps, err := DecodePostingsList(data)
-		if err != nil {
-			return
-		}
-		// Anything that decodes must re-encode and decode to the same list
-		// (unless the decoded list violates the sortedness invariant, in
-		// which case encoding must refuse it).
-		var prev social.PostID
-		sorted := true
-		for i, p := range ps {
-			if i > 0 && p.TID <= prev {
-				sorted = false
-				break
-			}
-			prev = p.TID
-		}
-		enc, err := EncodePostingsList(ps)
-		if !sorted {
-			if err == nil {
-				t.Fatal("encoder accepted unsorted postings")
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		back, err := DecodePostingsList(enc)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(back) != len(ps) {
-			t.Fatalf("round trip changed length: %d vs %d", len(back), len(ps))
-		}
-		for i := range ps {
-			if back[i] != ps[i] {
-				t.Fatalf("round trip changed posting %d", i)
-			}
-		}
-	})
-}
+import "testing"
 
 // FuzzDecodeBlockedPostingsList checks the blocked decoder never panics on
 // arbitrary bytes, that whatever decodes re-encodes losslessly, and that

@@ -13,6 +13,9 @@ import (
 	"repro/internal/social"
 )
 
+// TestPostingsCodecRoundTrip pins the postings codec's edge inputs — the
+// empty list, one posting, wide TID gaps, TIDs beyond 2^40 — at block sizes
+// that put them in one block and in one block each.
 func TestPostingsCodecRoundTrip(t *testing.T) {
 	lists := [][]Posting{
 		nil,
@@ -20,49 +23,53 @@ func TestPostingsCodecRoundTrip(t *testing.T) {
 		{{TID: 1, TF: 3}, {TID: 2, TF: 1}, {TID: 1000000, TF: 7}},
 		{{TID: 1 << 40, TF: 1}, {TID: 1<<40 + 1, TF: 2}},
 	}
-	for _, ps := range lists {
-		enc, err := EncodePostingsList(ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := DecodePostingsList(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dec) != len(ps) {
-			t.Fatalf("round trip length %d != %d", len(dec), len(ps))
-		}
-		for i := range ps {
-			if dec[i] != ps[i] {
-				t.Fatalf("round trip mismatch at %d: %v != %v", i, dec[i], ps[i])
+	for _, blockSize := range []int{0, 1} {
+		for _, ps := range lists {
+			enc, err := EncodeBlockedPostingsList(ps, blockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeBlockedPostingsList(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(dec) != len(ps) {
+				t.Fatalf("round trip length %d != %d", len(dec), len(ps))
+			}
+			for i := range ps {
+				if dec[i] != ps[i] {
+					t.Fatalf("round trip mismatch at %d: %v != %v", i, dec[i], ps[i])
+				}
 			}
 		}
 	}
 }
 
 func TestEncodeRejectsUnsorted(t *testing.T) {
-	if _, err := EncodePostingsList([]Posting{{TID: 2, TF: 1}, {TID: 1, TF: 1}}); err == nil {
-		t.Error("unsorted postings accepted")
-	}
-	if _, err := EncodePostingsList([]Posting{{TID: 2, TF: 1}, {TID: 2, TF: 1}}); err == nil {
-		t.Error("duplicate TIDs accepted")
+	for _, blockSize := range []int{0, 1} { // within one block, and across a block boundary
+		if _, err := EncodeBlockedPostingsList([]Posting{{TID: 2, TF: 1}, {TID: 1, TF: 1}}, blockSize); err == nil {
+			t.Errorf("block size %d: unsorted postings accepted", blockSize)
+		}
+		if _, err := EncodeBlockedPostingsList([]Posting{{TID: 2, TF: 1}, {TID: 2, TF: 1}}, blockSize); err == nil {
+			t.Errorf("block size %d: duplicate TIDs accepted", blockSize)
+		}
 	}
 }
 
 func TestDecodeCorruptData(t *testing.T) {
-	valid, _ := EncodePostingsList([]Posting{{TID: 5, TF: 2}, {TID: 9, TF: 1}})
+	valid, _ := EncodeBlockedPostingsList([]Posting{{TID: 5, TF: 2}, {TID: 9, TF: 1}, {TID: 11, TF: 4}}, 2)
 	for cut := 1; cut < len(valid); cut++ {
-		if _, err := DecodePostingsList(valid[:cut]); err == nil {
+		if _, err := DecodeBlockedPostingsList(valid[:cut]); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
 	}
-	if _, err := DecodePostingsList(nil); err == nil {
+	if _, err := DecodeBlockedPostingsList(nil); err == nil {
 		t.Error("empty buffer accepted")
 	}
 }
 
 func TestPostingsCodecQuick(t *testing.T) {
-	f := func(tids []uint32, tfs []uint8) bool {
+	f := func(tids []uint32, tfs []uint8, blockSize uint8) bool {
 		// Build a strictly increasing TID list.
 		var ps []Posting
 		var prev social.PostID
@@ -74,11 +81,11 @@ func TestPostingsCodecQuick(t *testing.T) {
 			}
 			ps = append(ps, Posting{TID: prev, TF: tf})
 		}
-		enc, err := EncodePostingsList(ps)
+		enc, err := EncodeBlockedPostingsList(ps, int(blockSize))
 		if err != nil {
 			return false
 		}
-		dec, err := DecodePostingsList(enc)
+		dec, err := DecodeBlockedPostingsList(enc)
 		if err != nil {
 			return false
 		}

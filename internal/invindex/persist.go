@@ -2,7 +2,9 @@ package invindex
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -12,16 +14,19 @@ import (
 // The forward index persists as a compact binary stream: a magic header,
 // the geohash length, the entry count, then per entry the key (length-
 // prefixed geohash and term) and the postings-list location (file name,
-// offset, length, count, and — since TKFWD2 — a flags uvarint whose bit 0
-// marks a blocked payload). The postings themselves live in the DFS image.
-// TKFWD1 images (no flags field, every list flat) still load.
+// offset, length, count, and a flags uvarint whose bit 0 marks a blocked
+// payload). The postings themselves live in the DFS image. The magic ends
+// in the format's version digit: another version fails LoadIndex with
+// ErrFormatVersion, and an entry with the blocked bit clear is corruption —
+// the blocked layout is the only postings codec.
 
-var (
-	forwardMagic   = []byte("TKFWD2")
-	forwardMagicV1 = []byte("TKFWD1")
-)
+var forwardMagic = []byte("TKFWD2")
 
 const refFlagBlocked = 1 << 0
+
+// ErrFormatVersion reports a forward-index stream of another format
+// version: well-formed, but not readable by this build.
+var ErrFormatVersion = errors.New("invindex: unsupported forward index format version")
 
 // SaveForward writes the in-memory forward index to w.
 func (idx *Index) SaveForward(w io.Writer) error {
@@ -38,11 +43,7 @@ func (idx *Index) SaveForward(w io.Writer) error {
 		writeUvarint(bw, uint64(ref.offset))
 		writeUvarint(bw, uint64(ref.length))
 		writeUvarint(bw, uint64(ref.count))
-		var flags uint64
-		if ref.blocked {
-			flags |= refFlagBlocked
-		}
-		writeUvarint(bw, flags)
+		writeUvarint(bw, refFlagBlocked)
 	}
 	return bw.Flush()
 }
@@ -55,8 +56,10 @@ func LoadIndex(fsys *dfs.FS, r io.Reader) (*Index, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("invindex: reading magic: %w", err)
 	}
-	v1 := string(magic) == string(forwardMagicV1)
-	if !v1 && string(magic) != string(forwardMagic) {
+	if !bytes.Equal(magic, forwardMagic) {
+		if v := len(magic) - 1; bytes.Equal(magic[:v], forwardMagic[:v]) {
+			return nil, fmt.Errorf("%w: image is %q, this build reads %q", ErrFormatVersion, magic, forwardMagic)
+		}
 		return nil, fmt.Errorf("invindex: bad forward index magic %q", magic)
 	}
 	geohashLen, err := readUvarint(br)
@@ -94,12 +97,12 @@ func LoadIndex(fsys *dfs.FS, r io.Reader) (*Index, error) {
 			}
 		}
 		ref.offset, ref.length, ref.count = int64(vals[0]), int64(vals[1]), int(vals[2])
-		if !v1 {
-			flags, err := readUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			ref.blocked = flags&refFlagBlocked != 0
+		flags, err := readUvarint(br)
+		if err != nil {
+			return nil, err
+		}
+		if flags&refFlagBlocked == 0 {
+			return nil, fmt.Errorf("invindex: entry %q is not in the blocked postings layout", k.String())
 		}
 		if !fsys.Exists(ref.file) {
 			return nil, fmt.Errorf("invindex: postings file %q missing from DFS", ref.file)

@@ -2,6 +2,7 @@ package invindex
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/dfs"
@@ -54,6 +55,19 @@ func TestLoadIndexRejectsCorruption(t *testing.T) {
 	bad := append([]byte("XXXXXX"), full[6:]...)
 	if _, err := LoadIndex(fsys, bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic accepted")
+	}
+	// Another format version: typed, so a snapshot loader can tell "not
+	// ours" from "damaged".
+	older := append([]byte("TKFWD1"), full[6:]...)
+	if _, err := LoadIndex(fsys, bytes.NewReader(older)); !errors.Is(err, ErrFormatVersion) {
+		t.Errorf("version-1 magic: err = %v, want ErrFormatVersion", err)
+	}
+	// An entry whose blocked bit is clear (the stream's last byte is the
+	// last entry's flags): the flat layout is not readable.
+	flat := append([]byte(nil), full...)
+	flat[len(flat)-1] = 0
+	if _, err := LoadIndex(fsys, bytes.NewReader(flat)); err == nil || errors.Is(err, ErrFormatVersion) {
+		t.Errorf("entry without the blocked bit: err = %v, want a corruption error", err)
 	}
 	// Truncations at various points.
 	for _, cut := range []int{0, 3, 7, len(full) / 2, len(full) - 1} {

@@ -66,66 +66,6 @@ func decodePosting(b []byte) (Posting, error) {
 	return Posting{TID: social.PostID(tid), TF: uint32(tf)}, nil
 }
 
-// EncodePostingsList serializes a postings list sorted by TID:
-// a varint count followed by delta-encoded TIDs and raw TF varints.
-// Delta encoding exploits the sortedness the reduce phase guarantees.
-func EncodePostingsList(ps []Posting) ([]byte, error) {
-	buf := make([]byte, 0, 2+len(ps)*3)
-	buf = binary.AppendUvarint(buf, uint64(len(ps)))
-	var prev social.PostID
-	for i, p := range ps {
-		if i > 0 && p.TID <= prev {
-			return nil, fmt.Errorf("invindex: postings not strictly sorted at %d (%d after %d)",
-				i, p.TID, prev)
-		}
-		buf = binary.AppendUvarint(buf, uint64(p.TID-prev))
-		buf = binary.AppendUvarint(buf, uint64(p.TF))
-		prev = p.TID
-	}
-	return buf, nil
-}
-
-// PostingsListCount reads just the leading count of an encoded postings
-// list, without decoding the entries.
-func PostingsListCount(b []byte) (int, error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, fmt.Errorf("invindex: bad postings count")
-	}
-	return int(count), nil
-}
-
-// DecodePostingsList inverts EncodePostingsList.
-func DecodePostingsList(b []byte) ([]Posting, error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("invindex: bad postings count")
-	}
-	b = b[n:]
-	// Each posting occupies at least two bytes, so a count exceeding the
-	// remaining payload is corruption; checking up front also stops a
-	// hostile header from forcing a giant allocation.
-	if count > uint64(len(b))/2 {
-		return nil, fmt.Errorf("invindex: postings count %d exceeds payload %d", count, len(b))
-	}
-	out := make([]Posting, 0, count)
-	var prev uint64
-	for i := uint64(0); i < count; i++ {
-		delta, n1 := binary.Uvarint(b)
-		if n1 <= 0 {
-			return nil, fmt.Errorf("invindex: truncated tid at posting %d", i)
-		}
-		tf, n2 := binary.Uvarint(b[n1:])
-		if n2 <= 0 {
-			return nil, fmt.Errorf("invindex: truncated tf at posting %d", i)
-		}
-		prev += delta
-		out = append(out, Posting{TID: social.PostID(prev), TF: uint32(tf)})
-		b = b[n1+n2:]
-	}
-	return out, nil
-}
-
 // sortPostings orders a list by TID, merging duplicate TIDs by summing
 // their term frequencies (a tweet emits one posting per term, so duplicates
 // only arise from pathological inputs; summing keeps the bag semantics).

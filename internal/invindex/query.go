@@ -24,8 +24,8 @@ func (idx *Index) PostingsCount(geohash, term string) int {
 // FetchPostings retrieves the postings list for ⟨geohash, term⟩ from the
 // DFS, or nil if the key has no postings. Each call models one random
 // access to the inverted index ("Random access to inverted index in HDFS
-// is disk-based", Section VI-B1). Blocked payloads are decoded eagerly;
-// use OpenPostings to decode lazily under block skipping.
+// is disk-based", Section VI-B1). The payload is decoded eagerly; use
+// OpenPostings to decode lazily under block skipping.
 func (idx *Index) FetchPostings(geohash, term string) ([]Posting, error) {
 	ref, ok := idx.forward[Key{Geohash: geohash, Term: term}]
 	if !ok {
@@ -36,18 +36,14 @@ func (idx *Index) FetchPostings(geohash, term string) ([]Posting, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ref.blocked {
-		return DecodeBlockedPostingsList(raw)
-	}
-	return DecodePostingsList(raw)
+	return DecodeBlockedPostingsList(raw)
 }
 
 // OpenPostings fetches the postings payload for ⟨geohash, term⟩ — one
 // random access, exactly like FetchPostings — but returns a lazy iterator
-// instead of decoding every entry. Blocked payloads decode one block at a
-// time as the cursor touches them; flat payloads fall back to a fully
-// decoded single-block iterator (the compatibility path). Returns nil with
-// no error when the key has no postings.
+// instead of decoding every entry: blocks decode one at a time as the
+// cursor touches them. Returns nil with no error when the key has no
+// postings.
 func (idx *Index) OpenPostings(geohash, term string) (*PostingsIterator, error) {
 	ref, ok := idx.forward[Key{Geohash: geohash, Term: term}]
 	if !ok {
@@ -58,14 +54,7 @@ func (idx *Index) OpenPostings(geohash, term string) (*PostingsIterator, error) 
 	if err != nil {
 		return nil, err
 	}
-	if ref.blocked {
-		return NewBlockedIterator(raw)
-	}
-	ps, err := DecodePostingsList(raw)
-	if err != nil {
-		return nil, err
-	}
-	return NewSliceIterator(ps), nil
+	return NewBlockedIterator(raw)
 }
 
 // Keys returns every forward-index key in sorted (geohash-major) order.

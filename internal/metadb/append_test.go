@@ -1,6 +1,7 @@
 package metadb
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -41,15 +42,19 @@ func TestAppendVisibleToReaders(t *testing.T) {
 
 func TestAppendOrderAndFreezeRules(t *testing.T) {
 	db := buildDB(t, []*social.Post{mkPost(5, 1, social.NoPost, 0)}, DefaultOptions())
-	if err := db.Append(mkPost(5, 2, social.NoPost, 0)); err == nil {
-		t.Error("append with duplicate SID accepted")
+	// The post's own fault is typed ErrRejected; the database's is not.
+	if err := db.Append(mkPost(5, 2, social.NoPost, 0)); !errors.Is(err, ErrRejected) {
+		t.Errorf("append with duplicate SID: err = %v, want ErrRejected", err)
 	}
-	if err := db.Append(mkPost(3, 2, social.NoPost, 0)); err == nil {
-		t.Error("append with out-of-order SID accepted")
+	if err := db.Append(mkPost(3, 2, social.NoPost, 0)); !errors.Is(err, ErrRejected) {
+		t.Errorf("append with out-of-order SID: err = %v, want ErrRejected", err)
+	}
+	if err := db.Append(&social.Post{SID: 9}); !errors.Is(err, ErrRejected) {
+		t.Errorf("append of a post without an author: err = %v, want ErrRejected", err)
 	}
 	unfrozen := New(DefaultOptions())
-	if err := unfrozen.Append(mkPost(1, 1, social.NoPost, 0)); err == nil {
-		t.Error("append before freeze accepted")
+	if err := unfrozen.Append(mkPost(1, 1, social.NoPost, 0)); err == nil || errors.Is(err, ErrRejected) {
+		t.Errorf("append before freeze: err = %v, want an untyped error", err)
 	}
 }
 

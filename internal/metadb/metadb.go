@@ -12,6 +12,7 @@
 package metadb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -107,8 +108,7 @@ type DB struct {
 	cache *pageCache
 	stats Stats
 
-	snapshot *ReplySnapshot   // CSR reply graph; nil until EnableReplySnapshot
-	rowMeta  *RowMetaSnapshot // SID → (loc, author); nil until EnableRowMetaSnapshot
+	snapshot *ReplySnapshot // CSR reply graph; nil until EnableReplySnapshot
 
 	maxFanout   int // t_m: max replies/forwards observed for one post
 	frozen      bool
@@ -213,16 +213,22 @@ func (db *DB) Freeze() {
 	db.frozen = true
 }
 
+// ErrRejected marks an Append refused because of the post itself — it fails
+// validation, or its SID is not beyond every stored one. The caller's data
+// is at fault, not the database (the HTTP server answers 400).
+var ErrRejected = errors.New("append rejected")
+
 // Append inserts one post into a frozen database — the live-ingest path
 // between batch index builds (Section IV-A collects tweets periodically;
 // the metadata relation is centralized, so replies and forwards can land
 // as they happen and immediately count toward thread popularity). Posts
 // must arrive in timestamp order: the SID has to exceed every stored SID,
-// which keeps the relation clustered on the primary key. Append is safe to
-// run concurrently with readers and with other Appends.
+// which keeps the relation clustered on the primary key; a post that breaks
+// the contract fails with ErrRejected. Append is safe to run concurrently
+// with readers and with other Appends.
 func (db *DB) Append(p *social.Post) error {
 	if err := p.Validate(); err != nil {
-		return err
+		return fmt.Errorf("metadb: %w: %v", ErrRejected, err)
 	}
 	db.structMu.Lock()
 	defer db.structMu.Unlock()
@@ -230,8 +236,8 @@ func (db *DB) Append(p *social.Post) error {
 		return fmt.Errorf("metadb: append before freeze (stage with Insert instead)")
 	}
 	if db.totalRows > 0 && p.SID <= db.maxSID {
-		return fmt.Errorf("metadb: append SID %d is not beyond max SID %d (posts arrive in timestamp order)",
-			p.SID, db.maxSID)
+		return fmt.Errorf("metadb: %w: SID %d is not beyond max SID %d (posts arrive in timestamp order)",
+			ErrRejected, p.SID, db.maxSID)
 	}
 	row := Row{
 		SID: p.SID, UID: p.UID,
@@ -256,9 +262,6 @@ func (db *DB) Append(p *social.Post) error {
 	}
 	db.sidIndex.Insert(int64(p.SID), int64(ordinal))
 	db.uidIndex.Insert(int64(p.UID), int64(p.SID))
-	if db.rowMeta != nil {
-		db.rowMeta.extend(p.SID, RowMeta{Lat: row.Lat, Lon: row.Lon, UID: row.UID})
-	}
 	if p.RSID != social.NoPost {
 		db.rsidIndex.Insert(int64(p.RSID), int64(p.SID))
 		if sids, _ := db.rsidIndex.GetCounted(int64(p.RSID)); len(sids) > db.maxFanout {

@@ -75,14 +75,16 @@ func Popularity(levelSizes []int, epsilon float64) float64 {
 // TweetDistance computes δ(p,q) (Definition 5): (r − dist)/r within the
 // radius, 0 outside. Its range is [0,1].
 func TweetDistance(postLoc, queryLoc geo.Point, radiusKm float64, m geo.Metric) float64 {
-	if radiusKm <= 0 {
+	return DistanceScore(m.DistanceKm(queryLoc, postLoc), radiusKm)
+}
+
+// DistanceScore is Definition 5 for a caller that already holds
+// distKm = ‖q.l, p.l‖ (the radius filter does): the one body of δ(p,q).
+func DistanceScore(distKm, radiusKm float64) float64 {
+	if radiusKm <= 0 || distKm > radiusKm {
 		return 0
 	}
-	d := m.DistanceKm(queryLoc, postLoc)
-	if d > radiusKm {
-		return 0
-	}
-	return (radiusKm - d) / radiusKm
+	return (radiusKm - distKm) / radiusKm
 }
 
 // KeywordRelevance computes ρ(p,q) (Definition 6): the bag-model count of

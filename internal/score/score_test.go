@@ -2,6 +2,7 @@ package score
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -75,6 +76,42 @@ func TestTweetDistanceRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDistanceScoreIsTweetDistance pins that the radius filter's δ(p,q) —
+// DistanceScore of the distance it already computed — and TweetDistance from
+// the two points are both bit-for-bit Definition 5 written out, for both
+// metrics, inside and outside the radius: ==, not a tolerance.
+func TestDistanceScoreIsTweetDistance(t *testing.T) {
+	definition5 := func(p, q geo.Point, r float64, m geo.Metric) float64 {
+		if r <= 0 {
+			return 0
+		}
+		d := m.DistanceKm(q, p)
+		if d > r {
+			return 0
+		}
+		return (r - d) / r
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []geo.Metric{geo.Haversine{}, geo.Equirectangular{}} {
+		for i := 0; i < 20000; i++ {
+			q := geo.Point{Lat: rng.Float64()*160 - 80, Lon: rng.Float64()*360 - 180}
+			// Mostly near the query, so a good share falls inside the radius.
+			p := geo.Point{Lat: q.Lat + rng.NormFloat64()*0.3, Lon: q.Lon + rng.NormFloat64()*0.3}
+			if !p.Valid() {
+				continue
+			}
+			r := rng.Float64() * 60
+			if i%100 == 0 {
+				r = 0
+			}
+			want := definition5(p, q, r, m)
+			if got, td := DistanceScore(m.DistanceKm(q, p), r), TweetDistance(p, q, r, m); got != want || td != want {
+				t.Fatalf("%T p=%v q=%v r=%v: DistanceScore %v, TweetDistance %v, Definition 5 %v", m, p, q, r, got, td, want)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"hash/crc32"
 	"testing"
 	"time"
+
+	"repro/internal/metadb"
+	"repro/internal/social"
 )
 
 // validSegmentBytes builds one well-formed segment image for the
@@ -141,7 +144,8 @@ func TestSegmentCorruptionConsistentCRC(t *testing.T) {
 
 // FuzzOpenSegmentBytes is the hostile-input harness: whatever the bytes,
 // OpenBytes must return a typed error or a segment that serves its
-// directory without panicking.
+// directory and its rows without panicking — a batch over every row's SID
+// resolves or names a miss inside the batch, never reads out of range.
 func FuzzOpenSegmentBytes(f *testing.F) {
 	valid := validSegmentBytes(f)
 	f.Add(valid)
@@ -167,8 +171,13 @@ func FuzzOpenSegmentBytes(f *testing.F) {
 				t.Fatalf("FetchPostings(%v) on opened segment: %v", k, err)
 			}
 		}
-		for i := 0; i < seg.NumRows(); i++ {
-			seg.RowAt(i)
+		sids := make([]social.PostID, seg.NumRows())
+		for i := range sids {
+			sids[i] = seg.RowAt(i).SID
+		}
+		// Hostile rows need not ascend, so a miss is legitimate here.
+		if miss := seg.ResolveRows(sids, make([]metadb.RowMeta, len(sids))); miss < -1 || miss >= len(sids) {
+			t.Fatalf("ResolveRows over %d rows reports miss index %d", len(sids), miss)
 		}
 	})
 }

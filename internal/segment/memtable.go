@@ -1,7 +1,9 @@
 package segment
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/geo"
@@ -102,24 +104,23 @@ func (m *Memtable) FetchPostings(geohash, term string) ([]invindex.Posting, erro
 	return m.postings[invindex.Key{Geohash: geohash, Term: term}], nil
 }
 
-// LookupRowMeta serves the row-metadata leg for still-unsealed posts.
-func (m *Memtable) LookupRowMeta(sid social.PostID) (metadb.RowMeta, bool) {
+// ResolveRows is Segment.ResolveRows for still-unsealed posts: one forward
+// pass over the buffered rows, each search starting where the previous one
+// ended, under one read lock for the batch.
+func (m *Memtable) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	lo, hi := 0, len(m.rows)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case m.rows[mid].SID < sid:
-			lo = mid + 1
-		case m.rows[mid].SID > sid:
-			hi = mid
-		default:
-			r := m.rows[mid]
-			return metadb.RowMeta{Lat: r.Lat, Lon: r.Lon, UID: r.UID}, true
+	bySID := func(r metadb.Row, sid social.PostID) int { return cmp.Compare(r.SID, sid) }
+	rest := m.rows
+	for i, sid := range sids {
+		j, found := slices.BinarySearchFunc(rest, sid, bySID)
+		if !found {
+			return i
 		}
+		out[i] = metadb.RowMeta{Lat: rest[j].Lat, Lon: rest[j].Lon, UID: rest[j].UID}
+		rest = rest[j:]
 	}
-	return metadb.RowMeta{}, false
+	return -1
 }
 
 // snapshot returns the rows and the sorted, blocked-encoded postings of

@@ -1,0 +1,193 @@
+package segment
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/metadb"
+	"repro/internal/social"
+)
+
+// checkBatch resolves sids (ascending) against one view in a single batch
+// and requires the outcome to agree, SID by SID, with the point lookup
+// Store.LookupRowMeta and with the posts the rows were built from: every
+// SID ahead of the reported miss resolves to its own post's location and
+// author, and the reported miss — if any — is the first SID neither knows.
+func checkBatch(t *testing.T, name string, src PostingsSource, st *Store, byID map[social.PostID]*social.Post, sids []social.PostID) {
+	t.Helper()
+	out := make([]metadb.RowMeta, len(sids))
+	miss := src.ResolveRows(sids, out)
+	for i, sid := range sids {
+		point, ok := st.LookupRowMeta(sid)
+		if i == miss {
+			if ok || byID[sid] != nil {
+				t.Fatalf("%s: batch reports SID %d (index %d) absent, but it is stored", name, sid, i)
+			}
+			return
+		}
+		p := byID[sid]
+		if !ok || p == nil {
+			t.Fatalf("%s: batch resolved SID %d (index %d) that the point lookup misses", name, sid, i)
+		}
+		want := metadb.RowMeta{Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID}
+		if out[i] != want || point != want {
+			t.Fatalf("%s: SID %d: batch %+v, point %+v, post %+v", name, sid, out[i], point, want)
+		}
+	}
+	if miss != -1 {
+		t.Fatalf("%s: miss index %d outside a batch of %d", name, miss, len(sids))
+	}
+}
+
+// TestResolveRowsMatchesPointLookups drives the ascending-batch row contract
+// over sealed segments, the live memtable, and the store across both (the
+// batch split by view, as the engine splits its candidates by partition):
+// all rows, every other row, the first and last row, random subsets, SIDs
+// between rows and SIDs outside a view's range.
+func TestResolveRowsMatchesPointLookups(t *testing.T) {
+	st, err := OpenStore(t.TempDir(), Options{GeohashLen: 5, BucketWidth: time.Hour, BlockSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// 10-minute steps over one-hour buckets: 13 sealed segments of 6 rows
+	// and a memtable holding the last 2.
+	posts := testPosts(80, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), 10*time.Minute)
+	byID := make(map[social.PostID]*social.Post, len(posts))
+	for _, p := range posts {
+		if _, err := st.Add(p); err != nil {
+			t.Fatal(err)
+		}
+		byID[p.SID] = p
+	}
+	if st.SegmentCount() < 5 || st.Memtable().Len() == 0 {
+		t.Fatalf("want several sealed segments and a live memtable, got %d and %d rows",
+			st.SegmentCount(), st.Memtable().Len())
+	}
+
+	rng := rand.New(rand.NewSource(19))
+	views := st.Views()
+	var spanning []social.PostID // one subset across every view, in order
+	for vi, v := range views {
+		var own []social.PostID
+		for _, p := range posts {
+			if p.SID >= v.MinSID && (v.MaxSID == 0 || p.SID <= v.MaxSID) {
+				own = append(own, p.SID)
+			}
+		}
+		if len(own) == 0 {
+			t.Fatalf("view %d holds no rows", vi)
+		}
+		name := "memtable"
+		if _, sealed := v.Source.(*Segment); sealed {
+			name = "segment"
+		}
+		var everyOther, random []social.PostID
+		for i, sid := range own {
+			if i%2 == 0 {
+				everyOther = append(everyOther, sid)
+			}
+			if rng.Intn(3) == 0 {
+				random = append(random, sid)
+			}
+		}
+		first, last := own[0], own[len(own)-1]
+		checkBatch(t, name+"/all", v.Source, st, byID, own)
+		checkBatch(t, name+"/every-other", v.Source, st, byID, everyOther)
+		checkBatch(t, name+"/first-last", v.Source, st, byID, []social.PostID{first, last})
+		checkBatch(t, name+"/random", v.Source, st, byID, random)
+		checkBatch(t, name+"/empty", v.Source, st, byID, nil)
+		// Absent SIDs: between two rows (the walk must name that one, after
+		// resolving what precedes it), below the first row, beyond the last.
+		checkBatch(t, name+"/between", v.Source, st, byID, []social.PostID{first, first + 1, last})
+		checkBatch(t, name+"/below", v.Source, st, byID, []social.PostID{first - 1, first})
+		checkBatch(t, name+"/beyond", v.Source, st, byID, []social.PostID{last, last + 1})
+		spanning = append(spanning, random...)
+	}
+
+	// The store across segments and memtable: split the ascending subset at
+	// view boundaries and resolve each run against its own view.
+	resolved := 0
+	for _, v := range views {
+		var run []social.PostID
+		for _, sid := range spanning {
+			if sid >= v.MinSID && (v.MaxSID == 0 || sid <= v.MaxSID) {
+				run = append(run, sid)
+			}
+		}
+		checkBatch(t, "store", v.Source, st, byID, run)
+		resolved += len(run)
+	}
+	if resolved != len(spanning) || resolved == 0 {
+		t.Fatalf("views cover %d of %d sampled SIDs", resolved, len(spanning))
+	}
+}
+
+func TestGallopTo(t *testing.T) {
+	sids := []social.PostID{1, 3, 5, 9, 12, 40, 41, 100}
+	rows := make([]byte, len(sids)*rowSize)
+	for i, sid := range sids {
+		encodeRow(rows[i*rowSize:], metadb.Row{SID: sid})
+	}
+	cases := []struct {
+		start  int
+		target social.PostID
+		want   int
+	}{
+		{0, 0, 0}, {0, 1, 0}, {0, 2, 1}, {0, 5, 2}, {0, 6, 3},
+		{0, 100, 7}, {0, 101, 8}, {3, 9, 3}, {3, 41, 6}, {7, 100, 7},
+		{8, 5, 8}, // start past the end stays put
+	}
+	for _, c := range cases {
+		if got := gallopTo(rows, c.start, len(sids), c.target); got != c.want {
+			t.Errorf("gallopTo(start=%d, target=%d) = %d, want %d", c.start, c.target, got, c.want)
+		}
+	}
+}
+
+// segmentBatch builds one sealed segment of nRows rows, SIDs 10 apart, and
+// picks nSIDs of them evenly spread — the shape of one partition's share of
+// a query's merged postings.
+func segmentBatch(b *testing.B, nRows, nSIDs int) (*Segment, []social.PostID) {
+	b.Helper()
+	rows := make([]metadb.Row, nRows)
+	for i := range rows {
+		rows[i] = metadb.Row{SID: social.PostID(10 * (i + 1)), UID: social.UserID(i % 977), Lat: 43.7, Lon: -79.4}
+	}
+	data, err := buildSegment(4, rows, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seg, err := OpenBytes(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sids := make([]social.PostID, nSIDs)
+	for i := range sids {
+		sids[i] = rows[i*nRows/nSIDs].SID
+	}
+	return seg, sids
+}
+
+// BenchmarkSegmentRowBatch resolves one partition's ascending SID batch
+// against a 36k-row segment: 350 SIDs (the city-sum shape) and 1.2k (the
+// wide-max shape).
+func BenchmarkSegmentRowBatch(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		sids int
+	}{{"city-sum-350", 350}, {"wide-max-1200", 1200}} {
+		b.Run(shape.name, func(b *testing.B) {
+			seg, sids := segmentBatch(b, 36000, shape.sids)
+			out := make([]metadb.RowMeta, len(sids))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if miss := seg.ResolveRows(sids, out); miss >= 0 {
+					b.Fatalf("SID %d missing", sids[miss])
+				}
+			}
+		})
+	}
+}

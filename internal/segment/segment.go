@@ -14,10 +14,11 @@ import (
 // Segment is one immutable sealed segment, served read-only over its byte
 // image — an mmap'd file in the common case. All lookups are zero-copy:
 // postings iterate lazily over the mapped payload (the blocked directory
-// is the skip index) and row metadata is binary-searched in place over
-// the 48-byte records. A Segment is safe for concurrent readers; Close
-// must not race in-flight reads (the store retires replaced segments and
-// unmaps only at shutdown for exactly that reason).
+// is the skip index) and row metadata is resolved in place over the
+// 48-byte records, one ascending batch per forward walk. A Segment is safe
+// for concurrent readers; Close must not race in-flight reads (the store
+// retires replaced segments and unmaps only at shutdown for exactly that
+// reason).
 type Segment struct {
 	b          []byte
 	mapped     bool // b is an mmap'd region, not heap bytes
@@ -158,26 +159,55 @@ func (s *Segment) RowAt(i int) metadb.Row {
 	return decodeRow(s.rows[i*rowSize : (i+1)*rowSize])
 }
 
-// LookupRowMeta binary-searches the row records in place — the
-// segment-backed leg of the metadata database's RowMetaSnapshot. No row
-// struct is materialized unless the SID is present.
-func (s *Segment) LookupRowMeta(sid social.PostID) (metadb.RowMeta, bool) {
-	if sid < s.minSID || sid > s.maxSID {
-		return metadb.RowMeta{}, false
+// ResolveRows resolves one ascending SID batch against the mapped row
+// records in a single forward walk: out[i] receives sids[i]'s location and
+// author, and each search gallops from where the previous one ended, so a
+// batch costs one pass over the stretch of records it spans — no search from
+// the root per SID, no lock, no allocation. Returns the index of the first
+// SID the segment does not hold, -1 when every one resolved.
+func (s *Segment) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
+	pos := 0
+	for i, sid := range sids {
+		pos = gallopTo(s.rows, pos, s.nRows, sid)
+		if pos == s.nRows {
+			return i
+		}
+		r := s.RowAt(pos)
+		if r.SID != sid {
+			return i
+		}
+		out[i] = metadb.RowMeta{Lat: r.Lat, Lon: r.Lon, UID: r.UID}
 	}
-	lo, hi := 0, s.nRows
-	for lo < hi {
+	return -1
+}
+
+// gallopTo returns the smallest index in [start, n) of a row record whose
+// SID is >= target, n when there is none: exponential probing from start,
+// then binary search inside the bracket, so the lookups of an ascending
+// batch cost O(log gap) each and touch records near the previous hit.
+func gallopTo(rows []byte, start, n int, target social.PostID) int {
+	sidAt := func(i int) social.PostID {
+		return social.PostID(binary.LittleEndian.Uint64(rows[i*rowSize:]))
+	}
+	if start >= n || sidAt(start) >= target {
+		return start
+	}
+	// Exponential probe: find a bracket (lo, hi] with sid(lo) < target <= sid(hi).
+	lo, step := start, 1
+	hi := start + step
+	for hi < n && sidAt(hi) < target {
+		lo = hi
+		step *= 2
+		hi = lo + step
+	}
+	hi = min(hi, n)
+	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		got := social.PostID(binary.LittleEndian.Uint64(s.rows[mid*rowSize:]))
-		switch {
-		case got < sid:
-			lo = mid + 1
-		case got > sid:
+		if sidAt(mid) < target {
+			lo = mid
+		} else {
 			hi = mid
-		default:
-			r := decodeRow(s.rows[mid*rowSize : (mid+1)*rowSize])
-			return metadb.RowMeta{Lat: r.Lat, Lon: r.Lon, UID: r.UID}, true
 		}
 	}
-	return metadb.RowMeta{}, false
+	return hi
 }

@@ -143,14 +143,21 @@ func TestSegmentRoundtrip(t *testing.T) {
 		if ps, err := seg.FetchPostings("zzzzz", "absent"); err != nil || ps != nil {
 			t.Fatalf("absent key: %v, %v", ps, err)
 		}
-		for _, p := range posts {
-			m, ok := seg.LookupRowMeta(p.SID)
-			if !ok || m.UID != p.UID || m.Lat != p.Loc.Lat || m.Lon != p.Loc.Lon {
-				t.Fatalf("LookupRowMeta(%d) = %+v, %v", p.SID, m, ok)
+		sids := make([]social.PostID, len(posts))
+		for i, p := range posts {
+			sids[i] = p.SID
+		}
+		metas := make([]metadb.RowMeta, len(sids))
+		if miss := seg.ResolveRows(sids, metas); miss >= 0 {
+			t.Fatalf("ResolveRows misses SID %d", sids[miss])
+		}
+		for i, p := range posts {
+			if m := metas[i]; m.UID != p.UID || m.Lat != p.Loc.Lat || m.Lon != p.Loc.Lon {
+				t.Fatalf("ResolveRows: SID %d = %+v", p.SID, m)
 			}
 		}
-		if _, ok := seg.LookupRowMeta(posts[0].SID + 1); ok {
-			t.Fatal("LookupRowMeta found a SID between rows")
+		if miss := seg.ResolveRows([]social.PostID{posts[0].SID + 1}, metas); miss != 0 {
+			t.Fatalf("ResolveRows found a SID between rows (miss = %d)", miss)
 		}
 	}
 

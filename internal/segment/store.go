@@ -76,15 +76,19 @@ func (o *Options) normalize() {
 	}
 }
 
-// PostingsSource is the read contract a store view serves — structurally
-// identical to the engine's PostingsSource, declared here so the package
-// has no dependency on the engine.
+// PostingsSource is the read contract a store view serves: postings per
+// ⟨cell, term⟩ and the rows behind them, one ascending SID batch at a time
+// (see Segment.ResolveRows). Structurally the engine's PostingsSource plus
+// its RowSource, declared here so the package has no dependency on the
+// engine.
 type PostingsSource interface {
 	GeohashLen() int
 	FetchPostings(geohash, term string) ([]invindex.Posting, error)
+	ResolveRows(sids []social.PostID, out []metadb.RowMeta) int
 }
 
-// View is one postings source of the store in time order, with the SID
+// View is one source of the store in time order — a sealed segment or the
+// memtable, answering for its own postings and its own rows — with the SID
 // range the engine's partition pruning tests query windows against. A
 // zero MaxSID means unbounded (the memtable view: later ingest only
 // appends larger SIDs).
@@ -635,19 +639,21 @@ func (st *Store) Views() []View {
 	return views
 }
 
-// LookupRowMeta resolves one SID against the sealed segments and the
-// memtable — the store's leg of the metadata database's RowMetaSnapshot.
+// LookupRowMeta resolves one SID: a batch of one against the view that
+// covers it. Nothing in this module calls it — queries resolve rows per
+// partition through ResolveRows; it stays only because the end-to-end
+// benchmark harness (internal/bench, frozen) compiles against it.
 func (st *Store) LookupRowMeta(sid social.PostID) (metadb.RowMeta, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
+	var src PostingsSource = st.mem
 	// Segments are disjoint and sorted by SID range.
-	i := sort.Search(len(st.segs), func(i int) bool { return st.segs[i].MaxSID() >= sid })
-	if i < len(st.segs) {
-		if m, ok := st.segs[i].LookupRowMeta(sid); ok {
-			return m, true
-		}
+	if i := sort.Search(len(st.segs), func(i int) bool { return st.segs[i].MaxSID() >= sid }); i < len(st.segs) {
+		src = st.segs[i]
 	}
-	return st.mem.LookupRowMeta(sid)
+	var out [1]metadb.RowMeta
+	ok := src.ResolveRows([]social.PostID{sid}, out[:]) < 0
+	return out[0], ok
 }
 
 // MaxSealedSID returns the largest SID covered by a sealed segment, 0

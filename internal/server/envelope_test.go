@@ -59,6 +59,7 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 		{"not found", fmt.Errorf("uid 7: %w", core.ErrNoResults), 404, "not_found", false},
 		{"overloaded", fmt.Errorf("queue full: %w", core.ErrOverloaded), 429, "overloaded", true},
 		{"shard unavailable", fmt.Errorf("all shards: %w", core.ErrShardUnavailable), 503, "shard_unavailable", true},
+		{"closed", fmt.Errorf("store: %w", core.ErrClosed), 503, "closed", true},
 		{"internal", errors.New("disk on fire"), 500, "internal", false},
 	}
 	for _, tc := range cases {
@@ -107,7 +108,7 @@ func (e *errShardBackend) SearchPartials(ctx context.Context, q tklus.Query) (*c
 // ShardClient decodes that code back into the same sentinel the breaker
 // and retry logic key off — across a real HTTP boundary.
 func TestEnvelopeCodeRoundTrip(t *testing.T) {
-	for _, sentinel := range []error{core.ErrBadQuery, core.ErrNoResults, core.ErrOverloaded, core.ErrShardUnavailable} {
+	for _, sentinel := range []error{core.ErrBadQuery, core.ErrNoResults, core.ErrOverloaded, core.ErrShardUnavailable, core.ErrClosed} {
 		s := NewSearcher(&errShardBackend{errSearcher{err: fmt.Errorf("backend says: %w", sentinel)}})
 		hs := httptest.NewServer(s)
 		c := NewShardClient(hs.URL)

@@ -25,8 +25,9 @@
 // typed sentinels map onto statuses through a single table:
 // core.ErrBadQuery → 400 "bad_query", core.ErrNoResults → 404
 // "not_found", core.ErrOverloaded → 429 "overloaded" (with Retry-After),
-// core.ErrShardUnavailable → 503 "shard_unavailable"; anything else is a
-// 500 "internal".
+// core.ErrShardUnavailable → 503 "shard_unavailable", core.ErrClosed → 503
+// "closed", metadb.ErrRejected (an ingested post refused for what it is)
+// → 400 "rejected"; anything else is a 500 "internal".
 //
 // The server fronts any tklus.Searcher — a monolithic System (over its
 // batch index or its segment store), a ShardedSystem router, or a
@@ -437,12 +438,10 @@ func (s *Server) handleIngestV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.ingest(r.Context(), posts...); err != nil {
-		// A rejected append (out-of-order SID, duplicate) is client data;
-		// a WAL write failure is the server's disk.
-		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "WAL") {
-			code = http.StatusInternalServerError
-		}
+		// A rejected append (invalid post, out-of-order SID) is client
+		// data: 400. A closed store is 503; anything else — a WAL write, a
+		// seal — is the server's disk: 500.
+		code, _ := statusOf(err)
 		httpError(w, code, err)
 		return
 	}

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -247,5 +249,73 @@ func TestIngestEndpoint(t *testing.T) {
 		if code, resp := post(t, s, "/v1/ingest", bad); code != 400 {
 			t.Errorf("%s: status %d (%v), want 400", name, code, resp)
 		}
+	}
+}
+
+// TestClosedStoreIsUnavailable: once a segmented system's store is closed,
+// every endpoint that reaches it says so — 503 with the "closed" envelope
+// code on search, shard search and ingest — and a ShardClient across the
+// wire gets the ErrClosed sentinel back rather than an untyped shard fault.
+// A refused post stays the client's 400 while the store is open, and a
+// failure that is neither (the errIngest backend) is the server's 500.
+func TestClosedStoreIsUnavailable(t *testing.T) {
+	s, loc := testServer(t)
+	sys := s.sys
+	seg, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := fmt.Sprintf(`{"version":1,"lat":%f,"lon":%f,"radius_km":10,"keywords":["hotel"],"k":3}`, loc.Lat, loc.Lon)
+	newSID := time.Date(2013, 1, 2, 0, 0, 0, 0, time.UTC).UnixNano()
+	ingest := func(sid int64) string {
+		return fmt.Sprintf(`{"posts":[{"sid":%d,"uid":7,"lat":%f,"lon":%f,"text":"hotel bar"}]}`, sid, loc.Lat, loc.Lon)
+	}
+	if code, resp := post(t, s, "/v1/search", search); code != 200 {
+		t.Fatalf("search before close: %d %v", code, resp)
+	}
+	if code, resp := post(t, s, "/v1/ingest", ingest(newSID)); code != 200 {
+		t.Fatalf("ingest before close: %d %v", code, resp)
+	}
+	code, resp := post(t, s, "/v1/ingest", ingest(newSID)) // same SID again
+	if code != 400 || resp["error"].(map[string]any)["code"] != "rejected" {
+		t.Errorf("out-of-order SID: %d %v, want 400 rejected", code, resp)
+	}
+
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ url, body string }{
+		{"/v1/search", search},
+		{"/v1/shard/search", search},
+		{"/v1/ingest", ingest(newSID + 1)},
+	} {
+		code, resp := post(t, s, c.url, c.body)
+		if code != 503 || resp["error"].(map[string]any)["code"] != "closed" {
+			t.Errorf("%s after Close: %d %v, want 503 closed", c.url, code, resp)
+		}
+	}
+	hs := httptest.NewServer(s)
+	defer hs.Close()
+	_, err = NewShardClient(hs.URL).SearchPartials(context.Background(), tklus.Query{
+		Loc: loc, RadiusKm: 10, K: 3, Keywords: []string{"hotel"},
+	})
+	if !errors.Is(err, tklus.ErrClosed) {
+		t.Errorf("ShardClient against a closed store: err = %v, want ErrClosed", err)
+	}
+}
+
+// errIngest is a backend whose ingest path fails for a reason that is not
+// the client's data.
+type errIngest struct{ noopSearcher }
+
+func (errIngest) IngestContext(context.Context, ...*tklus.Post) error {
+	return errors.New("segment: sealing the memtable: disk full")
+}
+
+func TestIngestServerFaultIs500(t *testing.T) {
+	s := NewSearcher(errIngest{})
+	code, resp := post(t, s, "/v1/ingest", `{"posts":[{"sid":5,"uid":7,"lat":1,"lon":1,"text":"x"}]}`)
+	if code != 500 || resp["error"].(map[string]any)["code"] != "internal" {
+		t.Errorf("failed seal: %d %v, want 500 internal", code, resp)
 	}
 }

@@ -22,6 +22,7 @@ import (
 
 	tklus "repro"
 	"repro/internal/core"
+	"repro/internal/metadb"
 	"repro/internal/telemetry"
 	"repro/internal/textutil"
 )
@@ -353,7 +354,7 @@ func (c *ShardClient) SearchPartials(ctx context.Context, q tklus.Query) (*core.
 	return sresp.Partials, nil
 }
 
-// errorTable is the single source of truth mapping the query API's typed
+// errorTable is the single source of truth mapping the API's typed
 // sentinels onto the wire: HTTP status, stable envelope code, and the
 // query-outcome metric label. Order matters only in that classification
 // takes the first errors.Is match.
@@ -367,6 +368,8 @@ var errorTable = []struct {
 	{core.ErrNoResults, http.StatusNotFound, "not_found", outcomeNotFound},
 	{core.ErrOverloaded, http.StatusTooManyRequests, "overloaded", outcomeOverloaded},
 	{core.ErrShardUnavailable, http.StatusServiceUnavailable, "shard_unavailable", outcomeUnavailable},
+	{core.ErrClosed, http.StatusServiceUnavailable, "closed", outcomeUnavailable},
+	{metadb.ErrRejected, http.StatusBadRequest, "rejected", outcomeBadRequest},
 }
 
 // internalCode is the envelope code for errors outside the sentinel table.

@@ -544,7 +544,11 @@ func readFrom(dir, name string, fn func(io.Reader) error) error {
 	}
 	defer f.Close()
 	if err := fn(f); err != nil {
-		return fmt.Errorf("%w: decoding %s: %v", ErrCorruptImage, name, err)
+		kind := ErrCorruptImage
+		if errors.Is(err, invindex.ErrFormatVersion) {
+			kind = ErrVersionMismatch // well-formed, written by another format version
+		}
+		return fmt.Errorf("%w: decoding %s: %v", kind, name, err)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package tklus_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -269,6 +271,53 @@ func TestLoadVersionMismatch(t *testing.T) {
 	}
 	if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrVersionMismatch) {
 		t.Errorf("future-version snapshot: err = %v, want ErrVersionMismatch", err)
+	}
+}
+
+// TestLoadForwardIndexOfAnotherFormat rewrites a saved forward index the
+// way a writer of another format would have left it — manifest size and CRC
+// consistent, so only the decoder can object — and requires Load's typed
+// answer: a version-1 magic is a version mismatch, an entry without the
+// blocked-layout bit (the flat postings layout) is corruption.
+func TestLoadForwardIndexOfAnotherFormat(t *testing.T) {
+	sys, _ := buildSystem(t, 500)
+	for _, c := range []struct {
+		name   string
+		mutate func(b []byte)
+		want   error
+	}{
+		{"version-1 magic", func(b []byte) { b[5] = '1' }, tklus.ErrVersionMismatch},
+		// The stream's last byte is the last entry's flags uvarint.
+		{"flat entry", func(b []byte) { b[len(b)-1] = 0 }, tklus.ErrCorruptImage},
+	} {
+		dir := filepath.Join(t.TempDir(), "saved")
+		if err := sys.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		snap := snapDirOf(t, dir)
+		fwd, err := os.ReadFile(filepath.Join(snap, "forward.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fmt.Sprintf("%08x", crc32.Checksum(fwd, crc32.MakeTable(crc32.Castagnoli)))
+		c.mutate(fwd)
+		after := fmt.Sprintf("%08x", crc32.Checksum(fwd, crc32.MakeTable(crc32.Castagnoli)))
+		mf, err := os.ReadFile(filepath.Join(snap, "MANIFEST"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(mf), before) {
+			t.Fatalf("%s: manifest does not carry forward.bin's checksum %s", c.name, before)
+		}
+		if err := os.WriteFile(filepath.Join(snap, "forward.bin"), fwd, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(snap, "MANIFEST"), []byte(strings.Replace(string(mf), before, after, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
 	}
 }
 

@@ -111,7 +111,6 @@ func EnableSegments(sys *System, opts SegmentOptions) (*SegmentedSystem, error) 
 			return nil, fmt.Errorf("tklus: replaying wal into memtable: %w", err)
 		}
 	}
-	sys.DB.EnableRowMetaSnapshotFrom(store)
 	sys.store = store
 	sys.publishPartitions()
 	if opts.CompactInterval > 0 {
@@ -122,14 +121,16 @@ func EnableSegments(sys *System, opts SegmentOptions) (*SegmentedSystem, error) 
 	return s, nil
 }
 
-// publishPartitions swaps the engine onto the store's current view set;
-// in-flight searches finish on the set they loaded (whose retired segments
-// stay mapped until Close). Caller holds ingestMu.
+// publishPartitions swaps the engine onto the store's current view set,
+// each view answering for its own postings and its own rows; in-flight
+// searches finish on the set they loaded (whose retired segments stay
+// mapped until Close, and whose memtable stays reachable after a seal
+// replaces it). Caller holds ingestMu.
 func (s *System) publishPartitions() {
 	views := s.store.Views()
 	parts := make([]core.Partition, len(views))
 	for i, v := range views {
-		parts[i] = core.Partition{Source: v.Source, MinSID: v.MinSID, MaxSID: v.MaxSID}
+		parts[i] = core.Partition{Source: v.Source, Rows: v.Source, MinSID: v.MinSID, MaxSID: v.MaxSID}
 	}
 	s.Engine.SetPartitions(parts)
 }

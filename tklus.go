@@ -194,10 +194,6 @@ type Features struct {
 	// snapshot and moves thread expansion onto it (zero B⁺-tree traffic
 	// for thread construction).
 	ReplySnapshot bool
-	// RowMetaSnapshot builds the SID → (location, author) row-meta
-	// snapshot that serves the candidate filter's radius test with zero
-	// per-row IO.
-	RowMetaSnapshot bool
 }
 
 // Option mutates a Config; DefaultConfig applies them in order. Options
@@ -221,12 +217,6 @@ func WithPopCache(capacity int) Option {
 // WithReplySnapshot enables the CSR reply-graph snapshot.
 func WithReplySnapshot() Option {
 	return func(c *Config) { c.Features.ReplySnapshot = true }
-}
-
-// WithRowMetaSnapshot enables the SID → (location, author) row-meta
-// snapshot.
-func WithRowMetaSnapshot() Option {
-	return func(c *Config) { c.Features.RowMetaSnapshot = true }
 }
 
 // DefaultConfig returns the paper's standard configuration: 4-length
@@ -326,10 +316,8 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 // build, a shard, a replica and a snapshot recovery all come up with the
 // same serving surface. Every accelerator is picked up from state the read
 // paths can observe — the thread builder expands from the reply snapshot
-// when the database has one, the candidate filter reads the row-meta
-// snapshot when the database has one — and posts ingested afterwards extend
-// both snapshots in place, so results stay byte-identical to the B⁺-tree
-// paths. φ(p) depends only on the reply/forward graph, so popularity-cache
+// when the database has one — and posts ingested afterwards extend the
+// snapshot in place, so results stay byte-identical to the B⁺-tree paths. φ(p) depends only on the reply/forward graph, so popularity-cache
 // entries stay exact across queries; Ingest evicts the entries an inserted
 // post invalidates.
 func newSystem(cfg Config, db *metadb.DB, idx *invindex.Index, fsys *dfs.FS,
@@ -349,9 +337,6 @@ func newSystem(cfg Config, db *metadb.DB, idx *invindex.Index, fsys *dfs.FS,
 	}
 	if f.ReplySnapshot {
 		db.EnableReplySnapshot()
-	}
-	if f.RowMetaSnapshot {
-		db.EnableRowMetaSnapshot()
 	}
 	return sys, nil
 }
