@@ -18,7 +18,7 @@ short:
 	$(GO) test -short ./...
 
 # Race lane: the serving path (engine + HTTP server + telemetry registry)
-# and the parallel query pipeline (worker pools + popularity cache) must
+# and the parallel query pipeline (worker pools) must
 # stay safe under concurrent queries, ingests and scrapes. Vet runs first
 # so the race build never chases bugs vet would have named.
 race:
@@ -74,16 +74,18 @@ loc:
 		'  internal/core' "$$(count $$(ls internal/core/*.go | grep -v _test.go))" \
 		'  root package' "$$(count $$(ls *.go | grep -v _test.go))"
 
-# Flake lane: the timing-sensitive admission, breaker and lease tests and
-# the segment store's lifecycle tests (searches racing seals, compaction
-# and checkpoints), plus the engine and bounds packages — their prune paths
+# Flake lane: the timing-sensitive admission, breaker and lease tests, the
+# segment store's lifecycle tests (searches racing seals, compaction and
+# checkpoints) and the ingest/read coherence tests (a search after an
+# acknowledged ingest answers as a fresh build would), plus the engine and
+# bounds packages — their prune paths
 # fan across the worker pool and take Bounds.mu against concurrent
 # RaiseForRoot — and the storage packages a query's row batch reads under
 # their own locks while ingest appends and seals swap the partition set,
 # twenty times under -race. Required green.
 flake:
 	$(GO) test -race -count=20 \
-		-run 'TestAdmission|TestBreaker|TestLease|TestSegmentedDurableReopen|TestSegmentedFreshKeywordVisible|TestSegmentedUseAfterClose|TestSegmentedConcurrentLifecycle' .
+		-run 'TestAdmission|TestBreaker|TestLease|TestSegmentedDurableReopen|TestSegmentedFreshKeywordVisible|TestSegmentedUseAfterClose|TestSegmentedConcurrentLifecycle|TestConcurrentSearchAndIngest|TestIngestRecomputesThreadPopularity' .
 	$(GO) test -race -count=20 ./internal/core/ ./internal/thread/ ./internal/segment/ ./internal/metadb/
 
 bench:

@@ -50,10 +50,8 @@ func main() {
 		debug  = flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 		slowQ  = flag.Duration("slow-query", 250*time.Millisecond,
 			"log queries at or above this duration (0 disables the slow-query log)")
-		popCache = flag.Int("popcache", 4096,
-			"thread-popularity cache capacity in entries (0 disables the cache)")
-		replySnap = flag.Bool("reply-snapshot", false,
-			"serve thread expansion from the CSR reply-graph snapshot")
+		replySnap = flag.Bool("reply-snapshot", true,
+			"serve thread expansion from the CSR reply-graph snapshot, the composition every benchmark number is taken with (false = the paper's regime: every thread level through the B⁺-tree)")
 		shards = flag.Int("shards", 0,
 			"serve an in-process sharded tier with this many geo-shards (0 = monolithic; incompatible with -load)")
 		replicas = flag.Int("replicas", 1,
@@ -95,16 +93,13 @@ func main() {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-	// The feature flags map 1:1 onto Config.Features: Build, Load and every
+	// The feature flag maps 1:1 onto Config.Features: Build, Load and every
 	// shard of a sharded tier come up with the same serving surface.
-	var featOpts []tklus.Option
-	if *popCache > 0 {
-		featOpts = append(featOpts, tklus.WithPopCache(*popCache))
+	sysConfig := func() tklus.Config {
+		cfg := tklus.DefaultConfig()
+		cfg.Features.ReplySnapshot = *replySnap
+		return cfg
 	}
-	if *replySnap {
-		featOpts = append(featOpts, tklus.WithReplySnapshot())
-	}
-	sysConfig := func() tklus.Config { return tklus.DefaultConfig(featOpts...) }
 
 	var tracer *telemetry.Tracer
 	if *trace {
@@ -187,9 +182,6 @@ func main() {
 				os.Exit(1)
 			}
 			defer rs.Close()
-			if *popCache > 0 {
-				logger.Info("popularity cache enabled per replica", "capacity", *popCache)
-			}
 			handler = server.NewSearcherWith(rs, opts)
 			logger.Info("serving replicated sharded tier",
 				"posts", len(posts), "shards", rs.NumShards(), "replicas", *replicas,
@@ -199,9 +191,6 @@ func main() {
 			if serr != nil {
 				logger.Error("building sharded tier", "err", serr)
 				os.Exit(1)
-			}
-			if *popCache > 0 {
-				logger.Info("popularity cache enabled per shard", "capacity", *popCache)
 			}
 			handler = server.NewSearcherWith(ss, opts)
 			logger.Info("serving sharded tier",
@@ -240,9 +229,6 @@ func main() {
 			}
 			durable = sys
 			logger.Info("ingest WAL enabled", "dir", *data, "sync", policy.String())
-		}
-		if sys.PopCache != nil {
-			logger.Info("popularity cache enabled", "capacity", sys.PopCache.Capacity())
 		}
 		var segSys *tklus.SegmentedSystem
 		if *segments {

@@ -25,23 +25,13 @@ func TestFeaturesHonoredByBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bare.PopCache != nil {
-		t.Error("zero-value Features enabled the popularity cache")
-	}
 	if bare.DB.ReplySnapshot() != nil {
 		t.Error("zero-value Features built a snapshot")
 	}
 
-	full, err := tklus.Build(corpus.Posts, tklus.DefaultConfig(
-		tklus.WithPopCache(128), tklus.WithReplySnapshot()))
+	full, err := tklus.Build(corpus.Posts, tklus.DefaultConfig(tklus.WithReplySnapshot()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if full.PopCache == nil {
-		t.Fatal("WithPopCache did not attach the cache")
-	}
-	if got := full.PopCache.Capacity(); got != 128 {
-		t.Errorf("popcache capacity %d, want 128", got)
 	}
 	if full.DB.ReplySnapshot() == nil {
 		t.Error("WithReplySnapshot did not build the reply snapshot")
@@ -68,13 +58,9 @@ func TestFeaturesHonoredByLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := tklus.Load(dir, tklus.DefaultConfig(
-		tklus.WithPopCache(64), tklus.WithReplySnapshot()))
+	loaded, err := tklus.Load(dir, tklus.DefaultConfig(tklus.WithReplySnapshot()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if loaded.PopCache == nil || loaded.PopCache.Capacity() != 64 {
-		t.Error("Load did not honor Features.PopCacheCapacity")
 	}
 	if loaded.DB.ReplySnapshot() == nil {
 		t.Error("Load did not honor Features.ReplySnapshot")
@@ -95,14 +81,11 @@ func TestFeaturesOnShardedBuild(t *testing.T) {
 	sc := tklus.DefaultShardingConfig()
 	sc.NumShards = 2
 	ss, err := tklus.BuildSharded(corpus.Posts,
-		tklus.DefaultConfig(tklus.WithPopCache(32), tklus.WithReplySnapshot()), sc)
+		tklus.DefaultConfig(tklus.WithReplySnapshot()), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, shard := range ss.Systems {
-		if shard.PopCache == nil {
-			t.Errorf("shard %d came up without the popularity cache", i)
-		}
 		if shard.DB.ReplySnapshot() == nil {
 			t.Errorf("shard %d came up without the reply snapshot", i)
 		}

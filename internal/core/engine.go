@@ -255,14 +255,6 @@ func (e *Engine) SetPartitions(parts []Partition) {
 	e.parts.Store(&parts)
 }
 
-// SetPopularityCache attaches (or, with nil, detaches) a cross-query
-// thread-popularity cache to the engine's thread builder. The caller owns
-// invalidation: any ingested post whose reply chain reaches a cached root
-// must evict that root before the next query.
-func (e *Engine) SetPopularityCache(c thread.PopularityCache) {
-	e.builder.Cache = c
-}
-
 // UserResult is one ranked user.
 type UserResult struct {
 	UID   social.UserID
@@ -277,7 +269,7 @@ type QueryStats struct {
 	ThreadsBuilt     int64 // Algorithm 1 invocations
 	ThreadsPruned    int64 // candidates skipped by the upper bound
 	TweetsPulled     int64 // rows fetched during thread expansion
-	PopCacheHits     int64 // thread constructions answered by the popularity cache
+	PopCacheHits     int64 // always 0; only the frozen internal/bench reads it — delete with the harness's next move (ROADMAP 1(d))
 	DBBatchLookups   int64 // keys this query resolved through multi-get batches
 	DBPagesSaved     int64 // simulated page+node touches the batches avoided
 	BlocksSkipped    int64 // postings blocks passed over without decoding

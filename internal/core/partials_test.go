@@ -262,7 +262,7 @@ func TestQueryStatsAddSumsEveryCounter(t *testing.T) {
 }
 
 // TestPartialsChargeSearchUserIO pins that a shard resolves its users once.
-// On a paged engine (no caches, no snapshots, no popularity cache) with
+// On a paged engine (no caches, no snapshots) with
 // pruning off, Search and SearchPartials build every candidate's thread, so
 // the only simulated I/O that could differ between them is user resolution:
 // both must charge the same index-node and page reads, for both rankings

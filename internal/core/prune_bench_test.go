@@ -9,7 +9,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/invindex"
 	"repro/internal/metadb"
-	"repro/internal/popcache"
 	"repro/internal/segment"
 	"repro/internal/social"
 	"repro/internal/telemetry"
@@ -74,15 +73,15 @@ func benchEngine(b *testing.B, posts []*social.Post, src PostingsSource) *Engine
 
 // pruneBenchSetup builds an engine over benchCorpus and a fixed list of
 // 4096 candidates in ascending SID order, as the filter would leave them.
-// The popularity cache is warm, as it is on a serving system, so the
-// numbers are the ranking stage plus cache probes rather than B⁺-tree
-// thread expansion.
+// Threads expand from the CSR reply snapshot, as they do on a serving
+// system, so the numbers are the ranking stage plus Algorithm 1 over the
+// snapshot rather than B⁺-tree thread expansion.
 func pruneBenchSetup(b *testing.B, nUsers int, ranking Ranking) (*Engine, *candidateSet) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(16))
 	posts := benchCorpus(rng, nUsers, 0)
 	eng := benchEngine(b, posts, benchPostings{})
-	eng.SetPopularityCache(popcache.New(len(posts)))
+	eng.DB.EnableReplySnapshot()
 	q := Query{Loc: benchCenter, RadiusKm: 50, Keywords: []string{"hotel"}, K: 5, Semantic: Or, Ranking: ranking}
 	cs := &candidateSet{
 		q: q, terms: QueryTerms(q.Keywords), cands: make([]CandidateTweet, 4096),
@@ -91,15 +90,13 @@ func pruneBenchSetup(b *testing.B, nUsers int, ranking Ranking) (*Engine, *candi
 	for i := range cs.cands {
 		p := posts[i*len(posts)/len(cs.cands)]
 		cs.cands[i] = CandidateTweet{TID: p.SID, Matches: 1 + rng.Intn(2), UID: p.UID, Delta: rng.Float64()}
-		eng.builder.Popularity(p.SID, eng.Opts.Params.Epsilon, nil)
 	}
 	return eng, cs
 }
 
 // benchRankMax is Algorithm 5's ranking stage over the prepared candidates:
 // the user table and its resolution, then one bound evaluation per
-// candidate once the top-k is full and a (cached) thread score for each
-// survivor.
+// candidate once the top-k is full and a thread score for each survivor.
 func benchRankMax(b *testing.B, nUsers int) {
 	eng, cs := pruneBenchSetup(b, nUsers, MaxScore)
 	b.ReportAllocs()

@@ -454,7 +454,6 @@ func (e *Engine) recencyFactor(sid social.PostID) float64 {
 func (s *QueryStats) addThreads(ts *thread.Stats) {
 	s.ThreadsBuilt += ts.ThreadsBuilt
 	s.TweetsPulled += ts.TweetsPulled
-	s.PopCacheHits += ts.CacheHits
 	s.DBBatchLookups += ts.BatchLookups
 	s.DBPagesSaved += ts.BatchPagesSaved
 }

@@ -71,9 +71,6 @@ func newServerMetrics(reg *telemetry.Registry, sys *tklus.System) *serverMetrics
 	if sys.FS != nil {
 		sys.FS.RegisterMetrics(reg)
 	}
-	if sys.PopCache != nil {
-		sys.PopCache.RegisterMetrics(reg)
-	}
 	return m
 }
 

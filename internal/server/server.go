@@ -422,7 +422,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 
 // handleIngestV1 serves POST /v1/ingest: a batch of live posts appended
 // through the backend's ingest path, so thread popularity, pruning
-// bounds, the popularity cache — and, with a segment store installed,
+// bounds — and, with a segment store installed,
 // the memtable's keyword index — update immediately; when a WAL
 // is attached, each post is durable before the 200 goes out. Registered
 // only for backends that own a metadata database (shard routers don't).

@@ -3,7 +3,9 @@
 // metadata database's rsid index exactly as Algorithm 1 prescribes, plus the
 // popularity upper bounds of Section V-B (the global Definition 11 bound
 // and the pre-computed per-hot-keyword bounds) used by the maximum-score
-// query processing algorithm to prune thread construction.
+// query processing algorithm to prune thread construction. Popularity is
+// stored in one place, the Bounds φ table; the Builder recomputes it and
+// memoizes nothing.
 package thread
 
 import (
@@ -18,92 +20,71 @@ import (
 	"repro/internal/social"
 )
 
-// PopularityCache memoizes Algorithm 1 results across queries. φ(p)
-// (Definition 4) depends only on the reply/forward graph, so a cached
-// (popularity, levels) pair is exact until an ingested post extends the
-// thread — the cache owner is responsible for invalidation on ingest.
-// *popcache.Cache implements it. Implementations must be safe for
-// concurrent use; the levels slice is shared and must not be modified by
-// either side after Put.
-type PopularityCache interface {
-	Get(root social.PostID, epsilon float64, depth int) (pop float64, levels []int, ok bool)
-	Put(root social.PostID, epsilon float64, depth int, pop float64, levels []int)
-}
-
 // Builder constructs tweet threads against the metadata database.
 type Builder struct {
 	DB    *metadb.DB
 	Depth int // thread depth limit d of Algorithm 1
-	// Cache, when non-nil, is consulted before running Algorithm 1 and
-	// filled after; hits skip the level-by-level metadata I/O entirely.
-	Cache PopularityCache
 }
 
 // Stats counts construction work for the experiments.
 type Stats struct {
 	ThreadsBuilt int64
 	TweetsPulled int64 // rows fetched while expanding levels
-	CacheHits    int64 // constructions answered by the popularity cache
 
 	BatchLookups    int64 // frontier nodes expanded through multi-gets
 	BatchPagesSaved int64 // simulated I/O the multi-gets avoided
 }
 
-// expand maps one frontier to its child lists, groups[i] holding the
-// reactions to frontier[i] in ascending SID order — the rsid index's value
-// order. When the database has a CSR reply-graph snapshot the children
-// come from it with zero B⁺-tree traffic; otherwise one SelectByRSIDBatch
-// per thread level shares descents across the frontier and reads each data
-// page once. Both visit the identical node sets in the identical order, so
-// φ(p) is byte-identical either way.
-func (b *Builder) expand(frontier []social.PostID, stats *Stats) [][]metadb.ChildRef {
-	groups := make([][]metadb.ChildRef, len(frontier))
-	if snap := b.DB.ReplySnapshot(); snap != nil {
-		for i, tid := range frontier {
-			groups[i] = snap.Children(tid)
-		}
-		return groups
-	}
-	lists, bs := b.DB.SelectByRSIDBatch(frontier)
-	if stats != nil {
-		stats.BatchLookups += bs.Lookups
-		stats.BatchPagesSaved += bs.PagesSaved
-	}
-	for i, rows := range lists {
-		refs := make([]metadb.ChildRef, len(rows))
-		for j, r := range rows {
-			refs[j] = metadb.ChildRef{SID: r.SID, UID: r.UID}
-		}
-		groups[i] = refs
-	}
-	return groups
-}
+// rootOnly is the level-size list of a thread nothing has replied to —
+// most candidates of most queries — shared so that walking one allocates
+// nothing. Callers must not modify it.
+var rootOnly = []int{1}
 
-// Popularity runs Algorithm 1: starting from the root tweet it expands one
-// level at a time via "select all where rsid = Id" until the depth limit,
-// and scores the thread per Definition 4. It returns the popularity, the
-// level sizes (levels[0] == 1 for the root), and updates stats. When a
-// cache is attached, a hit returns the memoized result without touching the
-// database and counts as a cache hit instead of a thread build.
-func (b *Builder) Popularity(root social.PostID, epsilon float64, stats *Stats) (float64, []int) {
-	if b.Cache != nil {
-		if pop, levels, ok := b.Cache.Get(root, epsilon, b.Depth); ok {
-			if stats != nil {
-				stats.CacheHits++
-			}
-			return pop, levels
-		}
-	}
+// walk is Algorithm 1's level loop, the one copy Popularity and Tree
+// share: starting from the root it expands one level at a time via "select
+// all where rsid = Id" until the depth limit and returns the level sizes
+// (levels[0] == 1 for the root). Each frontier node's reactions arrive in
+// ascending SID order — the rsid index's value order. When the database has
+// a CSR reply-graph snapshot they are read from it node by node with zero
+// B⁺-tree traffic; otherwise one SelectByRSIDBatch per thread level shares
+// descents across the frontier and reads each data page once. Both visit
+// the identical node sets in the identical order, so φ(p) is byte-identical
+// either way. The frontier ping-pongs between two buffers and levels is
+// sized once, so a walk allocates per thread, not per level, and not at all
+// for a root without reactions. nodes, when non-nil, collects every visited
+// reaction in BFS order.
+func (b *Builder) walk(root social.PostID, stats *Stats, nodes *[]Node) []int {
 	if stats != nil {
 		stats.ThreadsBuilt++
 	}
-	levels := []int{1}
-	frontier := []social.PostID{root}
+	snap := b.DB.ReplySnapshot()
+	levels := rootOnly
+	var bufs [2][8]social.PostID // stack-seeded: small threads never reach the heap
+	frontier, next := append(bufs[0][:0], root), bufs[1][:0]
 	for depth := 1; depth <= b.Depth && len(frontier) > 0; depth++ {
-		var next []social.PostID
-		for _, refs := range b.expand(frontier, stats) {
-			for _, c := range refs {
-				next = append(next, c.SID)
+		next = next[:0]
+		visit := func(parent, sid social.PostID, uid social.UserID) {
+			next = append(next, sid)
+			if nodes != nil {
+				*nodes = append(*nodes, Node{SID: sid, UID: uid, Parent: parent, Level: depth + 1})
+			}
+		}
+		if snap != nil {
+			for _, parent := range frontier {
+				for _, c := range snap.Children(parent) {
+					visit(parent, c.SID, c.UID)
+				}
+			}
+		} else {
+			lists, bs := b.DB.SelectByRSIDBatch(frontier)
+			if stats != nil {
+				stats.BatchLookups += bs.Lookups
+				stats.BatchPagesSaved += bs.PagesSaved
+			}
+			for i, rows := range lists {
+				for _, r := range rows {
+					visit(frontier[i], r.SID, r.UID)
+				}
 			}
 		}
 		if stats != nil {
@@ -112,14 +93,21 @@ func (b *Builder) Popularity(root social.PostID, epsilon float64, stats *Stats) 
 		if len(next) == 0 {
 			break
 		}
+		if len(levels) == 1 { // first reaction level: leave the shared slice
+			levels = append(make([]int, 0, b.Depth+1), 1)
+		}
 		levels = append(levels, len(next))
-		frontier = next
+		frontier, next = next, frontier
 	}
-	pop := score.Popularity(levels, epsilon)
-	if b.Cache != nil {
-		b.Cache.Put(root, epsilon, b.Depth, pop, levels)
-	}
-	return pop, levels
+	return levels
+}
+
+// Popularity runs Algorithm 1 and scores the thread per Definition 4. It
+// returns the popularity and the level sizes (shared when the thread is the
+// root alone: do not modify them), and updates stats.
+func (b *Builder) Popularity(root social.PostID, epsilon float64, stats *Stats) (float64, []int) {
+	levels := b.walk(root, stats, nil)
+	return score.Popularity(levels, epsilon), levels
 }
 
 // Node is one tweet of a materialized thread tree.
@@ -134,34 +122,11 @@ type Node struct {
 // depth limit, returning its nodes in BFS order (root first) plus the
 // popularity score. It performs the same metadata I/O as Popularity.
 func (b *Builder) Tree(root social.PostID, epsilon float64, stats *Stats) ([]Node, float64) {
-	if stats != nil {
-		stats.ThreadsBuilt++
-	}
 	nodes := []Node{{SID: root, Level: 1}}
 	if row, ok := b.DB.GetBySID(root); ok {
 		nodes[0].UID = row.UID
 	}
-	levels := []int{1}
-	frontier := []social.PostID{root}
-	for depth := 1; depth <= b.Depth && len(frontier) > 0; depth++ {
-		var next []social.PostID
-		for i, refs := range b.expand(frontier, stats) {
-			for _, c := range refs {
-				next = append(next, c.SID)
-				nodes = append(nodes, Node{
-					SID: c.SID, UID: c.UID, Parent: frontier[i], Level: depth + 1,
-				})
-			}
-		}
-		if stats != nil {
-			stats.TweetsPulled += int64(len(next))
-		}
-		if len(next) == 0 {
-			break
-		}
-		levels = append(levels, len(next))
-		frontier = next
-	}
+	levels := b.walk(root, stats, &nodes)
 	return nodes, score.Popularity(levels, epsilon)
 }
 

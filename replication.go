@@ -27,7 +27,7 @@ import (
 // replays); a shipper per follower tails that WAL with wal.OpenTail and
 // replays each framed record through the follower's normal Ingest path, so
 // a follower reproduces the leader's state transitions exactly — DB
-// append, popularity-cache invalidation, bound raising — and its answers
+// append, then φ recomputation and bound raising — and its answers
 // are byte-identical once it has applied through the query's horizon.
 // Re-shipping after a failover is idempotent: post IDs are monotone, so a
 // follower skips any record at or below its metadata DB's high-water SID,

@@ -43,7 +43,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/invindex"
 	"repro/internal/metadb"
-	"repro/internal/popcache"
 	"repro/internal/score"
 	"repro/internal/segment"
 	"repro/internal/social"
@@ -186,10 +185,6 @@ type Config struct {
 // where reads go. The zero value enables nothing — the paper's baseline
 // configuration.
 type Features struct {
-	// PopCacheCapacity attaches the cross-query thread-popularity cache
-	// with this many entries; negative selects the popcache default
-	// capacity, zero disables the cache.
-	PopCacheCapacity int
 	// ReplySnapshot builds the metadata database's CSR reply-graph
 	// snapshot and moves thread expansion onto it (zero B⁺-tree traffic
 	// for thread construction).
@@ -199,20 +194,19 @@ type Features struct {
 // Option mutates a Config; DefaultConfig applies them in order. Options
 // exist for the feature toggles so call sites read as one line:
 //
-//	sys, err := tklus.Build(posts, tklus.DefaultConfig(
-//	    tklus.WithPopCache(4096), tklus.WithReplySnapshot()))
+//	sys, err := tklus.Build(posts, tklus.DefaultConfig(tklus.WithReplySnapshot()))
 type Option func(*Config)
 
-// WithPopCache enables the cross-query thread-popularity cache with the
-// given capacity in entries (non-positive selects the popcache default).
-func WithPopCache(capacity int) Option {
-	return func(c *Config) {
-		if capacity <= 0 {
-			capacity = -1
-		}
-		c.Features.PopCacheCapacity = capacity
-	}
-}
+// WithPopCache is accepted and changes nothing: the popularity cache is
+// gone and only the frozen internal/bench harness still passes the option —
+// delete with the harness's next move (ROADMAP 1(d)).
+func WithPopCache(int) Option { return func(*Config) {} }
+
+// popCacheStub is what is left of the cache's type: the one nil-safe call
+// internal/bench makes on System.PopCache.
+type popCacheStub struct{}
+
+func (*popCacheStub) Stats() (s struct{ Evictions int64 }) { return s }
 
 // WithReplySnapshot enables the CSR reply-graph snapshot.
 func WithReplySnapshot() Option {
@@ -246,9 +240,9 @@ type System struct {
 	// Contents resolves tweet IDs to their raw texts, stored in the DFS
 	// alongside the index (Figure 3).
 	Contents *contents.Store
-	// PopCache is the cross-query thread-popularity cache, nil unless
-	// Features.PopCacheCapacity asked for one. Ingest keeps it coherent.
-	PopCache *popcache.Cache
+	// PopCache is always nil: only the frozen internal/bench harness reads
+	// it — delete with the harness's next move (ROADMAP 1(d)).
+	PopCache *popCacheStub
 
 	// IndexStats reports MapReduce construction counters and sizes.
 	IndexStats *invindex.BuildStats
@@ -312,14 +306,12 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 }
 
 // newSystem is the one place a System is assembled: the engine over the
-// batch index plus the accelerators cfg.Features asks for, so a fresh
+// batch index plus the accelerator cfg.Features asks for, so a fresh
 // build, a shard, a replica and a snapshot recovery all come up with the
-// same serving surface. Every accelerator is picked up from state the read
+// same serving surface. The accelerator is picked up from state the read
 // paths can observe — the thread builder expands from the reply snapshot
 // when the database has one — and posts ingested afterwards extend the
-// snapshot in place, so results stay byte-identical to the B⁺-tree paths. φ(p) depends only on the reply/forward graph, so popularity-cache
-// entries stay exact across queries; Ingest evicts the entries an inserted
-// post invalidates.
+// snapshot in place, so results stay byte-identical to the B⁺-tree paths.
 func newSystem(cfg Config, db *metadb.DB, idx *invindex.Index, fsys *dfs.FS,
 	bounds *thread.Bounds, store *contents.Store, stats *invindex.BuildStats) (*System, error) {
 	engine, err := core.NewEngine(idx, db, bounds, cfg.Engine)
@@ -330,12 +322,7 @@ func newSystem(cfg Config, db *metadb.DB, idx *invindex.Index, fsys *dfs.FS,
 		Engine: engine, DB: db, Index: idx, FS: fsys,
 		Bounds: bounds, Contents: store, IndexStats: stats,
 	}
-	f := cfg.Features
-	if f.PopCacheCapacity != 0 {
-		sys.PopCache = popcache.New(f.PopCacheCapacity)
-		engine.SetPopularityCache(sys.PopCache)
-	}
-	if f.ReplySnapshot {
+	if cfg.Features.ReplySnapshot {
 		db.EnableReplySnapshot()
 	}
 	return sys, nil
@@ -344,11 +331,11 @@ func newSystem(cfg Config, db *metadb.DB, idx *invindex.Index, fsys *dfs.FS,
 // Ingest appends live posts to the centralized metadata database, in
 // timestamp order (each SID must exceed every stored one — IDs are
 // timestamps, Section IV-A). Ingested replies and forwards extend tweet
-// threads immediately: the next query sees the updated φ(p), any
-// popularity-cache entry whose thread gains a post is evicted, the CSR
-// reply-graph snapshot (if enabled) is extended in place, and the
-// max-ranking pruning bounds are conservatively raised so pruning stays
-// lossless even when the grown thread exceeds the batch-computed maxima.
+// threads immediately: the next query sees the updated φ(p), the CSR
+// reply-graph snapshot (if enabled) is extended in place, and the φ table
+// and the max-ranking pruning bounds are raised to the recomputed φ so
+// pruning stays lossless even when the grown thread exceeds the
+// batch-computed maxima.
 // Keywords of ingested posts enter the hybrid inverted index only at the
 // next batch build (the paper's periodic index construction), so a
 // brand-new post becomes a *candidate* then — but its effect on existing
@@ -436,29 +423,20 @@ func (s *System) ingest(posts []*Post, timed bool, dbDur, walDur *time.Duration)
 
 // extendThreads accounts for an ingested reply. It changes φ of exactly its
 // first Depth ancestors (those are the roots whose depth limit still
-// reaches the new post; its parent is 1 hop up). Walk that chain once: each
-// ancestor's cached entry is stale, and its thread may now score above the
-// offline bounds.
+// reaches the new post; its parent is 1 hop up). Walk that chain once,
+// recompute each ancestor's φ and record it: the φ table stays exact and no
+// bound is left below a thread that now scores above it.
 func (s *System) extendThreads(p *Post) {
-	depth := s.Engine.Opts.Params.ThreadDepth
-	ancestors := make([]PostID, 0, depth)
-	for sid := p.RSID; sid != social.NoPost && len(ancestors) < depth; {
-		ancestors = append(ancestors, sid)
+	builder := thread.Builder{DB: s.DB, Depth: s.Engine.Opts.Params.ThreadDepth}
+	sid := p.RSID
+	for hops := 0; sid != social.NoPost && hops < builder.Depth; hops++ {
+		pop, _ := builder.Popularity(sid, s.Engine.Opts.Params.Epsilon, nil)
+		s.Bounds.RaiseForRoot(sid, pop)
 		row, ok := s.DB.GetBySID(sid)
 		if !ok {
 			break
 		}
 		sid = row.RSID
-	}
-	if s.PopCache != nil {
-		for _, a := range ancestors {
-			s.PopCache.InvalidateRoot(a)
-		}
-	}
-	builder := thread.Builder{DB: s.DB, Depth: depth}
-	for _, a := range ancestors {
-		pop, _ := builder.Popularity(a, s.Engine.Opts.Params.Epsilon, nil)
-		s.Bounds.RaiseForRoot(a, pop)
 	}
 }
 
