@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet fmt flake bench bench-e2e test-crash test-obs test-replication loc
+.PHONY: all build test short race vet fmt flake bench bench-hot bench-e2e test-crash test-obs test-replication loc
 
 all: build test
 
@@ -90,6 +90,16 @@ flake:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The hot-path lane: the per-stage micro-benchmarks of the gather → bound
+# kernel (postings merge, row batch, radius check, φ batch, bound pass), five
+# runs each with allocations — the numbers CHANGES.md quotes beside an
+# end-to-end result, in one command.
+bench-hot:
+	$(GO) test -run '^$$' -bench 'BenchmarkGatherFilter|BenchmarkUnionPostings|BenchmarkRankSumPrunedPhase1' -benchmem -count 5 ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkPhiLookup' -benchmem -count 5 ./internal/thread/
+	$(GO) test -run '^$$' -bench 'BenchmarkHaversine' -benchmem -count 5 ./internal/geo/
+	$(GO) test -run '^$$' -bench 'BenchmarkSegmentRowBatch' -benchmem -count 5 ./internal/segment/
 
 # The one serving-path benchmark: HTTP in, JSON out, four workloads,
 # per-layer breakdown, run the way BENCHMARK.json's driver runs it (see

@@ -25,11 +25,15 @@ type ScanRanker struct {
 	posts     []*social.Post
 	children  map[social.PostID][]social.PostID
 	userPosts map[social.UserID][]*social.Post
+	minSID    social.PostID // the corpus time span recency ages against
+	maxSID    social.PostID
 
 	// ExactUserDistance mirrors core.Options.ExactUserDistance: when set,
 	// δ(u,q) averages over all of a user's posts; otherwise over the
 	// user's keyword-matching candidates only (still divided by |P_u|).
 	ExactUserDistance bool
+	// RecencyHalfLife mirrors core.Options.RecencyHalfLife; 0 disables it.
+	RecencyHalfLife float64
 }
 
 // NewScanRanker prepares the in-memory structures for exhaustive ranking.
@@ -45,6 +49,10 @@ func NewScanRanker(posts []*social.Post, params score.Params) *ScanRanker {
 			r.children[p.RSID] = append(r.children[p.RSID], p.SID)
 		}
 		r.userPosts[p.UID] = append(r.userPosts[p.UID], p)
+		if r.maxSID == 0 || p.SID < r.minSID {
+			r.minSID = p.SID
+		}
+		r.maxSID = max(r.maxSID, p.SID)
 	}
 	return r
 }
@@ -114,6 +122,9 @@ func (r *ScanRanker) Search(q core.Query) []core.UserResult {
 			continue
 		}
 		rho := score.KeywordRelevance(m, r.popularity(post.SID), p.N)
+		if r.RecencyHalfLife > 0 && r.maxSID > r.minSID {
+			rho *= score.RecencyBoost(float64(r.maxSID-post.SID)/float64(r.maxSID-r.minSID), r.RecencyHalfLife)
+		}
 		a := users[post.UID]
 		if a == nil {
 			a = &agg{}

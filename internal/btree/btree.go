@@ -11,7 +11,9 @@
 package btree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -216,7 +218,7 @@ func (t *Tree) GetBatchCounted(keys []int64) ([][]int64, int) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
 
 	height := t.Height()
 	visited := 0

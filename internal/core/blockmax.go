@@ -2,21 +2,26 @@ package core
 
 // This file is retrieval's merge layer over the blocked postings layout
 // (internal/invindex/blocks.go) — the lazy block-at-a-time AND/OR merges
-// gather runs once per partition — and MaxScore-style early termination for
-// the sum ranking. Everything here is result-preserving — the candidate
-// set, every score, and the final top-k are byte-identical to an exhaustive
-// scan (internal/baseline is the reference); only decode work and thread
-// constructions are avoided:
+// gather runs once per partition, each writing into the query's scratch —
+// and MaxScore-style early termination for the sum ranking. Everything here
+// is result-preserving — the candidate set, every score, and the final top-k
+// are byte-identical to an exhaustive scan (internal/baseline is the
+// reference); only decode work and thread constructions are avoided:
 //
 //   - The AND merge is an exact set intersection. Non-driver terms advance
 //     by SkipTo, and a block whose directory says MinSID > target is ruled
 //     out without decoding, so long lists stay mostly undecoded.
+//   - The OR merge is a typed min-heap of run heads — one per postings list:
+//     the undrained rest of its decoded block, the front TID cached where the
+//     heap compares it. The smallest run drains for as long as it stays the
+//     smallest, so a posting costs a compare and a store, not a heap
+//     operation, and a list is asked for a block at a time.
 //   - Blocks are a decode/skip unit only. The per-candidate popularity
-//     bound is evaluated where the pruning decision is made, as
-//     min(query bound, thread.Bounds.Phi(tid)): the φ table's entry for the
-//     candidate's own SID, which Ingest keeps exact through RaiseForRoot.
-//     It can only tighten the Section V-B popularity bound, never replace
-//     a score.
+//     bound is min(query bound, φ(tid)) — the φ table's entry for the
+//     candidate's own SID, which Ingest keeps exact through RaiseForRoot —
+//     read for all candidates in one thread.Bounds.PhiBatch (popBounds). It
+//     can only tighten the Section V-B popularity bound, never replace a
+//     score.
 //   - Sum ranking cannot skip candidates (every candidate feeds Σρ and
 //     δ(u,q)), so termination happens at user granularity: users are scored
 //     in descending upper-bound order and scoring stops once the running
@@ -24,7 +29,6 @@ package core
 
 import (
 	"cmp"
-	"container/heap"
 	"context"
 	"math"
 	"slices"
@@ -102,7 +106,8 @@ func closeIterators(termIts [][]*invindex.PostingsIterator, stats *QueryStats) e
 // superset), while the other terms advance by SkipTo and only decode a
 // block when its directory admits the target TID. The cells of one
 // partition are disjoint, so at most one iterator per term holds any TID.
-func intersectIterators(termIts [][]*invindex.PostingsIterator) []candidate {
+// The result lives in sc.merged.
+func intersectIterators(termIts [][]*invindex.PostingsIterator, sc *scratch) []candidate {
 	if len(termIts) == 0 {
 		return nil
 	}
@@ -119,7 +124,7 @@ func intersectIterators(termIts [][]*invindex.PostingsIterator) []candidate {
 			driver, driverLen = ti, n
 		}
 	}
-	var out []candidate
+	out := sc.merged[:0]
 outer:
 	for {
 		// The driver's smallest current TID across its cell iterators.
@@ -173,64 +178,118 @@ outer:
 		out = append(out, candidate{tid: dp.TID, matches: total})
 		drv.Next()
 	}
+	sc.merged = out
 	return out
 }
 
-// iterHeap is a min-heap of iterators keyed by current TID, for the k-way
-// OR merge. Every iterator in the heap is positioned on a posting.
-type iterHeap []*invindex.PostingsIterator
-
-func (h iterHeap) Len() int { return len(h) }
-func (h iterHeap) Less(i, j int) bool {
-	pi, _ := h[i].Cur()
-	pj, _ := h[j].Cur()
-	return pi.TID < pj.TID
+// runHead is one postings list inside the OR merge: the undrained rest of
+// its current decoded block, with the TID at the front cached where the heap
+// compares it.
+type runHead struct {
+	tid  social.PostID // rest[0].TID
+	rest []invindex.Posting
+	it   *invindex.PostingsIterator
 }
-func (h iterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *iterHeap) Push(x any)   { *h = append(*h, x.(*invindex.PostingsIterator)) }
-func (h *iterHeap) Pop() (x any) { old := *h; n := len(old); x = old[n-1]; *h = old[:n-1]; return }
+
+// siftDown restores the min-heap order of h below slot i.
+func siftDown(h []runHead, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].tid < h[c].tid {
+			c++
+		}
+		if h[i].tid <= h[c].tid {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
 
 // unionIterators is the lazy OR merge (Algorithm 4 lines 12–14): a k-way
-// heap merge folding equal TIDs, term frequencies summing across the terms
-// that matched (bag semantics). Every posting is a candidate, so every
-// block decodes — OR gains no skips.
-func unionIterators(termIts [][]*invindex.PostingsIterator) []candidate {
-	var h iterHeap
+// merge folding equal TIDs, term frequencies summing across the terms that
+// matched (bag semantics). Every posting is a candidate, so every block
+// decodes — OR gains no skips. The result lives in sc.merged, sized from the
+// lists' lengths, so the merge allocates nothing once the scratch has grown.
+func unionIterators(termIts [][]*invindex.PostingsIterator, sc *scratch) []candidate {
+	h, total := sc.heap[:0], 0
 	for _, its := range termIts {
 		for _, it := range its {
-			if _, ok := it.Cur(); ok {
-				h = append(h, it)
+			total += it.Len()
+			if rest := it.Rest(); len(rest) > 0 {
+				h = append(h, runHead{tid: rest[0].TID, rest: rest, it: it})
 			}
 		}
 	}
-	heap.Init(&h)
-	var out []candidate
-	for h.Len() > 0 {
-		it := h[0]
-		p, _ := it.Cur()
-		if n := len(out); n > 0 && out[n-1].tid == p.TID {
-			out[n-1].matches += int(p.TF)
-		} else {
-			out = append(out, candidate{tid: p.TID, matches: int(p.TF)})
-		}
-		it.Next()
-		if _, ok := it.Cur(); ok {
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
+	sc.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	return out
+	out, n := grow(&sc.merged, total), 0
+	for len(h) > 0 {
+		// The root's run stays the smallest up to the smaller of its
+		// children's heads; drain it that far in one go. Equal TIDs fold
+		// whichever run delivers them first, so ties may drain too.
+		limit := social.PostID(math.MaxInt64)
+		if len(h) > 1 {
+			limit = h[1].tid
+			if len(h) > 2 && h[2].tid < limit {
+				limit = h[2].tid
+			}
+		}
+		rest, i := h[0].rest, 0
+		for ; i < len(rest) && rest[i].TID <= limit; i++ {
+			if p := rest[i]; n > 0 && out[n-1].tid == p.TID {
+				out[n-1].matches += int(p.TF)
+			} else {
+				out[n] = candidate{tid: p.TID, matches: int(p.TF)}
+				n++
+			}
+		}
+		if i == len(rest) {
+			rest, i = h[0].it.NextRest(), 0
+		}
+		if i < len(rest) {
+			h[0].tid, h[0].rest = rest[i].TID, rest[i:]
+		} else { // list exhausted (or failed to decode: closeIterators reports it)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	return out[:n]
 }
 
-// userGroup is one candidate user in the sum-ranking early-termination
-// pass: its row of the user table (uid, exact δ(u,q)), its candidates (as
-// indexes into the candidate slice, ascending), and the upper bound on its
-// combined score.
-type userGroup struct {
-	u     *candUser
-	cands []int
+// boundKey is one candidate user in the sum ranking's early-termination
+// pass: the upper bound on its combined score, and its UID beside it so the
+// bound-order sort touches nothing but the 24-byte keys. group is the user's
+// row of the user table, which also names its span of the grouped candidates.
+type boundKey struct {
 	ub    float64
+	uid   social.UserID
+	group int32
+}
+
+// popBounds returns, per candidate, the popularity bound the prune sites
+// evaluate: the smaller of the query-level bound (Section V-B) and the
+// candidate's own φ — near-exact, the table holding the batch-exact
+// popularity of every root, raised on ingest — read for the whole ascending
+// candidate list in one locked forward pass. The result lives in the scratch.
+func (e *Engine) popBounds(cs *candidateSet) []float64 {
+	sids := grow(&cs.sc.sids, len(cs.cands))
+	for i := range cs.cands {
+		sids[i] = cs.cands[i].TID
+	}
+	bounds := grow(&cs.sc.phi, len(sids))
+	e.Bounds.PhiBatch(sids, bounds)
+	queryBound := e.Bounds.ForQuery(cs.terms, cs.q.Semantic == And, e.Opts.UseSpecificBounds)
+	for i, phi := range bounds {
+		bounds[i] = min(queryBound, phi)
+	}
+	return bounds
 }
 
 // sumGroupChunk is how many user groups a streaming round scores before
@@ -264,39 +323,43 @@ func sumGroupChunk(k int, full bool) int {
 // the emitted results are byte-identical to rankSum's sort-and-truncate.
 func (e *Engine) rankSumPruned(ctx context.Context, cs *candidateSet) ([]UserResult, error) {
 	p := e.Opts.Params
-	q, cands, stats, rec := &cs.q, cs.cands, cs.stats, cs.rec
-	popBound := e.Bounds.ForQuery(cs.terms, q.Semantic == And, e.Opts.UseSpecificBounds)
+	q, cands, users, stats, rec := &cs.q, cs.cands, cs.users, cs.stats, cs.rec
 
-	// Phase 1 — group per user (table order is first-candidate order) and
-	// bound each group's score.
+	// Phase 1 — bound each user's score. One pass over the candidates sums
+	// every user's relevance bounds in candidate order, the order the exact
+	// pass below sums in; a counting pass then groups the candidate indexes
+	// per user (byUser[first[u]:first[u+1]], ascending) for that pass.
 	stopPrune := rec.Start(telemetry.StagePrune)
-	groups := make([]userGroup, len(cs.users))
+	bounds := e.popBounds(cs)
+	keys := grow(&cs.sc.keys, len(users))
+	first := grow(&cs.sc.first, len(users)+1)
+	clear(first)
+	for u := range keys {
+		keys[u] = boundKey{uid: users[u].uid, group: int32(u)}
+	}
 	for i := range cands {
-		g := &groups[cands[i].user]
-		g.cands = append(g.cands, i)
+		c := &cands[i]
+		keys[c.user].ub += score.KeywordRelevance(c.Matches, bounds[i], p.N) * e.recencyFactor(cs, c.TID)
+		first[c.user+1]++
 	}
-	for ui := range groups {
-		g := &groups[ui]
-		g.u = &cs.users[ui]
-		var ubRs float64
-		for _, i := range g.cands {
-			c := &cands[i]
-			// The φ table holds the batch-exact popularity of every root,
-			// raised on ingest, so this bound is near-exact — it is what
-			// lets the termination below fire long before the candidate
-			// list runs out.
-			ubRs += score.KeywordRelevance(c.Matches, min(popBound, e.Bounds.Phi(c.TID)), p.N) * e.recencyFactor(c.TID)
-		}
-		g.ub = score.Combine(p.Alpha, ubRs, g.u.du)
+	for u := range keys {
+		keys[u].ub = score.Combine(p.Alpha, keys[u].ub, users[u].du)
+		first[u+1] += first[u]
 	}
-	slices.SortFunc(groups, func(a, b userGroup) int {
-		if a.ub != b.ub {
-			if a.ub > b.ub {
-				return -1
-			}
-			return 1
+	byUser := grow(&cs.sc.byUser, len(cands))
+	for i := range cands { // first[u] walks u's span; afterwards it is first[u+1]
+		u := cands[i].user
+		byUser[first[u]] = int32(i)
+		first[u]++
+	}
+	copy(first[1:], first)
+	first[0] = 0
+	candsOf := func(k boundKey) []int32 { return byUser[first[k.group]:first[k.group+1]] }
+	slices.SortFunc(keys, func(a, b boundKey) int {
+		if c := cmp.Compare(b.ub, a.ub); c != 0 {
+			return c
 		}
-		return cmp.Compare(a.u.uid, b.u.uid)
+		return cmp.Compare(a.uid, b.uid)
 	})
 	stopPrune()
 
@@ -308,34 +371,34 @@ func (e *Engine) rankSumPruned(ctx context.Context, cs *candidateSet) ([]UserRes
 	maxChunk := sumGroupChunk(q.K, false)
 	rhoSums := make([]float64, maxChunk)
 	tss := make([]thread.Stats, maxChunk)
-	for idx := 0; idx < len(groups); {
+	for idx := 0; idx < len(keys); {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if tk.full() && groups[idx].ub < tk.peek() {
-			for _, g := range groups[idx:] {
-				stats.ThreadsPruned += int64(len(g.cands))
+		if tk.full() && keys[idx].ub < tk.peek() {
+			for _, k := range keys[idx:] {
+				stats.ThreadsPruned += int64(len(candsOf(k)))
 			}
 			break
 		}
-		chunkSize := sumGroupChunk(q.K, tk.full())
-		chunk := append([]userGroup(nil), groups[idx:min(idx+chunkSize, len(groups))]...)
+		chunk := keys[idx:min(idx+sumGroupChunk(q.K, tk.full()), len(keys))]
 		// Build the chunk's threads in SID order, not bound order: thread
 		// expansion walks B⁺-tree leaves, and ascending-SID builds share
 		// pages the way the exhaustive scan does. Safe — admission into the
 		// top-k below is order-independent (the weakest-member rule yields
-		// the k best under (score desc, UID asc) however members arrive).
-		slices.SortFunc(chunk, func(a, b userGroup) int {
-			return cmp.Compare(cands[a.cands[0]].TID, cands[b.cands[0]].TID)
+		// the k best under (score desc, UID asc) however members arrive) and
+		// only bounds past the chunk are looked at again.
+		slices.SortFunc(chunk, func(a, b boundKey) int {
+			return cmp.Compare(cands[candsOf(a)[0]].TID, cands[candsOf(b)[0]].TID)
 		})
 		t0 := time.Now()
 		err := RunJobs(ctx, e.workers(), len(chunk), func(ctx context.Context, j int) error {
 			tss[j] = thread.Stats{}
 			var rs float64
-			for _, i := range chunk[j].cands {
+			for _, i := range candsOf(chunk[j]) {
 				c := &cands[i]
 				pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &tss[j])
-				rs += score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(c.TID)
+				rs += score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(cs, c.TID)
 			}
 			rhoSums[j] = rs
 			return nil
@@ -344,19 +407,19 @@ func (e *Engine) rankSumPruned(ctx context.Context, cs *candidateSet) ([]UserRes
 			return nil, err
 		}
 		rec.Observe(telemetry.StageThreadBuild, t0, time.Since(t0))
-		for j, g := range chunk {
+		for j, k := range chunk {
 			stats.addThreads(&tss[j])
-			us := score.Combine(p.Alpha, rhoSums[j], g.u.du)
+			us := score.Combine(p.Alpha, rhoSums[j], users[k.group].du)
 			if !tk.full() {
-				tk.add(g.u.uid, us)
+				tk.add(k.uid, us)
 				continue
 			}
 			// Admit under exactly the sort-then-truncate order: higher
 			// score, or equal score with a smaller UID than the weakest.
 			wuid, ws := tk.weakest()
-			if us > ws || (us == ws && g.u.uid < wuid) {
+			if us > ws || (us == ws && k.uid < wuid) {
 				tk.removeWeakest()
-				tk.add(g.u.uid, us)
+				tk.add(k.uid, us)
 			}
 		}
 		idx += len(chunk)

@@ -117,7 +117,7 @@ type Options struct {
 	UseSpecificBounds bool
 	// UsePruning enables the upper-bound pruning of Algorithm 5 lines
 	// 18–19, each candidate's popularity bounded by the smaller of the
-	// query-level bound and its own φ-table entry (thread.Bounds.Phi),
+	// query-level bound and its own φ-table entry (thread.Bounds.PhiBatch),
 	// and MaxScore-style early termination for sum ranking (rankSumPruned).
 	// Disabling it is the ablation baseline; results are identical, only
 	// thread-construction work changes.
@@ -264,7 +264,7 @@ type UserResult struct {
 // QueryStats reports the work one query performed.
 type QueryStats struct {
 	Cells            int   // geohash cells in the circle cover
-	PostingsFetched  int64 // postings lists pulled from the DFS
+	PostingsFetched  int64 // non-empty ⟨cell, term⟩ postings lists opened across the partitions
 	Candidates       int   // tweets surviving semantics + radius + window
 	ThreadsBuilt     int64 // Algorithm 1 invocations
 	ThreadsPruned    int64 // candidates skipped by the upper bound

@@ -349,6 +349,39 @@ func TestRecencyBoostPrefersNewer(t *testing.T) {
 	}
 }
 
+// TestRecencyMatchesScanOracle pins the recency extension end to end: with
+// a half-life set, both rankings — sum through its bound pass and its exact
+// pass, which must age every tweet against one SID span — and both
+// semantics, pruned and exhaustive, equal the scan oracle's answer.
+func TestRecencyMatchesScanOracle(t *testing.T) {
+	posts, center := randomCorpus(rand.New(rand.NewSource(24)), 800)
+	results := 0
+	for _, pruning := range []bool{true, false} {
+		opts := core.DefaultOptions()
+		opts.RecencyHalfLife, opts.UsePruning = 0.3, pruning
+		oracle := baseline.NewScanRanker(posts, opts.Params)
+		oracle.RecencyHalfLife = opts.RecencyHalfLife
+		eng := buildEngine(t, posts, opts, 3, []string{"hotel"})
+		for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {
+			for _, sem := range []core.Semantic{core.Or, core.And} {
+				q := core.Query{
+					Loc: center, RadiusKm: 30, Keywords: []string{"hotel", "restaurant"},
+					K: 5, Semantic: sem, Ranking: ranking,
+				}
+				got, _, err := eng.Search(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareResults(t, got, oracle.Search(q), "recency pruning=%v %v %v", pruning, ranking, sem)
+				results += len(got)
+			}
+		}
+	}
+	if results < 30 {
+		t.Fatalf("only %d results: corpus too sparse for a meaningful check", results)
+	}
+}
+
 func TestQueryValidation(t *testing.T) {
 	posts, center := randomCorpus(rand.New(rand.NewSource(1)), 50)
 	eng := buildEngine(t, posts, core.DefaultOptions(), 3, nil)

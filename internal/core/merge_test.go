@@ -27,8 +27,12 @@ func iters(lists [][]invindex.Posting) [][]*invindex.PostingsIterator {
 	return out
 }
 
-func intersectLists(lists [][]invindex.Posting) []candidate { return intersectIterators(iters(lists)) }
-func unionLists(lists [][]invindex.Posting) []candidate     { return unionIterators(iters(lists)) }
+func intersectLists(lists [][]invindex.Posting) []candidate {
+	return intersectIterators(iters(lists), new(scratch))
+}
+func unionLists(lists [][]invindex.Posting) []candidate {
+	return unionIterators(iters(lists), new(scratch))
+}
 
 func TestIntersectPostings(t *testing.T) {
 	lists := [][]invindex.Posting{

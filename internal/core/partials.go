@@ -100,7 +100,9 @@ func (e *Engine) SearchPartials(ctx context.Context, q Query) (*Partials, error)
 	if q.Ranking != SumScore && q.Ranking != MaxScore {
 		return nil, fmt.Errorf("core: %w: unknown ranking %d", ErrBadQuery, q.Ranking)
 	}
-	cs, err := e.gather(ctx, q)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	cs, err := e.gather(ctx, q, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +141,7 @@ func (e *Engine) partialsScoreAll(ctx context.Context, cs *candidateSet, out *Pa
 	err := RunJobs(ctx, e.workers(), len(cands), func(ctx context.Context, i int) error {
 		c := &cands[i]
 		pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &sc[i].ts)
-		sc[i].rho = score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(c.TID)
+		sc[i].rho = score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(cs, c.TID)
 		return nil
 	})
 	if err != nil {
@@ -164,7 +166,7 @@ func (e *Engine) partialsScoreAll(ctx context.Context, cs *candidateSet, out *Pa
 // distance term (1 here, the exact δ(u,q) there) and in what they emit.
 func (e *Engine) partialsMaxPruned(ctx context.Context, cs *candidateSet, out *Partials) error {
 	p := e.Opts.Params
-	popBound := e.Bounds.ForQuery(cs.terms, cs.q.Semantic == And, e.Opts.UseSpecificBounds)
+	bounds := e.popBounds(cs)
 
 	tk := newTopK(cs.q.K)
 	out.Cands = make([]CandidateScore, 0, len(cs.cands))
@@ -182,7 +184,7 @@ func (e *Engine) partialsMaxPruned(ctx context.Context, cs *candidateSet, out *P
 			// (Section V-B's own bound): sound regardless of how the
 			// user's candidates are distributed across shards. The
 			// candidate's own φ-table entry tightens the popularity part.
-			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.Matches, min(popBound, e.Bounds.Phi(c.TID)), p.N), 1)
+			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.Matches, bounds[i], p.N), 1)
 			if ub <= tk.peek() {
 				cs.stats.ThreadsPruned++
 				out.Cands = append(out.Cands, CandidateScore{
@@ -194,7 +196,7 @@ func (e *Engine) partialsMaxPruned(ctx context.Context, cs *candidateSet, out *P
 		t0 := threads.begin()
 		pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &ts)
 		threads.end(t0)
-		rho := score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(c.TID)
+		rho := score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(cs, c.TID)
 		out.Cands = append(out.Cands, CandidateScore{TID: c.TID, UID: c.UID, Delta: c.Delta, Rho: rho})
 
 		// Track lower-bound user scores. The table's δ(u,q) never exceeds

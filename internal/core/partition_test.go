@@ -96,14 +96,14 @@ func TestGatherNamesTheMissingRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{Loc: benchCenter, RadiusKm: 5, Keywords: []string{"hotel"}, K: 3}
-	_, err = eng.gather(context.Background(), q)
+	_, err = eng.gather(context.Background(), q, new(scratch))
 	if err == nil || !strings.Contains(err.Error(), "indexed tweet 7 missing") {
 		t.Fatalf("gather over a partition missing row 7: err = %v", err)
 	}
 
 	src.absent = 0
 	eng.SetPartitions([]Partition{{Source: src, Rows: src}})
-	cs, err := eng.gather(context.Background(), q)
+	cs, err := eng.gather(context.Background(), q, new(scratch))
 	if err != nil {
 		t.Fatal(err)
 	}

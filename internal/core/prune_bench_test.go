@@ -84,7 +84,7 @@ func pruneBenchSetup(b *testing.B, nUsers int, ranking Ranking) (*Engine, *candi
 	eng.DB.EnableReplySnapshot()
 	q := Query{Loc: benchCenter, RadiusKm: 50, Keywords: []string{"hotel"}, K: 5, Semantic: Or, Ranking: ranking}
 	cs := &candidateSet{
-		q: q, terms: QueryTerms(q.Keywords), cands: make([]CandidateTweet, 4096),
+		q: q, terms: QueryTerms(q.Keywords), cands: make([]CandidateTweet, 4096), sc: new(scratch),
 		stats: &QueryStats{}, rec: telemetry.NewSpanRecorder(), start: time.Now(),
 	}
 	for i := range cs.cands {
@@ -144,27 +144,30 @@ func BenchmarkRankSumPrunedPhase1(b *testing.B) {
 	b.ReportMetric(float64(cs.stats.ThreadsPruned)/float64(b.N), "pruned/op")
 }
 
-// BenchmarkGatherFilter pushes 4096 merged postings through gather — one
-// keyword, so the merge is a copy and the filter (row resolution and the
-// radius check) is the work — once against the paged row store's multi-get
-// (one partition, one postings list) and once against a segment store
-// holding the same rows in seven sealed segments plus a live memtable, each
-// partition resolving its own rows in one forward batch.
+// BenchmarkGatherFilter pushes 4096 merged postings through gather. With one
+// keyword the merge is a copy and the filter (row resolution and the radius
+// check) is the work — once against the paged row store's multi-get (one
+// partition, one postings list) and once against a segment store holding the
+// same rows in seven sealed segments plus a live memtable, each partition
+// resolving its own rows in one forward batch. The union leg spreads the same
+// postings over three terms of that store (a third of the tweets carrying
+// two, some all three), so every partition runs a real three-way OR merge.
 func BenchmarkGatherFilter(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	posts := benchCorpus(rng, 2500, 4)
 	src := benchPostings{cell: geo.Encode(benchCenter, 4)}
-	matching := make(map[social.PostID]bool, 4096)
+	matching := make(map[social.PostID]int, 4096)
 	for i := 0; i < 4096; i++ {
 		sid := posts[i*len(posts)/4096].SID
 		src.list = append(src.list, invindex.Posting{TID: sid, TF: 1})
-		matching[sid] = true
+		matching[sid] = i
 	}
-	q := Query{Loc: benchCenter, RadiusKm: 15, Keywords: []string{"hotel"}, K: 5, Semantic: Or}
-	for _, resolver := range []string{"paged", "segment"} {
-		b.Run(resolver, func(b *testing.B) {
+	unionWords := [][]string{{"hotel"}, {"pizza"}, {"cafe"}, {"hotel", "pizza"}, {"pizza", "cafe"}, {"hotel", "pizza", "cafe"}}
+	for _, leg := range []string{"paged", "segment", "union"} {
+		b.Run(leg, func(b *testing.B) {
 			eng := benchEngine(b, posts, src)
-			if resolver == "segment" {
+			q := Query{Loc: benchCenter, RadiusKm: 15, Keywords: []string{"hotel"}, K: 5, Semantic: Or}
+			if leg != "paged" {
 				store, err := segment.OpenStore(b.TempDir(), segment.Options{GeohashLen: 4, MemtableRows: 2600})
 				if err != nil {
 					b.Fatal(err)
@@ -172,25 +175,28 @@ func BenchmarkGatherFilter(b *testing.B) {
 				defer store.Close()
 				for _, p := range posts {
 					cp := *p
-					if !matching[p.SID] {
+					if i, ok := matching[p.SID]; !ok {
 						cp.Words = []string{"other"}
+					} else if leg == "union" {
+						cp.Words = unionWords[i%len(unionWords)]
 					}
 					if _, err := store.Add(&cp); err != nil {
 						b.Fatal(err)
 					}
 				}
-				var parts []Partition
-				for _, v := range store.Views() {
-					parts = append(parts, Partition{Source: v.Source, Rows: v.Source, MinSID: v.MinSID, MaxSID: v.MaxSID})
-				}
+				parts := storePartitions(store)
 				eng.SetPartitions(parts)
 				b.ReportMetric(float64(len(parts)), "partitions")
+				if leg == "union" {
+					q.Keywords = unionWords[len(unionWords)-1]
+				}
 			}
 			var kept int
+			sc := new(scratch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cs, err := eng.gather(context.Background(), q)
+				cs, err := eng.gather(context.Background(), q, sc)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,7 +5,7 @@ package core
 // then per time partition the AND/OR merge, the window filter, row
 // resolution and the radius filter — and hands every exit the same
 // candidateSet: the surviving tweets in ascending tweet-ID order and the
-// query's books. CandidateTweets returns the tweets as they are; Search and
+// query's books. CandidateTweets returns a copy of the tweets; Search and
 // SearchPartials call resolveUsers, which adds the set's dense user table
 // (Σδ, |P_u|, δ(u,q) per user, each candidate pointing at its row), and
 // pass the set to one ranker. No ranker builds a per-user map of its own.
@@ -13,6 +13,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/geo"
@@ -47,16 +49,61 @@ type candUser struct {
 
 // candidateSet is the hand-off between retrieval and ranking: one query's
 // candidates, their users in first-candidate order (once resolveUsers has
-// run), and the query's books.
+// run), and the query's books. cands and users are views into sc.
 type candidateSet struct {
-	q     Query
-	terms []string
-	cands []CandidateTweet
-	users []candUser
+	q      Query
+	terms  []string
+	circle geo.Circle // the radius test, prepared once
+	cands  []CandidateTweet
+	users  []candUser
+	sc     *scratch
+
+	// The corpus SID span the recency extension ages tweets against, sampled
+	// once so bound pass and exact pass agree under live ingest.
+	minSID, maxSID social.PostID
 
 	stats *QueryStats
 	rec   *telemetry.SpanRecorder
 	start time.Time
+}
+
+// scratch is the working memory of one query from the postings merge to the
+// user bounds: every buffer sized by the merged postings or the candidates.
+// Search, SearchPartials and CandidateTweets each take one from the pool on
+// entry and release it on return, so whatever outlives the call — results,
+// Partials, the slice CandidateTweets hands out — is a copy, never a view.
+type scratch struct {
+	heap   []runHead             // unionIterators
+	merged []candidate           // one partition's merged postings
+	sids   []social.PostID       // row batch keys, then the φ batch's
+	rows   []metadb.RowMeta      // one partition's resolved rows
+	cands  []CandidateTweet      // candidateSet.cands
+	byUID  map[social.UserID]int // resolveUsers: user → table row
+	users  []candUser            // candidateSet.users
+	uids   []social.UserID       // the |P_u| batch's keys
+	phi    []float64             // popBounds
+	keys   []boundKey            // rankSumPruned: users in bound order
+	first  []int32               // rankSumPruned: user → span of byUser
+	byUser []int32               // rankSumPruned: candidate indexes, grouped
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release returns the scratch to the pool, dropping the merge's references
+// to postings iterators so a pooled scratch pins no index memory.
+func (sc *scratch) release() {
+	clear(sc.heap[:cap(sc.heap)])
+	scratchPool.Put(sc)
+}
+
+// grow resizes *buf to n elements, reallocating only when its capacity falls
+// short. The contents are whatever the buffer last held.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // done stamps the recorded spans and the elapsed time on the query's stats.
@@ -86,7 +133,9 @@ func (cs *candidateSet) rankDone(rankStart time.Time) *QueryStats {
 // build, rank/top-k) so callers can see where the time went without
 // re-running the query under a profiler.
 func (e *Engine) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats, error) {
-	cs, err := e.gather(ctx, q)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	cs, err := e.gather(ctx, q, sc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -109,9 +158,10 @@ func (e *Engine) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats
 	return results, cs.rankDone(rankStart), nil
 }
 
-// cancelCheckInterval bounds how many candidates are processed between
-// context checks; thread construction dominates per-candidate cost, so a
-// small stride keeps cancellation prompt without measurable overhead.
+// cancelCheckInterval bounds how many candidates (or jobs) are processed
+// between context checks. Most candidates cost a table lookup and a few a
+// thread construction, so a stride of 64 keeps cancellation within tens of
+// microseconds while the check itself stays off the profile.
 const cancelCheckInterval = 64
 
 // gather is the one front half of every query: it validates and stems the
@@ -125,14 +175,18 @@ const cancelCheckInterval = 64
 // into the global ascending candidate list — and every downstream score —
 // exactly as one merge over all partitions would produce it. Each phase is
 // recorded as a span; spans around parallel phases measure wall time, not
-// summed worker time.
-func (e *Engine) gather(ctx context.Context, q Query) (*candidateSet, error) {
+// summed worker time. The set's buffers are sc's.
+func (e *Engine) gather(ctx context.Context, q Query, sc *scratch) (*candidateSet, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	cs := &candidateSet{
-		q: q, terms: QueryTerms(q.Keywords),
-		stats: &QueryStats{}, rec: telemetry.NewSpanRecorder(), start: time.Now(),
+		q: q, terms: QueryTerms(q.Keywords), sc: sc,
+		circle: geo.NewCircle(q.Loc, q.RadiusKm, e.Opts.Params.Metric),
+		stats:  &QueryStats{}, rec: telemetry.NewSpanRecorder(), start: time.Now(),
+	}
+	if e.Opts.RecencyHalfLife > 0 {
+		cs.minSID, cs.maxSID = e.DB.SIDRange()
 	}
 	terms, stats, rec := cs.terms, cs.stats, cs.rec
 	if len(terms) == 0 {
@@ -189,30 +243,31 @@ func (e *Engine) gather(ctx context.Context, q Query) (*candidateSet, error) {
 		stats.PostingsFetched += n
 	}
 
-	// Stage 3 — merge and filter, per partition: jobs are partition-major,
-	// so a partition's per-term iterator lists are one run of opened. Every
-	// partition merges before any filters, so the candidate list is sized
-	// once, to the merged total it cannot exceed.
+	// Stage 3 — merge and filter, one partition at a time: jobs are
+	// partition-major, so a partition's per-term iterator lists are one run
+	// of opened. Each partition's merged postings are filtered before the
+	// next partition merges, so one merge buffer serves them all.
 	defer rec.Start(telemetry.StageCandidateFilter)()
-	merged, total := make([][]candidate, len(parts)), 0
-	for pi := range parts {
+	cs.cands = sc.cands[:0]
+	for pi, part := range parts {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		termIts := opened[pi*len(terms) : (pi+1)*len(terms)]
+		var merged []candidate
 		if q.Semantic == And {
-			merged[pi] = intersectIterators(termIts)
+			merged = intersectIterators(termIts, sc)
 		} else {
-			merged[pi] = unionIterators(termIts)
+			merged = unionIterators(termIts, sc)
 		}
 		if err := closeIterators(termIts, stats); err != nil {
 			return nil, err
 		}
-		total += len(merged[pi])
-	}
-	cs.cands = make([]CandidateTweet, 0, total)
-	for pi, part := range parts {
-		if err := e.filter(cs, part, merged[pi]); err != nil {
+		if err := e.filter(cs, part, merged); err != nil {
 			return nil, err
 		}
 	}
+	sc.cands = cs.cands // keeps what the appends grew
 	stats.Candidates = len(cs.cands)
 	return cs, ctx.Err()
 }
@@ -236,7 +291,7 @@ func (e *Engine) filter(cs *candidateSet, part *Partition, merged []candidate) e
 		}
 		merged = inWindow
 	}
-	sids := make([]social.PostID, len(merged))
+	sids := grow(&cs.sc.sids, len(merged))
 	for i, c := range merged {
 		sids[i] = c.tid
 	}
@@ -248,16 +303,16 @@ func (e *Engine) filter(cs *candidateSet, part *Partition, merged []candidate) e
 			if !found[i] {
 				return errRowMissing(c.tid)
 			}
-			cs.admit(c, rows[i].Loc(), rows[i].UID, e.Opts.Params.Metric)
+			cs.admit(c, rows[i].Loc(), rows[i].UID)
 		}
 		return nil
 	}
-	rows := make([]metadb.RowMeta, len(merged))
+	rows := grow(&cs.sc.rows, len(merged))
 	if miss := part.Rows.ResolveRows(sids, rows); miss >= 0 {
 		return errRowMissing(sids[miss])
 	}
 	for i, c := range merged {
-		cs.admit(c, geo.Point{Lat: rows[i].Lat, Lon: rows[i].Lon}, rows[i].UID, e.Opts.Params.Metric)
+		cs.admit(c, geo.Point{Lat: rows[i].Lat, Lon: rows[i].Lon}, rows[i].UID)
 	}
 	return nil
 }
@@ -271,9 +326,9 @@ func errRowMissing(sid social.PostID) error {
 // admit runs the exact radius check on one resolved posting — cover cells
 // may stick out of the circle — and appends the survivor, its δ(p,q)
 // (Definition 5) derived from the distance the check already computed.
-func (cs *candidateSet) admit(c candidate, loc geo.Point, uid social.UserID, metric geo.Metric) {
-	d := metric.DistanceKm(cs.q.Loc, loc)
-	if d > cs.q.RadiusKm {
+func (cs *candidateSet) admit(c candidate, loc geo.Point, uid social.UserID) {
+	d, inside := cs.circle.Distance(loc)
+	if !inside {
 		return
 	}
 	cs.cands = append(cs.cands, CandidateTweet{
@@ -292,7 +347,11 @@ func (cs *candidateSet) admit(c candidate, loc geo.Point, uid social.UserID, met
 // one multi-get touches each of the user's data pages once — and their
 // distance scores averaged.
 func (e *Engine) resolveUsers(ctx context.Context, cs *candidateSet) error {
-	byUID := make(map[social.UserID]int, len(cs.cands)) // ≥ the user count: never rehashes
+	if cs.sc.byUID == nil {
+		cs.sc.byUID = make(map[social.UserID]int)
+	}
+	byUID := cs.sc.byUID
+	clear(byUID)
 	for i := range cs.cands {
 		c := &cs.cands[i]
 		row, ok := byUID[c.UID]
@@ -302,14 +361,15 @@ func (e *Engine) resolveUsers(ctx context.Context, cs *candidateSet) error {
 		}
 		c.user = row
 	}
-	cs.users = make([]candUser, len(byUID))
+	cs.users = grow(&cs.sc.users, len(byUID))
+	clear(cs.users)
 	for _, c := range cs.cands {
 		u := &cs.users[c.user]
 		u.uid = c.UID
 		u.deltaSum += c.Delta
 	}
 	if !e.Opts.ExactUserDistance {
-		uids := make([]social.UserID, len(cs.users))
+		uids := grow(&cs.sc.uids, len(cs.users))
 		for i := range cs.users {
 			uids[i] = cs.users[i].uid
 		}
@@ -363,7 +423,10 @@ func (e *Engine) rankSum(ctx context.Context, cs *candidateSet) ([]UserResult, e
 // dominated candidates are skipped (lines 18–19).
 func (e *Engine) rankMax(ctx context.Context, cs *candidateSet) ([]UserResult, error) {
 	p := e.Opts.Params
-	popBound := e.Bounds.ForQuery(cs.terms, cs.q.Semantic == And, e.Opts.UseSpecificBounds)
+	var bounds []float64
+	if e.Opts.UsePruning {
+		bounds = e.popBounds(cs)
+	}
 
 	tk := newTopK(cs.q.K)
 	var ts thread.Stats
@@ -385,7 +448,7 @@ func (e *Engine) rankMax(ctx context.Context, cs *candidateSet) ([]UserResult, e
 			// the bound sound while pruning far more thread constructions —
 			// thread construction being the stated bottleneck. The
 			// candidate's own φ-table entry tightens the popularity part.
-			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.Matches, min(popBound, e.Bounds.Phi(c.TID)), p.N), du)
+			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.Matches, bounds[i], p.N), du)
 			if ub <= tk.peek() {
 				cs.stats.ThreadsPruned++
 				continue
@@ -394,7 +457,7 @@ func (e *Engine) rankMax(ctx context.Context, cs *candidateSet) ([]UserResult, e
 		t0 := threads.begin()
 		pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &ts)
 		threads.end(t0)
-		rho := score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(c.TID)
+		rho := score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(cs, c.TID)
 		tk.offer(c.UID, score.Combine(p.Alpha, rho, du))
 	}
 	cs.stats.addThreads(&ts)
@@ -404,14 +467,16 @@ func (e *Engine) rankMax(ctx context.Context, cs *candidateSet) ([]UserResult, e
 
 // CandidateTweets runs only the retrieval stage of query processing
 // (circle cover, postings fetch, AND/OR merge, radius and window filters)
-// and returns the surviving tweets in ascending tweet-ID order. Used by
-// the evidence API and by retrieval-only baselines.
+// and returns the surviving tweets in ascending tweet-ID order, as the
+// caller's own copy. Used by the evidence API and by retrieval-only baselines.
 func (e *Engine) CandidateTweets(q Query) ([]CandidateTweet, *QueryStats, error) {
-	cs, err := e.gather(context.Background(), q)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	cs, err := e.gather(context.Background(), q, sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	return cs.cands, cs.done(), nil
+	return slices.Clone(cs.cands), cs.done(), nil
 }
 
 // Evidence returns the IDs of the tweets that make one user a candidate
@@ -436,17 +501,13 @@ func (e *Engine) Evidence(q Query, uid social.UserID, limit int) ([]social.PostI
 	return out, nil
 }
 
-// recencyFactor returns the temporal boost for a tweet, 1 unless the
-// extension is enabled.
-func (e *Engine) recencyFactor(sid social.PostID) float64 {
-	if e.Opts.RecencyHalfLife <= 0 {
+// recencyFactor returns the temporal boost for a tweet of cs's query, 1
+// unless the extension is enabled.
+func (e *Engine) recencyFactor(cs *candidateSet, sid social.PostID) float64 {
+	if e.Opts.RecencyHalfLife <= 0 || cs.maxSID <= cs.minSID {
 		return 1
 	}
-	min, max := e.DB.SIDRange()
-	if max <= min {
-		return 1
-	}
-	age := float64(max-sid) / float64(max-min)
+	age := float64(cs.maxSID-sid) / float64(cs.maxSID-cs.minSID)
 	return score.RecencyBoost(age, e.Opts.RecencyHalfLife)
 }
 

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/social"
 )
@@ -123,10 +124,10 @@ func (t *topK) results() []UserResult {
 
 // sortResults orders by score descending, UID ascending on ties.
 func sortResults(rs []UserResult) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
+	slices.SortFunc(rs, func(a, b UserResult) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return rs[i].UID < rs[j].UID
+		return cmp.Compare(a.UID, b.UID)
 	})
 }

@@ -25,10 +25,35 @@ func BenchmarkDecodeCell(b *testing.B) {
 	}
 }
 
+// BenchmarkHaversine times the radius check per resolved posting: the full
+// haversine the filter used to pay for every one, and Circle.Distance on a
+// survivor (same arithmetic, centre cosine hoisted), on a point the haversine
+// cut-off rejects (no asin, no sqrt) and on one the latitude cut-off rejects
+// (no trigonometry at all).
 func BenchmarkHaversine(b *testing.B) {
-	other := Point{Lat: 40.7128, Lon: -74.0060}
-	for i := 0; i < b.N; i++ {
-		sinkFloat = HaversineKm(benchPoint, other)
+	b.Run("full", func(b *testing.B) {
+		other := Point{Lat: 40.7128, Lon: -74.0060}
+		for i := 0; i < b.N; i++ {
+			sinkFloat = HaversineKm(benchPoint, other)
+		}
+	})
+	circle := NewCircle(benchPoint, 15, Haversine{})
+	for _, leg := range []struct {
+		name string
+		p    Point
+	}{
+		{"circle-inside", Point{Lat: benchPoint.Lat + 0.05, Lon: benchPoint.Lon + 0.05}},
+		{"circle-reject", Point{Lat: benchPoint.Lat + 0.05, Lon: benchPoint.Lon + 0.25}},
+		{"circle-reject-lat", Point{Lat: benchPoint.Lat + 0.2, Lon: benchPoint.Lon}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			if _, inside := circle.Distance(leg.p); inside != (leg.name == "circle-inside") {
+				b.Fatalf("%v: inside = %v", leg.p, inside)
+			}
+			for i := 0; i < b.N; i++ {
+				sinkFloat, _ = circle.Distance(leg.p)
+			}
+		})
 	}
 }
 

@@ -98,17 +98,79 @@ func (Equirectangular) DistanceKm(a, b Point) float64 { return EquirectangularKm
 
 // HaversineKm computes the great-circle distance between a and b in km.
 func HaversineKm(a, b Point) float64 {
-	lat1 := a.Lat * math.Pi / 180
+	return haversineArcKm(haversine(a, b, math.Cos(a.Lat*math.Pi/180)))
+}
+
+// haversine returns hav(θ) = sin²(θ/2) of the central angle θ between a and
+// b, given cos(a.Lat) so a query hoists it across its postings. HaversineKm
+// and Circle.Distance both evaluate this one expression, which is what keeps
+// their distances bit-identical.
+func haversine(a, b Point, cosLatA float64) float64 {
 	lat2 := b.Lat * math.Pi / 180
 	dLat := (b.Lat - a.Lat) * math.Pi / 180
 	dLon := (b.Lon - a.Lon) * math.Pi / 180
 	s1 := math.Sin(dLat / 2)
 	s2 := math.Sin(dLon / 2)
-	h := s1*s1 + math.Cos(lat1)*math.Cos(lat2)*s2*s2
-	if h > 1 {
-		h = 1
+	return s1*s1 + cosLatA*math.Cos(lat2)*s2*s2
+}
+
+// haversineArcKm inverts haversine into kilometres of arc.
+func haversineArcKm(h float64) float64 {
+	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(min(h, 1)))
+}
+
+// Circle is one query's radius test, built once and applied to every
+// resolved posting. Under the haversine metric it turns the radius into two
+// cut-offs that reject a point before the inverse trigonometry, the second
+// before any trigonometry. asin∘sqrt is monotone, so hav > sin²(r/2R) puts
+// the distance beyond r; and hav ≥ sin²(Δlat/2) — two parallels are nowhere
+// closer than along a meridian — so R·|Δlat| > r does too. Each cut-off
+// carries a 1e-9 relative guard band, a million ulps against the few the
+// evaluation can lose, so it only rejects points whose HaversineKm exceeds
+// the radius; points inside the band get the exact test. Other metrics, and
+// half-angles r/2R past π/4 (sin² flattens, then turns, towards π/2), pay
+// Metric.DistanceKm per point.
+type Circle struct {
+	center   Point
+	radiusKm float64
+	slow     Metric  // non-nil: no cut-offs apply
+	cosLat   float64 // cos of the centre's latitude
+	maxHav   float64 // sin²(r/2R)·(1+1e-9)
+	maxDLat  float64 // degrees of latitude spanning r·(1+1e-9)
+}
+
+// NewCircle prepares the radius test of a query at center under m.
+func NewCircle(center Point, radiusKm float64, m Metric) Circle {
+	half := radiusKm / (2 * EarthRadiusKm)
+	if _, ok := m.(Haversine); !ok || half > math.Pi/4 {
+		return Circle{center: center, radiusKm: radiusKm, slow: m}
 	}
-	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
+	const guard = 1 + 1e-9
+	s := math.Sin(half)
+	return Circle{
+		center: center, radiusKm: radiusKm,
+		cosLat:  math.Cos(center.Lat * math.Pi / 180),
+		maxHav:  s * s * guard,
+		maxDLat: 2 * half * 180 / math.Pi * guard,
+	}
+}
+
+// Distance reports whether p lies within the radius — exactly when
+// m.DistanceKm(center, p) <= radiusKm — and if so that distance, bit for bit.
+func (c *Circle) Distance(p Point) (km float64, inside bool) {
+	if c.slow != nil {
+		km = c.slow.DistanceKm(c.center, p)
+		return km, km <= c.radiusKm
+	}
+	if math.Abs(p.Lat-c.center.Lat) > c.maxDLat {
+		return 0, false
+	}
+	h := haversine(c.center, p, c.cosLat)
+	if h > c.maxHav {
+		return 0, false
+	}
+	km = haversineArcKm(h)
+	return km, km <= c.radiusKm
 }
 
 // EquirectangularKm computes the planar approximation of the distance

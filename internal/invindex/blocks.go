@@ -205,6 +205,9 @@ func decodeBlock(data []byte, ref blockRef, dst []Posting) ([]Posting, error) {
 		return nil, fmt.Errorf("invindex: block body out of bounds")
 	}
 	b := data[ref.off : ref.off+ref.length]
+	if n := min(ref.count, ref.length); cap(dst) < n { // a posting takes a body byte or more
+		dst = make([]Posting, 0, n)
+	}
 	dst = dst[:0]
 	tf, n := binary.Uvarint(b)
 	if n <= 0 {
@@ -370,6 +373,25 @@ func (it *PostingsIterator) Cur() (Posting, bool) {
 		return Posting{}, false
 	}
 	return it.cur[it.di], true
+}
+
+// Rest returns the undrained postings of the current block, decoding it on
+// first touch — a run a merge consumes without a call per posting. Empty once
+// the iterator is exhausted or has failed; valid until the cursor moves.
+func (it *PostingsIterator) Rest() []Posting {
+	if !it.Valid() || !it.ensure() {
+		return nil
+	}
+	return it.cur[it.di:]
+}
+
+// NextRest leaves the current block, whose Rest the caller has consumed, and
+// returns the next block's.
+func (it *PostingsIterator) NextRest() []Posting {
+	if it.Valid() {
+		it.bi, it.di, it.cur = it.bi+1, 0, nil
+	}
+	return it.Rest()
 }
 
 // Next advances the cursor one posting and reports whether it still points

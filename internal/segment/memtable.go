@@ -1,9 +1,8 @@
 package segment
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/geo"
@@ -104,21 +103,20 @@ func (m *Memtable) FetchPostings(geohash, term string) ([]invindex.Posting, erro
 	return m.postings[invindex.Key{Geohash: geohash, Term: term}], nil
 }
 
-// ResolveRows is Segment.ResolveRows for still-unsealed posts: one forward
-// pass over the buffered rows, each search starting where the previous one
-// ended, under one read lock for the batch.
+// ResolveRows is Segment.ResolveRows for still-unsealed posts: the same
+// forward gallop over the buffered rows, under one read lock for the batch.
 func (m *Memtable) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	bySID := func(r metadb.Row, sid social.PostID) int { return cmp.Compare(r.SID, sid) }
-	rest := m.rows
+	rows := m.rows
+	pos := 0
 	for i, sid := range sids {
-		j, found := slices.BinarySearchFunc(rest, sid, bySID)
-		if !found {
+		lo, hi := gallopBracket(pos, len(rows), func(j int) bool { return rows[j].SID < sid })
+		pos = lo + sort.Search(hi-lo, func(j int) bool { return rows[lo+j].SID >= sid })
+		if pos == len(rows) || rows[pos].SID != sid {
 			return i
 		}
-		out[i] = metadb.RowMeta{Lat: rest[j].Lat, Lon: rest[j].Lon, UID: rest[j].UID}
-		rest = rest[j:]
+		out[i] = metadb.RowMeta{Lat: rows[pos].Lat, Lon: rows[pos].Lon, UID: rows[pos].UID}
 	}
 	return -1
 }

@@ -2,9 +2,12 @@ package segment
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/geo"
+	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/social"
 )
@@ -124,12 +127,49 @@ func TestResolveRowsMatchesPointLookups(t *testing.T) {
 	}
 }
 
+// TestFindKeyMatchesStringOrder checks the in-place directory comparison
+// against the key strings it no longer builds: over a directory whose
+// geohashes prefix and neighbour one another and whose terms do too, every
+// stored key is found at its own entry, and every probe that is not a stored
+// key — shorter and longer geohashes and terms, empty halves — misses.
+func TestFindKeyMatchesStringOrder(t *testing.T) {
+	parts := []string{"", "6", "6g", "6gx", "6gxp", "6gy", "7", "a", "ab", "abc", "b"}
+	var keys []keyPostings
+	stored := make(map[invindex.Key]int)
+	for _, g := range parts[1:6] {
+		for _, term := range parts[6:] {
+			payload, err := invindex.EncodeBlockedPostingsList([]invindex.Posting{{TID: social.PostID(len(keys) + 1), TF: 1}}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, keyPostings{key: invindex.Key{Geohash: g, Term: term}, payload: payload})
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].key.String() < keys[j].key.String() })
+	for i, kp := range keys {
+		stored[kp.key] = i
+	}
+	data, err := buildSegment(4, []metadb.Row{{SID: 1}}, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range parts {
+		for _, term := range parts {
+			e, found := seg.findKey(g, term)
+			i, want := stored[invindex.Key{Geohash: g, Term: term}]
+			if found != want || (found && e != seg.keys[i]) {
+				t.Errorf("findKey(%q, %q) = %+v, %v; stored at %d: %v", g, term, e, found, i, want)
+			}
+		}
+	}
+}
+
 func TestGallopTo(t *testing.T) {
 	sids := []social.PostID{1, 3, 5, 9, 12, 40, 41, 100}
-	rows := make([]byte, len(sids)*rowSize)
-	for i, sid := range sids {
-		encodeRow(rows[i*rowSize:], metadb.Row{SID: sid})
-	}
 	cases := []struct {
 		start  int
 		target social.PostID
@@ -140,7 +180,9 @@ func TestGallopTo(t *testing.T) {
 		{8, 5, 8}, // start past the end stays put
 	}
 	for _, c := range cases {
-		if got := gallopTo(rows, c.start, len(sids), c.target); got != c.want {
+		lo, hi := gallopBracket(c.start, len(sids), func(i int) bool { return sids[i] < c.target })
+		got := lo + sort.Search(hi-lo, func(i int) bool { return sids[lo+i] >= c.target })
+		if got != c.want {
 			t.Errorf("gallopTo(start=%d, target=%d) = %d, want %d", c.start, c.target, got, c.want)
 		}
 	}
@@ -171,23 +213,35 @@ func segmentBatch(b *testing.B, nRows, nSIDs int) (*Segment, []social.PostID) {
 }
 
 // BenchmarkSegmentRowBatch resolves one partition's ascending SID batch
-// against a 36k-row segment: 350 SIDs (the city-sum shape) and 1.2k (the
-// wide-max shape).
+// against 36k rows — a sealed segment's mapped records and a memtable's
+// buffered ones: 350 SIDs (the city-sum shape) and 1.2k (the wide-max shape).
 func BenchmarkSegmentRowBatch(b *testing.B) {
 	for _, shape := range []struct {
 		name string
 		sids int
 	}{{"city-sum-350", 350}, {"wide-max-1200", 1200}} {
-		b.Run(shape.name, func(b *testing.B) {
-			seg, sids := segmentBatch(b, 36000, shape.sids)
-			out := make([]metadb.RowMeta, len(sids))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if miss := seg.ResolveRows(sids, out); miss >= 0 {
-					b.Fatalf("SID %d missing", sids[miss])
-				}
+		seg, sids := segmentBatch(b, 36000, shape.sids)
+		mem := NewMemtable(4)
+		for i := 0; i < seg.NumRows(); i++ {
+			r := seg.RowAt(i)
+			if err := mem.Add(&social.Post{SID: r.SID, UID: r.UID, Loc: geo.Point{Lat: r.Lat, Lon: r.Lon}}); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+		for _, src := range []struct {
+			name string
+			rows PostingsSource
+		}{{"segment", seg}, {"memtable", mem}} {
+			b.Run(src.name+"/"+shape.name, func(b *testing.B) {
+				out := make([]metadb.RowMeta, len(sids))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if miss := src.rows.ResolveRows(sids, out); miss >= 0 {
+						b.Fatalf("SID %d missing", sids[miss])
+					}
+				}
+			})
+		}
 	}
 }

@@ -1,9 +1,12 @@
 package segment
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/invindex"
@@ -105,14 +108,29 @@ func (s *Segment) MappedBytes() int {
 	return len(s.b)
 }
 
-// findKey binary-searches the key directory.
+// findKey binary-searches the key directory, comparing each entry against
+// ⟨geohash, NUL, term⟩ in place: a query makes one lookup per covered cell,
+// term and segment, and none of them builds the key string.
 func (s *Segment) findKey(geohash, term string) (dirEntry, bool) {
-	want := invindex.Key{Geohash: geohash, Term: term}.String()
-	i := sort.Search(len(s.keys), func(i int) bool { return s.keys[i].key >= want })
-	if i < len(s.keys) && s.keys[i].key == want {
-		return s.keys[i], true
+	i, found := slices.BinarySearchFunc(s.keys, geohash, func(e dirEntry, geohash string) int {
+		n := len(geohash)
+		if len(e.key) > n && e.key[:n] == geohash {
+			if e.key[n] != 0 {
+				return 1 // the separator sorts below every other byte
+			}
+			return cmp.Compare(e.key[n+1:], term)
+		}
+		// The entry differs from the geohash inside its n bytes, where plain
+		// order decides, or is a prefix of it, which sorts first.
+		if e.key <= geohash {
+			return -1
+		}
+		return 1
+	})
+	if !found {
+		return dirEntry{}, false
 	}
-	return dirEntry{}, false
+	return s.keys[i], true
 }
 
 // FetchPostings decodes the whole postings list for ⟨geohash, term⟩, or
@@ -162,52 +180,40 @@ func (s *Segment) RowAt(i int) metadb.Row {
 // ResolveRows resolves one ascending SID batch against the mapped row
 // records in a single forward walk: out[i] receives sids[i]'s location and
 // author, and each search gallops from where the previous one ended, so a
-// batch costs one pass over the stretch of records it spans — no search from
-// the root per SID, no lock, no allocation. Returns the index of the first
-// SID the segment does not hold, -1 when every one resolved.
+// batch costs one pass over the stretch of records it spans, reading only the
+// SID, author and location bytes of the 48-byte records it lands on — no
+// search from the root per SID, no lock, no allocation. Returns the index of
+// the first SID the segment does not hold, -1 when every one resolved.
 func (s *Segment) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
+	rows, n := s.rows, s.nRows
+	u64 := func(i, off int) uint64 { return binary.LittleEndian.Uint64(rows[i*rowSize+off:]) }
 	pos := 0
 	for i, sid := range sids {
-		pos = gallopTo(s.rows, pos, s.nRows, sid)
-		if pos == s.nRows {
+		lo, hi := gallopBracket(pos, n, func(j int) bool { return social.PostID(u64(j, 0)) < sid })
+		pos = lo + sort.Search(hi-lo, func(j int) bool { return social.PostID(u64(lo+j, 0)) >= sid })
+		if pos == n || social.PostID(u64(pos, 0)) != sid {
 			return i
 		}
-		r := s.RowAt(pos)
-		if r.SID != sid {
-			return i
+		out[i] = metadb.RowMeta{
+			UID: social.UserID(u64(pos, 8)),
+			Lat: math.Float64frombits(u64(pos, 16)), Lon: math.Float64frombits(u64(pos, 24)),
 		}
-		out[i] = metadb.RowMeta{Lat: r.Lat, Lon: r.Lon, UID: r.UID}
 	}
 	return -1
 }
 
-// gallopTo returns the smallest index in [start, n) of a row record whose
-// SID is >= target, n when there is none: exponential probing from start,
-// then binary search inside the bracket, so the lookups of an ascending
-// batch cost O(log gap) each and touch records near the previous hit.
-func gallopTo(rows []byte, start, n int, target social.PostID) int {
-	sidAt := func(i int) social.PostID {
-		return social.PostID(binary.LittleEndian.Uint64(rows[i*rowSize:]))
+// gallopBracket is the forward gallop of both row batches (sealed segments
+// and the memtable). less(i) must hold for a prefix of [0, n) that includes
+// everything before start; probing exponentially from start, it returns the
+// bracket [lo, hi] holding the first index where less fails (n when it never
+// does), which the caller bisects with sort.Search — so the lookups of an
+// ascending batch cost O(log gap) each and touch rows near the previous hit.
+// Both halves inline into the caller's loop, closures included; a helper that
+// did the whole search would not, and would pay an indirect call per probe.
+func gallopBracket(start, n int, less func(int) bool) (lo, hi int) {
+	lo, hi = start, start
+	for step := 1; hi < n && less(hi); step *= 2 {
+		lo, hi = hi+1, hi+step
 	}
-	if start >= n || sidAt(start) >= target {
-		return start
-	}
-	// Exponential probe: find a bracket (lo, hi] with sid(lo) < target <= sid(hi).
-	lo, step := start, 1
-	hi := start + step
-	for hi < n && sidAt(hi) < target {
-		lo = hi
-		step *= 2
-		hi = lo + step
-	}
-	hi = min(hi, n)
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if sidAt(mid) < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
+	return lo, min(hi, n)
 }

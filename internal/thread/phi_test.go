@@ -3,12 +3,20 @@ package thread
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/social"
 )
+
+// Phi is the one-root PhiBatch.
+func (b *Bounds) Phi(root social.PostID) float64 {
+	var out [1]float64
+	b.PhiBatch([]social.PostID{root}, out[:])
+	return out[0]
+}
 
 // phiOf recomputes a root's popularity from the post set — the oracle the
 // φ table must dominate.
@@ -177,11 +185,69 @@ func TestPhiTableAbsentFallsBack(t *testing.T) {
 	}
 }
 
+// TestPhiBatchMatchesPointLookups drives the batched read against histories
+// of random batch corpora and ingest-style raises (appended SIDs and raised
+// roots): for ascending batches with gaps, repeats, absent SIDs between
+// entries and SIDs past the table's end, every slot must equal both the
+// one-root lookup and a linear scan of the table, whatever the searches
+// before it left behind.
+func TestPhiBatchMatchesPointLookups(t *testing.T) {
+	const depth, eps = 4, 0.1
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 30; trial++ {
+		// Batch corpus on odd SIDs (so even ones are absent), a random forest.
+		n := 1 + rng.Intn(300)
+		posts := make([]*social.Post, n)
+		for i := range posts {
+			posts[i] = &social.Post{SID: social.PostID(2*i + 1), UID: 1, Words: []string{"hotel"}}
+			if i > 0 && rng.Intn(2) == 0 {
+				posts[i].RSID, posts[i].Kind = posts[rng.Intn(i)].SID, social.Reply
+			}
+		}
+		b := ComputeBounds(posts, depth, eps, nil)
+		last := social.PostID(2 * n)
+		for r := rng.Intn(40); r > 0; r-- { // ingest: raise old roots, append new ones
+			if rng.Intn(2) == 0 {
+				b.RaiseForRoot(social.PostID(1+rng.Intn(int(last))), rng.Float64()*5)
+			} else {
+				last += social.PostID(1 + rng.Intn(3))
+				b.RaiseForRoot(last, rng.Float64()*5)
+			}
+		}
+		scan := func(root social.PostID) float64 {
+			for i, sid := range b.phiSIDs {
+				if sid == root {
+					return max(b.phiVals[i], eps)
+				}
+			}
+			return eps
+		}
+		for batch := 0; batch < 20; batch++ {
+			var roots []social.PostID
+			sid, stride := social.PostID(rng.Intn(4)), 1+rng.Intn(1+int(last)/4)
+			for sid <= last+10 { // runs past the table's end
+				roots = append(roots, sid)
+				if rng.Intn(4) > 0 { // else: repeat the SID
+					sid += social.PostID(1 + rng.Intn(stride))
+				}
+			}
+			out := make([]float64, len(roots))
+			b.PhiBatch(roots, out)
+			for i, root := range roots {
+				if want := scan(root); out[i] != want || b.Phi(root) != want {
+					t.Fatalf("trial %d: batch[%d] φ(%d) = %v, point %v, table scan %v", trial, i, root, out[i], b.Phi(root), want)
+				}
+			}
+		}
+	}
+}
+
 var phiSink float64
 
 // BenchmarkPhiLookup measures the per-tweet bound the engine evaluates at
-// every prune decision: one read-locked binary search in a 250k-entry
-// table, probed at random present and absent SIDs.
+// every prune decision, in a 250k-entry table probed at present and absent
+// SIDs: one read-locked search per root (point), and one PhiBatch over 1146
+// ascending roots — the city-sum candidate count — reported per root.
 func BenchmarkPhiLookup(b *testing.B) {
 	const n = 250_000
 	posts := make([]*social.Post, n)
@@ -197,9 +263,21 @@ func BenchmarkPhiLookup(b *testing.B) {
 	for i := range probes {
 		probes[i] = social.PostID(1 + rng.Intn(2*n))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		phiSink += bounds.Phi(probes[i%len(probes)])
-	}
+	b.Run("point", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			phiSink += bounds.Phi(probes[i%len(probes)])
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		roots := slices.Clone(probes[:1146])
+		slices.Sort(roots)
+		out := make([]float64, len(roots))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(roots) {
+			bounds.PhiBatch(roots, out)
+		}
+		phiSink += out[0]
+	})
 }

@@ -133,7 +133,7 @@ func (b *Builder) Tree(root social.PostID, epsilon float64, stats *Stats) ([]Nod
 // Bounds holds the popularity upper bounds available to the max-score
 // algorithm (Section V-B). Bounds are batch-computed offline but may be
 // conservatively raised by live ingest (RaiseForRoot), so reads go through
-// ForQuery and Phi and an internal RWMutex; the exported fields themselves
+// ForQuery and PhiBatch and an internal RWMutex; the exported fields themselves
 // should only be touched when no queries are in flight. EncodeGob persists
 // the exported fields plus the φ table — everything a Bounds holds.
 type Bounds struct {
@@ -158,10 +158,10 @@ type Bounds struct {
 	PerKeyword map[string]float64
 
 	// mu guards MaxObserved, PerKeyword and the φ table against concurrent
-	// ForQuery/Phi/RaiseForRoot calls once the system serves live ingest.
+	// ForQuery/PhiBatch/RaiseForRoot calls once the system serves live ingest.
 	mu sync.RWMutex
 
-	// The φ table answers Phi(root): the popularity of the thread rooted
+	// The φ table answers PhiBatch: the popularity of the thread rooted
 	// at one tweet — the per-tweet bound the engine's prune sites combine
 	// with the query-level bound. It is held globally (SID-keyed), so one
 	// RaiseForRoot keeps it exact for every postings list at once. phiSIDs
@@ -240,30 +240,47 @@ func ComputeBounds(posts []*social.Post, depth int, epsilon float64, hotKeywords
 	return b
 }
 
-// Phi returns an upper bound on the popularity φ of the thread rooted at
-// root — the per-tweet bound the engine evaluates wherever it decides
-// whether to construct that thread. It is exact under live ingest: every φ
-// change flows through RaiseForRoot with the recomputed popularity, and
-// SIDs absent from the table are single-tweet threads at the φ floor (ε).
-// When the Bounds predate the φ table (loaded from an old image) it falls
-// back to the global MaxObserved bound. Safe for concurrent use.
-func (b *Bounds) Phi(root social.PostID) float64 {
+// PhiBatch writes out[i] = φ of the thread rooted at roots[i] — the per-tweet
+// bound the engine evaluates wherever it decides whether to construct that
+// thread — for one ascending batch (repeats allowed): one read lock and one
+// forward walk of the table, every search galloping from where the previous
+// one ended. It is exact under live ingest: every φ change flows through
+// RaiseForRoot with the recomputed popularity, and SIDs absent from the table
+// are single-tweet threads at the φ floor (ε). Bounds that predate the φ
+// table (an old image) answer with the global MaxObserved bound.
+func (b *Bounds) PhiBatch(roots []social.PostID, out []float64) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if len(b.phiSIDs) == 0 {
-		return b.MaxObserved
+	sids := b.phiSIDs
+	if len(sids) == 0 {
+		for i := range roots {
+			out[i] = b.MaxObserved
+		}
+		return
 	}
-	if i, ok := slices.BinarySearch(b.phiSIDs, root); ok {
-		return max(b.phiVals[i], b.phiFloor)
+	pos := 0
+	for i, root := range roots {
+		// Gallop to a bracket sids[pos-1] < root <= sids[hi], then bisect it.
+		hi, step := pos, 1
+		for hi < len(sids) && sids[hi] < root {
+			pos = hi + 1
+			hi += step
+			step *= 2
+		}
+		j, found := slices.BinarySearch(sids[pos:min(hi+1, len(sids))], root)
+		pos += j
+		out[i] = b.phiFloor
+		if found {
+			out[i] = max(b.phiVals[pos], b.phiFloor)
+		}
 	}
-	return b.phiFloor
 }
 
 // raisePhi records the exact popularity pop for root in the φ table,
 // inserting the SID if the table has never seen it. Callers hold mu.
 func (b *Bounds) raisePhi(root social.PostID, pop float64) {
 	if b.phiSIDs == nil {
-		return // no table (old image): Phi already falls back
+		return // no table (old image): PhiBatch already falls back
 	}
 	i, ok := slices.BinarySearch(b.phiSIDs, root)
 	if ok {
@@ -332,7 +349,7 @@ func (b *Bounds) ForQuery(terms []string, and, useSpecific bool) float64 {
 // root's φ-table entry, and every keyword bound (which of them the root's
 // text could violate is not tracked). Raising can only relax pruning, never
 // tighten it, so it is always sound. Safe for concurrent use with ForQuery
-// and Phi.
+// and PhiBatch.
 func (b *Bounds) RaiseForRoot(root social.PostID, pop float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -351,7 +368,7 @@ func (b *Bounds) RaiseForRoot(root social.PostID, pop float64) {
 // the φ table. Gob matches fields by name and skips mismatches in either
 // direction, so images written by earlier code that encoded *Bounds
 // directly (or lacked the φ fields) still decode — they just come back
-// without a φ table, and Phi degrades to the global bound.
+// without a φ table, and PhiBatch degrades to the global bound.
 type boundsWire struct {
 	TM          int
 	Depth       int
