@@ -10,7 +10,7 @@ build:
 # internal/bench is a nested module (the end-to-end benchmark compiles
 # against the root package's exported surface), so ./... does not reach it;
 # vetting and testing it here is what catches a root API rename.
-test: test-replication
+test: fmt test-replication
 	$(GO) test ./...
 	cd internal/bench && $(GO) vet ./... && $(GO) test ./...
 
@@ -18,8 +18,8 @@ short:
 	$(GO) test -short ./...
 
 # Race lane: the serving path (engine + HTTP server + telemetry registry)
-# and the parallel query pipeline (worker pools) must
-# stay safe under concurrent queries, ingests and scrapes. Vet runs first
+# and the router's concurrent shard fan-out must stay safe under concurrent
+# queries, ingests and scrapes. Vet runs first
 # so the race build never chases bugs vet would have named.
 race:
 	$(GO) vet ./...
@@ -61,8 +61,11 @@ test-replication:
 test-obs:
 	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/server/
 
+# Formatting gate (part of `make test`): fails, naming the files, when gofmt
+# would change any Go file outside the benchmark's build directory.
 fmt:
-	gofmt -l .
+	@out="$$(find . -name '*.go' ! -path './.bench_build/*' -exec gofmt -l {} +)"; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # The size every simplicity PR reports: lines of non-test Go outside
 # internal/bench (the frozen benchmark harness, its own module), with the two
@@ -78,8 +81,7 @@ loc:
 # segment store's lifecycle tests (searches racing seals, compaction and
 # checkpoints) and the ingest/read coherence tests (a search after an
 # acknowledged ingest answers as a fresh build would), plus the engine and
-# bounds packages — their prune paths
-# fan across the worker pool and take Bounds.mu against concurrent
+# bounds packages — their prune paths take Bounds.mu against concurrent
 # RaiseForRoot — and the storage packages a query's row batch reads under
 # their own locks while ingest appends and seals swap the partition set,
 # twenty times under -race. Required green.

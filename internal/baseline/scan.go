@@ -21,17 +21,13 @@ import (
 // exact scoring model with the engine but uses no index, no metadata
 // database, and no pruning.
 type ScanRanker struct {
-	params    score.Params
-	posts     []*social.Post
-	children  map[social.PostID][]social.PostID
-	userPosts map[social.UserID][]*social.Post
-	minSID    social.PostID // the corpus time span recency ages against
-	maxSID    social.PostID
+	params   score.Params
+	posts    []*social.Post
+	children map[social.PostID][]social.PostID
+	numPosts map[social.UserID]int // |P_u|
+	minSID   social.PostID         // the corpus time span recency ages against
+	maxSID   social.PostID
 
-	// ExactUserDistance mirrors core.Options.ExactUserDistance: when set,
-	// δ(u,q) averages over all of a user's posts; otherwise over the
-	// user's keyword-matching candidates only (still divided by |P_u|).
-	ExactUserDistance bool
 	// RecencyHalfLife mirrors core.Options.RecencyHalfLife; 0 disables it.
 	RecencyHalfLife float64
 }
@@ -39,16 +35,16 @@ type ScanRanker struct {
 // NewScanRanker prepares the in-memory structures for exhaustive ranking.
 func NewScanRanker(posts []*social.Post, params score.Params) *ScanRanker {
 	r := &ScanRanker{
-		params:    params,
-		posts:     posts,
-		children:  make(map[social.PostID][]social.PostID),
-		userPosts: make(map[social.UserID][]*social.Post),
+		params:   params,
+		posts:    posts,
+		children: make(map[social.PostID][]social.PostID),
+		numPosts: make(map[social.UserID]int),
 	}
 	for _, p := range posts {
 		if p.RSID != social.NoPost {
 			r.children[p.RSID] = append(r.children[p.RSID], p.SID)
 		}
-		r.userPosts[p.UID] = append(r.userPosts[p.UID], p)
+		r.numPosts[p.UID]++
 		if r.maxSID == 0 || p.SID < r.minSID {
 			r.minSID = p.SID
 		}
@@ -139,14 +135,9 @@ func (r *ScanRanker) Search(q core.Query) []core.UserResult {
 
 	results := make([]core.UserResult, 0, len(users))
 	for uid, a := range users {
-		deltaSum := a.candDelta
-		if r.ExactUserDistance {
-			deltaSum = 0
-			for _, post := range r.userPosts[uid] {
-				deltaSum += score.TweetDistance(post.Loc, q.Loc, q.RadiusKm, p.Metric)
-			}
-		}
-		du := score.UserDistance(deltaSum, len(r.userPosts[uid]))
+		// δ(u,q), Definition 9 as the engine reads it: the candidates'
+		// distance scores over |P_u|.
+		du := score.UserDistance(a.candDelta, r.numPosts[uid])
 		rho := a.sumRho
 		if q.Ranking == core.MaxScore {
 			rho = a.maxRho

@@ -64,7 +64,6 @@ func TestScanRankerHandComputed(t *testing.T) {
 		name    string
 		ranking core.Ranking
 		sem     core.Semantic
-		exact   bool
 		window  *core.TimeWindow
 		k       int
 		want    want
@@ -73,35 +72,27 @@ func TestScanRankerHandComputed(t *testing.T) {
 		// the matching posts): u1 1/2, u2 (0.5+0.2)/2 = 0.35, u3 0.6/3 = 0.2.
 		// Sum (Definition 7): u1 ½·1/15 + ½·0.5; u2 ½·(0.0125+0.0075) + ½·0.35;
 		// u3 ½·0.0025 + ½·0.2.
-		{"or/sum", core.SumScore, core.Or, false, nil, 3,
+		{"or/sum", core.SumScore, core.Or, nil, 3,
 			want{{UID: 1, Score: 1.0/30 + 0.25}, {UID: 2, Score: 0.185}, {UID: 3, Score: 0.10125}}},
 		// Max (Definition 8) changes only u2: ½·0.0125 + ½·0.35.
-		{"or/max", core.MaxScore, core.Or, false, nil, 3,
+		{"or/max", core.MaxScore, core.Or, nil, 3,
 			want{{UID: 1, Score: 1.0/30 + 0.25}, {UID: 2, Score: 0.18125}, {UID: 3, Score: 0.10125}}},
-		// Exact δ(u,q) averages every post of the user: u1 (1+0.8)/2 = 0.9,
-		// u2 0.35, u3 (0+0.8+0.6)/3 = 1.4/3 — which lifts u3 over u2.
-		{"or/sum/exact", core.SumScore, core.Or, true, nil, 3,
-			want{{UID: 1, Score: 1.0/30 + 0.45}, {UID: 3, Score: 0.00125 + 0.7/3}, {UID: 2, Score: 0.185}}},
-		{"or/max/exact", core.MaxScore, core.Or, true, nil, 3,
-			want{{UID: 1, Score: 1.0/30 + 0.45}, {UID: 3, Score: 0.00125 + 0.7/3}, {UID: 2, Score: 0.18125}}},
 		// AND keeps 10 and 50 only: u2 ½·0.0075 + ½·(0.2/2); u3 drops out.
-		{"and/sum", core.SumScore, core.And, false, nil, 3,
+		{"and/sum", core.SumScore, core.And, nil, 3,
 			want{{UID: 1, Score: 1.0/30 + 0.25}, {UID: 2, Score: 0.05375}}},
 		// Window [5, 45] keeps candidates 10 and 20 (popularity still counts
 		// the whole thread): u2 ½·0.0125 + ½·(0.5/2).
-		{"or/sum/window", core.SumScore, core.Or, false, &core.TimeWindow{From: time.Unix(0, 5), To: time.Unix(0, 45)}, 3,
+		{"or/sum/window", core.SumScore, core.Or, &core.TimeWindow{From: time.Unix(0, 5), To: time.Unix(0, 45)}, 3,
 			want{{UID: 1, Score: 1.0/30 + 0.25}, {UID: 2, Score: 0.13125}}},
-		{"or/max/window", core.MaxScore, core.Or, false, &core.TimeWindow{From: time.Unix(0, 5), To: time.Unix(0, 45)}, 3,
+		{"or/max/window", core.MaxScore, core.Or, &core.TimeWindow{From: time.Unix(0, 5), To: time.Unix(0, 45)}, 3,
 			want{{UID: 1, Score: 1.0/30 + 0.25}, {UID: 2, Score: 0.13125}}},
 		// k truncates after the sort.
-		{"or/sum/k=1", core.SumScore, core.Or, false, nil, 1,
+		{"or/sum/k=1", core.SumScore, core.Or, nil, 1,
 			want{{UID: 1, Score: 1.0/30 + 0.25}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewScanRanker(posts, params)
-			r.ExactUserDistance = tc.exact
-			got := r.Search(core.Query{
+			got := NewScanRanker(posts, params).Search(core.Query{
 				Loc: geo.Point{}, RadiusKm: 10, Keywords: []string{"hotel", "pizza"},
 				K: tc.k, Semantic: tc.sem, Ranking: tc.ranking, TimeWindow: tc.window,
 			})

@@ -52,35 +52,32 @@ type PostingsOpener interface {
 }
 
 // openTermIterators opens one iterator per non-empty ⟨cell, term⟩ pair of
-// one source (Algorithm 4/5 lines 4–7). The number of non-empty postings
-// lists pulled is returned rather than written into QueryStats so
-// concurrent callers need no shared counter.
-func openTermIterators(src PostingsSource, cells []string, term string) ([]*invindex.PostingsIterator, int64, error) {
+// one source (Algorithm 4/5 lines 4–7), counting each non-empty postings
+// list in stats.PostingsFetched.
+func openTermIterators(src PostingsSource, cells []string, term string, stats *QueryStats) ([]*invindex.PostingsIterator, error) {
 	opener, lazy := src.(PostingsOpener)
 	var its []*invindex.PostingsIterator
-	var fetched int64
 	for _, cell := range cells {
 		if lazy {
 			it, err := opener.OpenPostings(cell, term)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			if it != nil {
-				fetched++
 				its = append(its, it)
 			}
 			continue
 		}
 		ps, err := src.FetchPostings(cell, term)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if ps != nil {
-			fetched++
 			its = append(its, invindex.NewSliceIterator(ps))
 		}
 	}
-	return its, fetched, nil
+	stats.PostingsFetched += int64(len(its))
+	return its, nil
 }
 
 // closeIterators finishes one partition's merge by skipping every iterator
@@ -296,9 +293,8 @@ func (e *Engine) popBounds(cs *candidateSet) []float64 {
 // re-checking the termination bound. The first round takes enough to fill
 // the top-k outright; once the heap is full every extra build past the
 // termination point is pure waste, so later rounds advance in small steps
-// and re-check often. Derived from the query and the heap state alone —
-// never from the worker count — so the pruning counters are deterministic
-// at any Parallelism.
+// and re-check often. Derived from the query and the heap state alone, so
+// the pruning counters are a function of the query and the corpus.
 func sumGroupChunk(k int, full bool) int {
 	if !full {
 		return max(k, 8)
@@ -363,14 +359,11 @@ func (e *Engine) rankSumPruned(ctx context.Context, cs *candidateSet) ([]UserRes
 	})
 	stopPrune()
 
-	// Phase 2 — exact scoring in bound order. Chunks fan thread
-	// construction across the pool; each job scores one user's candidates
-	// sequentially in candidate order, keeping every float identical to
-	// the exhaustive reduction's.
+	// Phase 2 — exact scoring in bound order, a chunk of users at a time.
+	// Each user's candidates are scored in candidate order, keeping every
+	// float identical to the exhaustive reduction's.
 	tk := newTopK(q.K)
-	maxChunk := sumGroupChunk(q.K, false)
-	rhoSums := make([]float64, maxChunk)
-	tss := make([]thread.Stats, maxChunk)
+	var ts thread.Stats
 	for idx := 0; idx < len(keys); {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -392,24 +385,14 @@ func (e *Engine) rankSumPruned(ctx context.Context, cs *candidateSet) ([]UserRes
 			return cmp.Compare(cands[candsOf(a)[0]].TID, cands[candsOf(b)[0]].TID)
 		})
 		t0 := time.Now()
-		err := RunJobs(ctx, e.workers(), len(chunk), func(ctx context.Context, j int) error {
-			tss[j] = thread.Stats{}
+		for _, k := range chunk {
 			var rs float64
-			for _, i := range candsOf(chunk[j]) {
+			for _, i := range candsOf(k) {
 				c := &cands[i]
-				pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &tss[j])
+				pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &ts)
 				rs += score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(cs, c.TID)
 			}
-			rhoSums[j] = rs
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		rec.Observe(telemetry.StageThreadBuild, t0, time.Since(t0))
-		for j, k := range chunk {
-			stats.addThreads(&tss[j])
-			us := score.Combine(p.Alpha, rhoSums[j], users[k.group].du)
+			us := score.Combine(p.Alpha, rs, users[k.group].du)
 			if !tk.full() {
 				tk.add(k.uid, us)
 				continue
@@ -422,7 +405,9 @@ func (e *Engine) rankSumPruned(ctx context.Context, cs *candidateSet) ([]UserRes
 				tk.add(k.uid, us)
 			}
 		}
+		rec.Observe(telemetry.StageThreadBuild, t0, time.Since(t0))
 		idx += len(chunk)
 	}
+	stats.addThreads(&ts)
 	return tk.results(), nil
 }

@@ -122,25 +122,11 @@ type Options struct {
 	// Disabling it is the ablation baseline; results are identical, only
 	// thread-construction work changes.
 	UsePruning bool
-	// ExactUserDistance computes Definition 9 literally — the average
-	// distance score over ALL of a user's posts — which costs one metadata
-	// fetch per post of every candidate user. When false (the default),
-	// δ(u,q) sums only the user's keyword-matching candidate posts (still
-	// divided by |P_u|), which is what Algorithms 4 and 5 can compute from
-	// the retrieved postings lists alone and what keeps thread
-	// construction the dominant query cost, as Section V-B states.
-	ExactUserDistance bool
 	// RecencyHalfLife, when positive, multiplies each tweet's keyword
 	// relevance by score.RecencyBoost with this half-life expressed as a
 	// fraction of the corpus time span (future-work extension: "give
 	// priority to more recent tweets").
 	RecencyHalfLife float64
-	// Parallelism is the worker-pool width for the parallel pipeline
-	// stages (postings fetch, thread construction). 0 means GOMAXPROCS; 1
-	// runs everything sequentially on the query goroutine. Results are
-	// identical at any setting — parallel stages assemble their outputs in
-	// job order.
-	Parallelism int
 }
 
 // DefaultOptions enables pruning and specific bounds, the paper's standard

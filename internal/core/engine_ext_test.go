@@ -405,42 +405,3 @@ func TestQueryValidation(t *testing.T) {
 		t.Error("stop-word-only query accepted")
 	}
 }
-
-func TestUserDistanceModes(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	posts, center := randomCorpus(rng, 400)
-	exact := core.DefaultOptions()
-	exact.ExactUserDistance = true
-	approx := core.DefaultOptions() // default: candidate-only, the paper's
-	// Algorithm 4/5 cost model
-	engExact := buildEngine(t, posts, exact, 3, nil)
-	engApprox := buildEngine(t, posts, approx, 3, nil)
-	q := core.Query{Loc: center, RadiusKm: 20, Keywords: []string{"hotel"}, K: 5, Ranking: core.SumScore}
-
-	a, _, err := engExact.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := engApprox.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 || len(b) == 0 {
-		t.Fatal("no results")
-	}
-	// Candidate-only must never score a user higher than the exact Def. 9:
-	// it drops the non-matching in-radius posts' positive contributions.
-	exactScores := map[social.UserID]float64{}
-	for _, r := range a {
-		exactScores[r.UID] = r.Score
-	}
-	for _, r := range b {
-		if es, ok := exactScores[r.UID]; ok && r.Score > es+1e-9 {
-			t.Errorf("candidate-only score %v exceeds exact %v for user %d", r.Score, es, r.UID)
-		}
-	}
-	// Exact mode also matches the oracle in exact mode.
-	oracle := baseline.NewScanRanker(posts, exact.Params)
-	oracle.ExactUserDistance = true
-	compareResults(t, a, oracle.Search(q), "exact-mode oracle")
-}

@@ -57,14 +57,12 @@ type CandidateScore struct {
 	Pruned bool          `json:"pruned,omitempty"`
 }
 
-// UserPartial carries the user-level facts a shard contributes for one
-// user with at least one candidate: the user's total post count |P_u|
-// (from the replicated metadata database, so it is the global count), and
-// — in exact-distance mode only — the candidate-independent δ(u,q).
+// UserPartial carries the user-level fact a shard contributes for one user
+// with at least one candidate: the user's total post count |P_u| (from the
+// replicated metadata database, so it is the global count).
 type UserPartial struct {
 	UID   social.UserID `json:"uid"`
 	Posts int           `json:"posts"`
-	Du    float64       `json:"du,omitempty"`
 }
 
 // Partials is one shard's contribution to a scatter-gather query.
@@ -74,10 +72,6 @@ type Partials struct {
 	// Users lists the distinct users appearing in Cands, in first-candidate
 	// order.
 	Users []UserPartial `json:"users"`
-	// ExactDistance records whether Du on Users carries the exact
-	// Definition 9 value (Options.ExactUserDistance); the merge refuses to
-	// mix modes.
-	ExactDistance bool `json:"exact_distance,omitempty"`
 	// Stats reports the shard-local work.
 	Stats QueryStats `json:"stats"`
 }
@@ -86,8 +80,8 @@ type Partials struct {
 // retrieval plus thread scoring, stopping short of the per-user reduction
 // so the router can merge several shards exactly (see the file comment).
 //
-// For sum ranking every candidate's thread is scored across the worker
-// pool. For max ranking with pruning enabled, the shard applies a
+// For sum ranking every candidate's thread is scored. For max ranking with
+// pruning enabled, the shard applies a
 // conservative version of Algorithm 5's upper-bound pruning: the distance
 // component of the bound is its maximum 1 (the router knows the user's
 // true δ(u,q), the shard may not — the user can hold candidates on other
@@ -107,10 +101,8 @@ func (e *Engine) SearchPartials(ctx context.Context, q Query) (*Partials, error)
 		return nil, err
 	}
 	rankStart := time.Now()
-	if err := e.resolveUsers(ctx, cs); err != nil {
-		return nil, err
-	}
-	out := &Partials{ExactDistance: e.Opts.ExactUserDistance, Users: e.userPartials(cs)}
+	e.resolveUsers(cs)
+	out := &Partials{Users: userPartials(cs)}
 	if q.Ranking == MaxScore && e.Opts.UsePruning {
 		err = e.partialsMaxPruned(ctx, cs, out)
 	} else {
@@ -126,36 +118,27 @@ func (e *Engine) SearchPartials(ctx context.Context, q Query) (*Partials, error)
 // partialsScoreAll scores every candidate's thread (the per-candidate
 // Algorithm 1 runs) and emits one CandidateScore each: sum ranking on a
 // shard, max ranking with pruning disabled, and — reduced on the spot —
-// the monolithic exhaustive sum. Thread constructions are mutually
-// independent, so they fan across the worker pool with each worker confined
-// to its candidate's slot; assembly runs in candidate order.
+// the monolithic exhaustive sum — in candidate order. The loop is all thread
+// scoring, so it is timed as one thread_build span.
 func (e *Engine) partialsScoreAll(ctx context.Context, cs *candidateSet, out *Partials) error {
 	p := e.Opts.Params
-	cands := cs.cands
-	type scored struct {
-		rho float64 // ρ(p,q) · recency
-		ts  thread.Stats
-	}
-	sc := make([]scored, len(cands))
+	out.Cands = make([]CandidateScore, len(cs.cands))
+	var ts thread.Stats
 	buildStart := time.Now()
-	err := RunJobs(ctx, e.workers(), len(cands), func(ctx context.Context, i int) error {
-		c := &cands[i]
-		pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &sc[i].ts)
-		sc[i].rho = score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(cs, c.TID)
-		return nil
-	})
-	if err != nil {
-		return err
+	for i, c := range cs.cands {
+		if i%cancelCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &ts)
+		rho := score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(cs, c.TID)
+		out.Cands[i] = CandidateScore{TID: c.TID, UID: c.UID, Delta: c.Delta, Rho: rho}
 	}
-	if len(cands) > 0 {
-		// Wall time of the whole scoring phase, not summed worker time.
+	if len(cs.cands) > 0 {
 		cs.rec.Observe(telemetry.StageThreadBuild, buildStart, time.Since(buildStart))
 	}
-	out.Cands = make([]CandidateScore, len(cands))
-	for i, c := range cands {
-		cs.stats.addThreads(&sc[i].ts)
-		out.Cands[i] = CandidateScore{TID: c.TID, UID: c.UID, Delta: c.Delta, Rho: sc[i].rho}
-	}
+	cs.stats.addThreads(&ts)
 	return nil
 }
 
@@ -200,11 +183,10 @@ func (e *Engine) partialsMaxPruned(ctx context.Context, cs *candidateSet, out *P
 		out.Cands = append(out.Cands, CandidateScore{TID: c.TID, UID: c.UID, Delta: c.Delta, Rho: rho})
 
 		// Track lower-bound user scores. The table's δ(u,q) never exceeds
-		// the true one — in candidate-only mode it is built from the
-		// shard-local distance sum (other shards can only add non-negative
-		// δ terms), in exact mode it is candidate-independent and already
-		// the true value — so the running kth score never exceeds the true
-		// global kth and the prune above stays result-neutral.
+		// the true one — it is built from the shard-local distance sum, and
+		// other shards can only add non-negative δ terms — so the running
+		// kth score never exceeds the true global kth and the prune above
+		// stays result-neutral.
 		tk.offer(c.UID, score.Combine(p.Alpha, rho, cs.users[c.user].du))
 	}
 	cs.stats.addThreads(&ts)
@@ -213,15 +195,11 @@ func (e *Engine) partialsMaxPruned(ctx context.Context, cs *candidateSet, out *P
 }
 
 // userPartials lists the set's users in first-candidate order with their
-// global post counts (and exact δ(u,q) when that mode is on) — the user
-// table after resolveUsers, in wire form.
-func (e *Engine) userPartials(cs *candidateSet) []UserPartial {
+// global post counts — the user table after resolveUsers, in wire form.
+func userPartials(cs *candidateSet) []UserPartial {
 	out := make([]UserPartial, len(cs.users))
 	for i, u := range cs.users {
 		out[i] = UserPartial{UID: u.uid, Posts: u.posts}
-		if e.Opts.ExactUserDistance {
-			out[i].Du = u.du
-		}
 	}
 	return out
 }
@@ -241,9 +219,6 @@ func MergePartials(q Query, alpha float64, parts []*Partials) ([]UserResult, *Qu
 	for _, p := range parts {
 		if p == nil {
 			return nil, nil, fmt.Errorf("core: nil shard partials")
-		}
-		if p.ExactDistance != parts[0].ExactDistance {
-			return nil, nil, fmt.Errorf("core: shards disagree on ExactUserDistance")
 		}
 		total += len(p.Cands)
 		stats.Add(&p.Stats)
@@ -278,37 +253,32 @@ func MergePartials(q Query, alpha float64, parts []*Partials) ([]UserResult, *Qu
 // the monolithic exhaustive sum (Definitions 7 and 10, sort, top k) — one
 // body, so the two cannot drift apart.
 func reducePartials(q *Query, alpha float64, merged []CandidateScore, parts []*Partials) ([]UserResult, error) {
-	users := make(map[social.UserID]*UserPartial)
+	posts := make(map[social.UserID]int) // |P_u|, as the first shard naming u reports it
 	for _, p := range parts {
-		for i := range p.Users {
-			u := &p.Users[i]
-			if _, dup := users[u.UID]; !dup {
-				users[u.UID] = u
+		for _, u := range p.Users {
+			if _, dup := posts[u.UID]; !dup {
+				posts[u.UID] = u.Posts
 			}
 		}
 	}
-	exact := len(parts) > 0 && parts[0].ExactDistance
 
 	// δ(u,q) per user, from the merged candidate order — identical floats
 	// to the monolithic user table's.
-	deltaSum := make(map[social.UserID]float64, len(users))
+	deltaSum := make(map[social.UserID]float64, len(posts))
 	for _, c := range merged {
 		deltaSum[c.UID] += c.Delta
 	}
 	du := func(uid social.UserID) (float64, error) {
-		u := users[uid]
-		if u == nil {
+		n, ok := posts[uid]
+		if !ok {
 			return 0, fmt.Errorf("core: candidate user %d missing from shard user partials", uid)
 		}
-		if exact {
-			return u.Du, nil
-		}
-		return score.UserDistance(deltaSum[uid], u.Posts), nil
+		return score.UserDistance(deltaSum[uid], n), nil
 	}
 
 	switch q.Ranking {
 	case SumScore:
-		rs := make(map[social.UserID]float64, len(users)) // Σ ρ(p,q), Definition 7
+		rs := make(map[social.UserID]float64, len(posts)) // Σ ρ(p,q), Definition 7
 		for _, c := range merged {
 			if c.Pruned {
 				return nil, fmt.Errorf("core: pruned candidate %d in sum-ranking partials", c.TID)

@@ -20,42 +20,37 @@ import (
 // TestPartialsSingleShardIdentity checks the degenerate scatter-gather:
 // one shard's SearchPartials merged alone must reproduce SearchContext
 // byte-for-byte (same floats, same order), for every ranking/semantic
-// combination and in both user-distance modes.
+// combination.
 func TestPartialsSingleShardIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	posts, center := randomCorpus(rng, 800)
 
-	for _, exact := range []bool{false, true} {
-		opts := core.DefaultOptions()
-		opts.ExactUserDistance = exact
-		eng := buildEngine(t, posts, opts, 5, []string{"hotel", "pizza"})
-		for _, sem := range []core.Semantic{core.Or, core.And} {
-			for _, rank := range []core.Ranking{core.SumScore, core.MaxScore} {
-				q := core.Query{
-					Loc: center, RadiusKm: 25,
-					Keywords: []string{"hotel", "pizza"},
-					K:        10, Semantic: sem, Ranking: rank,
-				}
-				want, wantStats, err := eng.Search(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				parts, err := eng.SearchPartials(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, stats, err := core.MergePartials(q, opts.Params.Alpha, []*core.Partials{parts})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("exact=%v %v/%v: merged %v != monolithic %v",
-						exact, sem, rank, got, want)
-				}
-				if stats.Candidates != wantStats.Candidates {
-					t.Errorf("exact=%v %v/%v: candidates %d != %d",
-						exact, sem, rank, stats.Candidates, wantStats.Candidates)
-				}
+	opts := core.DefaultOptions()
+	eng := buildEngine(t, posts, opts, 5, []string{"hotel", "pizza"})
+	for _, sem := range []core.Semantic{core.Or, core.And} {
+		for _, rank := range []core.Ranking{core.SumScore, core.MaxScore} {
+			q := core.Query{
+				Loc: center, RadiusKm: 25,
+				Keywords: []string{"hotel", "pizza"},
+				K:        10, Semantic: sem, Ranking: rank,
+			}
+			want, wantStats, err := eng.Search(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts, err := eng.SearchPartials(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, stats, err := core.MergePartials(q, opts.Params.Alpha, []*core.Partials{parts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v/%v: merged %v != monolithic %v", sem, rank, got, want)
+			}
+			if stats.Candidates != wantStats.Candidates {
+				t.Errorf("%v/%v: candidates %d != %d", sem, rank, stats.Candidates, wantStats.Candidates)
 			}
 		}
 	}
@@ -175,15 +170,6 @@ func TestMergePartialsErrors(t *testing.T) {
 		}
 	})
 
-	t.Run("exact-distance mode mismatch", func(t *testing.T) {
-		a := &core.Partials{ExactDistance: true}
-		b := &core.Partials{ExactDistance: false}
-		_, _, err := core.MergePartials(q, 0.5, []*core.Partials{a, b})
-		if err == nil || !strings.Contains(err.Error(), "ExactUserDistance") {
-			t.Fatalf("err = %v, want mode-mismatch error", err)
-		}
-	})
-
 	t.Run("pruned candidate under sum ranking", func(t *testing.T) {
 		p := &core.Partials{
 			Cands: []core.CandidateScore{{TID: 9, UID: 2, Delta: 0.5, Pruned: true}},
@@ -265,36 +251,32 @@ func TestQueryStatsAddSumsEveryCounter(t *testing.T) {
 // On a paged engine (no caches, no snapshots) with
 // pruning off, Search and SearchPartials build every candidate's thread, so
 // the only simulated I/O that could differ between them is user resolution:
-// both must charge the same index-node and page reads, for both rankings
-// and both user-distance modes.
+// both must charge the same index-node and page reads, for both rankings.
 func TestPartialsChargeSearchUserIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	posts, center := randomCorpus(rng, 800)
-	for _, exact := range []bool{false, true} {
-		opts := core.DefaultOptions()
-		opts.ExactUserDistance = exact
-		opts.UsePruning = false
-		eng := buildEngine(t, posts, opts, 5, nil)
-		for _, rank := range []core.Ranking{core.SumScore, core.MaxScore} {
-			q := core.Query{Loc: center, RadiusKm: 25, Keywords: []string{"hotel", "pizza"}, K: 10, Ranking: rank}
-			eng.DB.ResetStats()
-			if _, _, err := eng.Search(context.Background(), q); err != nil {
-				t.Fatal(err)
-			}
-			mono := eng.DB.Stats()
-			eng.DB.ResetStats()
-			parts, err := eng.SearchPartials(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shard := eng.DB.Stats()
-			if len(parts.Users) < 10 {
-				t.Fatalf("exact=%v %v: only %d candidate users, fixture too small", exact, rank, len(parts.Users))
-			}
-			if shard.IndexReads != mono.IndexReads || shard.PageReads != mono.PageReads {
-				t.Errorf("exact=%v %v: SearchPartials charged %d index / %d page reads, Search %d / %d (%d users)",
-					exact, rank, shard.IndexReads, shard.PageReads, mono.IndexReads, mono.PageReads, len(parts.Users))
-			}
+	opts := core.DefaultOptions()
+	opts.UsePruning = false
+	eng := buildEngine(t, posts, opts, 5, nil)
+	for _, rank := range []core.Ranking{core.SumScore, core.MaxScore} {
+		q := core.Query{Loc: center, RadiusKm: 25, Keywords: []string{"hotel", "pizza"}, K: 10, Ranking: rank}
+		eng.DB.ResetStats()
+		if _, _, err := eng.Search(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+		mono := eng.DB.Stats()
+		eng.DB.ResetStats()
+		parts, err := eng.SearchPartials(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard := eng.DB.Stats()
+		if len(parts.Users) < 10 {
+			t.Fatalf("%v: only %d candidate users, fixture too small", rank, len(parts.Users))
+		}
+		if shard.IndexReads != mono.IndexReads || shard.PageReads != mono.PageReads {
+			t.Errorf("%v: SearchPartials charged %d index / %d page reads, Search %d / %d (%d users)",
+				rank, shard.IndexReads, shard.PageReads, mono.IndexReads, mono.PageReads, len(parts.Users))
 		}
 	}
 }

@@ -140,9 +140,7 @@ func (e *Engine) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats
 		return nil, nil, err
 	}
 	rankStart := time.Now()
-	if err := e.resolveUsers(ctx, cs); err != nil {
-		return nil, nil, err
-	}
+	e.resolveUsers(cs)
 	var results []UserResult
 	switch q.Ranking {
 	case SumScore:
@@ -158,8 +156,8 @@ func (e *Engine) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats
 	return results, cs.rankDone(rankStart), nil
 }
 
-// cancelCheckInterval bounds how many candidates (or jobs) are processed
-// between context checks. Most candidates cost a table lookup and a few a
+// cancelCheckInterval bounds how many candidates are processed between
+// context checks. Most candidates cost a table lookup and a few a
 // thread construction, so a stride of 64 keeps cancellation within tens of
 // microseconds while the check itself stays off the profile.
 const cancelCheckInterval = 64
@@ -169,13 +167,11 @@ const cancelCheckInterval = 64
 // retrieval (lines 4–7) across the partitions the window admits, and then,
 // one partition at a time in time order, the AND/OR merge (lines 8–14), the
 // optional time-window filter of the temporal extension, row resolution and
-// the radius filter (lines 15–17). Postings retrieval fans out across the
-// engine's worker pool; results are assembled in job order. Partitions are
-// time-disjoint and ordered, so the per-partition survivors concatenate
-// into the global ascending candidate list — and every downstream score —
-// exactly as one merge over all partitions would produce it. Each phase is
-// recorded as a span; spans around parallel phases measure wall time, not
-// summed worker time. The set's buffers are sc's.
+// the radius filter (lines 15–17). Everything runs on the query's own
+// goroutine. Partitions are time-disjoint and ordered, so the per-partition
+// survivors concatenate into the global ascending candidate list — and every
+// downstream score — exactly as one merge over all partitions would produce
+// it. Each phase is recorded as a span. The set's buffers are sc's.
 func (e *Engine) gather(ctx context.Context, q Query, sc *scratch) (*candidateSet, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -219,34 +215,27 @@ func (e *Engine) gather(ctx context.Context, q Query, sc *scratch) (*candidateSe
 	}
 	stopCover()
 
-	// Stage 2 — postings retrieval: every ⟨partition, term⟩ pair is one
-	// independent batch of reads, fanned across the pool, opening one lazy
-	// iterator per non-empty ⟨cell, term⟩ list.
+	// Stage 2 — postings retrieval: one lazy iterator per non-empty ⟨cell,
+	// term⟩ list, for every ⟨partition, term⟩ pair in partition-major order.
 	stopFetch := rec.Start(telemetry.StagePostingsFetch)
-	nJobs := len(parts) * len(terms)
-	opened := make([][]*invindex.PostingsIterator, nJobs)
-	counts := make([]int64, nJobs)
-	err := RunJobs(ctx, e.workers(), nJobs, func(ctx context.Context, i int) error {
-		part := parts[i/len(terms)]
-		its, n, err := openTermIterators(part.Source, covers.get(part.Source.GeohashLen()), terms[i%len(terms)])
-		if err != nil {
-			return err
+	opened := make([][]*invindex.PostingsIterator, 0, len(parts)*len(terms))
+	for _, part := range parts {
+		cells := covers.get(part.Source.GeohashLen())
+		for _, term := range terms {
+			its, err := openTermIterators(part.Source, cells, term, stats)
+			if err != nil {
+				stopFetch()
+				return nil, err
+			}
+			opened = append(opened, its)
 		}
-		opened[i], counts[i] = its, n
-		return nil
-	})
+	}
 	stopFetch()
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range counts {
-		stats.PostingsFetched += n
-	}
 
-	// Stage 3 — merge and filter, one partition at a time: jobs are
-	// partition-major, so a partition's per-term iterator lists are one run
-	// of opened. Each partition's merged postings are filtered before the
-	// next partition merges, so one merge buffer serves them all.
+	// Stage 3 — merge and filter, one partition at a time: a partition's
+	// per-term iterator lists are one run of opened. Each partition's merged
+	// postings are filtered before the next partition merges, so one merge
+	// buffer serves them all.
 	defer rec.Start(telemetry.StageCandidateFilter)()
 	cs.cands = sc.cands[:0]
 	for pi, part := range parts {
@@ -270,6 +259,43 @@ func (e *Engine) gather(ctx context.Context, q Query, sc *scratch) (*candidateSe
 	sc.cands = cs.cands // keeps what the appends grew
 	stats.Candidates = len(cs.cands)
 	return cs, ctx.Err()
+}
+
+// coverSet holds the circle cover per geohash precision. Nearly every
+// deployment runs all partitions at one precision, so the first precision
+// is kept inline and the overflow map is only allocated when a second
+// precision actually appears.
+type coverSet struct {
+	init  bool
+	prec  int
+	cells []string
+	more  map[int][]string
+}
+
+func (cs *coverSet) has(prec int) bool {
+	if cs.init && cs.prec == prec {
+		return true
+	}
+	_, ok := cs.more[prec]
+	return ok
+}
+
+func (cs *coverSet) add(prec int, cells []string) {
+	if !cs.init {
+		cs.init, cs.prec, cs.cells = true, prec, cells
+		return
+	}
+	if cs.more == nil {
+		cs.more = make(map[int][]string)
+	}
+	cs.more[prec] = cells
+}
+
+func (cs *coverSet) get(prec int) []string {
+	if cs.init && cs.prec == prec {
+		return cs.cells
+	}
+	return cs.more[prec]
 }
 
 // filter is the tail of gather for one partition: the window filter, row
@@ -339,14 +365,14 @@ func (cs *candidateSet) admit(c candidate, loc geo.Point, uid social.UserID) {
 // resolveUsers builds the set's user table — one row per distinct user in
 // first-candidate order, Σδ accumulated in candidate order, each candidate
 // pointed at its row — and fills in |P_u| and δ(u,q) (Definition 9). It
-// runs once per ranked query; retrieval-only callers never pay for it. In
-// candidate-only mode δ depends on the DB only through |P_u|, so every
-// count comes from one amortized B⁺-tree batch and the candidate distance
-// sum is divided by it (tweets outside the radius contribute 0 either way).
-// In exact mode each user's posts are fetched — P_u is clustered by SID, so
-// one multi-get touches each of the user's data pages once — and their
-// distance scores averaged.
-func (e *Engine) resolveUsers(ctx context.Context, cs *candidateSet) error {
+// runs once per ranked query; retrieval-only callers never pay for it.
+// δ(u,q) is read the way Algorithms 4 and 5 can compute it from the
+// retrieved postings: the user's candidate distance sum divided by |P_u|.
+// Posts outside the radius contribute 0 to Definition 9 either way; the
+// user's in-radius posts that match no query keyword are the ones left out.
+// So δ depends on the DB only through |P_u|, and every count comes from one
+// amortized B⁺-tree batch.
+func (e *Engine) resolveUsers(cs *candidateSet) {
 	if cs.sc.byUID == nil {
 		cs.sc.byUID = make(map[social.UserID]int)
 	}
@@ -368,35 +394,14 @@ func (e *Engine) resolveUsers(ctx context.Context, cs *candidateSet) error {
 		u.uid = c.UID
 		u.deltaSum += c.Delta
 	}
-	if !e.Opts.ExactUserDistance {
-		uids := grow(&cs.sc.uids, len(cs.users))
-		for i := range cs.users {
-			uids[i] = cs.users[i].uid
-		}
-		for i, n := range e.DB.PostCountOfUserBatch(uids) {
-			u := &cs.users[i]
-			u.posts, u.du = n, score.UserDistance(u.deltaSum, n)
-		}
-		return nil
-	}
+	uids := grow(&cs.sc.uids, len(cs.users))
 	for i := range cs.users {
-		if i%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		u := &cs.users[i]
-		sids := e.DB.PostsOfUser(u.uid)
-		rows, found, _ := e.DB.GetBySIDBatch(sids)
-		var sum float64
-		for j := range rows {
-			if found[j] {
-				sum += score.TweetDistance(rows[j].Loc(), cs.q.Loc, cs.q.RadiusKm, e.Opts.Params.Metric)
-			}
-		}
-		u.posts, u.du = len(sids), score.UserDistance(sum, len(sids))
+		uids[i] = cs.users[i].uid
 	}
-	return nil
+	for i, n := range e.DB.PostCountOfUserBatch(uids) {
+		u := &cs.users[i]
+		u.posts, u.du = n, score.UserDistance(u.deltaSum, n)
+	}
 }
 
 // rankSum is the back half of Algorithm 4: per-candidate thread scoring
@@ -410,7 +415,7 @@ func (e *Engine) rankSum(ctx context.Context, cs *candidateSet) ([]UserResult, e
 	if e.Opts.UsePruning {
 		return e.rankSumPruned(ctx, cs)
 	}
-	one := &Partials{ExactDistance: e.Opts.ExactUserDistance, Users: e.userPartials(cs)}
+	one := &Partials{Users: userPartials(cs)}
 	if err := e.partialsScoreAll(ctx, cs, one); err != nil {
 		return nil, err
 	}

@@ -29,8 +29,8 @@ func TestAppendVisibleToReaders(t *testing.T) {
 	if len(replies) != 2 {
 		t.Fatalf("SelectByRSID(1) = %d rows after append, want 2", len(replies))
 	}
-	if got := db.PostsOfUser(4); len(got) != 1 || got[0] != 10 {
-		t.Errorf("PostsOfUser(4) = %v, want [10]", got)
+	if got := db.PostCountOfUser(4); got != 1 {
+		t.Errorf("PostCountOfUser(4) = %d, want 1", got)
 	}
 	if db.Len() != 4 {
 		t.Errorf("Len = %d, want 4", db.Len())

@@ -540,27 +540,9 @@ func (db *DB) SelectByRSID(rsid social.PostID) []Row {
 	return out
 }
 
-// PostsOfUser returns all post IDs of a user in ascending order (P_u of
-// the problem definition), via the uid B⁺-tree — index node visits are
-// charged like any other simulated I/O. The returned slice must not be
-// modified.
-func (db *DB) PostsOfUser(uid social.UserID) []social.PostID {
-	db.mustBeFrozen()
-	db.structMu.RLock()
-	defer db.structMu.RUnlock()
-	sids, visited := db.uidIndex.GetCounted(int64(uid))
-	db.chargeIndexIO(visited)
-	if len(sids) == 0 {
-		return nil
-	}
-	out := make([]social.PostID, len(sids))
-	for i, sid := range sids {
-		out[i] = social.PostID(sid)
-	}
-	return out
-}
-
-// PostCountOfUser returns |P_u|.
+// PostCountOfUser returns |P_u| (P_u of the problem definition: every post
+// of the user), via the uid B⁺-tree — index node visits are charged like
+// any other simulated I/O.
 func (db *DB) PostCountOfUser(uid social.UserID) int {
 	db.mustBeFrozen()
 	db.structMu.RLock()

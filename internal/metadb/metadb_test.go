@@ -2,6 +2,7 @@ package metadb
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -73,12 +74,11 @@ func TestUserPosts(t *testing.T) {
 		mkPost(5, 1, 0, 0), mkPost(1, 1, 0, 0), mkPost(3, 2, 0, 0),
 	}
 	db := buildDB(t, posts, DefaultOptions())
-	got := db.PostsOfUser(1)
-	if len(got) != 2 || got[0] != 1 || got[1] != 5 {
-		t.Fatalf("PostsOfUser(1) = %v, want ascending [1 5]", got)
-	}
-	if db.PostCountOfUser(2) != 1 || db.PostCountOfUser(42) != 0 {
+	if db.PostCountOfUser(1) != 2 || db.PostCountOfUser(2) != 1 || db.PostCountOfUser(42) != 0 {
 		t.Error("PostCountOfUser wrong")
+	}
+	if got := db.PostCountOfUserBatch([]social.UserID{42, 1, 2, 1}); !slices.Equal(got, []int{0, 2, 1, 2}) {
+		t.Errorf("PostCountOfUserBatch = %v, want [0 2 1 2]", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package thread
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,7 +20,7 @@ func (b *Bounds) Phi(root social.PostID) float64 {
 }
 
 // phiOf recomputes a root's popularity from the post set — the oracle the
-// φ table must dominate.
+// φ table must equal.
 func phiOf(posts []*social.Post, root social.PostID, depth int, epsilon float64) float64 {
 	children := make(map[social.PostID][]social.PostID)
 	for _, p := range posts {
@@ -48,92 +49,96 @@ func TestPhiRangeMaxExactOnBatchCorpus(t *testing.T) {
 	}
 }
 
-// TestPhiRangeMaxDominatesAfterRandomIngest is the per-tweet bound property
-// test: after random Ingest-style batches (each reply raising its ≤depth
-// ancestors through RaiseForRoot, exactly as System.ingest does), every
-// root's lookup dominates its true popularity recomputed from scratch. Mid
-// stream the bounds are gob-round-tripped and the reloaded copy receives
-// the remaining raises too: it must end with the same lookups and the same
+// TestPhiRangeMaxExactAfterRandomIngest is the φ table's property test:
+// after random Ingest-style histories (each reply appended to the database,
+// then its ≤depth ancestors recomputed by Algorithm 1 and recorded through
+// RaiseForRoot, exactly as System.ingest does), every root's lookup equals
+// Algorithm 1 — Builder.Popularity over the same posts — bit for bit. Mid
+// stream the bounds are gob-round-tripped and the reloaded copy receives the
+// remaining raises too: it must end with the same lookups and the same
 // query-level bounds, so a restart never changes what the engine prunes.
-func TestPhiRangeMaxDominatesAfterRandomIngest(t *testing.T) {
-	const depth, eps = 4, 0.1
+// ε > ½ is in the grid because there a thread's first reply lowers φ below
+// the floor (one reply scores ½).
+func TestPhiRangeMaxExactAfterRandomIngest(t *testing.T) {
 	hot := []string{"hotel", "pizza"}
-	rng := rand.New(rand.NewSource(29))
-	mkPost := func(sid social.PostID) *social.Post {
-		return &social.Post{
-			SID: sid, UID: social.UserID(sid), Time: time.Unix(int64(sid), 0),
-			Loc: geo.Point{Lat: 43.7, Lon: -79.4}, Words: []string{hot[rng.Intn(2)]},
-		}
-	}
-	for trial := 0; trial < 20; trial++ {
-		// Batch corpus: a random forest over SIDs 1..40.
-		posts := make([]*social.Post, 0, 40)
-		for sid := social.PostID(1); sid <= 40; sid++ {
-			p := mkPost(sid)
-			if sid > 1 && rng.Intn(2) == 0 {
-				p.RSID = social.PostID(1 + rng.Intn(int(sid-1)))
-				p.Kind = social.Reply
+	for _, eps := range []float64{0.1, 0.75} {
+		for _, depth := range []int{1, 2, 4} {
+			rng := rand.New(rand.NewSource(29))
+			mkPost := func(sid social.PostID) *social.Post {
+				return &social.Post{
+					SID: sid, UID: social.UserID(sid), Time: time.Unix(int64(sid), 0),
+					Loc: geo.Point{Lat: 43.7, Lon: -79.4}, Words: []string{hot[rng.Intn(2)]},
+				}
 			}
-			posts = append(posts, p)
-		}
-		b := ComputeBounds(posts, depth, eps, hot)
-		var loaded *Bounds
+			for trial := 0; trial < 10; trial++ {
+				label := fmt.Sprintf("ε=%v depth=%d trial %d", eps, depth, trial)
+				// Batch corpus: a random forest over SIDs 1..40.
+				posts := make([]*social.Post, 0, 80)
+				for sid := social.PostID(1); sid <= 40; sid++ {
+					p := mkPost(sid)
+					if sid > 1 && rng.Intn(2) == 0 {
+						p.RSID = social.PostID(1 + rng.Intn(int(sid-1)))
+						p.Kind = social.Reply
+					}
+					posts = append(posts, p)
+				}
+				db := loadDB(t, posts)
+				builder := Builder{DB: db, Depth: depth}
+				b := ComputeBounds(posts, depth, eps, hot)
+				var loaded *Bounds
 
-		// Ingest batches: new ascending SIDs, some replying to existing
-		// posts. Mirror System.ingest: walk ≤depth ancestors and raise each
-		// with its recomputed exact popularity.
-		for sid := social.PostID(41); sid <= 80; sid++ {
-			if sid == 60 {
-				var buf bytes.Buffer
-				if err := b.EncodeGob(&buf); err != nil {
-					t.Fatal(err)
+				// Ingest: new ascending SIDs, most replying to an existing
+				// post. Mirror System.ingest: append, then walk the ≤depth
+				// ancestors and record each one's recomputed popularity.
+				for sid := social.PostID(41); sid <= 80; sid++ {
+					if sid == 60 {
+						var buf bytes.Buffer
+						if err := b.EncodeGob(&buf); err != nil {
+							t.Fatal(err)
+						}
+						var err error
+						if loaded, err = DecodeBoundsGob(&buf); err != nil {
+							t.Fatal(err)
+						}
+					}
+					p := mkPost(sid)
+					if rng.Intn(3) > 0 {
+						p.RSID = social.PostID(1 + rng.Intn(int(sid-1)))
+						p.Kind = social.Reply
+					}
+					posts = append(posts, p)
+					if err := db.Append(p); err != nil {
+						t.Fatal(err)
+					}
+					for a, hops := p.RSID, 0; a != social.NoPost && hops < depth; hops++ {
+						pop, _ := builder.Popularity(a, eps, nil)
+						b.RaiseForRoot(a, pop)
+						if loaded != nil {
+							loaded.RaiseForRoot(a, pop)
+						}
+						row, ok := db.GetBySID(a)
+						if !ok {
+							break
+						}
+						a = row.RSID
+					}
 				}
-				var err error
-				if loaded, err = DecodeBoundsGob(&buf); err != nil {
-					t.Fatal(err)
-				}
-			}
-			p := mkPost(sid)
-			if rng.Intn(3) > 0 {
-				p.RSID = social.PostID(1 + rng.Intn(int(sid-1)))
-				p.Kind = social.Reply
-			}
-			posts = append(posts, p)
-			if p.RSID == social.NoPost {
-				continue
-			}
-			bySID := make(map[social.PostID]*social.Post, len(posts))
-			for _, q := range posts {
-				bySID[q.SID] = q
-			}
-			for a, hops := p.RSID, 0; a != social.NoPost && hops < depth; hops++ {
-				pop := phiOf(posts, a, depth, eps)
-				b.RaiseForRoot(a, pop)
-				if loaded != nil {
-					loaded.RaiseForRoot(a, pop)
-				}
-				parent, ok := bySID[a]
-				if !ok {
-					break
-				}
-				a = parent.RSID
-			}
-		}
 
-		for _, p := range posts {
-			bound := b.Phi(p.SID)
-			if truth := phiOf(posts, p.SID, depth, eps); truth > bound {
-				t.Fatalf("trial %d: Phi(%d) = %v below true φ = %v", trial, p.SID, bound, truth)
-			}
-			if got := loaded.Phi(p.SID); got != bound {
-				t.Fatalf("trial %d: reloaded Phi(%d) = %v, built %v", trial, p.SID, got, bound)
-			}
-		}
-		for _, terms := range [][]string{{"hotel"}, {"pizza"}, {"hotel", "pizza"}, {"other"}} {
-			for _, and := range []bool{true, false} {
-				if got, want := loaded.ForQuery(terms, and, true), b.ForQuery(terms, and, true); got != want {
-					t.Fatalf("trial %d: reloaded ForQuery(%v, and=%v) = %v, built %v",
-						trial, terms, and, got, want)
+				for _, p := range posts {
+					want, _ := builder.Popularity(p.SID, eps, nil)
+					if got := b.Phi(p.SID); got != want {
+						t.Fatalf("%s: Phi(%d) = %v, Algorithm 1 says %v", label, p.SID, got, want)
+					}
+					if got := loaded.Phi(p.SID); got != want {
+						t.Fatalf("%s: reloaded Phi(%d) = %v, Algorithm 1 says %v", label, p.SID, got, want)
+					}
+				}
+				for _, terms := range [][]string{{"hotel"}, {"pizza"}, {"hotel", "pizza"}, {"other"}} {
+					for _, and := range []bool{true, false} {
+						if got, want := loaded.ForQuery(terms, and, true), b.ForQuery(terms, and, true); got != want {
+							t.Fatalf("%s: reloaded ForQuery(%v, and=%v) = %v, built %v", label, terms, and, got, want)
+						}
+					}
 				}
 			}
 		}
@@ -217,7 +222,7 @@ func TestPhiBatchMatchesPointLookups(t *testing.T) {
 		scan := func(root social.PostID) float64 {
 			for i, sid := range b.phiSIDs {
 				if sid == root {
-					return max(b.phiVals[i], eps)
+					return b.phiVals[i]
 				}
 			}
 			return eps

@@ -166,9 +166,9 @@ type Bounds struct {
 	// with the query-level bound. It is held globally (SID-keyed), so one
 	// RaiseForRoot keeps it exact for every postings list at once. phiSIDs
 	// is ascending; phiVals is parallel. SIDs absent from the table are
-	// threads that have never been scored above phiFloor (= ε: a
-	// just-ingested post nothing has replied to), because every φ change
-	// flows through RaiseForRoot with the exact recomputed popularity.
+	// threads that have never been scored — a just-ingested post nothing has
+	// replied to, whose φ is phiFloor (= ε) — because every φ change flows
+	// through RaiseForRoot with the exact recomputed popularity.
 	phiSIDs  []social.PostID
 	phiVals  []float64
 	phiFloor float64
@@ -271,20 +271,31 @@ func (b *Bounds) PhiBatch(roots []social.PostID, out []float64) {
 		pos += j
 		out[i] = b.phiFloor
 		if found {
-			out[i] = max(b.phiVals[pos], b.phiFloor)
+			out[i] = b.phiVals[pos]
 		}
 	}
 }
 
-// raisePhi records the exact popularity pop for root in the φ table,
-// inserting the SID if the table has never seen it. Callers hold mu.
-func (b *Bounds) raisePhi(root social.PostID, pop float64) {
+// PhiFloor reports the ε the φ table was computed with — the φ of a thread
+// nothing has replied to — and whether the bounds hold a φ table at all.
+func (b *Bounds) PhiFloor() (float64, bool) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.phiFloor, b.phiSIDs != nil
+}
+
+// setPhi records the exact popularity pop for root in the φ table,
+// inserting the SID if the table has never seen it. It overwrites rather
+// than raises: when ε > ½ a thread's first reply lowers φ (one reply scores
+// ½), and ingest is serialized, so the latest value is the exact one.
+// Callers hold mu.
+func (b *Bounds) setPhi(root social.PostID, pop float64) {
 	if b.phiSIDs == nil {
 		return // no table (old image): PhiBatch already falls back
 	}
 	i, ok := slices.BinarySearch(b.phiSIDs, root)
 	if ok {
-		b.phiVals[i] = max(b.phiVals[i], pop)
+		b.phiVals[i] = pop
 		return
 	}
 	// Unseen SID. Ingested SIDs ascend past every batch SID, so this is an
@@ -344,19 +355,19 @@ func (b *Bounds) ForQuery(terms []string, and, useSpecific bool) float64 {
 	return bound
 }
 
-// RaiseForRoot conservatively lifts the bounds after a live-ingested reply
-// grew the thread rooted at root to popularity pop: the global bound, the
-// root's φ-table entry, and every keyword bound (which of them the root's
-// text could violate is not tracked). Raising can only relax pruning, never
-// tighten it, so it is always sound. Safe for concurrent use with ForQuery
-// and PhiBatch.
+// RaiseForRoot records that a live-ingested reply changed the thread rooted
+// at root to popularity pop: the root's φ-table entry becomes pop, and the
+// global bound and every keyword bound (which of them the root's text could
+// violate is not tracked) are lifted to at least pop. Raising a bound can
+// only relax pruning, never tighten it, so it is always sound. Safe for
+// concurrent use with ForQuery and PhiBatch.
 func (b *Bounds) RaiseForRoot(root social.PostID, pop float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if pop > b.MaxObserved {
 		b.MaxObserved = pop
 	}
-	b.raisePhi(root, pop)
+	b.setPhi(root, pop)
 	for kw, v := range b.PerKeyword {
 		if pop > v {
 			b.PerKeyword[kw] = pop

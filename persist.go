@@ -21,6 +21,7 @@ import (
 	"repro/internal/fsx"
 	"repro/internal/invindex"
 	"repro/internal/metadb"
+	"repro/internal/score"
 	"repro/internal/segment"
 	"repro/internal/telemetry"
 	"repro/internal/thread"
@@ -61,8 +62,8 @@ const manifestVersion = 1
 
 // Typed load failures, classified so operators (and the corruption tests)
 // can tell "no snapshot was ever committed / a file vanished" from "a
-// committed snapshot's bytes rotted" from "written by a different format".
-// All are errors.Is-able.
+// committed snapshot's bytes rotted" from "written by a different format"
+// from "built for a different scoring model". All are errors.Is-able.
 var (
 	// ErrPartialSave: the directory holds no committed snapshot, or a file
 	// the manifest promises is missing — the shape a crash or an
@@ -73,6 +74,10 @@ var (
 	ErrCorruptImage = errors.New("tklus: corrupt snapshot image")
 	// ErrVersionMismatch: the manifest's format version is not ours.
 	ErrVersionMismatch = errors.New("tklus: snapshot format version mismatch")
+	// ErrParamsMismatch: the snapshot's popularity bounds were computed for
+	// a thread depth or ε other than the Config's, so the engine would prune
+	// against bounds of a different scoring model.
+	ErrParamsMismatch = errors.New("tklus: snapshot scoring parameters mismatch")
 )
 
 // manifest is the MANIFEST file: the format version and one entry per file
@@ -390,7 +395,8 @@ func SnapshotExists(dir string) bool {
 // page/cache configuration, DFS parameters); the index structure, bounds,
 // and data come from the directory. The manifest is verified (version,
 // then every file's size and CRC) before anything is decoded; failures
-// come back as ErrPartialSave, ErrVersionMismatch or ErrCorruptImage.
+// come back as ErrPartialSave, ErrVersionMismatch or ErrCorruptImage, and
+// bounds computed for another thread depth or ε as ErrParamsMismatch.
 // Load does not open the WAL for writing — call EnableWAL on the returned
 // system to make further Ingests durable.
 func Load(dir string, cfg Config) (*System, error) {
@@ -440,6 +446,9 @@ func Load(dir string, cfg Config) (*System, error) {
 	}); err != nil {
 		return nil, err
 	}
+	if err := checkBoundsParams(bounds, cfg.Engine.Params); err != nil {
+		return nil, err
+	}
 	sys, err := newSystem(cfg, db, idx, fsys, bounds, store, &invindex.BuildStats{
 		Keys:          idx.NumKeys(),
 		PostingsBytes: fsys.TotalSize(),
@@ -453,6 +462,20 @@ func Load(dir string, cfg Config) (*System, error) {
 	}
 	sys.BuildTime = time.Since(start)
 	return sys, nil
+}
+
+// checkBoundsParams rejects bounds computed for another scoring model: a
+// different thread depth d, or a φ table whose floor is not ε.
+func checkBoundsParams(b *thread.Bounds, p score.Params) error {
+	if b.Depth != p.ThreadDepth {
+		return fmt.Errorf("%w: bounds computed for thread depth %d, config says %d",
+			ErrParamsMismatch, b.Depth, p.ThreadDepth)
+	}
+	if floor, ok := b.PhiFloor(); ok && floor != p.Epsilon {
+		return fmt.Errorf("%w: φ table computed for ε = %v, config says %v",
+			ErrParamsMismatch, floor, p.Epsilon)
+	}
+	return nil
 }
 
 // replayWAL re-ingests every log record the snapshot does not already

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	tklus "repro"
+	"repro/internal/datagen"
 )
 
 // snapDirOf resolves the committed snapshot directory of a saved system.
@@ -271,6 +272,40 @@ func TestLoadVersionMismatch(t *testing.T) {
 	}
 	if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrVersionMismatch) {
 		t.Errorf("future-version snapshot: err = %v, want ErrVersionMismatch", err)
+	}
+}
+
+// TestLoadRejectsBoundsOfAnotherScoringModel: the popularity bounds (the φ
+// table, MaxObserved, the keyword bounds) are decoded from the snapshot, the
+// engine options from the Config. A snapshot saved at thread depth 2 and
+// loaded at the default depth, or saved at one ε and loaded at another, would
+// prune against popularities of a different scoring model — Load refuses it.
+func TestLoadRejectsBoundsOfAnotherScoringModel(t *testing.T) {
+	cfg := datagen.DefaultConfig()
+	cfg.NumUsers, cfg.NumPosts = 200, 500
+	corpus, err := datagen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := tklus.DefaultConfig()
+	saved.Engine.Params.ThreadDepth = 2
+	sys, err := tklus.Build(corpus.Posts, saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "saved")
+	if err := sys.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	otherEps := saved
+	otherEps.Engine.Params.Epsilon = 0.3
+	for name, load := range map[string]tklus.Config{"depth 6": tklus.DefaultConfig(), "ε 0.3": otherEps} {
+		if _, err := tklus.Load(dir, load); !errors.Is(err, tklus.ErrParamsMismatch) {
+			t.Errorf("%s: err = %v, want ErrParamsMismatch", name, err)
+		}
+	}
+	if _, err := tklus.Load(dir, saved); err != nil {
+		t.Fatalf("matching config: %v", err)
 	}
 }
 

@@ -506,14 +506,29 @@ func (ss *ShardedSystem) Search(ctx context.Context, q Query) ([]UserResult, *Qu
 		hedged  bool
 		lag     int64
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	// The shard calls are independent: one goroutine per target, the first
+	// target on this one. A shard failure degrades the query below and never
+	// cancels its siblings.
 	outs := make([]outcome, len(targets))
-	_ = core.RunJobs(ctx, len(targets), len(targets), func(ctx context.Context, i int) error {
+	call := func(i int) {
 		sh := ss.shards[targets[i]]
 		t0 := time.Now()
 		parts, lag, hedged, err := ss.callShard(ctx, rspan, sh, q)
 		outs[i] = outcome{parts: parts, err: err, elapsed: time.Since(t0), hedged: hedged, lag: lag}
-		return nil // shard failures degrade the query below, never cancel siblings
-	})
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(targets); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			call(i)
+		}()
+	}
+	call(0)
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}

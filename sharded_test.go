@@ -148,52 +148,6 @@ func TestShardedMatchesMonolithicShardCounts(t *testing.T) {
 	}
 }
 
-// TestShardedExactDistance covers the merge's exact-δ(u,q) path
-// (Options.ExactUserDistance), where shards ship the whole-corpus user
-// distance instead of candidate deltas.
-func TestShardedExactDistance(t *testing.T) {
-	cfg := datagen.DefaultConfig()
-	cfg.NumUsers = 300
-	cfg.NumPosts = 3000
-	corpus, err := datagen.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := tklus.DefaultConfig()
-	scfg.Engine.ExactUserDistance = true
-	mono, err := tklus.Build(corpus.Posts, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := tklus.DefaultShardingConfig()
-	sc.NumShards = 3
-	sharded, err := tklus.BuildSharded(corpus.Posts, scfg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ranking := range []int{0, 1} {
-		q := tklus.Query{
-			Loc: corpus.Config.Cities[0].Center, RadiusKm: 20,
-			Keywords: []string{"restaurant"}, K: 8,
-		}
-		if ranking == 1 {
-			q.Ranking = tklus.MaxScore
-		}
-		want, _, err := mono.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := sharded.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("ranking %v: exact-distance results differ\n got: %v\nwant: %v",
-				q.Ranking, got, want)
-		}
-	}
-}
-
 // TestShardedEmptyRegion queries a circle no shard owns: the router must
 // answer empty like a monolithic system, not error.
 func TestShardedEmptyRegion(t *testing.T) {
