@@ -94,11 +94,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The hot-path lane: the per-stage micro-benchmarks of the gather → bound
-# kernel (postings merge, row batch, radius check, φ batch, bound pass), five
-# runs each with allocations — the numbers CHANGES.md quotes beside an
-# end-to-end result, in one command.
+# kernel (postings merge, row batch, radius check, φ batch, bound pass) and of
+# the router's partials merge at fan-out 1, 2 and 4, five runs each with
+# allocations — the numbers CHANGES.md quotes beside an end-to-end result, in
+# one command.
 bench-hot:
-	$(GO) test -run '^$$' -bench 'BenchmarkGatherFilter|BenchmarkUnionPostings|BenchmarkRankSumPrunedPhase1' -benchmem -count 5 ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkGatherFilter|BenchmarkUnionPostings|BenchmarkRankSumPrunedPhase1|BenchmarkMergePartials' -benchmem -count 5 ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkPhiLookup' -benchmem -count 5 ./internal/thread/
 	$(GO) test -run '^$$' -bench 'BenchmarkHaversine' -benchmem -count 5 ./internal/geo/
 	$(GO) test -run '^$$' -bench 'BenchmarkSegmentRowBatch' -benchmem -count 5 ./internal/segment/

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -163,10 +164,13 @@ type RowSource interface {
 // ascending one.
 type Partition struct {
 	Source PostingsSource
-	// Rows resolves the rows of this partition's postings. Nil means the
-	// partition keeps none of its own (the paged index of a batch build):
-	// its postings resolve through one multi-get against Engine.DB. Whoever
-	// publishes the partition set decides; queries never probe for it.
+	// Rows resolves the rows of this partition's postings: a store view's
+	// own segment or memtable, or, behind a shard's batch index, the
+	// rows-only segment of the shard's posts. Nil means the partition keeps
+	// none of its own (the paged index of Build, Load and the figure
+	// runners): its postings resolve through one multi-get against
+	// Engine.DB. Whoever publishes the partition set decides; queries never
+	// probe for it.
 	Rows   RowSource
 	MinSID social.PostID
 	MaxSID social.PostID
@@ -239,6 +243,11 @@ func NewPartitionedEngine(parts []Partition, db *metadb.DB, bounds *thread.Bound
 // empty set closes the engine: every later query fails with ErrClosed.
 func (e *Engine) SetPartitions(parts []Partition) {
 	e.parts.Store(&parts)
+}
+
+// Partitions returns a copy of the partition set queries currently load.
+func (e *Engine) Partitions() []Partition {
+	return slices.Clone(*e.parts.Load())
 }
 
 // UserResult is one ranked user.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -122,6 +123,52 @@ func TestGallopingIntersectionMatchesHashOnAsymmetricLists(t *testing.T) {
 				t.Fatalf("trial %d element %d: %+v vs %+v", trial, i, a[i], b[i])
 			}
 		}
+	}
+}
+
+// benchPartials spreads n candidates, TID-ascending with random gaps, over
+// fanout shards by a random draw per candidate — shards own regions, not
+// time ranges, so their lists interleave — with users drawn from 400 and each
+// shard naming its users in first-candidate order.
+func benchPartials(rng *rand.Rand, n, fanout int) []*Partials {
+	parts := make([]*Partials, fanout)
+	for i := range parts {
+		parts[i] = &Partials{}
+	}
+	var tid social.PostID
+	for j := 0; j < n; j++ {
+		tid += social.PostID(rng.Intn(1000) + 1)
+		uid := social.UserID(rng.Intn(400))
+		p := parts[rng.Intn(fanout)]
+		p.Cands = append(p.Cands, CandidateScore{TID: tid, UID: uid, Delta: rng.Float64(), Rho: rng.Float64()})
+	}
+	for _, p := range parts {
+		seen := map[social.UserID]bool{}
+		for _, c := range p.Cands {
+			if !seen[c.UID] {
+				seen[c.UID] = true
+				p.Users = append(p.Users, UserPartial{UID: c.UID, Posts: 1 + int(c.UID)%17})
+			}
+		}
+	}
+	return parts
+}
+
+// BenchmarkMergePartials times the router's half of a scatter-gather query —
+// the k-way candidate merge plus the per-user reduction — over 1146
+// candidates (a sharded-city query's count) at fan-out 1, 2 and 4.
+func BenchmarkMergePartials(b *testing.B) {
+	for _, fanout := range []int{1, 2, 4} {
+		parts := benchPartials(rand.New(rand.NewSource(5)), 1146, fanout)
+		q := Query{K: 10, Ranking: SumScore}
+		b.Run(fmt.Sprintf("fanout-%d", fanout), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := MergePartials(q, 0.5, parts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

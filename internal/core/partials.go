@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/score"
@@ -30,18 +28,20 @@ import (
 //
 // The expensive work — postings retrieval, the radius filter, and above all
 // thread construction (the paper's stated bottleneck) — stays on the
-// shards; the router's merge is a cheap sort + reduction (reducePartials).
+// shards; the router's merge is a cheap k-way merge of the shards'
+// ascending lists (mergeCands) + reduction (reducePartials).
 // The monolithic exhaustive sum ranking is the same two halves run in one
 // process over one part — partialsScoreAll, then reducePartials — so the
 // reference the sharded tier is tested against and the router's reduction
 // are one body of code.
 //
-// Shards are expected to hold a replica of the centralized metadata
-// database (the paper keeps it centralized; a production shard replicates
-// it) while indexing only their own region's posts. Thread expansion and
-// the |P_u| denominator of Definition 9 therefore see the full corpus and
-// match the monolithic engine's values even when a thread or a user spans
-// shard boundaries.
+// A shard indexes only its own region's posts, and the rows its radius
+// filter resolves are its own too: the rows of the posts it indexes. What
+// spans regions is shared — every shard holds a replica of the centralized
+// metadata database (the paper keeps it centralized; a production shard
+// replicates it) for threads and the |P_u| denominator of Definition 9. Both
+// therefore see the full corpus and match the monolithic engine's values even
+// when a thread or a user spans shard boundaries.
 
 // CandidateScore is one keyword-matching tweet inside the query circle
 // with its per-tweet partial scores. Rho is ρ(p,q) times the recency
@@ -215,36 +215,71 @@ func userPartials(cs *candidateSet) []UserPartial {
 // Elapsed, Spans and DegradedShards are the router's to fill.
 func MergePartials(q Query, alpha float64, parts []*Partials) ([]UserResult, *QueryStats, error) {
 	stats := &QueryStats{}
-	var total int
 	for _, p := range parts {
 		if p == nil {
 			return nil, nil, fmt.Errorf("core: nil shard partials")
 		}
-		total += len(p.Cands)
 		stats.Add(&p.Stats)
 		stats.Cells = max(stats.Cells, p.Stats.Cells)
 	}
-
-	// Restore the global candidate order. Each tweet is indexed by exactly
-	// one shard and per-shard lists are already TID-ascending, so a sort of
-	// the concatenation has no duplicates to resolve.
-	merged := make([]CandidateScore, 0, total)
-	for _, p := range parts {
-		merged = append(merged, p.Cands...)
-	}
-	slices.SortFunc(merged, func(a, b CandidateScore) int {
-		return cmp.Compare(a.TID, b.TID)
-	})
-	for i := 1; i < len(merged); i++ {
-		if merged[i].TID == merged[i-1].TID {
-			return nil, nil, fmt.Errorf("core: tweet %d reported by two shards — overlapping shard indexes", merged[i].TID)
-		}
+	merged, err := mergeCands(parts)
+	if err != nil {
+		return nil, nil, err
 	}
 	results, err := reducePartials(&q, alpha, merged, parts)
 	if err != nil {
 		return nil, nil, err
 	}
 	return results, stats, nil
+}
+
+// mergeCands restores the global candidate order: a k-way merge of the
+// shards' lists, each of which the Partials contract makes strictly
+// TID-ascending. A shard's bytes may come off the wire, so a list that
+// breaks the contract is an error, not something to sort back into shape,
+// and so is a tweet two shards both report (each tweet is indexed by exactly
+// one shard). A single list is the order as is.
+func mergeCands(parts []*Partials) ([]CandidateScore, error) {
+	total := 0
+	for i, p := range parts {
+		for j := 1; j < len(p.Cands); j++ {
+			if p.Cands[j].TID <= p.Cands[j-1].TID {
+				return nil, fmt.Errorf("core: shard partials %d not in ascending tweet order at candidate %d (tweet %d after %d)",
+					i, j, p.Cands[j].TID, p.Cands[j-1].TID)
+			}
+		}
+		total += len(p.Cands)
+	}
+	if len(parts) == 1 {
+		return parts[0].Cands, nil
+	}
+	// Fan-out is a handful of shards, so the smallest head is a linear scan.
+	// When a tweet is the smallest head, every list holding it has it at its
+	// head, so a duplicate always meets the scan as a tie.
+	merged := make([]CandidateScore, 0, total)
+	heads := make([]int, len(parts))
+	for len(merged) < total {
+		best := -1
+		for i, p := range parts {
+			if heads[i] == len(p.Cands) {
+				continue
+			}
+			if best < 0 {
+				best = i
+				continue
+			}
+			tid, bestTID := p.Cands[heads[i]].TID, parts[best].Cands[heads[best]].TID
+			if tid == bestTID {
+				return nil, fmt.Errorf("core: tweet %d reported by two shards — overlapping shard indexes", tid)
+			}
+			if tid < bestTID {
+				best = i
+			}
+		}
+		merged = append(merged, parts[best].Cands[heads[best]])
+		heads[best]++
+	}
+	return merged, nil
 }
 
 // reducePartials is the per-user reduction of both rankings over merged:

@@ -170,6 +170,16 @@ func TestMergePartialsErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("duplicate tweet across three shards", func(t *testing.T) {
+		a := &core.Partials{Cands: []core.CandidateScore{cand(2, 1), cand(9, 1)}, Users: []core.UserPartial{user(1)}}
+		b := &core.Partials{Cands: []core.CandidateScore{cand(5, 2)}, Users: []core.UserPartial{user(2)}}
+		c := &core.Partials{Cands: []core.CandidateScore{cand(3, 3), cand(9, 3)}, Users: []core.UserPartial{user(3)}}
+		_, _, err := core.MergePartials(q, 0.5, []*core.Partials{a, b, c})
+		if err == nil || !strings.Contains(err.Error(), "tweet 9 reported by two shards") {
+			t.Fatalf("err = %v, want tweet 9 named as reported by two shards", err)
+		}
+	})
+
 	t.Run("pruned candidate under sum ranking", func(t *testing.T) {
 		p := &core.Partials{
 			Cands: []core.CandidateScore{{TID: 9, UID: 2, Delta: 0.5, Pruned: true}},
@@ -203,6 +213,50 @@ func TestMergePartialsErrors(t *testing.T) {
 			t.Fatalf("err = %v, want ErrBadQuery", err)
 		}
 	})
+}
+
+// TestMergePartialsRejectsUnorderedLegs pins the Partials.Cands contract at
+// the router: a shard's list must be strictly TID-ascending, and one that is
+// not — out of order, or naming one tweet twice — fails the merge instead of
+// being sorted back into shape, at fan-out 1 as at fan-out 2. Ordered legs
+// beside it interleave into one ascending stream.
+func TestMergePartialsRejectsUnorderedLegs(t *testing.T) {
+	cand := func(tid social.PostID, uid social.UserID) core.CandidateScore {
+		return core.CandidateScore{TID: tid, UID: uid, Delta: 0.5, Rho: 0.3}
+	}
+	users := []core.UserPartial{{UID: 1, Posts: 3}, {UID: 2, Posts: 4}}
+	q := core.Query{K: 5, Ranking: core.SumScore}
+	good := &core.Partials{Cands: []core.CandidateScore{cand(1, 1), cand(6, 2)}, Users: users}
+	legs := []struct {
+		name  string
+		cands []core.CandidateScore
+	}{
+		{"unsorted leg", []core.CandidateScore{cand(4, 1), cand(8, 2), cand(3, 1)}},
+		{"duplicate-TID leg", []core.CandidateScore{cand(4, 1), cand(4, 2)}},
+	}
+	for _, leg := range legs {
+		bad := &core.Partials{Cands: leg.cands, Users: users}
+		for _, parts := range [][]*core.Partials{{bad}, {good, bad}} {
+			_, _, err := core.MergePartials(q, 0.5, parts)
+			if err == nil || !strings.Contains(err.Error(), "not in ascending tweet order") {
+				t.Errorf("%s at fan-out %d: err = %v, want an ascending-order error", leg.name, len(parts), err)
+			}
+		}
+	}
+
+	ordered := &core.Partials{Cands: []core.CandidateScore{cand(3, 2), cand(4, 1), cand(8, 2)}, Users: users}
+	got, _, err := core.MergePartials(q, 0.5, []*core.Partials{good, ordered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono := &core.Partials{Cands: []core.CandidateScore{cand(1, 1), cand(3, 2), cand(4, 1), cand(6, 2), cand(8, 2)}, Users: users}
+	want, _, err := core.MergePartials(q, 0.5, []*core.Partials{mono})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("two ordered legs merged to %v, one interleaved leg gives %v", got, want)
+	}
 }
 
 // TestQueryStatsAddSumsEveryCounter guards the one place QueryStats

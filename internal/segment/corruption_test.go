@@ -15,6 +15,29 @@ import (
 // corruption matrix and the fuzz seeds.
 func validSegmentBytes(t testing.TB) []byte {
 	t.Helper()
+	rows, keys := validSegmentParts(t)
+	data, err := buildSegment(5, rows, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// validRowsOnlyBytes is validSegmentBytes' rows with no keys: the image
+// RowsOnly parses.
+func validRowsOnlyBytes(t testing.TB) []byte {
+	t.Helper()
+	rows, _ := validSegmentParts(t)
+	data, err := buildSegment(0, rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// validSegmentParts is the seal input of 40 test posts, a second apart.
+func validSegmentParts(t testing.TB) ([]metadb.Row, []keyPostings) {
+	t.Helper()
 	posts := testPosts(40, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), time.Second)
 	mt := NewMemtable(5)
 	for _, p := range posts {
@@ -26,18 +49,28 @@ func validSegmentBytes(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := buildSegment(5, rows, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return rows, keys
+}
+
+// corruptionImage is one well-formed image the corruption matrix damages,
+// with the prefix of its subtest names.
+type corruptionImage struct {
+	prefix string
+	base   []byte
+}
+
+// corruptionImages are a keyed segment as a seal writes it and a rows-only
+// one (RowsOnly).
+func corruptionImages(t *testing.T) []corruptionImage {
+	return []corruptionImage{{"", validSegmentBytes(t)}, {"rows-only/", validRowsOnlyBytes(t)}}
 }
 
 // TestSegmentCorruptionMatrix damages a valid segment one way per row and
 // asserts the typed error class. Every case must fail cleanly — a panic
-// on any mutation is the real failure mode this guards against.
+// on any mutation is the real failure mode this guards against. In the
+// rows-only image nothing follows the 40 rows but the footer, so the
+// postings-byte flip lands in the footer's offset table.
 func TestSegmentCorruptionMatrix(t *testing.T) {
-	base := validSegmentBytes(t)
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -83,18 +116,20 @@ func TestSegmentCorruptionMatrix(t *testing.T) {
 			return b
 		}, ErrChecksum},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := append([]byte(nil), base...)
-			b = tc.mutate(b)
-			seg, err := OpenBytes(b)
-			if err == nil {
-				t.Fatalf("OpenBytes accepted %s (segment %v)", tc.name, seg)
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("OpenBytes(%s) = %v, want errors.Is %v", tc.name, err, tc.want)
-			}
-		})
+	for _, img := range corruptionImages(t) {
+		for _, tc := range cases {
+			t.Run(img.prefix+tc.name, func(t *testing.T) {
+				b := append([]byte(nil), img.base...)
+				b = tc.mutate(b)
+				seg, err := OpenBytes(b)
+				if err == nil {
+					t.Fatalf("OpenBytes accepted %s (segment %v)", tc.name, seg)
+				}
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("OpenBytes(%s) = %v, want errors.Is %v", tc.name, err, tc.want)
+				}
+			})
+		}
 	}
 }
 
@@ -108,7 +143,6 @@ func TestSegmentCorruptionConsistentCRC(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[footerOff+32:], crc)
 		return b
 	}
-	base := validSegmentBytes(t)
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -132,13 +166,15 @@ func TestSegmentCorruptionConsistentCRC(t *testing.T) {
 			return restamp(b)
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := tc.mutate(append([]byte(nil), base...))
-			if _, err := OpenBytes(b); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("OpenBytes(%s) = %v, want ErrCorrupt", tc.name, err)
-			}
-		})
+	for _, img := range corruptionImages(t) {
+		for _, tc := range cases {
+			t.Run(img.prefix+tc.name, func(t *testing.T) {
+				b := tc.mutate(append([]byte(nil), img.base...))
+				if _, err := OpenBytes(b); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("OpenBytes(%s) = %v, want ErrCorrupt", tc.name, err)
+				}
+			})
+		}
 	}
 }
 
@@ -155,6 +191,7 @@ func FuzzOpenSegmentBytes(f *testing.F) {
 	f.Add([]byte{})
 	short := append([]byte(nil), valid[:headerSize+footerSize]...)
 	f.Add(short)
+	f.Add(validRowsOnlyBytes(f))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		seg, err := OpenBytes(b)
 		if err != nil {

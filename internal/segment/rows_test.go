@@ -127,6 +127,93 @@ func TestResolveRowsMatchesPointLookups(t *testing.T) {
 	}
 }
 
+// TestRowsOnlySegment covers the image RowsOnly builds: zero keys, the rows
+// round-tripped through OpenBytes record for record, every postings lookup a
+// miss, and a row batch that resolves what it holds and names the first SID
+// it does not.
+func TestRowsOnlySegment(t *testing.T) {
+	rows, keys := validSegmentParts(t)
+	seg, err := RowsOnly(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.NumKeys() != 0 || seg.NumRows() != len(rows) || seg.MappedBytes() != 0 ||
+		seg.MinSID() != rows[0].SID || seg.MaxSID() != rows[len(rows)-1].SID {
+		t.Fatalf("rows-only segment: %d keys, %d rows, %d mapped bytes, SIDs [%d, %d]",
+			seg.NumKeys(), seg.NumRows(), seg.MappedBytes(), seg.MinSID(), seg.MaxSID())
+	}
+	if want := headerSize + len(rows)*rowSize + footerSize; seg.SizeBytes() != want {
+		t.Errorf("image is %d bytes, want %d (48 B per row plus header and footer)", seg.SizeBytes(), want)
+	}
+	reopened, err := OpenBytes(seg.b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		if seg.RowAt(i) != r || reopened.RowAt(i) != r {
+			t.Fatalf("row %d: built %+v, reopened %+v, want %+v", i, seg.RowAt(i), reopened.RowAt(i), r)
+		}
+	}
+
+	// Every key the same posts index under misses, and so do keys no post has.
+	if len(keys) == 0 {
+		t.Fatal("fixture indexes no keys")
+	}
+	probes := append(keys, keyPostings{key: invindex.Key{Geohash: "", Term: ""}}, keyPostings{key: invindex.Key{Geohash: "zzzzz", Term: "hotel"}})
+	for _, kp := range probes {
+		ps, err := seg.FetchPostings(kp.key.Geohash, kp.key.Term)
+		if ps != nil || err != nil {
+			t.Errorf("FetchPostings(%v) = %v, %v; want nil, nil", kp.key, ps, err)
+		}
+		it, err := seg.OpenPostings(kp.key.Geohash, kp.key.Term)
+		if it != nil || err != nil {
+			t.Errorf("OpenPostings(%v) = %v, %v; want nil, nil", kp.key, it, err)
+		}
+	}
+
+	first, last := rows[0].SID, rows[len(rows)-1].SID
+	for _, c := range []struct {
+		name string
+		sids []social.PostID
+		miss int
+	}{
+		{"every row", func() []social.PostID {
+			all := make([]social.PostID, len(rows))
+			for i, r := range rows {
+				all[i] = r.SID
+			}
+			return all
+		}(), -1},
+		{"between rows", []social.PostID{first, rows[5].SID, rows[5].SID + 1, last}, 2},
+		{"below the first", []social.PostID{first - 1, first}, 0},
+		{"beyond the last", []social.PostID{first, rows[9].SID, last, last + 1}, 3},
+	} {
+		out := make([]metadb.RowMeta, len(c.sids))
+		if miss := seg.ResolveRows(c.sids, out); miss != c.miss {
+			t.Errorf("%s: ResolveRows reports miss %d, want %d", c.name, miss, c.miss)
+			continue
+		}
+		resolved := len(c.sids)
+		if c.miss >= 0 {
+			resolved = c.miss
+		}
+		for i, sid := range c.sids[:resolved] {
+			j := sort.Search(len(rows), func(j int) bool { return rows[j].SID >= sid })
+			want := metadb.RowMeta{UID: rows[j].UID, Lat: rows[j].Lat, Lon: rows[j].Lon}
+			if out[i] != want {
+				t.Errorf("%s: SID %d resolved to %+v, want %+v", c.name, sid, out[i], want)
+			}
+		}
+	}
+
+	if _, err := RowsOnly(nil); err == nil {
+		t.Error("RowsOnly accepted no rows")
+	}
+	if _, err := RowsOnly([]metadb.Row{rows[1], rows[0]}); err == nil {
+		t.Error("RowsOnly accepted rows out of SID order")
+	}
+}
+
 // TestFindKeyMatchesStringOrder checks the in-place directory comparison
 // against the key strings it no longer builds: over a directory whose
 // geohashes prefix and neighbour one another and whose terms do too, every

@@ -15,7 +15,8 @@ import (
 )
 
 // Segment is one immutable sealed segment, served read-only over its byte
-// image — an mmap'd file in the common case. All lookups are zero-copy:
+// image — an mmap'd file in the common case, heap bytes for a rows-only
+// image (RowsOnly). All lookups are zero-copy:
 // postings iterate lazily over the mapped payload (the blocked directory
 // is the skip index) and row metadata is resolved in place over the
 // 48-byte records, one ascending batch per forward walk. A Segment is safe
@@ -39,6 +40,20 @@ type Segment struct {
 // typed error, never a panic.
 func OpenBytes(b []byte) (*Segment, error) {
 	return parseSegment(b)
+}
+
+// RowsOnly builds a heap-resident segment that holds rows and no keys: the
+// row source of a partition whose postings live elsewhere (a shard's batch
+// index). rows must be non-empty and in ascending SID order. The image goes
+// through buildSegment and OpenBytes like a sealed one, so it carries the
+// same CRC and is parsed by the same checks; its ResolveRows is the same
+// gallop, and every postings lookup misses.
+func RowsOnly(rows []metadb.Row) (*Segment, error) {
+	data, err := buildSegment(0, rows, nil)
+	if err != nil {
+		return nil, err
+	}
+	return OpenBytes(data)
 }
 
 // Open maps a segment file and parses it. The whole file is checksummed

@@ -449,7 +449,7 @@ func Load(dir string, cfg Config) (*System, error) {
 	if err := checkBoundsParams(bounds, cfg.Engine.Params); err != nil {
 		return nil, err
 	}
-	sys, err := newSystem(cfg, db, idx, fsys, bounds, store, &invindex.BuildStats{
+	sys, err := newSystem(cfg, db, idx, nil, fsys, bounds, store, &invindex.BuildStats{
 		Keys:          idx.NumKeys(),
 		PostingsBytes: fsys.TotalSize(),
 	})

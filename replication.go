@@ -569,10 +569,10 @@ type ReplicatedShardedSystem struct {
 
 // BuildReplicatedSharded partitions the posts into sc.NumShards shards
 // (same placement as BuildSharded) and builds rc.Replicas copies of each:
-// one shared immutable index per shard, and per replica a full metadata
-// DB, popularity bounds and an ingest WAL under rc.Dir. Each group elects
-// its first leader before this returns, and a lease keeper per group
-// renews leases and promotes successors in the background.
+// one shared immutable index and row image per shard, and per replica a
+// full metadata DB, popularity bounds and an ingest WAL under rc.Dir. Each
+// group elects its first leader before this returns, and a lease keeper per
+// group renews leases and promotes successors in the background.
 func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc ReplicationConfig) (*ReplicatedShardedSystem, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("tklus: no posts to index")
@@ -599,14 +599,19 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 	groups := make([]*ReplicaGroup, 0, n)
 	for i := 0; i < n; i++ {
 		shardName := fmt.Sprintf("shard-%02d", i)
-		// One immutable hybrid index per shard, shared by its replicas —
-		// live ingest never mutates it (posts enter the index at the next
-		// batch build), so sharing is safe and saves Replicas-1 builds.
+		// One immutable hybrid index and rows-only row image per shard,
+		// shared by its replicas — live ingest never mutates either (posts
+		// enter the index at the next batch build), so sharing is safe and
+		// saves Replicas-1 builds.
 		iopts := cfg.Index
 		iopts.PathPrefix = fmt.Sprintf("%s/%s", orDefault(cfg.Index.PathPrefix, "index"), shardName)
 		idx, istats, err := invindex.Build(fsys, shardPosts[i], iopts)
 		if err != nil {
 			return nil, fmt.Errorf("tklus: building shard %d index: %w", i, err)
+		}
+		rows, err := shardRows(shardPosts[i])
+		if err != nil {
+			return nil, fmt.Errorf("tklus: building shard %d rows: %w", i, err)
 		}
 		replicas := make([]*GroupReplica, 0, rc.Replicas)
 		rspecs := make([]ReplicaSpec, 0, rc.Replicas)
@@ -620,7 +625,7 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 			}
 			bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth,
 				cfg.Engine.Params.Epsilon, stemAll(cfg.HotKeywords))
-			sys, err := newSystem(cfg, db, idx, fsys, bounds, store, istats)
+			sys, err := newSystem(cfg, db, idx, rows, fsys, bounds, store, istats)
 			if err != nil {
 				return nil, fmt.Errorf("tklus: shard %d replica %d: %w", i, j, err)
 			}

@@ -1,9 +1,11 @@
 package tklus
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/invindex"
 	"repro/internal/metadb"
+	"repro/internal/segment"
 	"repro/internal/telemetry"
 	"repro/internal/thread"
 )
@@ -185,7 +188,8 @@ type ShardedSystem struct {
 
 	// Systems holds the in-process shard systems when the tier was built
 	// with BuildSharded (they share one metadata database, popularity
-	// bounds and contents store); empty for remote compositions.
+	// bounds and contents store, and each resolves its index's rows from
+	// its own rows-only segment); empty for remote compositions.
 	Systems []*System
 }
 
@@ -301,13 +305,27 @@ func partitionByPrefix(posts []*Post, prefixLen, numShards int) (shardPrefixes [
 	return shardPrefixes, shardPosts
 }
 
+// shardRows is a shard's row source over its own posts: the rows-only
+// segment of their SID-sorted rows. It holds every tweet the shard's index
+// names, so the shard's radius filter resolves each partition's postings in
+// one forward walk and never reaches the shared paged metadata database.
+func shardRows(posts []*Post) (*segment.Segment, error) {
+	rows := make([]metadb.Row, len(posts))
+	for i, p := range posts {
+		rows[i] = metadb.Row{SID: p.SID, UID: p.UID, Lat: p.Loc.Lat, Lon: p.Loc.Lon, RUID: p.RUID, RSID: p.RSID}
+	}
+	slices.SortFunc(rows, func(a, b metadb.Row) int { return cmp.Compare(a.SID, b.SID) })
+	return segment.RowsOnly(rows)
+}
+
 // BuildSharded partitions the posts by geohash prefix into cfg.NumShards
 // in-process shards and wires the router over them. Following Figure 3's
 // centralized metadata database, every shard shares one metadata DB,
 // popularity-bound table and contents store (in production: a replica),
-// while each shard's hybrid index covers only its own region — that shared
-// foundation is what makes cross-shard threads and |P_u| exact, and the
-// merged results byte-identical to a monolithic Build over the same posts.
+// while each shard's hybrid index, and the rows behind it, cover only its
+// own region — that shared foundation is what makes cross-shard threads and
+// |P_u| exact, and the merged results byte-identical to a monolithic Build
+// over the same posts.
 func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("tklus: no posts to index")
@@ -344,7 +362,11 @@ func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem,
 		if err != nil {
 			return nil, fmt.Errorf("tklus: building shard %d index: %w", i, err)
 		}
-		sys, err := newSystem(cfg, db, idx, fsys, bounds, store, istats)
+		rows, err := shardRows(shardPosts[i])
+		if err != nil {
+			return nil, fmt.Errorf("tklus: building shard %d rows: %w", i, err)
+		}
+		sys, err := newSystem(cfg, db, idx, rows, fsys, bounds, store, istats)
 		if err != nil {
 			return nil, fmt.Errorf("tklus: shard %d: %w", i, err)
 		}

@@ -148,6 +148,84 @@ func TestShardedMatchesMonolithicShardCounts(t *testing.T) {
 	}
 }
 
+// TestShardsResolveTheirOwnRows pins where a shard's radius filter reads its
+// rows: every in-process shard of both tiers — and every replica of a
+// replicated shard — serves its index partition with a row source of its
+// own, so with thread expansion on the reply snapshot a sharded query does
+// no paged multi-get at all, across semantics, rankings, radii and windows.
+func TestShardsResolveTheirOwnRows(t *testing.T) {
+	dcfg := datagen.DefaultConfig()
+	dcfg.NumUsers = 400
+	dcfg.NumPosts = 4000
+	corpus, err := datagen.Generate(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tklus.DefaultConfig(tklus.WithReplySnapshot())
+	sc := tklus.DefaultShardingConfig()
+	sc.NumShards = 3
+	sharded, err := tklus.BuildSharded(corpus.Posts, cfg, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := tklus.DefaultReplicationConfig()
+	rc.Dir = t.TempDir()
+	replicated, err := tklus.BuildReplicatedSharded(corpus.Posts, cfg, replicaSharding(), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { replicated.Close() })
+
+	shards := map[string]*tklus.System{}
+	for i, sys := range sharded.Systems {
+		shards[fmt.Sprintf("sharded/%d", i)] = sys
+	}
+	for _, g := range replicated.Groups() {
+		for _, r := range g.Replicas() {
+			shards["replicated/"+r.Name()] = r.System()
+		}
+	}
+	for name, sys := range shards {
+		for i, part := range sys.Engine.Partitions() {
+			if part.Rows == nil {
+				t.Errorf("%s: partition %d resolves its rows through the paged database", name, i)
+			}
+		}
+	}
+
+	window := corpusWindow(corpus)
+	ctx := context.Background()
+	for tier, s := range map[string]tklus.Searcher{"sharded": sharded, "replicated": replicated} {
+		candidates := 0
+		for _, sem := range []tklus.Semantic{tklus.Or, tklus.And} {
+			for _, ranking := range []tklus.Ranking{tklus.SumScore, tklus.MaxScore} {
+				for _, radius := range []float64{8, 40} {
+					for _, win := range []*tklus.TimeWindow{nil, window} {
+						q := tklus.Query{
+							Loc: corpus.Config.Cities[0].Center, RadiusKm: radius,
+							Keywords: []string{"pizza", "restaurant"}, K: 10,
+							Semantic: sem, Ranking: ranking, TimeWindow: win,
+						}
+						name := fmt.Sprintf("%s/%v/%v/r%.0f/win%v", tier, sem, ranking, radius, win != nil)
+						_, stats, err := s.Search(ctx, q)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if stats.DBBatchLookups != 0 || stats.DBPagesSaved != 0 {
+							t.Errorf("%s: %d paged multi-get lookups (%d pages saved), want none",
+								name, stats.DBBatchLookups, stats.DBPagesSaved)
+						}
+						candidates += stats.Candidates
+					}
+				}
+			}
+		}
+		if candidates == 0 {
+			t.Errorf("%s: the query grid found no candidates; it pins nothing", tier)
+		}
+	}
+}
+
 // TestShardedEmptyRegion queries a circle no shard owns: the router must
 // answer empty like a monolithic system, not error.
 func TestShardedEmptyRegion(t *testing.T) {

@@ -297,7 +297,7 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 	}
 	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth,
 		cfg.Engine.Params.Epsilon, stemAll(cfg.HotKeywords))
-	sys, err := newSystem(cfg, db, idx, fsys, bounds, store, stats)
+	sys, err := newSystem(cfg, db, idx, nil, fsys, bounds, store, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -308,13 +308,16 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 // newSystem is the one place a System is assembled: the engine over the
 // batch index plus the accelerator cfg.Features asks for, so a fresh
 // build, a shard, a replica and a snapshot recovery all come up with the
-// same serving surface. The accelerator is picked up from state the read
-// paths can observe — the thread builder expands from the reply snapshot
-// when the database has one — and posts ingested afterwards extend the
-// snapshot in place, so results stay byte-identical to the B⁺-tree paths.
-func newSystem(cfg Config, db *metadb.DB, idx *invindex.Index, fsys *dfs.FS,
+// same serving surface. rows is the index partition's row source: a shard
+// passes the rows-only segment of its own posts, while Build and Load pass
+// nil and resolve rows through the paged metadata database. The accelerator
+// is picked up from state the read paths can observe — the thread builder
+// expands from the reply snapshot when the database has one — and posts
+// ingested afterwards extend the snapshot in place, so results stay
+// byte-identical to the B⁺-tree paths.
+func newSystem(cfg Config, db *metadb.DB, idx *invindex.Index, rows core.RowSource, fsys *dfs.FS,
 	bounds *thread.Bounds, store *contents.Store, stats *invindex.BuildStats) (*System, error) {
-	engine, err := core.NewEngine(idx, db, bounds, cfg.Engine)
+	engine, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Rows: rows}}, db, bounds, cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: creating engine: %w", err)
 	}
