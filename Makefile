@@ -81,10 +81,10 @@ loc:
 # segment store's lifecycle tests (searches racing seals, compaction and
 # checkpoints) and the ingest/read coherence tests (a search after an
 # acknowledged ingest answers as a fresh build would), plus the engine and
-# bounds packages — their prune paths take Bounds.mu against concurrent
-# RaiseForRoot — and the storage packages a query's row batch reads under
-# their own locks while ingest appends and seals swap the partition set,
-# twenty times under -race. Required green.
+# bounds packages — every search's φ batch takes Bounds.mu against
+# concurrent RaiseForRoot — and the storage packages a query's row batch
+# reads under their own locks while ingest appends and seals swap the
+# partition set, twenty times under -race. Required green.
 flake:
 	$(GO) test -race -count=20 \
 		-run 'TestAdmission|TestBreaker|TestLease|TestSegmentedDurableReopen|TestSegmentedFreshKeywordVisible|TestSegmentedUseAfterClose|TestSegmentedConcurrentLifecycle|TestConcurrentSearchAndIngest|TestIngestRecomputesThreadPopularity' .
@@ -93,13 +93,13 @@ flake:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The hot-path lane: the per-stage micro-benchmarks of the gather → bound
-# kernel (postings merge, row batch, radius check, φ batch, bound pass) and of
-# the router's partials merge at fan-out 1, 2 and 4, five runs each with
-# allocations — the numbers CHANGES.md quotes beside an end-to-end result, in
-# one command.
+# The hot-path lane: the per-stage micro-benchmarks of the gather → rank
+# kernel (postings merge, row batch, radius check, φ batch, per-candidate
+# scores and top-k) and of the router's partials merge at fan-out 1, 2 and 4,
+# five runs each with allocations — the numbers CHANGES.md quotes beside an
+# end-to-end result, in one command.
 bench-hot:
-	$(GO) test -run '^$$' -bench 'BenchmarkGatherFilter|BenchmarkUnionPostings|BenchmarkRankSumPrunedPhase1|BenchmarkMergePartials' -benchmem -count 5 ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkGatherFilter|BenchmarkUnionPostings|BenchmarkRankFromPhi|BenchmarkMergePartials' -benchmem -count 5 ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkPhiLookup' -benchmem -count 5 ./internal/thread/
 	$(GO) test -run '^$$' -bench 'BenchmarkHaversine' -benchmem -count 5 ./internal/geo/
 	$(GO) test -run '^$$' -bench 'BenchmarkSegmentRowBatch' -benchmem -count 5 ./internal/segment/

@@ -254,10 +254,10 @@ func (ac *AdmissionControl) Search(ctx context.Context, q Query) ([]UserResult, 
 }
 
 // observedCost is the work proxy the estimator learns: the counters that
-// dominate a query's CPU and IO. One unit ≈ one posting decoded, one
-// candidate filtered, or one thread built.
+// dominate a query's CPU and IO. One unit ≈ one postings list opened or one
+// candidate filtered and scored.
 func observedCost(stats *QueryStats) float64 {
-	return float64(stats.PostingsFetched) + float64(stats.Candidates) + float64(stats.ThreadsBuilt)
+	return float64(stats.PostingsFetched) + float64(stats.Candidates)
 }
 
 // spendBudget refills the token bucket, estimates the query's cost from

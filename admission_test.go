@@ -161,7 +161,7 @@ func TestAdmissionCancelRefundsBudget(t *testing.T) {
 	stub := &stubSearcher{
 		release: make(chan struct{}, 16),
 		stats: tklus.QueryStats{
-			PostingsFetched: 500, Candidates: 300, ThreadsBuilt: 200, // cost 1000
+			PostingsFetched: 500, Candidates: 500, // cost 1000
 		},
 	}
 	ac := tklus.NewAdmissionControl(stub, tklus.AdmissionOptions{
@@ -264,7 +264,7 @@ func TestAdmissionCanceledWinnerReleasesSlot(t *testing.T) {
 // that shape is shed when the learned cost exceeds the token bucket.
 func TestAdmissionCostModel(t *testing.T) {
 	stub := &stubSearcher{stats: tklus.QueryStats{
-		PostingsFetched: 500, Candidates: 300, ThreadsBuilt: 200, // cost 1000
+		PostingsFetched: 500, Candidates: 500, // cost 1000
 	}}
 	ac := tklus.NewAdmissionControl(stub, tklus.AdmissionOptions{
 		MaxConcurrent: 4,

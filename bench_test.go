@@ -1,7 +1,9 @@
 // Benchmarks mirroring the paper's evaluation: one benchmark per table or
 // figure (see DESIGN.md §3 for the experiment index) plus ablations of the
-// design choices. `go test -bench=. -benchmem` runs them all;
-// cmd/tklus-bench prints the corresponding paper-style series.
+// design choices, timing the serving engine. `go test -bench=. -benchmem`
+// runs them all; cmd/tklus-bench prints the corresponding paper-style
+// series, in the paper's regime — Fig. 12 and the pruning ablation live only
+// there, since the serving engine has no bound to prune with.
 package tklus_test
 
 import (
@@ -218,29 +220,6 @@ func BenchmarkFig10MultiKeyword(b *testing.B) {
 	}
 }
 
-// BenchmarkFig12SpecificBound compares max-score query latency under the
-// global popularity bound vs the hot-keyword specific bounds (Figure 12).
-func BenchmarkFig12SpecificBound(b *testing.B) {
-	e := benchSetup(b)
-	hot := e.corpus.HotQueries(44, 10, 2)
-	globalCfg := tklus.DefaultConfig()
-	globalCfg.Engine.UseSpecificBounds = false
-	globalSys, err := tklus.Build(e.corpus.Posts, globalCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("global", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runBatch(b, globalSys, hot, 20, core.Or, core.MaxScore)
-		}
-	})
-	b.Run("specific", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runBatch(b, e.sys, hot, 20, core.Or, core.MaxScore)
-		}
-	})
-}
-
 // BenchmarkFig13UserStudy measures the simulated judging pipeline
 // (Figure 13): search plus panel precision.
 func BenchmarkFig13UserStudy(b *testing.B) {
@@ -257,29 +236,6 @@ func BenchmarkFig13UserStudy(b *testing.B) {
 			panel.Precision(res, spec.Loc, 10, spec.Keywords)
 		}
 	}
-}
-
-// BenchmarkAblationPruning isolates the value of Algorithm 5's upper-bound
-// pruning: identical results, different thread-construction work.
-func BenchmarkAblationPruning(b *testing.B) {
-	e := benchSetup(b)
-	noPruneCfg := tklus.DefaultConfig()
-	noPruneCfg.Engine.UsePruning = false
-	noPruneSys, err := tklus.Build(e.corpus.Posts, noPruneCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	specs := e.withKeywords(1)
-	b.Run("pruned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runBatch(b, e.sys, specs, 50, core.Or, core.MaxScore)
-		}
-	})
-	b.Run("unpruned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runBatch(b, noPruneSys, specs, 50, core.Or, core.MaxScore)
-		}
-	})
 }
 
 // BenchmarkAblationPageCache compares metadata-page caching settings (the

@@ -109,11 +109,9 @@ func main() {
 	}
 	if *verbose {
 		fmt.Printf("\nwork: %d cells, %d postings lists, %d candidates, "+
-			"%d threads built, %d pruned, %d blocks skipped (%d postings), "+
-			"%d partitions pruned, %v elapsed\n",
+			"%d blocks skipped (%d postings), %d partitions pruned, %v elapsed\n",
 			stats.Cells, stats.PostingsFetched, stats.Candidates,
-			stats.ThreadsBuilt, stats.ThreadsPruned, stats.BlocksSkipped,
-			stats.PostingsSkipped, stats.PartitionsPruned,
+			stats.BlocksSkipped, stats.PostingsSkipped, stats.PartitionsPruned,
 			stats.Elapsed.Round(time.Microsecond))
 	}
 }

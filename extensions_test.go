@@ -74,6 +74,11 @@ func TestFederatedSearch(t *testing.T) {
 			posts = append(posts, tklus.NewReply(uid+tklus.UserID(100+i),
 				at.Add(time.Duration(i+1)*time.Second), loc, "nice", root))
 		}
+		// More of the user's own hotel posts, none replied to: they leave its
+		// max score as it is and give the radius filter a row batch to page.
+		for i := 0; i < 30; i++ {
+			posts = append(posts, tklus.NewPost(uid, at.Add(time.Duration(i+1)*time.Minute), loc, "hotel again"))
+		}
 		sys, err := tklus.Build(posts, tklus.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -93,9 +98,9 @@ func TestFederatedSearch(t *testing.T) {
 	if len(res) != 2 {
 		t.Fatalf("federated results = %+v", res)
 	}
-	// DefaultConfig is the paged configuration (no snapshots): the filter and
-	// thread expansion go through the row store's multi-gets on every
-	// platform, and the federation total must carry their counters.
+	// DefaultConfig is the paged configuration (no snapshots): the radius
+	// filter resolves each platform's candidates through one row-store
+	// multi-get, and the federation total must carry its counters.
 	if stats.DBBatchLookups == 0 || stats.DBPagesSaved == 0 {
 		t.Errorf("federated stats dropped the multi-get counters: lookups %d, pages saved %d",
 			stats.DBBatchLookups, stats.DBPagesSaved)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	tklus "repro"
+	"repro/internal/baseline"
 )
 
 // ingestCorpus builds a tiny hand-rolled corpus: one "hotel" root per user
@@ -98,11 +99,9 @@ func TestIngestRecomputesThreadPopularity(t *testing.T) {
 // known limitation "max-ranking pruning bounds are batch-computed and not
 // raised by live ingest". Two threads grow past the offline MaxObserved
 // after Freeze: the first fills the top-k with a score above the stale
-// bound, so under stale bounds the second (now best) candidate's optimistic
-// upper bound would fall below the kth score and Algorithm 5 would prune
-// the true winner. With Ingest raising the bounds, pruned max-ranking
-// results must stay exact — identical to a pruning-off oracle and to a
-// fresh batch build.
+// bound, the second (now best) overtakes it. With Ingest recording each
+// grown thread's exact φ, max-ranking results must stay exact — identical
+// to the scan oracle over the grown corpus and to a fresh batch build.
 func TestIngestRaisesMaxRankingBounds(t *testing.T) {
 	posts, loc, roots := ingestCorpus()
 	sys, err := tklus.Build(posts, tklus.DefaultConfig())
@@ -123,13 +122,9 @@ func TestIngestRaisesMaxRankingBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oracleCfg := tklus.DefaultConfig()
-	oracleCfg.Engine.UsePruning = false
-	oracle, err := tklus.Build(append(append([]*tklus.Post{}, posts...), replies...), oracleCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := tklus.Build(append(append([]*tklus.Post{}, posts...), replies...), tklus.DefaultConfig())
+	grown := append(append([]*tklus.Post{}, posts...), replies...)
+	oracle := baseline.NewScanRanker(grown, tklus.DefaultConfig().Engine.Params)
+	fresh, err := tklus.Build(grown, tklus.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,21 +138,21 @@ func TestIngestRaisesMaxRankingBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := oracle.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracle.Search(q)
 		if len(got) != len(want) {
-			t.Fatalf("k=%d: post-ingest results %v, pruning-off oracle %v", k, got, want)
+			t.Fatalf("k=%d: post-ingest results %v, scan oracle %v", k, got, want)
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Errorf("k=%d rank %d: post-ingest %+v, oracle %+v", k, i, got[i], want[i])
+				t.Errorf("k=%d rank %d: post-ingest %+v, scan oracle %+v", k, i, got[i], want[i])
 			}
 		}
 		fwant, _, err := fresh.Search(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(fwant) != len(got) {
+			t.Fatalf("k=%d: post-ingest results %v, fresh build %v", k, got, fwant)
 		}
 		for i := range got {
 			if got[i] != fwant[i] {

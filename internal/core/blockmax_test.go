@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -73,52 +74,43 @@ func requireSameResults(t *testing.T, got, want []core.UserResult, format string
 }
 
 // TestBlockMaxEquivalenceGrid is the main lossless-traversal check: over a
-// grid of semantics × ranking × ε × radius, the default engine (blocked
-// index with 8-posting blocks so every hot list spans many blocks) returns
-// bit-identical results to (a) the exhaustive engine — pruning off — over
-// the same blocked index and (b) a default engine over a source that only
+// grid of semantics × ranking × ε × radius, the default engine over a blocked
+// index with 8-posting blocks (so every hot list spans many blocks) returns
+// bit-identical results to (a) a fresh engine over the same posts built with
+// the default block size and (b) a default engine over a source that only
 // offers FetchPostings (the slice-iterator adapter), and (c) the same users
-// in the same order, scores within 1e-9, as baseline.ScanRanker over the
-// raw posts, which shares no retrieval code with the engine. It also checks
-// the work accounting: for the sum ranking, threads built plus threads
-// pruned must equal the exhaustive engine's thread count; for the max
-// ranking every candidate is either built or pruned, and pruning is
-// monotone in the bound — the default engine (query bound ∧ per-tweet φ)
-// prunes at least as much as the same engine over table-less bounds (query
-// bound alone), which prunes at least as much as the exhaustive reference;
-// and retrieval — candidates, lists fetched, blocks skipped — does not
-// depend on pruning. (Block skipping itself is pinned by
-// TestBlockMaxSkipsBlocks — a uniform random corpus interleaves the two
-// lists too densely for AND intersection to ever leap a whole block.)
+// in the same order, scores within 1e-9, as baseline.ScanRanker over the raw
+// posts, which shares no retrieval or scoring code with the engine. ε = 0.6
+// is in the grid because there a thread's first reply lowers φ below the
+// floor. Retrieval — candidates and lists fetched — does not depend on the
+// block layout, and the engine builds and prunes no thread: φ comes from the
+// table. Bounds without a φ table (the exported fields alone, what a
+// pre-table image decodes to) are refused outright. (Block skipping itself is
+// pinned by TestBlockMaxSkipsBlocks — a uniform random corpus interleaves the
+// two lists too densely for AND intersection to ever leap a whole block.)
 func TestBlockMaxEquivalenceGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(417))
 	posts, center := randomCorpus(rng, 900)
 	hot := []string{"hotel", "restaur"}
 
 	for _, epsilon := range []float64{0.1, 0.6} {
-		bm := core.DefaultOptions() // UsePruning on
-		bm.Params.Epsilon = epsilon
-		exhaustive := core.DefaultOptions()
-		exhaustive.Params.Epsilon = epsilon
-		exhaustive.UsePruning = false
-		oracle := baseline.NewScanRanker(posts, bm.Params)
+		opts := core.DefaultOptions()
+		opts.Params.Epsilon = epsilon
+		oracle := baseline.NewScanRanker(posts, opts.Params)
 
-		smallBlocks := func(o *invindex.BuildOptions) { o.BlockSize = 8 }
-		engBM, idxBM := buildEngineAndIndex(t, posts, bm, 3, hot, smallBlocks)
-		engEx := buildEngineIndexed(t, posts, exhaustive, 3, hot, smallBlocks)
+		engBM, idxBM := buildEngineAndIndex(t, posts, opts, 3, hot, func(o *invindex.BuildOptions) { o.BlockSize = 8 })
+		engFresh := buildEngineIndexed(t, posts, opts, 3, hot, nil)
 		engFlat, err := core.NewPartitionedEngine(
-			[]core.Partition{{Source: fetchOnly{idxBM}}}, engBM.DB, engBM.Bounds, bm)
+			[]core.Partition{{Source: fetchOnly{idxBM}}}, engBM.DB, engBM.Bounds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The exported fields alone are what a pre-φ-table image decodes to.
-		queryBoundOnly := &thread.Bounds{
+		tableless := &thread.Bounds{
 			TM: engBM.Bounds.TM, Depth: engBM.Bounds.Depth, Def11: engBM.Bounds.Def11,
 			MaxObserved: engBM.Bounds.MaxObserved, PerKeyword: engBM.Bounds.PerKeyword,
 		}
-		engLoose, err := core.NewEngine(idxBM, engBM.DB, queryBoundOnly, bm)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := core.NewEngine(idxBM, engBM.DB, tableless, opts); !errors.Is(err, thread.ErrParamsMismatch) {
+			t.Fatalf("eps=%v: engine over table-less bounds: err = %v, want ErrParamsMismatch", epsilon, err)
 		}
 
 		for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {
@@ -133,18 +125,18 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, ws, err := engEx.Search(context.Background(), q)
+					want, ws, err := engFresh.Search(context.Background(), q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireSameResults(t, got, want,
-						"blockmax vs exhaustive eps=%v %v %v r=%v", epsilon, ranking, sem, radius)
+						"blockmax vs fresh build eps=%v %v %v r=%v", epsilon, ranking, sem, radius)
 					fres, _, err := engFlat.Search(context.Background(), q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireSameResults(t, fres, want,
-						"fetch-only blockmax vs exhaustive eps=%v %v %v r=%v", epsilon, ranking, sem, radius)
+						"fetch-only vs fresh build eps=%v %v %v r=%v", epsilon, ranking, sem, radius)
 					scan := oracle.Search(q)
 					if len(scan) != len(got) {
 						t.Fatalf("eps=%v %v %v r=%v: %d results, scan oracle %d", epsilon, ranking, sem, radius, len(got), len(scan))
@@ -156,39 +148,13 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 						}
 					}
 
-					if gs.Candidates != ws.Candidates {
-						t.Fatalf("eps=%v %v %v r=%v: candidates %d vs exhaustive %d",
-							epsilon, ranking, sem, radius, gs.Candidates, ws.Candidates)
+					if gs.Candidates != ws.Candidates || gs.PostingsFetched != ws.PostingsFetched {
+						t.Fatalf("eps=%v %v %v r=%v: candidates %d / lists %d, fresh build %d / %d",
+							epsilon, ranking, sem, radius, gs.Candidates, gs.PostingsFetched, ws.Candidates, ws.PostingsFetched)
 					}
-					if gs.PostingsFetched != ws.PostingsFetched {
-						t.Fatalf("eps=%v %v %v r=%v: postings fetched %d vs exhaustive %d",
-							epsilon, ranking, sem, radius, gs.PostingsFetched, ws.PostingsFetched)
-					}
-					if ranking == core.SumScore && gs.ThreadsBuilt+gs.ThreadsPruned != ws.ThreadsBuilt {
-						t.Fatalf("eps=%v %v r=%v: built %d + pruned %d != exhaustive built %d",
-							epsilon, sem, radius, gs.ThreadsBuilt, gs.ThreadsPruned, ws.ThreadsBuilt)
-					}
-					if ranking == core.MaxScore {
-						lres, ls, err := engLoose.Search(context.Background(), q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						requireSameResults(t, lres, want,
-							"query-bound-only vs exhaustive eps=%v %v r=%v", epsilon, sem, radius)
-						for name, st := range map[string]*core.QueryStats{"default": gs, "query-bound-only": ls, "exhaustive": ws} {
-							if st.ThreadsBuilt+st.ThreadsPruned != int64(st.Candidates) {
-								t.Fatalf("eps=%v %v r=%v %s: built %d + pruned %d != candidates %d",
-									epsilon, sem, radius, name, st.ThreadsBuilt, st.ThreadsPruned, st.Candidates)
-							}
-						}
-						if gs.ThreadsPruned < ls.ThreadsPruned || ls.ThreadsPruned < ws.ThreadsPruned {
-							t.Fatalf("eps=%v %v r=%v: pruning not monotone in the bound: default %d, query-bound-only %d, exhaustive %d",
-								epsilon, sem, radius, gs.ThreadsPruned, ls.ThreadsPruned, ws.ThreadsPruned)
-						}
-					}
-					if ws.BlocksSkipped != gs.BlocksSkipped {
-						t.Fatalf("eps=%v %v %v r=%v: retrieval depends on pruning: %d blocks skipped vs exhaustive %d",
-							epsilon, ranking, sem, radius, gs.BlocksSkipped, ws.BlocksSkipped)
+					if gs.ThreadsBuilt != 0 || gs.ThreadsPruned != 0 {
+						t.Fatalf("eps=%v %v %v r=%v: the engine built %d and pruned %d threads",
+							epsilon, ranking, sem, radius, gs.ThreadsBuilt, gs.ThreadsPruned)
 					}
 				}
 			}
@@ -201,7 +167,8 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 // common term whose 400-posting list spans ~50 eight-posting blocks. The
 // rare list drives the intersection, so the common list's middle blocks
 // are provably irrelevant from their headers and must be passed over
-// undecoded — while results stay identical to the exhaustive engine.
+// undecoded — while results stay identical to a fresh engine over the
+// default block size and to the scan oracle.
 func TestBlockMaxSkipsBlocks(t *testing.T) {
 	base := geo.Point{Lat: 43.7, Lon: -79.4}
 	var posts []*social.Post
@@ -216,12 +183,9 @@ func TestBlockMaxSkipsBlocks(t *testing.T) {
 		})
 	}
 
-	bm := core.DefaultOptions()
-	exhaustive := core.DefaultOptions()
-	exhaustive.UsePruning = false
-	smallBlocks := func(o *invindex.BuildOptions) { o.BlockSize = 8 }
-	engBM := buildEngineIndexed(t, posts, bm, 4, nil, smallBlocks)
-	engEx := buildEngineIndexed(t, posts, exhaustive, 4, nil, smallBlocks)
+	opts := core.DefaultOptions()
+	engBM := buildEngineIndexed(t, posts, opts, 4, nil, func(o *invindex.BuildOptions) { o.BlockSize = 8 })
+	engFresh := buildEngineIndexed(t, posts, opts, 4, nil, nil)
 
 	q := core.Query{
 		Loc: base, RadiusKm: 5, Keywords: []string{"rare", "hotel"},
@@ -231,11 +195,12 @@ func TestBlockMaxSkipsBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := engEx.Search(context.Background(), q)
+	want, _, err := engFresh.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResults(t, got, want, "rare AND hotel")
+	compareResults(t, got, baseline.NewScanRanker(posts, opts.Params).Search(q), "rare AND hotel vs scan")
 	if gs.BlocksSkipped == 0 {
 		t.Error("no blocks skipped on a rare-driver AND query")
 	}
@@ -243,46 +208,6 @@ func TestBlockMaxSkipsBlocks(t *testing.T) {
 		t.Error("no postings skipped on a rare-driver AND query")
 	}
 	t.Logf("skipped %d blocks (%d postings)", gs.BlocksSkipped, gs.PostingsSkipped)
-}
-
-// TestBlockMaxSumPruningAblation pins the point of the sum-ranking early
-// termination: with pruning on, city-radius sum queries must build
-// strictly fewer threads than the exhaustive engine while returning the
-// same users, scores and candidate counts.
-func TestBlockMaxSumPruningAblation(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	posts, center := randomCorpus(rng, 900)
-
-	bm := core.DefaultOptions()
-	exhaustive := core.DefaultOptions()
-	exhaustive.UsePruning = false
-	engBM := buildEngineIndexed(t, posts, bm, 3, nil, nil)
-	engEx := buildEngineIndexed(t, posts, exhaustive, 3, nil, nil)
-
-	var pruned int64
-	for _, radius := range []float64{10, 20, 40} {
-		q := core.Query{
-			Loc: center, RadiusKm: radius, Keywords: []string{"hotel"},
-			K: 3, Semantic: core.Or, Ranking: core.SumScore,
-		}
-		got, gs, err := engBM.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, ws, err := engEx.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResults(t, got, want, "sum ablation r=%v", radius)
-		if gs.ThreadsBuilt > ws.ThreadsBuilt {
-			t.Errorf("r=%v: block-max built more threads (%d) than exhaustive (%d)",
-				radius, gs.ThreadsBuilt, ws.ThreadsBuilt)
-		}
-		pruned += gs.ThreadsPruned
-	}
-	if pruned == 0 {
-		t.Error("sum-ranking early termination never pruned a thread construction")
-	}
 }
 
 // TestDuplicateQueryKeywordsDeduped is the regression test for repeated

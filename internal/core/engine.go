@@ -1,10 +1,13 @@
 // Package core implements TkLUS query processing (Section V of the paper):
-// the sum-score ranking algorithm (Algorithm 4), the maximum-score ranking
-// algorithm with upper-bound pruning (Algorithm 5), AND/OR keyword
-// semantics, and the temporal extension sketched in the paper's future-work
-// section. It sits on top of the hybrid index (internal/invindex), the
-// metadata database (internal/metadb), and the thread builder
-// (internal/thread).
+// the retrieval front half Algorithms 4 and 5 share, the sum-score and
+// maximum-score rankings (Definitions 7 and 8), AND/OR keyword semantics, and
+// the temporal extension sketched in the paper's future-work section. It
+// sits on top of the hybrid index (internal/invindex), the metadata database
+// (internal/metadb), and the φ table of internal/thread, which holds the
+// exact popularity of every thread: the engine scores each candidate from it
+// and builds no thread. The paper's regime — Algorithm 1 per candidate, with
+// Algorithm 5's upper-bound pruning — is what the figures time, and lives
+// with them in internal/experiments.
 package core
 
 import (
@@ -112,17 +115,6 @@ func (q *Query) Validate() error {
 // Options tunes engine behaviour beyond the scoring parameters.
 type Options struct {
 	Params score.Params
-	// UseSpecificBounds enables the pre-computed hot-keyword popularity
-	// bounds of Section V-B / Figure 12; when false the global bound is
-	// used for every query.
-	UseSpecificBounds bool
-	// UsePruning enables the upper-bound pruning of Algorithm 5 lines
-	// 18–19, each candidate's popularity bounded by the smaller of the
-	// query-level bound and its own φ-table entry (thread.Bounds.PhiBatch),
-	// and MaxScore-style early termination for sum ranking (rankSumPruned).
-	// Disabling it is the ablation baseline; results are identical, only
-	// thread-construction work changes.
-	UsePruning bool
 	// RecencyHalfLife, when positive, multiplies each tweet's keyword
 	// relevance by score.RecencyBoost with this half-life expressed as a
 	// fraction of the corpus time span (future-work extension: "give
@@ -130,10 +122,9 @@ type Options struct {
 	RecencyHalfLife float64
 }
 
-// DefaultOptions enables pruning and specific bounds, the paper's standard
-// configuration.
+// DefaultOptions is the paper's scoring model with no extension enabled.
 func DefaultOptions() Options {
-	return Options{Params: score.DefaultParams(), UseSpecificBounds: true, UsePruning: true}
+	return Options{Params: score.DefaultParams()}
 }
 
 // PostingsSource is what the engine needs from a hybrid index: the geohash
@@ -199,8 +190,7 @@ type Engine struct {
 
 	// parts is every postings source, in time order. Each query loads it
 	// once, so a storage engine can swap the set under live traffic.
-	parts   atomic.Pointer[[]Partition]
-	builder thread.Builder
+	parts atomic.Pointer[[]Partition]
 }
 
 // NewEngine wires an engine over one index covering the whole corpus.
@@ -213,7 +203,9 @@ func NewEngine(idx *invindex.Index, db *metadb.DB, bounds *thread.Bounds, opts O
 
 // NewPartitionedEngine wires an engine over one or more time-partitioned
 // indexes sharing the centralized metadata database. Queries with a
-// TimeWindow skip partitions entirely outside the window.
+// TimeWindow skip partitions entirely outside the window. Every score reads
+// φ from bounds, so bounds without a φ table, or with one computed for
+// another thread depth or ε, are refused (thread.ErrParamsMismatch).
 func NewPartitionedEngine(parts []Partition, db *metadb.DB, bounds *thread.Bounds, opts Options) (*Engine, error) {
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
@@ -221,17 +213,15 @@ func NewPartitionedEngine(parts []Partition, db *metadb.DB, bounds *thread.Bound
 	if len(parts) == 0 || db == nil || bounds == nil {
 		return nil, fmt.Errorf("core: engine needs partitions, db and bounds")
 	}
+	if err := bounds.CheckParams(opts.Params.ThreadDepth, opts.Params.Epsilon); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	for i, p := range parts {
 		if p.Source == nil {
 			return nil, fmt.Errorf("core: partition %d has no postings source", i)
 		}
 	}
-	eng := &Engine{
-		DB:      db,
-		Bounds:  bounds,
-		Opts:    opts,
-		builder: thread.Builder{DB: db, Depth: opts.Params.ThreadDepth},
-	}
+	eng := &Engine{DB: db, Bounds: bounds, Opts: opts}
 	eng.SetPartitions(parts)
 	return eng, nil
 }
@@ -261,9 +251,9 @@ type QueryStats struct {
 	Cells            int   // geohash cells in the circle cover
 	PostingsFetched  int64 // non-empty ⟨cell, term⟩ postings lists opened across the partitions
 	Candidates       int   // tweets surviving semantics + radius + window
-	ThreadsBuilt     int64 // Algorithm 1 invocations
-	ThreadsPruned    int64 // candidates skipped by the upper bound
-	TweetsPulled     int64 // rows fetched during thread expansion
+	ThreadsBuilt     int64 // Algorithm 1 invocations; set only by the paper's regime (internal/experiments)
+	ThreadsPruned    int64 // candidates Algorithm 5 skipped by the upper bound; set only by the paper's regime
+	TweetsPulled     int64 // rows fetched during thread expansion; set only by the paper's regime
 	PopCacheHits     int64 // always 0; only the frozen internal/bench reads it — delete with the harness's next move (ROADMAP 1(d))
 	DBBatchLookups   int64 // keys this query resolved through multi-get batches
 	DBPagesSaved     int64 // simulated page+node touches the batches avoided
@@ -273,9 +263,9 @@ type QueryStats struct {
 	Elapsed          time.Duration
 
 	// Spans are the per-stage timings of the query pipeline (cell cover →
-	// postings fetch → candidate filter → thread build → rank/top-k), in
-	// first-start order. Serving code returns them in the /search reply and
-	// feeds them into the per-stage latency histograms.
+	// postings fetch → candidate filter → rank/top-k), in first-start
+	// order. Serving code returns them in the /search reply and feeds them
+	// into the per-stage latency histograms.
 	Spans []telemetry.Span
 
 	// ReplicaLagSIDs is the worst replication lag, in acknowledged-but-

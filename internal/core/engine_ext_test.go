@@ -220,43 +220,6 @@ func compareResults(t *testing.T, got, want []core.UserResult, format string, ar
 	}
 }
 
-// TestPruningLossless verifies Algorithm 5's pruning never changes results,
-// only the amount of thread-construction work.
-func TestPruningLossless(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	posts, center := randomCorpus(rng, 600)
-
-	pruned := core.DefaultOptions()
-	unpruned := core.DefaultOptions()
-	unpruned.UsePruning = false
-
-	engPruned := buildEngine(t, posts, pruned, 3, []string{"hotel"})
-	engPlain := buildEngine(t, posts, unpruned, 3, []string{"hotel"})
-
-	for _, radius := range []float64{10, 30, 60} {
-		q := core.Query{
-			Loc: center, RadiusKm: radius, Keywords: []string{"hotel"},
-			K: 5, Semantic: core.Or, Ranking: core.MaxScore,
-		}
-		a, sa, err := engPruned.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, sb, err := engPlain.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResults(t, a, b, "pruned vs unpruned r=%v", radius)
-		if sb.ThreadsPruned != 0 {
-			t.Error("unpruned engine reported pruning")
-		}
-		if sa.ThreadsBuilt+sa.ThreadsPruned != sb.ThreadsBuilt {
-			t.Errorf("work accounting: pruned built %d + skipped %d != plain built %d",
-				sa.ThreadsBuilt, sa.ThreadsPruned, sb.ThreadsBuilt)
-		}
-	}
-}
-
 func TestAndStricterThanOr(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	posts, center := randomCorpus(rng, 500)
@@ -350,29 +313,29 @@ func TestRecencyBoostPrefersNewer(t *testing.T) {
 }
 
 // TestRecencyMatchesScanOracle pins the recency extension end to end: with
-// a half-life set, both rankings — sum through its bound pass and its exact
-// pass, which must age every tweet against one SID span — and both
-// semantics, pruned and exhaustive, equal the scan oracle's answer.
+// a half-life set, both rankings — every candidate aged against the one SID
+// span the query sampled — and both semantics, at two radii, equal the scan
+// oracle's answer.
 func TestRecencyMatchesScanOracle(t *testing.T) {
 	posts, center := randomCorpus(rand.New(rand.NewSource(24)), 800)
+	opts := core.DefaultOptions()
+	opts.RecencyHalfLife = 0.3
+	oracle := baseline.NewScanRanker(posts, opts.Params)
+	oracle.RecencyHalfLife = opts.RecencyHalfLife
+	eng := buildEngine(t, posts, opts, 3, []string{"hotel"})
 	results := 0
-	for _, pruning := range []bool{true, false} {
-		opts := core.DefaultOptions()
-		opts.RecencyHalfLife, opts.UsePruning = 0.3, pruning
-		oracle := baseline.NewScanRanker(posts, opts.Params)
-		oracle.RecencyHalfLife = opts.RecencyHalfLife
-		eng := buildEngine(t, posts, opts, 3, []string{"hotel"})
+	for _, radius := range []float64{15, 30} {
 		for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {
 			for _, sem := range []core.Semantic{core.Or, core.And} {
 				q := core.Query{
-					Loc: center, RadiusKm: 30, Keywords: []string{"hotel", "restaurant"},
+					Loc: center, RadiusKm: radius, Keywords: []string{"hotel", "restaurant"},
 					K: 5, Semantic: sem, Ranking: ranking,
 				}
 				got, _, err := eng.Search(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareResults(t, got, oracle.Search(q), "recency pruning=%v %v %v", pruning, ranking, sem)
+				compareResults(t, got, oracle.Search(q), "recency r=%v %v %v", radius, ranking, sem)
 				results += len(got)
 			}
 		}

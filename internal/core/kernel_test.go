@@ -273,26 +273,26 @@ func TestConcurrentSearchesMatchSequential(t *testing.T) {
 
 // TestSearchAllocationBudget holds a whole query of the fixed 3-keyword
 // Or/Sum shape to an allocation budget, on both exits. Search is gather, user
-// table, bound pass, the few thread builds and top-k; what remains is per
-// query or per postings list (iterators, block directories, decode buffers),
-// not per posting. SearchPartials, the shard path, builds every candidate's
-// thread and ships one record per candidate, so its budget is its own.
+// table, one φ batch and top-k; what remains is per query or per postings
+// list (iterators, block directories, decode buffers), not per posting.
+// SearchPartials ships one record per candidate in one slice instead of
+// ranking. Each budget is its measured count plus 15 %.
 func TestSearchAllocationBudget(t *testing.T) {
 	eng, queries := kernelEngine(t)
 	q := queries[0]
 	for _, leg := range []struct {
 		name   string
-		budget float64 // SearchPartials: 1252 measured, plus 15 %
+		budget float64 // measured 494 (Search) and 487 (SearchPartials), plus 15 %
 		run    func() error
 	}{
-		{"Search", 600, func() error {
+		{"Search", 568, func() error {
 			res, _, err := eng.Search(context.Background(), q)
 			if err == nil && len(res) != q.K {
 				err = fmt.Errorf("%d results, want %d", len(res), q.K)
 			}
 			return err
 		}},
-		{"SearchPartials", 1440, func() error {
+		{"SearchPartials", 560, func() error {
 			p, err := eng.SearchPartials(context.Background(), q)
 			if err == nil && len(p.Cands) < 500 {
 				err = fmt.Errorf("only %d candidate records", len(p.Cands))
@@ -351,7 +351,9 @@ func TestGatherChecksContextPerPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}, {Source: src, Rows: src}}, db, &thread.Bounds{}, DefaultOptions())
+	opts := DefaultOptions()
+	bounds := thread.ComputeBounds(nil, opts.Params.ThreadDepth, opts.Params.Epsilon, nil)
+	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}, {Source: src, Rows: src}}, db, bounds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

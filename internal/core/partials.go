@@ -7,13 +7,11 @@ import (
 
 	"repro/internal/score"
 	"repro/internal/social"
-	"repro/internal/telemetry"
-	"repro/internal/thread"
 )
 
 // This file implements the shard half of the scatter-gather serving tier:
-// SearchPartials runs retrieval and thread scoring on one shard and returns
-// per-candidate partial scores; MergePartials combines the partials of
+// SearchPartials runs retrieval and per-candidate scoring on one shard and
+// returns per-candidate partial scores; MergePartials combines the partials of
 // every overlapping shard into the final top-k.
 //
 // The split point is chosen so the merged result is byte-identical to a
@@ -26,35 +24,27 @@ import (
 // globally unique and each tweet is indexed by exactly one shard, so the
 // merged stream reproduces the monolithic candidate order exactly.
 //
-// The expensive work — postings retrieval, the radius filter, and above all
-// thread construction (the paper's stated bottleneck) — stays on the
-// shards; the router's merge is a cheap k-way merge of the shards'
-// ascending lists (mergeCands) + reduction (reducePartials).
-// The monolithic exhaustive sum ranking is the same two halves run in one
-// process over one part — partialsScoreAll, then reducePartials — so the
-// reference the sharded tier is tested against and the router's reduction
-// are one body of code.
+// The expensive work — postings retrieval, the radius filter, the user
+// table — stays on the shards; the router's merge is a cheap k-way merge of
+// the shards' ascending lists (mergeCands) + reduction (reducePartials).
 //
 // A shard indexes only its own region's posts, and the rows its radius
 // filter resolves are its own too: the rows of the posts it indexes. What
 // spans regions is shared — every shard holds a replica of the centralized
-// metadata database (the paper keeps it centralized; a production shard
-// replicates it) for threads and the |P_u| denominator of Definition 9. Both
-// therefore see the full corpus and match the monolithic engine's values even
-// when a thread or a user spans shard boundaries.
+// metadata database and φ table (the paper keeps them centralized; a
+// production shard replicates them) for thread popularity and the |P_u|
+// denominator of Definition 9. Both therefore see the full corpus and match
+// the monolithic engine's values even when a thread or a user spans shard
+// boundaries.
 
 // CandidateScore is one keyword-matching tweet inside the query circle
 // with its per-tweet partial scores. Rho is ρ(p,q) times the recency
-// factor; Delta is δ(p,q). Pruned marks max-ranking candidates whose
-// thread the shard skipped under the popularity upper bound: their Rho is
-// unset and they are excluded from top-k streaming, but their Delta still
-// feeds δ(u,q), exactly as in the monolithic Algorithm 5.
+// factor; Delta is δ(p,q).
 type CandidateScore struct {
-	TID    social.PostID `json:"tid"`
-	UID    social.UserID `json:"uid"`
-	Delta  float64       `json:"delta"`
-	Rho    float64       `json:"rho"`
-	Pruned bool          `json:"pruned,omitempty"`
+	TID   social.PostID `json:"tid"`
+	UID   social.UserID `json:"uid"`
+	Delta float64       `json:"delta"`
+	Rho   float64       `json:"rho"`
 }
 
 // UserPartial carries the user-level fact a shard contributes for one user
@@ -77,19 +67,9 @@ type Partials struct {
 }
 
 // SearchPartials executes the shard side of a scatter-gather query:
-// retrieval plus thread scoring, stopping short of the per-user reduction
-// so the router can merge several shards exactly (see the file comment).
-//
-// For sum ranking every candidate's thread is scored. For max ranking with
-// pruning enabled, the shard applies a
-// conservative version of Algorithm 5's upper-bound pruning: the distance
-// component of the bound is its maximum 1 (the router knows the user's
-// true δ(u,q), the shard may not — the user can hold candidates on other
-// shards), and the running top-k tracks lower-bound user scores built from
-// the shard-local candidate distances. Both substitutions only weaken the
-// bound, so every candidate a shard prunes is one the monolithic engine's
-// final top-k could never admit — results stay identical, only the amount
-// of pruning differs.
+// retrieval plus every candidate's ρ, stopping short of the per-user
+// reduction so the router can merge several shards exactly (see the file
+// comment). Both rankings ship the same records.
 func (e *Engine) SearchPartials(ctx context.Context, q Query) (*Partials, error) {
 	if q.Ranking != SumScore && q.Ranking != MaxScore {
 		return nil, fmt.Errorf("core: %w: unknown ranking %d", ErrBadQuery, q.Ranking)
@@ -102,96 +82,13 @@ func (e *Engine) SearchPartials(ctx context.Context, q Query) (*Partials, error)
 	}
 	rankStart := time.Now()
 	e.resolveUsers(cs)
-	out := &Partials{Users: userPartials(cs)}
-	if q.Ranking == MaxScore && e.Opts.UsePruning {
-		err = e.partialsMaxPruned(ctx, cs, out)
-	} else {
-		err = e.partialsScoreAll(ctx, cs, out)
-	}
-	if err != nil {
-		return nil, err
+	rho := e.relevance(cs)
+	out := &Partials{Users: userPartials(cs), Cands: make([]CandidateScore, len(cs.cands))}
+	for i, c := range cs.cands {
+		out.Cands[i] = CandidateScore{TID: c.TID, UID: c.UID, Delta: c.Delta, Rho: rho[i]}
 	}
 	out.Stats = *cs.rankDone(rankStart)
 	return out, nil
-}
-
-// partialsScoreAll scores every candidate's thread (the per-candidate
-// Algorithm 1 runs) and emits one CandidateScore each: sum ranking on a
-// shard, max ranking with pruning disabled, and — reduced on the spot —
-// the monolithic exhaustive sum — in candidate order. The loop is all thread
-// scoring, so it is timed as one thread_build span.
-func (e *Engine) partialsScoreAll(ctx context.Context, cs *candidateSet, out *Partials) error {
-	p := e.Opts.Params
-	out.Cands = make([]CandidateScore, len(cs.cands))
-	var ts thread.Stats
-	buildStart := time.Now()
-	for i, c := range cs.cands {
-		if i%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &ts)
-		rho := score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(cs, c.TID)
-		out.Cands[i] = CandidateScore{TID: c.TID, UID: c.UID, Delta: c.Delta, Rho: rho}
-	}
-	if len(cs.cands) > 0 {
-		cs.rec.Observe(telemetry.StageThreadBuild, buildStart, time.Since(buildStart))
-	}
-	cs.stats.addThreads(&ts)
-	return nil
-}
-
-// partialsMaxPruned streams candidates through the conservative shard-side
-// pruning described on SearchPartials. Pruned candidates are emitted with
-// Pruned set so their δ(p,q) still reaches the router's δ(u,q) reduction.
-// It stays apart from rankMax on purpose: the two bounds differ in their
-// distance term (1 here, the exact δ(u,q) there) and in what they emit.
-func (e *Engine) partialsMaxPruned(ctx context.Context, cs *candidateSet, out *Partials) error {
-	p := e.Opts.Params
-	bounds := e.popBounds(cs)
-
-	tk := newTopK(cs.q.K)
-	out.Cands = make([]CandidateScore, 0, len(cs.cands))
-	var ts thread.Stats
-	var threads threadClock
-	for i := range cs.cands {
-		if i%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		c := &cs.cands[i]
-		if tk.full() {
-			// Upper bound with the distance part at its maximum 1
-			// (Section V-B's own bound): sound regardless of how the
-			// user's candidates are distributed across shards. The
-			// candidate's own φ-table entry tightens the popularity part.
-			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.Matches, bounds[i], p.N), 1)
-			if ub <= tk.peek() {
-				cs.stats.ThreadsPruned++
-				out.Cands = append(out.Cands, CandidateScore{
-					TID: c.TID, UID: c.UID, Delta: c.Delta, Pruned: true,
-				})
-				continue
-			}
-		}
-		t0 := threads.begin()
-		pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &ts)
-		threads.end(t0)
-		rho := score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(cs, c.TID)
-		out.Cands = append(out.Cands, CandidateScore{TID: c.TID, UID: c.UID, Delta: c.Delta, Rho: rho})
-
-		// Track lower-bound user scores. The table's δ(u,q) never exceeds
-		// the true one — it is built from the shard-local distance sum, and
-		// other shards can only add non-negative δ terms — so the running
-		// kth score never exceeds the true global kth and the prune above
-		// stays result-neutral.
-		tk.offer(c.UID, score.Combine(p.Alpha, rho, cs.users[c.user].du))
-	}
-	cs.stats.addThreads(&ts)
-	threads.fold(cs.rec)
-	return nil
 }
 
 // userPartials lists the set's users in first-candidate order with their
@@ -283,10 +180,9 @@ func mergeCands(parts []*Partials) ([]CandidateScore, error) {
 }
 
 // reducePartials is the per-user reduction of both rankings over merged:
-// every candidate of parts in ascending tweet-ID order. It is the router's
-// half of a scatter-gather query and, over a single part, the back half of
-// the monolithic exhaustive sum (Definitions 7 and 10, sort, top k) — one
-// body, so the two cannot drift apart.
+// every candidate of parts in ascending tweet-ID order — the router's half
+// of a scatter-gather query, reproducing the monolithic rankSum and rankMax
+// float for float.
 func reducePartials(q *Query, alpha float64, merged []CandidateScore, parts []*Partials) ([]UserResult, error) {
 	posts := make(map[social.UserID]int) // |P_u|, as the first shard naming u reports it
 	for _, p := range parts {
@@ -315,9 +211,6 @@ func reducePartials(q *Query, alpha float64, merged []CandidateScore, parts []*P
 	case SumScore:
 		rs := make(map[social.UserID]float64, len(posts)) // Σ ρ(p,q), Definition 7
 		for _, c := range merged {
-			if c.Pruned {
-				return nil, fmt.Errorf("core: pruned candidate %d in sum-ranking partials", c.TID)
-			}
 			rs[c.UID] += c.Rho
 		}
 		results := make([]UserResult, 0, len(rs))
@@ -336,9 +229,6 @@ func reducePartials(q *Query, alpha float64, merged []CandidateScore, parts []*P
 	case MaxScore:
 		tk := newTopK(q.K)
 		for _, c := range merged {
-			if c.Pruned {
-				continue // shard proved it cannot reach the final top-k
-			}
 			d, err := du(c.UID)
 			if err != nil {
 				return nil, err

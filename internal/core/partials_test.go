@@ -180,17 +180,6 @@ func TestMergePartialsErrors(t *testing.T) {
 		}
 	})
 
-	t.Run("pruned candidate under sum ranking", func(t *testing.T) {
-		p := &core.Partials{
-			Cands: []core.CandidateScore{{TID: 9, UID: 2, Delta: 0.5, Pruned: true}},
-			Users: []core.UserPartial{user(2)},
-		}
-		_, _, err := core.MergePartials(q, 0.5, []*core.Partials{p})
-		if err == nil || !strings.Contains(err.Error(), "pruned") {
-			t.Fatalf("err = %v, want pruned-in-sum error", err)
-		}
-	})
-
 	t.Run("candidate user missing from user partials", func(t *testing.T) {
 		p := &core.Partials{Cands: []core.CandidateScore{cand(3, 8)}}
 		_, _, err := core.MergePartials(q, 0.5, []*core.Partials{p})
@@ -302,16 +291,14 @@ func TestQueryStatsAddSumsEveryCounter(t *testing.T) {
 }
 
 // TestPartialsChargeSearchUserIO pins that a shard resolves its users once.
-// On a paged engine (no caches, no snapshots) with
-// pruning off, Search and SearchPartials build every candidate's thread, so
-// the only simulated I/O that could differ between them is user resolution:
-// both must charge the same index-node and page reads, for both rankings.
+// On a paged engine (no caches, no snapshots) Search and SearchPartials run
+// the same retrieval and read every φ from the table, so the only simulated
+// I/O that could differ between them is user resolution: both must charge
+// the same index-node and page reads, for both rankings.
 func TestPartialsChargeSearchUserIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	posts, center := randomCorpus(rng, 800)
-	opts := core.DefaultOptions()
-	opts.UsePruning = false
-	eng := buildEngine(t, posts, opts, 5, nil)
+	eng := buildEngine(t, posts, core.DefaultOptions(), 5, nil)
 	for _, rank := range []core.Ranking{core.SumScore, core.MaxScore} {
 		q := core.Query{Loc: center, RadiusKm: 25, Keywords: []string{"hotel", "pizza"}, K: 10, Ranking: rank}
 		eng.DB.ResetStats()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -59,6 +60,26 @@ func TestNewPartitionedEngineValidation(t *testing.T) {
 	if _, err := NewEngine(nil, nil, nil, DefaultOptions()); err == nil {
 		t.Error("nil index accepted")
 	}
+	// Every score reads φ from the bounds: bounds without a φ table, or with
+	// one of another depth or ε, would answer for another model.
+	db, err := metadb.Load(metadb.DefaultOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	parts := []Partition{{Source: benchPostings{}}}
+	for name, bounds := range map[string]*thread.Bounds{
+		"no φ table": {Depth: opts.Params.ThreadDepth},
+		"depth 2":    thread.ComputeBounds(nil, 2, opts.Params.Epsilon, nil),
+		"ε 0.3":      thread.ComputeBounds(nil, opts.Params.ThreadDepth, 0.3, nil),
+	} {
+		if _, err := NewPartitionedEngine(parts, db, bounds, opts); !errors.Is(err, thread.ErrParamsMismatch) {
+			t.Errorf("%s: err = %v, want ErrParamsMismatch", name, err)
+		}
+	}
+	if _, err := NewPartitionedEngine(parts, db, thread.ComputeBounds(nil, opts.Params.ThreadDepth, opts.Params.Epsilon, nil), opts); err != nil {
+		t.Errorf("matching bounds refused: %v", err)
+	}
 }
 
 // rowsMissing is a hand-built partition: one postings list of TIDs and a
@@ -91,7 +112,9 @@ func TestGatherNamesTheMissingRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}}, db, &thread.Bounds{}, DefaultOptions())
+	opts := DefaultOptions()
+	bounds := thread.ComputeBounds(nil, opts.Params.ThreadDepth, opts.Params.Epsilon, nil)
+	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}}, db, bounds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package core
 // query's books. CandidateTweets returns a copy of the tweets; Search and
 // SearchPartials call resolveUsers, which adds the set's dense user table
 // (Σδ, |P_u|, δ(u,q) per user, each candidate pointing at its row), and
+// relevance, which gives every candidate its ρ(p,q) from the φ table, and
 // pass the set to one ranker. No ranker builds a per-user map of its own.
 
 import (
@@ -23,7 +24,6 @@ import (
 	"repro/internal/score"
 	"repro/internal/social"
 	"repro/internal/telemetry"
-	"repro/internal/thread"
 )
 
 // CandidateTweet is one keyword-matching tweet inside the query circle, as
@@ -45,6 +45,7 @@ type candUser struct {
 	deltaSum float64 // Σ δ(p,q) over the user's candidates
 	posts    int     // |P_u|; set by resolveUsers
 	du       float64 // δ(u,q), Definition 9; set by resolveUsers
+	rhoSum   float64 // Σ ρ(p,q) over the user's candidates; set by rankSum
 }
 
 // candidateSet is the hand-off between retrieval and ranking: one query's
@@ -59,7 +60,8 @@ type candidateSet struct {
 	sc     *scratch
 
 	// The corpus SID span the recency extension ages tweets against, sampled
-	// once so bound pass and exact pass agree under live ingest.
+	// once so every candidate of the query ages against one span under live
+	// ingest.
 	minSID, maxSID social.PostID
 
 	stats *QueryStats
@@ -68,7 +70,8 @@ type candidateSet struct {
 }
 
 // scratch is the working memory of one query from the postings merge to the
-// user bounds: every buffer sized by the merged postings or the candidates.
+// per-candidate scores: every buffer sized by the merged postings or the
+// candidates.
 // Search, SearchPartials and CandidateTweets each take one from the pool on
 // entry and release it on return, so whatever outlives the call — results,
 // Partials, the slice CandidateTweets hands out — is a copy, never a view.
@@ -81,10 +84,7 @@ type scratch struct {
 	byUID  map[social.UserID]int // resolveUsers: user → table row
 	users  []candUser            // candidateSet.users
 	uids   []social.UserID       // the |P_u| batch's keys
-	phi    []float64             // popBounds
-	keys   []boundKey            // rankSumPruned: users in bound order
-	first  []int32               // rankSumPruned: user → span of byUser
-	byUser []int32               // rankSumPruned: candidate indexes, grouped
+	rho    []float64             // relevance: φ, then ρ, per candidate
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -113,25 +113,22 @@ func (cs *candidateSet) done() *QueryStats {
 	return cs.stats
 }
 
-// rankDone closes a ranked query. Thread construction (and the sum
-// ranking's bound pass) run interleaved inside the ranking loop and are
-// recorded as their own stages; the rank span is the remainder, so the stage
-// durations sum to (approximately) the query's elapsed time.
+// rankDone closes a ranked query: the rank span covers the user table, the
+// per-candidate scores and the top-k.
 func (cs *candidateSet) rankDone(rankStart time.Time) *QueryStats {
-	cs.rec.Observe(telemetry.StageRank, rankStart,
-		time.Since(rankStart)-cs.rec.Total(telemetry.StageThreadBuild)-cs.rec.Total(telemetry.StagePrune))
+	cs.rec.Observe(telemetry.StageRank, rankStart, time.Since(rankStart))
 	return cs.done()
 }
 
 // Search executes a TkLUS query and returns the top-k users with their
 // scores plus per-query statistics. The query aborts with the context's
-// error at the next candidate boundary once ctx is done — useful for
+// error at the next partition boundary once ctx is done — useful for
 // serving large-radius OR queries under a deadline.
 //
 // Every query is traced: the returned QueryStats carry one span per
-// pipeline stage (cell cover, postings fetch, candidate filter, thread
-// build, rank/top-k) so callers can see where the time went without
-// re-running the query under a profiler.
+// pipeline stage (cell cover, postings fetch, candidate filter, rank/top-k)
+// so callers can see where the time went without re-running the query under
+// a profiler.
 func (e *Engine) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
@@ -141,26 +138,18 @@ func (e *Engine) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats
 	}
 	rankStart := time.Now()
 	e.resolveUsers(cs)
+	rho := e.relevance(cs)
 	var results []UserResult
 	switch q.Ranking {
 	case SumScore:
-		results, err = e.rankSum(ctx, cs)
+		results = e.rankSum(cs, rho)
 	case MaxScore:
-		results, err = e.rankMax(ctx, cs)
+		results = e.rankMax(cs, rho)
 	default:
 		return nil, nil, fmt.Errorf("core: unknown ranking %d", q.Ranking)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
 	return results, cs.rankDone(rankStart), nil
 }
-
-// cancelCheckInterval bounds how many candidates are processed between
-// context checks. Most candidates cost a table lookup and a few a
-// thread construction, so a stride of 64 keeps cancellation within tens of
-// microseconds while the check itself stays off the profile.
-const cancelCheckInterval = 64
 
 // gather is the one front half of every query: it validates and stems the
 // query, runs circle cover (Algorithms 4 and 5 line 1) and postings
@@ -404,70 +393,50 @@ func (e *Engine) resolveUsers(cs *candidateSet) {
 	}
 }
 
-// rankSum is the back half of Algorithm 4: per-candidate thread scoring
-// accumulated per user (Definition 7), then the combined user score
-// (Definition 10), sort, top k. With pruning enabled rankSumPruned takes
-// over: same results, but users provably outside the top k are never
-// thread-scored. The exhaustive form is the
-// one-shard case of the scatter-gather reduction: score every candidate as
-// a shard would, then reduce exactly as the router does.
-func (e *Engine) rankSum(ctx context.Context, cs *candidateSet) ([]UserResult, error) {
-	if e.Opts.UsePruning {
-		return e.rankSumPruned(ctx, cs)
+// relevance returns ρ(p,q) per candidate, in candidate order: the keyword
+// relevance of Definition 6 under the thread's exact popularity φ(p) — read
+// for the whole ascending candidate list in one thread.Bounds.PhiBatch, so no
+// thread is built — times the recency factor. It is the one per-candidate
+// score both rankings and SearchPartials consume. The result lives in the
+// scratch.
+func (e *Engine) relevance(cs *candidateSet) []float64 {
+	sids := grow(&cs.sc.sids, len(cs.cands))
+	for i := range cs.cands {
+		sids[i] = cs.cands[i].TID
 	}
-	one := &Partials{Users: userPartials(cs)}
-	if err := e.partialsScoreAll(ctx, cs, one); err != nil {
-		return nil, err
+	rho := grow(&cs.sc.rho, len(sids))
+	e.Bounds.PhiBatch(sids, rho)
+	for i := range cs.cands {
+		c := &cs.cands[i]
+		rho[i] = score.KeywordRelevance(c.Matches, rho[i], e.Opts.Params.N) * e.recencyFactor(cs, c.TID)
 	}
-	return reducePartials(&cs.q, e.Opts.Params.Alpha, one.Cands, []*Partials{one})
+	return rho
 }
 
-// rankMax is Algorithm 5: candidates stream through a bounded top-k
-// structure; before constructing a candidate's thread, an optimistic upper
-// bound on its user score is compared against the current kth score, and
-// dominated candidates are skipped (lines 18–19).
-func (e *Engine) rankMax(ctx context.Context, cs *candidateSet) ([]UserResult, error) {
-	p := e.Opts.Params
-	var bounds []float64
-	if e.Opts.UsePruning {
-		bounds = e.popBounds(cs)
-	}
-
-	tk := newTopK(cs.q.K)
-	var ts thread.Stats
-	var threads threadClock
+// rankSum is the back half of Algorithm 4: Σρ per user, summed in candidate
+// order (Definition 7), combined with δ(u,q) (Definition 10), and the top k
+// admitted under the sort-then-truncate order.
+func (e *Engine) rankSum(cs *candidateSet, rho []float64) []UserResult {
 	for i := range cs.cands {
-		if i%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		c := &cs.cands[i]
-		du := cs.users[c.user].du
-		if e.Opts.UsePruning && tk.full() {
-			// Optimistic user score: maximal keyword relevance under the
-			// popularity bound, combined with the user's distance score.
-			// The paper bounds the distance part by the maximal value 1
-			// (Section V-B); δ(u,q) is independent of the thread being
-			// considered and already in the user table, so using it keeps
-			// the bound sound while pruning far more thread constructions —
-			// thread construction being the stated bottleneck. The
-			// candidate's own φ-table entry tightens the popularity part.
-			ub := score.Combine(p.Alpha, score.KeywordRelevance(c.Matches, bounds[i], p.N), du)
-			if ub <= tk.peek() {
-				cs.stats.ThreadsPruned++
-				continue
-			}
-		}
-		t0 := threads.begin()
-		pop, _ := e.builder.Popularity(c.TID, p.Epsilon, &ts)
-		threads.end(t0)
-		rho := score.KeywordRelevance(c.Matches, pop, p.N) * e.recencyFactor(cs, c.TID)
-		tk.offer(c.UID, score.Combine(p.Alpha, rho, du))
+		cs.users[cs.cands[i].user].rhoSum += rho[i]
 	}
-	cs.stats.addThreads(&ts)
-	threads.fold(cs.rec)
-	return tk.results(), nil
+	tk := newTopK(cs.q.K)
+	for _, u := range cs.users {
+		tk.admit(u.uid, score.Combine(e.Opts.Params.Alpha, u.rhoSum, u.du))
+	}
+	return tk.results()
+}
+
+// rankMax is the back half of Algorithm 5: each candidate's user score —
+// its ρ combined with its user's δ(u,q) — streams through the bounded top-k,
+// a user keeping its best (Definition 8).
+func (e *Engine) rankMax(cs *candidateSet, rho []float64) []UserResult {
+	tk := newTopK(cs.q.K)
+	for i := range cs.cands {
+		c := &cs.cands[i]
+		tk.offer(c.UID, score.Combine(e.Opts.Params.Alpha, rho[i], cs.users[c.user].du))
+	}
+	return tk.results()
 }
 
 // CandidateTweets runs only the retrieval stage of query processing
@@ -514,37 +483,4 @@ func (e *Engine) recencyFactor(cs *candidateSet, sid social.PostID) float64 {
 	}
 	age := float64(cs.maxSID-sid) / float64(cs.maxSID-cs.minSID)
 	return score.RecencyBoost(age, e.Opts.RecencyHalfLife)
-}
-
-// addThreads folds the work counters of thread constructions into s.
-func (s *QueryStats) addThreads(ts *thread.Stats) {
-	s.ThreadsBuilt += ts.ThreadsBuilt
-	s.TweetsPulled += ts.TweetsPulled
-	s.DBBatchLookups += ts.BatchLookups
-	s.DBPagesSaved += ts.BatchPagesSaved
-}
-
-// threadClock accumulates the wall time of the thread constructions that
-// run interleaved inside the ranking loops, folding them into one
-// thread_build span. Two time.Now calls per surviving candidate are noise
-// next to a thread construction's metadata I/O.
-type threadClock struct {
-	first time.Time
-	total time.Duration
-}
-
-func (c *threadClock) begin() time.Time {
-	t := time.Now()
-	if c.first.IsZero() {
-		c.first = t
-	}
-	return t
-}
-
-func (c *threadClock) end(t0 time.Time) { c.total += time.Since(t0) }
-
-func (c *threadClock) fold(rec *telemetry.SpanRecorder) {
-	if c.total > 0 {
-		rec.Observe(telemetry.StageThreadBuild, c.first, c.total)
-	}
 }

@@ -98,9 +98,12 @@ func (t *topK) raise(uid social.UserID, score float64) {
 
 // offer is Algorithm 5's admission step (lines 24–31) for a user score
 // under max semantics: a member keeps the higher of its scores, a newcomer
-// takes a free slot or displaces a strictly weaker weakest member.
+// takes a free slot or displaces a strictly weaker weakest member. A score
+// no higher than the weakest member's changes nothing, so once the structure
+// is full most offers cost one compare.
 func (t *topK) offer(uid social.UserID, score float64) {
 	switch {
+	case t.full() && score <= t.peek():
 	case t.contains(uid):
 		t.raise(uid, score)
 	case !t.full():
@@ -108,6 +111,23 @@ func (t *topK) offer(uid social.UserID, score float64) {
 	case t.peek() < score:
 		t.removeWeakest()
 		t.add(uid, score)
+	}
+}
+
+// admit enters one user's final score under exactly the sort-then-truncate
+// order of the sum ranking: it takes a free slot, or displaces the member
+// sortResults would rank last when it scores higher, or equal with a smaller
+// UID. Each user is admitted once.
+func (t *topK) admit(uid social.UserID, score float64) {
+	switch {
+	case !t.full():
+		t.add(uid, score)
+	case score < t.peek():
+	default:
+		if wuid, ws := t.weakest(); score > ws || uid < wuid {
+			t.removeWeakest()
+			t.add(uid, score)
+		}
 	}
 }
 

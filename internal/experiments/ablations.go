@@ -23,8 +23,8 @@ func (s *Setup) TableIV() (*Table, error) {
 	return t, nil
 }
 
-// AblationPruning quantifies what Algorithm 5's upper-bound pruning buys:
-// identical results, fewer threads built.
+// AblationPruning quantifies what Algorithm 5's upper-bound pruning buys in
+// the paper's regime: identical results, fewer threads built.
 func (s *Setup) AblationPruning() (*Table, error) {
 	t := &Table{
 		Title:   "Ablation — upper-bound pruning on/off (max ranking, OR)",
@@ -35,17 +35,15 @@ func (s *Setup) AblationPruning() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	plainEng, err := engineWith(sys, func(o *core.Options) { o.UsePruning = false })
-	if err != nil {
-		return nil, err
-	}
+	pruned, plain := paper(sys), paper(sys)
+	plain.prune = false
 	specs := s.queriesWithKeywordCount(1)
 	for _, radius := range []float64{10, 20, 50} {
-		pAvg, pStats, err := runBatch(sys.Engine, specs, radius, s.Cfg.K, core.Or, core.MaxScore)
+		pAvg, pStats, err := runBatch(pruned, specs, radius, s.Cfg.K, core.Or, core.MaxScore)
 		if err != nil {
 			return nil, err
 		}
-		uAvg, uStats, err := runBatch(plainEng, specs, radius, s.Cfg.K, core.Or, core.MaxScore)
+		uAvg, uStats, err := runBatch(plain, specs, radius, s.Cfg.K, core.Or, core.MaxScore)
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +71,7 @@ func (s *Setup) AblationThreadDepth() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		avg, stats, err := runBatch(sys.Engine, specs, 20, s.Cfg.K, core.Or, core.SumScore)
+		avg, stats, err := runBatch(paper(sys), specs, 20, s.Cfg.K, core.Or, core.SumScore)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +99,7 @@ func (s *Setup) AblationPageCache() (*Table, error) {
 			return nil, err
 		}
 		sys.DB.ResetStats()
-		avg, _, err := runBatch(sys.Engine, specs, 20, s.Cfg.K, core.Or, core.SumScore)
+		avg, _, err := runBatch(paper(sys), specs, 20, s.Cfg.K, core.Or, core.SumScore)
 		if err != nil {
 			return nil, err
 		}

@@ -114,12 +114,16 @@ func TestFig13PrecisionShape(t *testing.T) {
 	}
 }
 
+// TestFig12SpecificBoundPrunesAtLeastAsMuch: a hot-keyword bound never
+// exceeds the global one, so it prunes at least as much in every row — and
+// being tighter, strictly more in some.
 func TestFig12SpecificBoundPrunesAtLeastAsMuch(t *testing.T) {
 	s := setup(t)
 	table, err := s.Fig12SpecificBound()
 	if err != nil {
 		t.Fatal(err)
 	}
+	tighter := 0
 	for _, row := range table.Rows {
 		prunedGlobal, _ := strconv.Atoi(row[4])
 		prunedSpecific, _ := strconv.Atoi(row[5])
@@ -127,6 +131,12 @@ func TestFig12SpecificBoundPrunesAtLeastAsMuch(t *testing.T) {
 			t.Errorf("radius %s %s: specific bound pruned %d < global %d",
 				row[0], row[1], prunedSpecific, prunedGlobal)
 		}
+		if prunedSpecific > prunedGlobal {
+			tighter++
+		}
+	}
+	if tighter == 0 {
+		t.Error("the specific bound pruned no more than the global bound in any row")
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -11,8 +10,8 @@ import (
 )
 
 // LatencySummary reports per-query latency distributions (mean, p50, p95,
-// p99) for the main query classes — the tail view behind the averages that
-// Figures 7–10 plot.
+// p99) for the main query classes in the paper's regime — the tail view
+// behind the averages that Figures 7–10 plot.
 func (s *Setup) LatencySummary() (*Table, error) {
 	t := &Table{
 		Title:   "Latency summary — per-query distribution at r = 20 km",
@@ -37,7 +36,7 @@ func (s *Setup) LatencySummary() (*Table, error) {
 	for _, c := range classes {
 		var durations []time.Duration
 		for _, spec := range c.specs {
-			_, st, err := sys.Engine.Search(context.Background(), toQuery(spec, 20, s.Cfg.K, c.sem, c.ranking))
+			_, st, err := paper(sys).Search(toQuery(spec, 20, s.Cfg.K, c.sem, c.ranking))
 			if err != nil {
 				return nil, err
 			}

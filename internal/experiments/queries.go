@@ -22,15 +22,15 @@ func toQuery(spec datagen.QuerySpec, radiusKm float64, k int, sem core.Semantic,
 	}
 }
 
-// runBatch executes a batch of queries on an engine and returns the average
-// per-query time in seconds plus aggregated stats.
-func runBatch(eng *core.Engine, specs []datagen.QuerySpec, radiusKm float64, k int,
+// runBatch executes a batch of queries in the paper's regime and returns the
+// average per-query time in seconds plus aggregated stats.
+func runBatch(arm paperArm, specs []datagen.QuerySpec, radiusKm float64, k int,
 	sem core.Semantic, ranking core.Ranking) (avgSeconds float64, agg core.QueryStats, err error) {
 	if len(specs) == 0 {
 		return 0, agg, fmt.Errorf("experiments: empty query batch")
 	}
 	for _, spec := range specs {
-		_, stats, serr := eng.Search(context.Background(), toQuery(spec, radiusKm, k, sem, ranking))
+		_, stats, serr := arm.Search(toQuery(spec, radiusKm, k, sem, ranking))
 		if serr != nil {
 			return 0, agg, serr
 		}
@@ -72,7 +72,7 @@ func (s *Setup) Fig7GeohashLength() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			avg, _, err := runBatch(sys.Engine, specs, radius, s.Cfg.K, core.Or, core.SumScore)
+			avg, _, err := runBatch(paper(sys), specs, radius, s.Cfg.K, core.Or, core.SumScore)
 			if err != nil {
 				return nil, err
 			}
@@ -86,7 +86,8 @@ func (s *Setup) Fig7GeohashLength() (*Table, error) {
 // Fig8SingleKeyword reproduces Figure 8: single-keyword query efficiency of
 // the two ranking methods over radii 5–100 km. Expected shape: max-score
 // ranking at or below sum-score, with the gap growing with the radius
-// (more candidates => more pruning opportunity).
+// (more candidates => more pruning opportunity). Algorithm 4 prunes
+// nothing, so threads built (sum) = threads built (max) + pruned (max).
 func (s *Setup) Fig8SingleKeyword() (*Table, error) {
 	t := &Table{
 		Title:   "Figure 8 — single keyword efficiency, sum vs max ranking",
@@ -99,11 +100,11 @@ func (s *Setup) Fig8SingleKeyword() (*Table, error) {
 	}
 	specs := s.queriesWithKeywordCount(1)
 	for _, radius := range []float64{5, 10, 20, 50, 100} {
-		sumAvg, sumStats, err := runBatch(sys.Engine, specs, radius, s.Cfg.K, core.Or, core.SumScore)
+		sumAvg, sumStats, err := runBatch(paper(sys), specs, radius, s.Cfg.K, core.Or, core.SumScore)
 		if err != nil {
 			return nil, err
 		}
-		maxAvg, maxStats, err := runBatch(sys.Engine, specs, radius, s.Cfg.K, core.Or, core.MaxScore)
+		maxAvg, maxStats, err := runBatch(paper(sys), specs, radius, s.Cfg.K, core.Or, core.MaxScore)
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +197,7 @@ func (s *Setup) Fig10MultiKeyword() (*Table, error) {
 			for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {
 				row := []string{fmt.Sprintf("%.0f", radius), sem.String(), ranking.String()}
 				for nk := 1; nk <= 3; nk++ {
-					avg, _, err := runBatch(sys.Engine, s.queriesWithKeywordCount(nk),
+					avg, _, err := runBatch(paper(sys), s.queriesWithKeywordCount(nk),
 						radius, s.Cfg.K, sem, ranking)
 					if err != nil {
 						return nil, err
@@ -242,7 +243,8 @@ func (s *Setup) Fig11KendallMulti() (*Table, error) {
 // Fig12SpecificBound reproduces Figure 12: the effect of the hot-keyword
 // specific popularity bounds on max-score query processing, for both
 // semantics. Expected shape: specific bounds prune more threads and save
-// time, more visibly at larger radii.
+// time, more visibly at larger radii. A specific bound never exceeds the
+// global one, so it prunes every candidate the global bound prunes.
 func (s *Setup) Fig12SpecificBound() (*Table, error) {
 	t := &Table{
 		Title:   "Figure 12 — specific popularity bound vs global bound (max ranking)",
@@ -253,19 +255,16 @@ func (s *Setup) Fig12SpecificBound() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	specificEng := sys.Engine // DefaultConfig enables specific bounds
-	globalEng, err := engineWith(sys, func(o *core.Options) { o.UseSpecificBounds = false })
-	if err != nil {
-		return nil, err
-	}
+	specific, global := paper(sys), paper(sys)
+	global.specific = false
 	hotQueries := s.Corpus.HotQueries(s.Cfg.Seed+12, s.Cfg.QueryPerClass, 2)
 	for _, radius := range []float64{5, 10, 20, 50} {
 		for _, sem := range []core.Semantic{core.And, core.Or} {
-			gAvg, gStats, err := runBatch(globalEng, hotQueries, radius, s.Cfg.K, sem, core.MaxScore)
+			gAvg, gStats, err := runBatch(global, hotQueries, radius, s.Cfg.K, sem, core.MaxScore)
 			if err != nil {
 				return nil, err
 			}
-			sAvg, sStats, err := runBatch(specificEng, hotQueries, radius, s.Cfg.K, sem, core.MaxScore)
+			sAvg, sStats, err := runBatch(specific, hotQueries, radius, s.Cfg.K, sem, core.MaxScore)
 			if err != nil {
 				return nil, err
 			}

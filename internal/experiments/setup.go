@@ -10,7 +10,6 @@ import (
 	"time"
 
 	tklus "repro"
-	"repro/internal/core"
 	"repro/internal/datagen"
 )
 
@@ -90,14 +89,6 @@ func (s *Setup) System(geohashLen int) (*tklus.System, error) {
 	}
 	s.systems[geohashLen] = sys
 	return sys, nil
-}
-
-// engineWith clones a system's engine with different options (used by the
-// Figure 12 bound comparison and the ablations).
-func engineWith(sys *tklus.System, mutate func(*core.Options)) (*core.Engine, error) {
-	opts := sys.Engine.Opts
-	mutate(&opts)
-	return core.NewEngine(sys.Index, sys.DB, sys.Bounds, opts)
 }
 
 // queriesWithKeywordCount filters the workload to queries with exactly n

@@ -421,9 +421,8 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleIngestV1 serves POST /v1/ingest: a batch of live posts appended
-// through the backend's ingest path, so thread popularity, pruning
-// bounds — and, with a segment store installed,
-// the memtable's keyword index — update immediately; when a WAL
+// through the backend's ingest path, so thread popularity — and, with a
+// segment store installed, the memtable's keyword index — update immediately; when a WAL
 // is attached, each post is durable before the 200 goes out. Registered
 // only for backends that own a metadata database (shard routers don't).
 func (s *Server) handleIngestV1(w http.ResponseWriter, r *http.Request) {
@@ -470,7 +469,6 @@ func (s *Server) maybeLogSlowQuery(ctx context.Context, q *tklus.Query, stats *t
 		slog.String("semantic", strings.ToLower(q.Semantic.String())),
 		slog.String("ranking", q.Ranking.String()),
 		slog.Int("candidates", stats.Candidates),
-		slog.Int64("threads_built", stats.ThreadsBuilt),
 	}
 	for _, sp := range stats.Spans {
 		attrs = append(attrs, slog.Duration("stage_"+sp.Stage, sp.Duration))

@@ -12,22 +12,16 @@ const (
 	StageCellCover       = "cell_cover"       // circle cover computation
 	StagePostingsFetch   = "postings_fetch"   // ⟨cell,term⟩ postings retrieval
 	StageCandidateFilter = "candidate_filter" // AND/OR merge + radius/window filter
-	StagePrune           = "prune"            // upper-bound computation + candidate ordering
-	StageThreadBuild     = "thread_build"     // tweet-thread construction (Algorithm 1)
-	StageRank            = "rank_topk"        // scoring + top-k maintenance minus thread time
+	StageRank            = "rank_topk"        // user table, per-candidate scores, top-k
 )
 
 // QueryStages lists the pipeline stages in execution order, for stable
 // iteration when pre-registering histograms or rendering tables.
-var QueryStages = []string{
-	StageCellCover, StagePostingsFetch, StageCandidateFilter, StagePrune, StageThreadBuild, StageRank,
-}
+var QueryStages = []string{StageCellCover, StagePostingsFetch, StageCandidateFilter, StageRank}
 
 // Span is one named, timed stage of a query. Start is the offset from the
-// query's begin time; for stages whose work is interleaved with others
-// (thread construction happens once per surviving candidate inside the
-// ranking loop) Duration accumulates every slice and Start is the offset of
-// the first slice.
+// query's begin time; a stage observed in several slices accumulates every
+// slice's Duration, and Start is the offset of the first slice.
 type Span struct {
 	Stage    string
 	Start    time.Duration
@@ -73,8 +67,6 @@ func (r *SpanRecorder) Observe(stage string, start time.Time, d time.Duration) {
 }
 
 // Total returns the accumulated duration of a stage (0 if never started).
-// The ranking stage uses it to subtract interleaved thread-construction
-// time so per-stage histograms don't double-count.
 func (r *SpanRecorder) Total(stage string) time.Duration {
 	if r == nil {
 		return 0

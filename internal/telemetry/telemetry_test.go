@@ -186,7 +186,7 @@ func TestSpanRecorder(t *testing.T) {
 	stop()
 	// Interleaved slices accumulate into one span.
 	for i := 0; i < 3; i++ {
-		stop := rec.Start(StageThreadBuild)
+		stop := rec.Start(StageCandidateFilter)
 		time.Sleep(time.Millisecond)
 		stop()
 	}
@@ -194,14 +194,14 @@ func TestSpanRecorder(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("spans = %v, want 2 entries", spans)
 	}
-	if spans[0].Stage != StageCellCover || spans[1].Stage != StageThreadBuild {
+	if spans[0].Stage != StageCellCover || spans[1].Stage != StageCandidateFilter {
 		t.Errorf("stage order = %v", spans)
 	}
 	if spans[1].Duration < 3*time.Millisecond {
 		t.Errorf("accumulated duration = %v, want ≥ 3ms", spans[1].Duration)
 	}
-	if rec.Total(StageThreadBuild) != spans[1].Duration {
-		t.Errorf("Total mismatch: %v vs %v", rec.Total(StageThreadBuild), spans[1].Duration)
+	if rec.Total(StageCandidateFilter) != spans[1].Duration {
+		t.Errorf("Total mismatch: %v vs %v", rec.Total(StageCandidateFilter), spans[1].Duration)
 	}
 	if rec.Total("missing") != 0 {
 		t.Error("Total of unknown stage != 0")

@@ -371,19 +371,18 @@ func TestNilTracingAllocatesNothing(t *testing.T) {
 
 // --- SpanRecorder satellite coverage ---------------------------------------
 
-// TestSpanRecorderInterleavedSlices pins the accumulation semantics the
-// engine relies on: repeated Observe calls on one stage fold into a single
-// span keeping the first slice's start offset, and Total feeds the
-// rank-minus-thread subtraction.
+// TestSpanRecorderInterleavedSlices pins the accumulation semantics:
+// repeated Observe calls on one stage fold into a single span keeping the
+// first slice's start offset, and Total reads the accumulated duration back.
 func TestSpanRecorderInterleavedSlices(t *testing.T) {
 	rec := NewSpanRecorder()
 	base := rec.t0
 
-	rec.Observe(StageThreadBuild, base.Add(10*time.Millisecond), 2*time.Millisecond)
-	rec.Observe(StageThreadBuild, base.Add(20*time.Millisecond), 3*time.Millisecond)
-	rec.Observe(StageThreadBuild, base.Add(30*time.Millisecond), 5*time.Millisecond)
+	rec.Observe(StageCandidateFilter, base.Add(10*time.Millisecond), 2*time.Millisecond)
+	rec.Observe(StageCandidateFilter, base.Add(20*time.Millisecond), 3*time.Millisecond)
+	rec.Observe(StageCandidateFilter, base.Add(30*time.Millisecond), 5*time.Millisecond)
 
-	if got, want := rec.Total(StageThreadBuild), 10*time.Millisecond; got != want {
+	if got, want := rec.Total(StageCandidateFilter), 10*time.Millisecond; got != want {
 		t.Fatalf("Total = %v, want %v", got, want)
 	}
 	spans := rec.Spans()
@@ -397,10 +396,10 @@ func TestSpanRecorderInterleavedSlices(t *testing.T) {
 		t.Fatalf("span duration = %v, want accumulated 10ms", spans[0].Duration)
 	}
 
-	// The StageRank pattern: whole-loop elapsed minus interleaved thread
-	// time, exactly as Engine.Search computes it.
+	// A stage timed as an enclosing elapsed time minus another stage's
+	// accumulated slices.
 	rankElapsed := 25 * time.Millisecond
-	rec.Observe(StageRank, base.Add(5*time.Millisecond), rankElapsed-rec.Total(StageThreadBuild))
+	rec.Observe(StageRank, base.Add(5*time.Millisecond), rankElapsed-rec.Total(StageCandidateFilter))
 	if got, want := rec.Total(StageRank), 15*time.Millisecond; got != want {
 		t.Fatalf("rank total = %v, want %v", got, want)
 	}
@@ -408,11 +407,11 @@ func TestSpanRecorderInterleavedSlices(t *testing.T) {
 	// Spans stay in first-start order regardless of observation order, and
 	// the returned slice is a clone the caller can't corrupt.
 	spans = rec.Spans()
-	if len(spans) != 2 || spans[0].Stage != StageThreadBuild || spans[1].Stage != StageRank {
-		t.Fatalf("spans = %+v, want thread_build then rank_topk", spans)
+	if len(spans) != 2 || spans[0].Stage != StageCandidateFilter || spans[1].Stage != StageRank {
+		t.Fatalf("spans = %+v, want candidate_filter then rank_topk", spans)
 	}
 	spans[0].Duration = 0
-	if rec.Total(StageThreadBuild) != 10*time.Millisecond {
+	if rec.Total(StageCandidateFilter) != 10*time.Millisecond {
 		t.Fatal("Spans() exposed internal state by reference")
 	}
 

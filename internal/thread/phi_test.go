@@ -2,6 +2,8 @@ package thread
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -158,8 +160,7 @@ func TestPhiTableGobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 500 is in no table: the floor, not the table-less MaxObserved fallback,
-	// shows the table survived.
+	// 500 is in no table: the floor shows the table survived.
 	for _, sid := range []social.PostID{1, 2, 5, 9, 10, 500, 999} {
 		if got, want := loaded.Phi(sid), b.Phi(sid); got != want {
 			t.Errorf("after reload Phi(%d) = %v, want %v", sid, got, want)
@@ -173,20 +174,33 @@ func TestPhiTableGobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPhiTableAbsentFallsBack checks Bounds decoded from a pre-φ-table
-// image keep working: Phi degrades to the global bound.
-func TestPhiTableAbsentFallsBack(t *testing.T) {
-	b := &Bounds{MaxObserved: 3.25}
-	if got := b.Phi(1); got != 3.25 {
-		t.Fatalf("fallback Phi = %v, want MaxObserved", got)
+// TestCheckParamsRefusesUnscorableBounds: bounds an engine would score from
+// must hold a φ table computed for its depth and ε. Bounds decoded from a
+// pre-φ-table image (the exported fields alone) and a table of another model
+// are refused as ErrParamsMismatch, and an image whose table halves disagree
+// does not decode at all.
+func TestCheckParamsRefusesUnscorableBounds(t *testing.T) {
+	b := ComputeBounds(figure2Posts(), 6, 0.1, []string{"hotel"})
+	if err := b.CheckParams(6, 0.1); err != nil {
+		t.Fatalf("matching model refused: %v", err)
 	}
-	// RaiseForRoot on table-less bounds must not materialize a partial
-	// (unsound) table: that would answer the floor for the batch corpus.
-	b.RaiseForRoot(7, 1.0)
-	for _, sid := range []social.PostID{1, 7} {
-		if got := b.Phi(sid); got != 3.25 {
-			t.Fatalf("fallback after raise: Phi(%d) = %v, want MaxObserved", sid, got)
+	tableless := &Bounds{TM: b.TM, Depth: b.Depth, Def11: b.Def11, MaxObserved: b.MaxObserved, PerKeyword: b.PerKeyword}
+	for name, err := range map[string]error{
+		"no φ table": tableless.CheckParams(6, 0.1),
+		"depth 4":    b.CheckParams(4, 0.1),
+		"ε 0.3":      b.CheckParams(6, 0.3),
+	} {
+		if !errors.Is(err, ErrParamsMismatch) {
+			t.Errorf("%s: err = %v, want ErrParamsMismatch", name, err)
 		}
+	}
+
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&boundsWire{Depth: 6, PhiSIDs: []social.PostID{1, 2}, PhiVals: []float64{0.5}, PhiFloor: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBoundsGob(&buf); err == nil {
+		t.Error("a φ table with 2 SIDs and 1 value decoded")
 	}
 }
 

@@ -1,16 +1,19 @@
 // Package thread implements tweet threads (Definition 3): the reply/forward
 // cascade rooted at a tweet, constructed level by level through the
-// metadata database's rsid index exactly as Algorithm 1 prescribes, plus the
-// popularity upper bounds of Section V-B (the global Definition 11 bound
-// and the pre-computed per-hot-keyword bounds) used by the maximum-score
-// query processing algorithm to prune thread construction. Popularity is
-// stored in one place, the Bounds φ table; the Builder recomputes it and
-// memoizes nothing.
+// metadata database's rsid index exactly as Algorithm 1 prescribes, plus
+// the popularity tables of Section V-B: the exact φ of every root, which the
+// serving engine scores from, and the query-level upper bounds (the global
+// Definition 11 bound and the pre-computed per-hot-keyword bounds) with
+// which the paper's maximum-score algorithm prunes thread construction.
+// Popularity is stored in one place, the Bounds φ table; the Builder
+// recomputes it and memoizes nothing.
 package thread
 
 import (
 	"cmp"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"io"
 	"slices"
 	"sync"
@@ -130,12 +133,13 @@ func (b *Builder) Tree(root social.PostID, epsilon float64, stats *Stats) ([]Nod
 	return nodes, score.Popularity(levels, epsilon)
 }
 
-// Bounds holds the popularity upper bounds available to the max-score
-// algorithm (Section V-B). Bounds are batch-computed offline but may be
-// conservatively raised by live ingest (RaiseForRoot), so reads go through
-// ForQuery and PhiBatch and an internal RWMutex; the exported fields themselves
-// should only be touched when no queries are in flight. EncodeGob persists
-// the exported fields plus the φ table — everything a Bounds holds.
+// Bounds holds the popularity tables of Section V-B: the φ table, and the
+// query-level upper bounds of the paper's max-score algorithm. Both are
+// batch-computed offline and kept current by live ingest (RaiseForRoot), so
+// reads go through ForQuery and PhiBatch and an internal RWMutex; the
+// exported fields themselves should only be touched when no queries are in
+// flight. EncodeGob persists the exported fields plus the φ table —
+// everything a Bounds holds.
 type Bounds struct {
 	// TM is t_m, the maximum number of replied/forwarded tweets any single
 	// tweet has in the database.
@@ -149,7 +153,8 @@ type Bounds struct {
 	Def11 float64
 	// MaxObserved is the largest actual thread popularity in the corpus, a
 	// sound global bound ("selecting the largest thread score") computed
-	// offline. The engine uses it by default so pruning is lossless.
+	// offline: the bound ForQuery returns for a keyword without a specific
+	// one.
 	MaxObserved float64
 	// PerKeyword maps each hot keyword (stemmed) to the largest popularity
 	// among threads rooted at tweets containing it — the paper's "specific
@@ -162,13 +167,13 @@ type Bounds struct {
 	mu sync.RWMutex
 
 	// The φ table answers PhiBatch: the popularity of the thread rooted
-	// at one tweet — the per-tweet bound the engine's prune sites combine
-	// with the query-level bound. It is held globally (SID-keyed), so one
-	// RaiseForRoot keeps it exact for every postings list at once. phiSIDs
-	// is ascending; phiVals is parallel. SIDs absent from the table are
-	// threads that have never been scored — a just-ingested post nothing has
-	// replied to, whose φ is phiFloor (= ε) — because every φ change flows
-	// through RaiseForRoot with the exact recomputed popularity.
+	// at one tweet, the number the engine scores every candidate with. It is
+	// held globally (SID-keyed), so one RaiseForRoot keeps it exact for every
+	// postings list at once. phiSIDs is ascending; phiVals is parallel. SIDs
+	// absent from the table are threads that have never been scored — a
+	// just-ingested post nothing has replied to, whose φ is phiFloor (= ε) —
+	// because every φ change flows through RaiseForRoot with the exact
+	// recomputed popularity.
 	phiSIDs  []social.PostID
 	phiVals  []float64
 	phiFloor float64
@@ -240,24 +245,17 @@ func ComputeBounds(posts []*social.Post, depth int, epsilon float64, hotKeywords
 	return b
 }
 
-// PhiBatch writes out[i] = φ of the thread rooted at roots[i] — the per-tweet
-// bound the engine evaluates wherever it decides whether to construct that
-// thread — for one ascending batch (repeats allowed): one read lock and one
-// forward walk of the table, every search galloping from where the previous
-// one ended. It is exact under live ingest: every φ change flows through
-// RaiseForRoot with the recomputed popularity, and SIDs absent from the table
-// are single-tweet threads at the φ floor (ε). Bounds that predate the φ
-// table (an old image) answer with the global MaxObserved bound.
+// PhiBatch writes out[i] = φ of the thread rooted at roots[i] — what
+// Algorithm 1 would compute for it — for one ascending batch (repeats
+// allowed): one read lock and one forward walk of the table, every search
+// galloping from where the previous one ended. It is exact under live
+// ingest: every φ change flows through RaiseForRoot with the recomputed
+// popularity, and SIDs absent from the table are single-tweet threads at the
+// φ floor (ε). Only bounds that pass CheckParams hold a table to read.
 func (b *Bounds) PhiBatch(roots []social.PostID, out []float64) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	sids := b.phiSIDs
-	if len(sids) == 0 {
-		for i := range roots {
-			out[i] = b.MaxObserved
-		}
-		return
-	}
 	pos := 0
 	for i, root := range roots {
 		// Gallop to a bracket sids[pos-1] < root <= sids[hi], then bisect it.
@@ -276,12 +274,26 @@ func (b *Bounds) PhiBatch(roots []social.PostID, out []float64) {
 	}
 }
 
-// PhiFloor reports the ε the φ table was computed with — the φ of a thread
-// nothing has replied to — and whether the bounds hold a φ table at all.
-func (b *Bounds) PhiFloor() (float64, bool) {
+// ErrParamsMismatch marks bounds PhiBatch cannot answer φ from for a scoring
+// model: bounds without a φ table (an image written before the table
+// existed), or a table computed for another thread depth or ε.
+var ErrParamsMismatch = errors.New("popularity bounds do not match the scoring model")
+
+// CheckParams reports, as ErrParamsMismatch, whether the bounds cannot give
+// the exact φ of Algorithm 1 run with depth limit depth and smoothing
+// popularity epsilon.
+func (b *Bounds) CheckParams(depth int, epsilon float64) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.phiFloor, b.phiSIDs != nil
+	switch {
+	case b.phiSIDs == nil:
+		return fmt.Errorf("%w: the bounds hold no φ table", ErrParamsMismatch)
+	case b.Depth != depth:
+		return fmt.Errorf("%w: bounds computed for thread depth %d, the model says %d", ErrParamsMismatch, b.Depth, depth)
+	case b.phiFloor != epsilon:
+		return fmt.Errorf("%w: φ table computed for ε = %v, the model says %v", ErrParamsMismatch, b.phiFloor, epsilon)
+	}
+	return nil
 }
 
 // setPhi records the exact popularity pop for root in the φ table,
@@ -290,9 +302,6 @@ func (b *Bounds) PhiFloor() (float64, bool) {
 // ½), and ingest is serialized, so the latest value is the exact one.
 // Callers hold mu.
 func (b *Bounds) setPhi(root social.PostID, pop float64) {
-	if b.phiSIDs == nil {
-		return // no table (old image): PhiBatch already falls back
-	}
 	i, ok := slices.BinarySearch(b.phiSIDs, root)
 	if ok {
 		b.phiVals[i] = pop
@@ -323,7 +332,8 @@ func popularityInMemory(root social.PostID, children map[social.PostID][]social.
 	return score.Popularity(levels, epsilon)
 }
 
-// ForQuery selects the popularity bound for a query per Section VI-B5:
+// ForQuery selects the popularity bound of the paper's max-score pruning
+// (Algorithm 5 lines 18–19) for a query per Section VI-B5:
 // with AND semantics the smallest per-keyword bound applies (every result
 // tweet contains every keyword), with OR the largest. Keywords without a
 // specific bound fall back to the global bound; useSpecific=false forces
@@ -379,7 +389,7 @@ func (b *Bounds) RaiseForRoot(root social.PostID, pop float64) {
 // the φ table. Gob matches fields by name and skips mismatches in either
 // direction, so images written by earlier code that encoded *Bounds
 // directly (or lacked the φ fields) still decode — they just come back
-// without a φ table, and PhiBatch degrades to the global bound.
+// without a φ table, which CheckParams refuses.
 type boundsWire struct {
 	TM          int
 	Depth       int
@@ -431,9 +441,7 @@ func DecodeBoundsGob(r io.Reader) (*Bounds, error) {
 		phiFloor:    wire.PhiFloor,
 	}
 	if len(b.phiSIDs) != len(b.phiVals) {
-		// A φ table with mismatched halves is useless; drop it and fall
-		// back to the global bound rather than index out of range.
-		b.phiSIDs, b.phiVals = nil, nil
+		return nil, fmt.Errorf("thread: φ table has %d SIDs but %d values", len(b.phiSIDs), len(b.phiVals))
 	}
 	return b, nil
 }

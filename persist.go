@@ -21,7 +21,6 @@ import (
 	"repro/internal/fsx"
 	"repro/internal/invindex"
 	"repro/internal/metadb"
-	"repro/internal/score"
 	"repro/internal/segment"
 	"repro/internal/telemetry"
 	"repro/internal/thread"
@@ -74,10 +73,11 @@ var (
 	ErrCorruptImage = errors.New("tklus: corrupt snapshot image")
 	// ErrVersionMismatch: the manifest's format version is not ours.
 	ErrVersionMismatch = errors.New("tklus: snapshot format version mismatch")
-	// ErrParamsMismatch: the snapshot's popularity bounds were computed for
-	// a thread depth or ε other than the Config's, so the engine would prune
-	// against bounds of a different scoring model.
-	ErrParamsMismatch = errors.New("tklus: snapshot scoring parameters mismatch")
+	// ErrParamsMismatch: the snapshot's popularity bounds hold no φ table,
+	// or one computed for a thread depth or ε other than the Config's, so
+	// the engine, which scores every candidate from that table, refuses them.
+	// It is thread.ErrParamsMismatch, the error the engine refuses them with.
+	ErrParamsMismatch = thread.ErrParamsMismatch
 )
 
 // manifest is the MANIFEST file: the format version and one entry per file
@@ -396,7 +396,8 @@ func SnapshotExists(dir string) bool {
 // and data come from the directory. The manifest is verified (version,
 // then every file's size and CRC) before anything is decoded; failures
 // come back as ErrPartialSave, ErrVersionMismatch or ErrCorruptImage, and
-// bounds computed for another thread depth or ε as ErrParamsMismatch.
+// bounds without a φ table or computed for another thread depth or ε as
+// ErrParamsMismatch.
 // Load does not open the WAL for writing — call EnableWAL on the returned
 // system to make further Ingests durable.
 func Load(dir string, cfg Config) (*System, error) {
@@ -446,9 +447,6 @@ func Load(dir string, cfg Config) (*System, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if err := checkBoundsParams(bounds, cfg.Engine.Params); err != nil {
-		return nil, err
-	}
 	sys, err := newSystem(cfg, db, idx, nil, fsys, bounds, store, &invindex.BuildStats{
 		Keys:          idx.NumKeys(),
 		PostingsBytes: fsys.TotalSize(),
@@ -462,20 +460,6 @@ func Load(dir string, cfg Config) (*System, error) {
 	}
 	sys.BuildTime = time.Since(start)
 	return sys, nil
-}
-
-// checkBoundsParams rejects bounds computed for another scoring model: a
-// different thread depth d, or a φ table whose floor is not ε.
-func checkBoundsParams(b *thread.Bounds, p score.Params) error {
-	if b.Depth != p.ThreadDepth {
-		return fmt.Errorf("%w: bounds computed for thread depth %d, config says %d",
-			ErrParamsMismatch, b.Depth, p.ThreadDepth)
-	}
-	if floor, ok := b.PhiFloor(); ok && floor != p.Epsilon {
-		return fmt.Errorf("%w: φ table computed for ε = %v, config says %v",
-			ErrParamsMismatch, floor, p.Epsilon)
-	}
-	return nil
 }
 
 // replayWAL re-ingests every log record the snapshot does not already

@@ -1,16 +1,21 @@
 package tklus_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	tklus "repro"
+	"repro/internal/baseline"
 	"repro/internal/datagen"
 )
 
@@ -309,6 +314,68 @@ func TestLoadRejectsBoundsOfAnotherScoringModel(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsTablelessBounds: a snapshot whose bounds.gob holds only the
+// exported bound fields — what an image written before the φ table existed
+// decodes to — holds no φ for the engine to score from, so Load refuses it
+// with a typed error rather than serve scores of no table. The manifest is
+// rewritten to match the new file, so only the bounds themselves can object.
+func TestLoadRejectsTablelessBounds(t *testing.T) {
+	sys, _ := buildSystem(t, 500)
+	dir := filepath.Join(t.TempDir(), "saved")
+	if err := sys.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	type preTableBounds struct {
+		TM, Depth          int
+		Def11, MaxObserved float64
+		PerKeyword         map[string]float64
+	}
+	b := sys.Bounds
+	var img bytes.Buffer
+	if err := gob.NewEncoder(&img).Encode(&preTableBounds{b.TM, b.Depth, b.Def11, b.MaxObserved, b.PerKeyword}); err != nil {
+		t.Fatal(err)
+	}
+	snap := snapDirOf(t, dir)
+	if err := os.WriteFile(filepath.Join(snap, "bounds.gob"), img.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var mf struct {
+		Version int `json:"version"`
+		Files   []struct {
+			Name string `json:"name"`
+			Size int64  `json:"size"`
+			CRC  string `json:"crc32c"`
+		} `json:"files"`
+	}
+	data, err := os.ReadFile(filepath.Join(snap, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &mf); err != nil {
+		t.Fatal(err)
+	}
+	rewritten := false
+	for i := range mf.Files {
+		if mf.Files[i].Name == "bounds.gob" {
+			mf.Files[i].Size = int64(img.Len())
+			mf.Files[i].CRC = fmt.Sprintf("%08x", crc32.Checksum(img.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+			rewritten = true
+		}
+	}
+	if !rewritten {
+		t.Fatal("manifest lists no bounds.gob")
+	}
+	if data, err = json.Marshal(&mf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(snap, "MANIFEST"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrParamsMismatch) {
+		t.Fatalf("snapshot without a φ table: err = %v, want ErrParamsMismatch", err)
+	}
+}
+
 // TestLoadForwardIndexOfAnotherFormat rewrites a saved forward index the
 // way a writer of another format would have left it — manifest size and CRC
 // consistent, so only the decoder can object — and requires Load's typed
@@ -370,39 +437,49 @@ func TestSaveToUnwritableLocation(t *testing.T) {
 
 func TestSaveLoadDifferentEngineOptions(t *testing.T) {
 	// The saved image carries data; engine options come from the Load
-	// config — loading with pruning off must still answer correctly.
+	// config. Loading with the recency extension on must answer exactly as a
+	// fresh build with the same options does, and as the scan oracle.
 	sys, corpus := buildSystem(t, 3000)
 	dir := t.TempDir()
 	if err := sys.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	cfg := tklus.DefaultConfig()
-	cfg.Engine.UsePruning = false
+	cfg.Engine.RecencyHalfLife = 0.3
 	loaded, err := tklus.Load(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := tklus.Query{
-		Loc: corpus.Config.Cities[0].Center, RadiusKm: 15,
-		Keywords: []string{"hotel"}, K: 5, Ranking: tklus.MaxScore,
-	}
-	a, _, err := sys.Search(context.Background(), q)
+	fresh, err := tklus.Build(corpus.Posts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, stats, err := loaded.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ThreadsPruned != 0 {
-		t.Error("pruning-off engine pruned")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("sizes differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("result %d differs", i)
+	scan := baseline.NewScanRanker(corpus.Posts, cfg.Engine.Params)
+	scan.RecencyHalfLife = cfg.Engine.RecencyHalfLife
+	for _, ranking := range []tklus.Ranking{tklus.SumScore, tklus.MaxScore} {
+		q := tklus.Query{
+			Loc: corpus.Config.Cities[0].Center, RadiusKm: 15,
+			Keywords: []string{"hotel"}, K: 5, Ranking: ranking,
+		}
+		a, _, err := fresh.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := loaded.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := scan.Search(q)
+		if len(a) != len(b) || len(b) != len(want) || len(b) == 0 {
+			t.Fatalf("%v: loaded %v, fresh build %v, scan oracle %v", ranking, b, a, want)
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%v result %d: loaded %+v, fresh build %+v", ranking, i, b[i], a[i])
+			}
+			if b[i].UID != want[i].UID || math.Abs(b[i].Score-want[i].Score) > 1e-12 {
+				t.Fatalf("%v result %d: loaded %+v, scan oracle %+v", ranking, i, b[i], want[i])
+			}
 		}
 	}
 }

@@ -44,7 +44,7 @@ type ShardBackend interface {
 }
 
 // SearchPartials runs the shard side of a scatter-gather query on this
-// system (retrieval + thread scoring, no per-user reduction). It makes
+// system (retrieval + per-candidate scores, no per-user reduction). It makes
 // *System a ShardBackend.
 func (s *System) SearchPartials(ctx context.Context, q Query) (*core.Partials, error) {
 	return s.Engine.SearchPartials(ctx, q)

@@ -14,8 +14,9 @@
 //   - a hybrid ⟨geohash, term⟩ inverted index built with an in-process
 //     MapReduce engine and stored in a simulated distributed file system
 //     (internal/invindex, internal/mapreduce, internal/dfs);
-//   - the sum-score and maximum-score user ranking algorithms with
-//     upper-bound pruning (internal/core, internal/thread, internal/score).
+//   - the sum-score and maximum-score user rankings, every candidate scored
+//     from the exact thread popularity table (internal/core,
+//     internal/thread, internal/score).
 //
 // Basic usage:
 //
@@ -168,8 +169,8 @@ type Config struct {
 	DB metadb.Options
 	// DFS configures the simulated distributed file system.
 	DFS dfs.Options
-	// Engine configures query processing (scoring parameters, pruning,
-	// bound selection).
+	// Engine configures query processing (scoring parameters, the recency
+	// extension).
 	Engine core.Options
 	// HotKeywords receive pre-computed specific popularity bounds
 	// (Section V-B). Defaults to the paper's Table II top-10 keywords.
@@ -214,8 +215,7 @@ func WithReplySnapshot() Option {
 }
 
 // DefaultConfig returns the paper's standard configuration: 4-length
-// geohash, α = 0.5, ε = 0.1, N = 40, pruning and hot-keyword bounds on,
-// database caches off. Options layer feature toggles on top.
+// geohash, α = 0.5, ε = 0.1, N = 40, database caches off. Options layer feature toggles on top.
 func DefaultConfig(opts ...Option) Config {
 	cfg := Config{
 		Index:       invindex.DefaultBuildOptions(),
@@ -335,10 +335,9 @@ func newSystem(cfg Config, db *metadb.DB, idx *invindex.Index, rows core.RowSour
 // timestamp order (each SID must exceed every stored one — IDs are
 // timestamps, Section IV-A). Ingested replies and forwards extend tweet
 // threads immediately: the next query sees the updated φ(p), the CSR
-// reply-graph snapshot (if enabled) is extended in place, and the φ table
-// and the max-ranking pruning bounds are raised to the recomputed φ so
-// pruning stays lossless even when the grown thread exceeds the
-// batch-computed maxima.
+// reply-graph snapshot (if enabled) is extended in place, the φ table
+// records the recomputed φ every search scores from, and the query-level
+// bounds are raised to it.
 // Keywords of ingested posts enter the hybrid inverted index only at the
 // next batch build (the paper's periodic index construction), so a
 // brand-new post becomes a *candidate* then — but its effect on existing
