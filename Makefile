@@ -81,10 +81,11 @@ loc:
 # segment store's lifecycle tests (searches racing seals, compaction and
 # checkpoints) and the ingest/read coherence tests (a search after an
 # acknowledged ingest answers as a fresh build would), plus the engine and
-# bounds packages — every search's φ batch takes Bounds.mu against
-# concurrent RaiseForRoot — and the storage packages a query's row batch
-# reads under their own locks while ingest appends and seals swap the
-# partition set, twenty times under -race. Required green.
+# bounds packages — every search's φ batch takes Bounds.mu against the
+# concurrent AddReply that counts an ingested reply — and the storage
+# packages a query's row batch reads under their own locks while ingest
+# appends and seals swap the partition set, twenty times under -race.
+# Required green.
 flake:
 	$(GO) test -race -count=20 \
 		-run 'TestAdmission|TestBreaker|TestLease|TestSegmentedDurableReopen|TestSegmentedFreshKeywordVisible|TestSegmentedUseAfterClose|TestSegmentedConcurrentLifecycle|TestConcurrentSearchAndIngest|TestIngestRecomputesThreadPopularity' .

@@ -39,7 +39,7 @@ func blockmaxCorpus() (posts []*tklus.Post, loc tklus.Point, roots []*tklus.Post
 // bit-identical results to a fresh Build over the same posts and replies
 // (default block size), and the same users with the same scores as the
 // scan oracle. At ε = 0.6 a thread's first reply lowers φ (one reply
-// scores ½), so the φ table must follow a popularity that falls.
+// scores ½), so the popularity table must follow a popularity that falls.
 func TestBlockMaxLosslessAfterIngest(t *testing.T) {
 	for _, eps := range []float64{0.1, 0.6} {
 		posts, loc, roots := blockmaxCorpus()
@@ -93,8 +93,8 @@ func TestBlockMaxLosslessAfterIngest(t *testing.T) {
 		}
 		grid("pre-ingest", posts)
 
-		// Grow a few mid-list threads far past the batch-computed bounds; the
-		// φ table is all that carries the new popularity to the next search.
+		// Grow a few mid-list threads far past the batch build's popularities;
+		// the level-count table is all that carries them to the next search.
 		at := time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)
 		var replies []*tklus.Post
 		for _, ri := range []int{3, 17, 29} {

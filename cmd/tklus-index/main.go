@@ -63,8 +63,6 @@ func main() {
 		st.InvertedJob.MapInputRecords, st.InvertedJob.MapOutputRecords)
 	fmt.Printf("reduce keys:       %d\n", st.InvertedJob.ReduceInputKeys)
 	fmt.Printf("shuffled bytes:    %d\n", st.InvertedJob.ShuffledBytes)
-	fmt.Printf("max reply fanout:  %d (t_m of Definition 11)\n", sys.DB.MaxReplyFanout())
-	fmt.Printf("global pop bound:  %.3f (largest thread score)\n", sys.Bounds.MaxObserved)
 
 	if *save != "" {
 		if err := sys.Save(*save); err != nil {

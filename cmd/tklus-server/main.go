@@ -50,8 +50,6 @@ func main() {
 		debug  = flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 		slowQ  = flag.Duration("slow-query", 250*time.Millisecond,
 			"log queries at or above this duration (0 disables the slow-query log)")
-		replySnap = flag.Bool("reply-snapshot", true,
-			"serve thread expansion from the CSR reply-graph snapshot, the composition every benchmark number is taken with (false = the paper's regime: every thread level through the B⁺-tree)")
 		shards = flag.Int("shards", 0,
 			"serve an in-process sharded tier with this many geo-shards (0 = monolithic; incompatible with -load)")
 		replicas = flag.Int("replicas", 1,
@@ -92,14 +90,6 @@ func main() {
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-
-	// The feature flag maps 1:1 onto Config.Features: Build, Load and every
-	// shard of a sharded tier come up with the same serving surface.
-	sysConfig := func() tklus.Config {
-		cfg := tklus.DefaultConfig()
-		cfg.Features.ReplySnapshot = *replySnap
-		return cfg
-	}
 
 	var tracer *telemetry.Tracer
 	if *trace {
@@ -176,7 +166,7 @@ func main() {
 				}
 				rc.Dir = tmp
 			}
-			rs, rerr := tklus.BuildReplicatedSharded(posts, sysConfig(), sc, rc)
+			rs, rerr := tklus.BuildReplicatedSharded(posts, tklus.DefaultConfig(), sc, rc)
 			if rerr != nil {
 				logger.Error("building replicated sharded tier", "err", rerr)
 				os.Exit(1)
@@ -187,7 +177,7 @@ func main() {
 				"posts", len(posts), "shards", rs.NumShards(), "replicas", *replicas,
 				"wal_dir", rc.Dir, "addr", *addr, "pprof", *debug, "slow_query", slowQ.String())
 		} else {
-			ss, serr := tklus.BuildSharded(posts, sysConfig(), sc)
+			ss, serr := tklus.BuildSharded(posts, tklus.DefaultConfig(), sc)
 			if serr != nil {
 				logger.Error("building sharded tier", "err", serr)
 				os.Exit(1)
@@ -202,16 +192,16 @@ func main() {
 		var err error
 		switch {
 		case *data != "":
-			sys, err = openDurable(logger, *data, *in, *format, sysConfig())
+			sys, err = openDurable(logger, *data, *in, *format, tklus.DefaultConfig())
 		case *load != "":
-			sys, err = tklus.Load(*load, sysConfig())
+			sys, err = tklus.Load(*load, tklus.DefaultConfig())
 		default:
 			var posts []*tklus.Post
 			if posts, err = ingest.Load(*in, *format); err != nil {
 				logger.Error("loading corpus", "err", err)
 				os.Exit(1)
 			}
-			sys, err = tklus.Build(posts, sysConfig())
+			sys, err = tklus.Build(posts, tklus.DefaultConfig())
 		}
 		if err != nil {
 			logger.Error("building system", "err", err)

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -84,7 +85,13 @@ func main() {
 			maxFanout = n
 		}
 	}
-	bounds := thread.ComputeBounds(posts, 6, 0.1, nil)
+	sids := make([]social.PostID, len(posts))
+	for i, p := range posts {
+		sids[i] = p.SID
+	}
+	slices.Sort(sids)
+	phi := make([]float64, len(sids))
+	thread.ComputeBounds(posts, 6).PhiBatch(sids, 0.1, phi)
 
 	fmt.Printf("corpus:          %d posts by %d users\n", len(posts), len(users))
 	fmt.Printf("time span:       %s .. %s\n",
@@ -93,7 +100,7 @@ func main() {
 	fmt.Printf("reactions:       %d (%.1f%%), %d threads with replies\n",
 		reactions, 100*float64(reactions)/float64(len(posts)), len(children))
 	fmt.Printf("max fanout t_m:  %d (Definition 11)\n", maxFanout)
-	fmt.Printf("max thread pop:  %.3f (largest Definition 4 score, depth 6)\n\n", bounds.MaxObserved)
+	fmt.Printf("max thread pop:  %.3f (largest Definition 4 score, depth 6)\n\n", slices.Max(phi))
 
 	fmt.Printf("top %d keywords (Table II view):\n", *topN)
 	printRanking(words, *topN)

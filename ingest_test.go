@@ -93,15 +93,90 @@ func TestIngestRecomputesThreadPopularity(t *testing.T) {
 			t.Errorf("rank %d: post-ingest %+v, fresh build %+v", i, after[i], want[i])
 		}
 	}
+
+	t.Run("after Save and Load", func(t *testing.T) { ingestBelowDepthLimit(t, posts, loc) })
+}
+
+// ingestBelowDepthLimit is TestIngestRecomputesThreadPopularity's restart
+// leg: a system saved and loaded back takes a reply Depth+1 hops below a
+// batch root. The reply's Depth nearer ancestors each gain one tweet, the
+// root's depth limit does not reach it, and every φ must then equal both
+// Algorithm 1 on the loaded system and a fresh build with the reply.
+func ingestBelowDepthLimit(t *testing.T, posts []*tklus.Post, loc tklus.Point) {
+	cfg := tklus.DefaultConfig()
+	depth := cfg.Engine.Params.ThreadDepth
+	at := time.Date(2013, 1, 5, 0, 0, 0, 0, time.UTC)
+	chain := []*tklus.Post{tklus.NewPost(50, at, loc, "hotel by the lake")}
+	for i := 0; i < depth; i++ {
+		at = at.Add(time.Second)
+		chain = append(chain, tklus.NewReply(tklus.UserID(51+i), at, loc, "hotel thread", chain[i]))
+	}
+	batch := append(slices.Clone(posts), chain...)
+	sys, err := tklus.Build(batch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := sys.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := tklus.Load(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi := func(s *tklus.System, sid tklus.PostID) float64 {
+		var out [1]float64
+		s.Bounds.PhiBatch([]tklus.PostID{sid}, cfg.Engine.Params.Epsilon, out[:])
+		return out[0]
+	}
+	before := make([]float64, len(chain))
+	for i, p := range chain {
+		before[i] = phi(loaded, p.SID)
+	}
+
+	reply := tklus.NewReply(99, at.Add(time.Hour), loc, "deep in the hotel thread", chain[depth])
+	if err := loaded.Ingest(reply); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := tklus.Build(append(batch, reply), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range chain {
+		got := phi(loaded, p.SID)
+		if _, alg1 := loaded.Thread(p.SID); got != alg1 {
+			t.Errorf("chain[%d]: φ = %v, Algorithm 1 says %v", i, got, alg1)
+		}
+		if want := phi(fresh, p.SID); got != want {
+			t.Errorf("chain[%d]: φ = %v, fresh build %v", i, got, want)
+		}
+		if moved := got != before[i]; moved != (i > 0) {
+			t.Errorf("chain[%d] (%d hops above the reply): φ %v → %v", i, depth+1-i, before[i], got)
+		}
+	}
+	for _, ranking := range []tklus.Ranking{tklus.SumScore, tklus.MaxScore} {
+		q := tklus.Query{Loc: loc, RadiusKm: 5, Keywords: []string{"hotel"}, K: 10, Ranking: ranking}
+		got, _, err := loaded.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := fresh.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%v: loaded and ingested %v, fresh build %v", ranking, got, want)
+		}
+	}
 }
 
 // TestIngestRaisesMaxRankingBounds is the regression test for the old
 // known limitation "max-ranking pruning bounds are batch-computed and not
-// raised by live ingest". Two threads grow past the offline MaxObserved
-// after Freeze: the first fills the top-k with a score above the stale
-// bound, the second (now best) overtakes it. With Ingest recording each
-// grown thread's exact φ, max-ranking results must stay exact — identical
-// to the scan oracle over the grown corpus and to a fresh batch build.
+// raised by live ingest". Two threads grow past the largest popularity of
+// the batch build: the first fills the top-k with a score above it, the
+// second (now best) overtakes it. With Ingest counting every reply into the
+// level-count table, max-ranking results must stay exact — identical to the
+// scan oracle over the grown corpus and to a fresh batch build.
 func TestIngestRaisesMaxRankingBounds(t *testing.T) {
 	posts, loc, roots := ingestCorpus()
 	sys, err := tklus.Build(posts, tklus.DefaultConfig())
@@ -183,10 +258,10 @@ func TestIngestRules(t *testing.T) {
 
 // TestConcurrentSearchAndIngest drives parallel searches against live
 // ingests — the serving scenario the RWMutex layering exists for — on the
-// end-to-end benchmark's serving composition (hence the no-op WithPopCache),
-// and pins what a search after an acknowledged ingest owes: once the writer
-// and the searchers have drained, both rankings answer exactly as a fresh
-// build over all posts. A memo of φ filled by a search racing the ingest
+// end-to-end benchmark's serving composition (hence the no-op WithPopCache
+// and WithReplySnapshot), and pins what a search after an acknowledged
+// ingest owes: once the writer and the searchers have drained, both
+// rankings answer exactly as a fresh build over all posts. A memo of φ filled by a search racing the ingest
 // that extends the thread breaks this in roughly one system in nine, so 200
 // fresh systems catch it with near certainty. Run under -race it is also
 // the safety net for the read paths ingest mutates under.

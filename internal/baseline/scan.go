@@ -55,7 +55,7 @@ func NewScanRanker(posts []*social.Post, params score.Params) *ScanRanker {
 
 // popularity mirrors Algorithm 1 over the in-memory adjacency.
 func (r *ScanRanker) popularity(root social.PostID) float64 {
-	levels := []int{1}
+	var levels []uint32
 	frontier := []social.PostID{root}
 	for d := 1; d <= r.params.ThreadDepth && len(frontier) > 0; d++ {
 		var next []social.PostID
@@ -65,7 +65,7 @@ func (r *ScanRanker) popularity(root social.PostID) float64 {
 		if len(next) == 0 {
 			break
 		}
-		levels = append(levels, len(next))
+		levels = append(levels, uint32(len(next)))
 		frontier = next
 	}
 	return score.Popularity(levels, r.params.Epsilon)

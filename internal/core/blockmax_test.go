@@ -20,15 +20,15 @@ import (
 // buildEngineIndexed is buildEngine with control over the index build —
 // the block size — so equivalence tests can force multi-block postings
 // lists.
-func buildEngineIndexed(t testing.TB, posts []*social.Post, opts core.Options, geohashLen int, hotKeywords []string, mutate func(*invindex.BuildOptions)) *core.Engine {
+func buildEngineIndexed(t testing.TB, posts []*social.Post, opts core.Options, geohashLen int, mutate func(*invindex.BuildOptions)) *core.Engine {
 	t.Helper()
-	eng, _ := buildEngineAndIndex(t, posts, opts, geohashLen, hotKeywords, mutate)
+	eng, _ := buildEngineAndIndex(t, posts, opts, geohashLen, mutate)
 	return eng
 }
 
 // buildEngineAndIndex also returns the index the engine serves from, for
 // tests that wire a second engine over the same postings.
-func buildEngineAndIndex(t testing.TB, posts []*social.Post, opts core.Options, geohashLen int, hotKeywords []string, mutate func(*invindex.BuildOptions)) (*core.Engine, *invindex.Index) {
+func buildEngineAndIndex(t testing.TB, posts []*social.Post, opts core.Options, geohashLen int, mutate func(*invindex.BuildOptions)) (*core.Engine, *invindex.Index) {
 	t.Helper()
 	db, err := metadb.Load(metadb.DefaultOptions(), posts)
 	if err != nil {
@@ -44,7 +44,7 @@ func buildEngineAndIndex(t testing.TB, posts []*social.Post, opts core.Options, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth, opts.Params.Epsilon, hotKeywords)
+	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
 	eng, err := core.NewEngine(idx, db, bounds, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -84,31 +84,27 @@ func requireSameResults(t *testing.T, got, want []core.UserResult, format string
 // is in the grid because there a thread's first reply lowers φ below the
 // floor. Retrieval — candidates and lists fetched — does not depend on the
 // block layout, and the engine builds and prunes no thread: φ comes from the
-// table. Bounds without a φ table (the exported fields alone, what a
-// pre-table image decodes to) are refused outright. (Block skipping itself is
+// table. Bounds without a level-count table (what an image
+// written before the table decodes to) are refused outright. (Block skipping itself is
 // pinned by TestBlockMaxSkipsBlocks — a uniform random corpus interleaves the
 // two lists too densely for AND intersection to ever leap a whole block.)
 func TestBlockMaxEquivalenceGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(417))
 	posts, center := randomCorpus(rng, 900)
-	hot := []string{"hotel", "restaur"}
 
 	for _, epsilon := range []float64{0.1, 0.6} {
 		opts := core.DefaultOptions()
 		opts.Params.Epsilon = epsilon
 		oracle := baseline.NewScanRanker(posts, opts.Params)
 
-		engBM, idxBM := buildEngineAndIndex(t, posts, opts, 3, hot, func(o *invindex.BuildOptions) { o.BlockSize = 8 })
-		engFresh := buildEngineIndexed(t, posts, opts, 3, hot, nil)
+		engBM, idxBM := buildEngineAndIndex(t, posts, opts, 3, func(o *invindex.BuildOptions) { o.BlockSize = 8 })
+		engFresh := buildEngineIndexed(t, posts, opts, 3, nil)
 		engFlat, err := core.NewPartitionedEngine(
 			[]core.Partition{{Source: fetchOnly{idxBM}}}, engBM.DB, engBM.Bounds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tableless := &thread.Bounds{
-			TM: engBM.Bounds.TM, Depth: engBM.Bounds.Depth, Def11: engBM.Bounds.Def11,
-			MaxObserved: engBM.Bounds.MaxObserved, PerKeyword: engBM.Bounds.PerKeyword,
-		}
+		tableless := &thread.Bounds{Depth: engBM.Bounds.Depth}
 		if _, err := core.NewEngine(idxBM, engBM.DB, tableless, opts); !errors.Is(err, thread.ErrParamsMismatch) {
 			t.Fatalf("eps=%v: engine over table-less bounds: err = %v, want ErrParamsMismatch", epsilon, err)
 		}
@@ -184,8 +180,8 @@ func TestBlockMaxSkipsBlocks(t *testing.T) {
 	}
 
 	opts := core.DefaultOptions()
-	engBM := buildEngineIndexed(t, posts, opts, 4, nil, func(o *invindex.BuildOptions) { o.BlockSize = 8 })
-	engFresh := buildEngineIndexed(t, posts, opts, 4, nil, nil)
+	engBM := buildEngineIndexed(t, posts, opts, 4, func(o *invindex.BuildOptions) { o.BlockSize = 8 })
+	engFresh := buildEngineIndexed(t, posts, opts, 4, nil)
 
 	q := core.Query{
 		Loc: base, RadiusKm: 5, Keywords: []string{"rare", "hotel"},
@@ -217,7 +213,7 @@ func TestBlockMaxSkipsBlocks(t *testing.T) {
 func TestDuplicateQueryKeywordsDeduped(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	posts, center := randomCorpus(rng, 600)
-	eng := buildEngineIndexed(t, posts, core.DefaultOptions(), 3, nil, nil)
+	eng := buildEngineIndexed(t, posts, core.DefaultOptions(), 3, nil)
 
 	cases := [][2][]string{
 		{{"hotel", "hotel"}, {"hotel"}},

@@ -16,7 +16,7 @@ import (
 func TestSearchContextCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	posts, center := randomCorpus(rng, 500)
-	eng := buildEngine(t, posts, core.DefaultOptions(), 3, nil)
+	eng := buildEngine(t, posts, core.DefaultOptions(), 3)
 	q := core.Query{Loc: center, RadiusKm: 40, Keywords: []string{"hotel"}, K: 5, Ranking: core.MaxScore}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -45,14 +45,14 @@ func TestSearchContextCancellation(t *testing.T) {
 
 // TestConcurrentQueries verifies the engine is safe for concurrent reads:
 // many goroutines issue mixed queries against one engine and every result
-// matches the single-threaded answer, while a writer raises the bounds the
-// way live ingest does (new SIDs entering the φ table, every bound only
-// loosening — so the answers may not move). Run with -race to check the
-// counter, cache and bounds synchronization.
+// matches the single-threaded answer, while a writer counts replies into
+// the bounds the way live ingest does (AddReply with a chain of new SIDs,
+// none of them a candidate — so the answers may not move). Run with -race
+// to check the counter, cache and bounds synchronization.
 func TestConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	posts, center := randomCorpus(rng, 600)
-	eng := buildEngine(t, posts, core.DefaultOptions(), 3, []string{"hotel"})
+	eng := buildEngine(t, posts, core.DefaultOptions(), 3)
 
 	queries := []core.Query{
 		{Loc: center, RadiusKm: 10, Keywords: []string{"hotel"}, K: 5, Ranking: core.SumScore},
@@ -75,7 +75,8 @@ func TestConcurrentQueries(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			eng.Bounds.RaiseForRoot(social.PostID(len(posts)+1+i), 0.5+float64(i)/100)
+			base := social.PostID(len(posts) + 1 + 3*i)
+			eng.Bounds.AddReply([]social.PostID{base + 2, base + 1, base})
 		}
 	}()
 	for w := 0; w < 8; w++ {

@@ -3,9 +3,9 @@
 // maximum-score rankings (Definitions 7 and 8), AND/OR keyword semantics, and
 // the temporal extension sketched in the paper's future-work section. It
 // sits on top of the hybrid index (internal/invindex), the metadata database
-// (internal/metadb), and the φ table of internal/thread, which holds the
-// exact popularity of every thread: the engine scores each candidate from it
-// and builds no thread. The paper's regime — Algorithm 1 per candidate, with
+// (internal/metadb), and the popularity table of internal/thread, which
+// holds every thread's level sizes and so its exact popularity φ: the engine
+// scores each candidate from it and builds no thread. The paper's regime — Algorithm 1 per candidate, with
 // Algorithm 5's upper-bound pruning — is what the figures time, and lives
 // with them in internal/experiments.
 package core
@@ -204,8 +204,8 @@ func NewEngine(idx *invindex.Index, db *metadb.DB, bounds *thread.Bounds, opts O
 // NewPartitionedEngine wires an engine over one or more time-partitioned
 // indexes sharing the centralized metadata database. Queries with a
 // TimeWindow skip partitions entirely outside the window. Every score reads
-// φ from bounds, so bounds without a φ table, or with one computed for
-// another thread depth or ε, are refused (thread.ErrParamsMismatch).
+// φ from bounds, so bounds without a level-count table, or with one counted
+// for another thread depth, are refused (thread.ErrParamsMismatch).
 func NewPartitionedEngine(parts []Partition, db *metadb.DB, bounds *thread.Bounds, opts Options) (*Engine, error) {
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
@@ -213,7 +213,7 @@ func NewPartitionedEngine(parts []Partition, db *metadb.DB, bounds *thread.Bound
 	if len(parts) == 0 || db == nil || bounds == nil {
 		return nil, fmt.Errorf("core: engine needs partitions, db and bounds")
 	}
-	if err := bounds.CheckParams(opts.Params.ThreadDepth, opts.Params.Epsilon); err != nil {
+	if err := bounds.CheckParams(opts.Params.ThreadDepth); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	for i, p := range parts {

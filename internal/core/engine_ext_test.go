@@ -19,7 +19,7 @@ import (
 
 // buildEngine assembles a full system (metadata DB, DFS, hybrid index,
 // bounds, engine) from a post set — the wiring Figure 3 describes.
-func buildEngine(t testing.TB, posts []*social.Post, opts core.Options, geohashLen int, hotKeywords []string) *core.Engine {
+func buildEngine(t testing.TB, posts []*social.Post, opts core.Options, geohashLen int) *core.Engine {
 	t.Helper()
 	db, err := metadb.Load(metadb.DefaultOptions(), posts)
 	if err != nil {
@@ -32,7 +32,7 @@ func buildEngine(t testing.TB, posts []*social.Post, opts core.Options, geohashL
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth, opts.Params.Epsilon, hotKeywords)
+	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
 	eng, err := core.NewEngine(idx, db, bounds, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func paperExampleCorpus() (posts []*social.Post, queryLoc geo.Point) {
 // maximum-score ranking returns u5 (one outstandingly popular thread).
 func TestPaperRunningExample(t *testing.T) {
 	posts, queryLoc := paperExampleCorpus()
-	eng := buildEngine(t, posts, core.DefaultOptions(), 4, []string{"hotel"})
+	eng := buildEngine(t, posts, core.DefaultOptions(), 4)
 
 	q := core.Query{
 		Loc: queryLoc, RadiusKm: 10, Keywords: []string{"hotel"},
@@ -172,7 +172,7 @@ func TestEngineMatchesScanOracle(t *testing.T) {
 
 	totalResults := 0
 	for _, geohashLen := range []int{2, 3, 4} {
-		eng := buildEngine(t, posts, opts, geohashLen, []string{"hotel", "restaur"})
+		eng := buildEngine(t, posts, opts, geohashLen)
 		for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {
 			for _, sem := range []core.Semantic{core.Or, core.And} {
 				for _, radius := range []float64{5, 15, 40} {
@@ -223,7 +223,7 @@ func compareResults(t *testing.T, got, want []core.UserResult, format string, ar
 func TestAndStricterThanOr(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	posts, center := randomCorpus(rng, 500)
-	eng := buildEngine(t, posts, core.DefaultOptions(), 3, nil)
+	eng := buildEngine(t, posts, core.DefaultOptions(), 3)
 	q := core.Query{
 		Loc: center, RadiusKm: 20, Keywords: []string{"hotel", "pizza"},
 		K: 10, Semantic: core.And, Ranking: core.SumScore,
@@ -255,7 +255,7 @@ func TestTimeWindowFiltering(t *testing.T) {
 		{SID: social.PostID(early.UnixNano()), UID: 1, Time: early, Loc: base, Words: []string{"hotel"}},
 		{SID: social.PostID(late.UnixNano()), UID: 2, Time: late, Loc: base, Words: []string{"hotel"}},
 	}
-	eng := buildEngine(t, posts, core.DefaultOptions(), 4, nil)
+	eng := buildEngine(t, posts, core.DefaultOptions(), 4)
 	q := core.Query{
 		Loc: base, RadiusKm: 5, Keywords: []string{"hotel"}, K: 10,
 		Ranking: core.SumScore,
@@ -301,7 +301,7 @@ func TestRecencyBoostPrefersNewer(t *testing.T) {
 	posts = append(posts, mkThread(9_000_000_000, 2, 20)...) // recent
 	opts := core.DefaultOptions()
 	opts.RecencyHalfLife = 0.2
-	eng := buildEngine(t, posts, opts, 4, nil)
+	eng := buildEngine(t, posts, opts, 4)
 	q := core.Query{Loc: base, RadiusKm: 5, Keywords: []string{"hotel"}, K: 2, Ranking: core.MaxScore}
 	res, _, err := eng.Search(context.Background(), q)
 	if err != nil {
@@ -322,7 +322,7 @@ func TestRecencyMatchesScanOracle(t *testing.T) {
 	opts.RecencyHalfLife = 0.3
 	oracle := baseline.NewScanRanker(posts, opts.Params)
 	oracle.RecencyHalfLife = opts.RecencyHalfLife
-	eng := buildEngine(t, posts, opts, 3, []string{"hotel"})
+	eng := buildEngine(t, posts, opts, 3)
 	results := 0
 	for _, radius := range []float64{15, 30} {
 		for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {
@@ -347,7 +347,7 @@ func TestRecencyMatchesScanOracle(t *testing.T) {
 
 func TestQueryValidation(t *testing.T) {
 	posts, center := randomCorpus(rand.New(rand.NewSource(1)), 50)
-	eng := buildEngine(t, posts, core.DefaultOptions(), 3, nil)
+	eng := buildEngine(t, posts, core.DefaultOptions(), 3)
 	bad := []core.Query{
 		{Loc: geo.Point{Lat: 99}, RadiusKm: 5, Keywords: []string{"x"}, K: 1},
 		{Loc: center, RadiusKm: 0, Keywords: []string{"x"}, K: 1},

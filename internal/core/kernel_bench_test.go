@@ -63,7 +63,7 @@ func benchEngine(b *testing.B, posts []*social.Post, src PostingsSource) *Engine
 		b.Fatal(err)
 	}
 	opts := DefaultOptions()
-	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth, opts.Params.Epsilon, []string{"hotel"})
+	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
 	eng, err := NewPartitionedEngine([]Partition{{Source: src}}, db, bounds, opts)
 	if err != nil {
 		b.Fatal(err)

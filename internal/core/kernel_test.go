@@ -170,7 +170,6 @@ func kernelEngine(tb testing.TB) (*Engine, []Query) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	db.EnableReplySnapshot()
 	store, err := segment.OpenStore(tb.TempDir(), segment.Options{GeohashLen: 4, MemtableRows: 900})
 	if err != nil {
 		tb.Fatal(err)
@@ -186,7 +185,7 @@ func kernelEngine(tb testing.TB) (*Engine, []Query) {
 		tb.Fatalf("only %d partitions", len(parts))
 	}
 	opts := DefaultOptions()
-	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth, opts.Params.Epsilon, []string{"hotel"})
+	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
 	eng, err := NewPartitionedEngine(parts, db, bounds, opts)
 	if err != nil {
 		tb.Fatal(err)
@@ -352,7 +351,7 @@ func TestGatherChecksContextPerPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	bounds := thread.ComputeBounds(nil, opts.Params.ThreadDepth, opts.Params.Epsilon, nil)
+	bounds := thread.ComputeBounds(nil, opts.Params.ThreadDepth)
 	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}, {Source: src, Rows: src}}, db, bounds, opts)
 	if err != nil {
 		t.Fatal(err)

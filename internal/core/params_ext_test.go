@@ -32,7 +32,7 @@ func TestParameterSweepMatchesOracle(t *testing.T) {
 		if err := opts.Params.Validate(); err != nil {
 			t.Fatalf("variant %d invalid: %v", vi, err)
 		}
-		eng := buildEngine(t, posts, opts, 3, []string{"hotel"})
+		eng := buildEngine(t, posts, opts, 3)
 		oracle := baseline.NewScanRanker(posts, opts.Params)
 		for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {
 			q := core.Query{
@@ -51,7 +51,7 @@ func TestParameterSweepMatchesOracle(t *testing.T) {
 func TestDuplicateKeywordsCollapse(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	posts, center := randomCorpus(rng, 300)
-	eng := buildEngine(t, posts, core.DefaultOptions(), 3, nil)
+	eng := buildEngine(t, posts, core.DefaultOptions(), 3)
 	q1 := core.Query{Loc: center, RadiusKm: 20, Keywords: []string{"hotel"}, K: 5}
 	q2 := core.Query{Loc: center, RadiusKm: 20, Keywords: []string{"hotel", "hotels", "HOTEL"}, K: 5}
 	a, _, err := eng.Search(context.Background(), q1)
@@ -68,7 +68,7 @@ func TestDuplicateKeywordsCollapse(t *testing.T) {
 func TestKLargerThanCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	posts, center := randomCorpus(rng, 100)
-	eng := buildEngine(t, posts, core.DefaultOptions(), 3, nil)
+	eng := buildEngine(t, posts, core.DefaultOptions(), 3)
 	for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {
 		q := core.Query{Loc: center, RadiusKm: 30, Keywords: []string{"hotel"},
 			K: 10000, Ranking: ranking}
@@ -92,7 +92,7 @@ func TestKLargerThanCandidates(t *testing.T) {
 func TestNoCandidatesReturnsEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	posts, _ := randomCorpus(rng, 100)
-	eng := buildEngine(t, posts, core.DefaultOptions(), 3, nil)
+	eng := buildEngine(t, posts, core.DefaultOptions(), 3)
 	// Far away from the corpus entirely.
 	q := core.Query{Loc: geo.Point{Lat: -45, Lon: 100}, RadiusKm: 5,
 		Keywords: []string{"hotel"}, K: 5}
@@ -118,7 +118,7 @@ func TestNoCandidatesReturnsEmpty(t *testing.T) {
 func TestCandidateTweetsAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	posts, center := randomCorpus(rng, 300)
-	eng := buildEngine(t, posts, core.DefaultOptions(), 3, nil)
+	eng := buildEngine(t, posts, core.DefaultOptions(), 3)
 	q := core.Query{Loc: center, RadiusKm: 25, Keywords: []string{"hotel"}, K: 5}
 	cands, stats, err := eng.CandidateTweets(q)
 	if err != nil {

@@ -26,7 +26,7 @@ func TestPartialsSingleShardIdentity(t *testing.T) {
 	posts, center := randomCorpus(rng, 800)
 
 	opts := core.DefaultOptions()
-	eng := buildEngine(t, posts, opts, 5, []string{"hotel", "pizza"})
+	eng := buildEngine(t, posts, opts, 5)
 	for _, sem := range []core.Semantic{core.Or, core.And} {
 		for _, rank := range []core.Ranking{core.SumScore, core.MaxScore} {
 			q := core.Query{
@@ -66,7 +66,7 @@ func splitEngines(t *testing.T, posts []*social.Post, opts core.Options, nShards
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth, opts.Params.Epsilon, nil)
+	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
 
 	groups := make([][]*social.Post, nShards)
 	prefixShard := make(map[string]int)
@@ -109,7 +109,7 @@ func TestPartialsSplitCorpusMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	posts, center := randomCorpus(rng, 1500)
 	opts := core.DefaultOptions()
-	mono := buildEngine(t, posts, opts, 5, nil)
+	mono := buildEngine(t, posts, opts, 5)
 
 	for _, nShards := range []int{2, 3, 5} {
 		engines := splitEngines(t, posts, opts, nShards)
@@ -298,7 +298,7 @@ func TestQueryStatsAddSumsEveryCounter(t *testing.T) {
 func TestPartialsChargeSearchUserIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	posts, center := randomCorpus(rng, 800)
-	eng := buildEngine(t, posts, core.DefaultOptions(), 5, nil)
+	eng := buildEngine(t, posts, core.DefaultOptions(), 5)
 	for _, rank := range []core.Ranking{core.SumScore, core.MaxScore} {
 		q := core.Query{Loc: center, RadiusKm: 25, Keywords: []string{"hotel", "pizza"}, K: 10, Ranking: rank}
 		eng.DB.ResetStats()

@@ -60,8 +60,8 @@ func TestNewPartitionedEngineValidation(t *testing.T) {
 	if _, err := NewEngine(nil, nil, nil, DefaultOptions()); err == nil {
 		t.Error("nil index accepted")
 	}
-	// Every score reads φ from the bounds: bounds without a φ table, or with
-	// one of another depth or ε, would answer for another model.
+	// Every score reads φ from the bounds: bounds without a level-count
+	// table, or with one of another depth, would answer for another model.
 	db, err := metadb.Load(metadb.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -69,15 +69,14 @@ func TestNewPartitionedEngineValidation(t *testing.T) {
 	opts := DefaultOptions()
 	parts := []Partition{{Source: benchPostings{}}}
 	for name, bounds := range map[string]*thread.Bounds{
-		"no φ table": {Depth: opts.Params.ThreadDepth},
-		"depth 2":    thread.ComputeBounds(nil, 2, opts.Params.Epsilon, nil),
-		"ε 0.3":      thread.ComputeBounds(nil, opts.Params.ThreadDepth, 0.3, nil),
+		"no table": {Depth: opts.Params.ThreadDepth},
+		"depth 2":  thread.ComputeBounds(nil, 2),
 	} {
 		if _, err := NewPartitionedEngine(parts, db, bounds, opts); !errors.Is(err, thread.ErrParamsMismatch) {
 			t.Errorf("%s: err = %v, want ErrParamsMismatch", name, err)
 		}
 	}
-	if _, err := NewPartitionedEngine(parts, db, thread.ComputeBounds(nil, opts.Params.ThreadDepth, opts.Params.Epsilon, nil), opts); err != nil {
+	if _, err := NewPartitionedEngine(parts, db, thread.ComputeBounds(nil, opts.Params.ThreadDepth), opts); err != nil {
 		t.Errorf("matching bounds refused: %v", err)
 	}
 }
@@ -113,7 +112,7 @@ func TestGatherNamesTheMissingRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	bounds := thread.ComputeBounds(nil, opts.Params.ThreadDepth, opts.Params.Epsilon, nil)
+	bounds := thread.ComputeBounds(nil, opts.Params.ThreadDepth)
 	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}}, db, bounds, opts)
 	if err != nil {
 		t.Fatal(err)

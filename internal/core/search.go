@@ -8,8 +8,8 @@ package core
 // query's books. CandidateTweets returns a copy of the tweets; Search and
 // SearchPartials call resolveUsers, which adds the set's dense user table
 // (Σδ, |P_u|, δ(u,q) per user, each candidate pointing at its row), and
-// relevance, which gives every candidate its ρ(p,q) from the φ table, and
-// pass the set to one ranker. No ranker builds a per-user map of its own.
+// relevance, which gives every candidate its ρ(p,q) from the popularity
+// table, and pass the set to one ranker. No ranker builds a per-user map of its own.
 
 import (
 	"context"
@@ -405,7 +405,7 @@ func (e *Engine) relevance(cs *candidateSet) []float64 {
 		sids[i] = cs.cands[i].TID
 	}
 	rho := grow(&cs.sc.rho, len(sids))
-	e.Bounds.PhiBatch(sids, rho)
+	e.Bounds.PhiBatch(sids, e.Opts.Params.Epsilon, rho)
 	for i := range cs.cands {
 		c := &cs.cands[i]
 		rho[i] = score.KeywordRelevance(c.Matches, rho[i], e.Opts.Params.N) * e.recencyFactor(cs, c.TID)

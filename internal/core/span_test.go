@@ -16,7 +16,7 @@ import (
 func TestSearchRecordsStageSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	posts, center := randomCorpus(rng, 500)
-	eng := buildEngine(t, posts, core.DefaultOptions(), 3, nil)
+	eng := buildEngine(t, posts, core.DefaultOptions(), 3)
 
 	for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {
 		q := core.Query{Loc: center, RadiusKm: 40, Keywords: []string{"hotel"}, K: 5, Ranking: ranking}
@@ -58,7 +58,7 @@ func TestSearchRecordsStageSpans(t *testing.T) {
 func TestCandidateTweetsRecordsRetrievalSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	posts, center := randomCorpus(rng, 300)
-	eng := buildEngine(t, posts, core.DefaultOptions(), 3, nil)
+	eng := buildEngine(t, posts, core.DefaultOptions(), 3)
 
 	_, stats, err := eng.CandidateTweets(core.Query{
 		Loc: center, RadiusKm: 40, Keywords: []string{"hotel"}, K: 5,

@@ -35,7 +35,7 @@ func (s *Setup) AblationPruning() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pruned, plain := paper(sys), paper(sys)
+	pruned, plain := s.paper(sys), s.paper(sys)
 	plain.prune = false
 	specs := s.queriesWithKeywordCount(1)
 	for _, radius := range []float64{10, 20, 50} {
@@ -71,7 +71,7 @@ func (s *Setup) AblationThreadDepth() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		avg, stats, err := runBatch(paper(sys), specs, 20, s.Cfg.K, core.Or, core.SumScore)
+		avg, stats, err := runBatch(s.paper(sys), specs, 20, s.Cfg.K, core.Or, core.SumScore)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +99,7 @@ func (s *Setup) AblationPageCache() (*Table, error) {
 			return nil, err
 		}
 		sys.DB.ResetStats()
-		avg, _, err := runBatch(paper(sys), specs, 20, s.Cfg.K, core.Or, core.SumScore)
+		avg, _, err := runBatch(s.paper(sys), specs, 20, s.Cfg.K, core.Or, core.SumScore)
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,7 @@ func (s *Setup) LatencySummary() (*Table, error) {
 	for _, c := range classes {
 		var durations []time.Duration
 		for _, spec := range c.specs {
-			_, st, err := paper(sys).Search(toQuery(spec, 20, s.Cfg.K, c.sem, c.ranking))
+			_, st, err := s.paper(sys).Search(toQuery(spec, 20, s.Cfg.K, c.sem, c.ranking))
 			if err != nil {
 				return nil, err
 			}

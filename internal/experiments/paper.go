@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	tklus "repro"
 	"repro/internal/core"
 	"repro/internal/score"
 	"repro/internal/social"
+	"repro/internal/textutil"
 	"repro/internal/thread"
 )
 
@@ -23,6 +26,9 @@ import (
 // and page counters, and the time.
 type paperArm struct {
 	sys *tklus.System
+	// bounds are the query-level bounds pruning reads; nil for a system
+	// Setup.System did not build, which only sum ranking may run on.
+	bounds *paperBounds
 	// prune enables Algorithm 5's upper-bound pruning (max ranking only:
 	// Algorithm 4 prunes nothing).
 	prune bool
@@ -33,7 +39,9 @@ type paperArm struct {
 
 // paper is the paper's standard configuration over sys: pruning with the
 // hot-keyword bounds.
-func paper(sys *tklus.System) paperArm { return paperArm{sys: sys, prune: true, specific: true} }
+func (s *Setup) paper(sys *tklus.System) paperArm {
+	return paperArm{sys: sys, bounds: s.bounds[sys], prune: true, specific: true}
+}
 
 // Search answers q as Algorithm 4 (sum) or Algorithm 5 (max) would. The
 // returned stats are the retrieval's plus the thread-construction counters,
@@ -78,8 +86,14 @@ func (a paperArm) Search(q core.Query) ([]core.UserResult, *core.QueryStats, err
 	// its score stays at or below that kth score, so the reduction's top-k
 	// passes it over exactly as it would the true one.
 	builder := thread.Builder{DB: a.sys.DB, Depth: p.ThreadDepth}
-	bound := a.sys.Bounds.ForQuery(core.QueryTerms(q.Keywords), q.Semantic == core.And, a.specific)
 	prune := a.prune && q.Ranking == core.MaxScore
+	var bound float64
+	if prune {
+		if a.bounds == nil {
+			return nil, nil, fmt.Errorf("experiments: max-score pruning needs the paper's bounds of a Setup.System")
+		}
+		bound = a.bounds.ForQuery(core.QueryTerms(q.Keywords), q.Semantic == core.And, a.specific)
+	}
 	top := topUsers{k: q.K, best: make(map[social.UserID]float64, q.K)}
 	var ts thread.Stats
 	for i, c := range cands {
@@ -149,4 +163,110 @@ func (t *topUsers) offer(uid social.UserID, s float64) {
 		delete(t.best, w)
 		t.best[uid] = s
 	}
+}
+
+// paperBounds are the query-level popularity bounds of Section V-B, which
+// only the paper's max-score pruning reads. They are computed once per
+// system, from the corpus and the system's level-count table, at the state
+// the figures query: no ingest follows.
+type paperBounds struct {
+	// TM is t_m, the largest number of replies/forwards any single tweet
+	// has: the largest level-1 count in the table.
+	TM int
+	// Def11 is the global bound of Definition 11 for TM and the depth limit.
+	// As defined in the paper it assumes every level is capped by t_m;
+	// threads where several tweets at one level each attract replies can
+	// exceed it, so it is a heuristic bound.
+	Def11 float64
+	// MaxObserved is the largest actual thread popularity in the corpus, a
+	// sound global bound ("selecting the largest thread score"): the bound
+	// ForQuery returns for a keyword without a specific one.
+	MaxObserved float64
+	// PerKeyword maps each hot keyword (stemmed) to the largest popularity
+	// among threads rooted at tweets containing it — the paper's "specific
+	// keyword related" bound, precomputed offline for the frequent keywords
+	// (Table II). A hot keyword no tweet contains maps to ε.
+	PerKeyword map[string]float64
+}
+
+// newPaperBounds derives the paper's bounds for sys, built over posts, with
+// specific bounds for hotKeywords (raw words, stemmed here as the index
+// stems them).
+func newPaperBounds(sys *tklus.System, posts []*social.Post, hotKeywords []string) *paperBounds {
+	p := sys.Engine.Opts.Params
+	b := &paperBounds{PerKeyword: make(map[string]float64)}
+	sys.Bounds.Range(func(_ social.PostID, levels []uint32) {
+		b.TM = max(b.TM, int(levels[0]))
+	})
+	b.Def11 = def11Bound(b.TM, p.ThreadDepth)
+
+	bySID := slices.Clone(posts)
+	slices.SortFunc(bySID, func(x, y *social.Post) int { return cmp.Compare(x.SID, y.SID) })
+	sids := make([]social.PostID, len(bySID))
+	for i, post := range bySID {
+		sids[i] = post.SID
+	}
+	phi := make([]float64, len(sids))
+	sys.Bounds.PhiBatch(sids, p.Epsilon, phi)
+	hot := make(map[string]bool)
+	for _, kw := range hotKeywords {
+		for _, term := range textutil.Terms(kw) {
+			hot[term] = true
+		}
+	}
+	for i, post := range bySID {
+		b.MaxObserved = max(b.MaxObserved, phi[i])
+		for _, w := range post.Words {
+			if hot[w] && phi[i] > b.PerKeyword[w] {
+				b.PerKeyword[w] = phi[i]
+			}
+		}
+	}
+	// Keywords never observed still get an explicit (ε) entry, so ForQuery
+	// tells "hot keyword with a tiny bound" from "not a hot keyword".
+	for kw := range hot {
+		if _, ok := b.PerKeyword[kw]; !ok {
+			b.PerKeyword[kw] = p.Epsilon
+		}
+	}
+	return b
+}
+
+// def11Bound computes the Definition 11 global bound for a given t_m and
+// depth limit: t_m · Σ_{i=2}^{depth+1} 1/i.
+func def11Bound(tm, depth int) float64 {
+	var sum float64
+	for i := 2; i <= depth+1; i++ {
+		sum += 1.0 / float64(i)
+	}
+	return float64(tm) * sum
+}
+
+// ForQuery selects the popularity bound of the paper's max-score pruning
+// (Algorithm 5 lines 18–19) for a query per Section VI-B5: with AND
+// semantics the smallest per-keyword bound applies (every result tweet
+// contains every keyword), with OR the largest. Keywords without a specific
+// bound fall back to the global bound; useSpecific=false forces the global
+// bound (the Figure 12 baseline).
+func (b *paperBounds) ForQuery(terms []string, and, useSpecific bool) float64 {
+	global := b.MaxObserved
+	if !useSpecific || len(terms) == 0 {
+		return global
+	}
+	var bound float64
+	for i, term := range terms {
+		kb, ok := b.PerKeyword[term]
+		if !ok {
+			kb = global
+		}
+		switch {
+		case i == 0:
+			bound = kb
+		case and:
+			bound = min(bound, kb)
+		default:
+			bound = max(bound, kb)
+		}
+	}
+	return bound
 }

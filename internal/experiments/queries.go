@@ -72,7 +72,7 @@ func (s *Setup) Fig7GeohashLength() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			avg, _, err := runBatch(paper(sys), specs, radius, s.Cfg.K, core.Or, core.SumScore)
+			avg, _, err := runBatch(s.paper(sys), specs, radius, s.Cfg.K, core.Or, core.SumScore)
 			if err != nil {
 				return nil, err
 			}
@@ -100,11 +100,11 @@ func (s *Setup) Fig8SingleKeyword() (*Table, error) {
 	}
 	specs := s.queriesWithKeywordCount(1)
 	for _, radius := range []float64{5, 10, 20, 50, 100} {
-		sumAvg, sumStats, err := runBatch(paper(sys), specs, radius, s.Cfg.K, core.Or, core.SumScore)
+		sumAvg, sumStats, err := runBatch(s.paper(sys), specs, radius, s.Cfg.K, core.Or, core.SumScore)
 		if err != nil {
 			return nil, err
 		}
-		maxAvg, maxStats, err := runBatch(paper(sys), specs, radius, s.Cfg.K, core.Or, core.MaxScore)
+		maxAvg, maxStats, err := runBatch(s.paper(sys), specs, radius, s.Cfg.K, core.Or, core.MaxScore)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +197,7 @@ func (s *Setup) Fig10MultiKeyword() (*Table, error) {
 			for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {
 				row := []string{fmt.Sprintf("%.0f", radius), sem.String(), ranking.String()}
 				for nk := 1; nk <= 3; nk++ {
-					avg, _, err := runBatch(paper(sys), s.queriesWithKeywordCount(nk),
+					avg, _, err := runBatch(s.paper(sys), s.queriesWithKeywordCount(nk),
 						radius, s.Cfg.K, sem, ranking)
 					if err != nil {
 						return nil, err
@@ -255,7 +255,7 @@ func (s *Setup) Fig12SpecificBound() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	specific, global := paper(sys), paper(sys)
+	specific, global := s.paper(sys), s.paper(sys)
 	global.specific = false
 	hotQueries := s.Corpus.HotQueries(s.Cfg.Seed+12, s.Cfg.QueryPerClass, 2)
 	for _, radius := range []float64{5, 10, 20, 50} {

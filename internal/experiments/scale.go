@@ -43,7 +43,7 @@ func (s *Setup) ScaleSweep() (*Table, error) {
 		buildTime := time.Since(start)
 
 		specs := corpus.GenerateQueries(s.Cfg.Seed+1, 10)[:10] // 10 single-keyword queries
-		avg, agg, err := runBatch(paper(sys), specs, 20, s.Cfg.K, core.Or, core.SumScore)
+		avg, agg, err := runBatch(s.paper(sys), specs, 20, s.Cfg.K, core.Or, core.SumScore)
 		if err != nil {
 			return nil, err
 		}

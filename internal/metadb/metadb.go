@@ -36,6 +36,17 @@ type Row struct {
 // Loc returns the row's location as a geo.Point.
 func (r Row) Loc() geo.Point { return geo.Point{Lat: r.Lat, Lon: r.Lon} }
 
+// RowMeta is the slice of a row the spatial candidate filter needs: where
+// the tweet was posted and by whom. It carries the same float64
+// coordinates the row store holds, so a radius test and δ(p,q) computed
+// from it are byte-identical to the row-fetching ones. Storage resolves it
+// for the engine one ascending SID batch at a time (core.RowSource).
+type RowMeta struct {
+	Lat float64
+	Lon float64
+	UID social.UserID
+}
+
 // Options configures a DB.
 type Options struct {
 	// RowsPerPage is the page capacity; 128 rows of 48 bytes approximates
@@ -93,7 +104,7 @@ func (bs *BatchStats) add(other BatchStats) {
 type DB struct {
 	opts Options
 
-	// structMu guards pages, the three indexes, and the row/SID/fanout
+	// structMu guards pages, the three indexes, and the row/SID
 	// bookkeeping below against live Appends. Read paths take the read
 	// lock once per public call (never nested — helpers assume it is
 	// held) so a writer cannot deadlock behind a recursive RLock.
@@ -108,9 +119,6 @@ type DB struct {
 	cache *pageCache
 	stats Stats
 
-	snapshot *ReplySnapshot // CSR reply graph; nil until EnableReplySnapshot
-
-	maxFanout   int // t_m: max replies/forwards observed for one post
 	frozen      bool
 	totalRows   int
 	minSID      social.PostID
@@ -194,16 +202,11 @@ func (db *DB) Freeze() {
 		}
 		db.pages = append(db.pages, rows[start:end])
 	}
-	fanout := make(map[social.PostID]int)
 	for ordinal, r := range rows {
 		db.sidIndex.Insert(int64(r.SID), int64(ordinal))
 		db.uidIndex.Insert(int64(r.UID), int64(r.SID))
 		if r.RSID != social.NoPost {
 			db.rsidIndex.Insert(int64(r.RSID), int64(r.SID))
-			fanout[r.RSID]++
-			if fanout[r.RSID] > db.maxFanout {
-				db.maxFanout = fanout[r.RSID]
-			}
 		}
 	}
 	db.totalRows = len(rows)
@@ -264,12 +267,6 @@ func (db *DB) Append(p *social.Post) error {
 	db.uidIndex.Insert(int64(p.UID), int64(p.SID))
 	if p.RSID != social.NoPost {
 		db.rsidIndex.Insert(int64(p.RSID), int64(p.SID))
-		if sids, _ := db.rsidIndex.GetCounted(int64(p.RSID)); len(sids) > db.maxFanout {
-			db.maxFanout = len(sids)
-		}
-		if db.snapshot != nil {
-			db.snapshot.extend(p.RSID, ChildRef{SID: p.SID, UID: p.UID})
-		}
 	}
 	if db.totalRows == 0 {
 		db.minSID = p.SID
@@ -291,14 +288,6 @@ func (db *DB) SIDRange() (min, max social.PostID) {
 	db.structMu.RLock()
 	defer db.structMu.RUnlock()
 	return db.minSID, db.maxSID
-}
-
-// MaxReplyFanout returns t_m, the maximum number of replied/forwarded posts
-// any single post has in the database (Definition 11).
-func (db *DB) MaxReplyFanout() int {
-	db.structMu.RLock()
-	defer db.structMu.RUnlock()
-	return db.maxFanout
 }
 
 // Stats returns a copy of the I/O counters, folding in index accesses.

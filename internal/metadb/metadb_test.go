@@ -64,9 +64,6 @@ func TestSelectByRSID(t *testing.T) {
 	if rows := db.SelectByRSID(2); rows != nil {
 		t.Errorf("SelectByRSID(2) = %v, want nil", rows)
 	}
-	if db.MaxReplyFanout() != 3 {
-		t.Errorf("MaxReplyFanout = %d, want 3", db.MaxReplyFanout())
-	}
 }
 
 func TestUserPosts(t *testing.T) {

@@ -24,9 +24,6 @@ func TestSaveLoadRowsRoundTrip(t *testing.T) {
 	if loaded.Len() != db.Len() {
 		t.Fatalf("Len %d vs %d", loaded.Len(), db.Len())
 	}
-	if loaded.MaxReplyFanout() != db.MaxReplyFanout() {
-		t.Errorf("fanout %d vs %d", loaded.MaxReplyFanout(), db.MaxReplyFanout())
-	}
 	for _, p := range posts {
 		a, okA := db.GetBySID(p.SID)
 		b, okB := loaded.GetBySID(p.SID)

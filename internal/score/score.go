@@ -57,17 +57,18 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Popularity computes φ(p) from a thread's level sizes (Definition 4).
-// levelSizes[0] is the root level (always 1), levelSizes[i] the number of
-// tweets at level i+1. A thread of height 1 scores epsilon; otherwise
-// φ = Σ_{i=2..n} |T_i| / i.
-func Popularity(levelSizes []int, epsilon float64) float64 {
-	if len(levelSizes) <= 1 {
+// Popularity computes φ(p) from a thread's reaction level sizes
+// (Definition 4): levels[i] is |T_{i+2}|, the number of tweets at level
+// i+2 below the root. A thread with no reactions scores epsilon; otherwise
+// φ = Σ_{i=2..n} |T_i| / i. Trailing zero levels add +0.0, so a fixed-width
+// count row and the trimmed level list of Algorithm 1 score bit-identically.
+func Popularity(levels []uint32, epsilon float64) float64 {
+	if len(levels) == 0 || levels[0] == 0 {
 		return epsilon
 	}
 	var pop float64
-	for i := 1; i < len(levelSizes); i++ {
-		pop += float64(levelSizes[i]) / float64(i+1)
+	for i, n := range levels {
+		pop += float64(n) / float64(i+2)
 	}
 	return pop
 }

@@ -10,17 +10,21 @@ import (
 )
 
 func TestPopularityPaperExample(t *testing.T) {
-	// Figure 2: levels of sizes 1 (root), 3, 4, 2 give
+	// Figure 2: below the root, levels of sizes 3, 4, 2 give
 	// 3×1/2 + 4×1/3 + 2×1/4 = 10/3.
-	got := Popularity([]int{1, 3, 4, 2}, 0.1)
+	got := Popularity([]uint32{3, 4, 2}, 0.1)
 	if math.Abs(got-10.0/3.0) > 1e-12 {
 		t.Errorf("Popularity = %v, want 10/3", got)
+	}
+	// Trailing empty levels (a fixed-width count row) change no bit.
+	if padded := Popularity([]uint32{3, 4, 2, 0, 0, 0}, 0.1); padded != got {
+		t.Errorf("padded Popularity = %v, want %v", padded, got)
 	}
 }
 
 func TestPopularitySingletonIsEpsilon(t *testing.T) {
 	for _, eps := range []float64{0, 0.1, 1} {
-		if got := Popularity([]int{1}, eps); got != eps {
+		if got := Popularity([]uint32{0, 0}, eps); got != eps {
 			t.Errorf("singleton popularity = %v, want ε=%v", got, eps)
 		}
 		if got := Popularity(nil, eps); got != eps {
@@ -31,8 +35,8 @@ func TestPopularitySingletonIsEpsilon(t *testing.T) {
 
 func TestPopularityMonotoneInLevelSizes(t *testing.T) {
 	f := func(a, b, c uint8) bool {
-		base := []int{1, int(a), int(b), int(c)}
-		bigger := []int{1, int(a) + 1, int(b), int(c)}
+		base := []uint32{uint32(a), uint32(b), uint32(c)}
+		bigger := []uint32{uint32(a) + 1, uint32(b), uint32(c)}
 		return Popularity(bigger, 0.1) >= Popularity(base, 0.1)
 	}
 	if err := quick.Check(f, nil); err != nil {

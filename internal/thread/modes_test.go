@@ -51,11 +51,11 @@ func appendReplies(t *testing.T, db *metadb.DB, rng *rand.Rand, posts []*social.
 
 // referenceTree is the literal reading of Algorithm 1 — one "select all
 // where rsid = Id" descent per frontier node — kept as the oracle the
-// Builder's derived expansion paths are compared against. It touches the
+// Builder's batched expansion is compared against. It touches the
 // database only through SelectByRSID, so the root node's UID is left zero.
-func referenceTree(db *metadb.DB, root social.PostID, depth int, epsilon float64) ([]Node, []int, float64) {
+func referenceTree(db *metadb.DB, root social.PostID, depth int, epsilon float64) ([]Node, []uint32, float64) {
 	nodes := []Node{{SID: root, Level: 1}}
-	levels := []int{1}
+	var levels []uint32
 	frontier := []social.PostID{root}
 	for d := 1; d <= depth && len(frontier) > 0; d++ {
 		var next []social.PostID
@@ -68,16 +68,14 @@ func referenceTree(db *metadb.DB, root social.PostID, depth int, epsilon float64
 		if len(next) == 0 {
 			break
 		}
-		levels = append(levels, len(next))
+		levels = append(levels, uint32(len(next)))
 		frontier = next
 	}
 	return nodes, levels, score.Popularity(levels, epsilon)
 }
 
-// expansionStates runs check against the three database states the
-// Builder derives its expansion path from: no reply snapshot (batched
-// multi-get), a frozen snapshot, and a snapshot extended by post-freeze
-// appends (overlay).
+// expansionStates runs check against a freshly frozen database and the same
+// database grown by post-freeze appends.
 func expansionStates(t *testing.T, seed int64, n int, check func(label string, db *metadb.DB, posts []*social.Post)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -86,9 +84,7 @@ func expansionStates(t *testing.T, seed int64, n int, check func(label string, d
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("no snapshot", db, posts)
-	db.EnableReplySnapshot()
-	check("frozen snapshot", db, posts)
+	check("frozen", db, posts)
 	appendReplies(t, db, rng, posts, n/8)
 	check("post-freeze appends", db, posts)
 }
@@ -97,8 +93,7 @@ func expansionStates(t *testing.T, seed int64, n int, check func(label string, d
 // database states, ε values and depth limits, every thread's popularity
 // and level vector must be byte-identical to the per-node reference (exact
 // float equality — both paths visit the same nodes in the same order). It
-// also pins which path ran: BatchLookups counts multi-get traffic, so it
-// is positive without a snapshot and stays zero with one.
+// also pins that the batched path ran: BatchLookups counts its multi-gets.
 func TestExpansionByteIdentical(t *testing.T) {
 	expansionStates(t, 21, 800, func(label string, db *metadb.DB, posts []*social.Post) {
 		var st Stats
@@ -115,8 +110,8 @@ func TestExpansionByteIdentical(t *testing.T) {
 				}
 			}
 		}
-		if hasSnap := db.ReplySnapshot() != nil; hasSnap != (st.BatchLookups == 0) {
-			t.Errorf("%s: BatchLookups = %d with snapshot present = %v", label, st.BatchLookups, hasSnap)
+		if st.BatchLookups == 0 {
+			t.Errorf("%s: the batched expansion recorded no multi-get", label)
 		}
 	})
 }
@@ -140,8 +135,7 @@ func TestTreeModesIdentical(t *testing.T) {
 }
 
 // TestBatchedExpansionSavesIO asserts the batched path's raison d'être:
-// fewer simulated touches than the per-node reference on the same threads,
-// and none at all once the database has a reply snapshot.
+// fewer simulated touches than the per-node reference on the same threads.
 func TestBatchedExpansionSavesIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	posts := randomReplyPosts(rng, 2000)
@@ -172,10 +166,5 @@ func TestBatchedExpansionSavesIO(t *testing.T) {
 	}
 	if st.BatchPagesSaved < 0 {
 		t.Errorf("negative pages saved: %d", st.BatchPagesSaved)
-	}
-
-	db.EnableReplySnapshot()
-	if snap := touches(builder); snap != 0 {
-		t.Errorf("snapshot expansion cost %d touches, want 0", snap)
 	}
 }

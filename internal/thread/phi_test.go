@@ -6,142 +6,145 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/metadb"
+	"repro/internal/score"
 	"repro/internal/social"
 )
 
 // Phi is the one-root PhiBatch.
-func (b *Bounds) Phi(root social.PostID) float64 {
+func (b *Bounds) Phi(root social.PostID, epsilon float64) float64 {
 	var out [1]float64
-	b.PhiBatch([]social.PostID{root}, out[:])
+	b.PhiBatch([]social.PostID{root}, epsilon, out[:])
 	return out[0]
 }
 
-// phiOf recomputes a root's popularity from the post set — the oracle the
-// φ table must equal.
-func phiOf(posts []*social.Post, root social.PostID, depth int, epsilon float64) float64 {
-	children := make(map[social.PostID][]social.PostID)
-	for _, p := range posts {
-		if p.RSID != social.NoPost {
-			children[p.RSID] = append(children[p.RSID], p.SID)
+// ancestorsOf walks a post's parent chain through the database, at most
+// depth hops — what System.ingest hands AddReply.
+func ancestorsOf(db *metadb.DB, p *social.Post, depth int) []social.PostID {
+	var out []social.PostID
+	for a := p.RSID; a != social.NoPost && len(out) < depth; {
+		out = append(out, a)
+		row, ok := db.GetBySID(a)
+		if !ok {
+			break
 		}
+		a = row.RSID
 	}
-	return popularityInMemory(root, children, depth, epsilon)
+	return out
+}
+
+// table returns the bounds' SIDs and count rows, for comparing two tables.
+func table(b *Bounds) map[social.PostID][]uint32 {
+	out := make(map[social.PostID][]uint32)
+	b.Range(func(root social.PostID, levels []uint32) { out[root] = slices.Clone(levels) })
+	return out
 }
 
 func TestPhiRangeMaxExactOnBatchCorpus(t *testing.T) {
 	posts := figure2Posts()
-	const depth, eps = 6, 0.1
-	b := ComputeBounds(posts, depth, eps, nil)
-	// Every root's entry is its exact popularity.
-	for _, p := range posts {
-		want := phiOf(posts, p.SID, depth, eps)
-		if got := b.Phi(p.SID); got != want {
-			t.Errorf("Phi(%d) = %v, want %v", p.SID, got, want)
+	const depth = 6
+	b := ComputeBounds(posts, depth)
+	builder := Builder{DB: loadDB(t, posts), Depth: depth}
+	for _, eps := range []float64{0.1, 0.75} {
+		// Every root's entry is its exact popularity.
+		for _, p := range posts {
+			want, _ := builder.Popularity(p.SID, eps, nil)
+			if got := b.Phi(p.SID, eps); got != want {
+				t.Errorf("ε=%v: Phi(%d) = %v, Algorithm 1 says %v", eps, p.SID, got, want)
+			}
 		}
-	}
-	// A SID the table has never seen is a never-scored thread, whose
-	// popularity is exactly the floor ε.
-	if got := b.Phi(1000); got != eps {
-		t.Errorf("absent-SID Phi = %v, want floor %v", got, eps)
+		// A SID the table has never seen is a tweet nothing replied to,
+		// whose popularity is exactly the floor ε.
+		if got := b.Phi(1000, eps); got != eps {
+			t.Errorf("absent-SID Phi = %v, want floor %v", got, eps)
+		}
 	}
 }
 
-// TestPhiRangeMaxExactAfterRandomIngest is the φ table's property test:
+// TestPhiRangeMaxExactAfterRandomIngest is the count table's property test:
 // after random Ingest-style histories (each reply appended to the database,
-// then its ≤depth ancestors recomputed by Algorithm 1 and recorded through
-// RaiseForRoot, exactly as System.ingest does), every root's lookup equals
-// Algorithm 1 — Builder.Popularity over the same posts — bit for bit. Mid
+// then its ≤depth ancestors counted through one AddReply, exactly as
+// System.ingest does), every root's lookup equals Algorithm 1 —
+// Builder.Popularity over the same posts — bit for bit, at every ε. Mid
 // stream the bounds are gob-round-tripped and the reloaded copy receives the
-// remaining raises too: it must end with the same lookups and the same
-// query-level bounds, so a restart never changes what the engine prunes.
-// ε > ½ is in the grid because there a thread's first reply lowers φ below
-// the floor (one reply scores ½).
+// remaining replies too: it must end with the same table, so a restart
+// never changes a score. ε > ½ is in the grid because there a thread's
+// first reply lowers φ below the floor (one reply scores ½).
 func TestPhiRangeMaxExactAfterRandomIngest(t *testing.T) {
-	hot := []string{"hotel", "pizza"}
-	for _, eps := range []float64{0.1, 0.75} {
-		for _, depth := range []int{1, 2, 4} {
-			rng := rand.New(rand.NewSource(29))
-			mkPost := func(sid social.PostID) *social.Post {
-				return &social.Post{
-					SID: sid, UID: social.UserID(sid), Time: time.Unix(int64(sid), 0),
-					Loc: geo.Point{Lat: 43.7, Lon: -79.4}, Words: []string{hot[rng.Intn(2)]},
-				}
+	for _, depth := range []int{1, 2, 4} {
+		rng := rand.New(rand.NewSource(29))
+		mkPost := func(sid social.PostID) *social.Post {
+			return &social.Post{
+				SID: sid, UID: social.UserID(sid), Time: time.Unix(int64(sid), 0),
+				Loc: geo.Point{Lat: 43.7, Lon: -79.4}, Words: []string{"hotel"},
 			}
-			for trial := 0; trial < 10; trial++ {
-				label := fmt.Sprintf("ε=%v depth=%d trial %d", eps, depth, trial)
-				// Batch corpus: a random forest over SIDs 1..40.
-				posts := make([]*social.Post, 0, 80)
-				for sid := social.PostID(1); sid <= 40; sid++ {
-					p := mkPost(sid)
-					if sid > 1 && rng.Intn(2) == 0 {
-						p.RSID = social.PostID(1 + rng.Intn(int(sid-1)))
-						p.Kind = social.Reply
-					}
-					posts = append(posts, p)
+		}
+		for trial := 0; trial < 10; trial++ {
+			label := fmt.Sprintf("depth=%d trial %d", depth, trial)
+			// Batch corpus: a random forest over SIDs 1..40.
+			posts := make([]*social.Post, 0, 80)
+			for sid := social.PostID(1); sid <= 40; sid++ {
+				p := mkPost(sid)
+				if sid > 1 && rng.Intn(2) == 0 {
+					p.RSID = social.PostID(1 + rng.Intn(int(sid-1)))
+					p.Kind = social.Reply
 				}
-				db := loadDB(t, posts)
-				builder := Builder{DB: db, Depth: depth}
-				b := ComputeBounds(posts, depth, eps, hot)
-				var loaded *Bounds
+				posts = append(posts, p)
+			}
+			db := loadDB(t, posts)
+			builder := Builder{DB: db, Depth: depth}
+			b := ComputeBounds(posts, depth)
+			var loaded *Bounds
 
-				// Ingest: new ascending SIDs, most replying to an existing
-				// post. Mirror System.ingest: append, then walk the ≤depth
-				// ancestors and record each one's recomputed popularity.
-				for sid := social.PostID(41); sid <= 80; sid++ {
-					if sid == 60 {
-						var buf bytes.Buffer
-						if err := b.EncodeGob(&buf); err != nil {
-							t.Fatal(err)
-						}
-						var err error
-						if loaded, err = DecodeBoundsGob(&buf); err != nil {
-							t.Fatal(err)
-						}
-					}
-					p := mkPost(sid)
-					if rng.Intn(3) > 0 {
-						p.RSID = social.PostID(1 + rng.Intn(int(sid-1)))
-						p.Kind = social.Reply
-					}
-					posts = append(posts, p)
-					if err := db.Append(p); err != nil {
+			// Ingest: new ascending SIDs, most replying to an existing post.
+			for sid := social.PostID(41); sid <= 80; sid++ {
+				if sid == 60 {
+					var buf bytes.Buffer
+					if err := b.EncodeGob(&buf); err != nil {
 						t.Fatal(err)
 					}
-					for a, hops := p.RSID, 0; a != social.NoPost && hops < depth; hops++ {
-						pop, _ := builder.Popularity(a, eps, nil)
-						b.RaiseForRoot(a, pop)
-						if loaded != nil {
-							loaded.RaiseForRoot(a, pop)
-						}
-						row, ok := db.GetBySID(a)
-						if !ok {
-							break
-						}
-						a = row.RSID
+					var err error
+					if loaded, err = DecodeBoundsGob(&buf); err != nil {
+						t.Fatal(err)
 					}
 				}
+				p := mkPost(sid)
+				if rng.Intn(3) > 0 {
+					p.RSID = social.PostID(1 + rng.Intn(int(sid-1)))
+					p.Kind = social.Reply
+				}
+				posts = append(posts, p)
+				if err := db.Append(p); err != nil {
+					t.Fatal(err)
+				}
+				if p.RSID != social.NoPost {
+					ancestors := ancestorsOf(db, p, depth)
+					b.AddReply(ancestors)
+					if loaded != nil {
+						loaded.AddReply(ancestors)
+					}
+				}
+			}
 
+			for _, eps := range []float64{0.1, 0.75} {
 				for _, p := range posts {
 					want, _ := builder.Popularity(p.SID, eps, nil)
-					if got := b.Phi(p.SID); got != want {
-						t.Fatalf("%s: Phi(%d) = %v, Algorithm 1 says %v", label, p.SID, got, want)
+					if got := b.Phi(p.SID, eps); got != want {
+						t.Fatalf("%s ε=%v: Phi(%d) = %v, Algorithm 1 says %v", label, eps, p.SID, got, want)
 					}
-					if got := loaded.Phi(p.SID); got != want {
-						t.Fatalf("%s: reloaded Phi(%d) = %v, Algorithm 1 says %v", label, p.SID, got, want)
-					}
-				}
-				for _, terms := range [][]string{{"hotel"}, {"pizza"}, {"hotel", "pizza"}, {"other"}} {
-					for _, and := range []bool{true, false} {
-						if got, want := loaded.ForQuery(terms, and, true), b.ForQuery(terms, and, true); got != want {
-							t.Fatalf("%s: reloaded ForQuery(%v, and=%v) = %v, built %v", label, terms, and, got, want)
-						}
+					if got := loaded.Phi(p.SID, eps); got != want {
+						t.Fatalf("%s ε=%v: reloaded Phi(%d) = %v, Algorithm 1 says %v", label, eps, p.SID, got, want)
 					}
 				}
+			}
+			if got, want := table(loaded), table(b); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: reloaded table %v, built %v", label, got, want)
 			}
 		}
 	}
@@ -149,8 +152,8 @@ func TestPhiRangeMaxExactAfterRandomIngest(t *testing.T) {
 
 func TestPhiTableGobRoundTrip(t *testing.T) {
 	posts := figure2Posts()
-	b := ComputeBounds(posts, 6, 0.1, []string{"hotel"})
-	b.RaiseForRoot(999, 2.5) // an ingested root the table never saw
+	b := ComputeBounds(posts, 6)
+	b.AddReply([]social.PostID{999}) // an ingested root the table never saw
 
 	var buf bytes.Buffer
 	if err := b.EncodeGob(&buf); err != nil {
@@ -160,56 +163,94 @@ func TestPhiTableGobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := loaded.CheckParams(6); err != nil {
+		t.Fatalf("reloaded table refused: %v", err)
+	}
 	// 500 is in no table: the floor shows the table survived.
 	for _, sid := range []social.PostID{1, 2, 5, 9, 10, 500, 999} {
-		if got, want := loaded.Phi(sid), b.Phi(sid); got != want {
+		if got, want := loaded.Phi(sid, 0.1), b.Phi(sid, 0.1); got != want {
 			t.Errorf("after reload Phi(%d) = %v, want %v", sid, got, want)
 		}
 	}
-	if got := loaded.Phi(500); got != 0.1 {
-		t.Errorf("φ table lost in gob round trip: Phi(500) = %v, want floor 0.1", got)
+	if got := loaded.Phi(999, 0.1); got != 0.5 {
+		t.Errorf("ingested entry lost: Phi(999) = %v, want 0.5 (one reply)", got)
 	}
-	if got := loaded.Phi(999); got != 2.5 {
-		t.Errorf("ingested entry lost: Phi(999) = %v, want 2.5", got)
+
+	// A table of no replies is still a table.
+	buf.Reset()
+	if err := ComputeBounds(nil, 6).EncodeGob(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if empty, err := DecodeBoundsGob(&buf); err != nil || empty.CheckParams(6) != nil {
+		t.Errorf("empty table did not round-trip: %v", err)
 	}
 }
 
 // TestCheckParamsRefusesUnscorableBounds: bounds an engine would score from
-// must hold a φ table computed for its depth and ε. Bounds decoded from a
-// pre-φ-table image (the exported fields alone) and a table of another model
-// are refused as ErrParamsMismatch, and an image whose table halves disagree
-// does not decode at all.
+// must hold a level-count table for its depth — any ε reads the same one.
+// Bounds without a table, an image written before the table existed (a φ
+// column and the paper's query-level bounds) and a table of another depth
+// are refused as ErrParamsMismatch, and an image whose table halves
+// disagree does not decode at all.
 func TestCheckParamsRefusesUnscorableBounds(t *testing.T) {
-	b := ComputeBounds(figure2Posts(), 6, 0.1, []string{"hotel"})
-	if err := b.CheckParams(6, 0.1); err != nil {
+	b := ComputeBounds(figure2Posts(), 6)
+	if err := b.CheckParams(6); err != nil {
 		t.Fatalf("matching model refused: %v", err)
 	}
-	tableless := &Bounds{TM: b.TM, Depth: b.Depth, Def11: b.Def11, MaxObserved: b.MaxObserved, PerKeyword: b.PerKeyword}
+
+	// The image earlier code wrote: a dense φ column for one ε.
+	type phiColumnBounds struct {
+		TM          int
+		Depth       int
+		Def11       float64
+		MaxObserved float64
+		PerKeyword  map[string]float64
+		PhiSIDs     []social.PostID
+		PhiVals     []float64
+		PhiFloor    float64
+	}
+	var img bytes.Buffer
+	if err := gob.NewEncoder(&img).Encode(&phiColumnBounds{
+		TM: 3, Depth: 6, MaxObserved: 10.0 / 3, PerKeyword: map[string]float64{"hotel": 10.0 / 3},
+		PhiSIDs: []social.PostID{1, 2}, PhiVals: []float64{10.0 / 3, 5.0 / 3}, PhiFloor: 0.1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	phiColumn, err := DecodeBoundsGob(&img)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	for name, err := range map[string]error{
-		"no φ table": tableless.CheckParams(6, 0.1),
-		"depth 4":    b.CheckParams(4, 0.1),
-		"ε 0.3":      b.CheckParams(6, 0.3),
+		"no table": (&Bounds{Depth: 6}).CheckParams(6),
+		"φ column": phiColumn.CheckParams(6),
+		"depth 4":  b.CheckParams(4),
 	} {
 		if !errors.Is(err, ErrParamsMismatch) {
 			t.Errorf("%s: err = %v, want ErrParamsMismatch", name, err)
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&boundsWire{Depth: 6, PhiSIDs: []social.PostID{1, 2}, PhiVals: []float64{0.5}, PhiFloor: 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeBoundsGob(&buf); err == nil {
-		t.Error("a φ table with 2 SIDs and 1 value decoded")
+	for name, wire := range map[string]boundsWire{
+		"2 SIDs, 1 row":  {Depth: 6, Stride: 6, SIDs: []social.PostID{1, 2}, Counts: make([]uint32, 6)},
+		"stride ≠ depth": {Depth: 6, Stride: 4, SIDs: []social.PostID{1}, Counts: make([]uint32, 4)},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeBoundsGob(&buf); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }
 
 // TestPhiBatchMatchesPointLookups drives the batched read against histories
-// of random batch corpora and ingest-style raises (appended SIDs and raised
-// roots): for ascending batches with gaps, repeats, absent SIDs between
-// entries and SIDs past the table's end, every slot must equal both the
-// one-root lookup and a linear scan of the table, whatever the searches
-// before it left behind.
+// of random batch corpora and ingest-style replies (to old posts and to new
+// SIDs past the table's end): for ascending batches with gaps, repeats,
+// absent SIDs between entries and SIDs past the table's end, every slot
+// must equal both the one-root lookup and Definition 4 over a linear scan
+// of the table, whatever the searches before it left behind.
 func TestPhiBatchMatchesPointLookups(t *testing.T) {
 	const depth, eps = 4, 0.1
 	rng := rand.New(rand.NewSource(24))
@@ -223,20 +264,23 @@ func TestPhiBatchMatchesPointLookups(t *testing.T) {
 				posts[i].RSID, posts[i].Kind = posts[rng.Intn(i)].SID, social.Reply
 			}
 		}
-		b := ComputeBounds(posts, depth, eps, nil)
+		b := ComputeBounds(posts, depth)
 		last := social.PostID(2 * n)
-		for r := rng.Intn(40); r > 0; r-- { // ingest: raise old roots, append new ones
-			if rng.Intn(2) == 0 {
-				b.RaiseForRoot(social.PostID(1+rng.Intn(int(last))), rng.Float64()*5)
-			} else {
-				last += social.PostID(1 + rng.Intn(3))
-				b.RaiseForRoot(last, rng.Float64()*5)
+		for r := rng.Intn(40); r > 0; r-- { // ingest: reply to old roots and to new ones
+			ancestors := make([]social.PostID, 1+rng.Intn(depth))
+			for h := range ancestors {
+				ancestors[h] = social.PostID(1 + rng.Intn(int(last)))
 			}
+			if rng.Intn(2) == 0 {
+				last += social.PostID(1 + rng.Intn(3))
+				ancestors[0] = last
+			}
+			b.AddReply(ancestors)
 		}
 		scan := func(root social.PostID) float64 {
-			for i, sid := range b.phiSIDs {
+			for i, sid := range b.sids {
 				if sid == root {
-					return b.phiVals[i]
+					return score.Popularity(b.counts[i*depth:(i+1)*depth], eps)
 				}
 			}
 			return eps
@@ -251,10 +295,10 @@ func TestPhiBatchMatchesPointLookups(t *testing.T) {
 				}
 			}
 			out := make([]float64, len(roots))
-			b.PhiBatch(roots, out)
+			b.PhiBatch(roots, eps, out)
 			for i, root := range roots {
-				if want := scan(root); out[i] != want || b.Phi(root) != want {
-					t.Fatalf("trial %d: batch[%d] φ(%d) = %v, point %v, table scan %v", trial, i, root, out[i], b.Phi(root), want)
+				if want := scan(root); out[i] != want || b.Phi(root, eps) != want {
+					t.Fatalf("trial %d: batch[%d] φ(%d) = %v, point %v, table scan %v", trial, i, root, out[i], b.Phi(root, eps), want)
 				}
 			}
 		}
@@ -263,10 +307,11 @@ func TestPhiBatchMatchesPointLookups(t *testing.T) {
 
 var phiSink float64
 
-// BenchmarkPhiLookup measures the per-tweet bound the engine evaluates at
-// every prune decision, in a 250k-entry table probed at present and absent
-// SIDs: one read-locked search per root (point), and one PhiBatch over 1146
-// ascending roots — the city-sum candidate count — reported per root.
+// BenchmarkPhiLookup measures the φ read the engine makes for every
+// candidate, in the table of a 250k-post corpus (one post in seven a reply)
+// probed at present and absent SIDs: one read-locked search per root
+// (point), and one PhiBatch over 1146 ascending roots — the city-sum
+// candidate count — reported per root.
 func BenchmarkPhiLookup(b *testing.B) {
 	const n = 250_000
 	posts := make([]*social.Post, n)
@@ -276,7 +321,7 @@ func BenchmarkPhiLookup(b *testing.B) {
 			posts[i].RSID, posts[i].Kind = posts[i-1].SID, social.Reply
 		}
 	}
-	bounds := ComputeBounds(posts, 4, 0.1, nil)
+	bounds := ComputeBounds(posts, 4)
 	rng := rand.New(rand.NewSource(31))
 	probes := make([]social.PostID, 4096)
 	for i := range probes {
@@ -285,7 +330,7 @@ func BenchmarkPhiLookup(b *testing.B) {
 	b.Run("point", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			phiSink += bounds.Phi(probes[i%len(probes)])
+			phiSink += bounds.Phi(probes[i%len(probes)], 0.1)
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
@@ -295,7 +340,7 @@ func BenchmarkPhiLookup(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += len(roots) {
-			bounds.PhiBatch(roots, out)
+			bounds.PhiBatch(roots, 0.1, out)
 		}
 		phiSink += out[0]
 	})

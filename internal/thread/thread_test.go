@@ -2,6 +2,8 @@ package thread
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -50,7 +52,7 @@ func TestPopularityPaperFigure2(t *testing.T) {
 	if math.Abs(pop-10.0/3.0) > 1e-12 {
 		t.Errorf("popularity = %v, want 10/3", pop)
 	}
-	want := []int{1, 3, 4, 2}
+	want := []uint32{3, 4, 2}
 	if len(levels) != len(want) {
 		t.Fatalf("levels = %v, want %v", levels, want)
 	}
@@ -72,7 +74,7 @@ func TestPopularitySingleton(t *testing.T) {
 	if pop != 0.1 {
 		t.Errorf("leaf popularity = %v, want ε", pop)
 	}
-	if len(levels) != 1 {
+	if len(levels) != 0 {
 		t.Errorf("leaf levels = %v", levels)
 	}
 }
@@ -85,7 +87,7 @@ func TestPopularityDepthLimit(t *testing.T) {
 	if math.Abs(pop-3.0/2.0) > 1e-12 {
 		t.Errorf("depth-1 popularity = %v, want 1.5", pop)
 	}
-	if len(levels) != 2 {
+	if len(levels) != 1 {
 		t.Errorf("depth-1 levels = %v", levels)
 	}
 	// Depth 2 adds the third level.
@@ -147,79 +149,29 @@ func TestTreeMaterialization(t *testing.T) {
 	}
 }
 
-func TestDef11Bound(t *testing.T) {
-	// depth 2 => levels 2..3 => t_m*(1/2+1/3).
-	if got := Def11Bound(6, 2); math.Abs(got-6*(0.5+1.0/3.0)) > 1e-12 {
-		t.Errorf("Def11Bound = %v", got)
-	}
-	if got := Def11Bound(0, 5); got != 0 {
-		t.Errorf("zero t_m bound = %v", got)
-	}
-}
-
+// TestComputeBounds: the offline scan counts, for every tweet with a
+// reaction, its thread's level sizes — Figure 2's root holds 3, 4, 2 — and
+// a leaf has no entry, so it reads ε.
 func TestComputeBounds(t *testing.T) {
-	posts := figure2Posts()
-	bounds := ComputeBounds(posts, 6, 0.1, []string{"hotel", "pizza"})
-	if bounds.TM != 3 {
-		t.Errorf("TM = %d, want 3 (root has 3 direct replies)", bounds.TM)
+	bounds := ComputeBounds(figure2Posts(), 4)
+	got := map[social.PostID][]uint32{}
+	bounds.Range(func(root social.PostID, levels []uint32) {
+		got[root] = slices.Clone(levels)
+	})
+	want := map[social.PostID][]uint32{
+		1: {3, 4, 2, 0},
+		2: {2, 2, 0, 0},
+		3: {1, 0, 0, 0},
+		4: {1, 0, 0, 0},
+		5: {2, 0, 0, 0},
 	}
-	if math.Abs(bounds.MaxObserved-10.0/3.0) > 1e-12 {
-		t.Errorf("MaxObserved = %v, want 10/3", bounds.MaxObserved)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("level counts = %v, want %v", got, want)
 	}
-	// Every post contains "hotel", so its specific bound equals the max.
-	if math.Abs(bounds.PerKeyword["hotel"]-10.0/3.0) > 1e-12 {
-		t.Errorf("hotel bound = %v", bounds.PerKeyword["hotel"])
+	if phi := bounds.Phi(1, 0.1); math.Abs(phi-10.0/3.0) > 1e-12 {
+		t.Errorf("φ(1) = %v, want 10/3", phi)
 	}
-	// "pizza" never occurs: bound collapses to epsilon.
-	if bounds.PerKeyword["pizza"] != 0.1 {
-		t.Errorf("pizza bound = %v, want ε", bounds.PerKeyword["pizza"])
-	}
-	// Def11 with t_m=3, depth 6: 3 * (1/2+...+1/7).
-	wantDef11 := 3 * (1.0/2 + 1.0/3 + 1.0/4 + 1.0/5 + 1.0/6 + 1.0/7)
-	if math.Abs(bounds.Def11-wantDef11) > 1e-12 {
-		t.Errorf("Def11 = %v, want %v", bounds.Def11, wantDef11)
-	}
-}
-
-func TestBoundsSoundness(t *testing.T) {
-	// MaxObserved must dominate the popularity of every thread in the DB.
-	posts := figure2Posts()
-	bounds := ComputeBounds(posts, 6, 0.1, nil)
-	db := loadDB(t, posts)
-	b := &Builder{DB: db, Depth: 6}
-	for _, p := range posts {
-		pop, _ := b.Popularity(p.SID, 0.1, nil)
-		if pop > bounds.MaxObserved+1e-12 {
-			t.Errorf("thread %d popularity %v exceeds MaxObserved %v", p.SID, pop, bounds.MaxObserved)
-		}
-	}
-}
-
-func TestForQuerySemantics(t *testing.T) {
-	b := &Bounds{
-		MaxObserved: 10,
-		PerKeyword:  map[string]float64{"restaur": 8, "mexican": 2},
-	}
-	// Section VI-B5: AND uses the smallest keyword bound, OR the largest.
-	if got := b.ForQuery([]string{"restaur", "mexican"}, true, true); got != 2 {
-		t.Errorf("AND bound = %v, want 2", got)
-	}
-	if got := b.ForQuery([]string{"restaur", "mexican"}, false, true); got != 8 {
-		t.Errorf("OR bound = %v, want 8", got)
-	}
-	// Unknown keywords fall back to the global bound.
-	if got := b.ForQuery([]string{"unknown"}, true, true); got != 10 {
-		t.Errorf("unknown keyword bound = %v, want global", got)
-	}
-	if got := b.ForQuery([]string{"restaur", "unknown"}, false, true); got != 10 {
-		t.Errorf("OR with unknown = %v, want global 10", got)
-	}
-	// Specific bounds disabled (Figure 12 baseline).
-	if got := b.ForQuery([]string{"restaur"}, true, false); got != 10 {
-		t.Errorf("disabled specific bound = %v, want global", got)
-	}
-	// No keywords: global.
-	if got := b.ForQuery(nil, true, true); got != 10 {
-		t.Errorf("no-keyword bound = %v, want global", got)
+	if phi := bounds.Phi(9, 0.1); phi != 0.1 {
+		t.Errorf("leaf φ = %v, want ε", phi)
 	}
 }

@@ -73,9 +73,10 @@ var (
 	ErrCorruptImage = errors.New("tklus: corrupt snapshot image")
 	// ErrVersionMismatch: the manifest's format version is not ours.
 	ErrVersionMismatch = errors.New("tklus: snapshot format version mismatch")
-	// ErrParamsMismatch: the snapshot's popularity bounds hold no φ table,
-	// or one computed for a thread depth or ε other than the Config's, so
-	// the engine, which scores every candidate from that table, refuses them.
+	// ErrParamsMismatch: the snapshot's popularity bounds hold no
+	// level-count table, or one counted for a thread depth other than the
+	// Config's, so the engine, which scores every candidate from that table,
+	// refuses them. The table holds counts, so any ε reads it.
 	// It is thread.ErrParamsMismatch, the error the engine refuses them with.
 	ErrParamsMismatch = thread.ErrParamsMismatch
 )
@@ -389,14 +390,13 @@ func SnapshotExists(dir string) bool {
 }
 
 // Load reconstructs a system saved by Save and replays any ingest WAL the
-// directory holds through the normal Ingest path, so reply overlays,
-// bounds raising and cache coherence after recovery match a process that
-// never crashed. The Config supplies runtime settings (engine options, DB
+// directory holds through the normal Ingest path, so the level counts and
+// the segment store after recovery match a process that never crashed. The Config supplies runtime settings (engine options, DB
 // page/cache configuration, DFS parameters); the index structure, bounds,
 // and data come from the directory. The manifest is verified (version,
 // then every file's size and CRC) before anything is decoded; failures
 // come back as ErrPartialSave, ErrVersionMismatch or ErrCorruptImage, and
-// bounds without a φ table or computed for another thread depth or ε as
+// bounds without a level-count table or counted for another thread depth as
 // ErrParamsMismatch.
 // Load does not open the WAL for writing — call EnableWAL on the returned
 // system to make further Ingests durable.
@@ -466,8 +466,8 @@ func Load(dir string, cfg Config) (*System, error) {
 // contain. Records at or below the snapshot's high-water SID are skipped —
 // that is the idempotence rule that makes "crash after snapshot commit but
 // before log truncation" safe. Replay goes through Ingest itself, so every
-// live-ingest side effect (reply overlays, bounds raising, cache
-// invalidation) re-runs exactly.
+// live-ingest side effect (the level counts, the memtable and its seals)
+// re-runs exactly.
 func (s *System) replayWAL(walDir string) error {
 	replayStart := time.Now()
 	_, maxSID := s.DB.SIDRange()

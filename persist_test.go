@@ -11,12 +11,15 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	tklus "repro"
 	"repro/internal/baseline"
 	"repro/internal/datagen"
+	"repro/internal/thread"
 )
 
 // snapDirOf resolves the committed snapshot directory of a saved system.
@@ -46,9 +49,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.DB.Len() != sys.DB.Len() {
 		t.Fatalf("rows: loaded %d vs built %d", loaded.DB.Len(), sys.DB.Len())
 	}
-	if loaded.Bounds.MaxObserved != sys.Bounds.MaxObserved ||
-		loaded.Bounds.TM != sys.Bounds.TM {
-		t.Fatalf("bounds differ: %+v vs %+v", loaded.Bounds, sys.Bounds)
+	if got, want := levelTable(loaded.Bounds), levelTable(sys.Bounds); !reflect.DeepEqual(got, want) {
+		t.Fatalf("level-count tables differ: %d vs %d entries", len(got), len(want))
 	}
 	if loaded.Recovery == nil || loaded.Recovery.WALRecordsReplayed != 0 {
 		t.Fatalf("recovery stats = %+v, want zero replays with no WAL", loaded.Recovery)
@@ -280,11 +282,19 @@ func TestLoadVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsBoundsOfAnotherScoringModel: the popularity bounds (the φ
-// table, MaxObserved, the keyword bounds) are decoded from the snapshot, the
-// engine options from the Config. A snapshot saved at thread depth 2 and
-// loaded at the default depth, or saved at one ε and loaded at another, would
-// prune against popularities of a different scoring model — Load refuses it.
+// levelTable is every counted thread's level sizes, keyed by root.
+func levelTable(b *thread.Bounds) map[tklus.PostID][]uint32 {
+	out := make(map[tklus.PostID][]uint32)
+	b.Range(func(root tklus.PostID, levels []uint32) { out[root] = slices.Clone(levels) })
+	return out
+}
+
+// TestLoadRejectsBoundsOfAnotherScoringModel: the level-count table is
+// decoded from the snapshot, the engine options from the Config. A snapshot
+// saved at thread depth 2 and loaded at the default depth would score
+// popularities of a different model — Load refuses it. The table holds
+// counts, not scores, so ε is free: an image saved at ε 0.1 and loaded at
+// ε 0.3 answers exactly as a fresh build at ε 0.3.
 func TestLoadRejectsBoundsOfAnotherScoringModel(t *testing.T) {
 	cfg := datagen.DefaultConfig()
 	cfg.NumUsers, cfg.NumPosts = 200, 500
@@ -302,41 +312,93 @@ func TestLoadRejectsBoundsOfAnotherScoringModel(t *testing.T) {
 	if err := sys.Save(dir); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrParamsMismatch) {
+		t.Errorf("depth 6: err = %v, want ErrParamsMismatch", err)
+	}
+
 	otherEps := saved
 	otherEps.Engine.Params.Epsilon = 0.3
-	for name, load := range map[string]tklus.Config{"depth 6": tklus.DefaultConfig(), "ε 0.3": otherEps} {
-		if _, err := tklus.Load(dir, load); !errors.Is(err, tklus.ErrParamsMismatch) {
-			t.Errorf("%s: err = %v, want ErrParamsMismatch", name, err)
+	loaded, err := tklus.Load(dir, otherEps)
+	if err != nil {
+		t.Fatalf("ε 0.3: %v", err)
+	}
+	fresh, err := tklus.Build(corpus.Posts, otherEps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	center := corpus.Config.Cities[0].Center
+	answered := 0
+	for _, ranking := range []tklus.Ranking{tklus.SumScore, tklus.MaxScore} {
+		for _, kw := range datagen.HotKeywords[:3] {
+			q := tklus.Query{Loc: center, RadiusKm: 30, Keywords: []string{kw}, K: 10, Ranking: ranking}
+			got, _, err := loaded.Search(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := fresh.Search(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v %q: saved at ε 0.1, loaded at ε 0.3: %v, fresh build at ε 0.3: %v", ranking, kw, got, want)
+			}
+			answered += len(got)
 		}
 	}
-	if _, err := tklus.Load(dir, saved); err != nil {
-		t.Fatalf("matching config: %v", err)
+	if answered == 0 {
+		t.Fatal("no query returned a user: the comparison checks nothing")
 	}
 }
 
-// TestLoadRejectsTablelessBounds: a snapshot whose bounds.gob holds only the
-// exported bound fields — what an image written before the φ table existed
-// decodes to — holds no φ for the engine to score from, so Load refuses it
-// with a typed error rather than serve scores of no table. The manifest is
-// rewritten to match the new file, so only the bounds themselves can object.
+// TestLoadRejectsTablelessBounds: a snapshot whose bounds.gob holds no
+// level-count table — the exported bound fields alone, or the dense φ
+// column of one ε that earlier code wrote — holds nothing for the engine to
+// score from at this code's model, so Load refuses it with a typed error
+// rather than serve scores of no table. The manifest is rewritten to match
+// the new file, so only the bounds themselves can object.
 func TestLoadRejectsTablelessBounds(t *testing.T) {
 	sys, _ := buildSystem(t, 500)
-	dir := filepath.Join(t.TempDir(), "saved")
-	if err := sys.Save(dir); err != nil {
-		t.Fatal(err)
-	}
 	type preTableBounds struct {
 		TM, Depth          int
 		Def11, MaxObserved float64
 		PerKeyword         map[string]float64
 	}
-	b := sys.Bounds
-	var img bytes.Buffer
-	if err := gob.NewEncoder(&img).Encode(&preTableBounds{b.TM, b.Depth, b.Def11, b.MaxObserved, b.PerKeyword}); err != nil {
-		t.Fatal(err)
+	type phiColumnBounds struct {
+		TM, Depth          int
+		Def11, MaxObserved float64
+		PerKeyword         map[string]float64
+		PhiSIDs            []tklus.PostID
+		PhiVals            []float64
+		PhiFloor           float64
 	}
-	snap := snapDirOf(t, dir)
-	if err := os.WriteFile(filepath.Join(snap, "bounds.gob"), img.Bytes(), 0o644); err != nil {
+	depth := tklus.DefaultConfig().Engine.Params.ThreadDepth
+	kw := map[string]float64{"hotel": 2.5}
+	for name, image := range map[string]any{
+		"exported fields only": &preTableBounds{TM: 3, Depth: depth, Def11: 7.5, MaxObserved: 2.5, PerKeyword: kw},
+		"φ column": &phiColumnBounds{TM: 3, Depth: depth, Def11: 7.5, MaxObserved: 2.5, PerKeyword: kw,
+			PhiSIDs: []tklus.PostID{1, 2}, PhiVals: []float64{2.5, 0.1}, PhiFloor: 0.1},
+	} {
+		dir := filepath.Join(t.TempDir(), "saved")
+		if err := sys.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		var img bytes.Buffer
+		if err := gob.NewEncoder(&img).Encode(image); err != nil {
+			t.Fatal(err)
+		}
+		replaceSnapshotFile(t, snapDirOf(t, dir), "bounds.gob", img.Bytes())
+		if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrParamsMismatch) {
+			t.Errorf("%s: err = %v, want ErrParamsMismatch", name, err)
+		}
+	}
+}
+
+// replaceSnapshotFile overwrites one file of a committed snapshot and
+// rewrites the manifest's size and CRC for it, so only the file's decoder
+// can object to the new content.
+func replaceSnapshotFile(t *testing.T, snap, name string, content []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(snap, name), content, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var mf struct {
@@ -356,23 +418,20 @@ func TestLoadRejectsTablelessBounds(t *testing.T) {
 	}
 	rewritten := false
 	for i := range mf.Files {
-		if mf.Files[i].Name == "bounds.gob" {
-			mf.Files[i].Size = int64(img.Len())
-			mf.Files[i].CRC = fmt.Sprintf("%08x", crc32.Checksum(img.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+		if mf.Files[i].Name == name {
+			mf.Files[i].Size = int64(len(content))
+			mf.Files[i].CRC = fmt.Sprintf("%08x", crc32.Checksum(content, crc32.MakeTable(crc32.Castagnoli)))
 			rewritten = true
 		}
 	}
 	if !rewritten {
-		t.Fatal("manifest lists no bounds.gob")
+		t.Fatalf("manifest lists no %s", name)
 	}
 	if data, err = json.Marshal(&mf); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(snap, "MANIFEST"), data, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrParamsMismatch) {
-		t.Fatalf("snapshot without a φ table: err = %v, want ErrParamsMismatch", err)
 	}
 }
 

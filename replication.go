@@ -623,8 +623,7 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 			if err != nil {
 				return nil, fmt.Errorf("tklus: loading shard %d replica %d metadata db: %w", i, j, err)
 			}
-			bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth,
-				cfg.Engine.Params.Epsilon, stemAll(cfg.HotKeywords))
+			bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
 			sys, err := newSystem(cfg, db, idx, rows, fsys, bounds, store, istats)
 			if err != nil {
 				return nil, fmt.Errorf("tklus: shard %d replica %d: %w", i, j, err)

@@ -76,7 +76,6 @@ func TestSegmentedEquivalenceGrid(t *testing.T) {
 				cfg.Index.GeohashLen = 5
 				cfg.Index.PathPrefix = prefix
 				cfg.Engine.Params.Epsilon = eps
-				cfg.HotKeywords = datagen.MeaningfulKeywords()
 				return cfg
 			}
 			oracle, err := tklus.Build(allPosts, mkCfg(fmt.Sprintf("oracle-e%g", eps)))
@@ -469,8 +468,8 @@ func sameRanking(got, want []tklus.UserResult) bool {
 // The stream is built so that every reachable state is a prefix: new
 // candidates come from fresh single-post authors (so neither |P_u| nor a
 // thread score moves under a running search), the query has one keyword
-// (one memtable read), and the replies in the stream — there to run thread
-// extension, bounds raising and cache invalidation beside the searches —
+// (one memtable read), and the replies in the stream — there to count
+// replies into the level-count table beside the searches —
 // extend a thread no candidate belongs to.
 func TestSegmentedConcurrentLifecycle(t *testing.T) {
 	base, loc, _ := ingestCorpus()
@@ -491,7 +490,7 @@ func TestSegmentedConcurrentLifecycle(t *testing.T) {
 	}
 	all := append(append([]*tklus.Post{}, base...), stream...)
 
-	cfg := tklus.DefaultConfig(tklus.WithPopCache(64), tklus.WithReplySnapshot())
+	cfg := tklus.DefaultConfig()
 	queries := []tklus.Query{
 		{Loc: loc, RadiusKm: 5, Keywords: []string{"hotel"}, K: 100, Ranking: tklus.SumScore},
 		{Loc: loc, RadiusKm: 5, Keywords: []string{"hotel"}, K: 100, Ranking: tklus.MaxScore},

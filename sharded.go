@@ -350,8 +350,7 @@ func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem,
 	if err != nil {
 		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
 	}
-	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth,
-		cfg.Engine.Params.Epsilon, stemAll(cfg.HotKeywords))
+	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
 
 	specs := make([]ShardSpec, 0, n)
 	systems := make([]*System, 0, n)

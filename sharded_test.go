@@ -151,8 +151,8 @@ func TestShardedMatchesMonolithicShardCounts(t *testing.T) {
 // TestShardsResolveTheirOwnRows pins where a shard's radius filter reads its
 // rows: every in-process shard of both tiers — and every replica of a
 // replicated shard — serves its index partition with a row source of its
-// own, so with thread expansion on the reply snapshot a sharded query does
-// no paged multi-get at all, across semantics, rankings, radii and windows.
+// own, and φ comes from the level-count table, so a sharded query does no
+// paged multi-get at all, across semantics, rankings, radii and windows.
 func TestShardsResolveTheirOwnRows(t *testing.T) {
 	dcfg := datagen.DefaultConfig()
 	dcfg.NumUsers = 400
@@ -161,7 +161,7 @@ func TestShardsResolveTheirOwnRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tklus.DefaultConfig(tklus.WithReplySnapshot())
+	cfg := tklus.DefaultConfig()
 	sc := tklus.DefaultShardingConfig()
 	sc.NumShards = 3
 	sharded, err := tklus.BuildSharded(corpus.Posts, cfg, sc)

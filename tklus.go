@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/contents"
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/dfs"
 	"repro/internal/geo"
 	"repro/internal/invindex"
@@ -172,30 +171,9 @@ type Config struct {
 	// Engine configures query processing (scoring parameters, the recency
 	// extension).
 	Engine core.Options
-	// HotKeywords receive pre-computed specific popularity bounds
-	// (Section V-B). Defaults to the paper's Table II top-10 keywords.
-	HotKeywords []string
-	// Features selects the optional serving accelerators. Build and Load
-	// both honor it, so a freshly built and a recovered system come up with
-	// the same surface; the With* functional options populate it.
-	Features Features
 }
 
-// Features are the optional serving accelerators a system can come up
-// with. Every feature preserves byte-identical results; they only change
-// where reads go. The zero value enables nothing — the paper's baseline
-// configuration.
-type Features struct {
-	// ReplySnapshot builds the metadata database's CSR reply-graph
-	// snapshot and moves thread expansion onto it (zero B⁺-tree traffic
-	// for thread construction).
-	ReplySnapshot bool
-}
-
-// Option mutates a Config; DefaultConfig applies them in order. Options
-// exist for the feature toggles so call sites read as one line:
-//
-//	sys, err := tklus.Build(posts, tklus.DefaultConfig(tklus.WithReplySnapshot()))
+// Option mutates a Config; DefaultConfig applies them in order.
 type Option func(*Config)
 
 // WithPopCache is accepted and changes nothing: the popularity cache is
@@ -209,20 +187,20 @@ type popCacheStub struct{}
 
 func (*popCacheStub) Stats() (s struct{ Evictions int64 }) { return s }
 
-// WithReplySnapshot enables the CSR reply-graph snapshot.
-func WithReplySnapshot() Option {
-	return func(c *Config) { c.Features.ReplySnapshot = true }
-}
+// WithReplySnapshot is accepted and changes nothing: ingest keeps the
+// level-count table exact by arithmetic, so no reply-graph snapshot exists,
+// and only the frozen internal/bench harness still passes the option —
+// delete with the harness's next move (ROADMAP 1).
+func WithReplySnapshot() Option { return func(*Config) {} }
 
 // DefaultConfig returns the paper's standard configuration: 4-length
-// geohash, α = 0.5, ε = 0.1, N = 40, database caches off. Options layer feature toggles on top.
+// geohash, α = 0.5, ε = 0.1, N = 40, database caches off.
 func DefaultConfig(opts ...Option) Config {
 	cfg := Config{
-		Index:       invindex.DefaultBuildOptions(),
-		DB:          metadb.DefaultOptions(),
-		DFS:         dfs.DefaultOptions(),
-		Engine:      core.DefaultOptions(),
-		HotKeywords: datagen.HotKeywords,
+		Index:  invindex.DefaultBuildOptions(),
+		DB:     metadb.DefaultOptions(),
+		DFS:    dfs.DefaultOptions(),
+		Engine: core.DefaultOptions(),
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -275,8 +253,8 @@ type System struct {
 }
 
 // Build loads the posts into the metadata database, constructs the hybrid
-// index with two MapReduce jobs, pre-computes the popularity bounds, and
-// returns a queryable system.
+// index with two MapReduce jobs, counts every thread's level sizes into the
+// popularity table, and returns a queryable system.
 func Build(posts []*Post, cfg Config) (*System, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("tklus: no posts to index")
@@ -295,8 +273,7 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
 	}
-	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth,
-		cfg.Engine.Params.Epsilon, stemAll(cfg.HotKeywords))
+	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
 	sys, err := newSystem(cfg, db, idx, nil, fsys, bounds, store, stats)
 	if err != nil {
 		return nil, err
@@ -305,39 +282,29 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// newSystem is the one place a System is assembled: the engine over the
-// batch index plus the accelerator cfg.Features asks for, so a fresh
-// build, a shard, a replica and a snapshot recovery all come up with the
-// same serving surface. rows is the index partition's row source: a shard
-// passes the rows-only segment of its own posts, while Build and Load pass
-// nil and resolve rows through the paged metadata database. The accelerator
-// is picked up from state the read paths can observe — the thread builder
-// expands from the reply snapshot when the database has one — and posts
-// ingested afterwards extend the snapshot in place, so results stay
-// byte-identical to the B⁺-tree paths.
+// newSystem is the one place a System is assembled — the engine over the
+// batch index — so a fresh build, a shard, a replica and a snapshot
+// recovery all come up with the same serving surface. rows is the index
+// partition's row source: a shard passes the rows-only segment of its own
+// posts, while Build and Load pass nil and resolve rows through the paged
+// metadata database.
 func newSystem(cfg Config, db *metadb.DB, idx *invindex.Index, rows core.RowSource, fsys *dfs.FS,
 	bounds *thread.Bounds, store *contents.Store, stats *invindex.BuildStats) (*System, error) {
 	engine, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Rows: rows}}, db, bounds, cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: creating engine: %w", err)
 	}
-	sys := &System{
+	return &System{
 		Engine: engine, DB: db, Index: idx, FS: fsys,
 		Bounds: bounds, Contents: store, IndexStats: stats,
-	}
-	if cfg.Features.ReplySnapshot {
-		db.EnableReplySnapshot()
-	}
-	return sys, nil
+	}, nil
 }
 
 // Ingest appends live posts to the centralized metadata database, in
 // timestamp order (each SID must exceed every stored one — IDs are
 // timestamps, Section IV-A). Ingested replies and forwards extend tweet
-// threads immediately: the next query sees the updated φ(p), the CSR
-// reply-graph snapshot (if enabled) is extended in place, the φ table
-// records the recomputed φ every search scores from, and the query-level
-// bounds are raised to it.
+// threads immediately: each one is counted into the level-count table every
+// search derives φ(p) from, so the next query sees the updated φ(p).
 // Keywords of ingested posts enter the hybrid inverted index only at the
 // next batch build (the paper's periodic index construction), so a
 // brand-new post becomes a *candidate* then — but its effect on existing
@@ -423,23 +390,24 @@ func (s *System) ingest(posts []*Post, timed bool, dbDur, walDur *time.Duration)
 	return nil
 }
 
-// extendThreads accounts for an ingested reply. It changes φ of exactly its
-// first Depth ancestors (those are the roots whose depth limit still
-// reaches the new post; its parent is 1 hop up). Walk that chain once,
-// recompute each ancestor's φ and record it: the φ table stays exact and no
-// bound is left below a thread that now scores above it.
+// extendThreads accounts for an ingested reply. It adds one tweet at level
+// h+1 of its h-th ancestor's thread, for its first Depth ancestors (those
+// are the roots whose depth limit still reaches the new post; its parent is
+// 1 hop up), and changes no other thread. Walk that chain once through the
+// rows' RSIDs and count it into the table in one call, so the table stays
+// exact.
 func (s *System) extendThreads(p *Post) {
-	builder := thread.Builder{DB: s.DB, Depth: s.Engine.Opts.Params.ThreadDepth}
-	sid := p.RSID
-	for hops := 0; sid != social.NoPost && hops < builder.Depth; hops++ {
-		pop, _ := builder.Popularity(sid, s.Engine.Opts.Params.Epsilon, nil)
-		s.Bounds.RaiseForRoot(sid, pop)
+	depth := s.Engine.Opts.Params.ThreadDepth
+	ancestors := make([]social.PostID, 0, depth)
+	for sid := p.RSID; sid != social.NoPost && len(ancestors) < depth; {
+		ancestors = append(ancestors, sid)
 		row, ok := s.DB.GetBySID(sid)
 		if !ok {
 			break
 		}
 		sid = row.RSID
 	}
+	s.Bounds.AddReply(ancestors)
 }
 
 // ThreadNode is one tweet of a materialized tweet thread (Definition 3).
@@ -521,14 +489,4 @@ func NewForward(uid UserID, at time.Time, loc Point, text string, parent *Post) 
 	p.RUID = parent.UID
 	p.RSID = parent.SID
 	return p
-}
-
-// stemAll runs query keywords through the text pipeline so hot-keyword
-// bounds are stored under the same stems the index uses.
-func stemAll(keywords []string) []string {
-	var out []string
-	for _, kw := range keywords {
-		out = append(out, textutil.Terms(kw)...)
-	}
-	return out
 }
