@@ -84,10 +84,11 @@ func requireSameResults(t *testing.T, got, want []core.UserResult, format string
 // is in the grid because there a thread's first reply lowers φ below the
 // floor. Retrieval — candidates and lists fetched — does not depend on the
 // block layout, and the engine builds and prunes no thread: φ comes from the
-// table. Bounds without a level-count table (what an image
-// written before the table decodes to) are refused outright. (Block skipping itself is
-// pinned by TestBlockMaxSkipsBlocks — a uniform random corpus interleaves the
-// two lists too densely for AND intersection to ever leap a whole block.)
+// table. Bounds without a level-count table (what an image written before
+// the table decodes to) are refused outright. (Block skipping itself is
+// pinned by TestBlockMaxSkipsBlocks — a uniform random corpus interleaves
+// the two lists too densely for AND intersection to ever leap a whole
+// block.)
 func TestBlockMaxEquivalenceGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(417))
 	posts, center := randomCorpus(rng, 900)

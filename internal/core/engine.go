@@ -5,9 +5,9 @@
 // sits on top of the hybrid index (internal/invindex), the metadata database
 // (internal/metadb), and the popularity table of internal/thread, which
 // holds every thread's level sizes and so its exact popularity φ: the engine
-// scores each candidate from it and builds no thread. The paper's regime — Algorithm 1 per candidate, with
-// Algorithm 5's upper-bound pruning — is what the figures time, and lives
-// with them in internal/experiments.
+// scores each candidate from it and builds no thread. The paper's regime —
+// Algorithm 1 per candidate, with Algorithm 5's upper-bound pruning — is
+// what the figures time, and lives with them in internal/experiments.
 package core
 
 import (

@@ -31,9 +31,9 @@ import (
 // A shard indexes only its own region's posts, and the rows its radius
 // filter resolves are its own too: the rows of the posts it indexes. What
 // spans regions is shared — every shard holds a replica of the centralized
-// metadata database and popularity table (the paper keeps them
-// centralized; a production shard replicates them) for thread popularity and
-// the |P_u| denominator of Definition 9. Both therefore see the full corpus and match
+// metadata database and popularity table (the paper keeps them centralized;
+// a production shard replicates them) for thread popularity and the |P_u|
+// denominator of Definition 9. Both therefore see the full corpus and match
 // the monolithic engine's values even when a thread or a user spans shard
 // boundaries.
 

@@ -9,7 +9,8 @@ package core
 // SearchPartials call resolveUsers, which adds the set's dense user table
 // (Σδ, |P_u|, δ(u,q) per user, each candidate pointing at its row), and
 // relevance, which gives every candidate its ρ(p,q) from the popularity
-// table, and pass the set to one ranker. No ranker builds a per-user map of its own.
+// table, and pass the set to one ranker. No ranker builds a per-user map of
+// its own.
 
 import (
 	"context"
