@@ -95,8 +95,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The hot-path lane: the per-stage micro-benchmarks of the gather → rank
-# kernel (postings merge, row batch, radius check, φ batch, per-candidate
-# scores and top-k) and of the router's partials merge at fan-out 1, 2 and 4,
+# kernel (postings merge, row batch, radius check, φ batch, |P_u| batch,
+# per-candidate scores and top-k) and of the router's partials merge at fan-out 1, 2 and 4,
 # five runs each with allocations — the numbers CHANGES.md quotes beside an
 # end-to-end result, in one command.
 bench-hot:
@@ -104,6 +104,7 @@ bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkPhiLookup' -benchmem -count 5 ./internal/thread/
 	$(GO) test -run '^$$' -bench 'BenchmarkHaversine' -benchmem -count 5 ./internal/geo/
 	$(GO) test -run '^$$' -bench 'BenchmarkSegmentRowBatch' -benchmem -count 5 ./internal/segment/
+	$(GO) test -run '^$$' -bench 'BenchmarkPostCounts' -benchmem -count 5 ./internal/metadb/
 
 # The one serving-path benchmark: HTTP in, JSON out, four workloads,
 # per-layer breakdown, run the way BENCHMARK.json's driver runs it (see

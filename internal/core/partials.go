@@ -182,11 +182,17 @@ func mergeCands(parts []*Partials) ([]CandidateScore, error) {
 // reducePartials is the per-user reduction of both rankings over merged:
 // every candidate of parts in ascending tweet-ID order — the router's half
 // of a scatter-gather query, reproducing the monolithic rankSum and rankMax
-// float for float.
+// float for float. A shard lists only users with a candidate, and that
+// candidate is one of the user's posts, so a reported |P_u| below 1 is an
+// error rather than a δ(u,q) of 0.
 func reducePartials(q *Query, alpha float64, merged []CandidateScore, parts []*Partials) ([]UserResult, error) {
 	posts := make(map[social.UserID]int) // |P_u|, as the first shard naming u reports it
-	for _, p := range parts {
+	for i, p := range parts {
 		for _, u := range p.Users {
+			if u.Posts < 1 {
+				return nil, fmt.Errorf("core: shard partials %d report user %d with %d posts, but a candidate user has at least one",
+					i, u.UID, u.Posts)
+			}
 			if _, dup := posts[u.UID]; !dup {
 				posts[u.UID] = u.Posts
 			}

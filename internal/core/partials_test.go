@@ -194,6 +194,33 @@ func TestMergePartialsErrors(t *testing.T) {
 		}
 	})
 
+	// A user with a candidate has at least that post; a shard reporting
+	// fewer would otherwise be scored with δ(u,q) = 0.
+	t.Run("user reported with no posts", func(t *testing.T) {
+		for _, tc := range []struct {
+			name  string
+			parts []*core.Partials
+			want  string
+		}{
+			{"fan-out 1", []*core.Partials{
+				{Cands: []core.CandidateScore{cand(3, 8)}, Users: []core.UserPartial{{UID: 8, Posts: 0}}},
+			}, "shard partials 0 report user 8 with 0 posts"},
+			{"fan-out 2", []*core.Partials{
+				{Cands: []core.CandidateScore{cand(2, 1)}, Users: []core.UserPartial{user(1)}},
+				{Cands: []core.CandidateScore{cand(5, 6)}, Users: []core.UserPartial{{UID: 6, Posts: -2}}},
+			}, "shard partials 1 report user 6 with -2 posts"},
+		} {
+			for _, rank := range []core.Ranking{core.SumScore, core.MaxScore} {
+				qr := q
+				qr.Ranking = rank
+				_, _, err := core.MergePartials(qr, 0.5, tc.parts)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s, %v: err = %v, want %q", tc.name, rank, err, tc.want)
+				}
+			}
+		}
+	})
+
 	t.Run("unknown ranking", func(t *testing.T) {
 		bad := q
 		bad.Ranking = core.Ranking(99)
@@ -290,11 +317,11 @@ func TestQueryStatsAddSumsEveryCounter(t *testing.T) {
 	}
 }
 
-// TestPartialsChargeSearchUserIO pins that a shard resolves its users once.
-// On a paged engine (no caches, no snapshots) Search and SearchPartials run
-// the same retrieval and read every φ from the table, so the only simulated
-// I/O that could differ between them is user resolution: both must charge
-// the same index-node and page reads, for both rankings.
+// TestPartialsChargeSearchUserIO pins that the two exits charge equal row
+// I/O. On a paged engine (no caches, no snapshots) Search and SearchPartials
+// run the same retrieval, read every φ from the table and every |P_u| from
+// the post-count column (which charges nothing on either exit), so both must
+// charge the same index-node and page reads, for both rankings.
 func TestPartialsChargeSearchUserIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	posts, center := randomCorpus(rng, 800)

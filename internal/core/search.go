@@ -85,6 +85,7 @@ type scratch struct {
 	byUID  map[social.UserID]int // resolveUsers: user → table row
 	users  []candUser            // candidateSet.users
 	uids   []social.UserID       // the |P_u| batch's keys
+	posts  []int                 // the |P_u| batch's counts
 	rho    []float64             // relevance: φ, then ρ, per candidate
 }
 
@@ -361,7 +362,7 @@ func (cs *candidateSet) admit(c candidate, loc geo.Point, uid social.UserID) {
 // Posts outside the radius contribute 0 to Definition 9 either way; the
 // user's in-radius posts that match no query keyword are the ones left out.
 // So δ depends on the DB only through |P_u|, and every count comes from one
-// amortized B⁺-tree batch.
+// read of the post-count column (metadb.DB.PostCounts) into the scratch.
 func (e *Engine) resolveUsers(cs *candidateSet) {
 	if cs.sc.byUID == nil {
 		cs.sc.byUID = make(map[social.UserID]int)
@@ -388,7 +389,9 @@ func (e *Engine) resolveUsers(cs *candidateSet) {
 	for i := range cs.users {
 		uids[i] = cs.users[i].uid
 	}
-	for i, n := range e.DB.PostCountOfUserBatch(uids) {
+	posts := grow(&cs.sc.posts, len(uids))
+	e.DB.PostCounts(uids, posts)
+	for i, n := range posts {
 		u := &cs.users[i]
 		u.posts, u.du = n, score.UserDistance(u.deltaSum, n)
 	}

@@ -75,7 +75,9 @@ func (a paperArm) Search(q core.Query) ([]core.UserResult, *core.QueryStats, err
 	}
 	part := &core.Partials{Users: make([]core.UserPartial, len(uids)), Cands: make([]core.CandidateScore, len(cands))}
 	du := make([]float64, len(uids))
-	for u, n := range a.sys.DB.PostCountOfUserBatch(uids) {
+	posts := make([]int, len(uids))
+	a.sys.DB.PostCounts(uids, posts)
+	for u, n := range posts {
 		part.Users[u] = core.UserPartial{UID: uids[u], Posts: n}
 		du[u] = score.UserDistance(deltaSum[u], n)
 	}

@@ -74,8 +74,9 @@ func TestUserPosts(t *testing.T) {
 	if db.PostCountOfUser(1) != 2 || db.PostCountOfUser(2) != 1 || db.PostCountOfUser(42) != 0 {
 		t.Error("PostCountOfUser wrong")
 	}
-	if got := db.PostCountOfUserBatch([]social.UserID{42, 1, 2, 1}); !slices.Equal(got, []int{0, 2, 1, 2}) {
-		t.Errorf("PostCountOfUserBatch = %v, want [0 2 1 2]", got)
+	got := make([]int, 4)
+	if db.PostCounts([]social.UserID{42, 1, 2, 1}, got); !slices.Equal(got, []int{0, 2, 1, 2}) {
+		t.Errorf("PostCounts = %v, want [0 2 1 2]", got)
 	}
 }
 

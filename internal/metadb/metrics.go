@@ -4,8 +4,8 @@ import "repro/internal/telemetry"
 
 // RegisterMetrics hooks the database's cumulative I/O counters into a
 // telemetry registry as read-at-scrape metrics: simulated page reads,
-// cache hits, and the node-access counter of each B⁺-tree index (keyed by
-// the paper's index names: sid, rsid, uid). Values are read live at scrape
+// cache hits, and the node-access counter of each of the paper's two
+// B⁺-tree indexes (keyed by name: sid, rsid). Values are read live at scrape
 // time, so ResetStats is reflected in the next scrape.
 func (db *DB) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("tklus_db_page_reads_total",
@@ -20,7 +20,6 @@ func (db *DB) RegisterMetrics(reg *telemetry.Registry) {
 	}{
 		{"sid", db.sidIndex.AccessesReader()},
 		{"rsid", db.rsidIndex.AccessesReader()},
-		{"uid", db.uidIndex.AccessesReader()},
 	}
 	for _, t := range trees {
 		read := t.read

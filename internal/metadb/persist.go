@@ -13,8 +13,8 @@ import (
 var rowsMagic = []byte("TKROW1")
 
 // SaveRows writes every row in SID order as fixed-width binary records.
-// The resulting stream plus Options fully determine the database: indexes
-// and per-user post lists are rebuilt on load.
+// The resulting stream plus Options fully determine the database: the
+// indexes and the post-count column are rebuilt on load.
 func (db *DB) SaveRows(w io.Writer) error {
 	db.mustBeFrozen()
 	db.structMu.RLock()

@@ -35,9 +35,9 @@ func TestSaveLoadRowsRoundTrip(t *testing.T) {
 	if len(loaded.SelectByRSID(10)) != len(db.SelectByRSID(10)) {
 		t.Error("rsid index differs after load")
 	}
-	// User post lists rebuilt.
+	// Post-count column rebuilt.
 	if loaded.PostCountOfUser(2) != db.PostCountOfUser(2) {
-		t.Error("user post lists differ after load")
+		t.Error("post counts differ after load")
 	}
 }
 

@@ -595,3 +595,66 @@ func TestSegmentedConcurrentLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestSegmentedSearchDoesNoSimulatedIO pins that a ranked query on a
+// segment-backed system touches no simulated metadata I/O: rows come from
+// the segments, φ from the level-count table and |P_u| from the post-count
+// column, so the metadata DB charges no page read, no B⁺-tree node visit
+// and no multi-get key — before and after a live ingest. (The ingest itself
+// walks a reply's ancestors through the DB, so the counters are reset
+// after it.)
+func TestSegmentedSearchDoesNoSimulatedIO(t *testing.T) {
+	corpus, queries := segGridCorpus(t)
+	sys, err := tklus.Build(corpus.Posts, tklus.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+
+	ranked := func(t *testing.T, phase string) {
+		t.Helper()
+		seg.DB.ResetStats()
+		answered := 0
+		for qi, spec := range queries {
+			for _, ranking := range []tklus.Ranking{tklus.SumScore, tklus.MaxScore} {
+				for _, sem := range []tklus.Semantic{tklus.Or, tklus.And} {
+					for _, radius := range []float64{5, 25} {
+						q := tklus.Query{
+							Loc: spec.Loc, RadiusKm: radius, Keywords: spec.Keywords,
+							K: 5, Semantic: sem, Ranking: ranking,
+						}
+						res, _, err := seg.Search(context.Background(), q)
+						if err != nil {
+							t.Fatalf("%s: query %d: %v", phase, qi, err)
+						}
+						if len(res) > 0 {
+							answered++
+						}
+					}
+				}
+			}
+		}
+		if answered == 0 {
+			t.Fatalf("%s: no query ranked a user", phase)
+		}
+		if s := seg.DB.Stats(); s.PageReads != 0 || s.IndexReads != 0 || s.BatchLookups != 0 {
+			t.Fatalf("%s: ranked queries charged %d page reads, %d index node visits, %d batch keys; want none",
+				phase, s.PageReads, s.IndexReads, s.BatchLookups)
+		}
+	}
+	ranked(t, "built")
+
+	at := time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)
+	parent := corpus.Posts[len(corpus.Posts)/2]
+	if err := seg.Ingest(
+		tklus.NewPost(9001, at, queries[0].Loc, "great hotel downtown"),
+		tklus.NewReply(9002, at.Add(time.Minute), queries[0].Loc, "nice view", parent),
+	); err != nil {
+		t.Fatal(err)
+	}
+	ranked(t, "after ingest")
+}
