@@ -23,10 +23,14 @@ short:
 # so the race build never chases bugs vet would have named.
 race:
 	$(GO) vet ./...
+	cd internal/bench && $(GO) vet ./...
 	$(GO) test -race ./...
 
+# Vets the nested harness module too: a root API change that breaks the
+# frozen harness fails here rather than only in `make test`.
 vet:
 	$(GO) vet ./...
+	cd internal/bench && $(GO) vet ./...
 
 # Durability lane: crash-inject every filesystem step of Save, segment
 # seal and compaction, corrupt every snapshot and segment artifact, replay

@@ -30,8 +30,8 @@ import (
 //     under arbitrary offered load.
 //  2. Cost budget — a token bucket refilled at CostBudget work-units/sec.
 //     Each query drains its *estimated* cost, learned per query shape
-//     from the QueryStats of prior queries (postings fetched + candidates
-//     + threads built). An expensive shape is shed (reason "cost") while
+//     from the QueryStats of prior queries (postings fetched +
+//     candidates). An expensive shape is shed (reason "cost") while
 //     cheap ones still pass — shedding by predicted work, not arrival
 //     order. Estimates for never-seen shapes are optimistic (admit,
 //     learn, adapt).
@@ -88,7 +88,7 @@ type AdmissionOptions struct {
 	// 500ms. The context deadline tightens it further when sooner.
 	MaxWait time.Duration
 	// CostBudget is the token-bucket refill rate in estimated work units
-	// (postings + candidates + threads) per second. Zero disables
+	// (postings + candidates) per second. Zero disables
 	// cost-based shedding: only the queue and wait bounds apply.
 	CostBudget float64
 	// CostBurst is the bucket capacity. Default: 2 seconds of CostBudget.

@@ -138,6 +138,7 @@ func main() {
 
 	var handler *server.Server
 	var durable *tklus.System // non-nil when -data owns persistence
+	var mono *tklus.System    // the one system of an unsharded server
 	if *shards > 0 {
 		if *load != "" || *data != "" {
 			logger.Error("-shards cannot be combined with -load or -data (images are monolithic)")
@@ -220,7 +221,6 @@ func main() {
 			durable = sys
 			logger.Info("ingest WAL enabled", "dir", *data, "sync", policy.String())
 		}
-		var segSys *tklus.SegmentedSystem
 		if *segments {
 			segOpts := tklus.SegmentOptions{
 				BucketWidth:     *segmentBucket,
@@ -237,20 +237,17 @@ func main() {
 				}
 				segOpts.Dir = tmp
 			}
-			segSys, err = tklus.EnableSegments(sys, segOpts)
-			if err != nil {
+			if _, err := tklus.EnableSegments(sys, segOpts); err != nil {
 				logger.Error("enabling segment store", "err", err)
 				os.Exit(1)
 			}
 			logger.Info("segment store enabled",
-				"dir", segOpts.Dir, "segments", segSys.Store.SegmentCount(),
-				"memtable_rows", segSys.Store.Memtable().Len(),
+				"dir", segOpts.Dir, "segments", sys.Store.SegmentCount(),
+				"memtable_rows", sys.Store.Memtable().Len(),
 				"bucket", segmentBucket.String(), "compact_interval", compactInterval.String())
 		}
+		mono = sys
 		handler = server.NewWith(sys, opts)
-		if segSys != nil {
-			segSys.RegisterMetrics(handler.Registry())
-		}
 		if durable != nil {
 			durable.RegisterPersistenceMetrics(handler.Registry())
 		}
@@ -320,6 +317,13 @@ func main() {
 		}
 		if err := durable.CloseWAL(); err != nil {
 			logger.Warn("closing ingest WAL", "err", err)
+		}
+	}
+	// The checkpoint sealed the memtable; unmap the segments (a no-op
+	// without -segments).
+	if mono != nil {
+		if err := mono.Close(); err != nil {
+			logger.Warn("closing segment store", "err", err)
 		}
 	}
 

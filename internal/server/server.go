@@ -139,19 +139,16 @@ func NewSearcher(sr tklus.Searcher) *Server {
 }
 
 // NewSearcherWith creates a server over any Searcher — a sharded router,
-// a federation, or a plain system. When sr is a *tklus.System the
-// introspection endpoints come along; otherwise only the search, metrics
-// and health endpoints are served. If sr is a *tklus.ShardedSystem its
-// per-shard metrics are registered into the server's registry.
+// a federation, or a plain system. When sr is a *tklus.System (or a
+// decorator surfacing one through UnderlyingSystem) the introspection
+// endpoints come along; otherwise only the search, metrics and health
+// endpoints are served. A backend with series of its own (a system's
+// segment store, a router's shards, a replicated tier's groups) registers
+// them into the server's registry.
 func NewSearcherWith(sr tklus.Searcher, opts Options) *Server {
-	sys, _ := sr.(*tklus.System)
-	if sys == nil {
-		// A handle or decorator over one system surfaces it, so the
-		// introspection endpoints (evidence, thread, stats enrichment)
-		// mount as usual.
-		if u, ok := sr.(interface{ UnderlyingSystem() *tklus.System }); ok {
-			sys = u.UnderlyingSystem()
-		}
+	var sys *tklus.System
+	if u, ok := sr.(interface{ UnderlyingSystem() *tklus.System }); ok {
+		sys = u.UnderlyingSystem()
 	}
 	return newServer(sr, sys, opts)
 }
@@ -184,14 +181,13 @@ func newServer(sr tklus.Searcher, sys *tklus.System, opts Options) *Server {
 		metrics:      newServerMetrics(opts.Registry, sys),
 		started:      time.Now(),
 	}
-	if ss, ok := backend.(*tklus.ShardedSystem); ok {
-		ss.RegisterMetrics(opts.Registry)
+	// Each backend registers its own series once: a system its segment
+	// store's, a router its per-shard series, a replicated tier those plus
+	// its replication health.
+	if m, ok := backend.(interface{ RegisterMetrics(*telemetry.Registry) }); ok {
+		m.RegisterMetrics(opts.Registry)
 	}
-	if rs, ok := backend.(*tklus.ReplicatedShardedSystem); ok {
-		rs.RegisterMetrics(opts.Registry)
-		rs.RegisterReplicationMetrics(opts.Registry)
-		s.replicated = rs
-	}
+	s.replicated, _ = backend.(*tklus.ReplicatedShardedSystem)
 	if sys != nil {
 		s.postCount = sys.DB.PostCountOfUser
 	} else if pc, ok := backend.(interface{ PostCountOfUser(tklus.UserID) int }); ok {

@@ -18,9 +18,9 @@ import (
 // even though its process never observed the failover.
 //
 // LeaseManager is deliberately tiny so the in-process implementation here
-// can later be swapped for one backed by an external coordination store
-// (etcd, ZooKeeper, a database row with compare-and-swap) without touching
-// the replica group.
+// can be swapped, through ReplicationConfig.LeaseManagerFor, for one backed
+// by an external coordination store (etcd, ZooKeeper, a database row with
+// compare-and-swap) without touching the replica group.
 
 // Lease records one leadership grant.
 type Lease struct {
@@ -59,8 +59,9 @@ type LeaseManager interface {
 }
 
 // LocalLeaseManager is the in-process LeaseManager: authoritative within
-// one process, which is exactly the scope of BuildReplicatedSharded's
-// in-process replica groups.
+// one process, which is exactly the scope of a BuildReplicatedSharded
+// tier. The tier gives each replica group its own unless
+// ReplicationConfig.LeaseManagerFor supplies one.
 type LocalLeaseManager struct {
 	now func() time.Time
 

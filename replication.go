@@ -14,7 +14,6 @@ import (
 	"repro/internal/contents"
 	"repro/internal/core"
 	"repro/internal/dfs"
-	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/telemetry"
 	"repro/internal/thread"
@@ -139,7 +138,8 @@ func (r *GroupReplica) maxSID() PostID {
 }
 
 // ReplicaGroup is one shard's replica set with its leadership state and
-// WAL shippers. It implements ReplicaView for the router.
+// WAL shippers. The router holds it to order the shard's replicas and to
+// read the winning replica's lag.
 type ReplicaGroup struct {
 	shard        string
 	replicas     []*GroupReplica
@@ -156,9 +156,9 @@ type ReplicaGroup struct {
 	wg        sync.WaitGroup
 }
 
-// newReplicaGroup wires a group over already-built replicas. The caller
+// newReplicaGroup returns an empty group; the caller adds its replicas and
 // elects the first leader via EnsureLeader.
-func newReplicaGroup(shard string, replicas []*GroupReplica, lm LeaseManager, ttl, shipInterval time.Duration) *ReplicaGroup {
+func newReplicaGroup(shard string, lm LeaseManager, ttl, shipInterval time.Duration) *ReplicaGroup {
 	if ttl <= 0 {
 		ttl = 150 * time.Millisecond
 	}
@@ -166,7 +166,7 @@ func newReplicaGroup(shard string, replicas []*GroupReplica, lm LeaseManager, tt
 		shipInterval = 2 * time.Millisecond
 	}
 	return &ReplicaGroup{
-		shard: shard, replicas: replicas, lm: lm,
+		shard: shard, lm: lm,
 		leaseTTL: ttl, shipInterval: shipInterval,
 	}
 }
@@ -212,9 +212,9 @@ func (g *ReplicaGroup) Leader() string {
 // Failovers returns how many leadership changes the group has seen.
 func (g *ReplicaGroup) Failovers() int64 { return g.failovers.Load() }
 
-// PreferredOrder implements ReplicaView: the valid-lease leader first,
-// then live replicas by applied high-water SID (most caught-up first),
-// downed replicas last.
+// PreferredOrder returns the replica names the router tries in order: the
+// valid-lease leader first, then live replicas by applied high-water SID
+// (most caught-up first), downed replicas last.
 func (g *ReplicaGroup) PreferredOrder() []string {
 	g.mu.Lock()
 	leader := g.leader
@@ -249,12 +249,12 @@ func (g *ReplicaGroup) PreferredOrder() []string {
 	return out
 }
 
-// LagRecords implements ReplicaView: how many records of the current
-// leader's acknowledged WAL stream the named replica has not yet consumed.
-// The leader (and an unelected group) reports 0. Just after a failover the
-// new stream is re-shipped from its start, so lag transiently reads as the
-// full stream length and collapses as the follower's idempotent skip
-// consumes it.
+// LagRecords returns how many records of the current leader's
+// acknowledged WAL stream the named replica has not yet consumed. The
+// leader (and an unelected group) reports 0. Just after a failover the new
+// stream is re-shipped from its start, so lag transiently reads as the full
+// stream length and collapses as the follower's idempotent skip consumes
+// it.
 func (g *ReplicaGroup) LagRecords(name string) int64 {
 	g.mu.Lock()
 	leader := g.leader
@@ -572,95 +572,80 @@ type ReplicatedShardedSystem struct {
 // one shared immutable index and row image per shard, and per replica a
 // full metadata DB, popularity bounds and an ingest WAL under rc.Dir. Each
 // group elects its first leader before this returns, and a lease keeper per
-// group renews leases and promotes successors in the background.
-func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc ReplicationConfig) (*ReplicatedShardedSystem, error) {
-	if len(posts) == 0 {
-		return nil, fmt.Errorf("tklus: no posts to index")
-	}
+// group renews leases and promotes successors in the background. A build
+// that fails stops every group it started and closes every WAL it opened.
+func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc ReplicationConfig) (_ *ReplicatedShardedSystem, err error) {
 	if rc.Replicas < 1 {
 		return nil, fmt.Errorf("tklus: replication needs at least 1 replica per shard")
 	}
 	if rc.Dir == "" {
 		return nil, fmt.Errorf("tklus: replication needs a WAL root directory")
 	}
-	if sc.NumShards <= 0 || sc.PrefixLen <= 0 {
-		return nil, fmt.Errorf("tklus: shard count and prefix length must be positive")
-	}
-	shardPrefixes, shardPosts := partitionByPrefix(posts, sc.PrefixLen, sc.NumShards)
-	n := len(shardPrefixes)
-
 	fsys := dfs.New(cfg.DFS)
 	store, err := contents.BuildStore(fsys, posts, "contents")
 	if err != nil {
 		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
 	}
+	// One immutable hybrid index and rows-only row image per shard, shared
+	// by its replicas — live ingest never mutates either (posts enter the
+	// index at the next batch build), so sharing is safe and saves
+	// Replicas-1 builds.
+	images, err := buildShards(posts, cfg, sc, fsys)
+	if err != nil {
+		return nil, err
+	}
 
-	specs := make([]ShardSpec, 0, n)
-	groups := make([]*ReplicaGroup, 0, n)
-	for i := 0; i < n; i++ {
-		shardName := fmt.Sprintf("shard-%02d", i)
-		// One immutable hybrid index and rows-only row image per shard,
-		// shared by its replicas — live ingest never mutates either (posts
-		// enter the index at the next batch build), so sharing is safe and
-		// saves Replicas-1 builds.
-		iopts := cfg.Index
-		iopts.PathPrefix = fmt.Sprintf("%s/%s", orDefault(cfg.Index.PathPrefix, "index"), shardName)
-		idx, istats, err := invindex.Build(fsys, shardPosts[i], iopts)
+	groups := make([]*ReplicaGroup, 0, len(images))
+	defer func() {
 		if err != nil {
-			return nil, fmt.Errorf("tklus: building shard %d index: %w", i, err)
+			for _, g := range groups {
+				g.close()
+			}
 		}
-		rows, err := shardRows(shardPosts[i])
-		if err != nil {
-			return nil, fmt.Errorf("tklus: building shard %d rows: %w", i, err)
+	}()
+	shards := make([]*shard, len(images))
+	for i, im := range images {
+		var lm LeaseManager = NewLocalLeaseManager(nil)
+		if rc.LeaseManagerFor != nil {
+			lm = rc.LeaseManagerFor(im.name)
 		}
-		replicas := make([]*GroupReplica, 0, rc.Replicas)
-		rspecs := make([]ReplicaSpec, 0, rc.Replicas)
+		// The group is tracked before its replicas exist, so a failure
+		// part-way through closes the WALs its replicas already opened.
+		g := newReplicaGroup(im.name, lm, rc.LeaseTTL, rc.ShipInterval)
+		groups = append(groups, g)
+		sh := &shard{name: im.name, prefixes: im.prefixes, group: g}
 		for j := 0; j < rc.Replicas; j++ {
 			// Every replica holds its own full metadata DB and bounds —
 			// Figure 3's replicated centralized database — because live
 			// ingest mutates both and replicas must diverge in nothing.
 			db, err := metadb.Load(cfg.DB, posts)
 			if err != nil {
-				return nil, fmt.Errorf("tklus: loading shard %d replica %d metadata db: %w", i, j, err)
+				return nil, fmt.Errorf("tklus: loading %s replica %d metadata db: %w", im.name, j, err)
 			}
 			bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
-			sys, err := newSystem(cfg, db, idx, rows, fsys, bounds, store, istats)
+			sys, err := newSystem(cfg, db, im.idx, im.rows, fsys, bounds, store, im.stats)
 			if err != nil {
-				return nil, fmt.Errorf("tklus: shard %d replica %d: %w", i, j, err)
+				return nil, fmt.Errorf("tklus: %s replica %d: %w", im.name, j, err)
 			}
-			dataDir := filepath.Join(rc.Dir, shardName, fmt.Sprintf("r%d", j))
+			dataDir := filepath.Join(rc.Dir, im.name, fmt.Sprintf("r%d", j))
 			if _, err := sys.EnableWAL(dataDir, rc.WAL); err != nil {
-				return nil, fmt.Errorf("tklus: opening shard %d replica %d WAL: %w", i, j, err)
+				return nil, fmt.Errorf("tklus: opening %s replica %d WAL: %w", im.name, j, err)
 			}
 			rep := &GroupReplica{
-				name:   fmt.Sprintf("%s/r%d", shardName, j),
+				name:   fmt.Sprintf("%s/r%d", im.name, j),
 				sys:    sys,
 				walDir: filepath.Join(dataDir, walDirName),
 			}
-			replicas = append(replicas, rep)
-			rspecs = append(rspecs, ReplicaSpec{Name: rep.name, Backend: rep})
+			g.replicas = append(g.replicas, rep)
+			sh.replicas = append(sh.replicas, &shardReplica{name: rep.name, backend: rep})
 		}
-		var lm LeaseManager
-		if rc.LeaseManagerFor != nil {
-			lm = rc.LeaseManagerFor(shardName)
-		} else {
-			lm = NewLocalLeaseManager(nil)
-		}
-		g := newReplicaGroup(shardName, replicas, lm, rc.LeaseTTL, rc.ShipInterval)
 		if err := g.EnsureLeader(context.Background()); err != nil {
-			return nil, fmt.Errorf("tklus: electing shard %d leader: %w", i, err)
+			return nil, fmt.Errorf("tklus: electing %s leader: %w", im.name, err)
 		}
-		groups = append(groups, g)
-		specs = append(specs, ShardSpec{
-			Name:     shardName,
-			Replicas: rspecs,
-			Group:    g,
-			Prefixes: shardPrefixes[i],
-		})
+		shards[i] = sh
 	}
 
-	alpha := cfg.Engine.Params.Alpha
-	ss, err := NewSharded(alpha, sc, specs)
+	ss, err := newRouter(cfg.Engine.Params.Alpha, sc, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -752,9 +737,25 @@ func (rs *ReplicatedShardedSystem) Close() error {
 	return first
 }
 
-// RegisterReplicationMetrics exposes the replication health series:
-// per-replica lag, per-shard failover counts and current epochs.
-func (rs *ReplicatedShardedSystem) RegisterReplicationMetrics(reg *telemetry.Registry) {
+// PostCountOfUser reports the user's global post count |P_u|. Every
+// replica holds the full metadata database (Figure 3's replicated
+// centralized DB), so it reads the first group's current leader — the
+// replica every acknowledged ingest has reached — or, before the first
+// election, its replica 0.
+func (rs *ReplicatedShardedSystem) PostCountOfUser(uid UserID) int {
+	g := rs.groups[0]
+	rep := g.Replica(g.Leader())
+	if rep == nil {
+		rep = g.replicas[0]
+	}
+	return rep.sys.DB.PostCountOfUser(uid)
+}
+
+// RegisterMetrics exposes the router's series (ShardedSystem.RegisterMetrics)
+// and the replication health series: per-replica lag, per-shard failover
+// counts and current epochs.
+func (rs *ReplicatedShardedSystem) RegisterMetrics(reg *telemetry.Registry) {
+	rs.ShardedSystem.RegisterMetrics(reg)
 	for _, g := range rs.groups {
 		g := g
 		reg.CounterFunc("tklus_replica_failovers_total",

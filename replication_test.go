@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -527,5 +530,96 @@ func TestReplicatedPostFailoverEquivalenceGrid(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplicatedPostCountMatchesMonolithic pins |P_u| on the replicated
+// tier: every replica holds the full metadata database, so the tier's
+// post count of a user equals a monolithic build's — before any ingest,
+// and for a user a live ingest touched once the followers caught up.
+func TestReplicatedPostCountMatchesMonolithic(t *testing.T) {
+	mono, rs, corpus := buildMonoAndReplicated(t, 2000, tklus.DefaultConfig(), replicaSharding(), fastFailoverConfig(t))
+	extras := liveExtras(corpus, 5)
+	if err := rs.Ingest(extras...); err != nil {
+		t.Fatal(err)
+	}
+	if err := mono.Ingest(extras...); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := rs.WaitCaughtUp(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sample := []tklus.UserID{extras[0].UID}
+	for _, p := range corpus.Posts[:50] {
+		sample = append(sample, p.UID)
+	}
+	for _, uid := range sample {
+		want := mono.DB.PostCountOfUser(uid)
+		if want == 0 {
+			t.Fatalf("user %d has no posts on mono: the sample is vacuous", uid)
+		}
+		if got := rs.PostCountOfUser(uid); got != want {
+			t.Errorf("user %d: replicated |P_u| = %d, mono %d", uid, got, want)
+		}
+	}
+}
+
+// failingLeaseManager refuses every lease, so the group that owns it can
+// never elect a leader.
+type failingLeaseManager struct{ *tklus.LocalLeaseManager }
+
+func (failingLeaseManager) Acquire(string, time.Duration) (tklus.Lease, error) {
+	return tklus.Lease{}, errors.New("coordination store unreachable")
+}
+
+// openFDs counts the process's open file descriptors, or -1 where the
+// platform does not list them.
+func openFDs() int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(fds)
+}
+
+// TestReplicatedBuildFailureReleasesResources fails the second shard's
+// election after the first group has elected and started shipping: the
+// build must return an error naming that shard and leave no shipper
+// running and no replica WAL open.
+func TestReplicatedBuildFailureReleasesResources(t *testing.T) {
+	dcfg := datagen.DefaultConfig()
+	dcfg.NumUsers = 200
+	dcfg.NumPosts = 1000
+	corpus, err := datagen.Generate(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := replicaSharding()
+	sc.NumShards = 2
+	rc := fastFailoverConfig(t)
+	rc.LeaseManagerFor = func(shard string) tklus.LeaseManager {
+		lm := tklus.NewLocalLeaseManager(nil)
+		if shard == "shard-01" {
+			return failingLeaseManager{lm}
+		}
+		return lm
+	}
+
+	goroutines, fds := runtime.NumGoroutine(), openFDs()
+	rs, err := tklus.BuildReplicatedSharded(corpus.Posts, tklus.DefaultConfig(), sc, rc)
+	if err == nil {
+		rs.Close()
+		t.Fatal("build succeeded although shard-01 can never elect a leader")
+	}
+	if !strings.Contains(err.Error(), "shard-01") {
+		t.Errorf("error %q does not name shard-01", err)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after the failed build, %d before", n, goroutines)
+	}
+	if n := openFDs(); n > fds {
+		t.Errorf("%d open files after the failed build, %d before", n, fds)
 	}
 }

@@ -42,12 +42,16 @@ type SegmentOptions struct {
 	WALDir string
 }
 
-// SegmentedSystem is the lifecycle handle of a System's segment store:
-// sealed immutable segments (mmap'd, zero-copy postings and row metadata)
-// plus a live memtable, published to the System's one query engine as
-// time-bounded partitions. It overrides nothing — Search, SearchPartials,
-// Evidence, Ingest and Save are the embedded System's, and all of them
-// serve from (and feed) the store once it is installed:
+// SegmentedSystem is System. The alias exists only because the frozen
+// internal/bench harness names it; delete it with ROADMAP 1.
+type SegmentedSystem = System
+
+// EnableSegments moves a built (or loaded) System onto the segment storage
+// engine: sealed immutable segments (mmap'd, zero-copy postings and row
+// metadata) plus a live memtable, published to the System's one query
+// engine as time-bounded partitions. The store is installed on sys itself,
+// which is returned, so every path through sys — Search, SearchPartials,
+// Evidence, Ingest, Save — serves from (and feeds) segments afterwards:
 //
 //   - Reads skip the simulated DFS page model and the B⁺-tree descents
 //     entirely; postings iterate directly over mapped bytes.
@@ -59,24 +63,14 @@ type SegmentOptions struct {
 //   - Save seals the memtable before it rotates the WAL, so the log only
 //     ever drops records whose posts are already in a segment and a
 //     restart can always rebuild the memtable from it.
-type SegmentedSystem struct {
-	*System
-	Store *segment.Store
-
-	stopCompact chan struct{}
-	compactDone chan struct{}
-}
-
-// EnableSegments moves a built (or loaded) System onto the segment storage
-// engine: the store is installed on sys itself and its engine's partitions
-// are swapped to the store's views, so every path through sys serves from
-// segments afterwards. An empty store is seeded by migrating the
-// batch-built index and row store into time-bucketed segments; a populated
-// store is opened as-is (every file checksummed). With WALDir set, logged
-// posts beyond the last sealed segment are replayed into the memtable,
-// restoring their just-in-time index entries after a restart. Not safe to
-// call concurrently with queries on sys; a system takes one store.
-func EnableSegments(sys *System, opts SegmentOptions) (*SegmentedSystem, error) {
+//
+// An empty store is seeded by migrating the batch-built index and row
+// store into time-bucketed segments; a populated store is opened as-is
+// (every file checksummed). With WALDir set, logged posts beyond the last
+// sealed segment are replayed into the memtable, restoring their
+// just-in-time index entries after a restart. Not safe to call
+// concurrently with queries on sys; a system takes one store.
+func EnableSegments(sys *System, opts SegmentOptions) (*System, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("tklus: EnableSegments needs a built system")
 	}
@@ -85,8 +79,8 @@ func EnableSegments(sys *System, opts SegmentOptions) (*SegmentedSystem, error) 
 	}
 	sys.ingestMu.Lock()
 	defer sys.ingestMu.Unlock()
-	if sys.store != nil {
-		return nil, fmt.Errorf("tklus: EnableSegments: system already serves from the segment store in %s", sys.store.Dir())
+	if sys.Store != nil {
+		return nil, fmt.Errorf("tklus: EnableSegments: system already serves from the segment store in %s", sys.Store.Dir())
 	}
 	store, err := segment.OpenStore(opts.Dir, segment.Options{
 		GeohashLen:   sys.Index.GeohashLen(),
@@ -98,27 +92,26 @@ func EnableSegments(sys *System, opts SegmentOptions) (*SegmentedSystem, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &SegmentedSystem{System: sys, Store: store}
 	if store.Empty() {
-		if err := s.migrate(); err != nil {
+		if err := sys.migrate(store); err != nil {
 			store.Close()
 			return nil, fmt.Errorf("tklus: migrating index into segments: %w", err)
 		}
 	}
 	if opts.WALDir != "" {
-		if err := s.replayWALIntoMemtable(filepath.Join(opts.WALDir, walDirName)); err != nil {
+		if err := sys.replayWALIntoMemtable(store, filepath.Join(opts.WALDir, walDirName)); err != nil {
 			store.Close()
 			return nil, fmt.Errorf("tklus: replaying wal into memtable: %w", err)
 		}
 	}
-	sys.store = store
+	sys.Store = store
 	sys.publishPartitions()
 	if opts.CompactInterval > 0 {
-		s.stopCompact = make(chan struct{})
-		s.compactDone = make(chan struct{})
-		go s.compactLoop(opts.CompactInterval)
+		sys.stopCompact = make(chan struct{})
+		sys.compactDone = make(chan struct{})
+		go sys.compactLoop(opts.CompactInterval)
 	}
-	return s, nil
+	return sys, nil
 }
 
 // publishPartitions swaps the engine onto the store's current view set,
@@ -127,7 +120,7 @@ func EnableSegments(sys *System, opts SegmentOptions) (*SegmentedSystem, error) 
 // mapped until Close, and whose memtable stays reachable after a seal
 // replaces it). Caller holds ingestMu.
 func (s *System) publishPartitions() {
-	views := s.store.Views()
+	views := s.Store.Views()
 	parts := make([]core.Partition, len(views))
 	for i, v := range views {
 		parts[i] = core.Partition{Source: v.Source, Rows: v.Source, MinSID: v.MinSID, MaxSID: v.MaxSID}
@@ -139,10 +132,10 @@ func (s *System) publishPartitions() {
 // empty) and publishes the resulting partition set. Nothing to do without a
 // store or once it is closed. Caller holds ingestMu.
 func (s *System) sealStore() error {
-	if s.store == nil || s.storeClosed {
+	if s.Store == nil || s.storeClosed {
 		return nil
 	}
-	if err := s.store.SealNow(); err != nil {
+	if err := s.Store.SealNow(); err != nil {
 		return err
 	}
 	s.publishPartitions()
@@ -153,7 +146,7 @@ func (s *System) sealStore() error {
 // the metadata database and every postings list of the inverted index,
 // split at time-bucket boundaries. One-time cost on first boot with
 // segments enabled; afterwards the store opens from its MANIFEST.
-func (s *SegmentedSystem) migrate() error {
+func (s *System) migrate(store *segment.Store) error {
 	var rows []metadb.Row
 	s.DB.Scan(func(r metadb.Row) bool {
 		rows = append(rows, r)
@@ -169,7 +162,7 @@ func (s *SegmentedSystem) migrate() error {
 			postings[k] = ps
 		}
 	}
-	return s.Store.BulkLoad(rows, postings)
+	return store.BulkLoad(rows, postings)
 }
 
 // replayWALIntoMemtable restores the just-in-time index entries of posts
@@ -178,36 +171,40 @@ func (s *SegmentedSystem) migrate() error {
 // rebuilds their memtable postings (the log records carry the words).
 // Records at or below the seal watermark — or beyond what the database
 // accepted — are skipped, so the replay is idempotent across crashes.
-func (s *SegmentedSystem) replayWALIntoMemtable(walDir string) error {
-	sealed := s.Store.MaxSealedSID()
+func (s *System) replayWALIntoMemtable(store *segment.Store, walDir string) error {
+	sealed := store.MaxSealedSID()
 	_, dbMax := s.DB.SIDRange()
 	_, err := wal.Replay(walDir, func(p *social.Post) error {
 		if p.SID <= sealed || p.SID > dbMax {
 			return nil
 		}
-		_, err := s.Store.Add(p)
+		_, err := store.Add(p)
 		return err
 	})
 	return err
 }
 
-// UnderlyingSystem returns the System the store is installed on — the one
-// serving unit; the server mounts every endpoint over it.
-func (s *SegmentedSystem) UnderlyingSystem() *System { return s.System }
+// UnderlyingSystem returns s, the one serving unit; decorators over a
+// system return the system they wrap.
+func (s *System) UnderlyingSystem() *System { return s }
 
 // SealNow seals the memtable into an immutable segment. No-op when the
-// memtable is empty.
-func (s *SegmentedSystem) SealNow() error {
+// memtable is empty or no store is installed.
+func (s *System) SealNow() error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	return s.sealStore()
 }
 
 // Compact runs size-tiered compaction to a fixed point and publishes the
-// merged partition set. Returns how many segments were merged away.
-func (s *SegmentedSystem) Compact() (int, error) {
+// merged partition set. Returns how many segments were merged away; 0
+// without an open store.
+func (s *System) Compact() (int, error) {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
+	if s.Store == nil || s.storeClosed {
+		return 0, nil
+	}
 	n, err := s.Store.Compact()
 	if n > 0 {
 		s.publishPartitions()
@@ -216,7 +213,7 @@ func (s *SegmentedSystem) Compact() (int, error) {
 }
 
 // compactLoop runs background compaction until Close.
-func (s *SegmentedSystem) compactLoop(interval time.Duration) {
+func (s *System) compactLoop(interval time.Duration) {
 	defer close(s.compactDone)
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -230,18 +227,20 @@ func (s *SegmentedSystem) compactLoop(interval time.Duration) {
 	}
 }
 
-// RegisterMetrics exports the store's tklus_segment_* counters and
-// gauges.
-func (s *SegmentedSystem) RegisterMetrics(reg *telemetry.Registry) {
-	s.Store.RegisterMetrics(reg)
+// RegisterMetrics exports the segment store's tklus_segment_* counters and
+// gauges; a system without a store has none.
+func (s *System) RegisterMetrics(reg *telemetry.Registry) {
+	if s.Store != nil {
+		s.Store.RegisterMetrics(reg)
+	}
 }
 
 // Close stops background compaction, closes the engine — Search,
 // SearchPartials, Evidence and Ingest fail with ErrClosed from here on —
 // and unmaps every segment. Searches already in flight still read mapped
 // bytes, so call it only after they have drained. It does not close the
-// System's WAL.
-func (s *SegmentedSystem) Close() error {
+// System's WAL. A no-op without an open store.
+func (s *System) Close() error {
 	if s.stopCompact != nil {
 		close(s.stopCompact)
 		<-s.compactDone
@@ -249,6 +248,9 @@ func (s *SegmentedSystem) Close() error {
 	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
+	if s.Store == nil || s.storeClosed {
+		return nil
+	}
 	s.storeClosed = true
 	s.Engine.SetPartitions(nil)
 	return s.Store.Close()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -397,12 +398,36 @@ func TestSegmentedFreshKeywordVisible(t *testing.T) {
 	}
 }
 
-// TestSegmentedUseAfterClose pins the lifecycle edges: a system takes one
-// store, and once the handle is closed every path that would touch the
-// unmapped segments fails with ErrClosed instead of faulting on them.
-// (Draining in-flight searches before Close stays the caller's duty.)
+// TestSegmentedUseAfterClose pins the lifecycle edges: EnableSegments
+// installs the store on the system it is given, a system takes one store,
+// and once it is closed every path that would touch the unmapped segments
+// fails with ErrClosed instead of faulting on them. (Draining in-flight
+// searches before Close stays the caller's duty.) On a system without a
+// store the lifecycle calls change nothing.
 func TestSegmentedUseAfterClose(t *testing.T) {
 	posts, loc, _ := ingestCorpus()
+	plain, err := tklus.Build(posts, tklus.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hotel := tklus.Query{Loc: loc, RadiusKm: 5, Keywords: []string{"hotel"}, K: 3, Ranking: tklus.SumScore}
+	before, _, err := plain.Search(context.Background(), hotel)
+	if err != nil || len(before) == 0 {
+		t.Fatalf("store-less search: %v, %v", before, err)
+	}
+	if err := plain.SealNow(); err != nil {
+		t.Errorf("SealNow without a store: %v", err)
+	}
+	if n, err := plain.Compact(); n != 0 || err != nil {
+		t.Errorf("Compact without a store: %d, %v", n, err)
+	}
+	if err := plain.Close(); err != nil {
+		t.Errorf("Close without a store: %v", err)
+	}
+	if after, _, err := plain.Search(context.Background(), hotel); err != nil || !reflect.DeepEqual(after, before) {
+		t.Errorf("store-less search after the lifecycle calls: %v, %v; want %v", after, err, before)
+	}
+
 	sys, err := tklus.Build(posts, tklus.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -410,6 +435,9 @@ func TestSegmentedUseAfterClose(t *testing.T) {
 	seg, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if seg != sys {
+		t.Fatal("EnableSegments returned a system other than its argument")
 	}
 	if _, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: t.TempDir()}); err == nil {
 		t.Fatal("a second segment store was installed on the same system")

@@ -30,11 +30,11 @@ import (
 // and a partial-results mode that reports degraded shards in QueryStats
 // instead of failing the whole query.
 //
-// A shard may be a replica SET rather than a single backend: the router
-// then reads from the most-preferred healthy replica (the leader while its
-// lease holds, the most-caught-up follower otherwise — see replication.go)
-// and hedges stragglers to a DIFFERENT replica, so one sick copy no longer
-// costs the query its region.
+// A shard built by BuildReplicatedSharded is a replica group rather than a
+// single backend: the router then reads from the most-preferred healthy
+// replica (the leader while its lease holds, the most-caught-up follower
+// otherwise — see replication.go) and hedges stragglers to a DIFFERENT
+// replica, so one sick copy no longer costs the query its region.
 
 // ShardBackend answers the shard half of a scatter-gather query. *System
 // implements it in process; server.ShardClient implements it over HTTP
@@ -50,35 +50,12 @@ func (s *System) SearchPartials(ctx context.Context, q Query) (*core.Partials, e
 	return s.Engine.SearchPartials(ctx, q)
 }
 
-// ReplicaSpec declares one replica of a shard's replica set.
-type ReplicaSpec struct {
-	Name    string
-	Backend ShardBackend
-}
-
-// ReplicaView is the router's window into a shard's replica group: which
-// replica to prefer (leader first while its lease holds, then followers by
-// catch-up), and how far behind the leader's acknowledged ingest stream a
-// given replica is. *ReplicaGroup implements it; a nil view routes in
-// declared order with zero reported lag.
-type ReplicaView interface {
-	// PreferredOrder returns replica names, most-preferred first.
-	PreferredOrder() []string
-	// LagRecords returns how many acknowledged ingest records the named
-	// replica has not yet applied (0 for the leader).
-	LagRecords(replica string) int64
-}
-
-// ShardSpec declares one shard of a ShardedSystem: a backend (or a replica
-// set) plus the geohash prefixes it owns. Prefixes must all have the
-// router's prefix length and no prefix may be owned by two shards. When
-// Replicas is set it wins over Backend; Group optionally supplies
-// leadership-aware routing over those replicas.
+// ShardSpec declares one shard of a ShardedSystem: a backend plus the
+// geohash prefixes it owns. Prefixes must all have the router's prefix
+// length and no prefix may be owned by two shards.
 type ShardSpec struct {
 	Name     string
 	Backend  ShardBackend
-	Replicas []ReplicaSpec
-	Group    ReplicaView
 	Prefixes []string
 }
 
@@ -140,36 +117,30 @@ type shardReplica struct {
 	br      *breaker
 }
 
-// shard is one routed member: a replica set plus the prefixes it owns.
+// shard is one routed member: its replicas plus the prefixes it owns. A
+// NewSharded shard has one replica and no group; a BuildReplicatedSharded
+// shard has one replica per member of its group, in the group's order.
 type shard struct {
 	name     string
 	prefixes []string
 	replicas []*shardReplica
-	group    ReplicaView // nil for static (non-replicated) shards
+	group    *ReplicaGroup // nil for static (non-replicated) shards
 }
 
 // ordered returns the shard's replicas in routing preference order: the
-// group's view when it has one (leader first, then followers by catch-up),
-// declared order otherwise. Replicas the view does not name are appended
-// last so a stale view cannot hide a copy entirely.
+// group's (leader first, then followers by catch-up) when it has one,
+// declared order otherwise.
 func (sh *shard) ordered() []*shardReplica {
 	if sh.group == nil || len(sh.replicas) == 1 {
 		return sh.replicas
 	}
-	byName := make(map[string]*shardReplica, len(sh.replicas))
-	for _, r := range sh.replicas {
-		byName[r.name] = r
-	}
-	out := make([]*shardReplica, 0, len(sh.replicas))
-	for _, n := range sh.group.PreferredOrder() {
-		if r, ok := byName[n]; ok {
-			out = append(out, r)
-			delete(byName, n)
-		}
-	}
-	for _, r := range sh.replicas {
-		if _, left := byName[r.name]; left {
-			out = append(out, r)
+	names := sh.group.PreferredOrder()
+	out := make([]*shardReplica, 0, len(names))
+	for _, n := range names {
+		for _, r := range sh.replicas {
+			if r.name == n {
+				out = append(out, r)
+			}
 		}
 	}
 	return out
@@ -199,66 +170,54 @@ type ShardedSystem struct {
 // engine. cfg.NumShards is ignored here; cfg.PrefixLen must match the
 // specs' prefix lengths.
 func NewSharded(alpha float64, cfg ShardingConfig, specs []ShardSpec) (*ShardedSystem, error) {
-	if len(specs) == 0 {
+	shards := make([]*shard, len(specs))
+	for i, spec := range specs {
+		if spec.Backend == nil {
+			return nil, fmt.Errorf("tklus: shard %d has no backend", i)
+		}
+		name := spec.Name
+		if name == "" {
+			name = fmt.Sprintf("shard-%02d", i)
+		}
+		shards[i] = &shard{
+			name:     name,
+			prefixes: spec.Prefixes,
+			replicas: []*shardReplica{{name: name, backend: spec.Backend}},
+		}
+	}
+	return newRouter(alpha, cfg, shards)
+}
+
+// newRouter wires the router over its shards: it validates their prefixes,
+// gives every replica its circuit breaker and indexes the routing table.
+func newRouter(alpha float64, cfg ShardingConfig, shards []*shard) (*ShardedSystem, error) {
+	if len(shards) == 0 {
 		return nil, fmt.Errorf("tklus: sharded system needs at least one shard")
 	}
 	if cfg.PrefixLen <= 0 {
 		return nil, fmt.Errorf("tklus: sharding prefix length must be positive")
 	}
-	ss := &ShardedSystem{
-		cfg:      cfg,
-		alpha:    alpha,
-		byPrefix: make(map[string]int),
-	}
-	for i, spec := range specs {
-		name := spec.Name
-		if name == "" {
-			name = fmt.Sprintf("shard-%02d", i)
-		}
-		reps := spec.Replicas
-		if len(reps) == 0 {
-			if spec.Backend == nil {
-				return nil, fmt.Errorf("tklus: shard %d has no backend", i)
-			}
-			reps = []ReplicaSpec{{Name: name, Backend: spec.Backend}}
-		}
-		if len(spec.Prefixes) == 0 {
+	ss := &ShardedSystem{cfg: cfg, alpha: alpha, shards: shards, byPrefix: make(map[string]int)}
+	for i, sh := range shards {
+		if len(sh.prefixes) == 0 {
 			return nil, fmt.Errorf("tklus: shard %d owns no prefixes", i)
 		}
-		sh := &shard{name: name, group: spec.Group}
-		seenRep := make(map[string]bool, len(reps))
-		for j, rs := range reps {
-			if rs.Backend == nil {
-				return nil, fmt.Errorf("tklus: shard %s replica %d has no backend", name, j)
-			}
-			rname := rs.Name
-			if rname == "" {
-				rname = fmt.Sprintf("%s/r%d", name, j)
-			}
-			if seenRep[rname] {
-				return nil, fmt.Errorf("tklus: shard %s has two replicas named %q", name, rname)
-			}
-			seenRep[rname] = true
-			sh.replicas = append(sh.replicas, &shardReplica{
-				name:    rname,
-				backend: rs.Backend,
-				br:      newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil),
-			})
+		for _, r := range sh.replicas {
+			r.br = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil)
 		}
-		for _, p := range spec.Prefixes {
+		for _, p := range sh.prefixes {
 			if len(p) != cfg.PrefixLen {
 				return nil, fmt.Errorf("tklus: shard %s prefix %q has length %d, want %d",
-					name, p, len(p), cfg.PrefixLen)
+					sh.name, p, len(p), cfg.PrefixLen)
 			}
 			if j, dup := ss.byPrefix[p]; dup {
 				return nil, fmt.Errorf("tklus: prefix %q owned by both %s and %s",
-					p, ss.shards[j].name, name)
+					p, shards[j].name, sh.name)
 			}
 			ss.byPrefix[p] = i
 		}
-		sh.prefixes = append([]string(nil), spec.Prefixes...)
+		sh.prefixes = append([]string(nil), sh.prefixes...)
 		sort.Strings(sh.prefixes)
-		ss.shards = append(ss.shards, sh)
 	}
 	return ss, nil
 }
@@ -318,15 +277,23 @@ func shardRows(posts []*Post) (*segment.Segment, error) {
 	return segment.RowsOnly(rows)
 }
 
-// BuildSharded partitions the posts by geohash prefix into cfg.NumShards
-// in-process shards and wires the router over them. Following Figure 3's
-// centralized metadata database, every shard shares one metadata DB,
-// popularity-bound table and contents store (in production: a replica),
-// while each shard's hybrid index, and the rows behind it, cover only its
-// own region — that shared foundation is what makes cross-shard threads and
-// |P_u| exact, and the merged results byte-identical to a monolithic Build
-// over the same posts.
-func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem, error) {
+// shardImage is one shard's immutable half, shared by every copy of the
+// shard: the prefixes it owns, the hybrid index over its posts and the
+// rows-only segment behind that index.
+type shardImage struct {
+	name     string
+	prefixes []string
+	idx      *invindex.Index
+	stats    *invindex.BuildStats
+	rows     *segment.Segment
+}
+
+// buildShards partitions the posts by geohash prefix into at most
+// sc.NumShards shards and builds each one's index (into fsys, under
+// <PathPrefix>/shard-XX) and row image. The shard's metadata database,
+// bounds and contents are the caller's: BuildSharded shares one set,
+// BuildReplicatedSharded gives every replica its own database and bounds.
+func buildShards(posts []*Post, cfg Config, sc ShardingConfig, fsys *dfs.FS) ([]shardImage, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("tklus: no posts to index")
 	}
@@ -337,44 +304,63 @@ func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem,
 		return nil, fmt.Errorf("tklus: sharding prefix length must be positive")
 	}
 	shardPrefixes, shardPosts := partitionByPrefix(posts, sc.PrefixLen, sc.NumShards)
-	n := len(shardPrefixes)
+	root := cfg.Index.PathPrefix
+	if root == "" {
+		root = "index"
+	}
+	images := make([]shardImage, len(shardPrefixes))
+	for i := range images {
+		name := fmt.Sprintf("shard-%02d", i)
+		iopts := cfg.Index
+		iopts.PathPrefix = root + "/" + name
+		idx, istats, err := invindex.Build(fsys, shardPosts[i], iopts)
+		if err != nil {
+			return nil, fmt.Errorf("tklus: building %s index: %w", name, err)
+		}
+		rows, err := shardRows(shardPosts[i])
+		if err != nil {
+			return nil, fmt.Errorf("tklus: building %s rows: %w", name, err)
+		}
+		images[i] = shardImage{name: name, prefixes: shardPrefixes[i], idx: idx, stats: istats, rows: rows}
+	}
+	return images, nil
+}
 
+// BuildSharded partitions the posts by geohash prefix into cfg.NumShards
+// in-process shards and wires the router over them. Following Figure 3's
+// centralized metadata database, every shard shares one metadata DB,
+// popularity-bound table and contents store (in production: a replica),
+// while each shard's hybrid index, and the rows behind it, cover only its
+// own region — that shared foundation is what makes cross-shard threads and
+// |P_u| exact, and the merged results byte-identical to a monolithic Build
+// over the same posts.
+func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem, error) {
+	fsys := dfs.New(cfg.DFS)
+	store, err := contents.BuildStore(fsys, posts, "contents")
+	if err != nil {
+		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
+	}
+	images, err := buildShards(posts, cfg, sc, fsys)
+	if err != nil {
+		return nil, err
+	}
 	// Shared foundation (Figure 3's centralized metadata database,
 	// replicated to every shard in a real deployment).
 	db, err := metadb.Load(cfg.DB, posts)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: loading metadata db: %w", err)
 	}
-	fsys := dfs.New(cfg.DFS)
-	store, err := contents.BuildStore(fsys, posts, "contents")
-	if err != nil {
-		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
-	}
 	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
 
-	specs := make([]ShardSpec, 0, n)
-	systems := make([]*System, 0, n)
-	for i := 0; i < n; i++ {
-		iopts := cfg.Index
-		iopts.PathPrefix = fmt.Sprintf("%s/shard-%02d", orDefault(cfg.Index.PathPrefix, "index"), i)
-		idx, istats, err := invindex.Build(fsys, shardPosts[i], iopts)
+	specs := make([]ShardSpec, len(images))
+	systems := make([]*System, len(images))
+	for i, im := range images {
+		sys, err := newSystem(cfg, db, im.idx, im.rows, fsys, bounds, store, im.stats)
 		if err != nil {
-			return nil, fmt.Errorf("tklus: building shard %d index: %w", i, err)
+			return nil, fmt.Errorf("tklus: %s: %w", im.name, err)
 		}
-		rows, err := shardRows(shardPosts[i])
-		if err != nil {
-			return nil, fmt.Errorf("tklus: building shard %d rows: %w", i, err)
-		}
-		sys, err := newSystem(cfg, db, idx, rows, fsys, bounds, store, istats)
-		if err != nil {
-			return nil, fmt.Errorf("tklus: shard %d: %w", i, err)
-		}
-		systems = append(systems, sys)
-		specs = append(specs, ShardSpec{
-			Name:     fmt.Sprintf("shard-%02d", i),
-			Backend:  sys,
-			Prefixes: shardPrefixes[i],
-		})
+		systems[i] = sys
+		specs[i] = ShardSpec{Name: im.name, Backend: sys, Prefixes: im.prefixes}
 	}
 	ss, err := NewSharded(cfg.Engine.Params.Alpha, sc, specs)
 	if err != nil {
@@ -382,13 +368,6 @@ func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem,
 	}
 	ss.Systems = systems
 	return ss, nil
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }
 
 // NumShards returns the number of shards behind the router.

@@ -221,6 +221,11 @@ type System struct {
 	// PopCache is always nil: only the frozen internal/bench harness reads
 	// it — delete with the harness's next move (ROADMAP 1(d)).
 	PopCache *popCacheStub
+	// Store, once EnableSegments installs it, is what the engine's
+	// partitions read from; nil on a system serving its batch index. Every
+	// store mutation (add, seal, compact, close) and the partition swap
+	// after it happen under ingestMu.
+	Store *segment.Store
 
 	// IndexStats reports MapReduce construction counters and sizes.
 	IndexStats *invindex.BuildStats
@@ -237,13 +242,12 @@ type System struct {
 	// wal, when attached by EnableWAL, receives every ingested post before
 	// Ingest returns. Guarded by ingestMu.
 	wal *wal.Log
-	// store, when installed by EnableSegments, is what the engine's
-	// partitions read from: ingest indexes each post in its memtable, Save
-	// seals it before rotating the WAL. Every store mutation (add, seal,
-	// compact, close) and the partition swap that follows it happen under
-	// ingestMu. storeClosed fails ingest once the store is unmapped.
-	store       *segment.Store
+	// storeClosed fails ingest once Close has unmapped the store.
 	storeClosed bool
+	// stopCompact / compactDone run the background compaction loop
+	// EnableSegments starts when CompactInterval is set.
+	stopCompact chan struct{}
+	compactDone chan struct{}
 	// saveMu serializes whole Save calls (snapshot sequencing + GC).
 	saveMu sync.Mutex
 	// snapshotsSaved / lastSnapshotUnix feed the persistence metrics;
@@ -377,8 +381,8 @@ func (s *System) ingest(posts []*Post, timed bool, dbDur, walDur *time.Duration)
 		if p.RSID != social.NoPost {
 			s.extendThreads(p)
 		}
-		if s.store != nil {
-			sealed, err := s.store.Add(p)
+		if s.Store != nil {
+			sealed, err := s.Store.Add(p)
 			if sealed {
 				s.publishPartitions()
 			}
