@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet fmt flake bench bench-hot bench-e2e test-crash test-obs test-replication loc
+.PHONY: all build test short race vet fmt flake fuzz bench bench-hot bench-e2e test-crash test-obs test-replication loc
 
 all: build test
 
@@ -94,6 +94,19 @@ flake:
 	$(GO) test -race -count=20 \
 		-run 'TestAdmission|TestBreaker|TestLease|TestSegmentedDurableReopen|TestSegmentedFreshKeywordVisible|TestSegmentedUseAfterClose|TestSegmentedConcurrentLifecycle|TestConcurrentSearchAndIngest|TestIngestRecomputesThreadPopularity' .
 	$(GO) test -race -count=20 ./internal/core/ ./internal/thread/ ./internal/segment/ ./internal/metadb/
+
+# Fuzz lane: every Fuzz* target in the module (hostile segment images,
+# postings payloads and keys, geohash cells, stemming and tokenising, shard
+# partials at the router) fuzzed for 10 s each; the targets are found by
+# name, so a new one joins without an edit here. Stops at the first failure,
+# whose input `go test` saves under the package's testdata/fuzz.
+fuzz:
+	@for pkg in $$(grep -rl '^func Fuzz' --include='*_test.go' . | grep -v '^./internal/bench/' | xargs -n1 dirname | sort -u); do \
+		for target in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$pkg/*_test.go | sed 's/^func //'); do \
+			echo "== $$target ($$pkg)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 10s $$pkg || exit 1; \
+		done; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/score"
@@ -135,14 +136,20 @@ func MergePartials(q Query, alpha float64, parts []*Partials) ([]UserResult, *Qu
 // TID-ascending. A shard's bytes may come off the wire, so a list that
 // breaks the contract is an error, not something to sort back into shape,
 // and so is a tweet two shards both report (each tweet is indexed by exactly
-// one shard). A single list is the order as is.
+// one shard), and so is a NaN or infinite ρ or δ, which would otherwise
+// reach Combine and order the ranking by garbage. A single list is the
+// order as is.
 func mergeCands(parts []*Partials) ([]CandidateScore, error) {
 	total := 0
 	for i, p := range parts {
-		for j := 1; j < len(p.Cands); j++ {
-			if p.Cands[j].TID <= p.Cands[j-1].TID {
+		for j, c := range p.Cands {
+			if !finite(c.Rho) || !finite(c.Delta) {
+				return nil, fmt.Errorf("core: shard partials %d report tweet %d with ρ %v and δ %v; both must be finite",
+					i, c.TID, c.Rho, c.Delta)
+			}
+			if j > 0 && c.TID <= p.Cands[j-1].TID {
 				return nil, fmt.Errorf("core: shard partials %d not in ascending tweet order at candidate %d (tweet %d after %d)",
-					i, j, p.Cands[j].TID, p.Cands[j-1].TID)
+					i, j, c.TID, p.Cands[j-1].TID)
 			}
 		}
 		total += len(p.Cands)
@@ -178,6 +185,9 @@ func mergeCands(parts []*Partials) ([]CandidateScore, error) {
 	}
 	return merged, nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // reducePartials is the per-user reduction of both rankings over merged:
 // every candidate of parts in ascending tweet-ID order — the router's half

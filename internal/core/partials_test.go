@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -221,6 +222,30 @@ func TestMergePartialsErrors(t *testing.T) {
 		}
 	})
 
+	// A NaN or infinite partial would reach Combine and order the ranking
+	// by garbage; the error names the shard and the tweet.
+	t.Run("non-finite score", func(t *testing.T) {
+		for _, bad := range []core.CandidateScore{
+			{TID: 5, UID: 6, Delta: math.NaN(), Rho: 0.3},
+			{TID: 5, UID: 6, Delta: 0.5, Rho: math.Inf(1)},
+			{TID: 5, UID: 6, Delta: math.Inf(-1), Rho: 0.3},
+			{TID: 5, UID: 6, Delta: 0.5, Rho: math.NaN()},
+		} {
+			parts := []*core.Partials{
+				{Cands: []core.CandidateScore{cand(2, 1)}, Users: []core.UserPartial{user(1)}},
+				{Cands: []core.CandidateScore{bad}, Users: []core.UserPartial{user(6)}},
+			}
+			for _, rank := range []core.Ranking{core.SumScore, core.MaxScore} {
+				qr := q
+				qr.Ranking = rank
+				_, _, err := core.MergePartials(qr, 0.5, parts)
+				if want := "shard partials 1 report tweet 5 with"; err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("ρ %v, δ %v, %v: err = %v, want %q", bad.Rho, bad.Delta, rank, err, want)
+				}
+			}
+		}
+	})
+
 	t.Run("unknown ranking", func(t *testing.T) {
 		bad := q
 		bad.Ranking = core.Ranking(99)
@@ -347,4 +372,108 @@ func TestPartialsChargeSearchUserIO(t *testing.T) {
 				rank, shard.IndexReads, shard.PageReads, mono.IndexReads, mono.PageReads, len(parts.Users))
 		}
 	}
+}
+
+// fuzzFloats are the ρ and δ values FuzzMergePartials draws from: in-range
+// ones, out-of-range finite ones, and the non-finite ones MergePartials must
+// reject.
+var fuzzFloats = []float64{0, 0.25, 0.5, 1, math.NaN(), math.Inf(1), math.Inf(-1), -0.5, 1e308}
+
+// decodePartials turns fuzz bytes into shard partials: a shard count, then
+// ops of either a candidate {shard, 0, tid, uid, δ, ρ} or a user
+// {shard, 1, uid, posts}, with small TID and UID ranges so that repeats,
+// disorder and users missing from their shard's list all occur.
+func decodePartials(data []byte) []*core.Partials {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	parts := make([]*core.Partials, 1+int(next()%4))
+	for i := range parts {
+		parts[i] = &core.Partials{}
+	}
+	for len(data) > 0 {
+		p := parts[int(next())%len(parts)]
+		if next()%2 == 0 {
+			p.Cands = append(p.Cands, core.CandidateScore{
+				TID: social.PostID(next() % 32), UID: social.UserID(next() % 8),
+				Delta: fuzzFloats[int(next())%len(fuzzFloats)], Rho: fuzzFloats[int(next())%len(fuzzFloats)],
+			})
+		} else {
+			p.Users = append(p.Users, core.UserPartial{UID: social.UserID(next() % 8), Posts: int(next()%6) - 1})
+		}
+	}
+	return parts
+}
+
+// FuzzMergePartials is the router's hostile-shard harness: whatever the
+// shards report, MergePartials returns an error or a valid ranking — at most
+// k users, each one a candidate's author, none twice, ordered by score
+// descending then UID, and no NaN score — and never panics.
+func FuzzMergePartials(f *testing.F) {
+	cand := func(shard, tid, uid, delta, rho byte) []byte { return []byte{shard, 0, tid, uid, delta, rho} }
+	user := func(shard, uid, posts byte) []byte { return []byte{shard, 1, uid, posts} }
+	seed := func(shards byte, ops ...[]byte) []byte {
+		out := []byte{shards}
+		for _, op := range ops {
+			out = append(out, op...)
+		}
+		return out
+	}
+	for _, s := range [][]byte{
+		// Valid: two shards, interleaved tweets, users with posts.
+		seed(1, cand(0, 1, 1, 2, 1), cand(1, 2, 2, 3, 2), cand(0, 5, 1, 1, 3), user(0, 1, 3), user(1, 2, 4)),
+		// Wrong order within a shard.
+		seed(0, cand(0, 9, 1, 2, 1), cand(0, 4, 1, 2, 1), user(0, 1, 3)),
+		// One tweet reported twice, by one shard and by two.
+		seed(0, cand(0, 4, 1, 2, 1), cand(0, 4, 1, 2, 1), user(0, 1, 3)),
+		seed(1, cand(0, 4, 1, 2, 1), cand(1, 4, 1, 2, 1), user(0, 1, 3), user(1, 1, 3)),
+		// NaN and infinite δ and ρ.
+		seed(0, cand(0, 3, 1, 4, 1), user(0, 1, 3)),
+		seed(0, cand(0, 3, 1, 2, 5), user(0, 1, 3)),
+		seed(1, cand(0, 3, 1, 6, 1), cand(1, 7, 2, 2, 4), user(0, 1, 3), user(1, 2, 3)),
+		// |P_u| below 1, and a candidate's user missing.
+		seed(0, cand(0, 3, 1, 2, 1), user(0, 1, 0)),
+		seed(0, cand(0, 3, 2, 2, 1), user(0, 1, 3)),
+	} {
+		f.Add(s, uint8(3), false)
+		f.Add(s, uint8(1), true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, k uint8, maxRanking bool) {
+		parts := decodePartials(data)
+		q := core.Query{K: 1 + int(k%8), Ranking: core.SumScore}
+		if maxRanking {
+			q.Ranking = core.MaxScore
+		}
+		results, _, err := core.MergePartials(q, 0.5, parts)
+		if err != nil {
+			return
+		}
+		authors := make(map[social.UserID]bool)
+		for _, p := range parts {
+			for _, c := range p.Cands {
+				authors[c.UID] = true
+			}
+		}
+		if len(results) > q.K {
+			t.Fatalf("%d results for k = %d", len(results), q.K)
+		}
+		seen := make(map[social.UserID]bool)
+		for i, r := range results {
+			if !authors[r.UID] || seen[r.UID] || math.IsNaN(r.Score) {
+				t.Fatalf("result %d %+v: an author of no candidate, a repeat, or a NaN score (%v)", i, r, results)
+			}
+			seen[r.UID] = true
+			if i > 0 {
+				prev := results[i-1]
+				if r.Score > prev.Score || (r.Score == prev.Score && r.UID <= prev.UID) {
+					t.Fatalf("results out of order at %d: %v", i, results)
+				}
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"testing"
 	"time"
 
@@ -152,6 +153,13 @@ func TestSegmentCorruptionConsistentCRC(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[32:40], n+1)
 			return restamp(b)
 		}},
+		{"row count wraps to the rows section's size", func(b []byte) []byte {
+			// (n + 2⁶⁰) × 48 ≡ n × 48 mod 2⁶⁴, so the section offsets still
+			// agree while the count is far beyond the image.
+			n := binary.LittleEndian.Uint64(b[32:40])
+			binary.LittleEndian.PutUint64(b[32:40], n+1<<60)
+			return restamp(b)
+		}},
 		{"rows out of order", func(b []byte) []byte {
 			// Swap the SIDs of the first two row records.
 			a := binary.LittleEndian.Uint64(b[headerSize:])
@@ -180,8 +188,8 @@ func TestSegmentCorruptionConsistentCRC(t *testing.T) {
 
 // FuzzOpenSegmentBytes is the hostile-input harness: whatever the bytes,
 // OpenBytes must return a typed error or a segment that serves its
-// directory and its rows without panicking — a batch over every row's SID
-// resolves or names a miss inside the batch, never reads out of range.
+// directory and its rows without panicking, and whose row columns agree with
+// its records (checkColumnsMatchRecords).
 func FuzzOpenSegmentBytes(f *testing.F) {
 	valid := validSegmentBytes(f)
 	f.Add(valid)
@@ -208,13 +216,44 @@ func FuzzOpenSegmentBytes(f *testing.F) {
 				t.Fatalf("FetchPostings(%v) on opened segment: %v", k, err)
 			}
 		}
-		sids := make([]social.PostID, seg.NumRows())
-		for i := range sids {
-			sids[i] = seg.RowAt(i).SID
-		}
-		// Hostile rows need not ascend, so a miss is legitimate here.
-		if miss := seg.ResolveRows(sids, make([]metadb.RowMeta, len(sids))); miss < -1 || miss >= len(sids) {
-			t.Fatalf("ResolveRows over %d rows reports miss index %d", len(sids), miss)
-		}
+		checkColumnsMatchRecords(t, seg)
 	})
+}
+
+// checkColumnsMatchRecords requires the row columns an open derived to agree
+// with the records RowAt decodes: a batch of every row's SID resolves each to
+// its record's (lat, lon, uid), bit for bit, and a SID strictly between two
+// rows is reported as the miss at its index, after the row before it
+// resolved.
+func checkColumnsMatchRecords(t *testing.T, seg *Segment) {
+	t.Helper()
+	same := func(got metadb.RowMeta, r metadb.Row) bool {
+		return got.UID == r.UID &&
+			math.Float64bits(got.Lat) == math.Float64bits(r.Lat) &&
+			math.Float64bits(got.Lon) == math.Float64bits(r.Lon)
+	}
+	sids := make([]social.PostID, seg.NumRows())
+	for i := range sids {
+		sids[i] = seg.RowAt(i).SID
+	}
+	out := make([]metadb.RowMeta, len(sids))
+	if miss := seg.ResolveRows(sids, out); miss != -1 {
+		t.Fatalf("ResolveRows over the %d rows' own SIDs reports a miss at %d", len(sids), miss)
+	}
+	for i, got := range out {
+		if r := seg.RowAt(i); !same(got, r) {
+			t.Fatalf("row %d: resolved %+v, record %+v", i, got, r)
+		}
+	}
+	var pair [2]metadb.RowMeta
+	for i := 0; i+1 < len(sids); i++ {
+		if sids[i]+1 == sids[i+1] {
+			continue // no SID between these two rows
+		}
+		between := []social.PostID{sids[i], sids[i] + 1}
+		if miss := seg.ResolveRows(between, pair[:]); miss != 1 || !same(pair[0], seg.RowAt(i)) {
+			t.Fatalf("SIDs %v (row %d, then a gap): miss %d, resolved %+v; want miss 1 after %+v",
+				between, i, miss, pair[0], seg.RowAt(i))
+		}
+	}
 }

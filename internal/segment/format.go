@@ -1,12 +1,14 @@
 // Package segment implements the on-disk immutable segment format behind
 // the LSM-style storage engine: ingest flows WAL → in-memory memtable →
-// sealed time-bucketed segment files, and reads are served zero-copy from
+// sealed time-bucketed segment files, and postings are read zero-copy from
 // mmap'd bytes. A segment file carries the same 48-byte row records the
 // metadata database snapshots (TKROW1) and the same blocked postings
-// payloads PR 7's block-max traversal consumes (TKFWD2), so the query
+// payloads the block-max traversal consumes (TKFWD2), so the query
 // engine's PostingsIterator runs directly over the mapped file — the
 // per-block {count, minDelta, span, maxTF} directory doubles as the
 // on-disk skip index, with no B⁺-tree descents and no simulated page IO.
+// Rows are resolved from dense columns the open derives from the records
+// (see rowColumns); the records themselves are read again only by RowAt.
 //
 // File layout (all integers little-endian):
 //
@@ -122,9 +124,8 @@ func buildSegment(geohashLen int, rows []metadb.Row, keys []keyPostings) ([]byte
 	binary.LittleEndian.PutUint64(hdr[40:48], uint64(len(keys)))
 	buf = append(buf, hdr[:]...)
 
-	// Rows section: the exact record layout metadb's rows.bin uses, so a
-	// mapped segment can serve row metadata with the same binary search
-	// the snapshot loader validates.
+	// Rows section: the exact record layout metadb's rows.bin uses; the
+	// open derives the segment's row columns from it.
 	rowsOff := uint64(len(buf))
 	var rec [rowSize]byte
 	for _, r := range rows {
@@ -241,7 +242,7 @@ func parseSegment(b []byte) (*Segment, error) {
 	rowsOff := binary.LittleEndian.Uint64(ftr[0:8])
 	postingsOff := binary.LittleEndian.Uint64(ftr[8:16])
 	dirOff := binary.LittleEndian.Uint64(ftr[16:24])
-	if rowsOff != headerSize ||
+	if rowsOff != headerSize || nRows > uint64(len(b))/rowSize ||
 		postingsOff != rowsOff+nRows*rowSize ||
 		postingsOff > dirOff || dirOff > footerOff {
 		return nil, fmt.Errorf("%w: section offsets out of order", ErrCorrupt)
@@ -290,17 +291,20 @@ func parseSegment(b []byte) (*Segment, error) {
 	if len(dir) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after key directory", ErrCorrupt, len(dir))
 	}
-	// Row records must be ascending for the binary search to be sound.
-	prev := int64(-1 << 62)
+	// Row records must be ascending for the gallop to be sound. The same
+	// pass, over bytes the CRC has covered, fills the row columns queries
+	// resolve against.
+	seg.cols = rowColumns{sids: make([]social.PostID, 0, seg.nRows), meta: make([]metadb.RowMeta, 0, seg.nRows)}
+	prev := social.PostID(-1 << 62)
 	for i := 0; i < seg.nRows; i++ {
-		sid := int64(binary.LittleEndian.Uint64(seg.rows[i*rowSize:]))
-		if sid <= prev {
+		r := decodeRow(seg.rows[i*rowSize : (i+1)*rowSize])
+		if r.SID <= prev {
 			return nil, fmt.Errorf("%w: rows not in ascending SID order at %d", ErrCorrupt, i)
 		}
-		prev = sid
+		prev = r.SID
+		seg.cols.add(r.SID, metadb.RowMeta{Lat: r.Lat, Lon: r.Lon, UID: r.UID})
 	}
-	if social.PostID(binary.LittleEndian.Uint64(seg.rows[0:8])) != minSID ||
-		social.PostID(binary.LittleEndian.Uint64(seg.rows[(seg.nRows-1)*rowSize:])) != maxSID {
+	if seg.cols.sids[0] != minSID || seg.cols.sids[seg.nRows-1] != maxSID {
 		return nil, fmt.Errorf("%w: header SID range disagrees with row records", ErrCorrupt)
 	}
 	return seg, nil

@@ -2,7 +2,6 @@ package segment
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/geo"
@@ -28,9 +27,17 @@ type Memtable struct {
 	geohashLen int
 
 	mu       sync.RWMutex
-	rows     []metadb.Row
+	cols     rowColumns // SID, location and author per row: what queries resolve
+	replyTo  []replyRef // the rest of each row, read only by the seal
 	postings map[invindex.Key][]invindex.Posting
 	bytes    int // rough payload size, for size-based seal thresholds
+}
+
+// replyRef is the part of a row the query path never reads: the author and
+// post it replies to or forwards (zero for a root post).
+type replyRef struct {
+	ruid social.UserID
+	rsid social.PostID
 }
 
 // NewMemtable creates an empty memtable keyed at the given geohash
@@ -47,15 +54,12 @@ func NewMemtable(geohashLen int) *Memtable {
 func (m *Memtable) Add(p *social.Post) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if n := len(m.rows); n > 0 && p.SID <= m.rows[n-1].SID {
+	if n := len(m.cols.sids); n > 0 && p.SID <= m.cols.sids[n-1] {
 		return fmt.Errorf("segment: memtable add SID %d is not beyond %d (posts arrive in timestamp order)",
-			p.SID, m.rows[n-1].SID)
+			p.SID, m.cols.sids[n-1])
 	}
-	m.rows = append(m.rows, metadb.Row{
-		SID: p.SID, UID: p.UID,
-		Lat: p.Loc.Lat, Lon: p.Loc.Lon,
-		RUID: p.RUID, RSID: p.RSID,
-	})
+	m.cols.add(p.SID, metadb.RowMeta{Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID})
+	m.replyTo = append(m.replyTo, replyRef{ruid: p.RUID, rsid: p.RSID})
 	m.bytes += rowSize
 	if len(p.Words) == 0 {
 		return nil
@@ -79,7 +83,14 @@ func (m *Memtable) Add(p *social.Post) error {
 func (m *Memtable) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.rows)
+	return len(m.cols.sids)
+}
+
+// columnBytes returns the resident size of the memtable's row columns.
+func (m *Memtable) columnBytes() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.cols.bytes()
 }
 
 // SizeBytes returns the approximate buffered payload size.
@@ -104,21 +115,11 @@ func (m *Memtable) FetchPostings(geohash, term string) ([]invindex.Posting, erro
 }
 
 // ResolveRows is Segment.ResolveRows for still-unsealed posts: the same
-// forward gallop over the buffered rows, under one read lock for the batch.
+// resolve over the buffered row columns, under one read lock for the batch.
 func (m *Memtable) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	rows := m.rows
-	pos := 0
-	for i, sid := range sids {
-		lo, hi := gallopBracket(pos, len(rows), func(j int) bool { return rows[j].SID < sid })
-		pos = lo + sort.Search(hi-lo, func(j int) bool { return rows[lo+j].SID >= sid })
-		if pos == len(rows) || rows[pos].SID != sid {
-			return i
-		}
-		out[i] = metadb.RowMeta{Lat: rows[pos].Lat, Lon: rows[pos].Lon, UID: rows[pos].UID}
-	}
-	return -1
+	return m.cols.resolve(sids, out)
 }
 
 // snapshot returns the rows and the sorted, blocked-encoded postings of
@@ -128,8 +129,11 @@ func (m *Memtable) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
 func (m *Memtable) snapshot(blockSize int) ([]metadb.Row, []keyPostings, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	rows := make([]metadb.Row, len(m.rows))
-	copy(rows, m.rows)
+	rows := make([]metadb.Row, len(m.cols.sids))
+	for i, sid := range m.cols.sids {
+		meta, ref := m.cols.meta[i], m.replyTo[i]
+		rows[i] = metadb.Row{SID: sid, UID: meta.UID, Lat: meta.Lat, Lon: meta.Lon, RUID: ref.ruid, RSID: ref.rsid}
+	}
 	enc := make(map[invindex.Key][]byte, len(m.postings))
 	for k, ps := range m.postings {
 		payload, err := invindex.EncodeBlockedPostingsList(ps, blockSize)
@@ -145,8 +149,9 @@ func (m *Memtable) snapshot(blockSize int) ([]metadb.Row, []keyPostings, error) 
 func (m *Memtable) bounds() (min, max social.PostID, ok bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if len(m.rows) == 0 {
+	sids := m.cols.sids
+	if len(sids) == 0 {
 		return 0, 0, false
 	}
-	return m.rows[0].SID, m.rows[len(m.rows)-1].SID, true
+	return sids[0], sids[len(sids)-1], true
 }

@@ -2,8 +2,9 @@ package segment
 
 import "repro/internal/telemetry"
 
-// RegisterMetrics exports the store's lifecycle counters and the mmap
-// footprint under the tklus_segment_* namespace.
+// RegisterMetrics exports the store's lifecycle counters, the mmap
+// footprint and the resident row columns under the tklus_segment_*
+// namespace.
 func (st *Store) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("tklus_segment_seals_total",
 		"Memtable seals into immutable segment files.", nil,
@@ -17,6 +18,9 @@ func (st *Store) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("tklus_segment_mmap_bytes",
 		"Bytes of segment files currently memory-mapped (live + retired).", nil,
 		func() float64 { return float64(st.MappedBytes()) })
+	reg.GaugeFunc("tklus_segment_column_bytes",
+		"Bytes of the resident row columns (SID, location, author) of live segments and the memtable.", nil,
+		func() float64 { return float64(st.ColumnBytes()) })
 	reg.GaugeFunc("tklus_segment_memtable_rows",
 		"Rows buffered in the mutable memtable awaiting seal.", nil,
 		func() float64 { return float64(st.Memtable().Len()) })

@@ -267,9 +267,7 @@ func TestGallopTo(t *testing.T) {
 		{8, 5, 8}, // start past the end stays put
 	}
 	for _, c := range cases {
-		lo, hi := gallopBracket(c.start, len(sids), func(i int) bool { return sids[i] < c.target })
-		got := lo + sort.Search(hi-lo, func(i int) bool { return sids[lo+i] >= c.target })
-		if got != c.want {
+		if got := gallopTo(sids, c.start, c.target); got != c.want {
 			t.Errorf("gallopTo(start=%d, target=%d) = %d, want %d", c.start, c.target, got, c.want)
 		}
 	}
@@ -299,10 +297,64 @@ func segmentBatch(b *testing.B, nRows, nSIDs int) (*Segment, []social.PostID) {
 	return seg, sids
 }
 
+// scatteredSegments builds nSegs sealed segments of nRows rows each, with
+// seeded random SID gaps, authors and locations around Toronto, and picks a
+// seeded random ascending subset of nSIDs rows per segment — the shape of a
+// query's merged postings spread over a store's partitions. Together the
+// segments' records outgrow a core's L2, and neither the SIDs nor the picks
+// are evenly spaced, so the batch pays the cache misses a query pays.
+func scatteredSegments(b *testing.B, nSegs, nRows, nSIDs int) ([]*Segment, [][]social.PostID) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(7))
+	segs := make([]*Segment, nSegs)
+	batches := make([][]social.PostID, nSegs)
+	sid := social.PostID(0)
+	for s := range segs {
+		rows := make([]metadb.Row, nRows)
+		for i := range rows {
+			sid += social.PostID(1 + rng.Intn(20))
+			rows[i] = metadb.Row{
+				SID: sid, UID: social.UserID(rng.Intn(50000)),
+				Lat: 43.3 + 0.8*rng.Float64(), Lon: -79.9 + rng.Float64(),
+			}
+		}
+		data, err := buildSegment(4, rows, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if segs[s], err = OpenBytes(data); err != nil {
+			b.Fatal(err)
+		}
+		picks := rng.Perm(nRows)[:nSIDs]
+		sort.Ints(picks)
+		batches[s] = make([]social.PostID, nSIDs)
+		for i, j := range picks {
+			batches[s][i] = rows[j].SID
+		}
+	}
+	return segs, batches
+}
+
 // BenchmarkSegmentRowBatch resolves one partition's ascending SID batch
-// against 36k rows — a sealed segment's mapped records and a memtable's
-// buffered ones: 350 SIDs (the city-sum shape) and 1.2k (the wide-max shape).
+// against 36k rows — a sealed segment's and a memtable's: 350 SIDs (the
+// city-sum shape) and 1.2k (the wide-max shape). Those rows fit in L2 and
+// their SIDs are evenly spaced, so city-sum-7seg adds the cost a query meets:
+// one op resolves a random ~500-SID batch in each of 7 such segments (about
+// 12 MB of records).
 func BenchmarkSegmentRowBatch(b *testing.B) {
+	b.Run("segment/city-sum-7seg", func(b *testing.B) {
+		segs, batches := scatteredSegments(b, 7, 36000, 500)
+		out := make([]metadb.RowMeta, 500)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for s, seg := range segs {
+				if miss := seg.ResolveRows(batches[s], out); miss >= 0 {
+					b.Fatalf("SID %d missing", batches[s][miss])
+				}
+			}
+		}
+	})
 	for _, shape := range []struct {
 		name string
 		sids int

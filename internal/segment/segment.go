@@ -2,12 +2,9 @@ package segment
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"slices"
-	"sort"
 
 	"repro/internal/invindex"
 	"repro/internal/metadb"
@@ -16,21 +13,22 @@ import (
 
 // Segment is one immutable sealed segment, served read-only over its byte
 // image — an mmap'd file in the common case, heap bytes for a rows-only
-// image (RowsOnly). All lookups are zero-copy:
-// postings iterate lazily over the mapped payload (the blocked directory
-// is the skip index) and row metadata is resolved in place over the
-// 48-byte records, one ascending batch per forward walk. A Segment is safe
-// for concurrent readers; Close must not race in-flight reads (the store
-// retires replaced segments and unmaps only at shutdown for exactly that
-// reason).
+// image (RowsOnly). Postings iterate lazily over the mapped payload with no
+// copy (the blocked directory is the skip index). Row metadata is resolved
+// from dense columns derived from the records when the segment opens (see
+// rowColumns), one ascending batch per forward walk; only RowAt reads the
+// mapped records. A Segment is safe for concurrent readers; Close must not
+// race in-flight reads (the store retires the mappings of replaced segments
+// and unmaps them only at shutdown for exactly that reason).
 type Segment struct {
 	b          []byte
 	mapped     bool // b is an mmap'd region, not heap bytes
 	geohashLen int
 	minSID     social.PostID
 	maxSID     social.PostID
-	rows       []byte
+	rows       []byte // the mapped 48-byte records, read by RowAt only
 	nRows      int
+	cols       rowColumns
 	postings   []byte
 	keys       []dirEntry
 }
@@ -47,7 +45,7 @@ func OpenBytes(b []byte) (*Segment, error) {
 // index). rows must be non-empty and in ascending SID order. The image goes
 // through buildSegment and OpenBytes like a sealed one, so it carries the
 // same CRC and is parsed by the same checks; its ResolveRows is the same
-// gallop, and every postings lookup misses.
+// resolve over the same derived columns, and every postings lookup misses.
 func RowsOnly(rows []metadb.Row) (*Segment, error) {
 	data, err := buildSegment(0, rows, nil)
 	if err != nil {
@@ -116,11 +114,16 @@ func (s *Segment) SizeBytes() int { return len(s.b) }
 
 // MappedBytes returns the size of the mmap'd region, 0 when the segment
 // was read into heap memory instead.
-func (s *Segment) MappedBytes() int {
+func (s *Segment) MappedBytes() int { return len(s.mapping()) }
+
+// mapping returns the mmap'd image Close would unmap, nil for heap bytes.
+// The store retires a compacted-away segment as this slice alone, so the
+// segment's columns are freed once no query holds it.
+func (s *Segment) mapping() []byte {
 	if !s.mapped {
-		return 0
+		return nil
 	}
-	return len(s.b)
+	return s.b
 }
 
 // findKey binary-searches the key directory, comparing each entry against
@@ -192,43 +195,10 @@ func (s *Segment) RowAt(i int) metadb.Row {
 	return decodeRow(s.rows[i*rowSize : (i+1)*rowSize])
 }
 
-// ResolveRows resolves one ascending SID batch against the mapped row
-// records in a single forward walk: out[i] receives sids[i]'s location and
-// author, and each search gallops from where the previous one ended, so a
-// batch costs one pass over the stretch of records it spans, reading only the
-// SID, author and location bytes of the 48-byte records it lands on — no
-// search from the root per SID, no lock, no allocation. Returns the index of
-// the first SID the segment does not hold, -1 when every one resolved.
+// ResolveRows resolves one ascending SID batch against the segment's row
+// columns in a single forward walk: out[i] receives sids[i]'s location and
+// author. Returns the index of the first SID the segment does not hold, -1
+// when every one resolved (see rowColumns.resolve).
 func (s *Segment) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
-	rows, n := s.rows, s.nRows
-	u64 := func(i, off int) uint64 { return binary.LittleEndian.Uint64(rows[i*rowSize+off:]) }
-	pos := 0
-	for i, sid := range sids {
-		lo, hi := gallopBracket(pos, n, func(j int) bool { return social.PostID(u64(j, 0)) < sid })
-		pos = lo + sort.Search(hi-lo, func(j int) bool { return social.PostID(u64(lo+j, 0)) >= sid })
-		if pos == n || social.PostID(u64(pos, 0)) != sid {
-			return i
-		}
-		out[i] = metadb.RowMeta{
-			UID: social.UserID(u64(pos, 8)),
-			Lat: math.Float64frombits(u64(pos, 16)), Lon: math.Float64frombits(u64(pos, 24)),
-		}
-	}
-	return -1
-}
-
-// gallopBracket is the forward gallop of both row batches (sealed segments
-// and the memtable). less(i) must hold for a prefix of [0, n) that includes
-// everything before start; probing exponentially from start, it returns the
-// bracket [lo, hi] holding the first index where less fails (n when it never
-// does), which the caller bisects with sort.Search — so the lookups of an
-// ascending batch cost O(log gap) each and touch rows near the previous hit.
-// Both halves inline into the caller's loop, closures included; a helper that
-// did the whole search would not, and would pay an indirect call per probe.
-func gallopBracket(start, n int, less func(int) bool) (lo, hi int) {
-	lo, hi = start, start
-	for step := 1; hi < n && less(hi); step *= 2 {
-		lo, hi = hi+1, hi+step
-	}
-	return lo, min(hi, n)
+	return s.cols.resolve(sids, out)
 }

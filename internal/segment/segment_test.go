@@ -1,9 +1,14 @@
 package segment
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +16,7 @@ import (
 	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/social"
+	"repro/internal/telemetry"
 )
 
 // testPosts builds a small multi-bucket corpus: n posts stepping `step`
@@ -326,4 +332,97 @@ func rowsOf(posts []*social.Post) (rows []metadb.Row) {
 // not a store operation).
 func writeTestFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
+}
+
+// TestCompactReleasesRetiredColumns pins what a compacted-away segment
+// leaves behind: its mapping, kept until Close because a query may still
+// read its postings, and nothing else. tklus_segment_column_bytes counts the
+// row columns of the live segments and the memtable only, and the replaced
+// segments themselves become garbage once nothing holds them.
+func TestCompactReleasesRetiredColumns(t *testing.T) {
+	st, err := OpenStore(t.TempDir(), Options{GeohashLen: 5, BucketWidth: time.Hour, BlockSize: 8, CompactFanIn: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg := telemetry.NewRegistry()
+	st.RegisterMetrics(reg)
+	gauge := func() string {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "tklus_segment_column_bytes "); ok {
+				return v
+			}
+		}
+		t.Fatal("no tklus_segment_column_bytes series")
+		return ""
+	}
+	// liveRows is what the gauge must count: rows of live segments and the
+	// memtable, 32 B each.
+	liveRows := func() int {
+		n := st.Memtable().Len()
+		for _, v := range st.Views() {
+			if seg, ok := v.Source.(*Segment); ok {
+				n += seg.NumRows()
+			}
+		}
+		return n
+	}
+
+	// 10-minute steps over one-hour buckets: 9 sealed segments of 6 rows and
+	// a memtable of 2.
+	posts := testPosts(56, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), 10*time.Minute)
+	for _, p := range posts {
+		if _, err := st.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := gauge(), strconv.Itoa(len(posts)*columnRowBytes); got != want {
+		t.Fatalf("before compaction: column gauge %s, want %s (%d rows × %d B)", got, want, len(posts), columnRowBytes)
+	}
+
+	// Count the collected segments of the original set; they are told
+	// apart from compaction's output by their SID range.
+	var collected atomic.Int32
+	before := st.SegmentCount()
+	ranges := make(map[[2]social.PostID]bool)
+	for _, v := range st.Views() {
+		if seg, ok := v.Source.(*Segment); ok {
+			ranges[[2]social.PostID{seg.MinSID(), seg.MaxSID()}] = true
+			runtime.SetFinalizer(seg, func(*Segment) { collected.Add(1) })
+		}
+	}
+	mapped := st.MappedBytes()
+	merged, err := st.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged == 0 || st.SegmentCount() >= before {
+		t.Fatalf("compaction merged %d segments, %d -> %d live", merged, before, st.SegmentCount())
+	}
+	if got, want := gauge(), strconv.Itoa(liveRows()*columnRowBytes); got != want || liveRows() != len(posts) {
+		t.Fatalf("after compaction: column gauge %s, want %s over %d live rows of %d posts", got, want, liveRows(), len(posts))
+	}
+	if st.MappedBytes() <= mapped {
+		t.Fatalf("mapped bytes %d -> %d: the retired mappings must stay counted until Close", mapped, st.MappedBytes())
+	}
+	for _, v := range st.Views() {
+		if seg, ok := v.Source.(*Segment); ok {
+			delete(ranges, [2]social.PostID{seg.MinSID(), seg.MaxSID()})
+		}
+	}
+	replaced := len(ranges) // original segments no longer live
+	if replaced == 0 {
+		t.Fatal("compaction replaced none of the original segments")
+	}
+	for i := 0; i < 100 && int(collected.Load()) < replaced; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if int(collected.Load()) != replaced {
+		t.Fatalf("%d of the %d replaced segments were collected: the store still holds them", collected.Load(), replaced)
+	}
 }

@@ -120,8 +120,9 @@ type manifestData struct {
 // order plus one mutable memtable at the head. Mutations (ingest, seal,
 // compaction, close) must be serialized by the caller — the segmented
 // system funnels them through one lock; concurrent readers are safe at
-// any point, including across seals and compactions, because replaced
-// segments are retired (kept mapped) rather than unmapped until Close.
+// any point, including across seals and compactions, because the mappings
+// of replaced segments are retired (kept mapped) rather than unmapped until
+// Close.
 type Store struct {
 	dir  string
 	opts Options
@@ -132,7 +133,7 @@ type Store struct {
 	mem      *Memtable
 	nextSeq  uint64
 	manSeq   uint64
-	retired  []*Segment // replaced by compaction; unmapped at Close
+	retired  [][]byte // mappings of segments compaction replaced; unmapped at Close
 
 	seals       atomic.Int64
 	compactions atomic.Int64
@@ -455,7 +456,9 @@ func sizeClass(n int) int {
 // one segment covering their combined bucket range. Returns how many
 // input segments were merged away. Each merge commits its own MANIFEST,
 // so a crash loses at most the round in flight; replaced segments stay
-// mapped (retired) until Close because readers may still iterate them.
+// mapped (retired) until Close because readers may still iterate them, but
+// the store keeps only their mappings, so their row columns are freed once
+// the last query holding one finishes.
 func (st *Store) Compact() (int, error) {
 	merged := 0
 	for {
@@ -493,7 +496,11 @@ func (st *Store) Compact() (int, error) {
 			return merged, err
 		}
 		st.mu.Lock()
-		st.retired = append(st.retired, st.segs[run:run+fan]...)
+		for _, old := range olds {
+			if m := old.mapping(); m != nil {
+				st.retired = append(st.retired, m)
+			}
+		}
 		segs := append([]*Segment{}, st.segs[:run]...)
 		segs = append(segs, seg)
 		segs = append(segs, st.segs[run+fan:]...)
@@ -695,8 +702,21 @@ func (st *Store) MappedBytes() int64 {
 	for _, s := range st.segs {
 		n += int64(s.MappedBytes())
 	}
-	for _, s := range st.retired {
-		n += int64(s.MappedBytes())
+	for _, m := range st.retired {
+		n += int64(len(m))
+	}
+	return n
+}
+
+// ColumnBytes returns the resident size of the row columns of the live
+// segments and the memtable; a retired segment's are not counted, because
+// the store no longer holds them. Exported as tklus_segment_column_bytes.
+func (st *Store) ColumnBytes() int64 {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	n := int64(st.mem.columnBytes())
+	for _, s := range st.segs {
+		n += int64(s.cols.bytes())
 	}
 	return n
 }
@@ -707,8 +727,13 @@ func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var first error
-	for _, s := range append(st.segs, st.retired...) {
+	for _, s := range st.segs {
 		if err := s.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	for _, m := range st.retired {
+		if err := unmapFile(m); err != nil && first == nil {
 			first = err
 		}
 	}
