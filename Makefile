@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet fmt flake fuzz bench bench-hot bench-e2e test-crash test-obs test-replication loc
+.PHONY: all build test short race vet fmt flake fuzz bench bench-hot bench-e2e figures test-crash test-obs test-replication loc
 
 all: build test
 
@@ -59,9 +59,9 @@ test-replication:
 
 # Observability lane: the tracing substrate (span trees, tail sampling,
 # ring store, the zero-allocation disabled path) and the server's traced
-# serving surface (traceparent propagation, /debug/traces, trace-
-# correlated logs, readiness) under -race, since spans finish on hedge
-# and straggler goroutines concurrently with the gather path.
+# serving surface (the in-process sharded tier's span tree, /debug/traces,
+# trace-correlated logs, readiness) under -race, since spans finish on
+# hedge and straggler goroutines concurrently with the gather path.
 test-obs:
 	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/server/
 
@@ -110,6 +110,17 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Regenerates experiments_output.txt, every paper figure and table at full
+# scale (~20 s). Count cells are deterministic (TestFigureCountsGolden pins
+# them at small scale); duration cells vary between runs, as the file's
+# first line says. A change that moves a count reruns this.
+FIGURES_FLAGS = -posts 40000 -users 3000 -queries 30
+figures:
+	@{ echo '# Generated by `make figures` (go run ./cmd/tklus-bench $(FIGURES_FLAGS)); do not edit. Duration cells vary between runs.'; \
+		$(GO) run ./cmd/tklus-bench $(FIGURES_FLAGS); } > experiments_output.txt.tmp \
+		&& mv experiments_output.txt.tmp experiments_output.txt \
+		|| { rm -f experiments_output.txt.tmp; exit 1; }
 
 # The hot-path lane: the per-stage micro-benchmarks of the gather → rank
 # kernel (postings merge, row batch, radius check, φ batch, |P_u| batch,

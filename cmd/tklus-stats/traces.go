@@ -66,7 +66,7 @@ func decodeTraces(raw []byte) ([]*telemetry.Trace, error) {
 // printTrace renders one trace: header, indented span tree, and the
 // per-shard critical-path table.
 func printTrace(w io.Writer, t *telemetry.Trace) {
-	flags := make([]string, 0, 4)
+	flags := make([]string, 0, 3)
 	if t.Hedged {
 		flags = append(flags, "hedged")
 	}
@@ -75,9 +75,6 @@ func printTrace(w io.Writer, t *telemetry.Trace) {
 	}
 	if t.Errored {
 		flags = append(flags, "errored")
-	}
-	if t.Remote {
-		flags = append(flags, "remote")
 	}
 	suffix := ""
 	if len(flags) > 0 {

@@ -97,8 +97,8 @@ func (q *Query) Validate() error {
 	if !q.Loc.Valid() {
 		return fmt.Errorf("core: %w: invalid query location %v", ErrBadQuery, q.Loc)
 	}
-	if q.RadiusKm <= 0 {
-		return fmt.Errorf("core: %w: query radius %v must be positive", ErrBadQuery, q.RadiusKm)
+	if q.RadiusKm <= 0 || !finite(q.RadiusKm) {
+		return fmt.Errorf("core: %w: query radius %v must be positive and finite", ErrBadQuery, q.RadiusKm)
 	}
 	if len(q.Keywords) == 0 {
 		return fmt.Errorf("core: %w: query needs at least one keyword", ErrBadQuery)

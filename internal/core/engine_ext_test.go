@@ -351,6 +351,10 @@ func TestQueryValidation(t *testing.T) {
 	bad := []core.Query{
 		{Loc: geo.Point{Lat: 99}, RadiusKm: 5, Keywords: []string{"x"}, K: 1},
 		{Loc: center, RadiusKm: 0, Keywords: []string{"x"}, K: 1},
+		// A real keyword, so only the radius can be what is refused.
+		{Loc: center, RadiusKm: math.NaN(), Keywords: []string{"hotel"}, K: 1},
+		{Loc: center, RadiusKm: math.Inf(1), Keywords: []string{"hotel"}, K: 1},
+		{Loc: center, RadiusKm: math.Inf(-1), Keywords: []string{"hotel"}, K: 1},
 		{Loc: center, RadiusKm: 5, Keywords: nil, K: 1},
 		{Loc: center, RadiusKm: 5, Keywords: []string{"x"}, K: 0},
 		{Loc: center, RadiusKm: 5, Keywords: []string{"x"}, K: 1,

@@ -95,7 +95,7 @@ func TestUnionPostings(t *testing.T) {
 }
 
 func TestTopK(t *testing.T) {
-	tk := newTopK(2)
+	tk := newTopK(2, 2)
 	if tk.full() {
 		t.Error("fresh topK reports full")
 	}
@@ -129,7 +129,7 @@ func TestTopK(t *testing.T) {
 }
 
 func TestTopKDeterministicTieBreak(t *testing.T) {
-	tk := newTopK(2)
+	tk := newTopK(2, 2)
 	tk.add(5, 0.5)
 	tk.add(9, 0.5)
 	tk.removeWeakest() // tie: the larger UID goes

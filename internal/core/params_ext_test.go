@@ -3,6 +3,8 @@ package core_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/baseline"
@@ -85,6 +87,61 @@ func TestKLargerThanCandidates(t *testing.T) {
 				t.Fatalf("%v: duplicate user %d in results", ranking, r.UID)
 			}
 			seen[int64(r.UID)] = true
+		}
+	}
+}
+
+// TestHugeKAllocatesByUsers: k is the client's, so it must not size an
+// allocation — a query whose circle holds a handful of users answers
+// K = 2²⁴ with the same results as K = 20 and allocates what K = 20 does,
+// on the engine's rankings and on the router's merge of both.
+func TestHugeKAllocatesByUsers(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	posts, center := randomCorpus(rng, 20)
+	opts := core.DefaultOptions()
+	eng := buildEngine(t, posts, opts, 3)
+	ctx := context.Background()
+	for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {
+		for _, leg := range []struct {
+			name string
+			run  func(q core.Query) ([]core.UserResult, error)
+		}{
+			{"Search", func(q core.Query) ([]core.UserResult, error) {
+				res, _, err := eng.Search(ctx, q)
+				return res, err
+			}},
+			{"MergePartials", func(q core.Query) ([]core.UserResult, error) {
+				parts, err := eng.SearchPartials(ctx, q)
+				if err != nil {
+					return nil, err
+				}
+				res, _, err := core.MergePartials(q, opts.Params.Alpha, []*core.Partials{parts})
+				return res, err
+			}},
+		} {
+			q := core.Query{Loc: center, RadiusKm: 100, Keywords: []string{"hotel", "pizza", "cafe", "club"},
+				K: 20, Ranking: ranking}
+			want, err := leg.run(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatalf("%v/%s: no results at K = 20", ranking, leg.name)
+			}
+			q.K = 1 << 24
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := leg.run(q)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v/%s: K = 2²⁴ answered %v, K = 20 %v", ranking, leg.name, got, want)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 8<<20 {
+				t.Errorf("%v/%s: K = 2²⁴ allocated %d MB", ranking, leg.name, d>>20)
+			}
 		}
 	}
 }

@@ -42,29 +42,29 @@ import (
 // with its per-tweet partial scores. Rho is ρ(p,q) times the recency
 // factor; Delta is δ(p,q).
 type CandidateScore struct {
-	TID   social.PostID `json:"tid"`
-	UID   social.UserID `json:"uid"`
-	Delta float64       `json:"delta"`
-	Rho   float64       `json:"rho"`
+	TID   social.PostID
+	UID   social.UserID
+	Delta float64
+	Rho   float64
 }
 
 // UserPartial carries the user-level fact a shard contributes for one user
 // with at least one candidate: the user's total post count |P_u| (from the
 // replicated metadata database, so it is the global count).
 type UserPartial struct {
-	UID   social.UserID `json:"uid"`
-	Posts int           `json:"posts"`
+	UID   social.UserID
+	Posts int
 }
 
 // Partials is one shard's contribution to a scatter-gather query.
 type Partials struct {
 	// Cands lists every candidate of the shard in ascending TID order.
-	Cands []CandidateScore `json:"cands"`
+	Cands []CandidateScore
 	// Users lists the distinct users appearing in Cands, in first-candidate
 	// order.
-	Users []UserPartial `json:"users"`
+	Users []UserPartial
 	// Stats reports the shard-local work.
-	Stats QueryStats `json:"stats"`
+	Stats QueryStats
 }
 
 // SearchPartials executes the shard side of a scatter-gather query:
@@ -93,7 +93,8 @@ func (e *Engine) SearchPartials(ctx context.Context, q Query) (*Partials, error)
 }
 
 // userPartials lists the set's users in first-candidate order with their
-// global post counts — the user table after resolveUsers, in wire form.
+// global post counts — the user table after resolveUsers, as the router
+// reads it.
 func userPartials(cs *candidateSet) []UserPartial {
 	out := make([]UserPartial, len(cs.users))
 	for i, u := range cs.users {
@@ -133,12 +134,13 @@ func MergePartials(q Query, alpha float64, parts []*Partials) ([]UserResult, *Qu
 
 // mergeCands restores the global candidate order: a k-way merge of the
 // shards' lists, each of which the Partials contract makes strictly
-// TID-ascending. A shard's bytes may come off the wire, so a list that
-// breaks the contract is an error, not something to sort back into shape,
-// and so is a tweet two shards both report (each tweet is indexed by exactly
-// one shard), and so is a NaN or infinite ρ or δ, which would otherwise
-// reach Combine and order the ranking by garbage. A single list is the
-// order as is.
+// TID-ascending. ShardBackend is an open interface — NewSharded takes any
+// implementation, not only an Engine — so the router cannot assume the
+// contract holds: a list that breaks it is an error, not something to sort
+// back into shape, and so is a tweet two shards both report (each tweet is
+// indexed by exactly one shard), and so is a NaN or infinite ρ or δ, which
+// would otherwise reach Combine and order the ranking by garbage. A single
+// list is the order as is.
 func mergeCands(parts []*Partials) ([]CandidateScore, error) {
 	total := 0
 	for i, p := range parts {
@@ -243,7 +245,7 @@ func reducePartials(q *Query, alpha float64, merged []CandidateScore, parts []*P
 		}
 		return results, nil
 	case MaxScore:
-		tk := newTopK(q.K)
+		tk := newTopK(q.K, len(posts))
 		for _, c := range merged {
 			d, err := du(c.UID)
 			if err != nil {

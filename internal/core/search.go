@@ -424,7 +424,7 @@ func (e *Engine) rankSum(cs *candidateSet, rho []float64) []UserResult {
 	for i := range cs.cands {
 		cs.users[cs.cands[i].user].rhoSum += rho[i]
 	}
-	tk := newTopK(cs.q.K)
+	tk := newTopK(cs.q.K, len(cs.users))
 	for _, u := range cs.users {
 		tk.admit(u.uid, score.Combine(e.Opts.Params.Alpha, u.rhoSum, u.du))
 	}
@@ -435,7 +435,7 @@ func (e *Engine) rankSum(cs *candidateSet, rho []float64) []UserResult {
 // its ρ combined with its user's δ(u,q) — streams through the bounded top-k,
 // a user keeping its best (Definition 8).
 func (e *Engine) rankMax(cs *candidateSet, rho []float64) []UserResult {
-	tk := newTopK(cs.q.K)
+	tk := newTopK(cs.q.K, len(cs.users))
 	for i := range cs.cands {
 		c := &cs.cands[i]
 		tk.offer(c.UID, score.Combine(e.Opts.Params.Alpha, rho[i], cs.users[c.user].du))

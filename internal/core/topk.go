@@ -22,8 +22,11 @@ type topK struct {
 	minScore  float64
 }
 
-func newTopK(k int) *topK {
-	return &topK{k: k, scores: make(map[social.UserID]float64, k)}
+// newTopK sizes the structure for the k it keeps out of users distinct
+// users: it never holds more than min(k, users), and k is the client's to
+// choose, so k alone must not size an allocation.
+func newTopK(k, users int) *topK {
+	return &topK{k: k, scores: make(map[social.UserID]float64, min(k, users))}
 }
 
 func (t *topK) full() bool { return len(t.users) >= t.k }

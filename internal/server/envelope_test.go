@@ -45,8 +45,8 @@ func (e *errSearcher) Search(ctx context.Context, q tklus.Query) ([]tklus.UserRe
 const validSearchBody = `{"version":1,"lat":43.68,"lon":-79.37,"radius_km":10,"keywords":["hotel"],"k":5}`
 
 // TestErrorEnvelopeGolden pins the one sentinel → (status, code) table
-// every /v1 endpoint writes: clients and the shard protocol rely on the
-// code strings, so a change here is a wire-protocol change.
+// every /v1 endpoint writes: clients rely on the code strings, so a change
+// here is a wire-protocol change.
 func TestErrorEnvelopeGolden(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -90,35 +90,6 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 				t.Errorf("Content-Type %q, want application/json", ct)
 			}
 		})
-	}
-}
-
-// errShardBackend is errSearcher plus the shard half of the protocol, so
-// the /v1/shard/search endpoint mounts over the stub.
-type errShardBackend struct {
-	errSearcher
-}
-
-func (e *errShardBackend) SearchPartials(ctx context.Context, q tklus.Query) (*core.Partials, error) {
-	return nil, e.err
-}
-
-// TestEnvelopeCodeRoundTrip checks the client half of the table: for
-// every sentinel, a shard server encodes it as a wire code and
-// ShardClient decodes that code back into the same sentinel the breaker
-// and retry logic key off — across a real HTTP boundary.
-func TestEnvelopeCodeRoundTrip(t *testing.T) {
-	for _, sentinel := range []error{core.ErrBadQuery, core.ErrNoResults, core.ErrOverloaded, core.ErrShardUnavailable, core.ErrClosed} {
-		s := NewSearcher(&errShardBackend{errSearcher{err: fmt.Errorf("backend says: %w", sentinel)}})
-		hs := httptest.NewServer(s)
-		c := NewShardClient(hs.URL)
-		_, err := c.SearchPartials(context.Background(), tklus.Query{
-			Loc: tklus.Point{Lat: 43.68, Lon: -79.37}, RadiusKm: 10, K: 5, Keywords: []string{"hotel"},
-		})
-		hs.Close()
-		if !errors.Is(err, sentinel) {
-			t.Errorf("sentinel %v did not survive the wire round trip: got %v", sentinel, err)
-		}
 	}
 }
 

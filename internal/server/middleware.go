@@ -12,14 +12,13 @@ import (
 // ServeHTTP implements http.Handler: every request runs through the
 // observability middleware (HTTP metrics + one structured access-log line)
 // before reaching the route handlers. With a Tracer configured, the
-// requests worth following — searches, shard sub-queries, ingests — get a
-// root span carried in the request context; shard sub-queries continue the
-// router's trace from the traceparent header, and the trace ID is echoed
-// in the X-Trace-Id response header and the access log.
+// requests worth following — searches and ingests — get a root span
+// carried in the request context, and the trace ID is echoed in the
+// X-Trace-Id response header and the access log.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	route := routeOf(r.URL.Path)
-	span := s.startTrace(route, r)
+	span := s.startTrace(route)
 	if span != nil {
 		w.Header().Set("X-Trace-Id", span.TraceID().String())
 		r = r.WithContext(telemetry.ContextWithSpan(r.Context(), span))
@@ -46,19 +45,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // startTrace opens the root span for a traced route, or returns nil (no
 // tracer, or a route not worth a trace — probes, scrapes, debug reads).
-func (s *Server) startTrace(route string, r *http.Request) *telemetry.TraceSpan {
-	if s.opts.Tracer == nil {
-		return nil
-	}
+func (s *Server) startTrace(route string) *telemetry.TraceSpan {
 	switch route {
 	case "/search", "/v1/search", "/v1/ingest":
-		return s.opts.Tracer.StartTrace("server" + route)
-	case "/v1/shard/search":
-		// The shard half of a routed query: continue the router's trace so
-		// both processes' stores file their spans under one trace ID.
-		if pc, ok := telemetry.ParseTraceparent(r.Header.Get(telemetry.TraceparentHeader)); ok {
-			return s.opts.Tracer.StartRemoteChild("server"+route, pc)
-		}
 		return s.opts.Tracer.StartTrace("server" + route)
 	}
 	return nil
@@ -86,7 +75,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // metric cardinality bounded no matter what paths clients probe.
 func routeOf(path string) string {
 	switch path {
-	case "/search", "/v1/search", "/v1/shard/search", "/v1/ingest",
+	case "/search", "/v1/search", "/v1/ingest",
 		"/evidence", "/thread", "/stats", "/metrics", "/healthz", "/readyz":
 		return path
 	}

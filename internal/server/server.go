@@ -10,9 +10,6 @@
 //	GET  /search           legacy parameter form (lat, lon, radius,
 //	                       keywords, k, semantic, ranking, from, to);
 //	                       decodes into the same v1 request struct
-//	POST /v1/shard/search  shard half of a scatter-gather query → the
-//	                       shard's partial scores (served when the backend
-//	                       is a shard, i.e. implements tklus.ShardBackend)
 //	GET  /evidence         search parameters plus uid and limit → the
 //	                       user's matching tweet texts
 //	GET  /thread           tweet thread rooted at ?tid=
@@ -35,7 +32,8 @@
 // I/O half of /stats) exist only when the backend is a *tklus.System; a
 // router serves the query endpoints and its own metrics. A System serves
 // every endpoint from the same engine, so with a segment store installed
-// /v1/shard/search and /evidence answer from the segments too.
+// /evidence answers from the segments too. A sharded router calls its
+// shards in process.
 //
 // Every request flows through a middleware that records HTTP metrics and
 // emits one structured access-log line; searches additionally feed the
@@ -78,9 +76,8 @@ type Options struct {
 	// Keep it off on untrusted networks; cmd/tklus-server gates it behind
 	// -debug.
 	EnablePprof bool
-	// Tracer enables distributed tracing: every search, shard and ingest
-	// request gets a root span (continuing the caller's trace when a
-	// traceparent header arrives), completed traces land in the tracer's
+	// Tracer enables tracing: every search and ingest request gets a
+	// root span, completed traces land in the tracer's
 	// tail-sampled store, and GET /debug/traces (+ /debug/traces/{id})
 	// expose them. nil disables tracing at zero hot-path cost.
 	Tracer *telemetry.Tracer
@@ -96,14 +93,9 @@ type Options struct {
 // Server routes HTTP requests to one TkLUS searcher.
 type Server struct {
 	searcher tklus.Searcher
-	// shardBackend serves /v1/shard/search; captured before any admission
-	// wrapping so the scatter-gather protocol keeps working when the
-	// application search path is admission-controlled (shard-level
-	// pushback is the router's breaker machinery, not the door).
-	shardBackend tklus.ShardBackend
-	sys          *tklus.System // non-nil only for single-system backends
+	sys      *tklus.System // non-nil only for single-system backends
 	// postCount enriches results with |P_u| when the backend has a
-	// metadata database in reach; nil otherwise (remote-only routers).
+	// metadata database in reach; nil otherwise.
 	postCount func(tklus.UserID) int
 	// ingest is the backend's live-ingest entry point: its own
 	// IngestContext when it has one (a replicated tier), the single
@@ -128,7 +120,7 @@ func New(sys *tklus.System) *Server {
 
 // NewWith creates a server over a built system with explicit
 // observability options. The full endpoint set is available, including
-// the introspection endpoints and the shard protocol.
+// the introspection endpoints.
 func NewWith(sys *tklus.System, opts Options) *Server {
 	return newServer(sys, sys, opts)
 }
@@ -162,24 +154,22 @@ func newServer(sr tklus.Searcher, sys *tklus.System, opts Options) *Server {
 	}
 	// Interface-based wiring keys off the unwrapped backend: admission
 	// control fronts only the application search path, and must not hide
-	// the backend's other capabilities (shard protocol, shard metrics,
-	// post-count enrichment) behind the wrapper type.
+	// the backend's other capabilities (shard metrics, post-count
+	// enrichment, ingest) behind the wrapper type.
 	backend := sr
-	shardBackend, _ := backend.(tklus.ShardBackend)
 	if opts.Admission != nil {
 		ac := tklus.NewAdmissionControl(sr, *opts.Admission)
 		ac.RegisterMetrics(opts.Registry)
 		sr = ac
 	}
 	s := &Server{
-		searcher:     sr,
-		shardBackend: shardBackend,
-		sys:          sys,
-		mux:          http.NewServeMux(),
-		opts:         opts,
-		log:          opts.Logger,
-		metrics:      newServerMetrics(opts.Registry, sys),
-		started:      time.Now(),
+		searcher: sr,
+		sys:      sys,
+		mux:      http.NewServeMux(),
+		opts:     opts,
+		log:      opts.Logger,
+		metrics:  newServerMetrics(opts.Registry, sys),
+		started:  time.Now(),
 	}
 	// Each backend registers its own series once: a system its segment
 	// store's, a router its per-shard series, a replicated tier those plus
@@ -205,9 +195,6 @@ func newServer(sr tklus.Searcher, sys *tklus.System, opts Options) *Server {
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if shardBackend != nil {
-		s.mux.HandleFunc("POST /v1/shard/search", s.handleShardSearch)
-	}
 	if sys != nil {
 		s.mux.HandleFunc("GET /evidence", s.handleEvidence)
 		s.mux.HandleFunc("GET /thread", s.handleThread)
@@ -380,40 +367,6 @@ func (s *Server) runSearch(w http.ResponseWriter, r *http.Request, req SearchReq
 		resp.Results = append(resp.Results, u)
 	}
 	writeJSON(w, resp)
-}
-
-// handleShardSearch serves the shard half of a scatter-gather query: the
-// same v1 request body, answered with the shard's partial scores instead
-// of a merged ranking. Registered only when the backend implements
-// tklus.ShardBackend.
-func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequestV1
-	if err := decodeJSONBody(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	q, err := req.Query()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	backend := s.shardBackend
-	span := telemetry.SpanFromContext(r.Context())
-	start := time.Now()
-	parts, err := backend.SearchPartials(r.Context(), q)
-	if err != nil {
-		span.SetError(err)
-		if r.Context().Err() != nil {
-			return // caller hedged away or timed out; nothing to write
-		}
-		code, _ := statusOf(err)
-		httpError(w, code, err)
-		return
-	}
-	// The shard's own half of the trace gets its engine stage breakdown
-	// too, so each process's store decomposes the sub-query it served.
-	span.FoldStages(start, parts.Stats.Spans)
-	writeJSON(w, shardSearchResponseV1{Version: ProtocolVersion, Partials: parts})
 }
 
 // handleIngestV1 serves POST /v1/ingest: a batch of live posts appended

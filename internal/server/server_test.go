@@ -254,8 +254,7 @@ func TestIngestEndpoint(t *testing.T) {
 
 // TestClosedStoreIsUnavailable: once a segmented system's store is closed,
 // every endpoint that reaches it says so — 503 with the "closed" envelope
-// code on search, shard search and ingest — and a ShardClient across the
-// wire gets the ErrClosed sentinel back rather than an untyped shard fault.
+// code on search and ingest.
 // A refused post stays the client's 400 while the store is open, and a
 // failure that is neither (the errIngest backend) is the server's 500.
 func TestClosedStoreIsUnavailable(t *testing.T) {
@@ -286,21 +285,12 @@ func TestClosedStoreIsUnavailable(t *testing.T) {
 	}
 	for _, c := range []struct{ url, body string }{
 		{"/v1/search", search},
-		{"/v1/shard/search", search},
 		{"/v1/ingest", ingest(newSID + 1)},
 	} {
 		code, resp := post(t, s, c.url, c.body)
 		if code != 503 || resp["error"].(map[string]any)["code"] != "closed" {
 			t.Errorf("%s after Close: %d %v, want 503 closed", c.url, code, resp)
 		}
-	}
-	hs := httptest.NewServer(s)
-	defer hs.Close()
-	_, err = NewShardClient(hs.URL).SearchPartials(context.Background(), tklus.Query{
-		Loc: loc, RadiusKm: 10, K: 3, Keywords: []string{"hotel"},
-	})
-	if !errors.Is(err, tklus.ErrClosed) {
-		t.Errorf("ShardClient against a closed store: err = %v, want ErrClosed", err)
 	}
 }
 

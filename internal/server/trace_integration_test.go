@@ -315,48 +315,6 @@ func TestShardedTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceparentPropagationOverHTTP runs a real shard server behind a
-// ShardClient and checks the wire half of tracing: the client stamps the
-// traceparent header from its context span, and the shard server files its
-// half of the trace — marked remote, parented on the caller's span — in
-// its own store under the same trace ID.
-func TestTraceparentPropagationOverHTTP(t *testing.T) {
-	shardSrv, loc := testServer(t) // *tklus.System backend: implements ShardBackend
-	shardTracer := telemetry.NewTracer(telemetry.TracerOptions{SampleRate: 1})
-	shardSrv.opts.Tracer = shardTracer
-	ts := httptest.NewServer(shardSrv)
-	defer ts.Close()
-
-	routerTracer := telemetry.NewTracer(telemetry.TracerOptions{SampleRate: 1})
-	root := routerTracer.StartTrace("router.test")
-	attempt := root.StartChild("shard.attempt")
-	ctx := telemetry.ContextWithSpan(context.Background(), attempt)
-
-	client := NewShardClient(ts.URL)
-	q := tklus.Query{Loc: loc, RadiusKm: 10, Keywords: []string{"hotel"}, K: 5}
-	if _, err := client.SearchPartials(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	attempt.Finish()
-	root.Finish()
-
-	remote, ok := shardTracer.Store().Get(root.TraceID().String())
-	if !ok {
-		t.Fatal("shard server did not file its half under the caller's trace ID")
-	}
-	if !remote.Remote {
-		t.Fatal("shard half not marked remote")
-	}
-	shardRoot := remote.Spans[0]
-	if shardRoot.Name != "server/v1/shard/search" {
-		t.Fatalf("shard root span %q", shardRoot.Name)
-	}
-	if shardRoot.ParentID != attempt.Context().SpanID.String() {
-		t.Fatalf("shard root parent %s, want the client attempt span %s",
-			shardRoot.ParentID, attempt.Context().SpanID.String())
-	}
-}
-
 // TestTraceNotFound pins the 404 shape for dropped/unknown trace IDs.
 func TestTraceNotFound(t *testing.T) {
 	srv := NewSearcherWith(newNoopSearcher(), Options{

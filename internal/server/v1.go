@@ -1,15 +1,13 @@
 package server
 
 // Wire protocol version 1: the versioned JSON schema spoken by
-// POST /v1/search (application queries) and POST /v1/shard/search (the
-// scatter-gather tier's shard fan-out). The legacy GET /search decodes its
-// URL parameters into the same request struct, so both entry points share
-// one validation and execution path. Fields are explicit and stable;
+// POST /v1/search and POST /v1/ingest. The legacy GET /search decodes its
+// URL parameters into the same request struct, so both search entry points
+// share one validation and execution path. Fields are explicit and stable;
 // additions must be backward compatible within a version, and semantic
 // changes bump ProtocolVersion.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,7 +21,6 @@ import (
 	tklus "repro"
 	"repro/internal/core"
 	"repro/internal/metadb"
-	"repro/internal/telemetry"
 	"repro/internal/textutil"
 )
 
@@ -103,26 +100,6 @@ func (req *SearchRequestV1) Query() (tklus.Query, error) {
 	return q, nil
 }
 
-// requestFromQuery is the client-side inverse of Query: it encodes an
-// engine query as a v1 wire request (used by ShardClient).
-func requestFromQuery(q tklus.Query) SearchRequestV1 {
-	req := SearchRequestV1{
-		Version:  ProtocolVersion,
-		Lat:      q.Loc.Lat,
-		Lon:      q.Loc.Lon,
-		RadiusKm: q.RadiusKm,
-		Keywords: q.Keywords,
-		K:        q.K,
-		Semantic: strings.ToLower(q.Semantic.String()),
-		Ranking:  q.Ranking.String(),
-	}
-	if q.TimeWindow != nil {
-		req.From = q.TimeWindow.From.Format(time.RFC3339Nano)
-		req.To = q.TimeWindow.To.Format(time.RFC3339Nano)
-	}
-	return req
-}
-
 // requestFromURL decodes the legacy GET /search parameter set into a v1
 // request, so both entry points share Query()'s validation and defaults.
 func requestFromURL(get url.Values) (SearchRequestV1, error) {
@@ -166,21 +143,12 @@ type SearchResponseV1 struct {
 	Stats   statsJSON  `json:"stats"`
 }
 
-// shardSearchResponseV1 is the POST /v1/shard/search reply: the shard's
-// partial scores, merged by the router with core.MergePartials.
-type shardSearchResponseV1 struct {
-	Version  int            `json:"version"`
-	Partials *core.Partials `json:"partials"`
-}
-
 // errorResponseV1 is the error envelope every endpoint writes:
 //
 //	{"error": {"code": "bad_query", "message": "bad query: radius must be positive"}}
 //
 // The code is a stable machine-readable name from the sentinel table
-// below; the message is the wrapped error chain for humans. ShardClient
-// decodes the code back into the matching sentinel, so errors.Is works
-// identically against a remote shard and an in-process one.
+// below; the message is the wrapped error chain for humans.
 type errorResponseV1 struct {
 	Error errorBodyV1 `json:"error"`
 }
@@ -281,79 +249,6 @@ func decodeJSONBody(r *http.Request, v any) error {
 	return nil
 }
 
-// ShardClient speaks the v1 shard protocol against a remote shard server's
-// POST /v1/shard/search. It implements tklus.ShardBackend, so a
-// ShardedSystem composes remote shards exactly like in-process ones —
-// breaker, hedging and deadlines included. Go encodes float64s in their
-// shortest exact form and decodes them exactly, so merged results stay
-// byte-identical to an in-process merge.
-type ShardClient struct {
-	// BaseURL is the shard server's root, e.g. "http://shard-00:8080".
-	BaseURL string
-	// Client is the HTTP client to use; nil means http.DefaultClient.
-	// Per-request deadlines arrive via the context, so the client itself
-	// needs no Timeout.
-	Client *http.Client
-}
-
-// NewShardClient returns a ShardClient for the given base URL.
-func NewShardClient(baseURL string) *ShardClient {
-	return &ShardClient{BaseURL: strings.TrimRight(baseURL, "/")}
-}
-
-// SearchPartials implements tklus.ShardBackend over HTTP.
-func (c *ShardClient) SearchPartials(ctx context.Context, q tklus.Query) (*core.Partials, error) {
-	body, err := json.Marshal(requestFromQuery(q))
-	if err != nil {
-		return nil, fmt.Errorf("shard client: encoding request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL+"/v1/shard/search", strings.NewReader(string(body)))
-	if err != nil {
-		return nil, fmt.Errorf("shard client: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if sp := telemetry.SpanFromContext(ctx); sp != nil {
-		req.Header.Set(telemetry.TraceparentHeader, sp.Context().Traceparent())
-	}
-	hc := c.Client
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("shard client: %w: %v", core.ErrShardUnavailable, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// Decode the error envelope and resolve its code back into the
-		// sentinel the remote classified under, so errors.Is behaves
-		// identically whether the shard is in-process or across the wire.
-		var eresp errorResponseV1
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, maxRequestBody)).Decode(&eresp) == nil && eresp.Error.Message != "" {
-			msg = eresp.Error.Message
-			if sentinel := sentinelOfCode(eresp.Error.Code); sentinel != nil {
-				return nil, fmt.Errorf("shard client: %w: %s", sentinel, msg)
-			}
-		}
-		return nil, fmt.Errorf("shard client: %w: status %d: %s",
-			core.ErrShardUnavailable, resp.StatusCode, msg)
-	}
-	var sresp shardSearchResponseV1
-	if err := json.NewDecoder(resp.Body).Decode(&sresp); err != nil {
-		return nil, fmt.Errorf("shard client: %w: decoding response: %v", core.ErrShardUnavailable, err)
-	}
-	if sresp.Version != ProtocolVersion {
-		return nil, fmt.Errorf("shard client: %w: protocol version %d (client speaks %d)",
-			core.ErrShardUnavailable, sresp.Version, ProtocolVersion)
-	}
-	if sresp.Partials == nil {
-		return nil, fmt.Errorf("shard client: %w: response carries no partials", core.ErrShardUnavailable)
-	}
-	return sresp.Partials, nil
-}
-
 // errorTable is the single source of truth mapping the API's typed
 // sentinels onto the wire: HTTP status, stable envelope code, and the
 // query-outcome metric label. Order matters only in that classification
@@ -392,15 +287,4 @@ func classify(err error) (status int, code string, outcome string) {
 func statusOf(err error) (int, string) {
 	status, _, outcome := classify(err)
 	return status, outcome
-}
-
-// sentinelOfCode inverts the envelope code back into its sentinel; nil
-// when the code names no known sentinel.
-func sentinelOfCode(code string) error {
-	for _, e := range errorTable {
-		if e.code == code {
-			return e.sentinel
-		}
-	}
-	return nil
 }

@@ -1,17 +1,12 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
-
-	tklus "repro"
-	"repro/internal/datagen"
 )
 
 // postJSON performs a POST with a JSON body against the in-memory server.
@@ -95,6 +90,15 @@ func TestV1SearchErrors(t *testing.T) {
 			t.Errorf("%s: missing error body", tc.name)
 		}
 	}
+	// JSON has no NaN or infinity, so the non-finite radii come in through
+	// the GET alias, whose strconv parse accepts them.
+	for _, radius := range []string{"NaN", "Inf", "-Inf"} {
+		url := fmt.Sprintf("/search?lat=%f&lon=%f&radius=%s&keywords=hotel", loc.Lat, loc.Lon, radius)
+		code, resp := get(t, s, url)
+		if code != 400 || resp["error"].(map[string]any)["code"] != "bad_query" {
+			t.Errorf("radius %s: status %d (%v), want 400 bad_query", radius, code, resp)
+		}
+	}
 	// The versioned route is POST-only; the mux answers 405 for GET.
 	req := httptest.NewRequest("GET", "/v1/search", nil)
 	rec := httptest.NewRecorder()
@@ -104,164 +108,16 @@ func TestV1SearchErrors(t *testing.T) {
 	}
 }
 
-// TestV1ShardSearchEndpoint checks that a plain System-backed server
-// exposes the shard half of the scatter-gather protocol.
-func TestV1ShardSearchEndpoint(t *testing.T) {
+// TestV1SearchHugeK: k sizes no allocation beyond the users a query finds,
+// so the largest k a 32-bit client can send answers like any other.
+func TestV1SearchHugeK(t *testing.T) {
 	s, loc := testServer(t)
-	body := fmt.Sprintf(`{"version":1,"lat":%f,"lon":%f,"radius_km":10,"keywords":["hotel"],"k":5}`, loc.Lat, loc.Lon)
-	code, resp := postJSON(t, s, "/v1/shard/search", body)
+	body := fmt.Sprintf(`{"lat":%f,"lon":%f,"radius_km":10,"keywords":["hotel"],"k":2147483647}`, loc.Lat, loc.Lon)
+	code, resp := postJSON(t, s, "/v1/search", body)
 	if code != 200 {
 		t.Fatalf("status %d: %v", code, resp)
 	}
-	if resp["version"].(float64) != ProtocolVersion {
-		t.Errorf("version = %v, want %d", resp["version"], ProtocolVersion)
-	}
-	partials, ok := resp["partials"].(map[string]any)
-	if !ok {
-		t.Fatalf("no partials in %v", resp)
-	}
-	if len(partials["cands"].([]any)) == 0 {
-		t.Errorf("shard returned no candidates: %v", partials)
-	}
-}
-
-// TestShardedOverHTTPMatchesMonolithic is the acceptance round-trip for
-// the remote composition: every shard of a sharded build is served by its
-// own HTTP server, a router composes them through ShardClient, and the
-// merged results must be byte-identical to a monolithic build — Go's
-// float64 JSON encoding is exact, so the wire crossing loses nothing.
-func TestShardedOverHTTPMatchesMonolithic(t *testing.T) {
-	cfg := datagen.DefaultConfig()
-	cfg.NumUsers = 300
-	cfg.NumPosts = 4000
-	corpus, err := datagen.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mono, err := tklus.Build(corpus.Posts, tklus.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := tklus.DefaultShardingConfig()
-	sc.NumShards = 3
-	local, err := tklus.BuildSharded(corpus.Posts, tklus.DefaultConfig(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One HTTP server per shard system, and a router over shard clients
-	// that owns exactly the prefixes of the in-process build.
-	prefixes := local.ShardPrefixes()
-	specs := make([]tklus.ShardSpec, 0, len(local.Systems))
-	for i, name := range local.ShardNames() {
-		hs := httptest.NewServer(New(local.Systems[i]))
-		defer hs.Close()
-		specs = append(specs, tklus.ShardSpec{
-			Name:     name,
-			Backend:  NewShardClient(hs.URL),
-			Prefixes: prefixes[name],
-		})
-	}
-	remote, err := tklus.NewSharded(tklus.DefaultConfig().Engine.Params.Alpha, sc, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	for _, ranking := range []tklus.Ranking{tklus.MaxScore, tklus.SumScore} {
-		q := tklus.Query{
-			Loc:      corpus.Config.Cities[0].Center,
-			RadiusKm: 35,
-			Keywords: []string{"pizza", "restaurant"},
-			K:        10,
-			Semantic: tklus.Or,
-			Ranking:  ranking,
-		}
-		want, _, err := mono.Search(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, err := remote.Search(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Degraded() {
-			t.Fatalf("ranking %v: degraded over healthy HTTP shards: %+v", ranking, stats.DegradedShards)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("ranking %v: remote sharded %v != monolithic %v", ranking, got, want)
-		}
-		if len(got) == 0 {
-			t.Errorf("ranking %v: empty results", ranking)
-		}
-	}
-
-	// The application-facing endpoint over the in-process sharded tier
-	// must answer the same bytes as the monolithic server: same users,
-	// scores and order, and the same |P_u| enrichment via the shared
-	// metadata database.
-	monoSrv := New(mono)
-	localSrv := NewSearcher(local)
-	remoteSrv := NewSearcher(remote)
-	q := corpus.Config.Cities[0].Center
-	body := fmt.Sprintf(`{"version":1,"lat":%f,"lon":%f,"radius_km":35,"keywords":["pizza","restaurant"],"k":10}`,
-		q.Lat, q.Lon)
-	code, monoResp := postJSON(t, monoSrv, "/v1/search", body)
-	if code != 200 {
-		t.Fatalf("monolithic POST status %d: %v", code, monoResp)
-	}
-	code, localResp := postJSON(t, localSrv, "/v1/search", body)
-	if code != 200 {
-		t.Fatalf("sharded POST status %d: %v", code, localResp)
-	}
-	if !reflect.DeepEqual(monoResp["results"], localResp["results"]) {
-		t.Errorf("POST /v1/search over sharded tier %v != monolithic %v",
-			localResp["results"], monoResp["results"])
-	}
-	// The remote router holds no metadata replica, so it answers without
-	// the posts enrichment but with identical users, scores and order.
-	code, remoteResp := postJSON(t, remoteSrv, "/v1/search", body)
-	if code != 200 {
-		t.Fatalf("remote sharded POST status %d: %v", code, remoteResp)
-	}
-	stripped := make([]any, 0, len(monoResp["results"].([]any)))
-	for _, r := range monoResp["results"].([]any) {
-		m := map[string]any{}
-		for k, v := range r.(map[string]any) {
-			if k != "posts" {
-				m[k] = v
-			}
-		}
-		stripped = append(stripped, any(m))
-	}
-	if !reflect.DeepEqual(stripped, remoteResp["results"]) {
-		t.Errorf("POST /v1/search over remote shards %v != monolithic (scores) %v",
-			remoteResp["results"], stripped)
-	}
-}
-
-// TestShardClientErrorMapping checks the client's translation of shard
-// server failures into the typed sentinels the breaker keys off.
-func TestShardClientErrorMapping(t *testing.T) {
-	s, _ := testServer(t)
-	hs := httptest.NewServer(s)
-	defer hs.Close()
-
-	c := NewShardClient(hs.URL)
-	ctx := context.Background()
-
-	// A query the shard rejects surfaces as ErrBadQuery, not unavailability.
-	_, err := c.SearchPartials(ctx, tklus.Query{RadiusKm: -1, K: 5, Keywords: []string{"hotel"}})
-	if !errors.Is(err, tklus.ErrBadQuery) {
-		t.Errorf("invalid query error = %v, want ErrBadQuery", err)
-	}
-
-	// A dead server is unavailability.
-	dead := NewShardClient("http://127.0.0.1:1")
-	_, err = dead.SearchPartials(ctx, tklus.Query{
-		Loc: tklus.Point{Lat: 43.68, Lon: -79.37}, RadiusKm: 5, K: 5, Keywords: []string{"hotel"},
-	})
-	if !errors.Is(err, tklus.ErrShardUnavailable) {
-		t.Errorf("dead shard error = %v, want ErrShardUnavailable", err)
+	if len(resp["results"].([]any)) == 0 {
+		t.Error("no results")
 	}
 }

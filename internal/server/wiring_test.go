@@ -38,11 +38,11 @@ func fastReplication(t *testing.T) tklus.ReplicationConfig {
 
 // TestServerWiringPerArrangement pins which routes the server mounts, and
 // which backend series it registers, for every serving arrangement: the
-// introspection and shard-protocol routes only over one system, ingest
-// wherever there is a write path, the fault-injection doors only over a
-// replicated tier; per-shard series on both sharded tiers, replication
-// series on the replicated one and segment series on a segmented system,
-// each series exactly once.
+// introspection routes only over one system, ingest wherever there is a
+// write path, the fault-injection doors only over a replicated tier, and
+// the deleted shard-protocol route on none; per-shard series on both
+// sharded tiers, replication series on the replicated one and segment
+// series on a segmented system, each series exactly once.
 func TestServerWiringPerArrangement(t *testing.T) {
 	corpus := wiringCorpus(t)
 	posts := corpus.Posts
@@ -70,7 +70,7 @@ func TestServerWiringPerArrangement(t *testing.T) {
 				t.Fatal(err)
 			}
 			return sys
-		}, []bool{true, true, true, true, false}, series{}},
+		}, []bool{true, false, true, true, false}, series{}},
 		{"segments", func(t *testing.T) tklus.Searcher {
 			sys, err := tklus.Build(posts, cfg)
 			if err != nil {
@@ -82,7 +82,7 @@ func TestServerWiringPerArrangement(t *testing.T) {
 			}
 			t.Cleanup(func() { seg.Close() })
 			return seg
-		}, []bool{true, true, true, true, false}, series{segment: true}},
+		}, []bool{true, false, true, true, false}, series{segment: true}},
 		{"sharded", func(t *testing.T) tklus.Searcher {
 			ss, err := tklus.BuildSharded(posts, cfg, sc)
 			if err != nil {
@@ -151,10 +151,10 @@ func TestServerWiringPerArrangement(t *testing.T) {
 	}
 }
 
-// TestReplicatedSearchCarriesPostCounts checks the |P_u| enrichment of a
-// replicated server's /v1/search results: every replica holds the full
-// metadata database, so each result carries the same posts count a
-// monolithic server reports for the same query.
+// TestReplicatedSearchCarriesPostCounts checks the |P_u| enrichment of the
+// sharded and replicated servers' /v1/search results: every shard holds the
+// full metadata database, so each tier answers the same users, scores,
+// order and posts counts a monolithic server reports for the same query.
 func TestReplicatedSearchCarriesPostCounts(t *testing.T) {
 	corpus := wiringCorpus(t)
 	cfg := tklus.DefaultConfig()
@@ -164,6 +164,10 @@ func TestReplicatedSearchCarriesPostCounts(t *testing.T) {
 	}
 	sc := tklus.DefaultShardingConfig()
 	sc.NumShards = 2
+	ss, err := tklus.BuildSharded(corpus.Posts, cfg, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rs, err := tklus.BuildReplicatedSharded(corpus.Posts, cfg, sc, fastReplication(t))
 	if err != nil {
 		t.Fatal(err)
@@ -176,15 +180,17 @@ func TestReplicatedSearchCarriesPostCounts(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("mono search: %d %v", code, want)
 	}
-	code, got := post(t, NewSearcher(rs), "/v1/search", body)
-	if code != 200 {
-		t.Fatalf("replicated search: %d %v", code, got)
-	}
 	results := want["results"].([]any)
 	if len(results) == 0 || results[0].(map[string]any)["posts"] == nil {
 		t.Fatalf("mono results carry no posts: %v", results)
 	}
-	if !reflect.DeepEqual(got["results"], want["results"]) {
-		t.Errorf("replicated results differ from mono\n got: %v\nwant: %v", got["results"], want["results"])
+	for name, tier := range map[string]tklus.Searcher{"sharded": ss, "replicated": rs} {
+		code, got := post(t, NewSearcher(tier), "/v1/search", body)
+		if code != 200 {
+			t.Fatalf("%s search: %d %v", name, code, got)
+		}
+		if !reflect.DeepEqual(got["results"], want["results"]) {
+			t.Errorf("%s results differ from mono\n got: %v\nwant: %v", name, got["results"], want["results"])
+		}
 	}
 }

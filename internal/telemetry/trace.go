@@ -1,10 +1,11 @@
 package telemetry
 
-// Distributed tracing for the serving stack. One trace follows one request
-// end to end — across the HTTP front door, the scatter-gather router, every
-// per-shard attempt (hedges included), and the engine's pipeline stages —
-// and is assembled into a span tree the operator can pull back out of the
-// process via /debug/traces/{id}.
+// Tracing for the serving stack. One trace follows one request end to end
+// — across the HTTP front door, the scatter-gather router, every per-shard
+// attempt (hedges included), and the engine's pipeline stages — and is
+// assembled into a span tree the operator can pull back out of the process
+// via /debug/traces/{id}. Every span of a trace lives in one process: the
+// router calls its shards in process, so a trace never crosses a wire.
 //
 // Design constraints, in order:
 //
@@ -12,9 +13,8 @@ package telemetry
 //     the hot path's only tracing cost when no span rides the context is
 //     one ctx.Value lookup returning nil — zero allocations (enforced by
 //     TestNilTracingAllocatesNothing).
-//   - No third-party dependencies. The wire format is the W3C traceparent
-//     header shape (version 00: 128-bit trace ID, 64-bit span ID, one flag
-//     byte), which any external tracing system can interoperate with.
+//   - No third-party dependencies. IDs take the W3C Trace Context sizes
+//     (128-bit trace ID, 64-bit span ID).
 //   - Tail-based sampling. Every trace is recorded while in flight; the
 //     keep/drop decision happens at completion, when the tracer knows
 //     whether the trace was slow, errored, hedged, or degraded — exactly
@@ -33,14 +33,10 @@ import (
 	"time"
 )
 
-// TraceparentHeader is the HTTP header that carries the trace context
-// across the /v1/shard/search wire protocol (W3C Trace Context name).
-const TraceparentHeader = "traceparent"
-
-// TraceID is a 128-bit trace identifier, hex-encoded on the wire.
+// TraceID is a 128-bit trace identifier, hex-encoded in JSON and headers.
 type TraceID [16]byte
 
-// SpanID is a 64-bit span identifier, hex-encoded on the wire.
+// SpanID is a 64-bit span identifier, hex-encoded in JSON.
 type SpanID [8]byte
 
 // IsZero reports whether the ID is the invalid all-zero value.
@@ -51,50 +47,6 @@ func (s SpanID) IsZero() bool { return s == SpanID{} }
 
 func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 func (s SpanID) String() string  { return hex.EncodeToString(s[:]) }
-
-// SpanContext is the propagated half of a span: enough to parent a remote
-// child and to correlate the two processes' trace stores.
-type SpanContext struct {
-	TraceID TraceID
-	SpanID  SpanID
-	Sampled bool
-}
-
-// Traceparent renders the context in the W3C traceparent form
-// "00-<trace-id>-<span-id>-<flags>".
-func (sc SpanContext) Traceparent() string {
-	flags := "00"
-	if sc.Sampled {
-		flags = "01"
-	}
-	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-" + flags
-}
-
-// ParseTraceparent decodes a W3C traceparent value. It accepts any version
-// byte (per the spec, unknown versions are parsed as version 00) and
-// rejects malformed or all-zero IDs.
-func ParseTraceparent(s string) (SpanContext, bool) {
-	var sc SpanContext
-	// "xx-" + 32 + "-" + 16 + "-" + 2
-	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
-		return sc, false
-	}
-	if _, err := hex.Decode(sc.TraceID[:], []byte(s[3:35])); err != nil {
-		return sc, false
-	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(s[36:52])); err != nil {
-		return sc, false
-	}
-	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(s[53:55])); err != nil {
-		return sc, false
-	}
-	if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
-		return sc, false
-	}
-	sc.Sampled = flags[0]&1 != 0
-	return sc, true
-}
 
 // spanCtxKey carries the active *TraceSpan in a context.Context.
 type spanCtxKey struct{}
@@ -161,11 +113,8 @@ type TraceSpan struct {
 type traceState struct {
 	tracer *Tracer
 	id     TraceID
-	// remoteParent records that the local root continues a trace started in
-	// another process (a shard server serving a router's sub-query).
-	remoteParent bool
-	root         *TraceSpan
-	start        time.Time
+	root   *TraceSpan
+	start  time.Time
 
 	mu       sync.Mutex
 	done     bool
@@ -188,15 +137,6 @@ type spanSnap struct {
 	events     []spanEvent
 	errMsg     string
 	unfinished bool
-}
-
-// Context returns the propagation half of the span (for the traceparent
-// header). A nil span returns the zero SpanContext.
-func (s *TraceSpan) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return SpanContext{TraceID: s.state.id, SpanID: s.id, Sampled: true}
 }
 
 // TraceID returns the trace identifier, or the zero ID on a nil span.
@@ -485,37 +425,18 @@ func (t *Tracer) StartTrace(name string) *TraceSpan {
 	if t == nil {
 		return nil
 	}
-	return t.startRoot(name, newTraceID(), SpanID{}, false)
-}
-
-// StartRemoteChild opens the local root of a trace started elsewhere: same
-// trace ID, parented on the remote caller's span — the receiving half of
-// traceparent propagation.
-func (t *Tracer) StartRemoteChild(name string, parent SpanContext) *TraceSpan {
-	if t == nil {
-		return nil
-	}
-	if parent.TraceID.IsZero() || parent.SpanID.IsZero() {
-		return t.StartTrace(name)
-	}
-	return t.startRoot(name, parent.TraceID, parent.SpanID, true)
-}
-
-func (t *Tracer) startRoot(name string, id TraceID, parent SpanID, remote bool) *TraceSpan {
 	t.started.Add(1)
 	st := &traceState{
-		tracer:       t,
-		id:           id,
-		remoteParent: remote,
-		start:        time.Now(),
-		open:         make(map[*TraceSpan]struct{}, 8),
+		tracer: t,
+		id:     newTraceID(),
+		start:  time.Now(),
+		open:   make(map[*TraceSpan]struct{}, 8),
 	}
 	root := &TraceSpan{
-		state:  st,
-		id:     newSpanID(),
-		parent: parent,
-		name:   name,
-		start:  st.start,
+		state: st,
+		id:    newSpanID(),
+		name:  name,
+		start: st.start,
 	}
 	st.root = root
 	st.open[root] = struct{}{}
@@ -587,7 +508,6 @@ func assembleTrace(st *traceState, duration time.Duration) *Trace {
 	tr := &Trace{
 		TraceID:       st.id.String(),
 		Root:          st.root.name,
-		Remote:        st.remoteParent,
 		StartUnixNano: st.start.UnixNano(),
 		DurationUs:    duration.Microseconds(),
 		Outcome:       st.outcome,
@@ -660,11 +580,8 @@ type SpanData struct {
 // order plus the trace-level facts tail sampling keyed on. It is the JSON
 // schema of /debug/traces/{id} and of tklus-stats -traces input.
 type Trace struct {
-	TraceID string `json:"trace_id"`
-	Root    string `json:"root"`
-	// Remote marks a trace whose root continues a span from another
-	// process (a shard server's half of a routed query).
-	Remote        bool       `json:"remote,omitempty"`
+	TraceID       string     `json:"trace_id"`
+	Root          string     `json:"root"`
 	StartUnixNano int64      `json:"start_unix_nano"`
 	DurationUs    int64      `json:"us"`
 	Outcome       string     `json:"outcome"`
@@ -677,7 +594,7 @@ type Trace struct {
 // Summary strips the span tree for the /debug/traces listing.
 func (t *Trace) Summary() TraceSummary {
 	return TraceSummary{
-		TraceID: t.TraceID, Root: t.Root, Remote: t.Remote,
+		TraceID: t.TraceID, Root: t.Root,
 		StartUnixNano: t.StartUnixNano, DurationUs: t.DurationUs,
 		Outcome: t.Outcome, Hedged: t.Hedged, Degraded: t.Degraded,
 		Errored: t.Errored, Spans: len(t.Spans),
@@ -688,7 +605,6 @@ func (t *Trace) Summary() TraceSummary {
 type TraceSummary struct {
 	TraceID       string `json:"trace_id"`
 	Root          string `json:"root"`
-	Remote        bool   `json:"remote,omitempty"`
 	StartUnixNano int64  `json:"start_unix_nano"`
 	DurationUs    int64  `json:"us"`
 	Outcome       string `json:"outcome"`
@@ -740,12 +656,7 @@ func (st *TraceStore) add(t *Trace) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if old := st.buf[st.next]; old != nil {
-		// Only unmap the slot's occupant if the ID still points at it — a
-		// routed query and its shard half share a trace ID, and the newer
-		// occupant must stay reachable.
-		if st.byID[old.TraceID] == old {
-			delete(st.byID, old.TraceID)
-		}
+		delete(st.byID, old.TraceID)
 	} else {
 		st.n++
 	}

@@ -9,53 +9,6 @@ import (
 	"time"
 )
 
-func TestTraceparentRoundTrip(t *testing.T) {
-	tr := NewTracer(TracerOptions{SampleRate: 1})
-	root := tr.StartTrace("server")
-	sc := root.Context()
-	if sc.TraceID.IsZero() || sc.SpanID.IsZero() || !sc.Sampled {
-		t.Fatalf("root context incomplete: %+v", sc)
-	}
-	hdr := sc.Traceparent()
-	if len(hdr) != 55 || !strings.HasPrefix(hdr, "00-") || !strings.HasSuffix(hdr, "-01") {
-		t.Fatalf("malformed traceparent %q", hdr)
-	}
-	got, ok := ParseTraceparent(hdr)
-	if !ok {
-		t.Fatalf("ParseTraceparent rejected own output %q", hdr)
-	}
-	if got != sc {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, sc)
-	}
-	root.Finish()
-}
-
-func TestParseTraceparentRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00",
-		"00-abc-def-01",
-		"00-" + strings.Repeat("0", 32) + "-1234567890abcdef-01", // zero trace ID
-		"00-" + strings.Repeat("a", 32) + "-0000000000000000-01", // zero span ID
-		"00-" + strings.Repeat("g", 32) + "-1234567890abcdef-01", // non-hex
-		"00+" + strings.Repeat("a", 32) + "-1234567890abcdef-01", // wrong separator
-	}
-	for _, s := range bad {
-		if _, ok := ParseTraceparent(s); ok {
-			t.Errorf("ParseTraceparent accepted %q", s)
-		}
-	}
-	// Unknown version bytes parse (forward compatibility).
-	good := "cc-" + strings.Repeat("a", 32) + "-1234567890abcdef-00"
-	sc, ok := ParseTraceparent(good)
-	if !ok {
-		t.Fatalf("ParseTraceparent rejected future version %q", good)
-	}
-	if sc.Sampled {
-		t.Fatal("flags 00 parsed as sampled")
-	}
-}
-
 func TestContextCarriage(t *testing.T) {
 	if s := SpanFromContext(context.Background()); s != nil {
 		t.Fatalf("empty context produced span %v", s)
@@ -169,41 +122,6 @@ func TestSpanTreeAssembly(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestRemoteChildSharesTraceID(t *testing.T) {
-	tr := NewTracer(TracerOptions{SampleRate: 1})
-	remote := NewTracer(TracerOptions{SampleRate: 1})
-
-	root := tr.StartTrace("server.search")
-	attempt := root.StartChild("shard.attempt")
-	sc := attempt.Context()
-
-	shardRoot := remote.StartRemoteChild("shard.search", sc)
-	if shardRoot.TraceID() != root.TraceID() {
-		t.Fatal("remote child has a different trace ID")
-	}
-	shardRoot.Finish()
-	attempt.Finish()
-	root.Finish()
-
-	st, ok := remote.Store().Get(root.TraceID().String())
-	if !ok {
-		t.Fatal("shard half not retained in remote store")
-	}
-	if !st.Remote {
-		t.Fatal("shard half not marked remote")
-	}
-	if st.Spans[0].ParentID != sc.SpanID.String() {
-		t.Fatalf("shard root parent = %q, want caller span %q",
-			st.Spans[0].ParentID, sc.SpanID.String())
-	}
-	// A garbage parent context degrades to a fresh local trace.
-	fresh := remote.StartRemoteChild("shard.search", SpanContext{})
-	if fresh.TraceID().IsZero() || fresh.TraceID() == root.TraceID() {
-		t.Fatal("zero parent should mint a fresh trace")
-	}
-	fresh.Finish()
 }
 
 func TestTailSamplingPolicy(t *testing.T) {
@@ -323,9 +241,6 @@ func TestNilTracingIsSafe(t *testing.T) {
 	if root != nil {
 		t.Fatal("nil tracer minted a span")
 	}
-	if s := tr.StartRemoteChild("q", SpanContext{}); s != nil {
-		t.Fatal("nil tracer minted a remote child")
-	}
 	child := root.StartChild("c")
 	if child != nil {
 		t.Fatal("nil span minted a child")
@@ -338,9 +253,6 @@ func TestNilTracingIsSafe(t *testing.T) {
 	child.Fold("f", time.Now(), time.Second)
 	child.FoldStages(time.Now(), []Span{{Stage: StageRank, Duration: time.Second}})
 	child.Finish()
-	if sc := child.Context(); sc != (SpanContext{}) {
-		t.Fatalf("nil span context = %+v", sc)
-	}
 	if !child.TraceID().IsZero() {
 		t.Fatal("nil span trace ID not zero")
 	}

@@ -376,7 +376,7 @@ func TestSegmentedFreshKeywordVisible(t *testing.T) {
 	if len(res) != 1 || res[0].UID != 99001 {
 		t.Fatalf("fresh keyword not served from memtable: %v", res)
 	}
-	// One engine: the shard protocol and the evidence lookup read the same
+	// One engine: a shard's partials and the evidence lookup read the same
 	// partitions Search does.
 	parts, err := seg.SearchPartials(context.Background(), q)
 	if err != nil {

@@ -37,8 +37,9 @@ import (
 // replica, so one sick copy no longer costs the query its region.
 
 // ShardBackend answers the shard half of a scatter-gather query. *System
-// implements it in process; server.ShardClient implements it over HTTP
-// against a shard server's /v1/shard/search endpoint.
+// implements it; every shard runs in the router's process. NewSharded takes
+// any implementation, which is how tests inject faulty shards and how a
+// harness wraps shards in timing decorators.
 type ShardBackend interface {
 	SearchPartials(ctx context.Context, q Query) (*core.Partials, error)
 }
@@ -160,12 +161,13 @@ type ShardedSystem struct {
 	// Systems holds the in-process shard systems when the tier was built
 	// with BuildSharded (they share one metadata database, popularity
 	// bounds and contents store, and each resolves its index's rows from
-	// its own rows-only segment); empty for remote compositions.
+	// its own rows-only segment); empty for a router assembled by
+	// NewSharded.
 	Systems []*System
 }
 
-// NewSharded assembles a router over explicit shard backends — the remote
-// composition path (local systems, HTTP shard clients, or a mix). alpha is
+// NewSharded assembles a router over explicit shard backends (systems, or
+// decorators and fakes standing in for them). alpha is
 // the scoring model's Definition 10 weight and must match every shard's
 // engine. cfg.NumShards is ignored here; cfg.PrefixLen must match the
 // specs' prefix lengths.
@@ -384,7 +386,7 @@ func (ss *ShardedSystem) ShardNames() []string {
 
 // ShardPrefixes returns each shard's owned geohash prefixes by name —
 // the routing table, for inspection and for composing a new router over
-// the same partitioning (e.g. swapping in remote backends).
+// the same partitioning (e.g. wrapping each shard in a decorator).
 func (ss *ShardedSystem) ShardPrefixes() map[string][]string {
 	out := make(map[string][]string, len(ss.shards))
 	for _, sh := range ss.shards {
@@ -395,8 +397,8 @@ func (ss *ShardedSystem) ShardPrefixes() map[string][]string {
 
 // PostCountOfUser reports the user's global post count |P_u| from the
 // shared metadata database of an in-process build (the HTTP server uses
-// it to enrich results). A remote-only composition holds no metadata
-// replica at the router and reports 0.
+// it to enrich results). A router assembled by NewSharded holds no
+// metadata database and reports 0.
 func (ss *ShardedSystem) PostCountOfUser(uid UserID) int {
 	if len(ss.Systems) > 0 {
 		return ss.Systems[0].DB.PostCountOfUser(uid)
@@ -649,8 +651,8 @@ func (s *attemptSlot) report(oc breakerOutcome) {
 // Each issued attempt gets its own span under the router span, so a hedge
 // appears as a sibling of the attempt it backs up; the loser's span stays
 // open and is snapshotted as unfinished when the trace completes. The
-// winner's span absorbs the shard's engine stage timings — Partials
-// carries them over the wire, so remote shards decompose identically.
+// winner's span absorbs the shard's engine stage timings, which Partials
+// carries back from the shard.
 func (ss *ShardedSystem) attempt(ctx, parent context.Context, rspan *telemetry.TraceSpan, sh *shard, q Query,
 	order []*shardReplica, primary *shardReplica, primaryTok breakerToken) (*core.Partials, *shardReplica, bool, error) {
 
