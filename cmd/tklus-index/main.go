@@ -1,14 +1,15 @@
-// Command tklus-index builds the hybrid spatial-keyword index over a JSONL
-// corpus and reports the construction statistics of Figures 5 and 6
-// (MapReduce counters, postings size, forward index size).
+// Command tklus-index builds the serving system over a JSONL corpus —
+// the metadata database, the hybrid index frozen into one segment image,
+// the tweet contents — and reports what the image holds (keys, rows,
+// bytes). The paper's MapReduce build and its Figures 5 and 6 counters are
+// measured by cmd/tklus-bench (-fig 5, 5w, 6).
 //
-// The simulated DFS lives in memory, so this tool is a construction
-// dry-run / profiler rather than a persistent indexer; persistent serving
-// is what cmd/tklus-query does end to end.
+// Without -save this is a construction dry run; with it, the system is
+// persisted for cmd/tklus-query -load.
 //
 // Usage:
 //
-//	tklus-index -in corpus.jsonl -geohash 4 -mappers 4 -reducers 4
+//	tklus-index -in corpus.jsonl -geohash 4 [-save dir]
 package main
 
 import (
@@ -26,12 +27,10 @@ func main() {
 	log.SetPrefix("tklus-index: ")
 
 	var (
-		in       = flag.String("in", "corpus.jsonl", "input corpus")
-		format   = flag.String("format", "jsonl", "input format: jsonl | twitter (REST v1.1 statuses)")
-		geohash  = flag.Int("geohash", 4, "geohash encoding length (1-12)")
-		mappers  = flag.Int("mappers", 4, "MapReduce map parallelism")
-		reducers = flag.Int("reducers", 4, "MapReduce reduce parallelism")
-		save     = flag.String("save", "", "persist the built system to this directory")
+		in      = flag.String("in", "corpus.jsonl", "input corpus")
+		format  = flag.String("format", "jsonl", "input format: jsonl | twitter (REST v1.1 statuses)")
+		geohash = flag.Int("geohash", 4, "geohash encoding length (1-12)")
+		save    = flag.String("save", "", "persist the built system to this directory")
 	)
 	flag.Parse()
 
@@ -42,8 +41,6 @@ func main() {
 
 	cfg := tklus.DefaultConfig()
 	cfg.Index.GeohashLen = *geohash
-	cfg.Index.Mappers = *mappers
-	cfg.Index.Reducers = *reducers
 
 	start := time.Now()
 	sys, err := tklus.Build(posts, cfg)
@@ -52,17 +49,12 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	st := sys.IndexStats
 	fmt.Printf("corpus:            %d posts\n", len(posts))
 	fmt.Printf("geohash length:    %d\n", *geohash)
 	fmt.Printf("build time:        %v\n", elapsed.Round(time.Millisecond))
-	fmt.Printf("index keys:        %d distinct (geohash, term) pairs\n", st.Keys)
-	fmt.Printf("postings size:     %d bytes in DFS (%d files)\n", st.PostingsBytes, len(sys.FS.List()))
-	fmt.Printf("forward index:     %d bytes in memory\n", st.ForwardBytes)
-	fmt.Printf("map records:       %d in, %d out\n",
-		st.InvertedJob.MapInputRecords, st.InvertedJob.MapOutputRecords)
-	fmt.Printf("reduce keys:       %d\n", st.InvertedJob.ReduceInputKeys)
-	fmt.Printf("shuffled bytes:    %d\n", st.InvertedJob.ShuffledBytes)
+	fmt.Printf("index keys:        %d distinct (geohash, term) pairs\n", sys.Index.NumKeys())
+	fmt.Printf("index rows:        %d\n", sys.Index.NumRows())
+	fmt.Printf("index image:       %d bytes\n", sys.Index.SizeBytes())
 
 	if *save != "" {
 		if err := sys.Save(*save); err != nil {

@@ -75,7 +75,7 @@ func TestFederatedSearch(t *testing.T) {
 				at.Add(time.Duration(i+1)*time.Second), loc, "nice", root))
 		}
 		// More of the user's own hotel posts, none replied to: they leave its
-		// max score as it is and give the radius filter a row batch to page.
+		// max score as it is and give every platform 31 candidates.
 		for i := 0; i < 30; i++ {
 			posts = append(posts, tklus.NewPost(uid, at.Add(time.Duration(i+1)*time.Minute), loc, "hotel again"))
 		}
@@ -98,12 +98,10 @@ func TestFederatedSearch(t *testing.T) {
 	if len(res) != 2 {
 		t.Fatalf("federated results = %+v", res)
 	}
-	// DefaultConfig is the paged configuration (no snapshots): the radius
-	// filter resolves each platform's candidates through one row-store
-	// multi-get, and the federation total must carry its counters.
-	if stats.DBBatchLookups == 0 || stats.DBPagesSaved == 0 {
-		t.Errorf("federated stats dropped the multi-get counters: lookups %d, pages saved %d",
-			stats.DBBatchLookups, stats.DBPagesSaved)
+	// The federation total sums every platform's work counters.
+	if stats.Candidates != 3*31 || stats.PostingsFetched != 3 {
+		t.Errorf("federated stats: %d candidates, %d postings lists; want 93 and 3 (31 and 1 per platform)",
+			stats.Candidates, stats.PostingsFetched)
 	}
 	if res[0].Platform != "twitter" || res[0].UID != 1 {
 		t.Errorf("top federated result = %+v, want twitter user 1", res[0])

@@ -129,7 +129,7 @@ func DefaultOptions() Options {
 
 // PostingsSource is what the engine needs from a hybrid index: the geohash
 // precision it was built with and postings retrieval per ⟨cell, term⟩.
-// *invindex.Index implements it.
+// Segments, the memtable and the paper's paged *invindex.Index implement it.
 type PostingsSource interface {
 	GeohashLen() int
 	FetchPostings(geohash, term string) ([]invindex.Posting, error)
@@ -155,13 +155,12 @@ type RowSource interface {
 // ascending one.
 type Partition struct {
 	Source PostingsSource
-	// Rows resolves the rows of this partition's postings: a store view's
-	// own segment or memtable, or, behind a shard's batch index, the
-	// rows-only segment of the shard's posts. Nil means the partition keeps
-	// none of its own (the paged index of Build, Load and the figure
-	// runners): its postings resolve through one multi-get against
-	// Engine.DB. Whoever publishes the partition set decides; queries never
-	// probe for it.
+	// Rows resolves the rows of this partition's postings: the segment or
+	// memtable that holds them — a System's build image or a store view.
+	// Nil means the partition keeps none of its own (the paged index the
+	// figures build the paper's way, NewEngine): its postings resolve
+	// through one multi-get against Engine.DB. Whoever publishes the
+	// partition set decides; queries never probe for it.
 	Rows   RowSource
 	MinSID social.PostID
 	MaxSID social.PostID
@@ -193,7 +192,8 @@ type Engine struct {
 	parts atomic.Pointer[[]Partition]
 }
 
-// NewEngine wires an engine over one index covering the whole corpus.
+// NewEngine wires an engine over one paged index covering the whole corpus,
+// its rows read through db — the paper's build, which the figures measure.
 func NewEngine(idx *invindex.Index, db *metadb.DB, bounds *thread.Bounds, opts Options) (*Engine, error) {
 	if idx == nil {
 		return nil, fmt.Errorf("core: engine needs an index")

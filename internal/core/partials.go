@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/score"
@@ -191,22 +193,37 @@ func mergeCands(parts []*Partials) ([]CandidateScore, error) {
 // finite reports whether x is neither NaN nor ±Inf.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
+// ErrPartialsDisagree marks shard partials that contradict each other on a
+// corpus fact every shard reads from the same replicated metadata
+// database — a user's |P_u| — so no merge of them is the monolithic answer.
+var ErrPartialsDisagree = errors.New("core: shard partials disagree")
+
 // reducePartials is the per-user reduction of both rankings over merged:
 // every candidate of parts in ascending tweet-ID order — the router's half
 // of a scatter-gather query, reproducing the monolithic rankSum and rankMax
 // float for float. A shard lists only users with a candidate, and that
 // candidate is one of the user's posts, so a reported |P_u| below 1 is an
-// error rather than a δ(u,q) of 0.
+// error rather than a δ(u,q) of 0; two shards reporting one user with
+// different counts is ErrPartialsDisagree rather than the first one's count.
 func reducePartials(q *Query, alpha float64, merged []CandidateScore, parts []*Partials) ([]UserResult, error) {
-	posts := make(map[social.UserID]int) // |P_u|, as the first shard naming u reports it
+	posts := make(map[social.UserID]int) // |P_u|, as every shard naming u reports it
 	for i, p := range parts {
 		for _, u := range p.Users {
 			if u.Posts < 1 {
 				return nil, fmt.Errorf("core: shard partials %d report user %d with %d posts, but a candidate user has at least one",
 					i, u.UID, u.Posts)
 			}
-			if _, dup := posts[u.UID]; !dup {
+			n, dup := posts[u.UID]
+			if !dup {
 				posts[u.UID] = u.Posts
+				continue
+			}
+			if n != u.Posts {
+				first := slices.IndexFunc(parts, func(p *Partials) bool {
+					return slices.ContainsFunc(p.Users, func(v UserPartial) bool { return v.UID == u.UID })
+				})
+				return nil, fmt.Errorf("%w: shard partials %d report user %d with %d posts, shard partials %d with %d",
+					ErrPartialsDisagree, first, u.UID, n, i, u.Posts)
 			}
 		}
 	}

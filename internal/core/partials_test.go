@@ -222,6 +222,26 @@ func TestMergePartialsErrors(t *testing.T) {
 		}
 	})
 
+	// Every shard reads |P_u| from the same replicated database, so two
+	// counts for one user mean a shard serves a stale or foreign replica;
+	// keeping either would rank the user on a guess.
+	t.Run("user reported with two post counts", func(t *testing.T) {
+		parts := []*core.Partials{
+			{Cands: []core.CandidateScore{cand(2, 1)}, Users: []core.UserPartial{user(1)}},
+			{Cands: []core.CandidateScore{cand(4, 2)}, Users: []core.UserPartial{user(2)}},
+			{Cands: []core.CandidateScore{cand(5, 1)}, Users: []core.UserPartial{{UID: 1, Posts: 4}}},
+		}
+		for _, rank := range []core.Ranking{core.SumScore, core.MaxScore} {
+			qr := q
+			qr.Ranking = rank
+			_, _, err := core.MergePartials(qr, 0.5, parts)
+			want := "shard partials 0 report user 1 with 3 posts, shard partials 2 with 4"
+			if !errors.Is(err, core.ErrPartialsDisagree) || !strings.Contains(err.Error(), want) {
+				t.Errorf("%v: err = %v, want ErrPartialsDisagree naming %q", rank, err, want)
+			}
+		}
+	})
+
 	// A NaN or infinite partial would reach Combine and order the ranking
 	// by garbage; the error names the shard and the tweet.
 	t.Run("non-finite score", func(t *testing.T) {
@@ -439,6 +459,8 @@ func FuzzMergePartials(f *testing.F) {
 		// |P_u| below 1, and a candidate's user missing.
 		seed(0, cand(0, 3, 1, 2, 1), user(0, 1, 0)),
 		seed(0, cand(0, 3, 2, 2, 1), user(0, 1, 3)),
+		// One user's |P_u| differing between two shards.
+		seed(1, cand(0, 1, 1, 2, 1), cand(1, 2, 1, 3, 2), user(0, 1, 3), user(1, 1, 4)),
 	} {
 		f.Add(s, uint8(3), false)
 		f.Add(s, uint8(1), true)
@@ -452,6 +474,15 @@ func FuzzMergePartials(f *testing.F) {
 		results, _, err := core.MergePartials(q, 0.5, parts)
 		if err != nil {
 			return
+		}
+		counts := make(map[social.UserID]int)
+		for _, p := range parts {
+			for _, u := range p.Users {
+				if n, ok := counts[u.UID]; ok && n != u.Posts {
+					t.Fatalf("merged partials that report user %d with %d and %d posts", u.UID, n, u.Posts)
+				}
+				counts[u.UID] = u.Posts
+			}
 		}
 		authors := make(map[social.UserID]bool)
 		for _, p := range parts {

@@ -65,9 +65,8 @@ func (s *Setup) AblationThreadDepth() (*Table, error) {
 	for _, depth := range []int{1, 2, 4, 8} {
 		cfg := tklus.DefaultConfig()
 		cfg.Engine.Params.ThreadDepth = depth
-		cfg.Index.PathPrefix = fmt.Sprintf("depth-%d", depth)
 		cfg.DB.IOLatency = s.Cfg.IOLatency
-		sys, err := tklus.Build(s.Corpus.Posts, cfg)
+		sys, err := BuildPaper(s.Corpus.Posts, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -92,9 +91,8 @@ func (s *Setup) AblationPageCache() (*Table, error) {
 	for _, cache := range []int{0, 64, 1024} {
 		cfg := tklus.DefaultConfig()
 		cfg.DB.CacheSize = cache
-		cfg.Index.PathPrefix = fmt.Sprintf("cache-%d", cache)
 		cfg.DB.IOLatency = s.Cfg.IOLatency
-		sys, err := tklus.Build(s.Corpus.Posts, cfg)
+		sys, err := BuildPaper(s.Corpus.Posts, cfg)
 		if err != nil {
 			return nil, err
 		}

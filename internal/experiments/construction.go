@@ -25,9 +25,8 @@ func (s *Setup) Fig5IndexConstruction() (*Table, error) {
 		// Time a fresh MapReduce build (Setup.System caches, so build here).
 		cfg := tklus.DefaultConfig()
 		cfg.Index.GeohashLen = length
-		cfg.Index.PathPrefix = fmt.Sprintf("fig5-g%d", length)
 		start := time.Now()
-		sys, err := tklus.Build(s.Corpus.Posts, cfg)
+		sys, err := BuildPaper(s.Corpus.Posts, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -43,7 +42,7 @@ func (s *Setup) Fig5IndexConstruction() (*Table, error) {
 		t.AddRow(fmt.Sprintf("%d", length),
 			mrTime.Round(time.Millisecond).String(),
 			centralTime.Round(time.Millisecond).String(),
-			fmt.Sprintf("%d", sys.IndexStats.Keys))
+			fmt.Sprintf("%d", sys.BuildStats.Keys))
 	}
 	return t, nil
 }
@@ -89,9 +88,9 @@ func (s *Setup) Fig6IndexSize() (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%d", length),
-			byteSize(sys.IndexStats.PostingsBytes),
-			byteSize(sys.IndexStats.ForwardBytes),
-			fmt.Sprintf("%d", sys.IndexStats.Keys))
+			byteSize(sys.BuildStats.PostingsBytes),
+			byteSize(sys.BuildStats.ForwardBytes),
+			fmt.Sprintf("%d", sys.BuildStats.Keys))
 	}
 	return t, nil
 }

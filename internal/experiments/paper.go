@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	tklus "repro"
 	"repro/internal/core"
 	"repro/internal/score"
 	"repro/internal/social"
@@ -25,7 +24,7 @@ import (
 // Engine.Search byte for byte and only the work differs: the thread, pruning
 // and page counters, and the time.
 type paperArm struct {
-	sys *tklus.System
+	sys *PaperSystem
 	// bounds are the query-level bounds pruning reads; nil for a system
 	// Setup.System did not build, which only sum ranking may run on.
 	bounds *paperBounds
@@ -39,7 +38,7 @@ type paperArm struct {
 
 // paper is the paper's standard configuration over sys: pruning with the
 // hot-keyword bounds.
-func (s *Setup) paper(sys *tklus.System) paperArm {
+func (s *Setup) paper(sys *PaperSystem) paperArm {
 	return paperArm{sys: sys, bounds: s.bounds[sys], prune: true, specific: true}
 }
 
@@ -191,13 +190,13 @@ type paperBounds struct {
 	PerKeyword map[string]float64
 }
 
-// newPaperBounds derives the paper's bounds for sys, built over posts, with
-// specific bounds for hotKeywords (raw words, stemmed here as the index
-// stems them).
-func newPaperBounds(sys *tklus.System, posts []*social.Post, hotKeywords []string) *paperBounds {
-	p := sys.Engine.Opts.Params
+// newPaperBounds derives the paper's bounds for the engine eng over posts,
+// with specific bounds for hotKeywords (raw words, stemmed here as the
+// index stems them).
+func newPaperBounds(eng *core.Engine, posts []*social.Post, hotKeywords []string) *paperBounds {
+	p := eng.Opts.Params
 	b := &paperBounds{PerKeyword: make(map[string]float64)}
-	sys.Bounds.Range(func(_ social.PostID, levels []uint32) {
+	eng.Bounds.Range(func(_ social.PostID, levels []uint32) {
 		b.TM = max(b.TM, int(levels[0]))
 	})
 	b.Def11 = def11Bound(b.TM, p.ThreadDepth)
@@ -209,7 +208,7 @@ func newPaperBounds(sys *tklus.System, posts []*social.Post, hotKeywords []strin
 		sids[i] = post.SID
 	}
 	phi := make([]float64, len(sids))
-	sys.Bounds.PhiBatch(sids, p.Epsilon, phi)
+	eng.Bounds.PhiBatch(sids, p.Epsilon, phi)
 	hot := make(map[string]bool)
 	for _, kw := range hotKeywords {
 		for _, term := range textutil.Terms(kw) {

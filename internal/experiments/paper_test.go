@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/social"
+	"repro/internal/thread"
 )
 
 // TestPaperArmMatchesEngine pins the paper's regime to the serving engine:
@@ -112,7 +113,7 @@ func TestPaperBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, sys := range map[string]*tklus.System{"built": sys, "loaded": loaded} {
-		b := newPaperBounds(sys, posts, []string{"hotel", "pizza"})
+		b := newPaperBounds(sys.Engine, posts, []string{"hotel", "pizza"})
 		if b.TM != 3 {
 			t.Errorf("%s: TM = %d, want 3 (the root has 3 direct replies)", name, b.TM)
 		}
@@ -141,8 +142,9 @@ func TestBoundsSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := s.bounds[sys]
+	builder := thread.Builder{DB: sys.DB, Depth: sys.Engine.Opts.Params.ThreadDepth}
 	for _, p := range s.Corpus.Posts {
-		if nodes, pop := sys.Thread(p.SID); pop > b.MaxObserved {
+		if nodes, pop := builder.Tree(p.SID, sys.Engine.Opts.Params.Epsilon, nil); pop > b.MaxObserved {
 			t.Fatalf("thread %d (%d tweets) popularity %v exceeds MaxObserved %v", p.SID, len(nodes), pop, b.MaxObserved)
 		}
 	}

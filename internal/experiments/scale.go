@@ -36,7 +36,7 @@ func (s *Setup) ScaleSweep() (*Table, error) {
 		cfg := tklus.DefaultConfig()
 		cfg.DB.IOLatency = s.Cfg.IOLatency
 		start := time.Now()
-		sys, err := tklus.Build(corpus.Posts, cfg)
+		sys, err := BuildPaper(corpus.Posts, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -49,8 +49,8 @@ func (s *Setup) ScaleSweep() (*Table, error) {
 		}
 		t.AddRow(fmt.Sprintf("%d", size),
 			buildTime.Round(time.Millisecond).String(),
-			byteSize(sys.IndexStats.PostingsBytes),
-			fmt.Sprintf("%d", sys.IndexStats.Keys),
+			byteSize(sys.BuildStats.PostingsBytes),
+			fmt.Sprintf("%d", sys.BuildStats.Keys),
 			ms(avg),
 			fmt.Sprintf("%d", agg.Candidates))
 	}

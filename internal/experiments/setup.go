@@ -6,11 +6,16 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	tklus "repro"
+	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/dfs"
+	"repro/internal/invindex"
+	"repro/internal/metadb"
+	"repro/internal/social"
+	"repro/internal/thread"
 )
 
 // Config sizes an experiment run. The defaults are laptop-scale; the
@@ -48,10 +53,44 @@ type Setup struct {
 	Corpus  *datagen.Corpus
 	Queries []datagen.QuerySpec
 
-	systems map[int]*tklus.System // by geohash length
+	systems map[int]*PaperSystem // by geohash length
 	// bounds holds the paper's query-level bounds of every system
 	// System built, for the paper arm's max-score pruning.
-	bounds map[*tklus.System]*paperBounds
+	bounds map[*PaperSystem]*paperBounds
+}
+
+// PaperSystem is the paper's build of a corpus (Figure 3): the metadata
+// database, the hybrid index two MapReduce jobs write into the simulated
+// DFS (Algorithms 2–3), and the level-count table, under an engine that
+// resolves rows through the paged database. The serving tklus.System
+// indexes through the memtable into a segment instead; only the figures
+// build and measure this one.
+type PaperSystem struct {
+	Engine     *core.Engine
+	DB         *metadb.DB
+	Bounds     *thread.Bounds
+	BuildStats *invindex.BuildStats
+}
+
+// BuildPaper builds posts the paper's way, under cfg's index geohash
+// length and block size, metadata-database options and engine options.
+func BuildPaper(posts []*social.Post, cfg tklus.Config) (*PaperSystem, error) {
+	db, err := metadb.Load(cfg.DB, posts)
+	if err != nil {
+		return nil, err
+	}
+	opts := invindex.DefaultBuildOptions()
+	opts.GeohashLen, opts.BlockSize = cfg.Index.GeohashLen, cfg.Index.BlockSize
+	idx, stats, err := invindex.Build(dfs.New(cfg.DFS), posts, opts)
+	if err != nil {
+		return nil, err
+	}
+	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
+	eng, err := core.NewEngine(idx, db, bounds, cfg.Engine)
+	if err != nil {
+		return nil, err
+	}
+	return &PaperSystem{Engine: eng, DB: db, Bounds: bounds, BuildStats: stats}, nil
 }
 
 // NewSetup generates the corpus and the 90-query-style workload.
@@ -68,21 +107,20 @@ func NewSetup(cfg Config) (*Setup, error) {
 		Cfg:     cfg,
 		Corpus:  corpus,
 		Queries: corpus.GenerateQueries(cfg.Seed+1, cfg.QueryPerClass),
-		systems: make(map[int]*tklus.System),
-		bounds:  make(map[*tklus.System]*paperBounds),
+		systems: make(map[int]*PaperSystem),
+		bounds:  make(map[*PaperSystem]*paperBounds),
 	}, nil
 }
 
 // System returns (building on first use) the system for a geohash length.
-func (s *Setup) System(geohashLen int) (*tklus.System, error) {
+func (s *Setup) System(geohashLen int) (*PaperSystem, error) {
 	if sys, ok := s.systems[geohashLen]; ok {
 		return sys, nil
 	}
 	cfg := tklus.DefaultConfig()
 	cfg.Index.GeohashLen = geohashLen
-	cfg.Index.PathPrefix = fmt.Sprintf("index-g%d", geohashLen)
 	cfg.DB.IOLatency = s.Cfg.IOLatency
-	sys, err := tklus.Build(s.Corpus.Posts, cfg)
+	sys, err := BuildPaper(s.Corpus.Posts, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +129,7 @@ func (s *Setup) System(geohashLen int) (*tklus.System, error) {
 	// keywords, so specific popularity bounds are precomputed for all of
 	// them (the paper limits itself to the top-10 for memory reasons; at
 	// this scale the full pool costs a few hundred bytes).
-	s.bounds[sys] = newPaperBounds(sys, s.Corpus.Posts, datagen.MeaningfulKeywords())
+	s.bounds[sys] = newPaperBounds(sys.Engine, s.Corpus.Posts, datagen.MeaningfulKeywords())
 	return sys, nil
 }
 

@@ -321,50 +321,6 @@ func TestFetchDispatch(t *testing.T) {
 	}
 }
 
-// TestPersistBlockedRoundTrip saves a blocked index and reloads it,
-// checking the blocked flag survives (skipping still works after reload).
-func TestPersistBlockedRoundTrip(t *testing.T) {
-	posts := testCorpus(t, 200)
-	fsys := dfs.New(dfs.DefaultOptions())
-	opts := DefaultBuildOptions()
-	opts.BlockSize = 16
-	idx, _, err := Build(fsys, posts, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := idx.SaveForward(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("TKFWD2")) {
-		t.Fatalf("saved magic %q, want TKFWD2 prefix", buf.Bytes()[:6])
-	}
-	loaded, err := LoadIndex(fsys, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range idx.Keys() {
-		want, err := idx.FetchPostings(k.Geohash, k.Term)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.FetchPostings(k.Geohash, k.Term)
-		if err != nil {
-			t.Fatalf("%v: fetch after reload: %v", k, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: reload %d postings, want %d", k, len(got), len(want))
-		}
-		it, err := loaded.OpenPostings(k.Geohash, k.Term)
-		if err != nil || it == nil {
-			t.Fatalf("%v: open after reload: %v", k, err)
-		}
-		if it.Len() != len(want) {
-			t.Fatalf("%v: reloaded iterator Len %d, want %d", k, it.Len(), len(want))
-		}
-	}
-}
-
 // TestDecodeBlockedCorruption checks the decoder rejects mangled payloads
 // instead of panicking or fabricating postings.
 func TestDecodeBlockedCorruption(t *testing.T) {

@@ -153,7 +153,7 @@ func New(opts Options) *DB {
 
 // Load bulk-loads posts into the database and freezes it for querying.
 // Loading is batch-oriented, matching the paper's offline/batch setting
-// for geo-tagged tweets. Duplicate SIDs are rejected.
+// for geo-tagged tweets. Two posts with one SID fail with ErrRejected.
 func Load(opts Options, posts []*social.Post) (*DB, error) {
 	db := New(opts)
 	for _, p := range posts {
@@ -161,7 +161,9 @@ func Load(opts Options, posts []*social.Post) (*DB, error) {
 			return nil, err
 		}
 	}
-	db.Freeze()
+	if err := db.freeze(); err != nil {
+		return nil, err
+	}
 	return db, nil
 }
 
@@ -184,19 +186,27 @@ func (db *DB) Insert(p *social.Post) error {
 // Freeze sorts the staged rows by SID (clustered on the primary key, as a
 // timestamp-keyed tweet store naturally is), paginates them, builds both
 // B⁺-tree indexes and counts every user's posts. After Freeze the database
-// is read-only except for Append, the live-ingest path.
+// is read-only except for Append, the live-ingest path. Staging two rows
+// with one SID is a caller bug here, and Freeze panics; Load returns it as
+// an error instead.
 func (db *DB) Freeze() {
+	if err := db.freeze(); err != nil {
+		panic(err)
+	}
+}
+
+func (db *DB) freeze() error {
 	db.structMu.Lock()
 	defer db.structMu.Unlock()
 	if db.frozen {
-		return
+		return nil
 	}
 	rows := db.sortedBatch
 	db.sortedBatch = nil
 	sort.Slice(rows, func(i, j int) bool { return rows[i].SID < rows[j].SID })
 	for i := 1; i < len(rows); i++ {
 		if rows[i].SID == rows[i-1].SID {
-			panic(fmt.Sprintf("metadb: duplicate SID %d", rows[i].SID))
+			return fmt.Errorf("metadb: %w: duplicate SID %d", ErrRejected, rows[i].SID)
 		}
 	}
 	per := db.opts.RowsPerPage
@@ -219,6 +229,7 @@ func (db *DB) Freeze() {
 		db.minSID, db.maxSID = rows[0].SID, rows[len(rows)-1].SID
 	}
 	db.frozen = true
+	return nil
 }
 
 // ErrRejected marks an Append refused because of the post itself — it fails

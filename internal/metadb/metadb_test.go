@@ -1,6 +1,7 @@
 package metadb
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -115,6 +116,16 @@ func TestDuplicateSIDPanicsAtFreeze(t *testing.T) {
 		}
 	}()
 	db.Freeze()
+}
+
+// TestLoadRejectsDuplicateSID: a corpus with two posts of one SID is the
+// caller's data at fault, so Load names it with ErrRejected instead of
+// panicking in Freeze.
+func TestLoadRejectsDuplicateSID(t *testing.T) {
+	db, err := Load(DefaultOptions(), []*social.Post{mkPost(7, 1, 0, 0), mkPost(8, 3, 0, 0), mkPost(7, 2, 0, 0)})
+	if db != nil || !errors.Is(err, ErrRejected) {
+		t.Fatalf("Load = %v, %v; want nil and ErrRejected", db, err)
+	}
 }
 
 func TestScanVisitsAllRowsInOrder(t *testing.T) {

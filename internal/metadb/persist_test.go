@@ -14,10 +14,10 @@ func TestSaveLoadRowsRoundTrip(t *testing.T) {
 	}
 	db := buildDB(t, posts, Options{RowsPerPage: 2, IndexOrder: 4})
 	var buf bytes.Buffer
-	if err := db.SaveRows(&buf); err != nil {
+	if err := db.SaveRows(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadRows(DefaultOptions(), &buf)
+	loaded, err := LoadRows(DefaultOptions(), nil, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,18 +41,54 @@ func TestSaveLoadRowsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveRowsAfterSplitsTheRelation: SaveRows past a SID writes only the
+// rows beyond it, and LoadRows over the rows up to it plus that stream
+// rebuilds the whole relation; a stream row at or below the base's last SID
+// is refused.
+func TestSaveRowsAfterSplitsTheRelation(t *testing.T) {
+	posts := []*social.Post{mkPost(10, 1, 0, 0), mkPost(20, 2, 10, 1), mkPost(30, 1, 0, 0), mkPost(40, 3, 30, 1)}
+	db := buildDB(t, posts, Options{RowsPerPage: 3, IndexOrder: 4})
+	var base []Row
+	db.Scan(func(r Row) bool {
+		if r.SID <= 20 {
+			base = append(base, r)
+		}
+		return true
+	})
+	var buf bytes.Buffer
+	if err := db.SaveRows(&buf, 20); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(rowsMagic) + 8 + 2*48; buf.Len() != want {
+		t.Fatalf("stream past SID 20 is %d bytes, want %d (two rows)", buf.Len(), want)
+	}
+	stream := bytes.Clone(buf.Bytes())
+	loaded, err := LoadRows(DefaultOptions(), base, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Len() != len(posts) || loaded.PostCountOfUser(1) != 2 || len(loaded.SelectByRSID(30)) != 1 {
+		t.Fatalf("loaded %d rows, user 1 has %d posts, post 30 has %d replies",
+			loaded.Len(), loaded.PostCountOfUser(1), len(loaded.SelectByRSID(30)))
+	}
+	overlap := []Row{{SID: 10, UID: 1}, {SID: 30, UID: 1}}
+	if _, err := LoadRows(DefaultOptions(), overlap, bytes.NewReader(stream)); err == nil {
+		t.Error("a stream overlapping its base was accepted")
+	}
+}
+
 func TestLoadRowsRejectsCorruption(t *testing.T) {
 	db := buildDB(t, []*social.Post{mkPost(1, 1, 0, 0), mkPost(2, 2, 0, 0)}, DefaultOptions())
 	var buf bytes.Buffer
-	if err := db.SaveRows(&buf); err != nil {
+	if err := db.SaveRows(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	if _, err := LoadRows(DefaultOptions(), bytes.NewReader([]byte("garbage"))); err == nil {
+	if _, err := LoadRows(DefaultOptions(), nil, bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Error("garbage accepted")
 	}
 	for _, cut := range []int{3, 10, len(full) - 5} {
-		if _, err := LoadRows(DefaultOptions(), bytes.NewReader(full[:cut])); err == nil {
+		if _, err := LoadRows(DefaultOptions(), nil, bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -61,7 +97,7 @@ func TestLoadRowsRejectsCorruption(t *testing.T) {
 	recStart := len(rowsMagic) + 8
 	copy(swapped[recStart:recStart+48], full[recStart+48:recStart+96])
 	copy(swapped[recStart+48:recStart+96], full[recStart:recStart+48])
-	if _, err := LoadRows(DefaultOptions(), bytes.NewReader(swapped)); err == nil {
+	if _, err := LoadRows(DefaultOptions(), nil, bytes.NewReader(swapped)); err == nil {
 		t.Error("unsorted rows accepted")
 	}
 }

@@ -114,10 +114,10 @@ func TestPostCountsMatchRows(t *testing.T) {
 			appendSome(db, 100, "first appends")
 
 			var buf bytes.Buffer
-			if err := db.SaveRows(&buf); err != nil {
+			if err := db.SaveRows(&buf, 0); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := LoadRows(opts, &buf)
+			loaded, err := LoadRows(opts, nil, &buf)
 			if err != nil {
 				t.Fatal(err)
 			}

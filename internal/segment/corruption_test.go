@@ -25,7 +25,7 @@ func validSegmentBytes(t testing.TB) []byte {
 }
 
 // validRowsOnlyBytes is validSegmentBytes' rows with no keys: the image
-// RowsOnly parses.
+// FromPosts builds over posts without indexable words.
 func validRowsOnlyBytes(t testing.TB) []byte {
 	t.Helper()
 	rows, _ := validSegmentParts(t)
@@ -61,7 +61,7 @@ type corruptionImage struct {
 }
 
 // corruptionImages are a keyed segment as a seal writes it and a rows-only
-// one (RowsOnly).
+// one.
 func corruptionImages(t *testing.T) []corruptionImage {
 	return []corruptionImage{{"", validSegmentBytes(t)}, {"rows-only/", validRowsOnlyBytes(t)}}
 }

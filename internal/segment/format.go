@@ -3,7 +3,7 @@
 // sealed time-bucketed segment files, and postings are read zero-copy from
 // mmap'd bytes. A segment file carries the same 48-byte row records the
 // metadata database snapshots (TKROW1) and the same blocked postings
-// payloads the block-max traversal consumes (TKFWD2), so the query
+// payloads the block-max traversal consumes (invindex's blocked layout), so the query
 // engine's PostingsIterator runs directly over the mapped file — the
 // per-block {count, minDelta, span, maxTF} directory doubles as the
 // on-disk skip index, with no B⁺-tree descents and no simulated page IO.

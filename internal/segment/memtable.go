@@ -12,12 +12,12 @@ import (
 
 // Memtable is the mutable head of the storage engine: ingested posts are
 // indexed here immediately and served alongside the sealed segments until
-// the store seals the table into a segment file. Indexing mirrors the
-// batch build's map phase exactly — term frequencies per post, keys of
-// ⟨geohash(loc), term⟩ at the store's precision, postings in ascending
-// TID order (ingest arrives in timestamp order) — so a sealed segment is
-// byte-equivalent to what a batch rebuild over the same posts would have
-// produced for its time range.
+// the store seals the table into a segment file. It is the one indexer:
+// term frequencies per post, keys of ⟨geohash(loc), term⟩ at the store's
+// precision, postings in ascending TID order (ingest arrives in timestamp
+// order). A batch build indexes through it too (FromPosts), so a sealed
+// segment is byte-equivalent to what a batch rebuild over the same posts
+// would have produced for its time range.
 //
 // Readers (the engine's postings fetches) and the single writer (ingest,
 // which the store serializes) synchronize on one RWMutex. Postings slices
@@ -55,8 +55,8 @@ func (m *Memtable) Add(p *social.Post) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if n := len(m.cols.sids); n > 0 && p.SID <= m.cols.sids[n-1] {
-		return fmt.Errorf("segment: memtable add SID %d is not beyond %d (posts arrive in timestamp order)",
-			p.SID, m.cols.sids[n-1])
+		return fmt.Errorf("segment: %w: memtable add SID %d is not beyond %d (posts arrive in timestamp order)",
+			metadb.ErrRejected, p.SID, m.cols.sids[n-1])
 	}
 	m.cols.add(p.SID, metadb.RowMeta{Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID})
 	m.replyTo = append(m.replyTo, replyRef{ruid: p.RUID, rsid: p.RSID})
@@ -64,7 +64,7 @@ func (m *Memtable) Add(p *social.Post) error {
 	if len(p.Words) == 0 {
 		return nil
 	}
-	// The batch build's mapper: term frequency per post, one posting per
+	// Term frequency per post (Algorithm 2's mapper), one posting per
 	// distinct ⟨cell, term⟩ key.
 	tf := make(map[string]uint32, len(p.Words))
 	for _, w := range p.Words {

@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -127,13 +129,17 @@ func TestResolveRowsMatchesPointLookups(t *testing.T) {
 	}
 }
 
-// TestRowsOnlySegment covers the image RowsOnly builds: zero keys, the rows
-// round-tripped through OpenBytes record for record, every postings lookup a
-// miss, and a row batch that resolves what it holds and names the first SID
-// it does not.
+// TestRowsOnlySegment covers the image FromPosts builds over posts with no
+// indexable words: zero keys, the rows round-tripped through OpenBytes
+// record for record, every postings lookup a miss, and a row batch that
+// resolves what it holds and names the first SID it does not.
 func TestRowsOnlySegment(t *testing.T) {
 	rows, keys := validSegmentParts(t)
-	seg, err := RowsOnly(rows)
+	posts := make([]*social.Post, len(rows))
+	for i, r := range rows {
+		posts[i] = &social.Post{SID: r.SID, UID: r.UID, Loc: r.Loc(), RUID: r.RUID, RSID: r.RSID}
+	}
+	seg, err := FromPosts(posts, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +151,7 @@ func TestRowsOnlySegment(t *testing.T) {
 	if want := headerSize + len(rows)*rowSize + footerSize; seg.SizeBytes() != want {
 		t.Errorf("image is %d bytes, want %d (48 B per row plus header and footer)", seg.SizeBytes(), want)
 	}
-	reopened, err := OpenBytes(seg.b)
+	reopened, err := OpenBytes(seg.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +212,48 @@ func TestRowsOnlySegment(t *testing.T) {
 		}
 	}
 
-	if _, err := RowsOnly(nil); err == nil {
-		t.Error("RowsOnly accepted no rows")
+	if _, err := FromPosts(nil, 5, 0); err == nil {
+		t.Error("FromPosts accepted no posts")
 	}
-	if _, err := RowsOnly([]metadb.Row{rows[1], rows[0]}); err == nil {
-		t.Error("RowsOnly accepted rows out of SID order")
+}
+
+// TestFromPostsMatchesSeal: a build image is the segment a memtable seals
+// over the same posts, byte for byte, whatever order the posts come in; a
+// repeated SID is the caller's data at fault (metadb.ErrRejected), and a
+// geohash length out of range is refused.
+func TestFromPostsMatchesSeal(t *testing.T) {
+	posts := testPosts(60, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), time.Second)
+	mt := NewMemtable(5)
+	for _, p := range posts {
+		if err := mt.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, keys, err := mt.snapshot(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := buildSegment(5, rows, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled := append([]*social.Post(nil), posts...)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	img, err := FromPosts(shuffled, 5, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img.Bytes(), sealed) {
+		t.Fatal("build image differs from the sealed memtable of the same posts")
+	}
+	dup := append(append([]*social.Post(nil), posts...), &social.Post{SID: posts[7].SID, UID: 1, Loc: posts[0].Loc})
+	if _, err := FromPosts(dup, 5, 8); !errors.Is(err, metadb.ErrRejected) {
+		t.Errorf("repeated SID: err = %v, want metadb.ErrRejected", err)
+	}
+	for _, n := range []int{0, geo.MaxPrecision + 1} {
+		if _, err := FromPosts(posts, n, 8); err == nil {
+			t.Errorf("geohash length %d accepted", n)
+		}
 	}
 }
 

@@ -6,14 +6,15 @@ import (
 	"os"
 	"slices"
 
+	"repro/internal/geo"
 	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/social"
 )
 
 // Segment is one immutable sealed segment, served read-only over its byte
-// image — an mmap'd file in the common case, heap bytes for a rows-only
-// image (RowsOnly). Postings iterate lazily over the mapped payload with no
+// image — an mmap'd file for a sealed segment, heap bytes for a build
+// image (FromPosts). Postings iterate lazily over the mapped payload with no
 // copy (the blocked directory is the skip index). Row metadata is resolved
 // from dense columns derived from the records when the segment opens (see
 // rowColumns), one ascending batch per forward walk; only RowAt reads the
@@ -40,14 +41,29 @@ func OpenBytes(b []byte) (*Segment, error) {
 	return parseSegment(b)
 }
 
-// RowsOnly builds a heap-resident segment that holds rows and no keys: the
-// row source of a partition whose postings live elsewhere (a shard's batch
-// index). rows must be non-empty and in ascending SID order. The image goes
-// through buildSegment and OpenBytes like a sealed one, so it carries the
-// same CRC and is parsed by the same checks; its ResolveRows is the same
-// resolve over the same derived columns, and every postings lookup misses.
-func RowsOnly(rows []metadb.Row) (*Segment, error) {
-	data, err := buildSegment(0, rows, nil)
+// FromPosts indexes posts the way ingest does — through a memtable, so
+// term frequencies, keys and postings order are the memtable's — and
+// freezes the result with the seal's encoder into one heap-resident
+// segment holding the postings and the rows behind them: the image a
+// batch-built System serves from. Posts may come in any order, but their
+// SIDs must be unique; a repeated one fails with metadb.ErrRejected.
+func FromPosts(posts []*social.Post, geohashLen, blockSize int) (*Segment, error) {
+	if geohashLen < 1 || geohashLen > geo.MaxPrecision {
+		return nil, fmt.Errorf("segment: geohash length %d out of range", geohashLen)
+	}
+	sorted := slices.Clone(posts)
+	slices.SortFunc(sorted, func(a, b *social.Post) int { return cmp.Compare(a.SID, b.SID) })
+	mt := NewMemtable(geohashLen)
+	for _, p := range sorted {
+		if err := mt.Add(p); err != nil {
+			return nil, err
+		}
+	}
+	rows, keys, err := mt.snapshot(blockSize)
+	if err != nil {
+		return nil, err
+	}
+	data, err := buildSegment(geohashLen, rows, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -111,6 +127,10 @@ func (s *Segment) NumKeys() int { return len(s.keys) }
 
 // SizeBytes returns the byte length of the segment image.
 func (s *Segment) SizeBytes() int { return len(s.b) }
+
+// Bytes returns the segment image, which callers must not modify: what a
+// snapshot writes and OpenBytes parses back.
+func (s *Segment) Bytes() []byte { return s.b }
 
 // MappedBytes returns the size of the mmap'd region, 0 when the segment
 // was read into heap memory instead.
@@ -177,7 +197,7 @@ func (s *Segment) OpenPostings(geohash, term string) (*invindex.PostingsIterator
 }
 
 // Keys returns every key in the segment in sorted order. Compaction and
-// tests use it; the query path goes through findKey.
+// BulkLoad use it; the query path goes through findKey.
 func (s *Segment) Keys() []invindex.Key {
 	out := make([]invindex.Key, 0, len(s.keys))
 	for _, e := range s.keys {
@@ -190,7 +210,8 @@ func (s *Segment) Keys() []invindex.Key {
 	return out
 }
 
-// RowAt decodes row record i. Compaction and tests use it.
+// RowAt decodes row record i. Compaction, BulkLoad and a snapshot's Load
+// use it; queries resolve rows from the derived columns.
 func (s *Segment) RowAt(i int) metadb.Row {
 	return decodeRow(s.rows[i*rowSize : (i+1)*rowSize])
 }

@@ -266,7 +266,11 @@ func TestStoreBulkLoadMatchesIncremental(t *testing.T) {
 	}
 	defer bulk.Close()
 	all := oraclePostings(posts, geohashLen)
-	if err := bulk.BulkLoad(rowsOf(posts), all); err != nil {
+	img, err := FromPosts(posts, geohashLen, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bulk.BulkLoad(img); err != nil {
 		t.Fatal(err)
 	}
 
@@ -314,18 +318,6 @@ func TestStoreRejectsWrongGeohashLen(t *testing.T) {
 	if _, err := OpenStore(dir, Options{GeohashLen: 4, BucketWidth: time.Hour}); err == nil {
 		t.Fatal("expected geohash-length mismatch to fail open")
 	}
-}
-
-// rowsOf converts posts to row records the way ingest does.
-func rowsOf(posts []*social.Post) (rows []metadb.Row) {
-	for _, p := range posts {
-		rows = append(rows, metadb.Row{
-			SID: p.SID, UID: p.UID,
-			Lat: p.Loc.Lat, Lon: p.Loc.Lon,
-			RUID: p.RUID, RSID: p.RSID,
-		})
-	}
-	return rows
 }
 
 // writeTestFile writes bytes without the fsx hooks (test fixture setup,

@@ -553,45 +553,46 @@ func mergeSegments(segs []*Segment, blockSize int) ([]metadb.Row, []keyPostings,
 	return rows, sortKeyPostings(enc), nil
 }
 
-// BulkLoad seeds an empty store from a batch-built corpus: rows in
-// ascending SID order and fully decoded postings per key, both split at
-// time-bucket boundaries into one segment per occupied bucket, committed
-// under a single MANIFEST. This is the migration path a durable server
-// takes the first time it starts with segments enabled.
-func (st *Store) BulkLoad(rows []metadb.Row, postings map[invindex.Key][]invindex.Posting) error {
+// BulkLoad seeds an empty store from a build image (FromPosts): its rows
+// and each key's postings, split at time-bucket boundaries into one segment
+// per occupied bucket, committed under a single MANIFEST. This is the
+// migration path a durable server takes the first time it starts with
+// segments enabled.
+func (st *Store) BulkLoad(img *Segment) error {
 	if !st.Empty() {
 		return fmt.Errorf("segment: bulk load into a non-empty store")
 	}
-	if len(rows) == 0 {
-		return nil
+	if img.GeohashLen() != st.opts.GeohashLen {
+		return fmt.Errorf("segment: bulk load of an image keyed at geohash length %d into a store at %d",
+			img.GeohashLen(), st.opts.GeohashLen)
 	}
-	// Group rows into contiguous bucket runs.
-	type group struct {
-		rows   []metadb.Row
-		maxSID social.PostID
-	}
-	var groups []group
-	start := 0
-	for i := 1; i <= len(rows); i++ {
-		if i == len(rows) || st.bucketOf(rows[i].SID) != st.bucketOf(rows[start].SID) {
-			groups = append(groups, group{rows: rows[start:i], maxSID: rows[i-1].SID})
-			start = i
+	keys := img.Keys()
+	postings := make([][]invindex.Posting, len(keys))
+	for i, k := range keys {
+		ps, err := img.FetchPostings(k.Geohash, k.Term)
+		if err != nil {
+			return err
 		}
+		postings[i] = ps
 	}
-	// Slice each key's postings at the same boundaries.
-	keys := make([]invindex.Key, 0, len(postings))
-	for k := range postings {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	cursor := make(map[invindex.Key]int, len(postings))
-	for _, g := range groups {
-		perKey := make(map[invindex.Key][]byte)
-		for _, k := range keys {
-			ps := postings[k]
-			lo := cursor[k]
-			hi := lo + sort.Search(len(ps)-lo, func(i int) bool { return ps[lo+i].TID > g.maxSID })
-			cursor[k] = hi
+	// Cut the rows into contiguous bucket runs, and each key's postings at
+	// the same boundaries.
+	cursor := make([]int, len(keys))
+	for start := 0; start < img.NumRows(); {
+		end := start + 1
+		for end < img.NumRows() && st.bucketOf(img.RowAt(end).SID) == st.bucketOf(img.RowAt(start).SID) {
+			end++
+		}
+		rows := make([]metadb.Row, end-start)
+		for i := range rows {
+			rows[i] = img.RowAt(start + i)
+		}
+		maxSID := rows[len(rows)-1].SID
+		var perKey []keyPostings
+		for i, k := range keys {
+			ps, lo := postings[i], cursor[i]
+			hi := lo + sort.Search(len(ps)-lo, func(j int) bool { return ps[lo+j].TID > maxSID })
+			cursor[i] = hi
 			if hi == lo {
 				continue
 			}
@@ -599,9 +600,9 @@ func (st *Store) BulkLoad(rows []metadb.Row, postings map[invindex.Key][]invinde
 			if err != nil {
 				return err
 			}
-			perKey[k] = payload
+			perKey = append(perKey, keyPostings{key: k, payload: payload})
 		}
-		seg, file, err := st.writeSegment(g.rows, sortKeyPostings(perKey))
+		seg, file, err := st.writeSegment(rows, perKey)
 		if err != nil {
 			return err
 		}
@@ -610,6 +611,7 @@ func (st *Store) BulkLoad(rows []metadb.Row, postings map[invindex.Key][]invinde
 		st.segFiles = append(st.segFiles, file)
 		st.mu.Unlock()
 		st.seals.Add(1)
+		start = end
 	}
 	if err := st.commitManifest(); err != nil {
 		return err

@@ -66,7 +66,9 @@ func newServerMetrics(reg *telemetry.Registry, sys *tklus.System) *serverMetrics
 		sys.DB.RegisterMetrics(reg)
 	}
 	if sys.Index != nil {
-		sys.Index.RegisterMetrics(reg)
+		reg.GaugeFunc("tklus_index_keys",
+			"Distinct (geohash, term) keys in the hybrid index.", nil,
+			func() float64 { return float64(sys.Index.NumKeys()) })
 	}
 	if sys.FS != nil {
 		sys.FS.RegisterMetrics(reg)

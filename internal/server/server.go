@@ -27,7 +27,7 @@
 // → 400 "rejected"; anything else is a 500 "internal".
 //
 // The server fronts any tklus.Searcher — a monolithic System (over its
-// batch index or its segment store), a ShardedSystem router, or a
+// build image or its segment store), a ShardedSystem router, or a
 // Federation. The system-introspection endpoints (/evidence, /thread, the
 // I/O half of /stats) exist only when the backend is a *tklus.System; a
 // router serves the query endpoints and its own metrics. A System serves
@@ -505,7 +505,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		dbStats := s.sys.DB.Stats()
 		fsStats := s.sys.FS.Stats()
 		out["index_keys"] = s.sys.Index.NumKeys()
-		out["postings_fetches"] = s.sys.Index.Fetches()
 		out["db_page_reads"] = dbStats.PageReads
 		out["db_cache_hits"] = dbStats.CacheHits
 		out["db_index_reads"] = dbStats.IndexReads

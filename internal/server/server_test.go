@@ -174,8 +174,11 @@ func TestStatsAndHealth(t *testing.T) {
 	if body["rows"].(float64) != 9 {
 		t.Errorf("rows = %v, want 9", body["rows"])
 	}
-	if body["postings_fetches"].(float64) < 1 {
-		t.Errorf("postings_fetches = %v", body["postings_fetches"])
+	if body["index_keys"].(float64) < 1 {
+		t.Errorf("index_keys = %v", body["index_keys"])
+	}
+	if _, ok := body["postings_fetches"]; ok {
+		t.Error("stats still report postings_fetches, a counter no search moves")
 	}
 	req := httptest.NewRequest("GET", "/healthz", nil)
 	rec := httptest.NewRecorder()

@@ -19,7 +19,6 @@ import (
 	"repro/internal/contents"
 	"repro/internal/dfs"
 	"repro/internal/fsx"
-	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/segment"
 	"repro/internal/telemetry"
@@ -32,15 +31,19 @@ import (
 // atomic rename of CURRENT — a crash at any point during Save leaves the
 // previous snapshot untouched and loadable.
 //
-//	<dir>/CURRENT                  committed snapshot name ("snap-NNNNNNNN\n")
-//	<dir>/snap-NNNNNNNN/MANIFEST   format version + per-file size and CRC
-//	<dir>/snap-NNNNNNNN/dfs/       simulated-DFS image (postings + contents)
-//	<dir>/snap-NNNNNNNN/forward.bin  forward index (key -> postings location)
+//	<dir>/CURRENT                    committed snapshot name ("snap-NNNNNNNN\n")
+//	<dir>/snap-NNNNNNNN/MANIFEST     format version + per-file size and CRC
+//	<dir>/snap-NNNNNNNN/index.tkseg  build image: postings + the rows they index
+//	<dir>/snap-NNNNNNNN/rows.bin     metadata rows ingested beyond the image's max SID
+//	<dir>/snap-NNNNNNNN/dfs/         simulated-DFS image (tweet contents)
 //	<dir>/snap-NNNNNNNN/contents.bin tweet-ID -> content location table
-//	<dir>/snap-NNNNNNNN/rows.bin     metadata relation rows
 //	<dir>/snap-NNNNNNNN/bounds.gob   popularity bounds (Section V-B)
 //	<dir>/wal/seg-NNNNNNNN.log       ingest write-ahead log segments
 //	<dir>/segments/                  LSM segment store (own MANIFEST/CURRENT)
+//
+// Each row is stored once: the image (a TKSEG segment) holds the rows it
+// indexes, rows.bin the rest, and Load rebuilds the metadata database from
+// both.
 const (
 	currentFile     = "CURRENT"
 	manifestFile    = "MANIFEST"
@@ -49,15 +52,15 @@ const (
 	walDirName      = "wal"
 	segmentsDirName = "segments"
 	dfsDir          = "dfs"
-	forwardFile     = "forward.bin"
+	indexFile       = "index.tkseg"
 	contentsFile    = "contents.bin"
 	rowsFile        = "rows.bin"
 	boundsFile      = "bounds.gob"
 )
 
 // manifestVersion is the snapshot format version this code writes and the
-// only one it loads.
-const manifestVersion = 1
+// only one it loads (version 1 held a paged DFS index).
+const manifestVersion = 2
 
 // Typed load failures, classified so operators (and the corruption tests)
 // can tell "no snapshot was ever committed / a file vanished" from "a
@@ -170,7 +173,7 @@ func (s *System) save(span *telemetry.TraceSpan, dir string) error {
 	s.ingestMu.Lock()
 	err = s.sealStore()
 	if err == nil {
-		err = s.DB.SaveRows(&rowsBuf)
+		err = s.DB.SaveRows(&rowsBuf, s.Index.MaxSID())
 	}
 	if err == nil {
 		err = s.Bounds.EncodeGob(&boundsBuf)
@@ -184,9 +187,9 @@ func (s *System) save(span *telemetry.TraceSpan, dir string) error {
 		return fmt.Errorf("tklus: capturing snapshot state: %w", err)
 	}
 
-	// Write every artifact into the temp directory, fsynced. The index and
-	// contents store are immutable after Build (ingest reaches them only
-	// at the next batch build), so they stream outside the lock.
+	// Write every artifact into the temp directory, fsynced. The build
+	// image and contents store are immutable after Build (ingest reaches
+	// them only at the next batch build), so they stream outside the lock.
 	phase = time.Now()
 	tmp := filepath.Join(dir, fmt.Sprintf("%s%08d", tmpPrefix, seq))
 	if err := fsx.RemoveAll(tmp); err != nil {
@@ -198,7 +201,7 @@ func (s *System) save(span *telemetry.TraceSpan, dir string) error {
 	if err := s.FS.Save(filepath.Join(tmp, dfsDir)); err != nil {
 		return fmt.Errorf("tklus: saving DFS image: %w", err)
 	}
-	if err := writeArtifact(tmp, forwardFile, s.Index.SaveForward); err != nil {
+	if err := fsx.WriteFileSync(filepath.Join(tmp, indexFile), s.Index.Bytes()); err != nil {
 		return err
 	}
 	if err := writeArtifact(tmp, contentsFile, s.Contents.Save); err != nil {
@@ -415,13 +418,13 @@ func Load(dir string, cfg Config) (*System, error) {
 	if err := fsys.Load(filepath.Join(snapDir, dfsDir)); err != nil {
 		return nil, fmt.Errorf("%w: DFS image: %v", ErrCorruptImage, err)
 	}
-	var idx *invindex.Index
-	if err := readFrom(snapDir, forwardFile, func(f io.Reader) error {
-		var err error
-		idx, err = invindex.LoadIndex(fsys, f)
-		return err
-	}); err != nil {
-		return nil, err
+	raw, err := os.ReadFile(filepath.Join(snapDir, indexFile))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrPartialSave, indexFile, err)
+	}
+	img, err := segment.OpenBytes(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%w: decoding %s: %v", ErrCorruptImage, indexFile, err)
 	}
 	var store *contents.Store
 	if err := readFrom(snapDir, contentsFile, func(f io.Reader) error {
@@ -431,10 +434,14 @@ func Load(dir string, cfg Config) (*System, error) {
 	}); err != nil {
 		return nil, err
 	}
+	base := make([]metadb.Row, img.NumRows())
+	for i := range base {
+		base[i] = img.RowAt(i)
+	}
 	var db *metadb.DB
 	if err := readFrom(snapDir, rowsFile, func(f io.Reader) error {
 		var err error
-		db, err = metadb.LoadRows(cfg.DB, f)
+		db, err = metadb.LoadRows(cfg.DB, base, f)
 		return err
 	}); err != nil {
 		return nil, err
@@ -447,10 +454,7 @@ func Load(dir string, cfg Config) (*System, error) {
 	}); err != nil {
 		return nil, err
 	}
-	sys, err := newSystem(cfg, db, idx, nil, fsys, bounds, store, &invindex.BuildStats{
-		Keys:          idx.NumKeys(),
-		PostingsBytes: fsys.TotalSize(),
-	})
+	sys, err := newSystem(cfg, db, img, fsys, bounds, store)
 	if err != nil {
 		return nil, err
 	}
@@ -551,11 +555,7 @@ func readFrom(dir, name string, fn func(io.Reader) error) error {
 	}
 	defer f.Close()
 	if err := fn(f); err != nil {
-		kind := ErrCorruptImage
-		if errors.Is(err, invindex.ErrFormatVersion) {
-			kind = ErrVersionMismatch // well-formed, written by another format version
-		}
-		return fmt.Errorf("%w: decoding %s: %v", kind, name, err)
+		return fmt.Errorf("%w: decoding %s: %v", ErrCorruptImage, name, err)
 	}
 	return nil
 }

@@ -15,10 +15,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	tklus "repro"
 	"repro/internal/baseline"
 	"repro/internal/datagen"
+	"repro/internal/metadb"
 	"repro/internal/thread"
 )
 
@@ -203,7 +205,7 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 	corrupt := []error{tklus.ErrCorruptImage}
 	artifactWant := map[string][]error{"delete": partial, "truncate": corrupt, "flip": corrupt}
 	targets := []target{
-		{"forward.bin", inSnap("forward.bin"), artifactWant},
+		{"index.tkseg", inSnap("index.tkseg"), artifactWant},
 		{"contents.bin", inSnap("contents.bin"), artifactWant},
 		{"rows.bin", inSnap("rows.bin"), artifactWant},
 		{"bounds.gob", inSnap("bounds.gob"), artifactWant},
@@ -270,7 +272,7 @@ func TestLoadVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	future := strings.Replace(string(data), `"version": 1`, `"version": 99`, 1)
+	future := strings.Replace(string(data), `"version": 2`, `"version": 99`, 1)
 	if future == string(data) {
 		t.Fatal("manifest version field not found")
 	}
@@ -435,51 +437,97 @@ func replaceSnapshotFile(t *testing.T, snap, name string, content []byte) {
 	}
 }
 
-// TestLoadForwardIndexOfAnotherFormat rewrites a saved forward index the
-// way a writer of another format would have left it — manifest size and CRC
-// consistent, so only the decoder can object — and requires Load's typed
-// answer: a version-1 magic is a version mismatch, an entry without the
-// blocked-layout bit (the flat postings layout) is corruption.
-func TestLoadForwardIndexOfAnotherFormat(t *testing.T) {
+// TestLoadRefusesSnapshotOfAnotherFormat: a version-1 snapshot (paged DFS
+// postings, forward.bin, every row in rows.bin) is refused as a version
+// mismatch before anything decodes, and an index image the segment parser
+// rejects — another segment format version, or bytes whose own CRC fails —
+// is corruption, with the manifest rewritten to match so only the image can
+// object.
+func TestLoadRefusesSnapshotOfAnotherFormat(t *testing.T) {
 	sys, _ := buildSystem(t, 500)
-	for _, c := range []struct {
-		name   string
-		mutate func(b []byte)
-		want   error
-	}{
-		{"version-1 magic", func(b []byte) { b[5] = '1' }, tklus.ErrVersionMismatch},
-		// The stream's last byte is the last entry's flags uvarint.
-		{"flat entry", func(b []byte) { b[len(b)-1] = 0 }, tklus.ErrCorruptImage},
-	} {
+	save := func() string {
 		dir := filepath.Join(t.TempDir(), "saved")
 		if err := sys.Save(dir); err != nil {
 			t.Fatal(err)
 		}
+		return dir
+	}
+
+	dir := save()
+	mfPath := filepath.Join(snapDirOf(t, dir), "MANIFEST")
+	mf, err := os.ReadFile(mfPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := strings.Replace(string(mf), `"version": 2`, `"version": 1`, 1)
+	if v1 == string(mf) {
+		t.Fatal("manifest version field not found")
+	}
+	if err := os.WriteFile(mfPath, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrVersionMismatch) {
+		t.Errorf("version-1 snapshot: err = %v, want ErrVersionMismatch", err)
+	}
+
+	for _, c := range []struct {
+		name   string
+		mutate func(b []byte)
+	}{
+		{"segment format version 9", func(b []byte) { b[8] = 9 }},
+		{"row byte under the image's CRC", func(b []byte) { b[64+8] ^= 0xff }},
+	} {
+		dir := save()
 		snap := snapDirOf(t, dir)
-		fwd, err := os.ReadFile(filepath.Join(snap, "forward.bin"))
+		img, err := os.ReadFile(filepath.Join(snap, "index.tkseg"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := fmt.Sprintf("%08x", crc32.Checksum(fwd, crc32.MakeTable(crc32.Castagnoli)))
-		c.mutate(fwd)
-		after := fmt.Sprintf("%08x", crc32.Checksum(fwd, crc32.MakeTable(crc32.Castagnoli)))
-		mf, err := os.ReadFile(filepath.Join(snap, "MANIFEST"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(mf), before) {
-			t.Fatalf("%s: manifest does not carry forward.bin's checksum %s", c.name, before)
-		}
-		if err := os.WriteFile(filepath.Join(snap, "forward.bin"), fwd, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(snap, "MANIFEST"), []byte(strings.Replace(string(mf), before, after, 1)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, c.want) {
-			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		c.mutate(img)
+		replaceSnapshotFile(t, snap, "index.tkseg", img)
+		if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrCorruptImage) {
+			t.Errorf("%s: err = %v, want ErrCorruptImage", c.name, err)
 		}
 	}
+}
+
+// TestSnapshotStoresEachRowOnce: the index image holds the rows it indexes,
+// so rows.bin carries only the rows ingested beyond the image, and Load
+// rebuilds the whole metadata database from the two.
+func TestSnapshotStoresEachRowOnce(t *testing.T) {
+	sys, corpus := buildSystem(t, 500)
+	at := corpus.Posts[len(corpus.Posts)-1].Time.Add(time.Minute)
+	loc := corpus.Config.Cities[0].Center
+	if err := sys.Ingest(
+		tklus.NewPost(7001, at, loc, "late hotel"),
+		tklus.NewReply(7002, at.Add(time.Second), loc, "same", corpus.Posts[0]),
+	); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "saved")
+	if err := sys.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := os.ReadFile(filepath.Join(snapDirOf(t, dir), "rows.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len("TKROW1") + 8 + 2*48; len(rows) != want {
+		t.Errorf("rows.bin is %d bytes, want %d: the two ingested rows alone", len(rows), want)
+	}
+	loaded, err := tklus.Load(dir, tklus.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.DB.Len() != sys.DB.Len() || loaded.Index.NumRows() != len(corpus.Posts) {
+		t.Fatalf("loaded %d rows (%d in the image), want %d (%d)", loaded.DB.Len(), loaded.Index.NumRows(), sys.DB.Len(), len(corpus.Posts))
+	}
+	sys.DB.Scan(func(want metadb.Row) bool {
+		if got, ok := loaded.DB.GetBySID(want.SID); !ok || got != want {
+			t.Fatalf("row %d: loaded %+v (%v), want %+v", want.SID, got, ok, want)
+		}
+		return true
+	})
 }
 
 func TestSaveToUnwritableLocation(t *testing.T) {

@@ -569,7 +569,7 @@ type ReplicatedShardedSystem struct {
 
 // BuildReplicatedSharded partitions the posts into sc.NumShards shards
 // (same placement as BuildSharded) and builds rc.Replicas copies of each:
-// one shared immutable index and row image per shard, and per replica a
+// one shared immutable build image per shard, and per replica a
 // full metadata DB, popularity bounds and an ingest WAL under rc.Dir. Each
 // group elects its first leader before this returns, and a lease keeper per
 // group renews leases and promotes successors in the background. A build
@@ -581,18 +581,17 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 	if rc.Dir == "" {
 		return nil, fmt.Errorf("tklus: replication needs a WAL root directory")
 	}
+	// One immutable build image per shard, shared by its replicas — live
+	// ingest never mutates it (posts enter the index at the next batch
+	// build), so sharing is safe and saves Replicas-1 builds.
+	images, err := buildShards(posts, cfg, sc)
+	if err != nil {
+		return nil, err
+	}
 	fsys := dfs.New(cfg.DFS)
 	store, err := contents.BuildStore(fsys, posts, "contents")
 	if err != nil {
 		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
-	}
-	// One immutable hybrid index and rows-only row image per shard, shared
-	// by its replicas — live ingest never mutates either (posts enter the
-	// index at the next batch build), so sharing is safe and saves
-	// Replicas-1 builds.
-	images, err := buildShards(posts, cfg, sc, fsys)
-	if err != nil {
-		return nil, err
 	}
 
 	groups := make([]*ReplicaGroup, 0, len(images))
@@ -623,7 +622,7 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 				return nil, fmt.Errorf("tklus: loading %s replica %d metadata db: %w", im.name, j, err)
 			}
 			bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
-			sys, err := newSystem(cfg, db, im.idx, im.rows, fsys, bounds, store, im.stats)
+			sys, err := newSystem(cfg, db, im.img, fsys, bounds, store)
 			if err != nil {
 				return nil, fmt.Errorf("tklus: %s replica %d: %w", im.name, j, err)
 			}

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/invindex"
-	"repro/internal/metadb"
 	"repro/internal/segment"
 	"repro/internal/social"
 	"repro/internal/telemetry"
@@ -53,8 +51,8 @@ type SegmentedSystem = System
 // which is returned, so every path through sys — Search, SearchPartials,
 // Evidence, Ingest, Save — serves from (and feeds) segments afterwards:
 //
-//   - Reads skip the simulated DFS page model and the B⁺-tree descents
-//     entirely; postings iterate directly over mapped bytes.
+//   - Postings and rows are read from mapped segment files, the same
+//     format as the build image, so a search stays free of simulated IO.
 //   - Ingested posts are indexed immediately in the memtable (without a
 //     store, keywords wait for the next batch build), so results equal a
 //     full batch rebuild over all posts.
@@ -64,8 +62,8 @@ type SegmentedSystem = System
 //     ever drops records whose posts are already in a segment and a
 //     restart can always rebuild the memtable from it.
 //
-// An empty store is seeded by migrating the batch-built index and row
-// store into time-bucketed segments; a populated store is opened as-is
+// An empty store is seeded by splitting the System's build image into
+// time-bucketed segments; a populated store is opened as-is
 // (every file checksummed). With WALDir set, logged posts beyond the last
 // sealed segment are replayed into the memtable, restoring their
 // just-in-time index entries after a restart. Not safe to call
@@ -142,27 +140,11 @@ func (s *System) sealStore() error {
 	return nil
 }
 
-// migrate seeds an empty store from the batch-built index: every row of
-// the metadata database and every postings list of the inverted index,
-// split at time-bucket boundaries. One-time cost on first boot with
-// segments enabled; afterwards the store opens from its MANIFEST.
+// migrate seeds an empty store from the build image, split at time-bucket
+// boundaries. One-time cost on first boot with segments enabled;
+// afterwards the store opens from its MANIFEST.
 func (s *System) migrate(store *segment.Store) error {
-	var rows []metadb.Row
-	s.DB.Scan(func(r metadb.Row) bool {
-		rows = append(rows, r)
-		return true
-	})
-	postings := make(map[invindex.Key][]invindex.Posting)
-	for _, k := range s.Index.Keys() {
-		ps, err := s.Index.FetchPostings(k.Geohash, k.Term)
-		if err != nil {
-			return err
-		}
-		if len(ps) > 0 {
-			postings[k] = ps
-		}
-	}
-	return store.BulkLoad(rows, postings)
+	return store.BulkLoad(s.Index)
 }
 
 // replayWALIntoMemtable restores the just-in-time index entries of posts

@@ -72,18 +72,14 @@ func TestSegmentedEquivalenceGrid(t *testing.T) {
 	for _, eps := range []float64{0.1, 0.3} {
 		eps := eps
 		t.Run(fmt.Sprintf("eps=%g", eps), func(t *testing.T) {
-			mkCfg := func(prefix string) tklus.Config {
-				cfg := tklus.DefaultConfig()
-				cfg.Index.GeohashLen = 5
-				cfg.Index.PathPrefix = prefix
-				cfg.Engine.Params.Epsilon = eps
-				return cfg
-			}
-			oracle, err := tklus.Build(allPosts, mkCfg(fmt.Sprintf("oracle-e%g", eps)))
+			cfg := tklus.DefaultConfig()
+			cfg.Index.GeohashLen = 5
+			cfg.Engine.Params.Epsilon = eps
+			oracle, err := tklus.Build(allPosts, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := tklus.Build(corpus.Posts, mkCfg(fmt.Sprintf("seg-e%g", eps)))
+			base, err := tklus.Build(corpus.Posts, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -624,28 +620,28 @@ func TestSegmentedConcurrentLifecycle(t *testing.T) {
 	}
 }
 
-// TestSegmentedSearchDoesNoSimulatedIO pins that a ranked query on a
-// segment-backed system touches no simulated metadata I/O: rows come from
-// the segments, φ from the level-count table and |P_u| from the post-count
-// column, so the metadata DB charges no page read, no B⁺-tree node visit
-// and no multi-get key — before and after a live ingest. (The ingest itself
-// walks a reply's ancestors through the DB, so the counters are reset
-// after it.)
+// TestSegmentedSearchDoesNoSimulatedIO pins that a ranked query on every
+// serving System touches no simulated I/O: rows come from a segment (the
+// build image of a Build, a Load or each BuildSharded shard, or the store's
+// segments after EnableSegments), φ from the level-count table and |P_u|
+// from the post-count column, so the metadata DB charges no page read, no
+// B⁺-tree node visit and no multi-get key, and the DFS no block read —
+// before and after a live ingest. (The ingest itself walks a reply's
+// ancestors through the DB, so the counters are reset after it.)
 func TestSegmentedSearchDoesNoSimulatedIO(t *testing.T) {
 	corpus, queries := segGridCorpus(t)
-	sys, err := tklus.Build(corpus.Posts, tklus.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	build := func() *tklus.System {
+		sys, err := tklus.Build(corpus.Posts, tklus.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
 	}
-	seg, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-
-	ranked := func(t *testing.T, phase string) {
+	// ranked runs the query grid through s and requires that none of it
+	// reached sys's metadata database or DFS.
+	ranked := func(t *testing.T, phase string, s tklus.Searcher, sys *tklus.System) {
 		t.Helper()
-		seg.DB.ResetStats()
+		sys.ResetStats()
 		answered := 0
 		for qi, spec := range queries {
 			for _, ranking := range []tklus.Ranking{tklus.SumScore, tklus.MaxScore} {
@@ -655,7 +651,7 @@ func TestSegmentedSearchDoesNoSimulatedIO(t *testing.T) {
 							Loc: spec.Loc, RadiusKm: radius, Keywords: spec.Keywords,
 							K: 5, Semantic: sem, Ranking: ranking,
 						}
-						res, _, err := seg.Search(context.Background(), q)
+						res, _, err := s.Search(context.Background(), q)
 						if err != nil {
 							t.Fatalf("%s: query %d: %v", phase, qi, err)
 						}
@@ -669,20 +665,56 @@ func TestSegmentedSearchDoesNoSimulatedIO(t *testing.T) {
 		if answered == 0 {
 			t.Fatalf("%s: no query ranked a user", phase)
 		}
-		if s := seg.DB.Stats(); s.PageReads != 0 || s.IndexReads != 0 || s.BatchLookups != 0 {
+		if s := sys.DB.Stats(); s.PageReads != 0 || s.IndexReads != 0 || s.BatchLookups != 0 {
 			t.Fatalf("%s: ranked queries charged %d page reads, %d index node visits, %d batch keys; want none",
 				phase, s.PageReads, s.IndexReads, s.BatchLookups)
 		}
+		if n := sys.FS.Stats().BlocksRead; n != 0 {
+			t.Fatalf("%s: ranked queries read %d DFS blocks; want none", phase, n)
+		}
 	}
-	ranked(t, "built")
+	ingest := func(s *tklus.System) {
+		at := time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)
+		parent := corpus.Posts[len(corpus.Posts)/2]
+		if err := s.Ingest(
+			tklus.NewPost(9001, at, queries[0].Loc, "great hotel downtown"),
+			tklus.NewReply(9002, at.Add(time.Minute), queries[0].Loc, "nice view", parent),
+		); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	at := time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)
-	parent := corpus.Posts[len(corpus.Posts)/2]
-	if err := seg.Ingest(
-		tklus.NewPost(9001, at, queries[0].Loc, "great hotel downtown"),
-		tklus.NewReply(9002, at.Add(time.Minute), queries[0].Loc, "nice view", parent),
-	); err != nil {
+	built := build()
+	ranked(t, "built", built, built)
+	dir := t.TempDir()
+	if err := built.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	ranked(t, "after ingest")
+	loaded, err := tklus.Load(dir, tklus.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked(t, "loaded", loaded, loaded)
+	ingest(built)
+	ranked(t, "built, after ingest", built, built)
+
+	// The shards share one metadata database and DFS, so the router's grid
+	// pins every shard's reads at once.
+	ss, err := tklus.BuildSharded(corpus.Posts, tklus.DefaultConfig(), tklus.DefaultShardingConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ss.Systems) < 2 {
+		t.Fatalf("%d shards: the sharded row pins too little", len(ss.Systems))
+	}
+	ranked(t, "sharded", ss, ss.Systems[0])
+
+	seg, err := tklus.EnableSegments(build(), tklus.SegmentOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	ranked(t, "segments", seg, seg)
+	ingest(seg)
+	ranked(t, "segments, after ingest", seg, seg)
 }

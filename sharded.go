@@ -1,11 +1,9 @@
 package tklus
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -14,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/geo"
-	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/segment"
 	"repro/internal/telemetry"
@@ -160,9 +157,8 @@ type ShardedSystem struct {
 
 	// Systems holds the in-process shard systems when the tier was built
 	// with BuildSharded (they share one metadata database, popularity
-	// bounds and contents store, and each resolves its index's rows from
-	// its own rows-only segment); empty for a router assembled by
-	// NewSharded.
+	// bounds and contents store, and each serves the build image of its own
+	// region's posts); empty for a router assembled by NewSharded.
 	Systems []*System
 }
 
@@ -266,36 +262,22 @@ func partitionByPrefix(posts []*Post, prefixLen, numShards int) (shardPrefixes [
 	return shardPrefixes, shardPosts
 }
 
-// shardRows is a shard's row source over its own posts: the rows-only
-// segment of their SID-sorted rows. It holds every tweet the shard's index
-// names, so the shard's radius filter resolves each partition's postings in
-// one forward walk and never reaches the shared paged metadata database.
-func shardRows(posts []*Post) (*segment.Segment, error) {
-	rows := make([]metadb.Row, len(posts))
-	for i, p := range posts {
-		rows[i] = metadb.Row{SID: p.SID, UID: p.UID, Lat: p.Loc.Lat, Lon: p.Loc.Lon, RUID: p.RUID, RSID: p.RSID}
-	}
-	slices.SortFunc(rows, func(a, b metadb.Row) int { return cmp.Compare(a.SID, b.SID) })
-	return segment.RowsOnly(rows)
-}
-
 // shardImage is one shard's immutable half, shared by every copy of the
-// shard: the prefixes it owns, the hybrid index over its posts and the
-// rows-only segment behind that index.
+// shard: the prefixes it owns and the build image of its posts, which holds
+// every tweet its postings name, so the shard's radius filter never reaches
+// the shared metadata database.
 type shardImage struct {
 	name     string
 	prefixes []string
-	idx      *invindex.Index
-	stats    *invindex.BuildStats
-	rows     *segment.Segment
+	img      *segment.Segment
 }
 
 // buildShards partitions the posts by geohash prefix into at most
-// sc.NumShards shards and builds each one's index (into fsys, under
-// <PathPrefix>/shard-XX) and row image. The shard's metadata database,
-// bounds and contents are the caller's: BuildSharded shares one set,
-// BuildReplicatedSharded gives every replica its own database and bounds.
-func buildShards(posts []*Post, cfg Config, sc ShardingConfig, fsys *dfs.FS) ([]shardImage, error) {
+// sc.NumShards shards and builds each one's image. The shard's metadata
+// database, bounds and contents are the caller's: BuildSharded shares one
+// set, BuildReplicatedSharded gives every replica its own database and
+// bounds.
+func buildShards(posts []*Post, cfg Config, sc ShardingConfig) ([]shardImage, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("tklus: no posts to index")
 	}
@@ -306,24 +288,14 @@ func buildShards(posts []*Post, cfg Config, sc ShardingConfig, fsys *dfs.FS) ([]
 		return nil, fmt.Errorf("tklus: sharding prefix length must be positive")
 	}
 	shardPrefixes, shardPosts := partitionByPrefix(posts, sc.PrefixLen, sc.NumShards)
-	root := cfg.Index.PathPrefix
-	if root == "" {
-		root = "index"
-	}
 	images := make([]shardImage, len(shardPrefixes))
 	for i := range images {
 		name := fmt.Sprintf("shard-%02d", i)
-		iopts := cfg.Index
-		iopts.PathPrefix = root + "/" + name
-		idx, istats, err := invindex.Build(fsys, shardPosts[i], iopts)
+		img, err := segment.FromPosts(shardPosts[i], cfg.Index.GeohashLen, cfg.Index.BlockSize)
 		if err != nil {
 			return nil, fmt.Errorf("tklus: building %s index: %w", name, err)
 		}
-		rows, err := shardRows(shardPosts[i])
-		if err != nil {
-			return nil, fmt.Errorf("tklus: building %s rows: %w", name, err)
-		}
-		images[i] = shardImage{name: name, prefixes: shardPrefixes[i], idx: idx, stats: istats, rows: rows}
+		images[i] = shardImage{name: name, prefixes: shardPrefixes[i], img: img}
 	}
 	return images, nil
 }
@@ -337,12 +309,7 @@ func buildShards(posts []*Post, cfg Config, sc ShardingConfig, fsys *dfs.FS) ([]
 // |P_u| exact, and the merged results byte-identical to a monolithic Build
 // over the same posts.
 func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem, error) {
-	fsys := dfs.New(cfg.DFS)
-	store, err := contents.BuildStore(fsys, posts, "contents")
-	if err != nil {
-		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
-	}
-	images, err := buildShards(posts, cfg, sc, fsys)
+	images, err := buildShards(posts, cfg, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -352,12 +319,17 @@ func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem,
 	if err != nil {
 		return nil, fmt.Errorf("tklus: loading metadata db: %w", err)
 	}
+	fsys := dfs.New(cfg.DFS)
+	store, err := contents.BuildStore(fsys, posts, "contents")
+	if err != nil {
+		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
+	}
 	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
 
 	specs := make([]ShardSpec, len(images))
 	systems := make([]*System, len(images))
 	for i, im := range images {
-		sys, err := newSystem(cfg, db, im.idx, im.rows, fsys, bounds, store, im.stats)
+		sys, err := newSystem(cfg, db, im.img, fsys, bounds, store)
 		if err != nil {
 			return nil, fmt.Errorf("tklus: %s: %w", im.name, err)
 		}

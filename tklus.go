@@ -11,9 +11,13 @@
 //
 //   - a centralized metadata database with B⁺-tree indexes on the tweet ID
 //     and the replied-to tweet ID (internal/metadb, internal/btree);
-//   - a hybrid ⟨geohash, term⟩ inverted index built with an in-process
-//     MapReduce engine and stored in a simulated distributed file system
-//     (internal/invindex, internal/mapreduce, internal/dfs);
+//   - a hybrid ⟨geohash, term⟩ inverted index, built by the indexer live
+//     ingest uses and frozen into one heap-resident segment that also holds
+//     the rows it indexes (internal/segment, internal/invindex's blocked
+//     postings), with tweet contents in a simulated distributed file system
+//     (internal/contents, internal/dfs). The paper's MapReduce build of the
+//     index into that file system (internal/mapreduce) is what the figures
+//     measure, in internal/experiments;
 //   - the sum-score and maximum-score user rankings, every candidate scored
 //     from the exact thread popularity table (internal/core,
 //     internal/thread, internal/score).
@@ -41,7 +45,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/geo"
-	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/score"
 	"repro/internal/segment"
@@ -123,7 +126,7 @@ var (
 )
 
 // Searcher is the one query interface every serving arrangement
-// implements: a single monolithic System (over its batch index or, after
+// implements: a single monolithic System (over its build image or, after
 // EnableSegments, its segment store), a geo-sharded ShardedSystem, and a
 // cross-platform Federation. Code written against Searcher — the HTTP
 // server included — runs unchanged over any of them. The context carries
@@ -161,16 +164,26 @@ const (
 
 // Config controls how Build assembles the system.
 type Config struct {
-	// Index configures the hybrid index (geohash length, MapReduce
-	// parallelism).
-	Index invindex.BuildOptions
+	// Index configures the hybrid index.
+	Index IndexOptions
 	// DB configures the metadata database (page size, cache).
 	DB metadb.Options
-	// DFS configures the simulated distributed file system.
+	// DFS configures the simulated distributed file system that holds the
+	// tweet contents.
 	DFS dfs.Options
 	// Engine configures query processing (scoring parameters, the recency
 	// extension).
 	Engine core.Options
+}
+
+// IndexOptions configures the hybrid index Build derives from the posts.
+type IndexOptions struct {
+	// GeohashLen is the geohash encoding length in characters (the paper
+	// evaluates 1 through 4 and settles on 4).
+	GeohashLen int
+	// BlockSize is the postings-per-block target of the blocked layout;
+	// non-positive selects the default (128).
+	BlockSize int
 }
 
 // Option mutates a Config; DefaultConfig applies them in order.
@@ -197,7 +210,7 @@ func WithReplySnapshot() Option { return func(*Config) {} }
 // geohash, α = 0.5, ε = 0.1, N = 40, database caches off.
 func DefaultConfig(opts ...Option) Config {
 	cfg := Config{
-		Index:  invindex.DefaultBuildOptions(),
+		Index:  IndexOptions{GeohashLen: 4},
 		DB:     metadb.DefaultOptions(),
 		DFS:    dfs.DefaultOptions(),
 		Engine: core.DefaultOptions(),
@@ -212,7 +225,10 @@ func DefaultConfig(opts ...Option) Config {
 type System struct {
 	Engine *core.Engine
 	DB     *metadb.DB
-	Index  *invindex.Index
+	// Index is the build image: the hybrid index over the corpus Build (or
+	// the snapshot Load) started from, and the rows it indexes. Immutable;
+	// ingest never reaches it.
+	Index  *segment.Segment
 	FS     *dfs.FS
 	Bounds *thread.Bounds
 	// Contents resolves tweet IDs to their raw texts, stored in the DFS
@@ -222,13 +238,10 @@ type System struct {
 	// it — delete with the harness's next move (ROADMAP 1(d)).
 	PopCache *popCacheStub
 	// Store, once EnableSegments installs it, is what the engine's
-	// partitions read from; nil on a system serving its batch index. Every
+	// partitions read from; nil on a system serving its build image. Every
 	// store mutation (add, seal, compact, close) and the partition swap
 	// after it happen under ingestMu.
 	Store *segment.Store
-
-	// IndexStats reports MapReduce construction counters and sizes.
-	IndexStats *invindex.BuildStats
 	// BuildTime is the wall-clock construction duration.
 	BuildTime time.Duration
 	// Recovery reports what Load replayed from the ingest WAL; nil on a
@@ -256,9 +269,11 @@ type System struct {
 	lastSnapshotUnix int64
 }
 
-// Build loads the posts into the metadata database, constructs the hybrid
-// index with two MapReduce jobs, counts every thread's level sizes into the
-// popularity table, and returns a queryable system.
+// Build loads the posts into the metadata database, indexes them into one
+// segment image (segment.FromPosts: the memtable ingest indexes through,
+// sealed in memory), counts every thread's level sizes into the popularity
+// table, and returns a queryable system. Two posts with one SID fail with
+// metadb.ErrRejected.
 func Build(posts []*Post, cfg Config) (*System, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("tklus: no posts to index")
@@ -268,17 +283,17 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tklus: loading metadata db: %w", err)
 	}
-	fsys := dfs.New(cfg.DFS)
-	idx, stats, err := invindex.Build(fsys, posts, cfg.Index)
+	img, err := segment.FromPosts(posts, cfg.Index.GeohashLen, cfg.Index.BlockSize)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: building hybrid index: %w", err)
 	}
+	fsys := dfs.New(cfg.DFS)
 	store, err := contents.BuildStore(fsys, posts, "contents")
 	if err != nil {
 		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
 	}
 	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
-	sys, err := newSystem(cfg, db, idx, nil, fsys, bounds, store, stats)
+	sys, err := newSystem(cfg, db, img, fsys, bounds, store)
 	if err != nil {
 		return nil, err
 	}
@@ -286,22 +301,17 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// newSystem is the one place a System is assembled — the engine over the
-// batch index — so a fresh build, a shard, a replica and a snapshot
-// recovery all come up with the same serving surface. rows is the index
-// partition's row source: a shard passes the rows-only segment of its own
-// posts, while Build and Load pass nil and resolve rows through the paged
-// metadata database.
-func newSystem(cfg Config, db *metadb.DB, idx *invindex.Index, rows core.RowSource, fsys *dfs.FS,
-	bounds *thread.Bounds, store *contents.Store, stats *invindex.BuildStats) (*System, error) {
-	engine, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Rows: rows}}, db, bounds, cfg.Engine)
+// newSystem is the one place a System is assembled — the engine over its
+// build image, which answers for both the postings and the rows behind
+// them — so a fresh build, a shard, a replica and a snapshot recovery all
+// come up with the same serving surface.
+func newSystem(cfg Config, db *metadb.DB, img *segment.Segment, fsys *dfs.FS,
+	bounds *thread.Bounds, store *contents.Store) (*System, error) {
+	engine, err := core.NewPartitionedEngine([]core.Partition{{Source: img, Rows: img}}, db, bounds, cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: creating engine: %w", err)
 	}
-	return &System{
-		Engine: engine, DB: db, Index: idx, FS: fsys,
-		Bounds: bounds, Contents: store, IndexStats: stats,
-	}, nil
+	return &System{Engine: engine, DB: db, Index: img, FS: fsys, Bounds: bounds, Contents: store}, nil
 }
 
 // Ingest appends live posts to the centralized metadata database, in
@@ -455,12 +465,11 @@ func (s *System) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats
 	return s.Engine.Search(ctx, q)
 }
 
-// ResetStats zeroes every layer's I/O and work counters, so the next query
-// is measured in isolation.
+// ResetStats zeroes the metadata database's and the DFS's I/O counters, so
+// the next query is measured in isolation.
 func (s *System) ResetStats() {
 	s.DB.ResetStats()
 	s.FS.ResetStats()
-	s.Index.ResetStats()
 }
 
 // NewPost builds a Post from raw text: the text is tokenized, stop-word

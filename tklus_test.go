@@ -2,11 +2,13 @@ package tklus_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	tklus "repro"
 	"repro/internal/datagen"
+	"repro/internal/metadb"
 )
 
 func buildSystem(t testing.TB, posts int) (*tklus.System, *datagen.Corpus) {
@@ -27,7 +29,7 @@ func buildSystem(t testing.TB, posts int) (*tklus.System, *datagen.Corpus) {
 
 func TestBuildAndSearchEndToEnd(t *testing.T) {
 	sys, corpus := buildSystem(t, 8000)
-	if sys.IndexStats.Keys == 0 {
+	if sys.Index.NumKeys() == 0 {
 		t.Fatal("index has no keys")
 	}
 	if sys.BuildTime <= 0 {
@@ -63,18 +65,54 @@ func TestBuildAndSearchEndToEnd(t *testing.T) {
 	}
 }
 
+// TestResetStats: a ranked search charges no simulated IO, so the
+// counters ResetStats zeroes are moved by a thread walk (metadata database)
+// and evidence texts (DFS), and a reset clears them all.
 func TestResetStats(t *testing.T) {
 	sys, corpus := buildSystem(t, 3000)
 	q := tklus.Query{
 		Loc: corpus.Config.Cities[0].Center, RadiusKm: 10,
 		Keywords: []string{"pizza"}, K: 5,
 	}
-	if _, _, err := sys.Search(context.Background(), q); err != nil {
+	res, _, err := sys.Search(context.Background(), q)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res) == 0 {
+		t.Fatal("no results to draw evidence from")
+	}
+	if _, err := sys.Evidence(q, res[0].UID, 1); err != nil {
+		t.Fatal(err)
+	}
+	sys.Thread(corpus.Posts[0].SID)
+	if sys.FS.Stats().BlocksRead == 0 || sys.DB.Stats().PageReads == 0 || sys.DB.Stats().IndexReads == 0 {
+		t.Fatalf("nothing to reset: DFS %+v, DB %+v", sys.FS.Stats(), sys.DB.Stats())
+	}
 	sys.ResetStats()
-	if sys.FS.Stats().BlocksRead != 0 || sys.Index.Fetches() != 0 || sys.DB.Stats().PageReads != 0 {
+	if sys.FS.Stats().BlocksRead != 0 || sys.DB.Stats().PageReads != 0 || sys.DB.Stats().IndexReads != 0 {
 		t.Error("ResetStats left counters nonzero")
+	}
+}
+
+// TestBuildRejectsDuplicateSID: two posts of one timestamp share an SID,
+// the caller's data at fault, so every build path names it with
+// metadb.ErrRejected rather than crash the process.
+func TestBuildRejectsDuplicateSID(t *testing.T) {
+	at := time.Date(2013, 1, 15, 12, 0, 0, 0, time.UTC)
+	loc := tklus.Point{Lat: 43.68, Lon: -79.37}
+	posts := []*tklus.Post{tklus.NewPost(1, at, loc, "hotel"), tklus.NewPost(2, at, loc, "pizza")}
+	cfg := tklus.DefaultConfig()
+	if _, err := tklus.Build(posts, cfg); !errors.Is(err, metadb.ErrRejected) {
+		t.Errorf("Build: err = %v, want metadb.ErrRejected", err)
+	}
+	sc := tklus.DefaultShardingConfig()
+	if _, err := tklus.BuildSharded(posts, cfg, sc); !errors.Is(err, metadb.ErrRejected) {
+		t.Errorf("BuildSharded: err = %v, want metadb.ErrRejected", err)
+	}
+	rc := tklus.DefaultReplicationConfig()
+	rc.Dir = t.TempDir()
+	if _, err := tklus.BuildReplicatedSharded(posts, cfg, sc, rc); !errors.Is(err, metadb.ErrRejected) {
+		t.Errorf("BuildReplicatedSharded: err = %v, want metadb.ErrRejected", err)
 	}
 }
 
