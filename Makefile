@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet fmt flake fuzz bench bench-hot bench-e2e figures test-crash test-obs test-replication loc
+.PHONY: all build test short race vet fmt flake fuzz bench bench-hot bench-e2e profile figures test-crash test-obs test-replication loc
 
 all: build test
 
@@ -133,6 +133,17 @@ bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkHaversine' -benchmem -count 5 ./internal/geo/
 	$(GO) test -run '^$$' -bench 'BenchmarkSegmentRowBatch' -benchmem -count 5 ./internal/segment/
 	$(GO) test -run '^$$' -bench 'BenchmarkPostCounts' -benchmem -count 5 ./internal/metadb/
+
+# Where a city-sum search spends its CPU: BenchmarkCitySumQuerySet (the
+# bench-scale corpus on a segment store, the city-sum query set through
+# System.Search, no HTTP) under -cpuprofile, then the profile's top entries.
+# The profile and test binary go to PROFILE_DIR.
+PROFILE_DIR ?= .profile
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench '^BenchmarkCitySumQuerySet$$' -benchtime 20000x \
+		-cpuprofile $(PROFILE_DIR)/city-sum.cpu -o $(PROFILE_DIR)/tklus.test .
+	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/tklus.test $(PROFILE_DIR)/city-sum.cpu
 
 # The one serving-path benchmark: HTTP in, JSON out, four workloads,
 # per-layer breakdown, run the way BENCHMARK.json's driver runs it (see

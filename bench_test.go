@@ -280,6 +280,43 @@ func BenchmarkAblationThreadDepth(b *testing.B) {
 	}
 }
 
+// BenchmarkCitySumQuerySet is the serving engine on the city-sum query set,
+// outside the HTTP harness: the bench-scale corpus (250k posts, 25k users,
+// seed 1) built and moved onto a segment store in a temp dir, then 200
+// queries per keyword class as Or/Sum searches at r = 15 km, k = 10, one
+// search per op through System.Search. `make profile` runs it under
+// -cpuprofile, which is how a stage's share of a search's CPU is measured.
+func BenchmarkCitySumQuerySet(b *testing.B) {
+	// The setup runs once: a benchmark with sub-benchmarks is not re-run
+	// to size b.N, only its sub-benchmark is.
+	gen := datagen.DefaultConfig()
+	gen.Seed, gen.NumUsers, gen.NumPosts = 1, 25000, 250000
+	corpus, err := datagen.Generate(gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := tklus.Build(corpus.Posts, tklus.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sys, err = tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: b.TempDir()}); err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	var qs []tklus.Query
+	for _, spec := range corpus.GenerateQueries(2, 200) {
+		qs = append(qs, query(spec, 15, 10, core.Or, core.SumScore))
+	}
+	b.Run("r15", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := sys.Search(context.Background(), qs[i%len(qs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkTableIVGeohash measures raw geohash encoding (Table IV's
 // operation) — the innermost primitive of both construction and search.
 func BenchmarkTableIVGeohash(b *testing.B) {

@@ -14,6 +14,11 @@ package core
 //     heap compares it. The smallest run drains for as long as it stays the
 //     smallest, so a posting costs a compare and a store, not a heap
 //     operation, and a list is asked for a block at a time.
+//
+// A posting's TID field is a row ordinal in a partition with its own rows
+// and a tweet ID in the paper's paged index. Both ascend with tweet time
+// within a partition, so the merges, which only compare and fold equal
+// IDs, read either the same way and call it TID.
 
 import (
 	"math"
@@ -22,39 +27,18 @@ import (
 	"repro/internal/social"
 )
 
-// PostingsOpener is the optional lazy extension of PostingsSource: sources
-// that can serve one postings list as a block-at-a-time iterator (one
-// payload read, decode on demand) implement it. *invindex.Index and sealed
-// segments do; sources that don't (the memtable) are adapted through
-// FetchPostings and a slice iterator, which keeps the merges correct (if
-// skip-free) over any source.
-type PostingsOpener interface {
-	OpenPostings(geohash, term string) (*invindex.PostingsIterator, error)
-}
-
 // openTermIterators opens one iterator per non-empty ⟨cell, term⟩ pair of
 // one source (Algorithm 4/5 lines 4–7), counting each non-empty postings
 // list in stats.PostingsFetched.
 func openTermIterators(src PostingsSource, cells []string, term string, stats *QueryStats) ([]*invindex.PostingsIterator, error) {
-	opener, lazy := src.(PostingsOpener)
 	var its []*invindex.PostingsIterator
 	for _, cell := range cells {
-		if lazy {
-			it, err := opener.OpenPostings(cell, term)
-			if err != nil {
-				return nil, err
-			}
-			if it != nil {
-				its = append(its, it)
-			}
-			continue
-		}
-		ps, err := src.FetchPostings(cell, term)
+		it, err := src.OpenPostings(cell, term)
 		if err != nil {
 			return nil, err
 		}
-		if ps != nil {
-			its = append(its, invindex.NewSliceIterator(ps))
+		if it != nil {
+			its = append(its, it)
 		}
 	}
 	stats.PostingsFetched += int64(len(its))
@@ -153,7 +137,7 @@ outer:
 				continue outer
 			}
 		}
-		out = append(out, candidate{tid: dp.TID, matches: total})
+		out = append(out, candidate{doc: dp.TID, matches: total})
 		drv.Next()
 	}
 	sc.merged = out
@@ -220,10 +204,10 @@ func unionIterators(termIts [][]*invindex.PostingsIterator, sc *scratch) []candi
 		}
 		rest, i := h[0].rest, 0
 		for ; i < len(rest) && rest[i].TID <= limit; i++ {
-			if p := rest[i]; n > 0 && out[n-1].tid == p.TID {
+			if p := rest[i]; n > 0 && out[n-1].doc == p.TID {
 				out[n-1].matches += int(p.TF)
 			} else {
-				out[n] = candidate{tid: p.TID, matches: int(p.TF)}
+				out[n] = candidate{doc: p.TID, matches: int(p.TF)}
 				n++
 			}
 		}

@@ -52,9 +52,18 @@ func buildEngineAndIndex(t testing.TB, posts []*social.Post, opts core.Options, 
 	return eng, idx
 }
 
-// fetchOnly hides an index's OpenPostings, so the engine adapts it through
-// FetchPostings and a one-block slice iterator.
-type fetchOnly struct{ core.PostingsSource }
+// sliceServed serves an index's postings lists decoded, each as a one-block
+// slice iterator — the shape the memtable serves — so the merges run with
+// no block to skip.
+type sliceServed struct{ *invindex.Index }
+
+func (s sliceServed) OpenPostings(cell, term string) (*invindex.PostingsIterator, error) {
+	ps, err := s.FetchPostings(cell, term)
+	if err != nil || ps == nil {
+		return nil, err
+	}
+	return invindex.NewSliceIterator(ps), nil
+}
 
 // requireSameResults asserts two rankings are byte-identical: same length,
 // same user and the exact same float at every position. Block-max traversal
@@ -77,8 +86,8 @@ func requireSameResults(t *testing.T, got, want []core.UserResult, format string
 // grid of semantics × ranking × ε × radius, the default engine over a blocked
 // index with 8-posting blocks (so every hot list spans many blocks) returns
 // bit-identical results to (a) a fresh engine over the same posts built with
-// the default block size and (b) a default engine over a source that only
-// offers FetchPostings (the slice-iterator adapter), and (c) the same users
+// the default block size and (b) a default engine over the same lists served
+// as one-block slice iterators, and (c) the same users
 // in the same order, scores within 1e-9, as baseline.ScanRanker over the raw
 // posts, which shares no retrieval or scoring code with the engine. ε = 0.6
 // is in the grid because there a thread's first reply lowers φ below the
@@ -101,7 +110,7 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 		engBM, idxBM := buildEngineAndIndex(t, posts, opts, 3, func(o *invindex.BuildOptions) { o.BlockSize = 8 })
 		engFresh := buildEngineIndexed(t, posts, opts, 3, nil)
 		engFlat, err := core.NewPartitionedEngine(
-			[]core.Partition{{Source: fetchOnly{idxBM}}}, engBM.DB, engBM.Bounds, opts)
+			[]core.Partition{{Source: sliceServed{idxBM}}}, engBM.DB, engBM.Bounds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +142,7 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 						t.Fatal(err)
 					}
 					requireSameResults(t, fres, want,
-						"fetch-only vs fresh build eps=%v %v %v r=%v", epsilon, ranking, sem, radius)
+						"slice-served vs fresh build eps=%v %v %v r=%v", epsilon, ranking, sem, radius)
 					scan := oracle.Search(q)
 					if len(scan) != len(got) {
 						t.Fatalf("eps=%v %v %v r=%v: %d results, scan oracle %d", epsilon, ranking, sem, radius, len(got), len(scan))

@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -90,6 +91,15 @@ func (w *TimeWindow) contains(sid social.PostID) bool {
 	return t >= w.From.UnixNano() && t <= w.To.UnixNano()
 }
 
+// ordinals returns the range [lo, hi) of the records, ascending by SID,
+// whose posts the window contains.
+func (w *TimeWindow) ordinals(recs []metadb.RowMeta) (lo, hi social.PostID) {
+	from, to := w.From.UnixNano(), w.To.UnixNano()
+	lo = social.PostID(sort.Search(len(recs), func(i int) bool { return int64(recs[i].SID) >= from }))
+	hi = social.PostID(sort.Search(len(recs), func(i int) bool { return int64(recs[i].SID) > to }))
+	return lo, hi
+}
+
 // Validate rejects malformed queries. Every failure wraps ErrBadQuery so
 // callers (and the HTTP server) classify it with errors.Is rather than by
 // message.
@@ -128,20 +138,23 @@ func DefaultOptions() Options {
 }
 
 // PostingsSource is what the engine needs from a hybrid index: the geohash
-// precision it was built with and postings retrieval per ⟨cell, term⟩.
-// Segments, the memtable and the paper's paged *invindex.Index implement it.
+// precision it was built with and, per ⟨cell, term⟩, a block-at-a-time
+// iterator over the postings list (one payload read, decode on demand), nil
+// when the key has none. Segments, the memtable and the paper's paged
+// *invindex.Index implement it. The IDs the postings carry are row ordinals
+// when the partition has a RowSource, tweet IDs when it has none.
 type PostingsSource interface {
 	GeohashLen() int
-	FetchPostings(geohash, term string) ([]invindex.Posting, error)
+	OpenPostings(geohash, term string) (*invindex.PostingsIterator, error)
 }
 
-// RowSource is the row contract between the engine and storage, one call
-// shape: resolve this ascending SID batch. out[i] receives sids[i]'s
-// location and author; the result is the index of the first SID the source
-// does not hold, -1 when every one resolved. Sealed segments and the
-// memtable implement it as one forward walk over their own rows.
+// RowSource is the row contract between the engine and storage: the
+// source's rows as packed records, indexed by the row ordinals its postings
+// name, so ordinal order is SID order. Sealed segments and the memtable
+// implement it; rows a source appends later lie beyond the length it
+// returned.
 type RowSource interface {
-	ResolveRows(sids []social.PostID, out []metadb.RowMeta) int
+	Records() []metadb.RowMeta
 }
 
 // Partition is one time slice of the corpus with its own index — the
@@ -155,12 +168,13 @@ type RowSource interface {
 // ascending one.
 type Partition struct {
 	Source PostingsSource
-	// Rows resolves the rows of this partition's postings: the segment or
-	// memtable that holds them — a System's build image or a store view.
-	// Nil means the partition keeps none of its own (the paged index the
-	// figures build the paper's way, NewEngine): its postings resolve
-	// through one multi-get against Engine.DB. Whoever publishes the
-	// partition set decides; queries never probe for it.
+	// Rows holds the rows this partition's postings name by ordinal: the
+	// segment or memtable that holds them — a System's build image or a
+	// store view. Nil means the partition keeps none of its own (the paged
+	// index the figures build the paper's way, NewEngine): its postings
+	// carry tweet IDs, resolved through one multi-get against Engine.DB.
+	// Whoever publishes the partition set decides; queries never probe for
+	// it.
 	Rows   RowSource
 	MinSID social.PostID
 	MaxSID social.PostID

@@ -16,19 +16,20 @@ import (
 )
 
 // benchPostings satisfies PostingsSource with one postings list, served for
-// one ⟨cell, term⟩ key. The rank benchmark leaves it empty — it drives the
-// rankers from a hand-built candidate set and retrieval never runs.
+// one ⟨cell, term⟩ key as a slice iterator. The rank benchmark leaves it
+// empty — it drives the rankers from a hand-built candidate set and
+// retrieval never runs.
 type benchPostings struct {
 	cell string
 	list []invindex.Posting
 }
 
 func (benchPostings) GeohashLen() int { return 4 }
-func (s benchPostings) FetchPostings(cell, _ string) ([]invindex.Posting, error) {
-	if cell != s.cell {
+func (s benchPostings) OpenPostings(cell, _ string) (*invindex.PostingsIterator, error) {
+	if cell != s.cell || len(s.list) == 0 {
 		return nil, nil
 	}
-	return s.list, nil
+	return invindex.NewSliceIterator(s.list), nil
 }
 
 var benchCenter = geo.Point{Lat: 43.7, Lon: -79.4}
@@ -120,7 +121,7 @@ func BenchmarkRankFromPhi(b *testing.B) {
 // check) is the work — once against the paged row store's multi-get (one
 // partition, one postings list) and once against a segment store holding the
 // same rows in seven sealed segments plus a live memtable, each partition
-// resolving its own rows in one forward batch. The union leg spreads the same
+// reading its postings' records by row ordinal. The union leg spreads the same
 // postings over three terms of that store (a third of the tweets carrying
 // two, some all three), so every partition runs a real three-way OR merge.
 func BenchmarkGatherFilter(b *testing.B) {

@@ -74,10 +74,10 @@ func TestUnionMatchesSortAndFold(t *testing.T) {
 		slices.SortStableFunc(all, func(a, b invindex.Posting) int { return cmp.Compare(a.TID, b.TID) })
 		var want []candidate
 		for _, p := range all {
-			if n := len(want); n > 0 && want[n-1].tid == p.TID {
+			if n := len(want); n > 0 && want[n-1].doc == p.TID {
 				want[n-1].matches += int(p.TF)
 			} else {
-				want = append(want, candidate{tid: p.TID, matches: int(p.TF)})
+				want = append(want, candidate{doc: p.TID, matches: int(p.TF)})
 			}
 		}
 		got := unionIterators(termIts, sc)
@@ -113,7 +113,7 @@ func TestCloseIteratorsReportsErrorsAndSkips(t *testing.T) {
 	}
 	termIts := [][]*invindex.PostingsIterator{{bad}, {invindex.NewSliceIterator(ps(15, 1, 635, 1))}}
 	got := unionIterators(termIts, new(scratch))
-	if len(got) != 64 || got[len(got)-1].tid != 635 { // 62 decodable postings + the other term's two
+	if len(got) != 64 || got[len(got)-1].doc != 635 { // 62 decodable postings + the other term's two
 		t.Fatalf("union over a corrupt tail = %d candidates ending %+v", len(got), got[len(got)-1])
 	}
 	if err := closeIterators(termIts, &QueryStats{}); err == nil {
@@ -134,7 +134,7 @@ func TestCloseIteratorsReportsErrorsAndSkips(t *testing.T) {
 }
 
 // storePartitions publishes a segment store's views — sealed segments, then
-// the memtable — as engine partitions that resolve their own rows.
+// the memtable — as engine partitions that read their own rows.
 func storePartitions(store *segment.Store) []Partition {
 	var parts []Partition
 	for _, v := range store.Views() {
@@ -144,7 +144,7 @@ func storePartitions(store *segment.Store) []Partition {
 }
 
 // kernelEngine builds a segment-backed engine — sealed segments plus a live
-// memtable, each partition resolving its own rows — over a clustered
+// memtable, each partition reading its own rows — over a clustered
 // three-keyword corpus with reply threads, and the queries the tests below
 // share: the fixed 3-keyword Or/Sum query first.
 func kernelEngine(tb testing.TB) (*Engine, []Query) {
@@ -317,30 +317,32 @@ func TestSearchAllocationBudget(t *testing.T) {
 }
 
 // cancelOnFetch is a partition whose postings fetch cancels the query's
-// context — the client going away while stage 2 runs — and whose row
-// resolution counts its calls.
+// context — the client going away while stage 2 runs — and whose row reads
+// count their calls.
 type cancelOnFetch struct {
 	benchPostings
 	cancel   context.CancelFunc
 	resolved *int
 }
 
-func (s cancelOnFetch) FetchPostings(cell, term string) ([]invindex.Posting, error) {
+func (s cancelOnFetch) OpenPostings(cell, term string) (*invindex.PostingsIterator, error) {
 	s.cancel()
-	return s.benchPostings.FetchPostings(cell, term)
+	return s.benchPostings.OpenPostings(cell, term)
 }
 
-func (s cancelOnFetch) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
+// Records holds ten rows at the centre, row i posted by user i as tweet i.
+func (s cancelOnFetch) Records() []metadb.RowMeta {
 	*s.resolved++
-	for i, sid := range sids {
-		out[i] = metadb.RowMeta{Lat: benchCenter.Lat, Lon: benchCenter.Lon, UID: social.UserID(sid)}
+	recs := make([]metadb.RowMeta, 10)
+	for i := range recs {
+		recs[i] = metadb.RowMeta{SID: social.PostID(i), Lat: benchCenter.Lat, Lon: benchCenter.Lon, UID: social.UserID(i)}
 	}
-	return -1
+	return recs
 }
 
 // TestGatherChecksContextPerPartition: stage 3 looks at the context before
 // each partition's merge, so a query cancelled during postings retrieval
-// returns context.Canceled without resolving a row.
+// returns context.Canceled without reading a row.
 func TestGatherChecksContextPerPartition(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -43,7 +43,7 @@ func hashIntersect(lists [][]invindex.Posting) []candidate {
 	out := make([]candidate, 0, len(acc))
 	for _, p := range lists[shortest] {
 		if m, ok := acc[p.TID]; ok {
-			out = append(out, candidate{tid: p.TID, matches: m})
+			out = append(out, candidate{doc: p.TID, matches: m})
 		}
 	}
 	return out

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/invindex"
+	"repro/internal/score"
 	"repro/internal/social"
 )
 
@@ -40,7 +42,7 @@ func TestIntersectPostings(t *testing.T) {
 		ps(3, 1, 5, 3, 7, 1),
 	}
 	got := intersectLists(lists)
-	want := []candidate{{tid: 3, matches: 3}, {tid: 5, matches: 4}}
+	want := []candidate{{doc: 3, matches: 3}, {doc: 5, matches: 4}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("intersect = %+v, want %+v", got, want)
 	}
@@ -60,7 +62,7 @@ func TestIntersectEmptyAndDisjoint(t *testing.T) {
 
 func TestIntersectSingleList(t *testing.T) {
 	got := intersectLists([][]invindex.Posting{ps(2, 3, 8, 1)})
-	want := []candidate{{tid: 2, matches: 3}, {tid: 8, matches: 1}}
+	want := []candidate{{doc: 2, matches: 3}, {doc: 8, matches: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("single-list intersect = %+v, want %+v", got, want)
 	}
@@ -73,7 +75,7 @@ func TestIntersectThreeWay(t *testing.T) {
 		ps(2, 5, 3, 1, 4, 1),
 	}
 	got := intersectLists(lists)
-	want := []candidate{{tid: 2, matches: 8}, {tid: 4, matches: 4}}
+	want := []candidate{{doc: 2, matches: 8}, {doc: 4, matches: 4}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("3-way intersect = %+v, want %+v", got, want)
 	}
@@ -85,7 +87,7 @@ func TestUnionPostings(t *testing.T) {
 		ps(3, 1, 7, 1),
 	}
 	got := unionLists(lists)
-	want := []candidate{{tid: 1, matches: 1}, {tid: 3, matches: 3}, {tid: 7, matches: 1}}
+	want := []candidate{{doc: 1, matches: 1}, {doc: 3, matches: 3}, {doc: 7, matches: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("union = %+v, want %+v", got, want)
 	}
@@ -143,5 +145,64 @@ func TestSortResults(t *testing.T) {
 	sortResults(rs)
 	if rs[0].UID != 1 || rs[1].UID != 2 || rs[2].UID != 3 {
 		t.Errorf("sortResults order = %+v", rs)
+	}
+}
+
+// TestReducePartialsSumMatchesSortAndTruncate: the router's sum reduction
+// admits users through the bounded top-k, and must answer exactly as
+// scoring every user, sortResults and truncating to K would. Scores come
+// from a few discrete ρ, δ and |P_u| values, so whole groups of users tie,
+// and every K from 1 to past the user count puts a tie across place K.
+func TestReducePartialsSumMatchesSortAndTruncate(t *testing.T) {
+	const alpha = 0.5
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 20; trial++ {
+		nUsers := 10 + rng.Intn(30)
+		posts := make(map[social.UserID]int, nUsers)
+		for u := 1; u <= nUsers; u++ {
+			posts[social.UserID(u)] = 2 * (1 + rng.Intn(2))
+		}
+		// Candidates in ascending TID order, dealt to two shards.
+		parts := []*Partials{{}, {}}
+		var merged []CandidateScore
+		for tid := social.PostID(1); tid <= social.PostID(2*nUsers); tid++ {
+			c := CandidateScore{
+				TID: tid, UID: social.UserID(1 + rng.Intn(nUsers)),
+				Rho: 0.1 * float64(1+rng.Intn(2)), Delta: 0.5 * float64(1+rng.Intn(2)),
+			}
+			merged = append(merged, c)
+			p := parts[rng.Intn(2)]
+			p.Cands = append(p.Cands, c)
+			seen := false
+			for _, u := range p.Users {
+				seen = seen || u.UID == c.UID
+			}
+			if !seen {
+				p.Users = append(p.Users, UserPartial{UID: c.UID, Posts: posts[c.UID]})
+			}
+		}
+
+		// Reference: every candidate user's score, sorted and truncated.
+		rhoSum := make(map[social.UserID]float64)
+		deltaSum := make(map[social.UserID]float64)
+		for _, c := range merged {
+			rhoSum[c.UID] += c.Rho
+			deltaSum[c.UID] += c.Delta
+		}
+		var all []UserResult
+		for uid, rs := range rhoSum {
+			all = append(all, UserResult{UID: uid, Score: score.Combine(alpha, rs, score.UserDistance(deltaSum[uid], posts[uid]))})
+		}
+		sortResults(all)
+		for k := 1; k <= len(all)+2; k++ {
+			want := all[:min(k, len(all))]
+			got, _, err := MergePartials(Query{K: k, Ranking: SumScore}, alpha, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, k=%d over %d users: got %v, want %v", trial, k, len(all), got, want)
+			}
+		}
 	}
 }

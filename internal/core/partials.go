@@ -201,24 +201,42 @@ var ErrPartialsDisagree = errors.New("core: shard partials disagree")
 // reducePartials is the per-user reduction of both rankings over merged:
 // every candidate of parts in ascending tweet-ID order — the router's half
 // of a scatter-gather query, reproducing the monolithic rankSum and rankMax
-// float for float. A shard lists only users with a candidate, and that
-// candidate is one of the user's posts, so a reported |P_u| below 1 is an
-// error rather than a δ(u,q) of 0; two shards reporting one user with
-// different counts is ErrPartialsDisagree rather than the first one's count.
+// float for float. Each user gets one row of a table, in first-report
+// order, found through one map: its |P_u| and the Σδ and Σρ of its
+// candidates, summed in merged order as the monolithic user table sums
+// them. A shard lists only users with a candidate, and that candidate is
+// one of the user's posts, so a reported |P_u| below 1 is an error rather
+// than a δ(u,q) of 0; two shards reporting one user with different counts
+// is ErrPartialsDisagree rather than the first one's count.
 func reducePartials(q *Query, alpha float64, merged []CandidateScore, parts []*Partials) ([]UserResult, error) {
-	posts := make(map[social.UserID]int) // |P_u|, as every shard naming u reports it
+	if q.Ranking != SumScore && q.Ranking != MaxScore {
+		return nil, fmt.Errorf("core: %w: unknown ranking %d", ErrBadQuery, q.Ranking)
+	}
+	type userSums struct {
+		uid              social.UserID
+		posts            int // |P_u|, as every shard naming u reports it
+		cands            int
+		deltaSum, rhoSum float64
+	}
+	reported := 0
+	for _, p := range parts {
+		reported += len(p.Users)
+	}
+	row := make(map[social.UserID]int, reported)
+	users := make([]userSums, 0, reported)
 	for i, p := range parts {
 		for _, u := range p.Users {
 			if u.Posts < 1 {
 				return nil, fmt.Errorf("core: shard partials %d report user %d with %d posts, but a candidate user has at least one",
 					i, u.UID, u.Posts)
 			}
-			n, dup := posts[u.UID]
+			r, dup := row[u.UID]
 			if !dup {
-				posts[u.UID] = u.Posts
+				row[u.UID] = len(users)
+				users = append(users, userSums{uid: u.UID, posts: u.Posts})
 				continue
 			}
-			if n != u.Posts {
+			if n := users[r].posts; n != u.Posts {
 				first := slices.IndexFunc(parts, func(p *Partials) bool {
 					return slices.ContainsFunc(p.Users, func(v UserPartial) bool { return v.UID == u.UID })
 				})
@@ -228,50 +246,39 @@ func reducePartials(q *Query, alpha float64, merged []CandidateScore, parts []*P
 		}
 	}
 
-	// δ(u,q) per user, from the merged candidate order — identical floats
-	// to the monolithic user table's.
-	deltaSum := make(map[social.UserID]float64, len(posts))
-	for _, c := range merged {
-		deltaSum[c.UID] += c.Delta
+	// Σδ and Σρ per user, in merged order — identical floats to the
+	// monolithic user table's. The max ranking offers every candidate
+	// again once its user's Σδ is complete, so it keeps their rows.
+	var rows []int
+	if q.Ranking == MaxScore {
+		rows = make([]int, len(merged))
 	}
-	du := func(uid social.UserID) (float64, error) {
-		n, ok := posts[uid]
+	for i, c := range merged {
+		r, ok := row[c.UID]
 		if !ok {
-			return 0, fmt.Errorf("core: candidate user %d missing from shard user partials", uid)
+			return nil, fmt.Errorf("core: candidate user %d missing from shard user partials", c.UID)
 		}
-		return score.UserDistance(deltaSum[uid], n), nil
+		u := &users[r]
+		u.cands++
+		u.deltaSum += c.Delta
+		u.rhoSum += c.Rho
+		if rows != nil {
+			rows[i] = r
+		}
 	}
 
-	switch q.Ranking {
-	case SumScore:
-		rs := make(map[social.UserID]float64, len(posts)) // Σ ρ(p,q), Definition 7
-		for _, c := range merged {
-			rs[c.UID] += c.Rho
-		}
-		results := make([]UserResult, 0, len(rs))
-		for uid, sum := range rs {
-			d, err := du(uid)
-			if err != nil {
-				return nil, err
+	tk := newTopK(q.K, len(users))
+	if q.Ranking == SumScore {
+		for _, u := range users {
+			if u.cands > 0 {
+				tk.admit(u.uid, score.Combine(alpha, u.rhoSum, score.UserDistance(u.deltaSum, u.posts)))
 			}
-			results = append(results, UserResult{UID: uid, Score: score.Combine(alpha, sum, d)})
-		}
-		sortResults(results)
-		if len(results) > q.K {
-			results = results[:q.K]
-		}
-		return results, nil
-	case MaxScore:
-		tk := newTopK(q.K, len(posts))
-		for _, c := range merged {
-			d, err := du(c.UID)
-			if err != nil {
-				return nil, err
-			}
-			tk.offer(c.UID, score.Combine(alpha, c.Rho, d))
 		}
 		return tk.results(), nil
-	default:
-		return nil, fmt.Errorf("core: %w: unknown ranking %d", ErrBadQuery, q.Ranking)
 	}
+	for i, c := range merged {
+		u := &users[rows[i]]
+		tk.offer(c.UID, score.Combine(alpha, c.Rho, score.UserDistance(u.deltaSum, u.posts)))
+	}
+	return tk.results(), nil
 }

@@ -81,29 +81,29 @@ func TestNewPartitionedEngineValidation(t *testing.T) {
 	}
 }
 
-// rowsMissing is a hand-built partition: one postings list of TIDs and a
-// row source that holds every SID but one.
+// rowsMissing is a hand-built partition: one postings list of row
+// ordinals and the first held of the rows they name, row i posted at the
+// centre by user i as tweet i.
 type rowsMissing struct {
 	benchPostings
-	absent social.PostID
+	held int
 }
 
-func (s rowsMissing) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
-	for i, sid := range sids {
-		if sid == s.absent {
-			return i
-		}
-		out[i] = metadb.RowMeta{Lat: benchCenter.Lat, Lon: benchCenter.Lon, UID: social.UserID(sid)}
+func (s rowsMissing) Records() []metadb.RowMeta {
+	recs := make([]metadb.RowMeta, s.held)
+	for i := range recs {
+		recs[i] = metadb.RowMeta{SID: social.PostID(i), Lat: benchCenter.Lat, Lon: benchCenter.Lon, UID: social.UserID(i)}
 	}
-	return -1
+	return recs
 }
 
-// TestGatherNamesTheMissingRow: a partition whose row batch reports an
-// absent SID fails the query with that SID named — the index and the rows
-// disagree — and a partition that resolves everything serves its own rows
-// without touching the paged database.
+// TestGatherNamesTheMissingRow: a partition whose postings name a row
+// beyond its records fails the query with that row named — the index and
+// the rows disagree — instead of panicking on the index, and a partition
+// that holds every row it names serves its own rows without touching the
+// paged database.
 func TestGatherNamesTheMissingRow(t *testing.T) {
-	src := rowsMissing{benchPostings: benchPostings{cell: geo.Encode(benchCenter, 4)}, absent: 7}
+	src := rowsMissing{benchPostings: benchPostings{cell: geo.Encode(benchCenter, 4)}, held: 7}
 	for sid := 5; sid <= 9; sid++ {
 		src.list = append(src.list, invindex.Posting{TID: social.PostID(sid), TF: 1})
 	}
@@ -119,11 +119,11 @@ func TestGatherNamesTheMissingRow(t *testing.T) {
 	}
 	q := Query{Loc: benchCenter, RadiusKm: 5, Keywords: []string{"hotel"}, K: 3}
 	_, err = eng.gather(context.Background(), q, new(scratch))
-	if err == nil || !strings.Contains(err.Error(), "indexed tweet 7 missing") {
+	if err == nil || !strings.Contains(err.Error(), "names row 7 of a partition holding 7") {
 		t.Fatalf("gather over a partition missing row 7: err = %v", err)
 	}
 
-	src.absent = 0
+	src.held = 10
 	eng.SetPartitions([]Partition{{Source: src, Rows: src}})
 	cs, err := eng.gather(context.Background(), q, new(scratch))
 	if err != nil {

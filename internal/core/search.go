@@ -2,8 +2,8 @@ package core
 
 // Query processing is one pipeline. gather runs the shared front half of
 // Algorithms 4 and 5 — validate, stem, circle cover, postings retrieval,
-// then per time partition the AND/OR merge, the window filter, row
-// resolution and the radius filter — and hands every exit the same
+// then per time partition the AND/OR merge, the window filter, the row
+// reads and the radius filter — and hands every exit the same
 // candidateSet: the surviving tweets in ascending tweet-ID order and the
 // query's books. CandidateTweets returns a copy of the tweets; Search and
 // SearchPartials call resolveUsers, which adds the set's dense user table
@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -79,8 +80,7 @@ type candidateSet struct {
 type scratch struct {
 	heap   []runHead             // unionIterators
 	merged []candidate           // one partition's merged postings
-	sids   []social.PostID       // row batch keys, then the φ batch's
-	rows   []metadb.RowMeta      // one partition's resolved rows
+	sids   []social.PostID       // the paged row batch's keys, then the φ batch's
 	cands  []CandidateTweet      // candidateSet.cands
 	byUID  map[social.UserID]int // resolveUsers: user → table row
 	users  []candUser            // candidateSet.users
@@ -157,7 +157,7 @@ func (e *Engine) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats
 // query, runs circle cover (Algorithms 4 and 5 line 1) and postings
 // retrieval (lines 4–7) across the partitions the window admits, and then,
 // one partition at a time in time order, the AND/OR merge (lines 8–14), the
-// optional time-window filter of the temporal extension, row resolution and
+// optional time-window filter of the temporal extension, the row reads and
 // the radius filter (lines 15–17). Everything runs on the query's own
 // goroutine. Partitions are time-disjoint and ordered, so the per-partition
 // survivors concatenate into the global ascending candidate list — and every
@@ -289,20 +289,55 @@ func (cs *coverSet) get(prec int) []string {
 	return cs.more[prec]
 }
 
-// filter is the tail of gather for one partition: the window filter, row
-// resolution and the exact radius check over the partition's merged
-// postings. The window test (a pure SID comparison) runs first so only
-// surviving rows are resolved, and those resolve in one ascending batch
-// against the partition that produced them — a forward walk over a
-// segment's or the memtable's own rows, or, for a partition that keeps
-// none, one multi-get against the paged row store (dozens of shared data
-// pages instead of one descent each). The rest is in-memory arithmetic, and
-// survivors are appended in merge order.
+// filter is the tail of gather for one partition: the window filter, the
+// row reads and the exact radius check over the partition's merged
+// postings, survivors appended in merge order. A partition with its own rows
+// reads each posting's record by the row ordinal the posting carries — one
+// independent load, no search — and takes the survivor's SID and author from
+// it; a time window is the ordinal range of the records inside it, so the
+// postings outside are cut off the ascending merge without a load. A
+// partition that keeps none (the paper's paged index) filters the window by
+// tweet ID and resolves the rest in one multi-get against the paged row
+// store (dozens of shared data pages instead of one descent each).
 func (e *Engine) filter(cs *candidateSet, part *Partition, merged []candidate) error {
+	if part.Rows == nil {
+		return e.filterPaged(cs, merged)
+	}
+	recs := part.Rows.Records()
+	if w := cs.q.TimeWindow; w != nil {
+		lo, hi := w.ordinals(recs)
+		from := sort.Search(len(merged), func(i int) bool { return merged[i].doc >= lo })
+		to := sort.Search(len(merged), func(i int) bool { return merged[i].doc >= hi })
+		merged = merged[from:max(from, to)]
+	}
+	// Load a chunk of records, then test the chunk: the loads depend on no
+	// branch and on one another not at all, so the processor overlaps their
+	// cache misses, and the radius tests then run over records in cache.
+	var chunk [64]metadb.RowMeta
+	for len(merged) > 0 {
+		n := min(len(merged), len(chunk))
+		for i, c := range merged[:n] {
+			if uint64(c.doc) >= uint64(len(recs)) {
+				return fmt.Errorf("core: corrupt index: a posting names row %d of a partition holding %d", c.doc, len(recs))
+			}
+			chunk[i] = recs[c.doc]
+		}
+		for i := range chunk[:n] {
+			r := &chunk[i]
+			cs.admit(r.SID, merged[i].matches, geo.Point{Lat: r.Lat, Lon: r.Lon}, r.UID)
+		}
+		merged = merged[n:]
+	}
+	return nil
+}
+
+// filterPaged is filter for a partition without rows of its own: the
+// postings carry tweet IDs, resolved in one batch against Engine.DB.
+func (e *Engine) filterPaged(cs *candidateSet, merged []candidate) error {
 	if w := cs.q.TimeWindow; w != nil {
 		inWindow := merged[:0]
 		for _, c := range merged {
-			if w.contains(c.tid) {
+			if w.contains(c.doc) {
 				inWindow = append(inWindow, c)
 			}
 		}
@@ -310,46 +345,30 @@ func (e *Engine) filter(cs *candidateSet, part *Partition, merged []candidate) e
 	}
 	sids := grow(&cs.sc.sids, len(merged))
 	for i, c := range merged {
-		sids[i] = c.tid
+		sids[i] = c.doc
 	}
-	if part.Rows == nil {
-		rows, found, bs := e.DB.GetBySIDBatch(sids)
-		cs.stats.DBBatchLookups += bs.Lookups
-		cs.stats.DBPagesSaved += bs.PagesSaved
-		for i, c := range merged {
-			if !found[i] {
-				return errRowMissing(c.tid)
-			}
-			cs.admit(c, rows[i].Loc(), rows[i].UID)
-		}
-		return nil
-	}
-	rows := grow(&cs.sc.rows, len(merged))
-	if miss := part.Rows.ResolveRows(sids, rows); miss >= 0 {
-		return errRowMissing(sids[miss])
-	}
+	rows, found, bs := e.DB.GetBySIDBatch(sids)
+	cs.stats.DBBatchLookups += bs.Lookups
+	cs.stats.DBPagesSaved += bs.PagesSaved
 	for i, c := range merged {
-		cs.admit(c, geo.Point{Lat: rows[i].Lat, Lon: rows[i].Lon}, rows[i].UID)
+		if !found[i] {
+			return fmt.Errorf("core: indexed tweet %d missing from metadata db", c.doc)
+		}
+		cs.admit(c.doc, c.matches, rows[i].Loc(), rows[i].UID)
 	}
 	return nil
 }
 
-// errRowMissing reports a posting whose row its partition could not resolve:
-// the index and the row store disagree.
-func errRowMissing(sid social.PostID) error {
-	return fmt.Errorf("core: indexed tweet %d missing from metadata db", sid)
-}
-
-// admit runs the exact radius check on one resolved posting — cover cells
-// may stick out of the circle — and appends the survivor, its δ(p,q)
+// admit runs the exact radius check on one posting's row — cover cells may
+// stick out of the circle — and appends the survivor, its δ(p,q)
 // (Definition 5) derived from the distance the check already computed.
-func (cs *candidateSet) admit(c candidate, loc geo.Point, uid social.UserID) {
+func (cs *candidateSet) admit(tid social.PostID, matches int, loc geo.Point, uid social.UserID) {
 	d, inside := cs.circle.Distance(loc)
 	if !inside {
 		return
 	}
 	cs.cands = append(cs.cands, CandidateTweet{
-		TID: c.tid, UID: uid, Matches: c.matches, Delta: score.DistanceScore(d, cs.q.RadiusKm),
+		TID: tid, UID: uid, Matches: matches, Delta: score.DistanceScore(d, cs.q.RadiusKm),
 	})
 }
 

@@ -38,12 +38,14 @@ type Row struct {
 // Loc returns the row's location as a geo.Point.
 func (r Row) Loc() geo.Point { return geo.Point{Lat: r.Lat, Lon: r.Lon} }
 
-// RowMeta is the slice of a row the spatial candidate filter needs: where
-// the tweet was posted and by whom. It carries the same float64
-// coordinates the row store holds, so a radius test and δ(p,q) computed
-// from it are byte-identical to the row-fetching ones. Storage resolves it
-// for the engine one ascending SID batch at a time (core.RowSource).
+// RowMeta is the slice of a row the spatial candidate filter needs: which
+// tweet, where it was posted and by whom, packed in 32 bytes. It carries the
+// same float64 coordinates the row store holds, so a radius test and δ(p,q)
+// computed from it are byte-identical to the row-fetching ones. A segment
+// or memtable holds one per row, indexed by the row ordinals its postings
+// name (core.RowSource).
 type RowMeta struct {
+	SID social.PostID
 	Lat float64
 	Lon float64
 	UID social.UserID

@@ -1,15 +1,22 @@
 package segment
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/geo"
+	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/social"
+	"repro/internal/thread"
 )
 
 // validSegmentBytes builds one well-formed segment image for the
@@ -186,10 +193,100 @@ func TestSegmentCorruptionConsistentCRC(t *testing.T) {
 	}
 }
 
+// hostileOrdinalImage is validSegmentBytes with one payload — the "hotel"
+// list of the first test location's cell — extended by a posting naming
+// row ordinal len(rows), one past the last row, under a valid CRC: the only
+// way such a posting arises. It returns the image, its posts and the key.
+func hostileOrdinalImage(t testing.TB) ([]byte, []*social.Post, invindex.Key) {
+	t.Helper()
+	posts := testPosts(40, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), time.Second)
+	rows, keys := validSegmentParts(t)
+	key := invindex.Key{Geohash: geo.Encode(posts[0].Loc, 5), Term: "hotel"}
+	for i, kp := range keys {
+		if kp.key != key {
+			continue
+		}
+		ps, err := invindex.DecodeBlockedPostingsList(kp.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, invindex.Posting{TID: social.PostID(len(rows)), TF: 1})
+		if keys[i].payload, err = invindex.EncodeBlockedPostingsList(ps, 8); err != nil {
+			t.Fatal(err)
+		}
+		data, err := buildSegment(5, rows, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, posts, key
+	}
+	t.Fatalf("fixture has no key %v", key)
+	return nil, nil, key
+}
+
+// TestSegmentCorruptionHostileOrdinal: a posting naming a row the segment
+// does not hold passes the open — nothing is checked per posting there —
+// and is ErrCorrupt where it is read: FetchPostings and compaction refuse
+// the list, and a search over the segment returns an error instead of
+// indexing past the records.
+func TestSegmentCorruptionHostileOrdinal(t *testing.T) {
+	data, posts, key := hostileOrdinalImage(t)
+	seg, err := OpenBytes(data)
+	if err != nil {
+		t.Fatalf("OpenBytes: %v", err)
+	}
+	if _, err := seg.FetchPostings(key.Geohash, key.Term); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("FetchPostings over an ordinal past the rows: err = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := mergeSegments([]*Segment{seg}, 8); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("compaction over an ordinal past the rows: err = %v, want ErrCorrupt", err)
+	}
+
+	db, err := metadb.Load(metadb.DefaultOptions(), posts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: seg, Rows: seg}}, db,
+		thread.ComputeBounds(posts, opts.Params.ThreadDepth), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := core.Query{Loc: posts[0].Loc, RadiusKm: 5, Keywords: []string{"hotel"}, K: 3}
+	if res, _, err := eng.Search(context.Background(), q); err == nil {
+		t.Fatalf("search over an ordinal past the rows answered %v", res)
+	}
+}
+
+// TestOpenRefusesTKSEG1: an image of the first segment format, whose
+// postings held tweet IDs, is ErrVersion — not ErrBadMagic, and never read
+// as ordinals. testdata/tkseg1.tkseg is validSegmentBytes as the TKSEG1
+// writer produced it.
+func TestOpenRefusesTKSEG1(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "tkseg1.tkseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b[:8]) != "TKSEG1\x00\x00" {
+		t.Fatalf("fixture opens with %q", b[:8])
+	}
+	if _, err := OpenBytes(b); !errors.Is(err, ErrVersion) {
+		t.Fatalf("OpenBytes(TKSEG1 image) = %v, want ErrVersion", err)
+	}
+	path := filepath.Join(t.TempDir(), segFileName(1))
+	if err := writeTestFile(path, b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Open(TKSEG1 file) = %v, want ErrVersion", err)
+	}
+}
+
 // FuzzOpenSegmentBytes is the hostile-input harness: whatever the bytes,
 // OpenBytes must return a typed error or a segment that serves its
-// directory and its rows without panicking, and whose row columns agree with
-// its records (checkColumnsMatchRecords).
+// directory and its rows without panicking: every key's FetchPostings
+// errors or returns tweet IDs that ResolveRows all finds, and its records
+// agree with its rows (checkColumnsMatchRecords).
 func FuzzOpenSegmentBytes(f *testing.F) {
 	valid := validSegmentBytes(f)
 	f.Add(valid)
@@ -200,6 +297,8 @@ func FuzzOpenSegmentBytes(f *testing.F) {
 	short := append([]byte(nil), valid[:headerSize+footerSize]...)
 	f.Add(short)
 	f.Add(validRowsOnlyBytes(f))
+	hostile, _, _ := hostileOrdinalImage(f)
+	f.Add(hostile)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		seg, err := OpenBytes(b)
 		if err != nil {
@@ -212,8 +311,16 @@ func FuzzOpenSegmentBytes(f *testing.F) {
 		}
 		// A segment that opened must serve every key and row.
 		for _, k := range seg.Keys() {
-			if _, err := seg.FetchPostings(k.Geohash, k.Term); err != nil {
-				t.Fatalf("FetchPostings(%v) on opened segment: %v", k, err)
+			ps, err := seg.FetchPostings(k.Geohash, k.Term)
+			if err != nil {
+				continue
+			}
+			sids := make([]social.PostID, len(ps))
+			for i, p := range ps {
+				sids[i] = p.TID
+			}
+			if miss := seg.ResolveRows(sids, make([]metadb.RowMeta, len(sids))); miss >= 0 {
+				t.Fatalf("FetchPostings(%v) returned tweet %d, which ResolveRows does not find", k, sids[miss])
 			}
 		}
 		checkColumnsMatchRecords(t, seg)

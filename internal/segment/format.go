@@ -7,15 +7,19 @@
 // engine's PostingsIterator runs directly over the mapped file — the
 // per-block {count, minDelta, span, maxTF} directory doubles as the
 // on-disk skip index, with no B⁺-tree descents and no simulated page IO.
-// Rows are resolved from dense columns the open derives from the records
-// (see rowColumns); the records themselves are read again only by RowAt.
+// A payload's IDs are row ordinals, not tweet IDs: posting (i, tf) names
+// the segment's row i. Rows are ascending by SID, so ordinal order is SID
+// order, and the engine reads a posting's row by index from the packed
+// records the open derives from the rows section (see records.go); the
+// 48-byte rows themselves are read again only by RowAt.
 //
-// File layout (all integers little-endian):
+// File layout, TKSEG2 (all integers little-endian):
 //
-//	header  (64 B)  magic "TKSEG1\0\0", version, geohash length,
+//	header  (64 B)  magic "TKSEG2\0\0", version 2, geohash length,
 //	                min/max SID (the time-bucket range), row count, key count
 //	rows            rowCount × 48-byte records, ascending SID
-//	postings        concatenated blocked postings payloads
+//	postings        concatenated blocked postings payloads of
+//	                (row ordinal, TF) pairs, ordinals ascending
 //	key dir         keyCount × {uvarint keyLen, key bytes, uvarint off, uvarint len},
 //	                keys ascending in ⟨geohash, NUL, term⟩ order
 //	footer  (48 B)  rows/postings/dir/footer offsets, CRC-32C over
@@ -43,11 +47,16 @@ const (
 	footerSize = 48
 	rowSize    = 48 // one TKROW1-style record, mirroring metadb's rows.bin
 
-	formatVersion = 1
+	formatVersion = 2
 )
 
 var (
-	headerMagic = []byte("TKSEG1\x00\x00")
+	// magicPrefix opens every segment image, whatever its version; the
+	// three bytes after it repeat the version, so an image of another
+	// version is ErrVersion rather than ErrBadMagic. TKSEG1 payloads held
+	// tweet IDs, and no reader for them is kept.
+	magicPrefix = []byte("TKSEG")
+	headerMagic = []byte("TKSEG2\x00\x00")
 	footerMagic = []byte("TKSEGEND")
 
 	// castagnoli is the CRC-32C polynomial, matching the snapshot
@@ -84,11 +93,11 @@ type keyPostings struct {
 	payload []byte
 }
 
-// buildSegment serializes rows and postings into a complete TKSEG1 byte
+// buildSegment serializes rows and postings into a complete TKSEG2 byte
 // image. Rows must be in ascending SID order and non-empty; keys must be
-// sorted by Key.String(). The image is what Open/OpenBytes parse and what
-// the store writes (tmp → fsync → rename) when sealing a memtable or
-// merging segments.
+// sorted by Key.String(), and every payload's IDs must be ordinals of
+// rows. The image is what Open/OpenBytes parse and what the store writes
+// (tmp → fsync → rename) when sealing a memtable or merging segments.
 func buildSegment(geohashLen int, rows []metadb.Row, keys []keyPostings) ([]byte, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("segment: refusing to build an empty segment")
@@ -125,7 +134,7 @@ func buildSegment(geohashLen int, rows []metadb.Row, keys []keyPostings) ([]byte
 	buf = append(buf, hdr[:]...)
 
 	// Rows section: the exact record layout metadb's rows.bin uses; the
-	// open derives the segment's row columns from it.
+	// open derives the segment's packed records from it.
 	rowsOff := uint64(len(buf))
 	var rec [rowSize]byte
 	for _, r := range rows {
@@ -206,8 +215,11 @@ func parseSegment(b []byte) (*Segment, error) {
 	if len(b) < len(headerMagic) {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the magic", ErrTruncated, len(b))
 	}
-	if string(b[:len(headerMagic)]) != string(headerMagic) {
+	if string(b[:len(magicPrefix)]) != string(magicPrefix) {
 		return nil, ErrBadMagic
+	}
+	if string(b[:len(headerMagic)]) != string(headerMagic) {
+		return nil, fmt.Errorf("%w: magic %q, want %q", ErrVersion, b[:len(headerMagic)], headerMagic)
 	}
 	if len(b) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrTruncated, len(b))
@@ -291,20 +303,20 @@ func parseSegment(b []byte) (*Segment, error) {
 	if len(dir) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after key directory", ErrCorrupt, len(dir))
 	}
-	// Row records must be ascending for the gallop to be sound. The same
-	// pass, over bytes the CRC has covered, fills the row columns queries
-	// resolve against.
-	seg.cols = rowColumns{sids: make([]social.PostID, 0, seg.nRows), meta: make([]metadb.RowMeta, 0, seg.nRows)}
+	// Rows must be ascending, so that ordinal order is SID order. The same
+	// pass, over bytes the CRC has covered, derives the packed records
+	// queries read by ordinal.
+	seg.recs = make([]metadb.RowMeta, seg.nRows)
 	prev := social.PostID(-1 << 62)
-	for i := 0; i < seg.nRows; i++ {
+	for i := range seg.recs {
 		r := decodeRow(seg.rows[i*rowSize : (i+1)*rowSize])
 		if r.SID <= prev {
 			return nil, fmt.Errorf("%w: rows not in ascending SID order at %d", ErrCorrupt, i)
 		}
 		prev = r.SID
-		seg.cols.add(r.SID, metadb.RowMeta{Lat: r.Lat, Lon: r.Lon, UID: r.UID})
+		seg.recs[i] = metadb.RowMeta{SID: r.SID, Lat: r.Lat, Lon: r.Lon, UID: r.UID}
 	}
-	if seg.cols.sids[0] != minSID || seg.cols.sids[seg.nRows-1] != maxSID {
+	if seg.recs[0].SID != minSID || seg.recs[seg.nRows-1].SID != maxSID {
 		return nil, fmt.Errorf("%w: header SID range disagrees with row records", ErrCorrupt)
 	}
 	return seg, nil

@@ -14,21 +14,25 @@ import (
 // indexed here immediately and served alongside the sealed segments until
 // the store seals the table into a segment file. It is the one indexer:
 // term frequencies per post, keys of ⟨geohash(loc), term⟩ at the store's
-// precision, postings in ascending TID order (ingest arrives in timestamp
-// order). A batch build indexes through it too (FromPosts), so a sealed
-// segment is byte-equivalent to what a batch rebuild over the same posts
-// would have produced for its time range.
+// precision, and postings naming rows by ordinal — the index of the row in
+// the table's own records, which is ascending SID order (ingest arrives in
+// timestamp order). Memtable row i is row i of the segment it seals into,
+// so the seal encodes the lists as they are. A batch build indexes through
+// it too (FromPosts), so a sealed segment is byte-equivalent to what a
+// batch rebuild over the same posts would have produced for its time range.
 //
-// Readers (the engine's postings fetches) and the single writer (ingest,
-// which the store serializes) synchronize on one RWMutex. Postings slices
-// returned to readers are never mutated in place: appends only extend
-// them past the length a reader captured, and TFs are fixed at insert.
+// Readers (the engine's postings and record reads) and the single writer
+// (ingest, which the store serializes) synchronize on one RWMutex. Slices
+// returned to readers are never mutated in place: appends only extend them
+// past the length a reader captured, and TFs are fixed at insert. A row is
+// appended before the postings that name it, so records read after a
+// postings list hold every row the list names.
 type Memtable struct {
 	geohashLen int
 
 	mu       sync.RWMutex
-	cols     rowColumns // SID, location and author per row: what queries resolve
-	replyTo  []replyRef // the rest of each row, read only by the seal
+	recs     []metadb.RowMeta // SID, location and author per row: what queries read
+	replyTo  []replyRef       // the rest of each row, read only by the seal
 	postings map[invindex.Key][]invindex.Posting
 	bytes    int // rough payload size, for size-based seal thresholds
 }
@@ -54,11 +58,12 @@ func NewMemtable(geohashLen int) *Memtable {
 func (m *Memtable) Add(p *social.Post) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if n := len(m.cols.sids); n > 0 && p.SID <= m.cols.sids[n-1] {
+	if n := len(m.recs); n > 0 && p.SID <= m.recs[n-1].SID {
 		return fmt.Errorf("segment: %w: memtable add SID %d is not beyond %d (posts arrive in timestamp order)",
-			metadb.ErrRejected, p.SID, m.cols.sids[n-1])
+			metadb.ErrRejected, p.SID, m.recs[n-1].SID)
 	}
-	m.cols.add(p.SID, metadb.RowMeta{Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID})
+	ord := social.PostID(len(m.recs)) // the row ordinal this post's postings name
+	m.recs = append(m.recs, metadb.RowMeta{SID: p.SID, Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID})
 	m.replyTo = append(m.replyTo, replyRef{ruid: p.RUID, rsid: p.RSID})
 	m.bytes += rowSize
 	if len(p.Words) == 0 {
@@ -73,7 +78,7 @@ func (m *Memtable) Add(p *social.Post) error {
 	cell := geo.Encode(p.Loc, m.geohashLen)
 	for term, f := range tf {
 		key := invindex.Key{Geohash: cell, Term: term}
-		m.postings[key] = append(m.postings[key], invindex.Posting{TID: p.SID, TF: f})
+		m.postings[key] = append(m.postings[key], invindex.Posting{TID: ord, TF: f})
 		m.bytes += 16
 	}
 	return nil
@@ -83,14 +88,14 @@ func (m *Memtable) Add(p *social.Post) error {
 func (m *Memtable) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.cols.sids)
+	return len(m.recs)
 }
 
-// columnBytes returns the resident size of the memtable's row columns.
-func (m *Memtable) columnBytes() int {
+// recordBytes returns the resident size of the memtable's records.
+func (m *Memtable) recordBytes() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.cols.bytes()
+	return recordsBytes(m.recs)
 }
 
 // SizeBytes returns the approximate buffered payload size.
@@ -104,35 +109,59 @@ func (m *Memtable) SizeBytes() int {
 // PostingsSource contract.
 func (m *Memtable) GeohashLen() int { return m.geohashLen }
 
-// FetchPostings returns the buffered postings for ⟨geohash, term⟩, nil
-// when the key has none — the same contract as the index and the sealed
-// segments. The returned slice is aliasing-safe: the writer only appends
-// beyond the captured length and never rewrites existing entries.
+// FetchPostings returns the buffered postings for ⟨geohash, term⟩ with
+// tweet IDs, translated from the row ordinals through the records, nil when
+// the key has none — the same contract as the index and the sealed
+// segments. Off the query path: tools and tests read it.
 func (m *Memtable) FetchPostings(geohash, term string) ([]invindex.Posting, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.postings[invindex.Key{Geohash: geohash, Term: term}], nil
+	return toTIDs(m.postings[invindex.Key{Geohash: geohash, Term: term}], m.recs), nil
 }
 
-// ResolveRows is Segment.ResolveRows for still-unsealed posts: the same
-// resolve over the buffered row columns, under one read lock for the batch.
+// OpenPostings returns an iterator over the buffered postings for
+// ⟨geohash, term⟩, whose TID fields hold row ordinals (indexes into
+// Records), nil when the key has none. The list it iterates is
+// aliasing-safe: the writer only appends beyond the captured length.
+func (m *Memtable) OpenPostings(geohash, term string) (*invindex.PostingsIterator, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	ps := m.postings[invindex.Key{Geohash: geohash, Term: term}]
+	if ps == nil {
+		return nil, nil
+	}
+	return invindex.NewSliceIterator(ps), nil
+}
+
+// Records returns the buffered rows' packed records, indexed by the row
+// ordinals the postings name. Later Adds only append beyond the returned
+// length. Callers must not modify them.
+func (m *Memtable) Records() []metadb.RowMeta {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.recs
+}
+
+// ResolveRows is Segment.ResolveRows for still-unsealed posts, under one
+// read lock for the batch.
 func (m *Memtable) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.cols.resolve(sids, out)
+	return resolveSIDs(m.recs, sids, out)
 }
 
 // snapshot returns the rows and the sorted, blocked-encoded postings of
-// the current contents — the seal input. Caller is the store, which
-// serializes seals; the read lock still guards against concurrent Adds
-// from a misuse path.
+// the current contents — the seal input. Row i of the result is the
+// memtable's row i, so the postings' ordinals are encoded as they are.
+// Caller is the store, which serializes seals; the read lock still guards
+// against concurrent Adds from a misuse path.
 func (m *Memtable) snapshot(blockSize int) ([]metadb.Row, []keyPostings, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	rows := make([]metadb.Row, len(m.cols.sids))
-	for i, sid := range m.cols.sids {
-		meta, ref := m.cols.meta[i], m.replyTo[i]
-		rows[i] = metadb.Row{SID: sid, UID: meta.UID, Lat: meta.Lat, Lon: meta.Lon, RUID: ref.ruid, RSID: ref.rsid}
+	rows := make([]metadb.Row, len(m.recs))
+	for i, r := range m.recs {
+		ref := m.replyTo[i]
+		rows[i] = metadb.Row{SID: r.SID, UID: r.UID, Lat: r.Lat, Lon: r.Lon, RUID: ref.ruid, RSID: ref.rsid}
 	}
 	enc := make(map[invindex.Key][]byte, len(m.postings))
 	for k, ps := range m.postings {
@@ -149,9 +178,8 @@ func (m *Memtable) snapshot(blockSize int) ([]metadb.Row, []keyPostings, error) 
 func (m *Memtable) bounds() (min, max social.PostID, ok bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	sids := m.cols.sids
-	if len(sids) == 0 {
+	if len(m.recs) == 0 {
 		return 0, 0, false
 	}
-	return sids[0], sids[len(sids)-1], true
+	return m.recs[0].SID, m.recs[len(m.recs)-1].SID, true
 }

@@ -3,7 +3,7 @@ package segment
 import "repro/internal/telemetry"
 
 // RegisterMetrics exports the store's lifecycle counters, the mmap
-// footprint and the resident row columns under the tklus_segment_*
+// footprint and the resident row records under the tklus_segment_*
 // namespace.
 func (st *Store) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("tklus_segment_seals_total",
@@ -19,7 +19,7 @@ func (st *Store) RegisterMetrics(reg *telemetry.Registry) {
 		"Bytes of segment files currently memory-mapped (live + retired).", nil,
 		func() float64 { return float64(st.MappedBytes()) })
 	reg.GaugeFunc("tklus_segment_column_bytes",
-		"Bytes of the resident row columns (SID, location, author) of live segments and the memtable.", nil,
+		"Bytes of the resident row records (SID, location, author) of live segments and the memtable.", nil,
 		func() float64 { return float64(st.ColumnBytes()) })
 	reg.GaugeFunc("tklus_segment_memtable_rows",
 		"Rows buffered in the mutable memtable awaiting seal.", nil,

@@ -35,7 +35,7 @@ func checkBatch(t *testing.T, name string, src PostingsSource, st *Store, byID m
 		if !ok || p == nil {
 			t.Fatalf("%s: batch resolved SID %d (index %d) that the point lookup misses", name, sid, i)
 		}
-		want := metadb.RowMeta{Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID}
+		want := metadb.RowMeta{SID: sid, Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID}
 		if out[i] != want || point != want {
 			t.Fatalf("%s: SID %d: batch %+v, point %+v, post %+v", name, sid, out[i], point, want)
 		}
@@ -205,7 +205,7 @@ func TestRowsOnlySegment(t *testing.T) {
 		}
 		for i, sid := range c.sids[:resolved] {
 			j := sort.Search(len(rows), func(j int) bool { return rows[j].SID >= sid })
-			want := metadb.RowMeta{UID: rows[j].UID, Lat: rows[j].Lat, Lon: rows[j].Lon}
+			want := metadb.RowMeta{SID: rows[j].SID, UID: rows[j].UID, Lat: rows[j].Lat, Lon: rows[j].Lon}
 			if out[i] != want {
 				t.Errorf("%s: SID %d resolved to %+v, want %+v", c.name, sid, out[i], want)
 			}
@@ -298,28 +298,10 @@ func TestFindKeyMatchesStringOrder(t *testing.T) {
 	}
 }
 
-func TestGallopTo(t *testing.T) {
-	sids := []social.PostID{1, 3, 5, 9, 12, 40, 41, 100}
-	cases := []struct {
-		start  int
-		target social.PostID
-		want   int
-	}{
-		{0, 0, 0}, {0, 1, 0}, {0, 2, 1}, {0, 5, 2}, {0, 6, 3},
-		{0, 100, 7}, {0, 101, 8}, {3, 9, 3}, {3, 41, 6}, {7, 100, 7},
-		{8, 5, 8}, // start past the end stays put
-	}
-	for _, c := range cases {
-		if got := gallopTo(sids, c.start, c.target); got != c.want {
-			t.Errorf("gallopTo(start=%d, target=%d) = %d, want %d", c.start, c.target, got, c.want)
-		}
-	}
-}
-
 // segmentBatch builds one sealed segment of nRows rows, SIDs 10 apart, and
-// picks nSIDs of them evenly spread — the shape of one partition's share of
-// a query's merged postings.
-func segmentBatch(b *testing.B, nRows, nSIDs int) (*Segment, []social.PostID) {
+// picks the ordinals of nPicks of them evenly spread — the shape of one
+// partition's share of a query's merged postings.
+func segmentBatch(b *testing.B, nRows, nPicks int) (*Segment, []social.PostID) {
 	b.Helper()
 	rows := make([]metadb.Row, nRows)
 	for i := range rows {
@@ -333,20 +315,20 @@ func segmentBatch(b *testing.B, nRows, nSIDs int) (*Segment, []social.PostID) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sids := make([]social.PostID, nSIDs)
-	for i := range sids {
-		sids[i] = rows[i*nRows/nSIDs].SID
+	picks := make([]social.PostID, nPicks)
+	for i := range picks {
+		picks[i] = social.PostID(i * nRows / nPicks)
 	}
-	return seg, sids
+	return seg, picks
 }
 
 // scatteredSegments builds nSegs sealed segments of nRows rows each, with
 // seeded random SID gaps, authors and locations around Toronto, and picks a
-// seeded random ascending subset of nSIDs rows per segment — the shape of a
-// query's merged postings spread over a store's partitions. Together the
-// segments' records outgrow a core's L2, and neither the SIDs nor the picks
-// are evenly spaced, so the batch pays the cache misses a query pays.
-func scatteredSegments(b *testing.B, nSegs, nRows, nSIDs int) ([]*Segment, [][]social.PostID) {
+// seeded random ascending subset of nPicks row ordinals per segment — the
+// shape of a query's merged postings spread over a store's partitions.
+// Together the segments' records outgrow a core's L2, and the picks are not
+// evenly spaced, so the reads pay the cache misses a query pays.
+func scatteredSegments(b *testing.B, nSegs, nRows, nPicks int) ([]*Segment, [][]social.PostID) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
 	segs := make([]*Segment, nSegs)
@@ -368,22 +350,33 @@ func scatteredSegments(b *testing.B, nSegs, nRows, nSIDs int) ([]*Segment, [][]s
 		if segs[s], err = OpenBytes(data); err != nil {
 			b.Fatal(err)
 		}
-		picks := rng.Perm(nRows)[:nSIDs]
+		picks := rng.Perm(nRows)[:nPicks]
 		sort.Ints(picks)
-		batches[s] = make([]social.PostID, nSIDs)
+		batches[s] = make([]social.PostID, nPicks)
 		for i, j := range picks {
-			batches[s][i] = rows[j].SID
+			batches[s][i] = social.PostID(j)
 		}
 	}
 	return segs, batches
 }
 
-// BenchmarkSegmentRowBatch resolves one partition's ascending SID batch
-// against 36k rows — a sealed segment's and a memtable's: 350 SIDs (the
-// city-sum shape) and 1.2k (the wide-max shape). Those rows fit in L2 and
-// their SIDs are evenly spaced, so city-sum-7seg adds the cost a query meets:
-// one op resolves a random ~500-SID batch in each of 7 such segments (about
-// 12 MB of records).
+// readByOrdinal is the engine filter's row read over one partition's merged
+// postings: bounds-check each ordinal and copy the record it names.
+func readByOrdinal(b *testing.B, recs []metadb.RowMeta, ords []social.PostID, out []metadb.RowMeta) {
+	for i, ord := range ords {
+		if uint64(ord) >= uint64(len(recs)) {
+			b.Fatalf("ordinal %d of %d rows", ord, len(recs))
+		}
+		out[i] = recs[ord]
+	}
+}
+
+// BenchmarkSegmentRowBatch reads one partition's merged postings' rows by
+// ordinal, as the engine's filter does, from 36k rows — a sealed segment's
+// and a memtable's: 350 picks (the city-sum shape) and 1.2k (the wide-max
+// shape). Those records fit in L2 and the picks are evenly spaced, so
+// city-sum-7seg adds the cost a query meets: one op reads a random ~500-row
+// batch in each of 7 such segments (about 8 MB of records).
 func BenchmarkSegmentRowBatch(b *testing.B) {
 	b.Run("segment/city-sum-7seg", func(b *testing.B) {
 		segs, batches := scatteredSegments(b, 7, 36000, 500)
@@ -392,17 +385,15 @@ func BenchmarkSegmentRowBatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for s, seg := range segs {
-				if miss := seg.ResolveRows(batches[s], out); miss >= 0 {
-					b.Fatalf("SID %d missing", batches[s][miss])
-				}
+				readByOrdinal(b, seg.Records(), batches[s], out)
 			}
 		}
 	})
 	for _, shape := range []struct {
-		name string
-		sids int
+		name  string
+		picks int
 	}{{"city-sum-350", 350}, {"wide-max-1200", 1200}} {
-		seg, sids := segmentBatch(b, 36000, shape.sids)
+		seg, ords := segmentBatch(b, 36000, shape.picks)
 		mem := NewMemtable(4)
 		for i := 0; i < seg.NumRows(); i++ {
 			r := seg.RowAt(i)
@@ -415,13 +406,11 @@ func BenchmarkSegmentRowBatch(b *testing.B) {
 			rows PostingsSource
 		}{{"segment", seg}, {"memtable", mem}} {
 			b.Run(src.name+"/"+shape.name, func(b *testing.B) {
-				out := make([]metadb.RowMeta, len(sids))
+				out := make([]metadb.RowMeta, len(ords))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if miss := src.rows.ResolveRows(sids, out); miss >= 0 {
-						b.Fatalf("SID %d missing", sids[miss])
-					}
+					readByOrdinal(b, src.rows.Records(), ords, out)
 				}
 			})
 		}

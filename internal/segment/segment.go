@@ -15,10 +15,10 @@ import (
 // Segment is one immutable sealed segment, served read-only over its byte
 // image — an mmap'd file for a sealed segment, heap bytes for a build
 // image (FromPosts). Postings iterate lazily over the mapped payload with no
-// copy (the blocked directory is the skip index). Row metadata is resolved
-// from dense columns derived from the records when the segment opens (see
-// rowColumns), one ascending batch per forward walk; only RowAt reads the
-// mapped records. A Segment is safe for concurrent readers; Close must not
+// copy (the blocked directory is the skip index), and name rows by ordinal:
+// the engine reads Records()[ordinal], packed records derived from the rows
+// when the segment opens; only RowAt reads the mapped 48-byte rows. A
+// Segment is safe for concurrent readers; Close must not
 // race in-flight reads (the store retires the mappings of replaced segments
 // and unmaps them only at shutdown for exactly that reason).
 type Segment struct {
@@ -27,9 +27,9 @@ type Segment struct {
 	geohashLen int
 	minSID     social.PostID
 	maxSID     social.PostID
-	rows       []byte // the mapped 48-byte records, read by RowAt only
+	rows       []byte // the mapped 48-byte rows, read by RowAt only
 	nRows      int
-	cols       rowColumns
+	recs       []metadb.RowMeta // one packed record per row, by ordinal
 	postings   []byte
 	keys       []dirEntry
 }
@@ -138,7 +138,7 @@ func (s *Segment) MappedBytes() int { return len(s.mapping()) }
 
 // mapping returns the mmap'd image Close would unmap, nil for heap bytes.
 // The store retires a compacted-away segment as this slice alone, so the
-// segment's columns are freed once no query holds it.
+// segment's records are freed once no query holds it.
 func (s *Segment) mapping() []byte {
 	if !s.mapped {
 		return nil
@@ -171,23 +171,41 @@ func (s *Segment) findKey(geohash, term string) (dirEntry, bool) {
 	return s.keys[i], true
 }
 
-// FetchPostings decodes the whole postings list for ⟨geohash, term⟩, or
-// nil if the key has no postings — the same contract as
-// invindex.Index.FetchPostings, so a Segment slots in as an engine
-// PostingsSource.
+// FetchPostings decodes the whole postings list for ⟨geohash, term⟩ with
+// tweet IDs, translated from the stored row ordinals through the records,
+// or nil if the key has no postings — the contract of
+// invindex.Index.FetchPostings. A posting naming a row the segment does
+// not hold is ErrCorrupt. Off the query path: tools and tests read it.
 func (s *Segment) FetchPostings(geohash, term string) ([]invindex.Posting, error) {
+	ps, err := s.ordinals(geohash, term)
+	if err != nil {
+		return nil, err
+	}
+	return toTIDs(ps, s.recs), nil
+}
+
+// ordinals decodes the postings list for ⟨geohash, term⟩ as stored: row
+// ordinals, each checked against the row count. Nil when the key has none.
+func (s *Segment) ordinals(geohash, term string) ([]invindex.Posting, error) {
 	e, ok := s.findKey(geohash, term)
 	if !ok {
 		return nil, nil
 	}
-	return invindex.DecodeBlockedPostingsList(s.postings[e.off : e.off+e.n])
+	ps, err := invindex.DecodeBlockedPostingsList(s.postings[e.off : e.off+e.n])
+	if err != nil {
+		return nil, err
+	}
+	if err := checkOrdinals(ps, s.nRows); err != nil {
+		return nil, fmt.Errorf("key ⟨%s, %s⟩: %w", geohash, term, err)
+	}
+	return ps, nil
 }
 
 // OpenPostings returns a lazy block-skipping iterator directly over the
 // mapped payload — no copy, blocks decode only when the cursor enters
-// them. Nil with no error when the key has no postings, mirroring
-// invindex.Index.OpenPostings; the engine's block-max traversal finds
-// this method via its PostingsOpener assertion.
+// them. Its postings' TID fields hold row ordinals: indexes into Records.
+// Nil with no error when the key has no postings, mirroring
+// invindex.Index.OpenPostings.
 func (s *Segment) OpenPostings(geohash, term string) (*invindex.PostingsIterator, error) {
 	e, ok := s.findKey(geohash, term)
 	if !ok {
@@ -211,15 +229,19 @@ func (s *Segment) Keys() []invindex.Key {
 }
 
 // RowAt decodes row record i. Compaction, BulkLoad and a snapshot's Load
-// use it; queries resolve rows from the derived columns.
+// use it; queries read the packed records.
 func (s *Segment) RowAt(i int) metadb.Row {
 	return decodeRow(s.rows[i*rowSize : (i+1)*rowSize])
 }
 
-// ResolveRows resolves one ascending SID batch against the segment's row
-// columns in a single forward walk: out[i] receives sids[i]'s location and
-// author. Returns the index of the first SID the segment does not hold, -1
-// when every one resolved (see rowColumns.resolve).
+// Records returns the segment's packed row records, indexed by the row
+// ordinals its postings name. Callers must not modify them.
+func (s *Segment) Records() []metadb.RowMeta { return s.recs }
+
+// ResolveRows resolves one ascending SID batch against the records: out[i]
+// receives sids[i]'s record. Returns the index of the first SID the segment
+// does not hold, -1 when every one resolved. Off the query path, which
+// reads records by ordinal.
 func (s *Segment) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
-	return s.cols.resolve(sids, out)
+	return resolveSIDs(s.recs, sids, out)
 }

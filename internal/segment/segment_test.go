@@ -130,13 +130,15 @@ func TestSegmentRoundtrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenPostings(%v): %v", k, err)
 			}
+			// The iterator yields row ordinals; each names the record of
+			// the posting's tweet.
 			var lazy []invindex.Posting
 			for it.Valid() {
 				p, ok := it.Cur()
 				if !ok {
 					break
 				}
-				lazy = append(lazy, p)
+				lazy = append(lazy, invindex.Posting{TID: seg.Records()[p.TID].SID, TF: p.TF})
 				it.Next()
 			}
 			if it.Err() != nil {
@@ -372,8 +374,8 @@ func TestCompactReleasesRetiredColumns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := gauge(), strconv.Itoa(len(posts)*columnRowBytes); got != want {
-		t.Fatalf("before compaction: column gauge %s, want %s (%d rows × %d B)", got, want, len(posts), columnRowBytes)
+	if got, want := gauge(), strconv.Itoa(len(posts)*recordBytes); got != want {
+		t.Fatalf("before compaction: column gauge %s, want %s (%d rows × %d B)", got, want, len(posts), recordBytes)
 	}
 
 	// Count the collected segments of the original set; they are told
@@ -395,7 +397,7 @@ func TestCompactReleasesRetiredColumns(t *testing.T) {
 	if merged == 0 || st.SegmentCount() >= before {
 		t.Fatalf("compaction merged %d segments, %d -> %d live", merged, before, st.SegmentCount())
 	}
-	if got, want := gauge(), strconv.Itoa(liveRows()*columnRowBytes); got != want || liveRows() != len(posts) {
+	if got, want := gauge(), strconv.Itoa(liveRows()*recordBytes); got != want || liveRows() != len(posts) {
 		t.Fatalf("after compaction: column gauge %s, want %s over %d live rows of %d posts", got, want, liveRows(), len(posts))
 	}
 	if st.MappedBytes() <= mapped {

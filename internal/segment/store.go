@@ -76,13 +76,16 @@ func (o *Options) normalize() {
 	}
 }
 
-// PostingsSource is the read contract a store view serves: postings per
-// ⟨cell, term⟩ and the rows behind them, one ascending SID batch at a time
-// (see Segment.ResolveRows). Structurally the engine's PostingsSource plus
-// its RowSource, declared here so the package has no dependency on the
-// engine.
+// PostingsSource is the read contract a store view serves. The query path
+// is structurally the engine's PostingsSource plus its RowSource, declared
+// here so the package has no dependency on the engine: postings per ⟨cell,
+// term⟩ that name rows by ordinal, and the records those ordinals index.
+// FetchPostings (tweet IDs) and ResolveRows (an ascending SID batch) are
+// the tools' and tests' view of the same data.
 type PostingsSource interface {
 	GeohashLen() int
+	OpenPostings(geohash, term string) (*invindex.PostingsIterator, error)
+	Records() []metadb.RowMeta
 	FetchPostings(geohash, term string) ([]invindex.Posting, error)
 	ResolveRows(sids []social.PostID, out []metadb.RowMeta) int
 }
@@ -457,7 +460,7 @@ func sizeClass(n int) int {
 // input segments were merged away. Each merge commits its own MANIFEST,
 // so a crash loses at most the round in flight; replaced segments stay
 // mapped (retired) until Close because readers may still iterate them, but
-// the store keeps only their mappings, so their row columns are freed once
+// the store keeps only their mappings, so their records are freed once
 // the last query holding one finishes.
 func (st *Store) Compact() (int, error) {
 	merged := 0
@@ -521,8 +524,10 @@ func (st *Store) Compact() (int, error) {
 }
 
 // mergeSegments concatenates time-adjacent segments: rows append in
-// order, and each key's postings lists concatenate in segment order —
-// sound because adjacent buckets hold disjoint ascending TID ranges.
+// order, so an input's row i is row base+i of the output, base the rows of
+// the inputs before it; each key's postings lists concatenate in segment
+// order with their ordinals shifted by that base — ascending, because
+// adjacent buckets hold disjoint ascending SID ranges.
 func mergeSegments(segs []*Segment, blockSize int) ([]metadb.Row, []keyPostings, error) {
 	nRows := 0
 	for _, s := range segs {
@@ -531,15 +536,18 @@ func mergeSegments(segs []*Segment, blockSize int) ([]metadb.Row, []keyPostings,
 	rows := make([]metadb.Row, 0, nRows)
 	merged := make(map[invindex.Key][]invindex.Posting)
 	for _, s := range segs {
+		base := social.PostID(len(rows))
 		for i := 0; i < s.NumRows(); i++ {
 			rows = append(rows, s.RowAt(i))
 		}
 		for _, k := range s.Keys() {
-			ps, err := s.FetchPostings(k.Geohash, k.Term)
+			ps, err := s.ordinals(k.Geohash, k.Term)
 			if err != nil {
 				return nil, nil, err
 			}
-			merged[k] = append(merged[k], ps...)
+			for _, p := range ps {
+				merged[k] = append(merged[k], invindex.Posting{TID: base + p.TID, TF: p.TF})
+			}
 		}
 	}
 	enc := make(map[invindex.Key][]byte, len(merged))
@@ -569,29 +577,34 @@ func (st *Store) BulkLoad(img *Segment) error {
 	keys := img.Keys()
 	postings := make([][]invindex.Posting, len(keys))
 	for i, k := range keys {
-		ps, err := img.FetchPostings(k.Geohash, k.Term)
+		ps, err := img.ordinals(k.Geohash, k.Term)
 		if err != nil {
 			return err
 		}
 		postings[i] = ps
 	}
-	// Cut the rows into contiguous bucket runs, and each key's postings at
-	// the same boundaries.
+	// Cut the rows into contiguous bucket runs [start, end), and each key's
+	// ordinals at the same boundaries: a run's row i is the image's row
+	// start+i.
+	recs := img.Records()
 	cursor := make([]int, len(keys))
-	for start := 0; start < img.NumRows(); {
+	for start := 0; start < len(recs); {
 		end := start + 1
-		for end < img.NumRows() && st.bucketOf(img.RowAt(end).SID) == st.bucketOf(img.RowAt(start).SID) {
+		for end < len(recs) && st.bucketOf(recs[end].SID) == st.bucketOf(recs[start].SID) {
 			end++
 		}
 		rows := make([]metadb.Row, end-start)
 		for i := range rows {
 			rows[i] = img.RowAt(start + i)
 		}
-		maxSID := rows[len(rows)-1].SID
 		var perKey []keyPostings
 		for i, k := range keys {
 			ps, lo := postings[i], cursor[i]
-			hi := lo + sort.Search(len(ps)-lo, func(j int) bool { return ps[lo+j].TID > maxSID })
+			hi := lo
+			for hi < len(ps) && int(ps[hi].TID) < end {
+				ps[hi].TID -= social.PostID(start)
+				hi++
+			}
 			cursor[i] = hi
 			if hi == lo {
 				continue
@@ -649,9 +662,9 @@ func (st *Store) Views() []View {
 }
 
 // LookupRowMeta resolves one SID: a batch of one against the view that
-// covers it. Nothing in this module calls it — queries resolve rows per
-// partition through ResolveRows; it stays only because the end-to-end
-// benchmark harness (internal/bench, frozen) compiles against it.
+// covers it. Nothing in this module calls it — queries read each posting's
+// record by ordinal; it stays only because the end-to-end benchmark
+// harness (internal/bench, frozen) compiles against it.
 func (st *Store) LookupRowMeta(sid social.PostID) (metadb.RowMeta, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -710,15 +723,15 @@ func (st *Store) MappedBytes() int64 {
 	return n
 }
 
-// ColumnBytes returns the resident size of the row columns of the live
+// ColumnBytes returns the resident size of the packed records of the live
 // segments and the memtable; a retired segment's are not counted, because
 // the store no longer holds them. Exported as tklus_segment_column_bytes.
 func (st *Store) ColumnBytes() int64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	n := int64(st.mem.columnBytes())
+	n := int64(st.mem.recordBytes())
 	for _, s := range st.segs {
-		n += int64(s.cols.bytes())
+		n += int64(recordsBytes(s.recs))
 	}
 	return n
 }

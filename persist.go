@@ -33,7 +33,7 @@ import (
 //
 //	<dir>/CURRENT                    committed snapshot name ("snap-NNNNNNNN\n")
 //	<dir>/snap-NNNNNNNN/MANIFEST     format version + per-file size and CRC
-//	<dir>/snap-NNNNNNNN/index.tkseg  build image: postings + the rows they index
+//	<dir>/snap-NNNNNNNN/index.tkseg  build image (TKSEG2): postings + the rows they name by ordinal
 //	<dir>/snap-NNNNNNNN/rows.bin     metadata rows ingested beyond the image's max SID
 //	<dir>/snap-NNNNNNNN/dfs/         simulated-DFS image (tweet contents)
 //	<dir>/snap-NNNNNNNN/contents.bin tweet-ID -> content location table
@@ -59,8 +59,10 @@ const (
 )
 
 // manifestVersion is the snapshot format version this code writes and the
-// only one it loads (version 1 held a paged DFS index).
-const manifestVersion = 2
+// only one it loads. Version 1 held a paged DFS index; version 2's
+// index.tkseg was a TKSEG1 image, whose postings held tweet IDs where
+// TKSEG2's hold row ordinals.
+const manifestVersion = 3
 
 // Typed load failures, classified so operators (and the corruption tests)
 // can tell "no snapshot was ever committed / a file vanished" from "a

@@ -272,7 +272,7 @@ func TestLoadVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	future := strings.Replace(string(data), `"version": 2`, `"version": 99`, 1)
+	future := strings.Replace(string(data), `"version": 3`, `"version": 99`, 1)
 	if future == string(data) {
 		t.Fatal("manifest version field not found")
 	}
@@ -438,11 +438,12 @@ func replaceSnapshotFile(t *testing.T, snap, name string, content []byte) {
 }
 
 // TestLoadRefusesSnapshotOfAnotherFormat: a version-1 snapshot (paged DFS
-// postings, forward.bin, every row in rows.bin) is refused as a version
-// mismatch before anything decodes, and an index image the segment parser
-// rejects — another segment format version, or bytes whose own CRC fails —
-// is corruption, with the manifest rewritten to match so only the image can
-// object.
+// postings, forward.bin, every row in rows.bin) and a version-2 one (a
+// TKSEG1 index image, whose postings held tweet IDs) are refused as a
+// version mismatch before anything decodes, and an index image the segment
+// parser rejects — another segment format version, a TKSEG1 magic, or bytes
+// whose own CRC fails — is corruption, with the manifest rewritten to match
+// so only the image can object.
 func TestLoadRefusesSnapshotOfAnotherFormat(t *testing.T) {
 	sys, _ := buildSystem(t, 500)
 	save := func() string {
@@ -453,21 +454,23 @@ func TestLoadRefusesSnapshotOfAnotherFormat(t *testing.T) {
 		return dir
 	}
 
-	dir := save()
-	mfPath := filepath.Join(snapDirOf(t, dir), "MANIFEST")
-	mf, err := os.ReadFile(mfPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := strings.Replace(string(mf), `"version": 2`, `"version": 1`, 1)
-	if v1 == string(mf) {
-		t.Fatal("manifest version field not found")
-	}
-	if err := os.WriteFile(mfPath, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrVersionMismatch) {
-		t.Errorf("version-1 snapshot: err = %v, want ErrVersionMismatch", err)
+	for _, old := range []string{`"version": 1`, `"version": 2`} {
+		dir := save()
+		mfPath := filepath.Join(snapDirOf(t, dir), "MANIFEST")
+		mf, err := os.ReadFile(mfPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		downgraded := strings.Replace(string(mf), `"version": 3`, old, 1)
+		if downgraded == string(mf) {
+			t.Fatal("manifest version field not found")
+		}
+		if err := os.WriteFile(mfPath, []byte(downgraded), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrVersionMismatch) {
+			t.Errorf("snapshot with %s: err = %v, want ErrVersionMismatch", old, err)
+		}
 	}
 
 	for _, c := range []struct {
@@ -475,6 +478,7 @@ func TestLoadRefusesSnapshotOfAnotherFormat(t *testing.T) {
 		mutate func(b []byte)
 	}{
 		{"segment format version 9", func(b []byte) { b[8] = 9 }},
+		{"TKSEG1 magic and version", func(b []byte) { b[5], b[8] = '1', 1 }},
 		{"row byte under the image's CRC", func(b []byte) { b[64+8] ^= 0xff }},
 	} {
 		dir := save()
