@@ -48,13 +48,15 @@ test-crash:
 
 # Replication lane: the replica-group machinery under -race — WAL-shipped
 # followers, lease-based failover and epoch fencing, the lag surfacing
-# contract, the WAL tail-follow reader the shippers are built on, and the
+# contract, the WAL tail-follow reader the shippers are built on, the
+# visibility rule on every ingesting arrangement (an acknowledged post is a
+# candidate on the leader and on a follower after failover), and the
 # router/breaker/admission correctness fixes that ride the same PR (hedge
 # suppression on non-retryable errors, half-open single probe, queue-slot
 # release on client cancellation). Part of the default `make test`.
 test-replication:
 	$(GO) test -race -count=1 \
-		-run 'TestReplicated|TestLease|TestBreaker|TestAdmission|TestShardedNonRetryableErrorSkipsHedge|TestSearcherCancellationContract' .
+		-run 'TestReplicated|TestLease|TestBreaker|TestAdmission|TestShardedNonRetryableErrorSkipsHedge|TestSearcherCancellationContract|TestAcknowledgedPostIsCandidate' .
 	$(GO) test -race -count=1 -run 'TestTail' ./internal/wal/
 
 # Observability lane: the tracing substrate (span trees, tail sampling,

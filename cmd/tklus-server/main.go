@@ -64,12 +64,10 @@ func main() {
 			"ingest WAL fsync policy: record | interval | off")
 		checkpointInterval = flag.Duration("checkpoint-interval", 15*time.Minute,
 			"how often to commit a fresh snapshot of the -data directory (0 disables periodic checkpoints)")
-		segments = flag.Bool("segments", false,
-			"serve reads from mmap'd immutable time-bucketed segments with an in-memory memtable for live ingest (monolithic only; persistent under -data, ephemeral otherwise)")
 		segmentBucket = flag.Duration("segment-bucket", 30*24*time.Hour,
-			"segment time-bucket width; ingest seals the memtable when a post crosses a bucket boundary")
+			"with -data: segment time-bucket width of <data>/segments; ingest seals the memtable when a post crosses a bucket boundary")
 		compactInterval = flag.Duration("compact-interval", 0,
-			"background size-tiered segment compaction period (0 disables; requires -segments)")
+			"with -data: background size-tiered compaction period of <data>/segments (0 disables)")
 		trace = flag.Bool("trace", false,
 			"enable distributed tracing: span trees for searches, shard fan-outs, ingests and checkpoints, served at /debug/traces")
 		traceSample = flag.Float64("trace-sample", 0.05,
@@ -144,10 +142,6 @@ func main() {
 			logger.Error("-shards cannot be combined with -load or -data (images are monolithic)")
 			os.Exit(1)
 		}
-		if *segments {
-			logger.Error("-segments cannot be combined with -shards (the segment store is monolithic)")
-			os.Exit(1)
-		}
 		posts, err := ingest.Load(*in, *format)
 		if err != nil {
 			logger.Error("loading corpus", "err", err)
@@ -220,28 +214,17 @@ func main() {
 			}
 			durable = sys
 			logger.Info("ingest WAL enabled", "dir", *data, "sync", policy.String())
-		}
-		if *segments {
 			segOpts := tklus.SegmentOptions{
+				Dir:             filepath.Join(*data, "segments"),
+				WALDir:          *data,
 				BucketWidth:     *segmentBucket,
 				CompactInterval: *compactInterval,
 			}
-			if *data != "" {
-				segOpts.Dir = filepath.Join(*data, "segments")
-				segOpts.WALDir = *data
-			} else {
-				tmp, terr := os.MkdirTemp("", "tklus-segments-*")
-				if terr != nil {
-					logger.Error("creating ephemeral segment directory", "err", terr)
-					os.Exit(1)
-				}
-				segOpts.Dir = tmp
-			}
 			if _, err := tklus.EnableSegments(sys, segOpts); err != nil {
-				logger.Error("enabling segment store", "err", err)
+				logger.Error("attaching the segment directory", "err", err)
 				os.Exit(1)
 			}
-			logger.Info("segment store enabled",
+			logger.Info("segment directory attached",
 				"dir", segOpts.Dir, "segments", sys.Store.SegmentCount(),
 				"memtable_rows", sys.Store.Memtable().Len(),
 				"bucket", segmentBucket.String(), "compact_interval", compactInterval.String())
@@ -252,7 +235,7 @@ func main() {
 			durable.RegisterPersistenceMetrics(handler.Registry())
 		}
 		logger.Info("serving",
-			"rows", sys.DB.Len(), "index_keys", sys.Index.NumKeys(),
+			"rows", sys.DB.Len(), "index_keys", sys.Store.NumKeys(),
 			"addr", *addr, "pprof", *debug, "slow_query", slowQ.String())
 	}
 
@@ -319,8 +302,8 @@ func main() {
 			logger.Warn("closing ingest WAL", "err", err)
 		}
 	}
-	// The checkpoint sealed the memtable; unmap the segments (a no-op
-	// without -segments).
+	// The checkpoint sealed the memtable; close the store, unmapping any
+	// segment files.
 	if mono != nil {
 		if err := mono.Close(); err != nil {
 			logger.Warn("closing segment store", "err", err)

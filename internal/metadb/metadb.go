@@ -169,6 +169,18 @@ func Load(opts Options, posts []*social.Post) (*DB, error) {
 	return db, nil
 }
 
+// FromRows builds a frozen database over rows it takes ownership of — the
+// rows of a saved system's segments. Two rows with one SID fail with
+// ErrRejected.
+func FromRows(opts Options, rows []Row) (*DB, error) {
+	db := New(opts)
+	db.sortedBatch = rows
+	if err := db.freeze(); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
 // Insert stages one post. Insert must not be called after Freeze.
 func (db *DB) Insert(p *social.Post) error {
 	if db.frozen {

@@ -1,8 +1,9 @@
 // Package segment implements the on-disk immutable segment format behind
 // the LSM-style storage engine: ingest flows WAL → in-memory memtable →
 // sealed time-bucketed segment files, and postings are read zero-copy from
-// mmap'd bytes. A segment file carries the same 48-byte row records the
-// metadata database snapshots (TKROW1) and the same blocked postings
+// mmap'd bytes (a store without a directory keeps them on the heap). A
+// segment carries 48-byte row records — every metadata row, so a snapshot
+// of the sealed segments is a snapshot of the rows — and the blocked postings
 // payloads the block-max traversal consumes (invindex's blocked layout), so the query
 // engine's PostingsIterator runs directly over the mapped file — the
 // per-block {count, minDelta, span, maxTF} directory doubles as the
@@ -45,7 +46,7 @@ import (
 const (
 	headerSize = 64
 	footerSize = 48
-	rowSize    = 48 // one TKROW1-style record, mirroring metadb's rows.bin
+	rowSize    = 48 // one row: SID, UID, lat, lon, RUID, RSID, 8 bytes each
 
 	formatVersion = 2
 )
@@ -133,8 +134,8 @@ func buildSegment(geohashLen int, rows []metadb.Row, keys []keyPostings) ([]byte
 	binary.LittleEndian.PutUint64(hdr[40:48], uint64(len(keys)))
 	buf = append(buf, hdr[:]...)
 
-	// Rows section: the exact record layout metadb's rows.bin uses; the
-	// open derives the segment's packed records from it.
+	// Rows section: every metadb.Row field, 8 bytes each; the open derives
+	// the segment's packed records from it.
 	rowsOff := uint64(len(buf))
 	var rec [rowSize]byte
 	for _, r := range rows {
@@ -176,8 +177,7 @@ func buildSegment(geohashLen int, rows []metadb.Row, keys []keyPostings) ([]byte
 	return buf, nil
 }
 
-// encodeRow writes one 48-byte row record (same field order as metadb's
-// TKROW1 records).
+// encodeRow writes one 48-byte row record, in metadb.Row's field order.
 func encodeRow(dst []byte, r metadb.Row) {
 	binary.LittleEndian.PutUint64(dst[0:8], uint64(r.SID))
 	binary.LittleEndian.PutUint64(dst[8:16], uint64(r.UID))

@@ -91,6 +91,13 @@ func (m *Memtable) Len() int {
 	return len(m.recs)
 }
 
+// numKeys returns the number of distinct ⟨geohash, term⟩ keys buffered.
+func (m *Memtable) numKeys() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.postings)
+}
+
 // recordBytes returns the resident size of the memtable's records.
 func (m *Memtable) recordBytes() int {
 	m.mu.RLock()

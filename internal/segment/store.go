@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -126,6 +127,11 @@ type manifestData struct {
 // any point, including across seals and compactions, because the mappings
 // of replaced segments are retired (kept mapped) rather than unmapped until
 // Close.
+//
+// A store with a directory (OpenStore) writes each sealed segment to a file
+// and commits every change to its MANIFEST. A store without one (OpenHeap)
+// runs the same seal and compaction code, but keeps the sealed images on the
+// heap and commits nothing.
 type Store struct {
 	dir  string
 	opts Options
@@ -142,20 +148,22 @@ type Store struct {
 	compactions atomic.Int64
 }
 
-// OpenStore opens (or creates) a segment store. A directory without a
-// CURRENT file is an empty store; otherwise every segment the current
+// OpenStore opens (or creates) a segment store in dir. A directory without
+// a CURRENT file is an empty store; otherwise every segment the current
 // MANIFEST references is opened and checksummed — the commit discipline
 // guarantees the set is complete or the previous CURRENT is still in
 // place.
 func OpenStore(dir string, opts Options) (*Store, error) {
-	opts.normalize()
-	if opts.GeohashLen <= 0 {
-		return nil, fmt.Errorf("segment: store needs a geohash length")
+	if dir == "" {
+		return nil, fmt.Errorf("segment: store needs a directory")
+	}
+	st, err := newStore(dir, opts)
+	if err != nil {
+		return nil, err
 	}
 	if err := fsx.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &Store{dir: dir, opts: opts, mem: NewMemtable(opts.GeohashLen), nextSeq: 1, manSeq: 0}
 	man, manSeq, err := readCurrentManifest(dir)
 	if err != nil {
 		return nil, err
@@ -170,20 +178,52 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("segment: opening %s: %w", ms.File, err)
 		}
-		if seg.GeohashLen() != opts.GeohashLen {
-			return nil, fmt.Errorf("%w: %s keyed at geohash length %d, store wants %d",
-				ErrCorrupt, ms.File, seg.GeohashLen(), opts.GeohashLen)
-		}
 		st.segs = append(st.segs, seg)
 		st.segFiles = append(st.segFiles, ms.File)
 	}
-	for i := 1; i < len(st.segs); i++ {
-		if st.segs[i].MinSID() <= st.segs[i-1].MaxSID() {
-			return nil, fmt.Errorf("%w: segments %s and %s overlap in SID range",
-				ErrCorrupt, st.segFiles[i-1], st.segFiles[i])
-		}
+	if err := st.checkSealed(); err != nil {
+		return nil, err
 	}
 	return st, nil
+}
+
+// OpenHeap returns a store with no directory whose first sealed segments are
+// sealed, in time order, served as they are: neither copied nor split at
+// bucket boundaries.
+func OpenHeap(opts Options, sealed ...*Segment) (*Store, error) {
+	st, err := newStore("", opts)
+	if err != nil {
+		return nil, err
+	}
+	st.segs = sealed
+	st.segFiles = make([]string, len(sealed))
+	if err := st.checkSealed(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+func newStore(dir string, opts Options) (*Store, error) {
+	opts.normalize()
+	if opts.GeohashLen <= 0 {
+		return nil, fmt.Errorf("segment: store needs a geohash length")
+	}
+	return &Store{dir: dir, opts: opts, mem: NewMemtable(opts.GeohashLen), nextSeq: 1}, nil
+}
+
+// checkSealed verifies that every sealed segment is keyed at the store's
+// precision and that their SID ranges ascend without overlap.
+func (st *Store) checkSealed() error {
+	for i, seg := range st.segs {
+		if seg.GeohashLen() != st.opts.GeohashLen {
+			return fmt.Errorf("%w: segment %d keyed at geohash length %d, store wants %d",
+				ErrCorrupt, i, seg.GeohashLen(), st.opts.GeohashLen)
+		}
+		if i > 0 && seg.MinSID() <= st.segs[i-1].MaxSID() {
+			return fmt.Errorf("%w: segments %d and %d overlap in SID range", ErrCorrupt, i-1, i)
+		}
+	}
+	return nil
 }
 
 // readCurrentManifest loads the manifest CURRENT points at; (nil, 0, nil)
@@ -215,8 +255,11 @@ func readCurrentManifest(dir string) (*manifestData, uint64, error) {
 	return &man, seq, nil
 }
 
-// Dir returns the store directory.
+// Dir returns the store directory, "" for a heap store.
 func (st *Store) Dir() string { return st.dir }
+
+// GeohashLen returns the key precision of every source in the store.
+func (st *Store) GeohashLen() int { return st.opts.GeohashLen }
 
 // Empty reports whether the store holds no sealed segments and no
 // buffered rows.
@@ -257,7 +300,7 @@ func (st *Store) Add(p *social.Post) (sealed bool, err error) {
 	return sealed, nil
 }
 
-// SealNow seals the memtable into an immutable segment file and commits a
+// SealNow seals the memtable into an immutable segment and commits a
 // MANIFEST referencing it. No-op on an empty memtable. The segment file
 // is written under a tmp name, fsync'd and renamed before the MANIFEST
 // mentions it, so a crash at any filesystem step leaves the store opening
@@ -289,11 +332,16 @@ func (st *Store) SealNow() error {
 }
 
 // writeSegment builds the byte image, writes it tmp → fsync → rename →
-// dirsync, and opens the sealed file (mmap'd, checksummed).
+// dirsync, and opens the sealed file (mmap'd, checksummed). A heap store
+// parses the image where it lies and names no file.
 func (st *Store) writeSegment(rows []metadb.Row, keys []keyPostings) (*Segment, string, error) {
 	data, err := buildSegment(st.opts.GeohashLen, rows, keys)
 	if err != nil {
 		return nil, "", err
+	}
+	if st.dir == "" {
+		seg, err := OpenBytes(data)
+		return seg, "", err
 	}
 	seq := st.nextSeq
 	st.nextSeq++
@@ -324,8 +372,12 @@ func (st *Store) writeSegment(rows []metadb.Row, keys []keyPostings) (*Segment, 
 }
 
 // commitManifest writes the next MANIFEST naming the live segment set and
-// flips CURRENT to it — the commit point of every seal and compaction.
+// flips CURRENT to it — the commit point of every seal and compaction. A
+// heap store has nothing to commit.
 func (st *Store) commitManifest() error {
+	if st.dir == "" {
+		return nil
+	}
 	st.mu.RLock()
 	man := manifestData{Version: manifestVersion, NextSeq: st.nextSeq}
 	for i, seg := range st.segs {
@@ -365,6 +417,9 @@ func (st *Store) commitManifest() error {
 // segment files, superseded manifests, tmp leftovers of crashed seals.
 // Runs only after a commit, so nothing live is ever a candidate.
 func (st *Store) gc() error {
+	if st.dir == "" {
+		return nil
+	}
 	st.mu.RLock()
 	keep := make(map[string]bool, len(st.segFiles)+2)
 	for _, f := range st.segFiles {
@@ -561,15 +616,29 @@ func mergeSegments(segs []*Segment, blockSize int) ([]metadb.Row, []keyPostings,
 	return rows, sortKeyPostings(enc), nil
 }
 
-// BulkLoad seeds an empty store from a build image (FromPosts): its rows
-// and each key's postings, split at time-bucket boundaries into one segment
-// per occupied bucket, committed under a single MANIFEST. This is the
-// migration path a durable server takes the first time it starts with
-// segments enabled.
-func (st *Store) BulkLoad(img *Segment) error {
+// BulkLoad seeds an empty store from sealed segments in time order (a
+// build image, or what a heap store sealed): their rows and each key's
+// postings, split at time-bucket boundaries into one segment per occupied
+// bucket of each input, committed under a single MANIFEST. This is how a
+// system first attaches a segment directory.
+func (st *Store) BulkLoad(imgs ...*Segment) error {
 	if !st.Empty() {
 		return fmt.Errorf("segment: bulk load into a non-empty store")
 	}
+	for _, img := range imgs {
+		if err := st.split(img); err != nil {
+			return err
+		}
+	}
+	if err := st.commitManifest(); err != nil {
+		return err
+	}
+	return st.gc()
+}
+
+// split appends img to the sealed set as one segment per occupied time
+// bucket.
+func (st *Store) split(img *Segment) error {
 	if img.GeohashLen() != st.opts.GeohashLen {
 		return fmt.Errorf("segment: bulk load of an image keyed at geohash length %d into a store at %d",
 			img.GeohashLen(), st.opts.GeohashLen)
@@ -626,10 +695,7 @@ func (st *Store) BulkLoad(img *Segment) error {
 		st.seals.Add(1)
 		start = end
 	}
-	if err := st.commitManifest(); err != nil {
-		return err
-	}
-	return st.gc()
+	return nil
 }
 
 // Views returns the store's postings sources in time order: each sealed
@@ -688,6 +754,26 @@ func (st *Store) MaxSealedSID() social.PostID {
 		return 0
 	}
 	return st.segs[len(st.segs)-1].MaxSID()
+}
+
+// Segments returns the live sealed segments in time order. They stay
+// readable until Close, even after a compaction replaces them.
+func (st *Store) Segments() []*Segment {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return slices.Clone(st.segs)
+}
+
+// NumKeys returns the ⟨geohash, term⟩ keys summed over the sealed segments
+// and the memtable: a key held by several of them counts once in each.
+func (st *Store) NumKeys() int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	n := st.mem.numKeys()
+	for _, s := range st.segs {
+		n += s.NumKeys()
+	}
+	return n
 }
 
 // Memtable returns the mutable head table.

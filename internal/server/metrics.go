@@ -65,11 +65,9 @@ func newServerMetrics(reg *telemetry.Registry, sys *tklus.System) *serverMetrics
 	if sys.DB != nil {
 		sys.DB.RegisterMetrics(reg)
 	}
-	if sys.Index != nil {
-		reg.GaugeFunc("tklus_index_keys",
-			"Distinct (geohash, term) keys in the hybrid index.", nil,
-			func() float64 { return float64(sys.Index.NumKeys()) })
-	}
+	reg.GaugeFunc("tklus_index_keys",
+		"(geohash, term) keys of the hybrid index, summed over its sealed segments and memtable.", nil,
+		func() float64 { return float64(sys.Store.NumKeys()) })
 	if sys.FS != nil {
 		sys.FS.RegisterMetrics(reg)
 	}

@@ -27,13 +27,12 @@
 // → 400 "rejected"; anything else is a 500 "internal".
 //
 // The server fronts any tklus.Searcher — a monolithic System (over its
-// build image or its segment store), a ShardedSystem router, or a
-// Federation. The system-introspection endpoints (/evidence, /thread, the
-// I/O half of /stats) exist only when the backend is a *tklus.System; a
-// router serves the query endpoints and its own metrics. A System serves
-// every endpoint from the same engine, so with a segment store installed
-// /evidence answers from the segments too. A sharded router calls its
-// shards in process.
+// segment store), a ShardedSystem router, or a Federation. The
+// system-introspection endpoints (/evidence, /thread, the I/O half of
+// /stats) exist only when the backend is a *tklus.System; a router serves
+// the query endpoints and its own metrics. A System serves every endpoint
+// from the same engine, so /evidence reads the partitions /search does. A
+// sharded router calls its shards in process.
 //
 // Every request flows through a middleware that records HTTP metrics and
 // emits one structured access-log line; searches additionally feed the
@@ -370,10 +369,10 @@ func (s *Server) runSearch(w http.ResponseWriter, r *http.Request, req SearchReq
 }
 
 // handleIngestV1 serves POST /v1/ingest: a batch of live posts appended
-// through the backend's ingest path, so thread popularity — and, with a
-// segment store installed, the memtable's keyword index — update immediately; when a WAL
-// is attached, each post is durable before the 200 goes out. Registered
-// only for backends that own a metadata database (shard routers don't).
+// through the backend's ingest path, so thread popularity and the
+// memtable's keyword index update immediately; when a WAL is attached, each
+// post is durable before the 200 goes out. Registered only for backends
+// that own a metadata database (shard routers don't).
 func (s *Server) handleIngestV1(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequestV1
 	if err := decodeJSONBody(r, &req); err != nil {
@@ -504,7 +503,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.sys != nil {
 		dbStats := s.sys.DB.Stats()
 		fsStats := s.sys.FS.Stats()
-		out["index_keys"] = s.sys.Index.NumKeys()
+		out["index_keys"] = s.sys.Store.NumKeys()
 		out["db_page_reads"] = dbStats.PageReads
 		out["db_cache_hits"] = dbStats.CacheHits
 		out["db_index_reads"] = dbStats.IndexReads

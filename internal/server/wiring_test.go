@@ -42,7 +42,8 @@ func fastReplication(t *testing.T) tklus.ReplicationConfig {
 // write path, the fault-injection doors only over a replicated tier, and
 // the deleted shard-protocol route on none; per-shard series on both
 // sharded tiers, replication series on the replicated one and segment
-// series on a segmented system, each series exactly once.
+// series on every single system (each serves from a store), each series
+// exactly once.
 func TestServerWiringPerArrangement(t *testing.T) {
 	corpus := wiringCorpus(t)
 	posts := corpus.Posts
@@ -70,7 +71,7 @@ func TestServerWiringPerArrangement(t *testing.T) {
 				t.Fatal(err)
 			}
 			return sys
-		}, []bool{true, false, true, true, false}, series{}},
+		}, []bool{true, false, true, true, false}, series{segment: true}},
 		{"segments", func(t *testing.T) tklus.Searcher {
 			sys, err := tklus.Build(posts, cfg)
 			if err != nil {

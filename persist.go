@@ -31,19 +31,17 @@ import (
 // atomic rename of CURRENT — a crash at any point during Save leaves the
 // previous snapshot untouched and loadable.
 //
-//	<dir>/CURRENT                    committed snapshot name ("snap-NNNNNNNN\n")
-//	<dir>/snap-NNNNNNNN/MANIFEST     format version + per-file size and CRC
-//	<dir>/snap-NNNNNNNN/index.tkseg  build image (TKSEG2): postings + the rows they name by ordinal
-//	<dir>/snap-NNNNNNNN/rows.bin     metadata rows ingested beyond the image's max SID
-//	<dir>/snap-NNNNNNNN/dfs/         simulated-DFS image (tweet contents)
-//	<dir>/snap-NNNNNNNN/contents.bin tweet-ID -> content location table
-//	<dir>/snap-NNNNNNNN/bounds.gob   popularity bounds (Section V-B)
-//	<dir>/wal/seg-NNNNNNNN.log       ingest write-ahead log segments
-//	<dir>/segments/                  LSM segment store (own MANIFEST/CURRENT)
+//	<dir>/CURRENT                         committed snapshot name ("snap-NNNNNNNN\n")
+//	<dir>/snap-NNNNNNNN/MANIFEST          format version + per-file size and CRC
+//	<dir>/snap-NNNNNNNN/index-NNNNNNNN.tkseg  the store's sealed segments (TKSEG2), in time order
+//	<dir>/snap-NNNNNNNN/dfs/              simulated-DFS image (tweet contents)
+//	<dir>/snap-NNNNNNNN/contents.bin      tweet-ID -> content location table
+//	<dir>/snap-NNNNNNNN/bounds.gob        popularity bounds (Section V-B)
+//	<dir>/wal/seg-NNNNNNNN.log            ingest write-ahead log segments
+//	<dir>/segments/                       LSM segment store (own MANIFEST/CURRENT)
 //
-// Each row is stored once: the image (a TKSEG segment) holds the rows it
-// indexes, rows.bin the rest, and Load rebuilds the metadata database from
-// both.
+// Save seals the memtable first, so every row is in exactly one segment,
+// and Load rebuilds the metadata database from the segments' rows.
 const (
 	currentFile     = "CURRENT"
 	manifestFile    = "MANIFEST"
@@ -52,17 +50,16 @@ const (
 	walDirName      = "wal"
 	segmentsDirName = "segments"
 	dfsDir          = "dfs"
-	indexFile       = "index.tkseg"
+	indexPrefix     = "index-"
+	indexSuffix     = ".tkseg"
 	contentsFile    = "contents.bin"
-	rowsFile        = "rows.bin"
 	boundsFile      = "bounds.gob"
 )
 
 // manifestVersion is the snapshot format version this code writes and the
-// only one it loads. Version 1 held a paged DFS index; version 2's
-// index.tkseg was a TKSEG1 image, whose postings held tweet IDs where
-// TKSEG2's hold row ordinals.
-const manifestVersion = 3
+// only one it loads. Version 1 held a paged DFS index, version 2 a TKSEG1
+// image (tweet IDs in postings), version 3 one TKSEG2 image plus rows.bin.
+const manifestVersion = 4
 
 // Typed load failures, classified so operators (and the corruption tests)
 // can tell "no snapshot was ever committed / a file vanished" from "a
@@ -162,20 +159,22 @@ func (s *System) save(span *telemetry.TraceSpan, dir string) error {
 	}
 
 	// Consistency point: everything Ingest mutates is captured here, in
-	// one critical section — the rows buffer, the bounds image, and the
-	// WAL rotation mark. Records at or before the mark are covered by this
-	// snapshot; records after it are exactly the ones a post-crash replay
-	// must re-apply on top of it. A segment store's memtable is sealed
-	// first: the rotation mark then only ever truncates records whose posts
-	// are already in a segment, so a restart can always rebuild the
-	// memtable's index entries from the log.
-	var rowsBuf, boundsBuf bytes.Buffer
+	// one critical section — the sealed segment set, the bounds image, and
+	// the WAL rotation mark. Records at or before the mark are covered by
+	// this snapshot; records after it are exactly the ones a post-crash
+	// replay must re-apply on top of it. The memtable is sealed first, so
+	// every row is in a segment, and the rotation mark only ever truncates
+	// records whose posts are already in one — a restart can always rebuild
+	// a directory store's memtable from the log.
+	var boundsBuf bytes.Buffer
+	var segs []*segment.Segment
 	walMark := -1
 	phase := time.Now()
 	s.ingestMu.Lock()
 	err = s.sealStore()
 	if err == nil {
-		err = s.DB.SaveRows(&rowsBuf, s.Index.MaxSID())
+		segs = s.Store.Segments()
+		err = s.holdsEveryRow(segs)
 	}
 	if err == nil {
 		err = s.Bounds.EncodeGob(&boundsBuf)
@@ -189,9 +188,10 @@ func (s *System) save(span *telemetry.TraceSpan, dir string) error {
 		return fmt.Errorf("tklus: capturing snapshot state: %w", err)
 	}
 
-	// Write every artifact into the temp directory, fsynced. The build
-	// image and contents store are immutable after Build (ingest reaches
-	// them only at the next batch build), so they stream outside the lock.
+	// Write every artifact into the temp directory, fsynced. Sealed
+	// segments are immutable and stay readable until Close (which waits
+	// for saveMu), and the contents store is written at Build, so they
+	// stream outside the lock.
 	phase = time.Now()
 	tmp := filepath.Join(dir, fmt.Sprintf("%s%08d", tmpPrefix, seq))
 	if err := fsx.RemoveAll(tmp); err != nil {
@@ -203,13 +203,13 @@ func (s *System) save(span *telemetry.TraceSpan, dir string) error {
 	if err := s.FS.Save(filepath.Join(tmp, dfsDir)); err != nil {
 		return fmt.Errorf("tklus: saving DFS image: %w", err)
 	}
-	if err := fsx.WriteFileSync(filepath.Join(tmp, indexFile), s.Index.Bytes()); err != nil {
-		return err
+	for i, seg := range segs {
+		name := fmt.Sprintf("%s%08d%s", indexPrefix, i+1, indexSuffix)
+		if err := fsx.WriteFileSync(filepath.Join(tmp, name), seg.Bytes()); err != nil {
+			return err
+		}
 	}
 	if err := writeArtifact(tmp, contentsFile, s.Contents.Save); err != nil {
-		return err
-	}
-	if err := fsx.WriteFileSync(filepath.Join(tmp, rowsFile), rowsBuf.Bytes()); err != nil {
 		return err
 	}
 	if err := fsx.WriteFileSync(filepath.Join(tmp, boundsFile), boundsBuf.Bytes()); err != nil {
@@ -258,6 +258,19 @@ func (s *System) save(span *telemetry.TraceSpan, dir string) error {
 		_ = s.wal.TruncateThrough(walMark)
 	}
 	span.Fold("gc", phase, time.Since(phase))
+	return nil
+}
+
+// holdsEveryRow checks that segs hold every row Load must rebuild the
+// database from; a shard's system holds only its region's.
+func (s *System) holdsEveryRow(segs []*segment.Segment) error {
+	rows := 0
+	for _, seg := range segs {
+		rows += seg.NumRows()
+	}
+	if rows != s.DB.Len() {
+		return fmt.Errorf("the store indexes %d of the database's %d rows", rows, s.DB.Len())
+	}
 	return nil
 }
 
@@ -344,30 +357,11 @@ func gcSnapshots(dir string, keep int) {
 	if err != nil {
 		return
 	}
-	// Segment awareness: sealed segment files referenced by the segment
-	// store's current MANIFEST are live serving state with their own
-	// lifecycle — snapshot collection must never take them down, even if
-	// a segment directory ever ends up nested under a snap-N path. An
-	// unreadable store reports nothing referenced, and the prefix guard
-	// below then leaves every candidate containing segment state alone
-	// only when the store names it, so the conservative branch is the
-	// removal of nothing extra, never of something live.
-	referenced := segment.ReferencedFiles(filepath.Join(dir, segmentsDirName))
-	shieldsLive := func(candidate string) bool {
-		prefix := candidate + string(filepath.Separator)
-		for _, ref := range referenced {
-			if ref == candidate || strings.HasPrefix(ref, prefix) {
-				return true
-			}
-		}
-		return false
-	}
+	// Only snap-* and .tmp-snap-* entries are candidates: the segment
+	// directory beside them is its own MANIFEST's to collect.
 	for _, e := range entries {
 		name := e.Name()
 		path := filepath.Join(dir, name)
-		if shieldsLive(path) {
-			continue
-		}
 		switch {
 		case strings.HasPrefix(name, tmpPrefix):
 			if name != fmt.Sprintf("%s%08d", tmpPrefix, keep) {
@@ -394,17 +388,17 @@ func SnapshotExists(dir string) bool {
 	return err == nil
 }
 
-// Load reconstructs a system saved by Save and replays any ingest WAL the
-// directory holds through the normal Ingest path, so the level counts and
-// the segment store after recovery match a process that never crashed. The Config supplies runtime settings (engine options, DB
-// page/cache configuration, DFS parameters); the index structure, bounds,
-// and data come from the directory. The manifest is verified (version,
-// then every file's size and CRC) before anything is decoded; failures
-// come back as ErrPartialSave, ErrVersionMismatch or ErrCorruptImage, and
-// bounds without a level-count table or counted for another thread depth as
-// ErrParamsMismatch.
-// Load does not open the WAL for writing — call EnableWAL on the returned
-// system to make further Ingests durable.
+// Load reconstructs a system saved by Save — its segments open into a heap
+// store — and replays any ingest WAL the directory holds through the normal
+// Ingest path, so the level counts and the store after recovery match a
+// process that never crashed. The Config supplies runtime settings (engine
+// options, DB page/cache configuration, DFS parameters); the index, bounds
+// and data come from the directory. The manifest is verified (version, then
+// every file's size and CRC) before anything is decoded; failures come back
+// as ErrPartialSave, ErrVersionMismatch or ErrCorruptImage, and bounds
+// without a level-count table or counted for another thread depth as
+// ErrParamsMismatch. Load does not open the WAL for writing — call
+// EnableWAL on the returned system to make further Ingests durable.
 func Load(dir string, cfg Config) (*System, error) {
 	start := time.Now()
 	snapName, err := readCurrent(dir)
@@ -420,30 +414,18 @@ func Load(dir string, cfg Config) (*System, error) {
 	if err := fsys.Load(filepath.Join(snapDir, dfsDir)); err != nil {
 		return nil, fmt.Errorf("%w: DFS image: %v", ErrCorruptImage, err)
 	}
-	raw, err := os.ReadFile(filepath.Join(snapDir, indexFile))
+	segs, rows, err := loadSegments(snapDir)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrPartialSave, indexFile, err)
-	}
-	img, err := segment.OpenBytes(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: decoding %s: %v", ErrCorruptImage, indexFile, err)
-	}
-	var store *contents.Store
-	if err := readFrom(snapDir, contentsFile, func(f io.Reader) error {
-		var err error
-		store, err = contents.LoadStore(fsys, f)
-		return err
-	}); err != nil {
 		return nil, err
 	}
-	base := make([]metadb.Row, img.NumRows())
-	for i := range base {
-		base[i] = img.RowAt(i)
+	db, err := metadb.FromRows(cfg.DB, rows)
+	if err != nil {
+		return nil, fmt.Errorf("%w: index rows: %v", ErrCorruptImage, err)
 	}
-	var db *metadb.DB
-	if err := readFrom(snapDir, rowsFile, func(f io.Reader) error {
+	var texts *contents.Store
+	if err := readFrom(snapDir, contentsFile, func(f io.Reader) error {
 		var err error
-		db, err = metadb.LoadRows(cfg.DB, base, f)
+		texts, err = contents.LoadStore(fsys, f)
 		return err
 	}); err != nil {
 		return nil, err
@@ -456,7 +438,7 @@ func Load(dir string, cfg Config) (*System, error) {
 	}); err != nil {
 		return nil, err
 	}
-	sys, err := newSystem(cfg, db, img, fsys, bounds, store)
+	sys, err := newSystem(cfg, db, fsys, bounds, texts, nil, segs...)
 	if err != nil {
 		return nil, err
 	}
@@ -466,6 +448,30 @@ func Load(dir string, cfg Config) (*System, error) {
 	}
 	sys.BuildTime = time.Since(start)
 	return sys, nil
+}
+
+// loadSegments parses the snapshot's index segments in (name =) time order,
+// and decodes their rows.
+func loadSegments(snapDir string) (segs []*segment.Segment, rows []metadb.Row, err error) {
+	names, _ := filepath.Glob(filepath.Join(snapDir, indexPrefix+"*"+indexSuffix))
+	if len(names) == 0 {
+		return nil, nil, fmt.Errorf("%w: snapshot holds no index segment", ErrCorruptImage)
+	}
+	for _, name := range names {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrPartialSave, err)
+		}
+		seg, err := segment.OpenBytes(raw)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: decoding %s: %v", ErrCorruptImage, filepath.Base(name), err)
+		}
+		for i := 0; i < seg.NumRows(); i++ {
+			rows = append(rows, seg.RowAt(i))
+		}
+		segs = append(segs, seg)
+	}
+	return segs, rows, nil
 }
 
 // replayWAL re-ingests every log record the snapshot does not already

@@ -21,6 +21,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/datagen"
 	"repro/internal/metadb"
+	"repro/internal/segment"
 	"repro/internal/thread"
 )
 
@@ -45,8 +46,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if loaded.Index.NumKeys() != sys.Index.NumKeys() {
-		t.Fatalf("keys: loaded %d vs built %d", loaded.Index.NumKeys(), sys.Index.NumKeys())
+	if loaded.Store.NumKeys() != sys.Store.NumKeys() {
+		t.Fatalf("keys: loaded %d vs built %d", loaded.Store.NumKeys(), sys.Store.NumKeys())
 	}
 	if loaded.DB.Len() != sys.DB.Len() {
 		t.Fatalf("rows: loaded %d vs built %d", loaded.DB.Len(), sys.DB.Len())
@@ -205,9 +206,10 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 	corrupt := []error{tklus.ErrCorruptImage}
 	artifactWant := map[string][]error{"delete": partial, "truncate": corrupt, "flip": corrupt}
 	targets := []target{
-		{"index.tkseg", inSnap("index.tkseg"), artifactWant},
+		// The snapshot's index is its index-NNNNNNNN.tkseg segments; the
+		// target keeps its old name and damages the first.
+		{"index.tkseg", inSnap("index-00000001.tkseg"), artifactWant},
 		{"contents.bin", inSnap("contents.bin"), artifactWant},
-		{"rows.bin", inSnap("rows.bin"), artifactWant},
 		{"bounds.gob", inSnap("bounds.gob"), artifactWant},
 		{"dfs-image", func(t *testing.T, dir string) string {
 			matches, err := filepath.Glob(filepath.Join(snapDirOf(t, dir), "dfs", "*"))
@@ -272,7 +274,7 @@ func TestLoadVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	future := strings.Replace(string(data), `"version": 3`, `"version": 99`, 1)
+	future := strings.Replace(string(data), `"version": 4`, `"version": 99`, 1)
 	if future == string(data) {
 		t.Fatal("manifest version field not found")
 	}
@@ -438,9 +440,11 @@ func replaceSnapshotFile(t *testing.T, snap, name string, content []byte) {
 }
 
 // TestLoadRefusesSnapshotOfAnotherFormat: a version-1 snapshot (paged DFS
-// postings, forward.bin, every row in rows.bin) and a version-2 one (a
-// TKSEG1 index image, whose postings held tweet IDs) are refused as a
-// version mismatch before anything decodes, and an index image the segment
+// postings, forward.bin, every row in rows.bin), a version-2 one (a TKSEG1
+// index image, whose postings held tweet IDs) and a version-3 one (one
+// index.tkseg image plus the rows ingested beyond it in rows.bin) are
+// refused as a version mismatch before anything decodes, and an index
+// segment the segment
 // parser rejects — another segment format version, a TKSEG1 magic, or bytes
 // whose own CRC fails — is corruption, with the manifest rewritten to match
 // so only the image can object.
@@ -454,14 +458,14 @@ func TestLoadRefusesSnapshotOfAnotherFormat(t *testing.T) {
 		return dir
 	}
 
-	for _, old := range []string{`"version": 1`, `"version": 2`} {
+	for _, old := range []string{`"version": 1`, `"version": 2`, `"version": 3`} {
 		dir := save()
 		mfPath := filepath.Join(snapDirOf(t, dir), "MANIFEST")
 		mf, err := os.ReadFile(mfPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		downgraded := strings.Replace(string(mf), `"version": 3`, old, 1)
+		downgraded := strings.Replace(string(mf), `"version": 4`, old, 1)
 		if downgraded == string(mf) {
 			t.Fatal("manifest version field not found")
 		}
@@ -483,21 +487,21 @@ func TestLoadRefusesSnapshotOfAnotherFormat(t *testing.T) {
 	} {
 		dir := save()
 		snap := snapDirOf(t, dir)
-		img, err := os.ReadFile(filepath.Join(snap, "index.tkseg"))
+		img, err := os.ReadFile(filepath.Join(snap, "index-00000001.tkseg"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.mutate(img)
-		replaceSnapshotFile(t, snap, "index.tkseg", img)
+		replaceSnapshotFile(t, snap, "index-00000001.tkseg", img)
 		if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrCorruptImage) {
 			t.Errorf("%s: err = %v, want ErrCorruptImage", c.name, err)
 		}
 	}
 }
 
-// TestSnapshotStoresEachRowOnce: the index image holds the rows it indexes,
-// so rows.bin carries only the rows ingested beyond the image, and Load
-// rebuilds the whole metadata database from the two.
+// TestSnapshotStoresEachRowOnce: Save seals the memtable, so the snapshot's
+// index segments hold every row exactly once — the build image's, then the
+// ingested ones — and Load rebuilds the whole metadata database from them.
 func TestSnapshotStoresEachRowOnce(t *testing.T) {
 	sys, corpus := buildSystem(t, 500)
 	at := corpus.Posts[len(corpus.Posts)-1].Time.Add(time.Minute)
@@ -512,19 +516,27 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 	if err := sys.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := os.ReadFile(filepath.Join(snapDirOf(t, dir), "rows.bin"))
-	if err != nil {
-		t.Fatal(err)
+	var rows []int
+	for _, name := range []string{"index-00000001.tkseg", "index-00000002.tkseg"} {
+		raw, err := os.ReadFile(filepath.Join(snapDirOf(t, dir), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := segment.OpenBytes(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, seg.NumRows())
 	}
-	if want := len("TKROW1") + 8 + 2*48; len(rows) != want {
-		t.Errorf("rows.bin is %d bytes, want %d: the two ingested rows alone", len(rows), want)
+	if want := []int{len(corpus.Posts), 2}; !slices.Equal(rows, want) {
+		t.Errorf("snapshot segments hold %v rows, want %v: the image, then the two ingested rows", rows, want)
 	}
 	loaded, err := tklus.Load(dir, tklus.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.DB.Len() != sys.DB.Len() || loaded.Index.NumRows() != len(corpus.Posts) {
-		t.Fatalf("loaded %d rows (%d in the image), want %d (%d)", loaded.DB.Len(), loaded.Index.NumRows(), sys.DB.Len(), len(corpus.Posts))
+	if loaded.DB.Len() != sys.DB.Len() {
+		t.Fatalf("loaded %d rows, want %d", loaded.DB.Len(), sys.DB.Len())
 	}
 	sys.DB.Scan(func(want metadb.Row) bool {
 		if got, ok := loaded.DB.GetBySID(want.SID); !ok || got != want {

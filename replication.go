@@ -41,10 +41,11 @@ import (
 // Replica topology follows the paper's Figure 3: the metadata database is
 // "centralized … replicated", so every replica holds a FULL copy of the
 // metadata DB and popularity bounds (thread expansion and |P_u| are
-// global), while the shard's hybrid inverted index is immutable after the
-// batch build and therefore safely SHARED by the shard's replicas. The
-// ingest stream is likewise global — every group receives every post — so
-// any replica of any shard can score its region's candidates exactly.
+// global). Each replica's index is its own store over the shard's build
+// image (immutable, so SHARED by the replicas), whose memtable indexes the
+// ingested posts in the shard's prefixes. Every group receives every post,
+// so any replica, a promoted follower included, scores its region's
+// candidates exactly, the acknowledged posts among them.
 
 // Typed sentinels of the replication layer. Match with errors.Is.
 var (
@@ -538,7 +539,8 @@ func (g *ReplicaGroup) WaitCaughtUp(ctx context.Context) error {
 	}
 }
 
-// close stops the group's shippers and closes every replica's WAL.
+// close stops the group's shippers and closes every replica's WAL and
+// system.
 func (g *ReplicaGroup) close() error {
 	g.mu.Lock()
 	if g.stop != nil {
@@ -547,13 +549,11 @@ func (g *ReplicaGroup) close() error {
 	}
 	g.mu.Unlock()
 	g.wg.Wait()
-	var first error
+	var errs []error
 	for _, r := range g.replicas {
-		if err := r.sys.CloseWAL(); err != nil && first == nil {
-			first = err
-		}
+		errs = append(errs, r.sys.CloseWAL(), r.sys.Close())
 	}
-	return first
+	return errors.Join(errs...)
 }
 
 // ReplicatedShardedSystem is the sharded serving tier with a replica
@@ -569,8 +569,8 @@ type ReplicatedShardedSystem struct {
 
 // BuildReplicatedSharded partitions the posts into sc.NumShards shards
 // (same placement as BuildSharded) and builds rc.Replicas copies of each:
-// one shared immutable build image per shard, and per replica a
-// full metadata DB, popularity bounds and an ingest WAL under rc.Dir. Each
+// one shared immutable build image per shard, and per replica a store over
+// it, a full metadata DB, popularity bounds and an ingest WAL under rc.Dir. Each
 // group elects its first leader before this returns, and a lease keeper per
 // group renews leases and promotes successors in the background. A build
 // that fails stops every group it started and closes every WAL it opened.
@@ -581,9 +581,9 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 	if rc.Dir == "" {
 		return nil, fmt.Errorf("tklus: replication needs a WAL root directory")
 	}
-	// One immutable build image per shard, shared by its replicas — live
-	// ingest never mutates it (posts enter the index at the next batch
-	// build), so sharing is safe and saves Replicas-1 builds.
+	// One immutable build image per shard, shared by its replicas' stores —
+	// ingest lands in each replica's own memtable, so sharing is safe and
+	// saves Replicas-1 builds.
 	images, err := buildShards(posts, cfg, sc)
 	if err != nil {
 		return nil, err
@@ -622,7 +622,7 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 				return nil, fmt.Errorf("tklus: loading %s replica %d metadata db: %w", im.name, j, err)
 			}
 			bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
-			sys, err := newSystem(cfg, db, im.img, fsys, bounds, store)
+			sys, err := newSystem(cfg, db, fsys, bounds, store, im.owns, im.img)
 			if err != nil {
 				return nil, fmt.Errorf("tklus: %s replica %d: %w", im.name, j, err)
 			}
@@ -694,8 +694,8 @@ func (rs *ReplicatedShardedSystem) Group(shard string) *ReplicaGroup {
 // Ingest accepts a batch of live posts: the FULL stream goes to every
 // group's leader, because the metadata database is global (Figure 3) —
 // |P_u|, thread expansion and popularity bounds need every post no matter
-// which shard's region it falls in. Each leader's WAL then fans the batch
-// to its followers.
+// which shard's region it falls in — and the group owning a post's region
+// indexes it. Each leader's WAL then fans the batch to its followers.
 func (rs *ReplicatedShardedSystem) Ingest(posts ...*Post) error {
 	return rs.IngestContext(context.Background(), posts...)
 }
@@ -723,7 +723,7 @@ func (rs *ReplicatedShardedSystem) WaitCaughtUp(ctx context.Context) error {
 }
 
 // Close stops the lease keepers and every group's shippers, and closes
-// the replica WALs.
+// the replica WALs and systems.
 func (rs *ReplicatedShardedSystem) Close() error {
 	close(rs.keeperStop)
 	rs.keeperWG.Wait()

@@ -182,6 +182,9 @@ func TestReplicatedFollowersServeIngestedState(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("follower-served results differ\n got: %v\nwant: %v", got, want)
 	}
+	if scan := ackedOracle(corpus.Posts, extras...).Search(q); !equalResults(got, scan) {
+		t.Errorf("follower-served results %v, scan oracle over the acknowledged posts %v", got, scan)
+	}
 }
 
 // TestReplicatedFailoverFencesDeposedLeader is the flagship fault
@@ -261,6 +264,9 @@ func TestReplicatedFailoverFencesDeposedLeader(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("post-failover results differ (the fenced write may have leaked)\n got: %v\nwant: %v", got, want)
+	}
+	if scan := ackedOracle(corpus.Posts, batch[:40]...).Search(q); !equalResults(got, scan) {
+		t.Errorf("post-failover results %v, scan oracle over the acknowledged posts %v", got, scan)
 	}
 
 	// Revive the deposed leader: it rejoins as a follower, drains the new
@@ -458,6 +464,9 @@ func TestReplicatedKillReviveCatchUp(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("revived-follower results differ\n got: %v\nwant: %v", got, want)
+	}
+	if scan := ackedOracle(corpus.Posts, extras...).Search(q); !equalResults(got, scan) {
+		t.Errorf("revived-follower results %v, scan oracle over the acknowledged posts %v", got, scan)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 	"repro/internal/wal"
 )
 
-// SegmentOptions configures the on-disk segment storage engine
-// EnableSegments installs on a System.
+// SegmentOptions configures the segment directory EnableSegments attaches
+// to a System.
 type SegmentOptions struct {
 	// Dir is the segment directory (conventionally <data>/segments).
 	Dir string
@@ -34,9 +34,8 @@ type SegmentOptions struct {
 	// CompactInterval, when positive, runs background size-tiered
 	// compaction on this period until Close.
 	CompactInterval time.Duration
-	// WALDir, when set, replays the data directory's WAL into the
-	// memtable on open: posts beyond the last sealed segment carry their
-	// keywords in the log, so their index entries survive a restart.
+	// WALDir, when set, replays the data directory's WAL beyond the last
+	// sealed segment into the memtable on open.
 	WALDir string
 }
 
@@ -44,44 +43,29 @@ type SegmentOptions struct {
 // internal/bench harness names it; delete it with ROADMAP 1.
 type SegmentedSystem = System
 
-// EnableSegments moves a built (or loaded) System onto the segment storage
-// engine: sealed immutable segments (mmap'd, zero-copy postings and row
-// metadata) plus a live memtable, published to the System's one query
-// engine as time-bounded partitions. The store is installed on sys itself,
-// which is returned, so every path through sys — Search, SearchPartials,
-// Evidence, Ingest, Save — serves from (and feeds) segments afterwards:
-//
-//   - Postings and rows are read from mapped segment files, the same
-//     format as the build image, so a search stays free of simulated IO.
-//   - Ingested posts are indexed immediately in the memtable (without a
-//     store, keywords wait for the next batch build), so results equal a
-//     full batch rebuild over all posts.
-//   - A query TimeWindow prunes whole segments by bucket range before
-//     any block is touched (QueryStats.PartitionsPruned counts them).
-//   - Save seals the memtable before it rotates the WAL, so the log only
-//     ever drops records whose posts are already in a segment and a
-//     restart can always rebuild the memtable from it.
-//
-// An empty store is seeded by splitting the System's build image into
-// time-bucketed segments; a populated store is opened as-is
-// (every file checksummed). With WALDir set, logged posts beyond the last
-// sealed segment are replayed into the memtable, restoring their
-// just-in-time index entries after a restart. Not safe to call
-// concurrently with queries on sys; a system takes one store.
+// EnableSegments attaches a segment directory to a built (or loaded)
+// System, which it returns: its store then seals into mmap'd segment files
+// committed under a MANIFEST, and a restart opens them from disk. An empty
+// directory is seeded from the heap store — memtable sealed, every segment
+// split at time-bucket boundaries, so a query TimeWindow prunes whole
+// segments. A populated one is opened as-is (every file checksummed) and
+// replaces the heap store; with WALDir set, logged posts beyond its last
+// sealed segment are replayed into its memtable. Call it before the system
+// serves or registers metrics; a system attaches one directory.
 func EnableSegments(sys *System, opts SegmentOptions) (*System, error) {
-	if sys == nil {
-		return nil, fmt.Errorf("tklus: EnableSegments needs a built system")
-	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("tklus: EnableSegments needs a segment directory")
 	}
 	sys.ingestMu.Lock()
 	defer sys.ingestMu.Unlock()
-	if sys.Store != nil {
-		return nil, fmt.Errorf("tklus: EnableSegments: system already serves from the segment store in %s", sys.Store.Dir())
+	if sys.closed {
+		return nil, fmt.Errorf("tklus: EnableSegments: %w", ErrClosed)
+	}
+	if dir := sys.Store.Dir(); dir != "" {
+		return nil, fmt.Errorf("tklus: EnableSegments: system already serves from the segment store in %s", dir)
 	}
 	store, err := segment.OpenStore(opts.Dir, segment.Options{
-		GeohashLen:   sys.Index.GeohashLen(),
+		GeohashLen:   sys.Store.GeohashLen(),
 		BucketWidth:  opts.BucketWidth,
 		BlockSize:    opts.BlockSize,
 		MemtableRows: opts.MemtableRows,
@@ -91,9 +75,13 @@ func EnableSegments(sys *System, opts SegmentOptions) (*System, error) {
 		return nil, err
 	}
 	if store.Empty() {
-		if err := sys.migrate(store); err != nil {
+		err = sys.sealStore()
+		if err == nil {
+			err = store.BulkLoad(sys.Store.Segments()...)
+		}
+		if err != nil {
 			store.Close()
-			return nil, fmt.Errorf("tklus: migrating index into segments: %w", err)
+			return nil, fmt.Errorf("tklus: seeding the segment directory: %w", err)
 		}
 	}
 	if opts.WALDir != "" {
@@ -102,7 +90,7 @@ func EnableSegments(sys *System, opts SegmentOptions) (*System, error) {
 			return nil, fmt.Errorf("tklus: replaying wal into memtable: %w", err)
 		}
 	}
-	sys.Store = store
+	sys.Store = store // the heap store holds no resources beyond memory
 	sys.publishPartitions()
 	if opts.CompactInterval > 0 {
 		sys.stopCompact = make(chan struct{})
@@ -112,26 +100,29 @@ func EnableSegments(sys *System, opts SegmentOptions) (*System, error) {
 	return sys, nil
 }
 
-// publishPartitions swaps the engine onto the store's current view set,
-// each view answering for its own postings and its own rows; in-flight
-// searches finish on the set they loaded (whose retired segments stay
-// mapped until Close, and whose memtable stays reachable after a seal
-// replaces it). Caller holds ingestMu.
-func (s *System) publishPartitions() {
-	views := s.Store.Views()
+// partitions maps the store's views to engine partitions, each view
+// answering for its own postings and rows.
+func partitions(store *segment.Store) []core.Partition {
+	views := store.Views()
 	parts := make([]core.Partition, len(views))
 	for i, v := range views {
 		parts[i] = core.Partition{Source: v.Source, Rows: v.Source, MinSID: v.MinSID, MaxSID: v.MaxSID}
 	}
-	s.Engine.SetPartitions(parts)
+	return parts
 }
 
-// sealStore seals the memtable into an immutable segment (no-op while it is
-// empty) and publishes the resulting partition set. Nothing to do without a
-// store or once it is closed. Caller holds ingestMu.
+// publishPartitions swaps the engine onto the store's current views;
+// in-flight searches finish on the set they loaded (retired segments stay
+// mapped until Close). Caller holds ingestMu.
+func (s *System) publishPartitions() {
+	s.Engine.SetPartitions(partitions(s.Store))
+}
+
+// sealStore seals the memtable (no-op while empty) and publishes the new
+// partition set; ErrClosed once the system is closed. Caller holds ingestMu.
 func (s *System) sealStore() error {
-	if s.Store == nil || s.storeClosed {
-		return nil
+	if s.closed {
+		return fmt.Errorf("tklus: %w", ErrClosed)
 	}
 	if err := s.Store.SealNow(); err != nil {
 		return err
@@ -140,19 +131,10 @@ func (s *System) sealStore() error {
 	return nil
 }
 
-// migrate seeds an empty store from the build image, split at time-bucket
-// boundaries. One-time cost on first boot with segments enabled;
-// afterwards the store opens from its MANIFEST.
-func (s *System) migrate(store *segment.Store) error {
-	return store.BulkLoad(s.Index)
-}
-
-// replayWALIntoMemtable restores the just-in-time index entries of posts
-// the WAL holds beyond the last sealed segment. Rows themselves were
-// already replayed into the metadata database by Load; this pass only
-// rebuilds their memtable postings (the log records carry the words).
-// Records at or below the seal watermark — or beyond what the database
-// accepted — are skipped, so the replay is idempotent across crashes.
+// replayWALIntoMemtable indexes into store's memtable the posts the WAL
+// holds beyond its last sealed segment; Load already replayed their rows
+// into the database. Records at or below the seal watermark, or beyond what
+// the database accepted, are skipped, so the replay is idempotent.
 func (s *System) replayWALIntoMemtable(store *segment.Store, walDir string) error {
 	sealed := store.MaxSealedSID()
 	_, dbMax := s.DB.SIDRange()
@@ -166,12 +148,11 @@ func (s *System) replayWALIntoMemtable(store *segment.Store, walDir string) erro
 	return err
 }
 
-// UnderlyingSystem returns s, the one serving unit; decorators over a
-// system return the system they wrap.
+// UnderlyingSystem returns s; decorators over a system return the system
+// they wrap.
 func (s *System) UnderlyingSystem() *System { return s }
 
-// SealNow seals the memtable into an immutable segment. No-op when the
-// memtable is empty or no store is installed.
+// SealNow seals the memtable into an immutable segment (no-op while empty).
 func (s *System) SealNow() error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
@@ -179,12 +160,11 @@ func (s *System) SealNow() error {
 }
 
 // Compact runs size-tiered compaction to a fixed point and publishes the
-// merged partition set. Returns how many segments were merged away; 0
-// without an open store.
+// merged partition set; it returns how many segments were merged away.
 func (s *System) Compact() (int, error) {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if s.Store == nil || s.storeClosed {
+	if s.closed {
 		return 0, nil
 	}
 	n, err := s.Store.Compact()
@@ -209,31 +189,29 @@ func (s *System) compactLoop(interval time.Duration) {
 	}
 }
 
-// RegisterMetrics exports the segment store's tklus_segment_* counters and
-// gauges; a system without a store has none.
+// RegisterMetrics exports the store's tklus_segment_* counters and gauges.
 func (s *System) RegisterMetrics(reg *telemetry.Registry) {
-	if s.Store != nil {
-		s.Store.RegisterMetrics(reg)
-	}
+	s.Store.RegisterMetrics(reg)
 }
 
-// Close stops background compaction, closes the engine — Search,
-// SearchPartials, Evidence and Ingest fail with ErrClosed from here on —
-// and unmaps every segment. Searches already in flight still read mapped
-// bytes, so call it only after they have drained. It does not close the
-// System's WAL. A no-op without an open store.
+// Close stops background compaction and closes the engine and the store:
+// Search, SearchPartials, Evidence and Ingest fail with ErrClosed from here
+// on. Call it once in-flight searches drained (they may read mapped bytes);
+// a Save in progress finishes first. It does not close the System's WAL.
 func (s *System) Close() error {
 	if s.stopCompact != nil {
 		close(s.stopCompact)
 		<-s.compactDone
 		s.stopCompact = nil
 	}
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if s.Store == nil || s.storeClosed {
+	if s.closed {
 		return nil
 	}
-	s.storeClosed = true
+	s.closed = true
 	s.Engine.SetPartitions(nil)
 	return s.Store.Close()
 }

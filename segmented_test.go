@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -395,75 +394,68 @@ func TestSegmentedFreshKeywordVisible(t *testing.T) {
 }
 
 // TestSegmentedUseAfterClose pins the lifecycle edges: EnableSegments
-// installs the store on the system it is given, a system takes one store,
-// and once it is closed every path that would touch the unmapped segments
-// fails with ErrClosed instead of faulting on them. (Draining in-flight
-// searches before Close stays the caller's duty.) On a system without a
-// store the lifecycle calls change nothing.
+// attaches the directory to the system it is given, a system takes one
+// directory, and once a system — a plain build over its heap store or one
+// with a directory — is closed every path that would touch its store fails
+// with ErrClosed instead of faulting on unmapped segments. (Draining
+// in-flight searches before Close stays the caller's duty.)
 func TestSegmentedUseAfterClose(t *testing.T) {
 	posts, loc, _ := ingestCorpus()
-	plain, err := tklus.Build(posts, tklus.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hotel := tklus.Query{Loc: loc, RadiusKm: 5, Keywords: []string{"hotel"}, K: 3, Ranking: tklus.SumScore}
-	before, _, err := plain.Search(context.Background(), hotel)
-	if err != nil || len(before) == 0 {
-		t.Fatalf("store-less search: %v, %v", before, err)
-	}
-	if err := plain.SealNow(); err != nil {
-		t.Errorf("SealNow without a store: %v", err)
-	}
-	if n, err := plain.Compact(); n != 0 || err != nil {
-		t.Errorf("Compact without a store: %d, %v", n, err)
-	}
-	if err := plain.Close(); err != nil {
-		t.Errorf("Close without a store: %v", err)
-	}
-	if after, _, err := plain.Search(context.Background(), hotel); err != nil || !reflect.DeepEqual(after, before) {
-		t.Errorf("store-less search after the lifecycle calls: %v, %v; want %v", after, err, before)
-	}
-
-	sys, err := tklus.Build(posts, tklus.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg != sys {
-		t.Fatal("EnableSegments returned a system other than its argument")
-	}
-	if _, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: t.TempDir()}); err == nil {
-		t.Fatal("a second segment store was installed on the same system")
-	}
 	q := tklus.Query{Loc: loc, RadiusKm: 5, Keywords: []string{"hotel"}, K: 3, Ranking: tklus.SumScore}
-	if res, _, err := seg.Search(context.Background(), q); err != nil || len(res) == 0 {
-		t.Fatalf("search before close: %v, %v", res, err)
-	}
-	if err := seg.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, withDir := range []bool{false, true} {
+		t.Run(fmt.Sprintf("directory=%v", withDir), func(t *testing.T) {
+			sys, err := tklus.Build(posts, tklus.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if withDir {
+				seg, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: t.TempDir()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if seg != sys {
+					t.Fatal("EnableSegments returned a system other than its argument")
+				}
+				if _, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: t.TempDir()}); err == nil {
+					t.Fatal("a second segment directory was attached to the same system")
+				}
+			}
+			if err := sys.SealNow(); err != nil {
+				t.Errorf("SealNow on an empty memtable: %v", err)
+			}
+			if n, err := sys.Compact(); n != 0 || err != nil {
+				t.Errorf("Compact with nothing to merge: %d, %v", n, err)
+			}
+			if res, _, err := sys.Search(context.Background(), q); err != nil || len(res) == 0 {
+				t.Fatalf("search before close: %v, %v", res, err)
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	_, _, err = seg.Search(context.Background(), q)
-	if !errors.Is(err, tklus.ErrClosed) {
-		t.Errorf("Search after Close: %v, want ErrClosed", err)
-	}
-	_, err = seg.SearchPartials(context.Background(), q)
-	if !errors.Is(err, tklus.ErrClosed) {
-		t.Errorf("SearchPartials after Close: %v, want ErrClosed", err)
-	}
-	_, err = seg.Evidence(q, 1, 0)
-	if !errors.Is(err, tklus.ErrClosed) {
-		t.Errorf("Evidence after Close: %v, want ErrClosed", err)
-	}
-	err = seg.Ingest(tklus.NewPost(7, time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC), loc, "late hotel"))
-	if !errors.Is(err, tklus.ErrClosed) {
-		t.Errorf("Ingest after Close: %v, want ErrClosed", err)
-	}
-	if err := seg.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
+			_, _, err = sys.Search(context.Background(), q)
+			if !errors.Is(err, tklus.ErrClosed) {
+				t.Errorf("Search after Close: %v, want ErrClosed", err)
+			}
+			_, err = sys.SearchPartials(context.Background(), q)
+			if !errors.Is(err, tklus.ErrClosed) {
+				t.Errorf("SearchPartials after Close: %v, want ErrClosed", err)
+			}
+			_, err = sys.Evidence(q, 1, 0)
+			if !errors.Is(err, tklus.ErrClosed) {
+				t.Errorf("Evidence after Close: %v, want ErrClosed", err)
+			}
+			err = sys.Ingest(tklus.NewPost(7, time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC), loc, "late hotel"))
+			if !errors.Is(err, tklus.ErrClosed) {
+				t.Errorf("Ingest after Close: %v, want ErrClosed", err)
+			}
+			if err := sys.Save(t.TempDir()); !errors.Is(err, tklus.ErrClosed) {
+				t.Errorf("Save after Close: %v, want ErrClosed", err)
+			}
+			if err := sys.Close(); err != nil {
+				t.Errorf("second Close: %v", err)
+			}
+		})
 	}
 }
 

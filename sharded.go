@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -147,6 +148,9 @@ func (sh *shard) ordered() []*shardReplica {
 // ShardedSystem routes TkLUS queries across geohash-partitioned shards.
 // It implements Searcher; results are byte-identical to a monolithic
 // System over the union corpus whenever every overlapping shard answers.
+// Built by BuildSharded it is read-only: it has no Ingest, and its shards
+// serve the corpus they were built over. A tier that takes ingest is a
+// ReplicatedShardedSystem.
 type ShardedSystem struct {
 	cfg      ShardingConfig
 	alpha    float64
@@ -157,8 +161,9 @@ type ShardedSystem struct {
 
 	// Systems holds the in-process shard systems when the tier was built
 	// with BuildSharded (they share one metadata database, popularity
-	// bounds and contents store, and each serves the build image of its own
-	// region's posts); empty for a router assembled by NewSharded.
+	// bounds and contents store, and each serves a store over the build
+	// image of its own region's posts); empty for a router assembled by
+	// NewSharded.
 	Systems []*System
 }
 
@@ -270,6 +275,9 @@ type shardImage struct {
 	name     string
 	prefixes []string
 	img      *segment.Segment
+	// owns reports whether a post's geohash prefix is one of prefixes: a
+	// copy of the shard indexes only the ingested posts it owns.
+	owns func(*Post) bool
 }
 
 // buildShards partitions the posts by geohash prefix into at most
@@ -295,7 +303,12 @@ func buildShards(posts []*Post, cfg Config, sc ShardingConfig) ([]shardImage, er
 		if err != nil {
 			return nil, fmt.Errorf("tklus: building %s index: %w", name, err)
 		}
-		images[i] = shardImage{name: name, prefixes: shardPrefixes[i], img: img}
+		prefixes := shardPrefixes[i]
+		slices.Sort(prefixes)
+		images[i] = shardImage{name: name, prefixes: prefixes, img: img, owns: func(p *Post) bool {
+			_, ok := slices.BinarySearch(prefixes, geo.Encode(p.Loc, sc.PrefixLen))
+			return ok
+		}}
 	}
 	return images, nil
 }
@@ -329,7 +342,7 @@ func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem,
 	specs := make([]ShardSpec, len(images))
 	systems := make([]*System, len(images))
 	for i, im := range images {
-		sys, err := newSystem(cfg, db, im.img, fsys, bounds, store)
+		sys, err := newSystem(cfg, db, fsys, bounds, store, im.owns, im.img)
 		if err != nil {
 			return nil, fmt.Errorf("tklus: %s: %w", im.name, err)
 		}

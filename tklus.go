@@ -120,14 +120,13 @@ var (
 	// ErrOverloaded marks a query shed by admission control before any
 	// search work ran; back off and retry.
 	ErrOverloaded = core.ErrOverloaded
-	// ErrClosed marks a search or ingest on a system whose segment store
-	// was closed.
+	// ErrClosed marks a search or ingest on a closed system.
 	ErrClosed = core.ErrClosed
 )
 
 // Searcher is the one query interface every serving arrangement
-// implements: a single monolithic System (over its build image or, after
-// EnableSegments, its segment store), a geo-sharded ShardedSystem, and a
+// implements: a single monolithic System (over its segment store, on the
+// heap or in a directory), a geo-sharded ShardedSystem, and a
 // cross-platform Federation. Code written against Searcher — the HTTP
 // server included — runs unchanged over any of them. The context carries
 // cancellation and the deadline budget; implementations abort early once
@@ -225,10 +224,6 @@ func DefaultConfig(opts ...Option) Config {
 type System struct {
 	Engine *core.Engine
 	DB     *metadb.DB
-	// Index is the build image: the hybrid index over the corpus Build (or
-	// the snapshot Load) started from, and the rows it indexes. Immutable;
-	// ingest never reaches it.
-	Index  *segment.Segment
 	FS     *dfs.FS
 	Bounds *thread.Bounds
 	// Contents resolves tweet IDs to their raw texts, stored in the DFS
@@ -237,10 +232,10 @@ type System struct {
 	// PopCache is always nil: only the frozen internal/bench harness reads
 	// it — delete with the harness's next move (ROADMAP 1(d)).
 	PopCache *popCacheStub
-	// Store, once EnableSegments installs it, is what the engine's
-	// partitions read from; nil on a system serving its build image. Every
-	// store mutation (add, seal, compact, close) and the partition swap
-	// after it happen under ingestMu.
+	// Store is the hybrid index the engine reads: sealed segments, the build
+	// image first, then the memtable ingest indexes into; on the heap until
+	// EnableSegments attaches a directory. Every store mutation and the
+	// partition swap after it happen under ingestMu.
 	Store *segment.Store
 	// BuildTime is the wall-clock construction duration.
 	BuildTime time.Duration
@@ -248,6 +243,9 @@ type System struct {
 	// system built fresh from posts. Immutable after Load.
 	Recovery *RecoveryStats
 
+	// indexes, when set, picks the ingested posts the store indexes (a
+	// shard's own region); the DB and bounds take every post.
+	indexes func(*Post) bool
 	// ingestMu serializes Ingest against the snapshot capture in Save —
 	// the consistency point that makes "snapshot + remaining WAL" always
 	// equal the live state. Searches never take it.
@@ -255,13 +253,14 @@ type System struct {
 	// wal, when attached by EnableWAL, receives every ingested post before
 	// Ingest returns. Guarded by ingestMu.
 	wal *wal.Log
-	// storeClosed fails ingest once Close has unmapped the store.
-	storeClosed bool
+	// closed fails ingest once Close has closed the store.
+	closed bool
 	// stopCompact / compactDone run the background compaction loop
 	// EnableSegments starts when CompactInterval is set.
 	stopCompact chan struct{}
 	compactDone chan struct{}
-	// saveMu serializes whole Save calls (snapshot sequencing + GC).
+	// saveMu serializes whole Save calls (snapshot sequencing + GC), and
+	// Close against a Save still writing the segments out.
 	saveMu sync.Mutex
 	// snapshotsSaved / lastSnapshotUnix feed the persistence metrics;
 	// accessed atomically.
@@ -271,9 +270,9 @@ type System struct {
 
 // Build loads the posts into the metadata database, indexes them into one
 // segment image (segment.FromPosts: the memtable ingest indexes through,
-// sealed in memory), counts every thread's level sizes into the popularity
-// table, and returns a queryable system. Two posts with one SID fail with
-// metadb.ErrRejected.
+// sealed in memory) that becomes the first sealed segment of a heap store,
+// counts every thread's level sizes into the popularity table, and returns a
+// queryable system. Two posts with one SID fail with metadb.ErrRejected.
 func Build(posts []*Post, cfg Config) (*System, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("tklus: no posts to index")
@@ -288,12 +287,12 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("tklus: building hybrid index: %w", err)
 	}
 	fsys := dfs.New(cfg.DFS)
-	store, err := contents.BuildStore(fsys, posts, "contents")
+	texts, err := contents.BuildStore(fsys, posts, "contents")
 	if err != nil {
 		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
 	}
 	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
-	sys, err := newSystem(cfg, db, img, fsys, bounds, store)
+	sys, err := newSystem(cfg, db, fsys, bounds, texts, nil, img)
 	if err != nil {
 		return nil, err
 	}
@@ -301,32 +300,33 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// newSystem is the one place a System is assembled — the engine over its
-// build image, which answers for both the postings and the rows behind
-// them — so a fresh build, a shard, a replica and a snapshot recovery all
-// come up with the same serving surface.
-func newSystem(cfg Config, db *metadb.DB, img *segment.Segment, fsys *dfs.FS,
-	bounds *thread.Bounds, store *contents.Store) (*System, error) {
-	engine, err := core.NewPartitionedEngine([]core.Partition{{Source: img, Rows: img}}, db, bounds, cfg.Engine)
+// newSystem is the one place a System is assembled — a heap store over the
+// sealed segments and the engine over its views — so a build, a shard, a
+// replica and a snapshot recovery all come up with the same serving surface.
+func newSystem(cfg Config, db *metadb.DB, fsys *dfs.FS, bounds *thread.Bounds,
+	texts *contents.Store, indexes func(*Post) bool, sealed ...*segment.Segment) (*System, error) {
+	store, err := segment.OpenHeap(segment.Options{
+		GeohashLen: sealed[0].GeohashLen(),
+		BlockSize:  cfg.Index.BlockSize,
+	}, sealed...)
+	if err != nil {
+		return nil, fmt.Errorf("tklus: opening the store: %w", err)
+	}
+	engine, err := core.NewPartitionedEngine(partitions(store), db, bounds, cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: creating engine: %w", err)
 	}
-	return &System{Engine: engine, DB: db, Index: img, FS: fsys, Bounds: bounds, Contents: store}, nil
+	return &System{Engine: engine, DB: db, Store: store, FS: fsys, Bounds: bounds, Contents: texts, indexes: indexes}, nil
 }
 
 // Ingest appends live posts to the centralized metadata database, in
 // timestamp order (each SID must exceed every stored one — IDs are
-// timestamps, Section IV-A). Ingested replies and forwards extend tweet
-// threads immediately: each one is counted into the level-count table every
-// search derives φ(p) from, so the next query sees the updated φ(p).
-// Keywords of ingested posts enter the hybrid inverted index only at the
-// next batch build (the paper's periodic index construction), so a
-// brand-new post becomes a *candidate* then — but its effect on existing
-// candidates' thread popularity is immediate. With a segment store
-// installed (EnableSegments) the memtable indexes each post on the way
-// through, so it is a candidate for the very next query; crossing a
-// time-bucket boundary seals the memtable and swaps the engine's
-// partitions.
+// timestamps, Section IV-A), and indexes each one in the store's memtable,
+// so an acknowledged post is a candidate for the very next query. Ingested
+// replies and forwards extend tweet threads immediately: each one is
+// counted into the level-count table every search derives φ(p) from, so the
+// next query sees the updated φ(p). Crossing a time-bucket boundary seals
+// the memtable and swaps the engine's partitions.
 //
 // When a WAL is attached (EnableWAL), each post is logged after it is
 // applied and before Ingest returns, under the configured fsync policy —
@@ -364,7 +364,7 @@ func (s *System) IngestContext(ctx context.Context, posts ...*Post) error {
 func (s *System) ingest(posts []*Post, timed bool, dbDur, walDur *time.Duration) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if s.storeClosed {
+	if s.closed {
 		return fmt.Errorf("tklus: ingest: %w", ErrClosed)
 	}
 	for _, p := range posts {
@@ -391,14 +391,15 @@ func (s *System) ingest(posts []*Post, timed bool, dbDur, walDur *time.Duration)
 		if p.RSID != social.NoPost {
 			s.extendThreads(p)
 		}
-		if s.Store != nil {
-			sealed, err := s.Store.Add(p)
-			if sealed {
-				s.publishPartitions()
-			}
-			if err != nil {
-				return err
-			}
+		if s.indexes != nil && !s.indexes(p) {
+			continue
+		}
+		sealed, err := s.Store.Add(p)
+		if sealed {
+			s.publishPartitions()
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -439,8 +440,8 @@ func (s *System) Thread(root PostID) ([]ThreadNode, float64) {
 // that made them a candidate for q — the "(userId, tweet content)" result
 // lines the paper's user study presents to judges. limit caps the number
 // of tweets (0 = no cap). The contents store is written at build time, so
-// a candidate ingested since (a segment store indexes those at once)
-// contributes no line.
+// a post ingested since, though a candidate from the next query on,
+// contributes no line (ROADMAP 16(d)).
 func (s *System) Evidence(q Query, uid UserID, limit int) ([]string, error) {
 	sids, err := s.Engine.Evidence(q, uid, 0)
 	if err != nil {

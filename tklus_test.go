@@ -29,7 +29,7 @@ func buildSystem(t testing.TB, posts int) (*tklus.System, *datagen.Corpus) {
 
 func TestBuildAndSearchEndToEnd(t *testing.T) {
 	sys, corpus := buildSystem(t, 8000)
-	if sys.Index.NumKeys() == 0 {
+	if sys.Store.NumKeys() == 0 {
 		t.Fatal("index has no keys")
 	}
 	if sys.BuildTime <= 0 {
