@@ -32,18 +32,21 @@ vet:
 	$(GO) vet ./...
 	cd internal/bench && $(GO) vet ./...
 
-# Durability lane: crash-inject every filesystem step of Save, segment
-# seal and compaction, corrupt every snapshot and segment artifact, replay
-# the WAL after simulated crashes, race checkpoints against live ingest,
-# burst client cancellations at the sharded tier's breakers, and drive the
-# segment store's lifecycle (durable reopen through either Save receiver,
-# one engine behind every read path, use after Close, searches racing
-# seals, compaction and checkpoints) — all under -race. The WAL and segment
-# packages' own tests (torn tails, segment rotation, record framing, the
-# segment corruption matrix) ride along.
+# Durability lane: crash-inject every filesystem step of Save (a seal, and
+# a save replacing another store's checkpoint), segment seal and
+# compaction, corrupt every committed segment-store artifact, refuse older
+# formats, round-trip Save + Load (one store, the WAL replayed once, no
+# bytes copied by a repeated Save, the gc), replay the WAL after simulated
+# crashes, race checkpoints against live ingest, burst client cancellations
+# at the sharded tier's breakers, and drive the segment store's lifecycle
+# (durable reopen through either Save receiver, one engine behind every read
+# path, use after Close, searches racing seals, compaction and checkpoints)
+# — all under -race. The WAL and segment packages' own tests (torn tails,
+# segment rotation, record framing, the segment corruption matrix) ride
+# along.
 test-crash:
 	$(GO) test -race -count=1 \
-		-run 'CrashInjection|Corruption|WALRecovery|WALReplay|WALTornTail|SaveRacesIngest|BreakerIgnoresClientCancellation|SegmentedDurableReopen|SegmentedFreshKeywordVisible|SegmentedUseAfterClose|SegmentedConcurrentLifecycle' .
+		-run 'CrashInjection|Corruption|WALRecovery|WALReplay|WALTornTail|RestartReplaysWALOnce|SaveLoad|RepeatedSave|SaveToUnwritable|LoadMissing|LoadVersionMismatch|LoadRefuses|SnapshotStoresEachRowOnce|SnapshotGCSegmentAware|SaveRacesIngest|BreakerIgnoresClientCancellation|SegmentedDurableReopen|SegmentedFreshKeywordVisible|SegmentedUseAfterClose|SegmentedConcurrentLifecycle' .
 	$(GO) test -race -count=1 ./internal/wal/ ./internal/fsx/... ./internal/segment/
 
 # Replication lane: the replica-group machinery under -race — WAL-shipped
@@ -98,7 +101,8 @@ flake:
 	$(GO) test -race -count=20 ./internal/core/ ./internal/thread/ ./internal/segment/ ./internal/metadb/
 
 # Fuzz lane: every Fuzz* target in the module (hostile segment images,
-# postings payloads and keys, geohash cells, stemming and tokenising, shard
+# postings payloads and keys, geohash cells, circle covers against points
+# the spherical destination formula draws, stemming and tokenising, shard
 # partials at the router) fuzzed for 10 s each; the targets are found by
 # name, so a new one joins without an edit here. Stops at the first failure,
 # whose input `go test` saves under the package's testdata/fuzz.

@@ -1,12 +1,13 @@
 // Command tklus-index builds the serving system over a JSONL corpus —
-// the metadata database, the hybrid index frozen into one segment image
-// (the first sealed segment of the system's store), the tweet contents —
-// and reports what the store holds (keys, rows, bytes). The paper's
+// the metadata database and the hybrid index frozen into one segment image
+// (the first sealed segment of the system's store, with the rows and tweet
+// texts behind it) — and reports what the store holds (keys, rows, bytes). The paper's
 // MapReduce build and its Figures 5 and 6 counters are measured by
 // cmd/tklus-bench (-fig 5, 5w, 6).
 //
 // Without -save this is a construction dry run; with it, the system is
-// persisted for cmd/tklus-query -load.
+// checkpointed (<dir>/segments) for cmd/tklus-query -load and
+// cmd/tklus-server -data.
 //
 // Usage:
 //

@@ -1,11 +1,11 @@
-// Command tklus-server serves TkLUS queries over HTTP. It either builds
-// the system from a JSONL corpus or loads an image saved by
-// tklus-index -save.
+// Command tklus-server serves TkLUS queries over HTTP. It builds the
+// system from a JSONL corpus, or with -data reopens the directory a previous
+// run (or tklus-index -save) checkpointed.
 //
 // Usage:
 //
 //	tklus-server -in corpus.jsonl -addr :8080
-//	tklus-server -load ./sysimg  -addr :8080 -debug -slow-query 250ms
+//	tklus-server -data ./sysimg  -addr :8080 -debug -slow-query 250ms
 //	tklus-server -in corpus.jsonl -shards 4    # in-process sharded tier
 //
 //	curl 'localhost:8080/search?lat=43.68&lon=-79.37&radius=10&keywords=hotel&k=5'
@@ -45,13 +45,12 @@ func main() {
 	var (
 		in     = flag.String("in", "corpus.jsonl", "input corpus")
 		format = flag.String("format", "jsonl", "input format: jsonl | twitter (REST v1.1 statuses)")
-		load   = flag.String("load", "", "load a saved system image instead of rebuilding")
 		addr   = flag.String("addr", ":8080", "listen address")
 		debug  = flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 		slowQ  = flag.Duration("slow-query", 250*time.Millisecond,
 			"log queries at or above this duration (0 disables the slow-query log)")
 		shards = flag.Int("shards", 0,
-			"serve an in-process sharded tier with this many geo-shards (0 = monolithic; incompatible with -load)")
+			"serve an in-process sharded tier with this many geo-shards (0 = monolithic; incompatible with -data)")
 		replicas = flag.Int("replicas", 1,
 			"replicas per shard when -shards > 0: one leader plus N-1 WAL-shipped followers with lease-based failover (1 = unreplicated)")
 		replicaDir = flag.String("replica-dir", "",
@@ -59,11 +58,11 @@ func main() {
 		shutdownTimeout = flag.Duration("shutdown-timeout", 10*time.Second,
 			"how long to drain in-flight queries on SIGINT/SIGTERM")
 		data = flag.String("data", "",
-			"durable data directory: load the committed snapshot (or build from -in on first boot), replay and append the ingest WAL, checkpoint periodically and on shutdown (monolithic only)")
+			"durable data directory: reopen its segment store and replay its ingest WAL (or build from -in on first boot), serve from <data>/segments, append to the WAL, checkpoint periodically and on shutdown (monolithic only)")
 		walSync = flag.String("wal-sync", "record",
 			"ingest WAL fsync policy: record | interval | off")
 		checkpointInterval = flag.Duration("checkpoint-interval", 15*time.Minute,
-			"how often to commit a fresh snapshot of the -data directory (0 disables periodic checkpoints)")
+			"how often to checkpoint the -data directory: seal the memtable and truncate the WAL (0 disables periodic checkpoints)")
 		segmentBucket = flag.Duration("segment-bucket", 30*24*time.Hour,
 			"with -data: segment time-bucket width of <data>/segments; ingest seals the memtable when a post crosses a bucket boundary")
 		compactInterval = flag.Duration("compact-interval", 0,
@@ -117,7 +116,7 @@ func main() {
 	}
 
 	// Bind the listener before building the system so probes get answers
-	// during a long snapshot load or WAL replay: /healthz says the process
+	// during a long store open or WAL replay: /healthz says the process
 	// is alive, /readyz says 503 until the real handler is swapped in.
 	boot := &swapHandler{}
 	boot.Store(http.HandlerFunc(notReady))
@@ -138,8 +137,8 @@ func main() {
 	var durable *tklus.System // non-nil when -data owns persistence
 	var mono *tklus.System    // the one system of an unsharded server
 	if *shards > 0 {
-		if *load != "" || *data != "" {
-			logger.Error("-shards cannot be combined with -load or -data (images are monolithic)")
+		if *data != "" {
+			logger.Error("-shards cannot be combined with -data (checkpoints are monolithic)")
 			os.Exit(1)
 		}
 		posts, err := ingest.Load(*in, *format)
@@ -187,9 +186,11 @@ func main() {
 		var err error
 		switch {
 		case *data != "":
-			sys, err = openDurable(logger, *data, *in, *format, tklus.DefaultConfig())
-		case *load != "":
-			sys, err = tklus.Load(*load, tklus.DefaultConfig())
+			sys, err = openDurable(logger, *data, *in, *format, tklus.DefaultConfig(), tklus.SegmentOptions{
+				Dir:             filepath.Join(*data, "segments"),
+				BucketWidth:     *segmentBucket,
+				CompactInterval: *compactInterval,
+			})
 		default:
 			var posts []*tklus.Post
 			if posts, err = ingest.Load(*in, *format); err != nil {
@@ -214,20 +215,6 @@ func main() {
 			}
 			durable = sys
 			logger.Info("ingest WAL enabled", "dir", *data, "sync", policy.String())
-			segOpts := tklus.SegmentOptions{
-				Dir:             filepath.Join(*data, "segments"),
-				WALDir:          *data,
-				BucketWidth:     *segmentBucket,
-				CompactInterval: *compactInterval,
-			}
-			if _, err := tklus.EnableSegments(sys, segOpts); err != nil {
-				logger.Error("attaching the segment directory", "err", err)
-				os.Exit(1)
-			}
-			logger.Info("segment directory attached",
-				"dir", segOpts.Dir, "segments", sys.Store.SegmentCount(),
-				"memtable_rows", sys.Store.Memtable().Len(),
-				"bucket", segmentBucket.String(), "compact_interval", compactInterval.String())
 		}
 		mono = sys
 		handler = server.NewWith(sys, opts)
@@ -252,8 +239,8 @@ func main() {
 	defer stop()
 
 	// Periodic checkpoints bound the WAL replay a crash would cost. Save
-	// runs concurrently with serving: it captures a consistent view under
-	// the ingest lock and writes the snapshot outside it.
+	// runs concurrently with serving: it seals the memtable and rotates the
+	// WAL under the ingest lock.
 	if durable != nil && *checkpointInterval > 0 {
 		go func() {
 			ticker := time.NewTicker(*checkpointInterval)
@@ -290,8 +277,8 @@ func main() {
 		srv.Close()
 	}
 
-	// Final checkpoint: fold every ingested post into the snapshot so the
-	// next boot replays an empty (or tiny) WAL.
+	// Final checkpoint: seal every ingested post into a segment so the next
+	// boot replays an empty (or tiny) WAL.
 	if durable != nil {
 		if err := checkpoint(tracer, durable, *data); err != nil {
 			logger.Error("final checkpoint failed (WAL still covers the ingests)", "err", err)
@@ -348,12 +335,12 @@ func notReady(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Retry-After", "1")
-	http.Error(w, "starting: snapshot load / WAL replay in progress", http.StatusServiceUnavailable)
+	http.Error(w, "starting: store open / WAL replay in progress", http.StatusServiceUnavailable)
 }
 
-// checkpoint commits one snapshot, under its own trace when tracing is on
+// checkpoint commits one checkpoint, under its own trace when tracing is on
 // (checkpoints are background work, so each Save roots a fresh trace; the
-// save/capture/write/commit/gc phases land as its child spans).
+// save/capture/gc phases land as its child spans).
 func checkpoint(tracer *telemetry.Tracer, sys *tklus.System, dir string) error {
 	span := tracer.StartTrace("checkpoint")
 	err := sys.SaveContext(telemetry.ContextWithSpan(context.Background(), span), dir)
@@ -362,47 +349,52 @@ func checkpoint(tracer *telemetry.Tracer, sys *tklus.System, dir string) error {
 	return err
 }
 
-// openDurable resolves the -data directory: load the committed snapshot
-// when there is one (the normal restart path, WAL replayed inside Load),
-// otherwise build from the corpus and replay any WAL a first boot left
-// behind before it managed to commit a snapshot.
-func openDurable(logger *slog.Logger, dataDir, in, format string, cfg tklus.Config) (*tklus.System, error) {
+// openDurable resolves the -data directory: reopen its committed segment
+// store when there is one (the normal restart path, WAL replayed inside
+// Load), otherwise build from the corpus and replay any WAL a first boot
+// left behind before it managed to commit. Either way the system then
+// serves from <data>/segments: a first boot writes the build there.
+func openDurable(logger *slog.Logger, dataDir, in, format string, cfg tklus.Config, segOpts tklus.SegmentOptions) (*tklus.System, error) {
+	var sys *tklus.System
 	if tklus.SnapshotExists(dataDir) {
-		sys, err := tklus.Load(dataDir, cfg)
-		if err != nil {
+		var err error
+		if sys, err = tklus.Load(dataDir, cfg); err != nil {
 			return nil, err
 		}
-		logger.Info("recovered from snapshot",
-			"snapshot", sys.Recovery.Snapshot,
+		logger.Info("recovered from checkpoint",
+			"segments", sys.Recovery.Segments,
 			"wal_replayed", sys.Recovery.WALRecordsReplayed,
 			"wal_skipped", sys.Recovery.WALRecordsSkipped,
 			"wal_bytes", sys.Recovery.WALBytes,
 			"replay", sys.Recovery.WALReplayDuration.String(),
 			"torn_tail", sys.Recovery.WALTornTail)
-		return sys, nil
+	} else {
+		posts, err := ingest.Load(in, format)
+		if err != nil {
+			return nil, err
+		}
+		if sys, err = tklus.Build(posts, cfg); err != nil {
+			return nil, err
+		}
+		rec, err := sys.ReplayWAL(dataDir)
+		if err != nil {
+			return nil, err
+		}
+		if rec.WALRecordsReplayed > 0 || rec.WALRecordsSkipped > 0 {
+			logger.Info("replayed WAL over corpus build",
+				"wal_replayed", rec.WALRecordsReplayed, "wal_skipped", rec.WALRecordsSkipped)
+		}
 	}
-	posts, err := ingest.Load(in, format)
-	if err != nil {
+	// A first boot writes the build into the directory, so a crash from here
+	// on recovers from disk instead of re-reading the corpus; a restart only
+	// applies the options to the store Load opened.
+	if _, err := tklus.EnableSegments(sys, segOpts); err != nil {
 		return nil, err
 	}
-	sys, err := tklus.Build(posts, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := sys.ReplayWAL(dataDir)
-	if err != nil {
-		return nil, err
-	}
-	if rec.WALRecordsReplayed > 0 || rec.WALRecordsSkipped > 0 {
-		logger.Info("replayed WAL over corpus build",
-			"wal_replayed", rec.WALRecordsReplayed, "wal_skipped", rec.WALRecordsSkipped)
-	}
-	// Commit the base snapshot now: from here on a crash recovers from
-	// disk instead of re-reading the corpus.
-	if err := sys.Save(dataDir); err != nil {
-		return nil, err
-	}
-	logger.Info("initial snapshot committed", "dir", dataDir, "rows", sys.DB.Len())
+	logger.Info("segment directory attached",
+		"dir", segOpts.Dir, "segments", sys.Store.SegmentCount(),
+		"memtable_rows", sys.Store.Memtable().Len(), "rows", sys.DB.Len(),
+		"bucket", segOpts.BucketWidth.String(), "compact_interval", segOpts.CompactInterval.String())
 	return sys, nil
 }
 

@@ -44,7 +44,7 @@ func equalResults(a, b []tklus.UserResult) bool {
 }
 
 // extraReplies builds n replies dated after the base corpus, round-robin
-// across the three root threads, to ingest on top of a committed snapshot.
+// across the three root threads, to ingest on top of a committed checkpoint.
 func extraReplies(roots []*tklus.Post, loc tklus.Point, n int) []*tklus.Post {
 	at := time.Date(2013, 5, 1, 0, 0, 0, 0, time.UTC)
 	var extras []*tklus.Post
@@ -57,11 +57,19 @@ func extraReplies(roots []*tklus.Post, loc tklus.Point, n int) []*tklus.Post {
 
 // TestSaveCrashInjection kills Save immediately before every single
 // filesystem mutation it performs — create, fsync, rename, mkdir, remove —
-// and asserts the data directory recovers at every kill point: Load must
-// succeed (the old snapshot before the commit rename, the new one after),
-// and because the extra ingests are in the WAL, the recovered query results
-// must be byte-identical to a run that never crashed.
+// and asserts the data directory recovers at every kill point. A checkpoint
+// of a system serving from the directory seals its memtable: Load must
+// succeed (the old segment set before the CURRENT rename, the new one
+// after), and because the extra ingests are in the WAL, the recovered query
+// results must be byte-identical to a run that never crashed. A heap
+// system's Save over a directory another system committed replaces that
+// store: Load answers as the old checkpoint or as the new one, never a mix.
 func TestSaveCrashInjection(t *testing.T) {
+	t.Run("seal", testSealCrashInjection)
+	t.Run("replace", testReplaceCrashInjection)
+}
+
+func testSealCrashInjection(t *testing.T) {
 	posts, loc, roots := ingestCorpus()
 	extras := extraReplies(roots, loc, 6)
 
@@ -121,7 +129,7 @@ func TestSaveCrashInjection(t *testing.T) {
 			return
 		}
 
-		// Post-commit steps (snapshot GC) swallow injected errors by design,
+		// Post-commit steps (the gc) swallow injected errors by design,
 		// so saveErr may be nil even though the hook tripped. Either way the
 		// directory must load and replay to the uninterrupted results.
 		loaded, err := tklus.Load(dir, tklus.DefaultConfig())
@@ -134,7 +142,64 @@ func TestSaveCrashInjection(t *testing.T) {
 	}
 }
 
-// TestWALRecoveryWithoutSave is the plain crash story: a snapshot is
+func testReplaceCrashInjection(t *testing.T) {
+	posts, loc, roots := ingestCorpus()
+	all := append(append([]*tklus.Post{}, posts...), extraReplies(roots, loc, 6)...)
+	old, err := tklus.Build(posts, tklus.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := filepath.Join(t.TempDir(), "old")
+	if err := old.Save(saved); err != nil {
+		t.Fatal(err)
+	}
+	wantOld := searchHotel(t, old, loc)
+	sys, err := tklus.Build(all, tklus.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNew := searchHotel(t, sys, loc)
+	if equalResults(wantOld, wantNew) {
+		t.Fatal("the old and the new checkpoint answer alike: the test could not tell them apart")
+	}
+
+	for kill := 1; ; kill++ {
+		dir := filepath.Join(t.TempDir(), "data")
+		copyDir(t, saved, dir)
+		ops, tripped := 0, false
+		fsx.SetHook(func(op fsx.Op, path string) error {
+			ops++
+			if ops == kill {
+				tripped = true
+				return errInjectedCrash
+			}
+			return nil
+		})
+		saveErr := sys.Save(dir)
+		fsx.SetHook(nil)
+		loaded, err := tklus.Load(dir, tklus.DefaultConfig())
+		if err != nil {
+			t.Fatalf("kill point %d (save err: %v): load failed: %v", kill, saveErr, err)
+		}
+		got := searchHotel(t, loaded, loc)
+		loaded.Close()
+		if !tripped {
+			if saveErr != nil {
+				t.Fatalf("uninterrupted save failed: %v", saveErr)
+			}
+			if !equalResults(got, wantNew) {
+				t.Fatalf("clean save: recovered results %v, want %v", got, wantNew)
+			}
+			t.Logf("replacing save performs %d filesystem operations; all kill points recovered", kill-1)
+			return
+		}
+		if !equalResults(got, wantOld) && !equalResults(got, wantNew) {
+			t.Fatalf("kill point %d: recovered results %v, want the old %v or the new %v", kill, got, wantOld, wantNew)
+		}
+	}
+}
+
+// TestWALRecoveryWithoutSave is the plain crash story: a checkpoint is
 // committed, more posts are ingested (reaching only the WAL), and the
 // process dies without ever checkpointing again. Load must replay every
 // logged record through the normal Ingest path and land on results
@@ -183,8 +248,8 @@ func TestWALRecoveryWithoutSave(t *testing.T) {
 }
 
 // TestWALReplaySkipsSnapshottedRecords pins the idempotence rule: when the
-// process dies after the snapshot commit rename but before the WAL is
-// truncated, the log still holds records the snapshot already contains.
+// process dies after a checkpoint's seal committed but before the WAL is
+// truncated, the log still holds records a sealed segment already contains.
 // Replay must skip them by SID — re-ingesting would fail (or double-count)
 // — and still produce the uninterrupted results.
 func TestWALReplaySkipsSnapshottedRecords(t *testing.T) {
@@ -207,26 +272,21 @@ func TestWALReplaySkipsSnapshottedRecords(t *testing.T) {
 	}
 	want := searchHotel(t, sys, loc)
 
-	// Kill the second Save at the directory fsync right after the CURRENT
-	// rename: the new snapshot is committed, the WAL was never truncated.
-	dirsyncs := 0
-	fsx.SetHook(func(op fsx.Op, path string) error {
-		if op == fsx.OpDirSync && path == dir {
-			dirsyncs++
-			if dirsyncs == 2 {
-				return errInjectedCrash
-			}
-		}
-		return nil
-	})
-	saveErr := sys.Save(dir)
-	fsx.SetHook(nil)
-	if !errors.Is(saveErr, errInjectedCrash) {
-		t.Fatalf("injected crash did not surface: %v", saveErr)
+	// Crash after the second Save committed its seal but before it
+	// truncated the WAL: put back the log as it stood before the Save.
+	walDir := filepath.Join(dir, "wal")
+	logged := filepath.Join(t.TempDir(), "wal")
+	copyDir(t, walDir, logged)
+	if err := sys.Save(dir); err != nil {
+		t.Fatal(err)
 	}
 	if err := sys.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.RemoveAll(walDir); err != nil {
+		t.Fatal(err)
+	}
+	copyDir(t, logged, walDir)
 
 	loaded, err := tklus.Load(dir, tklus.DefaultConfig())
 	if err != nil {
@@ -236,7 +296,7 @@ func TestWALReplaySkipsSnapshottedRecords(t *testing.T) {
 		t.Errorf("skipped %d WAL records, want %d (stats %+v)", got, len(extras), loaded.Recovery)
 	}
 	if loaded.Recovery.WALRecordsReplayed != 0 {
-		t.Errorf("replayed %d WAL records, want 0 (all are in the snapshot)",
+		t.Errorf("replayed %d WAL records, want 0 (all are in a sealed segment)",
 			loaded.Recovery.WALRecordsReplayed)
 	}
 	if got := searchHotel(t, loaded, loc); !equalResults(got, want) {

@@ -70,7 +70,7 @@ func main() {
 	fmt.Printf("\ntheir top tweet leads a thread of %d tweets (popularity %.2f):\n",
 		len(nodes), popularity)
 	for _, n := range nodes {
-		text, _ := sys.Contents.Text(n.SID)
+		text, _ := sys.Store.Text(n.SID)
 		fmt.Printf("  %s user %d: %s\n", strings.Repeat("  ", n.Level-1), n.UID, text)
 	}
 }

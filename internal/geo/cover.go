@@ -15,7 +15,8 @@ import (
 // matching the contiguous layout of the inverted index in the DFS.
 //
 // The cover is computed by walking the regular lat/lon grid implied by the
-// precision over the circle's bounding rectangle and keeping cells whose
+// precision over the circle's bounding rectangles (two across the
+// antimeridian, every longitude around a pole) and keeping cells whose
 // minimum distance to the center is within the radius. A quadtree descent
 // would produce the same set; the grid walk is simpler and exact for the
 // uniform subdivision geohash uses.
@@ -24,32 +25,30 @@ func CircleCover(center Point, radiusKm float64, precision int) []string {
 		radiusKm = 0
 	}
 	latSpan, lonSpan := CellSizeDegrees(precision)
-	box := BoundingRect(center, radiusKm)
-
-	// Snap the walk to cell boundaries so each step lands in a distinct cell.
-	startLat := snapDown(box.MinLat, -90, latSpan)
-	startLon := snapDown(box.MinLon, -180, lonSpan)
-
 	seen := make(map[string]struct{})
 	out := make([]string, 0, 8)
-	for lat := startLat; lat <= box.MaxLat; lat += latSpan {
-		cLat := lat + latSpan/2
-		if cLat >= 90 || cLat <= -90 {
-			continue
-		}
-		for lon := startLon; lon <= box.MaxLon; lon += lonSpan {
-			cLon := lon + lonSpan/2
-			if cLon >= 180 || cLon <= -180 {
+	for _, box := range BoundingRect(center, radiusKm) {
+		// Snap the walk to cell boundaries so each step lands in a distinct cell.
+		startLat := snapDown(box.MinLat, -90, latSpan)
+		startLon := snapDown(box.MinLon, -180, lonSpan)
+		for lat := startLat; lat <= box.MaxLat; lat += latSpan {
+			cLat := lat + latSpan/2
+			if cLat >= 90 || cLat <= -90 {
 				continue
 			}
-			h := Encode(Point{Lat: cLat, Lon: cLon}, precision)
-			if _, dup := seen[h]; dup {
-				continue
-			}
-			seen[h] = struct{}{}
-			cell := MustDecodeCell(h)
-			if MinDistanceKm(center, cell) <= radiusKm {
-				out = append(out, h)
+			for lon := startLon; lon <= box.MaxLon; lon += lonSpan {
+				cLon := lon + lonSpan/2
+				if cLon >= 180 || cLon <= -180 {
+					continue
+				}
+				h := Encode(Point{Lat: cLat, Lon: cLon}, precision)
+				if _, dup := seen[h]; dup {
+					continue
+				}
+				seen[h] = struct{}{}
+				if MinDistanceKm(center, MustDecodeCell(h)) <= radiusKm {
+					out = append(out, h)
+				}
 			}
 		}
 	}

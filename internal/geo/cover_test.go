@@ -7,14 +7,33 @@ import (
 	"testing"
 )
 
+// coverPrecision keeps a cover's grid walk small: coarse cells for the
+// continental radii, the index's 4 characters for city-sized ones.
+func coverPrecision(radiusKm float64, want int) int {
+	switch {
+	case radiusKm > 1000:
+		return min(want, 2)
+	case radiusKm > 150:
+		return min(want, 3)
+	}
+	return want
+}
+
+// TestCircleCoverCompleteness: every point within the radius lies in some
+// cover cell — the property query correctness rests on (Section IV-B1) —
+// for centres anywhere on the sphere, poles and the antimeridian included,
+// and radii from 1 to 3000 km. The points are drawn with the spherical
+// destination formula at a random bearing and a distance up to the radius, never from
+// the cover's own bounding rectangle: sampled from that rectangle, as this
+// test once did, a point the rectangle misses is never drawn, so the test
+// could not fail.
 func TestCircleCoverCompleteness(t *testing.T) {
-	// Property required by query correctness (Section IV-B1): every point
-	// within the radius lies in some cover cell.
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 40; trial++ {
-		center := Point{Lat: rng.Float64()*120 - 60, Lon: rng.Float64()*340 - 170}
-		radius := rng.Float64()*40 + 1
+	for trial := 0; trial < 150; trial++ {
+		center := Point{Lat: math.Asin(2*rng.Float64()-1) * 180 / math.Pi, Lon: rng.Float64()*360 - 180}
+		radius := math.Exp(rng.Float64() * math.Log(3000))
 		for precision := 2; precision <= 4; precision++ {
+			precision := coverPrecision(radius, precision)
 			cover := CircleCover(center, radius, precision)
 			if len(cover) == 0 {
 				t.Fatalf("empty cover for center=%v r=%.1f precision=%d", center, radius, precision)
@@ -22,19 +41,42 @@ func TestCircleCoverCompleteness(t *testing.T) {
 			if !sort.StringsAreSorted(cover) {
 				t.Fatalf("cover not sorted (Z-order): %v", cover)
 			}
-			for i := 0; i < 50; i++ {
-				// Random point inside the circle via rejection sampling on the box.
-				box := BoundingRect(center, radius)
-				p := Point{
-					Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat),
-					Lon: box.MinLon + rng.Float64()*(box.MaxLon-box.MinLon),
-				}
+			for i := 0; i < 60; i++ {
+				p := destination(center, radius*math.Sqrt(rng.Float64()), rng.Float64()*2*math.Pi)
 				if HaversineKm(center, p) > radius {
-					continue
+					continue // rounding put it a hair outside
 				}
 				if !CoverContains(cover, p) {
-					t.Fatalf("point %v at %.2f km not covered (center=%v r=%.1f precision=%d cover=%v)",
-						p, HaversineKm(center, p), center, radius, precision, cover)
+					t.Fatalf("point %v at %.3f km not covered (center=%v r=%.1f precision=%d)",
+						p, HaversineKm(center, p), center, radius, precision)
+				}
+			}
+		}
+	}
+}
+
+// TestCircleCoverAtTheSeamAndPoles pins the three circles that once lost
+// in-radius points: across the antimeridian, around the north pole, and a
+// wide circle at 60°N whose flanks reach past d / cos(lat) in longitude.
+func TestCircleCoverAtTheSeamAndPoles(t *testing.T) {
+	for _, c := range []struct {
+		center   Point
+		radiusKm float64
+		inside   []Point
+	}{
+		{Point{Lat: 0, Lon: 179.99}, 30, []Point{{Lat: 0, Lon: -179.95}, {Lat: 0.1, Lon: -179.9}}},
+		{Point{Lat: 0, Lon: -179.99}, 30, []Point{{Lat: 0, Lon: 179.95}}},
+		{Point{Lat: 80, Lon: 0}, 1500, []Point{{Lat: 88, Lon: 180}, {Lat: 82, Lon: 90}, {Lat: 82, Lon: -90}}},
+		{Point{Lat: 60, Lon: 0}, 1112, []Point{{Lat: 61.56, Lon: 20.1}, {Lat: 61.56, Lon: 20.3}, {Lat: 61.56, Lon: -20.2}}},
+	} {
+		for _, p := range c.inside {
+			if d := HaversineKm(c.center, p); d > c.radiusKm {
+				t.Fatalf("fixture: %v is %.1f km from %v, outside %.0f km", p, d, c.center, c.radiusKm)
+			}
+			for _, precision := range []int{2, 3, 4} {
+				if cover := CircleCover(c.center, c.radiusKm, precision); !CoverContains(cover, p) {
+					t.Errorf("center %v r=%.0f km precision %d: %v (%.1f km) not covered",
+						c.center, c.radiusKm, precision, p, HaversineKm(c.center, p))
 				}
 			}
 		}

@@ -1,6 +1,9 @@
 package geo
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzEncodeDecode checks the round-trip invariant for arbitrary inputs:
 // the decoded cell of a point's geohash contains the point, at every
@@ -45,6 +48,35 @@ func FuzzDecodeCell(f *testing.F) {
 		}
 		if cell.MinLat > cell.MaxLat || cell.MinLon > cell.MaxLon {
 			t.Fatalf("inverted cell from %q: %+v", s, cell)
+		}
+	})
+}
+
+// FuzzCircleCoverComplete: a point the destination formula puts within the
+// radius of any centre on the sphere lies in a cell of the circle's cover.
+// The point is never drawn from the cover's bounding rectangle, so a
+// rectangle that misses part of the circle fails here.
+func FuzzCircleCoverComplete(f *testing.F) {
+	f.Add(0.0, 179.99, 30.0, 1.5, 0.9)
+	f.Add(0.0, -179.99, 30.0, 4.7, 0.9)
+	f.Add(80.0, 0.0, 1500.0, 0.0, 0.95)
+	f.Add(60.0, 0.0, 1112.0, 1.5, 0.99)
+	f.Add(-89.5, 45.0, 200.0, 3.0, 1.0)
+	f.Add(43.68, -79.37, 10.0, 2.0, 0.5)
+	f.Fuzz(func(t *testing.T, lat, lon, radiusKm, bearing, frac float64) {
+		center := Point{Lat: lat, Lon: lon}
+		if !center.Valid() || math.IsNaN(radiusKm) || radiusKm <= 0 || radiusKm > 3000 ||
+			math.IsNaN(bearing) || math.IsInf(bearing, 0) || math.IsNaN(frac) || frac < 0 || frac > 1 {
+			t.Skip()
+		}
+		p := destination(center, radiusKm*frac, bearing)
+		if !p.Valid() || HaversineKm(center, p) > radiusKm {
+			t.Skip()
+		}
+		precision := coverPrecision(radiusKm, 4)
+		if !CoverContains(CircleCover(center, radiusKm, precision), p) {
+			t.Fatalf("center %v r=%.3f km precision %d: %v at %.3f km not covered",
+				center, radiusKm, precision, p, HaversineKm(center, p))
 		}
 	})
 }

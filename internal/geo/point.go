@@ -30,9 +30,9 @@ func (p Point) String() string {
 }
 
 // Rect is an axis-aligned lat/lon rectangle. MinLat <= MaxLat and
-// MinLon <= MaxLon always hold for rectangles produced by this package
-// (no antimeridian wrapping: the corpus and queries in this reproduction
-// never straddle it, matching the paper's data set).
+// MinLon <= MaxLon always hold for rectangles produced by this package: a
+// region across the antimeridian is two rectangles, one each side of ±180
+// (see BoundingRect).
 type Rect struct {
 	MinLat, MaxLat float64
 	MinLon, MaxLon float64
@@ -182,37 +182,70 @@ func EquirectangularKm(a, b Point) float64 {
 	return EarthRadiusKm * math.Hypot(dLat, dLon)
 }
 
-// BoundingRect returns a rectangle that contains every point within
-// radiusKm of center under the haversine metric. It expands slightly
-// (epsilon on the degree deltas) so that boundary cells are never missed.
-func BoundingRect(center Point, radiusKm float64) Rect {
+// BoundingRect returns rectangles that together contain every point within
+// radiusKm of center under the haversine metric — one, or two when the
+// circle crosses the antimeridian. Latitude widens by the radius' arc d; a
+// circle that reaches a pole (|lat| + d ≥ 90°) takes every longitude, and
+// otherwise longitude widens by the circle's true half-width asin(sin d /
+// cos lat) — wider than d / cos lat, which misses the circle's flanks. An
+// interval past ±180 wraps into a second rectangle on the other side. Each
+// bound is padded by a hair (1e-9°) so that boundary cells are never missed.
+func BoundingRect(center Point, radiusKm float64) []Rect {
 	if radiusKm < 0 {
 		radiusKm = 0
 	}
-	dLat := radiusKm / EarthRadiusKm * 180 / math.Pi
-	cos := math.Cos(center.Lat * math.Pi / 180)
-	// Near the poles cos(lat) -> 0; cap the longitude span at the full range.
-	var dLon float64
-	if cos < 1e-9 {
-		dLon = 180
-	} else {
-		dLon = dLat / cos
-	}
 	const eps = 1e-9
-	return Rect{
-		MinLat: math.Max(center.Lat-dLat-eps, -90),
-		MaxLat: math.Min(center.Lat+dLat+eps, 90),
-		MinLon: math.Max(center.Lon-dLon-eps, -180),
-		MaxLon: math.Min(center.Lon+dLon+eps, 180),
+	d := radiusKm / EarthRadiusKm // arc, radians
+	dDeg := d * 180 / math.Pi
+	lat := Rect{
+		MinLat: math.Max(center.Lat-dDeg-eps, -90),
+		MaxLat: math.Min(center.Lat+dDeg+eps, 90),
 	}
+	if d >= math.Pi/2 || math.Abs(center.Lat)+dDeg+eps >= 90 {
+		lat.MinLon, lat.MaxLon = -180, 180
+		return []Rect{lat}
+	}
+	half := math.Asin(math.Sin(d)/math.Cos(center.Lat*math.Pi/180))*180/math.Pi + eps
+	lo, hi := center.Lon-half, center.Lon+half
+	switch {
+	case lo < -180:
+		west, east := lat, lat
+		west.MinLon, west.MaxLon = lo+360, 180
+		east.MinLon, east.MaxLon = -180, hi
+		return []Rect{west, east}
+	case hi > 180:
+		west, east := lat, lat
+		west.MinLon, west.MaxLon = lo, 180
+		east.MinLon, east.MaxLon = -180, hi-360
+		return []Rect{west, east}
+	}
+	lat.MinLon, lat.MaxLon = lo, hi
+	return []Rect{lat}
 }
 
 // MinDistanceKm returns the minimum haversine distance from p to any point of
-// rectangle r (0 when p is inside r). It uses the closest point of the
-// rectangle, which is exact for the small cells used in query covers.
+// rectangle r (0 when p is inside r), exact on the sphere for rectangles of
+// any size. When p's longitude is inside r, no point of r is nearer than the
+// nearer latitude edge along p's meridian. Otherwise the nearest point lies
+// on the meridian edge nearer in longitude (larger cos Δλ: nearer at every
+// latitude), where the distance to latitude φ falls as cos(φ − φ*) rises,
+// φ* = atan2(sin φp, cos φp cos Δλ): at φ* clamped into the edge when
+// cos Δλ ≥ 0, else (φ* beyond a pole) at one of the edge's ends.
 func MinDistanceKm(p Point, r Rect) float64 {
 	if r.Contains(p) {
 		return 0
 	}
-	return HaversineKm(p, r.ClosestPointTo(p))
+	if p.Lon >= r.MinLon && p.Lon <= r.MaxLon {
+		return HaversineKm(p, Point{Lat: clamp(p.Lat, r.MinLat, r.MaxLat), Lon: p.Lon})
+	}
+	lon, cosDLon := r.MinLon, math.Cos((r.MinLon-p.Lon)*math.Pi/180)
+	if c := math.Cos((r.MaxLon - p.Lon) * math.Pi / 180); c > cosDLon {
+		lon, cosDLon = r.MaxLon, c
+	}
+	if cosDLon < 0 {
+		return math.Min(HaversineKm(p, Point{Lat: r.MinLat, Lon: lon}), HaversineKm(p, Point{Lat: r.MaxLat, Lon: lon}))
+	}
+	sinLat, cosLat := math.Sincos(p.Lat * math.Pi / 180)
+	star := math.Atan2(sinLat, cosLat*cosDLon) * 180 / math.Pi
+	return HaversineKm(p, Point{Lat: clamp(star, r.MinLat, r.MaxLat), Lon: lon})
 }

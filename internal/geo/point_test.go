@@ -68,30 +68,27 @@ func TestEquirectangularApproximatesHaversineLocally(t *testing.T) {
 	}
 }
 
+// TestBoundingRectContainsCircle: every point of the circle's boundary,
+// drawn by the destination formula anywhere on the sphere, lies in one of
+// the rectangles — across the antimeridian and around the poles too.
 func TestBoundingRectContainsCircle(t *testing.T) {
-	f := func(latSeed, lonSeed, angleSeed uint32, radiusSeed uint8) bool {
+	f := func(latSeed, lonSeed, angleSeed uint32, radiusSeed uint16) bool {
 		center := Point{
-			Lat: float64(latSeed)/float64(math.MaxUint32)*140 - 70,
+			Lat: float64(latSeed)/float64(math.MaxUint32)*180 - 90,
 			Lon: float64(lonSeed)/float64(math.MaxUint32)*360 - 180,
 		}
-		radius := float64(radiusSeed)/255*200 + 0.1 // 0.1 .. 200.1 km
-		box := BoundingRect(center, radius)
-		// Sample points on the circle boundary; all must fall in the box
-		// (ignore samples that leave the legal lon range).
+		radius := float64(radiusSeed)/math.MaxUint16*3000 + 0.1 // 0.1 .. 3000.1 km
 		angle := float64(angleSeed) / float64(math.MaxUint32) * 2 * math.Pi
-		dLat := radius / EarthRadiusKm * 180 / math.Pi * math.Cos(angle)
-		dLon := radius / EarthRadiusKm * 180 / math.Pi * math.Sin(angle) /
-			math.Cos(center.Lat*math.Pi/180)
-		p := Point{Lat: center.Lat + dLat, Lon: center.Lon + dLon}
-		if !p.Valid() {
-			return true
+		p := destination(center, radius, angle)
+		for _, box := range BoundingRect(center, radius) {
+			if box.Contains(p) {
+				return true
+			}
 		}
-		if HaversineKm(center, p) > radius+1e-6 {
-			return true // projection overshoot; not a circle point
-		}
-		return box.Contains(p)
+		t.Logf("center %v r=%.1f: boundary point %v outside %v", center, radius, p, BoundingRect(center, radius))
+		return false
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,6 +104,28 @@ func TestMinDistanceKm(t *testing.T) {
 	want := HaversineKm(outside, Point{Lat: cell.MaxLat, Lon: outside.Lon})
 	if math.Abs(d-want) > 1e-9 {
 		t.Errorf("MinDistanceKm = %v, want %v", d, want)
+	}
+
+	// Beside a tall rectangle the nearest point of its meridian edge sits
+	// poleward of p's latitude, where clamping p into the rectangle would not
+	// look: a dense walk of the edge never beats MinDistanceKm.
+	tall := Rect{MinLat: 55, MaxLat: 70, MinLon: 20, MaxLon: 25}
+	for _, p := range []Point{{Lat: 60, Lon: 0}, {Lat: 61.5, Lon: -3}, {Lat: -10, Lon: 150}, {Lat: 80, Lon: 120}} {
+		got := MinDistanceKm(p, tall)
+		walk := math.Inf(1)
+		for i := 0; i <= 100000; i++ {
+			lat := tall.MinLat + (tall.MaxLat-tall.MinLat)*float64(i)/100000
+			for _, lon := range []float64{tall.MinLon, tall.MaxLon} {
+				walk = math.Min(walk, HaversineKm(p, Point{Lat: lat, Lon: lon}))
+			}
+			lon := tall.MinLon + (tall.MaxLon-tall.MinLon)*float64(i)/100000
+			for _, lat := range []float64{tall.MinLat, tall.MaxLat} {
+				walk = math.Min(walk, HaversineKm(p, Point{Lat: lat, Lon: lon}))
+			}
+		}
+		if got > walk+1e-9 || got < walk-1e-3 {
+			t.Errorf("MinDistanceKm(%v) = %.6f km, the boundary walk finds %.6f", p, got, walk)
+		}
 	}
 }
 

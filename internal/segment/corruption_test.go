@@ -23,8 +23,8 @@ import (
 // corruption matrix and the fuzz seeds.
 func validSegmentBytes(t testing.TB) []byte {
 	t.Helper()
-	rows, keys := validSegmentParts(t)
-	data, err := buildSegment(5, rows, keys)
+	rows, texts, keys := validSegmentParts(t)
+	data, err := buildSegment(5, rows, texts, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,8 @@ func validSegmentBytes(t testing.TB) []byte {
 // FromPosts builds over posts without indexable words.
 func validRowsOnlyBytes(t testing.TB) []byte {
 	t.Helper()
-	rows, _ := validSegmentParts(t)
-	data, err := buildSegment(0, rows, nil)
+	rows, texts, _ := validSegmentParts(t)
+	data, err := buildSegment(0, rows, texts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func validRowsOnlyBytes(t testing.TB) []byte {
 }
 
 // validSegmentParts is the seal input of 40 test posts, a second apart.
-func validSegmentParts(t testing.TB) ([]metadb.Row, []keyPostings) {
+func validSegmentParts(t testing.TB) ([]metadb.Row, []string, []keyPostings) {
 	t.Helper()
 	posts := testPosts(40, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), time.Second)
 	mt := NewMemtable(5)
@@ -53,11 +53,11 @@ func validSegmentParts(t testing.TB) ([]metadb.Row, []keyPostings) {
 			t.Fatal(err)
 		}
 	}
-	rows, keys, err := mt.snapshot(8)
+	rows, texts, keys, err := mt.snapshot(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rows, keys
+	return rows, texts, keys
 }
 
 // corruptionImage is one well-formed image the corruption matrix damages,
@@ -76,8 +76,8 @@ func corruptionImages(t *testing.T) []corruptionImage {
 // TestSegmentCorruptionMatrix damages a valid segment one way per row and
 // asserts the typed error class. Every case must fail cleanly — a panic
 // on any mutation is the real failure mode this guards against. In the
-// rows-only image nothing follows the 40 rows but the footer, so the
-// postings-byte flip lands in the footer's offset table.
+// rows-only image nothing follows the 40 rows and their texts but the
+// footer, so the postings-byte flip lands in the footer's offset table.
 func TestSegmentCorruptionMatrix(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -108,8 +108,13 @@ func TestSegmentCorruptionMatrix(t *testing.T) {
 			return b
 		}, ErrChecksum},
 		{"flipped postings byte", func(b []byte) []byte {
-			rowsEnd := headerSize + 40*rowSize
-			b[rowsEnd+3] ^= 0x80
+			postingsOff := binary.LittleEndian.Uint64(b[len(b)-footerSize+16:])
+			b[postingsOff+3] ^= 0x80
+			return b
+		}, ErrChecksum},
+		{"flipped text byte", func(b []byte) []byte {
+			textsOff := headerSize + 40*rowSize
+			b[textsOff+41*textOffSize+2] ^= 0x80
 			return b
 		}, ErrChecksum},
 		{"flipped footer offset", func(b []byte) []byte {
@@ -147,8 +152,8 @@ func TestSegmentCorruptionMatrix(t *testing.T) {
 func TestSegmentCorruptionConsistentCRC(t *testing.T) {
 	restamp := func(b []byte) []byte {
 		footerOff := len(b) - footerSize
-		crc := crc32.Checksum(b[:footerOff+32], castagnoli)
-		binary.LittleEndian.PutUint32(b[footerOff+32:], crc)
+		crc := crc32.Checksum(b[:footerOff+40], castagnoli)
+		binary.LittleEndian.PutUint32(b[footerOff+40:], crc)
 		return b
 	}
 	cases := []struct {
@@ -177,7 +182,18 @@ func TestSegmentCorruptionConsistentCRC(t *testing.T) {
 		}},
 		{"dir offset beyond footer", func(b []byte) []byte {
 			off := len(b) - footerSize
-			binary.LittleEndian.PutUint64(b[off+16:off+24], uint64(len(b)))
+			binary.LittleEndian.PutUint64(b[off+24:off+32], uint64(len(b)))
+			return restamp(b)
+		}},
+		{"text offsets descend", func(b []byte) []byte {
+			// Row 1's text ends before row 0's.
+			at := headerSize + 40*rowSize + textOffSize
+			binary.LittleEndian.PutUint32(b[at:], 1<<20)
+			return restamp(b)
+		}},
+		{"text offsets overrun the texts", func(b []byte) []byte {
+			at := headerSize + 40*rowSize + 40*textOffSize
+			binary.LittleEndian.PutUint32(b[at:], binary.LittleEndian.Uint32(b[at:])+1)
 			return restamp(b)
 		}},
 	}
@@ -200,7 +216,7 @@ func TestSegmentCorruptionConsistentCRC(t *testing.T) {
 func hostileOrdinalImage(t testing.TB) ([]byte, []*social.Post, invindex.Key) {
 	t.Helper()
 	posts := testPosts(40, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), time.Second)
-	rows, keys := validSegmentParts(t)
+	rows, texts, keys := validSegmentParts(t)
 	key := invindex.Key{Geohash: geo.Encode(posts[0].Loc, 5), Term: "hotel"}
 	for i, kp := range keys {
 		if kp.key != key {
@@ -214,7 +230,7 @@ func hostileOrdinalImage(t testing.TB) ([]byte, []*social.Post, invindex.Key) {
 		if keys[i].payload, err = invindex.EncodeBlockedPostingsList(ps, 8); err != nil {
 			t.Fatal(err)
 		}
-		data, err := buildSegment(5, rows, keys)
+		data, err := buildSegment(5, rows, texts, keys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +254,7 @@ func TestSegmentCorruptionHostileOrdinal(t *testing.T) {
 	if _, err := seg.FetchPostings(key.Geohash, key.Term); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("FetchPostings over an ordinal past the rows: err = %v, want ErrCorrupt", err)
 	}
-	if _, _, err := mergeSegments([]*Segment{seg}, 8); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := mergeSegments([]*Segment{seg}, 8); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("compaction over an ordinal past the rows: err = %v, want ErrCorrupt", err)
 	}
 
@@ -263,36 +279,51 @@ func TestSegmentCorruptionHostileOrdinal(t *testing.T) {
 // as ordinals. testdata/tkseg1.tkseg is validSegmentBytes as the TKSEG1
 // writer produced it.
 func TestOpenRefusesTKSEG1(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "tkseg1.tkseg"))
+	refusesOlderFormat(t, "tkseg1.tkseg", "TKSEG1\x00\x00")
+}
+
+// TestOpenRefusesTKSEG2: an image of the second format, which stored no
+// texts, is ErrVersion. testdata/tkseg2.tkseg is validSegmentBytes as the
+// TKSEG2 writer produced it.
+func TestOpenRefusesTKSEG2(t *testing.T) {
+	refusesOlderFormat(t, "tkseg2.tkseg", "TKSEG2\x00\x00")
+}
+
+// refusesOlderFormat requires the testdata image name, which opens with
+// magic, to be ErrVersion from memory and from a file.
+func refusesOlderFormat(t *testing.T, name, magic string) {
+	b, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(b[:8]) != "TKSEG1\x00\x00" {
+	if string(b[:8]) != magic {
 		t.Fatalf("fixture opens with %q", b[:8])
 	}
 	if _, err := OpenBytes(b); !errors.Is(err, ErrVersion) {
-		t.Fatalf("OpenBytes(TKSEG1 image) = %v, want ErrVersion", err)
+		t.Fatalf("OpenBytes(%s) = %v, want ErrVersion", name, err)
 	}
 	path := filepath.Join(t.TempDir(), segFileName(1))
 	if err := writeTestFile(path, b); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(path); !errors.Is(err, ErrVersion) {
-		t.Fatalf("Open(TKSEG1 file) = %v, want ErrVersion", err)
+		t.Fatalf("Open(%s) = %v, want ErrVersion", name, err)
 	}
 }
 
 // FuzzOpenSegmentBytes is the hostile-input harness: whatever the bytes,
 // OpenBytes must return a typed error or a segment that serves its
-// directory and its rows without panicking: every key's FetchPostings
-// errors or returns tweet IDs that ResolveRows all finds, and its records
-// agree with its rows (checkColumnsMatchRecords).
+// directory, its rows and their texts without panicking: every key's
+// FetchPostings errors or returns tweet IDs that ResolveRows all finds, and
+// its records agree with its rows (checkColumnsMatchRecords). The first
+// seed is a TKSEG3 image whose rows carry texts.
 func FuzzOpenSegmentBytes(f *testing.F) {
 	valid := validSegmentBytes(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
 	f.Add(valid[:headerSize+3])
 	f.Add([]byte("TKSEG1\x00\x00"))
+	f.Add([]byte("TKSEG2\x00\x00"))
 	f.Add([]byte{})
 	short := append([]byte(nil), valid[:headerSize+footerSize]...)
 	f.Add(short)
@@ -324,6 +355,9 @@ func FuzzOpenSegmentBytes(f *testing.F) {
 			}
 		}
 		checkColumnsMatchRecords(t, seg)
+		for i := 0; i < seg.NumRows(); i++ {
+			_ = seg.Text(i)
+		}
 	})
 }
 

@@ -2,29 +2,35 @@
 // the LSM-style storage engine: ingest flows WAL → in-memory memtable →
 // sealed time-bucketed segment files, and postings are read zero-copy from
 // mmap'd bytes (a store without a directory keeps them on the heap). A
-// segment carries 48-byte row records — every metadata row, so a snapshot
-// of the sealed segments is a snapshot of the rows — and the blocked postings
-// payloads the block-max traversal consumes (invindex's blocked layout), so the query
-// engine's PostingsIterator runs directly over the mapped file — the
-// per-block {count, minDelta, span, maxTF} directory doubles as the
-// on-disk skip index, with no B⁺-tree descents and no simulated page IO.
+// segment carries 48-byte row records — every metadata row, so the sealed
+// segments are the durable copy of the rows — their raw texts, and the
+// blocked postings payloads the block-max traversal consumes (invindex's
+// blocked layout), so the query engine's PostingsIterator runs directly
+// over the mapped file — the per-block {count, minDelta, span, maxTF}
+// directory doubles as the on-disk skip index, with no B⁺-tree descents and
+// no simulated page IO.
 // A payload's IDs are row ordinals, not tweet IDs: posting (i, tf) names
 // the segment's row i. Rows are ascending by SID, so ordinal order is SID
 // order, and the engine reads a posting's row by index from the packed
 // records the open derives from the rows section (see records.go); the
 // 48-byte rows themselves are read again only by RowAt.
 //
-// File layout, TKSEG2 (all integers little-endian):
+// File layout, TKSEG3 (all integers little-endian):
 //
-//	header  (64 B)  magic "TKSEG2\0\0", version 2, geohash length,
+//	header  (64 B)  magic "TKSEG3\0\0", version 3, geohash length,
 //	                min/max SID (the time-bucket range), row count, key count
 //	rows            rowCount × 48-byte records, ascending SID
+//	texts           (rowCount+1) × uint32 offsets into the text bytes, then
+//	                the bytes: row i's raw text is bytes[off[i]:off[i+1]]
 //	postings        concatenated blocked postings payloads of
 //	                (row ordinal, TF) pairs, ordinals ascending
 //	key dir         keyCount × {uvarint keyLen, key bytes, uvarint off, uvarint len},
 //	                keys ascending in ⟨geohash, NUL, term⟩ order
-//	footer  (48 B)  rows/postings/dir/footer offsets, CRC-32C over
+//	footer  (56 B)  rows/texts/postings/dir/footer offsets, CRC-32C over
 //	                everything before the checksum, magic "TKSEGEND"
+//
+// The texts are the tweet contents Figure 3 keeps beside the index:
+// /evidence and /thread read them, the query path never does.
 //
 // Every parse error is typed and errors.Is-able; hostile bytes never
 // panic (see FuzzOpenSegmentBytes).
@@ -44,24 +50,25 @@ import (
 )
 
 const (
-	headerSize = 64
-	footerSize = 48
-	rowSize    = 48 // one row: SID, UID, lat, lon, RUID, RSID, 8 bytes each
+	headerSize  = 64
+	footerSize  = 56
+	rowSize     = 48 // one row: SID, UID, lat, lon, RUID, RSID, 8 bytes each
+	textOffSize = 4  // one text offset, uint32
 
-	formatVersion = 2
+	formatVersion = 3
 )
 
 var (
 	// magicPrefix opens every segment image, whatever its version; the
 	// three bytes after it repeat the version, so an image of another
 	// version is ErrVersion rather than ErrBadMagic. TKSEG1 payloads held
-	// tweet IDs, and no reader for them is kept.
+	// tweet IDs and TKSEG2 images no texts; no reader for either is kept.
 	magicPrefix = []byte("TKSEG")
-	headerMagic = []byte("TKSEG2\x00\x00")
+	headerMagic = []byte("TKSEG3\x00\x00")
 	footerMagic = []byte("TKSEGEND")
 
-	// castagnoli is the CRC-32C polynomial, matching the snapshot
-	// artifacts' checksum discipline.
+	// castagnoli is the CRC-32C polynomial, matching the WAL's checksum
+	// discipline.
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
 
@@ -94,14 +101,25 @@ type keyPostings struct {
 	payload []byte
 }
 
-// buildSegment serializes rows and postings into a complete TKSEG2 byte
-// image. Rows must be in ascending SID order and non-empty; keys must be
-// sorted by Key.String(), and every payload's IDs must be ordinals of
-// rows. The image is what Open/OpenBytes parse and what the store writes
+// buildSegment serializes rows, their texts and postings into a complete
+// TKSEG3 byte image. Rows must be in ascending SID order and non-empty;
+// texts holds one entry per row, or is nil when every text is empty; keys
+// must be sorted by Key.String(), and every payload's IDs must be ordinals
+// of rows. The image is what Open/OpenBytes parse and what the store writes
 // (tmp → fsync → rename) when sealing a memtable or merging segments.
-func buildSegment(geohashLen int, rows []metadb.Row, keys []keyPostings) ([]byte, error) {
+func buildSegment(geohashLen int, rows []metadb.Row, texts []string, keys []keyPostings) ([]byte, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("segment: refusing to build an empty segment")
+	}
+	if texts != nil && len(texts) != len(rows) {
+		return nil, fmt.Errorf("segment: %d texts for %d rows", len(texts), len(rows))
+	}
+	textBytes := 0
+	for _, t := range texts {
+		textBytes += len(t)
+	}
+	if textBytes > math.MaxUint32 {
+		return nil, fmt.Errorf("segment: %d bytes of text overflow a segment's 32-bit text offsets", textBytes)
 	}
 	for i := 1; i < len(rows); i++ {
 		if rows[i].SID <= rows[i-1].SID {
@@ -121,7 +139,8 @@ func buildSegment(geohashLen int, rows []metadb.Row, keys []keyPostings) ([]byte
 		dirSize += binary.MaxVarintLen64 + len(k) + 2*binary.MaxVarintLen64
 		postingsSize += len(kp.payload)
 	}
-	buf := make([]byte, 0, headerSize+len(rows)*rowSize+postingsSize+dirSize+footerSize)
+	buf := make([]byte, 0, headerSize+len(rows)*rowSize+(len(rows)+1)*textOffSize+textBytes+
+		postingsSize+dirSize+footerSize)
 
 	// Header.
 	var hdr [headerSize]byte
@@ -141,6 +160,20 @@ func buildSegment(geohashLen int, rows []metadb.Row, keys []keyPostings) ([]byte
 	for _, r := range rows {
 		encodeRow(rec[:], r)
 		buf = append(buf, rec[:]...)
+	}
+
+	// Texts section: the offset table, then the bytes it indexes.
+	textsOff := uint64(len(buf))
+	off := uint32(0)
+	buf = binary.LittleEndian.AppendUint32(buf, off)
+	for i := range rows {
+		if texts != nil {
+			off += uint32(len(texts[i]))
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, off)
+	}
+	for _, t := range texts {
+		buf = append(buf, t...)
 	}
 
 	// Postings section: blocked payloads back to back; the key directory
@@ -166,10 +199,11 @@ func buildSegment(geohashLen int, rows []metadb.Row, keys []keyPostings) ([]byte
 	footerOff := uint64(len(buf))
 	var ftr [footerSize]byte
 	binary.LittleEndian.PutUint64(ftr[0:8], rowsOff)
-	binary.LittleEndian.PutUint64(ftr[8:16], postingsOff)
-	binary.LittleEndian.PutUint64(ftr[16:24], dirOff)
-	binary.LittleEndian.PutUint64(ftr[24:32], footerOff)
-	buf = append(buf, ftr[:32]...)
+	binary.LittleEndian.PutUint64(ftr[8:16], textsOff)
+	binary.LittleEndian.PutUint64(ftr[16:24], postingsOff)
+	binary.LittleEndian.PutUint64(ftr[24:32], dirOff)
+	binary.LittleEndian.PutUint64(ftr[32:40], footerOff)
+	buf = append(buf, ftr[:40]...)
 	crc := crc32.Checksum(buf, castagnoli)
 	buf = binary.LittleEndian.AppendUint32(buf, crc)
 	buf = append(buf, 0, 0, 0, 0) // reserved
@@ -234,13 +268,13 @@ func parseSegment(b []byte) (*Segment, error) {
 		return nil, fmt.Errorf("%w: footer magic missing", ErrTruncated)
 	}
 	ftr := b[len(b)-footerSize:]
-	footerOff := binary.LittleEndian.Uint64(ftr[24:32])
+	footerOff := binary.LittleEndian.Uint64(ftr[32:40])
 	if footerOff != uint64(len(b)-footerSize) {
 		return nil, fmt.Errorf("%w: footer offset %d does not close a %d-byte file",
 			ErrTruncated, footerOff, len(b))
 	}
-	wantCRC := binary.LittleEndian.Uint32(ftr[32:36])
-	if got := crc32.Checksum(b[:footerOff+32], castagnoli); got != wantCRC {
+	wantCRC := binary.LittleEndian.Uint32(ftr[40:44])
+	if got := crc32.Checksum(b[:footerOff+40], castagnoli); got != wantCRC {
 		return nil, fmt.Errorf("%w: crc32c %08x, footer says %08x", ErrChecksum, got, wantCRC)
 	}
 
@@ -252,10 +286,12 @@ func parseSegment(b []byte) (*Segment, error) {
 	nRows := binary.LittleEndian.Uint64(b[32:40])
 	nKeys := binary.LittleEndian.Uint64(b[40:48])
 	rowsOff := binary.LittleEndian.Uint64(ftr[0:8])
-	postingsOff := binary.LittleEndian.Uint64(ftr[8:16])
-	dirOff := binary.LittleEndian.Uint64(ftr[16:24])
+	textsOff := binary.LittleEndian.Uint64(ftr[8:16])
+	postingsOff := binary.LittleEndian.Uint64(ftr[16:24])
+	dirOff := binary.LittleEndian.Uint64(ftr[24:32])
 	if rowsOff != headerSize || nRows > uint64(len(b))/rowSize ||
-		postingsOff != rowsOff+nRows*rowSize ||
+		textsOff != rowsOff+nRows*rowSize ||
+		textsOff+(nRows+1)*textOffSize > postingsOff ||
 		postingsOff > dirOff || dirOff > footerOff {
 		return nil, fmt.Errorf("%w: section offsets out of order", ErrCorrupt)
 	}
@@ -268,9 +304,14 @@ func parseSegment(b []byte) (*Segment, error) {
 		geohashLen: geohashLen,
 		minSID:     minSID,
 		maxSID:     maxSID,
-		rows:       b[rowsOff:postingsOff],
+		rows:       b[rowsOff:textsOff],
 		nRows:      int(nRows),
+		textOffs:   b[textsOff : textsOff+(nRows+1)*textOffSize],
+		texts:      b[textsOff+(nRows+1)*textOffSize : postingsOff],
 		postings:   b[postingsOff:dirOff],
+	}
+	if err := seg.checkTextOffsets(); err != nil {
+		return nil, err
 	}
 	dir := b[dirOff:footerOff]
 	seg.keys = make([]dirEntry, 0, nKeys)
@@ -320,6 +361,23 @@ func parseSegment(b []byte) (*Segment, error) {
 		return nil, fmt.Errorf("%w: header SID range disagrees with row records", ErrCorrupt)
 	}
 	return seg, nil
+}
+
+// checkTextOffsets requires the text offset table to start at 0, never
+// descend and end at the text bytes' length, so Text slices in range.
+func (s *Segment) checkTextOffsets() error {
+	prev := uint32(0)
+	for i := 0; i <= s.nRows; i++ {
+		off := binary.LittleEndian.Uint32(s.textOffs[i*textOffSize:])
+		if (i == 0 && off != 0) || off < prev {
+			return fmt.Errorf("%w: text offset %d of row %d is out of order", ErrCorrupt, off, i)
+		}
+		prev = off
+	}
+	if uint64(prev) != uint64(len(s.texts)) {
+		return fmt.Errorf("%w: text offsets end at %d of %d text bytes", ErrCorrupt, prev, len(s.texts))
+	}
+	return nil
 }
 
 // sortKeyPostings orders a key→payload map into the directory's sorted

@@ -33,6 +33,7 @@ type Memtable struct {
 	mu       sync.RWMutex
 	recs     []metadb.RowMeta // SID, location and author per row: what queries read
 	replyTo  []replyRef       // the rest of each row, read only by the seal
+	texts    []string         // each row's raw text, read by the seal and Text
 	postings map[invindex.Key][]invindex.Posting
 	bytes    int // rough payload size, for size-based seal thresholds
 }
@@ -65,7 +66,8 @@ func (m *Memtable) Add(p *social.Post) error {
 	ord := social.PostID(len(m.recs)) // the row ordinal this post's postings name
 	m.recs = append(m.recs, metadb.RowMeta{SID: p.SID, Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID})
 	m.replyTo = append(m.replyTo, replyRef{ruid: p.RUID, rsid: p.RSID})
-	m.bytes += rowSize
+	m.texts = append(m.texts, p.Text)
+	m.bytes += rowSize + textOffSize + len(p.Text)
 	if len(p.Words) == 0 {
 		return nil
 	}
@@ -157,12 +159,23 @@ func (m *Memtable) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
 	return resolveSIDs(m.recs, sids, out)
 }
 
-// snapshot returns the rows and the sorted, blocked-encoded postings of
-// the current contents — the seal input. Row i of the result is the
-// memtable's row i, so the postings' ordinals are encoded as they are.
+// text returns the raw text of the buffered post sid; false when the
+// memtable holds no such row.
+func (m *Memtable) text(sid social.PostID) (string, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if i, ok := ordinalOf(m.recs, sid); ok {
+		return m.texts[i], true
+	}
+	return "", false
+}
+
+// snapshot returns the rows, their texts and the sorted, blocked-encoded
+// postings of the current contents — the seal input. Row i of the result is
+// the memtable's row i, so the postings' ordinals are encoded as they are.
 // Caller is the store, which serializes seals; the read lock still guards
 // against concurrent Adds from a misuse path.
-func (m *Memtable) snapshot(blockSize int) ([]metadb.Row, []keyPostings, error) {
+func (m *Memtable) snapshot(blockSize int) ([]metadb.Row, []string, []keyPostings, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	rows := make([]metadb.Row, len(m.recs))
@@ -174,11 +187,11 @@ func (m *Memtable) snapshot(blockSize int) ([]metadb.Row, []keyPostings, error) 
 	for k, ps := range m.postings {
 		payload, err := invindex.EncodeBlockedPostingsList(ps, blockSize)
 		if err != nil {
-			return nil, nil, fmt.Errorf("segment: encoding postings for %q: %w", k.String(), err)
+			return nil, nil, nil, fmt.Errorf("segment: encoding postings for %q: %w", k.String(), err)
 		}
 		enc[k] = payload
 	}
-	return rows, sortKeyPostings(enc), nil
+	return rows, m.texts, sortKeyPostings(enc), nil
 }
 
 // bounds returns the buffered SID range; ok is false when empty.

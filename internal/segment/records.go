@@ -45,6 +45,13 @@ func resolveSIDs(recs []metadb.RowMeta, sids []social.PostID, out []metadb.RowMe
 	return -1
 }
 
+// ordinalOf returns the ordinal of sid's row in recs.
+func ordinalOf(recs []metadb.RowMeta, sid social.PostID) (int, bool) {
+	return slices.BinarySearchFunc(recs, sid, func(r metadb.RowMeta, sid social.PostID) int {
+		return cmp.Compare(r.SID, sid)
+	})
+}
+
 // checkOrdinals requires every posting of a decoded list to name one of
 // nRows rows. Only hostile bytes under a consistent CRC break it, so a
 // failure is ErrCorrupt.

@@ -134,7 +134,7 @@ func TestResolveRowsMatchesPointLookups(t *testing.T) {
 // record for record, every postings lookup a miss, and a row batch that
 // resolves what it holds and names the first SID it does not.
 func TestRowsOnlySegment(t *testing.T) {
-	rows, keys := validSegmentParts(t)
+	rows, _, keys := validSegmentParts(t)
 	posts := make([]*social.Post, len(rows))
 	for i, r := range rows {
 		posts[i] = &social.Post{SID: r.SID, UID: r.UID, Loc: r.Loc(), RUID: r.RUID, RSID: r.RSID}
@@ -148,8 +148,8 @@ func TestRowsOnlySegment(t *testing.T) {
 		t.Fatalf("rows-only segment: %d keys, %d rows, %d mapped bytes, SIDs [%d, %d]",
 			seg.NumKeys(), seg.NumRows(), seg.MappedBytes(), seg.MinSID(), seg.MaxSID())
 	}
-	if want := headerSize + len(rows)*rowSize + footerSize; seg.SizeBytes() != want {
-		t.Errorf("image is %d bytes, want %d (48 B per row plus header and footer)", seg.SizeBytes(), want)
+	if want := headerSize + len(rows)*rowSize + (len(rows)+1)*textOffSize + footerSize; seg.SizeBytes() != want {
+		t.Errorf("image is %d bytes, want %d (48 B and an empty text per row plus header and footer)", seg.SizeBytes(), want)
 	}
 	reopened, err := OpenBytes(seg.Bytes())
 	if err != nil {
@@ -229,11 +229,11 @@ func TestFromPostsMatchesSeal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, keys, err := mt.snapshot(8)
+	rows, texts, keys, err := mt.snapshot(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := buildSegment(5, rows, keys)
+	sealed, err := buildSegment(5, rows, texts, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestFindKeyMatchesStringOrder(t *testing.T) {
 	for i, kp := range keys {
 		stored[kp.key] = i
 	}
-	data, err := buildSegment(4, []metadb.Row{{SID: 1}}, keys)
+	data, err := buildSegment(4, []metadb.Row{{SID: 1}}, nil, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func segmentBatch(b *testing.B, nRows, nPicks int) (*Segment, []social.PostID) {
 	for i := range rows {
 		rows[i] = metadb.Row{SID: social.PostID(10 * (i + 1)), UID: social.UserID(i % 977), Lat: 43.7, Lon: -79.4}
 	}
-	data, err := buildSegment(4, rows, nil)
+	data, err := buildSegment(4, rows, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func scatteredSegments(b *testing.B, nSegs, nRows, nPicks int) ([]*Segment, [][]
 				Lat: 43.3 + 0.8*rng.Float64(), Lon: -79.9 + rng.Float64(),
 			}
 		}
-		data, err := buildSegment(4, rows, nil)
+		data, err := buildSegment(4, rows, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

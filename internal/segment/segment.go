@@ -2,6 +2,7 @@ package segment
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"slices"
@@ -29,6 +30,8 @@ type Segment struct {
 	maxSID     social.PostID
 	rows       []byte // the mapped 48-byte rows, read by RowAt only
 	nRows      int
+	textOffs   []byte // nRows+1 uint32 offsets into texts
+	texts      []byte
 	recs       []metadb.RowMeta // one packed record per row, by ordinal
 	postings   []byte
 	keys       []dirEntry
@@ -59,11 +62,11 @@ func FromPosts(posts []*social.Post, geohashLen, blockSize int) (*Segment, error
 			return nil, err
 		}
 	}
-	rows, keys, err := mt.snapshot(blockSize)
+	rows, texts, keys, err := mt.snapshot(blockSize)
 	if err != nil {
 		return nil, err
 	}
-	data, err := buildSegment(geohashLen, rows, keys)
+	data, err := buildSegment(geohashLen, rows, texts, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +132,7 @@ func (s *Segment) NumKeys() int { return len(s.keys) }
 func (s *Segment) SizeBytes() int { return len(s.b) }
 
 // Bytes returns the segment image, which callers must not modify: what a
-// snapshot writes and OpenBytes parses back.
+// seal writes and OpenBytes parses back.
 func (s *Segment) Bytes() []byte { return s.b }
 
 // MappedBytes returns the size of the mmap'd region, 0 when the segment
@@ -228,10 +231,17 @@ func (s *Segment) Keys() []invindex.Key {
 	return out
 }
 
-// RowAt decodes row record i. Compaction, BulkLoad and a snapshot's Load
-// use it; queries read the packed records.
+// RowAt decodes row record i. Compaction, BulkLoad and Load use it;
+// queries read the packed records.
 func (s *Segment) RowAt(i int) metadb.Row {
 	return decodeRow(s.rows[i*rowSize : (i+1)*rowSize])
+}
+
+// Text returns row i's raw text, copied out of the image.
+func (s *Segment) Text(i int) string {
+	lo := binary.LittleEndian.Uint32(s.textOffs[i*textOffSize:])
+	hi := binary.LittleEndian.Uint32(s.textOffs[(i+1)*textOffSize:])
+	return string(s.texts[lo:hi])
 }
 
 // Records returns the segment's packed row records, indexed by the row

@@ -38,6 +38,7 @@ func testPosts(n int, start time.Time, step time.Duration) []*social.Post {
 			UID:   social.UserID(100 + i%7),
 			Loc:   locs[i%len(locs)],
 			Words: wordSets[i%len(wordSets)],
+			Text:  strings.Join(wordSets[i%len(wordSets)], " "),
 		}
 	}
 	return posts
@@ -94,11 +95,11 @@ func TestSegmentRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, keys, err := mt.snapshot(16)
+	rows, texts, keys, err := mt.snapshot(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := buildSegment(geohashLen, rows, keys)
+	data, err := buildSegment(geohashLen, rows, texts, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,6 +207,7 @@ func TestStoreSealCompactReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	checkTexts(t, st, posts) // sealed buckets and the memtable
 	if err := st.SealNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +230,7 @@ func TestStoreSealCompactReopen(t *testing.T) {
 	if got := sealedPostings(t, st); !reflect.DeepEqual(got, want) {
 		t.Fatalf("postings changed across compaction")
 	}
+	checkTexts(t, st, posts)
 	for _, p := range posts {
 		if m, ok := st.LookupRowMeta(p.SID); !ok || m.UID != p.UID {
 			t.Fatalf("LookupRowMeta(%d) after compaction = %+v, %v", p.SID, m, ok)
@@ -249,9 +252,10 @@ func TestStoreSealCompactReopen(t *testing.T) {
 	if got := sealedPostings(t, st2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("postings diverge after reopen")
 	}
-	if st2.MaxSealedSID() != posts[len(posts)-1].SID {
-		t.Fatalf("MaxSealedSID = %d", st2.MaxSealedSID())
+	if segs := st2.Segments(); segs[len(segs)-1].MaxSID() != posts[len(posts)-1].SID {
+		t.Fatalf("last sealed SID = %d", segs[len(segs)-1].MaxSID())
 	}
+	checkTexts(t, st2, posts)
 	if st2.MappedBytes() == 0 {
 		t.Fatal("expected reopened segments to be mmap'd")
 	}
@@ -298,6 +302,88 @@ func TestStoreBulkLoadMatchesIncremental(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sealedPostings(t, bulk), all) {
 		t.Fatal("bulk-loaded store diverges from oracle")
+	}
+	checkTexts(t, bulk, posts)
+	checkTexts(t, incr, posts)
+}
+
+// checkTexts requires st to hold every post's raw text, and none for a SID
+// between or beyond them.
+func checkTexts(t *testing.T, st *Store, posts []*social.Post) {
+	t.Helper()
+	for _, p := range posts {
+		if got, ok := st.Text(p.SID); !ok || got != p.Text {
+			t.Fatalf("Text(%d) = %q, %v; want %q", p.SID, got, ok, p.Text)
+		}
+	}
+	for _, sid := range []social.PostID{posts[0].SID - 1, posts[0].SID + 1, posts[len(posts)-1].SID + 1} {
+		if got, ok := st.Text(sid); ok {
+			t.Fatalf("Text(%d) of no post = %q", sid, got)
+		}
+	}
+}
+
+// TestCreateStoreReplacesCommittedSet: a store created over a directory
+// another store committed reads nothing of it, and its first commit makes
+// its own segments the whole committed set — the old files are gone, and a
+// reopen serves only the new rows.
+func TestCreateStoreReplacesCommittedSet(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{GeohashLen: 5, BucketWidth: time.Hour, BlockSize: 8}
+	old, err := OpenStore(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldPosts := testPosts(30, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), 10*time.Minute)
+	for _, p := range oldPosts {
+		if _, err := old.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := old.SealNow(); err != nil {
+		t.Fatal(err)
+	}
+	old.Close()
+	before, err := filepath.Glob(filepath.Join(dir, "seg-*"))
+	if err != nil || len(before) < 2 {
+		t.Fatalf("old store left %v (%v)", before, err)
+	}
+
+	posts := testPosts(20, time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC), 10*time.Minute)
+	img, err := FromPosts(posts, 5, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := CreateStore(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Empty() {
+		t.Fatal("a created store serves what the directory held")
+	}
+	if err := st.BulkLoad(img); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	for _, f := range before {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("old segment %s survived the commit (%v)", filepath.Base(f), err)
+		}
+	}
+	reopened, err := OpenStore(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if reopened.GeohashLen() != 5 {
+		t.Errorf("reopened at geohash length %d, want the segments' 5", reopened.GeohashLen())
+	}
+	if !reflect.DeepEqual(sealedPostings(t, reopened), oraclePostings(posts, 5)) {
+		t.Fatal("reopened store does not serve exactly the new rows")
+	}
+	checkTexts(t, reopened, posts)
+	if _, ok := reopened.Text(oldPosts[0].SID); ok {
+		t.Fatal("an old row survived the replacement")
 	}
 }
 

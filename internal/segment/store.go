@@ -19,11 +19,10 @@ import (
 	"repro/internal/social"
 )
 
-// File-name vocabulary of a segment directory. The commit discipline is
-// the snapshot store's: artifacts are written under a hidden tmp name,
-// fsync'd, renamed into place, and become live only when CURRENT flips to
-// a MANIFEST that references them; anything not referenced by the current
-// MANIFEST is garbage the next gc pass may remove.
+// File-name vocabulary of a segment directory. Artifacts are written under
+// a hidden tmp name, fsync'd, renamed into place, and become live only when
+// CURRENT flips to a MANIFEST that references them; anything not referenced
+// by the current MANIFEST is garbage the next gc pass may remove.
 const (
 	currentName    = "CURRENT"
 	currentTmpName = "CURRENT.tmp"
@@ -112,6 +111,22 @@ type manifestSegment struct {
 	Size   int64  `json:"size"`
 }
 
+// check requires the entry to describe seg, the file it names, whose
+// sequence number must be below the manifest's next one: a MANIFEST whose
+// bytes rotted under valid JSON must not open.
+func (ms manifestSegment) check(seg *Segment, nextSeq uint64) error {
+	var seq uint64
+	if _, err := fmt.Sscanf(ms.File, segFilePrefix+"%d", &seq); err != nil || seq >= nextSeq ||
+		ms.File != segFileName(seq) {
+		return fmt.Errorf("%w: manifest names %q beside next sequence %d", ErrCorrupt, ms.File, nextSeq)
+	}
+	if ms.MinSID != int64(seg.MinSID()) || ms.MaxSID != int64(seg.MaxSID()) || ms.Rows != seg.NumRows() ||
+		ms.Keys != seg.NumKeys() || ms.Size != int64(seg.SizeBytes()) {
+		return fmt.Errorf("%w: manifest entry %+v disagrees with the segment", ErrCorrupt, ms)
+	}
+	return nil
+}
+
 // manifestData is the MANIFEST body: the authoritative list of live
 // segment files in time order.
 type manifestData struct {
@@ -152,8 +167,62 @@ type Store struct {
 // a CURRENT file is an empty store; otherwise every segment the current
 // MANIFEST references is opened and checksummed — the commit discipline
 // guarantees the set is complete or the previous CURRENT is still in
-// place.
+// place. A zero opts.GeohashLen takes the segments' precision.
 func OpenStore(dir string, opts Options) (*Store, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("segment: store needs a directory")
+	}
+	if err := fsx.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	man, manSeq, err := readCurrentManifest(dir)
+	if err != nil {
+		return nil, err
+	}
+	var segs []*Segment
+	var files []string
+	if man != nil {
+		for _, ms := range man.Segments {
+			seg, err := Open(filepath.Join(dir, ms.File))
+			if err == nil {
+				segs = append(segs, seg)
+				err = ms.check(seg, man.NextSeq)
+			}
+			if err != nil {
+				for _, s := range segs {
+					s.Close()
+				}
+				return nil, fmt.Errorf("segment: opening %s: %w", ms.File, err)
+			}
+			files = append(files, ms.File)
+		}
+	}
+	if opts.GeohashLen == 0 && len(segs) > 0 {
+		opts.GeohashLen = segs[0].GeohashLen()
+	}
+	st, err := newStore(dir, opts)
+	if err == nil {
+		st.segs, st.segFiles = segs, files
+		err = st.checkSealed()
+	}
+	if err != nil {
+		for _, s := range segs {
+			s.Close()
+		}
+		return nil, err
+	}
+	if man != nil {
+		st.manSeq = manSeq
+		st.nextSeq = man.NextSeq
+	}
+	return st, nil
+}
+
+// CreateStore opens an empty store in dir, whatever dir holds. Nothing is
+// read of a store committed there before: new files are numbered past every
+// file in dir, so the first commit (a BulkLoad or a seal) replaces that
+// store's segment set atomically, and its gc removes the old files.
+func CreateStore(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("segment: store needs a directory")
 	}
@@ -164,25 +233,27 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 	if err := fsx.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	man, manSeq, err := readCurrentManifest(dir)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	if man == nil {
-		return st, nil
-	}
-	st.manSeq = manSeq
-	st.nextSeq = man.NextSeq
-	for _, ms := range man.Segments {
-		seg, err := Open(filepath.Join(dir, ms.File))
-		if err != nil {
-			return nil, fmt.Errorf("segment: opening %s: %w", ms.File, err)
+	for _, e := range entries {
+		var seq uint64
+		name := e.Name()
+		switch {
+		case strings.HasPrefix(name, manifestPrefix):
+			if _, err := fmt.Sscanf(name, manifestPrefix+"%d", &seq); err == nil {
+				st.manSeq = max(st.manSeq, seq)
+			}
+		case strings.HasPrefix(name, segFilePrefix):
+			if _, err := fmt.Sscanf(name, segFilePrefix+"%d", &seq); err == nil {
+				st.nextSeq = max(st.nextSeq, seq+1)
+			}
+		case strings.HasPrefix(name, tmpSegPrefix):
+			if _, err := fmt.Sscanf(name, tmpSegPrefix+"%d", &seq); err == nil {
+				st.nextSeq = max(st.nextSeq, seq+1)
+			}
 		}
-		st.segs = append(st.segs, seg)
-		st.segFiles = append(st.segFiles, ms.File)
-	}
-	if err := st.checkSealed(); err != nil {
-		return nil, err
 	}
 	return st, nil
 }
@@ -207,6 +278,13 @@ func newStore(dir string, opts Options) (*Store, error) {
 	opts.normalize()
 	if opts.GeohashLen <= 0 {
 		return nil, fmt.Errorf("segment: store needs a geohash length")
+	}
+	if dir != "" {
+		abs, err := filepath.Abs(dir)
+		if err != nil {
+			return nil, err
+		}
+		dir = abs
 	}
 	return &Store{dir: dir, opts: opts, mem: NewMemtable(opts.GeohashLen), nextSeq: 1}, nil
 }
@@ -255,8 +333,29 @@ func readCurrentManifest(dir string) (*manifestData, uint64, error) {
 	return &man, seq, nil
 }
 
-// Dir returns the store directory, "" for a heap store.
+// Dir returns the store directory as an absolute path, "" for a heap store.
 func (st *Store) Dir() string { return st.dir }
+
+// Options returns the options the store seals and compacts with.
+func (st *Store) Options() Options {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.opts
+}
+
+// SetOptions replaces the options later seals and compactions use; what is
+// sealed keeps its bucket split. The geohash length cannot change. A
+// mutation: caller-serialized.
+func (st *Store) SetOptions(opts Options) error {
+	opts.normalize()
+	if opts.GeohashLen != st.opts.GeohashLen {
+		return fmt.Errorf("segment: store keyed at geohash length %d cannot rekey to %d", st.opts.GeohashLen, opts.GeohashLen)
+	}
+	st.mu.Lock()
+	st.opts = opts
+	st.mu.Unlock()
+	return nil
+}
 
 // GeohashLen returns the key precision of every source in the store.
 func (st *Store) GeohashLen() int { return st.opts.GeohashLen }
@@ -309,11 +408,11 @@ func (st *Store) SealNow() error {
 	if st.mem.Len() == 0 {
 		return nil
 	}
-	rows, keys, err := st.mem.snapshot(st.opts.BlockSize)
+	rows, texts, keys, err := st.mem.snapshot(st.opts.BlockSize)
 	if err != nil {
 		return err
 	}
-	seg, file, err := st.writeSegment(rows, keys)
+	seg, file, err := st.writeSegment(rows, texts, keys)
 	if err != nil {
 		return err
 	}
@@ -334,8 +433,8 @@ func (st *Store) SealNow() error {
 // writeSegment builds the byte image, writes it tmp → fsync → rename →
 // dirsync, and opens the sealed file (mmap'd, checksummed). A heap store
 // parses the image where it lies and names no file.
-func (st *Store) writeSegment(rows []metadb.Row, keys []keyPostings) (*Segment, string, error) {
-	data, err := buildSegment(st.opts.GeohashLen, rows, keys)
+func (st *Store) writeSegment(rows []metadb.Row, texts []string, keys []keyPostings) (*Segment, string, error) {
+	data, err := buildSegment(st.opts.GeohashLen, rows, texts, keys)
 	if err != nil {
 		return nil, "", err
 	}
@@ -461,8 +560,8 @@ func gcDir(dir string, keep map[string]bool) error {
 // MANIFEST does not reference — leftovers of seals or compactions that
 // crashed between writing a file and committing. It is deliberately
 // conservative: when CURRENT or the manifest cannot be read, nothing is
-// removed. The snapshot store's gc calls this so `snap-N` collection
-// never touches live segment files.
+// removed. A checkpoint calls it, since a seal of an empty memtable commits
+// nothing and so collects nothing.
 func GCOrphans(dir string) error {
 	man, seq, err := readCurrentManifest(dir)
 	if err != nil || man == nil {
@@ -477,26 +576,10 @@ func GCOrphans(dir string) error {
 	return gcDir(dir, keep)
 }
 
-// ReferencedFiles returns the absolute paths of everything the store at
-// dir is currently committed to: CURRENT, the manifest it names, and
-// every segment file that manifest references. Nil when dir holds no
-// store (or its CURRENT chain is unreadable — callers gc'ing around a
-// store must treat "unknown" as "hands off"). The snapshot store's gc
-// consults this list so snap-N collection can never delete a live
-// segment file, wherever the segment directory is nested.
-func ReferencedFiles(dir string) []string {
-	man, seq, err := readCurrentManifest(dir)
-	if err != nil || man == nil {
-		return nil
-	}
-	out := []string{
-		filepath.Join(dir, currentName),
-		filepath.Join(dir, manifestName(seq)),
-	}
-	for _, ms := range man.Segments {
-		out = append(out, filepath.Join(dir, ms.File))
-	}
-	return out
+// Committed reports whether dir holds a committed store: a CURRENT file.
+func Committed(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, currentName))
+	return err == nil
 }
 
 // sizeClass buckets a segment size into base-4 tiers of 16 KiB — the
@@ -545,11 +628,11 @@ func (st *Store) Compact() (int, error) {
 		if run < 0 {
 			return merged, nil
 		}
-		rows, keys, err := mergeSegments(olds, st.opts.BlockSize)
+		rows, texts, keys, err := mergeSegments(olds, st.opts.BlockSize)
 		if err != nil {
 			return merged, err
 		}
-		seg, file, err := st.writeSegment(rows, keys)
+		seg, file, err := st.writeSegment(rows, texts, keys)
 		if err != nil {
 			return merged, err
 		}
@@ -578,27 +661,29 @@ func (st *Store) Compact() (int, error) {
 	}
 }
 
-// mergeSegments concatenates time-adjacent segments: rows append in
-// order, so an input's row i is row base+i of the output, base the rows of
-// the inputs before it; each key's postings lists concatenate in segment
-// order with their ordinals shifted by that base — ascending, because
-// adjacent buckets hold disjoint ascending SID ranges.
-func mergeSegments(segs []*Segment, blockSize int) ([]metadb.Row, []keyPostings, error) {
+// mergeSegments concatenates time-adjacent segments: rows and their texts
+// append in order, so an input's row i is row base+i of the output, base the
+// rows of the inputs before it; each key's postings lists concatenate in
+// segment order with their ordinals shifted by that base — ascending,
+// because adjacent buckets hold disjoint ascending SID ranges.
+func mergeSegments(segs []*Segment, blockSize int) ([]metadb.Row, []string, []keyPostings, error) {
 	nRows := 0
 	for _, s := range segs {
 		nRows += s.NumRows()
 	}
 	rows := make([]metadb.Row, 0, nRows)
+	texts := make([]string, 0, nRows)
 	merged := make(map[invindex.Key][]invindex.Posting)
 	for _, s := range segs {
 		base := social.PostID(len(rows))
 		for i := 0; i < s.NumRows(); i++ {
 			rows = append(rows, s.RowAt(i))
+			texts = append(texts, s.Text(i))
 		}
 		for _, k := range s.Keys() {
 			ps, err := s.ordinals(k.Geohash, k.Term)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			for _, p := range ps {
 				merged[k] = append(merged[k], invindex.Posting{TID: base + p.TID, TF: p.TF})
@@ -609,18 +694,18 @@ func mergeSegments(segs []*Segment, blockSize int) ([]metadb.Row, []keyPostings,
 	for k, ps := range merged {
 		payload, err := invindex.EncodeBlockedPostingsList(ps, blockSize)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		enc[k] = payload
 	}
-	return rows, sortKeyPostings(enc), nil
+	return rows, texts, sortKeyPostings(enc), nil
 }
 
 // BulkLoad seeds an empty store from sealed segments in time order (a
-// build image, or what a heap store sealed): their rows and each key's
-// postings, split at time-bucket boundaries into one segment per occupied
-// bucket of each input, committed under a single MANIFEST. This is how a
-// system first attaches a segment directory.
+// build image, or what a heap store sealed): their rows, texts and each
+// key's postings, split at time-bucket boundaries into one segment per
+// occupied bucket of each input, committed under a single MANIFEST. This is
+// how a system first writes a segment directory (see CreateStore).
 func (st *Store) BulkLoad(imgs ...*Segment) error {
 	if !st.Empty() {
 		return fmt.Errorf("segment: bulk load into a non-empty store")
@@ -663,8 +748,10 @@ func (st *Store) split(img *Segment) error {
 			end++
 		}
 		rows := make([]metadb.Row, end-start)
+		texts := make([]string, end-start)
 		for i := range rows {
 			rows[i] = img.RowAt(start + i)
+			texts[i] = img.Text(start + i)
 		}
 		var perKey []keyPostings
 		for i, k := range keys {
@@ -684,7 +771,7 @@ func (st *Store) split(img *Segment) error {
 			}
 			perKey = append(perKey, keyPostings{key: k, payload: payload})
 		}
-		seg, file, err := st.writeSegment(rows, perKey)
+		seg, file, err := st.writeSegment(rows, texts, perKey)
 		if err != nil {
 			return err
 		}
@@ -744,16 +831,20 @@ func (st *Store) LookupRowMeta(sid social.PostID) (metadb.RowMeta, bool) {
 	return out[0], ok
 }
 
-// MaxSealedSID returns the largest SID covered by a sealed segment, 0
-// when none — the watermark WAL replay uses to decide which posts still
-// belong in the memtable.
-func (st *Store) MaxSealedSID() social.PostID {
+// Text returns the raw text of post sid, read from the sealed segment or
+// the memtable holding its row; false when the store holds no such row.
+func (st *Store) Text(sid social.PostID) (string, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if len(st.segs) == 0 {
-		return 0
+	// Segments are disjoint and sorted by SID range.
+	if i := sort.Search(len(st.segs), func(i int) bool { return st.segs[i].MaxSID() >= sid }); i < len(st.segs) {
+		seg := st.segs[i]
+		if ord, ok := ordinalOf(seg.recs, sid); ok {
+			return seg.Text(ord), true
+		}
+		return "", false
 	}
-	return st.segs[len(st.segs)-1].MaxSID()
+	return st.mem.text(sid)
 }
 
 // Segments returns the live sealed segments in time order. They stay

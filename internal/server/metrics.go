@@ -68,9 +68,6 @@ func newServerMetrics(reg *telemetry.Registry, sys *tklus.System) *serverMetrics
 	reg.GaugeFunc("tklus_index_keys",
 		"(geohash, term) keys of the hybrid index, summed over its sealed segments and memtable.", nil,
 		func() float64 { return float64(sys.Store.NumKeys()) })
-	if sys.FS != nil {
-		sys.FS.RegisterMetrics(reg)
-	}
 	return m
 }
 

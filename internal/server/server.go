@@ -485,7 +485,7 @@ func (s *Server) handleThread(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]nodeJSON, 0, len(nodes))
 	for _, n := range nodes {
-		text, _ := s.sys.Contents.Text(n.SID)
+		text, _ := s.sys.Store.Text(n.SID)
 		out = append(out, nodeJSON{
 			SID: int64(n.SID), UID: int64(n.UID),
 			Parent: int64(n.Parent), Level: n.Level, Text: text,
@@ -502,14 +502,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.sys != nil {
 		dbStats := s.sys.DB.Stats()
-		fsStats := s.sys.FS.Stats()
 		out["index_keys"] = s.sys.Store.NumKeys()
 		out["db_page_reads"] = dbStats.PageReads
 		out["db_cache_hits"] = dbStats.CacheHits
 		out["db_index_reads"] = dbStats.IndexReads
-		out["dfs_blocks_read"] = fsStats.BlocksRead
-		out["dfs_bytes_read"] = fsStats.BytesRead
-		out["dfs_seeks"] = fsStats.Seeks
 		out["rows"] = s.sys.DB.Len()
 	}
 	if ss, ok := s.searcher.(*tklus.ShardedSystem); ok {
@@ -610,7 +606,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // definition ready — its backend is fully built or recovered — so this
 // always answers 200; the not-ready half lives in cmd/tklus-server, which
 // binds the listener with a boot handler answering /readyz with 503 until
-// snapshot load and WAL replay complete, then swaps this Server in.
+// the store open and WAL replay complete, then swaps this Server in.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	w.Write([]byte("ready\n"))

@@ -177,8 +177,10 @@ func TestStatsAndHealth(t *testing.T) {
 	if body["index_keys"].(float64) < 1 {
 		t.Errorf("index_keys = %v", body["index_keys"])
 	}
-	if _, ok := body["postings_fetches"]; ok {
-		t.Error("stats still report postings_fetches, a counter no search moves")
+	for _, gone := range []string{"postings_fetches", "dfs_blocks_read", "dfs_bytes_read", "dfs_seeks"} {
+		if _, ok := body[gone]; ok {
+			t.Errorf("stats still report %s, a counter no serving system moves", gone)
+		}
 	}
 	req := httptest.NewRequest("GET", "/healthz", nil)
 	rec := httptest.NewRecorder()

@@ -87,8 +87,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := metricValue(body, "tklus_index_keys"); got < 1 {
 		t.Errorf("index keys = %v, want ≥ 1", got)
 	}
-	if got := metricValue(body, "tklus_postings_fetches_total"); got != -1 {
-		t.Errorf("postings fetches series = %v, want absent", got)
+	for _, gone := range []string{"tklus_postings_fetches_total", "tklus_dfs_blocks_read_total", "tklus_dfs_bytes_read_total"} {
+		if got := metricValue(body, gone); got != -1 {
+			t.Errorf("%s = %v, want absent", gone, got)
+		}
 	}
 	if got := metricValue(body, `tklus_btree_node_accesses_total{index="sid"}`); got != sidBuilt {
 		t.Errorf("sid btree accesses after searches = %v, want the build's %v", got, sidBuilt)

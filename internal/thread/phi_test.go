@@ -1,8 +1,6 @@
 package thread
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -72,9 +70,9 @@ func TestPhiRangeMaxExactOnBatchCorpus(t *testing.T) {
 // then its ≤depth ancestors counted through one AddReply, exactly as
 // System.ingest does), every root's lookup equals Algorithm 1 —
 // Builder.Popularity over the same posts — bit for bit, at every ε. Mid
-// stream the bounds are gob-round-tripped and the reloaded copy receives the
-// remaining replies too: it must end with the same table, so a restart
-// never changes a score. ε > ½ is in the grid because there a thread's
+// stream a second table is derived from the database's rows, as a reload
+// derives it (ComputeRowBounds), and receives the remaining replies too: it
+// must end with the same table, so a restart never changes a score. ε > ½ is in the grid because there a thread's
 // first reply lowers φ below the floor (one reply scores ½).
 func TestPhiRangeMaxExactAfterRandomIngest(t *testing.T) {
 	for _, depth := range []int{1, 2, 4} {
@@ -105,14 +103,9 @@ func TestPhiRangeMaxExactAfterRandomIngest(t *testing.T) {
 			// Ingest: new ascending SIDs, most replying to an existing post.
 			for sid := social.PostID(41); sid <= 80; sid++ {
 				if sid == 60 {
-					var buf bytes.Buffer
-					if err := b.EncodeGob(&buf); err != nil {
-						t.Fatal(err)
-					}
-					var err error
-					if loaded, err = DecodeBoundsGob(&buf); err != nil {
-						t.Fatal(err)
-					}
+					var rows []metadb.Row
+					db.Scan(func(r metadb.Row) bool { rows = append(rows, r); return true })
+					loaded = ComputeRowBounds(rows, depth)
 				}
 				p := mkPost(sid)
 				if rng.Intn(3) > 0 {
@@ -150,97 +143,38 @@ func TestPhiRangeMaxExactAfterRandomIngest(t *testing.T) {
 	}
 }
 
-func TestPhiTableGobRoundTrip(t *testing.T) {
-	posts := figure2Posts()
-	b := ComputeBounds(posts, 6)
-	b.AddReply([]social.PostID{999}) // an ingested root the table never saw
-
-	var buf bytes.Buffer
-	if err := b.EncodeGob(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := DecodeBoundsGob(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.CheckParams(6); err != nil {
-		t.Fatalf("reloaded table refused: %v", err)
-	}
-	// 500 is in no table: the floor shows the table survived.
-	for _, sid := range []social.PostID{1, 2, 5, 9, 10, 500, 999} {
-		if got, want := loaded.Phi(sid, 0.1), b.Phi(sid, 0.1); got != want {
-			t.Errorf("after reload Phi(%d) = %v, want %v", sid, got, want)
-		}
-	}
-	if got := loaded.Phi(999, 0.1); got != 0.5 {
-		t.Errorf("ingested entry lost: Phi(999) = %v, want 0.5 (one reply)", got)
-	}
-
-	// A table of no replies is still a table.
-	buf.Reset()
-	if err := ComputeBounds(nil, 6).EncodeGob(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if empty, err := DecodeBoundsGob(&buf); err != nil || empty.CheckParams(6) != nil {
-		t.Errorf("empty table did not round-trip: %v", err)
-	}
-}
-
 // TestCheckParamsRefusesUnscorableBounds: bounds an engine would score from
 // must hold a level-count table for its depth — any ε reads the same one.
-// Bounds without a table, an image written before the table existed (a φ
-// column and the paper's query-level bounds) and a table of another depth
-// are refused as ErrParamsMismatch, and an image whose table halves
-// disagree does not decode at all.
+// Bounds without a table and a table of another depth are refused as
+// ErrParamsMismatch, and a table of no replies is still a table.
 func TestCheckParamsRefusesUnscorableBounds(t *testing.T) {
 	b := ComputeBounds(figure2Posts(), 6)
 	if err := b.CheckParams(6); err != nil {
 		t.Fatalf("matching model refused: %v", err)
 	}
-
-	// The image earlier code wrote: a dense φ column for one ε.
-	type phiColumnBounds struct {
-		TM          int
-		Depth       int
-		Def11       float64
-		MaxObserved float64
-		PerKeyword  map[string]float64
-		PhiSIDs     []social.PostID
-		PhiVals     []float64
-		PhiFloor    float64
+	if err := ComputeRowBounds(nil, 6).CheckParams(6); err != nil {
+		t.Fatalf("table of no replies refused: %v", err)
 	}
-	var img bytes.Buffer
-	if err := gob.NewEncoder(&img).Encode(&phiColumnBounds{
-		TM: 3, Depth: 6, MaxObserved: 10.0 / 3, PerKeyword: map[string]float64{"hotel": 10.0 / 3},
-		PhiSIDs: []social.PostID{1, 2}, PhiVals: []float64{10.0 / 3, 5.0 / 3}, PhiFloor: 0.1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	phiColumn, err := DecodeBoundsGob(&img)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for name, err := range map[string]error{
 		"no table": (&Bounds{Depth: 6}).CheckParams(6),
-		"φ column": phiColumn.CheckParams(6),
 		"depth 4":  b.CheckParams(4),
 	} {
 		if !errors.Is(err, ErrParamsMismatch) {
 			t.Errorf("%s: err = %v, want ErrParamsMismatch", name, err)
 		}
 	}
+}
 
-	for name, wire := range map[string]boundsWire{
-		"2 SIDs, 1 row":  {Depth: 6, Stride: 6, SIDs: []social.PostID{1, 2}, Counts: make([]uint32, 6)},
-		"stride ≠ depth": {Depth: 6, Stride: 4, SIDs: []social.PostID{1}, Counts: make([]uint32, 4)},
-	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecodeBoundsGob(&buf); err == nil {
-			t.Errorf("%s: decoded", name)
+// TestComputeRowBoundsMatchesPosts: the table a reload derives from the
+// stored rows' (SID, RSID) pairs is the one a build counts from the posts.
+func TestComputeRowBoundsMatchesPosts(t *testing.T) {
+	posts := figure2Posts()
+	db := loadDB(t, posts)
+	var rows []metadb.Row
+	db.Scan(func(r metadb.Row) bool { rows = append(rows, r); return true })
+	for _, depth := range []int{1, 2, 6} {
+		if got, want := table(ComputeRowBounds(rows, depth)), table(ComputeBounds(posts, depth)); !reflect.DeepEqual(got, want) {
+			t.Errorf("depth %d: from rows %v, from posts %v", depth, got, want)
 		}
 	}
 }

@@ -9,10 +9,8 @@
 package thread
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 
@@ -116,7 +114,8 @@ func (b *Builder) Tree(root social.PostID, epsilon float64, stats *Stats) ([]Nod
 // read (PhiBatch), so it is exact for any ε, and live ingest keeps the
 // counts exact by arithmetic (AddReply). A SID absent from the table is a
 // tweet nothing has replied to, whose φ is ε. Reads and writes go through
-// an internal RWMutex; EncodeGob persists the whole table.
+// an internal RWMutex. The table is derived, never stored: a build counts
+// it from the posts, a reload from the rows (ComputeRowBounds).
 type Bounds struct {
 	// Depth is the thread depth limit d the counts were taken for: the
 	// width of every count row.
@@ -125,8 +124,7 @@ type Bounds struct {
 	mu sync.RWMutex
 	// sids is ascending; counts holds one row of Depth level sizes per SID,
 	// counts[i*Depth+h-1] = |T_{h+1}| of the thread rooted at sids[i]. A nil
-	// sids is a Bounds without a table (an image written before the table
-	// existed), which CheckParams refuses.
+	// sids is a Bounds without a table, which CheckParams refuses.
 	sids   []social.PostID
 	counts []uint32
 }
@@ -142,6 +140,24 @@ func ComputeBounds(posts []*social.Post, depth int) *Bounds {
 			children[p.RSID] = append(children[p.RSID], p.SID)
 		}
 	}
+	return countLevels(children, depth)
+}
+
+// ComputeRowBounds is ComputeBounds over metadata rows: a reload derives the
+// table from the stored rows' (SID, RSID) pairs instead of storing it.
+func ComputeRowBounds(rows []metadb.Row, depth int) *Bounds {
+	children := make(map[social.PostID][]social.PostID)
+	for _, r := range rows {
+		if r.RSID != social.NoPost {
+			children[r.RSID] = append(children[r.RSID], r.SID)
+		}
+	}
+	return countLevels(children, depth)
+}
+
+// countLevels counts every reacted-to tweet's level sizes from the child
+// adjacency of the reply graph.
+func countLevels(children map[social.PostID][]social.PostID, depth int) *Bounds {
 	b := &Bounds{
 		Depth:  depth,
 		sids:   make([]social.PostID, 0, len(children)),
@@ -231,8 +247,8 @@ func (b *Bounds) Range(fn func(root social.PostID, levels []uint32)) {
 }
 
 // ErrParamsMismatch marks bounds PhiBatch cannot answer φ from for a scoring
-// model: bounds without a count table (an image written before the table
-// existed), or a table counted for another thread depth.
+// model: bounds without a count table, or a table counted for another
+// thread depth.
 var ErrParamsMismatch = errors.New("popularity bounds do not match the scoring model")
 
 // CheckParams reports, as ErrParamsMismatch, whether the bounds cannot give
@@ -248,49 +264,4 @@ func (b *Bounds) CheckParams(depth int) error {
 		return fmt.Errorf("%w: bounds counted for thread depth %d, the model says %d", ErrParamsMismatch, b.Depth, depth)
 	}
 	return nil
-}
-
-// boundsWire is the gob image of Bounds. Gob matches fields by name and
-// skips mismatches in either direction, so an image written by earlier code
-// (a φ column and the paper's query-level bounds, or no table at all) still
-// decodes — with Stride 0, as bounds without a table, which CheckParams
-// refuses.
-type boundsWire struct {
-	Depth  int
-	Stride int // the count rows' width, = Depth; 0 in an image without the table
-	SIDs   []social.PostID
-	Counts []uint32
-}
-
-// EncodeGob writes the bounds to w. The table is copied under the read
-// lock, so a snapshot save racing AddReply encodes one consistent state.
-func (b *Bounds) EncodeGob(w io.Writer) error {
-	b.mu.RLock()
-	wire := boundsWire{Depth: b.Depth, SIDs: slices.Clone(b.sids), Counts: slices.Clone(b.counts)}
-	if b.sids != nil {
-		wire.Stride = b.Depth
-	}
-	b.mu.RUnlock()
-	return gob.NewEncoder(w).Encode(&wire)
-}
-
-// DecodeBoundsGob reads bounds written by EncodeGob (or by older code).
-func DecodeBoundsGob(r io.Reader) (*Bounds, error) {
-	var wire boundsWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, err
-	}
-	b := &Bounds{Depth: wire.Depth}
-	if wire.Stride == 0 {
-		return b, nil
-	}
-	if wire.Stride != wire.Depth || len(wire.Counts) != len(wire.SIDs)*wire.Stride {
-		return nil, fmt.Errorf("thread: level-count table of %d SIDs holds %d counts at stride %d for depth %d",
-			len(wire.SIDs), len(wire.Counts), wire.Stride, wire.Depth)
-	}
-	b.sids, b.counts = wire.SIDs, wire.Counts
-	if b.sids == nil { // gob drops an empty slice: a table of no replies
-		b.sids = []social.PostID{}
-	}
-	return b, nil
 }

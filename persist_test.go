@@ -1,19 +1,15 @@
 package tklus_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"hash/crc32"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
-	"strings"
+	"sort"
 	"testing"
 	"time"
 
@@ -23,27 +19,89 @@ import (
 	"repro/internal/metadb"
 	"repro/internal/segment"
 	"repro/internal/thread"
+	"repro/internal/wal"
 )
 
-// snapDirOf resolves the committed snapshot directory of a saved system.
-func snapDirOf(t *testing.T, dir string) string {
+// dirEntries lists the names directly under dir, sorted.
+func dirEntries(t *testing.T, dir string) []string {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("reading CURRENT: %v", err)
+		t.Fatal(err)
 	}
-	return filepath.Join(dir, strings.TrimSpace(string(data)))
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// segmentFiles maps every sealed segment file of dir/segments to its size.
+func segmentFiles(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "segments", "seg-*.tkseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64, len(paths))
+	for _, p := range paths {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(p)] = fi.Size()
+	}
+	return out
+}
+
+// copyDir copies the tree under src to dst, so a test can damage a saved
+// directory no live system maps.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	sys, corpus := buildSystem(t, 5000)
 	dir := filepath.Join(t.TempDir(), "saved")
+	if _, err := sys.EnableWAL(dir, tklus.WALOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	if err := sys.Save(dir); err != nil {
 		t.Fatal(err)
+	}
+	if err := sys.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	// The segment store and the WAL are the whole checkpoint.
+	if got := dirEntries(t, dir); !slices.Equal(got, []string{"segments", "wal"}) {
+		t.Fatalf("saved directory holds %v, want only segments and wal", got)
 	}
 	loaded, err := tklus.Load(dir, tklus.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := loaded.Store.Dir(), filepath.Join(dir, "segments"); got != want {
+		t.Fatalf("loaded system serves from %q, want %q in place", got, want)
 	}
 
 	if loaded.Store.NumKeys() != sys.Store.NumKeys() {
@@ -55,24 +113,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if got, want := levelTable(loaded.Bounds), levelTable(sys.Bounds); !reflect.DeepEqual(got, want) {
 		t.Fatalf("level-count tables differ: %d vs %d entries", len(got), len(want))
 	}
-	if loaded.Recovery == nil || loaded.Recovery.WALRecordsReplayed != 0 {
-		t.Fatalf("recovery stats = %+v, want zero replays with no WAL", loaded.Recovery)
+	if loaded.Recovery == nil || loaded.Recovery.WALRecordsReplayed != 0 || loaded.Recovery.Segments == 0 {
+		t.Fatalf("recovery stats = %+v, want segments and zero replays", loaded.Recovery)
 	}
 
 	// Queries against the loaded system must be byte-identical to the
 	// original for every ranking and semantic.
 	toronto := corpus.Config.Cities[0].Center
-	for _, ranking := range []int{int(tklus.SumScore), int(tklus.MaxScore)} {
-		for _, sem := range []int{int(tklus.Or), int(tklus.And)} {
+	for _, ranking := range []tklus.Ranking{tklus.SumScore, tklus.MaxScore} {
+		for _, sem := range []tklus.Semantic{tklus.Or, tklus.And} {
 			q := tklus.Query{
 				Loc: toronto, RadiusKm: 20,
 				Keywords: []string{"restaurant", "pizza"}, K: 10,
-			}
-			if ranking == int(tklus.MaxScore) {
-				q.Ranking = tklus.MaxScore
-			}
-			if sem == int(tklus.And) {
-				q.Semantic = tklus.And
+				Ranking: ranking, Semantic: sem,
 			}
 			a, _, err := sys.Search(context.Background(), q)
 			if err != nil {
@@ -82,57 +135,67 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(a) != len(b) {
-				t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("result %d differs: %+v vs %+v", i, a[i], b[i])
-				}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%v/%v: loaded %v, built %v", ranking, sem, b, a)
 			}
 		}
 	}
 
-	// Evidence (contents store) survives the round trip.
+	// The texts ride in the segments: evidence survives the round trip.
 	q := tklus.Query{Loc: toronto, RadiusKm: 20, Keywords: []string{"restaurant"}, K: 3}
 	res, _, err := loaded.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) > 0 {
-		texts, err := loaded.Evidence(q, res[0].UID, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(texts) == 0 || texts[0] == "" {
-			t.Error("loaded system returned no evidence texts")
-		}
+	if len(res) == 0 {
+		t.Fatal("no result to take evidence of")
 	}
-}
-
-func TestRepeatedSaveKeepsOneSnapshot(t *testing.T) {
-	sys, _ := buildSystem(t, 500)
-	dir := filepath.Join(t.TempDir(), "saved")
-	for i := 0; i < 3; i++ {
-		if err := sys.Save(dir); err != nil {
-			t.Fatalf("save %d: %v", i, err)
-		}
-	}
-	entries, err := os.ReadDir(dir)
+	got, err := loaded.Evidence(q, res[0].UID, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snaps int
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "snap-") {
-			snaps++
+	want, err := sys.Evidence(q, res[0].UID, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || got[0] == "" || !slices.Equal(got, want) {
+		t.Errorf("loaded evidence %q, built %q", got, want)
+	}
+}
+
+// TestRepeatedSaveKeepsOneSnapshot: the first Save of a heap system writes
+// its segments to dir/segments and serves from there; every later Save is a
+// seal and copies no bytes — with nothing ingested, every sealed segment
+// file keeps its name and size, however the directory is spelled — and the
+// directory holds one store.
+func TestRepeatedSaveKeepsOneSnapshot(t *testing.T) {
+	sys, _ := buildSystem(t, 500)
+	dir := filepath.Join(t.TempDir(), "saved")
+	if err := sys.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sys.Store.Dir(), filepath.Join(dir, "segments"); got != want {
+		t.Fatalf("after Save the system serves from %q, want %q", got, want)
+	}
+	first := segmentFiles(t, dir)
+	if len(first) == 0 {
+		t.Fatal("Save wrote no segment file")
+	}
+	manifests, _ := filepath.Glob(filepath.Join(dir, "segments", "MANIFEST-*"))
+	// The second spelling names the same directory.
+	for i, d := range []string{dir, dir + string(filepath.Separator) + "."} {
+		if err := sys.Save(d); err != nil {
+			t.Fatalf("save %d: %v", i, err)
 		}
-		if strings.HasPrefix(e.Name(), ".tmp-snap-") {
-			t.Errorf("abandoned temp dir %s survived", e.Name())
+		if got := segmentFiles(t, dir); !reflect.DeepEqual(got, first) {
+			t.Fatalf("save %d rewrote the segments: %v, then %v", i, first, got)
 		}
 	}
-	if snaps != 1 {
-		t.Errorf("%d committed snapshots after GC, want 1", snaps)
+	if again, _ := filepath.Glob(filepath.Join(dir, "segments", "MANIFEST-*")); !slices.Equal(again, manifests) {
+		t.Errorf("saves with nothing to seal committed manifests %v, then %v", manifests, again)
+	}
+	if got := dirEntries(t, dir); !slices.Equal(got, []string{"segments"}) {
+		t.Errorf("saved directory holds %v, want only segments", got)
 	}
 	if _, err := tklus.Load(dir, tklus.DefaultConfig()); err != nil {
 		t.Fatalf("load after repeated saves: %v", err)
@@ -146,12 +209,17 @@ func TestLoadMissingDirectory(t *testing.T) {
 	}
 }
 
-// TestLoadCorruptionMatrix damages every persisted artifact (plus the
-// manifest and the CURRENT pointer) in every way — delete, truncate, flip
-// a byte — and requires Load to come back with the right typed error,
-// never a panic or a half-loaded system.
+// TestLoadCorruptionMatrix damages every committed artifact — a sealed
+// segment, the MANIFEST and the CURRENT pointer of dir/segments — in every
+// way (delete, truncate, flip a byte) and requires Load to come back with
+// the right typed error, never a panic or a half-loaded system. Each case
+// damages a copy of one saved directory, which no live system maps.
 func TestLoadCorruptionMatrix(t *testing.T) {
 	sys, _ := buildSystem(t, 1000)
+	saved := filepath.Join(t.TempDir(), "saved")
+	if err := sys.Save(saved); err != nil {
+		t.Fatal(err)
+	}
 
 	type mutation struct {
 		name string
@@ -187,47 +255,40 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 		}},
 	}
 
-	// target resolves one artifact path inside a freshly saved directory.
-	type target struct {
-		name string
-		path func(t *testing.T, dir string) string
-		// want maps mutation name -> acceptable sentinels. Deleting a file
-		// is the partial-save shape; damaging bytes is corruption. The few
-		// pointer/manifest cases where the damage can land on either side
-		// of that line accept both.
-		want map[string][]error
-	}
-	inSnap := func(rel string) func(*testing.T, string) string {
+	// glob resolves one artifact inside the damaged copy.
+	glob := func(pattern string) func(*testing.T, string) string {
 		return func(t *testing.T, dir string) string {
-			return filepath.Join(snapDirOf(t, dir), rel)
+			matches, err := filepath.Glob(filepath.Join(dir, "segments", pattern))
+			if err != nil || len(matches) == 0 {
+				t.Fatalf("no %s: %v", pattern, err)
+			}
+			sort.Strings(matches)
+			return matches[0]
 		}
 	}
 	partial := []error{tklus.ErrPartialSave}
 	corrupt := []error{tklus.ErrCorruptImage}
-	artifactWant := map[string][]error{"delete": partial, "truncate": corrupt, "flip": corrupt}
-	targets := []target{
-		// The snapshot's index is its index-NNNNNNNN.tkseg segments; the
+	targets := []struct {
+		name string
+		path func(t *testing.T, dir string) string
+		// want maps mutation name -> acceptable sentinels. Deleting a file
+		// is the partial-save shape; damaging bytes is corruption. The
+		// pointer/manifest cases where the damage can land on either side
+		// of that line accept both.
+		want map[string][]error
+	}{
+		// The checkpoint's index is its seg-NNNNNNNN.tkseg segments; the
 		// target keeps its old name and damages the first.
-		{"index.tkseg", inSnap("index-00000001.tkseg"), artifactWant},
-		{"contents.bin", inSnap("contents.bin"), artifactWant},
-		{"bounds.gob", inSnap("bounds.gob"), artifactWant},
-		{"dfs-image", func(t *testing.T, dir string) string {
-			matches, err := filepath.Glob(filepath.Join(snapDirOf(t, dir), "dfs", "*"))
-			if err != nil || len(matches) == 0 {
-				t.Fatalf("no dfs image files: %v", err)
-			}
-			return matches[0]
-		}, artifactWant},
-		{"MANIFEST", inSnap("MANIFEST"), map[string][]error{
+		{"index.tkseg", glob("seg-*.tkseg"), map[string][]error{"delete": partial, "truncate": corrupt, "flip": corrupt}},
+		{"MANIFEST", glob("MANIFEST-*"), map[string][]error{
 			"delete":   partial,
 			"truncate": corrupt,
-			// A flipped byte can break the JSON, a CRC entry, the version
-			// digit, or a file name (which then reads as a missing file).
+			// A flipped byte can break the JSON, an entry the segment
+			// contradicts, the version digit, or a file name (which then
+			// reads as a missing file).
 			"flip": {tklus.ErrCorruptImage, tklus.ErrVersionMismatch, tklus.ErrPartialSave},
 		}},
-		{"CURRENT", func(t *testing.T, dir string) string {
-			return filepath.Join(dir, "CURRENT")
-		}, map[string][]error{
+		{"CURRENT", glob("CURRENT"), map[string][]error{
 			"delete":   partial,
 			"truncate": {tklus.ErrPartialSave, tklus.ErrCorruptImage},
 			"flip":     {tklus.ErrPartialSave, tklus.ErrCorruptImage},
@@ -237,10 +298,8 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 	for _, tg := range targets {
 		for _, mu := range mutations {
 			t.Run(tg.name+"/"+mu.name, func(t *testing.T) {
-				dir := filepath.Join(t.TempDir(), "saved")
-				if err := sys.Save(dir); err != nil {
-					t.Fatal(err)
-				}
+				dir := filepath.Join(t.TempDir(), "copy")
+				copyDir(t, saved, dir)
 				mu.do(t, tg.path(t, dir))
 				loaded, err := tklus.Load(dir, tklus.DefaultConfig())
 				if err == nil {
@@ -263,26 +322,31 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 	}
 }
 
+// TestLoadVersionMismatch: a snapshot directory earlier code wrote (CURRENT
+// naming snap-NNNNNNNN/ beside the data) is refused as a version mismatch
+// before anything decodes — also when a segment store sits beside it.
 func TestLoadVersionMismatch(t *testing.T) {
 	sys, _ := buildSystem(t, 500)
-	dir := filepath.Join(t.TempDir(), "saved")
-	if err := sys.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	mfPath := filepath.Join(snapDirOf(t, dir), "MANIFEST")
-	data, err := os.ReadFile(mfPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	future := strings.Replace(string(data), `"version": 4`, `"version": 99`, 1)
-	if future == string(data) {
-		t.Fatal("manifest version field not found")
-	}
-	if err := os.WriteFile(mfPath, []byte(future), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrVersionMismatch) {
-		t.Errorf("future-version snapshot: err = %v, want ErrVersionMismatch", err)
+	for _, withStore := range []bool{false, true} {
+		dir := filepath.Join(t.TempDir(), "saved")
+		if withStore {
+			if err := sys.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := filepath.Join(dir, "snap-00000001")
+		if err := os.MkdirAll(snap, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(snap, "MANIFEST"), []byte(`{"version": 4, "files": []}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "CURRENT"), []byte("snap-00000001\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrVersionMismatch) {
+			t.Errorf("snapshot directory (segment store beside it: %v): err = %v, want ErrVersionMismatch", withStore, err)
+		}
 	}
 }
 
@@ -293,214 +357,50 @@ func levelTable(b *thread.Bounds) map[tklus.PostID][]uint32 {
 	return out
 }
 
-// TestLoadRejectsBoundsOfAnotherScoringModel: the level-count table is
-// decoded from the snapshot, the engine options from the Config. A snapshot
-// saved at thread depth 2 and loaded at the default depth would score
-// popularities of a different model — Load refuses it. The table holds
-// counts, not scores, so ε is free: an image saved at ε 0.1 and loaded at
-// ε 0.3 answers exactly as a fresh build at ε 0.3.
-func TestLoadRejectsBoundsOfAnotherScoringModel(t *testing.T) {
-	cfg := datagen.DefaultConfig()
-	cfg.NumUsers, cfg.NumPosts = 200, 500
-	corpus, err := datagen.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := tklus.DefaultConfig()
-	saved.Engine.Params.ThreadDepth = 2
-	sys, err := tklus.Build(corpus.Posts, saved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "saved")
-	if err := sys.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrParamsMismatch) {
-		t.Errorf("depth 6: err = %v, want ErrParamsMismatch", err)
-	}
-
-	otherEps := saved
-	otherEps.Engine.Params.Epsilon = 0.3
-	loaded, err := tklus.Load(dir, otherEps)
-	if err != nil {
-		t.Fatalf("ε 0.3: %v", err)
-	}
-	fresh, err := tklus.Build(corpus.Posts, otherEps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	center := corpus.Config.Cities[0].Center
-	answered := 0
-	for _, ranking := range []tklus.Ranking{tklus.SumScore, tklus.MaxScore} {
-		for _, kw := range datagen.HotKeywords[:3] {
-			q := tklus.Query{Loc: center, RadiusKm: 30, Keywords: []string{kw}, K: 10, Ranking: ranking}
-			got, _, err := loaded.Search(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _, err := fresh.Search(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v %q: saved at ε 0.1, loaded at ε 0.3: %v, fresh build at ε 0.3: %v", ranking, kw, got, want)
-			}
-			answered += len(got)
-		}
-	}
-	if answered == 0 {
-		t.Fatal("no query returned a user: the comparison checks nothing")
-	}
-}
-
-// TestLoadRejectsTablelessBounds: a snapshot whose bounds.gob holds no
-// level-count table — the exported bound fields alone, or the dense φ
-// column of one ε that earlier code wrote — holds nothing for the engine to
-// score from at this code's model, so Load refuses it with a typed error
-// rather than serve scores of no table. The manifest is rewritten to match
-// the new file, so only the bounds themselves can object.
-func TestLoadRejectsTablelessBounds(t *testing.T) {
-	sys, _ := buildSystem(t, 500)
-	type preTableBounds struct {
-		TM, Depth          int
-		Def11, MaxObserved float64
-		PerKeyword         map[string]float64
-	}
-	type phiColumnBounds struct {
-		TM, Depth          int
-		Def11, MaxObserved float64
-		PerKeyword         map[string]float64
-		PhiSIDs            []tklus.PostID
-		PhiVals            []float64
-		PhiFloor           float64
-	}
-	depth := tklus.DefaultConfig().Engine.Params.ThreadDepth
-	kw := map[string]float64{"hotel": 2.5}
-	for name, image := range map[string]any{
-		"exported fields only": &preTableBounds{TM: 3, Depth: depth, Def11: 7.5, MaxObserved: 2.5, PerKeyword: kw},
-		"φ column": &phiColumnBounds{TM: 3, Depth: depth, Def11: 7.5, MaxObserved: 2.5, PerKeyword: kw,
-			PhiSIDs: []tklus.PostID{1, 2}, PhiVals: []float64{2.5, 0.1}, PhiFloor: 0.1},
-	} {
-		dir := filepath.Join(t.TempDir(), "saved")
-		if err := sys.Save(dir); err != nil {
-			t.Fatal(err)
-		}
-		var img bytes.Buffer
-		if err := gob.NewEncoder(&img).Encode(image); err != nil {
-			t.Fatal(err)
-		}
-		replaceSnapshotFile(t, snapDirOf(t, dir), "bounds.gob", img.Bytes())
-		if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrParamsMismatch) {
-			t.Errorf("%s: err = %v, want ErrParamsMismatch", name, err)
-		}
-	}
-}
-
-// replaceSnapshotFile overwrites one file of a committed snapshot and
-// rewrites the manifest's size and CRC for it, so only the file's decoder
-// can object to the new content.
-func replaceSnapshotFile(t *testing.T, snap, name string, content []byte) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(snap, name), content, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var mf struct {
-		Version int `json:"version"`
-		Files   []struct {
-			Name string `json:"name"`
-			Size int64  `json:"size"`
-			CRC  string `json:"crc32c"`
-		} `json:"files"`
-	}
-	data, err := os.ReadFile(filepath.Join(snap, "MANIFEST"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &mf); err != nil {
-		t.Fatal(err)
-	}
-	rewritten := false
-	for i := range mf.Files {
-		if mf.Files[i].Name == name {
-			mf.Files[i].Size = int64(len(content))
-			mf.Files[i].CRC = fmt.Sprintf("%08x", crc32.Checksum(content, crc32.MakeTable(crc32.Castagnoli)))
-			rewritten = true
-		}
-	}
-	if !rewritten {
-		t.Fatalf("manifest lists no %s", name)
-	}
-	if data, err = json.Marshal(&mf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(snap, "MANIFEST"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLoadRefusesSnapshotOfAnotherFormat: a version-1 snapshot (paged DFS
-// postings, forward.bin, every row in rows.bin), a version-2 one (a TKSEG1
-// index image, whose postings held tweet IDs) and a version-3 one (one
-// index.tkseg image plus the rows ingested beyond it in rows.bin) are
-// refused as a version mismatch before anything decodes, and an index
-// segment the segment
-// parser rejects — another segment format version, a TKSEG1 magic, or bytes
-// whose own CRC fails — is corruption, with the manifest rewritten to match
-// so only the image can object.
+// TestLoadRefusesSnapshotOfAnotherFormat: a segment the parser rejects is
+// refused with its typed error in the chain — a TKSEG2 file (no texts) or
+// another format version as a version mismatch and segment.ErrVersion,
+// bytes whose own CRC fails as corruption.
 func TestLoadRefusesSnapshotOfAnotherFormat(t *testing.T) {
 	sys, _ := buildSystem(t, 500)
-	save := func() string {
-		dir := filepath.Join(t.TempDir(), "saved")
-		if err := sys.Save(dir); err != nil {
-			t.Fatal(err)
-		}
-		return dir
+	saved := filepath.Join(t.TempDir(), "saved")
+	if err := sys.Save(saved); err != nil {
+		t.Fatal(err)
 	}
-
-	for _, old := range []string{`"version": 1`, `"version": 2`, `"version": 3`} {
-		dir := save()
-		mfPath := filepath.Join(snapDirOf(t, dir), "MANIFEST")
-		mf, err := os.ReadFile(mfPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		downgraded := strings.Replace(string(mf), `"version": 4`, old, 1)
-		if downgraded == string(mf) {
-			t.Fatal("manifest version field not found")
-		}
-		if err := os.WriteFile(mfPath, []byte(downgraded), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrVersionMismatch) {
-			t.Errorf("snapshot with %s: err = %v, want ErrVersionMismatch", old, err)
-		}
+	tkseg2, err := os.ReadFile(filepath.Join("internal", "segment", "testdata", "tkseg2.tkseg"))
+	if err != nil {
+		t.Fatal(err)
 	}
-
 	for _, c := range []struct {
 		name   string
-		mutate func(b []byte)
+		mutate func(b []byte) []byte
+		want   []error
 	}{
-		{"segment format version 9", func(b []byte) { b[8] = 9 }},
-		{"TKSEG1 magic and version", func(b []byte) { b[5], b[8] = '1', 1 }},
-		{"row byte under the image's CRC", func(b []byte) { b[64+8] ^= 0xff }},
+		{"TKSEG2 file", func([]byte) []byte { return tkseg2 }, []error{tklus.ErrVersionMismatch, segment.ErrVersion}},
+		{"segment format version 9", func(b []byte) []byte { b[8] = 9; return b }, []error{tklus.ErrVersionMismatch, segment.ErrVersion}},
+		{"row byte under the image's CRC", func(b []byte) []byte { b[64+8] ^= 0xff; return b }, []error{tklus.ErrCorruptImage, segment.ErrChecksum}},
 	} {
-		dir := save()
-		snap := snapDirOf(t, dir)
-		img, err := os.ReadFile(filepath.Join(snap, "index-00000001.tkseg"))
+		dir := filepath.Join(t.TempDir(), "copy")
+		copyDir(t, saved, dir)
+		path := filepath.Join(dir, "segments", "seg-00000001.tkseg")
+		img, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.mutate(img)
-		replaceSnapshotFile(t, snap, "index-00000001.tkseg", img)
-		if _, err := tklus.Load(dir, tklus.DefaultConfig()); !errors.Is(err, tklus.ErrCorruptImage) {
-			t.Errorf("%s: err = %v, want ErrCorruptImage", c.name, err)
+		if err := os.WriteFile(path, c.mutate(img), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = tklus.Load(dir, tklus.DefaultConfig())
+		for _, want := range c.want {
+			if !errors.Is(err, want) {
+				t.Errorf("%s: err = %v, want errors.Is %v", c.name, err, want)
+			}
 		}
 	}
 }
 
-// TestSnapshotStoresEachRowOnce: Save seals the memtable, so the snapshot's
-// index segments hold every row exactly once — the build image's, then the
+// TestSnapshotStoresEachRowOnce: Save seals the memtable, so the store's
+// segments hold every row exactly once — the build image's, then the
 // ingested ones — and Load rebuilds the whole metadata database from them.
 func TestSnapshotStoresEachRowOnce(t *testing.T) {
 	sys, corpus := buildSystem(t, 500)
@@ -516,20 +416,17 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 	if err := sys.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	var rows []int
-	for _, name := range []string{"index-00000001.tkseg", "index-00000002.tkseg"} {
-		raw, err := os.ReadFile(filepath.Join(snapDirOf(t, dir), name))
+	rows := 0
+	for name := range segmentFiles(t, dir) {
+		seg, err := segment.Open(filepath.Join(dir, "segments", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		seg, err := segment.OpenBytes(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows = append(rows, seg.NumRows())
+		rows += seg.NumRows()
+		seg.Close()
 	}
-	if want := []int{len(corpus.Posts), 2}; !slices.Equal(rows, want) {
-		t.Errorf("snapshot segments hold %v rows, want %v: the image, then the two ingested rows", rows, want)
+	if want := len(corpus.Posts) + 2; rows != want {
+		t.Errorf("segments hold %d rows, want %d: the image, then the two ingested rows", rows, want)
 	}
 	loaded, err := tklus.Load(dir, tklus.DefaultConfig())
 	if err != nil {
@@ -558,51 +455,157 @@ func TestSaveToUnwritableLocation(t *testing.T) {
 	}
 }
 
+// TestSaveLoadDifferentEngineOptions: the directory carries data; engine
+// options come from the Load config, and the level-count table is counted
+// from the rows at the config's thread depth. A directory saved under the
+// defaults and loaded with the recency extension, with another ε, or with
+// another thread depth answers exactly (==) as a fresh build with the same
+// options does — and, for the recency leg, as the scan oracle.
 func TestSaveLoadDifferentEngineOptions(t *testing.T) {
-	// The saved image carries data; engine options come from the Load
-	// config. Loading with the recency extension on must answer exactly as a
-	// fresh build with the same options does, and as the scan oracle.
 	sys, corpus := buildSystem(t, 3000)
 	dir := t.TempDir()
 	if err := sys.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	cfg := tklus.DefaultConfig()
-	cfg.Engine.RecencyHalfLife = 0.3
-	loaded, err := tklus.Load(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := tklus.Build(corpus.Posts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan := baseline.NewScanRanker(corpus.Posts, cfg.Engine.Params)
-	scan.RecencyHalfLife = cfg.Engine.RecencyHalfLife
-	for _, ranking := range []tklus.Ranking{tklus.SumScore, tklus.MaxScore} {
-		q := tklus.Query{
-			Loc: corpus.Config.Cities[0].Center, RadiusKm: 15,
-			Keywords: []string{"hotel"}, K: 5, Ranking: ranking,
+	recency := tklus.DefaultConfig()
+	recency.Engine.RecencyHalfLife = 0.3
+	otherEps := tklus.DefaultConfig()
+	otherEps.Engine.Params.Epsilon = 0.3
+	shallow := tklus.DefaultConfig()
+	shallow.Engine.Params.ThreadDepth = 2
+	center := corpus.Config.Cities[0].Center
+	for name, cfg := range map[string]tklus.Config{"recency": recency, "ε 0.3": otherEps, "depth 2": shallow} {
+		loaded, err := tklus.Load(dir, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		a, _, err := fresh.Search(context.Background(), q)
+		fresh, err := tklus.Build(corpus.Posts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := loaded.Search(context.Background(), q)
+		answered := 0
+		for _, ranking := range []tklus.Ranking{tklus.SumScore, tklus.MaxScore} {
+			for _, kw := range []string{"hotel", datagen.HotKeywords[1], datagen.HotKeywords[2]} {
+				q := tklus.Query{Loc: center, RadiusKm: 15, Keywords: []string{kw}, K: 5, Ranking: ranking}
+				want, _, err := fresh.Search(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := loaded.Search(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %v %q: loaded %v, fresh build %v", name, ranking, kw, got, want)
+				}
+				answered += len(got)
+			}
+		}
+		if answered == 0 {
+			t.Fatalf("%s: no query returned a user: the comparison checks nothing", name)
+		}
+		loaded.Close()
+	}
+
+	scan := baseline.NewScanRanker(corpus.Posts, recency.Engine.Params)
+	scan.RecencyHalfLife = recency.Engine.RecencyHalfLife
+	loaded, err := tklus.Load(dir, recency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranking := range []tklus.Ranking{tklus.SumScore, tklus.MaxScore} {
+		q := tklus.Query{Loc: center, RadiusKm: 15, Keywords: []string{"hotel"}, K: 5, Ranking: ranking}
+		got, _, err := loaded.Search(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := scan.Search(q)
-		if len(a) != len(b) || len(b) != len(want) || len(b) == 0 {
-			t.Fatalf("%v: loaded %v, fresh build %v, scan oracle %v", ranking, b, a, want)
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("%v: loaded %v, scan oracle %v", ranking, got, want)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%v result %d: loaded %+v, fresh build %+v", ranking, i, b[i], a[i])
-			}
-			if b[i].UID != want[i].UID || math.Abs(b[i].Score-want[i].Score) > 1e-12 {
-				t.Fatalf("%v result %d: loaded %+v, scan oracle %+v", ranking, i, b[i], want[i])
+		for i := range got {
+			if got[i].UID != want[i].UID || math.Abs(got[i].Score-want[i].Score) > 1e-12 {
+				t.Fatalf("%v result %d: loaded %+v, scan oracle %+v", ranking, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestRestartReplaysWALOnce: Load opens dir/segments in place and replays
+// the WAL once, through Ingest, into that store's memtable: the records it
+// replays are exactly the logged ones beyond the last sealed segment, the
+// memtable holds exactly them, and EnableSegments with the same directory
+// afterwards — what a restarting server or harness calls next — adds
+// nothing.
+func TestRestartReplaysWALOnce(t *testing.T) {
+	posts, loc, roots := ingestCorpus()
+	extras := extraReplies(roots, loc, 6)
+	dir := t.TempDir()
+	segDir := filepath.Join(dir, "segments")
+
+	sys, err := tklus.Build(posts, tklus.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.EnableWAL(dir, tklus.WALOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Ingest(extras[:2]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Save(dir); err != nil { // seals the first two
+		t.Fatal(err)
+	}
+	if err := sys.Ingest(extras[2:]...); err != nil {
+		t.Fatal(err)
+	}
+	want := searchHotel(t, sys, loc)
+	if err := sys.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Close() // crash: the last four live only in the WAL
+
+	loaded, err := tklus.Load(dir, tklus.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if loaded.Store.Dir() != segDir {
+		t.Fatalf("loaded system serves from %q, want %q", loaded.Store.Dir(), segDir)
+	}
+	segs := loaded.Store.Segments()
+	sealed := segs[len(segs)-1].MaxSID()
+	var beyond int64
+	if _, err := wal.Replay(filepath.Join(dir, "wal"), func(p *tklus.Post) error {
+		if p.SID > sealed {
+			beyond++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rec := loaded.Recovery
+	if beyond != int64(len(extras)-2) || rec.WALRecordsReplayed != beyond {
+		t.Fatalf("replayed %d records, the WAL holds %d beyond the sealed SID %d (want %d)",
+			rec.WALRecordsReplayed, beyond, sealed, len(extras)-2)
+	}
+	if got := loaded.Store.Memtable().Len(); int64(got) != rec.WALRecordsReplayed {
+		t.Fatalf("memtable holds %d rows after replaying %d records", got, rec.WALRecordsReplayed)
+	}
+
+	segments, rows, keys := loaded.Store.SegmentCount(), loaded.DB.Len(), loaded.Store.NumKeys()
+	if _, err := tklus.EnableSegments(loaded, tklus.SegmentOptions{Dir: segDir, WALDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Store.Memtable().Len() != int(rec.WALRecordsReplayed) || loaded.DB.Len() != rows ||
+		loaded.Store.SegmentCount() != segments || loaded.Store.NumKeys() != keys {
+		t.Fatalf("EnableSegments on the loaded directory changed the store: memtable %d, rows %d, segments %d, keys %d",
+			loaded.Store.Memtable().Len(), loaded.DB.Len(), loaded.Store.SegmentCount(), loaded.Store.NumKeys())
+	}
+	if got := searchHotel(t, loaded, loc); !equalResults(got, want) {
+		t.Fatalf("after restart: %v, want %v", got, want)
 	}
 }

@@ -11,9 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/contents"
 	"repro/internal/core"
-	"repro/internal/dfs"
+	"repro/internal/geo"
 	"repro/internal/metadb"
 	"repro/internal/telemetry"
 	"repro/internal/thread"
@@ -588,11 +587,6 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 	if err != nil {
 		return nil, err
 	}
-	fsys := dfs.New(cfg.DFS)
-	store, err := contents.BuildStore(fsys, posts, "contents")
-	if err != nil {
-		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
-	}
 
 	groups := make([]*ReplicaGroup, 0, len(images))
 	defer func() {
@@ -622,7 +616,7 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 				return nil, fmt.Errorf("tklus: loading %s replica %d metadata db: %w", im.name, j, err)
 			}
 			bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
-			sys, err := newSystem(cfg, db, fsys, bounds, store, im.owns, im.img)
+			sys, err := newHeapSystem(cfg, db, bounds, im.owns, im.img)
 			if err != nil {
 				return nil, fmt.Errorf("tklus: %s replica %d: %w", im.name, j, err)
 			}
@@ -701,8 +695,18 @@ func (rs *ReplicatedShardedSystem) Ingest(posts ...*Post) error {
 }
 
 // IngestContext is Ingest with the caller's context (server duck-typing
-// for /v1/ingest, tracing, election waits).
+// for /v1/ingest, tracing, election waits). A post in a region no shard
+// owns could be acknowledged but indexed by none, so the whole batch is
+// refused, before any group applies it, with an error wrapping
+// metadb.ErrRejected.
 func (rs *ReplicatedShardedSystem) IngestContext(ctx context.Context, posts ...*Post) error {
+	for _, p := range posts {
+		prefix := geo.Encode(p.Loc, rs.cfg.PrefixLen)
+		if _, owned := rs.byPrefix[prefix]; !owned {
+			return fmt.Errorf("tklus: ingest: %w: post %d at %v lies in region %q, which no shard owns",
+				metadb.ErrRejected, p.SID, p.Loc, prefix)
+		}
+	}
 	for _, g := range rs.groups {
 		if err := g.IngestContext(ctx, posts...); err != nil {
 			return fmt.Errorf("shard %s: %w", g.shard, err)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"runtime"
@@ -13,6 +15,8 @@ import (
 
 	tklus "repro"
 	"repro/internal/datagen"
+	"repro/internal/metadb"
+	"repro/internal/server"
 )
 
 // replicaSharding is the partitioning the replication tests run on: a
@@ -630,5 +634,54 @@ func TestReplicatedBuildFailureReleasesResources(t *testing.T) {
 	}
 	if n := openFDs(); n > fds {
 		t.Errorf("%d open files after the failed build, %d before", n, fds)
+	}
+}
+
+// TestReplicatedRefusesUnownedPost: a post in a region no shard owns would
+// be acknowledged and indexed by none, so the replicated tier refuses the
+// whole batch with metadb.ErrRejected — a 400 at /v1/ingest — before any
+// group applies it: neither the refused post nor its batch-mate in Toronto
+// reaches a database or an index.
+func TestReplicatedRefusesUnownedPost(t *testing.T) {
+	posts, loc, _ := ingestCorpus()
+	rs, err := tklus.BuildReplicatedSharded(posts, tklus.DefaultConfig(), replicaSharding(), fastFailoverConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	at := time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)
+	sydney := tklus.Point{Lat: -33.87, Lon: 151.21}
+	owned := tklus.NewPost(99001, at, loc, "zanzibar hotel rooftop")
+	unowned := tklus.NewPost(99002, at.Add(time.Second), sydney, "zanzibar harbour")
+	if err := rs.Ingest(owned, unowned); !errors.Is(err, metadb.ErrRejected) {
+		t.Fatalf("batch with a post no shard owns: err = %v, want metadb.ErrRejected", err)
+	}
+	body := fmt.Sprintf(`{"version":1,"posts":[{"sid":%d,"uid":99002,"lat":%v,"lon":%v,"text":"zanzibar harbour"}]}`,
+		unowned.SID, sydney.Lat, sydney.Lon)
+	rec := httptest.NewRecorder()
+	server.NewSearcherWith(rs, server.Options{}).ServeHTTP(rec, httptest.NewRequest("POST", "/v1/ingest", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"rejected"`) {
+		t.Fatalf("/v1/ingest of a post no shard owns: %d %s, want 400 rejected", rec.Code, rec.Body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := rs.WaitCaughtUp(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*tklus.Post{owned, unowned} {
+		res, _, err := rs.Search(context.Background(), tklus.Query{Loc: p.Loc, RadiusKm: 10, Keywords: []string{"zanzibar"}, K: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 0 {
+			t.Errorf("search at %v finds %v after the refused batch", p.Loc, res)
+		}
+		if n := rs.PostCountOfUser(p.UID); n != 0 {
+			t.Errorf("user %d has %d posts after the refused batch", p.UID, n)
+		}
+	}
+	// The tier still takes what it owns.
+	if err := rs.Ingest(owned); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/segment"
-	"repro/internal/social"
 	"repro/internal/telemetry"
-	"repro/internal/wal"
 )
 
 // SegmentOptions configures the segment directory EnableSegments attaches
@@ -34,8 +32,10 @@ type SegmentOptions struct {
 	// CompactInterval, when positive, runs background size-tiered
 	// compaction on this period until Close.
 	CompactInterval time.Duration
-	// WALDir, when set, replays the data directory's WAL beyond the last
-	// sealed segment into the memtable on open.
+	// WALDir is accepted and changes nothing: Load replays the WAL into the
+	// store it opens, so there is nothing left to replay here. Only the
+	// frozen internal/bench harness still sets it — delete with the
+	// harness's next move (ROADMAP 1(c)).
 	WALDir string
 }
 
@@ -45,13 +45,13 @@ type SegmentedSystem = System
 
 // EnableSegments attaches a segment directory to a built (or loaded)
 // System, which it returns: its store then seals into mmap'd segment files
-// committed under a MANIFEST, and a restart opens them from disk. An empty
-// directory is seeded from the heap store — memtable sealed, every segment
-// split at time-bucket boundaries, so a query TimeWindow prunes whole
-// segments. A populated one is opened as-is (every file checksummed) and
-// replaces the heap store; with WALDir set, logged posts beyond its last
-// sealed segment are replayed into its memtable. Call it before the system
-// serves or registers metrics; a system attaches one directory.
+// committed under a MANIFEST, and a restart (Load) opens them in place. A
+// heap System writes its rows there — memtable sealed, every segment split
+// at time-bucket boundaries, so a query TimeWindow prunes whole segments —
+// replacing whatever the directory committed before. A System already
+// serving from opts.Dir (one Load or Save returned) adds nothing: its later
+// seals and compactions take the options. Call it before the system serves
+// or registers metrics; a system attaches one directory.
 func EnableSegments(sys *System, opts SegmentOptions) (*System, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("tklus: EnableSegments needs a segment directory")
@@ -61,43 +61,60 @@ func EnableSegments(sys *System, opts SegmentOptions) (*System, error) {
 	if sys.closed {
 		return nil, fmt.Errorf("tklus: EnableSegments: %w", ErrClosed)
 	}
-	if dir := sys.Store.Dir(); dir != "" {
-		return nil, fmt.Errorf("tklus: EnableSegments: system already serves from the segment store in %s", dir)
-	}
-	store, err := segment.OpenStore(opts.Dir, segment.Options{
+	segOpts := segment.Options{
 		GeohashLen:   sys.Store.GeohashLen(),
 		BucketWidth:  opts.BucketWidth,
 		BlockSize:    opts.BlockSize,
 		MemtableRows: opts.MemtableRows,
 		CompactFanIn: opts.CompactFanIn,
-	})
+	}
+	var err error
+	switch serves, dir := sys.servesFrom(opts.Dir); {
+	case dir == "":
+		err = sys.attach(opts.Dir, segOpts)
+	case serves:
+		err = sys.Store.SetOptions(segOpts)
+	default:
+		err = fmt.Errorf("system already serves from the segment store in %s", dir)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tklus: EnableSegments: %w", err)
 	}
-	if store.Empty() {
-		err = sys.sealStore()
-		if err == nil {
-			err = store.BulkLoad(sys.Store.Segments()...)
-		}
-		if err != nil {
-			store.Close()
-			return nil, fmt.Errorf("tklus: seeding the segment directory: %w", err)
-		}
-	}
-	if opts.WALDir != "" {
-		if err := sys.replayWALIntoMemtable(store, filepath.Join(opts.WALDir, walDirName)); err != nil {
-			store.Close()
-			return nil, fmt.Errorf("tklus: replaying wal into memtable: %w", err)
-		}
-	}
-	sys.Store = store // the heap store holds no resources beyond memory
-	sys.publishPartitions()
-	if opts.CompactInterval > 0 {
+	if opts.CompactInterval > 0 && sys.stopCompact == nil {
 		sys.stopCompact = make(chan struct{})
 		sys.compactDone = make(chan struct{})
 		go sys.compactLoop(opts.CompactInterval)
 	}
 	return sys, nil
+}
+
+// servesFrom reports whether the system's store is the one in dir, and the
+// directory it does serve from ("" for a heap store).
+func (s *System) servesFrom(dir string) (bool, string) {
+	abs, err := filepath.Abs(dir)
+	return err == nil && abs == s.Store.Dir(), s.Store.Dir()
+}
+
+// attach writes the heap store's rows into a new store in dir (seeded the
+// way BulkLoad splits them, replacing what dir committed) and serves from
+// it: the memtable is sealed first, so nothing stays behind. Caller holds
+// ingestMu.
+func (s *System) attach(dir string, opts segment.Options) error {
+	if err := s.sealStore(); err != nil {
+		return err
+	}
+	store, err := segment.CreateStore(dir, opts)
+	if err == nil {
+		if err = store.BulkLoad(s.Store.Segments()...); err != nil {
+			store.Close()
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("seeding the segment directory: %w", err)
+	}
+	s.Store = store // the heap store holds no resources beyond memory
+	s.publishPartitions()
+	return nil
 }
 
 // partitions maps the store's views to engine partitions, each view
@@ -129,23 +146,6 @@ func (s *System) sealStore() error {
 	}
 	s.publishPartitions()
 	return nil
-}
-
-// replayWALIntoMemtable indexes into store's memtable the posts the WAL
-// holds beyond its last sealed segment; Load already replayed their rows
-// into the database. Records at or below the seal watermark, or beyond what
-// the database accepted, are skipped, so the replay is idempotent.
-func (s *System) replayWALIntoMemtable(store *segment.Store, walDir string) error {
-	sealed := store.MaxSealedSID()
-	_, dbMax := s.DB.SIDRange()
-	_, err := wal.Replay(walDir, func(p *social.Post) error {
-		if p.SID <= sealed || p.SID > dbMax {
-			return nil
-		}
-		_, err := store.Add(p)
-		return err
-	})
-	return err
 }
 
 // UnderlyingSystem returns s; decorators over a system return the system

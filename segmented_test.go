@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +16,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/segment"
 )
 
 // segGridCorpus generates the shared grid corpus once per test run.
@@ -270,9 +269,10 @@ func TestSegmentedDurableReopen(t *testing.T) {
 	}
 }
 
-// TestSnapshotGCSegmentAware pins the satellite contract: snap-N
-// collection must never delete sealed segment files the segment MANIFEST
-// references, and it clears orphans a crashed seal left behind.
+// TestSnapshotGCSegmentAware pins the checkpoint's gc: it clears orphans a
+// crashed seal left behind in the segment directory and never deletes a
+// sealed segment file the MANIFEST references, and the data directory holds
+// nothing but the store and the WAL.
 func TestSnapshotGCSegmentAware(t *testing.T) {
 	posts, loc, roots := ingestCorpus()
 	dir := t.TempDir()
@@ -300,9 +300,8 @@ func TestSnapshotGCSegmentAware(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Several checkpoints with live ingest in between: each Save triggers
-	// snapshot gc (keep = latest), which must leave every referenced
-	// segment file alone.
+	// Several checkpoints with live ingest in between: each Save runs the
+	// gc, which must leave every referenced segment file alone.
 	extras := extraReplies(roots, loc, 9)
 	for i, p := range extras {
 		if err := seg.Ingest(p); err != nil {
@@ -317,24 +316,18 @@ func TestSnapshotGCSegmentAware(t *testing.T) {
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("snapshot gc left the orphan segment file behind (err=%v)", err)
 	}
-	for _, ref := range segment.ReferencedFiles(filepath.Join(dir, "segments")) {
-		if _, err := os.Stat(ref); err != nil {
-			t.Fatalf("snapshot gc deleted referenced segment state %s: %v", ref, err)
-		}
+	if got := dirEntries(t, dir); !slices.Equal(got, []string{"segments", "wal"}) {
+		t.Fatalf("data directory holds %v, want only segments and wal", got)
 	}
-	// Only the newest snapshot survives, proving gc actually ran.
-	entries, err := os.ReadDir(dir)
+	// Every file the MANIFEST references survived: the directory loads and
+	// answers as the live system does.
+	loaded, err := tklus.Load(dir, cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("checkpoint gc broke the committed store: %v", err)
 	}
-	snaps := 0
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "snap-") {
-			snaps++
-		}
-	}
-	if snaps != 1 {
-		t.Fatalf("expected exactly one surviving snapshot, got %d", snaps)
+	defer loaded.Close()
+	if got, want := searchHotel(t, loaded, loc), searchHotel(t, seg, loc); !equalResults(got, want) {
+		t.Fatalf("reloaded store answers %v, live %v", got, want)
 	}
 	if got := searchHotel(t, seg, loc); len(got) == 0 {
 		t.Fatal("post-gc search returned nothing")
@@ -617,8 +610,8 @@ func TestSegmentedConcurrentLifecycle(t *testing.T) {
 // build image of a Build, a Load or each BuildSharded shard, or the store's
 // segments after EnableSegments), φ from the level-count table and |P_u|
 // from the post-count column, so the metadata DB charges no page read, no
-// B⁺-tree node visit and no multi-get key, and the DFS no block read —
-// before and after a live ingest. (The ingest itself walks a reply's
+// B⁺-tree node visit and no multi-get key — before and after a live
+// ingest. (A serving System has no DFS to charge.) (The ingest itself walks a reply's
 // ancestors through the DB, so the counters are reset after it.)
 func TestSegmentedSearchDoesNoSimulatedIO(t *testing.T) {
 	corpus, queries := segGridCorpus(t)
@@ -630,7 +623,7 @@ func TestSegmentedSearchDoesNoSimulatedIO(t *testing.T) {
 		return sys
 	}
 	// ranked runs the query grid through s and requires that none of it
-	// reached sys's metadata database or DFS.
+	// reached sys's metadata database.
 	ranked := func(t *testing.T, phase string, s tklus.Searcher, sys *tklus.System) {
 		t.Helper()
 		sys.ResetStats()
@@ -661,9 +654,6 @@ func TestSegmentedSearchDoesNoSimulatedIO(t *testing.T) {
 			t.Fatalf("%s: ranked queries charged %d page reads, %d index node visits, %d batch keys; want none",
 				phase, s.PageReads, s.IndexReads, s.BatchLookups)
 		}
-		if n := sys.FS.Stats().BlocksRead; n != 0 {
-			t.Fatalf("%s: ranked queries read %d DFS blocks; want none", phase, n)
-		}
 	}
 	ingest := func(s *tklus.System) {
 		at := time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -690,7 +680,7 @@ func TestSegmentedSearchDoesNoSimulatedIO(t *testing.T) {
 	ingest(built)
 	ranked(t, "built, after ingest", built, built)
 
-	// The shards share one metadata database and DFS, so the router's grid
+	// The shards share one metadata database, so the router's grid
 	// pins every shard's reads at once.
 	ss, err := tklus.BuildSharded(corpus.Posts, tklus.DefaultConfig(), tklus.DefaultShardingConfig())
 	if err != nil {

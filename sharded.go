@@ -9,9 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/contents"
 	"repro/internal/core"
-	"repro/internal/dfs"
 	"repro/internal/geo"
 	"repro/internal/metadb"
 	"repro/internal/segment"
@@ -160,9 +158,9 @@ type ShardedSystem struct {
 	metrics *shardedMetrics // nil until RegisterMetrics
 
 	// Systems holds the in-process shard systems when the tier was built
-	// with BuildSharded (they share one metadata database, popularity
-	// bounds and contents store, and each serves a store over the build
-	// image of its own region's posts); empty for a router assembled by
+	// with BuildSharded (they share one metadata database and popularity
+	// bounds, and each serves a store over the build image of its own
+	// region's posts and texts); empty for a router assembled by
 	// NewSharded.
 	Systems []*System
 }
@@ -282,9 +280,8 @@ type shardImage struct {
 
 // buildShards partitions the posts by geohash prefix into at most
 // sc.NumShards shards and builds each one's image. The shard's metadata
-// database, bounds and contents are the caller's: BuildSharded shares one
-// set, BuildReplicatedSharded gives every replica its own database and
-// bounds.
+// database and bounds are the caller's: BuildSharded shares one set,
+// BuildReplicatedSharded gives every replica its own.
 func buildShards(posts []*Post, cfg Config, sc ShardingConfig) ([]shardImage, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("tklus: no posts to index")
@@ -315,8 +312,8 @@ func buildShards(posts []*Post, cfg Config, sc ShardingConfig) ([]shardImage, er
 
 // BuildSharded partitions the posts by geohash prefix into cfg.NumShards
 // in-process shards and wires the router over them. Following Figure 3's
-// centralized metadata database, every shard shares one metadata DB,
-// popularity-bound table and contents store (in production: a replica),
+// centralized metadata database, every shard shares one metadata DB and
+// popularity-bound table (in production: a replica),
 // while each shard's hybrid index, and the rows behind it, cover only its
 // own region — that shared foundation is what makes cross-shard threads and
 // |P_u| exact, and the merged results byte-identical to a monolithic Build
@@ -332,17 +329,12 @@ func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem,
 	if err != nil {
 		return nil, fmt.Errorf("tklus: loading metadata db: %w", err)
 	}
-	fsys := dfs.New(cfg.DFS)
-	store, err := contents.BuildStore(fsys, posts, "contents")
-	if err != nil {
-		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
-	}
 	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
 
 	specs := make([]ShardSpec, len(images))
 	systems := make([]*System, len(images))
 	for i, im := range images {
-		sys, err := newSystem(cfg, db, fsys, bounds, store, im.owns, im.img)
+		sys, err := newHeapSystem(cfg, db, bounds, im.owns, im.img)
 		if err != nil {
 			return nil, fmt.Errorf("tklus: %s: %w", im.name, err)
 		}

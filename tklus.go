@@ -13,11 +13,10 @@
 //     and the replied-to tweet ID (internal/metadb, internal/btree);
 //   - a hybrid ⟨geohash, term⟩ inverted index, built by the indexer live
 //     ingest uses and frozen into one heap-resident segment that also holds
-//     the rows it indexes (internal/segment, internal/invindex's blocked
-//     postings), with tweet contents in a simulated distributed file system
-//     (internal/contents, internal/dfs). The paper's MapReduce build of the
-//     index into that file system (internal/mapreduce) is what the figures
-//     measure, in internal/experiments;
+//     the rows it indexes and their tweet texts (internal/segment,
+//     internal/invindex's blocked postings). The paper's MapReduce build of
+//     the index into a simulated distributed file system (internal/mapreduce,
+//     internal/dfs) is what the figures measure, in internal/experiments;
 //   - the sum-score and maximum-score user rankings, every candidate scored
 //     from the exact thread popularity table (internal/core,
 //     internal/thread, internal/score).
@@ -41,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/contents"
 	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/geo"
@@ -167,8 +165,9 @@ type Config struct {
 	Index IndexOptions
 	// DB configures the metadata database (page size, cache).
 	DB metadb.Options
-	// DFS configures the simulated distributed file system that holds the
-	// tweet contents.
+	// DFS configures the simulated distributed file system the paper's
+	// MapReduce build writes its index into (internal/experiments); the
+	// serving System does not use one.
 	DFS dfs.Options
 	// Engine configures query processing (scoring parameters, the recency
 	// extension).
@@ -224,18 +223,15 @@ func DefaultConfig(opts ...Option) Config {
 type System struct {
 	Engine *core.Engine
 	DB     *metadb.DB
-	FS     *dfs.FS
 	Bounds *thread.Bounds
-	// Contents resolves tweet IDs to their raw texts, stored in the DFS
-	// alongside the index (Figure 3).
-	Contents *contents.Store
 	// PopCache is always nil: only the frozen internal/bench harness reads
 	// it — delete with the harness's next move (ROADMAP 1(d)).
 	PopCache *popCacheStub
-	// Store is the hybrid index the engine reads: sealed segments, the build
-	// image first, then the memtable ingest indexes into; on the heap until
-	// EnableSegments attaches a directory. Every store mutation and the
-	// partition swap after it happen under ingestMu.
+	// Store is the hybrid index the engine reads, with the rows and tweet
+	// texts behind it: sealed segments, the build image first, then the
+	// memtable ingest indexes into; on the heap until EnableSegments or Save
+	// attaches a directory. Every store mutation and the partition swap
+	// after it happen under ingestMu.
 	Store *segment.Store
 	// BuildTime is the wall-clock construction duration.
 	BuildTime time.Duration
@@ -246,9 +242,9 @@ type System struct {
 	// indexes, when set, picks the ingested posts the store indexes (a
 	// shard's own region); the DB and bounds take every post.
 	indexes func(*Post) bool
-	// ingestMu serializes Ingest against the snapshot capture in Save —
-	// the consistency point that makes "snapshot + remaining WAL" always
-	// equal the live state. Searches never take it.
+	// ingestMu serializes Ingest against the seal and WAL rotation in Save —
+	// the consistency point that makes "store + remaining WAL" always equal
+	// the live state. Searches never take it.
 	ingestMu sync.Mutex
 	// wal, when attached by EnableWAL, receives every ingested post before
 	// Ingest returns. Guarded by ingestMu.
@@ -259,18 +255,19 @@ type System struct {
 	// EnableSegments starts when CompactInterval is set.
 	stopCompact chan struct{}
 	compactDone chan struct{}
-	// saveMu serializes whole Save calls (snapshot sequencing + GC), and
-	// Close against a Save still writing the segments out.
+	// saveMu serializes whole Save calls, and Close against a Save still
+	// writing a copy of the segments out.
 	saveMu sync.Mutex
-	// snapshotsSaved / lastSnapshotUnix feed the persistence metrics;
-	// accessed atomically.
+	// snapshotsSaved / lastSnapshotUnix count checkpoints for the
+	// persistence metrics; accessed atomically.
 	snapshotsSaved   int64
 	lastSnapshotUnix int64
 }
 
-// Build loads the posts into the metadata database, indexes them into one
-// segment image (segment.FromPosts: the memtable ingest indexes through,
-// sealed in memory) that becomes the first sealed segment of a heap store,
+// Build loads the posts into the metadata database, indexes them and their
+// texts into one segment image (segment.FromPosts: the memtable ingest
+// indexes through, sealed in memory) that becomes the first sealed segment
+// of a heap store,
 // counts every thread's level sizes into the popularity table, and returns a
 // queryable system. Two posts with one SID fail with metadb.ErrRejected.
 func Build(posts []*Post, cfg Config) (*System, error) {
@@ -286,13 +283,8 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tklus: building hybrid index: %w", err)
 	}
-	fsys := dfs.New(cfg.DFS)
-	texts, err := contents.BuildStore(fsys, posts, "contents")
-	if err != nil {
-		return nil, fmt.Errorf("tklus: storing tweet contents: %w", err)
-	}
 	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
-	sys, err := newSystem(cfg, db, fsys, bounds, texts, nil, img)
+	sys, err := newHeapSystem(cfg, db, bounds, nil, img)
 	if err != nil {
 		return nil, err
 	}
@@ -300,23 +292,30 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// newSystem is the one place a System is assembled — a heap store over the
-// sealed segments and the engine over its views — so a build, a shard, a
-// replica and a snapshot recovery all come up with the same serving surface.
-func newSystem(cfg Config, db *metadb.DB, fsys *dfs.FS, bounds *thread.Bounds,
-	texts *contents.Store, indexes func(*Post) bool, sealed ...*segment.Segment) (*System, error) {
+// newHeapSystem serves a heap store whose one sealed segment is img: a
+// build, a shard or a replica.
+func newHeapSystem(cfg Config, db *metadb.DB, bounds *thread.Bounds, indexes func(*Post) bool,
+	img *segment.Segment) (*System, error) {
 	store, err := segment.OpenHeap(segment.Options{
-		GeohashLen: sealed[0].GeohashLen(),
+		GeohashLen: img.GeohashLen(),
 		BlockSize:  cfg.Index.BlockSize,
-	}, sealed...)
+	}, img)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: opening the store: %w", err)
 	}
+	return newSystem(cfg, db, bounds, indexes, store)
+}
+
+// newSystem is the one place a System is assembled — the engine over the
+// store's views — so a build, a shard, a replica and a recovery all come up
+// with the same serving surface.
+func newSystem(cfg Config, db *metadb.DB, bounds *thread.Bounds, indexes func(*Post) bool,
+	store *segment.Store) (*System, error) {
 	engine, err := core.NewPartitionedEngine(partitions(store), db, bounds, cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: creating engine: %w", err)
 	}
-	return &System{Engine: engine, DB: db, Store: store, FS: fsys, Bounds: bounds, Contents: texts, indexes: indexes}, nil
+	return &System{Engine: engine, DB: db, Store: store, Bounds: bounds, indexes: indexes}, nil
 }
 
 // Ingest appends live posts to the centralized metadata database, in
@@ -438,10 +437,9 @@ func (s *System) Thread(root PostID) ([]ThreadNode, float64) {
 
 // Evidence returns, for one returned user, the raw texts of the tweets
 // that made them a candidate for q — the "(userId, tweet content)" result
-// lines the paper's user study presents to judges. limit caps the number
-// of tweets (0 = no cap). The contents store is written at build time, so
-// a post ingested since, though a candidate from the next query on,
-// contributes no line (ROADMAP 16(d)).
+// lines the paper's user study presents to judges — read from the store
+// beside the rows, so an ingested post contributes its line from the next
+// query on. limit caps the number of tweets (0 = no cap).
 func (s *System) Evidence(q Query, uid UserID, limit int) ([]string, error) {
 	sids, err := s.Engine.Evidence(q, uid, 0)
 	if err != nil {
@@ -452,7 +450,7 @@ func (s *System) Evidence(q Query, uid UserID, limit int) ([]string, error) {
 		if limit > 0 && len(texts) >= limit {
 			break
 		}
-		if text, err := s.Contents.Text(sid); err == nil {
+		if text, ok := s.Store.Text(sid); ok {
 			texts = append(texts, text)
 		}
 	}
@@ -466,11 +464,10 @@ func (s *System) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats
 	return s.Engine.Search(ctx, q)
 }
 
-// ResetStats zeroes the metadata database's and the DFS's I/O counters, so
-// the next query is measured in isolation.
+// ResetStats zeroes the metadata database's I/O counters, so the next
+// query is measured in isolation.
 func (s *System) ResetStats() {
 	s.DB.ResetStats()
-	s.FS.ResetStats()
 }
 
 // NewPost builds a Post from raw text: the text is tokenized, stop-word

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -36,8 +37,9 @@ type arranged struct {
 	ingest   func(ctx context.Context, posts ...*tklus.Post) error
 	// sys is the single system of a durable row, nil on a tier.
 	sys *tklus.System
-	// dir is the segment directory a durable row attached, "" for none.
-	dir string
+	// data is the data directory a durable row serves <data>/segments of,
+	// "" for a heap row.
+	data string
 	// rs is the replicated tier, nil on a single system.
 	rs *tklus.ReplicatedShardedSystem
 }
@@ -52,8 +54,8 @@ func arrangements() []arrangement {
 			}
 			a := &arranged{searcher: sys, ingest: sys.IngestContext, sys: sys}
 			if withDir {
-				a.dir = filepath.Join(t.TempDir(), "segments")
-				if _, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: a.dir}); err != nil {
+				a.data = t.TempDir()
+				if _, err := tklus.EnableSegments(sys, tklus.SegmentOptions{Dir: filepath.Join(a.data, "segments")}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -83,8 +85,9 @@ func arrangements() []arrangement {
 // edge — and each answer equals the scan oracle over the acknowledged
 // prefix, posts counts included. Each new post carries a keyword nothing
 // before it holds, so a post acknowledged but not indexed answers with no
-// user. Durable rows run the check again after Save + Load, and unsharded
-// rows check after every step that the store's rows are the database's.
+// user. Single-system rows also fetch each post's text through /evidence,
+// and run every check again after Save + Load; they check after every step
+// that the store's rows are the database's.
 func TestAcknowledgedPostIsCandidate(t *testing.T) {
 	dcfg := datagen.DefaultConfig()
 	dcfg.NumUsers = 300
@@ -137,6 +140,7 @@ func TestAcknowledgedPostIsCandidate(t *testing.T) {
 			storeHoldsEveryRow(t, a.sys, "after HTTP ingest")
 			settle(t, a)
 			checkCandidate(t, a.searcher, corpus.Posts, acked, "after the HTTP ingest")
+			checkEvidence(t, a.sys, acked, "after the HTTP ingest")
 			if arr.failover {
 				for _, g := range a.rs.Groups() {
 					if g.Failovers() != 1 {
@@ -148,7 +152,10 @@ func TestAcknowledgedPostIsCandidate(t *testing.T) {
 				return
 			}
 
-			dir := t.TempDir()
+			dir := a.data
+			if dir == "" {
+				dir = t.TempDir()
+			}
 			if err := a.sys.Save(dir); err != nil {
 				t.Fatal(err)
 			}
@@ -161,13 +168,14 @@ func TestAcknowledgedPostIsCandidate(t *testing.T) {
 			}
 			defer loaded.Close()
 			storeHoldsEveryRow(t, loaded, "after Save + Load")
-			if a.dir != "" {
-				if _, err := tklus.EnableSegments(loaded, tklus.SegmentOptions{Dir: a.dir}); err != nil {
+			if a.data != "" {
+				if _, err := tklus.EnableSegments(loaded, tklus.SegmentOptions{Dir: filepath.Join(a.data, "segments")}); err != nil {
 					t.Fatal(err)
 				}
 				storeHoldsEveryRow(t, loaded, "after reopening the directory")
 			}
 			checkCandidate(t, loaded, corpus.Posts, acked, "after Save + Load")
+			checkEvidence(t, loaded, acked, "after Save + Load")
 			third := fresh(2, "timbuktu")
 			if err := loaded.Ingest(third); err != nil {
 				t.Fatal(err)
@@ -175,6 +183,7 @@ func TestAcknowledgedPostIsCandidate(t *testing.T) {
 			acked = append(acked, third)
 			storeHoldsEveryRow(t, loaded, "after ingest into the loaded system")
 			checkCandidate(t, loaded, corpus.Posts, acked, "after ingest into the loaded system")
+			checkEvidence(t, loaded, acked, "after ingest into the loaded system")
 		})
 	}
 }
@@ -273,6 +282,34 @@ func checkCandidate(t *testing.T, sr tklus.Searcher, built, acked []*tklus.Post,
 						step, ranking, q.Keywords, i, r, w, postsOf[w.UID])
 				}
 			}
+		}
+	}
+}
+
+// checkEvidence asks sys's /evidence, over HTTP, for each acknowledged
+// post's author under the post's own keyword and location: the answer must
+// carry the post's text. A nil system (a tier, which mounts no /evidence)
+// has nothing to check.
+func checkEvidence(t *testing.T, sys *tklus.System, acked []*tklus.Post, step string) {
+	t.Helper()
+	if sys == nil {
+		return
+	}
+	edge := server.New(sys)
+	for _, p := range acked {
+		url := fmt.Sprintf("/evidence?lat=%v&lon=%v&radius=10&keywords=%s&uid=%d",
+			p.Loc.Lat, p.Loc.Lon, strings.Fields(p.Text)[0], p.UID)
+		rec := httptest.NewRecorder()
+		edge.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %s: %d %s", step, url, rec.Code, rec.Body)
+		}
+		var resp struct{ Tweets []string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(resp.Tweets, p.Text) {
+			t.Errorf("%s: /evidence for post %d's author answers %q, want its text %q", step, p.SID, resp.Tweets, p.Text)
 		}
 	}
 }
