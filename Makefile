@@ -78,27 +78,31 @@ fmt:
 
 # The size every simplicity PR reports: lines of non-test Go outside
 # internal/bench (the frozen benchmark harness, its own module), with the two
-# packages those PRs mostly touch broken out.
+# packages those PRs mostly touch broken out, and the serving binary: the
+# non-test lines of every non-standard package cmd/tklus-server links.
 loc:
 	@count() { cat "$$@" | wc -l; }; \
+	serving="$$(for d in $$($(GO) list -deps -f '{{if not .Standard}}{{.Dir}}{{end}}' ./cmd/tklus-server); do ls $$d/*.go | grep -v _test.go; done)"; \
 	printf '%-34s %6d\n' \
 		'non-test Go outside internal/bench' "$$(count $$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './.bench_build/*'))" \
 		'  internal/core' "$$(count $$(ls internal/core/*.go | grep -v _test.go))" \
-		'  root package' "$$(count $$(ls *.go | grep -v _test.go))"
+		'  root package' "$$(count $$(ls *.go | grep -v _test.go))" \
+		'serving binary (cmd/tklus-server)' "$$(count $$serving)"
 
 # Flake lane: the timing-sensitive admission, breaker and lease tests, the
 # segment store's lifecycle tests (searches racing seals, compaction and
-# checkpoints) and the ingest/read coherence tests (a search after an
-# acknowledged ingest answers as a fresh build would), plus the engine and
-# bounds packages — every search's φ batch takes Bounds.mu against the
-# concurrent AddReply that counts an ingested reply — and the storage
-# packages a query's row batch reads under their own locks while ingest
-# appends and seals swap the partition set, twenty times under -race.
+# checkpoints) and the ingest/read coherence tests (a search, a thread and
+# a post count after an acknowledged ingest answer as a fresh build would),
+# plus the engine and bounds packages — every search's φ batch takes
+# Bounds.mu against the concurrent AddReply that counts an ingested reply —
+# the storage package a query's row batch reads under its own locks while
+# ingest appends and seals swap the partition set, and the corpus table
+# ingest appends to while searches read |P_u|, twenty times under -race.
 # Required green.
 flake:
 	$(GO) test -race -count=20 \
 		-run 'TestAdmission|TestBreaker|TestLease|TestSegmentedDurableReopen|TestSegmentedFreshKeywordVisible|TestSegmentedUseAfterClose|TestSegmentedConcurrentLifecycle|TestConcurrentSearchAndIngest|TestIngestRecomputesThreadPopularity' .
-	$(GO) test -race -count=20 ./internal/core/ ./internal/thread/ ./internal/segment/ ./internal/metadb/
+	$(GO) test -race -count=20 ./internal/core/ ./internal/thread/ ./internal/segment/ ./internal/social/
 
 # Fuzz lane: every Fuzz* target in the module (hostile segment images,
 # postings payloads and keys, geohash cells, circle covers against points
@@ -138,7 +142,7 @@ bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkPhiLookup' -benchmem -count 5 ./internal/thread/
 	$(GO) test -run '^$$' -bench 'BenchmarkHaversine' -benchmem -count 5 ./internal/geo/
 	$(GO) test -run '^$$' -bench 'BenchmarkSegmentRowBatch' -benchmem -count 5 ./internal/segment/
-	$(GO) test -run '^$$' -bench 'BenchmarkPostCounts' -benchmem -count 5 ./internal/metadb/
+	$(GO) test -run '^$$' -bench 'BenchmarkPostCounts' -benchmem -count 5 ./internal/social/
 
 # Where a city-sum search spends its CPU: BenchmarkCitySumQuerySet (the
 # bench-scale corpus on a segment store, the city-sum query set through

@@ -241,26 +241,6 @@ func BenchmarkFig13UserStudy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPageCache compares metadata-page caching settings (the
-// paper's configuration is cache-off).
-func BenchmarkAblationPageCache(b *testing.B) {
-	e := benchSetup(b)
-	specs := e.withKeywords(1)
-	for _, cache := range []int{0, 256} {
-		cfg := tklus.DefaultConfig()
-		cfg.DB.CacheSize = cache
-		sys, err := tklus.Build(e.corpus.Posts, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(benchName("pages", cache), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runBatch(b, sys, specs, 20, core.Or, core.SumScore)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationThreadDepth varies Algorithm 1's depth limit.
 func BenchmarkAblationThreadDepth(b *testing.B) {
 	e := benchSetup(b)

@@ -1,5 +1,5 @@
 // Command tklus-index builds the serving system over a JSONL corpus —
-// the metadata database and the hybrid index frozen into one segment image
+// the corpus table and the hybrid index frozen into one segment image
 // (the first sealed segment of the system's store, with the rows and tweet
 // texts behind it) — and reports what the store holds (keys, rows, bytes). The paper's
 // MapReduce build and its Figures 5 and 6 counters are measured by

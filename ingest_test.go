@@ -2,6 +2,7 @@ package tklus_test
 
 import (
 	"context"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -9,6 +10,9 @@ import (
 
 	tklus "repro"
 	"repro/internal/baseline"
+	"repro/internal/datagen"
+	"repro/internal/experiments"
+	"repro/internal/metadb"
 )
 
 // ingestCorpus builds a tiny hand-rolled corpus: one "hotel" root per user
@@ -27,6 +31,18 @@ func ingestCorpus() (posts []*tklus.Post, loc tklus.Point, roots []*tklus.Post) 
 		}
 	}
 	return posts, loc, roots
+}
+
+// algorithm1 is the paper's Algorithm 1 over a metadata database loaded
+// with the acknowledged posts — the rsid B⁺-tree walk the figures time,
+// which shares nothing with the corpus table System.Thread reads.
+func algorithm1(t testing.TB, acked []*tklus.Post) *experiments.Builder {
+	t.Helper()
+	db, err := metadb.Load(metadb.DefaultOptions(), acked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &experiments.Builder{DB: db, Depth: tklus.DefaultConfig().Engine.Params.ThreadDepth}
 }
 
 // ackedOracle is the exhaustive scan ranker over the acknowledged prefix:
@@ -94,7 +110,8 @@ func TestIngestRecomputesThreadPopularity(t *testing.T) {
 // leg: a system saved and loaded back takes a reply Depth+1 hops below a
 // batch root. The reply's Depth nearer ancestors each gain one tweet, the
 // root's depth limit does not reach it, and every φ must then equal both
-// Algorithm 1 on the loaded system and a fresh build with the reply; the
+// Algorithm 1 over the acknowledged posts and a fresh build with the reply;
+// the loaded system's Thread must materialize Algorithm 1's tree, and the
 // rankings must equal the scan oracle over the acknowledged posts.
 func ingestBelowDepthLimit(t *testing.T, posts []*tklus.Post, loc tklus.Point) {
 	cfg := tklus.DefaultConfig()
@@ -136,10 +153,15 @@ func ingestBelowDepthLimit(t *testing.T, posts []*tklus.Post, loc tklus.Point) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	oracle := algorithm1(t, append(batch, reply))
 	for i, p := range chain {
 		got := phi(loaded, p.SID)
-		if _, alg1 := loaded.Thread(p.SID); got != alg1 {
+		wantNodes, alg1 := oracle.Tree(p.SID, cfg.Engine.Params.Epsilon, nil)
+		if got != alg1 {
 			t.Errorf("chain[%d]: φ = %v, Algorithm 1 says %v", i, got, alg1)
+		}
+		if nodes, phi := loaded.Thread(p.SID); phi != alg1 || !reflect.DeepEqual(nodes, wantNodes) {
+			t.Errorf("chain[%d]: Thread = %v (φ %v), Algorithm 1 says %v (φ %v)", i, nodes, phi, wantNodes, alg1)
 		}
 		if want := phi(fresh, p.SID); got != want {
 			t.Errorf("chain[%d]: φ = %v, fresh build %v", i, got, want)
@@ -282,6 +304,26 @@ func TestConcurrentSearchAndIngest(t *testing.T) {
 				}
 			}()
 		}
+		wg.Add(1)
+		go func() { // the corpus table's readers, racing its appends
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-written:
+					return
+				default:
+				}
+				root := roots[i%len(roots)]
+				if nodes, _ := sys.Thread(root.SID); len(nodes) < 2 || nodes[0].UID != root.UID {
+					t.Errorf("thread of %d: %v", root.SID, nodes)
+					return
+				}
+				if n := sys.DB.PostCountOfUser(root.UID); n < 1 {
+					t.Errorf("|P_%d| = %d", root.UID, n)
+					return
+				}
+			}
+		}()
 		for i, r := range replies {
 			if err := sys.Ingest(r); err != nil {
 				t.Errorf("ingest %d: %v", i, err)
@@ -303,5 +345,115 @@ func TestConcurrentSearchAndIngest(t *testing.T) {
 					round, q.Ranking, got, want[i])
 			}
 		}
+	}
+}
+
+// TestThreadMatchesAlgorithm1 checks System.Thread, which reads the corpus
+// table ingest keeps, against the paper's Algorithm 1 over a metadata
+// database loaded with the acknowledged posts: every post's tree (BFS
+// order, authors, parents, levels) and φ, on a build, on a build that
+// ingested replies deepening a chain past the thread depth, on that system
+// saved and loaded back, and on a follower replica of a shard once it has
+// applied the shipped stream.
+func TestThreadMatchesAlgorithm1(t *testing.T) {
+	dcfg := datagen.DefaultConfig()
+	dcfg.NumUsers, dcfg.NumPosts = 300, 1500
+	corpus, err := datagen.Generate(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	posts := corpus.Posts
+	cfg := tklus.DefaultConfig()
+	depth := cfg.Engine.Params.ThreadDepth
+
+	// The live stream: a chain depth+2 replies deep under a batch post, then
+	// a reply to every tenth batch post, dated after the whole corpus.
+	last := posts[0].Time
+	for _, p := range posts {
+		if p.Time.After(last) {
+			last = p.Time
+		}
+	}
+	loc := corpus.Config.Cities[0].Center
+	next := func() time.Time { last = last.Add(time.Second); return last }
+	acked := slices.Clone(posts)
+	chain := []*tklus.Post{posts[len(posts)/2]}
+	for i := 0; i <= depth+1; i++ {
+		chain = append(chain, tklus.NewReply(tklus.UserID(9000+i), next(), loc, "hotel thread", chain[i]))
+	}
+	live := slices.Clone(chain[1:])
+	for i := 0; i < len(posts); i += 10 {
+		live = append(live, tklus.NewReply(posts[i].UID, next(), loc, "same here", posts[i]))
+	}
+	acked = append(acked, live...)
+
+	built, err := tklus.Build(posts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingested, err := tklus.Build(posts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ingested.Ingest(live...); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := ingested.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := tklus.Load(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := tklus.DefaultReplicationConfig()
+	rc.Dir = t.TempDir()
+	rs, err := tklus.BuildReplicatedSharded(posts, cfg, tklus.DefaultShardingConfig(), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	if err := rs.Ingest(live...); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.WaitCaughtUp(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	g := rs.Groups()[0]
+	var follower *tklus.System
+	for _, rep := range g.Replicas() {
+		if rep.Name() != g.Leader() {
+			follower = rep.System()
+		}
+	}
+	if follower == nil {
+		t.Fatal("the replica group has no follower")
+	}
+
+	for _, c := range []struct {
+		name  string
+		sys   *tklus.System
+		acked []*tklus.Post
+	}{
+		{"build", built, posts},
+		{"build, ingested", ingested, acked},
+		{"saved and loaded", loaded, acked},
+		{"follower replica", follower, acked},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			oracle := algorithm1(t, c.acked)
+			deepest := 0
+			for _, p := range c.acked {
+				want, wantPhi := oracle.Tree(p.SID, cfg.Engine.Params.Epsilon, nil)
+				got, gotPhi := c.sys.Thread(p.SID)
+				if gotPhi != wantPhi || !reflect.DeepEqual(got, want) {
+					t.Fatalf("thread of %d: %v (φ %v), Algorithm 1 says %v (φ %v)", p.SID, got, gotPhi, want, wantPhi)
+				}
+				deepest = max(deepest, got[len(got)-1].Level)
+			}
+			if len(c.acked) > len(posts) && deepest != depth+1 {
+				t.Errorf("the deepest tree reaches level %d, want the depth limit's %d", deepest, depth+1)
+			}
+		})
 	}
 }

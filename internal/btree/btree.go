@@ -87,11 +87,6 @@ func (t *Tree) Accesses() int64 { return t.accesses.Load() }
 // ResetAccesses zeroes the access counter.
 func (t *Tree) ResetAccesses() { t.accesses.Store(0) }
 
-// AccessesReader returns a function that reads the cumulative access
-// counter. Metric registries scrape through it without this low-level
-// package depending on the telemetry layer.
-func (t *Tree) AccessesReader() func() int64 { return t.accesses.Load }
-
 // Height returns the number of levels in the tree (1 for a single leaf).
 func (t *Tree) Height() int {
 	h := 1

@@ -34,6 +34,10 @@ func buildEngineAndIndex(t testing.TB, posts []*social.Post, opts core.Options, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	corpus, err := social.NewCorpus(posts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fsys := dfs.New(dfs.DefaultOptions())
 	bopts := invindex.DefaultBuildOptions()
 	bopts.GeohashLen = geohashLen
@@ -45,7 +49,7 @@ func buildEngineAndIndex(t testing.TB, posts []*social.Post, opts core.Options, 
 		t.Fatal(err)
 	}
 	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
-	eng, err := core.NewEngine(idx, db, bounds, opts)
+	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Lookup: db}}, corpus, bounds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +114,12 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 		engBM, idxBM := buildEngineAndIndex(t, posts, opts, 3, func(o *invindex.BuildOptions) { o.BlockSize = 8 })
 		engFresh := buildEngineIndexed(t, posts, opts, 3, nil)
 		engFlat, err := core.NewPartitionedEngine(
-			[]core.Partition{{Source: sliceServed{idxBM}}}, engBM.DB, engBM.Bounds, opts)
+			[]core.Partition{{Source: sliceServed{idxBM}, Lookup: engBM.Partitions()[0].Lookup}}, engBM.Corpus, engBM.Bounds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tableless := &thread.Bounds{Depth: engBM.Bounds.Depth}
-		if _, err := core.NewEngine(idxBM, engBM.DB, tableless, opts); !errors.Is(err, thread.ErrParamsMismatch) {
+		if _, err := core.NewPartitionedEngine(engBM.Partitions(), engBM.Corpus, tableless, opts); !errors.Is(err, thread.ErrParamsMismatch) {
 			t.Fatalf("eps=%v: engine over table-less bounds: err = %v, want ErrParamsMismatch", epsilon, err)
 		}
 

@@ -2,8 +2,9 @@
 // the retrieval front half Algorithms 4 and 5 share, the sum-score and
 // maximum-score rankings (Definitions 7 and 8), AND/OR keyword semantics, and
 // the temporal extension sketched in the paper's future-work section. It
-// sits on top of the hybrid index (internal/invindex), the metadata database
-// (internal/metadb), and the popularity table of internal/thread, which
+// sits on top of the hybrid index (a segment store's, or the paper's paged
+// internal/invindex), the corpus table (social.Corpus: |P_u| and the SID
+// range), and the popularity table of internal/thread, which
 // holds every thread's level sizes and so its exact popularity φ: the engine
 // scores each candidate from it and builds no thread. The paper's regime —
 // Algorithm 1 per candidate, with Algorithm 5's upper-bound pruning — is
@@ -19,7 +20,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/invindex"
-	"repro/internal/metadb"
 	"repro/internal/score"
 	"repro/internal/social"
 	"repro/internal/telemetry"
@@ -93,7 +93,7 @@ func (w *TimeWindow) contains(sid social.PostID) bool {
 
 // ordinals returns the range [lo, hi) of the records, ascending by SID,
 // whose posts the window contains.
-func (w *TimeWindow) ordinals(recs []metadb.RowMeta) (lo, hi social.PostID) {
+func (w *TimeWindow) ordinals(recs []social.RowMeta) (lo, hi social.PostID) {
 	from, to := w.From.UnixNano(), w.To.UnixNano()
 	lo = social.PostID(sort.Search(len(recs), func(i int) bool { return int64(recs[i].SID) >= from }))
 	hi = social.PostID(sort.Search(len(recs), func(i int) bool { return int64(recs[i].SID) > to }))
@@ -154,7 +154,17 @@ type PostingsSource interface {
 // implement it; rows a source appends later lie beyond the length it
 // returned.
 type RowSource interface {
-	Records() []metadb.RowMeta
+	Records() []social.RowMeta
+}
+
+// RowLookup resolves tweet IDs to rows in one batch, for a partition whose
+// postings carry tweet IDs: the paper's paged metadata database, which the
+// figures build (internal/experiments).
+type RowLookup interface {
+	// LookupRows returns the rows of sids and which of them were found,
+	// aligned with sids, and the simulated page touches the batch saved
+	// against a single-key loop.
+	LookupRows(sids []social.PostID) (rows []social.Row, found []bool, pagesSaved int64)
 }
 
 // Partition is one time slice of the corpus with its own index — the
@@ -171,11 +181,11 @@ type Partition struct {
 	// Rows holds the rows this partition's postings name by ordinal: the
 	// segment or memtable that holds them — a System's build image or a
 	// store view. Nil means the partition keeps none of its own (the paged
-	// index the figures build the paper's way, NewEngine): its postings
-	// carry tweet IDs, resolved through one multi-get against Engine.DB.
-	// Whoever publishes the partition set decides; queries never probe for
-	// it.
+	// index the figures build the paper's way): its postings carry tweet
+	// IDs, resolved through one multi-get against Lookup. Whoever publishes
+	// the partition set decides; queries never probe for it.
 	Rows   RowSource
+	Lookup RowLookup
 	MinSID social.PostID
 	MaxSID social.PostID
 }
@@ -197,7 +207,7 @@ func (p *Partition) overlapsWindow(w *TimeWindow) bool {
 
 // Engine executes TkLUS queries.
 type Engine struct {
-	DB     *metadb.DB
+	Corpus *social.Corpus
 	Bounds *thread.Bounds
 	Opts   Options
 
@@ -206,26 +216,17 @@ type Engine struct {
 	parts atomic.Pointer[[]Partition]
 }
 
-// NewEngine wires an engine over one paged index covering the whole corpus,
-// its rows read through db — the paper's build, which the figures measure.
-func NewEngine(idx *invindex.Index, db *metadb.DB, bounds *thread.Bounds, opts Options) (*Engine, error) {
-	if idx == nil {
-		return nil, fmt.Errorf("core: engine needs an index")
-	}
-	return NewPartitionedEngine([]Partition{{Source: idx}}, db, bounds, opts)
-}
-
 // NewPartitionedEngine wires an engine over one or more time-partitioned
-// indexes sharing the centralized metadata database. Queries with a
-// TimeWindow skip partitions entirely outside the window. Every score reads
-// φ from bounds, so bounds without a level-count table, or with one counted
-// for another thread depth, are refused (thread.ErrParamsMismatch).
-func NewPartitionedEngine(parts []Partition, db *metadb.DB, bounds *thread.Bounds, opts Options) (*Engine, error) {
+// indexes sharing one corpus table. Queries with a TimeWindow skip
+// partitions entirely outside the window. Every score reads φ from bounds,
+// so bounds without a level-count table, or with one counted for another
+// thread depth, are refused (thread.ErrParamsMismatch).
+func NewPartitionedEngine(parts []Partition, corpus *social.Corpus, bounds *thread.Bounds, opts Options) (*Engine, error) {
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if len(parts) == 0 || db == nil || bounds == nil {
-		return nil, fmt.Errorf("core: engine needs partitions, db and bounds")
+	if len(parts) == 0 || corpus == nil || bounds == nil {
+		return nil, fmt.Errorf("core: engine needs partitions, a corpus table and bounds")
 	}
 	if err := bounds.CheckParams(opts.Params.ThreadDepth); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -234,8 +235,11 @@ func NewPartitionedEngine(parts []Partition, db *metadb.DB, bounds *thread.Bound
 		if p.Source == nil {
 			return nil, fmt.Errorf("core: partition %d has no postings source", i)
 		}
+		if p.Rows == nil && p.Lookup == nil {
+			return nil, fmt.Errorf("core: partition %d has neither rows nor a row lookup", i)
+		}
 	}
-	eng := &Engine{DB: db, Bounds: bounds, Opts: opts}
+	eng := &Engine{Corpus: corpus, Bounds: bounds, Opts: opts}
 	eng.SetPartitions(parts)
 	return eng, nil
 }

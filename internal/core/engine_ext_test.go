@@ -17,11 +17,15 @@ import (
 	"repro/internal/thread"
 )
 
-// buildEngine assembles a full system (metadata DB, DFS, hybrid index,
-// bounds, engine) from a post set — the wiring Figure 3 describes.
+// buildEngine assembles a full system (metadata DB, corpus table, DFS,
+// hybrid index, bounds, engine) from a post set — the wiring Figure 3 describes.
 func buildEngine(t testing.TB, posts []*social.Post, opts core.Options, geohashLen int) *core.Engine {
 	t.Helper()
 	db, err := metadb.Load(metadb.DefaultOptions(), posts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := social.NewCorpus(posts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +37,7 @@ func buildEngine(t testing.TB, posts []*social.Post, opts core.Options, geohashL
 		t.Fatal(err)
 	}
 	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
-	eng, err := core.NewEngine(idx, db, bounds, opts)
+	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Lookup: db}}, corpus, bounds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,13 @@ func benchEngine(b *testing.B, posts []*social.Post, src PostingsSource) *Engine
 	if err != nil {
 		b.Fatal(err)
 	}
+	corpus, err := social.NewCorpus(posts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	opts := DefaultOptions()
 	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
-	eng, err := NewPartitionedEngine([]Partition{{Source: src}}, db, bounds, opts)
+	eng, err := NewPartitionedEngine([]Partition{{Source: src, Lookup: db}}, corpus, bounds, opts)
 	if err != nil {
 		b.Fatal(err)
 	}

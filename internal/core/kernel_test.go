@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/invindex"
-	"repro/internal/metadb"
 	"repro/internal/segment"
 	"repro/internal/social"
 	"repro/internal/thread"
@@ -166,7 +165,7 @@ func kernelEngine(tb testing.TB) (*Engine, []Query) {
 		}
 		posts[i] = p
 	}
-	db, err := metadb.Load(metadb.DefaultOptions(), posts)
+	corpus, err := social.NewCorpus(posts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func kernelEngine(tb testing.TB) (*Engine, []Query) {
 	}
 	opts := DefaultOptions()
 	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
-	eng, err := NewPartitionedEngine(parts, db, bounds, opts)
+	eng, err := NewPartitionedEngine(parts, corpus, bounds, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -331,11 +330,11 @@ func (s cancelOnFetch) OpenPostings(cell, term string) (*invindex.PostingsIterat
 }
 
 // Records holds ten rows at the centre, row i posted by user i as tweet i.
-func (s cancelOnFetch) Records() []metadb.RowMeta {
+func (s cancelOnFetch) Records() []social.RowMeta {
 	*s.resolved++
-	recs := make([]metadb.RowMeta, 10)
+	recs := make([]social.RowMeta, 10)
 	for i := range recs {
-		recs[i] = metadb.RowMeta{SID: social.PostID(i), Lat: benchCenter.Lat, Lon: benchCenter.Lon, UID: social.UserID(i)}
+		recs[i] = social.RowMeta{SID: social.PostID(i), Lat: benchCenter.Lat, Lon: benchCenter.Lon, UID: social.UserID(i)}
 	}
 	return recs
 }
@@ -348,13 +347,13 @@ func TestGatherChecksContextPerPartition(t *testing.T) {
 	defer cancel()
 	resolved := 0
 	src := cancelOnFetch{benchPostings: benchPostings{cell: "dpz8", list: ps(5, 1, 6, 1, 7, 1)}, cancel: cancel, resolved: &resolved}
-	db, err := metadb.Load(metadb.DefaultOptions(), nil)
+	corpus, err := social.NewCorpus(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
 	bounds := thread.ComputeBounds(nil, opts.Params.ThreadDepth)
-	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}, {Source: src, Rows: src}}, db, bounds, opts)
+	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}, {Source: src, Rows: src}}, corpus, bounds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

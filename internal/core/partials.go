@@ -33,8 +33,8 @@ import (
 //
 // A shard indexes only its own region's posts, and the rows its radius
 // filter resolves are its own too: the rows of the posts it indexes. What
-// spans regions is shared — every shard holds a replica of the centralized
-// metadata database and popularity table (the paper keeps them centralized;
+// spans regions is shared — every shard holds a replica of the corpus
+// table and popularity table (the paper keeps its metadata centralized;
 // a production shard replicates them) for thread popularity and the |P_u|
 // denominator of Definition 9. Both therefore see the full corpus and match
 // the monolithic engine's values even when a thread or a user spans shard
@@ -52,7 +52,7 @@ type CandidateScore struct {
 
 // UserPartial carries the user-level fact a shard contributes for one user
 // with at least one candidate: the user's total post count |P_u| (from the
-// replicated metadata database, so it is the global count).
+// replicated corpus table, so it is the global count).
 type UserPartial struct {
 	UID   social.UserID
 	Posts int

@@ -59,11 +59,16 @@ func TestPartialsSingleShardIdentity(t *testing.T) {
 
 // splitEngines partitions posts by geohash prefix into nShards engines
 // that mirror BuildSharded's wiring at the core level: every shard shares
-// the full metadata DB and thread bounds (the paper's centralized
-// metadata database, replicated), while indexing only its own region.
+// the full corpus table, the paged metadata DB and thread bounds (the
+// paper's centralized metadata database, replicated), while indexing only
+// its own region.
 func splitEngines(t *testing.T, posts []*social.Post, opts core.Options, nShards int) []*core.Engine {
 	t.Helper()
 	db, err := metadb.Load(metadb.DefaultOptions(), posts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := social.NewCorpus(posts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +95,7 @@ func splitEngines(t *testing.T, posts []*social.Post, opts core.Options, nShards
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := core.NewEngine(idx, db, bounds, opts)
+		eng, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Lookup: db}}, corpus, bounds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,25 +370,26 @@ func TestQueryStatsAddSumsEveryCounter(t *testing.T) {
 // TestPartialsChargeSearchUserIO pins that the two exits charge equal row
 // I/O. On a paged engine (no caches, no snapshots) Search and SearchPartials
 // run the same retrieval, read every φ from the table and every |P_u| from
-// the post-count column (which charges nothing on either exit), so both must
+// the corpus table (which charges nothing on either exit), so both must
 // charge the same index-node and page reads, for both rankings.
 func TestPartialsChargeSearchUserIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	posts, center := randomCorpus(rng, 800)
 	eng := buildEngine(t, posts, core.DefaultOptions(), 5)
+	db := eng.Partitions()[0].Lookup.(*metadb.DB)
 	for _, rank := range []core.Ranking{core.SumScore, core.MaxScore} {
 		q := core.Query{Loc: center, RadiusKm: 25, Keywords: []string{"hotel", "pizza"}, K: 10, Ranking: rank}
-		eng.DB.ResetStats()
+		db.ResetStats()
 		if _, _, err := eng.Search(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
-		mono := eng.DB.Stats()
-		eng.DB.ResetStats()
+		mono := db.Stats()
+		db.ResetStats()
 		parts, err := eng.SearchPartials(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shard := eng.DB.Stats()
+		shard := db.Stats()
 		if len(parts.Users) < 10 {
 			t.Fatalf("%v: only %d candidate users, fixture too small", rank, len(parts.Users))
 		}

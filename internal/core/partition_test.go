@@ -57,8 +57,14 @@ func TestNewPartitionedEngineValidation(t *testing.T) {
 	if _, err := NewPartitionedEngine([]Partition{{Source: nil}}, nil, nil, DefaultOptions()); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := NewEngine(nil, nil, nil, DefaultOptions()); err == nil {
-		t.Error("nil index accepted")
+	corpus, err := social.NewCorpus(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	bounds := thread.ComputeBounds(nil, opts.Params.ThreadDepth)
+	if _, err := NewPartitionedEngine([]Partition{{Source: benchPostings{}}}, corpus, bounds, opts); err == nil {
+		t.Error("a partition with neither rows nor a row lookup accepted")
 	}
 	// Every score reads φ from the bounds: bounds without a level-count
 	// table, or with one of another depth, would answer for another model.
@@ -66,17 +72,16 @@ func TestNewPartitionedEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	parts := []Partition{{Source: benchPostings{}}}
+	parts := []Partition{{Source: benchPostings{}, Lookup: db}}
 	for name, bounds := range map[string]*thread.Bounds{
 		"no table": {Depth: opts.Params.ThreadDepth},
 		"depth 2":  thread.ComputeBounds(nil, 2),
 	} {
-		if _, err := NewPartitionedEngine(parts, db, bounds, opts); !errors.Is(err, thread.ErrParamsMismatch) {
+		if _, err := NewPartitionedEngine(parts, corpus, bounds, opts); !errors.Is(err, thread.ErrParamsMismatch) {
 			t.Errorf("%s: err = %v, want ErrParamsMismatch", name, err)
 		}
 	}
-	if _, err := NewPartitionedEngine(parts, db, thread.ComputeBounds(nil, opts.Params.ThreadDepth), opts); err != nil {
+	if _, err := NewPartitionedEngine(parts, corpus, bounds, opts); err != nil {
 		t.Errorf("matching bounds refused: %v", err)
 	}
 }
@@ -89,10 +94,10 @@ type rowsMissing struct {
 	held int
 }
 
-func (s rowsMissing) Records() []metadb.RowMeta {
-	recs := make([]metadb.RowMeta, s.held)
+func (s rowsMissing) Records() []social.RowMeta {
+	recs := make([]social.RowMeta, s.held)
 	for i := range recs {
-		recs[i] = metadb.RowMeta{SID: social.PostID(i), Lat: benchCenter.Lat, Lon: benchCenter.Lon, UID: social.UserID(i)}
+		recs[i] = social.RowMeta{SID: social.PostID(i), Lat: benchCenter.Lat, Lon: benchCenter.Lon, UID: social.UserID(i)}
 	}
 	return recs
 }
@@ -107,13 +112,13 @@ func TestGatherNamesTheMissingRow(t *testing.T) {
 	for sid := 5; sid <= 9; sid++ {
 		src.list = append(src.list, invindex.Posting{TID: social.PostID(sid), TF: 1})
 	}
-	db, err := metadb.Load(metadb.DefaultOptions(), nil)
+	corpus, err := social.NewCorpus(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
 	bounds := thread.ComputeBounds(nil, opts.Params.ThreadDepth)
-	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}}, db, bounds, opts)
+	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}}, corpus, bounds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/invindex"
-	"repro/internal/metadb"
 	"repro/internal/score"
 	"repro/internal/social"
 	"repro/internal/telemetry"
@@ -173,7 +172,7 @@ func (e *Engine) gather(ctx context.Context, q Query, sc *scratch) (*candidateSe
 		stats:  &QueryStats{}, rec: telemetry.NewSpanRecorder(), start: time.Now(),
 	}
 	if e.Opts.RecencyHalfLife > 0 {
-		cs.minSID, cs.maxSID = e.DB.SIDRange()
+		cs.minSID, cs.maxSID = e.Corpus.SIDRange()
 	}
 	terms, stats, rec := cs.terms, cs.stats, cs.rec
 	if len(terms) == 0 {
@@ -301,7 +300,7 @@ func (cs *coverSet) get(prec int) []string {
 // store (dozens of shared data pages instead of one descent each).
 func (e *Engine) filter(cs *candidateSet, part *Partition, merged []candidate) error {
 	if part.Rows == nil {
-		return e.filterPaged(cs, merged)
+		return e.filterPaged(cs, part.Lookup, merged)
 	}
 	recs := part.Rows.Records()
 	if w := cs.q.TimeWindow; w != nil {
@@ -313,7 +312,7 @@ func (e *Engine) filter(cs *candidateSet, part *Partition, merged []candidate) e
 	// Load a chunk of records, then test the chunk: the loads depend on no
 	// branch and on one another not at all, so the processor overlaps their
 	// cache misses, and the radius tests then run over records in cache.
-	var chunk [64]metadb.RowMeta
+	var chunk [64]social.RowMeta
 	for len(merged) > 0 {
 		n := min(len(merged), len(chunk))
 		for i, c := range merged[:n] {
@@ -332,8 +331,9 @@ func (e *Engine) filter(cs *candidateSet, part *Partition, merged []candidate) e
 }
 
 // filterPaged is filter for a partition without rows of its own: the
-// postings carry tweet IDs, resolved in one batch against Engine.DB.
-func (e *Engine) filterPaged(cs *candidateSet, merged []candidate) error {
+// postings carry tweet IDs, resolved in one batch through the partition's
+// row lookup.
+func (e *Engine) filterPaged(cs *candidateSet, lookup RowLookup, merged []candidate) error {
 	if w := cs.q.TimeWindow; w != nil {
 		inWindow := merged[:0]
 		for _, c := range merged {
@@ -347,9 +347,9 @@ func (e *Engine) filterPaged(cs *candidateSet, merged []candidate) error {
 	for i, c := range merged {
 		sids[i] = c.doc
 	}
-	rows, found, bs := e.DB.GetBySIDBatch(sids)
-	cs.stats.DBBatchLookups += bs.Lookups
-	cs.stats.DBPagesSaved += bs.PagesSaved
+	rows, found, saved := lookup.LookupRows(sids)
+	cs.stats.DBBatchLookups += int64(len(sids))
+	cs.stats.DBPagesSaved += saved
 	for i, c := range merged {
 		if !found[i] {
 			return fmt.Errorf("core: indexed tweet %d missing from metadata db", c.doc)
@@ -380,8 +380,8 @@ func (cs *candidateSet) admit(tid social.PostID, matches int, loc geo.Point, uid
 // retrieved postings: the user's candidate distance sum divided by |P_u|.
 // Posts outside the radius contribute 0 to Definition 9 either way; the
 // user's in-radius posts that match no query keyword are the ones left out.
-// So δ depends on the DB only through |P_u|, and every count comes from one
-// read of the post-count column (metadb.DB.PostCounts) into the scratch.
+// So δ depends on the corpus only through |P_u|, and every count comes from
+// one read of the corpus table (social.Corpus.PostCounts) into the scratch.
 func (e *Engine) resolveUsers(cs *candidateSet) {
 	if cs.sc.byUID == nil {
 		cs.sc.byUID = make(map[social.UserID]int)
@@ -409,7 +409,7 @@ func (e *Engine) resolveUsers(cs *candidateSet) {
 		uids[i] = cs.users[i].uid
 	}
 	posts := grow(&cs.sc.posts, len(uids))
-	e.DB.PostCounts(uids, posts)
+	e.Corpus.PostCounts(uids, posts)
 	for i, n := range posts {
 		u := &cs.users[i]
 		u.posts, u.du = n, score.UserDistance(u.deltaSum, n)

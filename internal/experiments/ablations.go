@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	tklus "repro"
 	"repro/internal/core"
 	"repro/internal/geo"
 )
@@ -63,7 +62,7 @@ func (s *Setup) AblationThreadDepth() (*Table, error) {
 	}
 	specs := s.queriesWithKeywordCount(1)
 	for _, depth := range []int{1, 2, 4, 8} {
-		cfg := tklus.DefaultConfig()
+		cfg := DefaultPaperConfig()
 		cfg.Engine.Params.ThreadDepth = depth
 		cfg.DB.IOLatency = s.Cfg.IOLatency
 		sys, err := BuildPaper(s.Corpus.Posts, cfg)
@@ -89,7 +88,7 @@ func (s *Setup) AblationPageCache() (*Table, error) {
 	}
 	specs := s.queriesWithKeywordCount(1)
 	for _, cache := range []int{0, 64, 1024} {
-		cfg := tklus.DefaultConfig()
+		cfg := DefaultPaperConfig()
 		cfg.DB.CacheSize = cache
 		cfg.DB.IOLatency = s.Cfg.IOLatency
 		sys, err := BuildPaper(s.Corpus.Posts, cfg)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	tklus "repro"
 	"repro/internal/baseline"
 	"repro/internal/dfs"
 	"repro/internal/invindex"
@@ -23,7 +22,7 @@ func (s *Setup) Fig5IndexConstruction() (*Table, error) {
 	}
 	for length := 1; length <= 4; length++ {
 		// Time a fresh MapReduce build (Setup.System caches, so build here).
-		cfg := tklus.DefaultConfig()
+		cfg := DefaultPaperConfig()
 		cfg.Index.GeohashLen = length
 		start := time.Now()
 		sys, err := BuildPaper(s.Corpus.Posts, cfg)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/score"
 	"repro/internal/social"
 	"repro/internal/textutil"
-	"repro/internal/thread"
 )
 
 // paperArm runs queries in the regime the paper's evaluation times. The
@@ -75,7 +74,7 @@ func (a paperArm) Search(q core.Query) ([]core.UserResult, *core.QueryStats, err
 	part := &core.Partials{Users: make([]core.UserPartial, len(uids)), Cands: make([]core.CandidateScore, len(cands))}
 	du := make([]float64, len(uids))
 	posts := make([]int, len(uids))
-	a.sys.DB.PostCounts(uids, posts)
+	eng.Corpus.PostCounts(uids, posts)
 	for u, n := range posts {
 		part.Users[u] = core.UserPartial{UID: uids[u], Posts: n}
 		du[u] = score.UserDistance(deltaSum[u], n)
@@ -86,7 +85,7 @@ func (a paperArm) Search(q core.Query) ([]core.UserResult, *core.QueryStats, err
 	// cannot beat the current kth score. A skipped candidate keeps ρ = 0:
 	// its score stays at or below that kth score, so the reduction's top-k
 	// passes it over exactly as it would the true one.
-	builder := thread.Builder{DB: a.sys.DB, Depth: p.ThreadDepth}
+	builder := Builder{DB: a.sys.DB, Depth: p.ThreadDepth}
 	prune := a.prune && q.Ranking == core.MaxScore
 	var bound float64
 	if prune {
@@ -96,7 +95,7 @@ func (a paperArm) Search(q core.Query) ([]core.UserResult, *core.QueryStats, err
 		bound = a.bounds.ForQuery(core.QueryTerms(q.Keywords), q.Semantic == core.And, a.specific)
 	}
 	top := topUsers{k: q.K, best: make(map[social.UserID]float64, q.K)}
-	var ts thread.Stats
+	var ts ThreadStats
 	for i, c := range cands {
 		d := du[row[c.UID]]
 		part.Cands[i] = core.CandidateScore{TID: c.TID, UID: c.UID, Delta: c.Delta}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/social"
-	"repro/internal/thread"
 )
 
 // TestPaperArmMatchesEngine pins the paper's regime to the serving engine:
@@ -142,7 +141,7 @@ func TestBoundsSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := s.bounds[sys]
-	builder := thread.Builder{DB: sys.DB, Depth: sys.Engine.Opts.Params.ThreadDepth}
+	builder := Builder{DB: sys.DB, Depth: sys.Engine.Opts.Params.ThreadDepth}
 	for _, p := range s.Corpus.Posts {
 		if nodes, pop := builder.Tree(p.SID, sys.Engine.Opts.Params.Epsilon, nil); pop > b.MaxObserved {
 			t.Fatalf("thread %d (%d tweets) popularity %v exceeds MaxObserved %v", p.SID, len(nodes), pop, b.MaxObserved)

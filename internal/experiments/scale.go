@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	tklus "repro"
 	"repro/internal/core"
 	"repro/internal/datagen"
 )
@@ -33,7 +32,7 @@ func (s *Setup) ScaleSweep() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := tklus.DefaultConfig()
+		cfg := DefaultPaperConfig()
 		cfg.DB.IOLatency = s.Cfg.IOLatency
 		start := time.Now()
 		sys, err := BuildPaper(corpus.Posts, cfg)

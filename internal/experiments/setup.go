@@ -62,7 +62,8 @@ type Setup struct {
 // PaperSystem is the paper's build of a corpus (Figure 3): the metadata
 // database, the hybrid index two MapReduce jobs write into the simulated
 // DFS (Algorithms 2–3), and the level-count table, under an engine that
-// resolves rows through the paged database. The serving tklus.System
+// resolves rows through the paged database. |P_u| and the SID range come
+// from the corpus table, as on the serving path. The serving tklus.System
 // indexes through the memtable into a segment instead; only the figures
 // build and measure this one.
 type PaperSystem struct {
@@ -72,10 +73,30 @@ type PaperSystem struct {
 	BuildStats *invindex.BuildStats
 }
 
+// PaperConfig configures BuildPaper: the serving configuration's index and
+// engine options, plus the two substrates only the paper's build has — the
+// paged metadata database and the simulated DFS its MapReduce jobs write
+// the index into.
+type PaperConfig struct {
+	tklus.Config
+	DB  metadb.Options
+	DFS dfs.Options
+}
+
+// DefaultPaperConfig is the paper's standard configuration
+// (tklus.DefaultConfig) with the database caches off.
+func DefaultPaperConfig() PaperConfig {
+	return PaperConfig{Config: tklus.DefaultConfig(), DB: metadb.DefaultOptions(), DFS: dfs.DefaultOptions()}
+}
+
 // BuildPaper builds posts the paper's way, under cfg's index geohash
 // length and block size, metadata-database options and engine options.
-func BuildPaper(posts []*social.Post, cfg tklus.Config) (*PaperSystem, error) {
+func BuildPaper(posts []*social.Post, cfg PaperConfig) (*PaperSystem, error) {
 	db, err := metadb.Load(cfg.DB, posts)
+	if err != nil {
+		return nil, err
+	}
+	corpus, err := social.NewCorpus(posts)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +107,7 @@ func BuildPaper(posts []*social.Post, cfg tklus.Config) (*PaperSystem, error) {
 		return nil, err
 	}
 	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
-	eng, err := core.NewEngine(idx, db, bounds, cfg.Engine)
+	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Lookup: db}}, corpus, bounds, cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +138,7 @@ func (s *Setup) System(geohashLen int) (*PaperSystem, error) {
 	if sys, ok := s.systems[geohashLen]; ok {
 		return sys, nil
 	}
-	cfg := tklus.DefaultConfig()
+	cfg := DefaultPaperConfig()
 	cfg.Index.GeohashLen = geohashLen
 	cfg.DB.IOLatency = s.Cfg.IOLatency
 	sys, err := BuildPaper(s.Corpus.Posts, cfg)

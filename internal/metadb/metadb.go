@@ -4,52 +4,25 @@
 // B⁺-tree secondary index on rsid. These indexes "accelerate the query
 // processing phase" — in particular the level-by-level tweet-thread
 // construction of Algorithm 1, whose line 7 ("select all where rsid equals
-// to Id") is served by SelectByRSID. Beside them the database keeps one
-// derived column, each user's post count |P_u| (Definition 9), which a
-// ranked query reads by arithmetic rather than through an index.
+// to Id") is served by SelectByRSID.
 //
 // The database simulates disk behaviour: every page touched counts as one
 // I/O, optionally with a configurable latency, and a small LRU page cache
-// can be enabled (the paper's experiments run with caches off).
+// can be enabled (the paper's experiments run with caches off). It is
+// bulk-loaded once and read-only after: it is the paper arm's substrate,
+// which the figures in internal/experiments build and time. The serving
+// path keeps the same facts in social.Corpus.
 package metadb
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/btree"
-	"repro/internal/geo"
 	"repro/internal/social"
 )
-
-// Row is one tuple of the metadata relation.
-type Row struct {
-	SID  social.PostID
-	UID  social.UserID
-	Lat  float64
-	Lon  float64
-	RUID social.UserID
-	RSID social.PostID
-}
-
-// Loc returns the row's location as a geo.Point.
-func (r Row) Loc() geo.Point { return geo.Point{Lat: r.Lat, Lon: r.Lon} }
-
-// RowMeta is the slice of a row the spatial candidate filter needs: which
-// tweet, where it was posted and by whom, packed in 32 bytes. It carries the
-// same float64 coordinates the row store holds, so a radius test and δ(p,q)
-// computed from it are byte-identical to the row-fetching ones. A segment
-// or memtable holds one per row, indexed by the row ordinals its postings
-// name (core.RowSource).
-type RowMeta struct {
-	SID social.PostID
-	Lat float64
-	Lon float64
-	UID social.UserID
-}
 
 // Options configures a DB.
 type Options struct {
@@ -93,34 +66,15 @@ type BatchStats struct {
 	PagesSaved int64
 }
 
-// add folds another phase of the same logical batch into bs.
-func (bs *BatchStats) add(other BatchStats) {
-	bs.Lookups += other.Lookups
-	bs.PagesRead += other.PagesRead
-	bs.PagesSaved += other.PagesSaved
-}
-
-// DB is the centralized metadata database. After Freeze, reads are safe
-// for concurrent use, and Append may ingest new rows concurrently with
-// readers: the row pages, the indexes and the post-count column are guarded
-// by an RWMutex (readers share it), while the statistics counters and the
-// page cache keep their own mutex.
+// DB is the centralized metadata database. After Freeze it is read-only
+// and safe for concurrent reads; the statistics counters and the page
+// cache keep their own mutex.
 type DB struct {
-	opts Options
-
-	// structMu guards pages, the two indexes, the post-count column and
-	// the row/SID bookkeeping below against live Appends. Read paths take
-	// the read lock once per public call (never nested — helpers assume it
-	// is held) so a writer cannot deadlock behind a recursive RLock.
-	structMu sync.RWMutex
-	pages    [][]Row
+	opts  Options
+	pages [][]social.Row
 
 	sidIndex  *btree.Tree // sid -> row ordinal
 	rsidIndex *btree.Tree // rsid -> sids of posts reacting to it
-
-	// postCounts is |P_u| per user: a count derived from the rows, not an
-	// index — nothing reads a user's SIDs, only how many there are.
-	postCounts map[social.UserID]uint32
 
 	mu    sync.Mutex // guards cache and stats
 	cache *pageCache
@@ -128,9 +82,7 @@ type DB struct {
 
 	frozen      bool
 	totalRows   int
-	minSID      social.PostID
-	maxSID      social.PostID
-	sortedBatch []Row // staging area before Freeze
+	sortedBatch []social.Row // staging area before Freeze
 }
 
 // New creates an empty database.
@@ -142,10 +94,9 @@ func New(opts Options) *DB {
 		opts.IndexOrder = btree.DefaultOrder
 	}
 	db := &DB{
-		opts:       opts,
-		sidIndex:   btree.MustNew(opts.IndexOrder),
-		rsidIndex:  btree.MustNew(opts.IndexOrder),
-		postCounts: make(map[social.UserID]uint32),
+		opts:      opts,
+		sidIndex:  btree.MustNew(opts.IndexOrder),
+		rsidIndex: btree.MustNew(opts.IndexOrder),
 	}
 	if opts.CacheSize > 0 {
 		db.cache = newPageCache(opts.CacheSize)
@@ -169,18 +120,6 @@ func Load(opts Options, posts []*social.Post) (*DB, error) {
 	return db, nil
 }
 
-// FromRows builds a frozen database over rows it takes ownership of — the
-// rows of a saved system's segments. Two rows with one SID fail with
-// ErrRejected.
-func FromRows(opts Options, rows []Row) (*DB, error) {
-	db := New(opts)
-	db.sortedBatch = rows
-	if err := db.freeze(); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
 // Insert stages one post. Insert must not be called after Freeze.
 func (db *DB) Insert(p *social.Post) error {
 	if db.frozen {
@@ -189,7 +128,7 @@ func (db *DB) Insert(p *social.Post) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	db.sortedBatch = append(db.sortedBatch, Row{
+	db.sortedBatch = append(db.sortedBatch, social.Row{
 		SID: p.SID, UID: p.UID,
 		Lat: p.Loc.Lat, Lon: p.Loc.Lon,
 		RUID: p.RUID, RSID: p.RSID,
@@ -199,8 +138,7 @@ func (db *DB) Insert(p *social.Post) error {
 
 // Freeze sorts the staged rows by SID (clustered on the primary key, as a
 // timestamp-keyed tweet store naturally is), paginates them, builds both
-// B⁺-tree indexes and counts every user's posts. After Freeze the database
-// is read-only except for Append, the live-ingest path. Staging two rows
+// B⁺-tree indexes. After Freeze the database is read-only. Staging two rows
 // with one SID is a caller bug here, and Freeze panics; Load returns it as
 // an error instead.
 func (db *DB) Freeze() {
@@ -210,8 +148,6 @@ func (db *DB) Freeze() {
 }
 
 func (db *DB) freeze() error {
-	db.structMu.Lock()
-	defer db.structMu.Unlock()
 	if db.frozen {
 		return nil
 	}
@@ -220,7 +156,7 @@ func (db *DB) freeze() error {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].SID < rows[j].SID })
 	for i := 1; i < len(rows); i++ {
 		if rows[i].SID == rows[i-1].SID {
-			return fmt.Errorf("metadb: %w: duplicate SID %d", ErrRejected, rows[i].SID)
+			return fmt.Errorf("metadb: %w: duplicate SID %d", social.ErrRejected, rows[i].SID)
 		}
 	}
 	per := db.opts.RowsPerPage
@@ -233,92 +169,17 @@ func (db *DB) freeze() error {
 	}
 	for ordinal, r := range rows {
 		db.sidIndex.Insert(int64(r.SID), int64(ordinal))
-		db.postCounts[r.UID]++
 		if r.RSID != social.NoPost {
 			db.rsidIndex.Insert(int64(r.RSID), int64(r.SID))
 		}
 	}
 	db.totalRows = len(rows)
-	if len(rows) > 0 {
-		db.minSID, db.maxSID = rows[0].SID, rows[len(rows)-1].SID
-	}
 	db.frozen = true
 	return nil
 }
 
-// ErrRejected marks an Append refused because of the post itself — it fails
-// validation, or its SID is not beyond every stored one. The caller's data
-// is at fault, not the database (the HTTP server answers 400).
-var ErrRejected = errors.New("append rejected")
-
-// Append inserts one post into a frozen database — the live-ingest path
-// between batch index builds (Section IV-A collects tweets periodically;
-// the metadata relation is centralized, so replies and forwards can land
-// as they happen and immediately count toward thread popularity). Posts
-// must arrive in timestamp order: the SID has to exceed every stored SID,
-// which keeps the relation clustered on the primary key; a post that breaks
-// the contract fails with ErrRejected. Append is safe to run concurrently
-// with readers and with other Appends.
-func (db *DB) Append(p *social.Post) error {
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("metadb: %w: %v", ErrRejected, err)
-	}
-	db.structMu.Lock()
-	defer db.structMu.Unlock()
-	if !db.frozen {
-		return fmt.Errorf("metadb: append before freeze (stage with Insert instead)")
-	}
-	if db.totalRows > 0 && p.SID <= db.maxSID {
-		return fmt.Errorf("metadb: %w: SID %d is not beyond max SID %d (posts arrive in timestamp order)",
-			ErrRejected, p.SID, db.maxSID)
-	}
-	row := Row{
-		SID: p.SID, UID: p.UID,
-		Lat: p.Loc.Lat, Lon: p.Loc.Lon,
-		RUID: p.RUID, RSID: p.RSID,
-	}
-	ordinal := db.totalRows
-	last := len(db.pages) - 1
-	if last >= 0 && len(db.pages[last]) < db.opts.RowsPerPage {
-		// Copy-on-append: the page may alias the bulk-load backing array,
-		// and slices already handed to readers must never see new writes.
-		grown := make([]Row, len(db.pages[last]), len(db.pages[last])+1)
-		copy(grown, db.pages[last])
-		db.pages[last] = append(grown, row)
-		db.mu.Lock()
-		if db.cache != nil {
-			db.cache.invalidate(last) // drop the stale cached copy
-		}
-		db.mu.Unlock()
-	} else {
-		db.pages = append(db.pages, []Row{row})
-	}
-	db.sidIndex.Insert(int64(p.SID), int64(ordinal))
-	db.postCounts[p.UID]++
-	if p.RSID != social.NoPost {
-		db.rsidIndex.Insert(int64(p.RSID), int64(p.SID))
-	}
-	if db.totalRows == 0 {
-		db.minSID = p.SID
-	}
-	db.maxSID = p.SID
-	db.totalRows++
-	return nil
-}
-
 // Len returns the number of rows.
-func (db *DB) Len() int {
-	db.structMu.RLock()
-	defer db.structMu.RUnlock()
-	return db.totalRows
-}
-
-// SIDRange returns the smallest and largest SID stored.
-func (db *DB) SIDRange() (min, max social.PostID) {
-	db.structMu.RLock()
-	defer db.structMu.RUnlock()
-	return db.minSID, db.maxSID
-}
+func (db *DB) Len() int { return db.totalRows }
 
 // Stats returns a copy of the I/O counters, folding in index accesses.
 func (db *DB) Stats() Stats {
@@ -339,7 +200,7 @@ func (db *DB) ResetStats() {
 }
 
 // readPage simulates fetching one page from disk (or the cache).
-func (db *DB) readPage(idx int) []Row {
+func (db *DB) readPage(idx int) []social.Row {
 	db.mu.Lock()
 	if db.cache != nil {
 		if rows, ok := db.cache.get(idx); ok {
@@ -362,7 +223,7 @@ func (db *DB) readPage(idx int) []Row {
 	return rows
 }
 
-func (db *DB) rowByOrdinal(ordinal int64) Row {
+func (db *DB) rowByOrdinal(ordinal int64) social.Row {
 	page := int(ordinal) / db.opts.RowsPerPage
 	slot := int(ordinal) % db.opts.RowsPerPage
 	return db.readPage(page)[slot]
@@ -371,20 +232,12 @@ func (db *DB) rowByOrdinal(ordinal int64) Row {
 // GetBySID returns the row with the given post ID via the primary index.
 // With caches off, each B⁺-tree node visited is one simulated I/O, like
 // the page fetch itself.
-func (db *DB) GetBySID(sid social.PostID) (Row, bool) {
+func (db *DB) GetBySID(sid social.PostID) (social.Row, bool) {
 	db.mustBeFrozen()
-	db.structMu.RLock()
-	defer db.structMu.RUnlock()
-	return db.getBySIDLocked(sid)
-}
-
-// getBySIDLocked is GetBySID for callers already holding structMu's read
-// lock (RLock is not recursive-safe while a writer waits).
-func (db *DB) getBySIDLocked(sid social.PostID) (Row, bool) {
 	vals, visited := db.sidIndex.GetCounted(int64(sid))
 	db.chargeIndexIO(visited)
 	if len(vals) == 0 {
-		return Row{}, false
+		return social.Row{}, false
 	}
 	return db.rowByOrdinal(vals[0]), true
 }
@@ -404,20 +257,25 @@ func (db *DB) chargeIndexIO(nodes int) {
 // aligned with sids — the same rows, in the same order, a GetBySID loop
 // would produce — and the returned BatchStats reports the simulated I/O
 // the batch saved against that loop.
-func (db *DB) GetBySIDBatch(sids []social.PostID) (rows []Row, found []bool, bs BatchStats) {
+func (db *DB) GetBySIDBatch(sids []social.PostID) (rows []social.Row, found []bool, bs BatchStats) {
 	db.mustBeFrozen()
-	db.structMu.RLock()
-	defer db.structMu.RUnlock()
-	rows, found, bs = db.getBySIDBatchLocked(sids)
+	rows, found, bs = db.getBySIDBatch(sids)
 	db.noteBatch(bs)
 	return rows, found, bs
 }
 
-// getBySIDBatchLocked is GetBySIDBatch for callers already holding
-// structMu's read lock. It does not fold bs into the cumulative counters;
-// public wrappers do, so composed batches count once.
-func (db *DB) getBySIDBatchLocked(sids []social.PostID) ([]Row, []bool, BatchStats) {
-	rows := make([]Row, len(sids))
+// LookupRows is GetBySIDBatch as the engine's paged candidate filter reads
+// it (core.RowLookup): the rows and which were found, aligned with sids,
+// and the page+node touches the batch saved against a single-key loop.
+func (db *DB) LookupRows(sids []social.PostID) ([]social.Row, []bool, int64) {
+	rows, found, bs := db.GetBySIDBatch(sids)
+	return rows, found, bs.PagesSaved
+}
+
+// getBySIDBatch is GetBySIDBatch without folding bs into the cumulative
+// counters; public wrappers do, so composed batches count once.
+func (db *DB) getBySIDBatch(sids []social.PostID) ([]social.Row, []bool, BatchStats) {
+	rows := make([]social.Row, len(sids))
 	found := make([]bool, len(sids))
 	if len(sids) == 0 {
 		return rows, found, BatchStats{}
@@ -433,7 +291,7 @@ func (db *DB) getBySIDBatchLocked(sids []social.PostID) ([]Row, []bool, BatchSta
 	// once, then assemble rows in input order.
 	per := db.opts.RowsPerPage
 	ordinals := make([]int64, len(sids))
-	pageRows := make(map[int][]Row)
+	pageRows := make(map[int][]social.Row)
 	nFound := 0
 	for i, v := range vals {
 		if len(v) == 0 {
@@ -478,11 +336,9 @@ func (db *DB) getBySIDBatchLocked(sids []social.PostID) ([]Row, []bool, BatchSta
 // exactly the rows SelectByRSID(rsids[i]) would return, in the same order.
 // One call per thread level turns Algorithm 1's per-node lookup storm into
 // level-sized I/O.
-func (db *DB) SelectByRSIDBatch(rsids []social.PostID) (out [][]Row, bs BatchStats) {
+func (db *DB) SelectByRSIDBatch(rsids []social.PostID) (out [][]social.Row, bs BatchStats) {
 	db.mustBeFrozen()
-	db.structMu.RLock()
-	defer db.structMu.RUnlock()
-	out = make([][]Row, len(rsids))
+	out = make([][]social.Row, len(rsids))
 	if len(rsids) == 0 {
 		return out, BatchStats{}
 	}
@@ -499,14 +355,14 @@ func (db *DB) SelectByRSIDBatch(rsids []social.PostID) (out [][]Row, bs BatchSta
 			childSIDs = append(childSIDs, social.PostID(sid))
 		}
 	}
-	childRows, childFound, childBS := db.getBySIDBatchLocked(childSIDs)
+	childRows, childFound, childBS := db.getBySIDBatch(childSIDs)
 
 	next := 0
 	for i, sids := range lists {
 		if len(sids) == 0 {
 			continue
 		}
-		group := make([]Row, 0, len(sids))
+		group := make([]social.Row, 0, len(sids))
 		for range sids {
 			if childFound[next] {
 				group = append(group, childRows[next])
@@ -518,14 +374,13 @@ func (db *DB) SelectByRSIDBatch(rsids []social.PostID) (out [][]Row, bs BatchSta
 
 	// Against a SelectByRSID loop: one rsid descent per input key on top of
 	// the per-child primary costs already accounted by the inner batch.
+	// Children are internal work, not caller keys.
 	naiveIndex := len(rsids) * db.rsidIndex.Height()
 	bs = BatchStats{
 		Lookups:    int64(len(rsids)),
-		PagesRead:  int64(visited),
-		PagesSaved: int64(naiveIndex - visited),
+		PagesRead:  int64(visited) + childBS.PagesRead,
+		PagesSaved: int64(naiveIndex-visited) + childBS.PagesSaved,
 	}
-	bs.add(childBS)
-	bs.Lookups = int64(len(rsids)) // children are internal work, not caller keys
 	db.noteBatch(bs)
 	return out, bs
 }
@@ -540,55 +395,27 @@ func (db *DB) noteBatch(bs BatchStats) {
 
 // SelectByRSID returns the rows of all posts that reply to or forward the
 // given post (Algorithm 1 line 7), via the rsid secondary index.
-func (db *DB) SelectByRSID(rsid social.PostID) []Row {
+func (db *DB) SelectByRSID(rsid social.PostID) []social.Row {
 	db.mustBeFrozen()
-	db.structMu.RLock()
-	defer db.structMu.RUnlock()
 	sids, visited := db.rsidIndex.GetCounted(int64(rsid))
 	db.chargeIndexIO(visited)
 	if len(sids) == 0 {
 		return nil
 	}
-	out := make([]Row, 0, len(sids))
+	out := make([]social.Row, 0, len(sids))
 	for _, sid := range sids {
-		if r, ok := db.getBySIDLocked(social.PostID(sid)); ok {
+		if r, ok := db.GetBySID(social.PostID(sid)); ok {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// PostCountOfUser returns |P_u| (P_u of the problem definition: every post
-// of the user), 0 for a user with no posts. It reads the post-count column,
-// so it charges no simulated I/O.
-func (db *DB) PostCountOfUser(uid social.UserID) int {
-	db.mustBeFrozen()
-	db.structMu.RLock()
-	defer db.structMu.RUnlock()
-	return int(db.postCounts[uid])
-}
-
-// PostCounts writes |P_u| of every user of a batch into out, aligned with
-// uids (len(out) must be at least len(uids)). The batch takes the read lock
-// once and does not sort, allocate or charge simulated I/O, so a ranking
-// stage pays one map probe per candidate user.
-func (db *DB) PostCounts(uids []social.UserID, out []int) {
-	db.mustBeFrozen()
-	db.structMu.RLock()
-	defer db.structMu.RUnlock()
-	for i, uid := range uids {
-		out[i] = int(db.postCounts[uid])
-	}
-}
-
 // Scan iterates every row in SID order; fn returning false stops the scan.
 // Each page touched counts as one I/O, so a full scan models the sequential
-// read cost the baseline (index-free) ranker pays. fn must not call back
-// into the database (the scan holds the structure read lock).
-func (db *DB) Scan(fn func(Row) bool) {
+// read cost the baseline (index-free) ranker pays.
+func (db *DB) Scan(fn func(social.Row) bool) {
 	db.mustBeFrozen()
-	db.structMu.RLock()
-	defer db.structMu.RUnlock()
 	for i := range db.pages {
 		for _, r := range db.readPage(i) {
 			if !fn(r) {

@@ -3,7 +3,6 @@ package metadb
 import (
 	"errors"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -67,20 +66,6 @@ func TestSelectByRSID(t *testing.T) {
 	}
 }
 
-func TestUserPosts(t *testing.T) {
-	posts := []*social.Post{
-		mkPost(5, 1, 0, 0), mkPost(1, 1, 0, 0), mkPost(3, 2, 0, 0),
-	}
-	db := buildDB(t, posts, DefaultOptions())
-	if db.PostCountOfUser(1) != 2 || db.PostCountOfUser(2) != 1 || db.PostCountOfUser(42) != 0 {
-		t.Error("PostCountOfUser wrong")
-	}
-	got := make([]int, 4)
-	if db.PostCounts([]social.UserID{42, 1, 2, 1}, got); !slices.Equal(got, []int{0, 2, 1, 2}) {
-		t.Errorf("PostCounts = %v, want [0 2 1 2]", got)
-	}
-}
-
 func TestLoadRejectsInvalidPost(t *testing.T) {
 	bad := &social.Post{SID: 0, UID: 1, Loc: geo.Point{}}
 	if _, err := Load(DefaultOptions(), []*social.Post{bad}); err == nil {
@@ -123,7 +108,7 @@ func TestDuplicateSIDPanicsAtFreeze(t *testing.T) {
 // panicking in Freeze.
 func TestLoadRejectsDuplicateSID(t *testing.T) {
 	db, err := Load(DefaultOptions(), []*social.Post{mkPost(7, 1, 0, 0), mkPost(8, 3, 0, 0), mkPost(7, 2, 0, 0)})
-	if db != nil || !errors.Is(err, ErrRejected) {
+	if db != nil || !errors.Is(err, social.ErrRejected) {
 		t.Fatalf("Load = %v, %v; want nil and ErrRejected", db, err)
 	}
 }
@@ -146,7 +131,7 @@ func TestScanVisitsAllRowsInOrder(t *testing.T) {
 	db := buildDB(t, unique, Options{RowsPerPage: 16, IndexOrder: 8})
 	var prev social.PostID
 	count := 0
-	db.Scan(func(r Row) bool {
+	db.Scan(func(r social.Row) bool {
 		if r.SID <= prev {
 			t.Fatalf("scan out of order: %d after %d", r.SID, prev)
 		}
@@ -156,10 +141,6 @@ func TestScanVisitsAllRowsInOrder(t *testing.T) {
 	})
 	if count != len(unique) {
 		t.Errorf("scan visited %d rows, want %d", count, len(unique))
-	}
-	min, max := db.SIDRange()
-	if min <= 0 || max < min {
-		t.Errorf("SIDRange = %d..%d", min, max)
 	}
 }
 

@@ -1,6 +1,10 @@
 package metadb
 
-import "container/list"
+import (
+	"container/list"
+
+	"repro/internal/social"
+)
 
 // pageCache is a fixed-capacity LRU cache of row pages. The paper's
 // evaluation disables caches "to get fair evaluation results"; the cache
@@ -13,7 +17,7 @@ type pageCache struct {
 
 type cacheEntry struct {
 	page int
-	rows []Row
+	rows []social.Row
 }
 
 func newPageCache(capacity int) *pageCache {
@@ -24,7 +28,7 @@ func newPageCache(capacity int) *pageCache {
 	}
 }
 
-func (c *pageCache) get(page int) ([]Row, bool) {
+func (c *pageCache) get(page int) ([]social.Row, bool) {
 	el, ok := c.entries[page]
 	if !ok {
 		return nil, false
@@ -33,7 +37,7 @@ func (c *pageCache) get(page int) ([]Row, bool) {
 	return el.Value.(*cacheEntry).rows, true
 }
 
-func (c *pageCache) put(page int, rows []Row) {
+func (c *pageCache) put(page int, rows []social.Row) {
 	if el, ok := c.entries[page]; ok {
 		c.order.MoveToFront(el)
 		el.Value.(*cacheEntry).rows = rows
@@ -47,15 +51,6 @@ func (c *pageCache) put(page int, rows []Row) {
 		}
 	}
 	c.entries[page] = c.order.PushFront(&cacheEntry{page: page, rows: rows})
-}
-
-// invalidate drops one page if resident — Append grows the tail page, so
-// its cached copy would otherwise serve rows without the new one.
-func (c *pageCache) invalidate(page int) {
-	if el, ok := c.entries[page]; ok {
-		c.order.Remove(el)
-		delete(c.entries, page)
-	}
 }
 
 func (c *pageCache) len() int { return c.order.Len() }

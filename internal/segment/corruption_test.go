@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/invindex"
-	"repro/internal/metadb"
 	"repro/internal/social"
 	"repro/internal/thread"
 )
@@ -44,7 +43,7 @@ func validRowsOnlyBytes(t testing.TB) []byte {
 }
 
 // validSegmentParts is the seal input of 40 test posts, a second apart.
-func validSegmentParts(t testing.TB) ([]metadb.Row, []string, []keyPostings) {
+func validSegmentParts(t testing.TB) ([]social.Row, []string, []keyPostings) {
 	t.Helper()
 	posts := testPosts(40, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), time.Second)
 	mt := NewMemtable(5)
@@ -258,12 +257,12 @@ func TestSegmentCorruptionHostileOrdinal(t *testing.T) {
 		t.Fatalf("compaction over an ordinal past the rows: err = %v, want ErrCorrupt", err)
 	}
 
-	db, err := metadb.Load(metadb.DefaultOptions(), posts)
+	corpus, err := social.NewCorpus(posts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := core.DefaultOptions()
-	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: seg, Rows: seg}}, db,
+	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: seg, Rows: seg}}, corpus,
 		thread.ComputeBounds(posts, opts.Params.ThreadDepth), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +349,7 @@ func FuzzOpenSegmentBytes(f *testing.F) {
 			for i, p := range ps {
 				sids[i] = p.TID
 			}
-			if miss := seg.ResolveRows(sids, make([]metadb.RowMeta, len(sids))); miss >= 0 {
+			if miss := seg.ResolveRows(sids, make([]social.RowMeta, len(sids))); miss >= 0 {
 				t.Fatalf("FetchPostings(%v) returned tweet %d, which ResolveRows does not find", k, sids[miss])
 			}
 		}
@@ -368,7 +367,7 @@ func FuzzOpenSegmentBytes(f *testing.F) {
 // resolved.
 func checkColumnsMatchRecords(t *testing.T, seg *Segment) {
 	t.Helper()
-	same := func(got metadb.RowMeta, r metadb.Row) bool {
+	same := func(got social.RowMeta, r social.Row) bool {
 		return got.UID == r.UID &&
 			math.Float64bits(got.Lat) == math.Float64bits(r.Lat) &&
 			math.Float64bits(got.Lon) == math.Float64bits(r.Lon)
@@ -377,7 +376,7 @@ func checkColumnsMatchRecords(t *testing.T, seg *Segment) {
 	for i := range sids {
 		sids[i] = seg.RowAt(i).SID
 	}
-	out := make([]metadb.RowMeta, len(sids))
+	out := make([]social.RowMeta, len(sids))
 	if miss := seg.ResolveRows(sids, out); miss != -1 {
 		t.Fatalf("ResolveRows over the %d rows' own SIDs reports a miss at %d", len(sids), miss)
 	}
@@ -386,7 +385,7 @@ func checkColumnsMatchRecords(t *testing.T, seg *Segment) {
 			t.Fatalf("row %d: resolved %+v, record %+v", i, got, r)
 		}
 	}
-	var pair [2]metadb.RowMeta
+	var pair [2]social.RowMeta
 	for i := 0; i+1 < len(sids); i++ {
 		if sids[i]+1 == sids[i+1] {
 			continue // no SID between these two rows

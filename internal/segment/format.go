@@ -45,7 +45,6 @@ import (
 	"sort"
 
 	"repro/internal/invindex"
-	"repro/internal/metadb"
 	"repro/internal/social"
 )
 
@@ -107,7 +106,7 @@ type keyPostings struct {
 // must be sorted by Key.String(), and every payload's IDs must be ordinals
 // of rows. The image is what Open/OpenBytes parse and what the store writes
 // (tmp → fsync → rename) when sealing a memtable or merging segments.
-func buildSegment(geohashLen int, rows []metadb.Row, texts []string, keys []keyPostings) ([]byte, error) {
+func buildSegment(geohashLen int, rows []social.Row, texts []string, keys []keyPostings) ([]byte, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("segment: refusing to build an empty segment")
 	}
@@ -153,7 +152,7 @@ func buildSegment(geohashLen int, rows []metadb.Row, texts []string, keys []keyP
 	binary.LittleEndian.PutUint64(hdr[40:48], uint64(len(keys)))
 	buf = append(buf, hdr[:]...)
 
-	// Rows section: every metadb.Row field, 8 bytes each; the open derives
+	// Rows section: every social.Row field, 8 bytes each; the open derives
 	// the segment's packed records from it.
 	rowsOff := uint64(len(buf))
 	var rec [rowSize]byte
@@ -211,8 +210,8 @@ func buildSegment(geohashLen int, rows []metadb.Row, texts []string, keys []keyP
 	return buf, nil
 }
 
-// encodeRow writes one 48-byte row record, in metadb.Row's field order.
-func encodeRow(dst []byte, r metadb.Row) {
+// encodeRow writes one 48-byte row record, in social.Row's field order.
+func encodeRow(dst []byte, r social.Row) {
 	binary.LittleEndian.PutUint64(dst[0:8], uint64(r.SID))
 	binary.LittleEndian.PutUint64(dst[8:16], uint64(r.UID))
 	binary.LittleEndian.PutUint64(dst[16:24], math.Float64bits(r.Lat))
@@ -222,8 +221,8 @@ func encodeRow(dst []byte, r metadb.Row) {
 }
 
 // decodeRow inverts encodeRow.
-func decodeRow(b []byte) metadb.Row {
-	return metadb.Row{
+func decodeRow(b []byte) social.Row {
+	return social.Row{
 		SID:  social.PostID(binary.LittleEndian.Uint64(b[0:8])),
 		UID:  social.UserID(binary.LittleEndian.Uint64(b[8:16])),
 		Lat:  math.Float64frombits(binary.LittleEndian.Uint64(b[16:24])),
@@ -347,7 +346,7 @@ func parseSegment(b []byte) (*Segment, error) {
 	// Rows must be ascending, so that ordinal order is SID order. The same
 	// pass, over bytes the CRC has covered, derives the packed records
 	// queries read by ordinal.
-	seg.recs = make([]metadb.RowMeta, seg.nRows)
+	seg.recs = make([]social.RowMeta, seg.nRows)
 	prev := social.PostID(-1 << 62)
 	for i := range seg.recs {
 		r := decodeRow(seg.rows[i*rowSize : (i+1)*rowSize])
@@ -355,7 +354,7 @@ func parseSegment(b []byte) (*Segment, error) {
 			return nil, fmt.Errorf("%w: rows not in ascending SID order at %d", ErrCorrupt, i)
 		}
 		prev = r.SID
-		seg.recs[i] = metadb.RowMeta{SID: r.SID, Lat: r.Lat, Lon: r.Lon, UID: r.UID}
+		seg.recs[i] = social.RowMeta{SID: r.SID, Lat: r.Lat, Lon: r.Lon, UID: r.UID}
 	}
 	if seg.recs[0].SID != minSID || seg.recs[seg.nRows-1].SID != maxSID {
 		return nil, fmt.Errorf("%w: header SID range disagrees with row records", ErrCorrupt)

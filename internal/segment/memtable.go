@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/invindex"
-	"repro/internal/metadb"
 	"repro/internal/social"
 )
 
@@ -31,7 +30,7 @@ type Memtable struct {
 	geohashLen int
 
 	mu       sync.RWMutex
-	recs     []metadb.RowMeta // SID, location and author per row: what queries read
+	recs     []social.RowMeta // SID, location and author per row: what queries read
 	replyTo  []replyRef       // the rest of each row, read only by the seal
 	texts    []string         // each row's raw text, read by the seal and Text
 	postings map[invindex.Key][]invindex.Posting
@@ -55,16 +54,16 @@ func NewMemtable(geohashLen int) *Memtable {
 }
 
 // Add indexes one post. Posts must arrive in ascending SID order (IDs are
-// timestamps), the same contract metadb.Append enforces.
+// timestamps), the same contract social.Corpus.Append enforces.
 func (m *Memtable) Add(p *social.Post) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if n := len(m.recs); n > 0 && p.SID <= m.recs[n-1].SID {
 		return fmt.Errorf("segment: %w: memtable add SID %d is not beyond %d (posts arrive in timestamp order)",
-			metadb.ErrRejected, p.SID, m.recs[n-1].SID)
+			social.ErrRejected, p.SID, m.recs[n-1].SID)
 	}
 	ord := social.PostID(len(m.recs)) // the row ordinal this post's postings name
-	m.recs = append(m.recs, metadb.RowMeta{SID: p.SID, Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID})
+	m.recs = append(m.recs, social.RowMeta{SID: p.SID, Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID})
 	m.replyTo = append(m.replyTo, replyRef{ruid: p.RUID, rsid: p.RSID})
 	m.texts = append(m.texts, p.Text)
 	m.bytes += rowSize + textOffSize + len(p.Text)
@@ -145,7 +144,7 @@ func (m *Memtable) OpenPostings(geohash, term string) (*invindex.PostingsIterato
 // Records returns the buffered rows' packed records, indexed by the row
 // ordinals the postings name. Later Adds only append beyond the returned
 // length. Callers must not modify them.
-func (m *Memtable) Records() []metadb.RowMeta {
+func (m *Memtable) Records() []social.RowMeta {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.recs
@@ -153,7 +152,7 @@ func (m *Memtable) Records() []metadb.RowMeta {
 
 // ResolveRows is Segment.ResolveRows for still-unsealed posts, under one
 // read lock for the batch.
-func (m *Memtable) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
+func (m *Memtable) ResolveRows(sids []social.PostID, out []social.RowMeta) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return resolveSIDs(m.recs, sids, out)
@@ -175,13 +174,13 @@ func (m *Memtable) text(sid social.PostID) (string, bool) {
 // the memtable's row i, so the postings' ordinals are encoded as they are.
 // Caller is the store, which serializes seals; the read lock still guards
 // against concurrent Adds from a misuse path.
-func (m *Memtable) snapshot(blockSize int) ([]metadb.Row, []string, []keyPostings, error) {
+func (m *Memtable) snapshot(blockSize int) ([]social.Row, []string, []keyPostings, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	rows := make([]metadb.Row, len(m.recs))
+	rows := make([]social.Row, len(m.recs))
 	for i, r := range m.recs {
 		ref := m.replyTo[i]
-		rows[i] = metadb.Row{SID: r.SID, UID: r.UID, Lat: r.Lat, Lon: r.Lon, RUID: ref.ruid, RSID: ref.rsid}
+		rows[i] = social.Row{SID: r.SID, UID: r.UID, Lat: r.Lat, Lon: r.Lon, RUID: ref.ruid, RSID: ref.rsid}
 	}
 	enc := make(map[invindex.Key][]byte, len(m.postings))
 	for k, ps := range m.postings {

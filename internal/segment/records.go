@@ -6,16 +6,15 @@ import (
 	"slices"
 
 	"repro/internal/invindex"
-	"repro/internal/metadb"
 	"repro/internal/social"
 )
 
 // recordBytes is the resident cost of one row record: a packed
-// metadb.RowMeta of SID, latitude, longitude and author.
+// social.RowMeta of SID, latitude, longitude and author.
 const recordBytes = 32
 
 // A row source's records are what a query reads of its rows: one
-// metadb.RowMeta per row, in ascending SID order, at the index its postings
+// social.RowMeta per row, in ascending SID order, at the index its postings
 // name — the row ordinal. A sealed segment derives them from its 48-byte
 // stored rows when it opens, and the memtable appends one on Add, so the
 // engine's filter reads records[ordinal] for either with no search, and a
@@ -23,17 +22,17 @@ const recordBytes = 32
 // are derived, not stored, so the file format does not change with them.
 
 // recordsBytes is the resident size of a source's records.
-func recordsBytes(recs []metadb.RowMeta) int { return len(recs) * recordBytes }
+func recordsBytes(recs []social.RowMeta) int { return len(recs) * recordBytes }
 
 // resolveSIDs answers ResolveRows over records: out[i] receives sids[i]'s
 // record, sids ascending, and the return value is the index of the first
 // SID the records do not hold, -1 when every one resolved. Each SID bisects
 // the records beyond the previous hit. Only the point lookups of
 // Store.LookupRowMeta and tests call it; queries read records by ordinal.
-func resolveSIDs(recs []metadb.RowMeta, sids []social.PostID, out []metadb.RowMeta) int {
+func resolveSIDs(recs []social.RowMeta, sids []social.PostID, out []social.RowMeta) int {
 	pos := 0
 	for i, sid := range sids {
-		j, found := slices.BinarySearchFunc(recs[pos:], sid, func(r metadb.RowMeta, sid social.PostID) int {
+		j, found := slices.BinarySearchFunc(recs[pos:], sid, func(r social.RowMeta, sid social.PostID) int {
 			return cmp.Compare(r.SID, sid)
 		})
 		if !found {
@@ -46,8 +45,8 @@ func resolveSIDs(recs []metadb.RowMeta, sids []social.PostID, out []metadb.RowMe
 }
 
 // ordinalOf returns the ordinal of sid's row in recs.
-func ordinalOf(recs []metadb.RowMeta, sid social.PostID) (int, bool) {
-	return slices.BinarySearchFunc(recs, sid, func(r metadb.RowMeta, sid social.PostID) int {
+func ordinalOf(recs []social.RowMeta, sid social.PostID) (int, bool) {
+	return slices.BinarySearchFunc(recs, sid, func(r social.RowMeta, sid social.PostID) int {
 		return cmp.Compare(r.SID, sid)
 	})
 }
@@ -66,7 +65,7 @@ func checkOrdinals(ps []invindex.Posting, nRows int) error {
 
 // toTIDs translates a list of row ordinals, each already checked against
 // recs, into the tweet IDs FetchPostings promises. Nil stays nil.
-func toTIDs(ps []invindex.Posting, recs []metadb.RowMeta) []invindex.Posting {
+func toTIDs(ps []invindex.Posting, recs []social.RowMeta) []invindex.Posting {
 	if ps == nil {
 		return nil
 	}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/invindex"
-	"repro/internal/metadb"
 	"repro/internal/social"
 )
 
@@ -21,7 +20,7 @@ import (
 // author, and the reported miss — if any — is the first SID neither knows.
 func checkBatch(t *testing.T, name string, src PostingsSource, st *Store, byID map[social.PostID]*social.Post, sids []social.PostID) {
 	t.Helper()
-	out := make([]metadb.RowMeta, len(sids))
+	out := make([]social.RowMeta, len(sids))
 	miss := src.ResolveRows(sids, out)
 	for i, sid := range sids {
 		point, ok := st.LookupRowMeta(sid)
@@ -35,7 +34,7 @@ func checkBatch(t *testing.T, name string, src PostingsSource, st *Store, byID m
 		if !ok || p == nil {
 			t.Fatalf("%s: batch resolved SID %d (index %d) that the point lookup misses", name, sid, i)
 		}
-		want := metadb.RowMeta{SID: sid, Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID}
+		want := social.RowMeta{SID: sid, Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID}
 		if out[i] != want || point != want {
 			t.Fatalf("%s: SID %d: batch %+v, point %+v, post %+v", name, sid, out[i], point, want)
 		}
@@ -194,7 +193,7 @@ func TestRowsOnlySegment(t *testing.T) {
 		{"below the first", []social.PostID{first - 1, first}, 0},
 		{"beyond the last", []social.PostID{first, rows[9].SID, last, last + 1}, 3},
 	} {
-		out := make([]metadb.RowMeta, len(c.sids))
+		out := make([]social.RowMeta, len(c.sids))
 		if miss := seg.ResolveRows(c.sids, out); miss != c.miss {
 			t.Errorf("%s: ResolveRows reports miss %d, want %d", c.name, miss, c.miss)
 			continue
@@ -205,7 +204,7 @@ func TestRowsOnlySegment(t *testing.T) {
 		}
 		for i, sid := range c.sids[:resolved] {
 			j := sort.Search(len(rows), func(j int) bool { return rows[j].SID >= sid })
-			want := metadb.RowMeta{SID: rows[j].SID, UID: rows[j].UID, Lat: rows[j].Lat, Lon: rows[j].Lon}
+			want := social.RowMeta{SID: rows[j].SID, UID: rows[j].UID, Lat: rows[j].Lat, Lon: rows[j].Lon}
 			if out[i] != want {
 				t.Errorf("%s: SID %d resolved to %+v, want %+v", c.name, sid, out[i], want)
 			}
@@ -219,7 +218,7 @@ func TestRowsOnlySegment(t *testing.T) {
 
 // TestFromPostsMatchesSeal: a build image is the segment a memtable seals
 // over the same posts, byte for byte, whatever order the posts come in; a
-// repeated SID is the caller's data at fault (metadb.ErrRejected), and a
+// repeated SID is the caller's data at fault (social.ErrRejected), and a
 // geohash length out of range is refused.
 func TestFromPostsMatchesSeal(t *testing.T) {
 	posts := testPosts(60, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), time.Second)
@@ -247,8 +246,8 @@ func TestFromPostsMatchesSeal(t *testing.T) {
 		t.Fatal("build image differs from the sealed memtable of the same posts")
 	}
 	dup := append(append([]*social.Post(nil), posts...), &social.Post{SID: posts[7].SID, UID: 1, Loc: posts[0].Loc})
-	if _, err := FromPosts(dup, 5, 8); !errors.Is(err, metadb.ErrRejected) {
-		t.Errorf("repeated SID: err = %v, want metadb.ErrRejected", err)
+	if _, err := FromPosts(dup, 5, 8); !errors.Is(err, social.ErrRejected) {
+		t.Errorf("repeated SID: err = %v, want social.ErrRejected", err)
 	}
 	for _, n := range []int{0, geo.MaxPrecision + 1} {
 		if _, err := FromPosts(posts, n, 8); err == nil {
@@ -279,7 +278,7 @@ func TestFindKeyMatchesStringOrder(t *testing.T) {
 	for i, kp := range keys {
 		stored[kp.key] = i
 	}
-	data, err := buildSegment(4, []metadb.Row{{SID: 1}}, nil, keys)
+	data, err := buildSegment(4, []social.Row{{SID: 1}}, nil, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +302,9 @@ func TestFindKeyMatchesStringOrder(t *testing.T) {
 // partition's share of a query's merged postings.
 func segmentBatch(b *testing.B, nRows, nPicks int) (*Segment, []social.PostID) {
 	b.Helper()
-	rows := make([]metadb.Row, nRows)
+	rows := make([]social.Row, nRows)
 	for i := range rows {
-		rows[i] = metadb.Row{SID: social.PostID(10 * (i + 1)), UID: social.UserID(i % 977), Lat: 43.7, Lon: -79.4}
+		rows[i] = social.Row{SID: social.PostID(10 * (i + 1)), UID: social.UserID(i % 977), Lat: 43.7, Lon: -79.4}
 	}
 	data, err := buildSegment(4, rows, nil, nil)
 	if err != nil {
@@ -335,10 +334,10 @@ func scatteredSegments(b *testing.B, nSegs, nRows, nPicks int) ([]*Segment, [][]
 	batches := make([][]social.PostID, nSegs)
 	sid := social.PostID(0)
 	for s := range segs {
-		rows := make([]metadb.Row, nRows)
+		rows := make([]social.Row, nRows)
 		for i := range rows {
 			sid += social.PostID(1 + rng.Intn(20))
-			rows[i] = metadb.Row{
+			rows[i] = social.Row{
 				SID: sid, UID: social.UserID(rng.Intn(50000)),
 				Lat: 43.3 + 0.8*rng.Float64(), Lon: -79.9 + rng.Float64(),
 			}
@@ -362,7 +361,7 @@ func scatteredSegments(b *testing.B, nSegs, nRows, nPicks int) ([]*Segment, [][]
 
 // readByOrdinal is the engine filter's row read over one partition's merged
 // postings: bounds-check each ordinal and copy the record it names.
-func readByOrdinal(b *testing.B, recs []metadb.RowMeta, ords []social.PostID, out []metadb.RowMeta) {
+func readByOrdinal(b *testing.B, recs []social.RowMeta, ords []social.PostID, out []social.RowMeta) {
 	for i, ord := range ords {
 		if uint64(ord) >= uint64(len(recs)) {
 			b.Fatalf("ordinal %d of %d rows", ord, len(recs))
@@ -380,7 +379,7 @@ func readByOrdinal(b *testing.B, recs []metadb.RowMeta, ords []social.PostID, ou
 func BenchmarkSegmentRowBatch(b *testing.B) {
 	b.Run("segment/city-sum-7seg", func(b *testing.B) {
 		segs, batches := scatteredSegments(b, 7, 36000, 500)
-		out := make([]metadb.RowMeta, 500)
+		out := make([]social.RowMeta, 500)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -406,7 +405,7 @@ func BenchmarkSegmentRowBatch(b *testing.B) {
 			rows PostingsSource
 		}{{"segment", seg}, {"memtable", mem}} {
 			b.Run(src.name+"/"+shape.name, func(b *testing.B) {
-				out := make([]metadb.RowMeta, len(ords))
+				out := make([]social.RowMeta, len(ords))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

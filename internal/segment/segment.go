@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/invindex"
-	"repro/internal/metadb"
 	"repro/internal/social"
 )
 
@@ -32,7 +31,7 @@ type Segment struct {
 	nRows      int
 	textOffs   []byte // nRows+1 uint32 offsets into texts
 	texts      []byte
-	recs       []metadb.RowMeta // one packed record per row, by ordinal
+	recs       []social.RowMeta // one packed record per row, by ordinal
 	postings   []byte
 	keys       []dirEntry
 }
@@ -49,7 +48,7 @@ func OpenBytes(b []byte) (*Segment, error) {
 // freezes the result with the seal's encoder into one heap-resident
 // segment holding the postings and the rows behind them: the image a
 // batch-built System serves from. Posts may come in any order, but their
-// SIDs must be unique; a repeated one fails with metadb.ErrRejected.
+// SIDs must be unique; a repeated one fails with social.ErrRejected.
 func FromPosts(posts []*social.Post, geohashLen, blockSize int) (*Segment, error) {
 	if geohashLen < 1 || geohashLen > geo.MaxPrecision {
 		return nil, fmt.Errorf("segment: geohash length %d out of range", geohashLen)
@@ -233,7 +232,7 @@ func (s *Segment) Keys() []invindex.Key {
 
 // RowAt decodes row record i. Compaction, BulkLoad and Load use it;
 // queries read the packed records.
-func (s *Segment) RowAt(i int) metadb.Row {
+func (s *Segment) RowAt(i int) social.Row {
 	return decodeRow(s.rows[i*rowSize : (i+1)*rowSize])
 }
 
@@ -246,12 +245,12 @@ func (s *Segment) Text(i int) string {
 
 // Records returns the segment's packed row records, indexed by the row
 // ordinals its postings name. Callers must not modify them.
-func (s *Segment) Records() []metadb.RowMeta { return s.recs }
+func (s *Segment) Records() []social.RowMeta { return s.recs }
 
 // ResolveRows resolves one ascending SID batch against the records: out[i]
 // receives sids[i]'s record. Returns the index of the first SID the segment
 // does not hold, -1 when every one resolved. Off the query path, which
 // reads records by ordinal.
-func (s *Segment) ResolveRows(sids []social.PostID, out []metadb.RowMeta) int {
+func (s *Segment) ResolveRows(sids []social.PostID, out []social.RowMeta) int {
 	return resolveSIDs(s.recs, sids, out)
 }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/invindex"
-	"repro/internal/metadb"
 	"repro/internal/social"
 	"repro/internal/telemetry"
 )
@@ -156,7 +155,7 @@ func TestSegmentRoundtrip(t *testing.T) {
 		for i, p := range posts {
 			sids[i] = p.SID
 		}
-		metas := make([]metadb.RowMeta, len(sids))
+		metas := make([]social.RowMeta, len(sids))
 		if miss := seg.ResolveRows(sids, metas); miss >= 0 {
 			t.Fatalf("ResolveRows misses SID %d", sids[miss])
 		}

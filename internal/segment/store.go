@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/fsx"
 	"repro/internal/invindex"
-	"repro/internal/metadb"
 	"repro/internal/social"
 )
 
@@ -85,9 +84,9 @@ func (o *Options) normalize() {
 type PostingsSource interface {
 	GeohashLen() int
 	OpenPostings(geohash, term string) (*invindex.PostingsIterator, error)
-	Records() []metadb.RowMeta
+	Records() []social.RowMeta
 	FetchPostings(geohash, term string) ([]invindex.Posting, error)
-	ResolveRows(sids []social.PostID, out []metadb.RowMeta) int
+	ResolveRows(sids []social.PostID, out []social.RowMeta) int
 }
 
 // View is one source of the store in time order — a sealed segment or the
@@ -433,7 +432,7 @@ func (st *Store) SealNow() error {
 // writeSegment builds the byte image, writes it tmp → fsync → rename →
 // dirsync, and opens the sealed file (mmap'd, checksummed). A heap store
 // parses the image where it lies and names no file.
-func (st *Store) writeSegment(rows []metadb.Row, texts []string, keys []keyPostings) (*Segment, string, error) {
+func (st *Store) writeSegment(rows []social.Row, texts []string, keys []keyPostings) (*Segment, string, error) {
 	data, err := buildSegment(st.opts.GeohashLen, rows, texts, keys)
 	if err != nil {
 		return nil, "", err
@@ -666,12 +665,12 @@ func (st *Store) Compact() (int, error) {
 // rows of the inputs before it; each key's postings lists concatenate in
 // segment order with their ordinals shifted by that base — ascending,
 // because adjacent buckets hold disjoint ascending SID ranges.
-func mergeSegments(segs []*Segment, blockSize int) ([]metadb.Row, []string, []keyPostings, error) {
+func mergeSegments(segs []*Segment, blockSize int) ([]social.Row, []string, []keyPostings, error) {
 	nRows := 0
 	for _, s := range segs {
 		nRows += s.NumRows()
 	}
-	rows := make([]metadb.Row, 0, nRows)
+	rows := make([]social.Row, 0, nRows)
 	texts := make([]string, 0, nRows)
 	merged := make(map[invindex.Key][]invindex.Posting)
 	for _, s := range segs {
@@ -747,7 +746,7 @@ func (st *Store) split(img *Segment) error {
 		for end < len(recs) && st.bucketOf(recs[end].SID) == st.bucketOf(recs[start].SID) {
 			end++
 		}
-		rows := make([]metadb.Row, end-start)
+		rows := make([]social.Row, end-start)
 		texts := make([]string, end-start)
 		for i := range rows {
 			rows[i] = img.RowAt(start + i)
@@ -818,7 +817,7 @@ func (st *Store) Views() []View {
 // covers it. Nothing in this module calls it — queries read each posting's
 // record by ordinal; it stays only because the end-to-end benchmark
 // harness (internal/bench, frozen) compiles against it.
-func (st *Store) LookupRowMeta(sid social.PostID) (metadb.RowMeta, bool) {
+func (st *Store) LookupRowMeta(sid social.PostID) (social.RowMeta, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	var src PostingsSource = st.mem
@@ -826,7 +825,7 @@ func (st *Store) LookupRowMeta(sid social.PostID) (metadb.RowMeta, bool) {
 	if i := sort.Search(len(st.segs), func(i int) bool { return st.segs[i].MaxSID() >= sid }); i < len(st.segs) {
 		src = st.segs[i]
 	}
-	var out [1]metadb.RowMeta
+	var out [1]social.RowMeta
 	ok := src.ResolveRows([]social.PostID{sid}, out[:]) < 0
 	return out[0], ok
 }

@@ -62,9 +62,6 @@ func newServerMetrics(reg *telemetry.Registry, sys *tklus.System) *serverMetrics
 	if sys == nil {
 		return m
 	}
-	if sys.DB != nil {
-		sys.DB.RegisterMetrics(reg)
-	}
 	reg.GaugeFunc("tklus_index_keys",
 		"(geohash, term) keys of the hybrid index, summed over its sealed segments and memtable.", nil,
 		func() float64 { return float64(sys.Store.NumKeys()) })

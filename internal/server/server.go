@@ -23,7 +23,7 @@
 // core.ErrBadQuery → 400 "bad_query", core.ErrNoResults → 404
 // "not_found", core.ErrOverloaded → 429 "overloaded" (with Retry-After),
 // core.ErrShardUnavailable → 503 "shard_unavailable", core.ErrClosed → 503
-// "closed", metadb.ErrRejected (an ingested post refused for what it is)
+// "closed", tklus.ErrRejected (an ingested post refused for what it is)
 // → 400 "rejected"; anything else is a 500 "internal".
 //
 // The server fronts any tklus.Searcher — a monolithic System (over its
@@ -94,7 +94,7 @@ type Server struct {
 	searcher tklus.Searcher
 	sys      *tklus.System // non-nil only for single-system backends
 	// postCount enriches results with |P_u| when the backend has a
-	// metadata database in reach; nil otherwise.
+	// corpus table in reach; nil otherwise.
 	postCount func(tklus.UserID) int
 	// ingest is the backend's live-ingest entry point: its own
 	// IngestContext when it has one (a replicated tier), the single
@@ -372,7 +372,7 @@ func (s *Server) runSearch(w http.ResponseWriter, r *http.Request, req SearchReq
 // through the backend's ingest path, so thread popularity and the
 // memtable's keyword index update immediately; when a WAL is attached, each
 // post is durable before the 200 goes out. Registered only for backends
-// that own a metadata database (shard routers don't).
+// that own a corpus table (shard routers don't).
 func (s *Server) handleIngestV1(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequestV1
 	if err := decodeJSONBody(r, &req); err != nil {
@@ -470,7 +470,7 @@ func (s *Server) handleThread(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("%w: parameter %q: %v", core.ErrBadQuery, "tid", err))
 		return
 	}
-	if _, ok := s.sys.DB.GetBySID(tklus.PostID(tid)); !ok {
+	if _, ok := s.sys.DB.Author(tklus.PostID(tid)); !ok {
 		httpError(w, http.StatusNotFound,
 			fmt.Errorf("%w: tweet %d not found", core.ErrNoResults, tid))
 		return
@@ -501,11 +501,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"stage_latency_us": s.metrics.stageSummaries(),
 	}
 	if s.sys != nil {
-		dbStats := s.sys.DB.Stats()
 		out["index_keys"] = s.sys.Store.NumKeys()
-		out["db_page_reads"] = dbStats.PageReads
-		out["db_cache_hits"] = dbStats.CacheHits
-		out["db_index_reads"] = dbStats.IndexReads
 		out["rows"] = s.sys.DB.Len()
 	}
 	if ss, ok := s.searcher.(*tklus.ShardedSystem); ok {

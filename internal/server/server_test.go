@@ -177,7 +177,8 @@ func TestStatsAndHealth(t *testing.T) {
 	if body["index_keys"].(float64) < 1 {
 		t.Errorf("index_keys = %v", body["index_keys"])
 	}
-	for _, gone := range []string{"postings_fetches", "dfs_blocks_read", "dfs_bytes_read", "dfs_seeks"} {
+	for _, gone := range []string{"postings_fetches", "dfs_blocks_read", "dfs_bytes_read", "dfs_seeks",
+		"db_page_reads", "db_cache_hits", "db_index_reads"} {
 		if _, ok := body[gone]; ok {
 			t.Errorf("stats still report %s, a counter no serving system moves", gone)
 		}

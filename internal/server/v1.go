@@ -20,7 +20,6 @@ import (
 
 	tklus "repro"
 	"repro/internal/core"
-	"repro/internal/metadb"
 	"repro/internal/textutil"
 )
 
@@ -264,7 +263,7 @@ var errorTable = []struct {
 	{core.ErrOverloaded, http.StatusTooManyRequests, "overloaded", outcomeOverloaded},
 	{core.ErrShardUnavailable, http.StatusServiceUnavailable, "shard_unavailable", outcomeUnavailable},
 	{core.ErrClosed, http.StatusServiceUnavailable, "closed", outcomeUnavailable},
-	{metadb.ErrRejected, http.StatusBadRequest, "rejected", outcomeBadRequest},
+	{tklus.ErrRejected, http.StatusBadRequest, "rejected", outcomeBadRequest},
 }
 
 // internalCode is the envelope code for errors outside the sentinel table.

@@ -154,7 +154,7 @@ func TestServerWiringPerArrangement(t *testing.T) {
 
 // TestReplicatedSearchCarriesPostCounts checks the |P_u| enrichment of the
 // sharded and replicated servers' /v1/search results: every shard holds the
-// full metadata database, so each tier answers the same users, scores,
+// full corpus table, so each tier answers the same users, scores,
 // order and posts counts a monolithic server reports for the same query.
 func TestReplicatedSearchCarriesPostCounts(t *testing.T) {
 	corpus := wiringCorpus(t)

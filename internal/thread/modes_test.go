@@ -1,15 +1,18 @@
-package thread
+package thread_test
 
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/geo"
 	"repro/internal/metadb"
 	"repro/internal/score"
 	"repro/internal/social"
+	"repro/internal/thread"
 )
 
 func randomReplyPosts(rng *rand.Rand, n int) []*social.Post {
@@ -30,31 +33,29 @@ func randomReplyPosts(rng *rand.Rand, n int) []*social.Post {
 	return posts
 }
 
-// appendReplies grows the database past its build-time state with n
-// replies to random existing posts.
-func appendReplies(t *testing.T, db *metadb.DB, rng *rand.Rand, posts []*social.Post, n int) {
-	t.Helper()
-	_, next := db.SIDRange()
+// appendReplies returns posts grown by n replies to random existing posts,
+// with SIDs past every post's — the live ingest after a build.
+func appendReplies(rng *rand.Rand, posts []*social.Post, n int) []*social.Post {
+	grown := slices.Clone(posts)
+	next := posts[len(posts)-1].SID
 	for i := 0; i < n; i++ {
 		parent := posts[rng.Intn(len(posts))]
 		next++
-		reply := &social.Post{
+		grown = append(grown, &social.Post{
 			SID: next, UID: social.UserID(rng.Intn(40) + 1), Time: time.Unix(int64(next), 0),
 			Loc: geo.Point{Lat: 43.7, Lon: -79.4}, Words: []string{"hotel"},
 			Kind: social.Reply, RUID: parent.UID, RSID: parent.SID,
-		}
-		if err := db.Append(reply); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
+	return grown
 }
 
 // referenceTree is the literal reading of Algorithm 1 — one "select all
 // where rsid = Id" descent per frontier node — kept as the oracle the
 // Builder's batched expansion is compared against. It touches the
 // database only through SelectByRSID, so the root node's UID is left zero.
-func referenceTree(db *metadb.DB, root social.PostID, depth int, epsilon float64) ([]Node, []uint32, float64) {
-	nodes := []Node{{SID: root, Level: 1}}
+func referenceTree(db *metadb.DB, root social.PostID, depth int, epsilon float64) ([]thread.Node, []uint32, float64) {
+	nodes := []thread.Node{{SID: root, Level: 1}}
 	var levels []uint32
 	frontier := []social.PostID{root}
 	for d := 1; d <= depth && len(frontier) > 0; d++ {
@@ -62,7 +63,7 @@ func referenceTree(db *metadb.DB, root social.PostID, depth int, epsilon float64
 		for _, tid := range frontier {
 			for _, r := range db.SelectByRSID(tid) {
 				next = append(next, r.SID)
-				nodes = append(nodes, Node{SID: r.SID, UID: r.UID, Parent: tid, Level: d + 1})
+				nodes = append(nodes, thread.Node{SID: r.SID, UID: r.UID, Parent: tid, Level: d + 1})
 			}
 		}
 		if len(next) == 0 {
@@ -74,19 +75,22 @@ func referenceTree(db *metadb.DB, root social.PostID, depth int, epsilon float64
 	return nodes, levels, score.Popularity(levels, epsilon)
 }
 
-// expansionStates runs check against a freshly frozen database and the same
-// database grown by post-freeze appends.
+// expansionStates runs check against a database loaded with a random
+// corpus, and against one loaded with the same corpus plus the replies a
+// live ingest appended after it.
 func expansionStates(t *testing.T, seed int64, n int, check func(label string, db *metadb.DB, posts []*social.Post)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	posts := randomReplyPosts(rng, n)
-	db, err := metadb.Load(metadb.Options{RowsPerPage: 32, IndexOrder: 8}, posts)
-	if err != nil {
-		t.Fatal(err)
+	load := func(posts []*social.Post) *metadb.DB {
+		db, err := metadb.Load(metadb.Options{RowsPerPage: 32, IndexOrder: 8}, posts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
 	}
-	check("frozen", db, posts)
-	appendReplies(t, db, rng, posts, n/8)
-	check("post-freeze appends", db, posts)
+	check("batch", load(posts), posts)
+	check("after appended replies", load(appendReplies(rng, posts, n/8)), posts)
 }
 
 // TestExpansionByteIdentical is the expansion-equivalence grid: across
@@ -96,10 +100,10 @@ func expansionStates(t *testing.T, seed int64, n int, check func(label string, d
 // also pins that the batched path ran: BatchLookups counts its multi-gets.
 func TestExpansionByteIdentical(t *testing.T) {
 	expansionStates(t, 21, 800, func(label string, db *metadb.DB, posts []*social.Post) {
-		var st Stats
+		var st experiments.ThreadStats
 		for _, epsilon := range []float64{0.05, 0.1, 0.5} {
 			for _, depth := range []int{1, 2, 6} {
-				b := &Builder{DB: db, Depth: depth}
+				b := &experiments.Builder{DB: db, Depth: depth}
 				for _, p := range posts {
 					_, wantLevels, wantPop := referenceTree(db, p.SID, depth, epsilon)
 					pop, levels := b.Popularity(p.SID, epsilon, &st)
@@ -121,7 +125,7 @@ func TestExpansionByteIdentical(t *testing.T) {
 func TestTreeModesIdentical(t *testing.T) {
 	expansionStates(t, 22, 400, func(label string, db *metadb.DB, posts []*social.Post) {
 		for _, depth := range []int{1, 6} {
-			b := &Builder{DB: db, Depth: depth}
+			b := &experiments.Builder{DB: db, Depth: depth}
 			for _, p := range posts[:50] {
 				wantNodes, _, wantPop := referenceTree(db, p.SID, depth, 0.1)
 				wantNodes[0].UID = p.UID
@@ -152,8 +156,8 @@ func TestBatchedExpansionSavesIO(t *testing.T) {
 		s := db.Stats()
 		return s.PageReads + s.IndexReads
 	}
-	var st Stats
-	b := &Builder{DB: db, Depth: 6}
+	var st experiments.ThreadStats
+	b := &experiments.Builder{DB: db, Depth: 6}
 	builder := func(root social.PostID) { b.Popularity(root, 0.1, &st) }
 
 	point := touches(func(root social.PostID) { referenceTree(db, root, 6, 0.1) })

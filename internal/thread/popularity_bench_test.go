@@ -1,8 +1,9 @@
-package thread
+package thread_test
 
 import (
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/metadb"
 	"repro/internal/social"
 )
@@ -17,7 +18,7 @@ func BenchmarkPopularity(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	builder := &Builder{DB: db, Depth: 3}
+	builder := &experiments.Builder{DB: db, Depth: 3}
 	for _, bc := range []struct {
 		name string
 		root social.PostID
@@ -26,7 +27,7 @@ func BenchmarkPopularity(b *testing.B) {
 		{"thread", 1},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			var stats Stats
+			var stats experiments.ThreadStats
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				benchPop, _ = builder.Popularity(bc.root, 0.1, &stats)

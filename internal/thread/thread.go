@@ -1,11 +1,11 @@
 // Package thread implements tweet threads (Definition 3): the reply/forward
-// cascade rooted at a tweet, constructed level by level through the
-// metadata database's rsid index exactly as Algorithm 1 prescribes, and the
-// popularity table the serving engine scores from: for every tweet with a
-// reaction, the level sizes |T_2| … |T_{d+1}| of its thread, from which
-// Definition 4 derives φ exactly. Live ingest keeps the table exact by
-// arithmetic (Bounds.AddReply); the Builder recomputes a thread from the
-// database and memoizes nothing.
+// cascade rooted at a tweet, materialized level by level from the corpus
+// table's reply graph (Tree), and the popularity table the serving engine
+// scores from: for every tweet with a reaction, the level sizes |T_2| …
+// |T_{d+1}| of its thread, from which Definition 4 derives φ exactly. Live
+// ingest keeps the table exact by arithmetic (Bounds.AddReply). The paper's
+// Algorithm 1 over the metadata database's rsid B⁺-tree is what the
+// figures time, and lives with them in internal/experiments.
 package thread
 
 import (
@@ -14,78 +14,9 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/metadb"
 	"repro/internal/score"
 	"repro/internal/social"
 )
-
-// Builder constructs tweet threads against the metadata database.
-type Builder struct {
-	DB    *metadb.DB
-	Depth int // thread depth limit d of Algorithm 1
-}
-
-// Stats counts construction work for the experiments.
-type Stats struct {
-	ThreadsBuilt int64
-	TweetsPulled int64 // rows fetched while expanding levels
-
-	BatchLookups    int64 // frontier nodes expanded through multi-gets
-	BatchPagesSaved int64 // simulated I/O the multi-gets avoided
-}
-
-// walk is Algorithm 1's level loop, the one copy Popularity and Tree
-// share: starting from the root it expands one level at a time via "select
-// all where rsid = Id" until the depth limit and returns the reaction level
-// sizes (levels[i] = |T_{i+2}|; nil for a root nothing replied to). One
-// SelectByRSIDBatch per thread level shares descents across the frontier
-// and reads each data page once; each frontier node's reactions arrive in
-// ascending SID order, the rsid index's value order. The frontier
-// ping-pongs between two buffers and levels is sized once, so a walk
-// allocates per thread, not per level, and not at all for a root without
-// reactions. nodes, when non-nil, collects every visited reaction in BFS
-// order.
-func (b *Builder) walk(root social.PostID, stats *Stats, nodes *[]Node) []uint32 {
-	if stats != nil {
-		stats.ThreadsBuilt++
-	}
-	var levels []uint32
-	var bufs [2][8]social.PostID // stack-seeded: small threads never reach the heap
-	frontier, next := append(bufs[0][:0], root), bufs[1][:0]
-	for depth := 1; depth <= b.Depth && len(frontier) > 0; depth++ {
-		next = next[:0]
-		lists, bs := b.DB.SelectByRSIDBatch(frontier)
-		for i, rows := range lists {
-			for _, r := range rows {
-				next = append(next, r.SID)
-				if nodes != nil {
-					*nodes = append(*nodes, Node{SID: r.SID, UID: r.UID, Parent: frontier[i], Level: depth + 1})
-				}
-			}
-		}
-		if stats != nil {
-			stats.BatchLookups += bs.Lookups
-			stats.BatchPagesSaved += bs.PagesSaved
-			stats.TweetsPulled += int64(len(next))
-		}
-		if len(next) == 0 {
-			break
-		}
-		if levels == nil {
-			levels = make([]uint32, 0, b.Depth)
-		}
-		levels = append(levels, uint32(len(next)))
-		frontier, next = next, frontier
-	}
-	return levels
-}
-
-// Popularity runs Algorithm 1 and scores the thread per Definition 4. It
-// returns the popularity and the reaction level sizes, and updates stats.
-func (b *Builder) Popularity(root social.PostID, epsilon float64, stats *Stats) (float64, []uint32) {
-	levels := b.walk(root, stats, nil)
-	return score.Popularity(levels, epsilon), levels
-}
 
 // Node is one tweet of a materialized thread tree.
 type Node struct {
@@ -95,15 +26,32 @@ type Node struct {
 	Level  int           // 1 for the root, matching Definition 4's levels
 }
 
-// Tree materializes the thread rooted at root (Definition 3) up to the
-// depth limit, returning its nodes in BFS order (root first) plus the
-// popularity score. It performs the same metadata I/O as Popularity.
-func (b *Builder) Tree(root social.PostID, epsilon float64, stats *Stats) ([]Node, float64) {
-	nodes := []Node{{SID: root, Level: 1}}
-	if row, ok := b.DB.GetBySID(root); ok {
-		nodes[0].UID = row.UID
+// Tree materializes the thread rooted at root (Definition 3) up to depth
+// levels below it from the corpus table's reply graph, returning its nodes
+// in BFS order (root first, each node's reactions in ascending SID order)
+// plus the popularity score of Definition 4 — the tree and the score
+// Algorithm 1 produces. The root's UID is 0 when the table does not hold
+// the root.
+func Tree(c *social.Corpus, root social.PostID, depth int, epsilon float64) ([]Node, float64) {
+	uid, _ := c.Author(root)
+	nodes := []Node{{SID: root, UID: uid, Level: 1}}
+	var levels []uint32
+	var reactions []social.PostID
+	for level, start := 2, 0; level <= depth+1; level++ {
+		end := len(nodes)
+		for _, parent := range nodes[start:end] {
+			reactions = c.Reactions(reactions[:0], parent.SID)
+			for _, sid := range reactions {
+				uid, _ := c.Author(sid)
+				nodes = append(nodes, Node{SID: sid, UID: uid, Parent: parent.SID, Level: level})
+			}
+		}
+		if len(nodes) == end {
+			break
+		}
+		levels = append(levels, uint32(len(nodes)-end))
+		start = end
 	}
-	levels := b.walk(root, stats, &nodes)
 	return nodes, score.Popularity(levels, epsilon)
 }
 
@@ -143,9 +91,9 @@ func ComputeBounds(posts []*social.Post, depth int) *Bounds {
 	return countLevels(children, depth)
 }
 
-// ComputeRowBounds is ComputeBounds over metadata rows: a reload derives the
+// ComputeRowBounds is ComputeBounds over stored rows: a reload derives the
 // table from the stored rows' (SID, RSID) pairs instead of storing it.
-func ComputeRowBounds(rows []metadb.Row, depth int) *Bounds {
+func ComputeRowBounds(rows []social.Row, depth int) *Bounds {
 	children := make(map[social.PostID][]social.PostID)
 	for _, r := range rows {
 		if r.RSID != social.NoPost {

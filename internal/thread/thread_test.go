@@ -1,4 +1,4 @@
-package thread
+package thread_test
 
 import (
 	"math"
@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/geo"
 	"repro/internal/metadb"
 	"repro/internal/social"
+	"repro/internal/thread"
 )
 
 // figure2Posts builds the thread of Figure 2: root p1 with children
@@ -46,8 +48,8 @@ func loadDB(t *testing.T, posts []*social.Post) *metadb.DB {
 
 func TestPopularityPaperFigure2(t *testing.T) {
 	db := loadDB(t, figure2Posts())
-	b := &Builder{DB: db, Depth: 6}
-	var stats Stats
+	b := &experiments.Builder{DB: db, Depth: 6}
+	var stats experiments.ThreadStats
 	pop, levels := b.Popularity(1, 0.1, &stats)
 	if math.Abs(pop-10.0/3.0) > 1e-12 {
 		t.Errorf("popularity = %v, want 10/3", pop)
@@ -68,7 +70,7 @@ func TestPopularityPaperFigure2(t *testing.T) {
 
 func TestPopularitySingleton(t *testing.T) {
 	db := loadDB(t, figure2Posts())
-	b := &Builder{DB: db, Depth: 6}
+	b := &experiments.Builder{DB: db, Depth: 6}
 	// p9 is a leaf: its thread is itself only.
 	pop, levels := b.Popularity(9, 0.1, nil)
 	if pop != 0.1 {
@@ -82,7 +84,7 @@ func TestPopularitySingleton(t *testing.T) {
 func TestPopularityDepthLimit(t *testing.T) {
 	db := loadDB(t, figure2Posts())
 	// Depth 1: only the direct reactions level is expanded.
-	b := &Builder{DB: db, Depth: 1}
+	b := &experiments.Builder{DB: db, Depth: 1}
 	pop, levels := b.Popularity(1, 0.1, nil)
 	if math.Abs(pop-3.0/2.0) > 1e-12 {
 		t.Errorf("depth-1 popularity = %v, want 1.5", pop)
@@ -100,7 +102,7 @@ func TestPopularityDepthLimit(t *testing.T) {
 
 func TestSubThreadPopularity(t *testing.T) {
 	db := loadDB(t, figure2Posts())
-	b := &Builder{DB: db, Depth: 6}
+	b := &experiments.Builder{DB: db, Depth: 6}
 	// Thread rooted at p2: children p5,p6; grandchildren p9,p10.
 	pop, _ := b.Popularity(2, 0.1, nil)
 	if math.Abs(pop-(2.0/2.0+2.0/3.0)) > 1e-12 {
@@ -110,8 +112,8 @@ func TestSubThreadPopularity(t *testing.T) {
 
 func TestTreeMaterialization(t *testing.T) {
 	db := loadDB(t, figure2Posts())
-	b := &Builder{DB: db, Depth: 6}
-	var stats Stats
+	b := &experiments.Builder{DB: db, Depth: 6}
+	var stats experiments.ThreadStats
 	nodes, pop := b.Tree(1, 0.1, &stats)
 	if math.Abs(pop-10.0/3.0) > 1e-12 {
 		t.Errorf("tree popularity = %v, want 10/3", pop)
@@ -153,7 +155,7 @@ func TestTreeMaterialization(t *testing.T) {
 // reaction, its thread's level sizes — Figure 2's root holds 3, 4, 2 — and
 // a leaf has no entry, so it reads ε.
 func TestComputeBounds(t *testing.T) {
-	bounds := ComputeBounds(figure2Posts(), 4)
+	bounds := thread.ComputeBounds(figure2Posts(), 4)
 	got := map[social.PostID][]uint32{}
 	bounds.Range(func(root social.PostID, levels []uint32) {
 		got[root] = slices.Clone(levels)

@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metadb"
 	"repro/internal/segment"
+	"repro/internal/social"
 	"repro/internal/telemetry"
 	"repro/internal/thread"
 	"repro/internal/wal"
@@ -26,8 +26,8 @@ import (
 //
 // Save seals the memtable, so every row is in a committed segment and the
 // log need only hold posts beyond the last one. Load opens the store in
-// place, rebuilds the metadata database and the level-count table from its
-// rows, and replays the log's tail into its memtable.
+// place, derives the corpus table and the level-count table from its rows,
+// and replays the log's tail into its memtable.
 const (
 	walDirName      = "wal"
 	segmentsDirName = "segments"
@@ -160,8 +160,8 @@ func (s *System) save(span *telemetry.TraceSpan, dir string) error {
 	return nil
 }
 
-// holdsEveryRow checks that the store holds every row Load must rebuild the
-// database from; a shard's system holds only its region's. Caller holds
+// holdsEveryRow checks that the store holds every row Load must derive the
+// corpus table from; a shard's system holds only its region's. Caller holds
 // ingestMu, after a seal.
 func (s *System) holdsEveryRow() error {
 	rows := 0
@@ -169,7 +169,7 @@ func (s *System) holdsEveryRow() error {
 		rows += seg.NumRows()
 	}
 	if rows != s.DB.Len() {
-		return fmt.Errorf("the store indexes %d of the database's %d rows", rows, s.DB.Len())
+		return fmt.Errorf("the store indexes %d of the corpus table's %d rows", rows, s.DB.Len())
 	}
 	return nil
 }
@@ -192,12 +192,12 @@ func SnapshotExists(dir string) bool {
 
 // Load reopens a system saved by Save. It opens dir/segments in place —
 // the returned system serves from it, and its Store.Dir() is that
-// directory — rebuilds the metadata database from the segments' rows,
+// directory — derives the corpus table from the segments' rows,
 // counts the level-count table from their (SID, RSID) pairs at the Config's
 // thread depth, and replays the ingest WAL's tail through Ingest, so the
 // level counts and the store after recovery match a process that never
-// crashed. The Config supplies runtime settings (engine options, DB page
-// and cache configuration); the data come from the directory. Every segment
+// crashed. The Config supplies runtime settings (engine options, the
+// postings block size); the data come from the directory. Every segment
 // is checksummed before it serves; failures come back as ErrPartialSave,
 // ErrVersionMismatch or ErrCorruptImage. Load does not open the WAL for
 // writing — call EnableWAL on the returned system to make further Ingests
@@ -223,13 +223,13 @@ func Load(dir string, cfg Config) (*System, error) {
 	for _, seg := range segs {
 		n += seg.NumRows()
 	}
-	rows := make([]metadb.Row, 0, n)
+	rows := make([]social.Row, 0, n)
 	for _, seg := range segs {
 		for i := 0; i < seg.NumRows(); i++ {
 			rows = append(rows, seg.RowAt(i))
 		}
 	}
-	db, err := metadb.FromRows(cfg.DB, rows)
+	db, err := social.CorpusFromRows(rows)
 	if err != nil {
 		store.Close()
 		return nil, fmt.Errorf("%w: segment rows: %v", ErrCorruptImage, err)
@@ -263,7 +263,7 @@ func classifyOpen(err error) error {
 }
 
 // replayWAL re-ingests every log record the store does not already hold.
-// Records at or below the database's high-water SID are skipped — that is
+// Records at or below the corpus table's high-water SID are skipped — that is
 // the idempotence rule that makes "crash after a seal but before log
 // truncation" safe. Replay goes through Ingest itself, so every live-ingest
 // side effect (the level counts, the memtable and its seals) re-runs

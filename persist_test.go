@@ -16,7 +16,6 @@ import (
 	tklus "repro"
 	"repro/internal/baseline"
 	"repro/internal/datagen"
-	"repro/internal/metadb"
 	"repro/internal/segment"
 	"repro/internal/thread"
 	"repro/internal/wal"
@@ -401,7 +400,7 @@ func TestLoadRefusesSnapshotOfAnotherFormat(t *testing.T) {
 
 // TestSnapshotStoresEachRowOnce: Save seals the memtable, so the store's
 // segments hold every row exactly once — the build image's, then the
-// ingested ones — and Load rebuilds the whole metadata database from them.
+// ingested ones — and Load derives the whole corpus table from them.
 func TestSnapshotStoresEachRowOnce(t *testing.T) {
 	sys, corpus := buildSystem(t, 500)
 	at := corpus.Posts[len(corpus.Posts)-1].Time.Add(time.Minute)
@@ -435,12 +434,24 @@ func TestSnapshotStoresEachRowOnce(t *testing.T) {
 	if loaded.DB.Len() != sys.DB.Len() {
 		t.Fatalf("loaded %d rows, want %d", loaded.DB.Len(), sys.DB.Len())
 	}
-	sys.DB.Scan(func(want metadb.Row) bool {
-		if got, ok := loaded.DB.GetBySID(want.SID); !ok || got != want {
-			t.Fatalf("row %d: loaded %+v (%v), want %+v", want.SID, got, ok, want)
+	for _, p := range corpus.Posts {
+		want, _ := sys.Store.LookupRowMeta(p.SID)
+		if got, ok := loaded.Store.LookupRowMeta(p.SID); !ok || got != want {
+			t.Fatalf("row %d: loaded %+v (%v), want %+v", p.SID, got, ok, want)
 		}
-		return true
-	})
+		if got, want := loaded.DB.PostCountOfUser(p.UID), sys.DB.PostCountOfUser(p.UID); got != want {
+			t.Fatalf("user %d: loaded |P_u| = %d, want %d", p.UID, got, want)
+		}
+	}
+	gotMin, gotMax := loaded.DB.SIDRange()
+	if wantMin, wantMax := sys.DB.SIDRange(); gotMin != wantMin || gotMax != wantMax {
+		t.Fatalf("loaded SID range [%d, %d], want [%d, %d]", gotMin, gotMax, wantMin, wantMax)
+	}
+	gotNodes, gotPhi := loaded.Thread(corpus.Posts[0].SID)
+	wantNodes, wantPhi := sys.Thread(corpus.Posts[0].SID)
+	if !reflect.DeepEqual(gotNodes, wantNodes) || gotPhi != wantPhi {
+		t.Fatalf("thread of %d: loaded %v (φ %v), want %v (φ %v)", corpus.Posts[0].SID, gotNodes, gotPhi, wantNodes, wantPhi)
+	}
 }
 
 func TestSaveToUnwritableLocation(t *testing.T) {

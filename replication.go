@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/metadb"
+	"repro/internal/social"
 	"repro/internal/telemetry"
 	"repro/internal/thread"
 	"repro/internal/wal"
@@ -24,11 +24,11 @@ import (
 // appends every post to its segment WAL (the same log crash recovery
 // replays); a shipper per follower tails that WAL with wal.OpenTail and
 // replays each framed record through the follower's normal Ingest path, so
-// a follower reproduces the leader's state transitions exactly — DB
-// append, then φ recomputation and bound raising — and its answers
+// a follower reproduces the leader's state transitions exactly — corpus
+// table append, then the level counts — and its answers
 // are byte-identical once it has applied through the query's horizon.
 // Re-shipping after a failover is idempotent: post IDs are monotone, so a
-// follower skips any record at or below its metadata DB's high-water SID,
+// follower skips any record at or below its corpus table's high-water SID,
 // the same rule crash replay uses.
 //
 // Leadership is a lease with an epoch fencing token (lease.go): ingest is
@@ -39,7 +39,7 @@ import (
 //
 // Replica topology follows the paper's Figure 3: the metadata database is
 // "centralized … replicated", so every replica holds a FULL copy of the
-// metadata DB and popularity bounds (thread expansion and |P_u| are
+// corpus table and popularity bounds (thread expansion and |P_u| are
 // global). Each replica's index is its own store over the shard's build
 // image (immutable, so SHARED by the replicas), whose memtable indexes the
 // ingested posts in the shard's prefixes. Every group receives every post,
@@ -569,7 +569,7 @@ type ReplicatedShardedSystem struct {
 // BuildReplicatedSharded partitions the posts into sc.NumShards shards
 // (same placement as BuildSharded) and builds rc.Replicas copies of each:
 // one shared immutable build image per shard, and per replica a store over
-// it, a full metadata DB, popularity bounds and an ingest WAL under rc.Dir. Each
+// it, a full corpus table, popularity bounds and an ingest WAL under rc.Dir. Each
 // group elects its first leader before this returns, and a lease keeper per
 // group renews leases and promotes successors in the background. A build
 // that fails stops every group it started and closes every WAL it opened.
@@ -608,12 +608,12 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 		groups = append(groups, g)
 		sh := &shard{name: im.name, prefixes: im.prefixes, group: g}
 		for j := 0; j < rc.Replicas; j++ {
-			// Every replica holds its own full metadata DB and bounds —
+			// Every replica holds its own full corpus table and bounds —
 			// Figure 3's replicated centralized database — because live
 			// ingest mutates both and replicas must diverge in nothing.
-			db, err := metadb.Load(cfg.DB, posts)
+			db, err := social.NewCorpus(posts)
 			if err != nil {
-				return nil, fmt.Errorf("tklus: loading %s replica %d metadata db: %w", im.name, j, err)
+				return nil, fmt.Errorf("tklus: deriving %s replica %d corpus table: %w", im.name, j, err)
 			}
 			bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
 			sys, err := newHeapSystem(cfg, db, bounds, im.owns, im.img)
@@ -686,7 +686,7 @@ func (rs *ReplicatedShardedSystem) Group(shard string) *ReplicaGroup {
 }
 
 // Ingest accepts a batch of live posts: the FULL stream goes to every
-// group's leader, because the metadata database is global (Figure 3) —
+// group's leader, because the corpus table is global (Figure 3) —
 // |P_u|, thread expansion and popularity bounds need every post no matter
 // which shard's region it falls in — and the group owning a post's region
 // indexes it. Each leader's WAL then fans the batch to its followers.
@@ -698,13 +698,13 @@ func (rs *ReplicatedShardedSystem) Ingest(posts ...*Post) error {
 // for /v1/ingest, tracing, election waits). A post in a region no shard
 // owns could be acknowledged but indexed by none, so the whole batch is
 // refused, before any group applies it, with an error wrapping
-// metadb.ErrRejected.
+// ErrRejected.
 func (rs *ReplicatedShardedSystem) IngestContext(ctx context.Context, posts ...*Post) error {
 	for _, p := range posts {
 		prefix := geo.Encode(p.Loc, rs.cfg.PrefixLen)
 		if _, owned := rs.byPrefix[prefix]; !owned {
 			return fmt.Errorf("tklus: ingest: %w: post %d at %v lies in region %q, which no shard owns",
-				metadb.ErrRejected, p.SID, p.Loc, prefix)
+				ErrRejected, p.SID, p.Loc, prefix)
 		}
 	}
 	for _, g := range rs.groups {
@@ -741,8 +741,8 @@ func (rs *ReplicatedShardedSystem) Close() error {
 }
 
 // PostCountOfUser reports the user's global post count |P_u|. Every
-// replica holds the full metadata database (Figure 3's replicated
-// centralized DB), so it reads the first group's current leader — the
+// replica holds the full corpus table (Figure 3's replicated centralized
+// database), so it reads the first group's current leader — the
 // replica every acknowledged ingest has reached — or, before the first
 // election, its replica 0.
 func (rs *ReplicatedShardedSystem) PostCountOfUser(uid UserID) int {

@@ -15,7 +15,6 @@ import (
 
 	tklus "repro"
 	"repro/internal/datagen"
-	"repro/internal/metadb"
 	"repro/internal/server"
 )
 
@@ -547,7 +546,7 @@ func TestReplicatedPostFailoverEquivalenceGrid(t *testing.T) {
 }
 
 // TestReplicatedPostCountMatchesMonolithic pins |P_u| on the replicated
-// tier: every replica holds the full metadata database, so the tier's
+// tier: every replica holds the full corpus table, so the tier's
 // post count of a user equals a monolithic build's — before any ingest,
 // and for a user a live ingest touched once the followers caught up.
 func TestReplicatedPostCountMatchesMonolithic(t *testing.T) {
@@ -639,7 +638,7 @@ func TestReplicatedBuildFailureReleasesResources(t *testing.T) {
 
 // TestReplicatedRefusesUnownedPost: a post in a region no shard owns would
 // be acknowledged and indexed by none, so the replicated tier refuses the
-// whole batch with metadb.ErrRejected — a 400 at /v1/ingest — before any
+// whole batch with tklus.ErrRejected — a 400 at /v1/ingest — before any
 // group applies it: neither the refused post nor its batch-mate in Toronto
 // reaches a database or an index.
 func TestReplicatedRefusesUnownedPost(t *testing.T) {
@@ -653,8 +652,8 @@ func TestReplicatedRefusesUnownedPost(t *testing.T) {
 	sydney := tklus.Point{Lat: -33.87, Lon: 151.21}
 	owned := tklus.NewPost(99001, at, loc, "zanzibar hotel rooftop")
 	unowned := tklus.NewPost(99002, at.Add(time.Second), sydney, "zanzibar harbour")
-	if err := rs.Ingest(owned, unowned); !errors.Is(err, metadb.ErrRejected) {
-		t.Fatalf("batch with a post no shard owns: err = %v, want metadb.ErrRejected", err)
+	if err := rs.Ingest(owned, unowned); !errors.Is(err, tklus.ErrRejected) {
+		t.Fatalf("batch with a post no shard owns: err = %v, want tklus.ErrRejected", err)
 	}
 	body := fmt.Sprintf(`{"version":1,"posts":[{"sid":%d,"uid":99002,"lat":%v,"lon":%v,"text":"zanzibar harbour"}]}`,
 		unowned.SID, sydney.Lat, sydney.Lon)

@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/metadb"
 	"repro/internal/segment"
+	"repro/internal/social"
 	"repro/internal/telemetry"
 	"repro/internal/thread"
 )
@@ -158,7 +158,7 @@ type ShardedSystem struct {
 	metrics *shardedMetrics // nil until RegisterMetrics
 
 	// Systems holds the in-process shard systems when the tier was built
-	// with BuildSharded (they share one metadata database and popularity
+	// with BuildSharded (they share one corpus table and popularity
 	// bounds, and each serves a store over the build image of its own
 	// region's posts and texts); empty for a router assembled by
 	// NewSharded.
@@ -268,7 +268,7 @@ func partitionByPrefix(posts []*Post, prefixLen, numShards int) (shardPrefixes [
 // shardImage is one shard's immutable half, shared by every copy of the
 // shard: the prefixes it owns and the build image of its posts, which holds
 // every tweet its postings name, so the shard's radius filter never reaches
-// the shared metadata database.
+// the shared corpus table.
 type shardImage struct {
 	name     string
 	prefixes []string
@@ -312,7 +312,7 @@ func buildShards(posts []*Post, cfg Config, sc ShardingConfig) ([]shardImage, er
 
 // BuildSharded partitions the posts by geohash prefix into cfg.NumShards
 // in-process shards and wires the router over them. Following Figure 3's
-// centralized metadata database, every shard shares one metadata DB and
+// centralized metadata database, every shard shares one corpus table and
 // popularity-bound table (in production: a replica),
 // while each shard's hybrid index, and the rows behind it, cover only its
 // own region — that shared foundation is what makes cross-shard threads and
@@ -325,9 +325,9 @@ func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem,
 	}
 	// Shared foundation (Figure 3's centralized metadata database,
 	// replicated to every shard in a real deployment).
-	db, err := metadb.Load(cfg.DB, posts)
+	db, err := social.NewCorpus(posts)
 	if err != nil {
-		return nil, fmt.Errorf("tklus: loading metadata db: %w", err)
+		return nil, fmt.Errorf("tklus: deriving the corpus table: %w", err)
 	}
 	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
 
@@ -373,9 +373,9 @@ func (ss *ShardedSystem) ShardPrefixes() map[string][]string {
 }
 
 // PostCountOfUser reports the user's global post count |P_u| from the
-// shared metadata database of an in-process build (the HTTP server uses
-// it to enrich results). A router assembled by NewSharded holds no
-// metadata database and reports 0.
+// shared corpus table of an in-process build (the HTTP server uses it to
+// enrich results). A router assembled by NewSharded holds no corpus table
+// and reports 0.
 func (ss *ShardedSystem) PostCountOfUser(uid UserID) int {
 	if len(ss.Systems) > 0 {
 		return ss.Systems[0].DB.PostCountOfUser(uid)

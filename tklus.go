@@ -7,10 +7,14 @@
 // kilometres of location l. Relevance combines reply/forward cascade
 // popularity ("tweet threads"), keyword relevance and spatial proximity.
 //
-// The package wires together the paper's full architecture (Figure 3):
+// The package serves the paper's architecture (Figure 3) from memory and
+// one storage engine:
 //
-//   - a centralized metadata database with B⁺-tree indexes on the tweet ID
-//     and the replied-to tweet ID (internal/metadb, internal/btree);
+//   - a corpus table (social.Corpus) in place of the paper's paged metadata
+//     relation: each user's post count |P_u|, the SID range, and the reply
+//     graph threads are read from. The paper's paged database with B⁺-tree
+//     indexes on the tweet ID and the replied-to tweet ID is what the
+//     figures build, in internal/experiments;
 //   - a hybrid ⟨geohash, term⟩ inverted index, built by the indexer live
 //     ingest uses and frozen into one heap-resident segment that also holds
 //     the rows it indexes and their tweet texts (internal/segment,
@@ -41,9 +45,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dfs"
 	"repro/internal/geo"
-	"repro/internal/metadb"
 	"repro/internal/score"
 	"repro/internal/segment"
 	"repro/internal/social"
@@ -120,6 +122,9 @@ var (
 	ErrOverloaded = core.ErrOverloaded
 	// ErrClosed marks a search or ingest on a closed system.
 	ErrClosed = core.ErrClosed
+	// ErrRejected marks a post refused for what it is: it fails
+	// validation, repeats a SID, or arrives out of timestamp order.
+	ErrRejected = social.ErrRejected
 )
 
 // Searcher is the one query interface every serving arrangement
@@ -163,12 +168,6 @@ const (
 type Config struct {
 	// Index configures the hybrid index.
 	Index IndexOptions
-	// DB configures the metadata database (page size, cache).
-	DB metadb.Options
-	// DFS configures the simulated distributed file system the paper's
-	// MapReduce build writes its index into (internal/experiments); the
-	// serving System does not use one.
-	DFS dfs.Options
 	// Engine configures query processing (scoring parameters, the recency
 	// extension).
 	Engine core.Options
@@ -205,12 +204,10 @@ func (*popCacheStub) Stats() (s struct{ Evictions int64 }) { return s }
 func WithReplySnapshot() Option { return func(*Config) {} }
 
 // DefaultConfig returns the paper's standard configuration: 4-length
-// geohash, α = 0.5, ε = 0.1, N = 40, database caches off.
+// geohash, α = 0.5, ε = 0.1, N = 40.
 func DefaultConfig(opts ...Option) Config {
 	cfg := Config{
 		Index:  IndexOptions{GeohashLen: 4},
-		DB:     metadb.DefaultOptions(),
-		DFS:    dfs.DefaultOptions(),
 		Engine: core.DefaultOptions(),
 	}
 	for _, opt := range opts {
@@ -222,7 +219,9 @@ func DefaultConfig(opts ...Option) Config {
 // System is a fully built TkLUS deployment over one corpus.
 type System struct {
 	Engine *core.Engine
-	DB     *metadb.DB
+	// DB is the corpus table: |P_u|, the SID range and the reply graph,
+	// appended by Ingest. Sharded builds share one across their shards.
+	DB     *social.Corpus
 	Bounds *thread.Bounds
 	// PopCache is always nil: only the frozen internal/bench harness reads
 	// it — delete with the harness's next move (ROADMAP 1(d)).
@@ -240,7 +239,7 @@ type System struct {
 	Recovery *RecoveryStats
 
 	// indexes, when set, picks the ingested posts the store indexes (a
-	// shard's own region); the DB and bounds take every post.
+	// shard's own region); the corpus table and bounds take every post.
 	indexes func(*Post) bool
 	// ingestMu serializes Ingest against the seal and WAL rotation in Save —
 	// the consistency point that makes "store + remaining WAL" always equal
@@ -264,20 +263,20 @@ type System struct {
 	lastSnapshotUnix int64
 }
 
-// Build loads the posts into the metadata database, indexes them and their
+// Build derives the corpus table from the posts, indexes them and their
 // texts into one segment image (segment.FromPosts: the memtable ingest
 // indexes through, sealed in memory) that becomes the first sealed segment
-// of a heap store,
-// counts every thread's level sizes into the popularity table, and returns a
-// queryable system. Two posts with one SID fail with metadb.ErrRejected.
+// of a heap store, counts every thread's level sizes into the popularity
+// table, and returns a queryable system. Two posts with one SID fail with
+// ErrRejected.
 func Build(posts []*Post, cfg Config) (*System, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("tklus: no posts to index")
 	}
 	start := time.Now()
-	db, err := metadb.Load(cfg.DB, posts)
+	db, err := social.NewCorpus(posts)
 	if err != nil {
-		return nil, fmt.Errorf("tklus: loading metadata db: %w", err)
+		return nil, fmt.Errorf("tklus: deriving the corpus table: %w", err)
 	}
 	img, err := segment.FromPosts(posts, cfg.Index.GeohashLen, cfg.Index.BlockSize)
 	if err != nil {
@@ -294,7 +293,7 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 
 // newHeapSystem serves a heap store whose one sealed segment is img: a
 // build, a shard or a replica.
-func newHeapSystem(cfg Config, db *metadb.DB, bounds *thread.Bounds, indexes func(*Post) bool,
+func newHeapSystem(cfg Config, db *social.Corpus, bounds *thread.Bounds, indexes func(*Post) bool,
 	img *segment.Segment) (*System, error) {
 	store, err := segment.OpenHeap(segment.Options{
 		GeohashLen: img.GeohashLen(),
@@ -309,7 +308,7 @@ func newHeapSystem(cfg Config, db *metadb.DB, bounds *thread.Bounds, indexes fun
 // newSystem is the one place a System is assembled — the engine over the
 // store's views — so a build, a shard, a replica and a recovery all come up
 // with the same serving surface.
-func newSystem(cfg Config, db *metadb.DB, bounds *thread.Bounds, indexes func(*Post) bool,
+func newSystem(cfg Config, db *social.Corpus, bounds *thread.Bounds, indexes func(*Post) bool,
 	store *segment.Store) (*System, error) {
 	engine, err := core.NewPartitionedEngine(partitions(store), db, bounds, cfg.Engine)
 	if err != nil {
@@ -318,14 +317,15 @@ func newSystem(cfg Config, db *metadb.DB, bounds *thread.Bounds, indexes func(*P
 	return &System{Engine: engine, DB: db, Store: store, Bounds: bounds, indexes: indexes}, nil
 }
 
-// Ingest appends live posts to the centralized metadata database, in
-// timestamp order (each SID must exceed every stored one — IDs are
-// timestamps, Section IV-A), and indexes each one in the store's memtable,
-// so an acknowledged post is a candidate for the very next query. Ingested
-// replies and forwards extend tweet threads immediately: each one is
-// counted into the level-count table every search derives φ(p) from, so the
-// next query sees the updated φ(p). Crossing a time-bucket boundary seals
-// the memtable and swaps the engine's partitions.
+// Ingest appends live posts to the corpus table, in timestamp order (each
+// SID must exceed every stored one — IDs are timestamps, Section IV-A; a
+// post out of order or failing validation is ErrRejected), and indexes each
+// one in the store's memtable, so an acknowledged post is a candidate for
+// the very next query. Ingested replies and forwards extend tweet threads
+// immediately: each one is counted into the level-count table every search
+// derives φ(p) from, so the next query sees the updated φ(p). Crossing a
+// time-bucket boundary seals the memtable and swaps the engine's
+// partitions.
 //
 // When a WAL is attached (EnableWAL), each post is logged after it is
 // applied and before Ingest returns, under the configured fsync policy —
@@ -339,10 +339,10 @@ func (s *System) Ingest(posts ...*Post) error {
 
 // IngestContext is Ingest with the caller's context threaded through for
 // tracing: when the context carries a trace span (the HTTP ingest path), an
-// "ingest" child span records the batch, with the accumulated metadata-DB
+// "ingest" child span records the batch, with the accumulated corpus-table
 // append and WAL append time attached as folded "db_append" / "wal_append"
 // child spans. The context does not cancel an ingest — a half-applied
-// batch would leave the database and the WAL disagreeing.
+// batch would leave the table and the WAL disagreeing.
 func (s *System) IngestContext(ctx context.Context, posts ...*Post) error {
 	span := telemetry.SpanFromContext(ctx).StartChild("ingest")
 	start := time.Now()
@@ -388,7 +388,10 @@ func (s *System) ingest(posts []*Post, timed bool, dbDur, walDur *time.Duration)
 			}
 		}
 		if p.RSID != social.NoPost {
-			s.extendThreads(p)
+			// The reply adds one tweet at level h+1 of its h-th ancestor's
+			// thread for its first Depth ancestors (the roots whose depth
+			// limit still reaches it) and changes no other thread.
+			s.Bounds.AddReply(s.DB.Ancestors(p.RSID, s.Engine.Opts.Params.ThreadDepth))
 		}
 		if s.indexes != nil && !s.indexes(p) {
 			continue
@@ -404,35 +407,16 @@ func (s *System) ingest(posts []*Post, timed bool, dbDur, walDur *time.Duration)
 	return nil
 }
 
-// extendThreads accounts for an ingested reply. It adds one tweet at level
-// h+1 of its h-th ancestor's thread, for its first Depth ancestors (those
-// are the roots whose depth limit still reaches the new post; its parent is
-// 1 hop up), and changes no other thread. Walk that chain once through the
-// rows' RSIDs and count it into the table in one call, so the table stays
-// exact.
-func (s *System) extendThreads(p *Post) {
-	depth := s.Engine.Opts.Params.ThreadDepth
-	ancestors := make([]social.PostID, 0, depth)
-	for sid := p.RSID; sid != social.NoPost && len(ancestors) < depth; {
-		ancestors = append(ancestors, sid)
-		row, ok := s.DB.GetBySID(sid)
-		if !ok {
-			break
-		}
-		sid = row.RSID
-	}
-	s.Bounds.AddReply(ancestors)
-}
-
 // ThreadNode is one tweet of a materialized tweet thread (Definition 3).
 type ThreadNode = thread.Node
 
 // Thread materializes the reply/forward cascade rooted at the given tweet
-// up to the configured depth limit, returning its nodes in BFS order and
-// the thread's popularity score φ (Definition 4).
+// up to the configured depth limit from the corpus table's reply graph,
+// returning its nodes in BFS order and the thread's popularity score φ
+// (Definition 4).
 func (s *System) Thread(root PostID) ([]ThreadNode, float64) {
-	builder := thread.Builder{DB: s.DB, Depth: s.Engine.Opts.Params.ThreadDepth}
-	return builder.Tree(root, s.Engine.Opts.Params.Epsilon, nil)
+	p := s.Engine.Opts.Params
+	return thread.Tree(s.DB, root, p.ThreadDepth, p.Epsilon)
 }
 
 // Evidence returns, for one returned user, the raw texts of the tweets
@@ -462,12 +446,6 @@ func (s *System) Evidence(q Query, uid UserID, limit int) ([]string, error) {
 // Searcher.
 func (s *System) Search(ctx context.Context, q Query) ([]UserResult, *QueryStats, error) {
 	return s.Engine.Search(ctx, q)
-}
-
-// ResetStats zeroes the metadata database's I/O counters, so the next
-// query is measured in isolation.
-func (s *System) ResetStats() {
-	s.DB.ResetStats()
 }
 
 // NewPost builds a Post from raw text: the text is tokenized, stop-word

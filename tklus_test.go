@@ -10,7 +10,6 @@ import (
 	tklus "repro"
 	"repro/internal/baseline"
 	"repro/internal/datagen"
-	"repro/internal/metadb"
 )
 
 func buildSystem(t testing.TB, posts int) (*tklus.System, *datagen.Corpus) {
@@ -67,54 +66,25 @@ func TestBuildAndSearchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestResetStats: a ranked search charges no simulated IO, so the
-// counters ResetStats zeroes are moved by a thread walk (metadata
-// database), and a reset clears them all.
-func TestResetStats(t *testing.T) {
-	sys, corpus := buildSystem(t, 3000)
-	q := tklus.Query{
-		Loc: corpus.Config.Cities[0].Center, RadiusKm: 10,
-		Keywords: []string{"pizza"}, K: 5,
-	}
-	res, _, err := sys.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) == 0 {
-		t.Fatal("no results to draw evidence from")
-	}
-	if _, err := sys.Evidence(q, res[0].UID, 1); err != nil {
-		t.Fatal(err)
-	}
-	sys.Thread(corpus.Posts[0].SID)
-	if sys.DB.Stats().PageReads == 0 || sys.DB.Stats().IndexReads == 0 {
-		t.Fatalf("nothing to reset: DB %+v", sys.DB.Stats())
-	}
-	sys.ResetStats()
-	if sys.DB.Stats().PageReads != 0 || sys.DB.Stats().IndexReads != 0 {
-		t.Error("ResetStats left counters nonzero")
-	}
-}
-
 // TestBuildRejectsDuplicateSID: two posts of one timestamp share an SID,
 // the caller's data at fault, so every build path names it with
-// metadb.ErrRejected rather than crash the process.
+// tklus.ErrRejected rather than crash the process.
 func TestBuildRejectsDuplicateSID(t *testing.T) {
 	at := time.Date(2013, 1, 15, 12, 0, 0, 0, time.UTC)
 	loc := tklus.Point{Lat: 43.68, Lon: -79.37}
 	posts := []*tklus.Post{tklus.NewPost(1, at, loc, "hotel"), tklus.NewPost(2, at, loc, "pizza")}
 	cfg := tklus.DefaultConfig()
-	if _, err := tklus.Build(posts, cfg); !errors.Is(err, metadb.ErrRejected) {
-		t.Errorf("Build: err = %v, want metadb.ErrRejected", err)
+	if _, err := tklus.Build(posts, cfg); !errors.Is(err, tklus.ErrRejected) {
+		t.Errorf("Build: err = %v, want tklus.ErrRejected", err)
 	}
 	sc := tklus.DefaultShardingConfig()
-	if _, err := tklus.BuildSharded(posts, cfg, sc); !errors.Is(err, metadb.ErrRejected) {
-		t.Errorf("BuildSharded: err = %v, want metadb.ErrRejected", err)
+	if _, err := tklus.BuildSharded(posts, cfg, sc); !errors.Is(err, tklus.ErrRejected) {
+		t.Errorf("BuildSharded: err = %v, want tklus.ErrRejected", err)
 	}
 	rc := tklus.DefaultReplicationConfig()
 	rc.Dir = t.TempDir()
-	if _, err := tklus.BuildReplicatedSharded(posts, cfg, sc, rc); !errors.Is(err, metadb.ErrRejected) {
-		t.Errorf("BuildReplicatedSharded: err = %v, want metadb.ErrRejected", err)
+	if _, err := tklus.BuildReplicatedSharded(posts, cfg, sc, rc); !errors.Is(err, tklus.ErrRejected) {
+		t.Errorf("BuildReplicatedSharded: err = %v, want tklus.ErrRejected", err)
 	}
 }
 

@@ -215,7 +215,7 @@ func TestIngestSurvivesEnableSegments(t *testing.T) {
 
 // storeHoldsEveryRow checks the unsharded invariant: the rows of the
 // store's views, sealed segments and memtable, are exactly as many as the
-// metadata database's. A nil system (a tier) has nothing to check.
+// corpus table's. A nil system (a tier) has nothing to check.
 func storeHoldsEveryRow(t *testing.T, sys *tklus.System, step string) {
 	t.Helper()
 	if sys == nil {
