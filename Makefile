@@ -139,21 +139,24 @@ figures:
 # end-to-end result, in one command.
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkGatherFilter|BenchmarkUnionPostings|BenchmarkRankFromPhi|BenchmarkMergePartials' -benchmem -count 5 ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkPhiLookup' -benchmem -count 5 ./internal/thread/
 	$(GO) test -run '^$$' -bench 'BenchmarkHaversine' -benchmem -count 5 ./internal/geo/
 	$(GO) test -run '^$$' -bench 'BenchmarkSegmentRowBatch' -benchmem -count 5 ./internal/segment/
-	$(GO) test -run '^$$' -bench 'BenchmarkPostCounts' -benchmem -count 5 ./internal/social/
+	$(GO) test -run '^$$' -bench 'BenchmarkPostCounts|BenchmarkScore' -benchmem -count 5 ./internal/social/
 
-# Where a city-sum search spends its CPU: BenchmarkCitySumQuerySet (the
-# bench-scale corpus on a segment store, the city-sum query set through
-# System.Search, no HTTP) under -cpuprofile, then the profile's top entries.
-# The profile and test binary go to PROFILE_DIR.
+# Where a search spends its CPU: BenchmarkCitySumQuerySet (the bench-scale
+# corpus on a segment store, the city-sum query set through System.Search,
+# no HTTP) and BenchmarkWideMaxQuerySet (the same store, the wide-max query
+# shape) under -cpuprofile, each followed by the profile's top entries.
+# The profiles and test binary go to PROFILE_DIR.
 PROFILE_DIR ?= .profile
 profile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run '^$$' -bench '^BenchmarkCitySumQuerySet$$' -benchtime 20000x \
 		-cpuprofile $(PROFILE_DIR)/city-sum.cpu -o $(PROFILE_DIR)/tklus.test .
 	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/tklus.test $(PROFILE_DIR)/city-sum.cpu
+	$(GO) test -run '^$$' -bench '^BenchmarkWideMaxQuerySet$$' -benchtime 8000x \
+		-cpuprofile $(PROFILE_DIR)/wide-max.cpu -o $(PROFILE_DIR)/tklus.test .
+	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/tklus.test $(PROFILE_DIR)/wide-max.cpu
 
 # The one serving-path benchmark: HTTP in, JSON out, four workloads,
 # per-layer breakdown, run the way BENCHMARK.json's driver runs it (see

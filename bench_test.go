@@ -267,6 +267,21 @@ func BenchmarkAblationThreadDepth(b *testing.B) {
 // search per op through System.Search. `make profile` runs it under
 // -cpuprofile, which is how a stage's share of a search's CPU is measured.
 func BenchmarkCitySumQuerySet(b *testing.B) {
+	benchQuerySet(b, "r15", 15, 1, core.SumScore)
+}
+
+// BenchmarkWideMaxQuerySet is BenchmarkCitySumQuerySet's corpus and store
+// under the wide-max shape: the 2- and 3-keyword classes as Or/Max
+// searches at r = 50 km, k = 10 — thousands of candidates a query, so the
+// per-candidate reads dominate. `make profile` profiles it too.
+func BenchmarkWideMaxQuerySet(b *testing.B) {
+	benchQuerySet(b, "r50", 50, 2, core.MaxScore)
+}
+
+// benchQuerySet builds the bench-scale system on a segment store and times
+// one search per op over the query classes of at least minKeywords
+// keywords, Or semantics, at radius km.
+func benchQuerySet(b *testing.B, name string, radius float64, minKeywords int, ranking core.Ranking) {
 	// The setup runs once: a benchmark with sub-benchmarks is not re-run
 	// to size b.N, only its sub-benchmark is.
 	gen := datagen.DefaultConfig()
@@ -285,9 +300,11 @@ func BenchmarkCitySumQuerySet(b *testing.B) {
 	defer sys.Close()
 	var qs []tklus.Query
 	for _, spec := range corpus.GenerateQueries(2, 200) {
-		qs = append(qs, query(spec, 15, 10, core.Or, core.SumScore))
+		if len(spec.Keywords) >= minKeywords {
+			qs = append(qs, query(spec, radius, 10, core.Or, ranking))
+		}
 	}
-	b.Run("r15", func(b *testing.B) {
+	b.Run(name, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := sys.Search(context.Background(), qs[i%len(qs)]); err != nil {

@@ -27,7 +27,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/ingest"
 	"repro/internal/social"
-	"repro/internal/thread"
 )
 
 func main() {
@@ -85,13 +84,16 @@ func main() {
 			maxFanout = n
 		}
 	}
-	sids := make([]social.PostID, len(posts))
-	for i, p := range posts {
-		sids[i] = p.SID
+	table, err := social.NewCorpus(posts, 6)
+	if err != nil {
+		log.Fatal(err)
 	}
-	slices.Sort(sids)
-	phi := make([]float64, len(sids))
-	thread.ComputeBounds(posts, 6).PhiBatch(sids, 0.1, phi)
+	ords := make([]uint32, table.Len())
+	for i := range ords {
+		ords[i] = uint32(i)
+	}
+	phi := make([]float64, len(ords))
+	table.Score(ords, 0.1, make([]uint32, len(ords)), phi)
 
 	fmt.Printf("corpus:          %d posts by %d users\n", len(posts), len(users))
 	fmt.Printf("time span:       %s .. %s\n",

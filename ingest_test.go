@@ -136,9 +136,7 @@ func ingestBelowDepthLimit(t *testing.T, posts []*tklus.Post, loc tklus.Point) {
 		t.Fatal(err)
 	}
 	phi := func(s *tklus.System, sid tklus.PostID) float64 {
-		var out [1]float64
-		s.Bounds.PhiBatch([]tklus.PostID{sid}, cfg.Engine.Params.Epsilon, out[:])
-		return out[0]
+		return s.DB.Phi(sid, cfg.Engine.Params.Epsilon)
 	}
 	before := make([]float64, len(chain))
 	for i, p := range chain {
@@ -351,7 +349,8 @@ func TestConcurrentSearchAndIngest(t *testing.T) {
 // TestThreadMatchesAlgorithm1 checks System.Thread, which reads the corpus
 // table ingest keeps, against the paper's Algorithm 1 over a metadata
 // database loaded with the acknowledged posts: every post's tree (BFS
-// order, authors, parents, levels) and φ, on a build, on a build that
+// order, authors, parents, levels) and φ — the tree's and the one the
+// table's level counts give a search — on a build, on a build that
 // ingested replies deepening a chain past the thread depth, on that system
 // saved and loaded back, and on a follower replica of a shard once it has
 // applied the shipped stream.
@@ -448,6 +447,9 @@ func TestThreadMatchesAlgorithm1(t *testing.T) {
 				got, gotPhi := c.sys.Thread(p.SID)
 				if gotPhi != wantPhi || !reflect.DeepEqual(got, want) {
 					t.Fatalf("thread of %d: %v (φ %v), Algorithm 1 says %v (φ %v)", p.SID, got, gotPhi, want, wantPhi)
+				}
+				if phi := c.sys.DB.Phi(p.SID, cfg.Engine.Params.Epsilon); phi != wantPhi {
+					t.Fatalf("the table's φ(%d) = %v, Algorithm 1 says %v", p.SID, phi, wantPhi)
 				}
 				deepest = max(deepest, got[len(got)-1].Level)
 			}

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/social"
-	"repro/internal/thread"
 )
 
 // buildEngineIndexed is buildEngine with control over the index build —
@@ -34,7 +32,7 @@ func buildEngineAndIndex(t testing.TB, posts []*social.Post, opts core.Options, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus, err := social.NewCorpus(posts)
+	corpus, err := social.NewCorpus(posts, opts.Params.ThreadDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +46,7 @@ func buildEngineAndIndex(t testing.TB, posts []*social.Post, opts core.Options, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
-	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Lookup: db}}, corpus, bounds, opts)
+	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Lookup: db}}, corpus, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +94,7 @@ func requireSameResults(t *testing.T, got, want []core.UserResult, format string
 // is in the grid because there a thread's first reply lowers φ below the
 // floor. Retrieval — candidates and lists fetched — does not depend on the
 // block layout, and the engine builds and prunes no thread: φ comes from the
-// table. Bounds without a level-count table (what an image written before
-// the table decodes to) are refused outright. (Block skipping itself is
+// table. (Block skipping itself is
 // pinned by TestBlockMaxSkipsBlocks — a uniform random corpus interleaves
 // the two lists too densely for AND intersection to ever leap a whole
 // block.)
@@ -114,13 +110,9 @@ func TestBlockMaxEquivalenceGrid(t *testing.T) {
 		engBM, idxBM := buildEngineAndIndex(t, posts, opts, 3, func(o *invindex.BuildOptions) { o.BlockSize = 8 })
 		engFresh := buildEngineIndexed(t, posts, opts, 3, nil)
 		engFlat, err := core.NewPartitionedEngine(
-			[]core.Partition{{Source: sliceServed{idxBM}, Lookup: engBM.Partitions()[0].Lookup}}, engBM.Corpus, engBM.Bounds, opts)
+			[]core.Partition{{Source: sliceServed{idxBM}, Lookup: engBM.Partitions()[0].Lookup}}, engBM.Corpus, opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		tableless := &thread.Bounds{Depth: engBM.Bounds.Depth}
-		if _, err := core.NewPartitionedEngine(engBM.Partitions(), engBM.Corpus, tableless, opts); !errors.Is(err, thread.ErrParamsMismatch) {
-			t.Fatalf("eps=%v: engine over table-less bounds: err = %v, want ErrParamsMismatch", epsilon, err)
 		}
 
 		for _, ranking := range []core.Ranking{core.SumScore, core.MaxScore} {

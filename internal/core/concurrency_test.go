@@ -45,10 +45,10 @@ func TestSearchContextCancellation(t *testing.T) {
 
 // TestConcurrentQueries verifies the engine is safe for concurrent reads:
 // many goroutines issue mixed queries against one engine and every result
-// matches the single-threaded answer, while a writer counts replies into
-// the bounds the way live ingest does (AddReply with a chain of new SIDs,
-// none of them a candidate — so the answers may not move). Run with -race
-// to check the counter, cache and bounds synchronization.
+// matches the single-threaded answer, while a writer appends reply chains
+// by new users to the corpus table the way live ingest does (none of them
+// a candidate, none by a candidate's author — so the answers may not move).
+// Run with -race to check the counter, scratch and table synchronization.
 func TestConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	posts, center := randomCorpus(rng, 600)
@@ -76,7 +76,16 @@ func TestConcurrentQueries(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			base := social.PostID(len(posts) + 1 + 3*i)
-			eng.Bounds.AddReply([]social.PostID{base + 2, base + 1, base})
+			for j := social.PostID(0); j < 3; j++ {
+				p := &social.Post{SID: base + j, UID: social.UserID(1_000_000 + i), Loc: center}
+				if j > 0 {
+					p.Kind, p.RSID, p.RUID = social.Reply, base+j-1, p.UID
+				}
+				if err := eng.Corpus.Append(p); err != nil {
+					errs <- err
+					return
+				}
+			}
 		}
 	}()
 	for w := 0; w < 8; w++ {

@@ -3,10 +3,11 @@
 // maximum-score rankings (Definitions 7 and 8), AND/OR keyword semantics, and
 // the temporal extension sketched in the paper's future-work section. It
 // sits on top of the hybrid index (a segment store's, or the paper's paged
-// internal/invindex), the corpus table (social.Corpus: |P_u| and the SID
-// range), and the popularity table of internal/thread, which
-// holds every thread's level sizes and so its exact popularity φ: the engine
-// scores each candidate from it and builds no thread. The paper's regime —
+// internal/invindex) and the corpus table (social.Corpus), which holds, by
+// post and user ordinal, every thread's level sizes and so its exact
+// popularity φ, each post's author and each user's |P_u|: the engine reads
+// a candidate's by the post ordinal its row carries and builds no thread.
+// The paper's regime —
 // Algorithm 1 per candidate, with Algorithm 5's upper-bound pruning — is
 // what the figures time, and lives with them in internal/experiments.
 package core
@@ -24,7 +25,6 @@ import (
 	"repro/internal/social"
 	"repro/internal/telemetry"
 	"repro/internal/textutil"
-	"repro/internal/thread"
 )
 
 // Semantic selects how multiple query keywords combine (Section V-A).
@@ -149,12 +149,14 @@ type PostingsSource interface {
 }
 
 // RowSource is the row contract between the engine and storage: the
-// source's rows as packed records, indexed by the row ordinals its postings
-// name, so ordinal order is SID order. Sealed segments and the memtable
-// implement it; rows a source appends later lie beyond the length it
-// returned.
+// source's rows as packed records, and each row's post ordinal in the
+// engine's corpus table, both indexed by the row ordinals its postings name,
+// so ordinal order is SID order. Sealed segments and the memtable implement
+// it; rows a source appends later lie beyond the length it returned, and
+// the ordinals read after the records cover every record read.
 type RowSource interface {
 	Records() []social.RowMeta
+	PostOrdinals() []uint32
 }
 
 // RowLookup resolves tweet IDs to rows in one batch, for a partition whose
@@ -208,7 +210,6 @@ func (p *Partition) overlapsWindow(w *TimeWindow) bool {
 // Engine executes TkLUS queries.
 type Engine struct {
 	Corpus *social.Corpus
-	Bounds *thread.Bounds
 	Opts   Options
 
 	// parts is every postings source, in time order. Each query loads it
@@ -218,18 +219,19 @@ type Engine struct {
 
 // NewPartitionedEngine wires an engine over one or more time-partitioned
 // indexes sharing one corpus table. Queries with a TimeWindow skip
-// partitions entirely outside the window. Every score reads φ from bounds,
-// so bounds without a level-count table, or with one counted for another
-// thread depth, are refused (thread.ErrParamsMismatch).
-func NewPartitionedEngine(parts []Partition, corpus *social.Corpus, bounds *thread.Bounds, opts Options) (*Engine, error) {
+// partitions entirely outside the window. Every score reads φ from the
+// corpus table, so a table counted for another thread depth is refused
+// (ErrParamsMismatch); any ε reads the same counts.
+func NewPartitionedEngine(parts []Partition, corpus *social.Corpus, opts Options) (*Engine, error) {
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if len(parts) == 0 || corpus == nil || bounds == nil {
-		return nil, fmt.Errorf("core: engine needs partitions, a corpus table and bounds")
+	if len(parts) == 0 || corpus == nil {
+		return nil, fmt.Errorf("core: engine needs partitions and a corpus table")
 	}
-	if err := bounds.CheckParams(opts.Params.ThreadDepth); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if d := corpus.Depth(); d != opts.Params.ThreadDepth {
+		return nil, fmt.Errorf("core: %w: corpus table counted for thread depth %d, the model says %d",
+			ErrParamsMismatch, d, opts.Params.ThreadDepth)
 	}
 	for i, p := range parts {
 		if p.Source == nil {
@@ -239,7 +241,7 @@ func NewPartitionedEngine(parts []Partition, corpus *social.Corpus, bounds *thre
 			return nil, fmt.Errorf("core: partition %d has neither rows nor a row lookup", i)
 		}
 	}
-	eng := &Engine{Corpus: corpus, Bounds: bounds, Opts: opts}
+	eng := &Engine{Corpus: corpus, Opts: opts}
 	eng.SetPartitions(parts)
 	return eng, nil
 }

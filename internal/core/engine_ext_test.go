@@ -14,7 +14,6 @@ import (
 	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/social"
-	"repro/internal/thread"
 )
 
 // buildEngine assembles a full system (metadata DB, corpus table, DFS,
@@ -25,7 +24,7 @@ func buildEngine(t testing.TB, posts []*social.Post, opts core.Options, geohashL
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus, err := social.NewCorpus(posts)
+	corpus, err := social.NewCorpus(posts, opts.Params.ThreadDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +35,7 @@ func buildEngine(t testing.TB, posts []*social.Post, opts core.Options, geohashL
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
-	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Lookup: db}}, corpus, bounds, opts)
+	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Lookup: db}}, corpus, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,4 +35,9 @@ var (
 	// closed (SetPartitions with an empty set): there is nothing left to
 	// read or append to.
 	ErrClosed = errors.New("closed")
+
+	// ErrParamsMismatch marks an engine refused because its corpus table
+	// cannot give the exact φ of Algorithm 1 under the scoring model: the
+	// table counted thread levels to another depth limit.
+	ErrParamsMismatch = errors.New("popularity table does not match the scoring model")
 )

@@ -12,7 +12,6 @@ import (
 	"repro/internal/segment"
 	"repro/internal/social"
 	"repro/internal/telemetry"
-	"repro/internal/thread"
 )
 
 // benchPostings satisfies PostingsSource with one postings list, served for
@@ -63,13 +62,12 @@ func benchEngine(b *testing.B, posts []*social.Post, src PostingsSource) *Engine
 	if err != nil {
 		b.Fatal(err)
 	}
-	corpus, err := social.NewCorpus(posts)
+	corpus, err := social.NewCorpus(posts, DefaultOptions().Params.ThreadDepth)
 	if err != nil {
 		b.Fatal(err)
 	}
 	opts := DefaultOptions()
-	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
-	eng, err := NewPartitionedEngine([]Partition{{Source: src, Lookup: db}}, corpus, bounds, opts)
+	eng, err := NewPartitionedEngine([]Partition{{Source: src, Lookup: db}}, corpus, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,8 +99,9 @@ func BenchmarkRankFromPhi(b *testing.B) {
 				stats: &QueryStats{}, rec: telemetry.NewSpanRecorder(), start: time.Now(),
 			}
 			for i := range cs.cands {
-				p := posts[i*len(posts)/len(cs.cands)]
-				cs.cands[i] = CandidateTweet{TID: p.SID, Matches: 1 + rng.Intn(2), UID: p.UID, Delta: rng.Float64()}
+				j := i * len(posts) / len(cs.cands)
+				p := posts[j]
+				cs.cands[i] = CandidateTweet{TID: p.SID, Matches: 1 + rng.Intn(2), UID: p.UID, Delta: rng.Float64(), post: uint32(j)}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -149,14 +148,14 @@ func BenchmarkGatherFilter(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer store.Close()
-				for _, p := range posts {
+				for i, p := range posts { // ascending by SID: post i is ordinal i
 					cp := *p
 					if i, ok := matching[p.SID]; !ok {
 						cp.Words = []string{"other"}
 					} else if leg == "union" {
 						cp.Words = unionWords[i%len(unionWords)]
 					}
-					if _, err := store.Add(&cp); err != nil {
+					if _, err := store.Add(&cp, uint32(i)); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -21,7 +21,6 @@ import (
 	"repro/internal/invindex"
 	"repro/internal/segment"
 	"repro/internal/social"
-	"repro/internal/thread"
 )
 
 // blocked encodes ps in blocks of blockSize and opens a lazy iterator on it.
@@ -165,7 +164,7 @@ func kernelEngine(tb testing.TB) (*Engine, []Query) {
 		}
 		posts[i] = p
 	}
-	corpus, err := social.NewCorpus(posts)
+	corpus, err := social.NewCorpus(posts, DefaultOptions().Params.ThreadDepth)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -174,8 +173,8 @@ func kernelEngine(tb testing.TB) (*Engine, []Query) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { store.Close() })
-	for _, p := range posts {
-		if _, err := store.Add(p); err != nil {
+	for i, p := range posts {
+		if _, err := store.Add(p, uint32(i)); err != nil { // posts ascend by SID
 			tb.Fatal(err)
 		}
 	}
@@ -184,8 +183,7 @@ func kernelEngine(tb testing.TB) (*Engine, []Query) {
 		tb.Fatalf("only %d partitions", len(parts))
 	}
 	opts := DefaultOptions()
-	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
-	eng, err := NewPartitionedEngine(parts, corpus, bounds, opts)
+	eng, err := NewPartitionedEngine(parts, corpus, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -339,6 +337,57 @@ func (s cancelOnFetch) Records() []social.RowMeta {
 	return recs
 }
 
+// PostOrdinals numbers the ten rows as posts 0 … 9.
+func (s cancelOnFetch) PostOrdinals() []uint32 { return identity(10) }
+
+// countingPostings is a postings source that counts OpenPostings calls.
+type countingPostings struct {
+	benchPostings
+	opened *int
+}
+
+func (s countingPostings) OpenPostings(cell, term string) (*invindex.PostingsIterator, error) {
+	*s.opened++
+	return s.benchPostings.OpenPostings(cell, term)
+}
+
+// TestCancelledSearchOpensNoPostings: a query whose context is already
+// done returns its error once the cover is computed, before any
+// partition's postings are opened — on every entry point that runs the
+// front half.
+func TestCancelledSearchOpensNoPostings(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opened := 0
+	src := countingPostings{benchPostings: benchPostings{cell: "dpz8", list: ps(5, 1, 6, 1)}, opened: &opened}
+	rows := cancelOnFetch{cancel: func() {}, resolved: new(int)}
+	var posts []*social.Post // the ten posts the rows name
+	for i := 1; i <= 10; i++ {
+		posts = append(posts, &social.Post{SID: social.PostID(i), UID: social.UserID(i), Loc: benchCenter})
+	}
+	corpus, err := social.NewCorpus(posts, DefaultOptions().Params.ThreadDepth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: rows}, {Source: src, Rows: rows}}, corpus, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Loc: benchCenter, RadiusKm: 5, Keywords: []string{"hotel"}, K: 3}
+	if _, _, err := eng.Search(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Errorf("Search: err = %v, want context.Canceled", err)
+	}
+	if _, err := eng.SearchPartials(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Errorf("SearchPartials: err = %v, want context.Canceled", err)
+	}
+	if opened != 0 {
+		t.Errorf("a cancelled query opened %d postings lists", opened)
+	}
+	if _, _, err := eng.Search(context.Background(), q); err != nil || opened == 0 {
+		t.Errorf("live query: err = %v after opening %d lists", err, opened)
+	}
+}
+
 // TestGatherChecksContextPerPartition: stage 3 looks at the context before
 // each partition's merge, so a query cancelled during postings retrieval
 // returns context.Canceled without reading a row.
@@ -347,13 +396,12 @@ func TestGatherChecksContextPerPartition(t *testing.T) {
 	defer cancel()
 	resolved := 0
 	src := cancelOnFetch{benchPostings: benchPostings{cell: "dpz8", list: ps(5, 1, 6, 1, 7, 1)}, cancel: cancel, resolved: &resolved}
-	corpus, err := social.NewCorpus(nil)
+	corpus, err := social.NewCorpus(nil, DefaultOptions().Params.ThreadDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	bounds := thread.ComputeBounds(nil, opts.Params.ThreadDepth)
-	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}, {Source: src, Rows: src}}, corpus, bounds, opts)
+	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}, {Source: src, Rows: src}}, corpus, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/social"
-	"repro/internal/thread"
 )
 
 // TestPartialsSingleShardIdentity checks the degenerate scatter-gather:
@@ -68,11 +67,10 @@ func splitEngines(t *testing.T, posts []*social.Post, opts core.Options, nShards
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus, err := social.NewCorpus(posts)
+	corpus, err := social.NewCorpus(posts, opts.Params.ThreadDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := thread.ComputeBounds(posts, opts.Params.ThreadDepth)
 
 	groups := make([][]*social.Post, nShards)
 	prefixShard := make(map[string]int)
@@ -95,7 +93,7 @@ func splitEngines(t *testing.T, posts []*social.Post, opts core.Options, nShards
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Lookup: db}}, corpus, bounds, opts)
+		eng, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Lookup: db}}, corpus, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/social"
-	"repro/internal/thread"
 )
 
 func window(fromSec, toSec int64) *TimeWindow {
@@ -51,38 +50,36 @@ func TestPartitionOverlapsWindow(t *testing.T) {
 }
 
 func TestNewPartitionedEngineValidation(t *testing.T) {
-	if _, err := NewPartitionedEngine(nil, nil, nil, DefaultOptions()); err == nil {
+	if _, err := NewPartitionedEngine(nil, nil, DefaultOptions()); err == nil {
 		t.Error("empty partitions accepted")
 	}
-	if _, err := NewPartitionedEngine([]Partition{{Source: nil}}, nil, nil, DefaultOptions()); err == nil {
+	if _, err := NewPartitionedEngine([]Partition{{Source: nil}}, nil, DefaultOptions()); err == nil {
 		t.Error("nil source accepted")
 	}
-	corpus, err := social.NewCorpus(nil)
+	corpus, err := social.NewCorpus(nil, DefaultOptions().Params.ThreadDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	bounds := thread.ComputeBounds(nil, opts.Params.ThreadDepth)
-	if _, err := NewPartitionedEngine([]Partition{{Source: benchPostings{}}}, corpus, bounds, opts); err == nil {
+	if _, err := NewPartitionedEngine([]Partition{{Source: benchPostings{}}}, corpus, opts); err == nil {
 		t.Error("a partition with neither rows nor a row lookup accepted")
 	}
-	// Every score reads φ from the bounds: bounds without a level-count
-	// table, or with one of another depth, would answer for another model.
+	// Every score reads φ from the corpus table: a table counted to another
+	// depth would answer for another model.
 	db, err := metadb.Load(metadb.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parts := []Partition{{Source: benchPostings{}, Lookup: db}}
-	for name, bounds := range map[string]*thread.Bounds{
-		"no table": {Depth: opts.Params.ThreadDepth},
-		"depth 2":  thread.ComputeBounds(nil, 2),
-	} {
-		if _, err := NewPartitionedEngine(parts, corpus, bounds, opts); !errors.Is(err, thread.ErrParamsMismatch) {
-			t.Errorf("%s: err = %v, want ErrParamsMismatch", name, err)
-		}
+	shallow, err := social.NewCorpus(nil, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewPartitionedEngine(parts, corpus, bounds, opts); err != nil {
-		t.Errorf("matching bounds refused: %v", err)
+	if _, err := NewPartitionedEngine(parts, shallow, opts); !errors.Is(err, ErrParamsMismatch) {
+		t.Errorf("table counted to depth 2: err = %v, want ErrParamsMismatch", err)
+	}
+	if _, err := NewPartitionedEngine(parts, corpus, opts); err != nil {
+		t.Errorf("matching table refused: %v", err)
 	}
 }
 
@@ -102,6 +99,18 @@ func (s rowsMissing) Records() []social.RowMeta {
 	return recs
 }
 
+// PostOrdinals numbers the held rows as posts 0, 1, ….
+func (s rowsMissing) PostOrdinals() []uint32 { return identity(s.held) }
+
+// identity returns the ordinals 0 … n-1.
+func identity(n int) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = uint32(i)
+	}
+	return out
+}
+
 // TestGatherNamesTheMissingRow: a partition whose postings name a row
 // beyond its records fails the query with that row named — the index and
 // the rows disagree — instead of panicking on the index, and a partition
@@ -112,13 +121,12 @@ func TestGatherNamesTheMissingRow(t *testing.T) {
 	for sid := 5; sid <= 9; sid++ {
 		src.list = append(src.list, invindex.Posting{TID: social.PostID(sid), TF: 1})
 	}
-	corpus, err := social.NewCorpus(nil)
+	corpus, err := social.NewCorpus(nil, DefaultOptions().Params.ThreadDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	bounds := thread.ComputeBounds(nil, opts.Params.ThreadDepth)
-	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}}, corpus, bounds, opts)
+	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}}, corpus, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,14 @@ package core
 // Algorithms 4 and 5 — validate, stem, circle cover, postings retrieval,
 // then per time partition the AND/OR merge, the window filter, the row
 // reads and the radius filter — and hands every exit the same
-// candidateSet: the surviving tweets in ascending tweet-ID order and the
-// query's books. CandidateTweets returns a copy of the tweets; Search and
-// SearchPartials call resolveUsers, which adds the set's dense user table
-// (Σδ, |P_u|, δ(u,q) per user, each candidate pointing at its row), and
-// relevance, which gives every candidate its ρ(p,q) from the popularity
-// table, and pass the set to one ranker. No ranker builds a per-user map of
-// its own.
+// candidateSet: the surviving tweets in ascending tweet-ID order, each with
+// its post ordinal in the corpus table, and the query's books.
+// CandidateTweets returns a copy of the tweets; Search and SearchPartials
+// call resolveUsers, which reads every candidate's author and φ from the
+// corpus table by post ordinal and adds the set's dense user table (Σδ,
+// |P_u|, δ(u,q) per user, each candidate pointing at its row), and
+// relevance, which turns every candidate's φ into its ρ(p,q), and pass the
+// set to one ranker. No ranker builds a per-user map of its own.
 
 import (
 	"context"
@@ -35,6 +36,7 @@ type CandidateTweet struct {
 	UID     social.UserID
 	Matches int     // bag-model |q.W ∩ p.W|
 	Delta   float64 // δ(p,q), Definition 5
+	post    uint32  // the tweet's ordinal in the corpus table
 	user    int     // row of UID in the candidate set's user table
 }
 
@@ -77,15 +79,26 @@ type candidateSet struct {
 // entry and release it on return, so whatever outlives the call — results,
 // Partials, the slice CandidateTweets hands out — is a copy, never a view.
 type scratch struct {
-	heap   []runHead             // unionIterators
-	merged []candidate           // one partition's merged postings
-	sids   []social.PostID       // the paged row batch's keys, then the φ batch's
-	cands  []CandidateTweet      // candidateSet.cands
-	byUID  map[social.UserID]int // resolveUsers: user → table row
-	users  []candUser            // candidateSet.users
-	uids   []social.UserID       // the |P_u| batch's keys
-	posts  []int                 // the |P_u| batch's counts
-	rho    []float64             // relevance: φ, then ρ, per candidate
+	heap    []runHead        // unionIterators
+	merged  []candidate      // one partition's merged postings
+	sids    []social.PostID  // the paged row batch's keys
+	cands   []CandidateTweet // candidateSet.cands
+	posts   []uint32         // the corpus batch's keys: each candidate's post ordinal
+	authors []uint32         // each candidate's author, by user ordinal
+	rho     []float64        // φ per candidate, then relevance's ρ
+	users   []candUser       // candidateSet.users
+	ords    []uint32         // the user table's user ordinals: the |P_u| batch's keys
+	counts  []int            // the |P_u| batch's counts
+	// slots maps a user ordinal to its row of the user table; a slot is
+	// live only when its gen is the current query's, so no query clears it.
+	slots []userSlot
+	gen   uint32
+}
+
+// userSlot is resolveUsers' entry for one user ordinal.
+type userSlot struct {
+	gen uint32
+	row int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -181,7 +194,9 @@ func (e *Engine) gather(ctx context.Context, q Query, sc *scratch) (*candidateSe
 
 	// Stage 1 — cell cover: computed once per geohash precision in use
 	// (partitions normally share one precision). Windowed queries prune
-	// partitions entirely outside the window here.
+	// partitions entirely outside the window here. A cancelled query stops
+	// after the cover, and before each partition's fetch, so it opens no
+	// postings it will not merge.
 	all := *e.parts.Load()
 	if len(all) == 0 {
 		return nil, fmt.Errorf("core: %w", ErrClosed)
@@ -210,6 +225,10 @@ func (e *Engine) gather(ctx context.Context, q Query, sc *scratch) (*candidateSe
 	stopFetch := rec.Start(telemetry.StagePostingsFetch)
 	opened := make([][]*invindex.PostingsIterator, 0, len(parts)*len(terms))
 	for _, part := range parts {
+		if err := ctx.Err(); err != nil {
+			stopFetch()
+			return nil, err
+		}
 		cells := covers.get(part.Source.GeohashLen())
 		for _, term := range terms {
 			its, err := openTermIterators(part.Source, cells, term, stats)
@@ -303,16 +322,19 @@ func (e *Engine) filter(cs *candidateSet, part *Partition, merged []candidate) e
 		return e.filterPaged(cs, part.Lookup, merged)
 	}
 	recs := part.Rows.Records()
+	posts := part.Rows.PostOrdinals() // after the records: it covers them
 	if w := cs.q.TimeWindow; w != nil {
 		lo, hi := w.ordinals(recs)
 		from := sort.Search(len(merged), func(i int) bool { return merged[i].doc >= lo })
 		to := sort.Search(len(merged), func(i int) bool { return merged[i].doc >= hi })
 		merged = merged[from:max(from, to)]
 	}
-	// Load a chunk of records, then test the chunk: the loads depend on no
-	// branch and on one another not at all, so the processor overlaps their
-	// cache misses, and the radius tests then run over records in cache.
+	// Load a chunk of records and their post ordinals, then test the chunk:
+	// the loads depend on no branch and on one another not at all, so the
+	// processor overlaps their cache misses, and the radius tests then run
+	// over records in cache.
 	var chunk [64]social.RowMeta
+	var chunkPosts [64]uint32
 	for len(merged) > 0 {
 		n := min(len(merged), len(chunk))
 		for i, c := range merged[:n] {
@@ -320,10 +342,11 @@ func (e *Engine) filter(cs *candidateSet, part *Partition, merged []candidate) e
 				return fmt.Errorf("core: corrupt index: a posting names row %d of a partition holding %d", c.doc, len(recs))
 			}
 			chunk[i] = recs[c.doc]
+			chunkPosts[i] = posts[c.doc]
 		}
 		for i := range chunk[:n] {
 			r := &chunk[i]
-			cs.admit(r.SID, merged[i].matches, geo.Point{Lat: r.Lat, Lon: r.Lon}, r.UID)
+			cs.admit(r.SID, merged[i].matches, geo.Point{Lat: r.Lat, Lon: r.Lon}, r.UID, chunkPosts[i])
 		}
 		merged = merged[n:]
 	}
@@ -332,7 +355,8 @@ func (e *Engine) filter(cs *candidateSet, part *Partition, merged []candidate) e
 
 // filterPaged is filter for a partition without rows of its own: the
 // postings carry tweet IDs, resolved in one batch through the partition's
-// row lookup.
+// row lookup, and each survivor's post ordinal by a search of the corpus
+// table.
 func (e *Engine) filterPaged(cs *candidateSet, lookup RowLookup, merged []candidate) error {
 	if w := cs.q.TimeWindow; w != nil {
 		inWindow := merged[:0]
@@ -351,84 +375,87 @@ func (e *Engine) filterPaged(cs *candidateSet, lookup RowLookup, merged []candid
 	cs.stats.DBBatchLookups += int64(len(sids))
 	cs.stats.DBPagesSaved += saved
 	for i, c := range merged {
-		if !found[i] {
+		post, ok := e.Corpus.Ordinal(c.doc)
+		if !found[i] || !ok {
 			return fmt.Errorf("core: indexed tweet %d missing from metadata db", c.doc)
 		}
-		cs.admit(c.doc, c.matches, rows[i].Loc(), rows[i].UID)
+		cs.admit(c.doc, c.matches, rows[i].Loc(), rows[i].UID, post)
 	}
 	return nil
 }
 
 // admit runs the exact radius check on one posting's row — cover cells may
 // stick out of the circle — and appends the survivor, its δ(p,q)
-// (Definition 5) derived from the distance the check already computed.
-func (cs *candidateSet) admit(tid social.PostID, matches int, loc geo.Point, uid social.UserID) {
+// (Definition 5) derived from the distance the check already computed, and
+// its post ordinal.
+func (cs *candidateSet) admit(tid social.PostID, matches int, loc geo.Point, uid social.UserID, post uint32) {
 	d, inside := cs.circle.Distance(loc)
 	if !inside {
 		return
 	}
 	cs.cands = append(cs.cands, CandidateTweet{
-		TID: tid, UID: uid, Matches: matches, Delta: score.DistanceScore(d, cs.q.RadiusKm),
+		TID: tid, UID: uid, Matches: matches, Delta: score.DistanceScore(d, cs.q.RadiusKm), post: post,
 	})
 }
 
-// resolveUsers builds the set's user table — one row per distinct user in
-// first-candidate order, Σδ accumulated in candidate order, each candidate
-// pointed at its row — and fills in |P_u| and δ(u,q) (Definition 9). It
-// runs once per ranked query; retrieval-only callers never pay for it.
-// δ(u,q) is read the way Algorithms 4 and 5 can compute it from the
-// retrieved postings: the user's candidate distance sum divided by |P_u|.
-// Posts outside the radius contribute 0 to Definition 9 either way; the
-// user's in-radius posts that match no query keyword are the ones left out.
-// So δ depends on the corpus only through |P_u|, and every count comes from
-// one read of the corpus table (social.Corpus.PostCounts) into the scratch.
+// resolveUsers reads, by post ordinal, every candidate's author and the
+// exact popularity φ(p) of its thread from the corpus table in one batch
+// (social.Corpus.Score, so no thread is built; φ waits in the scratch for
+// relevance), then builds the set's user table — one row per distinct user
+// in first-candidate order, found by the user ordinal's slot, Σδ
+// accumulated in candidate order, each candidate pointed at its row — and
+// fills in |P_u| and δ(u,q) (Definition 9). It runs once per ranked query;
+// retrieval-only callers never pay for it. δ(u,q) is read the way
+// Algorithms 4 and 5 can compute it from the retrieved postings: the user's
+// candidate distance sum divided by |P_u|. Posts outside the radius
+// contribute 0 to Definition 9 either way; the user's in-radius posts that
+// match no query keyword are the ones left out. So δ depends on the corpus
+// only through |P_u|, read by user ordinal in a second batch.
 func (e *Engine) resolveUsers(cs *candidateSet) {
-	if cs.sc.byUID == nil {
-		cs.sc.byUID = make(map[social.UserID]int)
-	}
-	byUID := cs.sc.byUID
-	clear(byUID)
+	sc := cs.sc
+	posts := grow(&sc.posts, len(cs.cands))
 	for i := range cs.cands {
-		c := &cs.cands[i]
-		row, ok := byUID[c.UID]
-		if !ok {
-			row = len(byUID)
-			byUID[c.UID] = row
+		posts[i] = cs.cands[i].post
+	}
+	authors := grow(&sc.authors, len(posts))
+	e.Corpus.Score(posts, e.Opts.Params.Epsilon, authors, grow(&sc.rho, len(posts)))
+
+	if sc.gen++; sc.gen == 0 { // wrapped: no slot may look live
+		clear(sc.slots)
+		sc.gen = 1
+	}
+	users, ords := sc.users[:0], sc.ords[:0]
+	for i := range cs.cands {
+		c, a := &cs.cands[i], authors[i]
+		if int(a) >= len(sc.slots) {
+			sc.slots = slices.Grow(sc.slots, int(a)+1-len(sc.slots))
+			sc.slots = sc.slots[:cap(sc.slots)]
 		}
-		c.user = row
+		slot := &sc.slots[a]
+		if slot.gen != sc.gen {
+			slot.gen, slot.row = sc.gen, int32(len(users))
+			users = append(users, candUser{uid: c.UID})
+			ords = append(ords, a)
+		}
+		c.user = int(slot.row)
+		users[c.user].deltaSum += c.Delta
 	}
-	cs.users = grow(&cs.sc.users, len(byUID))
-	clear(cs.users)
-	for _, c := range cs.cands {
-		u := &cs.users[c.user]
-		u.uid = c.UID
-		u.deltaSum += c.Delta
-	}
-	uids := grow(&cs.sc.uids, len(cs.users))
-	for i := range cs.users {
-		uids[i] = cs.users[i].uid
-	}
-	posts := grow(&cs.sc.posts, len(uids))
-	e.Corpus.PostCounts(uids, posts)
-	for i, n := range posts {
+	sc.users, sc.ords, cs.users = users, ords, users
+	counts := grow(&sc.counts, len(ords))
+	e.Corpus.UserPosts(ords, counts)
+	for i, n := range counts {
 		u := &cs.users[i]
 		u.posts, u.du = n, score.UserDistance(u.deltaSum, n)
 	}
 }
 
 // relevance returns ρ(p,q) per candidate, in candidate order: the keyword
-// relevance of Definition 6 under the thread's exact popularity φ(p) — read
-// for the whole ascending candidate list in one thread.Bounds.PhiBatch, so no
-// thread is built — times the recency factor. It is the one per-candidate
+// relevance of Definition 6 under the thread's exact popularity φ(p), which
+// resolveUsers read, times the recency factor. It is the one per-candidate
 // score both rankings and SearchPartials consume. The result lives in the
 // scratch.
 func (e *Engine) relevance(cs *candidateSet) []float64 {
-	sids := grow(&cs.sc.sids, len(cs.cands))
-	for i := range cs.cands {
-		sids[i] = cs.cands[i].TID
-	}
-	rho := grow(&cs.sc.rho, len(sids))
-	e.Bounds.PhiBatch(sids, e.Opts.Params.Epsilon, rho)
+	rho := cs.sc.rho[:len(cs.cands)]
 	for i := range cs.cands {
 		c := &cs.cands[i]
 		rho[i] = score.KeywordRelevance(c.Matches, rho[i], e.Opts.Params.N) * e.recencyFactor(cs, c.TID)

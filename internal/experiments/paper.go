@@ -14,7 +14,7 @@ import (
 
 // paperArm runs queries in the regime the paper's evaluation times. The
 // serving engine reads every candidate's thread popularity φ from the exact
-// table in thread.Bounds and builds no thread. The paper instead runs
+// corpus table (social.Corpus) and builds no thread. The paper instead runs
 // Algorithm 1 per candidate against the metadata database — its stated
 // bottleneck — and, under max ranking, lets Algorithm 5's upper bound
 // (lines 18–19) skip the runs that cannot matter. paperArm reproduces that
@@ -73,10 +73,9 @@ func (a paperArm) Search(q core.Query) ([]core.UserResult, *core.QueryStats, err
 	}
 	part := &core.Partials{Users: make([]core.UserPartial, len(uids)), Cands: make([]core.CandidateScore, len(cands))}
 	du := make([]float64, len(uids))
-	posts := make([]int, len(uids))
-	eng.Corpus.PostCounts(uids, posts)
-	for u, n := range posts {
-		part.Users[u] = core.UserPartial{UID: uids[u], Posts: n}
+	for u, uid := range uids {
+		n := eng.Corpus.PostCountOfUser(uid)
+		part.Users[u] = core.UserPartial{UID: uid, Posts: n}
 		du[u] = score.UserDistance(deltaSum[u], n)
 	}
 
@@ -167,8 +166,8 @@ func (t *topUsers) offer(uid social.UserID, s float64) {
 
 // paperBounds are the query-level popularity bounds of Section V-B, which
 // only the paper's max-score pruning reads. They are computed once per
-// system, from the corpus and the system's level-count table, at the state
-// the figures query: no ingest follows.
+// system, from the corpus and the level sizes its corpus table counts, at
+// the state the figures query: no ingest follows.
 type paperBounds struct {
 	// TM is t_m, the largest number of replies/forwards any single tweet
 	// has: the largest level-1 count in the table.
@@ -195,19 +194,21 @@ type paperBounds struct {
 func newPaperBounds(eng *core.Engine, posts []*social.Post, hotKeywords []string) *paperBounds {
 	p := eng.Opts.Params
 	b := &paperBounds{PerKeyword: make(map[string]float64)}
-	eng.Bounds.Range(func(_ social.PostID, levels []uint32) {
+	eng.Corpus.Levels(func(_ social.PostID, levels []uint32) {
 		b.TM = max(b.TM, int(levels[0]))
 	})
 	b.Def11 = def11Bound(b.TM, p.ThreadDepth)
 
+	// The table holds exactly these posts, so the i-th by SID is post
+	// ordinal i.
 	bySID := slices.Clone(posts)
 	slices.SortFunc(bySID, func(x, y *social.Post) int { return cmp.Compare(x.SID, y.SID) })
-	sids := make([]social.PostID, len(bySID))
-	for i, post := range bySID {
-		sids[i] = post.SID
+	ords := make([]uint32, len(bySID))
+	for i := range ords {
+		ords[i] = uint32(i)
 	}
-	phi := make([]float64, len(sids))
-	eng.Bounds.PhiBatch(sids, p.Epsilon, phi)
+	phi := make([]float64, len(ords))
+	eng.Corpus.Score(ords, p.Epsilon, make([]uint32, len(ords)), phi)
 	hot := make(map[string]bool)
 	for _, kw := range hotKeywords {
 		for _, term := range textutil.Terms(kw) {

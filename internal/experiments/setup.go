@@ -15,7 +15,6 @@ import (
 	"repro/internal/invindex"
 	"repro/internal/metadb"
 	"repro/internal/social"
-	"repro/internal/thread"
 )
 
 // Config sizes an experiment run. The defaults are laptop-scale; the
@@ -62,14 +61,13 @@ type Setup struct {
 // PaperSystem is the paper's build of a corpus (Figure 3): the metadata
 // database, the hybrid index two MapReduce jobs write into the simulated
 // DFS (Algorithms 2–3), and the level-count table, under an engine that
-// resolves rows through the paged database. |P_u| and the SID range come
+// resolves rows through the paged database. φ, |P_u| and the SID range come
 // from the corpus table, as on the serving path. The serving tklus.System
 // indexes through the memtable into a segment instead; only the figures
 // build and measure this one.
 type PaperSystem struct {
 	Engine     *core.Engine
 	DB         *metadb.DB
-	Bounds     *thread.Bounds
 	BuildStats *invindex.BuildStats
 }
 
@@ -96,7 +94,7 @@ func BuildPaper(posts []*social.Post, cfg PaperConfig) (*PaperSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	corpus, err := social.NewCorpus(posts)
+	corpus, err := social.NewCorpus(posts, cfg.Engine.Params.ThreadDepth)
 	if err != nil {
 		return nil, err
 	}
@@ -106,12 +104,11 @@ func BuildPaper(posts []*social.Post, cfg PaperConfig) (*PaperSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
-	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Lookup: db}}, corpus, bounds, cfg.Engine)
+	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: idx, Lookup: db}}, corpus, cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
-	return &PaperSystem{Engine: eng, DB: db, Bounds: bounds, BuildStats: stats}, nil
+	return &PaperSystem{Engine: eng, DB: db, BuildStats: stats}, nil
 }
 
 // NewSetup generates the corpus and the 90-query-style workload.

@@ -15,7 +15,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/invindex"
 	"repro/internal/social"
-	"repro/internal/thread"
 )
 
 // validSegmentBytes builds one well-formed segment image for the
@@ -47,12 +46,12 @@ func validSegmentParts(t testing.TB) ([]social.Row, []string, []keyPostings) {
 	t.Helper()
 	posts := testPosts(40, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), time.Second)
 	mt := NewMemtable(5)
-	for _, p := range posts {
-		if err := mt.Add(p); err != nil {
+	for i, p := range posts {
+		if err := mt.Add(p, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rows, texts, keys, err := mt.snapshot(8)
+	rows, texts, keys, _, err := mt.snapshot(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,17 +252,16 @@ func TestSegmentCorruptionHostileOrdinal(t *testing.T) {
 	if _, err := seg.FetchPostings(key.Geohash, key.Term); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("FetchPostings over an ordinal past the rows: err = %v, want ErrCorrupt", err)
 	}
-	if _, _, _, err := mergeSegments([]*Segment{seg}, 8); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, _, err := mergeSegments([]*Segment{seg}, 8); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("compaction over an ordinal past the rows: err = %v, want ErrCorrupt", err)
 	}
 
-	corpus, err := social.NewCorpus(posts)
+	corpus, err := social.NewCorpus(posts, core.DefaultOptions().Params.ThreadDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := core.DefaultOptions()
-	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: seg, Rows: seg}}, corpus,
-		thread.ComputeBounds(posts, opts.Params.ThreadDepth), opts)
+	eng, err := core.NewPartitionedEngine([]core.Partition{{Source: seg, Rows: seg}}, corpus, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,16 +58,16 @@ func TestSegmentSealCrashInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range batchA {
-			if _, err := st.Add(p); err != nil {
+		for i, p := range batchA {
+			if _, err := st.Add(p, uint32(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if err := st.SealNow(); err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range batchB {
-			if _, err := st.Add(p); err != nil {
+		for i, p := range batchB {
+			if _, err := st.Add(p, uint32(len(batchA)+i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -122,8 +122,8 @@ func TestSegmentCompactionCrashInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range posts {
-			if _, err := st.Add(p); err != nil {
+		for i, p := range posts {
+			if _, err := st.Add(p, uint32(i)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -31,6 +31,7 @@ type Memtable struct {
 
 	mu       sync.RWMutex
 	recs     []social.RowMeta // SID, location and author per row: what queries read
+	posts    []uint32         // each row's post ordinal in the corpus table
 	replyTo  []replyRef       // the rest of each row, read only by the seal
 	texts    []string         // each row's raw text, read by the seal and Text
 	postings map[invindex.Key][]invindex.Posting
@@ -53,9 +54,10 @@ func NewMemtable(geohashLen int) *Memtable {
 	}
 }
 
-// Add indexes one post. Posts must arrive in ascending SID order (IDs are
-// timestamps), the same contract social.Corpus.Append enforces.
-func (m *Memtable) Add(p *social.Post) error {
+// Add indexes one post, whose ordinal in the corpus table is post. Posts
+// must arrive in ascending SID order (IDs are timestamps), the same
+// contract social.Corpus.Append enforces.
+func (m *Memtable) Add(p *social.Post, post uint32) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if n := len(m.recs); n > 0 && p.SID <= m.recs[n-1].SID {
@@ -63,6 +65,7 @@ func (m *Memtable) Add(p *social.Post) error {
 			social.ErrRejected, p.SID, m.recs[n-1].SID)
 	}
 	ord := social.PostID(len(m.recs)) // the row ordinal this post's postings name
+	m.posts = append(m.posts, post)
 	m.recs = append(m.recs, social.RowMeta{SID: p.SID, Lat: p.Loc.Lat, Lon: p.Loc.Lon, UID: p.UID})
 	m.replyTo = append(m.replyTo, replyRef{ruid: p.RUID, rsid: p.RSID})
 	m.texts = append(m.texts, p.Text)
@@ -150,6 +153,15 @@ func (m *Memtable) Records() []social.RowMeta {
 	return m.recs
 }
 
+// PostOrdinals is Segment.PostOrdinals for the buffered rows. A row's
+// ordinal is appended before its record, so the ordinals read after
+// Records cover every record read.
+func (m *Memtable) PostOrdinals() []uint32 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.posts
+}
+
 // ResolveRows is Segment.ResolveRows for still-unsealed posts, under one
 // read lock for the batch.
 func (m *Memtable) ResolveRows(sids []social.PostID, out []social.RowMeta) int {
@@ -169,12 +181,13 @@ func (m *Memtable) text(sid social.PostID) (string, bool) {
 	return "", false
 }
 
-// snapshot returns the rows, their texts and the sorted, blocked-encoded
-// postings of the current contents — the seal input. Row i of the result is
-// the memtable's row i, so the postings' ordinals are encoded as they are.
-// Caller is the store, which serializes seals; the read lock still guards
-// against concurrent Adds from a misuse path.
-func (m *Memtable) snapshot(blockSize int) ([]social.Row, []string, []keyPostings, error) {
+// snapshot returns the rows, their texts, the sorted, blocked-encoded
+// postings of the current contents and the rows' post ordinals — the seal
+// input. Row i of the result is the memtable's row i, so the postings'
+// ordinals are encoded as they are. Caller is the store, which serializes
+// seals; the read lock still guards against concurrent Adds from a misuse
+// path.
+func (m *Memtable) snapshot(blockSize int) ([]social.Row, []string, []keyPostings, []uint32, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	rows := make([]social.Row, len(m.recs))
@@ -186,11 +199,11 @@ func (m *Memtable) snapshot(blockSize int) ([]social.Row, []string, []keyPosting
 	for k, ps := range m.postings {
 		payload, err := invindex.EncodeBlockedPostingsList(ps, blockSize)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("segment: encoding postings for %q: %w", k.String(), err)
+			return nil, nil, nil, nil, fmt.Errorf("segment: encoding postings for %q: %w", k.String(), err)
 		}
 		enc[k] = payload
 	}
-	return rows, m.texts, sortKeyPostings(enc), nil
+	return rows, m.texts, sortKeyPostings(enc), m.posts, nil
 }
 
 // bounds returns the buffered SID range; ok is false when empty.

@@ -9,17 +9,22 @@ import (
 	"repro/internal/social"
 )
 
-// recordBytes is the resident cost of one row record: a packed
-// social.RowMeta of SID, latitude, longitude and author.
-const recordBytes = 32
+// recordBytes is the resident cost of one row's query columns: a packed
+// social.RowMeta of SID, latitude, longitude and author, and the row's
+// post ordinal in the corpus table.
+const recordBytes = 36
 
 // A row source's records are what a query reads of its rows: one
 // social.RowMeta per row, in ascending SID order, at the index its postings
 // name — the row ordinal. A sealed segment derives them from its 48-byte
 // stored rows when it opens, and the memtable appends one on Add, so the
 // engine's filter reads records[ordinal] for either with no search, and a
-// survivor's SID comes from the same record as its location. The records
-// are derived, not stored, so the file format does not change with them.
+// survivor's SID comes from the same record as its location. Beside them
+// each source keeps its rows' post ordinals in the corpus table, by which
+// the engine reads a survivor's φ, author and |P_u|: the memtable takes
+// each on Add, a seal, compaction or split carries them, and a store opened
+// from a directory numbers them in time order. Records and ordinals are
+// derived, not stored, so the file format does not change with them.
 
 // recordsBytes is the resident size of a source's records.
 func recordsBytes(recs []social.RowMeta) int { return len(recs) * recordBytes }

@@ -59,8 +59,8 @@ func TestResolveRowsMatchesPointLookups(t *testing.T) {
 	// and a memtable holding the last 2.
 	posts := testPosts(80, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), 10*time.Minute)
 	byID := make(map[social.PostID]*social.Post, len(posts))
-	for _, p := range posts {
-		if _, err := st.Add(p); err != nil {
+	for i, p := range posts {
+		if _, err := st.Add(p, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 		byID[p.SID] = p
@@ -138,7 +138,7 @@ func TestRowsOnlySegment(t *testing.T) {
 	for i, r := range rows {
 		posts[i] = &social.Post{SID: r.SID, UID: r.UID, Loc: r.Loc(), RUID: r.RUID, RSID: r.RSID}
 	}
-	seg, err := FromPosts(posts, 5, 0)
+	seg, err := FromPosts(posts, testCorpus(t, posts), 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestRowsOnlySegment(t *testing.T) {
 		}
 	}
 
-	if _, err := FromPosts(nil, 5, 0); err == nil {
+	if _, err := FromPosts(nil, testCorpus(t, nil), 5, 0); err == nil {
 		t.Error("FromPosts accepted no posts")
 	}
 }
@@ -223,12 +223,12 @@ func TestRowsOnlySegment(t *testing.T) {
 func TestFromPostsMatchesSeal(t *testing.T) {
 	posts := testPosts(60, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), time.Second)
 	mt := NewMemtable(5)
-	for _, p := range posts {
-		if err := mt.Add(p); err != nil {
+	for i, p := range posts {
+		if err := mt.Add(p, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rows, texts, keys, err := mt.snapshot(8)
+	rows, texts, keys, _, err := mt.snapshot(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestFromPostsMatchesSeal(t *testing.T) {
 	}
 	shuffled := append([]*social.Post(nil), posts...)
 	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	img, err := FromPosts(shuffled, 5, 8)
+	img, err := FromPosts(shuffled, testCorpus(t, shuffled), 5, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +246,11 @@ func TestFromPostsMatchesSeal(t *testing.T) {
 		t.Fatal("build image differs from the sealed memtable of the same posts")
 	}
 	dup := append(append([]*social.Post(nil), posts...), &social.Post{SID: posts[7].SID, UID: 1, Loc: posts[0].Loc})
-	if _, err := FromPosts(dup, 5, 8); !errors.Is(err, social.ErrRejected) {
+	if _, err := FromPosts(dup, testCorpus(t, posts), 5, 8); !errors.Is(err, social.ErrRejected) {
 		t.Errorf("repeated SID: err = %v, want social.ErrRejected", err)
 	}
 	for _, n := range []int{0, geo.MaxPrecision + 1} {
-		if _, err := FromPosts(posts, n, 8); err == nil {
+		if _, err := FromPosts(posts, testCorpus(t, posts), n, 8); err == nil {
 			t.Errorf("geohash length %d accepted", n)
 		}
 	}
@@ -396,7 +396,7 @@ func BenchmarkSegmentRowBatch(b *testing.B) {
 		mem := NewMemtable(4)
 		for i := 0; i < seg.NumRows(); i++ {
 			r := seg.RowAt(i)
-			if err := mem.Add(&social.Post{SID: r.SID, UID: r.UID, Loc: geo.Point{Lat: r.Lat, Lon: r.Lon}}); err != nil {
+			if err := mem.Add(&social.Post{SID: r.SID, UID: r.UID, Loc: geo.Point{Lat: r.Lat, Lon: r.Lon}}, uint32(i)); err != nil {
 				b.Fatal(err)
 			}
 		}

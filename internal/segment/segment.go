@@ -32,36 +32,57 @@ type Segment struct {
 	textOffs   []byte // nRows+1 uint32 offsets into texts
 	texts      []byte
 	recs       []social.RowMeta // one packed record per row, by ordinal
+	posts      []uint32         // each row's post ordinal in the corpus table
 	postings   []byte
 	keys       []dirEntry
 }
 
-// OpenBytes parses a segment image held in memory. It is the parse core
-// behind Open, and the fuzz entry point: hostile bytes must produce a
-// typed error, never a panic.
+// OpenBytes parses a segment image held in memory — the fuzz entry point:
+// hostile bytes must produce a typed error, never a panic. Its rows name
+// posts 0, 1, … as if it were the whole corpus; a store that serves it
+// among others renumbers them.
 func OpenBytes(b []byte) (*Segment, error) {
-	return parseSegment(b)
+	seg, err := parseSegment(b)
+	if err != nil {
+		return nil, err
+	}
+	seg.posts = firstOrdinals(seg.nRows)
+	return seg, nil
+}
+
+// firstOrdinals returns the post ordinals 0 … n-1.
+func firstOrdinals(n int) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = uint32(i)
+	}
+	return out
 }
 
 // FromPosts indexes posts the way ingest does — through a memtable, so
 // term frequencies, keys and postings order are the memtable's — and
 // freezes the result with the seal's encoder into one heap-resident
 // segment holding the postings and the rows behind them: the image a
-// batch-built System serves from. Posts may come in any order, but their
-// SIDs must be unique; a repeated one fails with social.ErrRejected.
-func FromPosts(posts []*social.Post, geohashLen, blockSize int) (*Segment, error) {
+// batch-built System serves from. Each row carries its post's ordinal in
+// corpus, which must hold every post. Posts may come in any order, but
+// their SIDs must be unique; a repeated one fails with social.ErrRejected.
+func FromPosts(posts []*social.Post, corpus *social.Corpus, geohashLen, blockSize int) (*Segment, error) {
 	if geohashLen < 1 || geohashLen > geo.MaxPrecision {
 		return nil, fmt.Errorf("segment: geohash length %d out of range", geohashLen)
 	}
 	sorted := slices.Clone(posts)
 	slices.SortFunc(sorted, func(a, b *social.Post) int { return cmp.Compare(a.SID, b.SID) })
+	ords := make([]uint32, len(sorted))
+	if !corpus.Ordinals(sorted, ords) {
+		return nil, fmt.Errorf("segment: a post is missing from the corpus table")
+	}
 	mt := NewMemtable(geohashLen)
-	for _, p := range sorted {
-		if err := mt.Add(p); err != nil {
+	for i, p := range sorted {
+		if err := mt.Add(p, ords[i]); err != nil {
 			return nil, err
 		}
 	}
-	rows, texts, keys, err := mt.snapshot(blockSize)
+	rows, texts, keys, rowPosts, err := mt.snapshot(blockSize)
 	if err != nil {
 		return nil, err
 	}
@@ -69,14 +90,30 @@ func FromPosts(posts []*social.Post, geohashLen, blockSize int) (*Segment, error
 	if err != nil {
 		return nil, err
 	}
-	return OpenBytes(data)
+	seg, err := parseSegment(data)
+	if err != nil {
+		return nil, err
+	}
+	seg.posts = rowPosts
+	return seg, nil
 }
 
 // Open maps a segment file and parses it. The whole file is checksummed
 // on open, so a segment that opens cleanly serves exactly the bytes its
 // seal wrote. On platforms without mmap (or when mapping fails) the file
-// is read into memory instead — same contract, one copy.
+// is read into memory instead — same contract, one copy. Its rows name
+// posts 0, 1, … as OpenBytes' do.
 func Open(path string) (*Segment, error) {
+	seg, err := openFile(path)
+	if err != nil {
+		return nil, err
+	}
+	seg.posts = firstOrdinals(seg.nRows)
+	return seg, nil
+}
+
+// openFile is Open without the post ordinals, which the caller sets.
+func openFile(path string) (*Segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -242,6 +279,11 @@ func (s *Segment) Text(i int) string {
 	hi := binary.LittleEndian.Uint32(s.textOffs[(i+1)*textOffSize:])
 	return string(s.texts[lo:hi])
 }
+
+// PostOrdinals returns each row's post ordinal in the corpus table the
+// segment serves, indexed by row ordinal: what the engine scores a
+// candidate by. Callers must not modify them.
+func (s *Segment) PostOrdinals() []uint32 { return s.posts }
 
 // Records returns the segment's packed row records, indexed by the row
 // ordinals its postings name. Callers must not modify them.

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -41,6 +42,89 @@ func testPosts(n int, start time.Time, step time.Duration) []*social.Post {
 		}
 	}
 	return posts
+}
+
+// testCorpus is the corpus table of posts, whose ordinals a build image's
+// rows carry.
+func testCorpus(t testing.TB, posts []*social.Post) *social.Corpus {
+	t.Helper()
+	c, err := social.NewCorpus(posts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// postOrdinals concatenates the post ordinals of the store's views in time
+// order.
+func postOrdinals(st *Store) []uint32 {
+	var out []uint32
+	for _, v := range st.Views() {
+		out = append(out, v.Source.PostOrdinals()...)
+	}
+	return out
+}
+
+// TestPostOrdinalsFollowRows: each row keeps the post ordinal it was added
+// with through the memtable, a seal, a compaction and a bulk load's split
+// at bucket boundaries, and a store reopened from its directory numbers
+// its rows in time order.
+func TestPostOrdinalsFollowRows(t *testing.T) {
+	posts := testPosts(40, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), 10*time.Minute)
+	opts := Options{GeohashLen: 5, BucketWidth: time.Hour, BlockSize: 8, CompactFanIn: 2}
+	want := make([]uint32, len(posts))
+	for i := range want {
+		want[i] = uint32(1000 + 3*i) // a table holding other posts between these
+	}
+	dir := t.TempDir()
+	st, err := OpenStore(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range posts {
+		if _, err := st.Add(p, want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := postOrdinals(st); !slices.Equal(got, want) || st.SegmentCount() < 4 {
+		t.Fatalf("after adds (%d segments): ordinals %v, want %v", st.SegmentCount(), got, want)
+	}
+	if err := st.SealNow(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := st.Compact(); err != nil || n == 0 {
+		t.Fatalf("compaction merged %d segments: %v", n, err)
+	}
+	if got := postOrdinals(st); !slices.Equal(got, want) {
+		t.Fatalf("after seal and compaction: ordinals %v, want %v", got, want)
+	}
+	defer st.Close()
+	splitDir := t.TempDir()
+	split, err := CreateStore(splitDir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := split.BulkLoad(st.Segments()...); err != nil {
+		t.Fatal(err)
+	}
+	if got := postOrdinals(split); !slices.Equal(got, want) || split.SegmentCount() <= st.SegmentCount() {
+		t.Fatalf("after a bulk load into %d segments: ordinals %v, want %v", split.SegmentCount(), got, want)
+	}
+	split.Close()
+	reopened, err := OpenStore(splitDir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	got := postOrdinals(reopened)
+	if len(got) != len(posts) || reopened.SegmentCount() < 2 {
+		t.Fatalf("reopened store: %d rows in %d segments", len(got), reopened.SegmentCount())
+	}
+	for i, o := range got {
+		if o != uint32(i) {
+			t.Fatalf("reopened store: row %d names post %d", i, o)
+		}
+	}
 }
 
 // oraclePostings replicates the batch build's map/reduce over posts: term
@@ -89,12 +173,12 @@ func TestSegmentRoundtrip(t *testing.T) {
 	const geohashLen = 5
 	posts := testPosts(200, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), time.Second)
 	mt := NewMemtable(geohashLen)
-	for _, p := range posts {
-		if err := mt.Add(p); err != nil {
+	for i, p := range posts {
+		if err := mt.Add(p, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rows, texts, keys, err := mt.snapshot(16)
+	rows, texts, keys, _, err := mt.snapshot(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +285,8 @@ func TestStoreSealCompactReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	posts := testPosts(60, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), 10*time.Minute)
-	for _, p := range posts {
-		if _, err := st.Add(p); err != nil {
+	for i, p := range posts {
+		if _, err := st.Add(p, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +355,7 @@ func TestStoreBulkLoadMatchesIncremental(t *testing.T) {
 	}
 	defer bulk.Close()
 	all := oraclePostings(posts, geohashLen)
-	img, err := FromPosts(posts, geohashLen, 8)
+	img, err := FromPosts(posts, testCorpus(t, posts), geohashLen, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +368,8 @@ func TestStoreBulkLoadMatchesIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer incr.Close()
-	for _, p := range posts {
-		if _, err := incr.Add(p); err != nil {
+	for i, p := range posts {
+		if _, err := incr.Add(p, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -334,8 +418,8 @@ func TestCreateStoreReplacesCommittedSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldPosts := testPosts(30, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), 10*time.Minute)
-	for _, p := range oldPosts {
-		if _, err := old.Add(p); err != nil {
+	for i, p := range oldPosts {
+		if _, err := old.Add(p, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,7 +433,7 @@ func TestCreateStoreReplacesCommittedSet(t *testing.T) {
 	}
 
 	posts := testPosts(20, time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC), 10*time.Minute)
-	img, err := FromPosts(posts, 5, 8)
+	img, err := FromPosts(posts, testCorpus(t, posts), 5, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,8 +477,8 @@ func TestStoreRejectsWrongGeohashLen(t *testing.T) {
 		t.Fatal(err)
 	}
 	posts := testPosts(5, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), time.Second)
-	for _, p := range posts {
-		if _, err := st.Add(p); err != nil {
+	for i, p := range posts {
+		if _, err := st.Add(p, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -454,8 +538,8 @@ func TestCompactReleasesRetiredColumns(t *testing.T) {
 	// 10-minute steps over one-hour buckets: 9 sealed segments of 6 rows and
 	// a memtable of 2.
 	posts := testPosts(56, time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC), 10*time.Minute)
-	for _, p := range posts {
-		if _, err := st.Add(p); err != nil {
+	for i, p := range posts {
+		if _, err := st.Add(p, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -78,13 +78,15 @@ func (o *Options) normalize() {
 // PostingsSource is the read contract a store view serves. The query path
 // is structurally the engine's PostingsSource plus its RowSource, declared
 // here so the package has no dependency on the engine: postings per ⟨cell,
-// term⟩ that name rows by ordinal, and the records those ordinals index.
+// term⟩ that name rows by ordinal, and the records and post ordinals those
+// row ordinals index.
 // FetchPostings (tweet IDs) and ResolveRows (an ascending SID batch) are
 // the tools' and tests' view of the same data.
 type PostingsSource interface {
 	GeohashLen() int
 	OpenPostings(geohash, term string) (*invindex.PostingsIterator, error)
 	Records() []social.RowMeta
+	PostOrdinals() []uint32
 	FetchPostings(geohash, term string) ([]invindex.Posting, error)
 	ResolveRows(sids []social.PostID, out []social.RowMeta) int
 }
@@ -182,7 +184,7 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 	var files []string
 	if man != nil {
 		for _, ms := range man.Segments {
-			seg, err := Open(filepath.Join(dir, ms.File))
+			seg, err := openFile(filepath.Join(dir, ms.File))
 			if err == nil {
 				segs = append(segs, seg)
 				err = ms.check(seg, man.NextSeq)
@@ -198,6 +200,17 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 	}
 	if opts.GeohashLen == 0 && len(segs) > 0 {
 		opts.GeohashLen = segs[0].GeohashLen()
+	}
+	// A directory holds its system's whole corpus in time order, so its
+	// rows number the corpus table's posts: segment k's row i is post
+	// base_k+i, base_k the rows of the segments before it.
+	base := uint32(0)
+	for _, seg := range segs {
+		seg.posts = make([]uint32, seg.NumRows())
+		for i := range seg.posts {
+			seg.posts[i] = base + uint32(i)
+		}
+		base += uint32(seg.NumRows())
 	}
 	st, err := newStore(dir, opts)
 	if err == nil {
@@ -372,12 +385,13 @@ func (st *Store) bucketOf(sid social.PostID) int64 {
 	return int64(sid) / st.opts.BucketWidth.Nanoseconds()
 }
 
-// Add ingests one post: it lands in the memtable (indexed immediately)
+// Add ingests one post, whose ordinal in the corpus table is post: it lands
+// in the memtable (indexed immediately)
 // and seals the previous bucket's memtable first if the post crosses a
 // time-bucket boundary. Returns whether a seal happened, so the caller
 // knows to refresh any engine built over the previous view set. Mutations
 // are caller-serialized.
-func (st *Store) Add(p *social.Post) (sealed bool, err error) {
+func (st *Store) Add(p *social.Post, post uint32) (sealed bool, err error) {
 	if min, _, ok := st.mem.bounds(); ok {
 		if st.bucketOf(p.SID) != st.bucketOf(min) {
 			if err := st.SealNow(); err != nil {
@@ -386,7 +400,7 @@ func (st *Store) Add(p *social.Post) (sealed bool, err error) {
 			sealed = true
 		}
 	}
-	if err := st.mem.Add(p); err != nil {
+	if err := st.mem.Add(p, post); err != nil {
 		return sealed, err
 	}
 	if st.opts.MemtableRows > 0 && st.mem.Len() >= st.opts.MemtableRows {
@@ -407,11 +421,11 @@ func (st *Store) SealNow() error {
 	if st.mem.Len() == 0 {
 		return nil
 	}
-	rows, texts, keys, err := st.mem.snapshot(st.opts.BlockSize)
+	rows, texts, keys, posts, err := st.mem.snapshot(st.opts.BlockSize)
 	if err != nil {
 		return err
 	}
-	seg, file, err := st.writeSegment(rows, texts, keys)
+	seg, file, err := st.writeSegment(rows, texts, keys, posts)
 	if err != nil {
 		return err
 	}
@@ -430,16 +444,21 @@ func (st *Store) SealNow() error {
 }
 
 // writeSegment builds the byte image, writes it tmp → fsync → rename →
-// dirsync, and opens the sealed file (mmap'd, checksummed). A heap store
-// parses the image where it lies and names no file.
-func (st *Store) writeSegment(rows []social.Row, texts []string, keys []keyPostings) (*Segment, string, error) {
+// dirsync, and opens the sealed file (mmap'd, checksummed), serving the
+// rows' post ordinals posts. A heap store parses the image where it lies
+// and names no file.
+func (st *Store) writeSegment(rows []social.Row, texts []string, keys []keyPostings, posts []uint32) (*Segment, string, error) {
 	data, err := buildSegment(st.opts.GeohashLen, rows, texts, keys)
 	if err != nil {
 		return nil, "", err
 	}
 	if st.dir == "" {
-		seg, err := OpenBytes(data)
-		return seg, "", err
+		seg, err := parseSegment(data)
+		if err != nil {
+			return nil, "", err
+		}
+		seg.posts = posts
+		return seg, "", nil
 	}
 	seq := st.nextSeq
 	st.nextSeq++
@@ -462,10 +481,11 @@ func (st *Store) writeSegment(rows []social.Row, texts []string, keys []keyPosti
 	if err := fsx.SyncDir(st.dir); err != nil {
 		return nil, "", err
 	}
-	seg, err := Open(filepath.Join(st.dir, file))
+	seg, err := openFile(filepath.Join(st.dir, file))
 	if err != nil {
 		return nil, "", err
 	}
+	seg.posts = posts
 	return seg, file, nil
 }
 
@@ -627,11 +647,11 @@ func (st *Store) Compact() (int, error) {
 		if run < 0 {
 			return merged, nil
 		}
-		rows, texts, keys, err := mergeSegments(olds, st.opts.BlockSize)
+		rows, texts, keys, posts, err := mergeSegments(olds, st.opts.BlockSize)
 		if err != nil {
 			return merged, err
 		}
-		seg, file, err := st.writeSegment(rows, texts, keys)
+		seg, file, err := st.writeSegment(rows, texts, keys, posts)
 		if err != nil {
 			return merged, err
 		}
@@ -660,18 +680,20 @@ func (st *Store) Compact() (int, error) {
 	}
 }
 
-// mergeSegments concatenates time-adjacent segments: rows and their texts
-// append in order, so an input's row i is row base+i of the output, base the
-// rows of the inputs before it; each key's postings lists concatenate in
-// segment order with their ordinals shifted by that base — ascending,
-// because adjacent buckets hold disjoint ascending SID ranges.
-func mergeSegments(segs []*Segment, blockSize int) ([]social.Row, []string, []keyPostings, error) {
+// mergeSegments concatenates time-adjacent segments: rows, their texts and
+// their post ordinals append in order, so an input's row i is row base+i of
+// the output, base the rows of the inputs before it; each key's postings
+// lists concatenate in segment order with their ordinals shifted by that
+// base — ascending, because adjacent buckets hold disjoint ascending SID
+// ranges.
+func mergeSegments(segs []*Segment, blockSize int) ([]social.Row, []string, []keyPostings, []uint32, error) {
 	nRows := 0
 	for _, s := range segs {
 		nRows += s.NumRows()
 	}
 	rows := make([]social.Row, 0, nRows)
 	texts := make([]string, 0, nRows)
+	posts := make([]uint32, 0, nRows)
 	merged := make(map[invindex.Key][]invindex.Posting)
 	for _, s := range segs {
 		base := social.PostID(len(rows))
@@ -679,10 +701,11 @@ func mergeSegments(segs []*Segment, blockSize int) ([]social.Row, []string, []ke
 			rows = append(rows, s.RowAt(i))
 			texts = append(texts, s.Text(i))
 		}
+		posts = append(posts, s.posts...)
 		for _, k := range s.Keys() {
 			ps, err := s.ordinals(k.Geohash, k.Term)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, nil, nil, err
 			}
 			for _, p := range ps {
 				merged[k] = append(merged[k], invindex.Posting{TID: base + p.TID, TF: p.TF})
@@ -693,11 +716,11 @@ func mergeSegments(segs []*Segment, blockSize int) ([]social.Row, []string, []ke
 	for k, ps := range merged {
 		payload, err := invindex.EncodeBlockedPostingsList(ps, blockSize)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		enc[k] = payload
 	}
-	return rows, texts, sortKeyPostings(enc), nil
+	return rows, texts, sortKeyPostings(enc), posts, nil
 }
 
 // BulkLoad seeds an empty store from sealed segments in time order (a
@@ -770,7 +793,7 @@ func (st *Store) split(img *Segment) error {
 			}
 			perKey = append(perKey, keyPostings{key: k, payload: payload})
 		}
-		seg, file, err := st.writeSegment(rows, texts, perKey)
+		seg, file, err := st.writeSegment(rows, texts, perKey, img.posts[start:end])
 		if err != nil {
 			return err
 		}
@@ -899,9 +922,10 @@ func (st *Store) MappedBytes() int64 {
 	return n
 }
 
-// ColumnBytes returns the resident size of the packed records of the live
-// segments and the memtable; a retired segment's are not counted, because
-// the store no longer holds them. Exported as tklus_segment_column_bytes.
+// ColumnBytes returns the resident size of the packed records and post
+// ordinals of the live segments and the memtable; a retired segment's are
+// not counted, because the store no longer holds them. Exported as
+// tklus_segment_column_bytes.
 func (st *Store) ColumnBytes() int64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -24,9 +25,21 @@ func mkPost(sid PostID, uid UserID, rsid PostID, ruid UserID) *Post {
 	}
 }
 
+// testDepth is the thread depth the tests' tables count to.
+const testDepth = 4
+
+// userOrdinal returns the ordinal of user uid; false if the table has no
+// post of theirs.
+func userOrdinal(c *Corpus, uid UserID) (uint32, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	u, ok := c.users[uid]
+	return u, ok
+}
+
 func newCorpusT(t testing.TB, posts []*Post) *Corpus {
 	t.Helper()
-	c, err := NewCorpus(posts)
+	c, err := NewCorpus(posts, testDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +77,18 @@ func TestUserPosts(t *testing.T) {
 	if c.PostCountOfUser(1) != 2 || c.PostCountOfUser(2) != 1 || c.PostCountOfUser(42) != 0 {
 		t.Error("PostCountOfUser wrong")
 	}
-	got := make([]int, 4)
-	if c.PostCounts([]UserID{42, 1, 2, 1}, got); !slices.Equal(got, []int{0, 2, 1, 2}) {
-		t.Errorf("PostCounts = %v, want [0 2 1 2]", got)
+	if _, ok := userOrdinal(c, 42); ok {
+		t.Error("a user with no post has an ordinal")
+	}
+	// User ordinals follow the first post in SID order: uid 1 wrote SID 1.
+	users := make([]uint32, 3)
+	c.Score([]uint32{0, 1, 2}, 0.1, users, make([]float64, 3))
+	if !slices.Equal(users, []uint32{0, 1, 0}) {
+		t.Errorf("authors by ordinal = %v, want [0 1 0]", users)
+	}
+	got := make([]int, 3)
+	if c.UserPosts([]uint32{1, 0, 1}, got); !slices.Equal(got, []int{1, 2, 1}) {
+		t.Errorf("UserPosts = %v, want [1 2 1]", got)
 	}
 }
 
@@ -88,26 +110,35 @@ func TestAppendOrderRules(t *testing.T) {
 	if c.Len() != 1 || c.PostCountOfUser(2) != 0 {
 		t.Errorf("refused appends changed the table: Len %d, |P_2| %d", c.Len(), c.PostCountOfUser(2))
 	}
-	if _, err := NewCorpus([]*Post{mkPost(4, 1, NoPost, 0), mkPost(4, 2, NoPost, 0)}); !errors.Is(err, ErrRejected) {
+	if _, err := NewCorpus([]*Post{mkPost(4, 1, NoPost, 0), mkPost(4, 2, NoPost, 0)}, testDepth); !errors.Is(err, ErrRejected) {
 		t.Errorf("batch with a repeated SID: err = %v, want ErrRejected", err)
 	}
-	if _, err := NewCorpus([]*Post{mkPost(4, 1, NoPost, 0), {SID: 6}}); err == nil || errors.Is(err, ErrRejected) {
+	if _, err := NewCorpus([]*Post{mkPost(4, 1, NoPost, 0), {SID: 6}}, testDepth); err == nil || errors.Is(err, ErrRejected) {
 		t.Errorf("batch with an invalid post: err = %v, want its validation error", err)
 	}
-	if _, err := CorpusFromRows([]Row{{SID: 4, UID: 1}, {SID: 4, UID: 2}}); !errors.Is(err, ErrRejected) {
+	if _, err := CorpusFromRows([]Row{{SID: 4, UID: 1}, {SID: 4, UID: 2}}, testDepth); !errors.Is(err, ErrRejected) {
 		t.Errorf("rows out of SID order: err = %v, want ErrRejected", err)
 	}
+}
+
+// levels returns the table's count row of every post something reacts to.
+func levels(c *Corpus) map[PostID][]uint32 {
+	out := make(map[PostID][]uint32)
+	c.Levels(func(root PostID, levels []uint32) { out[root] = slices.Clone(levels) })
+	return out
 }
 
 // TestReplyGraph: the table holds each post's author and each post's
 // reactions in ascending SID order, whatever order the batch came in, and
 // knows no author for a post it does not hold, even one something reacts
-// to; ancestor walks stop at an original, a post the table does not hold,
-// or the depth.
+// to; a reaction counts toward the threads of its ancestors up the chain,
+// which stops at an original, a post the table does not hold, or the
+// depth.
 func TestReplyGraph(t *testing.T) {
 	c := newCorpusT(t, []*Post{
 		mkPost(9, 19, 2, 12), mkPost(1, 11, NoPost, 0), mkPost(4, 14, 1, 11),
-		mkPost(2, 12, 1, 11), mkPost(7, 17, 100, 99),
+		mkPost(2, 12, 1, 11), mkPost(7, 17, 100, 99), mkPost(11, 21, 9, 19),
+		mkPost(12, 22, 11, 21), mkPost(13, 23, 12, 22), mkPost(14, 24, 13, 23),
 	})
 	if got := c.Reactions(nil, 1); !slices.Equal(got, []PostID{2, 4}) {
 		t.Errorf("reactions to 1 = %v, want [2 4]", got)
@@ -122,20 +153,28 @@ func TestReplyGraph(t *testing.T) {
 			t.Errorf("Author(%d) = %d of a post the batch does not hold", sid, uid)
 		}
 	}
-	if got := c.Ancestors(9, 5); !slices.Equal(got, []PostID{9, 2, 1}) {
-		t.Errorf("Ancestors from 9 = %v, want [9 2 1]", got)
+	// 1 ← {2, 4}, 2 ← 9 ← 11 ← 12 ← 13 ← 14: the chain below 1 is six
+	// deep, and the table counts four levels of it. 7 reacts to a post the
+	// table lacks, so it counts toward no thread.
+	want := map[PostID][]uint32{
+		1:  {2, 1, 1, 1},
+		2:  {1, 1, 1, 1},
+		9:  {1, 1, 1, 1},
+		11: {1, 1, 1, 0},
+		12: {1, 1, 0, 0},
+		13: {1, 0, 0, 0},
 	}
-	if got := c.Ancestors(9, 2); !slices.Equal(got, []PostID{9, 2}) {
-		t.Errorf("Ancestors from 9, depth 2 = %v, want [9 2]", got)
-	}
-	if got := c.Ancestors(7, 5); !slices.Equal(got, []PostID{7, 100}) {
-		t.Errorf("Ancestors from 7 = %v, want [7 100]", got)
+	if got := levels(c); !reflect.DeepEqual(got, want) {
+		t.Errorf("level sizes = %v, want %v", got, want)
 	}
 	if err := c.Append(mkPost(200, 20, 100, 99)); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Reactions(nil, 100); !slices.Equal(got, []PostID{7, 200}) {
 		t.Errorf("reactions to 100 = %v, want [7 200]", got)
+	}
+	if got := levels(c); !reflect.DeepEqual(got, want) {
+		t.Errorf("a reaction to a post the table lacks changed the level sizes to %v", got)
 	}
 }
 
@@ -184,9 +223,9 @@ func (h *countHistory) rows() []Row {
 	return rows
 }
 
-// check compares both read paths with the brute-force counts: every known
-// user, the unknown uid 0 and a never-seen uid, a batch holding each of
-// them and repeats, and the empty batch.
+// check compares both read paths with the brute-force counts: by UID every
+// known user, the unknown uid 0 and a never-seen uid; by user ordinal a
+// batch holding each known user and repeats, and the empty batch.
 func (h *countHistory) check(t *testing.T, c *Corpus, at string) {
 	t.Helper()
 	var uids []UserID
@@ -202,17 +241,23 @@ func (h *countHistory) check(t *testing.T, c *Corpus, at string) {
 			t.Fatalf("%s: PostCountOfUser(%d) of an unknown user = %d, want 0", at, uid, got)
 		}
 	}
-	batch := append([]UserID{0}, uids...)
-	batch = append(batch, h.nextUID+7)
-	batch = append(batch, uids[:len(uids)/2]...) // repeats
+	batch := append(slices.Clone(uids), uids[:len(uids)/2]...) // repeats
+	ords := make([]uint32, len(batch))
+	for i, uid := range batch {
+		u, ok := userOrdinal(c, uid)
+		if !ok {
+			t.Fatalf("%s: user %d has no ordinal", at, uid)
+		}
+		ords[i] = u
+	}
 	got := make([]int, len(batch))
-	c.PostCounts(batch, got)
+	c.UserPosts(ords, got)
 	for i, uid := range batch {
 		if got[i] != h.want[uid] {
-			t.Fatalf("%s: PostCounts[%d] (uid %d) = %d, want %d", at, i, uid, got[i], h.want[uid])
+			t.Fatalf("%s: UserPosts[%d] (uid %d) = %d, want %d", at, i, uid, got[i], h.want[uid])
 		}
 	}
-	c.PostCounts(nil, nil)
+	c.UserPosts(nil, nil)
 	if c.Len() != len(h.posts) {
 		t.Fatalf("%s: Len = %d, want %d", at, c.Len(), len(h.posts))
 	}
@@ -251,7 +296,7 @@ func TestPostCountsMatchRows(t *testing.T) {
 			}
 			appendSome(c, 100, "first appends")
 
-			loaded, err := CorpusFromRows(h.rows())
+			loaded, err := CorpusFromRows(h.rows(), testDepth)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,6 +331,10 @@ func TestPostCountsConcurrentAppend(t *testing.T) {
 	for uid := UserID(0); uid < h.nextUID; uid++ {
 		uids = append(uids, uid)
 	}
+	ords := make([]uint32, 8)
+	for i := range ords {
+		ords[i], _ = userOrdinal(c, UserID(i+1))
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -303,15 +352,22 @@ func TestPostCountsConcurrentAppend(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			seen := make([]int, len(uids))
-			got := make([]int, len(uids))
+			got := make([]int, len(ords))
 			for i := 0; i < appends; i++ {
-				c.PostCounts(uids, got)
-				for j, n := range got {
+				for j, uid := range uids {
+					n := c.PostCountOfUser(uid)
 					if n < seen[j] {
-						t.Errorf("reader %d: user %d's count fell from %d to %d", r, uids[j], seen[j], n)
+						t.Errorf("reader %d: user %d's count fell from %d to %d", r, uid, seen[j], n)
 						return
 					}
 					seen[j] = n
+				}
+				c.UserPosts(ords, got) // the engine's read path, by ordinal
+				for j, n := range got {
+					if n < seen[j+1] {
+						t.Errorf("reader %d: user %d's ordinal read %d below its UID read %d", r, j+1, n, seen[j+1])
+						return
+					}
 				}
 			}
 		}(r)
@@ -322,7 +378,7 @@ func TestPostCountsConcurrentAppend(t *testing.T) {
 
 // TestAppendConcurrentWithReaders exercises the live-ingest path under the
 // race detector: one writer appending replies to one root while readers
-// walk the root's reactions, a reaction's ancestors and the post counts.
+// walk the root's reactions and read its φ and the post counts.
 func TestAppendConcurrentWithReaders(t *testing.T) {
 	posts := []*Post{mkPost(1, 1, NoPost, 0)}
 	for sid := PostID(2); sid <= 64; sid++ {
@@ -348,12 +404,19 @@ func TestAppendConcurrentWithReaders(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			var buf []PostID
+			last := 0.0
 			for i := 0; i < appends; i++ {
 				if buf = c.Reactions(buf[:0], 1); len(buf) < 63 {
 					t.Errorf("reader %d: thread shrank to %d reactions", r, len(buf))
 					return
 				}
-				c.Ancestors(PostID(i%63+2), 4)
+				if phi := c.Phi(1, 0.1); phi < last {
+					t.Errorf("reader %d: φ of the root fell from %v to %v", r, last, phi)
+					return
+				} else {
+					last = phi
+				}
+				c.Phi(PostID(i%63+2), 0.1)
 				c.PostCountOfUser(UserID(i%8 + 1))
 			}
 		}(r)
@@ -364,10 +427,10 @@ func TestAppendConcurrentWithReaders(t *testing.T) {
 	}
 }
 
-// BenchmarkPostCounts times one ranked query's |P_u| batch against a
-// 25k-user, 250k-post table, at the mean distinct-user counts of the
-// end-to-end benchmark's city-sum and wide-max queries (800 and 2760 at
-// seed 1, bench scale).
+// BenchmarkPostCounts times one ranked query's |P_u| batch, by user
+// ordinal, against a 25k-user, 250k-post table, at the mean distinct-user
+// counts of the end-to-end benchmark's city-sum and wide-max queries (800
+// and 2760 at seed 1, bench scale).
 func BenchmarkPostCounts(b *testing.B) {
 	const users, posts = 25_000, 250_000
 	rng := rand.New(rand.NewSource(1))
@@ -381,15 +444,15 @@ func BenchmarkPostCounts(b *testing.B) {
 		batch int
 	}{{"city-sum", 800}, {"wide-max", 2760}} {
 		b.Run(leg.name, func(b *testing.B) {
-			uids := make([]UserID, leg.batch)
-			for i := range uids {
-				uids[i] = UserID(rng.Intn(users) + 1)
+			ords := make([]uint32, leg.batch)
+			for i := range ords {
+				ords[i], _ = userOrdinal(c, UserID(rng.Intn(users)+1))
 			}
-			out := make([]int, len(uids))
+			out := make([]int, len(ords))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.PostCounts(uids, out)
+				c.UserPosts(ords, out)
 			}
 		})
 	}

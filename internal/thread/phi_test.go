@@ -9,51 +9,62 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/dfs"
 	"repro/internal/experiments"
 	"repro/internal/geo"
+	"repro/internal/invindex"
 	"repro/internal/social"
-	"repro/internal/thread"
 )
 
-// table returns the bounds' SIDs and count rows, for comparing two tables.
-func table(b *thread.Bounds) map[social.PostID][]uint32 {
+// table returns the corpus table's counted SIDs and their level sizes, for
+// comparing two tables.
+func table(c *social.Corpus) map[social.PostID][]uint32 {
 	out := make(map[social.PostID][]uint32)
-	b.Range(func(root social.PostID, levels []uint32) { out[root] = slices.Clone(levels) })
+	c.Levels(func(root social.PostID, levels []uint32) { out[root] = slices.Clone(levels) })
 	return out
+}
+
+func newCorpus(t *testing.T, posts []*social.Post, depth int) *social.Corpus {
+	t.Helper()
+	c, err := social.NewCorpus(posts, depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestPhiRangeMaxExactOnBatchCorpus(t *testing.T) {
 	posts := figure2Posts()
 	const depth = 6
-	b := thread.ComputeBounds(posts, depth)
+	c := newCorpus(t, posts, depth)
 	builder := experiments.Builder{DB: loadDB(t, posts), Depth: depth}
 	for _, eps := range []float64{0.1, 0.75} {
 		// Every root's entry is its exact popularity.
 		for _, p := range posts {
 			want, _ := builder.Popularity(p.SID, eps, nil)
-			if got := b.Phi(p.SID, eps); got != want {
+			if got := c.Phi(p.SID, eps); got != want {
 				t.Errorf("ε=%v: Phi(%d) = %v, Algorithm 1 says %v", eps, p.SID, got, want)
 			}
 		}
 		// A SID the table has never seen is a tweet nothing replied to,
 		// whose popularity is exactly the floor ε.
-		if got := b.Phi(1000, eps); got != eps {
+		if got := c.Phi(1000, eps); got != eps {
 			t.Errorf("absent-SID Phi = %v, want floor %v", got, eps)
 		}
 	}
 }
 
 // TestPhiRangeMaxExactAfterRandomIngest is the count table's property test:
-// after random Ingest-style histories (each reply appended to a corpus
-// table, then its ≤depth ancestors from the table counted through one
-// AddReply, exactly as System.ingest does), every root's lookup equals
-// Algorithm 1 — the paper's Builder over a metadata database loaded with
-// every acknowledged post — bit for bit, at every ε. Mid stream a second
-// table is derived from the rows of the posts so far, as a reload derives
-// it (ComputeRowBounds), and receives the remaining replies too: it must
-// end with the same table, so a restart never changes a score. ε > ½ is in
-// the grid because there a thread's first reply lowers φ below the floor
-// (one reply scores ½).
+// after random Ingest-style histories (each reply appended to the corpus
+// table, which counts it into its ≤depth ancestors' threads, exactly as
+// System.ingest does), every root's φ equals Algorithm 1 — the paper's
+// Builder over a metadata database loaded with every acknowledged post —
+// bit for bit, at every ε. Mid stream a second table is derived from the
+// rows of the posts so far, as a reload derives it (social.CorpusFromRows),
+// and receives the remaining replies too: it must end with the same table,
+// so a restart never changes a score. ε > ½ is in the grid because there a
+// thread's first reply lowers φ below the floor (one reply scores ½).
 func TestPhiRangeMaxExactAfterRandomIngest(t *testing.T) {
 	for _, depth := range []int{1, 2, 4} {
 		rng := rand.New(rand.NewSource(29))
@@ -75,19 +86,18 @@ func TestPhiRangeMaxExactAfterRandomIngest(t *testing.T) {
 				}
 				posts = append(posts, p)
 			}
-			corpus, err := social.NewCorpus(posts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := thread.ComputeBounds(posts, depth)
-			var loaded *thread.Bounds
+			c := newCorpus(t, posts, depth)
+			var loaded *social.Corpus
 
 			// Ingest: new ascending SIDs, most replying to an existing post.
 			for sid := social.PostID(41); sid <= 80; sid++ {
 				if sid == 60 {
 					var rows []social.Row
 					loadDB(t, posts).Scan(func(r social.Row) bool { rows = append(rows, r); return true })
-					loaded = thread.ComputeRowBounds(rows, depth)
+					var err error
+					if loaded, err = social.CorpusFromRows(rows, depth); err != nil {
+						t.Fatal(err)
+					}
 				}
 				p := mkPost(sid)
 				if rng.Intn(3) > 0 {
@@ -95,14 +105,12 @@ func TestPhiRangeMaxExactAfterRandomIngest(t *testing.T) {
 					p.Kind = social.Reply
 				}
 				posts = append(posts, p)
-				if err := corpus.Append(p); err != nil {
+				if err := c.Append(p); err != nil {
 					t.Fatal(err)
 				}
-				if p.RSID != social.NoPost {
-					ancestors := corpus.Ancestors(p.RSID, depth)
-					b.AddReply(ancestors)
-					if loaded != nil {
-						loaded.AddReply(ancestors)
+				if loaded != nil {
+					if err := loaded.Append(p); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
@@ -111,7 +119,7 @@ func TestPhiRangeMaxExactAfterRandomIngest(t *testing.T) {
 			for _, eps := range []float64{0.1, 0.75} {
 				for _, p := range posts {
 					want, _ := builder.Popularity(p.SID, eps, nil)
-					if got := b.Phi(p.SID, eps); got != want {
+					if got := c.Phi(p.SID, eps); got != want {
 						t.Fatalf("%s ε=%v: Phi(%d) = %v, Algorithm 1 says %v", label, eps, p.SID, got, want)
 					}
 					if got := loaded.Phi(p.SID, eps); got != want {
@@ -119,45 +127,60 @@ func TestPhiRangeMaxExactAfterRandomIngest(t *testing.T) {
 					}
 				}
 			}
-			if got, want := table(loaded), table(b); !reflect.DeepEqual(got, want) {
+			if got, want := table(loaded), table(c); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: reloaded table %v, built %v", label, got, want)
 			}
 		}
 	}
 }
 
-// TestCheckParamsRefusesUnscorableBounds: bounds an engine would score from
-// must hold a level-count table for its depth — any ε reads the same one.
-// Bounds without a table and a table of another depth are refused as
-// ErrParamsMismatch, and a table of no replies is still a table.
-func TestCheckParamsRefusesUnscorableBounds(t *testing.T) {
-	b := thread.ComputeBounds(figure2Posts(), 6)
-	if err := b.CheckParams(6); err != nil {
-		t.Fatalf("matching model refused: %v", err)
-	}
-	if err := thread.ComputeRowBounds(nil, 6).CheckParams(6); err != nil {
-		t.Fatalf("table of no replies refused: %v", err)
-	}
-	for name, err := range map[string]error{
-		"no table": (&thread.Bounds{Depth: 6}).CheckParams(6),
-		"depth 4":  b.CheckParams(4),
-	} {
-		if !errors.Is(err, thread.ErrParamsMismatch) {
-			t.Errorf("%s: err = %v, want ErrParamsMismatch", name, err)
-		}
-	}
-}
-
-// TestComputeRowBoundsMatchesPosts: the table a reload derives from the
-// stored rows' (SID, RSID) pairs is the one a build counts from the posts.
-func TestComputeRowBoundsMatchesPosts(t *testing.T) {
+// TestCorpusFromRowsMatchesPosts: the level sizes a reload derives from the
+// stored rows' (SID, RSID) pairs are the ones a build counts from the
+// posts.
+func TestCorpusFromRowsMatchesPosts(t *testing.T) {
 	posts := figure2Posts()
 	db := loadDB(t, posts)
 	var rows []social.Row
 	db.Scan(func(r social.Row) bool { rows = append(rows, r); return true })
 	for _, depth := range []int{1, 2, 6} {
-		if got, want := table(thread.ComputeRowBounds(rows, depth)), table(thread.ComputeBounds(posts, depth)); !reflect.DeepEqual(got, want) {
+		loaded, err := social.CorpusFromRows(rows, depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := table(loaded), table(newCorpus(t, posts, depth)); !reflect.DeepEqual(got, want) {
 			t.Errorf("depth %d: from rows %v, from posts %v", depth, got, want)
 		}
+	}
+}
+
+// TestCheckParamsRefusesUnscorableBounds: the table an engine scores from
+// must hold level counts for the model's depth — any ε reads the same one.
+// An engine without a table is refused, one over a table of another depth
+// is refused as ErrParamsMismatch, and a table of no replies is still a
+// table.
+func TestCheckParamsRefusesUnscorableBounds(t *testing.T) {
+	posts := figure2Posts()
+	idx, _, err := invindex.Build(dfs.New(dfs.DefaultOptions()), posts, invindex.DefaultBuildOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := []core.Partition{{Source: idx, Lookup: loadDB(t, posts)}}
+	opts := core.DefaultOptions()
+	opts.Params.ThreadDepth = 6
+	if _, err := core.NewPartitionedEngine(parts, newCorpus(t, posts, 6), opts); err != nil {
+		t.Fatalf("matching model refused: %v", err)
+	}
+	empty, err := social.CorpusFromRows(nil, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.NewPartitionedEngine(parts, empty, opts); err != nil {
+		t.Fatalf("table of no replies refused: %v", err)
+	}
+	if _, err := core.NewPartitionedEngine(parts, nil, opts); err == nil {
+		t.Error("no table: engine accepted")
+	}
+	if _, err := core.NewPartitionedEngine(parts, newCorpus(t, posts, 4), opts); !errors.Is(err, core.ErrParamsMismatch) {
+		t.Errorf("depth 4: err = %v, want ErrParamsMismatch", err)
 	}
 }

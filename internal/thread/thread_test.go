@@ -3,7 +3,6 @@ package thread_test
 import (
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/metadb"
 	"repro/internal/social"
-	"repro/internal/thread"
 )
 
 // figure2Posts builds the thread of Figure 2: root p1 with children
@@ -151,15 +149,11 @@ func TestTreeMaterialization(t *testing.T) {
 	}
 }
 
-// TestComputeBounds: the offline scan counts, for every tweet with a
-// reaction, its thread's level sizes — Figure 2's root holds 3, 4, 2 — and
-// a leaf has no entry, so it reads ε.
-func TestComputeBounds(t *testing.T) {
-	bounds := thread.ComputeBounds(figure2Posts(), 4)
-	got := map[social.PostID][]uint32{}
-	bounds.Range(func(root social.PostID, levels []uint32) {
-		got[root] = slices.Clone(levels)
-	})
+// TestCorpusLevelsOfFigure2: the corpus table counts, for every tweet with
+// a reaction, its thread's level sizes — Figure 2's root holds 3, 4, 2 —
+// and a leaf has no entry, so it reads ε.
+func TestCorpusLevelsOfFigure2(t *testing.T) {
+	c := newCorpus(t, figure2Posts(), 4)
 	want := map[social.PostID][]uint32{
 		1: {3, 4, 2, 0},
 		2: {2, 2, 0, 0},
@@ -167,13 +161,13 @@ func TestComputeBounds(t *testing.T) {
 		4: {1, 0, 0, 0},
 		5: {2, 0, 0, 0},
 	}
-	if !reflect.DeepEqual(got, want) {
+	if got := table(c); !reflect.DeepEqual(got, want) {
 		t.Errorf("level counts = %v, want %v", got, want)
 	}
-	if phi := bounds.Phi(1, 0.1); math.Abs(phi-10.0/3.0) > 1e-12 {
+	if phi := c.Phi(1, 0.1); math.Abs(phi-10.0/3.0) > 1e-12 {
 		t.Errorf("φ(1) = %v, want 10/3", phi)
 	}
-	if phi := bounds.Phi(9, 0.1); phi != 0.1 {
+	if phi := c.Phi(9, 0.1); phi != 0.1 {
 		t.Errorf("leaf φ = %v, want ε", phi)
 	}
 }

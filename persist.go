@@ -12,7 +12,6 @@ import (
 	"repro/internal/segment"
 	"repro/internal/social"
 	"repro/internal/telemetry"
-	"repro/internal/thread"
 	"repro/internal/wal"
 )
 
@@ -229,13 +228,12 @@ func Load(dir string, cfg Config) (*System, error) {
 			rows = append(rows, seg.RowAt(i))
 		}
 	}
-	db, err := social.CorpusFromRows(rows)
+	db, err := social.CorpusFromRows(rows, cfg.Engine.Params.ThreadDepth)
 	if err != nil {
 		store.Close()
 		return nil, fmt.Errorf("%w: segment rows: %v", ErrCorruptImage, err)
 	}
-	bounds := thread.ComputeRowBounds(rows, cfg.Engine.Params.ThreadDepth)
-	sys, err := newSystem(cfg, db, bounds, nil, store)
+	sys, err := newSystem(cfg, db, nil, store)
 	if err != nil {
 		store.Close()
 		return nil, err

@@ -17,7 +17,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/datagen"
 	"repro/internal/segment"
-	"repro/internal/thread"
+	"repro/internal/social"
 	"repro/internal/wal"
 )
 
@@ -109,7 +109,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.DB.Len() != sys.DB.Len() {
 		t.Fatalf("rows: loaded %d vs built %d", loaded.DB.Len(), sys.DB.Len())
 	}
-	if got, want := levelTable(loaded.Bounds), levelTable(sys.Bounds); !reflect.DeepEqual(got, want) {
+	if got, want := levelTable(loaded.DB), levelTable(sys.DB); !reflect.DeepEqual(got, want) {
 		t.Fatalf("level-count tables differ: %d vs %d entries", len(got), len(want))
 	}
 	if loaded.Recovery == nil || loaded.Recovery.WALRecordsReplayed != 0 || loaded.Recovery.Segments == 0 {
@@ -350,9 +350,9 @@ func TestLoadVersionMismatch(t *testing.T) {
 }
 
 // levelTable is every counted thread's level sizes, keyed by root.
-func levelTable(b *thread.Bounds) map[tklus.PostID][]uint32 {
+func levelTable(c *social.Corpus) map[tklus.PostID][]uint32 {
 	out := make(map[tklus.PostID][]uint32)
-	b.Range(func(root tklus.PostID, levels []uint32) { out[root] = slices.Clone(levels) })
+	c.Levels(func(root tklus.PostID, levels []uint32) { out[root] = slices.Clone(levels) })
 	return out
 }
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/social"
 	"repro/internal/telemetry"
-	"repro/internal/thread"
 	"repro/internal/wal"
 )
 
@@ -569,7 +568,7 @@ type ReplicatedShardedSystem struct {
 // BuildReplicatedSharded partitions the posts into sc.NumShards shards
 // (same placement as BuildSharded) and builds rc.Replicas copies of each:
 // one shared immutable build image per shard, and per replica a store over
-// it, a full corpus table, popularity bounds and an ingest WAL under rc.Dir. Each
+// it, a full corpus table and an ingest WAL under rc.Dir. Each
 // group elects its first leader before this returns, and a lease keeper per
 // group renews leases and promotes successors in the background. A build
 // that fails stops every group it started and closes every WAL it opened.
@@ -582,8 +581,13 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 	}
 	// One immutable build image per shard, shared by its replicas' stores —
 	// ingest lands in each replica's own memtable, so sharing is safe and
-	// saves Replicas-1 builds.
-	images, err := buildShards(posts, cfg, sc)
+	// saves Replicas-1 builds. Its rows name post ordinals, which every
+	// replica's table, derived from the same posts, shares.
+	db, err := social.NewCorpus(posts, cfg.Engine.Params.ThreadDepth)
+	if err != nil {
+		return nil, fmt.Errorf("tklus: deriving the corpus table: %w", err)
+	}
+	images, err := buildShards(posts, db, cfg, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -608,15 +612,14 @@ func BuildReplicatedSharded(posts []*Post, cfg Config, sc ShardingConfig, rc Rep
 		groups = append(groups, g)
 		sh := &shard{name: im.name, prefixes: im.prefixes, group: g}
 		for j := 0; j < rc.Replicas; j++ {
-			// Every replica holds its own full corpus table and bounds —
-			// Figure 3's replicated centralized database — because live
-			// ingest mutates both and replicas must diverge in nothing.
-			db, err := social.NewCorpus(posts)
+			// Every replica holds its own full corpus table — Figure 3's
+			// replicated centralized database — because live ingest
+			// mutates it and replicas must diverge in nothing.
+			db, err := social.NewCorpus(posts, cfg.Engine.Params.ThreadDepth)
 			if err != nil {
 				return nil, fmt.Errorf("tklus: deriving %s replica %d corpus table: %w", im.name, j, err)
 			}
-			bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
-			sys, err := newHeapSystem(cfg, db, bounds, im.owns, im.img)
+			sys, err := newHeapSystem(cfg, db, im.owns, im.img)
 			if err != nil {
 				return nil, fmt.Errorf("tklus: %s replica %d: %w", im.name, j, err)
 			}

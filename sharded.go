@@ -14,7 +14,6 @@ import (
 	"repro/internal/segment"
 	"repro/internal/social"
 	"repro/internal/telemetry"
-	"repro/internal/thread"
 )
 
 // This file is the sharded serving tier: posts are partitioned by geohash
@@ -279,10 +278,11 @@ type shardImage struct {
 }
 
 // buildShards partitions the posts by geohash prefix into at most
-// sc.NumShards shards and builds each one's image. The shard's metadata
-// database and bounds are the caller's: BuildSharded shares one set,
-// BuildReplicatedSharded gives every replica its own.
-func buildShards(posts []*Post, cfg Config, sc ShardingConfig) ([]shardImage, error) {
+// sc.NumShards shards and builds each one's image, its rows numbered by
+// their posts' ordinals in db. The shard's corpus table is the caller's:
+// BuildSharded shares db, BuildReplicatedSharded gives every replica its
+// own, derived from the same posts, so the same ordinals.
+func buildShards(posts []*Post, db *social.Corpus, cfg Config, sc ShardingConfig) ([]shardImage, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("tklus: no posts to index")
 	}
@@ -296,7 +296,7 @@ func buildShards(posts []*Post, cfg Config, sc ShardingConfig) ([]shardImage, er
 	images := make([]shardImage, len(shardPrefixes))
 	for i := range images {
 		name := fmt.Sprintf("shard-%02d", i)
-		img, err := segment.FromPosts(shardPosts[i], cfg.Index.GeohashLen, cfg.Index.BlockSize)
+		img, err := segment.FromPosts(shardPosts[i], db, cfg.Index.GeohashLen, cfg.Index.BlockSize)
 		if err != nil {
 			return nil, fmt.Errorf("tklus: building %s index: %w", name, err)
 		}
@@ -312,29 +312,28 @@ func buildShards(posts []*Post, cfg Config, sc ShardingConfig) ([]shardImage, er
 
 // BuildSharded partitions the posts by geohash prefix into cfg.NumShards
 // in-process shards and wires the router over them. Following Figure 3's
-// centralized metadata database, every shard shares one corpus table and
-// popularity-bound table (in production: a replica),
-// while each shard's hybrid index, and the rows behind it, cover only its
-// own region — that shared foundation is what makes cross-shard threads and
-// |P_u| exact, and the merged results byte-identical to a monolithic Build
-// over the same posts.
+// centralized metadata database, every shard shares one corpus table (in
+// production: a replica), while each shard's hybrid index, and the rows
+// behind it, cover only its own region, each row naming its post's ordinal
+// in the shared table — that shared foundation is what makes cross-shard
+// threads and |P_u| exact, and the merged results byte-identical to a
+// monolithic Build over the same posts.
 func BuildSharded(posts []*Post, cfg Config, sc ShardingConfig) (*ShardedSystem, error) {
-	images, err := buildShards(posts, cfg, sc)
-	if err != nil {
-		return nil, err
-	}
 	// Shared foundation (Figure 3's centralized metadata database,
 	// replicated to every shard in a real deployment).
-	db, err := social.NewCorpus(posts)
+	db, err := social.NewCorpus(posts, cfg.Engine.Params.ThreadDepth)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: deriving the corpus table: %w", err)
 	}
-	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
+	images, err := buildShards(posts, db, cfg, sc)
+	if err != nil {
+		return nil, err
+	}
 
 	specs := make([]ShardSpec, len(images))
 	systems := make([]*System, len(images))
 	for i, im := range images {
-		sys, err := newHeapSystem(cfg, db, bounds, im.owns, im.img)
+		sys, err := newHeapSystem(cfg, db, im.owns, im.img)
 		if err != nil {
 			return nil, fmt.Errorf("tklus: %s: %w", im.name, err)
 		}

@@ -11,8 +11,10 @@
 // one storage engine:
 //
 //   - a corpus table (social.Corpus) in place of the paper's paged metadata
-//     relation: each user's post count |P_u|, the SID range, and the reply
-//     graph threads are read from. The paper's paged database with B⁺-tree
+//     relation, keyed by dense post and user ordinals: each thread's level
+//     sizes and so its popularity φ, each post's author, each user's post
+//     count |P_u|, the SID range, and the reply graph threads are read
+//     from. The paper's paged database with B⁺-tree
 //     indexes on the tweet ID and the replied-to tweet ID is what the
 //     figures build, in internal/experiments;
 //   - a hybrid ⟨geohash, term⟩ inverted index, built by the indexer live
@@ -22,8 +24,8 @@
 //     the index into a simulated distributed file system (internal/mapreduce,
 //     internal/dfs) is what the figures measure, in internal/experiments;
 //   - the sum-score and maximum-score user rankings, every candidate scored
-//     from the exact thread popularity table (internal/core,
-//     internal/thread, internal/score).
+//     from the corpus table's exact thread popularity (internal/core,
+//     internal/score); internal/thread materializes a thread for /thread.
 //
 // Basic usage:
 //
@@ -219,10 +221,9 @@ func DefaultConfig(opts ...Option) Config {
 // System is a fully built TkLUS deployment over one corpus.
 type System struct {
 	Engine *core.Engine
-	// DB is the corpus table: |P_u|, the SID range and the reply graph,
+	// DB is the corpus table: φ, |P_u|, the SID range and the reply graph,
 	// appended by Ingest. Sharded builds share one across their shards.
-	DB     *social.Corpus
-	Bounds *thread.Bounds
+	DB *social.Corpus
 	// PopCache is always nil: only the frozen internal/bench harness reads
 	// it — delete with the harness's next move (ROADMAP 1(d)).
 	PopCache *popCacheStub
@@ -239,7 +240,7 @@ type System struct {
 	Recovery *RecoveryStats
 
 	// indexes, when set, picks the ingested posts the store indexes (a
-	// shard's own region); the corpus table and bounds take every post.
+	// shard's own region); the corpus table takes every post.
 	indexes func(*Post) bool
 	// ingestMu serializes Ingest against the seal and WAL rotation in Save —
 	// the consistency point that makes "store + remaining WAL" always equal
@@ -263,27 +264,26 @@ type System struct {
 	lastSnapshotUnix int64
 }
 
-// Build derives the corpus table from the posts, indexes them and their
-// texts into one segment image (segment.FromPosts: the memtable ingest
-// indexes through, sealed in memory) that becomes the first sealed segment
-// of a heap store, counts every thread's level sizes into the popularity
-// table, and returns a queryable system. Two posts with one SID fail with
-// ErrRejected.
+// Build derives the corpus table from the posts — counting every thread's
+// level sizes as it adds them — indexes them and their texts into one
+// segment image (segment.FromPosts: the memtable ingest indexes through,
+// sealed in memory, each row naming its post's ordinal in the table) that
+// becomes the first sealed segment of a heap store, and returns a queryable
+// system. Two posts with one SID fail with ErrRejected.
 func Build(posts []*Post, cfg Config) (*System, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("tklus: no posts to index")
 	}
 	start := time.Now()
-	db, err := social.NewCorpus(posts)
+	db, err := social.NewCorpus(posts, cfg.Engine.Params.ThreadDepth)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: deriving the corpus table: %w", err)
 	}
-	img, err := segment.FromPosts(posts, cfg.Index.GeohashLen, cfg.Index.BlockSize)
+	img, err := segment.FromPosts(posts, db, cfg.Index.GeohashLen, cfg.Index.BlockSize)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: building hybrid index: %w", err)
 	}
-	bounds := thread.ComputeBounds(posts, cfg.Engine.Params.ThreadDepth)
-	sys, err := newHeapSystem(cfg, db, bounds, nil, img)
+	sys, err := newHeapSystem(cfg, db, nil, img)
 	if err != nil {
 		return nil, err
 	}
@@ -293,8 +293,7 @@ func Build(posts []*Post, cfg Config) (*System, error) {
 
 // newHeapSystem serves a heap store whose one sealed segment is img: a
 // build, a shard or a replica.
-func newHeapSystem(cfg Config, db *social.Corpus, bounds *thread.Bounds, indexes func(*Post) bool,
-	img *segment.Segment) (*System, error) {
+func newHeapSystem(cfg Config, db *social.Corpus, indexes func(*Post) bool, img *segment.Segment) (*System, error) {
 	store, err := segment.OpenHeap(segment.Options{
 		GeohashLen: img.GeohashLen(),
 		BlockSize:  cfg.Index.BlockSize,
@@ -302,19 +301,18 @@ func newHeapSystem(cfg Config, db *social.Corpus, bounds *thread.Bounds, indexes
 	if err != nil {
 		return nil, fmt.Errorf("tklus: opening the store: %w", err)
 	}
-	return newSystem(cfg, db, bounds, indexes, store)
+	return newSystem(cfg, db, indexes, store)
 }
 
 // newSystem is the one place a System is assembled — the engine over the
 // store's views — so a build, a shard, a replica and a recovery all come up
 // with the same serving surface.
-func newSystem(cfg Config, db *social.Corpus, bounds *thread.Bounds, indexes func(*Post) bool,
-	store *segment.Store) (*System, error) {
-	engine, err := core.NewPartitionedEngine(partitions(store), db, bounds, cfg.Engine)
+func newSystem(cfg Config, db *social.Corpus, indexes func(*Post) bool, store *segment.Store) (*System, error) {
+	engine, err := core.NewPartitionedEngine(partitions(store), db, cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("tklus: creating engine: %w", err)
 	}
-	return &System{Engine: engine, DB: db, Store: store, Bounds: bounds, indexes: indexes}, nil
+	return &System{Engine: engine, DB: db, Store: store, indexes: indexes}, nil
 }
 
 // Ingest appends live posts to the corpus table, in timestamp order (each
@@ -322,8 +320,8 @@ func newSystem(cfg Config, db *social.Corpus, bounds *thread.Bounds, indexes fun
 // post out of order or failing validation is ErrRejected), and indexes each
 // one in the store's memtable, so an acknowledged post is a candidate for
 // the very next query. Ingested replies and forwards extend tweet threads
-// immediately: each one is counted into the level-count table every search
-// derives φ(p) from, so the next query sees the updated φ(p). Crossing a
+// immediately: the corpus table counts each one into the level sizes every
+// search reads φ(p) from, so the next query sees the updated φ(p). Crossing a
 // time-bucket boundary seals the memtable and swaps the engine's
 // partitions.
 //
@@ -387,16 +385,11 @@ func (s *System) ingest(posts []*Post, timed bool, dbDur, walDur *time.Duration)
 				*walDur += time.Since(t0)
 			}
 		}
-		if p.RSID != social.NoPost {
-			// The reply adds one tweet at level h+1 of its h-th ancestor's
-			// thread for its first Depth ancestors (the roots whose depth
-			// limit still reaches it) and changes no other thread.
-			s.Bounds.AddReply(s.DB.Ancestors(p.RSID, s.Engine.Opts.Params.ThreadDepth))
-		}
 		if s.indexes != nil && !s.indexes(p) {
 			continue
 		}
-		sealed, err := s.Store.Add(p)
+		// The single writer appended p last: its ordinal is Len()-1.
+		sealed, err := s.Store.Add(p, uint32(s.DB.Len()-1))
 		if sealed {
 			s.publishPartitions()
 		}
