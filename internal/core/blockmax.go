@@ -9,8 +9,14 @@ package core
 //   - The AND merge is an exact set intersection. Non-driver terms advance
 //     by SkipTo, and a block whose directory says MinSID > target is ruled
 //     out without decoding, so long lists stay mostly undecoded.
-//   - The OR merge is a typed min-heap of run heads — one per postings list:
-//     the undrained rest of its decoded block, the front TID cached where the
+//   - The OR merge over a partition with its own rows is a row bitmap: each
+//     posting sets its row's bit and adds its TF to the row's count, and one
+//     ascending scan of the set bits — found through a second bitmap of the
+//     non-empty words, so the scan follows the postings, not the rows —
+//     yields the merged candidates and clears what it read.
+//   - The OR merge over the paper's paged index, whose postings carry tweet
+//     IDs, is a typed min-heap of run heads — one per postings list: the
+//     undrained rest of its decoded block, the front TID cached where the
 //     heap compares it. The smallest run drains for as long as it stays the
 //     smallest, so a posting costs a compare and a store, not a heap
 //     operation, and a list is asked for a block at a time.
@@ -18,10 +24,14 @@ package core
 // A posting's TID field is a row ordinal in a partition with its own rows
 // and a tweet ID in the paper's paged index. Both ascend with tweet time
 // within a partition, so the merges, which only compare and fold equal
-// IDs, read either the same way and call it TID.
+// IDs, read either the same way and call it TID; both OR merges return the
+// same candidates in the same order.
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
+	"sort"
 
 	"repro/internal/invindex"
 	"repro/internal/social"
@@ -223,4 +233,66 @@ func unionIterators(termIts [][]*invindex.PostingsIterator, sc *scratch) []candi
 		siftDown(h, 0)
 	}
 	return out[:n]
+}
+
+// unionRows is the OR merge (Algorithm 4 lines 12–14) for a partition
+// holding rows rows: unionIterators' result, candidates in ascending row
+// order with their term frequencies summed, from a bitmap instead of a
+// heap. A posting whose row the partition does not hold fails the merge,
+// naming the smallest such row. Whatever the outcome, the scan leaves the
+// scratch's bitmaps and counts all zero, as every call finds them. A row's
+// count is 32 bits; a sum that wraps is carried in sc.carry and added back,
+// so matches is the int sum the heap merge computes.
+func unionRows(termIts [][]*invindex.PostingsIterator, rows int, sc *scratch) ([]candidate, error) {
+	set := grow(&sc.rowSet, (rows+63)/64)
+	words := grow(&sc.rowWords, (len(set)+63)/64)
+	tf := grow(&sc.rowTF, rows)
+	total, bad := 0, uint64(math.MaxUint64)
+	for _, its := range termIts {
+		for _, it := range its {
+			total += it.Len()
+			// A list that fails to decode ends early: closeIterators reports it.
+			for rest := it.Rest(); len(rest) > 0; rest = it.NextRest() {
+				for _, p := range rest {
+					r := uint64(p.TID)
+					if r >= uint64(rows) {
+						bad = min(bad, r)
+						continue
+					}
+					set[r>>6] |= 1 << (r & 63)
+					words[r>>12] |= 1 << (r >> 6 & 63)
+					if tf[r] += p.TF; tf[r] < p.TF {
+						sc.carry = append(sc.carry, uint32(r))
+					}
+				}
+			}
+		}
+	}
+	out, n := grow(&sc.merged, total), 0
+	for wi, ws := range words {
+		if ws == 0 {
+			continue
+		}
+		words[wi] = 0
+		for ; ws != 0; ws &= ws - 1 {
+			w := wi<<6 | bits.TrailingZeros64(ws)
+			for b := set[w]; b != 0; b &= b - 1 {
+				r := w<<6 | bits.TrailingZeros64(b)
+				out[n] = candidate{doc: social.PostID(r), matches: int(tf[r])}
+				tf[r] = 0
+				n++
+			}
+			set[w] = 0
+		}
+	}
+	out = out[:n]
+	for _, r := range sc.carry {
+		i := sort.Search(n, func(i int) bool { return out[i].doc >= social.PostID(r) })
+		out[i].matches += math.MaxUint32 + 1
+	}
+	sc.carry = sc.carry[:0]
+	if bad != math.MaxUint64 {
+		return nil, fmt.Errorf("core: corrupt index: a posting names row %d of a partition holding %d", bad, rows)
+	}
+	return out, nil
 }

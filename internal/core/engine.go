@@ -7,7 +7,10 @@
 // post and user ordinal, every thread's level sizes and so its exact
 // popularity φ, each post's author and each user's |P_u|: the engine reads
 // a candidate's by the post ordinal its row carries and builds no thread.
-// The paper's regime —
+// A search bounds, then refines: the radius filter brackets each distance
+// without trigonometry, the rankers pass over every user whose upper score
+// cannot change the top k, and only the others pay the exact haversine, so
+// the answer is the one exact scores give, bit for bit. The paper's regime —
 // Algorithm 1 per candidate, with Algorithm 5's upper-bound pruning — is
 // what the figures time, and lives with them in internal/experiments.
 package core
@@ -280,6 +283,7 @@ type QueryStats struct {
 	BlocksSkipped    int64 // postings blocks passed over without decoding
 	PostingsSkipped  int64 // postings inside those skipped blocks
 	PartitionsPruned int64 // time-partitioned sources skipped by the query window
+	UsersRefined     int64 // users whose bounded δs a ranking replaced by exact ones
 	Elapsed          time.Duration
 
 	// Spans are the per-stage timings of the query pipeline (cell cover →
@@ -322,6 +326,7 @@ func (s *QueryStats) Add(other *QueryStats) {
 	s.BlocksSkipped += other.BlocksSkipped
 	s.PostingsSkipped += other.PostingsSkipped
 	s.PartitionsPruned += other.PartitionsPruned
+	s.UsersRefined += other.UsersRefined
 }
 
 // Degraded reports whether any shard failed to contribute to this query.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -75,11 +76,14 @@ func benchEngine(b *testing.B, posts []*social.Post, src PostingsSource) *Engine
 }
 
 // BenchmarkRankFromPhi is the ranking stage over a prepared candidate set
-// in ascending SID order, as the filter would leave it: the user table and
-// its |P_u| batch, one φ batch over the candidates, then Σρ and top-k (sum)
-// or one top-k offer per candidate (max). The sum leg has the city-sum
-// candidate count, the max leg the wide-max one, with several candidates
-// per user.
+// in ascending SID order, as the filter would leave it — every candidate
+// admitted at a random spot of the circle, so most carry a bracketed δ:
+// the user table and its |P_u| batch, one φ batch over the candidates, then
+// Σρ and top-k (sum) or one top-k offer per candidate (max), refining the
+// users that can reach the top k. The sum leg has the city-sum candidate
+// count, the max leg the wide-max one, with several candidates per user.
+// Each op first restores the bounds the previous one refined (a copy of the
+// candidates); it reports the users refined per op.
 func BenchmarkRankFromPhi(b *testing.B) {
 	for _, leg := range []struct {
 		name           string
@@ -95,17 +99,21 @@ func BenchmarkRankFromPhi(b *testing.B) {
 			eng := benchEngine(b, posts, benchPostings{})
 			q := Query{Loc: benchCenter, RadiusKm: 50, Keywords: []string{"hotel"}, K: 5, Semantic: Or, Ranking: leg.ranking}
 			cs := &candidateSet{
-				q: q, terms: QueryTerms(q.Keywords), cands: make([]CandidateTweet, leg.nCands), sc: new(scratch),
-				stats: &QueryStats{}, rec: telemetry.NewSpanRecorder(), start: time.Now(),
+				q: q, terms: QueryTerms(q.Keywords), sc: new(scratch),
+				circle: geo.NewCircle(q.Loc, q.RadiusKm, eng.Opts.Params.Metric),
+				stats:  &QueryStats{}, rec: telemetry.NewSpanRecorder(), start: time.Now(),
 			}
-			for i := range cs.cands {
-				j := i * len(posts) / len(cs.cands)
+			for i := 0; i < leg.nCands; i++ {
+				j := i * len(posts) / leg.nCands
 				p := posts[j]
-				cs.cands[i] = CandidateTweet{TID: p.SID, Matches: 1 + rng.Intn(2), UID: p.UID, Delta: rng.Float64(), post: uint32(j)}
+				loc := geo.Point{Lat: benchCenter.Lat + 0.6*(rng.Float64()-0.5), Lon: benchCenter.Lon + 0.8*(rng.Float64()-0.5)}
+				cs.admit(p.SID, 1+rng.Intn(2), loc, p.UID, uint32(j))
 			}
+			bounded := slices.Clone(cs.cands)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				copy(cs.cands, bounded)
 				eng.resolveUsers(cs)
 				rho := eng.relevance(cs)
 				if leg.ranking == SumScore {
@@ -115,6 +123,7 @@ func BenchmarkRankFromPhi(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(cs.users)), "users")
+			b.ReportMetric(float64(cs.stats.UsersRefined)/float64(b.N), "refined/op")
 		})
 	}
 }

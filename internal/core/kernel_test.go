@@ -1,23 +1,26 @@
 package core
 
 // Tests that pin the gather → bound kernel: the typed OR merge against a
-// sort-and-fold reference, what closeIterators still reports, the scratch's
-// ownership rule (no pooled memory escapes a call; concurrent calls do not
-// share one), the allocation budget of a whole search, and the cancellation
-// check between partitions.
+// sort-and-fold reference, the row-bitmap OR merge against the heap merge,
+// what closeIterators still reports, the scratch's ownership rule (no pooled
+// memory escapes a call; concurrent calls do not share one), the allocation
+// budget of a whole search, and the cancellation check between partitions.
 
 import (
 	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/geo"
 	"repro/internal/invindex"
 	"repro/internal/segment"
 	"repro/internal/social"
@@ -87,6 +90,139 @@ func TestUnionMatchesSortAndFold(t *testing.T) {
 			t.Fatalf("trial %d: close after a full union: err %v, %d blocks skipped", trial, err, stats.BlocksSkipped)
 		}
 	}
+}
+
+// TestUnionRowsMatchesHeapMerge drives the row-bitmap OR merge over the same
+// random partitions' worth of lists as the heap merge — lists of every
+// length, mixed block-lazy and slice iterators, TIDs (row ordinals) shared
+// across terms, partitions of up to a few thousand rows beyond the largest
+// named — and requires the heap merge's candidates, order and matches, and
+// a scratch left clean for the next trial.
+func TestUnionRowsMatchesHeapMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	sc := new(scratch)
+	for trial := 0; trial < 300; trial++ {
+		type cell struct {
+			ps    []invindex.Posting
+			slice bool
+			block int
+		}
+		var terms [][]cell
+		maxRow := 0
+		for term, nTerms := 0, rng.Intn(5); term < nTerms; term++ {
+			cells := make([]cell, 1+rng.Intn(4))
+			for tid, n := rng.Intn(5000), rng.Intn(300); n > 0; n-- {
+				tid += 1 + rng.Intn(40)
+				c := &cells[rng.Intn(len(cells))]
+				c.ps = append(c.ps, invindex.Posting{TID: social.PostID(tid), TF: uint32(1 + rng.Intn(3))})
+				maxRow = max(maxRow, tid)
+			}
+			for i := range cells {
+				cells[i].slice, cells[i].block = rng.Intn(3) == 0, 1+rng.Intn(9)
+			}
+			terms = append(terms, cells)
+		}
+		open := func() [][]*invindex.PostingsIterator {
+			var termIts [][]*invindex.PostingsIterator
+			for _, cells := range terms {
+				var its []*invindex.PostingsIterator
+				for _, c := range cells {
+					if c.slice {
+						its = append(its, invindex.NewSliceIterator(c.ps))
+					} else if len(c.ps) > 0 {
+						its = append(its, blocked(t, c.ps, c.block))
+					}
+				}
+				termIts = append(termIts, its)
+			}
+			return termIts
+		}
+		want := slices.Clone(unionIterators(open(), new(scratch)))
+		got, err := unionRows(open(), maxRow+1+rng.Intn(3000), sc)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("trial %d: row union = %v (err %v), heap merge %v", trial, got, err, want)
+		}
+		requireCleanUnion(t, sc)
+	}
+}
+
+// TestUnionRowsLeavesNoTrace: the row union returns the missing-row error
+// naming the smallest row the partition does not hold, sums hostile term
+// frequencies (two terms at math.MaxUint32) into the heap merge's int, and
+// leaves its scratch clean on every exit — the error, the carry, and a
+// query cancelled after one partition's merge — so the next query on the
+// same scratch answers as a fresh one does.
+func TestUnionRowsLeavesNoTrace(t *testing.T) {
+	sc := new(scratch)
+	lists := [][]invindex.Posting{ps(2, 1, 9, 1, 30, 1, 12, 1), ps(3, 1, 31, 1, 4, 1)}
+	if _, err := unionRows(iters(lists), 10, sc); err == nil || !strings.Contains(err.Error(), "names row 12 of a partition holding 10") {
+		t.Fatalf("union over rows beyond the partition: err = %v", err)
+	}
+	requireCleanUnion(t, sc)
+
+	hostile := [][]invindex.Posting{
+		{{TID: 1, TF: math.MaxUint32}, {TID: 5, TF: 7}},
+		{{TID: 1, TF: math.MaxUint32}, {TID: 5, TF: math.MaxUint32}},
+		{{TID: 1, TF: math.MaxUint32}},
+	}
+	want := unionIterators(iters(hostile), new(scratch))
+	got, err := unionRows(iters(hostile), 8, sc)
+	if err != nil || !slices.Equal(got, want) || got[0].matches != 3*math.MaxUint32 {
+		t.Fatalf("hostile TFs: row union %v (err %v), heap merge %v", got, err, want)
+	}
+	requireCleanUnion(t, sc)
+
+	// A partition whose postings name a row it lacks fails the query; the
+	// same scratch then serves a healthy one exactly as a fresh scratch does.
+	src := rowsMissing{benchPostings: benchPostings{cell: geo.Encode(benchCenter, 4)}, held: 7}
+	for sid := 3; sid <= 9; sid++ {
+		src.list = append(src.list, invindex.Posting{TID: social.PostID(sid), TF: uint32(sid)})
+	}
+	corpus, err := social.NewCorpus(nil, DefaultOptions().Params.ThreadDepth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewPartitionedEngine([]Partition{{Source: src, Rows: src}}, corpus, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Loc: benchCenter, RadiusKm: 5, Keywords: []string{"hotel"}, K: 3}
+	if _, err := eng.gather(context.Background(), q, sc); err == nil {
+		t.Fatal("a partition missing rows 7–9 served the query")
+	}
+	requireCleanUnion(t, sc)
+	src.held = 10
+	eng.SetPartitions([]Partition{{Source: src, Rows: src}, {Source: src, Rows: src}})
+	reused, err := eng.gather(context.Background(), q, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := eng.gather(context.Background(), q, new(scratch))
+	if err != nil || !slices.Equal(reused.cands, fresh.cands) || len(fresh.cands) != 14 {
+		t.Fatalf("after the error: %+v, a fresh scratch %+v (err %v)", reused.cands, fresh.cands, err)
+	}
+	requireCleanUnion(t, sc)
+
+	// Cancelled after the first partition's merge: the second never merges.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelling := cancelOnRecords{rowsMissing: src, cancel: cancel}
+	eng.SetPartitions([]Partition{{Source: src, Rows: cancelling}, {Source: src, Rows: src}})
+	if _, err := eng.gather(ctx, q, sc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled query: err = %v", err)
+	}
+	requireCleanUnion(t, sc)
+}
+
+// cancelOnRecords is a partition's rows that cancel the query's context as
+// the engine reads them, just before the partition's merge.
+type cancelOnRecords struct {
+	rowsMissing
+	cancel context.CancelFunc
+}
+
+func (s cancelOnRecords) Records() []social.RowMeta {
+	s.cancel()
+	return s.rowsMissing.Records()
 }
 
 // TestCloseIteratorsReportsErrorsAndSkips pins what the merges leave to

@@ -172,12 +172,31 @@ func BenchmarkMergePartials(b *testing.B) {
 	}
 }
 
+// BenchmarkUnionPostings times the OR merge of three 20k-posting lists both
+// ways: the heap merge the paper's paged index keeps, and the row-bitmap
+// union a partition with its own rows runs, over a partition of just the
+// rows the lists name.
 func BenchmarkUnionPostings(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	lists := syntheticLists(rng, 3, 20000, 0.3)
-	sc := new(scratch) // one per query in the engine: the merge buffer is reused
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		unionIterators(iters(lists), sc)
+	rows := 0
+	for _, l := range lists {
+		rows = max(rows, int(l[len(l)-1].TID)+1)
 	}
+	b.Run("heap", func(b *testing.B) {
+		sc := new(scratch) // one per query in the engine: the merge buffer is reused
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			unionIterators(iters(lists), sc)
+		}
+	})
+	b.Run("rows", func(b *testing.B) {
+		sc := new(scratch)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := unionRows(iters(lists), rows, sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -84,6 +84,7 @@ func (e *Engine) SearchPartials(ctx context.Context, q Query) (*Partials, error)
 		return nil, err
 	}
 	rankStart := time.Now()
+	cs.exactDeltas()
 	e.resolveUsers(cs)
 	rho := e.relevance(cs)
 	out := &Partials{Users: userPartials(cs), Cands: make([]CandidateScore, len(cs.cands))}

@@ -5,13 +5,21 @@ package core
 // then per time partition the AND/OR merge, the window filter, the row
 // reads and the radius filter — and hands every exit the same
 // candidateSet: the surviving tweets in ascending tweet-ID order, each with
-// its post ordinal in the corpus table, and the query's books.
-// CandidateTweets returns a copy of the tweets; Search and SearchPartials
-// call resolveUsers, which reads every candidate's author and φ from the
-// corpus table by post ordinal and adds the set's dense user table (Σδ,
-// |P_u|, δ(u,q) per user, each candidate pointing at its row), and
-// relevance, which turns every candidate's φ into its ρ(p,q), and pass the
-// set to one ranker. No ranker builds a per-user map of its own.
+// its post ordinal in the corpus table, and the query's books. The radius
+// filter brackets each distance with polynomials (geo.Circle.Bracket): a
+// point surely inside keeps an upper bound of its δ(p,q) and its location,
+// and only the points the bracket cannot decide pay the exact haversine.
+// CandidateTweets and SearchPartials replace every bound by the exact δ
+// (exactDeltas) and hand out no bound. Search and SearchPartials call
+// resolveUsers, which reads every candidate's author and φ from the corpus
+// table by post ordinal and adds the set's dense user table (Σδ, |P_u|,
+// δ(u,q) per user, each candidate pointing at its row and chained to the
+// user's next), and relevance, which turns every candidate's φ into its
+// ρ(p,q), and pass the set to one ranker. No ranker builds a per-user map
+// of its own. Search's rankers bound, then refine: a user whose upper score
+// cannot change the top k is passed over, and any other user with a bound
+// gets the exact δ of every candidate before the top k sees its score (see
+// refine) — so every top-k transition is the one the exact scores make.
 
 import (
 	"context"
@@ -34,21 +42,30 @@ import (
 type CandidateTweet struct {
 	TID     social.PostID
 	UID     social.UserID
-	Matches int     // bag-model |q.W ∩ p.W|
-	Delta   float64 // δ(p,q), Definition 5
-	post    uint32  // the tweet's ordinal in the corpus table
-	user    int     // row of UID in the candidate set's user table
+	Matches int // bag-model |q.W ∩ p.W|
+	// Delta is δ(p,q), Definition 5: exact in every record handed out
+	// (CandidateTweets, and the records SearchPartials ships). Inside a
+	// search it is an upper bound while pending is set.
+	Delta   float64
+	post    uint32 // the tweet's ordinal in the corpus table
+	user    int32  // row of UID in the candidate set's user table
+	next    int32  // the user's next candidate, -1 after its last
+	pending bool   // Delta is an upper bound; the location is in the set's locs
 }
 
 // candUser is one row of a candidate set's user table. deltaSum accumulates
 // in candidate (ascending tweet-ID) order, which keeps δ(u,q) — and every
-// score built on it — byte-identical wherever it is consumed.
+// score built on it — byte-identical wherever it is consumed. While pending
+// is set, deltaSum and du are upper bounds: the same sum over the
+// candidates' Delta, some of them bounds.
 type candUser struct {
-	uid      social.UserID
-	deltaSum float64 // Σ δ(p,q) over the user's candidates
-	posts    int     // |P_u|; set by resolveUsers
-	du       float64 // δ(u,q), Definition 9; set by resolveUsers
-	rhoSum   float64 // Σ ρ(p,q) over the user's candidates; set by rankSum
+	uid         social.UserID
+	deltaSum    float64 // Σ δ(p,q) over the user's candidates
+	posts       int     // |P_u|; set by resolveUsers
+	du          float64 // δ(u,q), Definition 9; set by resolveUsers
+	rhoSum      float64 // Σ ρ(p,q) over the user's candidates; set by rankSum
+	first, last int32   // the user's first and last candidates
+	pending     bool    // some candidate's Delta is a bound
 }
 
 // candidateSet is the hand-off between retrieval and ranking: one query's
@@ -59,6 +76,7 @@ type candidateSet struct {
 	terms  []string
 	circle geo.Circle // the radius test, prepared once
 	cands  []CandidateTweet
+	locs   []geo.Point // each candidate's location, for the exact δ of a pending one
 	users  []candUser
 	sc     *scratch
 
@@ -79,16 +97,24 @@ type candidateSet struct {
 // entry and release it on return, so whatever outlives the call — results,
 // Partials, the slice CandidateTweets hands out — is a copy, never a view.
 type scratch struct {
-	heap    []runHead        // unionIterators
-	merged  []candidate      // one partition's merged postings
-	sids    []social.PostID  // the paged row batch's keys
-	cands   []CandidateTweet // candidateSet.cands
-	posts   []uint32         // the corpus batch's keys: each candidate's post ordinal
-	authors []uint32         // each candidate's author, by user ordinal
-	rho     []float64        // φ per candidate, then relevance's ρ
-	users   []candUser       // candidateSet.users
-	ords    []uint32         // the user table's user ordinals: the |P_u| batch's keys
-	counts  []int            // the |P_u| batch's counts
+	heap []runHead // unionIterators
+	// unionRows' row bitmap, its bitmap of non-empty words, the rows'
+	// summed term frequencies and the rows whose sum wrapped: all zero (or
+	// empty) between calls.
+	rowSet   []uint64
+	rowWords []uint64
+	rowTF    []uint32
+	carry    []uint32
+	merged   []candidate      // one partition's merged postings
+	sids     []social.PostID  // the paged row batch's keys
+	cands    []CandidateTweet // candidateSet.cands
+	locs     []geo.Point      // candidateSet.locs
+	posts    []uint32         // the corpus batch's keys: each candidate's post ordinal
+	authors  []uint32         // each candidate's author, by user ordinal
+	rho      []float64        // φ per candidate, then relevance's ρ
+	users    []candUser       // candidateSet.users
+	ords     []uint32         // the user table's user ordinals: the |P_u| batch's keys
+	counts   []int            // the |P_u| batch's counts
 	// slots maps a user ordinal to its row of the user table; a slot is
 	// live only when its gen is the current query's, so no query clears it.
 	slots []userSlot
@@ -246,26 +272,37 @@ func (e *Engine) gather(ctx context.Context, q Query, sc *scratch) (*candidateSe
 	// postings are filtered before the next partition merges, so one merge
 	// buffer serves them all.
 	defer rec.Start(telemetry.StageCandidateFilter)()
-	cs.cands = sc.cands[:0]
+	cs.cands, cs.locs = sc.cands[:0], sc.locs[:0]
 	for pi, part := range parts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		termIts := opened[pi*len(terms) : (pi+1)*len(terms)]
+		var recs []social.RowMeta
+		if part.Rows != nil {
+			recs = part.Rows.Records() // after the fetch: it covers the postings
+		}
 		var merged []candidate
-		if q.Semantic == And {
+		var mergeErr error
+		switch {
+		case q.Semantic == And:
 			merged = intersectIterators(termIts, sc)
-		} else {
+		case part.Rows != nil:
+			merged, mergeErr = unionRows(termIts, len(recs), sc)
+		default:
 			merged = unionIterators(termIts, sc)
 		}
 		if err := closeIterators(termIts, stats); err != nil {
 			return nil, err
 		}
-		if err := e.filter(cs, part, merged); err != nil {
+		if mergeErr != nil {
+			return nil, mergeErr
+		}
+		if err := e.filter(cs, part, recs, merged); err != nil {
 			return nil, err
 		}
 	}
-	sc.cands = cs.cands // keeps what the appends grew
+	sc.cands, sc.locs = cs.cands, cs.locs // keeps what the appends grew
 	stats.Candidates = len(cs.cands)
 	return cs, ctx.Err()
 }
@@ -308,20 +345,20 @@ func (cs *coverSet) get(prec int) []string {
 }
 
 // filter is the tail of gather for one partition: the window filter, the
-// row reads and the exact radius check over the partition's merged
-// postings, survivors appended in merge order. A partition with its own rows
-// reads each posting's record by the row ordinal the posting carries — one
-// independent load, no search — and takes the survivor's SID and author from
-// it; a time window is the ordinal range of the records inside it, so the
-// postings outside are cut off the ascending merge without a load. A
-// partition that keeps none (the paper's paged index) filters the window by
-// tweet ID and resolves the rest in one multi-get against the paged row
-// store (dozens of shared data pages instead of one descent each).
-func (e *Engine) filter(cs *candidateSet, part *Partition, merged []candidate) error {
+// row reads and the radius check over the partition's merged postings,
+// survivors appended in merge order. A partition with its own rows reads
+// each posting's record — recs, the partition's records as gather read
+// them — by the row ordinal the posting carries — one independent load, no
+// search — and takes the survivor's SID and author from it; a time window
+// is the ordinal range of the records inside it, so the postings outside
+// are cut off the ascending merge without a load. A partition that keeps
+// none (the paper's paged index) filters the window by tweet ID and
+// resolves the rest in one multi-get against the paged row store (dozens of
+// shared data pages instead of one descent each).
+func (e *Engine) filter(cs *candidateSet, part *Partition, recs []social.RowMeta, merged []candidate) error {
 	if part.Rows == nil {
 		return e.filterPaged(cs, part.Lookup, merged)
 	}
-	recs := part.Rows.Records()
 	posts := part.Rows.PostOrdinals() // after the records: it covers them
 	if w := cs.q.TimeWindow; w != nil {
 		lo, hi := w.ordinals(recs)
@@ -384,18 +421,59 @@ func (e *Engine) filterPaged(cs *candidateSet, lookup RowLookup, merged []candid
 	return nil
 }
 
-// admit runs the exact radius check on one posting's row — cover cells may
-// stick out of the circle — and appends the survivor, its δ(p,q)
-// (Definition 5) derived from the distance the check already computed, and
-// its post ordinal.
+// admit runs the radius check on one posting's row — cover cells may stick
+// out of the circle — and appends the survivor, its δ(p,q) (Definition 5),
+// its location and its post ordinal. The bracket decides most points
+// without trigonometry; a point surely inside gets the upper bound of δ that
+// the bracket's shortest distance gives, pending its exact value, and only
+// an undecided point pays Circle.Distance here. Either way the survivors
+// are exactly the points Distance admits.
 func (cs *candidateSet) admit(tid social.PostID, matches int, loc geo.Point, uid social.UserID, post uint32) {
-	d, inside := cs.circle.Distance(loc)
-	if !inside {
+	c := CandidateTweet{TID: tid, UID: uid, Matches: matches, post: post}
+	switch lo, _, v := cs.circle.Bracket(loc); v {
+	case geo.Outside:
 		return
+	case geo.Inside:
+		c.Delta, c.pending = score.DistanceScore(geo.MinArcKm(lo), cs.q.RadiusKm), true
+	default:
+		d, inside := cs.circle.Distance(loc)
+		if !inside {
+			return
+		}
+		c.Delta = score.DistanceScore(d, cs.q.RadiusKm)
 	}
-	cs.cands = append(cs.cands, CandidateTweet{
-		TID: tid, UID: uid, Matches: matches, Delta: score.DistanceScore(d, cs.q.RadiusKm), post: post,
-	})
+	cs.cands = append(cs.cands, c)
+	cs.locs = append(cs.locs, loc)
+}
+
+// exact replaces candidate i's bound, if it has one, by its exact δ(p,q):
+// Circle.Distance on its location, the value admit would have computed.
+func (cs *candidateSet) exact(i int) {
+	if c := &cs.cands[i]; c.pending {
+		d, _ := cs.circle.Distance(cs.locs[i])
+		c.Delta, c.pending = score.DistanceScore(d, cs.q.RadiusKm), false
+	}
+}
+
+// exactDeltas gives every candidate its exact δ(p,q), for the exits that
+// hand every δ out.
+func (cs *candidateSet) exactDeltas() {
+	for i := range cs.cands {
+		cs.exact(i)
+	}
+}
+
+// refine replaces the bounds in u's candidates by their exact δ and re-sums
+// u's Σδ over its chain — candidate order, as resolveUsers sums it — so
+// deltaSum and δ(u,q) are what an exact user table holds, bit for bit.
+func (cs *candidateSet) refine(u *candUser) {
+	sum := 0.0
+	for i := u.first; i >= 0; i = cs.cands[i].next {
+		cs.exact(int(i))
+		sum += cs.cands[i].Delta
+	}
+	u.deltaSum, u.du, u.pending = sum, score.UserDistance(sum, u.posts), false
+	cs.stats.UsersRefined++
 }
 
 // resolveUsers reads, by post ordinal, every candidate's author and the
@@ -403,8 +481,11 @@ func (cs *candidateSet) admit(tid social.PostID, matches int, loc geo.Point, uid
 // (social.Corpus.Score, so no thread is built; φ waits in the scratch for
 // relevance), then builds the set's user table — one row per distinct user
 // in first-candidate order, found by the user ordinal's slot, Σδ
-// accumulated in candidate order, each candidate pointed at its row — and
-// fills in |P_u| and δ(u,q) (Definition 9). It runs once per ranked query;
+// accumulated in candidate order, each candidate pointed at its row and
+// chained to the user's next — and fills in |P_u| and δ(u,q) (Definition
+// 9). A user with a pending candidate gets upper bounds of both: rounding
+// is monotone, so a sum in the same order over terms no smaller, and its
+// quotient, are no smaller than the exact ones. It runs once per ranked query;
 // retrieval-only callers never pay for it. δ(u,q) is read the way
 // Algorithms 4 and 5 can compute it from the retrieved postings: the user's
 // candidate distance sum divided by |P_u|. Posts outside the radius
@@ -434,11 +515,16 @@ func (e *Engine) resolveUsers(cs *candidateSet) {
 		slot := &sc.slots[a]
 		if slot.gen != sc.gen {
 			slot.gen, slot.row = sc.gen, int32(len(users))
-			users = append(users, candUser{uid: c.UID})
+			users = append(users, candUser{uid: c.UID, first: int32(i)})
 			ords = append(ords, a)
+		} else {
+			cs.cands[users[slot.row].last].next = int32(i)
 		}
-		c.user = int(slot.row)
-		users[c.user].deltaSum += c.Delta
+		c.user, c.next = slot.row, -1
+		u := &users[c.user]
+		u.last = int32(i)
+		u.deltaSum += c.Delta
+		u.pending = u.pending || c.pending
 	}
 	sc.users, sc.ords, cs.users = users, ords, users
 	counts := grow(&sc.counts, len(ords))
@@ -465,34 +551,57 @@ func (e *Engine) relevance(cs *candidateSet) []float64 {
 
 // rankSum is the back half of Algorithm 4: Σρ per user, summed in candidate
 // order (Definition 7), combined with δ(u,q) (Definition 10), and the top k
-// admitted under the sort-then-truncate order.
+// admitted under the sort-then-truncate order. Combine rounds monotonically
+// in δ(u,q) (α ≤ 1), so a user whose bounded score falls below the weakest
+// member's is admit's no-op and is passed over; any other pending user is
+// refined first, so admit sees only exact scores.
 func (e *Engine) rankSum(cs *candidateSet, rho []float64) []UserResult {
 	for i := range cs.cands {
 		cs.users[cs.cands[i].user].rhoSum += rho[i]
 	}
+	alpha := e.Opts.Params.Alpha
 	tk := newTopK(cs.q.K, len(cs.users))
-	for _, u := range cs.users {
-		tk.admit(u.uid, score.Combine(e.Opts.Params.Alpha, u.rhoSum, u.du))
+	for i := range cs.users {
+		u := &cs.users[i]
+		if u.pending {
+			if tk.full() && score.Combine(alpha, u.rhoSum, u.du) < tk.peek() {
+				continue
+			}
+			cs.refine(u)
+		}
+		tk.admit(u.uid, score.Combine(alpha, u.rhoSum, u.du))
 	}
 	return tk.results()
 }
 
 // rankMax is the back half of Algorithm 5: each candidate's user score —
 // its ρ combined with its user's δ(u,q) — streams through the bounded top-k,
-// a user keeping its best (Definition 8).
+// a user keeping its best (Definition 8). As Algorithm 5 tests its
+// popularity bound against topKUser.peek(), a bounded score no higher than
+// the weakest member's is offer's no-op and is passed over; any other
+// offer of a pending user refines it first.
 func (e *Engine) rankMax(cs *candidateSet, rho []float64) []UserResult {
+	alpha := e.Opts.Params.Alpha
 	tk := newTopK(cs.q.K, len(cs.users))
 	for i := range cs.cands {
 		c := &cs.cands[i]
-		tk.offer(c.UID, score.Combine(e.Opts.Params.Alpha, rho[i], cs.users[c.user].du))
+		u := &cs.users[c.user]
+		if u.pending {
+			if tk.full() && score.Combine(alpha, rho[i], u.du) <= tk.peek() {
+				continue
+			}
+			cs.refine(u)
+		}
+		tk.offer(c.UID, score.Combine(alpha, rho[i], u.du))
 	}
 	return tk.results()
 }
 
 // CandidateTweets runs only the retrieval stage of query processing
 // (circle cover, postings fetch, AND/OR merge, radius and window filters)
-// and returns the surviving tweets in ascending tweet-ID order, as the
-// caller's own copy. Used by the evidence API and by retrieval-only baselines.
+// and returns the surviving tweets in ascending tweet-ID order, each with
+// its exact δ(p,q), as the caller's own copy. Used by the evidence API and
+// by retrieval-only baselines.
 func (e *Engine) CandidateTweets(q Query) ([]CandidateTweet, *QueryStats, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
@@ -500,6 +609,7 @@ func (e *Engine) CandidateTweets(q Query) ([]CandidateTweet, *QueryStats, error)
 	if err != nil {
 		return nil, nil, err
 	}
+	cs.exactDeltas()
 	return slices.Clone(cs.cands), cs.done(), nil
 }
 

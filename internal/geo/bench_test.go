@@ -29,7 +29,9 @@ func BenchmarkDecodeCell(b *testing.B) {
 // haversine the filter used to pay for every one, and Circle.Distance on a
 // survivor (same arithmetic, centre cosine hoisted), on a point the haversine
 // cut-off rejects (no asin, no sqrt) and on one the latitude cut-off rejects
-// (no trigonometry at all).
+// (no trigonometry at all); then Circle.Bracket, which the filter runs first,
+// on the survivor (surely inside, polynomials only) and on the rejected
+// point.
 func BenchmarkHaversine(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		other := Point{Lat: 40.7128, Lon: -74.0060}
@@ -52,6 +54,23 @@ func BenchmarkHaversine(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				sinkFloat, _ = circle.Distance(leg.p)
+			}
+		})
+	}
+	for _, leg := range []struct {
+		name string
+		p    Point
+		want Verdict
+	}{
+		{"bracket-inside", Point{Lat: benchPoint.Lat + 0.05, Lon: benchPoint.Lon + 0.05}, Inside},
+		{"bracket-reject", Point{Lat: benchPoint.Lat + 0.05, Lon: benchPoint.Lon + 0.25}, Outside},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			if _, _, v := circle.Bracket(leg.p); v != leg.want {
+				b.Fatalf("%v: verdict %d, want %d", leg.p, v, leg.want)
+			}
+			for i := 0; i < b.N; i++ {
+				sinkFloat, _, _ = circle.Bracket(leg.p)
 			}
 		})
 	}

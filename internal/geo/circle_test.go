@@ -111,3 +111,70 @@ func TestCircleFallsBack(t *testing.T) {
 		}
 	}
 }
+
+// checkBracket requires c's bracket of p to contain the float haversine
+// Distance evaluates, and its verdict to agree with Distance: Inside only
+// for a point Distance admits, at a distance no shorter than MinArcKm of the
+// bracket's lower side; Outside only for one it rejects. It returns the
+// verdict.
+func checkBracket(t testing.TB, c *Circle, center, p Point) Verdict {
+	t.Helper()
+	lo, hi, v := c.Bracket(p)
+	km, inside := c.Distance(p)
+	if c.slow != nil {
+		if v != Undecided {
+			t.Fatalf("centre %v r=%v: the slow path gave %v a verdict %d", center, c.radiusKm, p, v)
+		}
+		return v
+	}
+	if h := haversine(center, p, c.cosLat); !(lo <= h && h <= hi) {
+		t.Fatalf("centre %v r=%v: %v: bracket [%v, %v] misses h = %v", center, c.radiusKm, p, lo, hi, h)
+	}
+	switch {
+	case v == Inside && !inside:
+		t.Fatalf("centre %v r=%v: %v at %v km: surely inside, but Distance rejects it", center, c.radiusKm, p, HaversineKm(center, p))
+	case v == Inside && MinArcKm(lo) > km:
+		t.Fatalf("centre %v r=%v: %v: MinArcKm(%v) = %v above the distance %v", center, c.radiusKm, p, lo, MinArcKm(lo), km)
+	case v == Outside && inside:
+		t.Fatalf("centre %v r=%v: %v at %v km: rejected, but Distance admits it", center, c.radiusKm, p, km)
+	}
+	return v
+}
+
+// TestCircleBracketContainsHaversine is the bracket's property test, in the
+// shape of TestCircleAdmitsExactlyTheHaversineDisc: for centres at and near
+// both poles, on the antimeridian and at random, and radii from 1 m to
+// 20,000 km (past π/4 the slow path answers), points across and around the
+// disc, hard by its edge (±4 ulp) and anywhere on the sphere all get a
+// bracket holding the float haversine and a verdict Distance agrees with.
+// Away from the poles and at radii up to 500 km, most points inside and
+// outside must be classified without Distance.
+func TestCircleBracketContainsHaversine(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	centers := []Point{{0, 0}, {90, 0}, {-90, 45}, {89.99, 10}, {-89.9995, -179.99}, {43.7, 179.9999}, {80.5, -180}, {-12, 180}}
+	for i := 0; i < 40; i++ {
+		centers = append(centers, Point{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180})
+	}
+	var verdicts [3]int
+	for _, center := range centers {
+		for _, base := range []float64{0.001, 0.01, 0.1, 1, 15, 50, 500, 3000, 9000, 10007, 20000} {
+			radius := base * (0.9 + 0.2*rng.Float64())
+			c := NewCircle(center, radius, Haversine{})
+			for j := 0; j < 40; j++ {
+				p := destination(center, radius*3*rng.Float64(), rng.Float64()*2*math.Pi)
+				if v := checkBracket(t, &c, center, p); base <= 500 && math.Abs(center.Lat) < 89 {
+					verdicts[v]++
+				}
+				checkBracket(t, &c, center, Point{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180})
+				edge := destination(center, radius, rng.Float64()*2*math.Pi)
+				for k := -4; k <= 4; k++ {
+					checkBracket(t, &c, center, Point{Lat: clamp(nudge(edge.Lat, k), -90, 90), Lon: edge.Lon})
+					checkBracket(t, &c, center, Point{Lat: edge.Lat, Lon: nudge(edge.Lon, k)})
+				}
+			}
+		}
+	}
+	if verdicts[Inside] < 5*verdicts[Undecided] || verdicts[Outside] < 5*verdicts[Undecided] {
+		t.Fatalf("verdicts of points within 3 radii: %d inside, %d outside, %d undecided", verdicts[Inside], verdicts[Outside], verdicts[Undecided])
+	}
+}

@@ -80,3 +80,29 @@ func FuzzCircleCoverComplete(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCircleBracket: for any centre, radius and point the destination
+// formula puts up to three radii out, Circle.Bracket holds the float
+// haversine Distance evaluates, and its verdict never contradicts Distance
+// (see checkBracket).
+func FuzzCircleBracket(f *testing.F) {
+	f.Add(43.68, -79.37, 50.0, 1.0, 0.5)
+	f.Add(89.999, 0.0, 15.0, 3.1, 0.99)
+	f.Add(-90.0, 10.0, 0.001, 0.0, 1.0)
+	f.Add(0.0, 179.99, 30.0, 1.5, 1.0)
+	f.Add(0.0, 0.0, 9000.0, 2.0, 1.0)
+	f.Add(60.0, -180.0, 20000.0, 4.0, 2.0)
+	f.Fuzz(func(t *testing.T, lat, lon, radiusKm, bearing, frac float64) {
+		center := Point{Lat: lat, Lon: lon}
+		if !center.Valid() || math.IsNaN(radiusKm) || radiusKm <= 0 || radiusKm > 25000 ||
+			math.IsNaN(bearing) || math.IsInf(bearing, 0) || math.IsNaN(frac) || frac < 0 || frac > 3 {
+			t.Skip()
+		}
+		p := destination(center, radiusKm*frac, bearing)
+		if !p.Valid() {
+			t.Skip()
+		}
+		c := NewCircle(center, radiusKm, Haversine{})
+		checkBracket(t, &c, center, p)
+	})
+}

@@ -129,7 +129,8 @@ func haversineArcKm(h float64) float64 {
 // evaluation can lose, so it only rejects points whose HaversineKm exceeds
 // the radius; points inside the band get the exact test. Other metrics, and
 // half-angles r/2R past π/4 (sin² flattens, then turns, towards π/2), pay
-// Metric.DistanceKm per point.
+// Metric.DistanceKm per point. Bracket classifies most points with no
+// trigonometry at all.
 type Circle struct {
 	center   Point
 	radiusKm float64
@@ -137,7 +138,14 @@ type Circle struct {
 	cosLat   float64 // cos of the centre's latitude
 	maxHav   float64 // sin²(r/2R)·(1+1e-9)
 	maxDLat  float64 // degrees of latitude spanning r·(1+1e-9)
+	inHav    float64 // sin²(r/2R)·(1−1e-9): a haversine at most this is inside
+	cosSq    float64 // cos² of the centre's latitude
+	sinCos   float64 // sin·cos of the centre's latitude
 }
+
+// guard is the relative guard band of the cut-offs and the bracket: a
+// million ulps against the few any one evaluation can lose.
+const guard = 1e-9
 
 // NewCircle prepares the radius test of a query at center under m.
 func NewCircle(center Point, radiusKm float64, m Metric) Circle {
@@ -145,13 +153,16 @@ func NewCircle(center Point, radiusKm float64, m Metric) Circle {
 	if _, ok := m.(Haversine); !ok || half > math.Pi/4 {
 		return Circle{center: center, radiusKm: radiusKm, slow: m}
 	}
-	const guard = 1 + 1e-9
 	s := math.Sin(half)
+	sinLat, cosLat := math.Sincos(center.Lat * math.Pi / 180)
 	return Circle{
 		center: center, radiusKm: radiusKm,
 		cosLat:  math.Cos(center.Lat * math.Pi / 180),
-		maxHav:  s * s * guard,
-		maxDLat: 2 * half * 180 / math.Pi * guard,
+		maxHav:  s * s * (1 + guard),
+		maxDLat: 2 * half * 180 / math.Pi * (1 + guard),
+		inHav:   s * s * (1 - guard),
+		cosSq:   cosLat * cosLat,
+		sinCos:  sinLat * cosLat,
 	}
 }
 
@@ -171,6 +182,89 @@ func (c *Circle) Distance(p Point) (km float64, inside bool) {
 	}
 	km = haversineArcKm(h)
 	return km, km <= c.radiusKm
+}
+
+// Verdict is what Bracket can tell about a point without trigonometry.
+type Verdict uint8
+
+const (
+	// Undecided: only Distance can tell.
+	Undecided Verdict = iota
+	// Outside: Distance reports the point outside; the cut-offs reject it.
+	Outside
+	// Inside: Distance reports the point inside, HaversineKm ≤ r for certain.
+	Inside
+)
+
+// minCosProduct is the smallest cos φ_centre · cos φ_p the bracket's upper
+// side trusts. Below it (both points within a degree of a pole) the
+// product's absolute rounding, ~1e-15, is no longer far inside the relative
+// guard.
+const minCosProduct = 1e-4
+
+// Bracket bounds, with polynomials alone, the float haversine h that
+// Distance evaluates for p: lo ≤ h ≤ hi. Each half-angle's sine lies in
+// [x − x³/6, x − x³/6 + x⁵/120] for x ≥ 0, and cos φ_p = cos(φ_c + d) is
+// cos φ_c·cos d − sin φ_c·sin d with cos d in [1 − d²/2, 1 − d²/2 + d⁴/24]
+// and sin d bracketed like the half-angles. The result is widened by the
+// relative guard (and 1e-300, for subnormals). The verdict is Outside for
+// the points the latitude cut-off rejects and for lo > sin²(r/2R)·(1+1e-9),
+// which the haversine cut-off rejects too; Inside when
+// hi ≤ sin²(r/2R)·(1−1e-9); Undecided otherwise, and always for the slow
+// metrics, for a longitude half-angle past π/4 (the antimeridian's
+// neighbours included), and near the poles, where hi is +Inf. lo and hi
+// bracket h whatever the verdict: a point the latitude cut-off rejects, or
+// one the bracket does not evaluate, gets [0, +Inf].
+func (c *Circle) Bracket(p Point) (lo, hi float64, v Verdict) {
+	if c.slow != nil {
+		return 0, math.Inf(1), Undecided
+	}
+	if math.Abs(p.Lat-c.center.Lat) > c.maxDLat {
+		return 0, math.Inf(1), Outside
+	}
+	// Constant divisors are multiplications by their reciprocals here: each
+	// rounds within an ulp of haversine's division, far inside the guard.
+	const rad = math.Pi / 180
+	dLat := (p.Lat - c.center.Lat) * rad
+	dLon := (p.Lon - c.center.Lon) * rad
+	if !(math.Abs(dLon) <= math.Pi/2) {
+		return 0, math.Inf(1), Undecided
+	}
+	s1lo, s1hi := sinBracket(math.Abs(dLat) / 2)
+	s2lo, s2hi := sinBracket(math.Abs(dLon) / 2)
+	// cos φ_c·cos φ_p = cos²φ_c·cos d − sin φ_c cos φ_c·sin d, d = dLat.
+	d2 := dLat * dLat
+	mid := c.cosSq*(1-d2/2) - c.sinCos*(dLat-dLat*d2*(1.0/6))
+	slack := (c.cosSq*(1.0/24) + math.Abs(c.sinCos*dLat)*(1.0/120)) * d2 * d2
+	lo, hi = s1lo*s1lo, math.Inf(1)
+	if cLo := mid - slack; cLo >= minCosProduct {
+		lo += cLo * s2lo * s2lo
+		hi = (s1hi*s1hi+(mid+slack)*s2hi*s2hi)*(1+guard) + 1e-300
+	}
+	lo = max(lo*(1-guard)-1e-300, 0)
+	switch {
+	case lo > c.maxHav:
+		return lo, hi, Outside
+	case hi <= c.inHav:
+		return lo, hi, Inside
+	}
+	return lo, hi, Undecided
+}
+
+// sinBracket returns x − x³/6 and x − x³/6 + x⁵/120, which bracket sin x
+// for x ≥ 0 (the alternating Taylor series' first two partial sums past x).
+func sinBracket(x float64) (lo, hi float64) {
+	x2 := x * x
+	lo = x - x*x2*(1.0/6)
+	return lo, lo + x*x2*x2*(1.0/120)
+}
+
+// MinArcKm returns a lower bound on the distance Distance reports for a
+// point whose haversine is at least lo: asin x ≥ x + x³/6 on [0, 1], less
+// the relative guard. It is monotone in lo, and needs no trigonometry.
+func MinArcKm(lo float64) float64 {
+	lo = min(lo, 1)
+	return 2 * EarthRadiusKm * math.Sqrt(lo) * (1 + lo*(1.0/6)) * (1 - guard)
 }
 
 // EquirectangularKm computes the planar approximation of the distance
